@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults wire fuzz-smoke ci bench-comm bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
+.PHONY: build test vet race faults wire fuzz-smoke ci perf-check bench-comm bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,7 @@ vet:
 # (async senders, routers, collectives), the engine core (workers, copiers,
 # frontiers with copier-side write-activation, read combining, wire
 # compression, work stealing, job cancellation, spillable write buffers),
-# the traversal algorithms (adaptive direction switching), the varint codec,
+# the algorithms (adaptive direction switching, the ablation lattice), the varint codec,
 # the partitioner (replanning), the observability registry, the serving
 # layer (admission scheduler, engine pools, deadlines, memory budgeting),
 # and the out-of-core store (streamed writer, residency window).
@@ -44,6 +44,12 @@ fuzz-smoke:
 
 ci: test vet race faults
 
+# Performance regression check: one fresh set of the six benchmark workloads
+# compared against the last record in benchmark/history.jsonl (refused when
+# the environment stamp differs from that record's).
+perf-check:
+	$(GO) run ./benchmark -check
+
 # Regenerate the communication fast-path sweep artifact.
 bench-comm:
 	$(GO) run ./cmd/pgxd-bench -exp comm -comm-out BENCH_comm.json
@@ -59,10 +65,11 @@ bench-wire:
 	$(GO) run ./cmd/pgxd-bench -exp wire -wire-out BENCH_wire.json
 
 # Frontier/direction check: frontier representation and write-activation
-# tests, the adaptive-vs-fixed bit-identity suite over both fabrics, then a
-# small -exp direction smoke.
+# tests, the ablation lattice (adaptive vs pinned push/pull and the
+# sparse-frontier fallback, exact against SA over both fabrics), then a small
+# -exp direction smoke.
 direction:
-	$(GO) test -count=1 -run 'Frontier|ActivateInto|TraversalsAdaptive' ./internal/core/... ./internal/algorithms/...
+	$(GO) test -count=1 -run 'Frontier|ActivateInto|AblationLattice' ./internal/core/... ./internal/algorithms/...
 	$(GO) run ./cmd/pgxd-bench -exp direction -machines 4 -scale 10 -quiet -direction-out BENCH_direction_smoke.json
 
 # Regenerate the push/pull direction-switching ablation artifact

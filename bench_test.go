@@ -277,7 +277,9 @@ func BenchmarkFig6c_Breakdown(b *testing.B) {
 		b.Run(cc.name, func(b *testing.B) {
 			cfg := core.DefaultConfig(4)
 			cfg.Partitioning = cc.strat
-			cfg.NodeChunking = cc.nodes
+			if cc.nodes {
+				cfg.Ablate = core.AblateEdgeChunking
+			}
 			c := bootPGX(b, g, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -392,7 +394,9 @@ func BenchmarkEngineAblation_GhostPrivatization(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := core.DefaultConfig(4)
 			cfg.GhostCount = 256
-			cfg.DisableGhostPrivatization = disabled
+			if disabled {
+				cfg.Ablate = core.AblateGhostPrivatization
+			}
 			c := bootPGX(b, g, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,0 +1,217 @@
+package algorithms
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/baseline/sa"
+	"repro/internal/comm"
+	"repro/internal/core"
+	"repro/internal/graph"
+)
+
+type ablationSet struct {
+	name string
+	set  core.Ablation
+}
+
+// ablationLattice is what the identity test walks: the production
+// configuration, every Ablation member alone, and all of them at once.
+func ablationLattice() []ablationSet {
+	sets := []ablationSet{
+		{"none", 0},
+		{"ghost-privatization", core.AblateGhostPrivatization},
+		{"read-combining", core.AblateReadCombining},
+		{"write-combining", core.AblateWriteCombining},
+		{"wire-compression", core.AblateWireCompression},
+		{"sparse-frontier", core.AblateSparseFrontier},
+		{"edge-chunking", core.AblateEdgeChunking},
+		{"pin-push", core.AblatePinPush},
+		{"pin-pull", core.AblatePinPull},
+	}
+	all := core.Ablation(0)
+	for _, as := range sets {
+		all |= as.set
+	}
+	return append(sets, ablationSet{"all", all})
+}
+
+// ablatedCluster boots a 3-machine cluster with one ablation set over the
+// requested transport. delayFaults additionally wraps the fabric in an
+// injector that delays every 7th frame — a tolerated fault that perturbs
+// message timing, so exact results also demonstrate the algorithms are
+// deterministic under reordering.
+func ablatedCluster(t *testing.T, g *graph.Graph, useTCP, delayFaults bool, set core.Ablation) *core.Cluster {
+	t.Helper()
+	const p = 3
+	cfg := core.DefaultConfig(p)
+	cfg.GhostThreshold = 64
+	cfg.BufferSize = 8 << 10
+	cfg.ReqBuffers = 2*cfg.Workers*p + 4
+	cfg.RespBuffers = 2*cfg.Copiers*p + 4
+	cfg.RequestTimeout = 10 * time.Second
+	cfg.CollectiveTimeout = 10 * time.Second
+	cfg.Ablate = set
+	if useTCP {
+		f, err := comm.NewTCPFabric(p, p*(cfg.ReqBuffers+cfg.Workers*p)+64, cfg.BufferSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Fabric = f
+	}
+	if delayFaults {
+		if cfg.Fabric == nil {
+			perMachine := cfg.ReqBuffers + cfg.RespBuffers + 4*p + 8 + p + 2
+			cfg.Fabric = comm.NewInProcFabric(p, p*perMachine+16)
+		}
+		cfg.Fabric = comm.NewFaultInjector(cfg.Fabric, comm.FaultPlan{
+			Seed: 7,
+			Rules: []comm.FaultRule{{
+				Src: comm.AnyMachine, Dst: comm.AnyMachine, Type: comm.AnyType,
+				Kind: comm.FaultDelay, Every: 7, Delay: 200 * time.Microsecond,
+			}},
+		})
+	}
+	c, err := core.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	if err := c.Load(g); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// eachTransport runs body over in-proc, TCP, and TCP-with-delay-faults.
+func eachTransport(t *testing.T, body func(t *testing.T, useTCP, faults bool)) {
+	t.Run("inproc", func(t *testing.T) { body(t, false, false) })
+	t.Run("tcp", func(t *testing.T) { body(t, true, false) })
+	t.Run("tcp-faults", func(t *testing.T) { body(t, true, true) })
+}
+
+// assertBitsF64 requires exact bit equality — SSSP relaxes with the same
+// operands in the same order in every schedule and in the reference, so its
+// floats are bit-identical, not merely close.
+func assertBitsF64(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %x, want %x", name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestAblationLatticeMatchesSA: every ablation set — the production
+// configuration, each member alone (sparse frontier reaches the engine's
+// dense-filter dispatch, the direction pins reach both schedules of every
+// traversal), and all at once — yields exactly the standalone reference for
+// WCC, SSSP, hop distance, k-core and sampled closeness, and PageRank-push to
+// float tolerance (push sums arrive in any order). On a small-world RMAT and
+// a high-diameter grid, over both fabrics, and with injected frame delays
+// perturbing delivery order.
+func TestAblationLatticeMatchesSA(t *testing.T) {
+	rmat := testGraph(t).WithUniformWeights(1, 10, 7)
+	grid, err := graph.Grid(20, 20, 8, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid = grid.WithUniformWeights(1, 10, 7)
+	const (
+		root    = graph.NodeID(0)
+		prIters = 4
+		samples = 3
+		seed    = 99
+	)
+	for _, tg := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"rmat", rmat}, {"grid", grid}} {
+		g := tg.g
+		wantWCC, _ := sa.WCC(g, 1)
+		wantSSSP, _ := sa.SSSP(g, root, 1)
+		wantHop, _ := sa.HopDist(g, root, 1)
+		wantPR := sa.PageRank(g, prIters, 0.85, 1)
+		wantBest, wantCore, _ := sa.KCore(g, 1)
+		wantClose := ClosenessReference(g, samples, seed)
+		t.Run(tg.name, func(t *testing.T) {
+			eachTransport(t, func(t *testing.T, useTCP, faults bool) {
+				for _, as := range ablationLattice() {
+					t.Run(as.name, func(t *testing.T) {
+						c := ablatedCluster(t, g, useTCP, faults, as.set)
+						n := c.NumNodes()
+						wcc, _, err := WCC(c, n)
+						if err != nil {
+							t.Fatalf("wcc: %v", err)
+						}
+						assertEqualI64(t, "wcc", wcc, wantWCC)
+						sp, _, err := SSSP(c, root, n)
+						if err != nil {
+							t.Fatalf("sssp: %v", err)
+						}
+						assertBitsF64(t, "sssp", sp, wantSSSP)
+						hop, _, err := HopDist(c, root, n)
+						if err != nil {
+							t.Fatalf("hopdist: %v", err)
+						}
+						assertEqualI64(t, "hopdist", hop, wantHop)
+						pr, _, err := PageRankPush(c, prIters, 0.85)
+						if err != nil {
+							t.Fatalf("pr-push: %v", err)
+						}
+						assertClose(t, "pr-push", pr, wantPR, 1e-9)
+						// k-core's ~200 near-empty peeling supersteps would each
+						// wait out the injected delays and see no reordering the
+						// other five do not.
+						if !faults {
+							best, nums, _, err := KCore(c, 0)
+							if err != nil {
+								t.Fatalf("kcore: %v", err)
+							}
+							if best != wantBest {
+								t.Fatalf("kcore max = %d, want %d", best, wantBest)
+							}
+							assertEqualI64(t, "kcore", nums, wantCore)
+						}
+						cl, _, err := Closeness(c, samples, seed, n)
+						if err != nil {
+							t.Fatalf("closeness: %v", err)
+						}
+						assertBitsF64(t, "closeness", cl, wantClose)
+					})
+				}
+			})
+		})
+	}
+}
+
+// TestResultPropsReturnToCluster: algorithms drop their result column once
+// it is gathered, so a long-lived (pooled) cluster neither grows by a column
+// per request nor walks into the 2^16 property-id limit.
+func TestResultPropsReturnToCluster(t *testing.T) {
+	c := boot(t, testGraph(t), 2)
+	first, err := c.AddPropI64("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.DropProps(first)
+	for i := 0; i < 100; i++ {
+		if _, _, err := WCC(c, c.NumNodes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := PageRankPull(c, 1, 0.85); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, err := c.AddPropI64("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != first {
+		t.Errorf("property id %d after 100 runs, want %d: results leak", next, first)
+	}
+}

@@ -8,6 +8,7 @@
 package algorithms
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -30,8 +31,7 @@ type Metrics struct {
 	// Traffic aggregates the transport deltas of all jobs.
 	Traffic comm.Snapshot
 	// PushSteps / PullSteps count traversal supersteps by direction (only
-	// the direction-optimizing traversals populate them; the dense ablation
-	// path counts every superstep as push).
+	// the direction-optimizing traversals populate them).
 	PushSteps int
 	PullSteps int
 }
@@ -60,9 +60,20 @@ var nowFn = time.Now
 // so algorithm bodies read like the paper's pseudocode instead of error
 // plumbing.
 type runner struct {
-	c   *core.Cluster
-	met Metrics
-	err error
+	c     *core.Cluster
+	met   Metrics
+	err   error
+	props []core.PropID
+}
+
+// dropProps releases every property the run registered — scratch and result
+// columns alike, since results are gathered before returning. Deferred at
+// the top of each algorithm so success, abort and a failed registration all
+// return the ids and columns to the cluster. Released last-in-first-out, so
+// the cluster's free list hands the next run the same ids in the same order.
+func (r *runner) dropProps() {
+	slices.Reverse(r.props)
+	r.c.DropProps(r.props...)
 }
 
 func (r *runner) run(spec core.JobSpec) {
@@ -97,20 +108,22 @@ func (r *runner) propF64(name string) core.PropID {
 	if r.err != nil {
 		return 0
 	}
-	p, err := r.c.AddPropF64(name)
-	if err != nil {
-		r.err = err
-	}
-	return p
+	return r.keep(r.c.AddPropF64(name))
 }
 
 func (r *runner) propI64(name string) core.PropID {
 	if r.err != nil {
 		return 0
 	}
-	p, err := r.c.AddPropI64(name)
+	return r.keep(r.c.AddPropI64(name))
+}
+
+// keep records a freshly registered property for dropProps, or the error.
+func (r *runner) keep(p core.PropID, err error) core.PropID {
 	if err != nil {
 		r.err = err
+		return 0
 	}
+	r.props = append(r.props, p)
 	return p
 }

@@ -141,11 +141,15 @@ func TestPageRankApproxMatchesSA(t *testing.T) {
 func TestApproxTrafficShrinksAcrossIterations(t *testing.T) {
 	// The defining behaviour: "decreasing amount of computation and
 	// communication as the iteration continues". Compare traffic of the
-	// first iteration against a late one by running two prefixes.
+	// first iteration against a late one by running two prefixes. The
+	// threshold sits where this graph's deltas (~1/n, decaying 0.85x per
+	// iteration) start deactivating nodes inside ten iterations; a much
+	// tighter one deactivates nothing that early and the ratio is 10x give
+	// or take buffer packing.
 	g := testGraph(t)
 	run := func(iters int) int64 {
 		c := boot(t, g, 4)
-		_, met, err := PageRankApprox(c, 0.85, 1e-7, iters)
+		_, met, err := PageRankApprox(c, 0.85, 1e-4, iters)
 		if err != nil {
 			t.Fatal(err)
 		}

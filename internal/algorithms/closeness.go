@@ -3,9 +3,9 @@ package algorithms
 import (
 	"math"
 
+	"repro/internal/baseline/sa"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/reduce"
 )
 
 // Sampled harmonic closeness centrality: for K sampled sources s, run a BFS
@@ -19,77 +19,59 @@ import (
 type closenessAccumKernel struct {
 	core.NoReads
 	dist, acc core.PropID
-	unreached int64
 }
 
 func (k *closenessAccumKernel) Run(c *core.Ctx) {
 	d := c.GetI64(k.dist)
-	if d <= 0 || d >= k.unreached {
+	if d <= 0 || d >= hopUnreached {
 		return // self or unreached
 	}
 	c.SetF64(k.acc, c.GetF64(k.acc)+1/float64(d))
+}
+
+// closenessRoots returns the seeded pseudo-random sample sources, samples
+// clamped to [1, n].
+func closenessRoots(n, samples int, seed int64) []graph.NodeID {
+	samples = max(1, min(samples, n))
+	roots := make([]graph.NodeID, samples)
+	state := uint64(seed)*2862933555777941757 + 3037000493
+	for s := range roots {
+		state = state*2862933555777941757 + 3037000493
+		roots[s] = graph.NodeID(state % uint64(n))
+	}
+	return roots
 }
 
 // Closeness estimates harmonic closeness from samples deterministic
 // pseudo-random sources (seeded). samples is clamped to the node count.
 func Closeness(c *core.Cluster, samples int, seed int64, maxIter int) ([]float64, Metrics, error) {
 	r := &runner{c: c}
+	defer r.dropProps()
 	acc := r.propF64("close_acc")
 	dist := r.propI64("close_dist")
-	distNxt := r.propI64("close_dist_nxt")
-	active := r.propI64("close_active")
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
-	defer c.DropProps(acc, dist, distNxt, active)
 	n := c.NumNodes()
-	if samples > n {
-		samples = n
-	}
-	if samples < 1 {
-		samples = 1
-	}
+	roots := closenessRoots(n, samples, seed)
 	c.FillF64(acc, 0)
-	unreached := int64(math.MaxInt64) - 1
+	cur, unvis := c.NewFrontier("close_cur"), c.NewFrontier("close_unvis")
 
 	start := nowFn()
-	state := uint64(seed)*2862933555777941757 + 3037000493
-	activeFilter := func(ctx *core.Ctx) bool { return ctx.GetI64(active) != 0 }
-	for s := 0; s < samples && r.err == nil; s++ {
-		state = state*2862933555777941757 + 3037000493
-		root := graph.NodeID(state % uint64(n))
-		c.FillI64(dist, unreached)
-		c.FillI64(distNxt, unreached)
-		c.FillI64(active, 0)
-		c.SetNodeI64(root, dist, 0)
-		c.SetNodeI64(root, distNxt, 0)
-		c.SetNodeI64(root, active, 1)
-		for it := 0; it < maxIter && r.err == nil; it++ {
-			r.run(core.JobSpec{Name: "close-relax", Iter: core.IterOutEdges,
-				Task:       &hopRelaxKernel{dist: dist, distNxt: distNxt},
-				Filter:     activeFilter,
-				WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min}}})
-			r.run(core.JobSpec{Name: "close-adopt", Iter: core.IterNodes,
-				Task: &minAdoptKernel{label: dist, labelNxt: distNxt, active: active}})
-			r.met.Iterations++
-			remaining, err := c.ReduceI64(active, reduce.Sum)
-			if err != nil {
-				r.err = err
-				break
-			}
-			if remaining == 0 {
-				break
-			}
+	for _, root := range roots {
+		if r.err != nil {
+			break
 		}
+		r.bfs(dist, cur, unvis, root, maxIter)
 		r.run(core.JobSpec{Name: "close-accum", Iter: core.IterNodes,
-			Task: &closenessAccumKernel{dist: dist, acc: acc, unreached: unreached}})
+			Task: &closenessAccumKernel{dist: dist, acc: acc}})
 	}
 	r.met.Total = nowFn().Sub(start)
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
 	out := c.GatherF64(acc)
-	scale := float64(n) / float64(samples)
+	scale := float64(n) / float64(len(roots))
 	for i := range out {
 		out[i] *= scale
 	}
@@ -97,52 +79,22 @@ func Closeness(c *core.Cluster, samples int, seed int64, maxIter int) ([]float64
 }
 
 // ClosenessReference computes the same sampled estimate sequentially (same
-// source sequence) for tests.
+// source sequence, the SA baseline's BFS) for tests.
 func ClosenessReference(g *graph.Graph, samples int, seed int64) []float64 {
 	n := g.NumNodes()
-	if samples > n {
-		samples = n
-	}
-	if samples < 1 {
-		samples = 1
-	}
+	roots := closenessRoots(n, samples, seed)
 	acc := make([]float64, n)
-	state := uint64(seed)*2862933555777941757 + 3037000493
-	for s := 0; s < samples; s++ {
-		state = state*2862933555777941757 + 3037000493
-		root := graph.NodeID(state % uint64(n))
-		dist := bfsFrom(g, root)
+	for _, root := range roots {
+		dist, _ := sa.HopDist(g, root, 1)
 		for v, d := range dist {
-			if d > 0 {
+			if d > 0 && d < math.MaxInt64 {
 				acc[v] += 1 / float64(d)
 			}
 		}
 	}
-	scale := float64(n) / float64(samples)
+	scale := float64(n) / float64(len(roots))
 	for i := range acc {
 		acc[i] *= scale
 	}
 	return acc
-}
-
-func bfsFrom(g *graph.Graph, root graph.NodeID) []int64 {
-	dist := make([]int64, g.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[root] = 0
-	frontier := []graph.NodeID{root}
-	for d := int64(1); len(frontier) > 0; d++ {
-		var next []graph.NodeID
-		for _, u := range frontier {
-			for _, v := range g.Out.Neighbors(u) {
-				if dist[v] < 0 {
-					dist[v] = d
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
 }

@@ -44,12 +44,12 @@ func (k *evNormalizeKernel) Run(c *core.Ctx) {
 // eigenvector centrality of every node.
 func Eigenvector(c *core.Cluster, iters int) ([]float64, Metrics, error) {
 	r := &runner{c: c}
+	defer r.dropProps()
 	ev := r.propF64("ev")
 	nxt := r.propF64("ev_nxt")
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
-	defer c.DropProps(nxt)
 	n := float64(c.NumNodes())
 	c.FillF64(ev, 1/math.Sqrt(n))
 	c.FillF64(nxt, 0)

@@ -63,6 +63,7 @@ func (kk *coreRecordKernel) Run(c *core.Ctx) {
 // metrics. maxK caps the search (0 means unbounded).
 func KCore(c *core.Cluster, maxK int64) (int64, []int64, Metrics, error) {
 	r := &runner{c: c}
+	defer r.dropProps()
 	deg := r.propI64("kcore_deg")
 	alive := r.propI64("kcore_alive")
 	dying := r.propI64("kcore_dying")
@@ -70,7 +71,6 @@ func KCore(c *core.Cluster, maxK int64) (int64, []int64, Metrics, error) {
 	if r.err != nil {
 		return 0, nil, r.met, r.err
 	}
-	defer c.DropProps(deg, alive, dying)
 	c.FillI64(alive, 1)
 	c.FillI64(dying, 0)
 	c.FillI64(coreNum, 0)

@@ -102,6 +102,7 @@ func (k *misApplyExclusion) Run(c *core.Ctx) {
 // seed.
 func MIS(c *core.Cluster, seed int64, maxRounds int) ([]bool, Metrics, error) {
 	r := &runner{c: c}
+	defer r.dropProps()
 	status := r.propI64("mis_status")
 	pri := r.propI64("mis_pri")
 	nbrPri := r.propI64("mis_nbr_pri")
@@ -109,7 +110,6 @@ func MIS(c *core.Cluster, seed int64, maxRounds int) ([]bool, Metrics, error) {
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
-	defer c.DropProps(status, pri, nbrPri, excluded)
 	c.FillI64(status, misUndecided)
 	c.FillI64(excluded, 0)
 

@@ -93,13 +93,13 @@ func PageRankPush(c *core.Cluster, iters int, damping float64) ([]float64, Metri
 
 func pageRankExact(c *core.Cluster, iters int, damping float64, pull bool) ([]float64, Metrics, error) {
 	r := &runner{c: c}
+	defer r.dropProps()
 	pr := r.propF64("pr")
 	nxt := r.propF64("pr_nxt")
 	scaled := r.propF64("pr_scaled")
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
-	defer c.DropProps(nxt, scaled)
 	n := float64(c.NumNodes())
 	c.FillF64(pr, 1/n)
 	c.FillF64(nxt, 0)
@@ -187,6 +187,7 @@ func (k *prDeltaApplyKernel) Run(c *core.Ctx) {
 // implementation."
 func PageRankApprox(c *core.Cluster, damping, threshold float64, maxIter int) ([]float64, Metrics, error) {
 	r := &runner{c: c}
+	defer r.dropProps()
 	pr := r.propF64("apr")
 	delta := r.propF64("apr_delta")
 	deltaNxt := r.propF64("apr_delta_nxt")
@@ -195,7 +196,6 @@ func PageRankApprox(c *core.Cluster, damping, threshold float64, maxIter int) ([
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
-	defer c.DropProps(delta, deltaNxt, scaledDelta, active)
 	n := float64(c.NumNodes())
 	base := (1 - damping) / n
 	c.FillF64(pr, base)

@@ -42,6 +42,7 @@ func PersonalizedPageRank(c *core.Cluster, sources []graph.NodeID, iters int, da
 		return nil, Metrics{}, fmt.Errorf("algorithms: personalized PageRank needs at least one source")
 	}
 	r := &runner{c: c}
+	defer r.dropProps()
 	pr := r.propF64("ppr")
 	nxt := r.propF64("ppr_nxt")
 	scaled := r.propF64("ppr_scaled")
@@ -49,7 +50,6 @@ func PersonalizedPageRank(c *core.Cluster, sources []graph.NodeID, iters int, da
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
-	defer c.DropProps(nxt, scaled, isSource)
 
 	c.FillI64(isSource, 0)
 	for _, s := range sources {

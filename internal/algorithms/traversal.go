@@ -13,13 +13,9 @@ import (
 // kernel of the adopt phase collects the next frontier (Ctx.Activate), and a
 // DirectionPolicy picks push or pull per superstep. The frontier size and
 // degree sums come back piggybacked on the job's termination allreduce, so no
-// per-superstep ReduceI64 collective remains on this path.
-//
-// The pre-frontier formulation — dense i64 "active" properties, a full O(V)
-// filter scan per superstep, and a ReduceI64(active, Sum) convergence check —
-// is kept verbatim below (wccDense, ssspDense, hopDistDense) and selected by
-// Config.DisableSparseFrontier. It is the ablation baseline BENCH_direction
-// measures the frontier machinery against.
+// per-superstep ReduceI64 collective remains on this path. Push, pull and the
+// engine's sparse/dense frontier dispatch are schedules of these same
+// kernels, never separate implementations.
 
 // minLabelPush propagates the node's current label to the neighbor's next
 // label with a MIN reduction — the shared push kernel of WCC (labels), SSSP
@@ -31,24 +27,6 @@ type minLabelPush struct {
 
 func (k *minLabelPush) Run(c *core.Ctx) {
 	c.NbrWriteI64(k.labelNxt, reduce.Min, c.GetI64(k.label))
-}
-
-// minAdoptKernel adopts labelNxt when it improves label and records whether
-// the node changed in a dense activity property (the ablation path's activity
-// tracking).
-type minAdoptKernel struct {
-	core.NoReads
-	label, labelNxt, active core.PropID
-}
-
-func (k *minAdoptKernel) Run(c *core.Ctx) {
-	nxt := c.GetI64(k.labelNxt)
-	if nxt < c.GetI64(k.label) {
-		c.SetI64(k.label, nxt)
-		c.SetI64(k.active, 1)
-	} else {
-		c.SetI64(k.active, 0)
-	}
 }
 
 // --- WCC ---------------------------------------------------------------------
@@ -94,16 +72,13 @@ func (k *wccAdoptKernel) Run(c *core.Ctx) {
 // re-enters the frontier. Returns the component label per node (the minimum
 // global id in the component).
 func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
-	if c.Config().DisableSparseFrontier {
-		return wccDense(c, maxIter)
-	}
 	r := &runner{c: c}
+	defer r.dropProps()
 	label := r.propI64("wcc")
 	labelNxt := r.propI64("wcc_nxt")
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
-	defer c.DropProps(labelNxt)
 	c.FillByNodeI64(label, func(v graph.NodeID) int64 { return int64(v) })
 	c.FillByNodeI64(labelNxt, func(v graph.NodeID) int64 { return int64(v) })
 
@@ -111,13 +86,11 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 	cur.Fill(nil) // every node starts with its own label to propagate
 	stats := cur.Stats()
 	policy := c.NewDirectionPolicy()
-	if c.Config().DirectionAlpha <= 0 {
-		// Min-label pull has no early exit (every neighbor label must be
-		// folded in), so a pull superstep pays its full 2E scan: only prefer
-		// it when frontier edge work genuinely rivals that, not at the
-		// BFS-tuned 1/alpha fraction.
-		policy.Alpha = 1
-	}
+	// Min-label pull has no early exit (every neighbor label must be folded
+	// in), so a pull superstep pays its full 2E scan: only prefer it when
+	// frontier edge work genuinely rivals that, not at the BFS-tuned 1/alpha
+	// fraction.
+	policy.Alpha = 1
 	dir := core.DirPush
 	pullEdges := 2 * c.NumEdges() // a pull superstep scans both orientations
 
@@ -149,49 +122,6 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 			break
 		}
 		stats = adopt.Frontiers[0]
-	}
-	r.met.Total = nowFn().Sub(start)
-	if r.err != nil {
-		return nil, r.met, r.err
-	}
-	return c.GatherI64(label), r.met, nil
-}
-
-// wccDense is the pre-frontier WCC: dense activity property, full filter
-// scan, ReduceI64 convergence check (the DisableSparseFrontier ablation).
-func wccDense(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
-	r := &runner{c: c}
-	label := r.propI64("wcc")
-	labelNxt := r.propI64("wcc_nxt")
-	active := r.propI64("wcc_active")
-	if r.err != nil {
-		return nil, r.met, r.err
-	}
-	defer c.DropProps(labelNxt, active)
-	c.FillByNodeI64(label, func(v graph.NodeID) int64 { return int64(v) })
-	c.FillByNodeI64(labelNxt, func(v graph.NodeID) int64 { return int64(v) })
-	c.FillI64(active, 1)
-	activeFilter := func(ctx *core.Ctx) bool { return ctx.GetI64(active) != 0 }
-
-	start := nowFn()
-	for it := 0; it < maxIter && r.err == nil; it++ {
-		push := &minLabelPush{label: label, labelNxt: labelNxt}
-		writes := []core.WriteSpec{{Prop: labelNxt, Op: reduce.Min}}
-		// Weak connectivity ignores direction: one both-orientations job per
-		// round instead of separate out and in jobs.
-		r.run(core.JobSpec{Name: "wcc-push", Iter: core.IterBothEdges, Task: push, Filter: activeFilter, WriteProps: writes})
-		r.run(core.JobSpec{Name: "wcc-adopt", Iter: core.IterNodes,
-			Task: &minAdoptKernel{label: label, labelNxt: labelNxt, active: active}})
-		r.met.Iterations++
-		r.met.PushSteps++
-		remaining, err := c.ReduceI64(active, reduce.Sum)
-		if err != nil {
-			r.err = err
-			break
-		}
-		if remaining == 0 {
-			break
-		}
 	}
 	r.met.Total = nowFn().Sub(start)
 	if r.err != nil {
@@ -246,37 +176,19 @@ func (k *ssspAdoptKernel) Run(c *core.Ctx) {
 	}
 }
 
-type distAdoptKernel struct {
-	core.NoReads
-	dist, distNxt, active core.PropID
-}
-
-func (k *distAdoptKernel) Run(c *core.Ctx) {
-	nxt := c.GetF64(k.distNxt)
-	if nxt < c.GetF64(k.dist) {
-		c.SetF64(k.dist, nxt)
-		c.SetI64(k.active, 1)
-	} else {
-		c.SetI64(k.active, 0)
-	}
-}
-
 // SSSP computes single-source shortest path distances with the iterative
 // Bellman-Ford scheme the paper uses, driven by a frontier of just-improved
 // nodes with per-round push/pull selection; unreachable nodes report +Inf.
 // Edge weights come from the loaded graph ("we generated these values using
 // a uniform random distribution").
 func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics, error) {
-	if c.Config().DisableSparseFrontier {
-		return ssspDense(c, source, maxIter)
-	}
 	r := &runner{c: c}
+	defer r.dropProps()
 	dist := r.propF64("sssp")
 	distNxt := r.propF64("sssp_nxt")
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
-	defer c.DropProps(distNxt)
 	inf := math.Inf(1)
 	c.FillF64(dist, inf)
 	c.FillF64(distNxt, inf)
@@ -287,13 +199,10 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 	cur.Add(source)
 	stats := cur.Stats()
 	policy := c.NewDirectionPolicy()
-	if c.Config().DirectionAlpha <= 0 {
-		// Edge relaxation has no early exit in pull form (min over every
-		// in-edge), so a pull superstep pays its full E scan: only prefer it
-		// when frontier edge work rivals that, not at the BFS-tuned 1/alpha
-		// fraction.
-		policy.Alpha = 1
-	}
+	// Edge relaxation has no early exit in pull form (min over every
+	// in-edge), so a pull superstep pays its full E scan: only prefer it when
+	// frontier edge work rivals that, not at the BFS-tuned 1/alpha fraction.
+	policy.Alpha = 1
 	dir := core.DirPush
 	pullEdges := c.NumEdges() // a pull superstep scans every in-edge once
 
@@ -333,62 +242,7 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 	return c.GatherF64(dist), r.met, nil
 }
 
-// ssspDense is the pre-frontier SSSP (the DisableSparseFrontier ablation).
-func ssspDense(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics, error) {
-	r := &runner{c: c}
-	dist := r.propF64("sssp")
-	distNxt := r.propF64("sssp_nxt")
-	active := r.propI64("sssp_active")
-	if r.err != nil {
-		return nil, r.met, r.err
-	}
-	defer c.DropProps(distNxt, active)
-	inf := math.Inf(1)
-	c.FillF64(dist, inf)
-	c.FillF64(distNxt, inf)
-	c.FillI64(active, 0)
-	c.SetNodeF64(source, dist, 0)
-	c.SetNodeF64(source, distNxt, 0)
-	c.SetNodeI64(source, active, 1)
-	activeFilter := func(ctx *core.Ctx) bool { return ctx.GetI64(active) != 0 }
-
-	start := nowFn()
-	for it := 0; it < maxIter && r.err == nil; it++ {
-		r.run(core.JobSpec{Name: "sssp-relax", Iter: core.IterOutEdges,
-			Task:       &distRelaxKernel{dist: dist, distNxt: distNxt},
-			Filter:     activeFilter,
-			WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min}}})
-		r.run(core.JobSpec{Name: "sssp-adopt", Iter: core.IterNodes,
-			Task: &distAdoptKernel{dist: dist, distNxt: distNxt, active: active}})
-		r.met.Iterations++
-		r.met.PushSteps++
-		remaining, err := c.ReduceI64(active, reduce.Sum)
-		if err != nil {
-			r.err = err
-			break
-		}
-		if remaining == 0 {
-			break
-		}
-	}
-	r.met.Total = nowFn().Sub(start)
-	if r.err != nil {
-		return nil, r.met, r.err
-	}
-	return c.GatherF64(dist), r.met, nil
-}
-
 // --- hop distance (BFS) -------------------------------------------------------
-
-// hopRelaxKernel pushes dist+1 to out-neighbors.
-type hopRelaxKernel struct {
-	core.NoReads
-	dist, distNxt core.PropID
-}
-
-func (k *hopRelaxKernel) Run(c *core.Ctx) {
-	c.NbrWriteI64(k.distNxt, reduce.Min, c.GetI64(k.dist)+1)
-}
 
 // hopPushKernel is the top-down BFS step: frontier nodes (all at the current
 // level) push level+1 into each out-neighbor's dist with a MIN reduction.
@@ -436,39 +290,32 @@ func (k *hopPullKernel) ReadDone(c *core.Ctx, val uint64) {
 	}
 }
 
-// HopDist computes breadth-first hop distances from root ("Breadth-first
-// traversal from the root") with direction-optimizing search: top-down (push)
-// supersteps while the frontier is small, bottom-up (pull) supersteps over
-// the unvisited set once the frontier's out-edge work rivals the unvisited
-// side's in-edge work. Each level is a single job — push builds the next
-// frontier receiver-side (WriteSpec.ActivateInto), pull builds it via
-// self-activation — and the unvisited set is maintained incrementally by
-// subtracting each new frontier. Both directions assign identical levels, so
-// the result is bit-identical to either fixed direction. Unreachable nodes
-// report math.MaxInt64.
-func HopDist(c *core.Cluster, root graph.NodeID, maxIter int) ([]int64, Metrics, error) {
-	if c.Config().DisableSparseFrontier {
-		return hopDistDense(c, root, maxIter)
-	}
-	r := &runner{c: c}
-	dist := r.propI64("hop")
-	if r.err != nil {
-		return nil, r.met, r.err
-	}
-	unreached := int64(math.MaxInt64) - 1 // headroom so level+1 cannot wrap
-	c.FillI64(dist, unreached)
-	c.SetNodeI64(root, dist, 0)
+// hopUnreached marks not-yet-visited nodes during a traversal: MaxInt64 less
+// headroom so level+1 cannot wrap.
+const hopUnreached = int64(math.MaxInt64) - 1
 
-	cur := c.NewFrontier("hop_cur")
-	unvis := c.NewFrontier("hop_unvis")
+// bfs runs one breadth-first traversal from root into dist with
+// direction-optimizing search: top-down (push) supersteps while the frontier
+// is small, bottom-up (pull) supersteps over the unvisited set once the
+// frontier's out-edge work rivals the unvisited side's in-edge work. Each
+// level is a single job — push builds the next frontier receiver-side
+// (WriteSpec.ActivateInto), pull builds it via self-activation — and the
+// unvisited set is maintained incrementally by subtracting each new frontier.
+// Both directions assign identical levels, so the result is bit-identical to
+// either fixed direction; unreached nodes keep hopUnreached. cur and unvis
+// are scratch frontiers whose membership is overwritten, so a caller running
+// many traversals (Closeness) creates them once.
+func (r *runner) bfs(dist core.PropID, cur, unvis *core.Frontier, root graph.NodeID, maxIter int) {
+	c := r.c
+	c.FillI64(dist, hopUnreached)
+	c.SetNodeI64(root, dist, 0)
+	cur.Reset()
 	cur.Add(root)
 	unvis.Fill(func(v graph.NodeID) bool { return v != root })
 	curStats, unvisStats := cur.Stats(), unvis.Stats()
 
 	policy := c.NewDirectionPolicy()
 	dir := core.DirPush
-
-	start := nowFn()
 	for level := int64(0); int(level) < maxIter && r.err == nil; level++ {
 		if curStats.Count == 0 {
 			break
@@ -502,64 +349,27 @@ func HopDist(c *core.Cluster, root graph.NodeID, maxIter int) ([]int64, Metrics,
 		unvis.Subtract(cur)
 		unvisStats = unvis.Stats()
 	}
-	r.met.Total = nowFn().Sub(start)
-	if r.err != nil {
-		return nil, r.met, r.err
-	}
-	out := c.GatherI64(dist)
-	for i, v := range out {
-		if v >= unreached {
-			out[i] = math.MaxInt64
-		}
-	}
-	return out, r.met, nil
 }
 
-// hopDistDense is the pre-frontier BFS (the DisableSparseFrontier ablation).
-func hopDistDense(c *core.Cluster, root graph.NodeID, maxIter int) ([]int64, Metrics, error) {
+// HopDist computes breadth-first hop distances from root ("Breadth-first
+// traversal from the root"); see runner.bfs. Unreachable nodes report
+// math.MaxInt64.
+func HopDist(c *core.Cluster, root graph.NodeID, maxIter int) ([]int64, Metrics, error) {
 	r := &runner{c: c}
+	defer r.dropProps()
 	dist := r.propI64("hop")
-	distNxt := r.propI64("hop_nxt")
-	active := r.propI64("hop_active")
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
-	defer c.DropProps(distNxt, active)
-	unreached := int64(math.MaxInt64) - 1 // headroom so dist+1 cannot wrap
-	c.FillI64(dist, unreached)
-	c.FillI64(distNxt, unreached)
-	c.FillI64(active, 0)
-	c.SetNodeI64(root, dist, 0)
-	c.SetNodeI64(root, distNxt, 0)
-	c.SetNodeI64(root, active, 1)
-	activeFilter := func(ctx *core.Ctx) bool { return ctx.GetI64(active) != 0 }
-
 	start := nowFn()
-	for it := 0; it < maxIter && r.err == nil; it++ {
-		r.run(core.JobSpec{Name: "hop-relax", Iter: core.IterOutEdges,
-			Task:       &hopRelaxKernel{dist: dist, distNxt: distNxt},
-			Filter:     activeFilter,
-			WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min}}})
-		r.run(core.JobSpec{Name: "hop-adopt", Iter: core.IterNodes,
-			Task: &minAdoptKernel{label: dist, labelNxt: distNxt, active: active}})
-		r.met.Iterations++
-		r.met.PushSteps++
-		remaining, err := c.ReduceI64(active, reduce.Sum)
-		if err != nil {
-			r.err = err
-			break
-		}
-		if remaining == 0 {
-			break
-		}
-	}
+	r.bfs(dist, c.NewFrontier("hop_cur"), c.NewFrontier("hop_unvis"), root, maxIter)
 	r.met.Total = nowFn().Sub(start)
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
 	out := c.GatherI64(dist)
 	for i, v := range out {
-		if v >= unreached {
+		if v >= hopUnreached {
 			out[i] = math.MaxInt64
 		}
 	}

@@ -106,11 +106,11 @@ func TriangleCount(c *core.Cluster, g *graph.Graph) (int64, Metrics, error) {
 		return 0, Metrics{}, fmt.Errorf("algorithms: graph does not match the loaded instance")
 	}
 	r := &runner{c: c}
+	defer r.dropProps()
 	count := r.propI64("tri_count")
 	if r.err != nil {
 		return 0, r.met, r.err
 	}
-	defer c.DropProps(count)
 	c.FillI64(count, 0)
 
 	adj := sortedUniqueAdjacency(g)

@@ -63,7 +63,7 @@ func ExpAblations(ds *Datasets, scale, machines int, prog Progress) (*Table, err
 		return nil, err
 	}
 	cfgShared := cfgPriv
-	cfgShared.DisableGhostPrivatization = true
+	cfgShared.Ablate = core.AblateGhostPrivatization
 	sharedT, err := runPR(cfgShared, false)
 	if err != nil {
 		return nil, err
@@ -83,7 +83,7 @@ func ExpAblations(ds *Datasets, scale, machines int, prog Progress) (*Table, err
 		return nil, err
 	}
 	cfgNoComb := cfgComb
-	cfgNoComb.DisableReadCombining = true
+	cfgNoComb.Ablate = core.AblateReadCombining
 	noCombT, err := runPR(cfgNoComb, true)
 	if err != nil {
 		return nil, err
@@ -113,8 +113,7 @@ func ExpAblations(ds *Datasets, scale, machines int, prog Progress) (*Table, err
 		return nil, err
 	}
 	cfgFixed := core.DefaultConfig(machines)
-	cfgFixed.DisableDirectionSwitching = true
-	cfgFixed.FixedDirection = core.DirPush
+	cfgFixed.Ablate = core.AblatePinPush
 	fixedT, err := runBFS(cfgFixed)
 	if err != nil {
 		return nil, err
@@ -124,12 +123,13 @@ func ExpAblations(ds *Datasets, scale, machines int, prog Progress) (*Table, err
 		fmt.Sprintf("push %s", fmtSecs(fixedT.Seconds())),
 		fmt.Sprintf("%.2f", adaptT.Seconds()/fixedT.Seconds()))
 
-	// 5. Sparse frontier: frontier-driven BFS (fixed push, so only the
-	// iteration machinery differs) vs the dense active-property path with its
-	// full filter scans and per-step allreduce.
+	// 5. Sparse frontier: frontier-driven BFS vs the engine's dense-filter
+	// fallback (every chunk scanned, one membership-bit test per node, no
+	// empty-machine skip) — both fixed push, so only the iteration machinery
+	// differs.
 	prog.log("ablations: sparse frontier")
 	cfgDense := core.DefaultConfig(machines)
-	cfgDense.DisableSparseFrontier = true
+	cfgDense.Ablate = core.AblateSparseFrontier | core.AblatePinPush
 	denseT, err := runBFS(cfgDense)
 	if err != nil {
 		return nil, err
@@ -160,7 +160,7 @@ func ExpAblations(ds *Datasets, scale, machines int, prog Progress) (*Table, err
 		return nil, err
 	}
 	cfgNoW := core.DefaultConfig(machines)
-	cfgNoW.DisableWriteCombining = true
+	cfgNoW.Ablate = core.AblateWriteCombining
 	noCombWT, err := runWCC(cfgNoW)
 	if err != nil {
 		return nil, err

@@ -267,8 +267,7 @@ func bestOfTwo(g *graph.Graph, machines int, layout partition.Layout, ghosts int
 // chunk relative to owning it.
 func runBalanceCell(g *graph.Graph, machines int, layout partition.Layout, ghosts int, steal bool, algo string, prIters int) (BalanceRow, []uint64, error) {
 	cfg := core.DefaultConfig(machines)
-	cfg.EnableWorkStealing = true
-	cfg.DisableWorkStealing = !steal
+	cfg.EnableWorkStealing = steal
 	// Fine-grained chunks: the straggler's cursor drains gradually, so
 	// thieves find unclaimed work throughout the task phase instead of only
 	// at its start.

@@ -57,7 +57,9 @@ func ExpCommFastPath(ds *Datasets, scale, machines, prIters int, prog Progress) 
 			prog.log("comm: %s sends, combining %v", sends, combining)
 			cfg := core.DefaultConfig(machines)
 			cfg.GhostThreshold = core.GhostDisabled
-			cfg.DisableReadCombining = !combining
+			if !combining {
+				cfg.Ablate = core.AblateReadCombining
+			}
 			cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
 			cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
 			opts := comm.TCPOptions{}

@@ -43,8 +43,8 @@ type DirectionReport struct {
 
 // ExpDirection ablates the adaptive push/pull traversal machinery: BFS on a
 // skewed RMAT graph and a high-diameter road-like grid under {fixed-push,
-// fixed-pull, adaptive} policies plus the pre-frontier dense path
-// (DisableSparseFrontier), and SSSP/WCC under {fixed-push, fixed-pull,
+// fixed-pull, adaptive} policies plus the engine's dense-filter fallback
+// (AblateSparseFrontier, pinned push), and SSSP/WCC under {fixed-push, fixed-pull,
 // adaptive} for the bit-identity and regression check. PageRank rows pin the
 // frontier machinery's zero cost on non-frontier algorithms.
 func ExpDirection(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table, *DirectionReport, error) {
@@ -52,14 +52,11 @@ func ExpDirection(ds *Datasets, scale, machines, prIters int, prog Progress) (*T
 	t := &Table{Title: fmt.Sprintf("Direction switching (%d machines, scale %d)", machines, scale)}
 	t.Header = []string{"graph", "algo", "variant", "time", "steps", "push/pull", "bytes", "identical", "speedup"}
 
-	variants := []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"fixed-push", func(c *core.Config) { c.DisableDirectionSwitching = true; c.FixedDirection = core.DirPush }},
-		{"fixed-pull", func(c *core.Config) { c.DisableDirectionSwitching = true; c.FixedDirection = core.DirPull }},
-		{"adaptive", func(c *core.Config) {}},
-		{"dense", func(c *core.Config) { c.DisableSparseFrontier = true }},
+	variants := map[string]core.Ablation{
+		"fixed-push": core.AblatePinPush,
+		"fixed-pull": core.AblatePinPull,
+		"adaptive":   0,
+		"dense":      core.AblateSparseFrontier | core.AblatePinPush,
 	}
 
 	type cell struct {
@@ -89,12 +86,6 @@ func ExpDirection(ds *Datasets, scale, machines, prIters int, prog Progress) (*T
 		var fixedBest float64
 		adaptiveIdx := -1
 		for _, vname := range cl.variants {
-			var mut func(*core.Config)
-			for _, v := range variants {
-				if v.name == vname {
-					mut = v.mut
-				}
-			}
 			prog.log("direction: %s %s %s", cl.graphName, cl.algo, vname)
 			// Best of two runs, each on a fresh cluster: algorithm props and
 			// the policy's learned cost model must start cold every trial.
@@ -102,7 +93,7 @@ func ExpDirection(ds *Datasets, scale, machines, prIters int, prog Progress) (*T
 			var bits []uint64
 			for trial := 0; trial < 2; trial++ {
 				cfg := core.DefaultConfig(machines)
-				mut(&cfg)
+				cfg.Ablate = variants[vname]
 				vals, met, err := runDirectionCell(g, cfg, cl.algo, prIters)
 				if err != nil {
 					return nil, nil, fmt.Errorf("direction: %s %s %s: %w", cl.graphName, cl.algo, vname, err)
@@ -155,7 +146,7 @@ func ExpDirection(ds *Datasets, scale, machines, prIters int, prog Progress) (*T
 	}
 	t.Notes = append(t.Notes,
 		"identical = per-node results bit-identical to the fixed-push run of the same cell",
-		"dense = the pre-frontier path: dense active properties, full filter scans, per-step allreduce (DisableSparseFrontier)",
+		"dense = the engine's dense-filter fallback under fixed push: every chunk scanned with a per-node membership-bit test, no empty-machine skip (AblateSparseFrontier)",
 		"speedup = best fixed-direction time / adaptive time",
 		"pr-pull rows use no frontiers: they pin the frontier machinery's cost on non-traversal algorithms at zero")
 	return t, rep, nil

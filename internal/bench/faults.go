@@ -59,15 +59,7 @@ func ExpFaults(ds *Datasets, scale, machines int, prog Progress) (*Table, error)
 		if !wantErr && runErr != nil {
 			return fmt.Errorf("%s: job failed under a tolerable fault: %w", name, runErr)
 		}
-		quiescent := false
-		for i := 0; i < 100; i++ {
-			if c.PoolsQuiescent() {
-				quiescent = true
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if !quiescent {
+		if !c.PoolsQuiescent() {
 			return fmt.Errorf("%s: pooled buffers leaked after fault", name)
 		}
 

@@ -309,7 +309,9 @@ func ExpFig6c(ds *Datasets, scale int, machines int, prog Progress) (*Table, err
 		prog.log("fig6c: %s", cc.label)
 		cfg := core.DefaultConfig(machines)
 		cfg.Partitioning = cc.strat
-		cfg.NodeChunking = cc.nodes
+		if cc.nodes {
+			cfg.Ablate = core.AblateEdgeChunking
+		}
 		c, err := core.NewCluster(cfg)
 		if err != nil {
 			return nil, err

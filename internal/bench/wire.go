@@ -51,7 +51,7 @@ type WireReport struct {
 
 // ExpWire measures the wire compression layer: sorted delta-varint encoding
 // of read requests, write batches, and ghost merges, against the
-// DisableWireCompression ablation, on both fabrics.
+// AblateWireCompression run, on both fabrics.
 //
 // PageRank-pull with ghosting disabled is the read-request stress (the
 // acceptance workload: every cross-partition neighbor read crosses the wire
@@ -78,7 +78,9 @@ func ExpWire(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table,
 			for _, compressed := range []bool{false, true} {
 				prog.log("wire: %s %s compression=%v", fabric, algo, compressed)
 				cfg := core.DefaultConfig(machines)
-				cfg.DisableWireCompression = !compressed
+				if !compressed {
+					cfg.Ablate = core.AblateWireCompression
+				}
 				cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
 				cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
 				if algo == "pr-pull" {
@@ -140,7 +142,7 @@ func ExpWire(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table,
 	}
 	t.Notes = append(t.Notes,
 		"pr-pull runs with ghosting disabled (read-request stress); wcc with auto ghosting (write batches + ghost merges)",
-		"reduction = fraction of total wire bytes (headers included) removed vs. the DisableWireCompression twin",
+		"reduction = fraction of total wire bytes (headers included) removed vs. the AblateWireCompression twin",
 		"in-proc frames pass by reference, so the engine gates compression off there (ratio 1.00): those rows check the gate keeps runtime unchanged")
 	return t, rep, nil
 }

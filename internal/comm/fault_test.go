@@ -422,6 +422,7 @@ func TestFaultTCPWriteRetryReconnects(t *testing.T) {
 	if n := ep0.Metrics().SendErrors(); n != 0 {
 		t.Errorf("SendErrors = %d after successful retry, want 0", n)
 	}
+	ep0.(*tcpEndpoint).Quiesce() // the sender's Release can trail the frame's arrival
 	if pool.Outstanding() != 0 {
 		t.Errorf("buffers leaked: %d", pool.Outstanding())
 	}

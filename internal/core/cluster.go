@@ -84,12 +84,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.fabric = comm.NewInProcFabric(cfg.NumMachines, cfg.NumMachines*perMachine+16)
 		c.ownFabric = true
 	}
-	if comm.InMemoryFabric(c.fabric) {
-		// Frames on an in-memory fabric are handed over by reference —
-		// there is no wire to save bytes on, so the compression codec would
-		// be pure CPU loss. Force the ablation flag; machines read c.cfg.
-		c.cfg.DisableWireCompression = true
-	}
+	// Frames on an in-memory fabric are handed over by reference — there is
+	// no wire to save bytes on, so the compression codec would be pure CPU
+	// loss.
+	compress := !comm.InMemoryFabric(c.fabric) && !cfg.Ablate.Has(AblateWireCompression)
 	// Size the registry before any endpoint wrapping so record paths find
 	// their machine slots from the first frame.
 	c.cfg.Obs.Attach(cfg.NumMachines)
@@ -102,7 +100,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if c.cfg.Obs != nil {
 			ep = obs.WrapEndpoint(ep, c.cfg.Obs)
 		}
-		c.machines[m] = newMachine(&c.cfg, m, ep)
+		c.machines[m] = newMachine(&c.cfg, m, ep, compress)
 	}
 	return c, nil
 }
@@ -621,16 +619,33 @@ func (c *Cluster) ReduceI64(p PropID, op reduce.Op) (int64, error) {
 }
 
 // PoolsQuiescent reports whether every buffer pool has all buffers returned;
-// tests assert it between jobs (leak detection). Transports with
-// asynchronous senders are quiesced first: the job protocol guarantees every
-// frame was delivered, but the sender goroutine's final Release can trail
-// the response's arrival by a few instructions.
+// tests assert it between jobs (leak detection). The job protocol guarantees
+// every frame was delivered, but the last Release can trail the response's
+// arrival — an async sender goroutine's, or a copier's of the request it just
+// answered — so senders are quiesced and a straggler gets half a second to
+// come home before the pools count as leaking.
 func (c *Cluster) PoolsQuiescent() bool {
+	for round := 0; round < 500; round++ {
+		c.quiesceSenders()
+		if c.poolsHome() {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
+}
+
+// quiesceSenders waits out the transports' asynchronous send queues.
+func (c *Cluster) quiesceSenders() {
 	for _, m := range c.machines {
 		if q, ok := m.ep.(interface{ Quiesce() }); ok {
 			q.Quiesce()
 		}
 	}
+}
+
+// poolsHome reports whether no machine has a pooled buffer checked out.
+func (c *Cluster) poolsHome() bool {
 	for _, m := range c.machines {
 		if m.reqPool.Outstanding() != 0 || m.respPool.Outstanding() != 0 ||
 			m.ctrlPool.Outstanding() != 0 || m.abortPool.Outstanding() != 0 {
@@ -656,19 +671,11 @@ func (c *Cluster) recoverAfterAbort() {
 			if m.router.PendingRequests() != 0 {
 				return false
 			}
-			if m.reqPool.Outstanding() != 0 || m.respPool.Outstanding() != 0 ||
-				m.ctrlPool.Outstanding() != 0 || m.abortPool.Outstanding() != 0 {
-				return false
-			}
 		}
-		return true
+		return c.poolsHome()
 	}
 	for round := 0; round < 500; round++ {
-		for _, m := range c.machines {
-			if q, ok := m.ep.(interface{ Quiesce() }); ok {
-				q.Quiesce()
-			}
-		}
+		c.quiesceSenders()
 		for _, m := range c.machines {
 			m.drainStale()
 		}

@@ -14,7 +14,9 @@ func combiningConfig(p int, disable bool) Config {
 	cfg := DefaultConfig(p)
 	cfg.BufferSize = 8 << 10 // small windows: exercises flush + dedup reset
 	cfg.GhostThreshold = GhostDisabled
-	cfg.DisableReadCombining = disable
+	if disable {
+		cfg.Ablate = AblateReadCombining
+	}
 	return cfg
 }
 

@@ -16,7 +16,9 @@ func compressConfig(p int, disable bool) Config {
 	cfg := DefaultConfig(p)
 	cfg.BufferSize = 8 << 10
 	cfg.GhostThreshold = GhostDisabled
-	cfg.DisableWireCompression = disable
+	if disable {
+		cfg.Ablate = AblateWireCompression
+	}
 	cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
 	cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
 	return cfg
@@ -37,7 +39,7 @@ func (k *pushValTask) Run(c *Ctx) {
 
 // TestWireCompressionMatchesReference: with compression on (the default),
 // read requests and write batches ship sorted delta-varint encoded, and the
-// results must be bit-identical to the DisableWireCompression ablation on
+// results must be bit-identical to the AblateWireCompression run on
 // both fabrics. The compressed run must record raw>wire in the comm metrics
 // and actually shrink total wire bytes.
 func TestWireCompressionMatchesReference(t *testing.T) {
@@ -164,7 +166,9 @@ func TestWireCompressionGhostMerge(t *testing.T) {
 	for i, disable := range []bool{false, true} {
 		cfg := DefaultConfig(3)
 		cfg.GhostThreshold = 0 // ghost every node: merges dominate
-		cfg.DisableWireCompression = disable
+		if disable {
+			cfg.Ablate = AblateWireCompression
+		}
 		f, err := comm.NewTCPFabric(cfg.NumMachines,
 			cfg.NumMachines*(cfg.ReqBuffers+cfg.Workers*cfg.NumMachines)+64, cfg.BufferSize)
 		if err != nil {

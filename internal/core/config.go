@@ -52,42 +52,6 @@ type Config struct {
 	// ChunkTargetEdges is the edge count per scheduling chunk. Zero derives
 	// a target yielding about 8 chunks per worker.
 	ChunkTargetEdges int64
-	// NodeChunking disables edge chunking and cuts chunks by node count —
-	// the Figure 6c baseline.
-	NodeChunking bool
-	// NodeChunkSize is the nodes-per-chunk when NodeChunking is set (zero
-	// derives one from the local node count).
-	NodeChunkSize int
-	// DisableGhostPrivatization makes workers reduce into the shared
-	// machine-level ghost copies with atomics instead of thread-private
-	// copies — the ablation for §3.3's ghost privatization.
-	DisableGhostPrivatization bool
-	// DisableReadCombining turns off duplicate remote-read elimination:
-	// every read of the same remote (prop, offset) within one message
-	// window then emits its own 8-byte request record and response word,
-	// as the unmodified paper protocol does. The ablation flag for the
-	// communication fast path; combining is on by default.
-	DisableReadCombining bool
-	// DisableWireCompression turns off the wire compression layer: flush
-	// buffers and ghost-merge reductions then ship fixed-width 8-byte
-	// records, as the unmodified paper protocol does. The ablation flag for
-	// the sorted delta-varint batch encoding; compression is on by default
-	// on wire transports. On an in-memory fabric (comm.InMemoryFabric) the
-	// engine forces this on regardless — frames pass by reference there, so
-	// the codec would spend CPU shrinking buffers nobody serializes.
-	DisableWireCompression bool
-	// DisableSparseFrontier makes frontier-sourced jobs fall back to the
-	// dense path: full chunk lists with a per-node bitmap filter, never the
-	// sparse vertex list and never the empty-machine dispatch skip. The
-	// ablation flag for the frontier abstraction itself.
-	DisableSparseFrontier bool
-	// DisableDirectionSwitching pins every DirectionPolicy to FixedDirection
-	// instead of the per-superstep push/pull heuristic — the ablation flag
-	// for direction-optimizing traversal.
-	DisableDirectionSwitching bool
-	// FixedDirection is the direction used when DisableDirectionSwitching is
-	// set (DirPush by default).
-	FixedDirection Direction
 	// EnableWorkStealing turns on cross-machine chunk stealing for jobs that
 	// declare a StealSpec: a machine that drains its shared chunk cursor
 	// sends MsgSteal to the most loaded peer (picked from task-phase load
@@ -97,34 +61,12 @@ type Config struct {
 	// skewed, and the victim-side serve path is extra copier work on
 	// balanced clusters.
 	EnableWorkStealing bool
-	// DisableWorkStealing forces stealing off even when EnableWorkStealing
-	// is set — the ablation flag benchmarks flip per variant without
-	// rebuilding the rest of the configuration.
-	DisableWorkStealing bool
-	// DisableWriteCombining turns off both halves of the write combiner: the
-	// sender-side in-buffer merge of repeated (prop, op, offset) reduction
-	// records within one message window, and the receiver-side merge of
-	// adjacent duplicate records in sorted (compressed) write batches. The
-	// ablation flag for the push-path combiner; combining is on by default.
-	DisableWriteCombining bool
-	// FrontierDenseFraction is the local frontier density at which a
-	// machine's frontier representation flips from sorted sparse list to
-	// bitmap (fraction of the machine's local node count). Zero or negative
-	// uses the default (1/32).
-	FrontierDenseFraction float64
-	// DirectionAlpha is the push→pull threshold of the direction heuristic:
-	// switch to pull when the frontier's outgoing edge work exceeds
-	// unvisited-in-degree/alpha. Zero uses the default (2). Beamer's
-	// shared-memory constant is 14, but in this engine a push superstep's
-	// per-edge cost (buffered remote reductions) is far below a pull
-	// superstep's (remote reads + responses), so pull must promise a larger
-	// work reduction before it pays: alpha=2 keeps high-diameter road-shaped
-	// graphs all-push while still flipping the two dense levels of
-	// small-world graphs.
-	DirectionAlpha float64
-	// DirectionBeta is the pull→push threshold: switch back to push when the
-	// frontier shrinks below numNodes/beta. Zero uses the default (24).
-	DirectionBeta float64
+	// Ablate switches individual engine mechanisms off (or pins the
+	// traversal direction) for evaluation. It is an instrument, not a
+	// deployment option: only benchmarks and tests set it, and the zero
+	// value — every mechanism on — is the only configuration the CLIs, the
+	// server and the facade ever run.
+	Ablate Ablation
 	// ResidentBudgetBytes caps how many bytes of an out-of-core store file
 	// (Cluster.LoadStore) the engine keeps resident: workers advise claimed
 	// chunks in and the residency window advises the oldest out once the
@@ -190,14 +132,64 @@ func DefaultConfig(p int) Config {
 	}
 }
 
-// Defaults for the frontier/direction tunables (zero in Config selects
-// them). The dense fraction matches the usual bitmap break-even point; beta
-// is Beamer's direction-optimizing BFS constant, alpha is re-tuned for this
-// engine's push/pull cost ratio (see Config.DirectionAlpha).
+// Ablation is a set of engine mechanisms turned off for an evaluation run
+// (paper §5.3, Fig 6a-c treat these as instruments). No member changes any
+// algorithm's result (float push sums keep their usual last-ulp freedom);
+// only the cost moves.
+type Ablation uint8
+
 const (
-	defaultFrontierDenseFraction = 1.0 / 32
-	defaultDirectionAlpha        = 2.0
-	defaultDirectionBeta         = 24.0
+	// AblateGhostPrivatization makes workers reduce into the shared
+	// machine-level ghost copies with atomics instead of thread-private
+	// copies (§3.3).
+	AblateGhostPrivatization Ablation = 1 << iota
+	// AblateReadCombining turns off duplicate remote-read elimination:
+	// every read of the same remote (prop, offset) within one message
+	// window emits its own 8-byte request record and response word, as the
+	// unmodified paper protocol does.
+	AblateReadCombining
+	// AblateWriteCombining turns off both halves of the write combiner: the
+	// sender-side in-buffer merge of repeated (prop, op, offset) reduction
+	// records within one message window, and the receiver-side merge of
+	// adjacent duplicate records in sorted (compressed) write batches.
+	AblateWriteCombining
+	// AblateWireCompression ships fixed-width 8-byte records in flush
+	// buffers and ghost-merge reductions instead of the sorted delta-varint
+	// batch encoding. In-memory fabrics (comm.InMemoryFabric) never encode
+	// whatever this says — frames pass by reference there, so the codec
+	// would spend CPU shrinking buffers nobody serializes.
+	AblateWireCompression
+	// AblateSparseFrontier makes frontier-sourced jobs scan full chunk
+	// lists with a per-node bitmap filter: never the sparse vertex list,
+	// never the all-inactive chunk drop, never the empty-machine dispatch
+	// skip.
+	AblateSparseFrontier
+	// AblateEdgeChunking cuts scheduling chunks by node count instead of
+	// edge count — the Figure 6c baseline.
+	AblateEdgeChunking
+	// AblatePinPush and AblatePinPull pin every DirectionPolicy to one
+	// direction instead of the per-superstep heuristic (pull wins when both
+	// are set).
+	AblatePinPush
+	AblatePinPull
+)
+
+// Has reports whether any member of m is set in a.
+func (a Ablation) Has(m Ablation) bool { return a&m != 0 }
+
+// Frontier/direction constants. The dense fraction (share of a machine's
+// local nodes at which its frontier flips from sorted list to bitmap) is the
+// usual bitmap break-even point. Beta, the pull→push threshold, is Beamer's
+// direction-optimizing BFS constant. Alpha, the push→pull threshold, is
+// re-tuned: Beamer's shared-memory constant is 14, but in this engine a push
+// superstep's per-edge cost (buffered remote reductions) is far below a pull
+// superstep's (remote reads + responses), so pull must promise a larger work
+// reduction before it pays: alpha=2 keeps high-diameter road-shaped graphs
+// all-push while still flipping the two dense levels of small-world graphs.
+const (
+	frontierDenseFraction = 1.0 / 32
+	directionAlpha        = 2.0
+	directionBeta         = 24.0
 )
 
 // Sentinel GhostThreshold values.
@@ -250,15 +242,6 @@ func (c *Config) validate() error {
 	}
 	if c.GhostCount < 0 {
 		return fmt.Errorf("core: GhostCount %d must be >= 0", c.GhostCount)
-	}
-	if c.FrontierDenseFraction < 0 || c.FrontierDenseFraction > 1 {
-		return fmt.Errorf("core: FrontierDenseFraction %v must be in [0, 1]", c.FrontierDenseFraction)
-	}
-	if c.DirectionAlpha < 0 || c.DirectionBeta < 0 {
-		return fmt.Errorf("core: direction thresholds must be >= 0 (alpha=%v beta=%v)", c.DirectionAlpha, c.DirectionBeta)
-	}
-	if c.FixedDirection > DirPull {
-		return fmt.Errorf("core: FixedDirection %d unknown", c.FixedDirection)
 	}
 	if c.SpillWrites && c.SpillBudgetBytes <= 0 {
 		c.SpillBudgetBytes = 4 << 20

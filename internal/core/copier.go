@@ -168,7 +168,7 @@ func (m *Machine) applyWrites(h comm.Header, payload []byte, dec *wireDec) error
 		// column, turning k atomic applies into one. The sender's h.Count is
 		// still what writesApplied advances by (serveRequest), since the
 		// termination protocol counts records shipped, not applies performed.
-		if !m.cfg.DisableWriteCombining && count > 1 {
+		if !m.cfg.Ablate.Has(AblateWriteCombining) && count > 1 {
 			at := 0
 			for i := 1; i < count; i++ {
 				if keys[i] == keys[at] {

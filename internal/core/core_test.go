@@ -101,12 +101,12 @@ func configMatrix(base func() Config) []Config {
 	cfg = base()
 	cfg.NumMachines = 4
 	cfg.Partitioning = partition.VertexBalanced
-	cfg.NodeChunking = true
+	cfg.Ablate = AblateEdgeChunking
 	cfgs = append(cfgs, cfg)
 	// No ghost privatization.
 	cfg = base()
 	cfg.NumMachines = 4
-	cfg.DisableGhostPrivatization = true
+	cfg.Ablate = AblateGhostPrivatization
 	cfgs = append(cfgs, cfg)
 	// Tiny buffers: force many flushes and back-pressure.
 	cfg = base()
@@ -119,9 +119,9 @@ func configMatrix(base func() Config) []Config {
 }
 
 func cfgName(cfg Config) string {
-	return fmt.Sprintf("p%d_w%d_gt%d_gc%d_%v_nodeChunk%v_nopriv%v_buf%d",
+	return fmt.Sprintf("p%d_w%d_gt%d_gc%d_%v_ablate%#x_buf%d",
 		cfg.NumMachines, cfg.Workers, cfg.GhostThreshold, cfg.GhostCount,
-		cfg.Partitioning, cfg.NodeChunking, cfg.DisableGhostPrivatization, cfg.BufferSize)
+		cfg.Partitioning, cfg.Ablate, cfg.BufferSize)
 }
 
 func TestPushJobComputesInDegree(t *testing.T) {

@@ -69,28 +69,25 @@ type DirectionPolicy struct {
 	step int
 }
 
-// NewDirectionPolicy builds a policy from the cluster's configuration and
-// loaded graph: Config.DirectionAlpha/Beta (with defaults), and
-// Config.DisableDirectionSwitching/FixedDirection for the ablations. The
-// cost EWMAs seed from the cluster's persisted snapshot (the previous
-// traversal's learned costs on this fabric — see Cluster.DirectionCosts), so
-// repeat runs start calibrated instead of assuming ratio 1.
+// NewDirectionPolicy builds a policy for the loaded graph with the engine's
+// alpha/beta constants (callers whose pull kernel has no early exit overwrite
+// Alpha); the direction-pin ablations make it non-adaptive. The cost EWMAs
+// seed from the cluster's persisted snapshot (the previous traversal's
+// learned costs on this fabric — see Cluster.DirectionCosts), so repeat runs
+// start calibrated instead of assuming ratio 1.
 func (c *Cluster) NewDirectionPolicy() *DirectionPolicy {
 	p := &DirectionPolicy{
-		Alpha:      c.cfg.DirectionAlpha,
-		Beta:       c.cfg.DirectionBeta,
-		Adaptive:   !c.cfg.DisableDirectionSwitching,
-		Fixed:      c.cfg.FixedDirection,
+		Alpha:      directionAlpha,
+		Beta:       directionBeta,
+		Adaptive:   !c.cfg.Ablate.Has(AblatePinPush | AblatePinPull),
+		Fixed:      DirPush,
 		totalNodes: int64(c.numNodes),
 		pushCost:   c.dirPushCost,
 		pullCost:   c.dirPullCost,
 		c:          c,
 	}
-	if p.Alpha <= 0 {
-		p.Alpha = defaultDirectionAlpha
-	}
-	if p.Beta <= 0 {
-		p.Beta = defaultDirectionBeta
+	if c.cfg.Ablate.Has(AblatePinPull) {
+		p.Fixed = DirPull
 	}
 	return p
 }

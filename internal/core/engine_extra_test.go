@@ -265,9 +265,14 @@ func TestDistributedEqualsReferenceProperty(t *testing.T) {
 		if vertexPart {
 			cfg.Partitioning = partition.VertexBalanced
 		}
-		cfg.NodeChunking = nodeChunk
-		cfg.DisableGhostPrivatization = nopriv
-		cfg.DisableReadCombining = nocombine
+		ablate := func(on bool, member Ablation) {
+			if on {
+				cfg.Ablate |= member
+			}
+		}
+		ablate(nodeChunk, AblateEdgeChunking)
+		ablate(nopriv, AblateGhostPrivatization)
+		ablate(nocombine, AblateReadCombining)
 		c, err := NewCluster(cfg)
 		if err != nil {
 			return false

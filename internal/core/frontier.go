@@ -17,7 +17,7 @@ import (
 //
 // Each machine's partition is hybrid: a sorted sparse vertex list while the
 // local frontier is small, an O(numLocal/8)-byte dense bitmap once it
-// crosses the density threshold (Config.FrontierDenseFraction). The switch
+// crosses the density threshold (frontierDenseFraction). The switch
 // is automatic and per machine — a skewed superstep can be sparse on one
 // machine and dense on another.
 //
@@ -54,7 +54,7 @@ func (c *Cluster) NewFrontier(name string) *Frontier {
 	}
 	f := &Frontier{name: name, c: c, machines: make([]*machineFrontier, len(c.machines))}
 	for i, m := range c.machines {
-		f.machines[i] = newMachineFrontier(m.store, c.cfg.frontierDenseThreshold(m.store.numLocal), c.cfg.Workers)
+		f.machines[i] = newMachineFrontier(m.store, c.cfg.Workers)
 	}
 	return f
 }
@@ -150,27 +150,13 @@ type machineFrontier struct {
 	chunkScratch  []partition.Chunk
 }
 
-func newMachineFrontier(st *localStore, denseThreshold, workers int) *machineFrontier {
+func newMachineFrontier(st *localStore, workers int) *machineFrontier {
 	return &machineFrontier{
 		st:             st,
-		denseThreshold: denseThreshold,
+		denseThreshold: max(1, int(frontierDenseFraction*float64(st.numLocal))),
 		bits:           make([]uint64, (st.numLocal+63)/64),
 		shards:         make([][]uint32, workers),
 	}
-}
-
-// frontierDenseThreshold derives the sparse→dense flip point for a machine
-// with n local vertices.
-func (c *Config) frontierDenseThreshold(n int) int {
-	frac := c.FrontierDenseFraction
-	if frac <= 0 {
-		frac = defaultFrontierDenseFraction
-	}
-	t := int(frac * float64(n))
-	if t < 1 {
-		t = 1
-	}
-	return t
 }
 
 func (mf *machineFrontier) has(node uint32) bool {

@@ -69,12 +69,10 @@ func checkInvariants(t *testing.T, f *Frontier) {
 // sparse list, and clear must return to sparse.
 func TestFrontierSparseDenseFlip(t *testing.T) {
 	g := testGraph(t)
-	cfg := DefaultConfig(1)
-	cfg.FrontierDenseFraction = 1.0 / 32
-	c := bootCluster(t, g, cfg)
+	c := bootCluster(t, g, DefaultConfig(1))
 	f := c.NewFrontier("flip")
 	mf := f.machines[0]
-	threshold := cfg.frontierDenseThreshold(mf.st.numLocal)
+	threshold := mf.st.numLocal / 32 // frontierDenseFraction
 	if threshold < 2 {
 		t.Fatalf("graph too small: threshold %d", threshold)
 	}

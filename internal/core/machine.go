@@ -33,6 +33,11 @@ type Machine struct {
 	abortPool *comm.Pool
 	rmi       comm.RMIRegistry
 
+	// compress selects the sorted delta-varint wire encoding for flush
+	// buffers and ghost-merge collectives: on unless the fabric hands frames
+	// over in memory or the run ablates it.
+	compress bool
+
 	// curJob points at the running job's runtime while a parallel region is
 	// in flight, so goroutines outside the job's call tree (copiers, the
 	// abort watcher) can fail it. Nil between jobs.
@@ -107,8 +112,8 @@ func (m *Machine) ID() int { return m.id }
 
 // newMachine boots machine id over its endpoint: router (poller), pools,
 // collectives, copier pool, and the persistent worker goroutines.
-func newMachine(cfg *Config, id int, ep comm.Endpoint) *Machine {
-	m := &Machine{id: id, cfg: cfg, ep: ep}
+func newMachine(cfg *Config, id int, ep comm.Endpoint, compress bool) *Machine {
+	m := &Machine{id: id, cfg: cfg, ep: ep, compress: compress}
 	m.spill = newSpillState(cfg)
 	m.reqPool = comm.NewPool(cfg.ReqBuffers, cfg.BufferSize)
 	m.respPool = comm.NewPool(cfg.RespBuffers, cfg.BufferSize)
@@ -123,10 +128,10 @@ func newMachine(cfg *Config, id int, ep comm.Endpoint) *Machine {
 		CtrlDepth: 4*cfg.NumMachines + 8,
 	})
 	m.col = comm.NewCollectives(ep, m.router.Ctrl(), m.ctrlPool)
-	// Ghost-merge reductions ride int64 allreduces; compress them with the
-	// same ablation switch as the flush paths. SPMD: every machine of the
-	// cluster shares one Config, so the setting always agrees.
-	m.col.SetCompression(!cfg.DisableWireCompression)
+	// Ghost-merge reductions ride int64 allreduces; compress them exactly
+	// when the flush paths do. SPMD: every machine of the cluster shares one
+	// Config and fabric, so the setting always agrees.
+	m.col.SetCompression(compress)
 	m.workers = make([]*worker, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		m.workers[w] = newWorker(m, w)
@@ -237,15 +242,9 @@ func (m *Machine) load(g *graph.Graph, layout partition.Layout, ghosts *partitio
 // rebuildChunks recomputes chunk lists under the current chunking config.
 func (m *Machine) rebuildChunks() {
 	n := m.store.numLocal
-	if m.cfg.NodeChunking {
-		size := m.cfg.NodeChunkSize
-		if size <= 0 {
-			size = n/(8*m.cfg.Workers) + 1
-		}
-		m.chunksOut = partition.NodeChunks(n, size)
-		m.chunksIn = m.chunksOut
-		m.chunksBoth = m.chunksOut
-		m.chunksNode = m.chunksOut
+	m.chunksNode = partition.NodeChunks(n, n/(8*m.cfg.Workers)+1)
+	if m.cfg.Ablate.Has(AblateEdgeChunking) {
+		m.chunksOut, m.chunksIn, m.chunksBoth = m.chunksNode, m.chunksNode, m.chunksNode
 		return
 	}
 	target := m.cfg.ChunkTargetEdges
@@ -258,7 +257,6 @@ func (m *Machine) rebuildChunks() {
 	m.chunksOut = partition.EdgeChunks(m.store.outRows, outTarget)
 	m.chunksIn = partition.EdgeChunks(m.store.inRows, inTarget)
 	m.chunksBoth = partition.EdgeChunks(m.store.bothRows, bothTarget)
-	m.chunksNode = partition.NodeChunks(n, n/(8*m.cfg.Workers)+1)
 }
 
 // addProp allocates this machine's column for a newly registered property.
@@ -366,7 +364,7 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 	if spec.Source != nil {
 		srcMF := spec.Source.machines[m.id]
 		switch {
-		case m.cfg.DisableSparseFrontier:
+		case m.cfg.Ablate.Has(AblateSparseFrontier):
 			// Ablation: dense-filter fallback — scan every chunk, test the
 			// membership bit per node, never skip an empty machine.
 			jr.frontBits = srcMF.bits
@@ -457,7 +455,7 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 		// specs never privatize: their writes must reach the owner (and
 		// activate there) before the termination allreduce, not sit in ghost
 		// partials until after it.
-		if !m.cfg.DisableGhostPrivatization && !emptySkip {
+		if !m.cfg.Ablate.Has(AblateGhostPrivatization) && !emptySkip {
 			for _, ws := range spec.WriteProps {
 				if ws.ActivateInto == 0 {
 					jr.privProps = append(jr.privProps, ws)

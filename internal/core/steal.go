@@ -53,7 +53,7 @@ import (
 // stealingOn reports whether this configuration steals at all; per-job
 // eligibility additionally requires the spec to declare a StealSpec.
 func (c *Config) stealingOn() bool {
-	return c.EnableWorkStealing && !c.DisableWorkStealing && c.NumMachines > 1
+	return c.EnableWorkStealing && c.NumMachines > 1
 }
 
 // stealRuntime is the per-job work-stealing state on one machine.

@@ -187,29 +187,6 @@ func TestStealRepeatedJobsUseLoadHints(t *testing.T) {
 	}
 }
 
-// TestStealAblationOff: DisableWorkStealing wins over EnableWorkStealing —
-// results stay correct and no steal traffic ever flows.
-func TestStealAblationOff(t *testing.T) {
-	g := stealGraph(t)
-	cfg := DefaultConfig(3)
-	cfg.EnableWorkStealing = true
-	cfg.ChunkTargetEdges = 16 // many small chunks: the straggler drains its cursor gradually, so steals land regardless of scheduling
-	cfg.DisableWorkStealing = true
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	c := bootSkewed(t, g, cfg, 0.85, 0)
-	src, _ := c.AddPropI64("src")
-	dst, _ := c.AddPropI64("dst")
-	if err := runPushVal(t, c, g, src, dst, true); err != nil {
-		t.Fatal(err)
-	}
-	ctrs := reg.LifetimeCounters()
-	if ctrs["steal_requests"] != 0 || ctrs["stolen_nodes"] != 0 {
-		t.Errorf("ablated run still stole: %d requests, %d nodes",
-			ctrs["steal_requests"], ctrs["stolen_nodes"])
-	}
-}
-
 // TestStealSpecValidation: the StealSpec contract (push-only kernels, declared
 // own-reads) is enforced at job validation time.
 func TestStealSpecValidation(t *testing.T) {

@@ -157,10 +157,10 @@ func newWorker(m *Machine, id int) *worker {
 		sides:     make(map[uint32][]sideRec),
 		stale:     make(map[uint32]struct{}),
 		curSide:   make([][]sideRec, m.cfg.NumMachines),
-		combine:   !m.cfg.DisableReadCombining,
-		compress:  !m.cfg.DisableWireCompression,
+		combine:   !m.cfg.Ablate.Has(AblateReadCombining),
+		compress:  m.compress,
 		dedup:     make([]map[uint64]uint32, m.cfg.NumMachines),
-		wcombine:  !m.cfg.DisableWriteCombining,
+		wcombine:  !m.cfg.Ablate.Has(AblateWriteCombining),
 		wdedup:    make([]map[uint64]int, m.cfg.NumMachines),
 		reg:       m.cfg.Obs,
 	}
