@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults wire fuzz-smoke ci perf-check bench-comm bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
+.PHONY: build test vet race faults wire fuzz-smoke ci perf-check bench-scan bench-comm bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,13 @@ ci: test vet race faults
 perf-check:
 	$(GO) run ./benchmark -check
 
+# The isolated numbers behind three lines of the superstep budget: ns/edge
+# of the kernel dispatch (row form vs per-edge adapter, local and 20 % remote),
+# ns/record of the flush-path sort (radix vs the sort.Sort it replaced) and of
+# the combining table (open-addressed vs map).
+bench-scan:
+	$(GO) test -run '^$$' -bench 'EdgeDispatch|FlushSort|DedupTable' -benchtime 50x -count 3 ./internal/core/
+
 # Regenerate the communication fast-path sweep artifact.
 bench-comm:
 	$(GO) run ./cmd/pgxd-bench -exp comm -comm-out BENCH_comm.json
@@ -64,12 +71,14 @@ bench-faults:
 bench-wire:
 	$(GO) run ./cmd/pgxd-bench -exp wire -wire-out BENCH_wire.json
 
-# Frontier/direction check: frontier representation and write-activation
-# tests, the ablation lattice (adaptive vs pinned push/pull and the
-# sparse-frontier fallback, exact against SA over both fabrics), then a small
+# Frontier/direction/dispatch check: frontier representation and
+# write-activation tests, the ablation lattice (adaptive vs pinned push/pull
+# and the sparse-frontier fallback, exact against SA over both fabrics), row
+# kernels vs their per-edge forms and the row re-entrancy hazard (`race`, and
+# so `ci`, runs the same tests under the race detector), then a small
 # -exp direction smoke.
 direction:
-	$(GO) test -count=1 -run 'Frontier|ActivateInto|AblationLattice' ./internal/core/... ./internal/algorithms/...
+	$(GO) test -count=1 -run 'Frontier|ActivateInto|AblationLattice|RowDispatch|RowKernel' ./internal/core/... ./internal/algorithms/...
 	$(GO) run ./cmd/pgxd-bench -exp direction -machines 4 -scale 10 -quiet -direction-out BENCH_direction_smoke.json
 
 # Regenerate the push/pull direction-switching ablation artifact

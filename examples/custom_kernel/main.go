@@ -1,8 +1,12 @@
 // Custom kernel: using the run-to-complete task API directly (paper §4.1)
 // instead of a built-in algorithm. The kernel computes, for every node, the
 // average out-degree of its in-neighbors ("how prolific are my followers?")
-// with the pull pattern: Run issues remote reads, ReadDone continues on the
-// same worker when values arrive.
+// with the pull pattern, written twice: per edge, the paper's shape — Run
+// issues a read per edge, ReadDone continues on the same worker when the
+// value arrives — and per row, the engine's fast shape — RunRow loops over
+// the node's in-neighbors itself, reading local and ghosted ones through a
+// typed view and handing only the remote ones to ReadRef. Both run below and
+// must agree.
 package main
 
 import (
@@ -30,6 +34,42 @@ func (k *avgNbrDegree) Run(c *pgxd.Ctx) {
 }
 
 func (k *avgNbrDegree) ReadDone(c *pgxd.Ctx, val uint64) {
+	c.SetF64(k.sumProp, c.GetF64(k.sumProp)+pgxd.F64Word(val))
+	c.SetI64(k.seenProp, c.GetI64(k.seenProp)+1)
+}
+
+// avgNbrDegreeRow is the same kernel in row form. The engine calls RunRow
+// once per node with the whole in-neighbor row, so the sum and count live in
+// registers and the node's own properties are touched once per row instead of
+// once per edge. Two rules keep it correct when a remote read stalls and the
+// worker runs earlier responses — possibly this node's — inside ReadRef: the
+// accumulators are locals, and they are folded into the properties with a
+// read-modify-write after the loop, never from a value read before it.
+type avgNbrDegreeRow struct {
+	pgxd.RowOnly // Run is never called on an edge iterator's RowTask
+	degProp      pgxd.PropID
+	sumProp      pgxd.PropID
+	seenProp     pgxd.PropID
+}
+
+func (k *avgNbrDegreeRow) RunRow(c *pgxd.Ctx, row pgxd.Row) {
+	deg := c.F64(k.degProp) // view over local + ghost slots, valid for ref >= 0
+	var sum float64
+	var seen int64
+	for _, ref := range row.Refs {
+		if ref >= 0 {
+			sum += deg.At(ref)
+			seen++
+		} else {
+			c.ReadRef(ref, k.degProp) // buffered; ReadDone adds it later
+		}
+	}
+	c.SetF64(k.sumProp, c.GetF64(k.sumProp)+sum)
+	c.SetI64(k.seenProp, c.GetI64(k.seenProp)+seen)
+}
+
+// ReadDone is the continuation for the row's remote neighbors, one value each.
+func (k *avgNbrDegreeRow) ReadDone(c *pgxd.Ctx, val uint64) {
 	c.SetF64(k.sumProp, c.GetF64(k.sumProp)+pgxd.F64Word(val))
 	c.SetI64(k.seenProp, c.GetI64(k.seenProp)+1)
 }
@@ -92,11 +132,32 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("custom pull kernel over %d edges: %v, %d frames (%d data bytes)\n",
+	fmt.Printf("custom pull kernel, per edge, over %d edges: %v, %d frames (%d data bytes)\n",
 		g.NumEdges(), stats.Duration.Round(1000), stats.Traffic.FramesSent, stats.Traffic.DataBytesSent)
-
 	sums := cluster.Core().GatherF64(sum)
 	counts := cluster.Core().GatherI64(seen)
+
+	// Job 3: the same computation with the row-form kernel.
+	cluster.Core().FillF64(sum, 0)
+	cluster.Core().FillI64(seen, 0)
+	stats, err = cluster.RunJob(pgxd.JobSpec{
+		Name:      "avg-nbr-degree-row",
+		Iter:      pgxd.IterInEdges,
+		Task:      &avgNbrDegreeRow{degProp: deg, sumProp: sum, seenProp: seen},
+		ReadProps: []pgxd.PropID{deg},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("custom pull kernel, per row:  over %d edges: %v, %d frames (%d data bytes)\n",
+		g.NumEdges(), stats.Duration.Round(1000), stats.Traffic.FramesSent, stats.Traffic.DataBytesSent)
+	rowCounts := cluster.Core().GatherI64(seen)
+	for i, s := range cluster.Core().GatherF64(sum) {
+		// Degrees are small integers, so the sums are exact in any order.
+		if s != sums[i] || rowCounts[i] != counts[i] {
+			log.Fatalf("node %d: row kernel (%g over %d) vs per-edge kernel (%g over %d)", i, s, rowCounts[i], sums[i], counts[i])
+		}
+	}
 	type row struct {
 		node pgxd.NodeID
 		avg  float64

@@ -37,14 +37,11 @@ func ablationLattice() []ablationSet {
 	return append(sets, ablationSet{"all", all})
 }
 
-// ablatedCluster boots a 3-machine cluster with one ablation set over the
-// requested transport. delayFaults additionally wraps the fabric in an
-// injector that delays every 7th frame — a tolerated fault that perturbs
-// message timing, so exact results also demonstrate the algorithms are
-// deterministic under reordering.
-func ablatedCluster(t *testing.T, g *graph.Graph, useTCP, delayFaults bool, set core.Ablation) *core.Cluster {
+// latticeConfig is the identity suites' engine configuration: p machines
+// with small buffers (so batches flush and pools cycle on test-sized graphs),
+// one ablation set, and a loopback-TCP fabric when asked.
+func latticeConfig(t *testing.T, p int, useTCP bool, set core.Ablation) core.Config {
 	t.Helper()
-	const p = 3
 	cfg := core.DefaultConfig(p)
 	cfg.GhostThreshold = 64
 	cfg.BufferSize = 8 << 10
@@ -60,6 +57,18 @@ func ablatedCluster(t *testing.T, g *graph.Graph, useTCP, delayFaults bool, set 
 		}
 		cfg.Fabric = f
 	}
+	return cfg
+}
+
+// ablatedCluster boots a 3-machine cluster with one ablation set over the
+// requested transport. delayFaults additionally wraps the fabric in an
+// injector that delays every 7th frame — a tolerated fault that perturbs
+// message timing, so exact results also demonstrate the algorithms are
+// deterministic under reordering.
+func ablatedCluster(t *testing.T, g *graph.Graph, useTCP, delayFaults bool, set core.Ablation) *core.Cluster {
+	t.Helper()
+	const p = 3
+	cfg := latticeConfig(t, p, useTCP, set)
 	if delayFaults {
 		if cfg.Fabric == nil {
 			perMachine := cfg.ReqBuffers + cfg.RespBuffers + 4*p + 8 + p + 2

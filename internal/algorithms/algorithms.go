@@ -56,6 +56,11 @@ func (m *Metrics) track(st core.JobStats) {
 // nowFn indirects time.Now so tests can stub algorithm timing.
 var nowFn = time.Now
 
+// kernelHook, when a test sets it, substitutes every job's kernel just before
+// the job runs — how TestRowDispatchMatchesPerEdge drives each algorithm
+// through per-edge copies of its row kernels.
+var kernelHook func(core.Task) core.Task
+
 // runner wraps a cluster with metrics tracking and deferred error handling
 // so algorithm bodies read like the paper's pseudocode instead of error
 // plumbing.
@@ -85,6 +90,9 @@ func (r *runner) run(spec core.JobSpec) {
 func (r *runner) runStats(spec core.JobSpec) core.JobStats {
 	if r.err != nil {
 		return core.JobStats{}
+	}
+	if kernelHook != nil {
+		spec.Task = kernelHook(spec.Task)
 	}
 	st, err := r.c.RunJob(spec)
 	if err != nil {

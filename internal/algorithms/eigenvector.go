@@ -17,17 +17,6 @@ import (
 // The L2 normalization is a sequential region between jobs, realized with a
 // cluster-wide sum reduction.
 
-// evPullKernel reads ev from each incoming neighbor and accumulates locally.
-type evPullKernel struct {
-	ev, nxt core.PropID
-}
-
-func (k *evPullKernel) Run(c *core.Ctx) { c.NbrRead(k.ev) }
-
-func (k *evPullKernel) ReadDone(c *core.Ctx, val uint64) {
-	c.SetF64(k.nxt, c.GetF64(k.nxt)+core.F64Word(val))
-}
-
 // evNormalizeKernel applies ev = nxt * invNorm and clears nxt.
 type evNormalizeKernel struct {
 	core.NoReads
@@ -57,7 +46,7 @@ func Eigenvector(c *core.Cluster, iters int) ([]float64, Metrics, error) {
 	start := nowFn()
 	for it := 0; it < iters && r.err == nil; it++ {
 		r.run(core.JobSpec{Name: "ev-pull", Iter: core.IterInEdges,
-			Task:      &evPullKernel{ev: ev, nxt: nxt},
+			Task:      &sumPullKernel{src: ev, acc: nxt},
 			ReadProps: []core.PropID{ev}})
 		if r.err != nil {
 			break

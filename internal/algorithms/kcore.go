@@ -38,12 +38,13 @@ func (kk *dyingMarkKernel) Run(c *core.Ctx) {
 // degDecKernel subtracts 1 from each neighbor's remaining degree; run from
 // dying nodes over both orientations (undirected view).
 type degDecKernel struct {
+	core.RowOnly
 	core.NoReads
 	deg core.PropID
 }
 
-func (kk *degDecKernel) Run(c *core.Ctx) {
-	c.NbrWriteI64(kk.deg, reduce.Sum, -1)
+func (kk *degDecKernel) RunRow(c *core.Ctx, row core.Row) {
+	pushRow(c, row, kk.deg, reduce.Sum, core.WordI64(-1))
 }
 
 // coreRecordKernel records k as the core number of nodes still alive.

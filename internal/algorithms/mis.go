@@ -47,16 +47,20 @@ func (k *misDrawKernel) Run(c *core.Ctx) {
 
 // misPushPriority pushes an undecided vertex's priority to its neighbors.
 type misPushPriority struct {
+	core.RowOnly
 	core.NoReads
 	pri, nbrPri core.PropID
 }
 
-func (k *misPushPriority) Run(c *core.Ctx) {
-	// Self-loops must not block the vertex from beating "its neighbors".
-	if c.NbrRef() == int64(c.Node) {
-		return
+func (k *misPushPriority) RunRow(c *core.Ctx, row core.Row) {
+	pri := c.GetI64(k.pri)
+	nbrPri := c.Writer(k.nbrPri, reduce.Max)
+	for _, ref := range row.Refs {
+		// Self-loops must not block the vertex from beating "its neighbors".
+		if ref != int64(c.Node) {
+			nbrPri.WriteI64(ref, pri)
+		}
 	}
-	c.NbrWriteI64(k.nbrPri, reduce.Max, c.GetI64(k.pri))
 }
 
 // misJoinKernel moves local winners into the set.
@@ -76,12 +80,13 @@ func (k *misJoinKernel) Run(c *core.Ctx) {
 
 // misExcludeMark pushes exclusion to neighbors of fresh set members.
 type misExcludeMark struct {
+	core.RowOnly
 	core.NoReads
 	excluded core.PropID
 }
 
-func (k *misExcludeMark) Run(c *core.Ctx) {
-	c.NbrWriteI64(k.excluded, reduce.Or, 1)
+func (k *misExcludeMark) RunRow(c *core.Ctx, row core.Row) {
+	pushRow(c, row, k.excluded, reduce.Or, 1)
 }
 
 // misApplyExclusion finalizes exclusions and counts undecided survivors.

@@ -35,28 +35,58 @@ func (k *scaleKernel) Run(c *core.Ctx) {
 	c.SetF64(k.scaled, c.GetF64(k.pr)/float64(d))
 }
 
-// prPullKernel reads scaled from each incoming neighbor and accumulates into
-// the node's nxt with a plain addition — no atomic needed because all edges
-// of one node run on one worker.
-type prPullKernel struct {
-	scaled, nxt core.PropID
+// sumPullKernel is the pull step of PageRank (src = scaled), personalized
+// PageRank and eigenvector centrality (src = ev): it sums src over the
+// node's incoming neighbors in a register — no atomic, because all edges of
+// one node run on one worker — and folds the sum into the node's acc once,
+// after the row. Remote neighbors arrive later through ReadDone, which adds
+// to acc directly; the fold after the loop is a read-modify-write for exactly
+// that reason (see core.RowTask on re-entrancy).
+type sumPullKernel struct {
+	core.RowOnly
+	src, acc core.PropID
 }
 
-func (k *prPullKernel) Run(c *core.Ctx) { c.NbrRead(k.scaled) }
-
-func (k *prPullKernel) ReadDone(c *core.Ctx, val uint64) {
-	c.SetF64(k.nxt, c.GetF64(k.nxt)+core.F64Word(val))
+func (k *sumPullKernel) RunRow(c *core.Ctx, row core.Row) {
+	src := c.F64(k.src)
+	var sum float64
+	for _, ref := range row.Refs {
+		if ref >= 0 {
+			sum += src.At(ref)
+		} else {
+			c.ReadRef(ref, k.src)
+		}
+	}
+	c.SetF64(k.acc, c.GetF64(k.acc)+sum)
 }
 
-// prPushKernel pushes the node's scaled value into each outgoing neighbor's
-// nxt with an atomic SUM reduction.
-type prPushKernel struct {
+func (k *sumPullKernel) ReadDone(c *core.Ctx, val uint64) {
+	c.SetF64(k.acc, c.GetF64(k.acc)+core.F64Word(val))
+}
+
+// pushKernel reduces the node's own src word into every neighbor's dst with
+// op — the push step of PageRank (scaled → nxt, SUM), approximate PageRank
+// (scaled delta → next delta, SUM) and min-label propagation (label → next
+// label, MIN). The value is read once per row — as a raw 8-byte word, so one
+// kernel serves float64 and int64 properties — and on a stolen node comes
+// from the grant's snapshot.
+type pushKernel struct {
+	core.RowOnly
 	core.NoReads
-	scaled, nxt core.PropID
+	src, dst core.PropID
+	op       reduce.Op
 }
 
-func (k *prPushKernel) Run(c *core.Ctx) {
-	c.NbrWriteF64(k.nxt, reduce.Sum, c.GetF64(k.scaled))
+func (k *pushKernel) RunRow(c *core.Ctx, row core.Row) {
+	pushRow(c, row, k.dst, k.op, core.WordI64(c.GetI64(k.src)))
+}
+
+// pushRow reduces word into property p of every neighbor in the row.
+func pushRow(c *core.Ctx, row core.Row, p core.PropID, op reduce.Op, word uint64) {
+	wr := c.Writer(p, op)
+	for _, ref := range row.Refs {
+		wr.Write(ref, word)
+	}
 }
 
 // prApplyKernel finishes an iteration and prepares the next in one pass:
@@ -115,13 +145,13 @@ func pageRankExact(c *core.Cluster, iters int, damping float64, pull bool) ([]fl
 		if pull {
 			r.run(core.JobSpec{
 				Name: "pr-pull", Iter: core.IterInEdges,
-				Task:      &prPullKernel{scaled: scaled, nxt: nxt},
+				Task:      &sumPullKernel{src: scaled, acc: nxt},
 				ReadProps: []core.PropID{scaled},
 			})
 		} else {
 			r.run(core.JobSpec{
 				Name: "pr-push", Iter: core.IterOutEdges,
-				Task:       &prPushKernel{scaled: scaled, nxt: nxt},
+				Task:       &pushKernel{src: scaled, dst: nxt, op: reduce.Sum},
 				WriteProps: []core.WriteSpec{{Prop: nxt, Op: reduce.Sum}},
 				// Stealable, but note stolen SUM contributions arrive in a
 				// different order, so steal-on PageRank-push is numerically
@@ -143,16 +173,6 @@ func pageRankExact(c *core.Cluster, iters int, damping float64, pull bool) ([]fl
 }
 
 // --- approximate PageRank ----------------------------------------------------
-
-// prDeltaPushKernel propagates damped deltas from active nodes.
-type prDeltaPushKernel struct {
-	core.NoReads
-	scaledDelta, deltaNxt core.PropID
-}
-
-func (k *prDeltaPushKernel) Run(c *core.Ctx) {
-	c.NbrWriteF64(k.deltaNxt, reduce.Sum, c.GetF64(k.scaledDelta))
-}
 
 // prDeltaApplyKernel folds the received delta into pr and decides activity.
 type prDeltaApplyKernel struct {
@@ -214,7 +234,7 @@ func PageRankApprox(c *core.Cluster, damping, threshold float64, maxIter int) ([
 	for it := 0; it < maxIter && r.err == nil; it++ {
 		r.run(core.JobSpec{
 			Name: "apr-push", Iter: core.IterOutEdges,
-			Task:       &prDeltaPushKernel{scaledDelta: scaledDelta, deltaNxt: deltaNxt},
+			Task:       &pushKernel{src: scaledDelta, dst: deltaNxt, op: reduce.Sum}, // damped deltas of active nodes
 			Filter:     activeFilter,
 			WriteProps: []core.WriteSpec{{Prop: deltaNxt, Op: reduce.Sum}},
 		})

@@ -71,7 +71,7 @@ func PersonalizedPageRank(c *core.Cluster, sources []graph.NodeID, iters int, da
 		Task: &scaleKernel{pr: pr, scaled: scaled}})
 	for it := 0; it < iters && r.err == nil; it++ {
 		r.run(core.JobSpec{Name: "ppr-pull", Iter: core.IterInEdges,
-			Task:      &prPullKernel{scaled: scaled, nxt: nxt},
+			Task:      &sumPullKernel{src: scaled, acc: nxt},
 			ReadProps: []core.PropID{scaled}})
 		r.run(core.JobSpec{Name: "ppr-apply", Iter: core.IterNodes,
 			Task: &pprApplyKernel{pr: pr, nxt: nxt, scaled: scaled, isSource: isSource,

@@ -1,0 +1,333 @@
+package algorithms
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/baseline/sa"
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/partition"
+	"repro/internal/reduce"
+)
+
+// Per-edge forms of the row kernels — one Task.Run per edge through the
+// neighbor accessors, as the kernels were written before the row dispatch.
+// Test-only: TestRowDispatchMatchesPerEdge runs every algorithm through them
+// (so through core's perEdge adapter) and through the row kernels, and
+// requires the same answers.
+
+type sumPullEdge struct{ src, acc core.PropID }
+
+func (k *sumPullEdge) Run(c *core.Ctx) { c.NbrRead(k.src) }
+func (k *sumPullEdge) ReadDone(c *core.Ctx, val uint64) {
+	c.SetF64(k.acc, c.GetF64(k.acc)+core.F64Word(val))
+}
+
+type pushEdge struct {
+	core.NoReads
+	src, dst core.PropID
+	op       reduce.Op
+}
+
+func (k *pushEdge) Run(c *core.Ctx) { c.NbrWriteI64(k.dst, k.op, c.GetI64(k.src)) }
+
+type wccPullEdge struct{ label, labelNxt core.PropID }
+
+func (k *wccPullEdge) Run(c *core.Ctx) { c.NbrRead(k.label) }
+func (k *wccPullEdge) ReadDone(c *core.Ctx, val uint64) {
+	if v := core.I64Word(val); v < c.GetI64(k.labelNxt) {
+		c.SetI64(k.labelNxt, v)
+	}
+}
+
+type distRelaxEdge struct {
+	core.NoReads
+	dist, distNxt core.PropID
+}
+
+func (k *distRelaxEdge) Run(c *core.Ctx) {
+	c.NbrWriteF64(k.distNxt, reduce.Min, c.GetF64(k.dist)+c.EdgeWeight())
+}
+
+type ssspPullEdge struct{ dist, distNxt core.PropID }
+
+func (k *ssspPullEdge) Run(c *core.Ctx) {
+	c.Aux = core.WordF64(c.EdgeWeight())
+	c.NbrRead(k.dist)
+}
+func (k *ssspPullEdge) ReadDone(c *core.Ctx, val uint64) {
+	if d := core.F64Word(val) + core.F64Word(c.Aux); d < c.GetF64(k.distNxt) {
+		c.SetF64(k.distNxt, d)
+	}
+}
+
+type hopPushEdge struct {
+	core.NoReads
+	dist  core.PropID
+	level int64
+}
+
+func (k *hopPushEdge) Run(c *core.Ctx) { c.NbrWriteI64(k.dist, reduce.Min, k.level+1) }
+
+type hopPullEdge struct {
+	dist  core.PropID
+	level int64
+}
+
+func (k *hopPullEdge) Run(c *core.Ctx) {
+	if c.GetI64(k.dist) == k.level+1 {
+		c.SkipNode()
+		return
+	}
+	c.NbrRead(k.dist)
+}
+func (k *hopPullEdge) ReadDone(c *core.Ctx, val uint64) {
+	if core.I64Word(val) == k.level && c.GetI64(k.dist) != k.level+1 {
+		c.SetI64(k.dist, k.level+1)
+		c.Activate(0)
+		c.SkipNode()
+	}
+}
+
+type degDecEdge struct {
+	core.NoReads
+	deg core.PropID
+}
+
+func (k *degDecEdge) Run(c *core.Ctx) { c.NbrWriteI64(k.deg, reduce.Sum, -1) }
+
+type misPushPriorityEdge struct {
+	core.NoReads
+	pri, nbrPri core.PropID
+}
+
+func (k *misPushPriorityEdge) Run(c *core.Ctx) {
+	if c.NbrRef() != int64(c.Node) {
+		c.NbrWriteI64(k.nbrPri, reduce.Max, c.GetI64(k.pri))
+	}
+}
+
+type misExcludeEdge struct {
+	core.NoReads
+	excluded core.PropID
+}
+
+func (k *misExcludeEdge) Run(c *core.Ctx) { c.NbrWriteI64(k.excluded, reduce.Or, 1) }
+
+// perEdgeForm maps a row kernel to its per-edge copy and passes node-iterator
+// kernels through. A row kernel without a copy panics, so a newly converted
+// kernel cannot dodge the equivalence test.
+func perEdgeForm(task core.Task) core.Task {
+	switch k := task.(type) {
+	case *sumPullKernel:
+		return &sumPullEdge{src: k.src, acc: k.acc}
+	case *pushKernel:
+		return &pushEdge{src: k.src, dst: k.dst, op: k.op}
+	case *wccPullKernel:
+		return &wccPullEdge{label: k.label, labelNxt: k.labelNxt}
+	case *distRelaxKernel:
+		return &distRelaxEdge{dist: k.dist, distNxt: k.distNxt}
+	case *ssspPullKernel:
+		return &ssspPullEdge{dist: k.dist, distNxt: k.distNxt}
+	case *hopPushKernel:
+		return &hopPushEdge{dist: k.dist, level: k.level}
+	case *hopPullKernel:
+		return &hopPullEdge{dist: k.dist, level: k.level}
+	case *degDecKernel:
+		return &degDecEdge{deg: k.deg}
+	case *misPushPriority:
+		return &misPushPriorityEdge{pri: k.pri, nbrPri: k.nbrPri}
+	case *misExcludeMark:
+		return &misExcludeEdge{excluded: k.excluded}
+	}
+	if _, isRow := task.(core.RowTask); isRow {
+		panic(fmt.Sprintf("rowform_test: no per-edge copy of row kernel %T", task))
+	}
+	return task
+}
+
+// suiteResult is one pass of every algorithm with an edge-iterator kernel.
+type suiteResult struct {
+	wcc, hop, kcore         []int64
+	kcoreBest               int64
+	mis                     []bool
+	sssp                    []float64
+	prPull, prPush, prAprx  []float64
+	eigenvector, personalPR []float64
+}
+
+const (
+	rowPRIters  = 4
+	rowAprxIter = 12
+	rowAprxEps  = 1e-6
+	rowMISSeed  = 17
+)
+
+func runSuite(t *testing.T, c *core.Cluster, root graph.NodeID, withKCore bool) suiteResult {
+	t.Helper()
+	n := c.NumNodes()
+	var r suiteResult
+	var err error
+	must := func(name string) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	r.wcc, _, err = WCC(c, n)
+	must("wcc")
+	r.sssp, _, err = SSSP(c, root, n)
+	must("sssp")
+	r.hop, _, err = HopDist(c, root, n)
+	must("hopdist")
+	if withKCore {
+		r.kcoreBest, r.kcore, _, err = KCore(c, 0)
+		must("kcore")
+	}
+	r.mis, _, err = MIS(c, rowMISSeed, 0)
+	must("mis")
+	r.prPull, _, err = PageRankPull(c, rowPRIters, 0.85)
+	must("pr-pull")
+	r.prPush, _, err = PageRankPush(c, rowPRIters, 0.85)
+	must("pr-push")
+	r.prAprx, _, err = PageRankApprox(c, 0.85, rowAprxEps, rowAprxIter)
+	must("pr-approx")
+	r.eigenvector, _, err = Eigenvector(c, rowPRIters)
+	must("eigenvector")
+	r.personalPR, _, err = PersonalizedPageRank(c, []graph.NodeID{root}, rowPRIters, 0.85)
+	must("personalized")
+	return r
+}
+
+// rowCluster boots p machines over the chosen fabric. skewed loads a
+// partition.SkewedLayout with work stealing on, so stealable push kernels
+// also run on stolen nodes (rows from the grant, own values from its
+// snapshot).
+func rowCluster(t *testing.T, g *graph.Graph, p int, useTCP, skewed bool, set core.Ablation) *core.Cluster {
+	t.Helper()
+	cfg := latticeConfig(t, p, useTCP, set)
+	cfg.EnableWorkStealing = skewed
+	c, err := core.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	if !skewed {
+		if err := c.Load(g); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	layout, err := partition.SkewedLayout(g, p, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LoadPlan(g, layout, 32); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRowDispatchMatchesPerEdge: every algorithm gives the same answer
+// through its row kernels and through per-edge copies of them behind core's
+// perEdge adapter — bit for bit for the Min and integer kernels and, on one
+// machine, for the pull-form float sums (one worker adds a node's neighbors
+// in edge order either way); to 1e-12 where continuations or atomic SUMs
+// arrive in a schedule-dependent order — and both match the standalone
+// reference. Over a small-world RMAT and a grid, one to three machines in
+// process and two over TCP, in the default configuration, with every
+// traversal pinned to its pull schedule (the adaptive policy rarely picks it
+// on graphs this small), and with work stealing on a skewed cut.
+func TestRowDispatchMatchesPerEdge(t *testing.T) {
+	rmat, err := graph.RMAT(11, 8, graph.TwitterLike(), 4242)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := graph.Grid(30, 30, 0, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const root = graph.NodeID(0)
+	for _, tg := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"rmat11", rmat.WithUniformWeights(1, 10, 7)}, {"grid30", grid.WithUniformWeights(1, 10, 7)}} {
+		g := tg.g
+		var want suiteResult
+		want.wcc, _ = sa.WCC(g, 1)
+		want.sssp, _ = sa.SSSP(g, root, 1)
+		want.hop, _ = sa.HopDist(g, root, 1)
+		want.kcoreBest, want.kcore, _ = sa.KCore(g, 1)
+		want.prPull = sa.PageRank(g, rowPRIters, 0.85, 1)
+		want.prAprx, _ = sa.PageRankApprox(g, 0.85, rowAprxEps, rowAprxIter, 1)
+		want.eigenvector = sa.Eigenvector(g, rowPRIters, 1)
+		want.personalPR = PersonalizedPageRankReference(g, []graph.NodeID{root}, rowPRIters, 0.85)
+
+		for _, fab := range []struct {
+			p   int
+			tcp bool
+		}{{1, false}, {2, false}, {3, false}, {2, true}} {
+			for _, v := range []struct {
+				name   string
+				skewed bool
+				set    core.Ablation
+			}{{"default", false, 0}, {"pin-pull", false, core.AblatePinPull}, {"steal-skewed", true, 0}} {
+				if v.skewed && fab.p == 1 {
+					continue // nobody to steal from
+				}
+				name := fmt.Sprintf("%s/p=%d,tcp=%v/%s", tg.name, fab.p, fab.tcp, v.name)
+				t.Run(name, func(t *testing.T) {
+					// k-core's hundreds of near-empty supersteps add nothing over
+					// TCP that the in-process run of the same kernels does not show.
+					withKCore := !fab.tcp
+					row := runSuite(t, rowCluster(t, g, fab.p, fab.tcp, v.skewed, v.set), root, withKCore)
+					kernelHook = perEdgeForm
+					defer func() { kernelHook = nil }()
+					edge := runSuite(t, rowCluster(t, g, fab.p, fab.tcp, v.skewed, v.set), root, withKCore)
+
+					for _, form := range []struct {
+						name string
+						got  suiteResult
+					}{{"row", row}, {"per-edge", edge}} {
+						got := form.got
+						assertEqualI64(t, form.name+" wcc", got.wcc, want.wcc)
+						assertBitsF64(t, form.name+" sssp", got.sssp, want.sssp)
+						assertEqualI64(t, form.name+" hopdist", got.hop, want.hop)
+						if withKCore {
+							if got.kcoreBest != want.kcoreBest {
+								t.Fatalf("%s kcore max = %d, want %d", form.name, got.kcoreBest, want.kcoreBest)
+							}
+							assertEqualI64(t, form.name+" kcore", got.kcore, want.kcore)
+						}
+						if msg := VerifyMIS(g, got.mis); msg != "" {
+							t.Fatalf("%s mis: %s", form.name, msg)
+						}
+						assertClose(t, form.name+" pr-pull", got.prPull, want.prPull, 1e-9)
+						assertClose(t, form.name+" pr-push", got.prPush, want.prPull, 1e-9)
+						assertClose(t, form.name+" pr-approx", got.prAprx, want.prAprx, 1e-9)
+						assertClose(t, form.name+" eigenvector", got.eigenvector, want.eigenvector, 1e-9)
+						assertClose(t, form.name+" personalized", got.personalPR, want.personalPR, 1e-9)
+					}
+					for i := range row.mis {
+						if row.mis[i] != edge.mis[i] {
+							t.Fatalf("mis[%d]: row %v, per-edge %v", i, row.mis[i], edge.mis[i])
+						}
+					}
+					pullSums := assertBitsF64
+					if fab.p > 1 {
+						pullSums = func(t *testing.T, name string, got, want []float64) {
+							t.Helper()
+							assertClose(t, name, got, want, 1e-12)
+						}
+					}
+					pullSums(t, "row vs per-edge pr-pull", row.prPull, edge.prPull)
+					pullSums(t, "row vs per-edge eigenvector", row.eigenvector, edge.eigenvector)
+					pullSums(t, "row vs per-edge personalized", row.personalPR, edge.personalPR)
+					assertClose(t, "row vs per-edge pr-push", row.prPush, edge.prPush, 1e-12)
+					assertClose(t, "row vs per-edge pr-approx", row.prAprx, edge.prAprx, 1e-12)
+				})
+			}
+		}
+	}
+}

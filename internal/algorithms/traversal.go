@@ -17,29 +17,29 @@ import (
 // engine's sparse/dense frontier dispatch are schedules of these same
 // kernels, never separate implementations.
 
-// minLabelPush propagates the node's current label to the neighbor's next
-// label with a MIN reduction — the shared push kernel of WCC (labels), SSSP
-// (distances via dist+weight), and hop distance (dist+1).
-type minLabelPush struct {
-	core.NoReads
-	label, labelNxt core.PropID
-}
-
-func (k *minLabelPush) Run(c *core.Ctx) {
-	c.NbrWriteI64(k.labelNxt, reduce.Min, c.GetI64(k.label))
-}
-
 // --- WCC ---------------------------------------------------------------------
 
 // wccPullKernel is the pull form of min-label propagation: every node scans
 // its neighbors (both orientations) and folds their labels into its own
 // labelNxt locally — remote reads instead of remote reductions.
 type wccPullKernel struct {
+	core.RowOnly
 	label, labelNxt core.PropID
 }
 
-func (k *wccPullKernel) Run(c *core.Ctx) {
-	c.NbrRead(k.label)
+func (k *wccPullKernel) RunRow(c *core.Ctx, row core.Row) {
+	label := c.I64(k.label)
+	best := int64(math.MaxInt64)
+	for _, ref := range row.Refs {
+		if ref < 0 {
+			c.ReadRef(ref, k.label)
+		} else if v := label.At(ref); v < best {
+			best = v
+		}
+	}
+	if best < c.GetI64(k.labelNxt) {
+		c.SetI64(k.labelNxt, best)
+	}
 }
 
 func (k *wccPullKernel) ReadDone(c *core.Ctx, val uint64) {
@@ -104,7 +104,7 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 		if dir == core.DirPush {
 			st := r.runStats(core.JobSpec{Name: "wcc-push", Iter: core.IterBothEdges,
 				Source:     cur,
-				Task:       &minLabelPush{label: label, labelNxt: labelNxt},
+				Task:       &pushKernel{src: label, dst: labelNxt, op: reduce.Min},
 				WriteProps: []core.WriteSpec{{Prop: labelNxt, Op: reduce.Min}},
 				Steal:      &core.StealSpec{Own: []core.PropID{label}}})
 			policy.Observe(core.DirPush, stats.OutDeg+stats.InDeg, st.Traffic.BytesSent)
@@ -135,12 +135,17 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 // distRelaxKernel relaxes each out-edge: nbr.distNxt = min(nbr.distNxt,
 // dist + weight). Only frontier (just-improved) nodes relax.
 type distRelaxKernel struct {
+	core.RowOnly
 	core.NoReads
 	dist, distNxt core.PropID
 }
 
-func (k *distRelaxKernel) Run(c *core.Ctx) {
-	c.NbrWriteF64(k.distNxt, reduce.Min, c.GetF64(k.dist)+c.EdgeWeight())
+func (k *distRelaxKernel) RunRow(c *core.Ctx, row core.Row) {
+	d := c.GetF64(k.dist)
+	nxt := c.Writer(k.distNxt, reduce.Min)
+	for i, ref := range row.Refs {
+		nxt.WriteF64(ref, d+row.Weight(i))
+	}
 }
 
 // ssspPullKernel is the pull form of edge relaxation: every node scans its
@@ -148,12 +153,25 @@ func (k *distRelaxKernel) Run(c *core.Ctx) {
 // same operands in the same order as the push kernel, so the two directions
 // produce bit-identical floats.
 type ssspPullKernel struct {
+	core.RowOnly
 	dist, distNxt core.PropID
 }
 
-func (k *ssspPullKernel) Run(c *core.Ctx) {
-	c.Aux = core.WordF64(c.EdgeWeight())
-	c.NbrRead(k.dist)
+func (k *ssspPullKernel) RunRow(c *core.Ctx, row core.Row) {
+	dist := c.F64(k.dist)
+	best := math.Inf(1)
+	for i, ref := range row.Refs {
+		w := row.Weight(i)
+		if ref < 0 {
+			c.Aux = core.WordF64(w) // the continuation's half of the sum
+			c.ReadRef(ref, k.dist)
+		} else if d := dist.At(ref) + w; d < best {
+			best = d
+		}
+	}
+	if best < c.GetF64(k.distNxt) {
+		c.SetF64(k.distNxt, best)
+	}
 }
 
 func (k *ssspPullKernel) ReadDone(c *core.Ctx, val uint64) {
@@ -251,42 +269,61 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 // this level — so the next frontier is a receiver-side by-product of the
 // relaxation and no separate adopt pass runs.
 type hopPushKernel struct {
+	core.RowOnly
 	core.NoReads
 	dist  core.PropID
 	level int64
 }
 
-func (k *hopPushKernel) Run(c *core.Ctx) {
-	c.NbrWriteI64(k.dist, reduce.Min, k.level+1)
+func (k *hopPushKernel) RunRow(c *core.Ctx, row core.Row) {
+	pushRow(c, row, k.dist, reduce.Min, core.WordI64(k.level+1))
 }
 
 // hopPullKernel is the bottom-up BFS step (the direction-optimizing pull):
 // each still-unvisited node scans its in-neighbors for one on the current
 // level and claims level+1 for itself, activating into the next frontier.
-// The scan stops at the first hit (SkipNode) — the early exit that makes
-// pull win on dense levels. Remote in-neighbors resolve asynchronously and
-// cannot stop the scan, but their continuations still claim the level, so
-// the result is unaffected. Claims are deterministic: only values that were
-// exactly level at job start can match, and a mid-superstep self-claim
-// writes level+1, which no reader can mistake for level.
+// The scan stops at the first hit — the early exit that makes pull win on
+// dense levels. Remote in-neighbors resolve asynchronously and cannot stop
+// the scan, but their continuations still claim the level, so the result is
+// unaffected. Claims are deterministic: only values that were exactly level
+// at job start can match, and a mid-superstep self-claim writes level+1,
+// which no reader can mistake for level.
 type hopPullKernel struct {
+	core.RowOnly
 	dist  core.PropID
 	level int64
 }
 
-func (k *hopPullKernel) Run(c *core.Ctx) {
-	if c.GetI64(k.dist) == k.level+1 {
-		c.SkipNode() // already claimed by an earlier in-neighbor
-		return
+func (k *hopPullKernel) RunRow(c *core.Ctx, row core.Row) {
+	dist := c.I64(k.dist)
+	for _, ref := range row.Refs {
+		if ref >= 0 {
+			if dist.At(ref) == k.level {
+				k.claim(c)
+				return
+			}
+			continue
+		}
+		// A remote read can run queued continuations of this node, so the
+		// own-node check sits next to it, never cached across it.
+		if c.GetI64(k.dist) == k.level+1 {
+			return // already claimed by an earlier in-neighbor's response
+		}
+		c.ReadRef(ref, k.dist)
 	}
-	c.NbrRead(k.dist)
 }
 
 func (k *hopPullKernel) ReadDone(c *core.Ctx, val uint64) {
-	if core.I64Word(val) == k.level && c.GetI64(k.dist) != k.level+1 {
+	if core.I64Word(val) == k.level {
+		k.claim(c)
+	}
+}
+
+// claim takes level+1 for the current node, once.
+func (k *hopPullKernel) claim(c *core.Ctx) {
+	if c.GetI64(k.dist) != k.level+1 {
 		c.SetI64(k.dist, k.level+1)
 		c.Activate(0)
-		c.SkipNode()
 	}
 }
 

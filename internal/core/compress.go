@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/comm"
@@ -34,19 +33,60 @@ import (
 // nothing measurable.
 const wireCompressMinRecords = 16
 
-// u64PairSorter sorts a key column and carries a parallel tag word through
-// the permutation. It lives on the worker so sort.Sort sees a preallocated
-// interface value — no per-flush allocation.
-type u64PairSorter struct {
-	keys []uint64
-	tags []uint64
-}
+// radixMinRecords is the batch size below which sortPairs insertion-sorts:
+// under it the radix passes' two 256-entry histograms cost more than the
+// quadratic moves they save.
+const radixMinRecords = 64
 
-func (s *u64PairSorter) Len() int           { return len(s.keys) }
-func (s *u64PairSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *u64PairSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.tags[i], s.tags[j] = s.tags[j], s.tags[i]
+// sortPairs sorts keys ascending and carries the parallel tag words through
+// the permutation — a stable LSD byte-radix sort on worker-owned scratch, so
+// the flush path neither allocates nor pays an interface call per comparison.
+// Batch keys are prop<<48 | [op<<40] | offset toward one machine, so most key
+// bytes are equal across the whole batch; every such byte is skipped, which
+// leaves two or three passes.
+func (w *worker) sortPairs(keys, tags []uint64) {
+	n := len(keys)
+	if n < radixMinRecords {
+		for i := 1; i < n; i++ {
+			k, t := keys[i], tags[i]
+			j := i
+			for ; j > 0 && keys[j-1] > k; j-- {
+				keys[j], tags[j] = keys[j-1], tags[j-1]
+			}
+			keys[j], tags[j] = k, t
+		}
+		return
+	}
+	var varying uint64 // bits on which some key differs from keys[0]
+	for _, k := range keys {
+		varying |= k ^ keys[0]
+	}
+	srcK, srcT := keys, tags
+	dstK, dstT := growU64(&w.sortKeys, n), growU64(&w.sortTags, n)
+	for shift := uint(0); shift < 64; shift += 8 {
+		if varying>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int // next[b]: where the next key with byte b goes
+		for _, k := range srcK {
+			next[k>>shift&0xff]++
+		}
+		at := 0
+		for b, c := range next {
+			next[b] = at
+			at += c
+		}
+		for i, k := range srcK {
+			j := next[k>>shift&0xff]
+			next[k>>shift&0xff] = j + 1
+			dstK[j], dstT[j] = k, srcT[i]
+		}
+		srcK, srcT, dstK, dstT = dstK, dstT, srcK, srcT
+	}
+	if &srcK[0] != &keys[0] { // an odd number of passes left the result in scratch
+		copy(keys, srcK)
+		copy(tags, srcT)
+	}
 }
 
 func u64sSorted(v []uint64) bool {
@@ -85,8 +125,7 @@ func (w *worker) compressReadBatch(buf *comm.Buffer, nrec, dst int) {
 		tags[i] = uint64(i)
 	}
 	if !u64sSorted(keys) {
-		w.sorter.keys, w.sorter.tags = keys, tags
-		sort.Sort(&w.sorter)
+		w.sortPairs(keys, tags)
 		// slot i of the original message now lives at slot slotMap[i].
 		slotMap := growU64(&w.slotScratch, nrec)
 		for newSlot, tag := range tags {
@@ -125,8 +164,7 @@ func (w *worker) compressWriteBatch(buf *comm.Buffer, nrec, dst int) {
 		vals[i] = leU64(p[writeRecSize*i+8:])
 	}
 	if !u64sSorted(keys) {
-		w.sorter.keys, w.sorter.tags = keys, vals
-		sort.Sort(&w.sorter)
+		w.sortPairs(keys, vals)
 	}
 	enc := codec.AppendDeltaU64s(w.encScratch[:0], keys)
 	for i := 0; i < nrec; i++ {

@@ -24,36 +24,36 @@ func (m *Machine) copierLoop() {
 	reg := m.cfg.Obs
 	dec := new(wireDec) // per-copier scratch for compressed frames
 	for buf := range m.router.ReqQueue() {
-		if reg == nil {
-			if err := m.serveRequest(buf, dec); err != nil {
-				m.ep.Metrics().RecordRecvError()
-				m.abortCurrent(fmt.Errorf("core: machine %d copier: %w", m.id, err))
-			}
-			continue
-		}
+		// The job this frame is served against, loaded once: the epoch checks
+		// and a failure must name the same job. Re-reading curJob after a
+		// failed decode could fail the rerun for a straggler of the run it
+		// replaced.
+		jr := m.curJob.Load()
 		h := buf.Header()
-		src, typ := uint64(h.Src), uint64(h.Type)
 		var jobID uint64
-		if jr := m.curJob.Load(); jr != nil {
+		if jr != nil {
 			jobID = jr.id
 		}
 		t := reg.Clock()
-		err := m.serveRequest(buf, dec)
-		reg.Span(m.id, obs.WorkerCopier, obs.SpanCopierServe, jobID, t, src<<48|typ)
+		err := m.serveRequest(buf, dec, jr)
+		reg.Span(m.id, obs.WorkerCopier, obs.SpanCopierServe, jobID, t, uint64(h.Src)<<48|uint64(h.Type))
 		reg.Observe(m.id, obs.HistServe, time.Duration(reg.Clock()-t))
 		if err != nil {
 			m.ep.Metrics().RecordRecvError()
 			reg.Add(m.id, obs.CtrRecvErrors, 1)
-			m.abortCurrent(fmt.Errorf("core: machine %d copier: %w", m.id, err))
+			if jr != nil {
+				m.abortJob(jr, fmt.Errorf("core: machine %d copier: %w", m.id, err))
+			}
 		}
 	}
 }
 
-// serveRequest dispatches one inbound request frame. The request buffer is
-// released on every exit path; response buffers are either handed to the
-// transport (which owns them from Send on, success or failure) or released
-// here before an error return.
-func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec) error {
+// serveRequest dispatches one inbound request frame against jr, the job that
+// was current when the frame was dequeued (nil between jobs). The request
+// buffer is released on every exit path; response buffers are either handed
+// to the transport (which owns them from Send on, success or failure) or
+// released here before an error return.
+func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec, jr *jobRuntime) error {
 	defer buf.Release()
 	h := buf.Header()
 	payload := buf.Payload()
@@ -65,7 +65,7 @@ func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec) error {
 		// from an aborted job that outlived post-abort recovery — applying it
 		// would advance writesApplied against the reset baseline and wedge
 		// every later drain at applied > sent.
-		if jr := m.curJob.Load(); jr == nil || jr.id != h.Aux {
+		if jr == nil || jr.id != h.Aux {
 			m.cfg.Obs.Add(m.id, obs.CtrStaleWriteFrames, 1)
 			return nil
 		}
@@ -90,6 +90,16 @@ func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec) error {
 		m.cfg.Obs.Add(m.id, obs.CtrWritesApplied, int64(h.Count))
 		return nil
 	case comm.MsgReadReq:
+		// Epoch check, before any decode: Aux's high half is the low half of
+		// the requester's job id (stamped at flush). Reads are issued and
+		// answered between a job's two barriers, so a mismatch is a straggler
+		// from an aborted job — possibly torn by the very fault that aborted
+		// it. Its requester has parked the seq in its stale set and expects no
+		// answer; serving it could only fail the job running now.
+		if jr == nil || uint32(jr.id) != uint32(h.Aux>>32) {
+			m.cfg.Obs.Add(m.id, obs.CtrStaleReadFrames, 1)
+			return nil
+		}
 		if err := m.serveReads(h, payload, dec); err != nil {
 			return err
 		}

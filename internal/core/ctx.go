@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/reduce"
@@ -10,32 +11,34 @@ import (
 // Ctx is the execution context handed to Task callbacks. One Ctx exists per
 // worker and is reused across invocations; a task must never retain it.
 //
-// During Run on an edge iterator, Node is the local node index, the neighbor
-// accessors target the current edge's other endpoint, and EdgeWeight is the
-// current edge's weight. During ReadDone/RMIDone, only Node, Aux, and the
-// local property accessors are valid — continuations that need the neighbor
-// must stash NbrRef() in Aux before reading, mirroring the paper's rule that
-// continuation state lives in the task object's explicit fields.
+// Node is the local node index throughout. In RunRow the kernel walks the row
+// itself (typed views, a Writer, ReadRef for remote refs). In a per-edge Run
+// the neighbor accessors target the current edge's other endpoint and
+// EdgeWeight is the current edge's weight. During ReadDone/RMIDone, only
+// Node, Aux, and the local property accessors are valid — continuations that
+// need the neighbor must stash its ref in Aux before reading, mirroring the
+// paper's rule that continuation state lives in the task object's explicit
+// fields.
 type Ctx struct {
 	w *worker
 
 	// Node is the current local node index.
 	Node uint32
 	// Aux is task-defined continuation state, preserved across the
-	// Run → ReadDone boundary for the request that carried it. The engine
-	// resets it to zero once per node; kernels that use it must set it in
-	// Run before issuing the read it describes.
+	// Run/RunRow → ReadDone boundary for the request that carried it. The
+	// engine resets it to zero once per node; kernels that use it must set it
+	// before issuing the read it describes.
 	Aux uint64
 
+	// The per-edge cursor of a Task.Run kernel: current neighbor ref, its
+	// index in the row, the row's weights, and the SkipNode flag. Written
+	// only by the perEdge adapter (and SkipNode); they live in Ctx so the
+	// wholesale save/restore at re-entrancy points (drainResponsesSafe,
+	// acquireReq) protects them from interleaved continuations.
 	nbr     int64
-	edge    int64
-	weights []float64 // weights of the orientation currently iterated
-
-	// skip is set by SkipNode to end the current node's edge loop early;
-	// the worker resets it per node. It lives in Ctx so the wholesale
-	// save/restore at re-entrancy points (drainResponsesSafe, acquireReq)
-	// protects it from interleaved continuations.
-	skip bool
+	edge    int
+	weights []float64
+	skip    bool
 
 	// stolen, when non-nil, marks the worker as executing a node stolen from
 	// another machine: Node is then an index in the victim's range and the
@@ -87,9 +90,9 @@ func (c *Ctx) InDegree() int64 {
 	return int64(c.w.m.store.inDeg[c.Node])
 }
 
-// NbrRef returns the current edge's neighbor reference. Valid only in Run of
-// an edge-iterator job. The ref is stable for the lifetime of the loaded
-// graph and may be stored (e.g. in Aux) and used later with ReadRef/WriteRef.
+// NbrRef returns the current edge's neighbor reference. Valid only in a
+// per-edge Run. The ref is stable for the lifetime of the loaded graph and
+// may be stored (e.g. in Aux) and used later with ReadRef/WriteRef.
 func (c *Ctx) NbrRef() int64 { return c.nbr }
 
 // NbrIsRemote reports whether the current neighbor lives on another machine
@@ -111,7 +114,7 @@ func (c *Ctx) RefGlobal(ref int64) graph.NodeID {
 }
 
 // EdgeWeight returns the current edge's weight (0 for unweighted graphs).
-// Valid only in Run of an edge-iterator job.
+// Valid only in a per-edge Run.
 func (c *Ctx) EdgeWeight() float64 {
 	if c.weights == nil {
 		return 0
@@ -184,28 +187,86 @@ func (c *Ctx) NbrRead(p PropID) {
 }
 
 // WriteRef reduces the raw word into property p of the node identified by
-// ref (a value previously obtained from NbrRef).
+// ref — a single-shot Writer. Row kernels resolve the Writer once per row
+// instead.
 func (c *Ctx) WriteRef(ref int64, p PropID, op reduce.Op, word uint64) {
-	w := c.w
-	if act := w.job.activate; act != nil && act[p] >= 0 {
-		w.writeActivating(ref, p, op, word, int(act[p]))
-		return
-	}
-	if ref >= 0 {
-		if int(ref) >= w.m.store.numLocal {
-			if seg := w.privSeg[p]; seg != nil {
-				// Ghost privatization: reduce into this worker's private
-				// copy without atomics (paper §3.3).
-				w.cols[p].applyPlain(&seg[int(ref)-w.m.store.numLocal], op, word)
-				return
-			}
-		}
-		w.cols[p].applyWord(int(ref), op, word)
-		return
-	}
-	mach, off := unpackRemote(ref)
-	w.bufferWrite(mach, p, op, off, word)
+	wr := c.Writer(p, op)
+	wr.Write(ref, word)
 }
+
+// Writer is a write handle for one (property, operator) pair — the paper's
+// write_remote<OP> with everything that does not depend on the target
+// resolved up front: the column, this worker's private ghost segment, and the
+// job's write-activation slot. Obtain one per row with Ctx.Writer; it is
+// valid for the current job only.
+type Writer struct {
+	w      *worker
+	col    *column
+	seg    []uint64 // this worker's private ghost segment, nil when not privatized
+	ghost0 int64    // first ghost ref (= numLocal)
+	prop   PropID
+	op     reduce.Op
+	act    int8 // build slot of an ActivateInto spec, -1 otherwise
+}
+
+// Writer resolves the write handle for reducing into property p with op.
+func (c *Ctx) Writer(p PropID, op reduce.Op) Writer {
+	w := c.w
+	wr := Writer{w: w, col: w.cols[p], seg: w.privSeg[p], ghost0: int64(w.m.store.numLocal), prop: p, op: op, act: -1}
+	if act := w.job.activate; act != nil {
+		wr.act = act[p]
+	}
+	return wr
+}
+
+// Write reduces the raw word into the handle's property on the node
+// identified by ref. Local and ghost targets apply immediately (relaxed
+// consistency); remote targets are buffered into the per-worker request
+// message toward the owner, which makes a remote Write a re-entrancy point
+// (see RowTask).
+func (wr *Writer) Write(ref int64, word uint64) {
+	switch {
+	case wr.act >= 0:
+		wr.w.writeActivating(ref, wr.prop, wr.op, word, int(wr.act))
+	case ref < 0:
+		mach, off := unpackRemote(ref)
+		wr.w.bufferWrite(mach, wr.prop, wr.op, off, word)
+	case wr.seg != nil && ref >= wr.ghost0:
+		// Ghost privatization: reduce into this worker's private copy
+		// without atomics (paper §3.3).
+		wr.col.applyPlain(&wr.seg[ref-wr.ghost0], wr.op, word)
+	default:
+		wr.col.applyWord(int(ref), wr.op, word)
+	}
+}
+
+// WriteF64 reduces v into the handle's float64 property on ref.
+func (wr *Writer) WriteF64(ref int64, v float64) { wr.Write(ref, math.Float64bits(v)) }
+
+// WriteI64 reduces v into the handle's int64 property on ref.
+func (wr *Writer) WriteI64(ref int64, v int64) { wr.Write(ref, uint64(v)) }
+
+// F64View is a typed read view over one float64 property's local and ghost
+// slots on this machine. At is valid for ref >= 0 only — remote refs go
+// through Ctx.ReadRef — and reads the live word: under the engine's relaxed
+// consistency that is the value ReadDone would have been handed. The view is
+// valid for the current job.
+type F64View struct{ vals []atomic.Uint64 }
+
+// At returns the property value of the local or ghost node ref.
+func (v F64View) At(ref int64) float64 { return math.Float64frombits(v.vals[ref].Load()) }
+
+// I64View is F64View for an int64 property.
+type I64View struct{ vals []atomic.Uint64 }
+
+// At returns the property value of the local or ghost node ref.
+func (v I64View) At(ref int64) int64 { return int64(v.vals[ref].Load()) }
+
+// F64 returns the read view of float64 property p.
+func (c *Ctx) F64(p PropID) F64View { return F64View{c.w.cols[p].vals} }
+
+// I64 returns the read view of int64 property p.
+func (c *Ctx) I64(p PropID) I64View { return I64View{c.w.cols[p].vals} }
 
 // ReadRef requests property p of the node identified by ref; see NbrRead.
 func (c *Ctx) ReadRef(ref int64, p PropID) {
@@ -239,12 +300,13 @@ func (c *Ctx) Activate(slot int) {
 	b.shards[c.w.id] = append(b.shards[c.w.id], c.Node)
 }
 
-// SkipNode ends the current node's remaining edge invocations: the worker
-// breaks out of the edge loop after the current Run returns. Pull kernels
-// use it to stop scanning in-neighbors once the value they were looking for
-// arrived — effective when neighbors are local or ghosted (their ReadDone
-// runs synchronously); buffered remote reads resolve after the loop has
-// moved on, so they cannot trigger an early exit. No-op on node iterators.
+// SkipNode ends the current node's remaining per-edge Run invocations (both
+// orientations under IterBothEdges) once the current Run returns. Pull
+// kernels use it to stop scanning in-neighbors once the value they were
+// looking for arrived — effective when neighbors are local or ghosted (their
+// ReadDone runs synchronously); buffered remote reads resolve after the loop
+// has moved on, so they cannot trigger an early exit. A row kernel just
+// returns instead; no-op there and on node iterators.
 func (c *Ctx) SkipNode() { c.skip = true }
 
 // CallRMI invokes registered method id on machine dst with the given

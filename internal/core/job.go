@@ -46,8 +46,10 @@ func (k IterKind) String() string {
 }
 
 // Task is the paper's RTC user context (§4.1.2). Run is invoked per node or
-// per edge depending on the job's iterator; it must complete without
-// blocking ("the invocation of the run() method completes no matter what").
+// per edge depending on the job's iterator (per edge through the perEdge
+// adapter; kernels that want the whole adjacency row implement RowTask); it
+// must complete without blocking ("the invocation of the run() method
+// completes no matter what").
 // If Run (or ReadDone) issued a remote read, ReadDone is the continuation,
 // invoked by the same worker when the value arrives — so task-local state
 // needs no locks. All cross-invocation state must live in properties or in
@@ -56,6 +58,99 @@ func (k IterKind) String() string {
 type Task interface {
 	Run(c *Ctx)
 	ReadDone(c *Ctx, val uint64)
+}
+
+// Row is one node's adjacency in one orientation, handed to RowTask.RunRow.
+// Refs[i] is the i-th neighbor's ref (local index, ghost slot, or — when
+// negative — a remote ref); Weights, nil on unweighted graphs, runs parallel
+// to Refs. Both alias engine storage (the CSR, a decode-cache arena, or a
+// steal grant) and are valid only until RunRow returns.
+type Row struct {
+	Refs    []int64
+	Weights []float64
+
+	// second marks the in-edge row of an IterBothEdges node, so the perEdge
+	// adapter can carry SkipNode across the two orientations.
+	second bool
+}
+
+// Weight returns the i-th edge's weight (0 on unweighted graphs).
+func (r Row) Weight(i int) float64 {
+	if r.Weights == nil {
+		return 0
+	}
+	return r.Weights[i]
+}
+
+// RowTask is the kernel form the worker dispatches on edge iterators: RunRow
+// is called once per node and orientation (twice under IterBothEdges, out
+// row first) and runs its own loop over the row. The contract:
+//
+//   - The engine sets Ctx.Node and zeroes Ctx.Aux before the node's first
+//     row; both belong to the kernel from then on. A kernel that passes a
+//     remote ref to Ctx.ReadRef gets Node and Aux back in ReadDone, so
+//     per-edge continuation state (an edge weight, say) goes into Aux just
+//     before that ReadRef.
+//   - Local and ghost refs (ref >= 0) are read through a typed view
+//     (Ctx.F64/Ctx.I64) and written through a Writer resolved once per row;
+//     neither invokes ReadDone. Remote refs (ref < 0) go through
+//     Ctx.ReadRef / Writer.Write, which buffer toward the owner.
+//   - Ctx.ReadRef, Writer.Write on a remote ref and Ctx.CallRMI are
+//     re-entrancy points: when the request pool is exhausted the worker runs
+//     queued continuations — possibly ReadDone for this very node — before
+//     they return. A row kernel therefore keeps its accumulator in a local,
+//     never caches own-node property values across such a call, and folds the
+//     accumulator into the property with one read-modify-write after the
+//     loop (the pull pattern's register accumulation: one own-node store per
+//     row instead of one per edge).
+//   - Leaving the row early is a plain return.
+//
+// Run is never called on a RowTask driven by an edge iterator; embed RowOnly
+// to say so.
+type RowTask interface {
+	Task
+	RunRow(c *Ctx, row Row)
+}
+
+// RowOnly is a mixin for kernels that exist only in row form: its Run
+// panics, catching a row kernel put on a node iterator.
+type RowOnly struct{}
+
+// Run implements Task for kernels that are only ever dispatched by row.
+func (RowOnly) Run(c *Ctx) {
+	panic("core: Run invoked on a task that declared RowOnly; use an edge iterator")
+}
+
+// perEdge adapts a per-edge Task — the paper's public kernel shape, one Run
+// per edge with the neighbor accessors aimed at that edge — to the row
+// dispatch. It is the only code that moves Ctx's per-edge cursor
+// (nbr/edge/weights) and the only reader of the SkipNode flag. Jobs whose
+// Task is not a RowTask are wrapped once, at job set-up (rowForm).
+type perEdge struct{ Task }
+
+// rowForm returns the kernel an edge iterator dispatches for task: task
+// itself when it is a RowTask, else task behind the perEdge adapter.
+func rowForm(task Task) RowTask {
+	if rt, ok := task.(RowTask); ok {
+		return rt
+	}
+	return perEdge{task}
+}
+
+func (a perEdge) RunRow(c *Ctx, row Row) {
+	if !row.second {
+		c.skip = false
+	} else if c.skip {
+		return
+	}
+	c.weights = row.Weights
+	for i, ref := range row.Refs {
+		c.nbr, c.edge = ref, i
+		a.Task.Run(c)
+		if c.skip {
+			return
+		}
+	}
 }
 
 // RMITask is implemented additionally by tasks that invoke Ctx.CallRMI;

@@ -353,6 +353,11 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 		jr.rows2, jr.refs2, jr.weights2 = m.store.inRows, m.store.inRefs, m.store.inWeights
 		jr.dec, jr.decMach, jr.orient = m.dec, m.id, store.OrientOut
 	}
+	if spec.Iter != IterNodes {
+		// One dispatch shape: workers hand rows to a RowTask. A per-edge Task
+		// gets the adapter here, once per job.
+		jr.row = rowForm(spec.Task)
+	}
 
 	// Frontier-sourced iteration: restrict the chunk list to this machine's
 	// local frontier. Sparse frontiers get an edge-balanced cut of the

@@ -28,7 +28,7 @@ import (
 // needs to run those nodes locally: per-node adjacency with every neighbor
 // ref re-encoded into the thief's frame, edge weights when the job is
 // weighted, and a snapshot of the StealSpec.Own property values. The thief
-// executes the nodes through the ordinary kernel path; neighbor reductions
+// executes the nodes through the ordinary row dispatch; neighbor reductions
 // flow through WriteRef exactly as if a victim worker had issued them, so
 // the existing write-drain termination protocol accounts for stolen work
 // with no new collective.
@@ -364,14 +364,14 @@ func (m *Machine) stealOrder() []int {
 // flight and the queue is empty (see the ordering contract on stealRuntime).
 // The second half is thief-side: sweep the peers, most loaded first, and
 // execute whatever they grant until everyone reports dry.
-func (w *worker) stealPhase(jr *jobRuntime, spec *JobSpec, ctx *Ctx) {
+func (w *worker) stealPhase(jr *jobRuntime, ctx *Ctx) {
 	sr := jr.steal
 	for {
 		if ch, ok := sr.popResidual(); ok {
 			if jr.needsClaim() {
 				w.claimChunk(jr, ch)
 			}
-			w.runChunk(jr, spec, ctx, ch)
+			w.runChunk(jr, ctx, ch)
 			w.releasePins()
 			w.drainResponsesSafe()
 			continue
@@ -393,7 +393,7 @@ func (w *worker) stealPhase(jr *jobRuntime, spec *JobSpec, ctx *Ctx) {
 			if jr.aborted() {
 				w.unwind()
 			}
-			stolen, left := w.stealFrom(jr, spec, ctx, victim)
+			stolen, left := w.stealFrom(jr, ctx, victim)
 			// An empty grant alone does not mean the victim is dry: when the
 			// claimed chunk's head node is too big for one frame the victim
 			// diverts it to its residual queue and grants nothing, yet may
@@ -412,7 +412,7 @@ func (w *worker) stealPhase(jr *jobRuntime, spec *JobSpec, ctx *Ctx) {
 // count of still-unclaimed chunks at grant time): 0 nodes with a non-zero
 // hint means the claimed chunk could not be packed into one frame, not that
 // the victim is out of work.
-func (w *worker) stealFrom(jr *jobRuntime, spec *JobSpec, ctx *Ctx, victim int) (int, int64) {
+func (w *worker) stealFrom(jr *jobRuntime, ctx *Ctx, victim int) (int, int64) {
 	buf := w.acquireReq()
 	w.seq++
 	seq := w.seq
@@ -470,7 +470,7 @@ func (w *worker) stealFrom(jr *jobRuntime, spec *JobSpec, ctx *Ctx, victim int) 
 		return 0, left
 	}
 	execStart := time.Now()
-	edges, err := w.runStolen(jr, spec, ctx, payload, count, victim)
+	edges, err := w.runStolen(jr, ctx, payload, count, victim)
 	atomic.AddInt64(&jr.steal.stolenNS[victim], time.Since(execStart).Nanoseconds())
 	w.payloadRecycle(payload)
 	if err != nil {
@@ -487,16 +487,16 @@ func (w *worker) stealFrom(jr *jobRuntime, spec *JobSpec, ctx *Ctx, victim int) 
 // runStolen decodes and executes one grant payload (already copied out of
 // the frame). Every length and ref is validated before use so a truncated or
 // corrupted grant aborts the job instead of crashing the process.
-func (w *worker) runStolen(jr *jobRuntime, spec *JobSpec, ctx *Ctx, payload []byte, count, victim int) (int64, error) {
+func (w *worker) runStolen(jr *jobRuntime, ctx *Ctx, payload []byte, count, victim int) (int64, error) {
 	trunc := func() error {
 		return fmt.Errorf("core: machine %d worker %d: truncated steal grant from %d", w.m.id, w.id, victim)
 	}
 	if len(payload) < 8 {
 		return 0, trunc()
 	}
-	both := spec.Iter == IterBothEdges
+	both := jr.spec.Iter == IterBothEdges
 	weighted := jr.weights != nil
-	own := spec.Steal.Own
+	own := jr.spec.Steal.Own
 	sn := &w.stolen
 	sn.victim = victim
 	numVictim := w.m.store.layout.NumLocal(victim)
@@ -547,7 +547,7 @@ func (w *worker) runStolen(jr *jobRuntime, spec *JobSpec, ctx *Ctx, payload []by
 			}
 			sn.weights2 = decodeStolenWeights(sn.weights2[:0], payload, &pos, m2, weighted)
 		}
-		w.runStolenNode(jr, spec, ctx, sn)
+		w.runStolenNode(jr, ctx, sn)
 		edges += int64(m1 + m2)
 		w.drainResponsesSafe()
 	}
@@ -587,38 +587,16 @@ func decodeStolenWeights(dst []float64, payload []byte, pos *int, n int, weighte
 	return dst
 }
 
-// runStolenNode is runNode for a stolen node: same iteration shape, but the
-// adjacency comes from the grant and Ctx.stolen redirects the own-node
-// accessors to the shipped snapshot.
-func (w *worker) runStolenNode(jr *jobRuntime, spec *JobSpec, ctx *Ctx, sn *stolenNode) {
+// runStolenNode is runNode for a stolen node: the same row dispatch, but the
+// rows come from the grant and Ctx.stolen redirects the own-node accessors to
+// the shipped snapshot. The deferred reset also covers an abort unwinding out
+// of the kernel.
+func (w *worker) runStolenNode(jr *jobRuntime, ctx *Ctx, sn *stolenNode) {
 	ctx.Node = sn.node
 	ctx.Aux = 0
-	ctx.skip = false
 	ctx.stolen = sn
-	ctx.weights = sn.weights
-	defer func() {
-		ctx.stolen = nil
-		ctx.weights = jr.weights
-	}()
-	for e := range sn.refs {
-		ctx.nbr = sn.refs[e]
-		ctx.edge = int64(e)
-		spec.Task.Run(ctx)
-		if ctx.skip {
-			return
-		}
-	}
-	if spec.Iter == IterBothEdges {
-		ctx.weights = sn.weights2
-		for e := range sn.refs2 {
-			ctx.nbr = sn.refs2[e]
-			ctx.edge = int64(e)
-			spec.Task.Run(ctx)
-			if ctx.skip {
-				return
-			}
-		}
-	}
+	defer func() { ctx.stolen = nil }()
+	jr.runRows(ctx, Row{Refs: sn.refs, Weights: sn.weights}, Row{Refs: sn.refs2, Weights: sn.weights2})
 }
 
 // errStolenCtx reports a Ctx operation forbidden in stolen mode — the kernel

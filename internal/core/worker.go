@@ -16,7 +16,8 @@ import (
 )
 
 // worker is one RTC worker goroutine (paper §3.2). It claims edge-balanced
-// chunks of nodes from the job's shared cursor, drives Task.Run over them,
+// chunks of nodes from the job's shared cursor, hands each node's adjacency
+// row to the job's kernel (or, on a node iterator, calls Task.Run per node),
 // buffers remote reads/writes per destination machine, and — when responses
 // arrive on its response queue — continues the originating tasks via
 // ReadDone, always on this same goroutine ("a task is always executed by
@@ -53,11 +54,12 @@ type worker struct {
 
 	// Read combining (duplicate remote-read elimination): dedup[dst] maps a
 	// packed (prop, offset) address to its record slot in the currently open
-	// read message toward dst. Repeated reads of the same address within one
-	// message window append only a side record — no wire bytes — and the one
-	// response word fans out to every waiting continuation in request order.
+	// read message toward dst (an open-addressed table, see dedup.go).
+	// Repeated reads of the same address within one message window append
+	// only a side record — no wire bytes — and the one response word fans out
+	// to every waiting continuation in request order.
 	combine     bool
-	dedup       []map[uint64]uint32
+	dedup       []dedupTable
 	dedupHits   int64
 	dedupMisses int64
 
@@ -68,7 +70,7 @@ type worker struct {
 	// in place — zero additional wire records — which is what keeps dense
 	// push supersteps from flooding the write channels.
 	wcombine  bool
-	wdedup    []map[uint64]int
+	wdedup    []dedupTable
 	wcombHits int64
 
 	// maxSide caps side-structure growth per message: all-duplicate windows
@@ -84,7 +86,8 @@ type worker struct {
 	tagScratch  []uint64
 	slotScratch []uint64
 	encScratch  []byte
-	sorter      u64PairSorter
+	sortKeys    []uint64 // sortPairs' ping-pong buffers
+	sortTags    []uint64
 
 	// outstanding counts in-flight request frames awaiting a response.
 	outstanding int
@@ -159,9 +162,9 @@ func newWorker(m *Machine, id int) *worker {
 		curSide:   make([][]sideRec, m.cfg.NumMachines),
 		combine:   !m.cfg.Ablate.Has(AblateReadCombining),
 		compress:  m.compress,
-		dedup:     make([]map[uint64]uint32, m.cfg.NumMachines),
+		dedup:     make([]dedupTable, m.cfg.NumMachines),
 		wcombine:  !m.cfg.Ablate.Has(AblateWriteCombining),
-		wdedup:    make([]map[uint64]int, m.cfg.NumMachines),
+		wdedup:    make([]dedupTable, m.cfg.NumMachines),
 		reg:       m.cfg.Obs,
 	}
 	if w.reg != nil {
@@ -221,12 +224,8 @@ func (w *worker) abortCleanup() {
 			buf.Release()
 			w.writeBufs[d] = nil
 		}
-		if w.dedup[d] != nil {
-			clear(w.dedup[d])
-		}
-		if w.wdedup[d] != nil {
-			clear(w.wdedup[d])
-		}
+		w.dedup[d].clear()
+		w.wdedup[d].clear()
 		if side := w.curSide[d]; side != nil {
 			w.sideRecycle(side)
 			w.curSide[d] = nil
@@ -259,7 +258,6 @@ func (w *worker) runJob(jr *jobRuntime) {
 	}()
 	w.job = jr
 	w.cols = w.m.cols
-	w.ctx.weights = jr.weights
 	if cap(w.privSeg) < len(w.m.cols) {
 		w.privSeg = make([][]uint64, len(w.m.cols))
 	} else {
@@ -272,7 +270,6 @@ func (w *worker) runJob(jr *jobRuntime) {
 		w.privSeg[ws.Prop] = w.m.cols[ws.Prop].ensurePriv(w.id, ws.Op)
 	}
 
-	spec := jr.spec
 	ctx := &w.ctx
 	for {
 		chunkIdx := int(jr.cursor.Add(1)) - 1
@@ -285,7 +282,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 		if jr.needsClaim() {
 			w.claimChunk(jr, jr.chunks[chunkIdx])
 		}
-		w.runChunk(jr, spec, ctx, jr.chunks[chunkIdx])
+		w.runChunk(jr, ctx, jr.chunks[chunkIdx])
 		w.releasePins()
 		// Opportunistically run continuations between chunks so response
 		// queues and buffer pools keep draining while we still have tasks.
@@ -295,7 +292,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 	if jr.steal != nil {
 		// Work stealing: absorb residual chunks that copiers handed back,
 		// then go steal from the loaded peers (see steal.go).
-		w.stealPhase(jr, spec, ctx)
+		w.stealPhase(jr, ctx)
 	}
 
 	// Task list exhausted: flush partial messages, then wait for and run all
@@ -357,12 +354,12 @@ func (w *worker) releasePins() {
 
 // runChunk drives the task over one chunk in the job's iteration mode. It is
 // shared by the main claim loop and the steal phase's residual drain.
-func (w *worker) runChunk(jr *jobRuntime, spec *JobSpec, ctx *Ctx, ch partition.Chunk) {
+func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
 	switch {
 	case jr.frontList != nil:
 		// Sparse frontier: chunk indices address the sorted member list.
 		for i := ch.Begin; i < ch.End; i++ {
-			w.runNode(jr, spec, ctx, jr.frontList[i])
+			w.runNode(jr, ctx, jr.frontList[i])
 		}
 	case jr.frontBits != nil:
 		// Dense frontier: node-id chunks, word-skipping bitmap scan.
@@ -377,59 +374,56 @@ func (w *worker) runChunk(jr *jobRuntime, spec *JobSpec, ctx *Ctx, ch partition.
 			if n >= ch.End {
 				break
 			}
-			w.runNode(jr, spec, ctx, n)
+			w.runNode(jr, ctx, n)
 			n++
 		}
 	default:
 		for node := ch.Begin; node < ch.End; node++ {
-			w.runNode(jr, spec, ctx, node)
+			w.runNode(jr, ctx, node)
 		}
 	}
 }
 
-// runNode drives the job's task over one node: filter, then the iterator's
-// Run invocations. A task calling Ctx.SkipNode ends the node's remaining
-// edge invocations early (the pull path's exit once its answer arrived).
-func (w *worker) runNode(jr *jobRuntime, spec *JobSpec, ctx *Ctx, node uint32) {
+// runNode drives the job's task over one owned node: filter, then Task.Run
+// on a node iterator or the node's CSR rows through the row dispatch.
+func (w *worker) runNode(jr *jobRuntime, ctx *Ctx, node uint32) {
 	ctx.Node = node
 	ctx.Aux = 0
-	ctx.skip = false
-	if spec.Filter != nil && !spec.Filter(ctx) {
+	if f := jr.spec.Filter; f != nil && !f(ctx) {
 		return
 	}
-	switch spec.Iter {
-	case IterNodes:
-		ctx.nbr = 0
-		ctx.edge = -1
-		spec.Task.Run(ctx)
-	case IterBothEdges:
-		for e := jr.rows[node]; e < jr.rows[node+1]; e++ {
-			ctx.nbr = jr.refs[e]
-			ctx.edge = e
-			spec.Task.Run(ctx)
-			if ctx.skip {
-				return
-			}
-		}
-		ctx.weights = jr.weights2
-		for e := jr.rows2[node]; e < jr.rows2[node+1]; e++ {
-			ctx.nbr = jr.refs2[e]
-			ctx.edge = e
-			spec.Task.Run(ctx)
-			if ctx.skip {
-				break
-			}
-		}
-		ctx.weights = jr.weights
-	default: // IterOutEdges / IterInEdges: jr carries the orientation
-		for e := jr.rows[node]; e < jr.rows[node+1]; e++ {
-			ctx.nbr = jr.refs[e]
-			ctx.edge = e
-			spec.Task.Run(ctx)
-			if ctx.skip {
-				return
-			}
-		}
+	if jr.row == nil {
+		jr.spec.Task.Run(ctx)
+		return
+	}
+	out := csrRow(jr.rows, jr.refs, jr.weights, node)
+	var in Row
+	if jr.rows2 != nil {
+		in = csrRow(jr.rows2, jr.refs2, jr.weights2, node)
+	}
+	jr.runRows(ctx, out, in)
+}
+
+// csrRow slices node's row out of one CSR orientation.
+func csrRow(rows, refs []int64, weights []float64, node uint32) Row {
+	lo, hi := rows[node], rows[node+1]
+	r := Row{Refs: refs[lo:hi]}
+	if weights != nil {
+		r.Weights = weights[lo:hi]
+	}
+	return r
+}
+
+// runRows is the one kernel dispatch of edge-iterator jobs: RunRow on the
+// job's orientation, then — IterBothEdges only, the one iterator with a
+// second CSR — on the in-edge row. Owned, frontier-sourced and stolen nodes
+// (whose rows come from the grant instead of the CSR) all pass through here
+// with Ctx.Node/Aux already set.
+func (jr *jobRuntime) runRows(ctx *Ctx, first, in Row) {
+	jr.row.RunRow(ctx, first)
+	if jr.rows2 != nil {
+		in.second = true
+		jr.row.RunRow(ctx, in)
 	}
 }
 
@@ -548,8 +542,6 @@ func (w *worker) processResponse(buf *comm.Buffer) {
 			r := &side[i]
 			ctx.Node = r.node
 			ctx.Aux = r.aux
-			ctx.nbr = 0
-			ctx.edge = -1
 			w.job.spec.Task.ReadDone(ctx, leU64(payload[8*int(r.slot):]))
 		}
 	case comm.MsgRMIResp:
@@ -561,8 +553,6 @@ func (w *worker) processResponse(buf *comm.Buffer) {
 		}
 		ctx.Node = side[0].node
 		ctx.Aux = side[0].aux
-		ctx.nbr = 0
-		ctx.edge = -1
 		rt.RMIDone(ctx, payload)
 	default:
 		w.sideRecycle(side)
@@ -669,7 +659,7 @@ func (w *worker) acquireReq() *comm.Buffer {
 func (w *worker) bufferRead(dst int, p PropID, offset uint32, node uint32, aux uint64) {
 	key := uint64(p)<<48 | uint64(offset)
 	if w.combine {
-		if slot, ok := w.dedup[dst][key]; ok {
+		if slot, ok := w.dedup[dst].get(key); ok {
 			w.appendCombined(dst, slot, node, aux)
 			return
 		}
@@ -685,7 +675,7 @@ func (w *worker) bufferRead(dst int, p PropID, offset uint32, node uint32, aux u
 			// That continuation may even have buffered this very address —
 			// the dedup index must be consulted again.
 			if w.combine {
-				if slot, ok := w.dedup[dst][key]; ok {
+				if slot, ok := w.dedup[dst].get(key); ok {
 					w.appendCombined(dst, slot, node, aux)
 					return
 				}
@@ -699,12 +689,7 @@ func (w *worker) bufferRead(dst int, p PropID, offset uint32, node uint32, aux u
 	slot := uint32(len(buf.Payload()) / readRecSize)
 	buf.AppendU64(key)
 	if w.combine {
-		idx := w.dedup[dst]
-		if idx == nil {
-			idx = make(map[uint64]uint32, 256)
-			w.dedup[dst] = idx
-		}
-		idx[key] = slot
+		w.dedup[dst].put(key, slot)
 		w.dedupMisses++
 	}
 	side := w.curSide[dst]
@@ -760,12 +745,7 @@ func (w *worker) bufferWrite(dst int, p PropID, op reduce.Op, offset uint32, wor
 		}
 	}
 	if w.wcombine {
-		idx := w.wdedup[dst]
-		if idx == nil {
-			idx = make(map[uint64]int, 256)
-			w.wdedup[dst] = idx
-		}
-		idx[meta] = len(buf.Payload()) + 8 // the value word follows the meta word
+		w.wdedup[dst].put(meta, uint32(len(buf.Payload())+8)) // the value word follows the meta word
 	}
 	buf.AppendU64(meta)
 	buf.AppendU64(word)
@@ -815,7 +795,7 @@ func (w *worker) tryCombineWrite(dst int, p PropID, op reduce.Op, meta, word uin
 	if w.writeBufs[dst] == nil {
 		return false
 	}
-	off, ok := w.wdedup[dst][meta]
+	off, ok := w.wdedup[dst].get(meta)
 	if !ok {
 		return false
 	}
@@ -864,9 +844,14 @@ func (w *worker) flushRead(dst int) {
 		w.compressReadBatch(buf, nrec, dst)
 	}
 	buf.SetCount(uint32(nrec))
-	clear(w.dedup[dst])
+	w.dedup[dst].clear()
 	w.seq++
-	buf.SetAux(uint64(w.seq))
+	// Aux: the job id's low half as an epoch stamp above the seq. The serving
+	// copier drops a read frame whose epoch is not its current job's (a
+	// straggler of an aborted run must not be decoded against, or fail, the
+	// next one) and echoes Aux, of which the low half matches the response
+	// to its side structure.
+	buf.SetAux(uint64(uint32(w.job.id))<<32 | uint64(w.seq))
 	w.sides[w.seq] = w.curSide[dst]
 	w.curSide[dst] = nil
 	w.outstanding++
@@ -889,9 +874,7 @@ func (w *worker) flushWrite(dst int) {
 		return
 	}
 	w.writeBufs[dst] = nil
-	if w.wdedup[dst] != nil {
-		clear(w.wdedup[dst])
-	}
+	w.wdedup[dst].clear()
 	n := len(buf.Payload()) / writeRecSize
 	if w.compress && n >= wireCompressMinRecords {
 		w.compressWriteBatch(buf, n, dst)
@@ -930,7 +913,11 @@ func (w *worker) mustSend(dst int, buf *comm.Buffer) {
 
 // jobRuntime is the per-machine execution state of one job.
 type jobRuntime struct {
-	spec    *JobSpec
+	spec *JobSpec
+	// row is the kernel of an edge-iterator job — spec.Task itself when it
+	// implements RowTask, else spec.Task behind the perEdge adapter — and nil
+	// on node iterators, where workers call spec.Task.Run per node.
+	row     RowTask
 	chunks  []partition.Chunk
 	rows    []int64
 	refs    []int64

@@ -58,6 +58,9 @@ const (
 	// aborted job that outlived post-abort recovery (TCP can hold frames in
 	// the kernel past pool quiescence).
 	CtrStaleWriteFrames
+	// CtrStaleReadFrames counts read-request frames dropped unserved for the
+	// same reason: their epoch stamp named a job that is no longer current.
+	CtrStaleReadFrames
 	// CtrRMIServed counts remote method invocations dispatched.
 	CtrRMIServed
 	// CtrFlushes counts request messages flushed by workers.
@@ -129,6 +132,7 @@ var counterNames = [numCounters]string{
 	CtrReadsServed:            "reads_served",
 	CtrWritesApplied:          "writes_applied",
 	CtrStaleWriteFrames:       "stale_write_frames",
+	CtrStaleReadFrames:        "stale_read_frames",
 	CtrRMIServed:              "rmi_served",
 	CtrFlushes:                "flushes",
 	CtrWireRawBytes:           "wire_raw_bytes",

@@ -170,8 +170,9 @@ type ServerStats struct {
 	// Work-stealing accounting across all loaded instances' engines: steal
 	// requests issued by out-of-work thieves, grants that carried at least
 	// one chunk, and the node/edge volume that moved. StaleWriteFrames
-	// counts write frames dropped by the epoch check — frames from an
-	// aborted job that outlived post-abort recovery. All zero unless
+	// and StaleReadFrames count write and read-request frames dropped by the
+	// epoch check — frames from an aborted job that outlived post-abort
+	// recovery. All zero unless
 	// EnableWorkStealing is on and some cut was imbalanced enough to trip
 	// the structural steal gate.
 	StealRequests    int64 `json:"steal_requests"`
@@ -179,6 +180,7 @@ type ServerStats struct {
 	StolenNodes      int64 `json:"stolen_nodes"`
 	StolenEdges      int64 `json:"stolen_edges"`
 	StaleWriteFrames int64 `json:"stale_write_frames"`
+	StaleReadFrames  int64 `json:"stale_read_frames"`
 
 	// Out-of-core accounting across all instances' engines: decode-cache
 	// hit/miss chunk claims on compressed (CSR v3) stores, raw ref bytes those

@@ -1042,7 +1042,7 @@ func (s *Server) handleStats() Response {
 	s.mu.Lock()
 	var transportErrors, jobs, aborts int64
 	var wireRaw, wireBytes int64
-	var stealReqs, stealGrants, stolenNodes, stolenEdges, staleWrites int64
+	var stealReqs, stealGrants, stolenNodes, stolenEdges, staleWrites, staleReads int64
 	var decHits, decMisses, decBytes, decEvicted, resTouched, resEvicted int64
 	var lastAbort *AbortSummary
 	var lastWhen time.Time
@@ -1061,6 +1061,7 @@ func (s *Server) handleStats() Response {
 			stolenNodes += ctrs["stolen_nodes"]
 			stolenEdges += ctrs["stolen_edges"]
 			staleWrites += ctrs["stale_write_frames"]
+			staleReads += ctrs["stale_read_frames"]
 			decHits += ctrs["decode_hits"]
 			decMisses += ctrs["decode_misses"]
 			decBytes += ctrs["decoded_bytes"]
@@ -1124,6 +1125,7 @@ func (s *Server) handleStats() Response {
 		StolenNodes:           stolenNodes,
 		StolenEdges:           stolenEdges,
 		StaleWriteFrames:      staleWrites,
+		StaleReadFrames:       staleReads,
 		DecodeHits:            decHits,
 		DecodeMisses:          decMisses,
 		DecodedBytes:          decBytes,

@@ -257,6 +257,26 @@ type Task = core.Task
 // NoReads is a mixin for push-only tasks.
 type NoReads = core.NoReads
 
+// RowTask is a kernel that takes a node's whole adjacency row and runs its
+// own loop over it — the fast form on edge iterators; a plain Task there
+// runs once per edge behind an adapter.
+type RowTask = core.RowTask
+
+// Row is one node's adjacency in one orientation, as handed to RowTask.RunRow.
+type Row = core.Row
+
+// RowOnly is a mixin for kernels that exist only in row form.
+type RowOnly = core.RowOnly
+
+// F64View and I64View are typed read views over a property's local and ghost
+// slots (Ctx.F64 / Ctx.I64); Writer is a write handle resolved once per row
+// (Ctx.Writer).
+type (
+	F64View = core.F64View
+	I64View = core.I64View
+	Writer  = core.Writer
+)
+
 // JobSpec describes one parallel region.
 type JobSpec = core.JobSpec
 
