@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults wire fuzz-smoke ci perf-check bench-scan bench-comm bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
+.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,11 @@ fuzz-smoke:
 
 ci: test vet race faults
 
+# ROADMAP item 3's success metric: non-test Go lines in the three packages
+# the code-path collapse targets, so every PR quotes the same number.
+loc:
+	@cat $$(ls internal/core/*.go internal/store/*.go internal/server/*.go | grep -v _test.go) | wc -l
+
 # Performance regression check: one fresh set of the six benchmark workloads
 # compared against the last record in benchmark/history.jsonl (refused when
 # the environment stamp differs from that record's).
@@ -56,10 +61,6 @@ perf-check:
 # the combining table (open-addressed vs map).
 bench-scan:
 	$(GO) test -run '^$$' -bench 'EdgeDispatch|FlushSort|DedupTable' -benchtime 50x -count 3 ./internal/core/
-
-# Regenerate the communication fast-path sweep artifact.
-bench-comm:
-	$(GO) run ./cmd/pgxd-bench -exp comm -comm-out BENCH_comm.json
 
 # Fail-soft smoke: injected drops, failures, delays, and a machine kill
 # against PageRank, asserting errors surface and buffers come home.

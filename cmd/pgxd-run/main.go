@@ -8,8 +8,8 @@
 //	pgxd-run -graph twt.csr2 -algo pagerank -resident-mb 64
 //	pgxd-run -graph twt.csr3 -algo pagerank -resident-mb 64 -decode-cache-mb 16
 //
-// Algorithms: pagerank, pagerank-push, pagerank-approx, wcc, sssp, hopdist,
-// eigenvector, kcore.
+// -algo takes any name in internal/algorithms' catalog (the server's run op
+// reads the same table); an unknown name prints the list.
 //
 // A .csr2 or .csr3 graph (pgxd-gen -format csr2/csr3) runs out-of-core: the
 // file is mmap'd and adopted zero-copy, the machine count comes from the
@@ -23,11 +23,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
 	"strings"
 
+	"repro/internal/algorithms"
 	"repro/internal/graph"
 	"repro/pgxd"
 )
@@ -35,12 +34,12 @@ import (
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "graph file (.bin or text edge list)")
-		algo      = flag.String("algo", "pagerank", "algorithm to run")
+		algo      = flag.String("algo", "pagerank", "algorithm to run: "+strings.Join(algoNames(), ", "))
 		machines  = flag.Int("machines", 4, "simulated machine count")
 		workers   = flag.Int("workers", 4, "workers per machine")
 		copiers   = flag.Int("copiers", 2, "copiers per machine")
 		iters     = flag.Int("iters", 10, "iterations for pagerank/eigenvector")
-		source    = flag.Uint("source", 0, "source vertex for sssp/hopdist")
+		source    = flag.Uint("source", 0, "source vertex for the single-source algorithms")
 		threshold = flag.Float64("threshold", 1e-7, "delta threshold for pagerank-approx")
 		top       = flag.Int("top", 5, "print the top-N vertices by result value")
 		tcp       = flag.Bool("tcp", false, "run over loopback TCP instead of in-process channels")
@@ -51,6 +50,10 @@ func main() {
 	flag.Parse()
 	if *graphPath == "" {
 		fatalf("-graph is required")
+	}
+	spec, ok := algorithms.Lookup(*algo)
+	if !ok {
+		fatalf("unknown -algo %q (have: %s)", *algo, strings.Join(algoNames(), ", "))
 	}
 	var (
 		g        *graph.Graph
@@ -128,36 +131,12 @@ func main() {
 	fmt.Printf("cluster: %d machines x %d workers/%d copiers, %d ghosts\n",
 		*machines, *workers, *copiers, cluster.NumGhosts())
 
-	var met pgxd.Metrics
-	var f64s []float64
-	var i64s []int64
-	switch *algo {
-	case "pagerank":
-		f64s, met, err = cluster.PageRankPull(*iters, 0.85)
-	case "pagerank-push":
-		f64s, met, err = cluster.PageRankPush(*iters, 0.85)
-	case "pagerank-approx":
-		f64s, met, err = cluster.PageRankApprox(0.85, *threshold, 100000)
-	case "wcc":
-		i64s, met, err = cluster.WCC(100000)
-	case "sssp":
-		if !weighted {
-			fatalf("sssp needs a weighted graph (pgxd-gen -weights)")
-		}
-		f64s, met, err = cluster.SSSP(pgxd.NodeID(*source), 100000)
-	case "hopdist":
-		i64s, met, err = cluster.HopDist(pgxd.NodeID(*source), 100000)
-	case "eigenvector":
-		f64s, met, err = cluster.Eigenvector(*iters)
-	case "kcore":
-		var best int64
-		best, i64s, met, err = cluster.KCore(0)
-		if err == nil {
-			fmt.Printf("max core number: %d\n", best)
-		}
-	default:
-		fatalf("unknown -algo %q", *algo)
+	if spec.Weighted && !weighted {
+		fatalf("%s needs a weighted graph (pgxd-gen -weights)", spec.Name)
 	}
+	res, met, err := spec.Run(cluster.Core(), algorithms.Params{
+		Iterations: *iters, Damping: 0.85, Threshold: *threshold, Source: pgxd.NodeID(*source), Graph: g,
+	})
 	if err != nil {
 		if dump := cluster.LastAbortDump(); dump != nil {
 			fmt.Fprintln(os.Stderr, dump.Summary())
@@ -172,46 +151,24 @@ func main() {
 		fmt.Printf("obs: %s\n", rep.Line())
 		fmt.Println(rep.TrafficMatrixString())
 	}
-	printTop(*algo, f64s, i64s, *top)
+	if res.Summary != "" {
+		fmt.Println(res.Summary)
+	}
+	if top := res.Top(*top, spec.Ascending); len(top) > 0 {
+		fmt.Printf("top %d vertices:\n", len(top))
+		for _, v := range top {
+			fmt.Printf("  node %8d  %g\n", v.Node, v.Value)
+		}
+	}
 }
 
-func printTop(algo string, f64s []float64, i64s []int64, top int) {
-	type kv struct {
-		node int
-		val  float64
+// algoNames lists the catalog's names, in catalog order.
+func algoNames() []string {
+	var names []string
+	for _, s := range algorithms.Catalog() {
+		names = append(names, s.Name)
 	}
-	var all []kv
-	switch {
-	case f64s != nil:
-		for i, v := range f64s {
-			if !math.IsInf(v, 0) {
-				all = append(all, kv{i, v})
-			}
-		}
-	case i64s != nil:
-		for i, v := range i64s {
-			if v != math.MaxInt64 {
-				all = append(all, kv{i, float64(v)})
-			}
-		}
-	default:
-		return
-	}
-	desc := algo == "pagerank" || algo == "pagerank-push" || algo == "pagerank-approx" ||
-		algo == "eigenvector" || algo == "kcore"
-	sort.Slice(all, func(i, j int) bool {
-		if desc {
-			return all[i].val > all[j].val
-		}
-		return all[i].val < all[j].val
-	})
-	if top > len(all) {
-		top = len(all)
-	}
-	fmt.Printf("top %d vertices:\n", top)
-	for i := 0; i < top; i++ {
-		fmt.Printf("  node %8d  %g\n", all[i].node, all[i].val)
-	}
+	return names
 }
 
 func loadAny(path string) (*graph.Graph, error) {

@@ -21,8 +21,8 @@
 //	{"op":"cancel","tag":"nightly"}
 //	{"op":"list"}  {"op":"stats"}  {"op":"drop","graph":"twt"}
 //
-// Algorithms: pagerank, pagerank-push, pagerank-approx, eigenvector, wcc,
-// sssp, hopdist, kcore, triangles, ppr.
+// "algo" is any name in internal/algorithms' catalog (catalog.go), the same
+// table pgxd-run's -algo reads.
 package main
 
 import (

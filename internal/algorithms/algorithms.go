@@ -34,6 +34,9 @@ type Metrics struct {
 	// the direction-optimizing traversals populate them).
 	PushSteps int
 	PullSteps int
+	// PropCols is the peak number of property columns the run had registered
+	// at once — what Spec.Cols declares to admission.
+	PropCols int
 }
 
 // PerIteration returns the average wall time per iteration, the number the
@@ -133,5 +136,6 @@ func (r *runner) keep(p core.PropID, err error) core.PropID {
 		return 0
 	}
 	r.props = append(r.props, p)
+	r.met.PropCols = max(r.met.PropCols, len(r.props))
 	return p
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -274,46 +272,5 @@ func TestExpAblationsSmall(t *testing.T) {
 	}
 	if len(tbl.Rows) != 7 {
 		t.Fatalf("got %d rows", len(tbl.Rows))
-	}
-}
-
-func TestExpCommFastPathSmall(t *testing.T) {
-	ds := NewDatasets()
-	tbl, rep, err := ExpCommFastPath(ds, smallScale, 2, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 || len(rep.Rows) != 4 {
-		t.Fatalf("got %d table rows, %d report rows", len(tbl.Rows), len(rep.Rows))
-	}
-	for _, r := range rep.Rows {
-		if r.Combining && r.DedupHits == 0 {
-			t.Errorf("%s+combining: no dedup hits", r.Sends)
-		}
-		if !r.Combining && r.DedupHits != 0 {
-			t.Errorf("%s without combining recorded %d hits", r.Sends, r.DedupHits)
-		}
-		if r.MaxAbsDiff > 1e-9 {
-			t.Errorf("%s combining=%v diverged from baseline by %g", r.Sends, r.Combining, r.MaxAbsDiff)
-		}
-	}
-	on, off := rep.Rows[1], rep.Rows[0]
-	if on.ReadReqBytes >= off.ReadReqBytes {
-		t.Errorf("READ_REQ bytes not reduced: %d vs %d", on.ReadReqBytes, off.ReadReqBytes)
-	}
-	p := t.TempDir() + "/comm.json"
-	if err := rep.WriteJSON(p); err != nil {
-		t.Fatal(err)
-	}
-	var back CommFastPathReport
-	data, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Rows) != 4 {
-		t.Fatalf("round-trip lost rows: %d", len(back.Rows))
 	}
 }

@@ -20,7 +20,7 @@ import (
 // Wire format per frame: uint32 little-endian length, then that many bytes
 // of frame (header + payload).
 //
-// Sends are asynchronous by default: each destination has a dedicated sender
+// Sends are asynchronous: each destination has a dedicated sender
 // goroutine draining a bounded queue, so a worker's Send costs one channel
 // operation instead of two locked socket writes on its critical path. The
 // length prefix and frame body go out in a single vectored write
@@ -49,23 +49,16 @@ type TCPFabric struct {
 	wireClock atomic.Int64
 }
 
-// TCPOptions tunes the TCP fabric's socket and sender behaviour. The zero
-// value gives the fast defaults: async senders with a 16-frame queue per
-// destination, TCP_NODELAY on, kernel-default socket buffers.
+// TCPOptions tunes the TCP fabric's sender queue and fault handling. The zero
+// value gives the defaults: a 16-frame queue per destination, three dial
+// retries, no write deadline or reconnection. TCP_NODELAY is always on
+// (batching already happens in the engine's message buffers, so coalescing
+// in the kernel only adds latency) and socket buffers stay at the kernel
+// defaults.
 type TCPOptions struct {
-	// SendQueueDepth is the per-destination async sender queue capacity in
-	// frames. Zero selects the default (16). A negative value disables the
-	// async path entirely: Send writes synchronously under a per-connection
-	// mutex (the pre-fast-path behaviour, kept for ablation benchmarks).
+	// SendQueueDepth is the per-destination sender queue capacity in frames.
+	// Zero or negative selects the default (16).
 	SendQueueDepth int
-	// SocketBufBytes sets SO_SNDBUF/SO_RCVBUF on every connection when
-	// positive; zero leaves the kernel defaults.
-	SocketBufBytes int
-	// DisableNoDelay leaves Nagle's algorithm enabled instead of setting
-	// TCP_NODELAY. Batching already happens in the engine's message buffers,
-	// so coalescing in the kernel only adds latency — this exists for
-	// measurement, not production use.
-	DisableNoDelay bool
 	// DialRetries is how many times endpoint setup re-attempts a failed
 	// dial before giving up. Zero selects the default (3); negative
 	// disables retries. Transient dial failures (a peer's listener racing
@@ -107,7 +100,7 @@ func NewTCPFabricOpts(p, poolCount, bufSize int, opts TCPOptions) (*TCPFabric, e
 	if p < 1 {
 		return nil, fmt.Errorf("comm: fabric needs at least one machine")
 	}
-	if opts.SendQueueDepth == 0 {
+	if opts.SendQueueDepth <= 0 {
 		opts.SendQueueDepth = defaultSendQueueDepth
 	}
 	if opts.DialRetries == 0 {
@@ -139,16 +132,10 @@ func NewTCPFabricOpts(p, poolCount, bufSize int, opts TCPOptions) (*TCPFabric, e
 	return f, nil
 }
 
-// tune applies the fabric's socket options to one connection.
-func (f *TCPFabric) tune(c net.Conn) {
-	tc, ok := c.(*net.TCPConn)
-	if !ok {
-		return
-	}
-	tc.SetNoDelay(!f.opts.DisableNoDelay)
-	if f.opts.SocketBufBytes > 0 {
-		tc.SetWriteBuffer(f.opts.SocketBufBytes)
-		tc.SetReadBuffer(f.opts.SocketBufBytes)
+// setNoDelay turns Nagle's algorithm off on one connection.
+func setNoDelay(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
 	}
 }
 
@@ -170,13 +157,11 @@ func (f *TCPFabric) Endpoint(m int) (Endpoint, error) {
 	e := &tcpEndpoint{
 		fabric:  f,
 		machine: m,
-		conns:   make([]*lockedConn, f.p),
 		senders: make([]*tcpSender, f.p),
 		inbox:   make(chan *Buffer, 4*f.p),
 		recvGas: NewPool(f.poolCount, f.bufSize),
 		done:    make(chan struct{}),
 	}
-	async := f.opts.SendQueueDepth > 0
 	for d := 0; d < f.p; d++ {
 		if d == m {
 			continue
@@ -186,19 +171,15 @@ func (f *TCPFabric) Endpoint(m int) (Endpoint, error) {
 			e.Close()
 			return nil, err
 		}
-		if async {
-			s := &tcpSender{
-				e:     e,
-				dst:   d,
-				c:     c,
-				queue: make(chan *Buffer, f.opts.SendQueueDepth),
-			}
-			e.senders[d] = s
-			e.senderWG.Add(1)
-			go s.loop()
-		} else {
-			e.conns[d] = &lockedConn{c: c}
+		s := &tcpSender{
+			e:     e,
+			dst:   d,
+			c:     c,
+			queue: make(chan *Buffer, f.opts.SendQueueDepth),
 		}
+		e.senders[d] = s
+		e.senderWG.Add(1)
+		go s.loop()
 	}
 	go e.acceptLoop(f.listeners[m])
 	return e, nil
@@ -214,7 +195,7 @@ func (f *TCPFabric) dialPeer(m, d int) (net.Conn, error) {
 	for attempt := 0; ; attempt++ {
 		c, err := net.Dial("tcp", f.addrs[d])
 		if err == nil {
-			f.tune(c)
+			setNoDelay(c)
 			var hello [2]byte
 			binary.LittleEndian.PutUint16(hello[:], uint16(m))
 			if _, err = c.Write(hello[:]); err == nil {
@@ -244,18 +225,10 @@ func (f *TCPFabric) Close() error {
 	return first
 }
 
-// lockedConn is the synchronous send path (SendQueueDepth < 0): one mutex
-// serializing vectored writes per connection.
-type lockedConn struct {
-	mu sync.Mutex
-	c  net.Conn
-}
-
 // tcpSender is the asynchronous per-destination send path: Send enqueues and
 // returns; this goroutine performs the vectored write off the caller's
 // critical path. The bounded queue preserves back-pressure, and single-
-// goroutine draining preserves per-destination frame order (the same FIFO
-// the per-connection mutex used to provide).
+// goroutine draining preserves per-destination frame order.
 type tcpSender struct {
 	e   *tcpEndpoint
 	dst int
@@ -294,10 +267,9 @@ func (s *tcpSender) setConn(c net.Conn) {
 }
 
 // loop drains the queue until Close closes it, then closes the connection.
-// Frames already queued when Close runs are still flushed — the synchronous
-// path got that for free from the kernel's graceful close, and collectives
-// rely on it: a machine may finish (and shut down) while its final frames
-// are what unblocks a peer.
+// Frames already queued when Close runs are still flushed — collectives rely
+// on it: a machine may finish (and shut down) while its final frames are
+// what unblocks a peer.
 func (s *tcpSender) loop() {
 	defer s.e.senderWG.Done()
 	var lenBuf [4]byte
@@ -383,8 +355,7 @@ func (s *tcpSender) reconnect(attempt int) bool {
 type tcpEndpoint struct {
 	fabric  *TCPFabric
 	machine int
-	conns   []*lockedConn // sync mode only
-	senders []*tcpSender  // async mode only
+	senders []*tcpSender // one per peer, nil at this machine's own index
 	inbox   chan *Buffer
 	recvGas *Pool // receive-side buffer pool
 	metrics Metrics
@@ -405,7 +376,7 @@ func (e *tcpEndpoint) acceptLoop(l net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		e.fabric.tune(c)
+		setNoDelay(c)
 		e.readers.Add(1)
 		go e.readLoop(c)
 	}
@@ -460,7 +431,7 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 	}
 }
 
-func (e *tcpEndpoint) Send(dst int, buf *Buffer) error {
+func (e *tcpEndpoint) Send(dst int, buf *Buffer) (err error) {
 	if dst < 0 || dst >= e.fabric.p {
 		buf.Release()
 		return fmt.Errorf("comm: send to machine %d out of range", dst)
@@ -482,15 +453,9 @@ func (e *tcpEndpoint) Send(dst int, buf *Buffer) error {
 			return fmt.Errorf("comm: endpoint %d closed", e.machine)
 		}
 	}
-	if s := e.senders[dst]; s != nil {
-		return e.sendAsync(s, dst, buf)
-	}
-	return e.sendSync(dst, buf)
-}
-
-// sendAsync hands the frame to dst's sender goroutine, blocking only when
-// the bounded queue is full (back-pressure, like the buffer pools).
-func (e *tcpEndpoint) sendAsync(s *tcpSender, dst int, buf *Buffer) (err error) {
+	// Hand the frame to dst's sender goroutine, blocking only when the bounded
+	// queue is full (back-pressure, like the buffer pools).
+	s := e.senders[dst]
 	if werr := s.failed(); werr != nil {
 		buf.Release()
 		return fmt.Errorf("comm: send %d -> %d: %w", e.machine, dst, werr)
@@ -507,31 +472,6 @@ func (e *tcpEndpoint) sendAsync(s *tcpSender, dst int, buf *Buffer) (err error) 
 		}
 	}()
 	s.queue <- buf
-	return nil
-}
-
-// sendSync is the synchronous path (SendQueueDepth < 0): a single vectored
-// write under the per-connection mutex.
-func (e *tcpEndpoint) sendSync(dst int, buf *Buffer) error {
-	lc := e.conns[dst]
-	if lc == nil {
-		buf.Release()
-		return fmt.Errorf("comm: no connection %d -> %d", e.machine, dst)
-	}
-	n, t := len(buf.Data), MsgType(buf.Data[0])
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(n))
-	vec := net.Buffers{lenBuf[:], buf.Data}
-	lc.mu.Lock()
-	e.fabric.wireClock.Add(1) // publish: pairs with the readLoop load
-	_, err := vec.WriteTo(lc.c)
-	lc.mu.Unlock()
-	buf.Release()
-	if err != nil {
-		e.metrics.RecordSendError()
-		return fmt.Errorf("comm: send %d -> %d: %w", e.machine, dst, err)
-	}
-	e.metrics.recordRaw(n, t, dirSent)
 	return nil
 }
 
@@ -584,15 +524,9 @@ func (e *tcpEndpoint) Close() error {
 				s.conn().SetWriteDeadline(time.Now().Add(2 * time.Second))
 			}
 		}
-		// Wait for the flush so Close keeps the synchronous path's guarantee:
-		// once it returns, every accepted frame is on the wire (or failed)
-		// and released back to its pool.
+		// Wait for the flush: once Close returns, every accepted frame is on
+		// the wire (or failed) and released back to its pool.
 		e.senderWG.Wait()
-		for _, lc := range e.conns {
-			if lc != nil {
-				lc.c.Close()
-			}
-		}
 	})
 	return nil
 }

@@ -317,14 +317,11 @@ func TestTCPSendErrorCountedAndSticky(t *testing.T) {
 	}
 }
 
-// TestTCPSyncModeRoundTrip: the synchronous ablation path (negative queue
-// depth) still moves frames, with the socket options applied.
-func TestTCPSyncModeRoundTrip(t *testing.T) {
-	f, err := NewTCPFabricOpts(2, 8, 32<<10, TCPOptions{
-		SendQueueDepth: -1,
-		SocketBufBytes: 64 << 10,
-		DisableNoDelay: true,
-	})
+// TestTCPNonPositiveQueueDepthIsDefault: a negative depth used to select a
+// synchronous send path; it now means the default queue like zero does, and
+// frames still move.
+func TestTCPNonPositiveQueueDepthIsDefault(t *testing.T) {
+	f, err := NewTCPFabricOpts(2, 8, 32<<10, TCPOptions{SendQueueDepth: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,8 +336,8 @@ func TestTCPSyncModeRoundTrip(t *testing.T) {
 	}
 	defer ep0.Close()
 	defer ep1.Close()
-	if ep0.(*tcpEndpoint).senders[1] != nil {
-		t.Fatal("sync mode still built async senders")
+	if got := cap(ep0.(*tcpEndpoint).senders[1].queue); got != defaultSendQueueDepth {
+		t.Fatalf("sender queue depth %d, want the default %d", got, defaultSendQueueDepth)
 	}
 
 	pool := NewPool(4, 32<<10)
@@ -361,7 +358,7 @@ func TestTCPSyncModeRoundTrip(t *testing.T) {
 		got.Release()
 	}
 	if got := ep0.Metrics().BytesSentByType(MsgWriteReq); got == 0 {
-		t.Error("sync sends not counted")
+		t.Error("sends not counted")
 	}
 }
 

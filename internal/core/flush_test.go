@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // u64PairSorter is the flush path's previous sort — sort.Sort over the key
@@ -69,7 +70,7 @@ func readBatchKeys(tb testing.TB, g *graph.Graph, prop PropID, n int) []uint64 {
 	c := bootCluster(tb, g, cfg)
 	seen := make(map[uint64]bool, n)
 	keys := make([]uint64, 0, n)
-	refs := c.machines[0].store.inRefs
+	refs := c.machines[0].store.views[store.OrientIn].refs
 	for _, ref := range refs[len(refs)/2:] {
 		if ref >= 0 {
 			continue

@@ -308,21 +308,6 @@ func (mf *machineFrontier) subtract(o *machineFrontier) {
 	}
 }
 
-// rowsFor returns the CSR row-offset array of the orientation a job
-// iterates, for edge-balancing frontier chunks (nil for node iteration).
-func (mf *machineFrontier) rowsFor(iter IterKind) []int64 {
-	switch iter {
-	case IterOutEdges:
-		return mf.st.outRows
-	case IterInEdges:
-		return mf.st.inRows
-	case IterBothEdges:
-		return mf.st.bothRows
-	default:
-		return nil
-	}
-}
-
 // listChunks edge-balances the sparse member list for iteration: a prefix
 // sum of member degrees under the job's orientation feeds the same
 // EdgeChunks cut used for full scans, so a frontier holding one hub still
@@ -330,7 +315,7 @@ func (mf *machineFrontier) rowsFor(iter IterKind) []int64 {
 // the sparse list, not node ids.
 func (mf *machineFrontier) listChunks(iter IterKind, workers int) []partition.Chunk {
 	n := len(mf.sparse)
-	rows := mf.rowsFor(iter)
+	rows := mf.st.rowsFor(iter)
 	if rows == nil {
 		return partition.NodeChunks(n, n/(8*workers)+1)
 	}

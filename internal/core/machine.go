@@ -70,10 +70,9 @@ type Machine struct {
 	// drain loop replays them; see spill.go.
 	spill *spillState
 
-	chunksOut  []partition.Chunk
-	chunksIn   []partition.Chunk
-	chunksBoth []partition.Chunk
-	chunksNode []partition.Chunk
+	// chunks[it] is the scheduling chunk list of iterator it under the
+	// current load: node-count chunks for IterNodes, edge-balanced otherwise.
+	chunks [IterBothEdges + 1][]partition.Chunk
 
 	workers  []*worker
 	copierWG sync.WaitGroup
@@ -225,38 +224,35 @@ func (m *Machine) broadcastAbort(jobID uint64, err error) {
 	}
 }
 
-// load installs machine id's partition of g and precomputes scheduling
-// chunks for each iterator orientation.
+// load installs machine id's partition of g.
 func (m *Machine) load(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet) {
-	m.store = buildLocalStore(g, layout, ghosts, m.id)
-	m.ghostOwned = m.store.ghostOwnership()
-	m.releaseCols()
-	m.loadHints, m.loadTotals = nil, nil
-	m.degMass = layout.DegreeMass(g)
-	m.residency = nil
-	m.dec = nil
-	m.offHeapCols = false
-	m.rebuildChunks()
+	m.install(buildLocalStore(g, layout, ghosts, m.id), layout.DegreeMass(g), nil, nil)
 }
 
-// rebuildChunks recomputes chunk lists under the current chunking config.
-func (m *Machine) rebuildChunks() {
-	n := m.store.numLocal
-	m.chunksNode = partition.NodeChunks(n, n/(8*m.cfg.Workers)+1)
-	if m.cfg.Ablate.Has(AblateEdgeChunking) {
-		m.chunksOut, m.chunksIn, m.chunksBoth = m.chunksNode, m.chunksNode, m.chunksNode
-		return
+// install makes st the machine's current load — in memory, or a store file's
+// section with its residency window and decode cache — dropping the previous
+// load's columns and telemetry, and precomputes the scheduling chunks of each
+// iterator under the current chunking config.
+func (m *Machine) install(st *localStore, degMass []int64, res *store.Residency, dc *store.DecodeCache) {
+	m.store = st
+	m.ghostOwned = st.ghostOwnership()
+	m.releaseCols()
+	m.loadHints, m.loadTotals = nil, nil
+	m.degMass = degMass
+	m.residency, m.dec, m.offHeapCols = res, dc, res != nil
+	n := st.numLocal
+	m.chunks[IterNodes] = partition.NodeChunks(n, n/(8*m.cfg.Workers)+1)
+	for it := IterOutEdges; it <= IterBothEdges; it++ {
+		if m.cfg.Ablate.Has(AblateEdgeChunking) {
+			m.chunks[it] = m.chunks[IterNodes]
+			continue
+		}
+		rows, target := st.rowsFor(it), m.cfg.ChunkTargetEdges
+		if target <= 0 {
+			target = rows[n]/int64(8*m.cfg.Workers) + 1
+		}
+		m.chunks[it] = partition.EdgeChunks(rows, target)
 	}
-	target := m.cfg.ChunkTargetEdges
-	outTarget, inTarget, bothTarget := target, target, target
-	if target <= 0 {
-		outTarget = m.store.outRows[n]/int64(8*m.cfg.Workers) + 1
-		inTarget = m.store.inRows[n]/int64(8*m.cfg.Workers) + 1
-		bothTarget = m.store.bothRows[n]/int64(8*m.cfg.Workers) + 1
-	}
-	m.chunksOut = partition.EdgeChunks(m.store.outRows, outTarget)
-	m.chunksIn = partition.EdgeChunks(m.store.inRows, inTarget)
-	m.chunksBoth = partition.EdgeChunks(m.store.bothRows, bothTarget)
 }
 
 // addProp allocates this machine's column for a newly registered property.
@@ -288,21 +284,56 @@ type machineJobStats struct {
 
 // runJob executes one parallel region on this machine. Every machine's main
 // goroutine runs this concurrently (SPMD); the collectives inside keep them
-// in lockstep. The sequence implements §3 end to end:
+// in lockstep. The body is §3's protocol, one phase per call, and each span
+// kind of the main goroutine is recorded by exactly the phase named:
 //
-//  1. ghost read-sync: owners' values propagate to every ghost copy
-//  2. ghost write-props reset to the reduction's bottom value
-//  3. start barrier, then the workers drain the chunked task list,
-//     buffering remote requests and running continuations (RTC)
-//  4. barrier: all machines' task lists empty, all reads answered
-//  5. write-drain: allreduce (sent, applied) until every buffered remote
-//     write has been applied by a copier somewhere
-//  6. ghost write merge: worker-private → machine (stage one), then
-//     machine partials → owner via an op-allreduce (stage two)
+//	newJobRuntime   what this machine iterates and feeds; no traffic
+//	publish         curJob, spill, collectives' abort; unpublish on every exit
+//	ghostPrepare    ghost_read_sync per read prop; write-prop ghosts to bottom
+//	barrier(start)  barrier: every machine has published and prepared
+//	taskPhase       task_phase: the workers run the task list dry (RTC)
+//	barrier(end)    barrier: all task lists empty, all reads answered
+//	drainWrites     write_drain: until every remote write has been applied
+//	ghostMerge      ghost_merge: worker → machine → owner
+//	breakdown       the Figure 6c min-allreduce
 //
+// Which collectives run, and in which order, is decided here and nowhere
+// else: every machine must make the same calls whatever its local state.
+func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
+	reg := m.cfg.Obs // every registry method is a no-op on nil
+	defer reg.Span(m.id, obs.WorkerMain, obs.SpanJob, jobID, reg.Clock(), 0)
+	jr := m.newJobRuntime(spec, jobID)
+	m.publish(jr)
+	defer m.unpublish()
+	if err := m.ghostPrepare(jr); err != nil {
+		return machineJobStats{}, m.jobFail(jr, err)
+	}
+	if err := m.barrier(jr, barrierStart); err != nil {
+		return machineJobStats{}, m.jobFail(jr, err)
+	}
+	if err := m.taskPhase(jr); err != nil {
+		return machineJobStats{}, m.jobFail(jr, err)
+	}
+	if err := m.barrier(jr, barrierEnd); err != nil {
+		return machineJobStats{}, m.jobFail(jr, err)
+	}
+	if err := m.drainWrites(jr); err != nil {
+		return machineJobStats{}, m.jobFail(jr, err)
+	}
+	if err := m.ghostMerge(jr); err != nil {
+		return machineJobStats{}, m.jobFail(jr, err)
+	}
+	st, err := m.breakdown(jr)
+	if err != nil {
+		return machineJobStats{}, m.jobFail(jr, err)
+	}
+	return st, nil
+}
+
 // jobFail turns err into the job's failure: it is recorded (first error
 // wins), announced to peers, and the job's root cause — which may be an
-// earlier error from elsewhere — is returned as this machine's result.
+// earlier error from elsewhere, or err itself when a phase reports a job that
+// has already failed — is returned as this machine's result.
 func (m *Machine) jobFail(jr *jobRuntime, err error) error {
 	m.abortJob(jr, err)
 	if root := jr.Err(); root != nil {
@@ -311,61 +342,35 @@ func (m *Machine) jobFail(jr *jobRuntime, err error) error {
 	return err
 }
 
-// obsBarrier wraps one collective barrier with a span + histogram sample
-// when observability is attached. arg distinguishes the pre-task (0) and
-// post-task (1) barriers in the trace.
-func (m *Machine) obsBarrier(jobID, arg uint64) error {
-	reg := m.cfg.Obs
-	if reg == nil {
-		return m.col.Barrier()
-	}
-	t := reg.Clock()
-	err := m.col.Barrier()
-	reg.Span(m.id, obs.WorkerMain, obs.SpanBarrier, jobID, t, arg)
-	reg.Observe(m.id, obs.HistBarrier, time.Duration(reg.Clock()-t))
-	return err
-}
+// iterViews[it] is the range of localStore.views (out, in) that iterator it
+// walks per node, in dispatch order.
+var iterViews = [...][2]int{IterNodes: {0, 0}, IterOutEdges: {0, 1}, IterInEdges: {1, 2}, IterBothEdges: {0, 2}}
 
-func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
-	jr := &jobRuntime{spec: spec, id: jobID, abortCh: make(chan struct{}), res: m.residency}
+// newJobRuntime resolves spec against this machine's partition: which chunks
+// its workers claim and through which CSR views, which frontier members they
+// visit, which frontiers and write-activations the job feeds, and whether
+// peers may steal from it. No traffic, no shared state touched.
+func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
+	span := iterViews[spec.Iter]
+	jr := &jobRuntime{spec: spec, id: jobID, abortCh: make(chan struct{}), res: m.residency,
+		chunks: m.chunks[spec.Iter], views: m.store.views[span[0]:span[1]]}
 	if spec.Steal != nil && m.cfg.stealingOn() {
 		jr.steal = &stealRuntime{stolenNS: make([]int64, m.cfg.NumMachines)}
 	}
-	reg := m.cfg.Obs
-	jobClock := reg.Clock()
-	if reg != nil {
-		defer func() { reg.Span(m.id, obs.WorkerMain, obs.SpanJob, jobID, jobClock, 0) }()
-	}
-	switch spec.Iter {
-	case IterNodes:
-		jr.chunks = m.chunksNode
-	case IterOutEdges:
-		jr.chunks = m.chunksOut
-		jr.rows, jr.refs, jr.weights = m.store.outRows, m.store.outRefs, m.store.outWeights
-		jr.dec, jr.decMach, jr.orient = m.dec, m.id, store.OrientOut
-	case IterInEdges:
-		jr.chunks = m.chunksIn
-		jr.rows, jr.refs, jr.weights = m.store.inRows, m.store.inRefs, m.store.inWeights
-		jr.dec, jr.decMach, jr.orient = m.dec, m.id, store.OrientIn
-	case IterBothEdges:
-		jr.chunks = m.chunksBoth
-		jr.rows, jr.refs, jr.weights = m.store.outRows, m.store.outRefs, m.store.outWeights
-		jr.rows2, jr.refs2, jr.weights2 = m.store.inRows, m.store.inRefs, m.store.inWeights
-		jr.dec, jr.decMach, jr.orient = m.dec, m.id, store.OrientOut
-	}
-	if spec.Iter != IterNodes {
+	if len(jr.views) > 0 {
 		// One dispatch shape: workers hand rows to a RowTask. A per-edge Task
 		// gets the adapter here, once per job.
 		jr.row = rowForm(spec.Task)
+		jr.dec, jr.decMach = m.dec, m.id
 	}
 
 	// Frontier-sourced iteration: restrict the chunk list to this machine's
 	// local frontier. Sparse frontiers get an edge-balanced cut of the
 	// member list; dense ones keep node-id chunks, dropping those whose
 	// bitmap range is all-inactive. An empty local frontier skips worker
-	// dispatch entirely — but every collective below still runs, because the
-	// machine's peers may have members and the SPMD schedule must agree.
-	emptySkip := false
+	// dispatch entirely — but every collective of the schedule still runs,
+	// because the machine's peers may have members and the SPMD schedule must
+	// agree.
 	if spec.Source != nil {
 		srcMF := spec.Source.machines[m.id]
 		switch {
@@ -377,9 +382,7 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 			// With stealing on, the workers still dispatch: an empty local
 			// frontier is exactly when this machine has idle cycles to steal
 			// with (and residual grant chunks can only be run by workers).
-			if jr.steal == nil {
-				emptySkip = true
-			}
+			jr.emptySkip = jr.steal == nil
 			jr.chunks = nil
 		case srcMF.dense:
 			jr.frontBits = srcMF.bits
@@ -411,249 +414,293 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 			jr.activate[ws.Prop] = int8(ws.ActivateInto - 1)
 		}
 	}
+	return jr
+}
 
-	// Publish the job before any traffic so copiers and the abort watcher
-	// can fail it, and point the collectives at its abort channel. A remote
-	// abort announcement may already be parked if a fast peer failed before
-	// we even got here.
-	// Arm the spill before publishing the job: the pre-task barrier orders
-	// curJob install before any peer's first write frame, so an armed spill
-	// sees every frame of this job. The deferred reset (success, failure, or
-	// abort alike) discards any unreplayed backlog and removes the temp file.
+// publish makes jr the machine's current job before any traffic, so copiers
+// and the abort watcher can fail it, and points the collectives at its abort
+// channel. The spill is armed first: the start barrier orders the curJob
+// install before any peer's first write frame, so an armed spill sees every
+// frame of this job. A remote abort announcement may already be parked if a
+// fast peer failed before we even got here.
+func (m *Machine) publish(jr *jobRuntime) {
 	m.spill.begin()
-	defer m.spill.reset()
 	m.curJob.Store(jr)
-	defer m.curJob.Store(nil)
-	if pa := m.pendingAbort.Swap(nil); pa != nil && pa.id == jobID {
+	if pa := m.pendingAbort.Swap(nil); pa != nil && pa.id == jr.id {
 		jr.fail(pa.err)
 	}
 	m.col.SetAbort(jr.abortCh)
 	m.col.SetTimeout(m.cfg.CollectiveTimeout)
-	defer func() {
-		m.col.SetAbort(nil)
-		m.col.SetTimeout(0)
-	}()
+}
 
+// unpublish is publish's undo, deferred by runJob so success, failure and
+// abort alike leave no current job; the spill reset discards any unreplayed
+// backlog and removes the temp file.
+func (m *Machine) unpublish() {
+	m.col.SetAbort(nil)
+	m.col.SetTimeout(0)
+	m.curJob.Store(nil)
+	m.spill.reset()
+}
+
+// ghostPrepare readies the ghost copies for the task phase (§3.3): read
+// props are refreshed from their owners, one ghost_read_sync span each, and
+// write props start at the reduction's bottom value.
+func (m *Machine) ghostPrepare(jr *jobRuntime) error {
 	numGhost := m.store.ghosts.Len()
-	if numGhost > 0 {
-		for _, p := range spec.ReadProps {
-			syncClock := reg.Clock()
-			if err := m.syncGhostRead(p); err != nil {
-				return machineJobStats{}, m.jobFail(jr, err)
-			}
-			reg.Span(m.id, obs.WorkerMain, obs.SpanGhostReadSync, jobID, syncClock, uint64(p))
+	if numGhost == 0 {
+		return nil
+	}
+	reg := m.cfg.Obs
+	for _, p := range jr.spec.ReadProps {
+		t := reg.Clock()
+		if err := m.syncGhostRead(p); err != nil {
+			return err
 		}
-		for _, ws := range spec.WriteProps {
-			if ws.ActivateInto > 0 {
-				continue // activating writes bypass ghost accumulation
-			}
-			col := m.cols[ws.Prop]
-			bottom := col.bottomWord(ws.Op)
-			for s := 0; s < numGhost; s++ {
-				col.store(col.numLocal+s, bottom)
-			}
+		reg.Span(m.id, obs.WorkerMain, obs.SpanGhostReadSync, jr.id, t, uint64(p))
+	}
+	// With an empty local frontier the workers never run, so their private
+	// ghost segments stay stale from an earlier job — they must not be merged.
+	// The shared ghost copies are re-bottomed here, so stage two still
+	// contributes clean identity partials.
+	privatize := !m.cfg.Ablate.Has(AblateGhostPrivatization) && !jr.emptySkip
+	for _, ws := range jr.spec.WriteProps {
+		// Activating specs bypass ghost accumulation and never privatize: their
+		// writes must reach the owner (and activate there) before the
+		// termination allreduce, not sit in ghost partials until after it.
+		if ws.ActivateInto > 0 {
+			continue
 		}
-		// With an empty local frontier the workers never run, so their
-		// private ghost segments stay stale from an earlier job — they must
-		// not be merged. The shared ghost copies were just re-bottomed, so
-		// stage two still contributes clean identity partials. Activating
-		// specs never privatize: their writes must reach the owner (and
-		// activate there) before the termination allreduce, not sit in ghost
-		// partials until after it.
-		if !m.cfg.Ablate.Has(AblateGhostPrivatization) && !emptySkip {
-			for _, ws := range spec.WriteProps {
-				if ws.ActivateInto == 0 {
-					jr.privProps = append(jr.privProps, ws)
-				}
-			}
+		col := m.cols[ws.Prop]
+		bottom := col.bottomWord(ws.Op)
+		for s := 0; s < numGhost; s++ {
+			col.store(col.numLocal+s, bottom)
+		}
+		if privatize {
+			jr.privProps = append(jr.privProps, ws)
 		}
 	}
+	return nil
+}
 
-	if err := m.obsBarrier(jobID, 0); err != nil {
-		return machineJobStats{}, m.jobFail(jr, err)
-	}
-	t0 := time.Now()
-	taskClock := reg.Clock()
+// The two barriers of a job, as the barrier span's arg.
+const (
+	barrierStart = 0 // before the task phase
+	barrierEnd   = 1 // after it
+)
 
-	if !emptySkip {
+// barrier runs one collective barrier of the job; with observability
+// attached it is the barrier span and a HistBarrier sample (what
+// Cluster.Replan reads as wait skew).
+func (m *Machine) barrier(jr *jobRuntime, which uint64) error {
+	reg := m.cfg.Obs
+	t := reg.Clock()
+	err := m.col.Barrier()
+	reg.Span(m.id, obs.WorkerMain, obs.SpanBarrier, jr.id, t, which)
+	reg.Observe(m.id, obs.HistBarrier, time.Duration(reg.Clock()-t))
+	return err
+}
+
+// taskPhase hands the job to the workers and waits for their task lists and
+// continuations to run dry (the task_phase span). Workers unwind on failure
+// without an error return path; the job runtime carries the root cause.
+func (m *Machine) taskPhase(jr *jobRuntime) error {
+	reg := m.cfg.Obs
+	jr.t0 = time.Now()
+	t := reg.Clock()
+	if !jr.emptySkip {
 		jr.wg.Add(len(m.workers))
 		for _, w := range m.workers {
 			w.jobCh <- jr
 		}
 		jr.wg.Wait()
 	}
-	taskNS := time.Since(t0).Nanoseconds()
-	reg.Span(m.id, obs.WorkerMain, obs.SpanTaskPhase, jobID, taskClock, 0)
-
-	// Workers unwound on failure without an error return path; the job
-	// runtime carries the root cause.
+	jr.taskNS = time.Since(jr.t0).Nanoseconds()
+	reg.Span(m.id, obs.WorkerMain, obs.SpanTaskPhase, jr.id, t, 0)
 	if err := jr.Err(); err != nil {
-		return machineJobStats{}, err
+		return err
 	}
-
 	// Built frontiers finalize now: kernel activations (Ctx.Activate) come
 	// only from this machine's own workers, so the shard merge is final once
 	// the local task phase joined. Write-activations from remote machines may
 	// still be in flight — they buffer copier-side and drain into the
-	// membership once per allreduce round below, so the converging round's
-	// stats are complete.
+	// membership once per drainWrites round, so the converging round's stats
+	// are complete.
 	for _, bf := range jr.builds {
 		bf.finalize()
 	}
+	return nil
+}
 
-	if err := m.obsBarrier(jobID, 1); err != nil {
-		return machineJobStats{}, m.jobFail(jr, err)
-	}
+// drainLanes is the termination allreduce's vector, and the one place its
+// layout is written down:
+//
+//	2                       cumulative remote write records sent, applied
+//	3 per JobSpec.Build     the built frontier's count, out- and in-degree sum
+//	nm                      lane i: machine i's task-phase wall time
+//	nm, stealable jobs      lane i: time thieves spent on machine i's nodes
+//	nm, stealable jobs      lane j: machine j's total such time as a thief
+//
+// Frontier stats ride here instead of a separate O(V)-scan reduce per
+// convergence check. Each machine contributes only its own per-machine lanes,
+// so the sums reconstruct the full vectors — the load hints steering the next
+// job's steal phase and, accumulated, the repartitioner's telemetry — at no
+// additional collective cost. Stolen time is wall-equivalent: per-worker CPU
+// time divided by the worker count, the same conversion taskNS implies for a
+// saturated phase.
+type drainLanes struct {
+	vals  []int64
+	load  int // offset of the first per-machine lane
+	nm    int
+	steal bool
+}
 
-	// Termination detection for buffered remote writes: cumulative sent
-	// counts are final once every machine passed the barrier above, so loop
-	// until the cluster-wide applied count catches up. The deadline is the
-	// fault detector: a write frame lost on the wire would otherwise keep
-	// this loop (and hence the whole cluster) spinning forever.
-	//
-	// Built-frontier stats piggyback on the same allreduce — three extra
-	// lanes per Build slot instead of the separate O(V)-scan ReduceI64 the
-	// traversal algorithms used for convergence checks. The locals are
-	// re-staged each round (the allreduce overwrites the vector with sums),
-	// and each round first drains copier-buffered write-activations: loading
-	// writesApplied (acquire) before taking the buffer's lock means a round
-	// that observes the final applied count also observes every activation
-	// those applies buffered, so the converging round's stats are complete.
-	var drainDeadline time.Time
-	if m.cfg.RequestTimeout > 0 {
-		drainDeadline = time.Now().Add(m.cfg.RequestTimeout)
+func newDrainLanes(builds, nm int, steal bool) drainLanes {
+	l := drainLanes{load: 2 + 3*builds, nm: nm, steal: steal}
+	n := l.load + nm
+	if steal {
+		n += 2 * nm
 	}
-	// Per-machine task-phase times ride the same allreduce as NumMachines
-	// additional lanes (each machine contributes only its own lane, so the
-	// sums reconstruct the full vector): the load hints steering the next
-	// job's steal phase and, accumulated, the repartitioner's telemetry.
-	drainClock := reg.Clock()
-	nm := m.cfg.NumMachines
-	base := 2 + 3*len(jr.builds)
-	lanes := base + nm
-	// Steal attribution: when this job could be stolen from, 2*nm more lanes
-	// ride the allreduce so stolen work is billed to the victim, not the
-	// thief. Lane base+nm+i sums, over all thieves, the wall-equivalent time
-	// spent on machine i's nodes (per-worker CPU time divided by the worker
-	// count — the same conversion taskNS implies for a saturated phase); lane
-	// base+2nm+j is machine j's total such time as a thief. Every machine
-	// computes the same adjusted totals from the same sums, so the
-	// repartitioner's telemetry stays cluster-wide consistent.
-	var stolenFor []int64
-	var stolenTotal int64
-	if jr.steal != nil {
-		lanes += 2 * nm
-		stolenFor = make([]int64, nm)
-		for i := range stolenFor {
-			stolenFor[i] = jr.steal.stolenNS[i] / int64(m.cfg.Workers)
-			stolenTotal += stolenFor[i]
+	l.vals = make([]int64, n)
+	return l
+}
+
+func (l drainLanes) sent() int64    { return l.vals[0] }
+func (l drainLanes) applied() int64 { return l.vals[1] }
+
+func (l drainLanes) setWrites(sent, applied int64) { l.vals[0], l.vals[1] = sent, applied }
+
+func (l drainLanes) setFrontier(i int, bf *machineFrontier) {
+	l.vals[2+3*i], l.vals[3+3*i], l.vals[4+3*i] = int64(bf.count), bf.outDegSum, bf.inDegSum
+}
+
+func (l drainLanes) frontier(i int) FrontierStats {
+	return FrontierStats{Count: l.vals[2+3*i], OutDeg: l.vals[3+3*i], InDeg: l.vals[4+3*i]}
+}
+
+func (l drainLanes) taskNS() []int64    { return l.vals[l.load : l.load+l.nm] }
+func (l drainLanes) stolenFor() []int64 { return l.vals[l.load+l.nm : l.load+2*l.nm] }
+func (l drainLanes) thiefNS() []int64   { return l.vals[l.load+2*l.nm : l.load+3*l.nm] }
+
+// stageLanes writes this machine's contribution to one round. Every lane is
+// rewritten each round: the allreduce overwrote the vector with sums.
+func (m *Machine) stageLanes(jr *jobRuntime) {
+	l := jr.lanes
+	l.setWrites(m.writesSent.Load(), m.writesApplied.Load())
+	for i, bf := range jr.builds {
+		// Loading writesApplied (acquire) before taking the activation
+		// buffer's lock means a round that observes the final applied count
+		// also observes every activation those applies buffered.
+		if jr.activate != nil {
+			bf.drainRemote()
+		}
+		l.setFrontier(i, bf)
+	}
+	clear(l.vals[l.load:])
+	l.taskNS()[m.id] = jr.taskNS
+	if l.steal {
+		// Bill stolen work to the victim, not the thief; wg.Wait ordered the
+		// workers' final adds to stolenNS before this read.
+		for victim, ns := range jr.steal.stolenNS {
+			ns /= int64(m.cfg.Workers)
+			l.stolenFor()[victim] = ns
+			l.thiefNS()[m.id] += ns
 		}
 	}
-	vals := make([]int64, lanes)
-	var spillDec *wireDec
-	if m.spill != nil {
-		spillDec = new(wireDec)
+}
+
+// drainWrites is termination detection for buffered remote writes (the
+// write_drain span): cumulative sent counts are final once every machine
+// passed the end barrier, so allreduce the lanes until the cluster-wide
+// applied count catches up. The deadline is the fault detector: a write
+// frame lost on the wire would otherwise keep this loop (and hence the whole
+// cluster) spinning forever.
+func (m *Machine) drainWrites(jr *jobRuntime) error {
+	reg := m.cfg.Obs
+	t := reg.Clock()
+	var deadline time.Time
+	if m.cfg.RequestTimeout > 0 {
+		deadline = time.Now().Add(m.cfg.RequestTimeout)
 	}
+	jr.lanes = newDrainLanes(len(jr.builds), m.cfg.NumMachines, jr.steal != nil)
 	for {
 		// Replay the spilled backlog before staging this round's applied
 		// count: a round that observes sent == applied has replayed every
 		// frame that arrived before it. Frames landing during replay buffer
 		// for the next round, which the unchanged sent total forces.
 		if m.spill != nil {
-			if _, err := m.replaySpill(spillDec); err != nil {
-				return machineJobStats{}, m.jobFail(jr, err)
+			if err := m.replaySpill(); err != nil {
+				return err
 			}
 		}
-		vals[0], vals[1] = m.writesSent.Load(), m.writesApplied.Load()
-		for i, bf := range jr.builds {
-			if jr.activate != nil {
-				bf.drainRemote()
-			}
-			vals[2+3*i] = int64(bf.count)
-			vals[3+3*i] = bf.outDegSum
-			vals[4+3*i] = bf.inDegSum
+		m.stageLanes(jr)
+		if err := m.col.AllReduceI64(jr.lanes.vals, reduce.Sum); err != nil {
+			return err
 		}
-		for i := base; i < lanes; i++ {
-			vals[i] = 0
-		}
-		vals[base+m.id] = taskNS
-		if jr.steal != nil {
-			copy(vals[base+nm:base+2*nm], stolenFor)
-			vals[base+2*nm+m.id] = stolenTotal
-		}
-		if err := m.col.AllReduceI64(vals, reduce.Sum); err != nil {
-			return machineJobStats{}, m.jobFail(jr, err)
-		}
-		if vals[0] == vals[1] {
+		if jr.lanes.sent() == jr.lanes.applied() {
 			break
 		}
 		if err := jr.Err(); err != nil {
-			return machineJobStats{}, err
+			return err
 		}
-		if !drainDeadline.IsZero() && time.Now().After(drainDeadline) {
-			return machineJobStats{}, m.jobFail(jr, fmt.Errorf("core: machine %d: write drain timed out after %v (sent=%d applied=%d)", m.id, m.cfg.RequestTimeout, vals[0], vals[1]))
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return fmt.Errorf("core: machine %d: write drain timed out after %v (sent=%d applied=%d)", m.id, m.cfg.RequestTimeout, jr.lanes.sent(), jr.lanes.applied())
 		}
 		runtime.Gosched()
 	}
-	if len(m.loadHints) != nm {
-		m.loadHints = make([]int64, nm)
-		m.loadTotals = make([]int64, nm)
+	m.recordLoad(jr.lanes)
+	reg.Span(m.id, obs.WorkerMain, obs.SpanWriteDrain, jr.id, t, 0)
+	return nil
+}
+
+// recordLoad keeps the converged round's per-machine lanes. loadHints stay
+// raw: the steal phase wants observed wall times (who is the straggler right
+// now). loadTotals get the attribution correction — time thieves spent on
+// machine i's nodes moves from the thieves' columns to i's — clamped at zero
+// since the conversion is an estimate. Every machine computes the same
+// totals from the same sums, so the repartitioner's telemetry stays
+// cluster-wide consistent.
+func (m *Machine) recordLoad(l drainLanes) {
+	if len(m.loadHints) != l.nm {
+		m.loadHints = make([]int64, l.nm)
+		m.loadTotals = make([]int64, l.nm)
 	}
-	// loadHints stay raw: the steal phase wants observed wall times (who is
-	// the straggler right now). loadTotals get the attribution correction —
-	// time thieves spent on machine i's nodes moves from the thieves' columns
-	// to i's — clamped at zero since the conversion is an estimate.
-	copy(m.loadHints, vals[base:base+nm])
-	for i := 0; i < nm; i++ {
-		adj := vals[base+i]
-		if jr.steal != nil {
-			adj += vals[base+nm+i] - vals[base+2*nm+i]
-			if adj < 0 {
-				adj = 0
-			}
+	copy(m.loadHints, l.taskNS())
+	for i, adj := range l.taskNS() {
+		if l.steal {
+			adj = max(adj+l.stolenFor()[i]-l.thiefNS()[i], 0)
 		}
 		m.loadTotals[i] += adj
 	}
-	reg.Span(m.id, obs.WorkerMain, obs.SpanWriteDrain, jobID, drainClock, 0)
+}
 
-	if numGhost > 0 && len(spec.WriteProps) > 0 {
-		mergeClock := reg.Clock()
-		if err := m.mergeGhostWrites(jr); err != nil {
-			return machineJobStats{}, m.jobFail(jr, err)
-		}
-		reg.Span(m.id, obs.WorkerMain, obs.SpanGhostMerge, jobID, mergeClock, 0)
-	}
-	total := time.Since(t0)
-
-	// Breakdown (Figure 6c) from per-worker end times, folded into a single
-	// Min-allreduce: min worker end (fully-parallel boundary), min machine
-	// end (inter-machine boundary), and -max machine end (job end). A
-	// machine that skipped dispatch contributes zero (its workers' end times
-	// are stale from an earlier job).
+// breakdown closes the job: its duration, the built frontiers' cluster-wide
+// stats out of the converged lanes, and the Figure 6c decomposition from
+// per-worker end times folded into a single Min-allreduce — min worker end
+// (fully-parallel boundary), min machine end (inter-machine boundary), and
+// -max machine end (job end). A machine that skipped dispatch contributes
+// zero (its workers' end times are stale from an earlier job).
+func (m *Machine) breakdown(jr *jobRuntime) (machineJobStats, error) {
+	total := time.Since(jr.t0)
 	eMin, eMax := int64(1<<62), int64(0)
-	if emptySkip {
+	if jr.emptySkip {
 		eMin = 0
 	} else {
 		for _, w := range m.workers {
-			d := w.endTime.Sub(t0).Nanoseconds()
-			if d < eMin {
-				eMin = d
-			}
-			if d > eMax {
-				eMax = d
-			}
+			d := w.endTime.Sub(jr.t0).Nanoseconds()
+			eMin, eMax = min(eMin, d), max(eMax, d)
 		}
 	}
 	tv := []int64{eMin, eMax, -eMax}
 	if err := m.col.AllReduceI64(tv, reduce.Min); err != nil {
-		return machineJobStats{}, m.jobFail(jr, err)
+		return machineJobStats{}, err
 	}
 	fully, minMachineEnd, jobEnd := tv[0], tv[1], -tv[2]
 	st := machineJobStats{duration: total}
 	if n := len(jr.builds); n > 0 {
 		st.frontiers = make([]FrontierStats, n)
 		for i := range st.frontiers {
-			st.frontiers[i] = FrontierStats{Count: vals[2+3*i], OutDeg: vals[3+3*i], InDeg: vals[4+3*i]}
+			st.frontiers[i] = jr.lanes.frontier(i)
 		}
 	}
 	st.breakdown = Breakdown{
@@ -665,6 +712,40 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 	return st, nil
 }
 
+// ghostExchange is the loop both ghost exchanges share, in the column's own
+// arithmetic: a buffer's worth of ghost slots at a time, gather each slot's
+// word, allreduce the values under op, scatter the combined words back.
+func (m *Machine) ghostExchange(col *column, op reduce.Op, gather func(slot int) uint64, scatter func(slot int, word uint64)) error {
+	if col.kind == KindF64 {
+		return exchangeGhosts(m, &m.scratchF64, op, m.col.AllReduceF64, F64Word, WordF64, gather, scatter)
+	}
+	return exchangeGhosts(m, &m.scratchI64, op, m.col.AllReduceI64, I64Word, WordI64, gather, scatter)
+}
+
+// exchangeGhosts is ghostExchange for one value type. Floats ride
+// AllReduceF64, not the integer allreduce over their bit patterns: that
+// would change how -0.0 sums and waste a varint attempt per chunk.
+func exchangeGhosts[T float64 | int64](m *Machine, scratch *[]T, op reduce.Op,
+	allreduce func([]T, reduce.Op) error, fromWord func(uint64) T, toWord func(T) uint64,
+	gather func(int) uint64, scatter func(int, uint64)) error {
+	ng := m.store.ghosts.Len()
+	maxVals := (m.cfg.BufferSize - comm.HeaderSize) / 8
+	for base := 0; base < ng; base += maxVals {
+		vals := (*scratch)[:0]
+		for s := base; s < min(base+maxVals, ng); s++ {
+			vals = append(vals, fromWord(gather(s)))
+		}
+		*scratch = vals
+		if err := allreduce(vals, op); err != nil {
+			return err
+		}
+		for i, v := range vals {
+			scatter(base+i, toWord(v))
+		}
+	}
+	return nil
+}
+
 // syncGhostRead refreshes every ghost copy of property p from its owner
 // (paper §3.3: "for properties that are to be read in the parallel region,
 // PGX.D copies the original values into the ghost nodes prior to the
@@ -672,59 +753,28 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 // owner contributes a non-identity value.
 func (m *Machine) syncGhostRead(p PropID) error {
 	col := m.cols[p]
-	ng := m.store.ghosts.Len()
-	maxVals := (m.cfg.BufferSize - comm.HeaderSize) / 8
-	for base := 0; base < ng; base += maxVals {
-		n := ng - base
-		if n > maxVals {
-			n = maxVals
-		}
-		switch col.kind {
-		case KindF64:
-			vals := m.scratchF64[:0]
-			for i := 0; i < n; i++ {
-				v := 0.0
-				if own := m.ghostOwned[base+i]; own >= 0 {
-					v = col.getF64(int(own))
-				}
-				vals = append(vals, v)
+	return m.ghostExchange(col, reduce.Sum,
+		func(s int) uint64 {
+			if own := m.ghostOwned[s]; own >= 0 {
+				return col.load(int(own))
 			}
-			m.scratchF64 = vals
-			if err := m.col.AllReduceF64(vals, reduce.Sum); err != nil {
-				return err
-			}
-			for i := 0; i < n; i++ {
-				col.setF64(col.numLocal+base+i, vals[i])
-			}
-		case KindI64:
-			vals := m.scratchI64[:0]
-			for i := 0; i < n; i++ {
-				v := int64(0)
-				if own := m.ghostOwned[base+i]; own >= 0 {
-					v = col.getI64(int(own))
-				}
-				vals = append(vals, v)
-			}
-			m.scratchI64 = vals
-			if err := m.col.AllReduceI64(vals, reduce.Sum); err != nil {
-				return err
-			}
-			for i := 0; i < n; i++ {
-				col.setI64(col.numLocal+base+i, vals[i])
-			}
-		}
-	}
-	return nil
+			return 0 // the zero word is 0 and 0.0 alike
+		},
+		func(s int, word uint64) { col.store(col.numLocal+s, word) })
 }
 
-// mergeGhostWrites performs the two-stage ghost reduction of §3.3: "first
-// between cores and then between machines". Stage one folds each worker's
-// private ghost segment into the machine-level ghost copy; stage two
-// combines machine partials with an op-allreduce and lets each owner reduce
-// the combined partial into the original node's value.
-func (m *Machine) mergeGhostWrites(jr *jobRuntime) error {
+// ghostMerge performs the two-stage ghost reduction of §3.3 ("first between
+// cores and then between machines") as the ghost_merge span. Stage one folds
+// each worker's private ghost segment into the machine-level ghost copy;
+// stage two combines machine partials with an op-allreduce and lets each
+// owner reduce the combined partial into the original node's value.
+func (m *Machine) ghostMerge(jr *jobRuntime) error {
 	ng := m.store.ghosts.Len()
-	maxVals := (m.cfg.BufferSize - comm.HeaderSize) / 8
+	if ng == 0 || len(jr.spec.WriteProps) == 0 {
+		return nil
+	}
+	reg := m.cfg.Obs
+	t := reg.Clock()
 	for _, ws := range jr.spec.WriteProps {
 		if ws.ActivateInto > 0 {
 			continue // bypassed ghost accumulation; nothing to merge
@@ -741,43 +791,18 @@ func (m *Machine) mergeGhostWrites(jr *jobRuntime) error {
 				}
 			}
 		}
-		for base := 0; base < ng; base += maxVals {
-			n := ng - base
-			if n > maxVals {
-				n = maxVals
-			}
-			switch col.kind {
-			case KindF64:
-				vals := m.scratchF64[:0]
-				for i := 0; i < n; i++ {
-					vals = append(vals, col.getF64(col.numLocal+base+i))
+		err := m.ghostExchange(col, ws.Op,
+			func(s int) uint64 { return col.load(col.numLocal + s) },
+			func(s int, word uint64) {
+				if own := m.ghostOwned[s]; own >= 0 {
+					col.applyWord(int(own), ws.Op, word)
 				}
-				m.scratchF64 = vals
-				if err := m.col.AllReduceF64(vals, ws.Op); err != nil {
-					return err
-				}
-				for i := 0; i < n; i++ {
-					if own := m.ghostOwned[base+i]; own >= 0 {
-						col.applyWord(int(own), ws.Op, WordF64(vals[i]))
-					}
-				}
-			case KindI64:
-				vals := m.scratchI64[:0]
-				for i := 0; i < n; i++ {
-					vals = append(vals, col.getI64(col.numLocal+base+i))
-				}
-				m.scratchI64 = vals
-				if err := m.col.AllReduceI64(vals, ws.Op); err != nil {
-					return err
-				}
-				for i := 0; i < n; i++ {
-					if own := m.ghostOwned[base+i]; own >= 0 {
-						col.applyWord(int(own), ws.Op, WordI64(vals[i]))
-					}
-				}
-			}
+			})
+		if err != nil {
+			return err
 		}
 	}
+	reg.Span(m.id, obs.WorkerMain, obs.SpanGhostMerge, jr.id, t, 0)
 	return nil
 }
 

@@ -82,49 +82,19 @@ func (c *Cluster) LoadStore(sf *store.File) error {
 // (degrees, both-orientation prefix) is materialized on the heap.
 func (m *Machine) loadFromStore(sf *store.File, dc *store.DecodeCache, layout partition.Layout, ghosts *partition.GhostSet, res *store.Residency) {
 	sec := sf.Section(m.id)
-	outRefs, inRefs := sec.OutRefs, sec.InRefs
+	out := orientView{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights}
+	in := orientView{rows: sec.InRows, refs: sec.InRefs, weights: sec.InWeights}
 	if dc != nil {
-		outRefs = dc.Refs(m.id, store.OrientOut)
-		inRefs = dc.Refs(m.id, store.OrientIn)
+		out.refs, in.refs = dc.Refs(m.id, store.OrientOut), dc.Refs(m.id, store.OrientIn)
 	}
-	lo, hi := layout.Range(m.id)
-	numLocal := int(hi - lo)
-	s := &localStore{
-		me:         m.id,
-		layout:     layout,
-		ghosts:     ghosts,
-		numLocal:   numLocal,
-		outRows:    sec.OutRows,
-		outRefs:    outRefs,
-		outWeights: sec.OutWeights,
-		inRows:     sec.InRows,
-		inRefs:     inRefs,
-		inWeights:  sec.InWeights,
-		outDeg:     make([]int32, numLocal),
-		inDeg:      make([]int32, numLocal),
-	}
-	s.bothRows = make([]int64, numLocal+1)
-	for u := 0; u < numLocal; u++ {
-		s.outDeg[u] = int32(s.outRows[u+1] - s.outRows[u])
-		s.inDeg[u] = int32(s.inRows[u+1] - s.inRows[u])
-		s.bothRows[u+1] = s.bothRows[u] + int64(s.outDeg[u]) + int64(s.inDeg[u])
-	}
-	m.store = s
-	m.ghostOwned = s.ghostOwnership()
-	m.releaseCols()
-	m.loadHints, m.loadTotals = nil, nil
-	m.degMass = sf.DegreeMass()
-	m.residency = res
-	m.dec = dc
-	m.offHeapCols = res != nil
-	m.rebuildChunks()
+	m.install(newLocalStore(m.id, layout, ghosts, out, in), sf.DegreeMass(), res, dc)
 }
 
 // chunkSpan maps one scheduling chunk to the node span [lo, hi) it will
 // iterate. ok is false when the chunk drives no topology reads (node
 // iterator, or an empty sparse-frontier chunk).
 func (jr *jobRuntime) chunkSpan(ch partition.Chunk) (lo, hi int64, ok bool) {
-	if jr.rows == nil {
+	if len(jr.views) == 0 {
 		return 0, 0, false // node iterator: no topology reads
 	}
 	lo, hi = int64(ch.Begin), int64(ch.End)
@@ -150,24 +120,15 @@ func (jr *jobRuntime) chunkSpan(ch partition.Chunk) (lo, hi int64, ok bool) {
 // prefetch order.
 func (jr *jobRuntime) touchSpan(lo, hi int64) {
 	res := jr.res
-	res.TouchI64(jr.rows, lo, hi+1)
-	if jr.dec != nil {
-		jr.dec.TouchCompressed(res, jr.decMach, jr.orient, lo, hi)
-	} else {
-		res.TouchI64(jr.refs, jr.rows[lo], jr.rows[hi])
-	}
-	if jr.weights != nil {
-		res.TouchF64(jr.weights, jr.rows[lo], jr.rows[hi])
-	}
-	if jr.rows2 != nil {
-		res.TouchI64(jr.rows2, lo, hi+1)
+	for _, v := range jr.views {
+		res.TouchI64(v.rows, lo, hi+1)
 		if jr.dec != nil {
-			jr.dec.TouchCompressed(res, jr.decMach, store.OrientIn, lo, hi)
+			jr.dec.TouchCompressed(res, jr.decMach, v.orient, lo, hi)
 		} else {
-			res.TouchI64(jr.refs2, jr.rows2[lo], jr.rows2[hi])
+			res.TouchI64(v.refs, v.rows[lo], v.rows[hi])
 		}
-		if jr.weights2 != nil {
-			res.TouchF64(jr.weights2, jr.rows2[lo], jr.rows2[hi])
+		if v.weights != nil {
+			res.TouchF64(v.weights, v.rows[lo], v.rows[hi])
 		}
 	}
 }
@@ -179,7 +140,7 @@ func (jr *jobRuntime) touchSpan(lo, hi int64) {
 // chunk's task invocations finish; holders keep them reachable across an
 // abort unwind so cleanup can release them. Claim sites gate on
 // jr.needsClaim() to keep in-memory runs branch-cheap.
-func (jr *jobRuntime) claimChunk(ch partition.Chunk) (t1, t2 store.PinToken, err error) {
+func (jr *jobRuntime) claimChunk(ch partition.Chunk) (pins [2]store.PinToken, err error) {
 	lo, hi, ok := jr.chunkSpan(ch)
 	if !ok {
 		return
@@ -190,13 +151,10 @@ func (jr *jobRuntime) claimChunk(ch partition.Chunk) (t1, t2 store.PinToken, err
 	if jr.dec == nil {
 		return
 	}
-	if t1, err = jr.dec.Pin(jr.decMach, jr.orient, lo, hi); err != nil {
-		return
-	}
-	if jr.rows2 != nil {
-		if t2, err = jr.dec.Pin(jr.decMach, store.OrientIn, lo, hi); err != nil {
-			t1.Release()
-			return store.PinToken{}, store.PinToken{}, err
+	for i, v := range jr.views {
+		if pins[i], err = jr.dec.Pin(jr.decMach, v.orient, lo, hi); err != nil {
+			pins[0].Release() // what an earlier view pinned; a no-op on the zero token
+			return [2]store.PinToken{}, err
 		}
 	}
 	return

@@ -11,6 +11,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/store"
 )
 
 // rowPullSum is pullSumTask in row form: register accumulation over the
@@ -157,7 +158,7 @@ func scanJob(c *Cluster, kernel Task) (*worker, *jobRuntime) {
 	m := c.machines[0]
 	w := m.workers[0]
 	spec := &JobSpec{Name: "scan", Iter: IterInEdges, Task: kernel}
-	jr := &jobRuntime{spec: spec, row: rowForm(kernel), chunks: m.chunksIn, rows: m.store.inRows, refs: m.store.inRefs, abortCh: make(chan struct{})}
+	jr := m.newJobRuntime(spec, 0)
 	w.job, w.cols = jr, m.cols
 	w.privSeg = make([][]uint64, len(m.cols))
 	return w, jr
@@ -229,7 +230,7 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 		}
 		var remote int64
 		for _, m := range c.machines {
-			for _, ref := range m.store.inRefs {
+			for _, ref := range m.store.views[store.OrientIn].refs {
 				if ref < 0 {
 					remote++
 				}

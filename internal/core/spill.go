@@ -52,7 +52,8 @@ type spillState struct {
 	dir      string
 	file     *os.File
 	fileOff  int64
-	scratch  []byte // flush assembly buffer, reused
+	scratch  []byte  // flush assembly buffer, reused
+	dec      wireDec // replay's decode scratch (machine main goroutine only)
 }
 
 func newSpillState(cfg *Config) *spillState {
@@ -173,10 +174,10 @@ func (sp *spillState) reset() {
 // replaySpill applies the spilled backlog: the temp-file segment first (in
 // arrival order), then the memory tail. Runs on the machine main goroutine
 // once per drain round, before the round stages its applied count, so a round
-// that observes sent == applied has replayed everything. Returns the number
-// of write records applied.
-func (m *Machine) replaySpill(dec *wireDec) (int64, error) {
+// that observes sent == applied has replayed everything.
+func (m *Machine) replaySpill() error {
 	sp := m.spill
+	dec := &sp.dec
 	file, fileLen, mem := sp.take()
 	if file != nil {
 		// The detached file is replay's to clean up, success or error — an
@@ -194,24 +195,24 @@ func (m *Machine) replaySpill(dec *wireDec) (int64, error) {
 		var payload []byte
 		for off := int64(0); off < fileLen; {
 			if _, err := io.ReadFull(r, hdr[:]); err != nil {
-				return applied, fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
+				return fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
 			}
 			count := leU32(hdr[0:])
 			flags := uint8(leU32(hdr[4:]))
 			plen := int64(leU32(hdr[8:]))
 			if off+spillFileHeaderBytes+plen > fileLen {
-				return applied, fmt.Errorf("core: machine %d spill replay: truncated frame at %d", m.id, off)
+				return fmt.Errorf("core: machine %d spill replay: truncated frame at %d", m.id, off)
 			}
 			if int64(cap(payload)) < plen {
 				payload = make([]byte, plen)
 			}
 			payload = payload[:plen]
 			if _, err := io.ReadFull(r, payload); err != nil {
-				return applied, fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
+				return fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
 			}
 			h := comm.Header{Type: comm.MsgWriteReq, Count: count, Flags: flags}
 			if err := m.applyWrites(h, payload, dec); err != nil {
-				return applied, err
+				return err
 			}
 			applied += int64(count)
 			off += spillFileHeaderBytes + plen
@@ -220,7 +221,7 @@ func (m *Machine) replaySpill(dec *wireDec) (int64, error) {
 	for _, fr := range mem {
 		h := comm.Header{Type: comm.MsgWriteReq, Count: fr.count, Flags: fr.flags}
 		if err := m.applyWrites(h, fr.payload, dec); err != nil {
-			return applied, err
+			return err
 		}
 		applied += int64(fr.count)
 	}
@@ -228,7 +229,7 @@ func (m *Machine) replaySpill(dec *wireDec) (int64, error) {
 		m.writesApplied.Add(applied)
 		m.cfg.Obs.Add(m.id, obs.CtrWritesApplied, applied)
 	}
-	return applied, nil
+	return nil
 }
 
 // leU32 decodes a little-endian uint32 at the start of p.

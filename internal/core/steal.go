@@ -161,50 +161,42 @@ func (m *Machine) serveSteal(h comm.Header, payload []byte) error {
 //	words    m2 refs [+ m2 weights]            — IterBothEdges only
 func (m *Machine) packGrant(jr *jobRuntime, thief int, resp *comm.Buffer) int {
 	spec := jr.spec
-	both := spec.Iter == IterBothEdges
-	weighted := jr.weights != nil
+	views := jr.views
+	weighted := views[0].weights != nil
 	own := spec.Steal.Own
 	st := m.store
 	nodes := 0
 	packNode := func(node uint32) bool { // false ⇒ frame full
-		m1 := int(jr.rows[node+1] - jr.rows[node])
-		m2 := 0
-		if both {
-			m2 = int(jr.rows2[node+1] - jr.rows2[node])
-		}
-		words := 2 + len(own) + m1 + m2
-		if both {
+		var counts [2]int
+		words := 2 + len(own)
+		if len(views) == 2 {
 			words++
 		}
-		if weighted {
-			words += m1 + m2
+		for i := range views {
+			counts[i] = int(views[i].rows[node+1] - views[i].rows[node])
+			words += counts[i]
+			if weighted {
+				words += counts[i]
+			}
 		}
 		if resp.Room() < 8*words {
 			return false
 		}
-		resp.AppendU64(uint64(node) | uint64(uint32(m1))<<32)
+		resp.AppendU64(uint64(node) | uint64(uint32(counts[0]))<<32)
 		resp.AppendU64(uint64(uint32(st.outDeg[node])) | uint64(uint32(st.inDeg[node]))<<32)
-		if both {
-			resp.AppendU64(uint64(m2))
+		if len(views) == 2 {
+			resp.AppendU64(uint64(counts[1]))
 		}
 		for _, p := range own {
 			resp.AppendU64(m.cols[p].load(int(node)))
 		}
-		for e := jr.rows[node]; e < jr.rows[node+1]; e++ {
-			resp.AppendU64(uint64(st.refFor(thief, jr.refs[e])))
-		}
-		if weighted {
-			for e := jr.rows[node]; e < jr.rows[node+1]; e++ {
-				resp.AppendU64(math.Float64bits(jr.weights[e]))
-			}
-		}
-		if both {
-			for e := jr.rows2[node]; e < jr.rows2[node+1]; e++ {
-				resp.AppendU64(uint64(st.refFor(thief, jr.refs2[e])))
+		for _, v := range views {
+			for e := v.rows[node]; e < v.rows[node+1]; e++ {
+				resp.AppendU64(uint64(st.refFor(thief, v.refs[e])))
 			}
 			if weighted {
-				for e := jr.rows2[node]; e < jr.rows2[node+1]; e++ {
-					resp.AppendU64(math.Float64bits(jr.weights2[e]))
+				for e := v.rows[node]; e < v.rows[node+1]; e++ {
+					resp.AppendU64(math.Float64bits(v.weights[e]))
 				}
 			}
 		}
@@ -263,18 +255,18 @@ func (m *Machine) packGrant(jr *jobRuntime, thief int, resp *comm.Buffer) int {
 		}
 		ch := jr.chunks[chunkIdx]
 		// Claim the chunk's topology like a worker would: residency advice
-		// plus decode-cache pins keeping jr.refs/jr.refs2 valid while the
+		// plus decode-cache pins keeping the views' refs valid while the
 		// copier reads them. Copier context, so a decode failure aborts the
 		// job directly instead of a worker unwind; the chunk stays consumed,
 		// which is fine — the job is dead.
-		t1, t2, err := jr.claimChunk(ch)
+		pins, err := jr.claimChunk(ch)
 		if err != nil {
 			m.abortJob(jr, err)
 			return nodes
 		}
 		full := packChunk(ch)
-		t1.Release()
-		t2.Release()
+		pins[0].Release()
+		pins[1].Release()
 		if full {
 			return nodes
 		}
@@ -315,15 +307,12 @@ func (s *localStore) refFor(peer int, ref int64) int64 {
 // While it is installed as Ctx.stolen, the own-node accessors answer from
 // the snapshot and degree fields instead of this machine's columns.
 type stolenNode struct {
-	victim   int
-	node     uint32 // victim-local id
-	outDeg   int64
-	inDeg    int64
-	snap     []uint64 // StealSpec.Own values, in Own order
-	refs     []int64  // primary orientation, already in this machine's frame
-	weights  []float64
-	refs2    []int64 // secondary orientation (IterBothEdges)
-	weights2 []float64
+	victim int
+	node   uint32 // victim-local id
+	outDeg int64
+	inDeg  int64
+	snap   []uint64 // StealSpec.Own values, in Own order
+	rows   [2]Row   // per job orientation; refs already in this machine's frame
 }
 
 // stealOrder returns the peer machines worth stealing from, most loaded
@@ -368,11 +357,7 @@ func (w *worker) stealPhase(jr *jobRuntime, ctx *Ctx) {
 	sr := jr.steal
 	for {
 		if ch, ok := sr.popResidual(); ok {
-			if jr.needsClaim() {
-				w.claimChunk(jr, ch)
-			}
 			w.runChunk(jr, ctx, ch)
-			w.releasePins()
 			w.drainResponsesSafe()
 			continue
 		}
@@ -494,8 +479,8 @@ func (w *worker) runStolen(jr *jobRuntime, ctx *Ctx, payload []byte, count, vict
 	if len(payload) < 8 {
 		return 0, trunc()
 	}
-	both := jr.spec.Iter == IterBothEdges
-	weighted := jr.weights != nil
+	nviews := len(jr.views)
+	weighted := jr.views[0].weights != nil
 	own := jr.spec.Steal.Own
 	sn := &w.stolen
 	sn.victim = victim
@@ -513,20 +498,19 @@ func (w *worker) runStolen(jr *jobRuntime, ctx *Ctx, payload []byte, count, vict
 		if int(sn.node) >= numVictim {
 			return edges, fmt.Errorf("core: machine %d worker %d: steal grant from %d names node %d of %d", w.m.id, w.id, victim, sn.node, numVictim)
 		}
-		m1 := int(uint32(h0 >> 32))
+		counts := [2]int{int(uint32(h0 >> 32))}
 		sn.outDeg = int64(uint32(h1))
 		sn.inDeg = int64(uint32(h1 >> 32))
-		m2 := 0
-		if both {
+		if nviews == 2 {
 			if len(payload)-pos < 8 {
 				return edges, trunc()
 			}
-			m2 = int(uint32(leU64(payload[pos:])))
+			counts[1] = int(uint32(leU64(payload[pos:])))
 			pos += 8
 		}
-		words := len(own) + m1 + m2
+		words := len(own) + counts[0] + counts[1]
 		if weighted {
-			words += m1 + m2
+			words += counts[0] + counts[1]
 		}
 		if len(payload)-pos < 8*words {
 			return edges, trunc()
@@ -536,19 +520,16 @@ func (w *worker) runStolen(jr *jobRuntime, ctx *Ctx, payload []byte, count, vict
 			sn.snap = append(sn.snap, leU64(payload[pos:]))
 			pos += 8
 		}
-		var ok bool
-		if sn.refs, ok = w.decodeStolenRefs(sn.refs[:0], payload, &pos, m1); !ok {
-			return edges, fmt.Errorf("core: machine %d worker %d: steal grant from %d carries an out-of-range ref", w.m.id, w.id, victim)
-		}
-		sn.weights = decodeStolenWeights(sn.weights[:0], payload, &pos, m1, weighted)
-		if both {
-			if sn.refs2, ok = w.decodeStolenRefs(sn.refs2[:0], payload, &pos, m2); !ok {
+		for v := 0; v < nviews; v++ {
+			row := &sn.rows[v]
+			var ok bool
+			if row.Refs, ok = w.decodeStolenRefs(row.Refs[:0], payload, &pos, counts[v]); !ok {
 				return edges, fmt.Errorf("core: machine %d worker %d: steal grant from %d carries an out-of-range ref", w.m.id, w.id, victim)
 			}
-			sn.weights2 = decodeStolenWeights(sn.weights2[:0], payload, &pos, m2, weighted)
+			row.Weights = decodeStolenWeights(row.Weights[:0], payload, &pos, counts[v], weighted)
 		}
 		w.runStolenNode(jr, ctx, sn)
-		edges += int64(m1 + m2)
+		edges += int64(counts[0] + counts[1])
 		w.drainResponsesSafe()
 	}
 	return edges, nil
@@ -596,7 +577,10 @@ func (w *worker) runStolenNode(jr *jobRuntime, ctx *Ctx, sn *stolenNode) {
 	ctx.Aux = 0
 	ctx.stolen = sn
 	defer func() { ctx.stolen = nil }()
-	jr.runRows(ctx, Row{Refs: sn.refs, Weights: sn.weights}, Row{Refs: sn.refs2, Weights: sn.weights2})
+	for i := range sn.rows[:len(jr.views)] {
+		sn.rows[i].second = i == 1
+		jr.row.RunRow(ctx, sn.rows[i])
+	}
 }
 
 // errStolenCtx reports a Ctx operation forbidden in stolen mode — the kernel

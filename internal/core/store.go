@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/store"
 )
 
 // Node references inside a machine's local CSR are pre-resolved at load time
@@ -37,6 +38,18 @@ func unpackRemote(ref int64) (machine int, offset uint32) {
 	return int(packed >> 32), uint32(packed)
 }
 
+// orientView is one CSR orientation of a machine's partition: rows has
+// numLocal+1 entries and the edges of local node u are refs[rows[u]:rows[u+1]]
+// (weights alongside, nil when unweighted). On a compressed store refs aliases
+// the decode cache's arena for orient (store.OrientOut/OrientIn) and is valid
+// only for rows covered by a live chunk-claim pin.
+type orientView struct {
+	rows    []int64
+	refs    []int64
+	weights []float64
+	orient  int
+}
+
 // localStore is one machine's slice of the distributed graph: the local CSR
 // in both orientations with pre-resolved refs, full degrees of owned nodes,
 // and the shared partitioning/ghost metadata (paper §3.3: "the partitioning
@@ -47,16 +60,9 @@ type localStore struct {
 	ghosts   *partition.GhostSet
 	numLocal int
 
-	// Out-orientation: outRows has numLocal+1 entries; the out-edges of
-	// local node u are outRefs[outRows[u]:outRows[u+1]].
-	outRows    []int64
-	outRefs    []int64
-	outWeights []float64 // nil when unweighted
-
-	// In-orientation (the transpose restricted to locally-owned heads).
-	inRows    []int64
-	inRefs    []int64
-	inWeights []float64
+	// views are the local CSR's two orientations, indexed by store.OrientOut
+	// and store.OrientIn (the transpose restricted to locally-owned heads).
+	views [2]orientView
 
 	// bothRows is the prefix-sum of out+in degree per local node — the
 	// chunking weight array for IterBothEdges jobs.
@@ -73,21 +79,28 @@ type localStore struct {
 // buildLocalStore extracts machine me's partition from the global graph.
 func buildLocalStore(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet, me int) *localStore {
 	lo, hi := layout.Range(me)
-	numLocal := int(hi - lo)
+	return newLocalStore(me, layout, ghosts,
+		buildLocalCSR(&g.Out, layout, ghosts, me, lo, hi), buildLocalCSR(&g.In, layout, ghosts, me, lo, hi))
+}
+
+// newLocalStore wraps machine me's two CSR orientations and derives the
+// O(numLocal) metadata from their rows: degrees and the both-orientation prefix.
+func newLocalStore(me int, layout partition.Layout, ghosts *partition.GhostSet, out, in orientView) *localStore {
+	out.orient, in.orient = store.OrientOut, store.OrientIn
+	numLocal := len(out.rows) - 1
 	s := &localStore{
 		me:       me,
 		layout:   layout,
 		ghosts:   ghosts,
 		numLocal: numLocal,
+		views:    [2]orientView{out, in},
+		bothRows: make([]int64, numLocal+1),
 		outDeg:   make([]int32, numLocal),
 		inDeg:    make([]int32, numLocal),
 	}
-	s.outRows, s.outRefs, s.outWeights = buildLocalCSR(&g.Out, layout, ghosts, me, lo, hi)
-	s.inRows, s.inRefs, s.inWeights = buildLocalCSR(&g.In, layout, ghosts, me, lo, hi)
-	s.bothRows = make([]int64, numLocal+1)
 	for u := 0; u < numLocal; u++ {
-		s.outDeg[u] = int32(s.outRows[u+1] - s.outRows[u])
-		s.inDeg[u] = int32(s.inRows[u+1] - s.inRows[u])
+		s.outDeg[u] = int32(out.rows[u+1] - out.rows[u])
+		s.inDeg[u] = int32(in.rows[u+1] - in.rows[u])
 		s.bothRows[u+1] = s.bothRows[u] + int64(s.outDeg[u]) + int64(s.inDeg[u])
 	}
 	return s
@@ -98,7 +111,7 @@ func buildLocalStore(g *graph.Graph, layout partition.Layout, ghosts *partition.
 // ghost slot, otherwise remote (machine, offset). "Each ghost node only
 // keeps local edges that do not cross machine boundaries" falls out of the
 // rewrite: an edge whose endpoint is ghosted never leaves the machine.
-func buildLocalCSR(csr *graph.CSR, layout partition.Layout, ghosts *partition.GhostSet, me int, lo, hi graph.NodeID) ([]int64, []int64, []float64) {
+func buildLocalCSR(csr *graph.CSR, layout partition.Layout, ghosts *partition.GhostSet, me int, lo, hi graph.NodeID) orientView {
 	numLocal := int(hi - lo)
 	rows := make([]int64, numLocal+1)
 	base := csr.Rows[lo]
@@ -126,7 +139,21 @@ func buildLocalCSR(csr *graph.CSR, layout partition.Layout, ghosts *partition.Gh
 		owner := layout.Owner(v)
 		refs[i] = packRemote(owner, v-layout.Starts[owner])
 	}
-	return rows, refs, weights
+	return orientView{rows: rows, refs: refs, weights: weights}
+}
+
+// rowsFor returns the prefix-sum array that weighs nodes by the edges iterator
+// it walks — what edge-balanced chunking cuts — or nil for node iteration.
+func (s *localStore) rowsFor(it IterKind) []int64 {
+	switch it {
+	case IterOutEdges:
+		return s.views[store.OrientOut].rows
+	case IterInEdges:
+		return s.views[store.OrientIn].rows
+	case IterBothEdges:
+		return s.bothRows
+	}
+	return nil
 }
 
 // globalOf converts a local node index to its global id.

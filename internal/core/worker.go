@@ -115,10 +115,11 @@ type worker struct {
 	// reused across stolen nodes (see steal.go).
 	stolen stolenNode
 
-	// pin1/pin2 hold the decode-cache pins of the chunk this worker is
-	// currently running (compressed stores only). Worker fields rather than
-	// locals so abortCleanup can release them after an unwind mid-chunk.
-	pin1, pin2 store.PinToken
+	// pins hold the decode-cache pins of the chunk this worker is currently
+	// running, one per orientation (compressed stores only). A worker field
+	// rather than a local so abortCleanup can release them after an unwind
+	// mid-chunk.
+	pins [2]store.PinToken
 
 	// reg is the observability registry (nil when off). rttStart maps an
 	// in-flight request seq to its flush Clock so processResponse can record
@@ -279,11 +280,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 		if jr.aborted() {
 			w.unwind()
 		}
-		if jr.needsClaim() {
-			w.claimChunk(jr, jr.chunks[chunkIdx])
-		}
 		w.runChunk(jr, ctx, jr.chunks[chunkIdx])
-		w.releasePins()
 		// Opportunistically run continuations between chunks so response
 		// queues and buffer pools keep draining while we still have tasks.
 		w.drainResponsesSafe()
@@ -332,29 +329,27 @@ func (w *worker) runJob(jr *jobRuntime) {
 	w.job = nil
 }
 
-// claimChunk runs jr.claimChunk for this worker, parking the pin tokens on
-// the worker so an abort unwind mid-chunk still finds and releases them. A
-// decode failure fails the job (it indicates arena corruption — every block
-// was strictly validated at Open).
-func (w *worker) claimChunk(jr *jobRuntime, ch partition.Chunk) {
-	t1, t2, err := jr.claimChunk(ch)
-	if err != nil {
-		w.fail(err)
-	}
-	w.pin1, w.pin2 = t1, t2
-}
-
 // releasePins drops the current chunk's decode-cache pins. Idempotent (the
-// tokens are zero or self-clearing), so runJob's loop and abortCleanup can
-// both call it.
+// tokens are zero or self-clearing), so runChunk and abortCleanup can both
+// call it.
 func (w *worker) releasePins() {
-	w.pin1.Release()
-	w.pin2.Release()
+	w.pins[0].Release()
+	w.pins[1].Release()
 }
 
-// runChunk drives the task over one chunk in the job's iteration mode. It is
-// shared by the main claim loop and the steal phase's residual drain.
+// runChunk drives the task over one chunk in the job's iteration mode, under
+// the chunk's topology claim on an out-of-core load. It is shared by the main
+// claim loop and the steal phase's residual drain. The pin tokens park on the
+// worker so an abort unwind mid-chunk still finds and releases them; a decode
+// failure fails the job (it indicates arena corruption — every block was
+// strictly validated at Open).
 func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
+	if jr.needsClaim() {
+		var err error
+		if w.pins, err = jr.claimChunk(ch); err != nil {
+			w.fail(err)
+		}
+	}
 	switch {
 	case jr.frontList != nil:
 		// Sparse frontier: chunk indices address the sorted member list.
@@ -382,6 +377,7 @@ func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
 			w.runNode(jr, ctx, node)
 		}
 	}
+	w.releasePins()
 }
 
 // runNode drives the job's task over one owned node: filter, then Task.Run
@@ -396,35 +392,20 @@ func (w *worker) runNode(jr *jobRuntime, ctx *Ctx, node uint32) {
 		jr.spec.Task.Run(ctx)
 		return
 	}
-	out := csrRow(jr.rows, jr.refs, jr.weights, node)
-	var in Row
-	if jr.rows2 != nil {
-		in = csrRow(jr.rows2, jr.refs2, jr.weights2, node)
+	for i := range jr.views {
+		jr.row.RunRow(ctx, jr.views[i].row(node, i == 1))
 	}
-	jr.runRows(ctx, out, in)
 }
 
-// csrRow slices node's row out of one CSR orientation.
-func csrRow(rows, refs []int64, weights []float64, node uint32) Row {
-	lo, hi := rows[node], rows[node+1]
-	r := Row{Refs: refs[lo:hi]}
-	if weights != nil {
-		r.Weights = weights[lo:hi]
+// row slices node's row out of the view's CSR; second marks the in-edge row
+// of an IterBothEdges node.
+func (v *orientView) row(node uint32, second bool) Row {
+	lo, hi := v.rows[node], v.rows[node+1]
+	r := Row{Refs: v.refs[lo:hi], second: second}
+	if v.weights != nil {
+		r.Weights = v.weights[lo:hi]
 	}
 	return r
-}
-
-// runRows is the one kernel dispatch of edge-iterator jobs: RunRow on the
-// job's orientation, then — IterBothEdges only, the one iterator with a
-// second CSR — on the in-edge row. Owned, frontier-sourced and stolen nodes
-// (whose rows come from the grant instead of the CSR) all pass through here
-// with Ctx.Node/Aux already set.
-func (jr *jobRuntime) runRows(ctx *Ctx, first, in Row) {
-	jr.row.RunRow(ctx, first)
-	if jr.rows2 != nil {
-		in.second = true
-		jr.row.RunRow(ctx, in)
-	}
 }
 
 // trailingZeros64 is math/bits.TrailingZeros64 (local name so the bitmap
@@ -917,18 +898,15 @@ type jobRuntime struct {
 	// row is the kernel of an edge-iterator job — spec.Task itself when it
 	// implements RowTask, else spec.Task behind the perEdge adapter — and nil
 	// on node iterators, where workers call spec.Task.Run per node.
-	row     RowTask
-	chunks  []partition.Chunk
-	rows    []int64
-	refs    []int64
-	weights []float64
+	row    RowTask
+	chunks []partition.Chunk
+	// views are the orientations an edge iterator walks per node, in dispatch
+	// order (two for IterBothEdges, none on a node iterator): the iterViews
+	// range of the store's views for spec.Iter.
+	views []orientView
 	// privProps lists the write-specs whose ghost reductions are privatized
 	// per worker this job.
 	privProps []WriteSpec
-	// rows2/refs2/weights2 hold the second orientation for IterBothEdges.
-	rows2    []int64
-	refs2    []int64
-	weights2 []float64
 
 	// Frontier-sourced iteration state (spec.Source): exactly one of
 	// frontList (sparse: chunks index the sorted member list) and frontBits
@@ -952,13 +930,19 @@ type jobRuntime struct {
 	res *store.Residency
 
 	// dec is the compressed store's decode cache (nil for raw or in-memory
-	// loads): jr.refs/jr.refs2 alias its arenas, valid only for rows covered
-	// by a live chunk-claim pin. decMach is this machine's arena index and
-	// orient names the orientation jr.refs decodes from (jr.refs2, when set,
-	// is always the in-orientation).
+	// loads) the views' refs alias; decMach is this machine's arena index.
 	dec     *store.DecodeCache
 	decMach int
-	orient  int
+
+	// Locals of the machine main goroutine's schedule (Machine.runJob), set by
+	// the phase named: emptySkip (newJobRuntime) — the local frontier is empty
+	// and nothing can be stolen, so workers are not dispatched, though every
+	// collective still runs; t0 and taskNS (taskPhase) — the task phase's
+	// start and wall time; lanes (drainWrites) — the termination vector.
+	emptySkip bool
+	t0        time.Time
+	taskNS    int64
+	lanes     drainLanes
 
 	cursor atomic.Int64
 	wg     sync.WaitGroup

@@ -79,7 +79,8 @@ type Request struct {
 	Add    []EdgeSpec `json:"add,omitempty"`
 	Remove []EdgeSpec `json:"remove,omitempty"`
 
-	// Analysis parameters (op=run).
+	// Analysis parameters (op=run). Algo is a name in algorithms.Catalog();
+	// zero Iterations/Damping/Threshold take the catalog's defaults.
 	Algo       string  `json:"algo,omitempty"`
 	Iterations int     `json:"iterations,omitempty"`
 	Damping    float64 `json:"damping,omitempty"`

@@ -571,35 +571,6 @@ func (s *Server) handleGenerate(req *Request) Response {
 // maxPriority clamps client-supplied priorities to [-8, 8].
 const maxPriority = 8
 
-// propColsFor returns the peak number of live O(N) property columns the named
-// algorithm registers, so the admission memory gate charges what the run will
-// actually pin instead of a flat allowance. Unknown algorithms (the request
-// will fail later with "unknown algorithm") get the historical allowance of 3.
-func propColsFor(algo string) int {
-	switch algo {
-	case "pagerank", "pagerank-push": // rank, next, degree
-		return 3
-	case "pagerank-approx": // rank, residual, degree + frontier doubles
-		return 5
-	case "eigenvector": // value, next
-		return 2
-	case "wcc": // label, next, changed
-		return 3
-	case "sssp": // dist, next, changed
-		return 3
-	case "hopdist": // dist, next, changed
-		return 3
-	case "kcore": // degree, alive, removed, core
-		return 4
-	case "triangles": // marks
-		return 1
-	case "ppr": // rank, next, degree, mask
-		return 4
-	default:
-		return 3
-	}
-}
-
 // tenantOf maps the wire tenant field to an accounting key.
 func tenantOf(req *Request) string {
 	if req.Tenant == "" {
@@ -618,6 +589,23 @@ func (s *Server) tenantCountersFor(tenant string) *tenantCounters {
 		s.tenants[tenant] = tc
 	}
 	return tc
+}
+
+// memCharge is what a run costs the admission memory gate: the client's
+// declared need, or — only when a budget is actually configured — the
+// store-sizing estimate of what an engine run on this graph pins resident
+// with the algorithm's catalog column count. An unknown name (the run will
+// fail with "unknown algorithm" once admitted) is charged a flat 3 columns.
+func (s *Server) memCharge(inst *instance, req *Request) int64 {
+	if req.MaxResidentMB > 0 || s.cfg.RunMemoryBudgetMB <= 0 {
+		return req.MaxResidentMB
+	}
+	cols := 3
+	if spec, ok := algorithms.Lookup(req.Algo); ok {
+		cols = spec.Cols
+	}
+	g := inst.graphSnapshot()
+	return store.SizeOf(g.NumNodes(), g.NumEdges(), inst.machines, g.Weighted(), cols).EstimatedResidentMB()
 }
 
 // handleRun admits an analysis through the scheduler, executes it on a
@@ -642,22 +630,13 @@ func (s *Server) handleRun(req *Request) Response {
 	if prio < -maxPriority {
 		prio = -maxPriority
 	}
-	// Memory-gate charge: the client's declared need, or — only when a
-	// budget is actually configured — the store-sizing estimate of what an
-	// engine run on this graph pins resident.
-	memMB := req.MaxResidentMB
-	if memMB <= 0 && s.cfg.RunMemoryBudgetMB > 0 {
-		g := inst.graphSnapshot()
-		memMB = store.SizeOf(g.NumNodes(), g.NumEdges(), inst.machines, g.Weighted(),
-			propColsFor(req.Algo)).EstimatedResidentMB()
-	}
 	t := &ticket{
 		tenant:   tenant,
 		tag:      req.Tag,
 		priority: prio,
 		enqueued: time.Now(),
 		inst:     inst,
-		memMB:    memMB,
+		memMB:    s.memCharge(inst, req),
 		result:   make(chan admitResult, 1),
 	}
 	var deadline <-chan time.Time
@@ -822,109 +801,39 @@ func (s *Server) runPercentiles() (p50, p90, p99 float64) {
 	return nearestRank(window, 0.50), nearestRank(window, 0.90), nearestRank(window, 0.99)
 }
 
+// runAlgo runs the catalog entry req names on the leased engine.
 func runAlgo(inst *instance, eng *engine, req *Request) (*RunResult, error) {
-	iters := req.Iterations
-	if iters <= 0 {
-		iters = 10
+	spec, ok := algorithms.Lookup(req.Algo)
+	if !ok {
+		return nil, fmt.Errorf("unknown algorithm %q", req.Algo)
 	}
-	damping := req.Damping
-	if damping == 0 {
-		damping = 0.85
+	g := inst.graphSnapshot()
+	if spec.Weighted && !g.Weighted() {
+		return nil, fmt.Errorf("graph is unweighted")
 	}
-	threshold := req.Threshold
-	if threshold == 0 {
-		threshold = 1e-7
+	p := algorithms.Params{Iterations: req.Iterations, Damping: req.Damping, Threshold: req.Threshold, Source: req.Source, Graph: g}
+	if p.Iterations <= 0 {
+		p.Iterations = 10
+	}
+	if p.Damping == 0 {
+		p.Damping = 0.85
+	}
+	if p.Threshold == 0 {
+		p.Threshold = 1e-7
+	}
+	out, met, err := spec.Run(eng.cluster, p)
+	if err != nil {
+		return nil, err
 	}
 	topK := req.TopK
 	if topK <= 0 {
 		topK = 5
 	}
-	g := inst.graphSnapshot()
-	c := eng.cluster
-	res := &RunResult{Algo: req.Algo}
-	var f64s []float64
-	var i64s []int64
-	var met algorithms.Metrics
-	var err error
-	descending := true
-	switch req.Algo {
-	case "pagerank":
-		f64s, met, err = algorithms.PageRankPull(c, iters, damping)
-	case "pagerank-push":
-		f64s, met, err = algorithms.PageRankPush(c, iters, damping)
-	case "pagerank-approx":
-		f64s, met, err = algorithms.PageRankApprox(c, damping, threshold, 100000)
-	case "eigenvector":
-		f64s, met, err = algorithms.Eigenvector(c, iters)
-	case "wcc":
-		i64s, met, err = algorithms.WCC(c, 100000)
-		if err == nil {
-			comps := map[int64]bool{}
-			for _, l := range i64s {
-				comps[l] = true
-			}
-			res.Extra = fmt.Sprintf("%d components", len(comps))
-		}
-	case "sssp":
-		if !g.Weighted() {
-			return nil, fmt.Errorf("graph is unweighted")
-		}
-		f64s, met, err = algorithms.SSSP(c, req.Source, 100000)
-		descending = false
-	case "hopdist":
-		i64s, met, err = algorithms.HopDist(c, req.Source, 100000)
-		descending = false
-	case "kcore":
-		var best int64
-		best, i64s, met, err = algorithms.KCore(c, 0)
-		if err == nil {
-			res.Extra = fmt.Sprintf("max core %d", best)
-		}
-	case "triangles":
-		var total int64
-		total, met, err = algorithms.TriangleCount(c, g)
-		if err == nil {
-			res.Extra = fmt.Sprintf("%d transitive triads", total)
-		}
-	case "ppr":
-		f64s, met, err = algorithms.PersonalizedPageRank(c, []graph.NodeID{req.Source}, iters, damping)
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", req.Algo)
+	res := &RunResult{Algo: req.Algo, Iterations: met.Iterations, Extra: out.Summary}
+	for _, v := range out.Top(topK, spec.Ascending) {
+		res.TopVertices = append(res.TopVertices, TopVertex(v))
 	}
-	if err != nil {
-		return nil, err
-	}
-	res.Iterations = met.Iterations
-	res.TopVertices = topVertices(f64s, i64s, topK, descending)
 	return res, nil
-}
-
-func topVertices(f64s []float64, i64s []int64, k int, descending bool) []TopVertex {
-	var all []TopVertex
-	switch {
-	case f64s != nil:
-		for n, v := range f64s {
-			if !math.IsInf(v, 0) && !math.IsNaN(v) {
-				all = append(all, TopVertex{Node: uint32(n), Value: v})
-			}
-		}
-	case i64s != nil:
-		for n, v := range i64s {
-			if v != math.MaxInt64 {
-				all = append(all, TopVertex{Node: uint32(n), Value: float64(v)})
-			}
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if descending {
-			return all[i].Value > all[j].Value
-		}
-		return all[i].Value < all[j].Value
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
 }
 
 // handleMutate applies an edge batch to a loaded instance and reloads the

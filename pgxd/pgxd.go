@@ -92,8 +92,8 @@ const (
 // average degree — the heavy tail of skewed graphs).
 func DefaultConfig(p int) Config { return core.DefaultConfig(p) }
 
-// TCPOptions tunes the TCP transport: async sender queue depth (negative
-// for synchronous sends), kernel socket buffer sizes, and TCP_NODELAY.
+// TCPOptions tunes the TCP transport: sender queue depth and the fault
+// handling knobs (dial retries, backoff, write deadline and retries).
 type TCPOptions = comm.TCPOptions
 
 // NewTCPFabric creates a loopback-TCP transport for cfg; assign it to
@@ -102,7 +102,7 @@ func NewTCPFabric(cfg Config) (comm.Fabric, error) {
 	return NewTCPFabricOpts(cfg, TCPOptions{})
 }
 
-// NewTCPFabricOpts is NewTCPFabric with explicit socket and sender tuning.
+// NewTCPFabricOpts is NewTCPFabric with explicit sender and retry tuning.
 func NewTCPFabricOpts(cfg Config, opts TCPOptions) (comm.Fabric, error) {
 	pool := cfg.ReqBuffers
 	if pool == 0 {
