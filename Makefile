@@ -34,13 +34,16 @@ wire:
 	$(GO) test -count=1 -run 'WireCompression|TruncatedCompressed' ./internal/core/...
 	$(GO) run ./cmd/pgxd-bench -exp wire -machines 1,2 -scale 10 -wire-out BENCH_wire_smoke.json
 
-# Short fuzz pass over the codec's decode surfaces — each target gets a few
-# seconds, enough to shake out torn-input and canonicality regressions.
+# Short fuzz pass over the decode surfaces that take bytes from outside —
+# the codec and store.Open (one target: both section spellings go through one
+# validator) — each target gets a few seconds, enough to shake out torn-input
+# and canonicality regressions.
 fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintRoundTrip -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintDecode -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDeltaColumnTorn -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzZigZagDeltaRow -fuzztime 5s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpen -fuzztime 5s
 
 ci: test vet race faults
 
@@ -121,19 +124,20 @@ balance:
 bench-balance:
 	$(GO) run ./cmd/pgxd-bench -exp balance -machines 4 -scale 13 -balance-out BENCH_balance.json
 
-# Out-of-core check: store format (raw + compressed) + residency + decode
-# cache + spill tests under the race detector, the mmap-vs-in-memory
-# bit-identity suite (csr2 and csr3), then an RSS-capped -exp ooc smoke at a
-# reduced scale (fails if peak RSS blows the cap).
+# Out-of-core check: the store file format (one container, both section
+# spellings) + claim/residency + decode cache + spill tests under the race
+# detector, the mmap-vs-in-memory bit-identity suite (csr2 and csr3
+# encodings), then an RSS-capped -exp ooc smoke at a reduced scale (fails if
+# peak RSS blows the cap).
 ooc:
 	$(GO) test -race -count=1 ./internal/store/...
 	$(GO) test -race -count=1 -run 'Store|Spill|OOC|Compressed|DecodeCache' ./internal/core/... ./internal/algorithms/... ./internal/bench/...
 	$(GO) run ./cmd/pgxd-bench -exp ooc -machines 3 -scale 10 -ooc-scale 17 -ooc-budget-mb 16 -ooc-cap-mb 256 -quiet -ooc-out BENCH_ooc_smoke.json
 
-# Regenerate the out-of-core artifact: bit-identity matrix (in-memory vs
-# mmap'd CSR over inproc and TCP, raw csr2 and compressed csr3), then BFS +
-# PageRank on each format's file — the raw one about twice the resident
-# budget — with peak RSS asserted under the cap and the csr3 file asserted
-# >= 1.8x smaller than csr2.
+# Regenerate the out-of-core artifact: bit-identity matrix (in-memory vs the
+# mmap'd store file over inproc and TCP, in its raw csr2 and compressed csr3
+# encodings), then BFS + PageRank on each encoding's file — the raw one about
+# twice the resident budget — with peak RSS asserted under the cap and the
+# csr3 file asserted >= 1.8x smaller than csr2.
 bench-ooc:
 	$(GO) run ./cmd/pgxd-bench -exp ooc -machines 3 -ooc-out BENCH_ooc.json

@@ -15,7 +15,7 @@
 // deadline/cancellation behaviour. The balance experiment ablates the load
 // balancer (cross-machine chunk stealing + online repartitioning) on a
 // deliberately skewed partition. The ooc experiment exercises the
-// out-of-core storage subsystem: bit-identity of mmap'd CSR v2 runs against
+// out-of-core storage subsystem: bit-identity of mmap'd store-file runs against
 // in-memory runs, then BFS and PageRank on a CSR exceeding the resident
 // budget with the process peak RSS asserted under -ooc-cap-mb (the run exits
 // non-zero when the cap is blown).

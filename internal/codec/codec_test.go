@@ -204,7 +204,7 @@ func TestZigZagDeltaRowRejectsBadInput(t *testing.T) {
 	}
 }
 
-// FuzzZigZagDeltaRow drives the CSR v3 block row decoder with arbitrary
+// FuzzZigZagDeltaRow drives the store's compressed block row decoder with arbitrary
 // payloads, counts, and limits: no panics, no reads past the input, and
 // anything accepted must re-encode to exactly the bytes consumed (the same
 // canonical-form property the store's open-time block validation relies on

@@ -35,14 +35,12 @@ type Cluster struct {
 	jobSeq    uint64
 
 	// Out-of-core accounting state, set by LoadStore and cleared by install:
-	// the decode cache and residency window the loaded store file drives, plus
-	// the stats snapshots already flushed into the obs registry — pollOOCStats
-	// publishes deltas against these bases after every job so /debug/metrics
-	// and server stats see cumulative decode/residency counters.
-	oocDec     *store.DecodeCache
-	oocRes     *store.Residency
-	oocDecBase store.DecodeCacheStats
-	oocResBase store.ResidencyStats
+	// the store-file load the machines alias, plus the stats snapshot already
+	// flushed into the obs registry — pollOOCStats publishes deltas against
+	// it after every job so /debug/metrics and server stats see cumulative
+	// decode/residency counters.
+	ooc     *store.Load
+	oocBase store.LoadStats
 
 	// External cancellation latch (Cancel/Uncancel): cancelErr is the sticky
 	// cause, cancelCh is closed on Cancel so the per-run watcher wakes.
@@ -167,7 +165,7 @@ func (c *Cluster) install(g *graph.Graph, layout partition.Layout, ghosts *parti
 	c.numEdges = g.NumEdges()
 	c.meta = nil
 	c.freeProps = nil
-	c.oocDec, c.oocRes = nil, nil
+	c.ooc = nil
 	err := c.parallel(func(m *Machine) error {
 		m.load(g, layout, ghosts)
 		return nil
@@ -395,20 +393,17 @@ func (c *Cluster) pollOOCStats() {
 	if !reg.Attached() {
 		return
 	}
-	if dc := c.oocDec; dc != nil {
-		s := dc.Stats()
-		reg.Add(0, obs.CtrDecodeHits, s.Hits-c.oocDecBase.Hits)
-		reg.Add(0, obs.CtrDecodeMisses, s.Misses-c.oocDecBase.Misses)
-		reg.Add(0, obs.CtrDecodedBytes, s.DecodedBytes-c.oocDecBase.DecodedBytes)
-		reg.Add(0, obs.CtrDecodeEvictedBytes, s.EvictedBytes-c.oocDecBase.EvictedBytes)
-		c.oocDecBase = s
+	if c.ooc == nil {
+		return
 	}
-	if res := c.oocRes; res != nil {
-		s := res.Stats()
-		reg.Add(0, obs.CtrResidencyTouchedBytes, s.TouchedBytes-c.oocResBase.TouchedBytes)
-		reg.Add(0, obs.CtrResidencyEvictedBytes, s.EvictedBytes-c.oocResBase.EvictedBytes)
-		c.oocResBase = s
-	}
+	s, base := c.ooc.Stats(), c.oocBase
+	reg.Add(0, obs.CtrDecodeHits, s.Decode.Hits-base.Decode.Hits)
+	reg.Add(0, obs.CtrDecodeMisses, s.Decode.Misses-base.Decode.Misses)
+	reg.Add(0, obs.CtrDecodedBytes, s.Decode.DecodedBytes-base.Decode.DecodedBytes)
+	reg.Add(0, obs.CtrDecodeEvictedBytes, s.Decode.EvictedBytes-base.Decode.EvictedBytes)
+	reg.Add(0, obs.CtrResidencyTouchedBytes, s.Residency.TouchedBytes-base.Residency.TouchedBytes)
+	reg.Add(0, obs.CtrResidencyEvictedBytes, s.Residency.EvictedBytes-base.Residency.EvictedBytes)
+	c.oocBase = s
 }
 
 // TrafficSnapshot sums the transport counters over all endpoints.

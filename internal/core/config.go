@@ -74,10 +74,10 @@ type Config struct {
 	// cache alone governs residency. Ignored for in-memory loads.
 	ResidentBudgetBytes int64
 	// DecodeCacheBytes bounds the decode cache a compressed store file
-	// (CSR v3) inflates edge blocks into: decoded blocks are pinned while a
+	// (.csr3) inflates edge blocks into: decoded blocks are pinned while a
 	// worker runs a chunk over them and evicted LRU past the budget. Zero
 	// uses store.DefaultDecodeCacheBytes; negative disables the bound (every
-	// decoded block stays resident). Ignored for raw (v2) files and
+	// decoded block stays resident). Ignored for raw (.csr2) files and
 	// in-memory loads. The cache is per store.File, so pool jobs sharing one
 	// open file share its decoded blocks.
 	DecodeCacheBytes int64

@@ -24,24 +24,28 @@ func faultCfg(p int) Config {
 	return cfg
 }
 
-// faultFabric wraps an inner fabric of the requested flavour in an injector.
-// The in-process inbox sizing mirrors NewCluster's own derivation (including
-// the abort pool's NumMachines+2 headroom) so channel sends can never block.
-func faultFabric(t testing.TB, cfg Config, useTCP bool, plan comm.FaultPlan) *comm.FaultInjector {
+// innerFabric builds the fabric of the requested flavour that the fault tests
+// wrap. The in-process inbox sizing mirrors NewCluster's own derivation
+// (including the abort pool's NumMachines+2 headroom) so channel sends can
+// never block.
+func innerFabric(t testing.TB, cfg Config, useTCP bool) comm.Fabric {
 	t.Helper()
-	var inner comm.Fabric
 	if useTCP {
 		f, err := comm.NewTCPFabric(cfg.NumMachines,
 			cfg.NumMachines*(cfg.ReqBuffers+cfg.Workers*cfg.NumMachines)+64, cfg.BufferSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inner = f
-	} else {
-		perMachine := cfg.ReqBuffers + cfg.RespBuffers + 4*cfg.NumMachines + 8 + cfg.NumMachines + 2
-		inner = comm.NewInProcFabric(cfg.NumMachines, cfg.NumMachines*perMachine+16)
+		return f
 	}
-	return comm.NewFaultInjector(inner, plan)
+	perMachine := cfg.ReqBuffers + cfg.RespBuffers + 4*cfg.NumMachines + 8 + cfg.NumMachines + 2
+	return comm.NewInProcFabric(cfg.NumMachines, cfg.NumMachines*perMachine+16)
+}
+
+// faultFabric wraps an inner fabric of the requested flavour in an injector.
+func faultFabric(t testing.TB, cfg Config, useTCP bool, plan comm.FaultPlan) *comm.FaultInjector {
+	t.Helper()
+	return comm.NewFaultInjector(innerFabric(t, cfg, useTCP), plan)
 }
 
 // eachFabric runs body over both transports.

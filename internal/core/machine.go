@@ -50,15 +50,10 @@ type Machine struct {
 	ghostOwned []int64
 	cols       []*column
 
-	// residency is the shared out-of-core residency window (nil for
-	// in-memory loads): workers advise claimed chunks in through it and it
-	// advises the oldest ranges out past the configured budget.
-	residency *store.Residency
-
-	// dec is the compressed store file's decode cache (nil unless the
-	// current load came from a CSR v3 file): this machine's refs live in its
-	// arenas and workers pin the blocks under each claimed chunk.
-	dec *store.DecodeCache
+	// ooc is the store-file load this machine's local store aliases (nil for
+	// in-memory loads): workers claim each chunk's rows through it before
+	// reading them.
+	ooc *store.Load
 
 	// offHeapCols moves property columns to anonymous mmap — set for
 	// out-of-core loads with a resident budget, so the O(N) columns stay off
@@ -226,20 +221,20 @@ func (m *Machine) broadcastAbort(jobID uint64, err error) {
 
 // load installs machine id's partition of g.
 func (m *Machine) load(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet) {
-	m.install(buildLocalStore(g, layout, ghosts, m.id), layout.DegreeMass(g), nil, nil)
+	m.install(buildLocalStore(g, layout, ghosts, m.id), layout.DegreeMass(g), nil)
 }
 
-// install makes st the machine's current load — in memory, or a store file's
-// section with its residency window and decode cache — dropping the previous
-// load's columns and telemetry, and precomputes the scheduling chunks of each
+// install makes st the machine's current load — in memory (ld nil), or a
+// store file's section under its load handle — dropping the previous load's
+// columns and telemetry, and precomputes the scheduling chunks of each
 // iterator under the current chunking config.
-func (m *Machine) install(st *localStore, degMass []int64, res *store.Residency, dc *store.DecodeCache) {
+func (m *Machine) install(st *localStore, degMass []int64, ld *store.Load) {
 	m.store = st
 	m.ghostOwned = st.ghostOwnership()
 	m.releaseCols()
 	m.loadHints, m.loadTotals = nil, nil
 	m.degMass = degMass
-	m.residency, m.dec, m.offHeapCols = res, dc, res != nil
+	m.ooc, m.offHeapCols = ld, ld != nil && ld.Windowed()
 	n := st.numLocal
 	m.chunks[IterNodes] = partition.NodeChunks(n, n/(8*m.cfg.Workers)+1)
 	for it := IterOutEdges; it <= IterBothEdges; it++ {
@@ -352,7 +347,7 @@ var iterViews = [...][2]int{IterNodes: {0, 0}, IterOutEdges: {0, 1}, IterInEdges
 // peers may steal from it. No traffic, no shared state touched.
 func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	span := iterViews[spec.Iter]
-	jr := &jobRuntime{spec: spec, id: jobID, abortCh: make(chan struct{}), res: m.residency,
+	jr := &jobRuntime{spec: spec, id: jobID, abortCh: make(chan struct{}),
 		chunks: m.chunks[spec.Iter], views: m.store.views[span[0]:span[1]]}
 	if spec.Steal != nil && m.cfg.stealingOn() {
 		jr.steal = &stealRuntime{stolenNS: make([]int64, m.cfg.NumMachines)}
@@ -361,7 +356,7 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 		// One dispatch shape: workers hand rows to a RowTask. A per-edge Task
 		// gets the adapter here, once per job.
 		jr.row = rowForm(spec.Task)
-		jr.dec, jr.decMach = m.dec, m.id
+		jr.ooc = m.ooc
 	}
 
 	// Frontier-sourced iteration: restrict the chunk list to this machine's

@@ -3,16 +3,18 @@ package core
 import (
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/reduce"
 	"repro/internal/store"
 )
 
-// storePath writes g as a CSR v2 store file partitioned for p machines.
+// storePath writes g as a raw store file partitioned for p machines.
 func storePath(t testing.TB, g *graph.Graph, p int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "graph.csr2")
@@ -22,7 +24,7 @@ func storePath(t testing.TB, g *graph.Graph, p int) string {
 	return path
 }
 
-// storePath3 writes g as a compressed CSR v3 store file.
+// storePath3 writes g as a compressed store file.
 func storePath3(t testing.TB, g *graph.Graph, p int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "graph.csr3")
@@ -81,8 +83,63 @@ func runPushOne(t *testing.T, c *Cluster, counter PropID) []int64 {
 	return c.GatherI64(counter)
 }
 
+// TestStoreSectionsMatchLocalStore: what a store load hands the engine — rows,
+// refs (compressed ones read under a claim of every row) and weights, per
+// machine and orientation — must equal what buildLocalStore derives from the
+// in-memory graph with ghosting off, in both encodings and at every machine
+// count. This is the reference for the file format that does not go through
+// the store's own writer or reader assumptions.
+func TestStoreSectionsMatchLocalStore(t *testing.T) {
+	rmat, err := graph.RMAT(12, 8, graph.TwitterLike(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := graph.Grid(40, 40, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{"rmat12": rmat.WithUniformWeights(0.5, 2, 7), "grid40": grid} {
+		for p := 1; p <= 3; p++ {
+			layout, err := partition.Compute(g, p, partition.EdgeBalanced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for format, path := range map[string]string{"csr2": storePath(t, g, p), "csr3": storePath3(t, g, p)} {
+				sf, err := store.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ld, err := sf.NewLoad(0, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for me := 0; me < p; me++ {
+					want := buildLocalStore(g, layout, partition.EmptyGhostSet(), me)
+					sec := ld.Section(me)
+					got := [2]orientView{
+						{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights},
+						{rows: sec.InRows, refs: sec.InRefs, weights: sec.InWeights},
+					}
+					for orient, w := range want.views {
+						tok, err := ld.Claim(me, orient, 0, int64(want.numLocal))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got[orient].rows, w.rows) || !slices.Equal(got[orient].refs, w.refs) ||
+							!slices.Equal(got[orient].weights, w.weights) {
+							t.Fatalf("%s %s p=%d machine %d orient %d: store section differs from buildLocalStore", name, format, p, me, orient)
+						}
+						tok.Release()
+					}
+				}
+				sf.Close() //nolint:errcheck
+			}
+		}
+	}
+}
+
 // TestLoadStoreMatchesLoad: the same graph computed from an mmap'd CSR store
-// file — raw v2 and compressed v3 — must be bit-identical to the in-memory
+// file — raw and compressed — must be bit-identical to the in-memory
 // load, over both fabrics. The store-backed clusters run with a deliberately
 // tiny residency window and write spilling forced through the file path, and
 // the compressed variant adds a tiny (64 KiB) decode cache, so the comparison

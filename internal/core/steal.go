@@ -254,12 +254,11 @@ func (m *Machine) packGrant(jr *jobRuntime, thief int, resp *comm.Buffer) int {
 			return nodes
 		}
 		ch := jr.chunks[chunkIdx]
-		// Claim the chunk's topology like a worker would: residency advice
-		// plus decode-cache pins keeping the views' refs valid while the
-		// copier reads them. Copier context, so a decode failure aborts the
-		// job directly instead of a worker unwind; the chunk stays consumed,
-		// which is fine — the job is dead.
-		pins, err := jr.claimChunk(ch)
+		// Claim the chunk's topology like a worker would, keeping the views'
+		// refs valid while the copier reads them. Copier context, so a decode
+		// failure aborts the job directly instead of a worker unwind; the
+		// chunk stays consumed, which is fine — the job is dead.
+		pins, err := jr.claimChunk(m.id, ch)
 		if err != nil {
 			m.abortJob(jr, err)
 			return nodes

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,9 +35,13 @@ type stealPushTask struct {
 	NoReads
 	src, dst PropID
 	spin     int
+	gate     *stealGate // optional: holds the straggler until a steal request reaches it
 }
 
 func (k *stealPushTask) Run(c *Ctx) {
+	if k.gate != nil && c.Machine() == k.gate.victim {
+		k.gate.hold()
+	}
 	x := uint64(c.Node)<<32 | 0x9e3779b9
 	for i := 0; i < k.spin; i++ {
 		x ^= x << 13
@@ -46,6 +51,78 @@ func (k *stealPushTask) Run(c *Ctx) {
 	stealSpinSink.Add(x)
 	runtime.Gosched()
 	c.NbrWriteI64(k.dst, reduce.Sum, c.GetI64(k.src))
+}
+
+// stealGate makes "a steal request lands while the straggler still has
+// unclaimed chunks" an event the test waits on instead of a race it hopes to
+// win. It sits between the fault injector and the real fabric, so it sees
+// exactly the frames the injector let through, and opens once one MsgSteal
+// has been handed to the victim's transport; until then the victim's kernel
+// blocks in hold at each worker's first edge, its cursor untouched beyond one
+// chunk per worker. hold gives up after bound (the test's RequestTimeout), so
+// a run in which no thief ever asks still terminates and fails on the test's
+// own steal assertions rather than hanging.
+type stealGate struct {
+	comm.Fabric
+	victim int
+	bound  time.Duration
+	once   sync.Once
+	open   chan struct{}
+}
+
+func newStealGate(inner comm.Fabric, victim int, bound time.Duration) *stealGate {
+	return &stealGate{Fabric: inner, victim: victim, bound: bound, open: make(chan struct{})}
+}
+
+func (g *stealGate) release() { g.once.Do(func() { close(g.open) }) }
+
+func (g *stealGate) hold() {
+	select {
+	case <-g.open:
+		return
+	default:
+	}
+	timer := time.NewTimer(g.bound)
+	defer timer.Stop()
+	select {
+	case <-g.open:
+	case <-timer.C:
+		g.release()
+	}
+}
+
+// InMemory forwards the wrapped fabric's answer, like the injector does.
+func (g *stealGate) InMemory() bool { return comm.InMemoryFabric(g.Fabric) }
+
+func (g *stealGate) Endpoint(m int) (comm.Endpoint, error) {
+	ep, err := g.Fabric.Endpoint(m)
+	if err != nil {
+		return nil, err
+	}
+	return &gateEndpoint{Endpoint: ep, gate: g}, nil
+}
+
+type gateEndpoint struct {
+	comm.Endpoint
+	gate *stealGate
+}
+
+func (e *gateEndpoint) Send(dst int, buf *comm.Buffer) error {
+	// The transport owns buf once Send is called: read the type first.
+	steal := dst == e.gate.victim && comm.MsgType(buf.Data[0]) == comm.MsgSteal
+	err := e.Endpoint.Send(dst, buf)
+	if steal && err == nil {
+		e.gate.release()
+	}
+	return err
+}
+
+// Quiesce forwards to the inner endpoint when it supports quiescing; the
+// pool leak checks rely on this passing through every wrapper.
+func (e *gateEndpoint) Quiesce() {
+	if q, ok := e.Endpoint.(interface{ Quiesce() }); ok {
+		q.Quiesce()
+	}
 }
 
 // refPushSum computes, for each node v, the sum over in-neighbors u of
@@ -96,6 +173,13 @@ func bootSkewed(t testing.TB, g *graph.Graph, cfg Config, skew float64, ghosts i
 // the result against the single-machine reference.
 func runPushVal(t *testing.T, c *Cluster, g *graph.Graph, src, dst PropID, verify bool) error {
 	t.Helper()
+	return runPushGated(t, c, g, src, dst, verify, nil)
+}
+
+// runPushGated is runPushVal with the straggler's kernel held behind gate
+// (nil: no hold).
+func runPushGated(t *testing.T, c *Cluster, g *graph.Graph, src, dst PropID, verify bool, gate *stealGate) error {
+	t.Helper()
 	vals := make([]int64, g.NumNodes())
 	for u := range vals {
 		vals[u] = int64(u%97) + 1
@@ -105,7 +189,7 @@ func runPushVal(t *testing.T, c *Cluster, g *graph.Graph, src, dst PropID, verif
 	_, err := c.RunJob(JobSpec{
 		Name:       "steal-push",
 		Iter:       IterOutEdges,
-		Task:       &stealPushTask{src: src, dst: dst, spin: 512},
+		Task:       &stealPushTask{src: src, dst: dst, spin: 512, gate: gate},
 		WriteProps: []WriteSpec{{Prop: dst, Op: reduce.Sum}},
 		Steal:      &StealSpec{Own: []PropID{src}},
 	})
@@ -138,12 +222,13 @@ func TestStealMatchesReferenceOnSkewedLayout(t *testing.T) {
 			cfg.CollectiveTimeout = 5 * time.Second
 			reg := obs.NewRegistry()
 			cfg.Obs = reg
-			inj := faultFabric(t, cfg, useTCP, comm.FaultPlan{})
+			gate := newStealGate(innerFabric(t, cfg, useTCP), 0, cfg.RequestTimeout)
+			inj := comm.NewFaultInjector(gate, comm.FaultPlan{})
 			cfg.Fabric = inj
 			c := bootSkewed(t, g, cfg, 0.85, ghosts)
 			src, _ := c.AddPropI64("src")
 			dst, _ := c.AddPropI64("dst")
-			if err := runPushVal(t, c, g, src, dst, true); err != nil {
+			if err := runPushGated(t, c, g, src, dst, true, gate); err != nil {
 				t.Fatalf("ghosts=%d: %v", ghosts, err)
 			}
 			settleQuiescent(t, c)
@@ -337,7 +422,8 @@ func TestFaultStealTruncatedGrantAborts(t *testing.T) {
 		cfg.ChunkTargetEdges = 16 // many small chunks: the straggler drains its cursor gradually, so steals land regardless of scheduling
 		// Truncate every grant the straggler sends: a single-shot rule can land
 		// on an empty grant (harmless by design), which would let the job pass.
-		inj := faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 24, Rules: []comm.FaultRule{
+		gate := newStealGate(innerFabric(t, cfg, useTCP), 0, cfg.RequestTimeout)
+		inj := comm.NewFaultInjector(gate, comm.FaultPlan{Seed: 24, Rules: []comm.FaultRule{
 			{Src: 0, Dst: comm.AnyMachine, Type: int(comm.MsgStealGrant), Kind: comm.FaultTruncate, TruncateTo: comm.HeaderSize + 12, Every: 1},
 		}})
 		cfg.Fabric = inj
@@ -346,7 +432,7 @@ func TestFaultStealTruncatedGrantAborts(t *testing.T) {
 		src, _ := c.AddPropI64("src")
 		dst, _ := c.AddPropI64("dst")
 
-		err := runPushVal(t, c, g, src, dst, false)
+		err := runPushGated(t, c, g, src, dst, false, gate)
 		if err == nil {
 			t.Fatal("job succeeded despite truncated steal grant")
 		}

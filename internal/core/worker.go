@@ -115,8 +115,8 @@ type worker struct {
 	// reused across stolen nodes (see steal.go).
 	stolen stolenNode
 
-	// pins hold the decode-cache pins of the chunk this worker is currently
-	// running, one per orientation (compressed stores only). A worker field
+	// pins hold the store claims of the chunk this worker is currently
+	// running, one per orientation (store-backed loads only). A worker field
 	// rather than a local so abortCleanup can release them after an unwind
 	// mid-chunk.
 	pins [2]store.PinToken
@@ -329,7 +329,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 	w.job = nil
 }
 
-// releasePins drops the current chunk's decode-cache pins. Idempotent (the
+// releasePins drops the current chunk's store claims. Idempotent (the
 // tokens are zero or self-clearing), so runChunk and abortCleanup can both
 // call it.
 func (w *worker) releasePins() {
@@ -344,9 +344,9 @@ func (w *worker) releasePins() {
 // failure fails the job (it indicates arena corruption — every block was
 // strictly validated at Open).
 func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
-	if jr.needsClaim() {
+	if jr.ooc != nil {
 		var err error
-		if w.pins, err = jr.claimChunk(ch); err != nil {
+		if w.pins, err = jr.claimChunk(w.m.id, ch); err != nil {
 			w.fail(err)
 		}
 	}
@@ -925,14 +925,10 @@ type jobRuntime struct {
 	// off, single machine, or no StealSpec).
 	steal *stealRuntime
 
-	// res is the machine's out-of-core residency window (nil for in-memory
-	// loads); workers advise each claimed chunk's topology ranges through it.
-	res *store.Residency
-
-	// dec is the compressed store's decode cache (nil for raw or in-memory
-	// loads) the views' refs alias; decMach is this machine's arena index.
-	dec     *store.DecodeCache
-	decMach int
+	// ooc is the machine's store-file load (nil for in-memory loads and node
+	// iterators): each claimed chunk's rows are claimed through it, which
+	// keeps the views' refs valid while the chunk runs.
+	ooc *store.Load
 
 	// Locals of the machine main goroutine's schedule (Machine.runJob), set by
 	// the phase named: emptySkip (newJobRuntime) — the local frontier is empty

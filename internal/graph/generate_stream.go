@@ -10,7 +10,7 @@ import (
 // sequentially (same per-shard RNG seeding, same slice order), so every
 // sweep emits exactly the edge sequence the in-memory generator would
 // materialize — in the same order — while holding only a small scratch
-// buffer. This is what lets the out-of-core store writer emit CSR v2 files
+// buffer. This is what lets the out-of-core store writer emit store files
 // for graphs that would not fit in memory (store.WriteStream).
 type GenStream struct {
 	n    int

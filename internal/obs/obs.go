@@ -102,7 +102,7 @@ const (
 	CtrSpilledWriteFrames
 	CtrSpilledWriteBytes
 	CtrSpillFileFrames
-	// Compressed-store decode cache (CSR v3): chunk claims that found their
+	// Compressed-store decode cache (.csr3 files): chunk claims that found their
 	// blocks already decoded vs. ones that paid a varint decode, the raw ref
 	// bytes produced by those decodes, and arena bytes evicted to stay under
 	// the cache budget.

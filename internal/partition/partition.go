@@ -58,39 +58,12 @@ func Compute(g *graph.Graph, p int, strategy Strategy) (Layout, error) {
 	if n == 0 {
 		return Layout{}, graph.ErrEmptyGraph
 	}
-	starts := make([]uint32, p+1)
-	starts[p] = uint32(n)
+	var starts []uint32
 	switch strategy {
 	case VertexBalanced:
-		for m := 1; m < p; m++ {
-			starts[m] = uint32(m * n / p)
-		}
+		starts = vertexBalancedStarts(n, p)
 	case EdgeBalanced:
-		// Walk the vertices accumulating in+out degree; cut when the running
-		// sum crosses the next equal-share boundary.
-		var total int64
-		for u := 0; u < n; u++ {
-			total += g.TotalDegree(graph.NodeID(u))
-		}
-		if total == 0 {
-			// Degenerate: no edges — fall back to vertex balancing.
-			for m := 1; m < p; m++ {
-				starts[m] = uint32(m * n / p)
-			}
-			break
-		}
-		var acc int64
-		next := 1
-		for u := 0; u < n && next < p; u++ {
-			acc += g.TotalDegree(graph.NodeID(u))
-			for next < p && acc >= int64(next)*total/int64(p) {
-				starts[next] = uint32(u + 1)
-				next++
-			}
-		}
-		for ; next < p; next++ {
-			starts[next] = uint32(n)
-		}
+		starts = EdgeBalancedStarts(n, p, func(u int) int64 { return g.TotalDegree(graph.NodeID(u)) })
 	default:
 		return Layout{}, fmt.Errorf("partition: unknown strategy %d", strategy)
 	}
@@ -102,6 +75,45 @@ func Compute(g *graph.Graph, p int, strategy Strategy) (Layout, error) {
 		}
 	}
 	return Layout{NumMachines: p, Starts: starts}, nil
+}
+
+func vertexBalancedStarts(n, p int) []uint32 {
+	starts := make([]uint32, p+1)
+	for m := 1; m <= p; m++ {
+		starts[m] = uint32(m * n / p)
+	}
+	return starts
+}
+
+// EdgeBalancedStarts cuts [0, n) into p consecutive ranges of roughly equal
+// in+out degree mass: it walks the vertices accumulating degree(u) and cuts
+// where the running sum crosses the next equal-share boundary. An edgeless
+// input falls back to vertex balancing. The degree accessor is all it needs,
+// so the store's streaming writer — which only ever holds degree counts —
+// cuts exactly where Compute cuts the materialized graph; the cuts are
+// monotone by construction (each lands at or past the previous one).
+func EdgeBalancedStarts(n, p int, degree func(u int) int64) []uint32 {
+	var total int64
+	for u := 0; u < n; u++ {
+		total += degree(u)
+	}
+	if total == 0 {
+		return vertexBalancedStarts(n, p)
+	}
+	starts := make([]uint32, p+1)
+	var acc int64
+	next := 1
+	for u := 0; u < n && next < p; u++ {
+		acc += degree(u)
+		for next < p && acc >= int64(next)*total/int64(p) {
+			starts[next] = uint32(u + 1)
+			next++
+		}
+	}
+	for ; next <= p; next++ {
+		starts[next] = uint32(n)
+	}
+	return starts
 }
 
 // Owner returns the machine owning global vertex v. Binary search over at

@@ -24,8 +24,8 @@ func AnonAlloc(size int64) ([]byte, func() error, error) { return anonAlloc(size
 // per-section anonymous arenas, bounded by a byte budget. Each (machine,
 // orientation) arena is a full-length []int64 view sized to the section's
 // edge count, so the engine indexes decoded refs absolutely — jr.refs[e] —
-// exactly as it indexes a raw v2 mapping; only the claim/release hooks know
-// blocks exist. The address space is reserved up front but pages materialize
+// exactly as it indexes a raw section's mapping; only the claim/release hooks
+// know blocks exist. The address space is reserved up front but pages materialize
 // only when a block decodes; eviction returns a cold block's interior pages
 // to the kernel (madvise DONTNEED) and marks it for re-decode.
 //
@@ -116,15 +116,16 @@ func (sf *File) EnsureDecodeCache(budgetBytes int64) (*DecodeCache, error) {
 	dc.arenas = make([][2]*arena, sf.hdr.p)
 	for mach := 0; mach < sf.hdr.p; mach++ {
 		for orient := 0; orient < 2; orient++ {
-			o := &sf.v3[mach].o[orient]
-			buf, freeFn, err := anonAlloc(8 * o.edges)
+			o := &sf.secs[mach][orient]
+			edges := o.rows[len(o.rows)-1]
+			buf, freeFn, err := anonAlloc(8 * edges)
 			if err != nil {
 				dc.free()
 				return nil, fmt.Errorf("store: decode arena for machine %d: %w", mach, err)
 			}
 			a := &arena{mach: mach, orient: orient, buf: buf, freeFn: freeFn}
-			if o.edges > 0 {
-				a.refs = unsafe.Slice((*int64)(unsafe.Pointer(&buf[0])), o.edges)
+			if edges > 0 {
+				a.refs = unsafe.Slice((*int64)(unsafe.Pointer(&buf[0])), edges)
 			}
 			nb := len(o.firstRow) - 1
 			a.blocks = make([]blockState, nb)
@@ -141,10 +142,10 @@ func (sf *File) EnsureDecodeCache(budgetBytes int64) (*DecodeCache, error) {
 	return dc, nil
 }
 
-// Refs returns the full-length decoded-ref arena view for (mach, orient).
+// refs returns the full-length decoded-ref arena view for (mach, orient).
 // Only ranges covered by a live PinToken hold decoded data; everything else
 // reads as garbage (zeros, or a stale eviction residue).
-func (dc *DecodeCache) Refs(mach, orient int) []int64 {
+func (dc *DecodeCache) refs(mach, orient int) []int64 {
 	return dc.arenas[mach][orient].refs
 }
 
@@ -160,7 +161,7 @@ type PinToken struct {
 // decoded and pinned against eviction, and returns the token that releases
 // them. On error nothing stays pinned.
 func (dc *DecodeCache) Pin(mach, orient int, rowLo, rowHi int64) (PinToken, error) {
-	blo, bhi := dc.sf.blockRange(mach, orient, rowLo, rowHi)
+	blo, bhi := dc.sf.secs[mach][orient].blockRange(rowLo, rowHi)
 	if blo == bhi {
 		return PinToken{}, nil
 	}
@@ -197,11 +198,11 @@ func (dc *DecodeCache) pinBlock(a *arena, b int) error {
 	}
 	dc.mu.Unlock()
 
-	if _, err := dc.sf.decodeV3Block(a.mach, a.orient, b, a.refs, nil); err != nil {
+	if err := dc.sf.decodeBlock(&dc.sf.secs[a.mach][a.orient], a.mach, b, a.refs); err != nil {
 		dc.mu.Lock()
 		bs.pins--
 		dc.mu.Unlock()
-		return err
+		return fmt.Errorf("store: machine %d orient %d: %w", a.mach, a.orient, err)
 	}
 	dc.mu.Lock()
 	bs.decoded = true
@@ -286,22 +287,6 @@ func (dc *DecodeCache) Stats() DecodeCacheStats {
 	}
 	dc.mu.Unlock()
 	return st
-}
-
-// TouchCompressed advises the residency window about the compressed bytes
-// the blocks covering rows [rowLo, rowHi) occupy in the file mapping — the
-// out-of-core prefetch hook for compressed sections, which touches ~3 bytes
-// per edge instead of the 8 raw bytes a v2 section would fault in.
-func (dc *DecodeCache) TouchCompressed(r *Residency, mach, orient int, rowLo, rowHi int64) {
-	if r == nil {
-		return
-	}
-	blo, bhi := dc.sf.blockRange(mach, orient, rowLo, rowHi)
-	if blo == bhi {
-		return
-	}
-	o := &dc.sf.v3[mach].o[orient]
-	r.TouchBytes(o.comp, o.offs[blo], o.offs[bhi])
 }
 
 // free unmaps every arena. Called under File.cacheMu from File.Close.

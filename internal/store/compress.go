@@ -7,15 +7,15 @@ import (
 	"unsafe"
 
 	"repro/internal/codec"
-	"repro/internal/graph"
 )
 
-// CompressFile rewrites the raw CSR v2 file at src as a compressed v3 file
-// at dst. The pass is sequential and runs in O(nodes + block) memory: rows
-// and the block index are per-section metadata, refs stream block by block
-// through a bounded encode buffer, and weights copy through unchanged. Since
-// a v3 file's section offsets depend on the encoded sizes, the header and
-// per-blob sub-headers are written as placeholders and patched once the
+// CompressFile rewrites the raw store file at src in the compressed spelling
+// at dst — the second half of the writer pipeline when compression is asked
+// for. The pass is sequential and runs in O(nodes + block) memory: rows and
+// the block index are per-section metadata, refs stream block by block
+// through a bounded encode buffer, and weights copy through unchanged. A
+// compressed section's length depends on its encoded size, so the header and
+// per-section sub-headers are written as placeholders and patched once the
 // sizes are known.
 func CompressFile(dst, src string) error {
 	sf, err := Open(src)
@@ -23,10 +23,6 @@ func CompressFile(dst, src string) error {
 		return err
 	}
 	defer sf.Close()
-	return compressOpen(dst, sf)
-}
-
-func compressOpen(dst string, sf *File) error {
 	if sf.Compressed() {
 		return fmt.Errorf("store: %s is already compressed", sf.Path())
 	}
@@ -36,70 +32,42 @@ func compressOpen(dst string, sf *File) error {
 	}
 	defer f.Close()
 	p := sf.hdr.p
-	weighted := sf.Weighted()
 
-	headerLen := dataOffset(p)
-	if _, err := f.Write(make([]byte, headerLen)); err != nil {
+	at := dataOffset(p)
+	if _, err := f.Write(make([]byte, at)); err != nil {
 		return err
 	}
-	at := headerLen
 	table := make([][secFieldCount]int64, p)
 	cw := &compWriter{f: f}
 	// The ref walk below reads the whole source mapping once, front to back.
 	advise(sf.data, advSequential)
 	for mach := 0; mach < p; mach++ {
-		sec := sf.Section(mach)
-		lo := int64(sf.starts[mach])
-		for orient := 0; orient < 2; orient++ {
-			rows, refs, ws := sec.OutRows, sec.OutRefs, sec.OutWeights
-			blobF, wF := 0, 2
-			if orient == OrientIn {
-				rows, refs, ws = sec.InRows, sec.InRefs, sec.InWeights
-				blobF, wF = 3, 5
-			}
-			blobLen, err := cw.writeBlob(sf, rows, refs, lo, at)
+		for orient := range sf.secs[mach] {
+			o := &sf.secs[mach][orient]
+			secLen, err := cw.writeSection(sf, mach, o, at)
 			if err != nil {
 				return err
 			}
-			table[mach][blobF] = at
-			table[mach][blobF+1] = blobLen
-			at += blobLen
-			if weighted {
-				table[mach][wF] = at
-				if len(ws) > 0 {
-					raw := unsafe.Slice((*byte)(unsafe.Pointer(&ws[0])), 8*len(ws))
+			table[mach][3*orient], table[mach][3*orient+1] = at, secLen
+			at += secLen
+			if sf.Weighted() {
+				table[mach][3*orient+2] = at
+				if len(o.weights) > 0 {
+					raw := unsafe.Slice((*byte)(unsafe.Pointer(&o.weights[0])), 8*len(o.weights))
 					if _, err := f.Write(raw); err != nil {
 						return err
 					}
 				}
-				at += 8 * int64(len(ws))
+				at += 8 * int64(len(o.weights))
 			}
 		}
 	}
 	advise(sf.data, advDontNeed)
 
 	// Patch the header now that every section offset is known.
-	hdr := make([]byte, headerLen)
-	copy(hdr, Magic)
-	putU32(hdr[8:], Version3)
-	flags := FlagCompressedEdges
-	if weighted {
-		flags |= FlagWeighted
-	}
-	putU32(hdr[12:], flags)
-	putU64(hdr[16:], sf.hdr.numNodes)
-	putU64(hdr[24:], sf.hdr.numEdges)
-	putU64(hdr[32:], uint64(p))
-	for i, s := range sf.starts {
-		putU32(hdr[headerFixedBytes+4*i:], s)
-	}
-	tbl := tableOffset(p)
-	for mach := 0; mach < p; mach++ {
-		for fi := 0; fi < secFieldCount; fi++ {
-			putU64(hdr[tbl+int64(8*(secFieldCount*mach+fi)):], uint64(table[mach][fi]))
-		}
-	}
-	if _, err := f.WriteAt(hdr, 0); err != nil {
+	hdr := sf.hdr
+	hdr.flags |= FlagCompressedEdges
+	if _, err := f.WriteAt(renderHeader(hdr, sf.layout.Starts, table), 0); err != nil {
 		return err
 	}
 	return f.Sync()
@@ -112,11 +80,12 @@ type compWriter struct {
 	vals []int64 // one row's global ids
 }
 
-// writeBlob encodes one orientation's rows+refs as a v3 blob starting at
-// file offset blobOff (the current write position) and returns its padded
-// length. Writes are sequential except two patches: the sub-header's
+// writeSection encodes raw section o of machine mach in the compressed
+// spelling at file offset secOff (the current write position) and returns its
+// padded length. Writes are sequential except two patches: the sub-header's
 // refBytes and the block index, both at offsets known up front.
-func (cw *compWriter) writeBlob(sf *File, rows, refs []int64, secLo, blobOff int64) (int64, error) {
+func (cw *compWriter) writeSection(sf *File, mach int, o *orientSec, secOff int64) (int64, error) {
+	rows, refs := o.rows, o.refs
 	numLocal := int64(len(rows)) - 1
 	edges := rows[numLocal]
 
@@ -138,7 +107,7 @@ func (cw *compWriter) writeBlob(sf *File, rows, refs []int64, secLo, blobOff int
 		firstRow = append(firstRow, 0)
 		for u := int64(0); u < numLocal; u++ {
 			deg := rows[u+1] - rows[u]
-			if inBlock >= v3BlockTargetEdges && deg > 0 {
+			if inBlock >= blockTargetEdges && deg > 0 {
 				firstRow = append(firstRow, u)
 				inBlock = 0
 			}
@@ -149,7 +118,7 @@ func (cw *compWriter) writeBlob(sf *File, rows, refs []int64, secLo, blobOff int
 	firstRow = append(firstRow, numLocal)
 
 	// Placeholder sub-header + compRows + placeholder index.
-	var sub [v3BlobHeaderBytes]byte
+	var sub [subHeaderBytes]byte
 	putU64(sub[0:], uint64(rowBytes))
 	putU64(sub[8:], uint64(blockCount))
 	if _, err := cw.f.Write(sub[:]); err != nil {
@@ -158,7 +127,7 @@ func (cw *compWriter) writeBlob(sf *File, rows, refs []int64, secLo, blobOff int
 	if _, err := cw.f.Write(rowBlob); err != nil {
 		return 0, err
 	}
-	idxOff := blobOff + v3BlobHeaderBytes + pad8(rowBytes)
+	idxOff := secOff + subHeaderBytes + pad8(rowBytes)
 	idx := make([]byte, 16*(blockCount+1))
 	if _, err := cw.f.Write(idx); err != nil {
 		return 0, err
@@ -175,7 +144,8 @@ func (cw *compWriter) writeBlob(sf *File, rows, refs []int64, secLo, blobOff int
 			row := refs[rows[u]:rows[u+1]]
 			cw.vals = cw.vals[:0]
 			for _, ref := range row {
-				cw.vals = append(cw.vals, sf.globalFromRef(ref, secLo))
+				v, _ := nodeOf(sf.layout, mach, ref)
+				cw.vals = append(cw.vals, int64(v))
 			}
 			cw.buf = codec.AppendZigZagDeltaRow(cw.buf, cw.vals)
 		}
@@ -200,7 +170,7 @@ func (cw *compWriter) writeBlob(sf *File, rows, refs []int64, secLo, blobOff int
 
 	// Patch refBytes and the index.
 	putU64(sub[16:], uint64(refBytes))
-	if _, err := cw.f.WriteAt(sub[:], blobOff); err != nil {
+	if _, err := cw.f.WriteAt(sub[:], secOff); err != nil {
 		return 0, err
 	}
 	for b := int64(0); b <= blockCount; b++ {
@@ -210,34 +180,7 @@ func (cw *compWriter) writeBlob(sf *File, rows, refs []int64, secLo, blobOff int
 	if _, err := cw.f.WriteAt(idx, idxOff); err != nil {
 		return 0, err
 	}
-	return v3BlobHeaderBytes + pad8(rowBytes) + 16*(blockCount+1) + pad8(refBytes), nil
-}
-
-// globalFromRef inverts the section's ref encoding back to a global node id
-// (store files are ghost-free, so every ref is invertible).
-func (sf *File) globalFromRef(ref, secLo int64) int64 {
-	if ref >= 0 {
-		return secLo + ref
-	}
-	rm, off := unpackRemoteRef(ref)
-	return int64(sf.starts[rm]) + int64(off)
-}
-
-// WriteGraphCompressed materializes g as a compressed CSR v3 file
-// partitioned for p machines: a raw v2 twin is written to a temp file next
-// to path and compressed through CompressFile, preserving WriteGraph's
-// bit-identity contract (per-row neighbor order survives the codec round
-// trip exactly).
-func WriteGraphCompressed(path string, g *graph.Graph, p int) error {
-	tmp, err := rawTemp(path)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp) //nolint:errcheck
-	if err := WriteGraph(tmp, g, p); err != nil {
-		return err
-	}
-	return CompressFile(path, tmp)
+	return subHeaderBytes + pad8(rowBytes) + 16*(blockCount+1) + pad8(refBytes), nil
 }
 
 // rawTemp creates an empty temp file next to path for the raw intermediate.

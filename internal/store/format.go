@@ -1,131 +1,128 @@
-// Package store is the engine's out-of-core storage subsystem: a binary
-// CSR v2 file format whose per-machine partition sections hold the engine's
-// pre-resolved node references, loaded zero-copy via mmap so page-cache
-// eviction — not the Go heap — governs topology residency. The paper's
-// Table 4 already distinguishes a fast binary on-disk format; GraphD
-// (PAPERS.md) shows that streaming edges from disk under a small memory
-// budget stays competitive when the message path is lean. This package makes
-// graphs bigger than RAM a load-time choice rather than an engine rewrite:
-// the mmap-backed section views satisfy the same row/ref slice contract as
-// the in-memory local store, so the chunk scheduler, partition.EdgeChunks,
-// and every kernel run unmodified over disk-backed topology.
+// Package store is the engine's out-of-core storage subsystem: one binary
+// CSR file format whose per-machine partition sections hold the engine's
+// pre-resolved node references, loaded via mmap so page-cache eviction — not
+// the Go heap — governs topology residency. The paper's Table 4 already
+// distinguishes a fast binary on-disk format; GraphD (PAPERS.md) shows that
+// streaming edges from disk under a small memory budget stays competitive
+// when the message path is lean. This package makes graphs bigger than RAM a
+// load-time choice rather than an engine rewrite: the section views satisfy
+// the same row/ref slice contract as the in-memory local store, so the chunk
+// scheduler, partition.EdgeChunks, and every kernel run unmodified over
+// disk-backed topology.
 //
-// # File layout (CSR v2, little-endian)
+// # File layout (little-endian)
 //
 //	offset 0   magic           "PGXDCSR2"
-//	       8   version         u32 (= 2)
-//	      12   flags           u32 (bit 0: weighted)
+//	       8   version         u32 (= 4)
+//	      12   flags           u32 (bit 0: weighted, bit 1: compressed refs)
 //	      16   numNodes        u64
 //	      24   numEdges        u64 (directed)
 //	      32   numMachines     u64 (P)
 //	      40   starts          [P+1]u32, zero-padded to 8-byte alignment
-//	       -   section table   P × 6 u64 absolute offsets:
-//	               outRows, outRefs, outWeights, inRows, inRefs, inWeights
-//	               (weight offsets are 0 when unweighted)
-//	       -   per-machine sections, every array 8-byte aligned:
-//	               outRows  [numLocal+1]i64   prefix sums, outRows[0] == 0
-//	               outRefs  [mOut]i64         pre-resolved refs (no ghosts)
-//	               outWeights [mOut]f64       (weighted files only)
-//	               inRows   [numLocal+1]i64
-//	               inRefs   [mIn]i64
-//	               inWeights [mIn]f64
+//	       -   section table   P × 6 u64, per machine and orientation (out,
+//	                           then in): section offset, section byte length,
+//	                           weights offset (0 when unweighted)
+//	       -   per machine, per orientation, back to back and 8-byte aligned:
+//	               section     sub-header + rows + block index + refs (below)
+//	               weights     [m]f64, weighted files only — always flat:
+//	                           they are incompressible noise, and a flat array
+//	                           is the zero-copy view kernels index absolutely
+//
+// Every section starts with the same 24-byte sub-header and differs only in
+// how the compressed-refs flag spells its rows and refs:
+//
+//	              raw (.csr2)                  compressed (.csr3)
+//	u64 rowBytes   8*(numLocal+1)               exact uvarint content length
+//	u64 blockCount 0                            number of edge blocks
+//	u64 refBytes   8*m                          exact varint content length
+//	rows           [numLocal+1]i64 prefix sums  numLocal uvarint degrees (the
+//	               rows[0] == 0                 deltas of the prefix sums)
+//	block index    absent                       (blockCount+1) x {u64 firstRow,
+//	                                            u64 byteOff}; last entry is the
+//	                                            {numLocal, refBytes} sentinel
+//	refs           [m]i64 engine refs           per-row zigzag-delta varints of
+//	                                            global neighbor ids (prev resets
+//	                                            to 0 at each row start — rows
+//	                                            keep edge insertion order, so
+//	                                            gaps are signed)
+//
+// rows and refs are each zero-padded to 8-byte alignment, so a raw section is
+// handed out as zero-copy int64 views of the mapping — the fast spelling — and
+// a compressed one is several times smaller: block b covers rows
+// [firstRow[b], firstRow[b+1]) and bytes [byteOff[b], byteOff[b+1]) of refs,
+// holds whole rows and at least one edge (a hub row larger than the target
+// becomes one oversized block; blockCount is 0 iff the section has no edges),
+// and is inflated on demand by the DecodeCache.
 //
 // Refs use the engine's encoding with ghosting disabled: ref >= 0 is the
 // owner-local node index, ref < 0 is ^(machine<<32 | offset) naming a remote
 // slot. Ghost-free refs are invertible to global ids, which is what lets the
-// streaming writer derive the in-orientation from already-written out
-// sections in canonical (transpose) order.
+// writer derive the in-orientation from already-written out sections in
+// canonical (transpose) order, and the compressed spelling store global ids.
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/partition"
 )
 
-// Magic identifies a CSR store file (versions 2 and 3 share it).
+// Magic identifies a CSR store file.
 const Magic = "PGXDCSR2"
 
-// Version is the raw (uncompressed) format version.
-const Version = 2
-
-// Version3 is the compressed-edge format version. A v3 file carries the
-// same prelude and starts array as v2, but each machine's edge sections are
-// delta-varint block blobs (see the compressed layout note below) and the
-// section table fields are reinterpreted: outBlobOff, outBlobLen,
-// outWeightsOff, inBlobOff, inBlobLen, inWeightsOff. Weights stay raw f64
-// arrays — they are incompressible noise and keeping them flat preserves the
-// zero-copy mmap view kernels index absolutely.
-const Version3 = 3
+// Version is the one format version this build reads and writes. Files of
+// the earlier two-container layouts (versions 2 and 3) share the magic and
+// are refused at Open; no store file is long-lived enough to migrate.
+const Version = 4
 
 // Format flags.
 const (
 	// FlagWeighted marks files carrying per-edge float64 weights.
 	FlagWeighted uint32 = 1 << 0
-	// FlagCompressedEdges marks files whose edge sections are codec-encoded
-	// block blobs (version 3). The flag and the version field must agree.
+	// FlagCompressedEdges marks files whose sections spell rows and refs as
+	// varint blocks (the .csr3 encoding) rather than flat int64 arrays.
 	FlagCompressedEdges uint32 = 1 << 1
 
 	knownFlags = FlagWeighted | FlagCompressedEdges
 )
 
-// Compressed blob layout (one per machine per orientation, 8-aligned):
-//
-//	u64 rowBytes      exact compRows content length
-//	u64 blockCount    number of edge blocks
-//	u64 refBytes      exact compRefs content length
-//	compRows          numLocal uvarint degrees (the deltas of the prefix-sum
-//	                  row array), zero-padded to 8-byte alignment
-//	blockIndex        (blockCount+1) x {u64 firstRow, u64 byteOff}: block b
-//	                  covers rows [firstRow[b], firstRow[b+1]) and bytes
-//	                  [byteOff[b], byteOff[b+1]) of compRefs; the last entry
-//	                  is the {numLocal, refBytes} sentinel
-//	compRefs          per-row zigzag-delta varints of global neighbor ids
-//	                  (prev resets to 0 at each row start — rows keep edge
-//	                  insertion order, so gaps are signed), zero-padded to
-//	                  8-byte alignment
-//
-// Every block holds whole rows and at least one edge; a hub row larger than
-// the target becomes one oversized block. blockCount is 0 iff the section
-// has no edges.
+// Orientation indices of a machine's two sections.
 const (
-	v3BlobHeaderBytes = 24
-	// v3BlockTargetEdges is the writer's decoded-block granularity: 8192
-	// edges = 64 KiB of decoded refs, the unit the decode cache pins and
+	OrientOut = 0
+	OrientIn  = 1
+)
+
+const (
+	headerFixedBytes = 40 // magic + version + flags + n + m + p
+	secFieldCount    = 6  // section table words per machine (3 per orientation)
+	subHeaderBytes   = 24 // rowBytes + blockCount + refBytes
+	maxMachines      = 1 << 15
+
+	// blockTargetEdges is the compressed writer's decoded-block granularity:
+	// 8192 edges = 64 KiB of decoded refs, the unit the decode cache pins and
 	// evicts.
-	v3BlockTargetEdges = 8192
+	blockTargetEdges = 8192
 )
 
 // pad8 rounds n up to a multiple of 8.
 func pad8(n int64) int64 { return (n + 7) &^ 7 }
 
-const (
-	headerFixedBytes = 40 // magic + version + flags + n + m + p
-	secFieldCount    = 6  // offsets per machine in the section table
-	maxMachines      = 1 << 15
-)
-
 // header is the decoded fixed-size prelude of a CSR store file.
 type header struct {
-	version  uint32
 	flags    uint32
 	numNodes uint64
 	numEdges uint64
 	p        int
 }
 
-// startsBytes returns the byte length of the starts array including its
-// alignment padding.
-func startsBytes(p int) int64 {
-	raw := int64(4 * (p + 1))
-	return (raw + 7) &^ 7
-}
-
-// tableOffset returns the file offset of the section table.
+// tableOffset returns the file offset of the section table: the fixed
+// prelude plus the starts array with its alignment padding.
 func tableOffset(p int) int64 {
-	return int64(headerFixedBytes) + startsBytes(p)
+	return int64(headerFixedBytes) + pad8(int64(4*(p+1)))
 }
 
-// dataOffset returns the file offset of the first section array.
+// dataOffset returns the file offset of the first section.
 func dataOffset(p int) int64 {
 	return tableOffset(p) + int64(8*secFieldCount*p)
 }
@@ -143,21 +140,16 @@ func parseHeader(data []byte) (header, error) {
 	if string(data[:8]) != Magic {
 		return header{}, fmt.Errorf("store: bad magic %q (want %q)", data[:8], Magic)
 	}
-	v := leU32(data[8:])
-	if v != Version && v != Version3 {
-		return header{}, fmt.Errorf("store: unsupported format version %d (want %d or %d)", v, Version, Version3)
+	if v := leU32(data[8:]); v != Version {
+		return header{}, fmt.Errorf("store: format version %d, this build reads only version %d — regenerate the file (pgxd-gen -format csr2|csr3)", v, Version)
 	}
 	h := header{
-		version:  v,
 		flags:    leU32(data[12:]),
 		numNodes: leU64(data[16:]),
 		numEdges: leU64(data[24:]),
 	}
 	if h.flags&^knownFlags != 0 {
 		return header{}, fmt.Errorf("store: unknown flag bits %#x", h.flags&^knownFlags)
-	}
-	if compressed := h.flags&FlagCompressedEdges != 0; compressed != (v == Version3) {
-		return header{}, fmt.Errorf("store: version %d with compressed-edges flag %v — version and flag must agree", v, compressed)
 	}
 	p := leU64(data[32:])
 	if p < 1 || p > maxMachines {
@@ -173,6 +165,28 @@ func parseHeader(data []byte) (header, error) {
 	return h, nil
 }
 
+// renderHeader renders the fixed prelude, starts array and section table —
+// everything before the first section — for every writer.
+func renderHeader(h header, starts []uint32, table [][secFieldCount]int64) []byte {
+	buf := make([]byte, dataOffset(h.p))
+	copy(buf, Magic)
+	putU32(buf[8:], Version)
+	putU32(buf[12:], h.flags)
+	putU64(buf[16:], h.numNodes)
+	putU64(buf[24:], h.numEdges)
+	putU64(buf[32:], uint64(h.p))
+	for i, s := range starts {
+		putU32(buf[headerFixedBytes+4*i:], s)
+	}
+	tbl := tableOffset(h.p)
+	for mach := range table {
+		for f, v := range table[mach] {
+			putU64(buf[tbl+int64(8*(secFieldCount*mach+f)):], uint64(v))
+		}
+	}
+	return buf
+}
+
 // packRemoteRef encodes a remote node reference exactly as the engine's
 // local store does (core.RemoteRef): ^(machine<<32 | offset).
 func packRemoteRef(machine int, offset uint32) int64 {
@@ -183,4 +197,34 @@ func packRemoteRef(machine int, offset uint32) int64 {
 func unpackRemoteRef(ref int64) (machine int, offset uint32) {
 	packed := ^ref
 	return int(packed >> 32), uint32(packed)
+}
+
+// refIn spells global node v, owned by machine owner, in machine me's
+// ghost-free ref encoding: an owned id becomes its local index, anything else
+// a packed remote (machine, offset).
+func refIn(layout partition.Layout, me, owner int, v uint32) int64 {
+	if owner == me {
+		return int64(v - layout.Starts[me])
+	}
+	return packRemoteRef(owner, v-layout.Starts[owner])
+}
+
+// refOf is refIn for a node whose owner is not at hand: the owner search is
+// skipped for ids inside me's own range. v must be a valid node id.
+func refOf(layout partition.Layout, me int, v uint32) int64 {
+	if lo, hi := layout.Range(me); v >= lo && v < hi {
+		return int64(v - lo)
+	}
+	return refIn(layout, me, layout.Owner(v), v)
+}
+
+// nodeOf inverts refOf (store files are ghost-free, so every ref is
+// invertible): the global id ref names in machine me's frame, and the
+// machine that owns it — which the ref spells out, so no owner search.
+func nodeOf(layout partition.Layout, me int, ref int64) (v uint32, owner int) {
+	if ref >= 0 {
+		return layout.Starts[me] + uint32(ref), me
+	}
+	rm, off := unpackRemoteRef(ref)
+	return layout.Starts[rm] + off, rm
 }

@@ -55,6 +55,10 @@ const (
 	advSequential = syscall.MADV_SEQUENTIAL
 	advWillNeed   = syscall.MADV_WILLNEED
 	advDontNeed   = syscall.MADV_DONTNEED
+	// advPopulateWrite is MADV_POPULATE_WRITE (Linux 5.14+, absent from
+	// package syscall): prefault a range writable in one call. Older kernels
+	// reject it and the pages fault in one by one as before.
+	advPopulateWrite = 23
 )
 
 // advise applies madvise to b. The caller must pass a page-aligned start

@@ -38,10 +38,11 @@ func anonAlloc(size int64) ([]byte, func() error, error) {
 }
 
 const (
-	advNormal     = 0
-	advSequential = 1
-	advWillNeed   = 2
-	advDontNeed   = 3
+	advNormal        = 0
+	advSequential    = 1
+	advWillNeed      = 2
+	advDontNeed      = 3
+	advPopulateWrite = 4
 )
 
 func advise(b []byte, advice int) {}

@@ -5,20 +5,17 @@ import (
 	"unsafe"
 )
 
-// Residency is a bounded window of resident file pages. The engine's chunk
-// scheduler calls Touch as workers claim chunks: the claimed chunk's byte
-// ranges are advised WILLNEED (prefetch — chunk claim order is sequential
-// per machine, so this is the streaming hint), appended to a FIFO ring, and
-// when the ring's page total exceeds the budget the oldest ranges are
-// advised DONTNEED. The kernel would evict cold pages under real memory
-// pressure anyway; the explicit window keeps peak RSS under the configured
-// budget even on an otherwise idle machine, which is what the RSS-capped
-// bench asserts.
-//
-// All methods are nil-safe no-ops, so call sites need no out-of-core branch.
-type Residency struct {
+// residency is a bounded window of resident file pages. A Load touches it as
+// workers claim chunks: the claimed chunk's byte ranges are advised WILLNEED
+// (prefetch — chunk claim order is sequential per machine, so this is the
+// streaming hint), appended to a FIFO ring, and when the ring's page total
+// exceeds the budget the oldest ranges are advised DONTNEED. The kernel would
+// evict cold pages under real memory pressure anyway; the explicit window
+// keeps peak RSS under the configured budget even on an otherwise idle
+// machine, which is what the RSS-capped bench asserts.
+type residency struct {
 	mu       sync.Mutex
-	data     []byte // the mapping; Touch ignores pointers outside it
+	data     []byte // the mapping; touch ignores pointers outside it
 	base     uintptr
 	budget   int64
 	pageSize int64
@@ -26,7 +23,7 @@ type Residency struct {
 	used int64
 	ring []resSpan
 
-	// Advise accounting (see Stats): bytes advised in by Touch calls and
+	// Advise accounting (see stats): bytes advised in by touch calls and
 	// bytes advised out by budget eviction, page-rounded, lifetime totals.
 	touchedBytes int64
 	evictedBytes int64
@@ -41,14 +38,14 @@ type ResidencyStats struct {
 
 type resSpan struct{ off, length int64 }
 
-// NewResidency returns a residency window over this file's mapping with the
+// newResidency returns a residency window over this file's mapping with the
 // given page budget in bytes. A budget <= 0, or a non-mmap platform, returns
-// nil (every Touch no-ops and the page cache alone governs residency).
-func (sf *File) NewResidency(budgetBytes int64) *Residency {
+// nil (the page cache alone governs residency).
+func (sf *File) newResidency(budgetBytes int64) *residency {
 	if budgetBytes <= 0 || !mmapBacked || len(sf.data) == 0 {
 		return nil
 	}
-	return &Residency{
+	return &residency{
 		data:     sf.data,
 		base:     uintptr(unsafe.Pointer(&sf.data[0])),
 		budget:   budgetBytes,
@@ -56,34 +53,18 @@ func (sf *File) NewResidency(budgetBytes int64) *Residency {
 	}
 }
 
-// TouchI64 marks s[lo:hi] (an int64 view aliasing the mapping) as about to
-// be read. Slices not backed by the mapping — in-memory stores, heap copies
-// — are ignored.
-func (r *Residency) TouchI64(s []int64, lo, hi int64) {
-	if r == nil || hi <= lo || len(s) == 0 {
+// touch marks s[lo:hi] — a view aliasing the mapping — as about to be read.
+// Slices not backed by the mapping (a compressed section's heap rows) are
+// ignored.
+func touch[T int64 | float64 | byte](r *residency, s []T, lo, hi int64) {
+	if hi <= lo || len(s) == 0 {
 		return
 	}
-	r.touch(uintptr(unsafe.Pointer(&s[lo])), 8*(hi-lo))
+	r.touchRange(uintptr(unsafe.Pointer(&s[lo])), (hi-lo)*int64(unsafe.Sizeof(s[0])))
 }
 
-// TouchF64 is TouchI64 for float64 views (edge weights).
-func (r *Residency) TouchF64(s []float64, lo, hi int64) {
-	if r == nil || hi <= lo || len(s) == 0 {
-		return
-	}
-	r.touch(uintptr(unsafe.Pointer(&s[lo])), 8*(hi-lo))
-}
-
-// TouchBytes is TouchI64 for raw byte views (compressed section blobs).
-func (r *Residency) TouchBytes(s []byte, lo, hi int64) {
-	if r == nil || hi <= lo || len(s) == 0 {
-		return
-	}
-	r.touch(uintptr(unsafe.Pointer(&s[lo])), hi-lo)
-}
-
-// Stats snapshots the window's advise counters. Nil-safe.
-func (r *Residency) Stats() ResidencyStats {
+// stats snapshots the window's advise counters. Nil-safe.
+func (r *residency) stats() ResidencyStats {
 	if r == nil {
 		return ResidencyStats{}
 	}
@@ -92,7 +73,7 @@ func (r *Residency) Stats() ResidencyStats {
 	return ResidencyStats{TouchedBytes: r.touchedBytes, EvictedBytes: r.evictedBytes}
 }
 
-func (r *Residency) touch(ptr uintptr, length int64) {
+func (r *residency) touchRange(ptr uintptr, length int64) {
 	if ptr < r.base || ptr >= r.base+uintptr(len(r.data)) {
 		return
 	}
@@ -123,17 +104,4 @@ func (r *Residency) touch(ptr uintptr, length int64) {
 		r.evictedBytes += old.length
 		advise(r.data[old.off:old.off+old.length], advDontNeed)
 	}
-}
-
-// Drop releases the whole window (end of a run): every ringed span is
-// advised away and the ring resets.
-func (r *Residency) Drop() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	advise(r.data, advDontNeed)
-	r.ring = nil
-	r.used = 0
 }

@@ -1,24 +1,10 @@
 package store
 
-// Sizing is the store's sizing report for a graph: what the CSR file
-// occupies on disk (raw and compressed) and what an in-memory engine load of
-// the same graph would pin resident. The server's admission memory gate
-// budgets runs against EstimatedResidentMB when the client does not declare
-// its own cap.
+// Sizing is the store's sizing report for a graph: what an in-memory engine
+// load of it would pin resident. The server's admission memory gate budgets
+// runs against EstimatedResidentMB when the client does not declare its own
+// cap.
 type Sizing struct {
-	// FileBytes is the raw CSR v2 file size (header + sections). Exact.
-	FileBytes int64
-	// CompressedFileBytes estimates the same graph's compressed (v3) file
-	// size: varint degrees plus zigzag-delta varint refs plus the block
-	// index, with weights uncompressed. It is an upper-bound-leaning
-	// estimate from the id width alone — real delta streams compress
-	// further. File.Sizing on an open v3 file replaces it with the exact
-	// size.
-	CompressedFileBytes int64
-	// DecodeCacheBytes is the decode-cache budget a compressed run would
-	// add to its resident set: the default budget, capped at what a full
-	// decode of both orientations could ever use.
-	DecodeCacheBytes int64
 	// InMemoryBytes estimates the resident set of an in-memory load: the
 	// shared graph (both CSR orientations, 4-byte columns), the per-machine
 	// pre-resolved 8-byte refs in both orientations, degree/chunk metadata,
@@ -36,59 +22,19 @@ func (s Sizing) EstimatedResidentMB() int64 {
 	return mb
 }
 
-// varintLen returns the LEB128 byte length of v.
-func varintLen(v uint64) int64 {
-	n := int64(1)
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // SizeOf reports the sizing for a graph with n nodes and m directed edges,
 // running an algorithm that keeps propCols 8-byte property columns live (use
-// 3 — the historical allowance — when the algorithm is unknown). The raw
-// file size assumes the single-section-per-machine CSR v2 layout and is
-// exact for any machine count (rows arrays add 8*(n+p) bytes total — the p
-// term is folded into the node term here, a <0.1% overcount).
-func SizeOf(n int, m int64, p int, weighted bool, propCols int) Sizing {
+// 3 — the historical allowance — when the algorithm is unknown). The machine
+// count does not move the estimate: every term is per node or per edge.
+func SizeOf(n int, m int64, _ int, weighted bool, propCols int) Sizing {
 	wf := int64(0)
 	if weighted {
 		wf = 1
 	}
-	var s Sizing
-	// Per orientation: rows 8*(n+p), refs 8*m, weights 8*m if weighted.
-	s.FileBytes = dataOffset(p) + 2*(8*int64(n+p)+8*m+wf*8*m)
-	// Compressed refs: a zigzag-delta gap can span the whole id range, so
-	// budget the varint width of 2n per edge; degrees are mostly 1-2 byte
-	// varints; the block index adds 16 bytes per ~v3BlockTargetEdges edges.
-	perRef := varintLen(uint64(2 * int64(n)))
-	s.CompressedFileBytes = dataOffset(p) +
-		2*(v3BlobHeaderBytes*int64(p)+2*int64(n)+perRef*m+16*(m/v3BlockTargetEdges+int64(p)+1)) +
-		2*wf*8*m
-	s.DecodeCacheBytes = DefaultDecodeCacheBytes
-	if full := 2 * 8 * m; full < s.DecodeCacheBytes {
-		s.DecodeCacheBytes = full
-	}
 	// Graph: rows 8*(n+1) and 4-byte cols per orientation (+8-byte weights);
 	// engine: 8-byte refs per orientation, rebased rows, both-rows, degrees
 	// (2*4 bytes), and the algorithm's property columns.
-	s.InMemoryBytes = 2*(8*int64(n+1)+4*m+wf*8*m) + // shared graph
+	return Sizing{InMemoryBytes: 2*(8*int64(n+1)+4*m+wf*8*m) + // shared graph
 		2*(8*m+wf*8*m) + 3*8*int64(n) + // local stores
-		8*int64(n) + int64(propCols)*8*int64(n) // bothRows + degrees + properties
-	return s
-}
-
-// Sizing returns the open file's sizing report with propCols live property
-// columns: the side matching the file's own format (raw or compressed) is
-// exact, the other stays estimated.
-func (sf *File) Sizing(propCols int) Sizing {
-	s := SizeOf(sf.NumNodes(), sf.NumEdges(), sf.NumMachines(), sf.Weighted(), propCols)
-	if sf.Compressed() {
-		s.CompressedFileBytes = sf.FileBytes() // exact
-	} else {
-		s.FileBytes = sf.FileBytes() // exact
-	}
-	return s
+		8*int64(n) + int64(propCols)*8*int64(n)} // bothRows + degrees + properties
 }

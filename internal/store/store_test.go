@@ -7,11 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
-func testGraph(t *testing.T, weighted bool) *graph.Graph {
+func testGraph(t testing.TB, weighted bool) *graph.Graph {
 	t.Helper()
 	g, err := graph.RMAT(8, 8, graph.TwitterLike(), 42)
 	if err != nil {
@@ -23,14 +24,59 @@ func testGraph(t *testing.T, weighted bool) *graph.Graph {
 	return g
 }
 
-// globalView reconstructs the global CSR from a file's sections and compares
-// it against the source orientation, including per-row neighbor order.
-func checkOrientation(t *testing.T, sf *File, src *graph.CSR, out bool) {
+// encodings are the two section spellings, by the file suffix that names them.
+var encodings = []struct {
+	name  string
+	write func(path string, g *graph.Graph, p int) error
+}{
+	{"csr2", WriteGraph},
+	{"csr3", WriteGraphCompressed},
+}
+
+// writeOpen writes g in one encoding and opens the file.
+func writeOpen(t testing.TB, g *graph.Graph, p int, write func(string, *graph.Graph, int) error) *File {
 	t.Helper()
-	layout := sf.Layout()
-	var at int64
-	for mach := 0; mach < sf.NumMachines(); mach++ {
-		sec := sf.Section(mach)
+	path := filepath.Join(t.TempDir(), "g.csr")
+	if err := write(path, g, p); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sf.Close() })
+	return sf
+}
+
+// pinAll claims every row of every section of a load, so a compressed file's
+// refs are fully decoded, and returns the release of all claims.
+func pinAll(t testing.TB, ld *Load) func() {
+	t.Helper()
+	var toks []PinToken
+	for mach := 0; mach < ld.File().NumMachines(); mach++ {
+		for orient := 0; orient < 2; orient++ {
+			tok, err := ld.Claim(mach, orient, 0, int64(ld.File().layout.NumLocal(mach)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			toks = append(toks, tok)
+		}
+	}
+	return func() {
+		for i := range toks {
+			toks[i].Release()
+		}
+	}
+}
+
+// checkOrientation reconstructs the global CSR from a load's sections and
+// compares it against the source orientation, including per-row neighbor
+// order and weights. The caller holds claims on every row.
+func checkOrientation(t *testing.T, ld *Load, src *graph.CSR, out bool) {
+	t.Helper()
+	layout := ld.File().Layout()
+	for mach := 0; mach < layout.NumMachines; mach++ {
+		sec := ld.Section(mach)
 		rows, refs, weights := sec.InRows, sec.InRefs, sec.InWeights
 		if out {
 			rows, refs, weights = sec.OutRows, sec.OutRefs, sec.OutWeights
@@ -47,13 +93,7 @@ func checkOrientation(t *testing.T, sf *File, src *graph.CSR, out bool) {
 				t.Fatalf("machine %d node %d: degree %d, want %d", mach, gu, got, wantDeg)
 			}
 			for i := rows[u]; i < rows[u+1]; i++ {
-				var v graph.NodeID
-				if refs[i] >= 0 {
-					v = lo + graph.NodeID(refs[i])
-				} else {
-					rm, off := unpackRemoteRef(refs[i])
-					v = layout.Starts[rm] + graph.NodeID(off)
-				}
+				v, _ := nodeOf(layout, mach, refs[i])
 				srcIdx := src.Rows[gu] + (i - rows[u])
 				if want := src.Cols[srcIdx]; v != want {
 					t.Fatalf("machine %d node %d edge %d: neighbor %d, want %d", mach, gu, i-rows[u], v, want)
@@ -64,126 +104,66 @@ func checkOrientation(t *testing.T, sf *File, src *graph.CSR, out bool) {
 					}
 				}
 			}
-			at++
 		}
 	}
 }
 
+// TestWriteOpenRoundTrip is the format's independent reference: whatever the
+// writer pipeline and either section spelling do, the sections an Open hands
+// out must equal the graph's own CSR — layout, degrees, neighbor order,
+// weights — with compressed refs read through a fully pinned decode.
 func TestWriteOpenRoundTrip(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		name := "unweighted"
-		if weighted {
-			name = "weighted"
-		}
-		t.Run(name, func(t *testing.T) {
-			g := testGraph(t, weighted)
-			path := filepath.Join(t.TempDir(), "g.csr2")
-			if err := WriteGraph(path, g, 3); err != nil {
-				t.Fatal(err)
+	for _, enc := range encodings {
+		for _, weighted := range []bool{false, true} {
+			name := enc.name + "/unweighted"
+			if weighted {
+				name = enc.name + "/weighted"
 			}
-			sf, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sf.Close()
-			if sf.NumNodes() != g.NumNodes() || sf.NumEdges() != g.NumEdges() {
-				t.Fatalf("header (n=%d m=%d), want (n=%d m=%d)", sf.NumNodes(), sf.NumEdges(), g.NumNodes(), g.NumEdges())
-			}
-			if sf.Weighted() != weighted {
-				t.Fatalf("weighted = %v, want %v", sf.Weighted(), weighted)
-			}
-			wantLayout, err := partition.Compute(g, 3, partition.EdgeBalanced)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotLayout := sf.Layout()
-			for i := range wantLayout.Starts {
-				if gotLayout.Starts[i] != wantLayout.Starts[i] {
-					t.Fatalf("layout starts %v, want %v", gotLayout.Starts, wantLayout.Starts)
+			t.Run(name, func(t *testing.T) {
+				g := testGraph(t, weighted)
+				sf := writeOpen(t, g, 3, enc.write)
+				if sf.NumNodes() != g.NumNodes() || sf.NumEdges() != g.NumEdges() {
+					t.Fatalf("header (n=%d m=%d), want (n=%d m=%d)", sf.NumNodes(), sf.NumEdges(), g.NumNodes(), g.NumEdges())
 				}
-			}
-			checkOrientation(t, sf, &g.Out, true)
-			checkOrientation(t, sf, &g.In, false)
-			wantMass := wantLayout.DegreeMass(g)
-			gotMass := sf.DegreeMass()
-			for i := range wantMass {
-				if gotMass[i] != wantMass[i] {
-					t.Fatalf("degree mass %v, want %v", gotMass, wantMass)
+				if sf.Weighted() != weighted {
+					t.Fatalf("weighted = %v, want %v", sf.Weighted(), weighted)
 				}
-			}
-		})
-	}
-}
-
-func TestSizeOfMatchesFile(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		g := testGraph(t, weighted)
-		path := filepath.Join(t.TempDir(), "g.csr2")
-		if err := WriteGraph(path, g, 4); err != nil {
-			t.Fatal(err)
+				if compressed := enc.name == "csr3"; sf.Compressed() != compressed {
+					t.Fatalf("Compressed() = %v, want %v", sf.Compressed(), compressed)
+				} else if sec := sf.Section(0); compressed != (sec.OutRefs == nil && sec.InRefs == nil) {
+					t.Fatal("a file's own Section must expose refs iff it is raw")
+				}
+				wantLayout, err := partition.Compute(g, 3, partition.EdgeBalanced)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotLayout := sf.Layout()
+				for i := range wantLayout.Starts {
+					if gotLayout.Starts[i] != wantLayout.Starts[i] {
+						t.Fatalf("layout starts %v, want %v", gotLayout.Starts, wantLayout.Starts)
+					}
+				}
+				ld, err := sf.NewLoad(0, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				release := pinAll(t, ld)
+				checkOrientation(t, ld, &g.Out, true)
+				checkOrientation(t, ld, &g.In, false)
+				release()
+				if st := ld.Stats(); st.Decode.PinnedBlocks != 0 {
+					t.Fatalf("%d blocks still pinned after release", st.Decode.PinnedBlocks)
+				}
+				wantMass := wantLayout.DegreeMass(g)
+				gotMass := sf.DegreeMass()
+				for i := range wantMass {
+					if gotMass[i] != wantMass[i] {
+						t.Fatalf("degree mass %v, want %v", gotMass, wantMass)
+					}
+				}
+			})
 		}
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := SizeOf(g.NumNodes(), g.NumEdges(), 4, weighted, 3).FileBytes; got != st.Size() {
-			t.Fatalf("weighted=%v: SizeOf %d, file %d", weighted, got, st.Size())
-		}
 	}
-}
-
-// TestStreamedMatchesInMemory: WriteStream over a regenerating edge stream
-// must produce byte-for-byte the file WriteGraph produces from the fully
-// materialized graph — same layout cut, same ref order, same canonical
-// in-orientation.
-func TestStreamedMatchesInMemory(t *testing.T) {
-	dir := t.TempDir()
-	cases := []struct {
-		name   string
-		stream *graph.GenStream
-		build  func() (*graph.Graph, error)
-	}{
-		{"rmat", mustStream(graph.RMATStream(8, 8, graph.TwitterLike(), 42)),
-			func() (*graph.Graph, error) { return graph.RMAT(8, 8, graph.TwitterLike(), 42) }},
-		{"uniform", mustStream(graph.UniformStream(300, 4000, 9)),
-			func() (*graph.Graph, error) { return graph.Uniform(300, 4000, 9) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g, err := tc.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			memPath := filepath.Join(dir, tc.name+".mem.csr2")
-			if err := WriteGraph(memPath, g, 3); err != nil {
-				t.Fatal(err)
-			}
-			streamPath := filepath.Join(dir, tc.name+".stream.csr2")
-			// Tiny buckets force many sweeps, exercising the re-runnability
-			// contract and the bucket math.
-			if err := WriteStream(streamPath, tc.stream, StreamOptions{Machines: 3, BucketBytes: 1 << 12}); err != nil {
-				t.Fatal(err)
-			}
-			a, err := os.ReadFile(memPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := os.ReadFile(streamPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Fatalf("streamed file differs from in-memory file (%d vs %d bytes)", len(b), len(a))
-			}
-		})
-	}
-}
-
-func mustStream(s *graph.GenStream, err error) *graph.GenStream {
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // edgeListStream adapts a fixed edge list (optionally weighted) to the
@@ -202,39 +182,160 @@ func (s *edgeListStream) Sweep(emit func(u, v uint32, w float64)) {
 	}
 }
 
-func TestStreamedWeighted(t *testing.T) {
-	g := testGraph(t, true)
-	es := &edgeListStream{n: g.NumNodes(), edges: g.EdgeList(), weighted: true}
-	dir := t.TempDir()
-	memPath := filepath.Join(dir, "w.mem.csr2")
-	streamPath := filepath.Join(dir, "w.stream.csr2")
-	if err := WriteGraph(memPath, g, 2); err != nil {
-		t.Fatal(err)
+func mustStream(s *graph.GenStream, err error) *graph.GenStream {
+	if err != nil {
+		panic(err)
 	}
-	if err := WriteStream(streamPath, es, StreamOptions{Machines: 2, BucketBytes: 1 << 13}); err != nil {
-		t.Fatal(err)
+	return s
+}
+
+// TestStreamedMatchesInMemory pins the bucket arithmetic: a regenerating edge
+// stream scattered through tiny buckets (many sweeps, exercising the
+// re-runnability contract) must produce byte-for-byte the file the
+// materialized graph produces in one bucket — same layout cut, same ref
+// order, same canonical in-orientation — in both encodings, leaving no raw
+// temp behind.
+func TestStreamedMatchesInMemory(t *testing.T) {
+	wg := testGraph(t, true)
+	cases := []struct {
+		name   string
+		stream EdgeStream
+		build  func() (*graph.Graph, error)
+		bucket int64
+	}{
+		{"rmat", mustStream(graph.RMATStream(8, 8, graph.TwitterLike(), 42)),
+			func() (*graph.Graph, error) { return graph.RMAT(8, 8, graph.TwitterLike(), 42) }, 1 << 12},
+		{"uniform", mustStream(graph.UniformStream(300, 4000, 9)),
+			func() (*graph.Graph, error) { return graph.Uniform(300, 4000, 9) }, 1 << 12},
+		{"weighted", &edgeListStream{n: wg.NumNodes(), edges: wg.EdgeList(), weighted: true},
+			func() (*graph.Graph, error) { return wg, nil }, 1 << 13},
 	}
-	a, _ := os.ReadFile(memPath)
-	b, _ := os.ReadFile(streamPath)
-	if !bytes.Equal(a, b) {
-		t.Fatal("weighted streamed file differs from in-memory file")
+	for _, tc := range cases {
+		for _, enc := range encodings {
+			t.Run(tc.name+"/"+enc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				g, err := tc.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				memPath := filepath.Join(dir, "mem")
+				if err := enc.write(memPath, g, 3); err != nil {
+					t.Fatal(err)
+				}
+				streamPath := filepath.Join(dir, "stream")
+				opt := StreamOptions{Machines: 3, BucketBytes: tc.bucket, Compress: enc.name == "csr3"}
+				if err := WriteStream(streamPath, tc.stream, opt); err != nil {
+					t.Fatal(err)
+				}
+				a, err := os.ReadFile(memPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := os.ReadFile(streamPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("streamed file differs from in-memory file (%d vs %d bytes)", len(b), len(a))
+				}
+				ents, _ := os.ReadDir(dir)
+				for _, e := range ents {
+					if strings.HasPrefix(e.Name(), ".pgxd-raw-") {
+						t.Fatalf("temp file %s left behind", e.Name())
+					}
+				}
+			})
+		}
 	}
 }
 
-// writeValid produces a small valid file plus its parsed form for
-// corruption tests.
-func writeValid(t *testing.T) (string, []byte) {
+// TestCompressedSmaller asserts the headline ratio on an unweighted RMAT:
+// even at tiny scale the compressed spelling must beat raw by >= 1.8x overall.
+func TestCompressedSmaller(t *testing.T) {
+	g, err := graph.RMAT(10, 8, graph.TwitterLike(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, comp := writeOpen(t, g, 4, WriteGraph), writeOpen(t, g, 4, WriteGraphCompressed)
+	ratio := float64(raw.FileBytes()) / float64(comp.FileBytes())
+	if ratio < 1.8 {
+		t.Fatalf("compression ratio %.2fx (raw %d, compressed %d), want >= 1.8x",
+			ratio, raw.FileBytes(), comp.FileBytes())
+	}
+}
+
+// sectionAt locates the parts of machine 0's out section in a file image, for
+// the corruption rows to aim at.
+type sectionAt struct {
+	off, rows, index, refs         int64 // file offsets
+	rowBytes, blockCount, refBytes int64
+}
+
+func locate(d []byte) sectionAt {
+	p := int(leU64(d[32:]))
+	s := sectionAt{off: int64(leU64(d[tableOffset(p):]))}
+	s.rowBytes, s.blockCount, s.refBytes = int64(leU64(d[s.off:])), int64(leU64(d[s.off+8:])), int64(leU64(d[s.off+16:]))
+	s.rows = s.off + subHeaderBytes
+	s.index = s.rows + pad8(s.rowBytes)
+	s.refs = s.index
+	if leU32(d[12:])&FlagCompressedEdges != 0 {
+		s.refs += 16 * (s.blockCount + 1)
+	}
+	return s
+}
+
+// ringImage returns the file image of the directed n-ring for one machine.
+func ringImage(t testing.TB, n int, write func(string, *graph.Graph, int) error) []byte {
 	t.Helper()
-	g := testGraph(t, false)
-	path := filepath.Join(t.TempDir(), "g.csr2")
-	if err := WriteGraph(path, g, 2); err != nil {
+	edges := make([]graph.Edge, n)
+	for u := range edges {
+		edges[u] = graph.Edge{Src: graph.NodeID(u), Dst: graph.NodeID((u + 1) % n)}
+	}
+	g, err := graph.FromEdges(n, edges, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fileImage(t, g, 1, write)
+}
+
+func fileImage(t testing.TB, g *graph.Graph, p int, write func(string, *graph.Graph, int) error) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.csr")
+	if err := write(path, g, p); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return path, data
+	return data
+}
+
+// wrapLastRow makes a raw image's machine 0 claim 2^61 out edges in its last
+// prefix sum: 8 * 2^61 wraps to 0, so a bounds check that multiplies before
+// it compares sees a zero-length ref array and slices the mapping with a
+// count no slice can have.
+func wrapLastRow(d []byte) []byte {
+	s := locate(d)
+	putU64(d[s.rows+s.rowBytes-8:], 1<<61)
+	return d
+}
+
+// hugeDegreeCrasher is the compressed 8-ring shrunk to three rows of degrees
+// {1, 2^35, 1}: ~200 bytes whose second row asks for a 256 GiB decode buffer
+// unless the degree is checked against the ref bytes that could back it.
+func hugeDegreeCrasher(t testing.TB) []byte {
+	d := ringImage(t, 8, WriteGraphCompressed)
+	s := locate(d)
+	deg := codec.AppendUvarint(codec.AppendUvarint(codec.AppendUvarint(nil, 1), 1<<35), 1)
+	if int64(len(deg)) != s.rowBytes {
+		t.Fatalf("crasher degrees take %d bytes, ring rows %d", len(deg), s.rowBytes)
+	}
+	copy(d[s.rows:], deg)
+	putU64(d[16:], 3)                      // numNodes
+	putU32(d[headerFixedBytes+4:], 3)      // starts[1]
+	putU64(d[s.index+16*s.blockCount:], 3) // index sentinel firstRow
+	return d
 }
 
 func reopen(t *testing.T, path string, data []byte) error {
@@ -249,101 +350,142 @@ func reopen(t *testing.T, path string, data []byte) error {
 	return err
 }
 
+// TestOpenRejectsCorruption mutates a valid file of each encoding: every
+// torn, truncated, overlong, disagreeing, out-of-range or non-canonical input
+// must come back from Open as an error naming the problem — never a panic,
+// never an allocation sized by a number the file made up.
 func TestOpenRejectsCorruption(t *testing.T) {
-	path, orig := writeValid(t)
-
-	mutate := func(fn func(d []byte) []byte) []byte {
-		d := append([]byte(nil), orig...)
-		return fn(d)
+	const both, rawOnly, compOnly = "", "csr2", "csr3"
+	type image = []byte
+	mut := func(fn func(d image, s sectionAt)) func(image, sectionAt) image {
+		return func(d image, s sectionAt) image { fn(d, s); return d }
 	}
-
 	cases := []struct {
 		name    string
-		data    []byte
+		enc     string
+		corrupt func(d image, s sectionAt) image
 		wantSub string
 	}{
-		{"empty", nil, "too short"},
-		{"bad magic", mutate(func(d []byte) []byte { d[0] = 'X'; return d }), "bad magic"},
-		{"wrong version", mutate(func(d []byte) []byte { putU32(d[8:], 99); return d }), "version"},
-		{"unknown flags", mutate(func(d []byte) []byte { putU32(d[12:], 0xff00); return d }), "unknown flag"},
-		{"zero machines", mutate(func(d []byte) []byte { putU64(d[32:], 0); return d }), "machine count"},
-		{"truncated header", orig[:20], "too short"},
-		{"truncated table", orig[:headerFixedBytes+4], "truncated"},
-		{"truncated body", orig[:len(orig)-16], "truncated"},
-		{"trailing bytes", append(append([]byte(nil), orig...), 0, 0, 0, 0, 0, 0, 0, 0), "trailing"},
-		{"starts not covering", mutate(func(d []byte) []byte {
+		{"empty", both, func(image, sectionAt) image { return nil }, "too short"},
+		{"bad magic", both, mut(func(d image, _ sectionAt) { d[0] = 'X' }), "bad magic"},
+		{"wrong version", both, mut(func(d image, _ sectionAt) { putU32(d[8:], 99) }), "version"},
+		{"old raw container (v2)", both, mut(func(d image, _ sectionAt) { putU32(d[8:], 2) }), "regenerate"},
+		{"old compressed container (v3)", both, mut(func(d image, _ sectionAt) { putU32(d[8:], 3) }), "regenerate"},
+		{"unknown flags", both, mut(func(d image, _ sectionAt) { putU32(d[12:], 0xff00) }), "unknown flag"},
+		{"encoding flag flipped", both, mut(func(d image, _ sectionAt) { putU32(d[12:], leU32(d[12:])^FlagCompressedEdges) }), "store:"},
+		{"zero machines", both, mut(func(d image, _ sectionAt) { putU64(d[32:], 0) }), "machine count"},
+		{"truncated header", both, func(d image, _ sectionAt) image { return d[:20] }, "too short"},
+		{"truncated table", both, func(d image, _ sectionAt) image { return d[:headerFixedBytes+4] }, "truncated"},
+		{"truncated body", both, func(d image, _ sectionAt) image { return d[:len(d)-16] }, "truncated"},
+		{"trailing bytes", both, func(d image, _ sectionAt) image { return append(d, 0, 0, 0, 0, 0, 0, 0, 0) }, "trailing"},
+		{"starts not covering", both, mut(func(d image, _ sectionAt) {
 			putU32(d[headerFixedBytes+4*2:], 7) // starts[2] (=n for p=2) → bogus
-			return d
 		}), "cover"},
-		{"rows not monotone", mutate(func(d []byte) []byte {
-			// First machine's outRows[1] ← a huge value, breaking monotonicity
-			// against outRows[2] (or the refs-length agreement).
-			off := int64(leU64(d[tableOffset(2):]))
-			putU64(d[off+8:], 1<<40)
-			return d
-		}), "store:"},
-		{"local ref out of range", mutate(func(d []byte) []byte {
-			refsOff := int64(leU64(d[tableOffset(2)+8:]))
-			putU64(d[refsOff:], uint64(int64(1<<31))) // way past numLocal
-			return d
-		}), "out of range"},
-		{"remote ref bad machine", mutate(func(d []byte) []byte {
-			refsOff := int64(leU64(d[tableOffset(2)+8:]))
-			putU64(d[refsOff:], uint64(packRemoteRef(500, 0)))
-			return d
-		}), "remote machine"},
-		{"weight offset in unweighted", mutate(func(d []byte) []byte {
-			putU64(d[tableOffset(2)+16:], 64) // outWeights slot must be 0
-			return d
+		{"section offset moved", both, mut(func(d image, s sectionAt) { putU64(d[tableOffset(2):], uint64(s.off+8)) }), "expected"},
+		{"section length odd", both, mut(func(d image, _ sectionAt) {
+			putU64(d[tableOffset(2)+8:], leU64(d[tableOffset(2)+8:])+4)
+		}), "multiple of 8"},
+		{"section length past the file", both, mut(func(d image, _ sectionAt) { putU64(d[tableOffset(2)+8:], 1<<62) }), "truncated"},
+		{"weight offset in unweighted", both, mut(func(d image, _ sectionAt) {
+			putU64(d[tableOffset(2)+16:], 64) // out weights slot must be 0
 		}), "weight offset"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := reopen(t, path, tc.data)
-			if err == nil {
-				t.Fatal("Open accepted a corrupt file")
-			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
-			}
-		})
-	}
+		{"sub-header disagrees", both, mut(func(d image, s sectionAt) { putU64(d[s.off:], uint64(s.rowBytes+8)) }), "disagrees"},
+		{"sub-header implausible", both, mut(func(d image, s sectionAt) { putU64(d[s.off+16:], 1<<62) }), "implausible"},
 
-	// The original must still open after all that mutation.
-	if err := reopen(t, path, orig); err != nil {
-		t.Fatalf("valid file rejected: %v", err)
+		{"rows not monotone", rawOnly, mut(func(d image, s sectionAt) {
+			// rows[1] ← a huge value, breaking monotonicity against rows[2].
+			putU64(d[s.rows+8:], 1<<40)
+		}), "monotone"},
+		{"rows[0] non-zero", rawOnly, mut(func(d image, s sectionAt) { putU64(d[s.rows:], 1) }), "rows[0]"},
+		{"last row wraps the ref bound", rawOnly, func(d image, _ sectionAt) image { return wrapLastRow(d) }, "truncated"},
+		{"local ref out of range", rawOnly, mut(func(d image, s sectionAt) {
+			putU64(d[s.refs:], uint64(int64(1<<31))) // way past numLocal
+		}), "out of range"},
+		{"remote ref bad machine", rawOnly, mut(func(d image, s sectionAt) {
+			putU64(d[s.refs:], uint64(packRemoteRef(500, 0)))
+		}), "remote machine"},
+		{"raw section with blocks", rawOnly, mut(func(d image, s sectionAt) { putU64(d[s.off+8:], 1) }), "raw sub-header"},
+
+		{"torn degree varint", compOnly, mut(func(d image, s sectionAt) { d[s.rows] = 0x80 }), "store:"},
+		{"degree beyond the ref bytes", compOnly, func(image, sectionAt) image { return hugeDegreeCrasher(t) }, "ref bytes left"},
+		{"torn compressed row", compOnly, mut(func(d image, s sectionAt) { d[s.refs+s.refBytes-1] |= 0x80 }), "store:"},
+		{"bad sentinel row", compOnly, mut(func(d image, s sectionAt) {
+			at := d[s.index+16*s.blockCount:]
+			putU64(at, leU64(at)+1)
+		}), "sentinel"},
+		{"first block not zero", compOnly, mut(func(d image, s sectionAt) { putU64(d[s.index+8:], 1) }), "store:"},
+		{"non-zero padding", compOnly, mut(func(d image, s sectionAt) { d[s.refs+s.refBytes] = 1 }), "padding"},
+	}
+	for _, enc := range encodings {
+		orig := fileImage(t, testGraph(t, false), 2, enc.write)
+		at := locate(orig)
+		path := filepath.Join(t.TempDir(), "g.csr")
+		for _, tc := range cases {
+			if tc.enc != both && tc.enc != enc.name {
+				continue
+			}
+			if tc.name == "non-zero padding" && pad8(at.refBytes) == at.refBytes {
+				continue // this image happens to need no padding
+			}
+			t.Run(enc.name+"/"+tc.name, func(t *testing.T) {
+				err := reopen(t, path, tc.corrupt(append(image(nil), orig...), at))
+				if err == nil {
+					t.Fatal("Open accepted a corrupt file")
+				}
+				if !strings.Contains(err.Error(), tc.wantSub) {
+					t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+				}
+			})
+		}
+		// The original must still open after all that mutation.
+		if err := reopen(t, path, orig); err != nil {
+			t.Fatalf("%s: valid file rejected: %v", enc.name, err)
+		}
 	}
 }
 
-func TestResidencyWindow(t *testing.T) {
-	g := testGraph(t, false)
-	path := filepath.Join(t.TempDir(), "g.csr2")
-	if err := WriteGraph(path, g, 2); err != nil {
-		t.Fatal(err)
+// TestClaimWindow drives both encodings' claims through a tiny residency
+// window: claims must stay readable under eviction churn, the window must
+// account what it advised, and a load without a budget has no window.
+func TestClaimWindow(t *testing.T) {
+	g := testGraph(t, true)
+	for _, enc := range encodings {
+		t.Run(enc.name, func(t *testing.T) {
+			sf := writeOpen(t, g, 2, enc.write)
+			if ld, err := sf.NewLoad(0, 0); err != nil {
+				t.Fatal(err)
+			} else if ld.Windowed() {
+				t.Fatal("a load without a resident budget has a window")
+			}
+			ld, err := sf.NewLoad(8<<10, 0) // tiny: forces eviction churn
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ld.Windowed() != mmapBacked {
+				t.Fatalf("Windowed() = %v on a platform with mmapBacked = %v", ld.Windowed(), mmapBacked)
+			}
+			for mach := 0; mach < 2; mach++ {
+				sec := ld.Section(mach)
+				for u := int64(0); u+64 < int64(len(sec.OutRows)); u += 64 {
+					tok, err := ld.Claim(mach, OrientOut, u, u+64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for e := sec.OutRows[u]; e < sec.OutRows[u+64]; e++ {
+						if v, _ := nodeOf(sf.layout, mach, sec.OutRefs[e]); int(v) >= g.NumNodes() {
+							t.Fatalf("machine %d edge %d: claimed ref decodes to node %d", mach, e, v)
+						}
+					}
+					tok.Release()
+				}
+			}
+			st := ld.Stats()
+			if mmapBacked && (st.Residency.TouchedBytes == 0 || st.Residency.EvictedBytes == 0) {
+				t.Fatalf("an 8 KiB window saw no churn: %+v", st.Residency)
+			}
+			if st.Decode.PinnedBlocks != 0 {
+				t.Fatalf("%d blocks pinned after release", st.Decode.PinnedBlocks)
+			}
+		})
 	}
-	sf, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sf.Close()
-
-	var nilRes *Residency
-	nilRes.TouchI64(sf.Section(0).OutRefs, 0, 10) // nil-safe
-	nilRes.Drop()
-
-	res := sf.NewResidency(8 << 10) // tiny: forces eviction churn
-	if res == nil && mmapBacked {
-		t.Fatal("NewResidency returned nil on an mmap platform")
-	}
-	for mach := 0; mach < 2; mach++ {
-		sec := sf.Section(mach)
-		rows := sec.OutRows
-		for u := 0; u+64 < len(rows); u += 64 {
-			res.TouchI64(rows, int64(u), int64(u+64))
-			res.TouchI64(sec.OutRefs, rows[u], rows[u+64])
-		}
-	}
-	// Heap slices are ignored, not advised.
-	res.TouchI64(make([]int64, 128), 0, 128)
-	res.Drop()
 }

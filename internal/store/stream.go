@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+
+	"repro/internal/partition"
 )
 
 // EdgeStream is a re-runnable source of directed edges. Sweep must emit the
@@ -29,41 +31,48 @@ type StreamOptions struct {
 	// Smaller buckets mean more stream sweeps but a lower peak RSS. Default
 	// 64 MiB.
 	BucketBytes int64
-	// Compress emits a compressed (v3) file: the raw v2 file streams to a
-	// temp next to path, compresses through CompressFile's sequential
-	// O(nodes + block) pass, and the temp is removed. Peak memory stays
-	// O(nodes + bucket).
+	// Compress emits the compressed section spelling: the raw file streams to
+	// a temp next to path, CompressFile re-encodes it in one sequential
+	// O(nodes + block) pass — varint blocks cannot be scattered into — and
+	// the temp is removed. Peak memory stays O(nodes + bucket).
 	Compress bool
 }
 
-// WriteStream emits a CSR v2 file from an edge stream without ever
-// materializing the graph: O(N) memory for degree prefixes plus one scatter
-// bucket, never O(M). Three logical passes:
+// WriteStream is the one writer of store files: it emits a file from an edge
+// stream without ever materializing the graph — O(N) memory for degree
+// prefixes plus one scatter bucket, never O(M). Three logical passes:
 //
 //  1. one sweep counts out/in degrees, fixing the edge-balanced layout
-//     (mirroring partition.Compute, so the cut matches an in-memory load)
-//     and every row array;
+//     (partition.EdgeBalancedStarts, the cut partition.Compute makes, so the
+//     file matches an in-memory load) and with it every section offset and
+//     row array;
 //  2. out-refs scatter in node-range buckets sized to BucketBytes — one
 //     sweep per bucket, writing refs through a shared RW mapping and
 //     advising each completed bucket's pages away;
 //  3. in-refs derive from the already-written out sections, read in global
 //     source order — exactly the canonical transpose order the in-memory
-//     builder uses — so the streamed file is byte-identical to
-//     WriteGraph of the same graph.
+//     graph builder uses — so a file is bit-compatible with an in-memory
+//     load of the same edges.
 func WriteStream(path string, es EdgeStream, opt StreamOptions) error {
-	if opt.Compress {
-		tmp, err := rawTemp(path)
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp) //nolint:errcheck
-		raw := opt
-		raw.Compress = false
-		if err := WriteStream(tmp, es, raw); err != nil {
-			return err
-		}
-		return CompressFile(path, tmp)
+	if !opt.Compress {
+		return writeRaw(path, es, opt, true)
 	}
+	tmp, err := rawTemp(path)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp) //nolint:errcheck
+	// The temp is read back and removed before this returns: it needs no
+	// flush to disk.
+	if err := writeRaw(tmp, es, opt, false); err != nil {
+		return err
+	}
+	return CompressFile(path, tmp)
+}
+
+// writeRaw runs the three passes, emitting the raw spelling; durable syncs
+// the file to disk before returning.
+func writeRaw(path string, es EdgeStream, opt StreamOptions, durable bool) error {
 	n := es.NumNodes()
 	if n <= 0 {
 		return fmt.Errorf("store: stream has no nodes")
@@ -78,11 +87,10 @@ func WriteStream(path string, es EdgeStream, opt StreamOptions) error {
 	if p < 1 || p > maxMachines {
 		return fmt.Errorf("store: machine count %d out of range [1, %d]", p, maxMachines)
 	}
-	bucketBytes := opt.BucketBytes
-	if bucketBytes <= 0 {
-		bucketBytes = 64 << 20
+	sw := &streamWriter{n: n, weighted: es.Weighted(), bucketBytes: opt.BucketBytes}
+	if sw.bucketBytes <= 0 {
+		sw.bucketBytes = 64 << 20
 	}
-	weighted := es.Weighted()
 
 	// Pass 1: degrees. int32 per node bounds writer memory at 8 bytes/node
 	// here plus 16 bytes/node of prefixes below.
@@ -104,31 +112,24 @@ func WriteStream(path string, es EdgeStream, opt StreamOptions) error {
 	if streamErr != nil {
 		return streamErr
 	}
-
-	starts := layoutFromDegrees(outDeg, inDeg, p)
-	ownerArr := make([]uint16, n)
-	for mach := 0; mach < p; mach++ {
-		for u := starts[mach]; u < starts[mach+1]; u++ {
-			ownerArr[u] = uint16(mach)
-		}
-	}
-	outPrefix := prefixFromDeg(outDeg)
-	inPrefix := prefixFromDeg(inDeg)
+	starts := partition.EdgeBalancedStarts(n, p, func(u int) int64 { return int64(outDeg[u]) + int64(inDeg[u]) })
+	sw.layout = partition.Layout{NumMachines: p, Starts: starts}
+	sw.prefix = [2][]int64{prefixFromDeg(outDeg), prefixFromDeg(inDeg)}
 	outDeg, inDeg = nil, nil
 
-	lay := newFileLayout(n, m, p, weighted, starts,
-		func(mach int) int64 { return outPrefix[starts[mach+1]] - outPrefix[starts[mach]] },
-		func(mach int) int64 { return inPrefix[starts[mach+1]] - inPrefix[starts[mach]] })
-
+	// Section sizes follow from the layout and the degree prefixes, so every
+	// offset is fixed before a byte is written and refs scatter straight to
+	// their final position.
+	total := sw.place()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := f.Truncate(lay.total); err != nil {
+	if err := f.Truncate(total); err != nil {
 		return err
 	}
-	data, closeMap, err := mapRW(f, lay.total)
+	data, closeMap, err := mapRW(f, total)
 	if err != nil {
 		return fmt.Errorf("store: mmap %s for writing: %w", path, err)
 	}
@@ -138,69 +139,29 @@ func WriteStream(path string, es EdgeStream, opt StreamOptions) error {
 			closeMap() //nolint:errcheck
 		}
 	}()
-
-	copy(data, lay.headerBytes())
-	// Row arrays: rebased prefix sums, written straight into the mapping.
-	for mach := 0; mach < p; mach++ {
-		lo, hi := int64(starts[mach]), int64(starts[mach+1])
-		for u := lo; u <= hi; u++ {
-			putU64(data[lay.offs[mach][0]+8*(u-lo):], uint64(outPrefix[u]-outPrefix[lo]))
-			putU64(data[lay.offs[mach][3]+8*(u-lo):], uint64(inPrefix[u]-inPrefix[lo]))
-		}
+	sw.data = data
+	if total <= sw.bucketBytes {
+		// The whole file fits the dirty working set the caller allowed, so
+		// fault it in with one call instead of one trap per scattered page.
+		advise(data, advPopulateWrite)
 	}
 
-	sw := &streamWriter{
-		data: data, lay: lay, starts: starts, ownerArr: ownerArr,
-		outPrefix: outPrefix, inPrefix: inPrefix, weighted: weighted,
-		bucketBytes: bucketBytes,
+	hdr := header{numNodes: uint64(n), numEdges: uint64(m), p: p}
+	if sw.weighted {
+		hdr.flags = FlagWeighted
 	}
+	copy(data, renderHeader(hdr, starts, sw.table))
+	sw.writeRows()
 	if err := sw.scatterOut(es); err != nil {
 		return err
 	}
 	sw.scatterIn()
 	advise(data, advDontNeed)
 	mapDone = true
-	if err := closeMap(); err != nil {
+	if err := closeMap(); err != nil || !durable {
 		return err
 	}
 	return f.Sync()
-}
-
-// layoutFromDegrees mirrors partition.Compute's EdgeBalanced walk (including
-// the zero-edge vertex fallback and the monotonicity clamp) over streaming
-// degree counts, so a streamed file and an in-memory Load cut identically.
-func layoutFromDegrees(outDeg, inDeg []int32, p int) []uint32 {
-	n := len(outDeg)
-	starts := make([]uint32, p+1)
-	starts[p] = uint32(n)
-	var total int64
-	for u := 0; u < n; u++ {
-		total += int64(outDeg[u]) + int64(inDeg[u])
-	}
-	if total == 0 {
-		for mach := 1; mach < p; mach++ {
-			starts[mach] = uint32(mach * n / p)
-		}
-	} else {
-		var acc int64
-		next := 1
-		for u := 0; u < n && next < p; u++ {
-			acc += int64(outDeg[u]) + int64(inDeg[u])
-			for next < p && acc >= int64(next)*total/int64(p) {
-				starts[next] = uint32(u + 1)
-				next++
-			}
-		}
-		for ; next < p; next++ {
-			starts[next] = uint32(n)
-		}
-	}
-	for mach := 1; mach <= p; mach++ {
-		if starts[mach] < starts[mach-1] {
-			starts[mach] = starts[mach-1]
-		}
-	}
-	return starts
 }
 
 func prefixFromDeg(deg []int32) []int64 {
@@ -211,31 +172,80 @@ func prefixFromDeg(deg []int32) []int64 {
 	return prefix
 }
 
-// streamWriter holds the scatter state shared by the out and in passes.
+// streamWriter holds the raw file's placement and the scatter state shared
+// by the out and in passes.
 type streamWriter struct {
-	data        []byte
-	lay         *fileLayout
-	starts      []uint32
-	ownerArr    []uint16
-	outPrefix   []int64
-	inPrefix    []int64
+	n           int
 	weighted    bool
 	bucketBytes int64
+	layout      partition.Layout
+	prefix      [2][]int64 // global degree prefix sums, per orientation
+	table       [][secFieldCount]int64
+	data        []byte
+}
+
+// edges returns machine mach's edge count in orient.
+func (sw *streamWriter) edges(mach, orient int) int64 {
+	lo, hi := sw.layout.Range(mach)
+	return sw.prefix[orient][hi] - sw.prefix[orient][lo]
+}
+
+// place fills the section table for the raw spelling and returns the file
+// size.
+func (sw *streamWriter) place() int64 {
+	p := sw.layout.NumMachines
+	sw.table = make([][secFieldCount]int64, p)
+	at := dataOffset(p)
+	for mach := 0; mach < p; mach++ {
+		for orient := 0; orient < 2; orient++ {
+			m := sw.edges(mach, orient)
+			secLen := subHeaderBytes + 8*int64(sw.layout.NumLocal(mach)+1) + 8*m
+			sw.table[mach][3*orient], sw.table[mach][3*orient+1] = at, secLen
+			at += secLen
+			if sw.weighted {
+				sw.table[mach][3*orient+2] = at
+				at += 8 * m
+			}
+		}
+	}
+	return at
+}
+
+// refsOff and weightsOff locate machine mach's ref and weight arrays.
+func (sw *streamWriter) refsOff(mach, orient int) int64 {
+	return sw.table[mach][3*orient] + subHeaderBytes + 8*int64(sw.layout.NumLocal(mach)+1)
+}
+
+func (sw *streamWriter) weightsOff(mach, orient int) int64 { return sw.table[mach][3*orient+2] }
+
+// writeRows writes every section's sub-header and its row array — rebased
+// prefix sums — straight into the mapping.
+func (sw *streamWriter) writeRows() {
+	for mach := range sw.table {
+		lo, hi := int64(sw.layout.Starts[mach]), int64(sw.layout.Starts[mach+1])
+		for orient, prefix := range sw.prefix {
+			sec := sw.data[sw.table[mach][3*orient]:]
+			putU64(sec, uint64(8*(hi-lo+1)))
+			putU64(sec[16:], uint64(8*sw.edges(mach, orient)))
+			for u := lo; u <= hi; u++ {
+				putU64(sec[subHeaderBytes+8*(u-lo):], uint64(prefix[u]-prefix[lo]))
+			}
+		}
+	}
 }
 
 // buckets cuts [0, n) into node ranges whose scatter bytes (8 per edge, 16
 // weighted) stay under the budget, always at least one node per bucket.
 func (sw *streamWriter) buckets(prefix []int64) [][2]int {
-	n := len(sw.ownerArr)
 	per := int64(8)
 	if sw.weighted {
 		per = 16
 	}
 	var out [][2]int
 	lo := 0
-	for lo < n {
+	for lo < sw.n {
 		hi := lo + 1
-		for hi < n && (prefix[hi+1]-prefix[lo])*per <= sw.bucketBytes {
+		for hi < sw.n && (prefix[hi+1]-prefix[lo])*per <= sw.bucketBytes {
 			hi++
 		}
 		out = append(out, [2]int{lo, hi})
@@ -244,25 +254,47 @@ func (sw *streamWriter) buckets(prefix []int64) [][2]int {
 	return out
 }
 
-// encodeTo resolves global node v into machine mach's ref encoding.
-func (sw *streamWriter) encodeTo(v uint32, mach int) int64 {
-	if v >= sw.starts[mach] && v < sw.starts[mach+1] {
-		return int64(v - sw.starts[mach])
+// cursors returns, for every node of bucket [bLo, bHi), the word index (into
+// the mapping viewed as int64s) of its next unwritten orient ref: one array
+// to bump per edge, already resolved through the node's owner and row.
+func (sw *streamWriter) cursors(orient, bLo, bHi int) []int64 {
+	cur := make([]int64, bHi-bLo)
+	prefix := sw.prefix[orient]
+	for mach := range sw.table {
+		lo, hi := int(sw.layout.Starts[mach]), int(sw.layout.Starts[mach+1])
+		base := sw.refsOff(mach, orient)/8 - prefix[lo]
+		for v := max(bLo, lo); v < min(bHi, hi); v++ {
+			cur[v-bLo] = base + prefix[v]
+		}
 	}
-	owner := int(sw.ownerArr[v])
-	return packRemoteRef(owner, v-sw.starts[owner])
+	return cur
 }
 
-// scatterOut fills every machine's outRefs (and outWeights) with one stream
+// weightGaps returns, per machine, the distance in words from an orient ref
+// to its weight (0 when unweighted: refs and weights never overlap).
+func (sw *streamWriter) weightGaps(orient int) []int64 {
+	gaps := make([]int64, len(sw.table))
+	if sw.weighted {
+		for mach := range gaps {
+			gaps[mach] = (sw.weightsOff(mach, orient) - sw.refsOff(mach, orient)) / 8
+		}
+	}
+	return gaps
+}
+
+// scatterOut fills every machine's out refs (and weights) with one stream
 // sweep per bucket.
 func (sw *streamWriter) scatterOut(es EdgeStream) error {
 	var streamErr error
-	n := len(sw.ownerArr)
-	for _, b := range sw.buckets(sw.outPrefix) {
+	words, gaps := i64View(sw.data), sw.weightGaps(OrientOut)
+	for _, b := range sw.buckets(sw.prefix[OrientOut]) {
 		bLo, bHi := b[0], b[1]
-		cnt := make([]int32, bHi-bLo)
+		cur := sw.cursors(OrientOut, bLo, bHi)
+		// Streams tend to emit a source's edges together: remember its owner.
+		mach := 0
+		lo, hi := sw.layout.Range(mach)
 		es.Sweep(func(u, v uint32, w float64) {
-			if int(u) >= n || int(v) >= n {
+			if int(u) >= sw.n || int(v) >= sw.n {
 				if streamErr == nil {
 					streamErr = fmt.Errorf("store: stream emitted edge (%d, %d) out of range on a later sweep", u, v)
 				}
@@ -271,18 +303,21 @@ func (sw *streamWriter) scatterOut(es EdgeStream) error {
 			if int(u) < bLo || int(u) >= bHi {
 				return
 			}
-			mach := int(sw.ownerArr[u])
-			idx := sw.outPrefix[u] - sw.outPrefix[sw.starts[mach]] + int64(cnt[int(u)-bLo])
-			cnt[int(u)-bLo]++
-			putU64(sw.data[sw.lay.offs[mach][1]+8*idx:], uint64(sw.encodeTo(v, mach)))
+			if u < lo || u >= hi {
+				mach = sw.layout.Owner(u)
+				lo, hi = sw.layout.Range(mach)
+			}
+			at := cur[int(u)-bLo]
+			cur[int(u)-bLo] = at + 1
+			words[at] = refOf(sw.layout, mach, v)
 			if sw.weighted {
-				putU64(sw.data[sw.lay.offs[mach][2]+8*idx:], math.Float64bits(w))
+				words[at+gaps[mach]] = int64(math.Float64bits(w))
 			}
 		})
 		if streamErr != nil {
 			return streamErr
 		}
-		sw.releaseNodeRange(bLo, bHi, sw.outPrefix, 1, 2)
+		sw.releaseNodeRange(bLo, bHi, OrientOut)
 	}
 	return nil
 }
@@ -291,51 +326,46 @@ func (sw *streamWriter) scatterOut(es EdgeStream) error {
 // disk: scanning machines in order visits sources in ascending global id,
 // reproducing the in-memory builder's canonical transpose order exactly.
 func (sw *streamWriter) scatterIn() {
-	p := sw.lay.p
-	for _, b := range sw.buckets(sw.inPrefix) {
+	outPrefix := sw.prefix[OrientOut]
+	words, gaps := i64View(sw.data), sw.weightGaps(OrientIn)
+	for _, b := range sw.buckets(sw.prefix[OrientIn]) {
 		bLo, bHi := b[0], b[1]
-		cnt := make([]int32, bHi-bLo)
-		for mach := 0; mach < p; mach++ {
-			lo := int64(sw.starts[mach])
-			refsOff := sw.lay.offs[mach][1]
-			for u := lo; u < int64(sw.starts[mach+1]); u++ {
-				for k := sw.outPrefix[u] - sw.outPrefix[lo]; k < sw.outPrefix[u+1]-sw.outPrefix[lo]; k++ {
-					ref := int64(leU64(sw.data[refsOff+8*k:]))
-					var v uint32
-					if ref >= 0 {
-						v = sw.starts[mach] + uint32(ref)
-					} else {
-						rm, off := unpackRemoteRef(ref)
-						v = sw.starts[rm] + off
-					}
+		cur := sw.cursors(OrientIn, bLo, bHi)
+		for mach := range sw.table {
+			lo, hi := sw.layout.Range(mach)
+			refsOff, wOff := sw.refsOff(mach, OrientOut), sw.weightsOff(mach, OrientOut)
+			outRefs := words[refsOff/8:][:sw.edges(mach, OrientOut)]
+			for u := lo; u < hi; u++ {
+				for k := outPrefix[u] - outPrefix[lo]; k < outPrefix[u+1]-outPrefix[lo]; k++ {
+					v, vm := nodeOf(sw.layout, mach, outRefs[k])
 					if int(v) < bLo || int(v) >= bHi {
 						continue
 					}
-					vm := int(sw.ownerArr[v])
-					idx := sw.inPrefix[v] - sw.inPrefix[sw.starts[vm]] + int64(cnt[int(v)-bLo])
-					cnt[int(v)-bLo]++
-					putU64(sw.data[sw.lay.offs[vm][4]+8*idx:], uint64(sw.encodeTo(uint32(u), vm)))
+					at := cur[int(v)-bLo]
+					cur[int(v)-bLo] = at + 1
+					words[at] = refIn(sw.layout, vm, mach, u)
 					if sw.weighted {
-						copy(sw.data[sw.lay.offs[vm][5]+8*idx:][:8], sw.data[sw.lay.offs[mach][2]+8*k:][:8])
+						words[at+gaps[vm]] = words[wOff/8+k]
 					}
 				}
 			}
 			// Drop the out pages this machine scan faulted back in; they stay
 			// in the page cache for the next bucket's scan.
-			adviseRange(sw.data, refsOff, 8*sw.lay.mOut[mach], advDontNeed)
+			adviseRange(sw.data, refsOff, 8*int64(len(outRefs)), advDontNeed)
 			if sw.weighted {
-				adviseRange(sw.data, sw.lay.offs[mach][2], 8*sw.lay.mOut[mach], advDontNeed)
+				adviseRange(sw.data, wOff, 8*int64(len(outRefs)), advDontNeed)
 			}
 		}
-		sw.releaseNodeRange(bLo, bHi, sw.inPrefix, 4, 5)
+		sw.releaseNodeRange(bLo, bHi, OrientIn)
 	}
 }
 
-// releaseNodeRange advises away the ref (and weight) pages that global node
-// range [bLo, bHi) occupies, per overlapped machine section.
-func (sw *streamWriter) releaseNodeRange(bLo, bHi int, prefix []int64, refField, wField int) {
-	for mach := 0; mach < sw.lay.p; mach++ {
-		lo, hi := int(sw.starts[mach]), int(sw.starts[mach+1])
+// releaseNodeRange advises away the orient ref (and weight) pages that global
+// node range [bLo, bHi) occupies, per overlapped machine section.
+func (sw *streamWriter) releaseNodeRange(bLo, bHi, orient int) {
+	prefix := sw.prefix[orient]
+	for mach := range sw.table {
+		lo, hi := int(sw.layout.Starts[mach]), int(sw.layout.Starts[mach+1])
 		aLo, aHi := max(bLo, lo), min(bHi, hi)
 		if aLo >= aHi {
 			continue
@@ -345,9 +375,9 @@ func (sw *streamWriter) releaseNodeRange(bLo, bHi int, prefix []int64, refField,
 		if end <= start {
 			continue
 		}
-		adviseRange(sw.data, sw.lay.offs[mach][refField]+8*start, 8*(end-start), advDontNeed)
+		adviseRange(sw.data, sw.refsOff(mach, orient)+8*start, 8*(end-start), advDontNeed)
 		if sw.weighted {
-			adviseRange(sw.data, sw.lay.offs[mach][wField]+8*start, 8*(end-start), advDontNeed)
+			adviseRange(sw.data, sw.weightsOff(mach, orient)+8*start, 8*(end-start), advDontNeed)
 		}
 	}
 }

@@ -1,182 +1,41 @@
 package store
 
-import (
-	"bufio"
-	"fmt"
-	"math"
-	"os"
+import "repro/internal/graph"
 
-	"repro/internal/graph"
-	"repro/internal/partition"
-)
-
-// WriteGraph materializes g as a CSR v2 file partitioned for p machines
-// under the edge-balanced strategy — the same cut Cluster.Load computes, so
-// a cluster loading the file and a cluster loading g in memory (with
-// ghosting disabled) own identical vertex ranges and iterate identical ref
-// sequences.
+// WriteGraph materializes g as a raw (.csr2) store file partitioned for p
+// machines under the edge-balanced strategy — the same cut Cluster.Load
+// computes, so a cluster loading the file and a cluster loading g in memory
+// (with ghosting disabled) own identical vertex ranges and iterate identical
+// ref sequences: per-row neighbor order is exactly the in-memory CSR's, so
+// kernels consuming either representation reduce in the same order and
+// produce bit-identical floats.
 func WriteGraph(path string, g *graph.Graph, p int) error {
-	layout, err := partition.Compute(g, p, partition.EdgeBalanced)
-	if err != nil {
-		return err
-	}
-	return WriteGraphLayout(path, g, layout)
+	return WriteStream(path, graphStream{g}, StreamOptions{Machines: p})
 }
 
-// WriteGraphLayout materializes g as a CSR v2 file under an explicit
-// ownership layout. Refs are written ghost-free: owned neighbors as local
-// indices, everything else as packed remote (machine, offset) — per-row
-// neighbor order is exactly the in-memory CSR's, so kernels consuming either
-// representation reduce in the same order and produce bit-identical floats.
-func WriteGraphLayout(path string, g *graph.Graph, layout partition.Layout) error {
-	n := g.NumNodes()
-	if n == 0 {
-		return graph.ErrEmptyGraph
-	}
-	if int(layout.Starts[layout.NumMachines]) != n {
-		return fmt.Errorf("store: layout covers %d nodes, graph has %d", layout.Starts[layout.NumMachines], n)
-	}
-	p := layout.NumMachines
-	weighted := g.Out.Weights != nil
+// WriteGraphCompressed is WriteGraph in the compressed (.csr3) spelling; per-row
+// neighbor order survives the codec round trip exactly.
+func WriteGraphCompressed(path string, g *graph.Graph, p int) error {
+	return WriteStream(path, graphStream{g}, StreamOptions{Machines: p, Compress: true})
+}
 
-	// Section sizes are fully determined by the layout and the global rows,
-	// so offsets are computable before writing a byte and the body streams
-	// sequentially.
-	lay := newFileLayout(n, g.NumEdges(), p, weighted, layout.Starts,
-		func(m int) int64 {
-			lo, hi := layout.Range(m)
-			return g.Out.Rows[hi] - g.Out.Rows[lo]
-		},
-		func(m int) int64 {
-			lo, hi := layout.Range(m)
-			return g.In.Rows[hi] - g.In.Rows[lo]
-		})
+// graphStream sweeps a materialized graph's out-CSR as an EdgeStream. Every
+// graph's in-CSR is the transpose of its out-CSR in source order — the order
+// the writer's in-pass reproduces — so streaming the out edges alone yields
+// both of g's orientations.
+type graphStream struct{ g *graph.Graph }
 
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
-	if _, err := w.Write(lay.headerBytes()); err != nil {
-		return err
-	}
-	var scratch [8]byte
-	putI64 := func(v int64) error {
-		putU64(scratch[:], uint64(v))
-		_, err := w.Write(scratch[:])
-		return err
-	}
-	for m := 0; m < p; m++ {
-		lo, hi := layout.Range(m)
-		for _, csr := range []*graph.CSR{&g.Out, &g.In} {
-			base := csr.Rows[lo]
-			// Rebased rows.
-			for u := lo; u <= hi; u++ {
-				if err := putI64(csr.Rows[u] - base); err != nil {
-					return err
-				}
+func (s graphStream) NumNodes() int  { return s.g.NumNodes() }
+func (s graphStream) Weighted() bool { return s.g.Out.Weights != nil }
+func (s graphStream) Sweep(emit func(u, v uint32, w float64)) {
+	out := &s.g.Out
+	for u := 0; u < out.N; u++ {
+		for i := out.Rows[u]; i < out.Rows[u+1]; i++ {
+			var w float64
+			if out.Weights != nil {
+				w = out.Weights[i]
 			}
-			// Refs.
-			for i := base; i < csr.Rows[hi]; i++ {
-				if err := putI64(encodeRef(csr.Cols[i], layout, m, lo, hi)); err != nil {
-					return err
-				}
-			}
-			// Weights.
-			if weighted {
-				for i := base; i < csr.Rows[hi]; i++ {
-					putU64(scratch[:], math.Float64bits(csr.Weights[i]))
-					if _, err := w.Write(scratch[:]); err != nil {
-						return err
-					}
-				}
-			}
+			emit(uint32(u), out.Cols[i], w)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// encodeRef resolves global neighbor v into machine me's ghost-free ref
-// encoding. [lo, hi) is me's owned range, passed in so the hot loop skips
-// the layout binary search for local neighbors.
-func encodeRef(v graph.NodeID, layout partition.Layout, me int, lo, hi graph.NodeID) int64 {
-	if v >= lo && v < hi {
-		return int64(v - lo)
-	}
-	owner := layout.Owner(v)
-	return packRemoteRef(owner, uint32(v-layout.Starts[owner]))
-}
-
-// fileLayout precomputes every section offset of a CSR v2 file.
-type fileLayout struct {
-	n        int
-	m        int64
-	p        int
-	weighted bool
-	starts   []uint32
-
-	// Per machine: absolute offsets of outRows, outRefs, outWeights, inRows,
-	// inRefs, inWeights (weight slots 0 when unweighted), plus edge counts.
-	offs      [][secFieldCount]int64
-	mOut, mIn []int64
-	total     int64
-}
-
-func newFileLayout(n int, m int64, p int, weighted bool, starts []uint32, outEdges, inEdges func(int) int64) *fileLayout {
-	lay := &fileLayout{n: n, m: m, p: p, weighted: weighted, starts: starts,
-		offs: make([][secFieldCount]int64, p), mOut: make([]int64, p), mIn: make([]int64, p)}
-	at := dataOffset(p)
-	for mach := 0; mach < p; mach++ {
-		numLocal := int64(starts[mach+1] - starts[mach])
-		mo, mi := outEdges(mach), inEdges(mach)
-		lay.mOut[mach], lay.mIn[mach] = mo, mi
-		o := &lay.offs[mach]
-		o[0] = at
-		at += 8 * (numLocal + 1)
-		o[1] = at
-		at += 8 * mo
-		if weighted {
-			o[2] = at
-			at += 8 * mo
-		}
-		o[3] = at
-		at += 8 * (numLocal + 1)
-		o[4] = at
-		at += 8 * mi
-		if weighted {
-			o[5] = at
-			at += 8 * mi
-		}
-	}
-	lay.total = at
-	return lay
-}
-
-// headerBytes renders the fixed prelude, starts array, and section table.
-func (lay *fileLayout) headerBytes() []byte {
-	buf := make([]byte, dataOffset(lay.p))
-	copy(buf, Magic)
-	putU32(buf[8:], Version)
-	var flags uint32
-	if lay.weighted {
-		flags |= FlagWeighted
-	}
-	putU32(buf[12:], flags)
-	putU64(buf[16:], uint64(lay.n))
-	putU64(buf[24:], uint64(lay.m))
-	putU64(buf[32:], uint64(lay.p))
-	for i, s := range lay.starts {
-		putU32(buf[headerFixedBytes+4*i:], s)
-	}
-	tbl := tableOffset(lay.p)
-	for mach := 0; mach < lay.p; mach++ {
-		for f := 0; f < secFieldCount; f++ {
-			putU64(buf[tbl+int64(8*(secFieldCount*mach+f)):], uint64(lay.offs[mach][f]))
-		}
-	}
-	return buf
 }

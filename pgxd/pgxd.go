@@ -350,17 +350,19 @@ func (c *Cluster) LoadGraph(g *Graph) error {
 	return nil
 }
 
-// StoreFile is an opened out-of-core CSR v2 container (written by
-// pgxd-gen -format csr2, store.WriteGraph, or store.WriteStream).
+// StoreFile is an opened out-of-core store file, raw or compressed (written
+// by pgxd-gen -format csr2|csr3, store.WriteGraph[Compressed], or
+// store.WriteStream).
 type StoreFile = store.File
 
-// OpenStore maps a CSR v2 store file read-only, validating the whole
-// container before returning.
+// OpenStore maps a store file read-only, validating the whole container
+// before returning.
 func OpenStore(path string) (*StoreFile, error) { return store.Open(path) }
 
 // LoadStore adopts the mmap'd store file instead of copying it onto the
 // heap: topology stays page-cache-backed, with residency bounded by
-// Config.ResidentBudgetBytes. The file's baked-in partition count must
+// Config.ResidentBudgetBytes (and, for a compressed file, decoded edge
+// blocks by Config.DecodeCacheBytes). The file's baked-in partition count must
 // equal the cluster's machine count, and the file must stay open until
 // after Shutdown (sections alias the mapping). TriangleCount requires the
 // in-memory graph and is unavailable on store-loaded clusters.
