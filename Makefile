@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
+.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-job bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ perf-check:
 # the combining table (open-addressed vs map).
 bench-scan:
 	$(GO) test -run '^$$' -bench 'EdgeDispatch|FlushSort|DedupTable' -benchtime 50x -count 3 ./internal/core/
+
+# The per-job constant: ns per RunJob of the two smallest frontier-sourced
+# jobs on two in-process machines (an empty frontier; a one-node node pass
+# that rebuilds a frontier), with their allocation counts — the number a
+# change to the job schedule diffs against.
+bench-job:
+	$(GO) test -run '^$$' -bench JobFloor -benchtime 20000x -count 5 ./internal/core/
 
 # Fail-soft smoke: injected drops, failures, delays, and a machine kill
 # against PageRank, asserting errors surface and buffers come home.

@@ -113,7 +113,7 @@ var catalog = []Spec{
 		v, met, err := HopDist(c, p.Source, maxSupersteps)
 		return Result{I64: v}, met, err
 	}},
-	{Name: "kcore", Cols: 4, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "kcore", Cols: 3, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		best, cores, met, err := KCore(c, 0)
 		return Result{I64: cores, Summary: fmt.Sprintf("max core %d", best)}, met, err
 	}},

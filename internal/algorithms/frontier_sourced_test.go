@@ -1,0 +1,103 @@
+package algorithms
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/baseline/sa"
+	"repro/internal/core"
+	"repro/internal/graph"
+)
+
+// TestFrontierSourcedStepsMatchDense: k-core and SSSP iterate frontiers — the
+// alive/dying/touched sets of the peeling, the touched set between SSSP's
+// relaxation and its adopt pass — where they used to scan every node, and a
+// step of either must be the step it was. Core numbers and distances equal
+// the standalone reference exactly, k-core's iteration count equals the
+// reference's own peeling-step count, and both algorithms' Metrics.Iterations
+// equal the counts the dense passes produced (recorded from the commit before
+// the change), on a skewed RMAT whose hubs are ghosted and on a shortcut-free
+// grid, at 1, 2 and 3 machines over both fabrics. SSSP additionally runs with
+// the direction pinned to pull, so the pull kernel's own-node activation is
+// what feeds the adopt pass, and k-core with a cap on k, whose survivors
+// report the cap.
+func TestFrontierSourcedStepsMatchDense(t *testing.T) {
+	grid, err := graph.Grid(24, 24, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capK = 3
+	for _, tg := range []struct {
+		name   string
+		g      *graph.Graph
+		src    graph.NodeID
+		ghosts bool
+		// Metrics.Iterations of the dense implementation.
+		kcoreIters, cappedIters, ssspIters int
+	}{
+		{"rmat", testGraph(t).WithUniformWeights(1, 10, 7), 0, true, 111, 6, 5},
+		{"grid", grid.WithUniformWeights(1, 100, 3), 25, false, 28, 3, 56},
+	} {
+		wantBest, wantCore, saSteps := sa.KCore(tg.g, 1)
+		if saSteps != tg.kcoreIters {
+			t.Fatalf("%s: the reference peels in %d steps, the recorded count is %d", tg.name, saSteps, tg.kcoreIters)
+		}
+		wantCapped := make([]int64, len(wantCore))
+		for i, k := range wantCore {
+			wantCapped[i] = min(k, capK)
+		}
+		wantDist, _ := sa.SSSP(tg.g, tg.src, 1)
+		for _, p := range []int{1, 2, 3} {
+			for _, useTCP := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/p=%d,tcp=%v", tg.name, p, useTCP), func(t *testing.T) {
+					load := func(set core.Ablation) *core.Cluster {
+						c, err := core.NewCluster(latticeConfig(t, p, useTCP, set))
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(c.Shutdown)
+						if err := c.Load(tg.g); err != nil {
+							t.Fatal(err)
+						}
+						return c
+					}
+					c := load(0)
+					if (c.NumGhosts() > 0) != tg.ghosts {
+						t.Fatalf("%d ghosts, want some: %v", c.NumGhosts(), tg.ghosts)
+					}
+					best, nums, met, err := KCore(c, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if best != wantBest || met.Iterations != tg.kcoreIters {
+						t.Errorf("kcore: max core %d in %d iterations, want %d in %d", best, met.Iterations, wantBest, tg.kcoreIters)
+					}
+					assertEqualI64(t, "core", nums, wantCore)
+
+					best, nums, met, err = KCore(c, capK)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if best != capK || met.Iterations != tg.cappedIters {
+						t.Errorf("kcore capped at %d: max core %d in %d iterations, want %d in %d", capK, best, met.Iterations, capK, tg.cappedIters)
+					}
+					assertEqualI64(t, "capped core", nums, wantCapped)
+
+					for _, set := range []core.Ablation{0, core.AblatePinPull} {
+						dist, met, err := SSSP(load(set), tg.src, 1<<20)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if met.Iterations != tg.ssspIters {
+							t.Errorf("sssp (ablate %#x): %d iterations, want %d", set, met.Iterations, tg.ssspIters)
+						}
+						if set == core.AblatePinPull && (met.PushSteps != 0 || met.PullSteps != tg.ssspIters) {
+							t.Errorf("sssp pinned to pull took %d push and %d pull steps", met.PushSteps, met.PullSteps)
+						}
+						assertBitsF64(t, "sssp", dist, wantDist)
+					}
+				})
+			}
+		}
+	}
+}

@@ -19,19 +19,29 @@ import (
 // steps while each step does a very small amount of work (e.g. KCore), the
 // performance is totally governed by these [framework] overheads."
 
-// dyingMarkKernel marks alive nodes whose degree fell below k.
+// The peeling state is three columns and three frontiers. The columns are a
+// node's remaining degree, its alive flag and its core number; the frontiers
+// are what a step iterates, so a step costs what it touches rather than O(N):
+// alive sources the first mark pass of each k, dying is what a mark pass
+// kills (and what the decrement pass iterates), and touched — the nodes whose
+// degree the decrement pass changed, collected receiver-side by the write's
+// ActivateInto — sources every later mark pass of the same k, since at a
+// fixed k only a node whose degree just fell can newly drop below it.
+
+// dyingMarkKernel kills an alive node whose degree fell below k: it joins the
+// dying frontier and its core number is settled at k-1, the last k it
+// survived.
 type dyingMarkKernel struct {
 	core.NoReads
-	deg, alive, dying core.PropID
-	k                 int64
+	deg, alive, coreNum core.PropID
+	k                   int64
 }
 
 func (kk *dyingMarkKernel) Run(c *core.Ctx) {
 	if c.GetI64(kk.alive) != 0 && c.GetI64(kk.deg) < kk.k {
 		c.SetI64(kk.alive, 0)
-		c.SetI64(kk.dying, 1)
-	} else {
-		c.SetI64(kk.dying, 0)
+		c.SetI64(kk.coreNum, kk.k-1)
+		c.Activate(0)
 	}
 }
 
@@ -47,19 +57,6 @@ func (kk *degDecKernel) RunRow(c *core.Ctx, row core.Row) {
 	pushRow(c, row, kk.deg, reduce.Sum, core.WordI64(-1))
 }
 
-// coreRecordKernel records k as the core number of nodes still alive.
-type coreRecordKernel struct {
-	core.NoReads
-	alive, coreNum core.PropID
-	k              int64
-}
-
-func (kk *coreRecordKernel) Run(c *core.Ctx) {
-	if c.GetI64(kk.alive) != 0 {
-		c.SetI64(kk.coreNum, kk.k)
-	}
-}
-
 // KCore returns the maximum core number, each node's core number, and
 // metrics. maxK caps the search (0 means unbounded).
 func KCore(c *core.Cluster, maxK int64) (int64, []int64, Metrics, error) {
@@ -67,53 +64,44 @@ func KCore(c *core.Cluster, maxK int64) (int64, []int64, Metrics, error) {
 	defer r.dropProps()
 	deg := r.propI64("kcore_deg")
 	alive := r.propI64("kcore_alive")
-	dying := r.propI64("kcore_dying")
 	coreNum := r.propI64("kcore_num")
 	if r.err != nil {
 		return 0, nil, r.met, r.err
 	}
 	c.FillI64(alive, 1)
-	c.FillI64(dying, 0)
-	c.FillI64(coreNum, 0)
+	// A node's core number is written when it dies. Only a capped search
+	// leaves survivors, and theirs is the cap.
+	c.FillI64(coreNum, max(maxK, 0))
+	aliveSet, dying, touched := c.NewFrontier("kcore_alive"), c.NewFrontier("kcore_dying"), c.NewFrontier("kcore_touched")
+	aliveSet.Fill(nil)
 	start := nowFn()
 	// Initialize remaining degree = in+out (undirected multigraph view).
 	r.run(core.JobSpec{Name: "kcore-deg", Iter: core.IterNodes, Task: &degInitKernel{deg: deg}})
 
-	dyingFilter := func(ctx *core.Ctx) bool { return ctx.GetI64(dying) != 0 }
 	best := int64(0)
 	for k := int64(1); (maxK <= 0 || k <= maxK) && r.err == nil; k++ {
 		// Inner loop: peel until stable at this k.
-		for r.err == nil {
-			r.run(core.JobSpec{Name: "kcore-mark", Iter: core.IterNodes,
-				Task: &dyingMarkKernel{deg: deg, alive: alive, dying: dying, k: k}})
-			removed, err := c.ReduceI64(dying, reduce.Sum)
-			if err != nil {
-				r.err = err
+		for from := aliveSet; ; from = touched {
+			mark := r.runStats(core.JobSpec{Name: "kcore-mark", Iter: core.IterNodes, Source: from,
+				Task:  &dyingMarkKernel{deg: deg, alive: alive, coreNum: coreNum, k: k},
+				Build: []*core.Frontier{dying}})
+			if r.err != nil {
 				break
 			}
 			r.met.Iterations++
-			if removed == 0 {
+			if mark.Frontiers[0].Count == 0 {
 				break
 			}
-			dec := &degDecKernel{deg: deg}
-			writes := []core.WriteSpec{{Prop: deg, Op: reduce.Sum}}
-			r.run(core.JobSpec{Name: "kcore-dec", Iter: core.IterBothEdges,
-				Task: dec, Filter: dyingFilter, WriteProps: writes})
+			aliveSet.Subtract(dying)
+			r.run(core.JobSpec{Name: "kcore-dec", Iter: core.IterBothEdges, Source: dying,
+				Task:       &degDecKernel{deg: deg},
+				WriteProps: []core.WriteSpec{{Prop: deg, Op: reduce.Sum, ActivateInto: 1}},
+				Build:      []*core.Frontier{touched}})
 		}
-		if r.err != nil {
-			break
-		}
-		survivors, err := c.ReduceI64(alive, reduce.Sum)
-		if err != nil {
-			r.err = err
-			break
-		}
-		if survivors == 0 {
+		if r.err != nil || aliveSet.Count() == 0 {
 			break
 		}
 		best = k
-		r.run(core.JobSpec{Name: "kcore-record", Iter: core.IterNodes,
-			Task: &coreRecordKernel{alive: alive, coreNum: coreNum, k: k}})
 	}
 	r.met.Total = nowFn().Sub(start)
 	if r.err != nil {

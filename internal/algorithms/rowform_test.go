@@ -59,6 +59,7 @@ func (k *ssspPullEdge) Run(c *core.Ctx) {
 func (k *ssspPullEdge) ReadDone(c *core.Ctx, val uint64) {
 	if d := core.F64Word(val) + core.F64Word(c.Aux); d < c.GetF64(k.distNxt) {
 		c.SetF64(k.distNxt, d)
+		c.Activate(0) // into the touched frontier, as the row kernel does
 	}
 }
 

@@ -114,6 +114,10 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 				ReadProps: []core.PropID{label}})
 			policy.Observe(core.DirPull, pullEdges, st.Traffic.BytesSent)
 		}
+		// The adopt pass scans every node, unlike SSSP's: collecting the
+		// improved nodes receiver-side (WriteSpec.ActivateInto) would take the
+		// push's writes to ghosted hubs off the privatized ghost accumulation,
+		// which a dense label push lives on.
 		adopt := r.runStats(core.JobSpec{Name: "wcc-adopt", Iter: core.IterNodes,
 			Task:  &wccAdoptKernel{label: label, labelNxt: labelNxt},
 			Build: []*core.Frontier{cur}})
@@ -133,7 +137,9 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 // --- SSSP (Bellman-Ford) -----------------------------------------------------
 
 // distRelaxKernel relaxes each out-edge: nbr.distNxt = min(nbr.distNxt,
-// dist + weight). Only frontier (just-improved) nodes relax.
+// dist + weight). Only frontier (just-improved) nodes relax; the write spec's
+// ActivateInto collects the nodes whose distNxt a relaxation lowered — the
+// only ones the adopt pass has to look at.
 type distRelaxKernel struct {
 	core.RowOnly
 	core.NoReads
@@ -151,7 +157,8 @@ func (k *distRelaxKernel) RunRow(c *core.Ctx, row core.Row) {
 // ssspPullKernel is the pull form of edge relaxation: every node scans its
 // in-edges and folds dist(u)+w(u,v) into its own distNxt. The sum uses the
 // same operands in the same order as the push kernel, so the two directions
-// produce bit-identical floats.
+// produce bit-identical floats. A node that lowers its distNxt activates
+// itself for the adopt pass.
 type ssspPullKernel struct {
 	core.RowOnly
 	dist, distNxt core.PropID
@@ -169,18 +176,25 @@ func (k *ssspPullKernel) RunRow(c *core.Ctx, row core.Row) {
 			best = d
 		}
 	}
-	if best < c.GetF64(k.distNxt) {
-		c.SetF64(k.distNxt, best)
-	}
+	k.lower(c, best)
 }
 
 func (k *ssspPullKernel) ReadDone(c *core.Ctx, val uint64) {
-	if d := core.F64Word(val) + core.F64Word(c.Aux); d < c.GetF64(k.distNxt) {
+	k.lower(c, core.F64Word(val)+core.F64Word(c.Aux))
+}
+
+// lower folds d into the current node's distNxt.
+func (k *ssspPullKernel) lower(c *core.Ctx, d float64) {
+	if d < c.GetF64(k.distNxt) {
 		c.SetF64(k.distNxt, d)
+		c.Activate(0)
 	}
 }
 
-// ssspAdoptKernel adopts an improved distance and activates the node.
+// ssspAdoptKernel adopts an improved distance and activates the node. It runs
+// over the touched frontier: dist equals distNxt everywhere after an adopt
+// pass, so the nodes to adopt are exactly those whose distNxt the relaxation
+// in between lowered.
 type ssspAdoptKernel struct {
 	core.NoReads
 	dist, distNxt core.PropID
@@ -213,7 +227,7 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 	c.SetNodeF64(source, dist, 0)
 	c.SetNodeF64(source, distNxt, 0)
 
-	cur := c.NewFrontier("sssp_cur")
+	cur, touched := c.NewFrontier("sssp_cur"), c.NewFrontier("sssp_touched")
 	cur.Add(source)
 	stats := cur.Stats()
 	policy := c.NewDirectionPolicy()
@@ -235,16 +249,18 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 			st := r.runStats(core.JobSpec{Name: "sssp-relax", Iter: core.IterOutEdges,
 				Source:     cur,
 				Task:       &distRelaxKernel{dist: dist, distNxt: distNxt},
-				WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min}},
+				WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min, ActivateInto: 1}},
+				Build:      []*core.Frontier{touched},
 				Steal:      &core.StealSpec{Own: []core.PropID{dist}}})
 			policy.Observe(core.DirPush, stats.OutDeg, st.Traffic.BytesSent)
 		} else {
 			st := r.runStats(core.JobSpec{Name: "sssp-pull", Iter: core.IterInEdges,
 				Task:      &ssspPullKernel{dist: dist, distNxt: distNxt},
-				ReadProps: []core.PropID{dist}})
+				ReadProps: []core.PropID{dist},
+				Build:     []*core.Frontier{touched}})
 			policy.Observe(core.DirPull, pullEdges, st.Traffic.BytesSent)
 		}
-		adopt := r.runStats(core.JobSpec{Name: "sssp-adopt", Iter: core.IterNodes,
+		adopt := r.runStats(core.JobSpec{Name: "sssp-adopt", Iter: core.IterNodes, Source: touched,
 			Task:  &ssspAdoptKernel{dist: dist, distNxt: distNxt},
 			Build: []*core.Frontier{cur}})
 		r.met.Iterations++

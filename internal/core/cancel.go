@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 )
 
 // ErrJobCanceled marks jobs that failed because the cluster was canceled
@@ -31,20 +29,12 @@ func (c *Cluster) Cancel(cause error) {
 	if cause != nil {
 		err = fmt.Errorf("%w: %w", ErrJobCanceled, cause)
 	}
-	c.cancelMu.Lock()
-	if c.cancelErr != nil {
-		c.cancelMu.Unlock()
+	if !c.canceled.CompareAndSwap(nil, &err) {
 		return
 	}
-	c.cancelErr = err
-	if c.cancelCh == nil {
-		c.cancelCh = make(chan struct{})
-	}
-	close(c.cancelCh)
-	c.cancelMu.Unlock()
-	// Best-effort immediate abort; the per-run watcher retries until the
-	// machines have actually published the job, closing the race where
-	// Cancel lands during RunJob's fan-out.
+	// The latch is set before any machine's current job is looked up, and a
+	// machine reads the latch after installing its job (Machine.publish): a
+	// job this loop misses aborts itself as it publishes.
 	for _, m := range c.machines {
 		m.abortCurrent(err)
 	}
@@ -53,56 +43,13 @@ func (c *Cluster) Cancel(cause error) {
 // Uncancel clears a previous Cancel so the cluster accepts jobs again — the
 // serving layer calls it when recycling an engine into its pool after a
 // canceled or deadline-exceeded run.
-func (c *Cluster) Uncancel() {
-	c.cancelMu.Lock()
-	c.cancelErr = nil
-	c.cancelCh = nil
-	c.cancelMu.Unlock()
-}
+func (c *Cluster) Uncancel() { c.canceled.Store(nil) }
 
 // CancelCause returns the sticky cancellation error installed by Cancel, or
 // nil while the cluster is accepting jobs.
 func (c *Cluster) CancelCause() error {
-	c.cancelMu.Lock()
-	defer c.cancelMu.Unlock()
-	return c.cancelErr
-}
-
-// cancelWait returns a channel closed when (or if already) canceled.
-func (c *Cluster) cancelWait() <-chan struct{} {
-	c.cancelMu.Lock()
-	defer c.cancelMu.Unlock()
-	if c.cancelCh == nil {
-		c.cancelCh = make(chan struct{})
+	if cause := c.canceled.Load(); cause != nil {
+		return *cause
 	}
-	return c.cancelCh
-}
-
-// watchCancel runs for the duration of one RunJob: it waits for either the
-// job to finish (stop) or a Cancel, and on cancel keeps firing the abort
-// latch on every machine until the job actually unwinds. The retry loop
-// matters: a machine publishes its jobRuntime a little after RunJob starts,
-// so a single abortCurrent could land in the window where curJob is still
-// nil and be lost.
-func (c *Cluster) watchCancel(stop <-chan struct{}, done *sync.WaitGroup) {
-	defer done.Done()
-	select {
-	case <-stop:
-		return
-	case <-c.cancelWait():
-	}
-	err := c.CancelCause()
-	if err == nil {
-		err = ErrJobCanceled
-	}
-	for {
-		for _, m := range c.machines {
-			m.abortCurrent(err)
-		}
-		select {
-		case <-stop:
-			return
-		case <-time.After(time.Millisecond):
-		}
-	}
+	return nil
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/graph"
 )
 
@@ -101,5 +103,92 @@ func TestCancelBeforeRun(t *testing.T) {
 	c.Uncancel()
 	if err := runPull(t, c, g, src, dst, true); err != nil {
 		t.Fatalf("run after Uncancel: %v", err)
+	}
+}
+
+// snapshotHookFabric runs a one-shot hook the first time any endpoint's
+// Metrics is read after arm. RunJob reads every endpoint's metrics right after
+// its entry check for a canceled cluster and before it fans the job out, so
+// an armed hook runs exactly in the window between the two.
+type snapshotHookFabric struct {
+	comm.Fabric
+	armed atomic.Bool
+	hook  func()
+}
+
+func (f *snapshotHookFabric) InMemory() bool { return comm.InMemoryFabric(f.Fabric) }
+
+func (f *snapshotHookFabric) Endpoint(m int) (comm.Endpoint, error) {
+	ep, err := f.Fabric.Endpoint(m)
+	if err != nil {
+		return nil, err
+	}
+	return &snapshotHookEndpoint{Endpoint: ep, f: f}, nil
+}
+
+type snapshotHookEndpoint struct {
+	comm.Endpoint
+	f *snapshotHookFabric
+}
+
+func (e *snapshotHookEndpoint) Metrics() *comm.Metrics {
+	if e.f.armed.CompareAndSwap(true, false) {
+		e.f.hook()
+	}
+	return e.Endpoint.Metrics()
+}
+
+func (e *snapshotHookEndpoint) Quiesce() {
+	if q, ok := e.Endpoint.(interface{ Quiesce() }); ok {
+		q.Quiesce()
+	}
+}
+
+// TestCancelBetweenEntryAndPublish: a Cancel that lands after RunJob's entry
+// check and before any machine has published the job finds no current job to
+// abort. No watcher retries it: each machine reads the latch as it publishes,
+// so the job aborts there — long before a timeout could — and the cluster
+// reruns exactly after Uncancel.
+func TestCancelBetweenEntryAndPublish(t *testing.T) {
+	g, err := graph.RMAT(8, 6, graph.TwitterLike(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(3)
+	cfg.RequestTimeout = time.Minute
+	cfg.CollectiveTimeout = time.Minute
+	fab := &snapshotHookFabric{Fabric: innerFabric(t, cfg, false)}
+	defer fab.Close()
+	cfg.Fabric = fab
+	c := bootCluster(t, g, cfg)
+	src, _ := c.AddPropF64("src")
+	dst, _ := c.AddPropF64("dst")
+
+	cause := errors.New("deadline between entry and publish")
+	fab.hook = func() {
+		for _, m := range c.machines {
+			if m.curJob.Load() != nil {
+				t.Error("a machine had published before the hook ran")
+			}
+		}
+		c.Cancel(cause)
+	}
+	launched := c.jobSeq
+	fab.armed.Store(true)
+	start := time.Now()
+	err = runPull(t, c, g, src, dst, false)
+	if !errors.Is(err, ErrJobAborted) || !errors.Is(err, ErrJobCanceled) || !errors.Is(err, cause) {
+		t.Fatalf("RunJob = %v, want ErrJobAborted wrapping ErrJobCanceled and the cause", err)
+	}
+	if c.jobSeq != launched+1 {
+		t.Fatal("the job was refused at RunJob's entry: the Cancel did not land inside the window")
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("the job took %v to abort: a timeout caught it, not publish", d)
+	}
+	c.Uncancel()
+	settleQuiescent(t, c)
+	if err := runPull(t, c, g, src, dst, true); err != nil {
+		t.Fatalf("rerun after Uncancel: %v", err)
 	}
 }

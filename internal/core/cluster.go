@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -42,11 +43,10 @@ type Cluster struct {
 	ooc     *store.Load
 	oocBase store.LoadStats
 
-	// External cancellation latch (Cancel/Uncancel): cancelErr is the sticky
-	// cause, cancelCh is closed on Cancel so the per-run watcher wakes.
-	cancelMu  sync.Mutex
-	cancelErr error
-	cancelCh  chan struct{}
+	// canceled is the external cancellation latch (Cancel/Uncancel): the
+	// sticky cause, nil while the cluster accepts jobs. Every machine holds a
+	// pointer to it and checks it as it publishes a job.
+	canceled atomic.Pointer[error]
 
 	// dirPushCost/dirPullCost persist the direction policy's learned
 	// bytes-per-edge EWMAs across traversal runs on this cluster: a new
@@ -98,7 +98,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if c.cfg.Obs != nil {
 			ep = obs.WrapEndpoint(ep, c.cfg.Obs)
 		}
-		c.machines[m] = newMachine(&c.cfg, m, ep, compress)
+		c.machines[m] = newMachine(&c.cfg, m, ep, compress, &c.canceled)
 	}
 	return c, nil
 }
@@ -343,17 +343,11 @@ func (c *Cluster) RunJob(spec JobSpec) (JobStats, error) {
 	jobID := c.jobSeq
 	c.cfg.Obs.BeginJob(jobID, spec.Name)
 	start := time.Now()
-	stopWatch := make(chan struct{})
-	var watchWG sync.WaitGroup
-	watchWG.Add(1)
-	go c.watchCancel(stopWatch, &watchWG)
 	err := c.parallel(func(m *Machine) error {
 		st, err := m.runJob(&spec, jobID)
 		results[m.id] = st
 		return err
 	})
-	close(stopWatch)
-	watchWG.Wait()
 	if err != nil {
 		c.recoverAfterAbort()
 		c.pollOOCStats()

@@ -229,13 +229,14 @@ func TestFaultTruncatedResponseAborts(t *testing.T) {
 
 // TestFaultCollectiveFailAborts: a hard failure on the control plane (the
 // collectives that sequence parallel regions and termination) aborts the job
-// cleanly too.
+// cleanly too. A ghost-free job is two collectives, so each control stream
+// carries two frames: the rule fails every stream's second, the drain round.
 func TestFaultCollectiveFailAborts(t *testing.T) {
 	eachFabric(t, func(t *testing.T, useTCP bool) {
 		g := faultGraph(t)
 		cfg := faultCfg(3)
 		inj := faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 5, Rules: []comm.FaultRule{
-			{Src: comm.AnyMachine, Dst: comm.AnyMachine, Type: int(comm.MsgCtrl), Kind: comm.FaultFail, After: 2, Limit: 1},
+			{Src: comm.AnyMachine, Dst: comm.AnyMachine, Type: int(comm.MsgCtrl), Kind: comm.FaultFail, After: 1, Limit: 1},
 		}})
 		cfg.Fabric = inj
 		c := bootCluster(t, g, cfg)

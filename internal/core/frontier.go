@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -240,7 +240,7 @@ func (mf *machineFrontier) drainRemote() {
 	mf.remote = mf.remote[:0]
 	mf.remoteMu.Unlock()
 	if n > 0 && !mf.dense && len(mf.sparse) > 1 {
-		sort.Slice(mf.sparse, func(i, j int) bool { return mf.sparse[i] < mf.sparse[j] })
+		slices.Sort(mf.sparse)
 	}
 }
 
@@ -255,7 +255,7 @@ func (mf *machineFrontier) finalize() {
 		}
 	}
 	if !mf.dense && len(mf.sparse) > 1 {
-		sort.Slice(mf.sparse, func(i, j int) bool { return mf.sparse[i] < mf.sparse[j] })
+		slices.Sort(mf.sparse)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -264,7 +265,8 @@ type JobStats struct {
 	// Breakdown decomposes Duration as in Figure 6c.
 	Breakdown Breakdown
 	// Frontiers holds the cluster-wide stats of each spec.Build frontier
-	// (same order), as of the end of the job.
+	// (same order), as of the end of the job. The slice is engine scratch the
+	// cluster's next RunJob overwrites: copy out what must outlive it.
 	Frontiers []FrontierStats
 }
 
@@ -296,12 +298,10 @@ func (spec *JobSpec) validate(props []propMeta) error {
 	if spec.Iter > IterBothEdges {
 		return fmt.Errorf("core: job %q has unknown iterator %d", spec.Name, spec.Iter)
 	}
-	seen := make(map[PropID]bool)
 	for _, p := range spec.ReadProps {
 		if int(p) >= len(props) {
 			return fmt.Errorf("core: job %q reads unregistered property %d", spec.Name, p)
 		}
-		seen[p] = true
 	}
 	for _, w := range spec.WriteProps {
 		if int(w.Prop) >= len(props) {
@@ -310,7 +310,7 @@ func (spec *JobSpec) validate(props []propMeta) error {
 		if !w.Op.Valid() || w.Op == reduce.Overwrite {
 			return fmt.Errorf("core: job %q writes property %d with unsupported op %v (ghost merging needs a commutative reduction)", spec.Name, w.Prop, w.Op)
 		}
-		if seen[w.Prop] {
+		if slices.Contains(spec.ReadProps, w.Prop) {
 			// The paper leaves read+write of one property non-deterministic
 			// and tells users to make temporary copies; this engine rejects
 			// it outright so the hazard cannot be hit silently.
@@ -330,15 +330,11 @@ func (spec *JobSpec) validate(props []propMeta) error {
 		if spec.Filter != nil {
 			return fmt.Errorf("core: job %q declares Steal with a Filter; filters evaluate victim-side state a grant cannot ship", spec.Name)
 		}
-		written := make(map[PropID]bool, len(spec.WriteProps))
-		for _, w := range spec.WriteProps {
-			written[w.Prop] = true
-		}
 		for _, p := range spec.Steal.Own {
 			if int(p) >= len(props) {
 				return fmt.Errorf("core: job %q steal-snapshots unregistered property %d", spec.Name, p)
 			}
-			if written[p] {
+			if slices.ContainsFunc(spec.WriteProps, func(w WriteSpec) bool { return w.Prop == p }) {
 				return fmt.Errorf("core: job %q steal-snapshots property %d it also writes; the snapshot would race the reductions", spec.Name, p)
 			}
 		}

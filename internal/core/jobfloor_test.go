@@ -1,0 +1,68 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/reduce"
+)
+
+// activateSelf activates every node it runs on into build slot 0.
+type activateSelf struct{ NoReads }
+
+func (activateSelf) Run(c *Ctx) { c.Activate(0) }
+
+// jobFloorSpecs are the two smallest frontier-sourced jobs on a ghost-free
+// in-process cluster of two machines: a push over an empty frontier, where no
+// machine dispatches a worker, and a node pass over a one-node frontier that
+// rebuilds a frontier, where one machine runs one node — k-core's mark pass
+// at its cheapest. What they cost is the per-job constant.
+func jobFloorSpecs(t testing.TB) (c *Cluster, empty, oneNode JobSpec) {
+	cfg := DefaultConfig(2)
+	cfg.GhostThreshold = GhostDisabled
+	c = bootCluster(t, testGraph(t), cfg)
+	dst, _ := c.AddPropI64("dst")
+	one, next := c.NewFrontier("one"), c.NewFrontier("next")
+	one.Add(0)
+	empty = JobSpec{Name: "empty-frontier", Iter: IterOutEdges, Task: &pushOneTask{counter: dst}, Source: c.NewFrontier("none"),
+		WriteProps: []WriteSpec{{Prop: dst, Op: reduce.Sum}}}
+	oneNode = JobSpec{Name: "one-node", Iter: IterNodes, Task: activateSelf{}, Source: one, Build: []*Frontier{next}}
+	return c, empty, oneNode
+}
+
+// TestJobFloorAllocations puts a ceiling on what one small frontier-sourced
+// job allocates across the driver and both machines: the job runtime, its
+// abort channel, the fan-out goroutines and their results, the collectives'
+// closures. The lanes, the frontier stats, spec validation and the frontier
+// sorts are not among them — a regression there moves the count past the
+// ceiling.
+func TestJobFloorAllocations(t *testing.T) {
+	c, _, oneNode := jobFloorSpecs(t)
+	const ceiling = 18
+	allocs := testing.AllocsPerRun(200, func() {
+		st, err := c.RunJob(oneNode)
+		if err != nil || st.Frontiers[0].Count != 1 {
+			t.Fatalf("one-node job: %v, built %v", err, st.Frontiers)
+		}
+	})
+	t.Logf("%.1f allocations per job", allocs)
+	if allocs > ceiling {
+		t.Errorf("%.1f allocations per frontier-sourced two-machine job, ceiling %d", allocs, ceiling)
+	}
+}
+
+// BenchmarkJobFloor is the per-job constant as a number: ns/op is one RunJob
+// of each jobFloorSpecs job. Hundreds of near-empty supersteps (k-core, a grid
+// traversal) cost this times their count.
+func BenchmarkJobFloor(b *testing.B) {
+	c, empty, oneNode := jobFloorSpecs(b)
+	for _, spec := range []JobSpec{empty, oneNode} {
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.RunJob(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +46,9 @@ type Machine struct {
 	// pendingAbort parks a remote abort announcement that raced ahead of
 	// the local job start; runJob claims it when the ids match.
 	pendingAbort atomic.Pointer[pendingAbort]
+	// canceled is the cluster's cancellation latch (Cluster.Cancel), which
+	// publish checks right after installing curJob.
+	canceled *atomic.Pointer[error]
 
 	store      *localStore
 	ghostOwned []int64
@@ -79,9 +83,12 @@ type Machine struct {
 	writesSent    atomic.Int64
 	writesApplied atomic.Int64
 
-	// scratch vectors for ghost-sync collectives, reused across jobs.
-	scratchF64 []float64
-	scratchI64 []int64
+	// scratch vectors for ghost-sync collectives, the termination lanes and
+	// the built frontiers' stats, reused across jobs.
+	scratchF64       []float64
+	scratchI64       []int64
+	scratchLanes     []int64
+	scratchFrontiers []FrontierStats
 
 	// loadHints[i] is machine i's task-phase wall time in the last completed
 	// job, gathered via extra lanes on the write-drain allreduce at no
@@ -106,8 +113,8 @@ func (m *Machine) ID() int { return m.id }
 
 // newMachine boots machine id over its endpoint: router (poller), pools,
 // collectives, copier pool, and the persistent worker goroutines.
-func newMachine(cfg *Config, id int, ep comm.Endpoint, compress bool) *Machine {
-	m := &Machine{id: id, cfg: cfg, ep: ep, compress: compress}
+func newMachine(cfg *Config, id int, ep comm.Endpoint, compress bool, canceled *atomic.Pointer[error]) *Machine {
+	m := &Machine{id: id, cfg: cfg, ep: ep, compress: compress, canceled: canceled}
 	m.spill = newSpillState(cfg)
 	m.reqPool = comm.NewPool(cfg.ReqBuffers, cfg.BufferSize)
 	m.respPool = comm.NewPool(cfg.RespBuffers, cfg.BufferSize)
@@ -271,6 +278,7 @@ func (m *Machine) releaseCols() {
 
 // machineJobStats is runJob's per-machine result; the cluster reports
 // machine 0's (the collectives make the global fields identical everywhere).
+// frontiers aliases machine scratch the next job overwrites.
 type machineJobStats struct {
 	duration  time.Duration
 	breakdown Breakdown
@@ -285,15 +293,17 @@ type machineJobStats struct {
 //	newJobRuntime   what this machine iterates and feeds; no traffic
 //	publish         curJob, spill, collectives' abort; unpublish on every exit
 //	ghostPrepare    ghost_read_sync per read prop; write-prop ghosts to bottom
-//	barrier(start)  barrier: every machine has published and prepared
+//	startBarrier    barrier(0): every machine has published and prepared
 //	taskPhase       task_phase: the workers run the task list dry (RTC)
-//	barrier(end)    barrier: all task lists empty, all reads answered
-//	drainWrites     write_drain: until every remote write has been applied
+//	drainWrites     barrier(1), the first round: all task lists empty, all
+//	                reads answered; write_drain, the rounds after it: until
+//	                every remote write has been applied
 //	ghostMerge      ghost_merge: worker → machine → owner
-//	breakdown       the Figure 6c min-allreduce
 //
-// Which collectives run, and in which order, is decided here and nowhere
-// else: every machine must make the same calls whatever its local state.
+// A healthy job without ghosts is two collectives: the start barrier and one
+// drain round. Which collectives run, and in which order, is decided here and
+// nowhere else: every machine must make the same calls whatever its local
+// state.
 func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 	reg := m.cfg.Obs // every registry method is a no-op on nil
 	defer reg.Span(m.id, obs.WorkerMain, obs.SpanJob, jobID, reg.Clock(), 0)
@@ -303,13 +313,10 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 	if err := m.ghostPrepare(jr); err != nil {
 		return machineJobStats{}, m.jobFail(jr, err)
 	}
-	if err := m.barrier(jr, barrierStart); err != nil {
+	if err := m.startBarrier(jr); err != nil {
 		return machineJobStats{}, m.jobFail(jr, err)
 	}
 	if err := m.taskPhase(jr); err != nil {
-		return machineJobStats{}, m.jobFail(jr, err)
-	}
-	if err := m.barrier(jr, barrierEnd); err != nil {
 		return machineJobStats{}, m.jobFail(jr, err)
 	}
 	if err := m.drainWrites(jr); err != nil {
@@ -318,11 +325,7 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 	if err := m.ghostMerge(jr); err != nil {
 		return machineJobStats{}, m.jobFail(jr, err)
 	}
-	st, err := m.breakdown(jr)
-	if err != nil {
-		return machineJobStats{}, m.jobFail(jr, err)
-	}
-	return st, nil
+	return m.jobStats(jr), nil
 }
 
 // jobFail turns err into the job's failure: it is recorded (first error
@@ -417,12 +420,18 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 // channel. The spill is armed first: the start barrier orders the curJob
 // install before any peer's first write frame, so an armed spill sees every
 // frame of this job. A remote abort announcement may already be parked if a
-// fast peer failed before we even got here.
+// fast peer failed before we even got here. The cancellation latch is read
+// after the install and Cluster.Cancel sets it before looking for a current
+// job, so one of the two sees the other: a Cancel is never lost in the window
+// between RunJob's entry check and this point.
 func (m *Machine) publish(jr *jobRuntime) {
 	m.spill.begin()
 	m.curJob.Store(jr)
 	if pa := m.pendingAbort.Swap(nil); pa != nil && pa.id == jr.id {
 		jr.fail(pa.err)
+	}
+	if cause := m.canceled.Load(); cause != nil {
+		m.abortJob(jr, *cause)
 	}
 	m.col.SetAbort(jr.abortCh)
 	m.col.SetTimeout(m.cfg.CollectiveTimeout)
@@ -478,22 +487,27 @@ func (m *Machine) ghostPrepare(jr *jobRuntime) error {
 	return nil
 }
 
-// The two barriers of a job, as the barrier span's arg.
+// The two synchronization points of a job, as the barrier span's arg.
 const (
-	barrierStart = 0 // before the task phase
-	barrierEnd   = 1 // after it
+	barrierStart = 0 // before the task phase: a collective barrier
+	barrierEnd   = 1 // after it: the first round of the write drain
 )
 
-// barrier runs one collective barrier of the job; with observability
-// attached it is the barrier span and a HistBarrier sample (what
-// Cluster.Replan reads as wait skew).
-func (m *Machine) barrier(jr *jobRuntime, which uint64) error {
-	reg := m.cfg.Obs
-	t := reg.Clock()
+// startBarrier is the job's one plain barrier: no machine starts its task
+// phase before every machine has published the job and prepared its ghosts.
+func (m *Machine) startBarrier(jr *jobRuntime) error {
+	t := m.cfg.Obs.Clock()
 	err := m.col.Barrier()
+	m.barrierSpan(jr, barrierStart, t)
+	return err
+}
+
+// barrierSpan records a synchronization point entered at t: the barrier span
+// and a HistBarrier sample (what Cluster.Replan reads as wait skew).
+func (m *Machine) barrierSpan(jr *jobRuntime, which uint64, t int64) {
+	reg := m.cfg.Obs
 	reg.Span(m.id, obs.WorkerMain, obs.SpanBarrier, jr.id, t, which)
 	reg.Observe(m.id, obs.HistBarrier, time.Duration(reg.Clock()-t))
-	return err
 }
 
 // taskPhase hands the job to the workers and waits for their task lists and
@@ -509,6 +523,14 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 			w.jobCh <- jr
 		}
 		jr.wg.Wait()
+		// Worker end times, the raw data of Figure 6c. A machine that skipped
+		// dispatch keeps zeros: its workers' end times are stale from an
+		// earlier job.
+		jr.endMin = 1 << 62
+		for _, w := range m.workers {
+			d := w.endTime.Sub(jr.t0).Nanoseconds()
+			jr.endMin, jr.endMax = min(jr.endMin, d), max(jr.endMax, d)
+		}
 	}
 	jr.taskNS = time.Since(jr.t0).Nanoseconds()
 	reg.Span(m.id, obs.WorkerMain, obs.SpanTaskPhase, jr.id, t, 0)
@@ -533,16 +555,19 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 //	2                       cumulative remote write records sent, applied
 //	3 per JobSpec.Build     the built frontier's count, out- and in-degree sum
 //	nm                      lane i: machine i's task-phase wall time
+//	nm                      lane i: when machine i's first worker ran dry
+//	nm                      lane i: when machine i's last worker ran dry
 //	nm, stealable jobs      lane i: time thieves spent on machine i's nodes
 //	nm, stealable jobs      lane j: machine j's total such time as a thief
 //
 // Frontier stats ride here instead of a separate O(V)-scan reduce per
 // convergence check. Each machine contributes only its own per-machine lanes,
 // so the sums reconstruct the full vectors — the load hints steering the next
-// job's steal phase and, accumulated, the repartitioner's telemetry — at no
-// additional collective cost. Stolen time is wall-equivalent: per-worker CPU
-// time divided by the worker count, the same conversion taskNS implies for a
-// saturated phase.
+// job's steal phase, accumulated the repartitioner's telemetry, and the
+// worker end times behind the Figure 6c breakdown — at no additional
+// collective cost. Stolen time is wall-equivalent: per-worker CPU time divided
+// by the worker count, the same conversion taskNS implies for a saturated
+// phase.
 type drainLanes struct {
 	vals  []int64
 	load  int // offset of the first per-machine lane
@@ -550,13 +575,17 @@ type drainLanes struct {
 	steal bool
 }
 
-func newDrainLanes(builds, nm int, steal bool) drainLanes {
-	l := drainLanes{load: 2 + 3*builds, nm: nm, steal: steal}
-	n := l.load + nm
-	if steal {
-		n += 2 * nm
+// newDrainLanes lays the vector out over the machine's lane scratch.
+func (m *Machine) newDrainLanes(jr *jobRuntime) drainLanes {
+	l := drainLanes{load: 2 + 3*len(jr.builds), nm: m.cfg.NumMachines, steal: jr.steal != nil}
+	n := l.load + 3*l.nm
+	if l.steal {
+		n += 2 * l.nm
 	}
-	l.vals = make([]int64, n)
+	if cap(m.scratchLanes) < n {
+		m.scratchLanes = make([]int64, n)
+	}
+	l.vals = m.scratchLanes[:n]
 	return l
 }
 
@@ -573,9 +602,14 @@ func (l drainLanes) frontier(i int) FrontierStats {
 	return FrontierStats{Count: l.vals[2+3*i], OutDeg: l.vals[3+3*i], InDeg: l.vals[4+3*i]}
 }
 
-func (l drainLanes) taskNS() []int64    { return l.vals[l.load : l.load+l.nm] }
-func (l drainLanes) stolenFor() []int64 { return l.vals[l.load+l.nm : l.load+2*l.nm] }
-func (l drainLanes) thiefNS() []int64   { return l.vals[l.load+2*l.nm : l.load+3*l.nm] }
+// perMachine returns the k-th block of per-machine lanes.
+func (l drainLanes) perMachine(k int) []int64 { return l.vals[l.load+k*l.nm : l.load+(k+1)*l.nm] }
+
+func (l drainLanes) taskNS() []int64    { return l.perMachine(0) }
+func (l drainLanes) endMin() []int64    { return l.perMachine(1) }
+func (l drainLanes) endMax() []int64    { return l.perMachine(2) }
+func (l drainLanes) stolenFor() []int64 { return l.perMachine(3) }
+func (l drainLanes) thiefNS() []int64   { return l.perMachine(4) }
 
 // stageLanes writes this machine's contribution to one round. Every lane is
 // rewritten each round: the allreduce overwrote the vector with sums.
@@ -592,7 +626,7 @@ func (m *Machine) stageLanes(jr *jobRuntime) {
 		l.setFrontier(i, bf)
 	}
 	clear(l.vals[l.load:])
-	l.taskNS()[m.id] = jr.taskNS
+	l.taskNS()[m.id], l.endMin()[m.id], l.endMax()[m.id] = jr.taskNS, jr.endMin, jr.endMax
 	if l.steal {
 		// Bill stolen work to the victim, not the thief; wg.Wait ordered the
 		// workers' final adds to stolenNS before this read.
@@ -604,11 +638,41 @@ func (m *Machine) stageLanes(jr *jobRuntime) {
 	}
 }
 
-// drainWrites is termination detection for buffered remote writes (the
-// write_drain span): cumulative sent counts are final once every machine
-// passed the end barrier, so allreduce the lanes until the cluster-wide
-// applied count catches up. The deadline is the fault detector: a write
-// frame lost on the wire would otherwise keep this loop (and hence the whole
+// drainRound is one round of the termination allreduce. The spilled backlog
+// is replayed before this round's applied count is staged: a round that
+// observes sent == applied has replayed every frame that arrived before it.
+// Frames landing during replay buffer for the next round, which the unchanged
+// sent total forces. The staged vector is summed a buffer's worth of lanes per
+// collective — one, unless BufferSize is a few dozen bytes.
+func (m *Machine) drainRound(jr *jobRuntime) error {
+	if m.spill != nil {
+		if err := m.replaySpill(); err != nil {
+			return err
+		}
+	}
+	m.stageLanes(jr)
+	vals, maxVals := jr.lanes.vals, m.valsPerFrame()
+	for len(vals) > 0 {
+		n := min(len(vals), maxVals)
+		if err := m.col.AllReduceI64(vals[:n], reduce.Sum); err != nil {
+			return err
+		}
+		vals = vals[n:]
+	}
+	return nil
+}
+
+// drainWrites is the job's end barrier and its termination detection for
+// buffered remote writes in one loop of lane allreduces. A machine stages its
+// first round only after its own workers joined, so when that round returns
+// every machine's task list is empty, every read is answered and every
+// cumulative sent count is final — all an end barrier would assert; the round
+// is recorded as the barrier(1) span and a HistBarrier sample, since what it
+// measures is the wait for the slowest machine's task phase. The rounds after
+// it (the write_drain span, whose arg counts them) repeat until the
+// cluster-wide applied count catches up; a job whose writes all landed during
+// the task phase has none. The deadline is the fault detector: a write frame
+// lost on the wire would otherwise keep this loop (and hence the whole
 // cluster) spinning forever.
 func (m *Machine) drainWrites(jr *jobRuntime) error {
 	reg := m.cfg.Obs
@@ -617,23 +681,20 @@ func (m *Machine) drainWrites(jr *jobRuntime) error {
 	if m.cfg.RequestTimeout > 0 {
 		deadline = time.Now().Add(m.cfg.RequestTimeout)
 	}
-	jr.lanes = newDrainLanes(len(jr.builds), m.cfg.NumMachines, jr.steal != nil)
-	for {
-		// Replay the spilled backlog before staging this round's applied
-		// count: a round that observes sent == applied has replayed every
-		// frame that arrived before it. Frames landing during replay buffer
-		// for the next round, which the unchanged sent total forces.
-		if m.spill != nil {
-			if err := m.replaySpill(); err != nil {
-				return err
-			}
+	jr.lanes = m.newDrainLanes(jr)
+	for round := uint64(0); ; round++ {
+		err := m.drainRound(jr)
+		if round == 0 {
+			m.barrierSpan(jr, barrierEnd, t)
+			t = reg.Clock()
 		}
-		m.stageLanes(jr)
-		if err := m.col.AllReduceI64(jr.lanes.vals, reduce.Sum); err != nil {
+		if err != nil {
 			return err
 		}
 		if jr.lanes.sent() == jr.lanes.applied() {
-			break
+			m.recordLoad(jr.lanes)
+			reg.Span(m.id, obs.WorkerMain, obs.SpanWriteDrain, jr.id, t, round)
+			return nil
 		}
 		if err := jr.Err(); err != nil {
 			return err
@@ -643,9 +704,6 @@ func (m *Machine) drainWrites(jr *jobRuntime) error {
 		}
 		runtime.Gosched()
 	}
-	m.recordLoad(jr.lanes)
-	reg.Span(m.id, obs.WorkerMain, obs.SpanWriteDrain, jr.id, t, 0)
-	return nil
 }
 
 // recordLoad keeps the converged round's per-machine lanes. loadHints stay
@@ -669,33 +727,23 @@ func (m *Machine) recordLoad(l drainLanes) {
 	}
 }
 
-// breakdown closes the job: its duration, the built frontiers' cluster-wide
-// stats out of the converged lanes, and the Figure 6c decomposition from
-// per-worker end times folded into a single Min-allreduce — min worker end
-// (fully-parallel boundary), min machine end (inter-machine boundary), and
-// -max machine end (job end). A machine that skipped dispatch contributes
-// zero (its workers' end times are stale from an earlier job).
-func (m *Machine) breakdown(jr *jobRuntime) (machineJobStats, error) {
+// jobStats closes the job out of the converged lanes, with no traffic of its
+// own: its duration, the built frontiers' cluster-wide stats, and the Figure
+// 6c decomposition from the per-machine worker end times — the earliest
+// worker end anywhere (fully-parallel boundary), the earliest machine end
+// (inter-machine boundary) and the latest (job end).
+func (m *Machine) jobStats(jr *jobRuntime) machineJobStats {
 	total := time.Since(jr.t0)
-	eMin, eMax := int64(1<<62), int64(0)
-	if jr.emptySkip {
-		eMin = 0
-	} else {
-		for _, w := range m.workers {
-			d := w.endTime.Sub(jr.t0).Nanoseconds()
-			eMin, eMax = min(eMin, d), max(eMax, d)
-		}
-	}
-	tv := []int64{eMin, eMax, -eMax}
-	if err := m.col.AllReduceI64(tv, reduce.Min); err != nil {
-		return machineJobStats{}, err
-	}
-	fully, minMachineEnd, jobEnd := tv[0], tv[1], -tv[2]
+	l := jr.lanes
+	fully, minMachineEnd, jobEnd := slices.Min(l.endMin()), slices.Min(l.endMax()), slices.Max(l.endMax())
 	st := machineJobStats{duration: total}
 	if n := len(jr.builds); n > 0 {
-		st.frontiers = make([]FrontierStats, n)
+		if cap(m.scratchFrontiers) < n {
+			m.scratchFrontiers = make([]FrontierStats, n)
+		}
+		st.frontiers = m.scratchFrontiers[:n]
 		for i := range st.frontiers {
-			st.frontiers[i] = jr.lanes.frontier(i)
+			st.frontiers[i] = l.frontier(i)
 		}
 	}
 	st.breakdown = Breakdown{
@@ -704,8 +752,11 @@ func (m *Machine) breakdown(jr *jobRuntime) (machineJobStats, error) {
 		InterMachine:  time.Duration(jobEnd - minMachineEnd),
 		Sync:          total - time.Duration(jobEnd),
 	}
-	return st, nil
+	return st
 }
+
+// valsPerFrame is how many 8-byte values one collective frame carries.
+func (m *Machine) valsPerFrame() int { return (m.cfg.BufferSize - comm.HeaderSize) / 8 }
 
 // ghostExchange is the loop both ghost exchanges share, in the column's own
 // arithmetic: a buffer's worth of ghost slots at a time, gather each slot's
@@ -724,7 +775,7 @@ func exchangeGhosts[T float64 | int64](m *Machine, scratch *[]T, op reduce.Op,
 	allreduce func([]T, reduce.Op) error, fromWord func(uint64) T, toWord func(T) uint64,
 	gather func(int) uint64, scatter func(int, uint64)) error {
 	ng := m.store.ghosts.Len()
-	maxVals := (m.cfg.BufferSize - comm.HeaderSize) / 8
+	maxVals := m.valsPerFrame()
 	for base := 0; base < ng; base += maxVals {
 		vals := (*scratch)[:0]
 		for s := base; s < min(base+maxVals, ng); s++ {

@@ -33,6 +33,19 @@ func mainSpans(reg *obs.Registry, job uint64, machine int) []string {
 	return names
 }
 
+// extraDrainRounds is the arg of machine's write_drain span for job: how many
+// allreduce rounds the drain took after its first (the barrier(1) span).
+func extraDrainRounds(t *testing.T, reg *obs.Registry, job uint64, machine int) uint32 {
+	t.Helper()
+	for _, s := range reg.RecentSpans(0) {
+		if s.Job == job && int(s.Machine) == machine && s.Kind == obs.SpanWriteDrain {
+			return uint32(s.Arg)
+		}
+	}
+	t.Fatalf("machine %d recorded no write_drain span for job %d", machine, job)
+	return 0
+}
+
 // jobSchedule is the span sequence runJob's phases must record on every
 // machine for a job with readProps ghost-synced read props.
 func jobSchedule(readProps int, ghostMerge bool) []string {
@@ -47,23 +60,30 @@ func jobSchedule(readProps int, ghostMerge bool) []string {
 	return append(want, "job")
 }
 
-// scheduleCluster boots three machines with ghosts and a registry over g.
-func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
+// scheduleCluster boots three machines with a registry over g, ghosting every
+// vertex of degree 32 and up or none at all.
+func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config, ghosts bool) *Cluster {
 	t.Helper()
-	cfg.GhostThreshold = 32
+	cfg.GhostThreshold = GhostDisabled
+	if ghosts {
+		cfg.GhostThreshold = 32
+	}
 	cfg.Obs = obs.NewRegistry()
 	c := bootCluster(t, g, cfg)
-	if c.NumGhosts() == 0 {
-		t.Fatal("test graph produced no ghosts at threshold 32")
+	if (c.NumGhosts() > 0) != ghosts {
+		t.Fatalf("test graph produced %d ghosts, want some: %v", c.NumGhosts(), ghosts)
 	}
 	return c
 }
 
 // TestRunJobSchedule pins the job protocol: whatever a machine's local state
 // (a ghosted read+write job, an empty local frontier, spilled writes, a
-// stealable job), its main goroutine records exactly ghost_read_sync per
-// read prop, barrier(0), task_phase, barrier(1), write_drain, ghost_merge,
-// job — the phases of runJob, each one collective step of the SPMD schedule.
+// stealable job, no ghosts at all), its main goroutine records exactly
+// ghost_read_sync per read prop, barrier(0), task_phase, barrier(1),
+// write_drain, ghost_merge, job — and the collective count is what those
+// spans say: the start barrier and the first drain round (two, all a healthy
+// ghost-free job needs), one per ghosted read prop and per ghosted write
+// prop, one per drain round after the first.
 func TestRunJobSchedule(t *testing.T) {
 	g := testGraph(t)
 	inDeg := refInDegree(g)
@@ -75,7 +95,9 @@ func TestRunJobSchedule(t *testing.T) {
 		name      string
 		cfg       func(*Config)
 		spec      func(c *Cluster, spec *JobSpec)
+		ghostFree bool
 		readProps int
+		quiet     bool // no remote write: the drain must take its first round only
 		want      []int64
 	}{
 		{name: "ghosted-read-write", readProps: 2, want: inDeg,
@@ -94,13 +116,20 @@ func TestRunJobSchedule(t *testing.T) {
 		{name: "stealable", want: inDeg,
 			cfg:  func(cfg *Config) { cfg.EnableWorkStealing = true },
 			spec: func(c *Cluster, spec *JobSpec) { spec.Steal = &StealSpec{} }},
+		{name: "ghost-free", ghostFree: true, readProps: 0, want: inDeg,
+			spec: func(c *Cluster, spec *JobSpec) {
+				a, _ := c.AddPropF64("a")
+				spec.ReadProps = []PropID{a} // read through neighbors, but no ghost to refresh
+			}},
+		{name: "ghost-free-empty-frontier", ghostFree: true, quiet: true, want: make([]int64, g.NumNodes()),
+			spec: func(c *Cluster, spec *JobSpec) { spec.Source = c.NewFrontier("none") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(3)
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			c := scheduleCluster(t, g, cfg)
+			c := scheduleCluster(t, g, cfg, !tc.ghostFree)
 			dst, _ := c.AddPropI64("dst")
 			c.FillI64(dst, 0)
 			spec := JobSpec{Name: tc.name, Iter: IterOutEdges, Task: &pushOneTask{counter: dst},
@@ -108,16 +137,28 @@ func TestRunJobSchedule(t *testing.T) {
 			if tc.spec != nil {
 				tc.spec(c, &spec)
 			}
+			seq0 := c.machines[0].col.Seq()
 			if _, err := c.RunJob(spec); err != nil {
 				t.Fatal(err)
 			}
 			if got := c.GatherI64(dst); !slices.Equal(got, tc.want) {
 				t.Error("job result differs from the reference")
 			}
-			want := jobSchedule(tc.readProps, true)
+			want := jobSchedule(tc.readProps, !tc.ghostFree)
 			for m := 0; m < 3; m++ {
 				if got := mainSpans(c.cfg.Obs, c.jobSeq, m); !slices.Equal(got, want) {
 					t.Errorf("machine %d recorded %v, want %v", m, got, want)
+				}
+				extra := extraDrainRounds(t, c.cfg.Obs, c.jobSeq, m)
+				if tc.quiet && extra != 0 {
+					t.Errorf("machine %d: a job without remote writes drained for %d extra rounds", m, extra)
+				}
+				collectives := 2 + extra
+				if !tc.ghostFree {
+					collectives += uint32(tc.readProps + len(spec.WriteProps))
+				}
+				if got := c.machines[m].col.Seq() - seq0; got != collectives {
+					t.Errorf("machine %d ran %d collectives, want %d (%d extra drain rounds)", m, got, collectives, extra)
 				}
 			}
 		})
@@ -130,9 +171,11 @@ func TestRunJobSchedule(t *testing.T) {
 // cluster. A collective is one control frame from machine 1 to machine 0, so
 // failing that stream's k-th frame fails the job's k-th collective, and the
 // spans machine 1 completed before it say which phase that was — which pins
-// the order of the collectives too. The drain takes one round only when no
-// remote write is in flight, so the phases after it are reached with a job
-// over an empty frontier.
+// the order of the collectives too. The first drain round is the barrier(1)
+// span; the drain takes no further round only when no remote write is in
+// flight, so the phases after it are reached with a job over an empty
+// frontier, and with writes in flight the collective after the first drain
+// round is a later round or, when one sufficed, the ghost merge.
 func TestFaultRunJobPhases(t *testing.T) {
 	g := testGraph(t)
 	want := refInDegree(g)
@@ -145,15 +188,15 @@ func TestFaultRunJobPhases(t *testing.T) {
 		rule  comm.FaultRule
 		quiet bool     // iterate an empty frontier: no writes, one drain round
 		spans []string // what machine 1 completes before the failure; nil = the job succeeds
+		or    []string // the other span prefix the failure may leave
 	}{
 		{phase: "ghostPrepare", rule: ctrl(0), spans: full[:0]},
 		{phase: "barrier-start", rule: ctrl(1), spans: full[:2]}, // a failed barrier still records its span
 		{phase: "taskPhase", rule: comm.FaultRule{Src: 1, Dst: comm.AnyMachine, Type: int(comm.MsgWriteReq), Kind: comm.FaultFail, Limit: 1}, spans: full[:3]},
-		{phase: "barrier-end", rule: ctrl(2), spans: full[:4]},
-		{phase: "drainWrites", rule: ctrl(3), spans: full[:4]},
-		{phase: "ghostMerge", rule: ctrl(4), quiet: true, spans: full[:5]},
-		{phase: "breakdown", rule: ctrl(5), quiet: true, spans: full[:6]},
-		{phase: "past-the-last-collective", rule: ctrl(6), quiet: true},
+		{phase: "drainWrites-first-round", rule: ctrl(2), spans: full[:4]}, // the end barrier: its span is recorded, write_drain is not
+		{phase: "drainWrites-or-ghostMerge", rule: ctrl(3), spans: full[:4], or: full[:5]},
+		{phase: "ghostMerge", rule: ctrl(3), quiet: true, spans: full[:5]},
+		{phase: "past-the-last-collective", rule: ctrl(4), quiet: true},
 	} {
 		t.Run(tc.phase, func(t *testing.T) {
 			cfg := faultCfg(3)
@@ -161,7 +204,7 @@ func TestFaultRunJobPhases(t *testing.T) {
 			inj := faultFabric(t, cfg, false, comm.FaultPlan{Seed: 14, Rules: []comm.FaultRule{tc.rule}})
 			defer inj.Close()
 			cfg.Fabric = inj
-			c := scheduleCluster(t, g, cfg)
+			c := scheduleCluster(t, g, cfg, true)
 			aux, _ := c.AddPropF64("aux")
 			dst, _ := c.AddPropI64("dst")
 			job := func(source *Frontier) error {
@@ -185,8 +228,8 @@ func TestFaultRunJobPhases(t *testing.T) {
 			if !errors.Is(err, ErrJobAborted) {
 				t.Fatalf("error %v does not wrap ErrJobAborted", err)
 			}
-			if wantSpans := append(slices.Clone(tc.spans), "job"); !slices.Equal(spans, wantSpans) {
-				t.Errorf("machine 1 completed %v before the failure, want %v", spans, wantSpans)
+			if n := len(spans); n == 0 || spans[n-1] != "job" || !slices.Equal(spans[:n-1], tc.spans) && (tc.or == nil || !slices.Equal(spans[:n-1], tc.or)) {
+				t.Errorf("machine 1 completed %v before the failure, want %v (or %v) and the job span", spans, tc.spans, tc.or)
 			}
 			for _, m := range c.machines {
 				if m.curJob.Load() != nil {

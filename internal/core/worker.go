@@ -933,12 +933,14 @@ type jobRuntime struct {
 	// Locals of the machine main goroutine's schedule (Machine.runJob), set by
 	// the phase named: emptySkip (newJobRuntime) — the local frontier is empty
 	// and nothing can be stolen, so workers are not dispatched, though every
-	// collective still runs; t0 and taskNS (taskPhase) — the task phase's
-	// start and wall time; lanes (drainWrites) — the termination vector.
-	emptySkip bool
-	t0        time.Time
-	taskNS    int64
-	lanes     drainLanes
+	// collective still runs; t0, taskNS, endMin and endMax (taskPhase) — the
+	// task phase's start and wall time and, from t0, when its first and last
+	// worker ran dry; lanes (drainWrites) — the termination vector.
+	emptySkip      bool
+	t0             time.Time
+	taskNS         int64
+	endMin, endMax int64
+	lanes          drainLanes
 
 	cursor atomic.Int64
 	wg     sync.WaitGroup
