@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-job bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
+.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-job bench-read bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,27 @@ bench-scan:
 # change to the job schedule diffs against.
 bench-job:
 	$(GO) test -run '^$$' -bench JobFloor -benchtime 20000x -count 5 ./internal/core/
+
+# The budget of one remote read (ROADMAP item 3): ns a remote ref adds to a
+# pull-sum job on two machines, in process and over loopback TCP, requested on
+# demand with read combining, on demand without it, and prefetched into the
+# mirror, plus the one-time read-set build in ns/edge. It is the row that
+# turns AblateReadMirror and AblateReadCombining. With AGAINST=<git-ref> that
+# commit's test binary is built beside this tree's under SCRATCH and the two
+# alternate three times, the way a claim about this path is to be measured (a
+# ref from before the benchmark existed prints nothing).
+SCRATCH ?= /tmp/pgxd-bench-read
+BENCH_READ = -test.run '^$$' -test.bench RemoteRead -test.benchtime 10x -test.timeout 10m
+bench-read:
+ifdef AGAINST
+	rm -rf $(SCRATCH) && mkdir -p $(SCRATCH)/ref
+	git archive $(AGAINST) | tar -x -C $(SCRATCH)/ref
+	cd $(SCRATCH)/ref && $(GO) test -c -o $(SCRATCH)/ref.test ./internal/core
+	$(GO) test -c -o $(SCRATCH)/head.test ./internal/core
+	cd internal/core && for i in 1 2 3; do for side in ref head; do echo "== $$side ($$i)"; $(SCRATCH)/$$side.test $(BENCH_READ) | grep Benchmark; done; done
+else
+	$(GO) test -run '^$$' -bench RemoteRead -benchtime 10x -count 3 ./internal/core/
+endif
 
 # Fail-soft smoke: injected drops, failures, delays, and a machine kill
 # against PageRank, asserting errors surface and buffers come home.

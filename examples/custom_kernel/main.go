@@ -61,7 +61,10 @@ func (k *avgNbrDegreeRow) RunRow(c *pgxd.Ctx, row pgxd.Row) {
 			sum += deg.At(ref)
 			seen++
 		} else {
-			c.ReadRef(ref, k.degProp) // buffered; ReadDone adds it later
+			// ReadDone adds it: at once when the engine prefetched the job's
+			// remote reads (c.Remote(p).Word(ref) would fold it right here),
+			// later when the read is buffered toward the owner.
+			c.ReadRef(ref, k.degProp)
 		}
 	}
 	c.SetF64(k.sumProp, c.GetF64(k.sumProp)+sum)

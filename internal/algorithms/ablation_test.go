@@ -29,6 +29,7 @@ func ablationLattice() []ablationSet {
 		{"edge-chunking", core.AblateEdgeChunking},
 		{"pin-push", core.AblatePinPush},
 		{"pin-pull", core.AblatePinPull},
+		{"read-mirror", core.AblateReadMirror},
 	}
 	all := core.Ablation(0)
 	for _, as := range sets {

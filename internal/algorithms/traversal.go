@@ -28,13 +28,15 @@ type wccPullKernel struct {
 }
 
 func (k *wccPullKernel) RunRow(c *core.Ctx, row core.Row) {
-	label := c.I64(k.label)
+	label, remote := c.I64(k.label), c.Remote(k.label)
 	best := int64(math.MaxInt64)
 	for _, ref := range row.Refs {
-		if ref < 0 {
+		if ref >= 0 {
+			best = min(best, label.At(ref))
+		} else if word, ok := remote.Word(ref); ok {
+			best = min(best, core.I64Word(word))
+		} else {
 			c.ReadRef(ref, k.label)
-		} else if v := label.At(ref); v < best {
-			best = v
 		}
 	}
 	if best < c.GetI64(k.labelNxt) {
@@ -165,14 +167,20 @@ type ssspPullKernel struct {
 }
 
 func (k *ssspPullKernel) RunRow(c *core.Ctx, row core.Row) {
-	dist := c.F64(k.dist)
+	dist, remote := c.F64(k.dist), c.Remote(k.dist)
 	best := math.Inf(1)
 	for i, ref := range row.Refs {
 		w := row.Weight(i)
-		if ref < 0 {
+		d := math.Inf(1)
+		if ref >= 0 {
+			d = dist.At(ref) + w
+		} else if word, ok := remote.Word(ref); ok {
+			d = core.F64Word(word) + w
+		} else {
 			c.Aux = core.WordF64(w) // the continuation's half of the sum
 			c.ReadRef(ref, k.dist)
-		} else if d := dist.At(ref) + w; d < best {
+		}
+		if d < best {
 			best = d
 		}
 	}
@@ -299,11 +307,10 @@ func (k *hopPushKernel) RunRow(c *core.Ctx, row core.Row) {
 // each still-unvisited node scans its in-neighbors for one on the current
 // level and claims level+1 for itself, activating into the next frontier.
 // The scan stops at the first hit — the early exit that makes pull win on
-// dense levels. Remote in-neighbors resolve asynchronously and cannot stop
-// the scan, but their continuations still claim the level, so the result is
-// unaffected. Claims are deterministic: only values that were exactly level
-// at job start can match, and a mid-superstep self-claim writes level+1,
-// which no reader can mistake for level.
+// dense levels — whether the hit is a local, ghosted or mirrored in-neighbor.
+// Claims are deterministic: only values that were exactly level at job start
+// can match, and a mid-superstep self-claim writes level+1, which no reader
+// can mistake for level.
 type hopPullKernel struct {
 	core.RowOnly
 	dist  core.PropID
@@ -311,21 +318,28 @@ type hopPullKernel struct {
 }
 
 func (k *hopPullKernel) RunRow(c *core.Ctx, row core.Row) {
-	dist := c.I64(k.dist)
+	dist, remote := c.I64(k.dist), c.Remote(k.dist)
 	for _, ref := range row.Refs {
+		var d int64
 		if ref >= 0 {
-			if dist.At(ref) == k.level {
-				k.claim(c)
-				return
+			d = dist.At(ref)
+		} else if word, ok := remote.Word(ref); ok {
+			d = core.I64Word(word)
+		} else {
+			// On demand: the in-neighbor resolves asynchronously and cannot stop
+			// the scan, but its continuation still claims the level. The read can
+			// run queued continuations of this node, so the own-node check sits
+			// next to it, never cached across it.
+			if c.GetI64(k.dist) == k.level+1 {
+				return // already claimed by an earlier in-neighbor's response
 			}
+			c.ReadRef(ref, k.dist)
 			continue
 		}
-		// A remote read can run queued continuations of this node, so the
-		// own-node check sits next to it, never cached across it.
-		if c.GetI64(k.dist) == k.level+1 {
-			return // already claimed by an earlier in-neighbor's response
+		if d == k.level {
+			k.claim(c)
+			return
 		}
-		c.ReadRef(ref, k.dist)
 	}
 }
 

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // Router is the paper's poller thread (§3.4): a dedicated goroutine per
@@ -20,6 +21,10 @@ type Router struct {
 	rmiResp    chan *Buffer
 	abort      chan *Buffer
 	done       sync.WaitGroup
+
+	// reqIn counts request frames put on reqQueue, reqDone the ones a copier
+	// reported served (RequestDone); see PendingRequests.
+	reqIn, reqDone atomic.Int64
 }
 
 // RouterConfig sizes the router's queues. Queue capacities must exceed the
@@ -101,6 +106,7 @@ func (r *Router) poll() {
 				buf.Release() // misaddressed; drop rather than wedge
 			}
 		case MsgReadReq, MsgWriteReq, MsgRMIReq, MsgSteal:
+			r.reqIn.Add(1)
 			r.reqQueue <- buf
 		case MsgCtrl:
 			r.ctrl <- buf
@@ -136,10 +142,19 @@ func (r *Router) RMIResp() <-chan *Buffer { return r.rmiResp }
 // engine's abort watcher consumes it for the life of the machine.
 func (r *Router) AbortQueue() <-chan *Buffer { return r.abort }
 
-// PendingRequests reports how many inbound request frames are queued and not
-// yet claimed by a copier — the recovery drain polls this to know when the
-// cluster has gone quiet after an aborted job.
-func (r *Router) PendingRequests() int { return len(r.reqQueue) }
+// RequestDone reports one frame taken from ReqQueue as served and released.
+func (r *Router) RequestDone() { r.reqDone.Add(1) }
+
+// PendingRequests reports how many inbound request frames are queued or in a
+// copier's hands: routed minus RequestDone, so a frame counts from before it
+// is enqueued until after it is served, with no window at the dequeue. The
+// recovery drain polls this to know when the cluster has gone quiet after an
+// aborted job — over TCP a frame being served lives in the transport's own
+// receive buffer, which no engine pool accounts for.
+func (r *Router) PendingRequests() int {
+	done := r.reqDone.Load() // read first: a racing frame can only over-count
+	return int(r.reqIn.Load() - done)
+}
 
 // Shutdown closes the endpoint and waits for the poller to drain and close
 // all downstream channels. Remaining queued frames are released.

@@ -7,15 +7,18 @@ import (
 	"repro/internal/graph"
 )
 
-// combiningConfig builds a cluster config with ghosting disabled so every
-// cross-partition neighbor read goes over the wire — the duplicate-heavy
-// workload read combining exists for.
+// combiningConfig builds a cluster config with ghosting disabled and the read
+// mirror ablated, so every cross-partition neighbor read is requested on
+// demand over the wire — the duplicate-heavy workload read combining exists
+// for (a mirrored pull fetches each distinct address once and leaves nothing
+// to combine).
 func combiningConfig(p int, disable bool) Config {
 	cfg := DefaultConfig(p)
 	cfg.BufferSize = 8 << 10 // small windows: exercises flush + dedup reset
 	cfg.GhostThreshold = GhostDisabled
+	cfg.Ablate = AblateReadMirror
 	if disable {
-		cfg.Ablate = AblateReadCombining
+		cfg.Ablate |= AblateReadCombining
 	}
 	return cfg
 }

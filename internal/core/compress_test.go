@@ -11,13 +11,17 @@ import (
 
 // compressConfig builds the cluster config the wire-compression tests share:
 // ghosting off so reads and writes cross the wire, small buffers so batches
-// flush often, and the ablation flag set per cell.
+// flush often, and the ablation flag set per cell. The read mirror is ablated
+// so that read batches leave in edge order and take the codec's sort and
+// slot-remap branch; a prefetch's batches are born sorted, and
+// TestMirroredPullMatchesOnDemand runs those through the codec over TCP.
 func compressConfig(p int, disable bool) Config {
 	cfg := DefaultConfig(p)
 	cfg.BufferSize = 8 << 10
 	cfg.GhostThreshold = GhostDisabled
+	cfg.Ablate = AblateReadMirror
 	if disable {
-		cfg.Ablate = AblateWireCompression
+		cfg.Ablate |= AblateWireCompression
 	}
 	cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
 	cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4

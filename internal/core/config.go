@@ -136,7 +136,7 @@ func DefaultConfig(p int) Config {
 // (paper §5.3, Fig 6a-c treat these as instruments). No member changes any
 // algorithm's result (float push sums keep their usual last-ulp freedom);
 // only the cost moves.
-type Ablation uint8
+type Ablation uint16
 
 const (
 	// AblateGhostPrivatization makes workers reduce into the shared
@@ -172,6 +172,10 @@ const (
 	// are set).
 	AblatePinPush
 	AblatePinPull
+	// AblateReadMirror turns off the per-job prefetch of a dense pull's
+	// remote reads (mirror.go): every remote ref is requested on demand and
+	// answered through a ReadDone continuation, as in the paper's protocol.
+	AblateReadMirror
 )
 
 // Has reports whether any member of m is set in a.

@@ -36,6 +36,7 @@ func (m *Machine) copierLoop() {
 		}
 		t := reg.Clock()
 		err := m.serveRequest(buf, dec, jr)
+		m.router.RequestDone()
 		reg.Span(m.id, obs.WorkerCopier, obs.SpanCopierServe, jobID, t, uint64(h.Src)<<48|uint64(h.Type))
 		reg.Observe(m.id, obs.HistServe, time.Duration(reg.Clock()-t))
 		if err != nil {

@@ -179,9 +179,10 @@ func (c *Ctx) NbrWriteI64(p PropID, op reduce.Op, v int64) {
 }
 
 // NbrRead requests property p of the current neighbor — the paper's
-// read_remote. If the neighbor is local or ghosted, ReadDone is invoked
-// synchronously before NbrRead returns; otherwise the request is buffered
-// and ReadDone runs later on this same worker with Node and Aux restored.
+// read_remote. If the neighbor is local, ghosted or mirrored (mirror.go),
+// ReadDone is invoked synchronously before NbrRead returns; otherwise the
+// request is buffered and ReadDone runs later on this same worker with Node
+// and Aux restored.
 func (c *Ctx) NbrRead(p PropID) {
 	c.ReadRef(c.nbr, p)
 }
@@ -248,9 +249,9 @@ func (wr *Writer) WriteI64(ref int64, v int64) { wr.Write(ref, uint64(v)) }
 
 // F64View is a typed read view over one float64 property's local and ghost
 // slots on this machine. At is valid for ref >= 0 only — remote refs go
-// through Ctx.ReadRef — and reads the live word: under the engine's relaxed
-// consistency that is the value ReadDone would have been handed. The view is
-// valid for the current job.
+// through Ctx.Remote, then Ctx.ReadRef — and reads the live word: under the
+// engine's relaxed consistency that is the value ReadDone would have been
+// handed. The view is valid for the current job.
 type F64View struct{ vals []atomic.Uint64 }
 
 // At returns the property value of the local or ghost node ref.
@@ -280,6 +281,12 @@ func (c *Ctx) ReadRef(ref int64, p PropID) {
 		// scratch long since reused; StealSpec requires NoReads kernels.
 		w.fail(errStolenCtx(w, "remote ReadRef"))
 	}
+	if w.job.readSet != nil { // mirrored job: answered like a ghost when the mirror holds it
+		if word, ok := c.Remote(p).Word(ref); ok {
+			w.job.spec.Task.ReadDone(c, word)
+			return
+		}
+	}
 	mach, off := unpackRemote(ref)
 	w.bufferRead(mach, p, off, c.Node, c.Aux)
 }
@@ -303,10 +310,10 @@ func (c *Ctx) Activate(slot int) {
 // SkipNode ends the current node's remaining per-edge Run invocations (both
 // orientations under IterBothEdges) once the current Run returns. Pull
 // kernels use it to stop scanning in-neighbors once the value they were
-// looking for arrived — effective when neighbors are local or ghosted (their
-// ReadDone runs synchronously); buffered remote reads resolve after the loop
-// has moved on, so they cannot trigger an early exit. A row kernel just
-// returns instead; no-op there and on node iterators.
+// looking for arrived — effective when neighbors are local, ghosted or
+// mirrored (their ReadDone runs synchronously); buffered remote reads resolve
+// after the loop has moved on, so they cannot trigger an early exit. A row
+// kernel just returns instead; no-op there and on node iterators.
 func (c *Ctx) SkipNode() { c.skip = true }
 
 // CallRMI invokes registered method id on machine dst with the given

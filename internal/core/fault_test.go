@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,5 +327,122 @@ func TestFaultNoGoroutineLeak(t *testing.T) {
 				base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// recoveryGate opens once post-abort recovery has polled the victim's
+// transport a third time (recoverAfterAbort quiesces every sender once per
+// round): an event only a recovery that is still waiting can produce. It is
+// what the parked copier below waits on, so "recovery waited for the copier"
+// is an outcome the test reads off, not a race it times.
+type recoveryGate struct {
+	comm.Fabric
+	victim int
+	armed  atomic.Bool
+	rounds atomic.Int32
+	once   sync.Once
+	open   chan struct{}
+}
+
+func (g *recoveryGate) release() { g.once.Do(func() { close(g.open) }) }
+
+func (g *recoveryGate) InMemory() bool { return comm.InMemoryFabric(g.Fabric) }
+
+func (g *recoveryGate) Endpoint(m int) (comm.Endpoint, error) {
+	ep, err := g.Fabric.Endpoint(m)
+	if err != nil {
+		return nil, err
+	}
+	return &recoveryGateEndpoint{Endpoint: ep, gate: g, victim: m == g.victim}, nil
+}
+
+type recoveryGateEndpoint struct {
+	comm.Endpoint
+	gate   *recoveryGate
+	victim bool
+}
+
+func (e *recoveryGateEndpoint) Quiesce() {
+	if q, ok := e.Endpoint.(interface{ Quiesce() }); ok {
+		q.Quiesce()
+	}
+	if e.victim && e.gate.armed.Load() && e.gate.rounds.Add(1) == 3 {
+		e.gate.release()
+	}
+}
+
+// rmiOnceTask sends exactly one RMI in the whole job: machine 0's node 0
+// calls method on machine 1.
+type rmiOnceTask struct {
+	NoReads
+	method uint32
+}
+
+func (k *rmiOnceTask) Run(c *Ctx) {
+	if c.Machine() == 0 && c.Node == 0 {
+		c.CallRMI(1, k.method, []byte{1})
+	}
+}
+
+func (k *rmiOnceTask) RMIDone(*Ctx, []byte) {}
+
+// TestFaultRecoveryWaitsForCopierMidServe: a request frame a copier has
+// dequeued and not finished serving must hold post-abort recovery. Over TCP
+// such a frame sits in the receiving transport's own buffer, which no engine
+// pool accounts for, and it has left the router's queue — so a recovery that
+// only looks at pools and queue length declares the cluster quiet, resets the
+// drain counters and returns with the copier still inside the aborted job's
+// frame (a write frame finishing then wedges every later drain at applied >
+// sent). Here the one request frame of the job parks its copier in an RMI
+// handler, the job is canceled, and the handler is let go only by recovery's
+// third polling round: RunJob may not return before the copier is done.
+func TestFaultRecoveryWaitsForCopierMidServe(t *testing.T) {
+	cfg := faultCfg(2)
+	cfg.RequestTimeout, cfg.CollectiveTimeout = time.Minute, time.Minute
+	gate := &recoveryGate{Fabric: innerFabric(t, cfg, true), victim: 1, open: make(chan struct{})}
+	defer gate.Close()
+	defer gate.release() // a failing run must still let the copier go before Shutdown
+	cfg.Fabric = gate
+	c := bootCluster(t, faultGraph(t), cfg)
+
+	entered := make(chan struct{})
+	var served atomic.Int32
+	method := c.RegisterRMI(func(m *Machine) comm.RMIHandler {
+		return func(int, []byte) []byte {
+			if served.Load() == 0 {
+				close(entered)
+				select {
+				case <-gate.open:
+				case <-time.After(30 * time.Second):
+					t.Error("the parked copier was never released")
+				}
+			}
+			served.Add(1)
+			return nil
+		}
+	})
+	spec := JobSpec{Name: "rmi-once", Iter: IterNodes, Task: &rmiOnceTask{method: method}}
+	cause := errors.New("cancel with a copier mid-serve")
+	go func() {
+		<-entered
+		gate.armed.Store(true)
+		c.Cancel(cause)
+	}()
+	_, err := c.RunJob(spec)
+	if !errors.Is(err, ErrJobAborted) || !errors.Is(err, cause) {
+		t.Fatalf("RunJob = %v, want ErrJobAborted wrapping the cancel cause", err)
+	}
+	if served.Load() != 1 {
+		t.Fatal("RunJob returned from an aborted job while a copier was still serving one of its request frames")
+	}
+	for _, m := range c.machines {
+		if n := m.router.PendingRequests(); n != 0 {
+			t.Errorf("machine %d: %d request frames still in flight after recovery", m.id, n)
+		}
+	}
+	c.Uncancel()
+	settleQuiescent(t, c)
+	if _, err := c.RunJob(spec); err != nil || served.Load() != 2 {
+		t.Fatalf("rerun after Uncancel: err=%v, handler ran %d times", err, served.Load())
 	}
 }

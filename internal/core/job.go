@@ -94,8 +94,10 @@ func (r Row) Weight(i int) float64 {
 //     before that ReadRef.
 //   - Local and ghost refs (ref >= 0) are read through a typed view
 //     (Ctx.F64/Ctx.I64) and written through a Writer resolved once per row;
-//     neither invokes ReadDone. Remote refs (ref < 0) go through
-//     Ctx.ReadRef / Writer.Write, which buffer toward the owner.
+//     neither invokes ReadDone. Remote refs (ref < 0) are answered by the
+//     job's mirror when it has one (Ctx.Remote, resolved once per row) and
+//     otherwise go through Ctx.ReadRef / Writer.Write, which buffer toward
+//     the owner.
 //   - Ctx.ReadRef, Writer.Write on a remote ref and Ctx.CallRMI are
 //     re-entrancy points: when the request pool is exhausted the worker runs
 //     queued continuations — possibly ReadDone for this very node — before

@@ -53,6 +53,10 @@ type Machine struct {
 	store      *localStore
 	ghostOwned []int64
 	cols       []*column
+	// mirrors are the word buffers mirrored jobs prefetch their read props
+	// into (mirror.go): allocated like columns, reused by every later job and
+	// dropped with the columns.
+	mirrors []*column
 
 	// ooc is the store-file load this machine's local store aliases (nil for
 	// in-memory loads): workers claim each chunk's rows through it before
@@ -273,7 +277,10 @@ func (m *Machine) releaseCols() {
 	for _, col := range m.cols {
 		col.release()
 	}
-	m.cols = nil
+	for _, buf := range m.mirrors {
+		buf.release()
+	}
+	m.cols, m.mirrors = nil, nil
 }
 
 // machineJobStats is runJob's per-machine result; the cluster reports
@@ -518,6 +525,7 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 	jr.t0 = time.Now()
 	t := reg.Clock()
 	if !jr.emptySkip {
+		m.mirrorJob(jr)
 		jr.wg.Add(len(m.workers))
 		for _, w := range m.workers {
 			w.jobCh <- jr

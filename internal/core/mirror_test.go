@@ -1,0 +1,450 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/comm"
+	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/store"
+)
+
+// mixedReadTask reads three ways per row: the declared property of every
+// remote in-neighbor (mirrored when the job is), an undeclared property of the
+// same neighbors, and — on each machine's node 0 — the declared property at an
+// address no row references. Values are small integers, so the sum is exact in
+// any arrival order.
+type mixedReadTask struct {
+	RowOnly
+	declared, undeclared, acc PropID
+	outside                   []int64 // per machine: a remote ref outside its read set
+}
+
+func (k *mixedReadTask) RunRow(c *Ctx, row Row) {
+	for _, ref := range row.Refs {
+		if ref < 0 {
+			c.ReadRef(ref, k.declared)
+			c.ReadRef(ref, k.undeclared)
+		}
+	}
+	if c.Node == 0 {
+		c.ReadRef(k.outside[c.Machine()], k.declared)
+	}
+}
+
+func (k *mixedReadTask) ReadDone(c *Ctx, val uint64) {
+	c.SetF64(k.acc, c.GetF64(k.acc)+F64Word(val))
+}
+
+// TestMirrorFallsBackOnDemand: in a mirrored job, a remote ref the read set
+// does not hold (core.RemoteRef to an arbitrary slot) and a read of a property
+// missing from ReadProps are answered by the on-demand path, next to mirrored
+// reads of the same rows — and the job reports what its prefetch cost: one
+// read_prefetch span per worker whose args sum to the mirror_words counter,
+// which is the read sets' size.
+func TestMirrorFallsBackOnDemand(t *testing.T) {
+	eachFabric(t, func(t *testing.T, useTCP bool) {
+		g := testGraph(t)
+		const p = 2
+		cfg := DefaultConfig(p)
+		cfg.GhostThreshold = GhostDisabled
+		cfg.Ablate = AblateReadCombining // every on-demand read is one served record
+		cfg.Obs = obs.NewRegistry()
+		if useTCP {
+			cfg.Fabric = innerFabric(t, cfg, true)
+			defer cfg.Fabric.Close() //nolint:errcheck
+		}
+		c := bootCluster(t, g, cfg)
+		a, _ := c.AddPropF64("a")
+		b, _ := c.AddPropF64("b")
+		acc, _ := c.AddPropF64("acc")
+		aOf := func(v graph.NodeID) float64 { return float64(v%7 + 1) }
+		bOf := func(v graph.NodeID) float64 { return float64(v%5 + 10) }
+		c.FillByNodeF64(a, aOf)
+		c.FillByNodeF64(b, bOf)
+
+		// A plain mirrored pull builds the read sets; pick each machine's
+		// outside address from the set's own bitmap.
+		if _, err := c.RunJob(JobSpec{Name: "warm-up", Iter: IterInEdges, Task: &pullSumTask{src: a, dst: acc}, ReadProps: []PropID{a}}); err != nil {
+			t.Fatal(err)
+		}
+		c.FillF64(acc, 0)
+		task := &mixedReadTask{declared: a, undeclared: b, acc: acc, outside: make([]int64, p)}
+		want := make([]float64, g.NumNodes())
+		var setWords, remoteRefs int64
+		for _, m := range c.machines {
+			set, peer := m.store.readSets[IterInEdges], 1-m.id
+			if set == nil || set.size == 0 {
+				t.Fatalf("machine %d built no read set", m.id)
+			}
+			setWords += int64(set.size)
+			remoteRefs += set.refs
+			lo, hi := c.layout.Range(peer)
+			found := false
+			for off := uint32(0); off < uint32(hi-lo) && !found; off++ {
+				if set.peers[peer].bits[off>>6]>>(off&63)&1 == 0 {
+					task.outside[m.id], found = RemoteRef(peer, off), true
+					want[c.layout.Starts[m.id]] += aOf(lo + graph.NodeID(off))
+				}
+			}
+			if !found {
+				t.Fatalf("machine %d references every node of machine %d: no address outside the set", m.id, peer)
+			}
+		}
+		for u := range want {
+			for _, tn := range g.In.Neighbors(graph.NodeID(u)) {
+				if c.layout.Owner(tn) != c.layout.Owner(graph.NodeID(u)) {
+					want[u] += aOf(tn) + bOf(tn)
+				}
+			}
+		}
+		if _, err := c.RunJob(JobSpec{Name: "mixed-reads", Iter: IterInEdges, Task: task, ReadProps: []PropID{a}}); err != nil {
+			t.Fatal(err)
+		}
+		for u, got := range c.GatherF64(acc) {
+			if got != want[u] {
+				t.Fatalf("node %d: got %g, want %g", u, got, want[u])
+			}
+		}
+		rep := c.Obs().LastReport()
+		if got := rep.Counters["mirror_words"]; got != setWords {
+			t.Errorf("mirror_words = %d, want the read sets' %d", got, setWords)
+		}
+		// Both jobs prefetched every address once; the second also read one
+		// on-demand record per remote ref for the undeclared property and one per
+		// machine for the outside address. A copier counts a frame after it has
+		// sent the response, so the lifetime count may take an instant to settle.
+		wantServed := 2*setWords + remoteRefs + p
+		served := func() int64 { return c.Obs().LifetimeCounters()["reads_served"] }
+		for deadline := time.Now().Add(5 * time.Second); served() < wantServed && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if got := served(); got != wantServed {
+			t.Errorf("reads_served = %d over both jobs, want %d", got, wantServed)
+		}
+		var spans int
+		var words uint64
+		for _, s := range rep.Spans {
+			if s.Kind == obs.SpanReadPrefetch {
+				spans++
+				words += s.Arg
+				if s.Worker < 0 {
+					t.Errorf("read_prefetch span on lane %d, want a worker lane", s.Worker)
+				}
+			}
+		}
+		if spans != p*cfg.Workers || int64(words) != setWords {
+			t.Errorf("%d read_prefetch spans carrying %d words, want %d spans and %d words", spans, words, p*cfg.Workers, setWords)
+		}
+		if line := rep.Line(); !strings.Contains(line, fmt.Sprintf("prefetch=%dw/", setWords)) {
+			t.Errorf("job report line does not show the prefetch: %s", line)
+		}
+		if !c.PoolsQuiescent() {
+			t.Error("pools not quiescent")
+		}
+	})
+}
+
+// prefetchDecodeCache is smaller than faultGraph's edge data.
+const prefetchDecodeCache = 16 << 10
+
+// prefetchCluster boots two machines over the compressed store file at path
+// (so an abort's pins are observable) behind a fault injector. close tears
+// everything down; it also runs, once, when the test ends.
+func prefetchCluster(t *testing.T, path string, useTCP bool, ablate Ablation, rules ...comm.FaultRule) (c *Cluster, inj *comm.FaultInjector, sf *store.File, close func()) {
+	t.Helper()
+	cfg := faultCfg(2)
+	cfg.RequestTimeout = 300 * time.Millisecond
+	cfg.DecodeCacheBytes = prefetchDecodeCache
+	cfg.Ablate = ablate
+	inj = faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 17, Rules: rules})
+	cfg.Fabric = inj
+	sf, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err = NewCluster(cfg); err != nil {
+		sf.Close() //nolint:errcheck
+		t.Fatal(err)
+	}
+	close = sync.OnceFunc(func() {
+		c.Shutdown()
+		inj.Close() //nolint:errcheck
+		sf.Close()  //nolint:errcheck
+	})
+	t.Cleanup(close)
+	if err := c.LoadStore(sf); err != nil {
+		t.Fatal(err)
+	}
+	return c, inj, sf, close
+}
+
+// saltedPull runs the pull-sum job over source values that depend on salt and
+// returns its error, or — on success — the first node whose sum is not the
+// reference's. Two runs with different salts share no source value, so a word
+// left in the mirror by the first can not pass for the second's.
+func saltedPull(c *Cluster, g *graph.Graph, src, dst PropID, salt int, filter func(*Ctx) bool) error {
+	vals := make([]float64, g.NumNodes())
+	for u := range vals {
+		vals[u] = float64((u+salt)%89 + 100*salt)
+	}
+	c.FillByNodeF64(src, func(v graph.NodeID) float64 { return vals[v] })
+	c.FillF64(dst, 0)
+	if _, err := c.RunJob(JobSpec{Name: "prefetch-pull", Iter: IterInEdges, Filter: filter,
+		Task: &pullSumTask{src: src, dst: dst}, ReadProps: []PropID{src}}); err != nil {
+		return err
+	}
+	want := refPullSum(g, vals)
+	for u, got := range c.GatherF64(dst) {
+		if got != want[u] {
+			return fmt.Errorf("node %d: got %g, want %g", u, got, want[u])
+		}
+	}
+	return nil
+}
+
+// assertNoResidue checks what every abort must leave behind: buffers home, no
+// decode-cache pin, no current job, and every worker out of the job — none
+// parked on the prefetch's local barrier.
+func assertNoResidue(t *testing.T, c *Cluster, sf *store.File) {
+	t.Helper()
+	settleQuiescent(t, c)
+	dc, err := sf.EnsureDecodeCache(prefetchDecodeCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := dc.Stats(); st.PinnedBlocks != 0 {
+		t.Errorf("abort left %d decode-cache blocks pinned", st.PinnedBlocks)
+	}
+	for _, m := range c.machines {
+		if m.curJob.Load() != nil {
+			t.Errorf("machine %d still has a current job", m.id)
+		}
+		for _, w := range m.workers {
+			if w.job != nil || w.fetching || w.outstanding != 0 {
+				t.Errorf("machine %d worker %d still in a job (fetching=%v, outstanding=%d)", m.id, w.id, w.fetching, w.outstanding)
+			}
+		}
+	}
+}
+
+// TestFaultPrefetch drops, truncates and delays the k-th prefetch request
+// frame from machine 0 to machine 1, and the k-th response frame back, for
+// every k the stream has, over both fabrics. A delay is tolerated and the
+// result exact; a drop or a truncation aborts the job with its root cause,
+// leaves no residue, and the immediate rerun — over different source values —
+// is exact, so no word of the aborted prefetch is ever read. The k = 0 faults
+// run against on-demand reads as well (mirror ablated), the path the mirror
+// leaves to sparse jobs.
+func TestFaultPrefetch(t *testing.T) {
+	g := faultGraph(t)
+	path := storePath3(t, g, 2)
+	eachFabric(t, func(t *testing.T, useTCP bool) {
+		for _, dir := range []struct {
+			name     string
+			typ      comm.MsgType
+			src, dst int
+		}{{"request", comm.MsgReadReq, 0, 1}, {"response", comm.MsgReadResp, 1, 0}} {
+			for _, kind := range []struct {
+				name  string
+				kind  comm.FaultKind
+				cause string // in the root cause of an abort; "" = the job survives
+			}{
+				{"drop", comm.FaultDrop, "timed out"},
+				{"truncate", comm.FaultTruncate, "read"}, // a torn/truncated read frame or read response
+				{"delay", comm.FaultDelay, ""},
+			} {
+				// faultKth runs the job with the stream's k-th frame faulted and
+				// reports whether the stream had one.
+				faultKth := func(t *testing.T, k int, ablate Ablation) bool {
+					c, inj, sf, close := prefetchCluster(t, path, useTCP, ablate, comm.FaultRule{
+						Src: dir.src, Dst: dir.dst, Type: int(dir.typ), Kind: kind.kind,
+						After: k, Limit: 1, Delay: 2 * time.Millisecond, TruncateTo: comm.HeaderSize + 3})
+					defer close()
+					src, _ := c.AddPropF64("src")
+					dst, _ := c.AddPropF64("dst")
+					err := saltedPull(c, g, src, dst, 1, nil)
+					if st := inj.Stats(); st.Dropped+st.Truncated+st.Delayed == 0 {
+						if err != nil {
+							t.Fatalf("k=%d, no fault fired: %v", k, err)
+						}
+						return false
+					}
+					if kind.cause == "" {
+						if err != nil {
+							t.Fatalf("k=%d: job failed under a tolerable delay: %v", k, err)
+						}
+						return true
+					}
+					if !errors.Is(err, ErrJobAborted) || !strings.Contains(err.Error(), kind.cause) {
+						t.Fatalf("k=%d ablate=%#x: error %v, want ErrJobAborted with %q in its root cause", k, ablate, err, kind.cause)
+					}
+					assertNoResidue(t, c, sf)
+					if err := saltedPull(c, g, src, dst, 2, nil); err != nil {
+						t.Fatalf("k=%d ablate=%#x: rerun right after the abort: %v", k, ablate, err)
+					}
+					return true
+				}
+				t.Run(dir.name+"/"+kind.name, func(t *testing.T) {
+					if !faultKth(t, 0, AblateReadMirror) {
+						t.Fatal("no on-demand read frame was faulted")
+					}
+					k := 0
+					for faultKth(t, k, 0) {
+						k++
+					}
+					if k == 0 {
+						t.Fatal("no prefetch frame was faulted")
+					}
+				})
+			}
+		}
+	})
+}
+
+// TestCancelAfterPrefetch: a Cancel that lands when the prefetch is complete
+// and before the first row has run — the job's filter, which a worker
+// evaluates ahead of its first row, fires it — aborts the job with the cause,
+// leaves no residue, and after Uncancel the rerun is exact.
+func TestCancelAfterPrefetch(t *testing.T) {
+	g := faultGraph(t)
+	path := storePath3(t, g, 2)
+	eachFabric(t, func(t *testing.T, useTCP bool) {
+		c, _, sf, _ := prefetchCluster(t, path, useTCP, 0)
+		src, _ := c.AddPropF64("src")
+		dst, _ := c.AddPropF64("dst")
+		cause := errors.New("deadline between prefetch and first row")
+		var once sync.Once
+		err := saltedPull(c, g, src, dst, 1, func(ctx *Ctx) bool {
+			once.Do(func() {
+				if jr := ctx.w.job; jr.readSet == nil || jr.fetching.Load() != 0 {
+					t.Error("the first row's filter ran before the prefetch was complete")
+				}
+				c.Cancel(cause)
+			})
+			return true
+		})
+		if !errors.Is(err, ErrJobAborted) || !errors.Is(err, ErrJobCanceled) || !errors.Is(err, cause) {
+			t.Fatalf("RunJob = %v, want ErrJobAborted wrapping ErrJobCanceled and the cause", err)
+		}
+		assertNoResidue(t, c, sf)
+		c.Uncancel()
+		if err := saltedPull(c, g, src, dst, 2, nil); err != nil {
+			t.Fatalf("rerun after Uncancel: %v", err)
+		}
+	})
+}
+
+// skipRemoteSum is rowPullSum without its remote reads: the scan the remote
+// refs ride on, in the same rows on the same machines.
+type skipRemoteSum struct {
+	RowOnly
+	NoReads
+	src, dst PropID
+}
+
+func (k *skipRemoteSum) RunRow(c *Ctx, row Row) {
+	src := c.F64(k.src)
+	var sum float64
+	for _, ref := range row.Refs {
+		if ref >= 0 {
+			sum += src.At(ref)
+		}
+	}
+	c.SetF64(k.dst, c.GetF64(k.dst)+sum)
+}
+
+// BenchmarkRemoteRead is the budget of one remote read: nanoseconds per remote
+// ref of a pull-sum job on two ghost-free machines, in process and over
+// loopback TCP, when the reads are requested on demand with read combining
+// (the protocol before the mirror), on demand without it, and prefetched into
+// the mirror. ns/remote-ref is the job's time over a scan of the same rows
+// that skips its remote refs (the skip-remote row, run first), divided by the
+// remote refs, so it is what a remote ref adds to the job; with both machines'
+// workers and copiers on the benchmark's CPUs it is wall time, not CPU time.
+// set-build is the one-time read-set scan, per edge scanned.
+func BenchmarkRemoteRead(b *testing.B) {
+	g, err := graph.RMAT(16, 16, graph.TwitterLike(), 20151115)
+	if err != nil {
+		b.Fatal(err)
+	}
+	boot := func(b *testing.B, useTCP bool, ablate Ablation) (c *Cluster, src, dst PropID) {
+		cfg := DefaultConfig(2)
+		cfg.Workers, cfg.Copiers = 1, 1
+		cfg.GhostThreshold = GhostDisabled
+		cfg.Ablate = ablate
+		if useTCP {
+			cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
+			cfg.Fabric = innerFabric(b, cfg, true)
+			b.Cleanup(func() { cfg.Fabric.Close() }) //nolint:errcheck
+		}
+		c = bootCluster(b, g, cfg)
+		src, _ = c.AddPropF64("src")
+		dst, _ = c.AddPropF64("dst")
+		c.FillF64(src, 1)
+		return c, src, dst
+	}
+	perJob := func(b *testing.B, c *Cluster, spec JobSpec) float64 {
+		if _, err := c.RunJob(spec); err != nil { // warm-up: pools, side slices, the read set
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.RunJob(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	}
+	for _, fab := range []struct {
+		name string
+		tcp  bool
+	}{{"inproc", false}, {"tcp", true}} {
+		var skipNS float64
+		b.Run(fab.name+"/skip-remote", func(b *testing.B) {
+			c, src, dst := boot(b, fab.tcp, 0)
+			skipNS = perJob(b, c, JobSpec{Name: "scan", Iter: IterInEdges, Task: &skipRemoteSum{src: src, dst: dst}})
+			b.ReportMetric(skipNS/float64(g.NumEdges()), "ns/edge")
+		})
+		for _, mode := range []struct {
+			name   string
+			ablate Ablation
+		}{{"on-demand", AblateReadMirror}, {"on-demand-uncombined", AblateReadMirror | AblateReadCombining}, {"mirrored", 0}} {
+			b.Run(fab.name+"/"+mode.name, func(b *testing.B) {
+				c, src, dst := boot(b, fab.tcp, mode.ablate)
+				var remote int64
+				for _, m := range c.machines {
+					for _, ref := range m.store.views[store.OrientIn].refs {
+						if ref < 0 {
+							remote++
+						}
+					}
+				}
+				ns := perJob(b, c, JobSpec{Name: "scan", Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}, ReadProps: []PropID{src}})
+				b.ReportMetric((ns-skipNS)/float64(remote), "ns/remote-ref")
+				b.ReportMetric(float64(remote)/float64(g.NumEdges()), "remote_frac")
+			})
+		}
+	}
+	b.Run("set-build", func(b *testing.B) {
+		c, src, dst := boot(b, false, 0)
+		m := c.machines[0]
+		jr := m.newJobRuntime(&JobSpec{Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}}, 0)
+		var edges int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			set, err := m.buildReadSet(jr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			edges = set.edges
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*edges), "ns/edge")
+	})
+}

@@ -92,9 +92,11 @@ func (k *prApplyTask) Run(c *Ctx) {
 // thirds remote), eight read records per message and a request pool of one
 // buffer: every flush inside a hub row leaves acquireReq stalled on the next
 // remote read, and the responses it drains there are for earlier reads of
-// that same row. The result must still be SA's. The contract-breaking
-// variant of the same kernel (own-node value cached across the loop) must
-// not be — otherwise this test would pass without reaching the hazard.
+// that same row (the read mirror is ablated: it would answer every one of
+// these reads before the row runs). The result must still be SA's. The
+// contract-breaking variant of the same kernel (own-node value cached across
+// the loop) must not be — otherwise this test would pass without reaching the
+// hazard.
 func TestRowKernelReentrancy(t *testing.T) {
 	g, err := graph.RMAT(10, 8, graph.TwitterLike(), 4242)
 	if err != nil {
@@ -111,6 +113,7 @@ func TestRowKernelReentrancy(t *testing.T) {
 		cfg := DefaultConfig(p)
 		cfg.Workers = 1
 		cfg.GhostThreshold = GhostDisabled
+		cfg.Ablate = AblateReadMirror
 		cfg.BufferSize = comm.HeaderSize + 8*readRecSize
 		cfg.ReqBuffers = 1
 		cfg.RequestTimeout = 20 * time.Second

@@ -74,6 +74,10 @@ type localStore struct {
 	// ask for degrees in O(1) without touching row arrays.
 	outDeg []int32
 	inDeg  []int32
+
+	// readSets[it] is the set of remote addresses iterator it's rows
+	// reference, built by the first job that can use it (mirror.go).
+	readSets [IterBothEdges + 1]*readSet
 }
 
 // buildLocalStore extracts machine me's partition from the global graph.

@@ -92,6 +92,10 @@ type worker struct {
 	// outstanding counts in-flight request frames awaiting a response.
 	outstanding int
 
+	// fetching is set while the worker fills the job's mirrors (prefetch):
+	// every read response then carries mirror words, not continuation values.
+	fetching bool
+
 	// sideFree recycles side-structure slices. Sides always return to the
 	// worker that created them (responses route back to the same worker), so
 	// no synchronization is needed.
@@ -271,6 +275,10 @@ func (w *worker) runJob(jr *jobRuntime) {
 		w.privSeg[ws.Prop] = w.m.cols[ws.Prop].ensurePriv(w.id, ws.Op)
 	}
 
+	if jr.readSet != nil {
+		w.prefetch(jr)
+	}
+
 	ctx := &w.ctx
 	for {
 		chunkIdx := int(jr.cursor.Add(1)) - 1
@@ -292,19 +300,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 		w.stealPhase(jr, ctx)
 	}
 
-	// Task list exhausted: flush partial messages, then wait for and run all
-	// continuations. Continuations may buffer further requests, so flushing
-	// repeats before every blocking wait.
-	w.flushAll()
-	for w.outstanding > 0 {
-		if jr.aborted() {
-			w.unwind()
-		}
-		buf := w.awaitResponse()
-		w.processResponse(buf)
-		w.drainResponses()
-		w.flushAll()
-	}
+	w.awaitReads(jr)
 	if len(w.sides) != 0 {
 		// Bookkeeping broke (outstanding hit zero with side structures still
 		// registered): fail the job rather than crash — abortCleanup parks
@@ -327,6 +323,23 @@ func (w *worker) runJob(jr *jobRuntime) {
 	}
 	w.endTime = time.Now()
 	w.job = nil
+}
+
+// awaitReads runs when the worker has nothing left to issue — its task list
+// or its share of a prefetch: flush partial messages, then wait for and run
+// all continuations. Continuations may buffer further requests, so flushing
+// repeats before every blocking wait.
+func (w *worker) awaitReads(jr *jobRuntime) {
+	w.flushAll()
+	for w.outstanding > 0 {
+		if jr.aborted() {
+			w.unwind()
+		}
+		buf := w.awaitResponse()
+		w.processResponse(buf)
+		w.drainResponses()
+		w.flushAll()
+	}
 }
 
 // releasePins drops the current chunk's store claims. Idempotent (the
@@ -519,6 +532,12 @@ func (w *worker) processResponse(buf *comm.Buffer) {
 				w.fail(fmt.Errorf("core: machine %d worker %d: truncated read response (seq %d: slot %d, %d words)", w.m.id, w.id, seq, side[i].slot, words))
 			}
 		}
+		if w.fetching { // a prefetch's records name mirror slots, not nodes
+			for _, r := range side {
+				w.job.mirrors[r.aux].store(int(r.node), leU64(payload[8*int(r.slot):]))
+			}
+			break
+		}
 		for i := range side {
 			r := &side[i]
 			ctx.Node = r.node
@@ -555,10 +574,9 @@ func (w *worker) payloadNew(n int) []byte {
 			return s[:n]
 		}
 	}
-	if n < 256 {
-		n = 256
-	}
-	return make([]byte, n)
+	// Length n whatever the capacity: processResponse validates a response's
+	// slots against the words it actually carried.
+	return make([]byte, max(n, 256))[:n]
 }
 
 func (w *worker) payloadRecycle(p []byte) {
@@ -919,6 +937,16 @@ type jobRuntime struct {
 	frontBits []uint64
 	builds    []*machineFrontier
 	activate  []int8
+
+	// readSet is non-nil when the job is mirrored (Machine.mirrorJob): before
+	// its first row every worker fetches its share of the set's addresses into
+	// mirrors — one word buffer per spec.ReadProps entry, the machine's, reused
+	// across jobs — and the last of the fetching workers to finish closes
+	// fetched.
+	readSet  *readSet
+	mirrors  []*column
+	fetching atomic.Int32
+	fetched  chan struct{}
 
 	// steal is the job's work-stealing state (residual queue + in-flight
 	// grant count), or nil when this job cannot be stolen from (stealing

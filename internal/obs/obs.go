@@ -115,6 +115,9 @@ const (
 	// budget.
 	CtrResidencyTouchedBytes
 	CtrResidencyEvictedBytes
+	// CtrMirrorWords counts the words mirrored jobs prefetched: per job, the
+	// requesting machine's read-set size times its read props.
+	CtrMirrorWords
 
 	numCounters
 )
@@ -156,6 +159,7 @@ var counterNames = [numCounters]string{
 	CtrDecodeEvictedBytes:     "decode_evicted_bytes",
 	CtrResidencyTouchedBytes:  "residency_touched_bytes",
 	CtrResidencyEvictedBytes:  "residency_evicted_bytes",
+	CtrMirrorWords:            "mirror_words",
 }
 
 // String implements fmt.Stringer.

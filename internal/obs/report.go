@@ -116,6 +116,10 @@ func (j *JobReport) Line() string {
 	if raw, wire, ratio := j.WireSavings(); raw > 0 {
 		line += fmt.Sprintf(" compress=%.2f (%s saved)", ratio, fmtBytes(raw-wire))
 	}
+	if n := j.Counters[CtrMirrorWords.String()]; n > 0 {
+		// What a mirrored pull's prefetch cost: words fetched, summed worker time.
+		line += fmt.Sprintf(" prefetch=%dw/%s", n, ph[SpanReadPrefetch.String()].Round(time.Microsecond))
+	}
 	return line
 }
 

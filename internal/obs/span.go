@@ -43,6 +43,10 @@ const (
 	// SpanSteal is one executed steal grant measured at the thief worker:
 	// request sent to last stolen node done (Arg packs victim<<48|nodes).
 	SpanSteal
+	// SpanReadPrefetch is one worker's share of a mirrored job's prefetch:
+	// first address buffered to every local worker's share answered (Arg:
+	// words this worker fetched).
+	SpanReadPrefetch
 
 	numSpanKinds
 )
@@ -59,6 +63,7 @@ var spanKindNames = [numSpanKinds]string{
 	SpanCopierServe:   "copier_serve",
 	SpanDirection:     "direction_decision",
 	SpanSteal:         "steal",
+	SpanReadPrefetch:  "read_prefetch",
 }
 
 // String implements fmt.Stringer.

@@ -269,12 +269,14 @@ type Row = core.Row
 type RowOnly = core.RowOnly
 
 // F64View and I64View are typed read views over a property's local and ghost
-// slots (Ctx.F64 / Ctx.I64); Writer is a write handle resolved once per row
+// slots (Ctx.F64 / Ctx.I64); RemoteView answers the remote refs a dense pull
+// prefetched (Ctx.Remote); Writer is a write handle resolved once per row
 // (Ctx.Writer).
 type (
-	F64View = core.F64View
-	I64View = core.I64View
-	Writer  = core.Writer
+	F64View    = core.F64View
+	I64View    = core.I64View
+	RemoteView = core.RemoteView
+	Writer     = core.Writer
 )
 
 // JobSpec describes one parallel region.
