@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-job bench-read bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
+.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-job bench-read bench-write bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
 
 build:
 	$(GO) build ./...
@@ -35,17 +35,19 @@ wire:
 	$(GO) run ./cmd/pgxd-bench -exp wire -machines 1,2 -scale 10 -wire-out BENCH_wire_smoke.json
 
 # Short fuzz pass over the decode surfaces that take bytes from outside —
-# the codec and store.Open (one target: both section spellings go through one
-# validator) — each target gets a few seconds, enough to shake out torn-input
-# and canonicality regressions.
+# the codec, store.Open (one target: both section spellings go through one
+# validator) and the copier's write-frame apply (raw and compressed payloads) —
+# each target gets a few seconds, enough to shake out torn-input and
+# canonicality regressions.
 fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintRoundTrip -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintDecode -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDeltaColumnTorn -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzZigZagDeltaRow -fuzztime 5s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpen -fuzztime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzApplyWrites -fuzztime 5s
 
-ci: test vet race faults
+ci: test vet race faults fuzz-smoke
 
 # ROADMAP item 3's success metric: non-test Go lines in the three packages
 # the code-path collapse targets, so every PR quotes the same number.
@@ -72,25 +74,29 @@ bench-scan:
 bench-job:
 	$(GO) test -run '^$$' -bench JobFloor -benchtime 20000x -count 5 ./internal/core/
 
-# The budget of one remote read (ROADMAP item 3): ns a remote ref adds to a
-# pull-sum job on two machines, in process and over loopback TCP, requested on
-# demand with read combining, on demand without it, and prefetched into the
-# mirror, plus the one-time read-set build in ns/edge. It is the row that
-# turns AblateReadMirror and AblateReadCombining. With AGAINST=<git-ref> that
-# commit's test binary is built beside this tree's under SCRATCH and the two
-# alternate three times, the way a claim about this path is to be measured (a
-# ref from before the benchmark existed prints nothing).
-SCRATCH ?= /tmp/pgxd-bench-read
-BENCH_READ = -test.run '^$$' -test.bench RemoteRead -test.benchtime 10x -test.timeout 10m
-bench-read:
+# The budget of one remote read and of one remote write (ROADMAP item 3): ns a
+# remote ref adds to a pull-sum (bench-read) or push-sum (bench-write) job on
+# two machines, in process and over loopback TCP — reads requested on demand
+# with read combining, on demand without it, and prefetched into the mirror,
+# plus the one-time remote-set build in ns/edge; writes buffered on demand with
+# sender combining, on demand without it, and folded into the worker's
+# accumulator. They are the rows that turn AblateRemoteSets, AblateReadCombining
+# and AblateWriteCombining. With AGAINST=<git-ref> that commit's test binary is
+# built beside this tree's under SCRATCH and the two alternate three times, the
+# way a claim about this path is to be measured (a ref from before the
+# benchmark existed prints nothing).
+SCRATCH ?= /tmp/pgxd-bench-remote
+bench-read: BENCH = RemoteRead
+bench-write: BENCH = RemoteWrite
+bench-read bench-write:
 ifdef AGAINST
 	rm -rf $(SCRATCH) && mkdir -p $(SCRATCH)/ref
 	git archive $(AGAINST) | tar -x -C $(SCRATCH)/ref
 	cd $(SCRATCH)/ref && $(GO) test -c -o $(SCRATCH)/ref.test ./internal/core
 	$(GO) test -c -o $(SCRATCH)/head.test ./internal/core
-	cd internal/core && for i in 1 2 3; do for side in ref head; do echo "== $$side ($$i)"; $(SCRATCH)/$$side.test $(BENCH_READ) | grep Benchmark; done; done
+	cd internal/core && for i in 1 2 3; do for side in ref head; do echo "== $$side ($$i)"; $(SCRATCH)/$$side.test -test.run '^$$' -test.bench $(BENCH) -test.benchtime 10x -test.timeout 10m | grep Benchmark; done; done
 else
-	$(GO) test -run '^$$' -bench RemoteRead -benchtime 10x -count 3 ./internal/core/
+	$(GO) test -run '^$$' -bench $(BENCH) -benchtime 10x -count 3 ./internal/core/
 endif
 
 # Fail-soft smoke: injected drops, failures, delays, and a machine kill

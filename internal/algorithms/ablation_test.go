@@ -29,7 +29,7 @@ func ablationLattice() []ablationSet {
 		{"edge-chunking", core.AblateEdgeChunking},
 		{"pin-push", core.AblatePinPush},
 		{"pin-pull", core.AblatePinPull},
-		{"read-mirror", core.AblateReadMirror},
+		{"remote-sets", core.AblateRemoteSets},
 	}
 	all := core.Ablation(0)
 	for _, as := range sets {

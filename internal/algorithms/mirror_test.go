@@ -16,14 +16,16 @@ import (
 	"repro/internal/store"
 )
 
-// readSetModel is the test's own derivation of one machine's read set for a
-// pull over in-edges (or both orientations): the distinct neighbors that are
-// neither owned nor ghosted, how many refs reach them, and how many refs the
-// rows hold in all. It never looks at the engine's bitmaps.
-type readSetModel struct{ size, refs, edges int64 }
+// remoteSetModel is the test's own derivation of one machine's remote set for
+// an edge iterator: the distinct neighbors that are neither owned nor ghosted,
+// how many refs reach them, and how many refs the rows hold in all. It never
+// looks at the engine's bitmaps.
+type remoteSetModel struct{ size, refs, edges int64 }
 
-func modelReadSets(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet, both bool) []readSetModel {
-	sets := make([]readSetModel, layout.NumMachines)
+// modelRemoteSets derives every machine's set for iterator it, over the rows
+// of the nodes include selects (nil: all of them).
+func modelRemoteSets(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet, it core.IterKind, include func(graph.NodeID) bool) []remoteSetModel {
+	sets := make([]remoteSetModel, layout.NumMachines)
 	for m := range sets {
 		lo, hi := layout.Range(m)
 		seen := map[graph.NodeID]bool{}
@@ -38,8 +40,13 @@ func modelReadSets(g *graph.Graph, layout partition.Layout, ghosts *partition.Gh
 			}
 		}
 		for v := lo; v < hi; v++ {
-			scan(g.In.Neighbors(v))
-			if both {
+			if include != nil && !include(v) {
+				continue
+			}
+			if it != core.IterOutEdges {
+				scan(g.In.Neighbors(v))
+			}
+			if it != core.IterInEdges {
 				scan(g.Out.Neighbors(v))
 			}
 		}
@@ -48,7 +55,7 @@ func modelReadSets(g *graph.Graph, layout partition.Layout, ghosts *partition.Gh
 	return sets
 }
 
-func sumSizes(sets []readSetModel) (n int64) {
+func sumSizes(sets []remoteSetModel) (n int64) {
 	for _, s := range sets {
 		n += s.size
 	}
@@ -57,10 +64,10 @@ func sumSizes(sets []readSetModel) (n int64) {
 
 // hopPullMirrorWords models the eligibility rule on pinned-pull BFS, whose
 // pull sources the unvisited frontier: at each level a machine prefetches its
-// whole read set iff its part of the frontier is a bitmap (at least 1/32 of
+// whole remote set iff its part of the frontier is a bitmap (at least 1/32 of
 // its nodes) whose in-degree sum, times the share of its in-edge refs that are
 // remote, reaches the set's size.
-func hopPullMirrorWords(g *graph.Graph, layout partition.Layout, sets []readSetModel, hop []int64, root graph.NodeID) (words int64) {
+func hopPullMirrorWords(g *graph.Graph, layout partition.Layout, sets []remoteSetModel, hop []int64, root graph.NodeID) (words int64) {
 	depth := int64(0)
 	for _, d := range hop {
 		if d != math.MaxInt64 {
@@ -91,13 +98,16 @@ func hopPullMirrorWords(g *graph.Graph, layout partition.Layout, sets []readSetM
 // or compressed store file under a residency window and a decode cache both
 // smaller than the edge data (so columns and mirrors are off-heap and every
 // chunk claim decodes).
-func mirrorCluster(t *testing.T, g *graph.Graph, path string, p int, useTCP bool, set core.Ablation) (*core.Cluster, *obs.Registry) {
+func mirrorCluster(t *testing.T, g *graph.Graph, path string, p int, useTCP bool, set core.Ablation, tweak ...func(*core.Config)) (*core.Cluster, *obs.Registry) {
 	t.Helper()
 	cfg := latticeConfig(t, p, useTCP, set)
 	cfg.GhostThreshold, cfg.GhostCount = core.GhostDisabled, 10
 	cfg.Obs = obs.NewRegistry()
 	if path != "" {
 		cfg.ResidentBudgetBytes, cfg.DecodeCacheBytes = 16<<10, 8<<10
+	}
+	for _, f := range tweak {
+		f(&cfg)
 	}
 	c, err := core.NewCluster(cfg)
 	if err != nil {
@@ -135,12 +145,12 @@ type pullRun struct {
 	mirrorWords int64
 }
 
-// readsServed returns the registry's reads_served count once it has reached
-// want: a copier counts a frame after it has sent the response, so the count
+// settledCounter returns the registry's lifetime count of name once it has
+// reached want: a copier counts a frame after it has served it, so the count
 // can trail the end of the job that was answered by an instant.
-func readsServed(reg *obs.Registry, want int64) int64 {
+func settledCounter(reg *obs.Registry, name string, want int64) int64 {
 	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
-		if got := reg.LifetimeCounters()["reads_served"]; got >= want || time.Now().After(deadline) {
+		if got := reg.LifetimeCounters()[name]; got >= want || time.Now().After(deadline) {
 			return got
 		}
 	}
@@ -152,7 +162,7 @@ func readsServed(reg *obs.Registry, want int64) int64 {
 // standalone reference's answer (integers and SSSP bits exactly, the float
 // sums to the identity suites' 1e-9) whether their remote reads are prefetched
 // into the mirror or requested on demand, in the same number of iterations;
-// and the mirrored run reads exactly what the read sets say: every machine's
+// and the mirrored run reads exactly what the remote sets say: every machine's
 // distinct remote addresses once per eligible job, nothing on demand. Over a
 // weighted small-world RMAT with ten ghosted hubs and a shortcut-free grid,
 // one to three machines, both fabrics, and from memory, a raw store file and
@@ -199,8 +209,8 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 						// after hop distance, whose pull sources the unvisited frontier.
 						suite := func(set core.Ablation) (runs map[string]pullRun, wantWords map[string]int64, servedScans, servedAll int64) {
 							c, reg := mirrorCluster(t, g, paths[storage], p, useTCP, set|core.AblatePinPull)
-							inSets := modelReadSets(g, c.Layout(), ghosts, false)
-							bothSets := modelReadSets(g, c.Layout(), ghosts, true)
+							inSets := modelRemoteSets(g, c.Layout(), ghosts, core.IterInEdges, nil)
+							bothSets := modelRemoteSets(g, c.Layout(), ghosts, core.IterBothEdges, nil)
 							runs, wantWords = map[string]pullRun{}, map[string]int64{}
 							var words, want int64
 							record := func(name string, ints []int64, floats []float64, met Metrics, err error, perJob int64) {
@@ -211,9 +221,9 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 								total := reg.LifetimeCounters()["mirror_words"]
 								runs[name] = pullRun{ints, floats, met.Iterations, total - words}
 								words = total
-								// One pull job per iteration, each prefetching every read set once.
+								// One pull job per iteration, each prefetching every remote set once.
 								wantWords[name] = int64(met.Iterations) * perJob
-								if set.Has(core.AblateReadMirror) {
+								if set.Has(core.AblateRemoteSets) {
 									wantWords[name] = 0
 								}
 								want += wantWords[name]
@@ -233,16 +243,16 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 								bits[i] = int64(math.Float64bits(d))
 							}
 							record("sssp", bits, nil, met, err, sumSizes(inSets))
-							servedScans = readsServed(reg, want)
+							servedScans = settledCounter(reg, "reads_served", want)
 							hop, met, err := HopDist(c, root, n)
 							record("hopdist", hop, nil, met, err, 0)
-							if !set.Has(core.AblateReadMirror) {
+							if !set.Has(core.AblateRemoteSets) {
 								wantWords["hopdist"] = hopPullMirrorWords(g, c.Layout(), inSets, wantHop, root)
 							}
-							return runs, wantWords, servedScans, readsServed(reg, want+wantWords["hopdist"])
+							return runs, wantWords, servedScans, settledCounter(reg, "reads_served", want+wantWords["hopdist"])
 						}
 						mirrored, wantWords, servedScans, servedAll := suite(0)
-						onDemand, _, _, _ := suite(core.AblateReadMirror)
+						onDemand, _, _, _ := suite(core.AblateRemoteSets)
 
 						// A mirrored row folds every in-neighbor — local, ghosted, remote —
 						// in row order in one register, as SA does: PageRank-pull is then
@@ -272,7 +282,7 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 								t.Errorf("%s: %d words prefetched with the mirror ablated", name, off.mirrorWords)
 							}
 							if on.mirrorWords != wantWords[name] {
-								t.Errorf("%s: %d words prefetched, want %d (read sets x eligible jobs)", name, on.mirrorWords, wantWords[name])
+								t.Errorf("%s: %d words prefetched, want %d (remote sets x eligible jobs)", name, on.mirrorWords, wantWords[name])
 							}
 							if name != "hopdist" {
 								wantScans += wantWords[name]

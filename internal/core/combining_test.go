@@ -7,16 +7,17 @@ import (
 	"repro/internal/graph"
 )
 
-// combiningConfig builds a cluster config with ghosting disabled and the read
-// mirror ablated, so every cross-partition neighbor read is requested on
-// demand over the wire — the duplicate-heavy workload read combining exists
-// for (a mirrored pull fetches each distinct address once and leaves nothing
-// to combine).
+// combiningConfig builds a cluster config with ghosting disabled and the
+// remote sets ablated, so every cross-partition neighbor read is requested,
+// and every remote reduction buffered, on demand over the wire — the
+// duplicate-heavy workload read and write combining exist for (a mirrored pull
+// fetches, and an accumulated push ships, each distinct address once and
+// leaves nothing to combine).
 func combiningConfig(p int, disable bool) Config {
 	cfg := DefaultConfig(p)
 	cfg.BufferSize = 8 << 10 // small windows: exercises flush + dedup reset
 	cfg.GhostThreshold = GhostDisabled
-	cfg.Ablate = AblateReadMirror
+	cfg.Ablate = AblateRemoteSets
 	if disable {
 		cfg.Ablate |= AblateReadCombining
 	}

@@ -11,15 +11,16 @@ import (
 
 // compressConfig builds the cluster config the wire-compression tests share:
 // ghosting off so reads and writes cross the wire, small buffers so batches
-// flush often, and the ablation flag set per cell. The read mirror is ablated
-// so that read batches leave in edge order and take the codec's sort and
-// slot-remap branch; a prefetch's batches are born sorted, and
-// TestMirroredPullMatchesOnDemand runs those through the codec over TCP.
+// flush often, and the ablation flag set per cell. The remote sets are ablated
+// so that read and write batches leave in edge order and take the codec's sort
+// and slot-remap branch; a prefetch's and an accumulator flush's batches are
+// born sorted, and TestMirroredPullMatchesOnDemand and
+// TestAccumulatedPushMatchesOnDemand run those through the codec over TCP.
 func compressConfig(p int, disable bool) Config {
 	cfg := DefaultConfig(p)
 	cfg.BufferSize = 8 << 10
 	cfg.GhostThreshold = GhostDisabled
-	cfg.Ablate = AblateReadMirror
+	cfg.Ablate = AblateRemoteSets
 	if disable {
 		cfg.Ablate |= AblateWireCompression
 	}

@@ -172,10 +172,12 @@ const (
 	// are set).
 	AblatePinPush
 	AblatePinPull
-	// AblateReadMirror turns off the per-job prefetch of a dense pull's
-	// remote reads (mirror.go): every remote ref is requested on demand and
-	// answered through a ReadDone continuation, as in the paper's protocol.
-	AblateReadMirror
+	// AblateRemoteSets turns off both uses of the per-load remote set
+	// (remoteset.go) — the per-job prefetch of a dense pull's remote reads and
+	// the per-worker accumulation of a dense push's remote writes: every remote
+	// ref is requested, or its reduction buffered, on demand, as in the paper's
+	// protocol.
+	AblateRemoteSets
 )
 
 // Has reports whether any member of m is set in a.

@@ -151,7 +151,7 @@ func (m *Machine) applyWrites(h comm.Header, payload []byte, dec *wireDec) error
 		op := reduce.Op(meta >> 40)
 		if act != nil {
 			if s := act[prop]; s >= 0 {
-				if m.cols[prop].applyWordChanged(int(uint32(meta)), op, word) {
+				if m.cols[prop].applyWord(int(uint32(meta)), op, word) {
 					if acts == nil {
 						acts = make([][]uint32, len(jr.builds))
 					}
@@ -167,10 +167,9 @@ func (m *Machine) applyWrites(h comm.Header, payload []byte, dec *wireDec) error
 		if err != nil {
 			return err
 		}
-		for i := 0; i < count; i++ {
-			prop := PropID(keys[i] >> 48)
-			if int(uint32(keys[i])) >= len(m.cols[prop].vals) {
-				return fmt.Errorf("write record %d offset %d out of range for property %d", i, uint32(keys[i]), prop)
+		for i, meta := range keys[:count] {
+			if err := m.checkWriteRec(i, meta); err != nil {
+				return err
 			}
 		}
 		// Receiver-side write combining: compressed batches arrive sorted by
@@ -205,20 +204,31 @@ func (m *Machine) applyWrites(h comm.Header, payload []byte, dec *wireDec) error
 		return fmt.Errorf("truncated write frame: %d records need %d bytes, have %d", count, writeRecSize*count, len(payload))
 	}
 	for i := 0; i < count; i++ {
-		meta := leU64(payload[writeRecSize*i:])
-		prop := PropID(meta >> 48)
-		offset := uint32(meta)
-		if int(prop) >= len(m.cols) || m.cols[prop] == nil {
-			return fmt.Errorf("write record %d names unknown property %d", i, prop)
-		}
-		if int(offset) >= len(m.cols[prop].vals) {
-			return fmt.Errorf("write record %d offset %d out of range for property %d", i, offset, prop)
+		if err := m.checkWriteRec(i, leU64(payload[writeRecSize*i:])); err != nil {
+			return err
 		}
 	}
 	for i := 0; i < count; i++ {
 		apply(leU64(payload[writeRecSize*i:]), leU64(payload[writeRecSize*i+8:]))
 	}
 	flush()
+	return nil
+}
+
+// checkWriteRec validates the i-th record's meta word against this machine's
+// columns: a known property, a known operator (an unknown one would panic in
+// the reduction's arithmetic) and an offset inside the column.
+func (m *Machine) checkWriteRec(i int, meta uint64) error {
+	prop, op, offset := PropID(meta>>48), reduce.Op(meta>>40), uint32(meta)
+	if int(prop) >= len(m.cols) || m.cols[prop] == nil {
+		return fmt.Errorf("write record %d names unknown property %d", i, prop)
+	}
+	if !op.Valid() {
+		return fmt.Errorf("write record %d carries unknown operator %d", i, uint8(op))
+	}
+	if int(offset) >= len(m.cols[prop].vals) {
+		return fmt.Errorf("write record %d offset %d out of range for property %d", i, offset, prop)
+	}
 	return nil
 }
 

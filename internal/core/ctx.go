@@ -197,45 +197,61 @@ func (c *Ctx) WriteRef(ref int64, p PropID, op reduce.Op, word uint64) {
 
 // Writer is a write handle for one (property, operator) pair — the paper's
 // write_remote<OP> with everything that does not depend on the target
-// resolved up front: the column, this worker's private ghost segment, and the
-// job's write-activation slot. Obtain one per row with Ctx.Writer; it is
-// valid for the current job only.
+// resolved up front: the column, this worker's private ghost segment, its
+// accumulator over the job's remote set, and the job's write-activation slot.
+// Obtain one per row with Ctx.Writer; it is valid for the current job only.
 type Writer struct {
 	w      *worker
 	col    *column
 	seg    []uint64 // this worker's private ghost segment, nil when not privatized
+	acc    *accum   // this worker's accumulator for prop, nil when not accumulated
 	ghost0 int64    // first ghost ref (= numLocal)
 	prop   PropID
 	op     reduce.Op
 	act    int8 // build slot of an ActivateInto spec, -1 otherwise
 }
 
-// Writer resolves the write handle for reducing into property p with op.
-func (c *Ctx) Writer(p PropID, op reduce.Op) Writer {
+// Writer resolves the write handle for reducing into property p with op. The
+// result is named so that it is built in place: copying the handle out once
+// per row showed in a push's profile.
+func (c *Ctx) Writer(p PropID, op reduce.Op) (wr Writer) {
 	w := c.w
-	wr := Writer{w: w, col: w.cols[p], seg: w.privSeg[p], ghost0: int64(w.m.store.numLocal), prop: p, op: op, act: -1}
+	wr = Writer{w: w, col: w.cols[p], seg: w.privSeg[p], ghost0: int64(w.m.store.numLocal), prop: p, op: op, act: -1}
 	if act := w.job.activate; act != nil {
 		wr.act = act[p]
+	}
+	if jr := w.job; jr.accSet != nil {
+		if a := &wr.col.acc[w.id]; a.job == jr.id { // bottomed for this job: it accumulates p
+			wr.acc = a
+		}
 	}
 	return wr
 }
 
 // Write reduces the raw word into the handle's property on the node
 // identified by ref. Local and ghost targets apply immediately (relaxed
-// consistency); remote targets are buffered into the per-worker request
-// message toward the owner, which makes a remote Write a re-entrancy point
-// (see RowTask).
+// consistency); a remote target folds into the worker's accumulator when the
+// job has one holding it (accum.go) and otherwise is buffered into the
+// per-worker request message toward the owner, which makes a remote Write a
+// re-entrancy point (see RowTask).
 func (wr *Writer) Write(ref int64, word uint64) {
 	switch {
 	case wr.act >= 0:
 		wr.w.writeActivating(ref, wr.prop, wr.op, word, int(wr.act))
 	case ref < 0:
 		mach, off := unpackRemote(ref)
+		if a := wr.acc; a != nil && uint(mach) < uint(len(a.set.peers)) {
+			if slot := a.set.peers[mach].slot(off); slot >= 0 {
+				a.slots[slot] = wr.col.mergeWords(wr.op, a.slots[slot], word)
+				wr.w.folded++
+				return
+			}
+		}
 		wr.w.bufferWrite(mach, wr.prop, wr.op, off, word)
 	case wr.seg != nil && ref >= wr.ghost0:
 		// Ghost privatization: reduce into this worker's private copy
 		// without atomics (paper §3.3).
-		wr.col.applyPlain(&wr.seg[ref-wr.ghost0], wr.op, word)
+		wr.seg[ref-wr.ghost0] = wr.col.mergeWords(wr.op, wr.seg[ref-wr.ghost0], word)
 	default:
 		wr.col.applyWord(int(ref), wr.op, word)
 	}
@@ -281,7 +297,7 @@ func (c *Ctx) ReadRef(ref int64, p PropID) {
 		// scratch long since reused; StealSpec requires NoReads kernels.
 		w.fail(errStolenCtx(w, "remote ReadRef"))
 	}
-	if w.job.readSet != nil { // mirrored job: answered like a ghost when the mirror holds it
+	if w.job.mirrorSet != nil { // mirrored job: answered like a ghost when the mirror holds it
 		if word, ok := c.Remote(p).Word(ref); ok {
 			w.job.spec.Task.ReadDone(c, word)
 			return

@@ -525,7 +525,7 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 	jr.t0 = time.Now()
 	t := reg.Clock()
 	if !jr.emptySkip {
-		m.mirrorJob(jr)
+		m.remoteJob(jr)
 		jr.wg.Add(len(m.workers))
 		for _, w := range m.workers {
 			w.jobCh <- jr

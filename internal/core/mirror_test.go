@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +22,7 @@ import (
 type mixedReadTask struct {
 	RowOnly
 	declared, undeclared, acc PropID
-	outside                   []int64 // per machine: a remote ref outside its read set
+	outside                   []int64 // per machine: a remote ref outside its remote set
 }
 
 func (k *mixedReadTask) RunRow(c *Ctx, row Row) {
@@ -42,12 +41,12 @@ func (k *mixedReadTask) ReadDone(c *Ctx, val uint64) {
 	c.SetF64(k.acc, c.GetF64(k.acc)+F64Word(val))
 }
 
-// TestMirrorFallsBackOnDemand: in a mirrored job, a remote ref the read set
+// TestMirrorFallsBackOnDemand: in a mirrored job, a remote ref the remote set
 // does not hold (core.RemoteRef to an arbitrary slot) and a read of a property
 // missing from ReadProps are answered by the on-demand path, next to mirrored
 // reads of the same rows — and the job reports what its prefetch cost: one
 // read_prefetch span per worker whose args sum to the mirror_words counter,
-// which is the read sets' size.
+// which is the remote sets' size.
 func TestMirrorFallsBackOnDemand(t *testing.T) {
 	eachFabric(t, func(t *testing.T, useTCP bool) {
 		g := testGraph(t)
@@ -69,7 +68,7 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		c.FillByNodeF64(a, aOf)
 		c.FillByNodeF64(b, bOf)
 
-		// A plain mirrored pull builds the read sets; pick each machine's
+		// A plain mirrored pull builds the remote sets; pick each machine's
 		// outside address from the set's own bitmap.
 		if _, err := c.RunJob(JobSpec{Name: "warm-up", Iter: IterInEdges, Task: &pullSumTask{src: a, dst: acc}, ReadProps: []PropID{a}}); err != nil {
 			t.Fatal(err)
@@ -79,9 +78,9 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		want := make([]float64, g.NumNodes())
 		var setWords, remoteRefs int64
 		for _, m := range c.machines {
-			set, peer := m.store.readSets[IterInEdges], 1-m.id
+			set, peer := m.store.remoteSets[IterInEdges], 1-m.id
 			if set == nil || set.size == 0 {
-				t.Fatalf("machine %d built no read set", m.id)
+				t.Fatalf("machine %d built no remote set", m.id)
 			}
 			setWords += int64(set.size)
 			remoteRefs += set.refs
@@ -114,18 +113,14 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		}
 		rep := c.Obs().LastReport()
 		if got := rep.Counters["mirror_words"]; got != setWords {
-			t.Errorf("mirror_words = %d, want the read sets' %d", got, setWords)
+			t.Errorf("mirror_words = %d, want the remote sets' %d", got, setWords)
 		}
 		// Both jobs prefetched every address once; the second also read one
 		// on-demand record per remote ref for the undeclared property and one per
 		// machine for the outside address. A copier counts a frame after it has
 		// sent the response, so the lifetime count may take an instant to settle.
 		wantServed := 2*setWords + remoteRefs + p
-		served := func() int64 { return c.Obs().LifetimeCounters()["reads_served"] }
-		for deadline := time.Now().Add(5 * time.Second); served() < wantServed && time.Now().Before(deadline); {
-			runtime.Gosched()
-		}
-		if got := served(); got != wantServed {
+		if got := jobCounter(c.Obs(), "reads_served", wantServed); got != wantServed {
 			t.Errorf("reads_served = %d over both jobs, want %d", got, wantServed)
 		}
 		var spans int
@@ -210,17 +205,19 @@ func saltedPull(c *Cluster, g *graph.Graph, src, dst PropID, salt int, filter fu
 }
 
 // assertNoResidue checks what every abort must leave behind: buffers home, no
-// decode-cache pin, no current job, and every worker out of the job — none
-// parked on the prefetch's local barrier.
+// decode-cache pin (sf nil: an in-memory load has none), no current job, and
+// every worker out of the job — none parked on the prefetch's local barrier.
 func assertNoResidue(t *testing.T, c *Cluster, sf *store.File) {
 	t.Helper()
 	settleQuiescent(t, c)
-	dc, err := sf.EnsureDecodeCache(prefetchDecodeCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := dc.Stats(); st.PinnedBlocks != 0 {
-		t.Errorf("abort left %d decode-cache blocks pinned", st.PinnedBlocks)
+	if sf != nil {
+		dc, err := sf.EnsureDecodeCache(prefetchDecodeCache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := dc.Stats(); st.PinnedBlocks != 0 {
+			t.Errorf("abort left %d decode-cache blocks pinned", st.PinnedBlocks)
+		}
 	}
 	for _, m := range c.machines {
 		if m.curJob.Load() != nil {
@@ -292,7 +289,7 @@ func TestFaultPrefetch(t *testing.T) {
 					return true
 				}
 				t.Run(dir.name+"/"+kind.name, func(t *testing.T) {
-					if !faultKth(t, 0, AblateReadMirror) {
+					if !faultKth(t, 0, AblateRemoteSets) {
 						t.Fatal("no on-demand read frame was faulted")
 					}
 					k := 0
@@ -323,7 +320,7 @@ func TestCancelAfterPrefetch(t *testing.T) {
 		var once sync.Once
 		err := saltedPull(c, g, src, dst, 1, func(ctx *Ctx) bool {
 			once.Do(func() {
-				if jr := ctx.w.job; jr.readSet == nil || jr.fetching.Load() != 0 {
+				if jr := ctx.w.job; jr.mirrorSet == nil || jr.fetching.Load() != 0 {
 					t.Error("the first row's filter ran before the prefetch was complete")
 				}
 				c.Cancel(cause)
@@ -360,38 +357,50 @@ func (k *skipRemoteSum) RunRow(c *Ctx, row Row) {
 	c.SetF64(k.dst, c.GetF64(k.dst)+sum)
 }
 
-// BenchmarkRemoteRead is the budget of one remote read: nanoseconds per remote
-// ref of a pull-sum job on two ghost-free machines, in process and over
-// loopback TCP, when the reads are requested on demand with read combining
-// (the protocol before the mirror), on demand without it, and prefetched into
-// the mirror. ns/remote-ref is the job's time over a scan of the same rows
-// that skips its remote refs (the skip-remote row, run first), divided by the
-// remote refs, so it is what a remote ref adds to the job; with both machines'
-// workers and copiers on the benchmark's CPUs it is wall time, not CPU time.
-// set-build is the one-time read-set scan, per edge scanned.
-func BenchmarkRemoteRead(b *testing.B) {
+// remoteBenchGraph is the graph of BenchmarkRemoteRead and BenchmarkRemoteWrite:
+// the benchmark workloads' RMAT-16.
+func remoteBenchGraph(b *testing.B) *graph.Graph {
 	g, err := graph.RMAT(16, 16, graph.TwitterLike(), 20151115)
 	if err != nil {
 		b.Fatal(err)
 	}
-	boot := func(b *testing.B, useTCP bool, ablate Ablation) (c *Cluster, src, dst PropID) {
-		cfg := DefaultConfig(2)
-		cfg.Workers, cfg.Copiers = 1, 1
-		cfg.GhostThreshold = GhostDisabled
-		cfg.Ablate = ablate
-		if useTCP {
-			cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
-			cfg.Fabric = innerFabric(b, cfg, true)
-			b.Cleanup(func() { cfg.Fabric.Close() }) //nolint:errcheck
-		}
-		c = bootCluster(b, g, cfg)
-		src, _ = c.AddPropF64("src")
-		dst, _ = c.AddPropF64("dst")
-		c.FillF64(src, 1)
-		return c, src, dst
+	return g
+}
+
+// remoteBenchBoot boots their cluster — two ghost-free machines of one worker
+// and one copier each, in process or over loopback TCP — with a source
+// property of ones and a destination.
+func remoteBenchBoot(b *testing.B, g *graph.Graph, useTCP bool, ablate Ablation) (c *Cluster, src, dst PropID) {
+	cfg := DefaultConfig(2)
+	cfg.Workers, cfg.Copiers = 1, 1
+	cfg.GhostThreshold = GhostDisabled
+	cfg.Ablate = ablate
+	if useTCP {
+		cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
+		cfg.Fabric = innerFabric(b, cfg, true)
+		b.Cleanup(func() { cfg.Fabric.Close() }) //nolint:errcheck
 	}
+	c = bootCluster(b, g, cfg)
+	src, _ = c.AddPropF64("src")
+	dst, _ = c.AddPropF64("dst")
+	c.FillF64(src, 1)
+	return c, src, dst
+}
+
+// remoteRefMode is one way to answer a remote ref: a row of the budget.
+type remoteRefMode struct {
+	name   string
+	ablate Ablation
+}
+
+// remoteRefBudget reports, per fabric and mode, the nanoseconds a remote ref
+// adds to the job spec builds: the job's time over a scan of the same rows that
+// skips its remote refs (skip's job, run first), divided by the remote refs the
+// rows hold in orient. With both machines' workers and copiers on the
+// benchmark's CPUs it is wall time, not CPU time.
+func remoteRefBudget(b *testing.B, g *graph.Graph, orient int, skip, spec func(src, dst PropID) JobSpec, modes []remoteRefMode) {
 	perJob := func(b *testing.B, c *Cluster, spec JobSpec) float64 {
-		if _, err := c.RunJob(spec); err != nil { // warm-up: pools, side slices, the read set
+		if _, err := c.RunJob(spec); err != nil { // warm-up: pools, side slices, the remote set
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -408,38 +417,51 @@ func BenchmarkRemoteRead(b *testing.B) {
 	}{{"inproc", false}, {"tcp", true}} {
 		var skipNS float64
 		b.Run(fab.name+"/skip-remote", func(b *testing.B) {
-			c, src, dst := boot(b, fab.tcp, 0)
-			skipNS = perJob(b, c, JobSpec{Name: "scan", Iter: IterInEdges, Task: &skipRemoteSum{src: src, dst: dst}})
+			c, src, dst := remoteBenchBoot(b, g, fab.tcp, 0)
+			skipNS = perJob(b, c, skip(src, dst))
 			b.ReportMetric(skipNS/float64(g.NumEdges()), "ns/edge")
 		})
-		for _, mode := range []struct {
-			name   string
-			ablate Ablation
-		}{{"on-demand", AblateReadMirror}, {"on-demand-uncombined", AblateReadMirror | AblateReadCombining}, {"mirrored", 0}} {
+		for _, mode := range modes {
 			b.Run(fab.name+"/"+mode.name, func(b *testing.B) {
-				c, src, dst := boot(b, fab.tcp, mode.ablate)
+				c, src, dst := remoteBenchBoot(b, g, fab.tcp, mode.ablate)
 				var remote int64
 				for _, m := range c.machines {
-					for _, ref := range m.store.views[store.OrientIn].refs {
+					for _, ref := range m.store.views[orient].refs {
 						if ref < 0 {
 							remote++
 						}
 					}
 				}
-				ns := perJob(b, c, JobSpec{Name: "scan", Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}, ReadProps: []PropID{src}})
+				ns := perJob(b, c, spec(src, dst))
 				b.ReportMetric((ns-skipNS)/float64(remote), "ns/remote-ref")
 				b.ReportMetric(float64(remote)/float64(g.NumEdges()), "remote_frac")
 			})
 		}
 	}
+}
+
+// BenchmarkRemoteRead is the budget of one remote read (remoteRefBudget): a
+// pull-sum job whose reads are requested on demand with read combining (the
+// protocol before the mirror), on demand without it, and prefetched into the
+// mirror. set-build is the one-time remote-set scan, per edge scanned.
+func BenchmarkRemoteRead(b *testing.B) {
+	g := remoteBenchGraph(b)
+	remoteRefBudget(b, g, store.OrientIn,
+		func(src, dst PropID) JobSpec {
+			return JobSpec{Name: "scan", Iter: IterInEdges, Task: &skipRemoteSum{src: src, dst: dst}}
+		},
+		func(src, dst PropID) JobSpec {
+			return JobSpec{Name: "scan", Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}, ReadProps: []PropID{src}}
+		},
+		[]remoteRefMode{{"on-demand", AblateRemoteSets}, {"on-demand-uncombined", AblateRemoteSets | AblateReadCombining}, {"mirrored", 0}})
 	b.Run("set-build", func(b *testing.B) {
-		c, src, dst := boot(b, false, 0)
+		c, src, dst := remoteBenchBoot(b, g, false, 0)
 		m := c.machines[0]
 		jr := m.newJobRuntime(&JobSpec{Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}}, 0)
 		var edges int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			set, err := m.buildReadSet(jr)
+			set, err := m.buildRemoteSet(jr)
 			if err != nil {
 				b.Fatal(err)
 			}

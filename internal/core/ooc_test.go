@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
@@ -327,6 +329,52 @@ func TestSpillCountersAndCleanup(t *testing.T) {
 	}
 }
 
+// writeHold makes "other streams have spilled before the failing frame is sent"
+// an event the spill-abort test waits on instead of a race it hopes to win: it
+// sits above the fault injector and holds every write frame from src to dst
+// until ready reports true, giving up after bound (the test's RequestTimeout)
+// so a run in which nothing ever spills still terminates and fails on the
+// test's own assertion.
+type writeHold struct {
+	comm.Fabric
+	src, dst int
+	ready    func() bool
+	bound    time.Duration
+}
+
+// InMemory forwards the wrapped fabric's answer, like the injector does.
+func (h *writeHold) InMemory() bool { return comm.InMemoryFabric(h.Fabric) }
+
+func (h *writeHold) Endpoint(m int) (comm.Endpoint, error) {
+	ep, err := h.Fabric.Endpoint(m)
+	if err != nil || m != h.src {
+		return ep, err
+	}
+	return &writeHoldEndpoint{Endpoint: ep, hold: h}, nil
+}
+
+type writeHoldEndpoint struct {
+	comm.Endpoint
+	hold *writeHold
+}
+
+func (e *writeHoldEndpoint) Send(dst int, buf *comm.Buffer) error {
+	if h := e.hold; dst == h.dst && comm.MsgType(buf.Data[0]) == comm.MsgWriteReq {
+		for deadline := time.Now().Add(h.bound); !h.ready() && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
+	return e.Endpoint.Send(dst, buf)
+}
+
+// Quiesce forwards to the inner endpoint; the pool leak checks rely on this
+// passing through every wrapper.
+func (e *writeHoldEndpoint) Quiesce() {
+	if q, ok := e.Endpoint.(interface{ Quiesce() }); ok {
+		q.Quiesce()
+	}
+}
+
 // TestSpillAbortLeavesNoResidue: abort a job while write frames sit spilled
 // (including on disk) — the backlog must be discarded without applying, every
 // temp file removed, the pools must come home, and the same cluster must then
@@ -342,14 +390,15 @@ func TestSpillAbortLeavesNoResidue(t *testing.T) {
 		cfg.SpillDir = spillDir
 		reg := obs.NewRegistry()
 		cfg.Obs = reg
-		// Hard-fail stream 1->0's write frame. The other five streams deliver
-		// theirs concurrently, and receivers spill every arrival (the
-		// 256-byte budget pushes them straight to file), so by the time the
+		// Hard-fail stream 1->0's first write frame — and hold that stream back
+		// until a receiver has spilled a frame of one of the other five (the
+		// 256-byte budget pushes every arrival straight to file), so when the
 		// abort lands the backlog is populated on disk.
 		inj := faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 7, Rules: []comm.FaultRule{
 			{Src: 1, Dst: 0, Type: int(comm.MsgWriteReq), Kind: comm.FaultFail, After: 0, Limit: 1},
 		}})
-		cfg.Fabric = inj
+		cfg.Fabric = &writeHold{Fabric: inj, src: 1, dst: 0, bound: cfg.RequestTimeout,
+			ready: func() bool { return reg.LifetimeCounters()["spilled_write_frames"] > 0 }}
 		c := bootCluster(t, g, cfg)
 		defer inj.Close()
 		counter, _ := c.AddPropI64("counter")

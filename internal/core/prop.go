@@ -50,12 +50,15 @@ type propMeta struct {
 // words because copiers apply remote reductions concurrently with worker
 // reads (the paper's relaxed consistency: "local and remote write requests
 // [apply] immediately"). priv holds the per-worker private ghost segments of
-// ghost privatization; they are plain slices since each is single-owner.
+// ghost privatization and acc the per-worker accumulators of a dense push's
+// remote reductions (accum.go); they are plain slices since each is
+// single-owner, and they go when the column does.
 type column struct {
 	kind     PropKind
 	numLocal int
 	vals     []atomic.Uint64 // numLocal + numGhost
 	priv     [][]uint64      // [workers][numGhost], lazily allocated
+	acc      []accum         // [workers], lazily allocated
 
 	// freeFn is non-nil when vals is backed by anonymous mmap instead of the
 	// Go heap (out-of-core runs with a resident budget): the O(N) column then
@@ -75,6 +78,7 @@ func newColumn(kind PropKind, numLocal, numGhost, workers int, offHeap bool) *co
 		kind:     kind,
 		numLocal: numLocal,
 		priv:     make([][]uint64, workers),
+		acc:      make([]accum, workers),
 	}
 	total := numLocal + numGhost
 	if offHeap && total > 0 {
@@ -117,33 +121,13 @@ func (c *column) setF64(i int, v float64) { c.vals[i].Store(math.Float64bits(v))
 func (c *column) setI64(i int, v int64)   { c.vals[i].Store(uint64(v)) }
 
 // applyWord reduces the raw word w into slot i with op, using the kind's
-// arithmetic. This is the copier-side write application ("the copier applies
-// them directly with atomic instructions") and also serves local immediate
-// writes.
-func (c *column) applyWord(i int, op reduce.Op, w uint64) {
-	switch c.kind {
-	case KindF64:
-		reduce.AtomicApplyF64(&c.vals[i], op, math.Float64frombits(w))
-	case KindI64:
-		// Reuse the uint64 cell as an int64 via CAS on the same word.
-		for {
-			old := c.vals[i].Load()
-			next := uint64(reduce.ApplyI64(op, int64(old), int64(w)))
-			if next == old && op != reduce.Overwrite {
-				return
-			}
-			if c.vals[i].CompareAndSwap(old, next) {
-				return
-			}
-		}
-	}
-}
-
-// applyWordChanged is applyWord, additionally reporting whether the stored
-// word changed — the signal write-activation (WriteSpec.ActivateInto) keys
-// on. A lost CAS retries, so "unchanged" means the reduction was truly a
-// no-op against the winning value.
-func (c *column) applyWordChanged(i int, op reduce.Op, w uint64) bool {
+// arithmetic, and reports whether the stored word changed — the signal
+// write-activation (WriteSpec.ActivateInto) keys on. This is the copier-side
+// write application ("the copier applies them directly with atomic
+// instructions") and also serves local immediate writes. A lost CAS retries,
+// so "unchanged" means the reduction was truly a no-op against the winning
+// value.
+func (c *column) applyWord(i int, op reduce.Op, w uint64) bool {
 	for {
 		old := c.vals[i].Load()
 		next := c.mergeWords(op, old, w)
@@ -166,17 +150,9 @@ func (c *column) bottomWord(op reduce.Op) uint64 {
 	}
 }
 
-// applyPlain reduces w into the plain word at *slot (private ghost segments).
-func (c *column) applyPlain(slot *uint64, op reduce.Op, w uint64) {
-	switch c.kind {
-	case KindF64:
-		*slot = math.Float64bits(reduce.ApplyF64(op, math.Float64frombits(*slot), math.Float64frombits(w)))
-	default:
-		*slot = uint64(reduce.ApplyI64(op, int64(*slot), int64(w)))
-	}
-}
-
-// mergeWords reduces b into a and returns the result, using kind arithmetic.
+// mergeWords reduces b into a and returns the result, using kind arithmetic —
+// the one place a reduction is computed: applyWord's CAS loop, the plain folds
+// into private ghost segments and accumulators, and both write combiners.
 func (c *column) mergeWords(op reduce.Op, a, b uint64) uint64 {
 	switch c.kind {
 	case KindF64:
@@ -189,14 +165,26 @@ func (c *column) mergeWords(op reduce.Op, a, b uint64) uint64 {
 // ensurePriv returns worker w's private ghost segment, allocating or
 // re-bottoming it for op.
 func (c *column) ensurePriv(w int, op reduce.Op) []uint64 {
-	ng := c.numGhost()
-	if c.priv[w] == nil {
-		c.priv[w] = make([]uint64, ng)
+	return c.bottomed(&c.priv[w], c.numGhost(), op)
+}
+
+// ensureAcc is ensurePriv for worker w's accumulator in job over set's
+// addresses.
+func (c *column) ensureAcc(w int, op reduce.Op, job uint64, set *remoteSet) {
+	a := &c.acc[w]
+	a.job, a.set = job, set
+	c.bottomed(&a.slots, set.size, op)
+}
+
+// bottomed resizes *seg to n words, each op's identity.
+func (c *column) bottomed(seg *[]uint64, n int, op reduce.Op) []uint64 {
+	if cap(*seg) < n {
+		*seg = make([]uint64, n)
 	}
-	bottom := c.bottomWord(op)
-	seg := c.priv[w]
-	for i := range seg {
-		seg[i] = bottom
+	s, bottom := (*seg)[:n], c.bottomWord(op)
+	for i := range s {
+		s[i] = bottom
 	}
-	return seg
+	*seg = s
+	return s
 }

@@ -92,8 +92,8 @@ func (k *prApplyTask) Run(c *Ctx) {
 // thirds remote), eight read records per message and a request pool of one
 // buffer: every flush inside a hub row leaves acquireReq stalled on the next
 // remote read, and the responses it drains there are for earlier reads of
-// that same row (the read mirror is ablated: it would answer every one of
-// these reads before the row runs). The result must still be SA's. The
+// that same row (the remote sets are ablated: a mirror would answer every one
+// of these reads before the row runs). The result must still be SA's. The
 // contract-breaking variant of the same kernel (own-node value cached across
 // the loop) must not be — otherwise this test would pass without reaching the
 // hazard.
@@ -113,7 +113,7 @@ func TestRowKernelReentrancy(t *testing.T) {
 		cfg := DefaultConfig(p)
 		cfg.Workers = 1
 		cfg.GhostThreshold = GhostDisabled
-		cfg.Ablate = AblateReadMirror
+		cfg.Ablate = AblateRemoteSets
 		cfg.BufferSize = comm.HeaderSize + 8*readRecSize
 		cfg.ReqBuffers = 1
 		cfg.RequestTimeout = 20 * time.Second

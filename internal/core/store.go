@@ -75,9 +75,9 @@ type localStore struct {
 	outDeg []int32
 	inDeg  []int32
 
-	// readSets[it] is the set of remote addresses iterator it's rows
-	// reference, built by the first job that can use it (mirror.go).
-	readSets [IterBothEdges + 1]*readSet
+	// remoteSets[it] is the set of remote addresses iterator it's rows
+	// reference, built by the first job that can use it (remoteset.go).
+	remoteSets [IterBothEdges + 1]*remoteSet
 }
 
 // buildLocalStore extracts machine me's partition from the global graph.

@@ -94,7 +94,10 @@ type worker struct {
 
 	// fetching is set while the worker fills the job's mirrors (prefetch):
 	// every read response then carries mirror words, not continuation values.
+	// folded counts the remote writes reduced into this worker's accumulators
+	// (accum.go) since its last flushAccum.
 	fetching bool
+	folded   int64
 
 	// sideFree recycles side-structure slices. Sides always return to the
 	// worker that created them (responses route back to the same worker), so
@@ -244,7 +247,7 @@ func (w *worker) abortCleanup() {
 	w.outstanding = 0
 	w.releasePins()
 	w.dedupHits, w.dedupMisses = 0, 0
-	w.wcombHits = 0
+	w.wcombHits, w.folded = 0, 0
 	if w.rttStart != nil {
 		clear(w.rttStart) // the seqs moved to the stale set; no RTT to record
 	}
@@ -275,8 +278,13 @@ func (w *worker) runJob(jr *jobRuntime) {
 		w.privSeg[ws.Prop] = w.m.cols[ws.Prop].ensurePriv(w.id, ws.Op)
 	}
 
-	if jr.readSet != nil {
+	if jr.mirrorSet != nil {
 		w.prefetch(jr)
+	}
+	if jr.accSet != nil {
+		for _, ws := range jr.spec.WriteProps {
+			w.cols[ws.Prop].ensureAcc(w.id, ws.Op, jr.id, jr.accSet)
+		}
 	}
 
 	ctx := &w.ctx
@@ -301,6 +309,9 @@ func (w *worker) runJob(jr *jobRuntime) {
 	}
 
 	w.awaitReads(jr)
+	if jr.accSet != nil {
+		w.flushAccum(jr)
+	}
 	if len(w.sides) != 0 {
 		// Bookkeeping broke (outstanding hit zero with side structures still
 		// registered): fail the job rather than crash — abortCleanup parks
@@ -763,7 +774,7 @@ func (w *worker) writeActivating(ref int64, p PropID, op reduce.Op, word uint64,
 	st := w.m.store
 	if ref >= 0 {
 		if int(ref) < st.numLocal {
-			if w.cols[p].applyWordChanged(int(ref), op, word) {
+			if w.cols[p].applyWord(int(ref), op, word) {
 				b := w.job.builds[slot]
 				b.shards[w.id] = append(b.shards[w.id], uint32(ref))
 			}
@@ -773,7 +784,7 @@ func (w *worker) writeActivating(ref int64, p PropID, op reduce.Op, word uint64,
 		// original (its own hub, ghosted cluster-wide), apply in place.
 		g := int32(ref) - int32(st.numLocal)
 		if own := w.m.ghostOwned[g]; own >= 0 {
-			if w.cols[p].applyWordChanged(int(own), op, word) {
+			if w.cols[p].applyWord(int(own), op, word) {
 				b := w.job.builds[slot]
 				b.shards[w.id] = append(b.shards[w.id], uint32(own))
 			}
@@ -938,15 +949,18 @@ type jobRuntime struct {
 	builds    []*machineFrontier
 	activate  []int8
 
-	// readSet is non-nil when the job is mirrored (Machine.mirrorJob): before
+	// mirrorSet is non-nil when the job is mirrored (Machine.mirrorJob): before
 	// its first row every worker fetches its share of the set's addresses into
 	// mirrors — one word buffer per spec.ReadProps entry, the machine's, reused
 	// across jobs — and the last of the fetching workers to finish closes
-	// fetched.
-	readSet  *readSet
-	mirrors  []*column
-	fetching atomic.Int32
-	fetched  chan struct{}
+	// fetched. accSet is non-nil when the job's remote writes accumulate
+	// (accum.go): a reduction into one of the set's addresses folds into the
+	// worker's private accumulator and ships when the worker has run dry.
+	mirrorSet *remoteSet
+	accSet    *remoteSet
+	mirrors   []*column
+	fetching  atomic.Int32
+	fetched   chan struct{}
 
 	// steal is the job's work-stealing state (residual queue + in-flight
 	// grant count), or nil when this job cannot be stolen from (stealing

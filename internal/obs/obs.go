@@ -74,7 +74,11 @@ const (
 	CtrWireBytes
 	// CtrWriteCombineHits / CtrWriteCombineBytesSaved count sender-side
 	// write combining: remote writes merged into an already-buffered record
-	// for the same (prop, op, offset) and the request bytes that saved.
+	// for the same (prop, op, offset) and the request bytes that saved. An
+	// accumulated push ships each address once per worker, so on a dense push
+	// these — and the harness's write_combine_hit_ratio over them — read ≈ 0
+	// by design, as the dedup counters do on a mirrored pull; the folding is
+	// counted by CtrAccumulatedWrites.
 	CtrWriteCombineHits
 	CtrWriteCombineBytesSaved
 	// CtrRecvWritesCombined counts receiver-side write combining: duplicate
@@ -116,8 +120,12 @@ const (
 	CtrResidencyTouchedBytes
 	CtrResidencyEvictedBytes
 	// CtrMirrorWords counts the words mirrored jobs prefetched: per job, the
-	// requesting machine's read-set size times its read props.
+	// requesting machine's remote-set size times its read props.
 	CtrMirrorWords
+	// CtrAccumulatedWrites counts the remote writes workers folded into their
+	// accumulators instead of buffering a record each; what they then shipped
+	// is the write_flush spans' args (and part of writes_applied).
+	CtrAccumulatedWrites
 
 	numCounters
 )
@@ -160,6 +168,7 @@ var counterNames = [numCounters]string{
 	CtrResidencyTouchedBytes:  "residency_touched_bytes",
 	CtrResidencyEvictedBytes:  "residency_evicted_bytes",
 	CtrMirrorWords:            "mirror_words",
+	CtrAccumulatedWrites:      "accumulated_writes",
 }
 
 // String implements fmt.Stringer.

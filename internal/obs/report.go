@@ -120,6 +120,17 @@ func (j *JobReport) Line() string {
 		// What a mirrored pull's prefetch cost: words fetched, summed worker time.
 		line += fmt.Sprintf(" prefetch=%dw/%s", n, ph[SpanReadPrefetch.String()].Round(time.Microsecond))
 	}
+	if n := j.Counters[CtrAccumulatedWrites.String()]; n > 0 {
+		// What accumulation saved an accumulated push: remote writes folded
+		// locally → records its workers shipped.
+		var shipped uint64
+		for _, s := range j.Spans {
+			if s.Kind == SpanWriteFlush {
+				shipped += s.Arg
+			}
+		}
+		line += fmt.Sprintf(" accum=%d→%d", n, shipped)
+	}
 	return line
 }
 

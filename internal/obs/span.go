@@ -47,6 +47,9 @@ const (
 	// first address buffered to every local worker's share answered (Arg:
 	// words this worker fetched).
 	SpanReadPrefetch
+	// SpanWriteFlush is one worker shipping its write accumulators when it has
+	// run dry: first slot walked to last frame sent (Arg: records shipped).
+	SpanWriteFlush
 
 	numSpanKinds
 )
@@ -64,6 +67,7 @@ var spanKindNames = [numSpanKinds]string{
 	SpanDirection:     "direction_decision",
 	SpanSteal:         "steal",
 	SpanReadPrefetch:  "read_prefetch",
+	SpanWriteFlush:    "write_flush",
 }
 
 // String implements fmt.Stringer.

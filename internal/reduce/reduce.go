@@ -55,8 +55,16 @@ func (op Op) String() string {
 // Valid reports whether op is a known operator.
 func (op Op) Valid() bool { return op <= Overwrite }
 
-// ApplyF64 returns op(a, b) for float64 values.
+// ApplyF64 returns op(a, b) for float64 values. The additive case is split
+// off so that it inlines into the per-edge reduction loops.
 func ApplyF64(op Op, a, b float64) float64 {
+	if op == Sum {
+		return a + b
+	}
+	return applyF64(op, a, b)
+}
+
+func applyF64(op Op, a, b float64) float64 {
 	switch op {
 	case Sum:
 		return a + b
@@ -87,8 +95,19 @@ func ApplyF64(op Op, a, b float64) float64 {
 	}
 }
 
-// ApplyI64 returns op(a, b) for int64 values.
+// ApplyI64 returns op(a, b) for int64 values; SUM and MIN inline like
+// ApplyF64's SUM.
 func ApplyI64(op Op, a, b int64) int64 {
+	switch op {
+	case Sum:
+		return a + b
+	case Min:
+		return min(a, b)
+	}
+	return applyI64(op, a, b)
+}
+
+func applyI64(op Op, a, b int64) int64 {
 	switch op {
 	case Sum:
 		return a + b
