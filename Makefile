@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-job bench-read bench-write bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
+.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-job bench-read bench-write bench-decode bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
 
 build:
 	$(GO) build ./...
@@ -85,18 +85,27 @@ bench-job:
 # built beside this tree's under SCRATCH and the two alternate three times, the
 # way a claim about this path is to be measured (a ref from before the
 # benchmark existed prints nothing).
+#
+# bench-decode is the budget of one decoded edge of a compressed store file
+# (TWT16, p = 2), same recipe: ns per edge and minor faults per pass of Open's
+# validation scan, of a cold pass — every block decoded — through a decode pool
+# a quarter of the decoded size, and of a warm pass through a pool that holds
+# everything (a cursor step per row and nothing else).
 SCRATCH ?= /tmp/pgxd-bench-remote
+bench-read bench-write bench-decode: PKG = ./internal/core
 bench-read: BENCH = RemoteRead
 bench-write: BENCH = RemoteWrite
-bench-read bench-write:
+bench-decode: BENCH = Decode
+bench-decode: PKG = ./internal/store
+bench-read bench-write bench-decode:
 ifdef AGAINST
 	rm -rf $(SCRATCH) && mkdir -p $(SCRATCH)/ref
 	git archive $(AGAINST) | tar -x -C $(SCRATCH)/ref
-	cd $(SCRATCH)/ref && $(GO) test -c -o $(SCRATCH)/ref.test ./internal/core
-	$(GO) test -c -o $(SCRATCH)/head.test ./internal/core
-	cd internal/core && for i in 1 2 3; do for side in ref head; do echo "== $$side ($$i)"; $(SCRATCH)/$$side.test -test.run '^$$' -test.bench $(BENCH) -test.benchtime 10x -test.timeout 10m | grep Benchmark; done; done
+	cd $(SCRATCH)/ref && $(GO) test -c -o $(SCRATCH)/ref.test $(PKG)
+	$(GO) test -c -o $(SCRATCH)/head.test $(PKG)
+	cd $(PKG) && for i in 1 2 3; do for side in ref head; do echo "== $$side ($$i)"; $(SCRATCH)/$$side.test -test.run '^$$' -test.bench $(BENCH) -test.benchtime 10x -test.timeout 10m | grep Benchmark; done; done
 else
-	$(GO) test -run '^$$' -bench $(BENCH) -benchtime 10x -count 3 ./internal/core/
+	$(GO) test -run '^$$' -bench $(BENCH) -benchtime 10x -count 3 $(PKG)/
 endif
 
 # Fail-soft smoke: injected drops, failures, delays, and a machine kill
@@ -159,13 +168,14 @@ bench-balance:
 	$(GO) run ./cmd/pgxd-bench -exp balance -machines 4 -scale 13 -balance-out BENCH_balance.json
 
 # Out-of-core check: the store file format (one container, both section
-# spellings) + claim/residency + decode cache + spill tests under the race
-# detector, the mmap-vs-in-memory bit-identity suite (csr2 and csr3
-# encodings), then an RSS-capped -exp ooc smoke at a reduced scale (fails if
-# peak RSS blows the cap).
+# spellings) + claim/residency + decode pool and cursor + spill tests under the
+# race detector — all of internal/store, and from the engine the mmap-vs-in-memory
+# bit-identity suite (csr2 and csr3 encodings), the abort, per-job counter and
+# sparse-claim tests — then an RSS-capped -exp ooc smoke at a reduced scale
+# (fails if peak RSS blows the cap).
 ooc:
 	$(GO) test -race -count=1 ./internal/store/...
-	$(GO) test -race -count=1 -run 'Store|Spill|OOC|Compressed|DecodeCache' ./internal/core/... ./internal/algorithms/... ./internal/bench/...
+	$(GO) test -race -count=1 -run 'Store|Spill|OOC|Compressed|DecodeCache|SparseFrontierClaims' ./internal/core/... ./internal/algorithms/... ./internal/bench/...
 	$(GO) run ./cmd/pgxd-bench -exp ooc -machines 3 -scale 10 -ooc-scale 17 -ooc-budget-mb 16 -ooc-cap-mb 256 -quiet -ooc-out BENCH_ooc_smoke.json
 
 # Regenerate the out-of-core artifact: bit-identity matrix (in-memory vs the

@@ -15,7 +15,7 @@
 // file is mmap'd and adopted zero-copy, the machine count comes from the
 // file, and -resident-mb bounds how much of it the engine keeps resident
 // (also turning on spillable write buffers). A compressed .csr3 file
-// additionally inflates edge blocks through a bounded decode cache sized by
+// additionally inflates edge blocks into a resident decode pool sized by
 // -decode-cache-mb; with a resident budget set, property columns move
 // off-heap too.
 package main
@@ -45,7 +45,7 @@ func main() {
 		tcp       = flag.Bool("tcp", false, "run over loopback TCP instead of in-process channels")
 		obsOn     = flag.Bool("obs", false, "attach the observability registry and print a per-job report")
 		resident  = flag.Int64("resident-mb", 0, ".csr2/.csr3 only: resident budget in MiB for the mmap'd topology (0 = unbounded); also enables spillable write buffers")
-		decodeMB  = flag.Int64("decode-cache-mb", 0, ".csr3 only: decode-cache budget in MiB (0 = default, <0 = unbounded)")
+		decodeMB  = flag.Int64("decode-cache-mb", 0, ".csr3 only: resident decode pool in MiB (0 = default, <0 = the whole file; never below the file's largest block)")
 	)
 	flag.Parse()
 	if *graphPath == "" {
@@ -101,7 +101,7 @@ func main() {
 		if *decodeMB > 0 {
 			cfg.DecodeCacheBytes = *decodeMB << 20
 		} else {
-			cfg.DecodeCacheBytes = -1 // unbounded
+			cfg.DecodeCacheBytes = -1 // the whole file
 		}
 	}
 	if *obsOn {

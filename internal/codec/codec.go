@@ -14,6 +14,8 @@
 // truncated frame surfaces as a validation error on the consume side.
 package codec
 
+import "encoding/binary"
+
 // MaxVarintLen is the worst-case encoded size of one uint64 varint.
 const MaxVarintLen = 10
 
@@ -111,15 +113,37 @@ func AppendZigZagDeltaRow(dst []byte, vals []int64) []byte {
 // consumed. Every decoded value must lie in [0, limit) — node ids in a graph
 // of limit nodes — so a corrupt row surfaces here instead of indexing a
 // column out of bounds later. Torn, overlong, or out-of-range input returns
-// ok == false.
+// ok == false. While eight bytes of input remain a varint is read with one
+// word load and those of up to three bytes — every gap below 2^20 — resolve
+// without a loop; longer ones and the input's last seven bytes take Uvarint.
 func DecodeZigZagDeltaRow(p []byte, n int, limit int64, out []int64) (vals []int64, consumed int, ok bool) {
 	out = out[:0]
 	prev := int64(0)
 	off := 0
 	for i := 0; i < n; i++ {
-		d, k := Uvarint(p[off:])
-		if k <= 0 {
-			return out, off, false
+		var d uint64
+		k := 0
+		if off+8 <= len(p) {
+			w := binary.LittleEndian.Uint64(p[off:])
+			// A k-byte varint whose last byte is zero — d below 2^(7(k-1)) —
+			// is the padded form Uvarint rejects.
+			switch {
+			case w&0x80 == 0:
+				d, k = w&0x7f, 1
+			case w&0x8000 == 0:
+				if d, k = w&0x7f|w>>1&0x3f80, 2; d < 1<<7 {
+					return out, off, false
+				}
+			case w&0x800000 == 0:
+				if d, k = w&0x7f|w>>1&0x3f80|w>>2&0x1fc000, 3; d < 1<<14 {
+					return out, off, false
+				}
+			}
+		}
+		if k == 0 {
+			if d, k = Uvarint(p[off:]); k <= 0 {
+				return out, off, false
+			}
 		}
 		off += k
 		prev += UnZigZag(d)

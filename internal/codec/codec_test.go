@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -204,8 +205,32 @@ func TestZigZagDeltaRowRejectsBadInput(t *testing.T) {
 	}
 }
 
+// bytewiseZigZagDeltaRow is the byte-at-a-time row decoder DecodeZigZagDeltaRow
+// was before it read a word at a time, kept as the oracle the fast path is
+// fuzzed against: one Uvarint call per value, nothing else.
+func bytewiseZigZagDeltaRow(p []byte, n int, limit int64, out []int64) (vals []int64, consumed int, ok bool) {
+	out = out[:0]
+	prev := int64(0)
+	off := 0
+	for i := 0; i < n; i++ {
+		d, k := Uvarint(p[off:])
+		if k <= 0 {
+			return out, off, false
+		}
+		off += k
+		prev += UnZigZag(d)
+		if prev < 0 || prev >= limit {
+			return out, off, false
+		}
+		out = append(out, prev)
+	}
+	return out, off, true
+}
+
 // FuzzZigZagDeltaRow drives the store's compressed block row decoder with arbitrary
-// payloads, counts, and limits: no panics, no reads past the input, and
+// payloads, counts, and limits: no panics, no reads past the input, the
+// word-at-a-time decoder and the bytewise oracle agree on ok, on the bytes
+// consumed and on every value — accepted or decoded before a rejection — and
 // anything accepted must re-encode to exactly the bytes consumed (the same
 // canonical-form property the store's open-time block validation relies on
 // to reject torn, trailing, or overlong block bytes).
@@ -214,11 +239,27 @@ func FuzzZigZagDeltaRow(f *testing.F) {
 	f.Add([]byte{}, uint16(1), int64(1))
 	f.Add(AppendZigZagDeltaRow(nil, []int64{5, 3, 1 << 18}), uint16(3), int64(1<<19))
 	f.Add(AppendZigZagDeltaRow(nil, []int64{0, 0, 7, 2}), uint16(4), int64(8))
+	// Inputs 0-9 bytes long straddle the eight bytes the fast path needs.
+	for n := 0; n <= 9; n++ {
+		f.Add(bytes.Repeat([]byte{0x02}, n), uint16(n), int64(1<<20))
+	}
+	// A 3-byte varint ending exactly at the buffer end, behind five 1-byte ones.
+	f.Add(append(bytes.Repeat([]byte{0x02}, 5), 0x80, 0x80, 0x01), uint16(6), int64(1<<20))
+	// Zero-padded 2- and 3-byte varints, and a 4-byte one, each with a full
+	// word of input behind it so the fast path is the one that meets it.
+	f.Add(append([]byte{0x85, 0x00}, bytes.Repeat([]byte{0x02}, 8)...), uint16(4), int64(1<<20))
+	f.Add(append([]byte{0x85, 0x80, 0x00}, bytes.Repeat([]byte{0x02}, 8)...), uint16(4), int64(1<<20))
+	f.Add(append([]byte{0x80, 0x80, 0x80, 0x02}, bytes.Repeat([]byte{0x02}, 8)...), uint16(4), int64(1<<30))
 	f.Fuzz(func(t *testing.T, p []byte, n16 uint16, limit int64) {
 		n := int(n16 % 512)
 		vals, consumed, ok := DecodeZigZagDeltaRow(p, n, limit, nil)
 		if consumed > len(p) {
 			t.Fatalf("consumed %d of %d bytes", consumed, len(p))
+		}
+		wantVals, wantConsumed, wantOK := bytewiseZigZagDeltaRow(p, n, limit, nil)
+		if ok != wantOK || consumed != wantConsumed || !slices.Equal(vals, wantVals) {
+			t.Fatalf("decoder (ok=%v consumed=%d vals=%v) disagrees with the bytewise oracle (ok=%v consumed=%d vals=%v)",
+				ok, consumed, vals, wantOK, wantConsumed, wantVals)
 		}
 		if ok {
 			if len(vals) != n {

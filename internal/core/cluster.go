@@ -362,8 +362,8 @@ func (c *Cluster) RunJob(spec JobSpec) (JobStats, error) {
 		}
 		return JobStats{}, fmt.Errorf("job %q: %w: %w", spec.Name, ErrJobAborted, err)
 	}
+	c.pollOOCStats() // before EndJob snapshots the job's counters into its report
 	c.cfg.Obs.EndJob(jobID, time.Since(start))
-	c.pollOOCStats()
 	stats := JobStats{
 		Duration:  time.Since(start),
 		Traffic:   c.TrafficSnapshot().Sub(before),

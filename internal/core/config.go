@@ -73,11 +73,13 @@ type Config struct {
 	// budget is exceeded. Zero or negative disables the window — the page
 	// cache alone governs residency. Ignored for in-memory loads.
 	ResidentBudgetBytes int64
-	// DecodeCacheBytes bounds the decode cache a compressed store file
-	// (.csr3) inflates edge blocks into: decoded blocks are pinned while a
-	// worker runs a chunk over them and evicted LRU past the budget. Zero
-	// uses store.DefaultDecodeCacheBytes; negative disables the bound (every
-	// decoded block stays resident). Ignored for raw (.csr2) files and
+	// DecodeCacheBytes sizes the resident pool a compressed store file
+	// (.csr3) inflates edge blocks into: each row reader pins the one block
+	// it is in and the rest are recycled first-in first-out. Zero uses
+	// store.DefaultDecodeCacheBytes; negative holds the whole file (every
+	// decoded block stays resident); a positive value below the file's
+	// largest decoded block (~64 KiB) is raised to it, since a smaller pool
+	// could keep nothing it decodes. Ignored for raw (.csr2) files and
 	// in-memory loads. The cache is per store.File, so pool jobs sharing one
 	// open file share its decoded blocks.
 	DecodeCacheBytes int64

@@ -64,7 +64,7 @@ type Task interface {
 // Row is one node's adjacency in one orientation, handed to RowTask.RunRow.
 // Refs[i] is the i-th neighbor's ref (local index, ghost slot, or — when
 // negative — a remote ref); Weights, nil on unweighted graphs, runs parallel
-// to Refs. Both alias engine storage (the CSR, a decode-cache arena, or a
+// to Refs. Both alias engine storage (the CSR, a decoded store block, or a
 // steal grant) and are valid only until RunRow returns.
 type Row struct {
 	Refs    []int64

@@ -366,7 +366,7 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 		// One dispatch shape: workers hand rows to a RowTask. A per-edge Task
 		// gets the adapter here, once per job.
 		jr.row = rowForm(spec.Task)
-		jr.ooc = m.ooc
+		jr.ooc, jr.cursors = m.ooc, m.ooc != nil && m.ooc.File().Compressed()
 	}
 
 	// Frontier-sourced iteration: restrict the chunk list to this machine's

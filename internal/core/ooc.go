@@ -11,12 +11,14 @@ import (
 // (store.Open) instead of materializing the graph on the heap. Each machine's
 // local store aliases its file section directly — the same rows/refs/weights
 // slice contract buildLocalStore produces, so workers, copiers, the chunk
-// scheduler, and the steal protocol run unchanged — and page-cache eviction,
-// optionally bounded by Config.ResidentBudgetBytes, governs how much topology
-// is resident. Store files encode refs ghost-free (local or remote, never a
-// ghost slot), so an out-of-core cluster runs with an empty ghost set; the
-// per-edge ref dispatch is identical either way. Everything that depends on
-// how the file spells its sections sits behind one store.Load handle.
+// scheduler, and the steal protocol run unchanged, except that a compressed
+// file has no ref slice and its rows are read through rowReaders — and
+// page-cache eviction, optionally bounded by Config.ResidentBudgetBytes,
+// governs how much topology is resident. Store files encode refs ghost-free
+// (local or remote, never a ghost slot), so an out-of-core cluster runs with
+// an empty ghost set; the per-edge ref dispatch is identical either way.
+// Everything that depends on how the file spells its sections sits behind one
+// store.Load handle.
 
 // LoadStore loads the cluster from an open store file of either encoding.
 // The file must have been written for exactly this cluster's machine count
@@ -65,52 +67,71 @@ func (c *Cluster) LoadStore(sf *store.File) error {
 }
 
 // loadFromStore installs machine id's file section as its local store. The
-// row/ref/weight slices alias the load's views (on a compressed file the refs
-// are valid only under a chunk claim); only O(numLocal) metadata (degrees,
-// both-orientation prefix) is materialized on the heap.
+// row/ref/weight slices alias the load's views (a compressed file has no ref
+// view: its rows are read through rowReaders); only O(numLocal) metadata
+// (degrees, both-orientation prefix) is materialized on the heap.
 func (m *Machine) loadFromStore(ld *store.Load, layout partition.Layout, ghosts *partition.GhostSet) {
-	sec := ld.Section(m.id)
+	sec := ld.File().Section(m.id)
 	out := orientView{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights}
 	in := orientView{rows: sec.InRows, refs: sec.InRefs, weights: sec.InWeights}
 	m.install(newLocalStore(m.id, layout, ghosts, out, in), ld.File().DegreeMass(), ld)
 }
 
-// chunkSpan maps one scheduling chunk of an edge iterator to the node span
-// [lo, hi) it will iterate. ok is false when the chunk drives no topology
-// reads (an empty sparse-frontier chunk).
-func (jr *jobRuntime) chunkSpan(ch partition.Chunk) (lo, hi int64, ok bool) {
-	lo, hi = int64(ch.Begin), int64(ch.End)
-	if jr.frontList != nil {
-		// Sparse frontier: chunk indices address the sorted member list; the
-		// node span is the members' range (sorted ascending).
-		if ch.Begin >= ch.End {
-			return 0, 0, false
-		}
-		lo = int64(jr.frontList[ch.Begin])
-		hi = int64(jr.frontList[ch.End-1]) + 1
-	}
-	return lo, hi, true
-}
-
-// claimChunk claims one chunk's topology reads in every orientation the job
-// iterates; a no-op on an in-memory load. The returned tokens (zero-valued
-// when nothing was pinned) must be released once the chunk's task invocations
-// finish; holders keep them reachable across an abort unwind so cleanup can
-// release them. The worker claim loop tests jr.ooc itself, so an in-memory
-// run pays one nil check per chunk and no token bookkeeping.
-func (jr *jobRuntime) claimChunk(mach int, ch partition.Chunk) (pins [2]store.PinToken, err error) {
+// claimChunk announces one chunk's topology reads, in every orientation the
+// job iterates, to the load's residency window — a sparse frontier's members
+// run by run, not the span from the first to the last; a no-op on an in-memory
+// load. The worker claim loop tests jr.ooc itself, so an in-memory run pays
+// one nil check per chunk.
+func (jr *jobRuntime) claimChunk(mach int, ch partition.Chunk) {
 	if jr.ooc == nil {
 		return
 	}
-	lo, hi, ok := jr.chunkSpan(ch)
-	if !ok {
-		return
-	}
-	for i, v := range jr.views {
-		if pins[i], err = jr.ooc.Claim(mach, v.orient, lo, hi); err != nil {
-			pins[0].Release() // what an earlier view pinned; a no-op on the zero token
-			return [2]store.PinToken{}, err
+	for _, v := range jr.views {
+		if jr.frontList != nil {
+			jr.ooc.ClaimMembers(mach, v.orient, jr.frontList[ch.Begin:ch.End])
+		} else {
+			jr.ooc.Claim(mach, v.orient, int64(ch.Begin), int64(ch.End))
 		}
 	}
-	return
+}
+
+// rowReader reads one view's rows for one goroutine, whatever the load: sliced
+// out of the view's refs or, on a compressed load, which has none, through a
+// store.Cursor — a row is then valid until the reader's next row or release,
+// and the reader pins one decoded block until released.
+type rowReader struct {
+	v      *orientView
+	cur    store.Cursor
+	cursor bool
+}
+
+// rowReaders is one goroutine's reader per view of a job. Workers keep theirs
+// beside their other per-job state so an abort unwind finds them; a job on an
+// in-memory or raw load never asks a worker's for a row (worker.runChunk).
+type rowReaders [2]rowReader
+
+// readers returns readers of machine mach's views under jr's load.
+func (jr *jobRuntime) readers(mach int) (rd rowReaders) {
+	for i := range jr.views {
+		rd[i].v = &jr.views[i]
+		if jr.cursors {
+			rd[i].cur, rd[i].cursor = jr.ooc.Cursor(mach, rd[i].v.orient), true
+		}
+	}
+	return rd
+}
+
+// refs returns node's neighbour refs. An error is a block that no longer
+// decodes — every one was strictly validated at Open — and fails the job.
+func (r *rowReader) refs(node uint32) ([]int64, error) {
+	if !r.cursor {
+		return r.v.refs[r.v.rows[node]:r.v.rows[node+1]], nil
+	}
+	return r.cur.Row(int64(node))
+}
+
+// release drops the readers' block pins, if they hold any. Idempotent.
+func (rd *rowReaders) release() {
+	rd[0].cur.Release()
+	rd[1].cur.Release()
 }

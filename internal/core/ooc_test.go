@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,7 +88,7 @@ func runPushOne(t *testing.T, c *Cluster, counter PropID) []int64 {
 }
 
 // TestStoreSectionsMatchLocalStore: what a store load hands the engine — rows,
-// refs (compressed ones read under a claim of every row) and weights, per
+// refs (compressed ones read row by row through a cursor) and weights, per
 // machine and orientation — must equal what buildLocalStore derives from the
 // in-memory graph with ghosting off, in both encodings and at every machine
 // count. This is the reference for the file format that does not go through
@@ -117,21 +119,28 @@ func TestStoreSectionsMatchLocalStore(t *testing.T) {
 				}
 				for me := 0; me < p; me++ {
 					want := buildLocalStore(g, layout, partition.EmptyGhostSet(), me)
-					sec := ld.Section(me)
+					sec := sf.Section(me)
 					got := [2]orientView{
 						{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights},
 						{rows: sec.InRows, refs: sec.InRefs, weights: sec.InWeights},
 					}
 					for orient, w := range want.views {
-						tok, err := ld.Claim(me, orient, 0, int64(want.numLocal))
-						if err != nil {
-							t.Fatal(err)
+						ld.Claim(me, orient, 0, int64(want.numLocal))
+						if ld.File().Compressed() {
+							cur := ld.Cursor(me, orient)
+							for u := 0; u < want.numLocal; u++ {
+								row, err := cur.Row(int64(u))
+								if err != nil {
+									t.Fatal(err)
+								}
+								got[orient].refs = append(got[orient].refs, row...)
+							}
+							cur.Release()
 						}
 						if !slices.Equal(got[orient].rows, w.rows) || !slices.Equal(got[orient].refs, w.refs) ||
 							!slices.Equal(got[orient].weights, w.weights) {
 							t.Fatalf("%s %s p=%d machine %d orient %d: store section differs from buildLocalStore", name, format, p, me, orient)
 						}
-						tok.Release()
 					}
 				}
 				sf.Close() //nolint:errcheck
@@ -469,6 +478,122 @@ func TestStealAttributionBillsVictim(t *testing.T) {
 		if totals[m] >= totals[0] {
 			t.Errorf("machine %d total %d >= victim total %d: stolen work was not billed to the victim partition",
 				m, totals[m], totals[0])
+		}
+	}
+}
+
+// TestStoreCountersReachJobReports: a job run from a compressed store reports
+// its own decode-cache work — the pins, decodes and bytes the cache counted
+// while it ran, in its JobReport's counters and on its summary line — and the
+// node pass after it, which reads no topology, reports none.
+func TestStoreCountersReachJobReports(t *testing.T) {
+	g := testGraph(t)
+	cfg := DefaultConfig(3)
+	cfg.DecodeCacheBytes = 64 << 10
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	c := bootStore(t, storePath3(t, g, 3), cfg)
+	counter, _ := c.AddPropI64("counter")
+	init, _ := c.AddPropF64("init")
+	for round := 0; round < 2; round++ {
+		before := c.ooc.Stats().Decode
+		runPushOne(t, c, counter)
+		after, rep := c.ooc.Stats().Decode, reg.LastReport()
+		for name, want := range map[string]int64{
+			"decode_hits": after.Hits - before.Hits, "decode_misses": after.Misses - before.Misses,
+			"decoded_bytes": after.DecodedBytes - before.DecodedBytes,
+		} {
+			if got := rep.Counters[name]; got != want {
+				t.Errorf("round %d: report counter %s = %d, the cache counted %d over the job", round, name, got, want)
+			}
+		}
+		if after.Hits+after.Misses == before.Hits+before.Misses {
+			t.Fatalf("round %d: the job pinned no block — test is vacuous", round)
+		}
+		if line := rep.Line(); !strings.Contains(line, fmt.Sprintf(" store=%d/%d ", after.Hits-before.Hits, after.Misses-before.Misses)) {
+			t.Errorf("round %d: report line %q carries no store segment", round, line)
+		}
+	}
+	if _, err := c.RunJob(JobSpec{Name: "node-init", Iter: IterNodes, Task: &nodeInit{p: init}}); err != nil {
+		t.Fatal(err)
+	}
+	rep := reg.LastReport()
+	if rep.Name != "node-init" || rep.Counters["decode_hits"] != 0 || rep.Counters["decode_misses"] != 0 || rep.Counters["decoded_bytes"] != 0 {
+		t.Errorf("node pass report %q carries decode counts: %v", rep.Name, rep.Counters)
+	}
+	if line := rep.Line(); strings.Contains(line, "store=") {
+		t.Errorf("node pass report line %q carries a store segment", line)
+	}
+}
+
+// TestSparseFrontierClaimsMembersNotSpan: a sparse-frontier job over a store
+// load claims its members' rows, not the node span from a chunk's first member
+// to its last. The frontier is machine 0's hub plus a few small rows near each
+// end of its range: the hub outweighs the chunk target, so one chunk holds
+// every small row and its span is nearly the whole section. The raw load must
+// advise well under the section into its window, the compressed one decode
+// well under it.
+func TestSparseFrontierClaimsMembersNotSpan(t *testing.T) {
+	g, err := graph.RMAT(14, 16, graph.TwitterLike(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{"csr2", "csr3"} {
+		cfg := DefaultConfig(2)
+		cfg.Workers = 1
+		cfg.ResidentBudgetBytes = 256 << 10
+		path := storePath(t, g, 2)
+		if format == "csr3" {
+			cfg.DecodeCacheBytes = 256 << 10
+			path = storePath3(t, g, 2)
+		}
+		c := bootStore(t, path, cfg)
+		counter, _ := c.AddPropI64("counter")
+		c.FillI64(counter, 0)
+		st := c.machines[0].store
+		rows := st.views[store.OrientOut].rows
+		small := func(u int) bool { return rows[u+1] > rows[u] && rows[u+1]-rows[u] <= 16 }
+		members := []int{0} // machine 0's range starts at node 0, RMAT's largest hub
+		for u, n := 1, 0; n < 5; u++ {
+			if small(u) {
+				members, n = append(members, u), n+1
+			}
+		}
+		for u, n := st.numLocal-1, 0; n < 5; u-- {
+			if small(u) {
+				members, n = append(members, u), n+1
+			}
+		}
+		front := c.NewFrontier("ends")
+		want := make([]int64, g.NumNodes())
+		for _, u := range members {
+			front.Add(graph.NodeID(u))
+			for _, v := range g.Out.Neighbors(graph.NodeID(u)) {
+				want[v]++
+			}
+		}
+		if hub := rows[1]; hub < 7*10*16 {
+			t.Fatalf("node 0 has %d out-edges, too few to take the small rows' chunk target past their sum", hub)
+		}
+		before := c.ooc.Stats()
+		if _, err := c.RunJob(JobSpec{
+			Name: "ends-push", Iter: IterOutEdges, Source: front,
+			Task:       &pushOneTask{counter: counter},
+			WriteProps: []WriteSpec{{Prop: counter, Op: reduce.Sum}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.GatherI64(counter); !slices.Equal(got, want) {
+			t.Fatalf("%s: sparse push differs from the reference", format)
+		}
+		after, section := c.ooc.Stats(), 8*rows[st.numLocal]
+		touched := after.Residency.TouchedBytes - before.Residency.TouchedBytes
+		decoded := after.Decode.DecodedBytes - before.Decode.DecodedBytes
+		if format == "csr2" && (touched == 0 || touched > section/2) {
+			t.Errorf("csr2: %d members advised %d bytes into the window, the section's refs are %d", len(members), touched, section)
+		}
+		if format == "csr3" && (decoded == 0 || decoded > section/2) {
+			t.Errorf("csr3: %d members decoded %d bytes, the section's refs are %d", len(members), decoded, section)
 		}
 	}
 }

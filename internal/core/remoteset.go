@@ -59,9 +59,9 @@ func (p *peerSet) each(lo, hi int, fn func(off uint32, slot int)) {
 }
 
 // buildRemoteSet scans every row jr's iterator walks on this machine, chunk by
-// chunk under the chunk's store claim like a worker would, so in-memory, raw
-// and compressed loads build the same way. Once per load and iterator kind,
-// on the main goroutine of the first job that could use it.
+// chunk behind the chunk's claim and through a row reader like a worker would,
+// so in-memory, raw and compressed loads build the same way. Once per load and
+// iterator kind, on the main goroutine of the first job that could use it.
 func (m *Machine) buildRemoteSet(jr *jobRuntime) (*remoteSet, error) {
 	s := &remoteSet{peers: make([]peerSet, m.cfg.NumMachines)}
 	for d := range s.peers {
@@ -69,24 +69,26 @@ func (m *Machine) buildRemoteSet(jr *jobRuntime) (*remoteSet, error) {
 			s.peers[d].bits = make([]uint64, (int(hi-lo)+63)/64)
 		}
 	}
+	rd := jr.readers(m.id)
+	defer rd.release()
 	for _, ch := range m.chunks[jr.spec.Iter] {
-		pins, err := jr.claimChunk(m.id, ch)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range jr.views {
-			refs := v.refs[v.rows[ch.Begin]:v.rows[ch.End]]
-			s.edges += int64(len(refs))
-			for _, ref := range refs {
-				if ref < 0 {
-					mach, off := unpackRemote(ref)
-					s.peers[mach].bits[off>>6] |= 1 << (off & 63)
-					s.refs++
+		jr.claimChunk(m.id, ch)
+		for i := range jr.views {
+			for node := ch.Begin; node < ch.End; node++ {
+				refs, err := rd[i].refs(node)
+				if err != nil {
+					return nil, err
+				}
+				s.edges += int64(len(refs))
+				for _, ref := range refs {
+					if ref < 0 {
+						mach, off := unpackRemote(ref)
+						s.peers[mach].bits[off>>6] |= 1 << (off & 63)
+						s.refs++
+					}
 				}
 			}
 		}
-		pins[0].Release()
-		pins[1].Release()
 	}
 	for d := range s.peers {
 		p := &s.peers[d]

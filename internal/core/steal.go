@@ -165,34 +165,43 @@ func (m *Machine) packGrant(jr *jobRuntime, thief int, resp *comm.Buffer) int {
 	weighted := views[0].weights != nil
 	own := spec.Steal.Own
 	st := m.store
+	// The copier reads rows through readers of its own; a block that fails to
+	// decode aborts the job directly (no worker to unwind) and ends the grant
+	// like a full frame — what the chunk still held is moot, the job is dead.
+	rd := jr.readers(m.id)
+	defer rd.release()
 	nodes := 0
 	packNode := func(node uint32) bool { // false ⇒ frame full
-		var counts [2]int
+		var rows [2][]int64
 		words := 2 + len(own)
 		if len(views) == 2 {
 			words++
 		}
 		for i := range views {
-			counts[i] = int(views[i].rows[node+1] - views[i].rows[node])
-			words += counts[i]
+			var err error
+			if rows[i], err = rd[i].refs(node); err != nil {
+				m.abortJob(jr, err)
+				return false
+			}
+			words += len(rows[i])
 			if weighted {
-				words += counts[i]
+				words += len(rows[i])
 			}
 		}
 		if resp.Room() < 8*words {
 			return false
 		}
-		resp.AppendU64(uint64(node) | uint64(uint32(counts[0]))<<32)
+		resp.AppendU64(uint64(node) | uint64(uint32(len(rows[0])))<<32)
 		resp.AppendU64(uint64(uint32(st.outDeg[node])) | uint64(uint32(st.inDeg[node]))<<32)
 		if len(views) == 2 {
-			resp.AppendU64(uint64(counts[1]))
+			resp.AppendU64(uint64(len(rows[1])))
 		}
 		for _, p := range own {
 			resp.AppendU64(m.cols[p].load(int(node)))
 		}
-		for _, v := range views {
-			for e := v.rows[node]; e < v.rows[node+1]; e++ {
-				resp.AppendU64(uint64(st.refFor(thief, v.refs[e])))
+		for i, v := range views {
+			for _, ref := range rows[i] {
+				resp.AppendU64(uint64(st.refFor(thief, ref)))
 			}
 			if weighted {
 				for e := v.rows[node]; e < v.rows[node+1]; e++ {
@@ -203,70 +212,20 @@ func (m *Machine) packGrant(jr *jobRuntime, thief int, resp *comm.Buffer) int {
 		nodes++
 		return true
 	}
-	// packChunk expands one claimed chunk exactly as a worker would
-	// (worker.runChunk); when the frame fills mid-chunk the unpacked remainder
-	// goes back on the residual queue in the same index space the chunk used,
-	// and packChunk reports the frame full so the grant stops.
-	packChunk := func(ch partition.Chunk) (full bool) {
-		residual := func(at uint32) {
-			jr.steal.pushResidual(partition.Chunk{Begin: at, End: ch.End})
-			m.cfg.Obs.Add(m.id, obs.CtrStealResidual, 1)
-		}
-		switch {
-		case jr.frontList != nil:
-			for i := ch.Begin; i < ch.End; i++ {
-				if !packNode(jr.frontList[i]) {
-					residual(i)
-					return true
-				}
-			}
-		case jr.frontBits != nil:
-			bits := jr.frontBits
-			for n := ch.Begin; n < ch.End; {
-				word := bits[n>>6] >> (n & 63)
-				if word == 0 {
-					n = (n | 63) + 1
-					continue
-				}
-				n += uint32(trailingZeros64(word))
-				if n >= ch.End {
-					break
-				}
-				if !packNode(n) {
-					residual(n)
-					return true
-				}
-				n++
-			}
-		default:
-			for node := ch.Begin; node < ch.End; node++ {
-				if !packNode(node) {
-					residual(node)
-					return true
-				}
-			}
-		}
-		return false
-	}
 	for {
 		chunkIdx := int(jr.cursor.Add(1)) - 1
 		if chunkIdx >= len(jr.chunks) {
 			return nodes
 		}
+		// Expand the claimed chunk exactly as a worker would (worker.runChunk),
+		// announcing its reads first. When the frame fills mid-chunk the
+		// unpacked remainder goes back on the residual queue in the same index
+		// space the chunk used, and the grant stops.
 		ch := jr.chunks[chunkIdx]
-		// Claim the chunk's topology like a worker would, keeping the views'
-		// refs valid while the copier reads them. Copier context, so a decode
-		// failure aborts the job directly instead of a worker unwind; the
-		// chunk stays consumed, which is fine — the job is dead.
-		pins, err := jr.claimChunk(m.id, ch)
-		if err != nil {
-			m.abortJob(jr, err)
-			return nodes
-		}
-		full := packChunk(ch)
-		pins[0].Release()
-		pins[1].Release()
-		if full {
+		jr.claimChunk(m.id, ch)
+		if at := jr.eachNode(ch, packNode); at < ch.End {
+			jr.steal.pushResidual(partition.Chunk{Begin: at, End: ch.End})
+			m.cfg.Obs.Add(m.id, obs.CtrStealResidual, 1)
 			return nodes
 		}
 	}

@@ -40,9 +40,8 @@ func unpackRemote(ref int64) (machine int, offset uint32) {
 
 // orientView is one CSR orientation of a machine's partition: rows has
 // numLocal+1 entries and the edges of local node u are refs[rows[u]:rows[u+1]]
-// (weights alongside, nil when unweighted). On a compressed store refs aliases
-// the decode cache's arena for orient (store.OrientOut/OrientIn) and is valid
-// only for rows covered by a live chunk-claim pin.
+// (weights alongside, nil when unweighted). On a compressed store refs is nil
+// and the rows of orient (store.OrientOut/OrientIn) come through a rowReader.
 type orientView struct {
 	rows    []int64
 	refs    []int64

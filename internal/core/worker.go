@@ -122,11 +122,10 @@ type worker struct {
 	// reused across stolen nodes (see steal.go).
 	stolen stolenNode
 
-	// pins hold the store claims of the chunk this worker is currently
-	// running, one per orientation (store-backed loads only). A worker field
-	// rather than a local so abortCleanup can release them after an unwind
-	// mid-chunk.
-	pins [2]store.PinToken
+	// rd are the readers this worker takes a compressed load's rows through,
+	// each pinning a decoded block while a chunk runs. A worker field rather
+	// than a local so abortCleanup can release them after an unwind mid-chunk.
+	rd rowReaders
 
 	// reg is the observability registry (nil when off). rttStart maps an
 	// in-flight request seq to its flush Clock so processResponse can record
@@ -245,7 +244,7 @@ func (w *worker) abortCleanup() {
 		delete(w.sides, seq)
 	}
 	w.outstanding = 0
-	w.releasePins()
+	w.rd.release()
 	w.dedupHits, w.dedupMisses = 0, 0
 	w.wcombHits, w.folded = 0, 0
 	if w.rttStart != nil {
@@ -278,6 +277,9 @@ func (w *worker) runJob(jr *jobRuntime) {
 		w.privSeg[ws.Prop] = w.m.cols[ws.Prop].ensurePriv(w.id, ws.Op)
 	}
 
+	if jr.cursors {
+		w.rd = jr.readers(w.m.id)
+	}
 	if jr.mirrorSet != nil {
 		w.prefetch(jr)
 	}
@@ -353,28 +355,22 @@ func (w *worker) awaitReads(jr *jobRuntime) {
 	}
 }
 
-// releasePins drops the current chunk's store claims. Idempotent (the
-// tokens are zero or self-clearing), so runChunk and abortCleanup can both
-// call it.
-func (w *worker) releasePins() {
-	w.pins[0].Release()
-	w.pins[1].Release()
-}
-
-// runChunk drives the task over one chunk in the job's iteration mode, under
-// the chunk's topology claim on an out-of-core load. It is shared by the main
-// claim loop and the steal phase's residual drain. The pin tokens park on the
-// worker so an abort unwind mid-chunk still finds and releases them; a decode
-// failure fails the job (it indicates arena corruption — every block was
-// strictly validated at Open).
+// runChunk drives the task over one chunk in the job's iteration mode, after
+// announcing the chunk's topology reads on an out-of-core load. It is shared by
+// the main claim loop and the steal phase's residual drain. A compressed load
+// takes its rows through the worker's readers; every other load runs the
+// loops below over the views' own refs.
 func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
 	if jr.ooc != nil {
-		var err error
-		if w.pins, err = jr.claimChunk(w.m.id, ch); err != nil {
-			w.fail(err)
-		}
+		jr.claimChunk(w.m.id, ch)
 	}
 	switch {
+	case jr.cursors:
+		jr.eachNode(ch, func(node uint32) bool {
+			w.runNodeCursor(jr, ctx, node)
+			return true
+		})
+		w.rd.release()
 	case jr.frontList != nil:
 		// Sparse frontier: chunk indices address the sorted member list.
 		for i := ch.Begin; i < ch.End; i++ {
@@ -401,7 +397,63 @@ func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
 			w.runNode(jr, ctx, node)
 		}
 	}
-	w.releasePins()
+}
+
+// eachNode calls fn for the nodes chunk ch names, in runChunk's order, until
+// fn returns false, and returns where in the chunk's index space — member
+// index or node id — that was; ch.End when fn never did.
+func (jr *jobRuntime) eachNode(ch partition.Chunk, fn func(node uint32) bool) uint32 {
+	switch {
+	case jr.frontList != nil:
+		for i := ch.Begin; i < ch.End; i++ {
+			if !fn(jr.frontList[i]) {
+				return i
+			}
+		}
+	case jr.frontBits != nil:
+		bits := jr.frontBits
+		for n := ch.Begin; n < ch.End; n++ {
+			word := bits[n>>6] >> (n & 63)
+			if word == 0 {
+				n |= 63
+				continue
+			}
+			if n += uint32(trailingZeros64(word)); n >= ch.End {
+				break
+			}
+			if !fn(n) {
+				return n
+			}
+		}
+	default:
+		for node := ch.Begin; node < ch.End; node++ {
+			if !fn(node) {
+				return node
+			}
+		}
+	}
+	return ch.End
+}
+
+// runNodeCursor is runNode on a compressed load: an edge iterator's rows come
+// through the worker's readers, and one that fails to decode fails the job.
+func (w *worker) runNodeCursor(jr *jobRuntime, ctx *Ctx, node uint32) {
+	ctx.Node = node
+	ctx.Aux = 0
+	if f := jr.spec.Filter; f != nil && !f(ctx) {
+		return
+	}
+	for i := range jr.views {
+		refs, err := w.rd[i].refs(node)
+		if err != nil {
+			w.fail(err)
+		}
+		r := Row{Refs: refs, second: i == 1}
+		if v := &jr.views[i]; v.weights != nil {
+			r.Weights = v.weights[v.rows[node]:v.rows[node+1]]
+		}
+		jr.row.RunRow(ctx, r)
+	}
 }
 
 // runNode drives the job's task over one owned node: filter, then Task.Run
@@ -968,9 +1020,11 @@ type jobRuntime struct {
 	steal *stealRuntime
 
 	// ooc is the machine's store-file load (nil for in-memory loads and node
-	// iterators): each claimed chunk's rows are claimed through it, which
-	// keeps the views' refs valid while the chunk runs.
-	ooc *store.Load
+	// iterators): each claimed chunk's rows are announced to its residency
+	// window, and when it is compressed (cursors) the rows are read through
+	// rowReaders, the views having no refs.
+	ooc     *store.Load
+	cursors bool
 
 	// Locals of the machine main goroutine's schedule (Machine.runJob), set by
 	// the phase named: emptySkip (newJobRuntime) — the local frontier is empty

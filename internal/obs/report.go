@@ -131,6 +131,12 @@ func (j *JobReport) Line() string {
 		}
 		line += fmt.Sprintf(" accum=%d→%d", n, shipped)
 	}
+	hits, misses := j.Counters[CtrDecodeHits.String()], j.Counters[CtrDecodeMisses.String()]
+	if hits+misses > 0 {
+		// What a compressed store cost the job: block pins that found their
+		// block decoded / that decoded it, and the bytes those decoded.
+		line += fmt.Sprintf(" store=%d/%d %s", hits, misses, fmtBytes(j.Counters[CtrDecodedBytes.String()]))
+	}
 	return line
 }
 

@@ -184,8 +184,8 @@ type ServerStats struct {
 	StaleReadFrames  int64 `json:"stale_read_frames"`
 
 	// Out-of-core accounting across all instances' engines: decode-cache
-	// hit/miss chunk claims on compressed (.csr3) stores, raw ref bytes those
-	// misses decoded, arena bytes evicted under the cache budget, and file
+	// hit/miss block pins on compressed (.csr3) stores, raw ref bytes those
+	// misses decoded, decoded bytes evicted under the cache budget, and file
 	// bytes advised into/out of the residency window. All zero unless some
 	// instance runs from a store file.
 	DecodeHits            int64 `json:"decode_hits"`

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -15,41 +16,48 @@ const DefaultDecodeCacheBytes int64 = 64 << 20
 // (mmap MAP_ANON where available, a heap slice elsewhere) and returns the
 // buffer plus its release function. Pages materialize on first touch and an
 // madvise(DONTNEED) returns them to the kernel without unmapping — which is
-// how the engine keeps big transient arrays (decode arenas, property
+// how the engine keeps big transient arrays (the decode pool, property
 // columns of out-of-core runs) out of both the Go GC's and the residency
 // window's way.
 func AnonAlloc(size int64) ([]byte, func() error, error) { return anonAlloc(size) }
 
-// DecodeCache inflates a compressed file's edge blocks on demand into
-// per-section anonymous arenas, bounded by a byte budget. Each (machine,
-// orientation) arena is a full-length []int64 view sized to the section's
-// edge count, so the engine indexes decoded refs absolutely — jr.refs[e] —
-// exactly as it indexes a raw section's mapping; only the claim/release hooks
-// know blocks exist. The address space is reserved up front but pages materialize
-// only when a block decodes; eviction returns a cold block's interior pages
-// to the kernel (madvise DONTNEED) and marks it for re-decode.
+// DecodeCache inflates a compressed file's edge blocks on demand into one pool
+// of anonymous memory, min(budget, the file's decoded size) bytes that stay
+// resident once touched: no page of it is ever advised away, so its resident
+// size is its budget and a warm decode costs no fault and no syscall. A block
+// decodes into an extent handed out by a bump pointer that wraps around the
+// pool, evicting the unpinned blocks it runs over and stepping past pinned
+// ones — FIFO, which on a cyclic scan loses nothing to LRU — so a pool that
+// holds the whole file never evicts. A block no extent can take (larger than
+// the pool, or no gap between pinned extents) decodes into a one-off buffer
+// dropped at its last unpin. Readers go through a Cursor, which pins the one
+// block it stands in.
 //
 // The cache is a singleton per File (EnsureDecodeCache), shared by every
 // cluster loaded over the same file, so hot blocks decode once and are
 // reused across supersteps and across same-graph pool jobs.
 //
-// Locking: mu guards all pin/decoded/LRU/accounting state; each block's own
-// mutex serializes its decode outside mu, so a large decode never stalls
-// unrelated claims. Pinned blocks are never evicted — a claim pins before it
-// reads and may push used past the budget transiently.
+// Locking: mu guards pins, extents, the FIFO and the accounting; each block's
+// own mutex serializes its decode outside mu, so a decode never stalls
+// unrelated pins. A block is pinned before it is placed, so the extent being
+// decoded into is never run over.
 type DecodeCache struct {
 	sf     *File
-	budget int64 // <= 0: unbounded
+	pool   []int64
+	freeFn func() error
+	blocks [][2][]blockState
 
 	mu     sync.Mutex
-	used   int64
-	lru    blockList
-	arenas [][2]*arena
+	bump   int64         // pool offset the next extent starts at
+	fifo   []*blockState // blocks holding an extent, in ring order from bump
+	used   int64         // bytes of decoded blocks, pooled and one-off
+	pinned int64         // blocks with pins > 0
 
 	hits, misses, decodedBytes, evictedBytes atomic.Int64
 }
 
-// DecodeCacheStats is a point-in-time counter snapshot.
+// DecodeCacheStats is a point-in-time counter snapshot. DecodedBytes ==
+// EvictedBytes + UsedBytes at any quiescent point.
 type DecodeCacheStats struct {
 	Hits         int64
 	Misses       int64
@@ -59,49 +67,18 @@ type DecodeCacheStats struct {
 	PinnedBlocks int64
 }
 
-// arena is one section-orientation's decode target.
-type arena struct {
-	mach, orient int
-	buf          []byte
-	refs         []int64
-	freeFn       func() error
-	blocks       []blockState
-}
-
-// blockState tracks one edge block's residency in its arena.
+// blockState tracks one edge block's residency.
 type blockState struct {
-	mu      sync.Mutex // serializes the decode itself
-	a       *arena
-	lo, hi  int64 // byte range in the arena
-	decoded bool
-	pins    int32
-	prev    *blockState // LRU links, valid while decoded
-	next    *blockState
-}
-
-func (bs *blockState) bytes() int64 { return bs.hi - bs.lo }
-
-// blockList is an intrusive LRU list; head.next is most recent.
-type blockList struct{ head blockState }
-
-func (l *blockList) init() { l.head.prev, l.head.next = &l.head, &l.head }
-func (l *blockList) remove(bs *blockState) {
-	bs.prev.next, bs.next.prev = bs.next, bs.prev
-	bs.prev, bs.next = nil, nil
-}
-func (l *blockList) pushFront(bs *blockState) {
-	bs.prev, bs.next = &l.head, l.head.next
-	l.head.next.prev = bs
-	l.head.next = bs
-}
-func (l *blockList) moveToFront(bs *blockState) {
-	l.remove(bs)
-	l.pushFront(bs)
+	mu     sync.Mutex // serializes the decode itself
+	pins   int32
+	lo, hi int64   // its extent pool[lo:hi]; hi == 0 without one
+	refs   []int64 // decoded refs — the extent, or a one-off buffer — nil until decoded
 }
 
 // EnsureDecodeCache returns the file's decode cache, creating it with the
 // given budget on first call (later budgets are ignored — the cache is
-// shared). Only compressed files carry one.
+// shared); a budget <= 0 or beyond the file's decoded size holds the whole
+// file. Only compressed files carry one.
 func (sf *File) EnsureDecodeCache(budgetBytes int64) (*DecodeCache, error) {
 	if !sf.Compressed() {
 		return nil, fmt.Errorf("store: %s is not a compressed file", sf.path)
@@ -111,146 +88,150 @@ func (sf *File) EnsureDecodeCache(budgetBytes int64) (*DecodeCache, error) {
 	if sf.cache != nil {
 		return sf.cache, nil
 	}
-	dc := &DecodeCache{sf: sf, budget: budgetBytes}
-	dc.lru.init()
-	dc.arenas = make([][2]*arena, sf.hdr.p)
-	for mach := 0; mach < sf.hdr.p; mach++ {
-		for orient := 0; orient < 2; orient++ {
-			o := &sf.secs[mach][orient]
-			edges := o.rows[len(o.rows)-1]
-			buf, freeFn, err := anonAlloc(8 * edges)
-			if err != nil {
-				dc.free()
-				return nil, fmt.Errorf("store: decode arena for machine %d: %w", mach, err)
-			}
-			a := &arena{mach: mach, orient: orient, buf: buf, freeFn: freeFn}
-			if edges > 0 {
-				a.refs = unsafe.Slice((*int64)(unsafe.Pointer(&buf[0])), edges)
-			}
-			nb := len(o.firstRow) - 1
-			a.blocks = make([]blockState, nb)
-			for b := 0; b < nb; b++ {
-				bs := &a.blocks[b]
-				bs.a = a
-				bs.lo = 8 * o.rows[o.firstRow[b]]
-				bs.hi = 8 * o.rows[o.firstRow[b+1]]
-			}
-			dc.arenas[mach][orient] = a
+	dc := &DecodeCache{sf: sf, blocks: make([][2][]blockState, sf.hdr.p)}
+	for mach := range dc.blocks {
+		for orient := range dc.blocks[mach] {
+			dc.blocks[mach][orient] = make([]blockState, len(sf.secs[mach][orient].firstRow)-1)
 		}
+	}
+	if total := 16 * int64(sf.hdr.numEdges); budgetBytes <= 0 || budgetBytes > total {
+		budgetBytes = total
+	}
+	buf, freeFn, err := anonAlloc(budgetBytes &^ 7)
+	if err != nil {
+		return nil, fmt.Errorf("store: decode pool of %d bytes: %w", budgetBytes, err)
+	}
+	dc.freeFn = freeFn
+	if len(buf) > 0 {
+		dc.pool = unsafe.Slice((*int64)(unsafe.Pointer(&buf[0])), len(buf)/8)
 	}
 	sf.cache = dc
 	return dc, nil
 }
 
-// refs returns the full-length decoded-ref arena view for (mach, orient).
-// Only ranges covered by a live PinToken hold decoded data; everything else
-// reads as garbage (zeros, or a stale eviction residue).
-func (dc *DecodeCache) refs(mach, orient int) []int64 {
-	return dc.arenas[mach][orient].refs
-}
-
-// PinToken is a claim on the decoded blocks covering one chunk's rows. The
-// zero value is a valid no-op. Release is idempotent.
-type PinToken struct {
-	dc       *DecodeCache
-	a        *arena
-	blo, bhi int
-}
-
-// Pin ensures every block covering rows [rowLo, rowHi) of (mach, orient) is
-// decoded and pinned against eviction, and returns the token that releases
-// them. On error nothing stays pinned.
-func (dc *DecodeCache) Pin(mach, orient int, rowLo, rowHi int64) (PinToken, error) {
-	blo, bhi := dc.sf.secs[mach][orient].blockRange(rowLo, rowHi)
-	if blo == bhi {
-		return PinToken{}, nil
-	}
-	a := dc.arenas[mach][orient]
-	for b := blo; b < bhi; b++ {
-		if err := dc.pinBlock(a, b); err != nil {
-			dc.unpin(a, blo, b)
-			return PinToken{}, err
-		}
-	}
-	return PinToken{dc: dc, a: a, blo: blo, bhi: bhi}, nil
-}
-
-func (dc *DecodeCache) pinBlock(a *arena, b int) error {
-	bs := &a.blocks[b]
+// pin pins block b of (mach, orient), decoding it first when it is not
+// resident, and returns its refs — valid until the matching unpin. The
+// compressed bytes a miss reads enter res, the caller's residency window (nil
+// for none). On error nothing stays pinned.
+func (dc *DecodeCache) pin(mach, orient, b int, res *residency) ([]int64, error) {
+	o, bs := &dc.sf.secs[mach][orient], &dc.blocks[mach][orient][b]
 	dc.mu.Lock()
-	bs.pins++
-	if bs.decoded {
-		dc.lru.moveToFront(bs)
-		dc.mu.Unlock()
-		dc.hits.Add(1)
-		return nil
+	if bs.pins++; bs.pins == 1 {
+		dc.pinned++
 	}
+	refs := bs.refs
 	dc.mu.Unlock()
+	if refs != nil {
+		dc.hits.Add(1)
+		return refs, nil
+	}
 
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
+	n := o.blockEdges(b)
+	var dst []int64
 	dc.mu.Lock()
-	if bs.decoded { // another claimant decoded it while we waited
-		dc.lru.moveToFront(bs)
-		dc.mu.Unlock()
-		dc.hits.Add(1)
-		return nil
+	if refs = bs.refs; refs == nil {
+		dst = dc.place(bs, n)
 	}
 	dc.mu.Unlock()
-
-	if err := dc.sf.decodeBlock(&dc.sf.secs[a.mach][a.orient], a.mach, b, a.refs); err != nil {
-		dc.mu.Lock()
-		bs.pins--
-		dc.mu.Unlock()
-		return fmt.Errorf("store: machine %d orient %d: %w", a.mach, a.orient, err)
+	if refs != nil { // another pinner decoded it while we waited
+		dc.hits.Add(1)
+		return refs, nil
+	}
+	if dst == nil {
+		dst = make([]int64, n)
+	}
+	touch(res, o.comp, o.offs[b], o.offs[b+1])
+	if err := dc.sf.decodeBlock(o, mach, b, dst); err != nil {
+		dc.unpin(bs)
+		return nil, fmt.Errorf("store: machine %d orient %d: %w", mach, orient, err)
 	}
 	dc.mu.Lock()
-	bs.decoded = true
-	dc.used += bs.bytes()
-	dc.lru.pushFront(bs)
-	dc.evictLocked()
+	bs.refs = dst
+	dc.used += 8 * n
 	dc.mu.Unlock()
 	dc.misses.Add(1)
-	dc.decodedBytes.Add(bs.bytes())
+	dc.decodedBytes.Add(8 * n)
+	return dst, nil
+}
+
+// place gives bs an extent of n refs at the bump pointer and returns it, or nil
+// when the block exceeds the pool or a lap finds no gap of n between pinned
+// extents. Caller holds dc.mu.
+func (dc *DecodeCache) place(bs *blockState, n int64) []int64 {
+	if bs.hi > 0 { // the extent of a decode that failed
+		return dc.pool[bs.lo:bs.hi]
+	}
+	size, pos := int64(len(dc.pool)), dc.bump
+	for lap := int64(0); n <= size && lap <= size; {
+		// Run over [pos, end). The FIFO's head is the next extent at or after
+		// pos, unless none is left before the pool's end: its lo is then below.
+		end := min(pos+n, size)
+		var pinned *blockState
+		for pinned == nil && len(dc.fifo) > 0 && dc.fifo[0].lo >= pos && dc.fifo[0].lo < end {
+			h := dc.fifo[0]
+			dc.fifo = dc.fifo[1:]
+			if h.pins > 0 {
+				pinned = h
+				dc.fifo = append(dc.fifo, h) // behind the pointer now, still placed
+				continue
+			}
+			if h.refs != nil {
+				dc.used -= 8 * (h.hi - h.lo)
+				dc.evictedBytes.Add(8 * (h.hi - h.lo))
+			}
+			h.lo, h.hi, h.refs = 0, 0, nil
+		}
+		switch {
+		case pinned != nil:
+			lap, pos = lap+pinned.hi-pos, pinned.hi
+		case end-pos < n: // the pool's tail is too short: wrap
+			lap, pos = lap+size-pos, 0
+		default:
+			bs.lo, bs.hi, dc.bump = pos, end, end
+			dc.fifo = append(dc.fifo, bs)
+			return dc.pool[pos:end]
+		}
+	}
+	dc.bump = pos // the lap rotated the FIFO this far: its head is the next extent from here
 	return nil
 }
 
-// evictLocked walks the LRU tail dropping cold unpinned blocks until the
-// budget holds (or only pinned blocks remain). Caller holds dc.mu.
-func (dc *DecodeCache) evictLocked() {
-	if dc.budget <= 0 {
-		return
-	}
-	cand := dc.lru.head.prev
-	for dc.used > dc.budget && cand != &dc.lru.head {
-		victim := cand
-		cand = cand.prev
-		if victim.pins > 0 {
-			continue
-		}
-		dc.lru.remove(victim)
-		victim.decoded = false
-		dc.used -= victim.bytes()
-		dc.evictedBytes.Add(victim.bytes())
-		// Release only the block's interior pages: a boundary page may carry
-		// a neighboring decoded block's bytes, and DONTNEED on an anonymous
-		// mapping zeroes. The skipped edge pages are reclaimed when their
-		// neighbors evict (or rewritten on re-decode).
-		ps := dc.sf.pageSize
-		aLo := (victim.lo + ps - 1) &^ (ps - 1)
-		aHi := victim.hi &^ (ps - 1)
-		if aHi > aLo {
-			advise(victim.a.buf[aLo:aHi], advDontNeed)
-		}
-	}
-}
-
-func (dc *DecodeCache) unpin(a *arena, blo, bhi int) {
+// unpin drops one pin of bs; the last one takes a one-off buffer with it.
+func (dc *DecodeCache) unpin(bs *blockState) {
 	dc.mu.Lock()
-	for b := blo; b < bhi; b++ {
-		a.blocks[b].pins--
+	if bs.pins--; bs.pins == 0 {
+		dc.pinned--
+		if bs.hi == 0 && bs.refs != nil {
+			dc.used -= 8 * int64(len(bs.refs))
+			dc.evictedBytes.Add(8 * int64(len(bs.refs)))
+			bs.refs = nil
+		}
 	}
 	dc.mu.Unlock()
+}
+
+// PinToken is a claim on the decoded blocks covering a row range. The zero
+// value is a valid no-op. Release is idempotent.
+type PinToken struct {
+	dc     *DecodeCache
+	blocks []blockState
+}
+
+// Pin ensures every block covering rows [rowLo, rowHi) of (mach, orient) is
+// decoded and pinned against eviction, all at once — blocks the pool cannot
+// hold beside each other take one-off buffers — and returns the token that
+// releases them. On error nothing stays pinned.
+func (dc *DecodeCache) Pin(mach, orient int, rowLo, rowHi int64) (PinToken, error) {
+	blo, bhi := dc.sf.secs[mach][orient].blockRange(rowLo, rowHi)
+	for b := blo; b < bhi; b++ {
+		if _, err := dc.pin(mach, orient, b, nil); err != nil {
+			(&PinToken{dc: dc, blocks: dc.blocks[mach][orient][blo:b]}).Release()
+			return PinToken{}, err
+		}
+	}
+	return PinToken{dc: dc, blocks: dc.blocks[mach][orient][blo:bhi]}, nil
 }
 
 // Release drops the token's pins. Safe on the zero token; a second call on
@@ -259,44 +240,89 @@ func (t *PinToken) Release() {
 	if t.dc == nil {
 		return
 	}
-	t.dc.unpin(t.a, t.blo, t.bhi)
+	for i := range t.blocks {
+		t.dc.unpin(&t.blocks[i])
+	}
 	t.dc = nil
+}
+
+// Cursor reads the rows of one (machine, orientation) section of a compressed
+// load, holding a pin on the one block its last row lies in: a slice Row
+// returned is valid until the cursor's next Row or Release. A cursor belongs
+// to one goroutine; any number may read a section at once.
+type Cursor struct {
+	dc           *DecodeCache
+	res          *residency
+	o            *orientSec
+	mach, orient int
+
+	b      int     // the pinned block
+	refs   []int64 // its decoded refs; nil when nothing is pinned
+	lo, hi int64   // its rows [lo, hi); empty when nothing is pinned
+	base   int64   // o.rows[lo]
+}
+
+// Cursor returns a cursor over (mach, orient) of a compressed load.
+func (l *Load) Cursor(mach, orient int) Cursor {
+	return Cursor{dc: l.dc, res: l.res, o: &l.sf.secs[mach][orient], mach: mach, orient: orient}
+}
+
+// Row returns node's refs, moving the cursor's pin to the row's block when it
+// is not there already. A row without edges lies in no block and moves nothing.
+func (c *Cursor) Row(node int64) ([]int64, error) {
+	s, e := c.o.rows[node], c.o.rows[node+1]
+	if s == e {
+		return nil, nil
+	}
+	if node < c.lo || node >= c.hi {
+		if err := c.seek(node); err != nil {
+			return nil, err
+		}
+	}
+	return c.refs[s-c.base : e-c.base], nil
+}
+
+// seek moves the pin to the block holding node: the next one on a scan, found
+// by binary search otherwise.
+func (c *Cursor) seek(node int64) error {
+	first, b := c.o.firstRow, c.b+1
+	if c.refs == nil || b+1 >= len(first) || node < first[b] || node >= first[b+1] {
+		b = sort.Search(len(first)-1, func(i int) bool { return first[i+1] > node })
+	}
+	c.Release()
+	refs, err := c.dc.pin(c.mach, c.orient, b, c.res)
+	if err != nil {
+		return err
+	}
+	c.b, c.refs, c.lo, c.hi, c.base = b, refs, first[b], first[b+1], c.o.rows[first[b]]
+	return nil
+}
+
+// Release drops the cursor's pin. Idempotent, and a no-op on the zero Cursor;
+// the cursor stays usable.
+func (c *Cursor) Release() {
+	if c.refs != nil {
+		c.dc.unpin(&c.dc.blocks[c.mach][c.orient][c.b])
+		c.refs, c.lo, c.hi = nil, 0, 0
+	}
 }
 
 // Stats snapshots the cache counters.
 func (dc *DecodeCache) Stats() DecodeCacheStats {
-	st := DecodeCacheStats{
+	dc.mu.Lock()
+	defer dc.mu.Unlock()
+	return DecodeCacheStats{
 		Hits:         dc.hits.Load(),
 		Misses:       dc.misses.Load(),
 		DecodedBytes: dc.decodedBytes.Load(),
 		EvictedBytes: dc.evictedBytes.Load(),
+		UsedBytes:    dc.used,
+		PinnedBlocks: dc.pinned,
 	}
-	dc.mu.Lock()
-	st.UsedBytes = dc.used
-	for _, pair := range dc.arenas {
-		for _, a := range pair {
-			if a == nil {
-				continue
-			}
-			for b := range a.blocks {
-				if a.blocks[b].pins > 0 {
-					st.PinnedBlocks++
-				}
-			}
-		}
-	}
-	dc.mu.Unlock()
-	return st
 }
 
-// free unmaps every arena. Called under File.cacheMu from File.Close.
+// free unmaps the pool. Called under File.cacheMu from File.Close.
 func (dc *DecodeCache) free() {
-	for _, pair := range dc.arenas {
-		for _, a := range pair {
-			if a != nil && a.freeFn != nil {
-				a.freeFn() //nolint:errcheck
-			}
-		}
-	}
-	dc.arenas = nil
+	dc.freeFn() //nolint:errcheck
+	dc.pool = nil
 }

@@ -11,7 +11,7 @@ import (
 // FuzzOpen feeds arbitrary bytes to Open, the store's trust boundary: it must
 // return or error — never panic, never size an allocation by a number the
 // file made up — and a file it accepts must be fully usable: every section
-// claims, every block decodes, every ref resolves.
+// reads, every block decodes, every ref resolves.
 func FuzzOpen(f *testing.F) {
 	small, err := graph.Uniform(12, 40, 3)
 	if err != nil {
@@ -36,15 +36,20 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer pinAll(t, ld)()
 		for mach := 0; mach < sf.NumMachines(); mach++ {
-			sec := ld.Section(mach)
-			for _, o := range [2]struct{ rows, refs []int64 }{{sec.OutRows, sec.OutRefs}, {sec.InRows, sec.InRefs}} {
-				if m := o.rows[len(o.rows)-1]; int64(len(o.refs)) != m {
-					t.Fatalf("machine %d: %d refs under rows ending at %d", mach, len(o.refs), m)
+			for orient := 0; orient < 2; orient++ {
+				rd := newRowReader(ld, mach, orient)
+				var n int64
+				for u := int64(0); u+1 < int64(len(rd.rows)); u++ {
+					row := rd.row(t, u)
+					n += int64(len(row))
+					if err := sf.checkRefs(row, mach); err != nil {
+						t.Fatalf("accepted file decodes to an unresolvable ref: machine %d row %d: %v", mach, u, err)
+					}
 				}
-				if err := sf.checkRefs(o.refs, mach); err != nil {
-					t.Fatalf("accepted file decodes to an unresolvable ref: machine %d %v", mach, err)
+				rd.release()
+				if m := rd.rows[len(rd.rows)-1]; n != m {
+					t.Fatalf("machine %d: %d refs under rows ending at %d", mach, n, m)
 				}
 			}
 		}

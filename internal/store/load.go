@@ -1,12 +1,11 @@
 package store
 
 // Load is one cluster load's handle on an open file, and the only thing the
-// engine needs to know about the format: the sections it iterates, and what
+// engine needs to know about the format beyond File.Section's views: what
 // reading a span of their rows costs. It bundles the file with the residency
 // window bounding how much of the mapping this load keeps resident and, for a
-// compressed file, the file's shared decode cache. Which bytes a row span
-// faults in and what must stay pinned while it is read differ between the
-// two section spellings; Claim decides that here so no caller branches on it.
+// compressed file, the file's shared decode cache, whose blocks the load's
+// Cursors pin one at a time.
 type Load struct {
 	sf  *File
 	res *residency   // nil without a resident budget
@@ -24,13 +23,17 @@ type LoadStats struct {
 // the mapping's resident pages with a window shared by every machine of the
 // load (they alias one mapping, and the budget is a per-process RSS bound).
 // decodeCacheBytes budgets a compressed file's decode cache — 0 selects
-// DefaultDecodeCacheBytes, negative is unbounded; the cache is the file's
-// singleton, so the first load's budget wins — and is ignored for a raw file.
+// DefaultDecodeCacheBytes, negative holds the whole file, and a load never asks
+// for less than the file's largest block, without which nothing it reads would
+// ever be found decoded; the cache is the file's singleton, so the first
+// load's budget wins — and is ignored for a raw file.
 func (sf *File) NewLoad(residentBudgetBytes, decodeCacheBytes int64) (*Load, error) {
 	l := &Load{sf: sf, res: sf.newResidency(residentBudgetBytes)}
 	if sf.Compressed() {
 		if decodeCacheBytes == 0 {
 			decodeCacheBytes = DefaultDecodeCacheBytes
+		} else if decodeCacheBytes > 0 {
+			decodeCacheBytes = max(decodeCacheBytes, sf.maxBlock)
 		}
 		var err error
 		if l.dc, err = sf.EnsureDecodeCache(decodeCacheBytes); err != nil {
@@ -47,42 +50,39 @@ func (l *Load) File() *File { return l.sf }
 // that the caller's own O(N) arrays should stay off the Go heap too.
 func (l *Load) Windowed() bool { return l.res != nil }
 
-// Section returns machine mach's rows/refs/weights views. On a compressed
-// file the refs are the decode cache's full-length arenas: indexed absolutely
-// like a raw section's, but holding decoded data only for rows under a live
-// Claim.
-func (l *Load) Section(mach int) Section {
-	sec := l.sf.Section(mach)
-	if l.dc != nil {
-		sec.OutRefs, sec.InRefs = l.dc.refs(mach, OrientOut), l.dc.refs(mach, OrientIn)
+// Claim announces that rows [rowLo, rowHi) of (mach, orient) are about to be
+// read: the file bytes that will fault in — rows, weights and raw refs — enter
+// the residency window. A compressed section's blocks enter it as a Cursor
+// decodes them, and its decoded refs live outside the mapping. Claim order —
+// sequential per machine via the shared cursor — is the prefetch order.
+func (l *Load) Claim(mach, orient int, rowLo, rowHi int64) {
+	if l.res == nil {
+		return
 	}
-	return sec
+	o := &l.sf.secs[mach][orient]
+	eLo, eHi := o.rows[rowLo], o.rows[rowHi]
+	touch(l.res, o.rows, rowLo, rowHi+1)
+	touch(l.res, o.refs, eLo, eHi)
+	touch(l.res, o.weights, eLo, eHi)
 }
 
-// Claim prepares rows [rowLo, rowHi) of (mach, orient) for reading: the file
-// bytes the span will fault in enter the residency window — rows, weights and
-// either the raw refs or, on a compressed section, the ~3-bytes-per-edge
-// blocks the decode reads (the decoded arena lives outside the mapping) — and
-// a compressed section's covering blocks are decoded and pinned. The token
-// must be released once the reads finish; it is the zero (no-op) token when
-// nothing was pinned. Claim order — sequential per machine via the shared
-// cursor — is the prefetch order.
-func (l *Load) Claim(mach, orient int, rowLo, rowHi int64) (PinToken, error) {
-	o := &l.sf.secs[mach][orient]
-	if r := l.res; r != nil {
-		eLo, eHi := o.rows[rowLo], o.rows[rowHi]
-		touch(r, o.rows, rowLo, rowHi+1)
-		if l.dc == nil {
-			touch(r, o.refs, eLo, eHi)
-		} else if blo, bhi := o.blockRange(rowLo, rowHi); blo < bhi {
-			touch(r, o.comp, o.offs[blo], o.offs[bhi])
+// ClaimMembers claims the rows of a sorted member list run by run, so the
+// window takes in what the members' rows occupy and not the span from the
+// first to the last: neighbours less than a page apart in both the row array
+// and the edge arrays — whose pages would share or abut — make one Claim.
+func (l *Load) ClaimMembers(mach, orient int, members []uint32) {
+	if l.res == nil {
+		return
+	}
+	rows, page := l.sf.secs[mach][orient].rows, l.sf.pageSize/8
+	for i := 0; i < len(members); {
+		j := i + 1
+		for j < len(members) && int64(members[j]-members[j-1]) < page && rows[members[j]]-rows[members[j-1]+1] < page {
+			j++
 		}
-		touch(r, o.weights, eLo, eHi)
+		l.Claim(mach, orient, int64(members[i]), int64(members[j-1])+1)
+		i = j
 	}
-	if l.dc == nil {
-		return PinToken{}, nil
-	}
-	return l.dc.Pin(mach, orient, rowLo, rowHi)
 }
 
 // Stats snapshots the load's counters.

@@ -32,7 +32,7 @@ func mapRW(f *os.File, size int64) ([]byte, func() error, error) {
 }
 
 // anonAlloc allocates a zeroed, page-aligned region outside the Go heap via
-// an anonymous private mapping. Decode arenas and off-heap property columns
+// an anonymous private mapping. The decode pool and off-heap property columns
 // live here: the address space is reserved up front but pages materialize
 // only when written, and MADV_DONTNEED returns them to the kernel (reading
 // the range afterwards yields zeros). The returned free func unmaps; the
@@ -63,8 +63,8 @@ const (
 
 // advise applies madvise to b. The caller must pass a page-aligned start
 // (whole mappings and adviseRange sub-slices are). Best-effort: advice is a
-// hint, failures are ignored.
-func advise(b []byte, advice int) {
+// hint, failures are ignored. A variable so a test can count the calls.
+var advise = func(b []byte, advice int) {
 	if len(b) == 0 {
 		return
 	}

@@ -45,6 +45,6 @@ const (
 	advPopulateWrite = 4
 )
 
-func advise(b []byte, advice int) {}
+var advise = func(b []byte, advice int) {}
 
 const mmapBacked = false

@@ -13,8 +13,8 @@ import (
 
 // Section is one machine's slice of the file: the same rows/refs/weights
 // slice contract core's local store builds in memory. A compressed file's
-// own Section carries rows and weights but nil refs; Load.Section fills them
-// in from the decode cache.
+// Section carries rows and weights but nil refs: its refs are read row by row
+// through a Cursor.
 type Section struct {
 	OutRows    []int64
 	OutRefs    []int64
@@ -54,6 +54,7 @@ type File struct {
 	secs     [][2]orientSec
 	degMass  []int64
 	pageSize int64
+	maxBlock int64 // decoded bytes of the largest edge block (compressed files)
 
 	cacheMu sync.Mutex
 	cache   *DecodeCache
@@ -361,19 +362,26 @@ func (sf *File) parseCompressed(o *orientSec, mach int, sp sectionParts) error {
 		if err := sf.decodeBlock(o, mach, b, nil); err != nil {
 			return err
 		}
+		sf.maxBlock = max(sf.maxBlock, 8*o.blockEdges(b))
 	}
 	return nil
 }
 
 // decodeBlock strictly decodes block b of machine mach's compressed section
-// o. With refs non-nil (the decode cache's arena view, indexed absolutely by
-// o.rows), decoded global ids are converted to the engine's ref encoding in
-// place; with refs nil the block is validated only. Every path enforces
-// canonical varints, ids in [0, numNodes), and exact consumption of the
-// block's byte range.
-func (sf *File) decodeBlock(o *orientSec, mach, b int, refs []int64) error {
+// o. With dst non-nil — the block's decoded length, row u at o.rows[u] less the
+// block's first edge — each row's global ids become the engine's refs as soon
+// as it is decoded; with dst nil the block is validated only. Every path
+// enforces canonical varints, ids in [0, numNodes), and exact consumption of
+// the block's byte range.
+func (sf *File) decodeBlock(o *orientSec, mach, b int, dst []int64) error {
 	comp := o.comp[o.offs[b]:o.offs[b+1]]
 	n := int64(sf.hdr.numNodes)
+	base := o.rows[o.firstRow[b]]
+	// An id is tried against this machine's range, then the range of the last
+	// other owner met; only one outside both pays the owner search.
+	lo, hi := sf.layout.Range(mach)
+	var owner int
+	var oLo, oHi uint32
 	var scratch []int64
 	off := 0
 	for u := o.firstRow[b]; u < o.firstRow[b+1]; u++ {
@@ -381,21 +389,30 @@ func (sf *File) decodeBlock(o *orientSec, mach, b int, refs []int64) error {
 		if s == e {
 			continue
 		}
-		dst := scratch
-		if refs != nil {
-			dst = refs[s:s:e]
+		row := scratch
+		if dst != nil {
+			row = dst[s-base : s-base : e-base]
 		}
-		vals, k, ok := codec.DecodeZigZagDeltaRow(comp[off:], int(e-s), n, dst)
+		vals, k, ok := codec.DecodeZigZagDeltaRow(comp[off:], int(e-s), n, row)
 		if !ok {
 			return fmt.Errorf("block %d row %d: corrupt compressed row", b, u)
 		}
 		off += k
-		if refs == nil {
+		if dst == nil {
 			scratch = vals
 			continue
 		}
-		for i, v := range vals {
-			vals[i] = refOf(sf.layout, mach, uint32(v))
+		for i, id := range vals {
+			v := uint32(id)
+			if v >= lo && v < hi {
+				vals[i] = int64(v - lo)
+				continue
+			}
+			if v < oLo || v >= oHi {
+				owner = sf.layout.Owner(v)
+				oLo, oHi = sf.layout.Range(owner)
+			}
+			vals[i] = packRemoteRef(owner, v-oLo)
 		}
 	}
 	if off != len(comp) {
@@ -403,6 +420,9 @@ func (sf *File) decodeBlock(o *orientSec, mach, b int, refs []int64) error {
 	}
 	return nil
 }
+
+// blockEdges returns how many edges — decoded refs — block b holds.
+func (o *orientSec) blockEdges(b int) int64 { return o.rows[o.firstRow[b+1]] - o.rows[o.firstRow[b]] }
 
 // blockRange returns the half-open block index range covering rows
 // [rowLo, rowHi) of a compressed section; empty when the row span carries no
@@ -422,8 +442,8 @@ func (o *orientSec) blockRange(rowLo, rowHi int64) (int, int) {
 	return blo, bhi
 }
 
-// Close unmaps the file (and frees the decode cache's arenas, if one was
-// created). Section views and cache refs must not be used afterwards.
+// Close unmaps the file (and frees the decode cache's pool, if one was
+// created). Section views and cursor rows must not be used afterwards.
 func (sf *File) Close() error {
 	sf.cacheMu.Lock()
 	if sf.cache != nil {
@@ -457,8 +477,8 @@ func (sf *File) NumMachines() int { return sf.hdr.p }
 func (sf *File) Weighted() bool { return sf.hdr.flags&FlagWeighted != 0 }
 
 // Compressed reports whether the file's sections use the compressed
-// spelling. Compressed files serve refs through a DecodeCache; their Section
-// views carry rows and weights but nil refs.
+// spelling. Compressed files serve refs through a DecodeCache's cursors; their
+// Section views carry rows and weights but nil refs.
 func (sf *File) Compressed() bool { return sf.hdr.flags&FlagCompressedEdges != 0 }
 
 // Layout returns the ownership layout stored in the file.

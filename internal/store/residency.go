@@ -55,9 +55,9 @@ func (sf *File) newResidency(budgetBytes int64) *residency {
 
 // touch marks s[lo:hi] — a view aliasing the mapping — as about to be read.
 // Slices not backed by the mapping (a compressed section's heap rows) are
-// ignored.
+// ignored, as is everything without a window (r nil).
 func touch[T int64 | float64 | byte](r *residency, s []T, lo, hi int64) {
-	if hi <= lo || len(s) == 0 {
+	if r == nil || hi <= lo || len(s) == 0 {
 		return
 	}
 	r.touchRange(uintptr(unsafe.Pointer(&s[lo])), (hi-lo)*int64(unsafe.Sizeof(s[0])))

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/codec"
 	"repro/internal/graph"
@@ -48,39 +50,59 @@ func writeOpen(t testing.TB, g *graph.Graph, p int, write func(string, *graph.Gr
 	return sf
 }
 
-// pinAll claims every row of every section of a load, so a compressed file's
-// refs are fully decoded, and returns the release of all claims.
-func pinAll(t testing.TB, ld *Load) func() {
-	t.Helper()
-	var toks []PinToken
-	for mach := 0; mach < ld.File().NumMachines(); mach++ {
-		for orient := 0; orient < 2; orient++ {
-			tok, err := ld.Claim(mach, orient, 0, int64(ld.File().layout.NumLocal(mach)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			toks = append(toks, tok)
-		}
-	}
-	return func() {
-		for i := range toks {
-			toks[i].Release()
-		}
-	}
+// rowReader reads the rows of one (machine, orientation) of a load of either
+// encoding: a raw file's out of its view, a compressed one's through a cursor.
+type rowReader struct {
+	ld   *Load
+	rows []int64
+	refs []int64
+	cur  Cursor
 }
+
+func newRowReader(ld *Load, mach, orient int) *rowReader {
+	sec := ld.File().Section(mach)
+	r := &rowReader{ld: ld, rows: sec.OutRows, refs: sec.OutRefs}
+	if orient == OrientIn {
+		r.rows, r.refs = sec.InRows, sec.InRefs
+	}
+	if ld.File().Compressed() {
+		r.cur = ld.Cursor(mach, orient)
+	}
+	return r
+}
+
+// row returns row u's refs, valid until the next row or release.
+func (r *rowReader) row(t testing.TB, u int64) []int64 {
+	t.Helper()
+	if !r.ld.File().Compressed() {
+		return r.refs[r.rows[u]:r.rows[u+1]]
+	}
+	row, err := r.cur.Row(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(row)) != r.rows[u+1]-r.rows[u] {
+		t.Fatalf("row %d holds %d refs, its degree is %d", u, len(row), r.rows[u+1]-r.rows[u])
+	}
+	return row
+}
+
+func (r *rowReader) release() { r.cur.Release() }
 
 // checkOrientation reconstructs the global CSR from a load's sections and
 // compares it against the source orientation, including per-row neighbor
-// order and weights. The caller holds claims on every row.
+// order and weights.
 func checkOrientation(t *testing.T, ld *Load, src *graph.CSR, out bool) {
 	t.Helper()
 	layout := ld.File().Layout()
 	for mach := 0; mach < layout.NumMachines; mach++ {
-		sec := ld.Section(mach)
-		rows, refs, weights := sec.InRows, sec.InRefs, sec.InWeights
+		sec := ld.File().Section(mach)
+		rows, weights, orient := sec.InRows, sec.InWeights, OrientIn
 		if out {
-			rows, refs, weights = sec.OutRows, sec.OutRefs, sec.OutWeights
+			rows, weights, orient = sec.OutRows, sec.OutWeights, OrientOut
 		}
+		rd := newRowReader(ld, mach, orient)
+		defer rd.release()
 		lo, hi := layout.Range(mach)
 		numLocal := int64(hi - lo)
 		if int64(len(rows)) != numLocal+1 {
@@ -92,8 +114,9 @@ func checkOrientation(t *testing.T, ld *Load, src *graph.CSR, out bool) {
 			if got := rows[u+1] - rows[u]; got != wantDeg {
 				t.Fatalf("machine %d node %d: degree %d, want %d", mach, gu, got, wantDeg)
 			}
+			refs := rd.row(t, u)
 			for i := rows[u]; i < rows[u+1]; i++ {
-				v, _ := nodeOf(layout, mach, refs[i])
+				v, _ := nodeOf(layout, mach, refs[i-rows[u]])
 				srcIdx := src.Rows[gu] + (i - rows[u])
 				if want := src.Cols[srcIdx]; v != want {
 					t.Fatalf("machine %d node %d edge %d: neighbor %d, want %d", mach, gu, i-rows[u], v, want)
@@ -111,7 +134,7 @@ func checkOrientation(t *testing.T, ld *Load, src *graph.CSR, out bool) {
 // TestWriteOpenRoundTrip is the format's independent reference: whatever the
 // writer pipeline and either section spelling do, the sections an Open hands
 // out must equal the graph's own CSR — layout, degrees, neighbor order,
-// weights — with compressed refs read through a fully pinned decode.
+// weights — with compressed refs read through cursors.
 func TestWriteOpenRoundTrip(t *testing.T) {
 	for _, enc := range encodings {
 		for _, weighted := range []bool{false, true} {
@@ -147,10 +170,11 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				release := pinAll(t, ld)
+				if sec := ld.File().Section(0); sf.Compressed() != (sec.OutRefs == nil && sec.InRefs == nil) {
+					t.Fatal("a load's Section must expose refs iff its file is raw")
+				}
 				checkOrientation(t, ld, &g.Out, true)
 				checkOrientation(t, ld, &g.In, false)
-				release()
 				if st := ld.Stats(); st.Decode.PinnedBlocks != 0 {
 					t.Fatalf("%d blocks still pinned after release", st.Decode.PinnedBlocks)
 				}
@@ -465,18 +489,18 @@ func TestClaimWindow(t *testing.T) {
 				t.Fatalf("Windowed() = %v on a platform with mmapBacked = %v", ld.Windowed(), mmapBacked)
 			}
 			for mach := 0; mach < 2; mach++ {
-				sec := ld.Section(mach)
+				sec := ld.File().Section(mach)
+				rd := newRowReader(ld, mach, OrientOut)
 				for u := int64(0); u+64 < int64(len(sec.OutRows)); u += 64 {
-					tok, err := ld.Claim(mach, OrientOut, u, u+64)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for e := sec.OutRows[u]; e < sec.OutRows[u+64]; e++ {
-						if v, _ := nodeOf(sf.layout, mach, sec.OutRefs[e]); int(v) >= g.NumNodes() {
-							t.Fatalf("machine %d edge %d: claimed ref decodes to node %d", mach, e, v)
+					ld.Claim(mach, OrientOut, u, u+64)
+					for r := u; r < u+64; r++ {
+						for i, ref := range rd.row(t, r) {
+							if v, _ := nodeOf(sf.layout, mach, ref); int(v) >= g.NumNodes() {
+								t.Fatalf("machine %d row %d edge %d: claimed ref decodes to node %d", mach, r, i, v)
+							}
 						}
 					}
-					tok.Release()
+					rd.release()
 				}
 			}
 			st := ld.Stats()
@@ -487,5 +511,96 @@ func TestClaimWindow(t *testing.T) {
 				t.Fatalf("%d blocks pinned after release", st.Decode.PinnedBlocks)
 			}
 		})
+	}
+}
+
+// pageSpan returns the bytes a touch of n bytes at p advises: the whole pages
+// the range overlaps.
+func pageSpan(p unsafe.Pointer, n int64) int64 {
+	if n == 0 {
+		return 0
+	}
+	ps := int64(os.Getpagesize())
+	lo, hi := int64(uintptr(p)), int64(uintptr(p))+n
+	return (hi+ps-1)&^(ps-1) - lo&^(ps-1)
+}
+
+// TestSparseClaimTouchesOnlyMembers: claiming a sparse member list brings in
+// what the members' rows occupy, not the span from the first member to the
+// last. On a raw file the bytes advised are bounded by the members' own
+// page-rounded rows, refs and weights; on a compressed one, reading the
+// members through a cursor decodes no block that holds none of them.
+func TestSparseClaimTouchesOnlyMembers(t *testing.T) {
+	if !mmapBacked {
+		t.Skip("no residency window without mmap")
+	}
+	g, err := graph.RMAT(14, 16, graph.TwitterLike(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = g.WithUniformWeights(0.5, 2, 7)
+	raw, comp := writeOpen(t, g, 2, WriteGraph), writeOpen(t, g, 2, WriteGraphCompressed)
+	// Up to thirty-two rows spread through the section's first block and as
+	// many through its last: few bytes, and a span that is the whole section.
+	o, co := &raw.secs[0][OrientOut], &comp.secs[0][OrientOut]
+	var members []uint32
+	for _, b := range []int{0, len(co.firstRow) - 2} {
+		lo, hi := co.firstRow[b], co.firstRow[b+1]
+		for i := int64(0); i < 32; i++ {
+			members = append(members, uint32(lo+i*(hi-lo)/32))
+		}
+	}
+	members = slices.Compact(members)
+
+	var bound int64
+	for _, u := range members {
+		s, e := o.rows[u], o.rows[u+1]
+		bound += pageSpan(unsafe.Pointer(&o.rows[u]), 16) +
+			pageSpan(unsafe.Pointer(&o.refs[s]), 8*(e-s)) + pageSpan(unsafe.Pointer(&o.weights[s]), 8*(e-s))
+	}
+	first, last := members[0], members[len(members)-1]
+	span := 2 * pageSpan(unsafe.Pointer(&o.refs[o.rows[first]]), 8*(o.rows[last+1]-o.rows[first]))
+	if span < 2*bound {
+		t.Fatalf("the members' span (%d bytes) is not far above their rows (%d): the test shows nothing", span, bound)
+	}
+	ld, err := raw.NewLoad(256<<10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld.ClaimMembers(0, OrientOut, members)
+	if got := ld.Stats().Residency.TouchedBytes; got == 0 || got > bound {
+		t.Fatalf("claiming %d members advised %d bytes, their page-rounded rows are %d (their span: %d)", len(members), got, bound, span)
+	}
+
+	ld, err = comp.NewLoad(256<<10, 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks int64
+	for b, next := 0, 0; b+1 < len(co.firstRow); b++ {
+		for next < len(members) && int64(members[next]) < co.firstRow[b+1] {
+			if next++; next == len(members) || int64(members[next]) >= co.firstRow[b+1] {
+				blocks += 8 * co.blockEdges(b)
+			}
+		}
+	}
+	ld.ClaimMembers(0, OrientOut, members)
+	cur := ld.Cursor(0, OrientOut)
+	for _, u := range members {
+		row, err := cur.Row(int64(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := o.refs[o.rows[u]:o.rows[u+1]]; !slices.Equal(row, want) {
+			t.Fatalf("member %d: row %v, want %v", u, row, want)
+		}
+	}
+	cur.Release()
+	st := ld.Stats()
+	if st.Decode.DecodedBytes == 0 || st.Decode.DecodedBytes > blocks {
+		t.Fatalf("reading %d members decoded %d bytes, the blocks that hold one total %d", len(members), st.Decode.DecodedBytes, blocks)
+	}
+	if all := 8 * co.rows[len(co.rows)-1]; 2*blocks > all {
+		t.Fatalf("the blocks holding a member (%d bytes) are most of the section (%d): the test shows nothing", blocks, all)
 	}
 }
