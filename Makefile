@@ -13,7 +13,7 @@ vet:
 
 # Race-detector pass over the concurrency-heavy packages: the comm fabrics
 # (async senders, routers, collectives), the engine core (workers, copiers,
-# frontiers with copier-side write-activation, read combining, wire
+# frontiers with copier-side write-activation, mirrors and accumulators, wire
 # compression, work stealing, job cancellation, spillable write buffers),
 # the algorithms (adaptive direction switching, the ablation lattice), the varint codec,
 # the partitioner (replanning), the observability registry, the serving
@@ -36,9 +36,12 @@ wire:
 
 # Short fuzz pass over the decode surfaces that take bytes from outside —
 # the codec, store.Open (one target: both section spellings go through one
-# validator) and the copier's write-frame apply (raw and compressed payloads) —
-# each target gets a few seconds, enough to shake out torn-input and
-# canonicality regressions.
+# validator) and the copier's write-frame apply and read-request serve (raw and
+# compressed payloads) — each target gets a few seconds, enough to shake out
+# torn-input and canonicality regressions. FuzzServeReads answers through the
+# in-process fabric, whose poller makes coverage flicker: without a short
+# minimize budget the fuzzer spends its seconds shrinking inputs that only look
+# new.
 fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintRoundTrip -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintDecode -fuzztime 5s
@@ -46,8 +49,13 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzZigZagDeltaRow -fuzztime 5s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpen -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzApplyWrites -fuzztime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzServeReads -fuzztime 5s -fuzzminimizetime 1s
 
-ci: test vet race faults fuzz-smoke
+# Budget: 6 minutes of wall clock on the 2-vCPU reference box (race is most of
+# it); the target prints what it took.
+ci:
+	@start=$$(date +%s); $(MAKE) --no-print-directory test vet race faults fuzz-smoke && \
+		echo "make ci: $$(( $$(date +%s) - start )) s of wall clock (budget 360 s)"
 
 # ROADMAP item 3's success metric: non-test Go lines in the three packages
 # the code-path collapse targets, so every PR quotes the same number.
@@ -60,12 +68,11 @@ loc:
 perf-check:
 	$(GO) run ./benchmark -check
 
-# The isolated numbers behind three lines of the superstep budget: ns/edge
-# of the kernel dispatch (row form vs per-edge adapter, local and 20 % remote),
-# ns/record of the flush-path sort (radix vs the sort.Sort it replaced) and of
-# the combining table (open-addressed vs map).
+# The isolated numbers behind two lines of the superstep budget: ns/edge of the
+# kernel dispatch (row form vs per-edge adapter, local and 20 % remote) and
+# ns/record of the flush-path sort (radix vs the sort.Sort it replaced).
 bench-scan:
-	$(GO) test -run '^$$' -bench 'EdgeDispatch|FlushSort|DedupTable' -benchtime 50x -count 3 ./internal/core/
+	$(GO) test -run '^$$' -bench 'EdgeDispatch|FlushSort' -benchtime 50x -count 3 ./internal/core/
 
 # The per-job constant: ns per RunJob of the two smallest frontier-sourced
 # jobs on two in-process machines (an empty frontier; a one-node node pass
@@ -77,11 +84,9 @@ bench-job:
 # The budget of one remote read and of one remote write (ROADMAP item 3): ns a
 # remote ref adds to a pull-sum (bench-read) or push-sum (bench-write) job on
 # two machines, in process and over loopback TCP — reads requested on demand
-# with read combining, on demand without it, and prefetched into the mirror,
-# plus the one-time remote-set build in ns/edge; writes buffered on demand with
-# sender combining, on demand without it, and folded into the worker's
-# accumulator. They are the rows that turn AblateRemoteSets, AblateReadCombining
-# and AblateWriteCombining. With AGAINST=<git-ref> that commit's test binary is
+# and prefetched into the mirror, plus the one-time remote-set build in ns/edge;
+# writes buffered on demand and folded into the worker's accumulator. They are
+# the rows that turn AblateRemoteSets. With AGAINST=<git-ref> that commit's test binary is
 # built beside this tree's under SCRATCH and the two alternate three times, the
 # way a claim about this path is to be measured (a ref from before the
 # benchmark existed prints nothing).

@@ -220,15 +220,15 @@ func BenchmarkFig5b_Barrier(b *testing.B) {
 }
 
 // BenchmarkFig6a_GhostSweep measures PageRank-pull at increasing ghost
-// counts; more ghosts mean less traffic until the network stops mattering.
+// counts — none (no replicas at all), then the top 16, 128 and 1024 vertices
+// in every machine's remote sets; more ghosts mean less traffic.
 func BenchmarkFig6a_GhostSweep(b *testing.B) {
 	g := benchGraph(b, bench.DSTwitter)
 	for _, ghosts := range []int{0, 16, 128, 1024} {
 		b.Run(fmt.Sprintf("ghosts=%d", ghosts), func(b *testing.B) {
 			cfg := core.DefaultConfig(4)
-			cfg.GhostCount = ghosts
-			if ghosts == 0 {
-				cfg.GhostThreshold = -1
+			if cfg.GhostCount = ghosts; ghosts == 0 {
+				cfg.Ablate = core.AblateRemoteSets
 			}
 			c := bootPGX(b, g, cfg)
 			b.ResetTimer()
@@ -338,7 +338,6 @@ func BenchmarkFig8a_RandomRead(b *testing.B) {
 		b.Run(fmt.Sprintf("copiers=%d", copiers), func(b *testing.B) {
 			cfg := core.DefaultConfig(2)
 			cfg.Copiers = copiers
-			cfg.GhostThreshold = -1
 			c := bootPGX(b, g, cfg)
 			prop, err := c.AddPropF64("payload")
 			if err != nil {
@@ -370,33 +369,6 @@ func BenchmarkFig8b_BufferSize(b *testing.B) {
 		b.Run(fmt.Sprintf("buf=%d", bs), func(b *testing.B) {
 			cfg := core.DefaultConfig(4)
 			cfg.BufferSize = bs
-			cfg.GhostThreshold = -1 // keep all remote traffic on the wire
-			c := bootPGX(b, g, cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := algorithms.PageRankPush(c, 3, 0.85); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineAblation_GhostPrivatization quantifies the atomic-saving of
-// thread-private ghost copies (DESIGN.md's ablation for §3.3).
-func BenchmarkEngineAblation_GhostPrivatization(b *testing.B) {
-	g := benchGraph(b, bench.DSTwitter)
-	for _, disabled := range []bool{false, true} {
-		name := "privatized"
-		if disabled {
-			name = "shared_atomics"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig(4)
-			cfg.GhostCount = 256
-			if disabled {
-				cfg.Ablate = core.AblateGhostPrivatization
-			}
 			c := bootPGX(b, g, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -128,8 +128,7 @@ func main() {
 	if err != nil {
 		fatalf("distributing graph: %v", err)
 	}
-	fmt.Printf("cluster: %d machines x %d workers/%d copiers, %d ghosts\n",
-		*machines, *workers, *copiers, cluster.NumGhosts())
+	fmt.Printf("cluster: %d machines x %d workers/%d copiers\n", *machines, *workers, *copiers)
 
 	if spec.Weighted && !weighted {
 		fatalf("%s needs a weighted graph (pgxd-gen -weights)", spec.Name)

@@ -47,8 +47,8 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, g := range graphs {
-		fmt.Printf("loaded %-7s %6d nodes %8d edges on %d machines (%d ghosts)\n",
-			g.Name, g.Nodes, g.Edges, g.Machines, g.Ghosts)
+		fmt.Printf("loaded %-7s %6d nodes %8d edges on %d machines\n",
+			g.Name, g.Nodes, g.Edges, g.Machines)
 	}
 
 	// Interactive analyses over the wire.

@@ -4,8 +4,8 @@
 // with the pull pattern, written twice: per edge, the paper's shape — Run
 // issues a read per edge, ReadDone continues on the same worker when the
 // value arrives — and per row, the engine's fast shape — RunRow loops over
-// the node's in-neighbors itself, reading local and ghosted ones through a
-// typed view and handing only the remote ones to ReadRef. Both run below and
+// the node's in-neighbors itself, reading local ones through a typed view
+// and handing only the remote ones to ReadRef. Both run below and
 // must agree.
 package main
 
@@ -27,7 +27,7 @@ type avgNbrDegree struct {
 }
 
 func (k *avgNbrDegree) Run(c *pgxd.Ctx) {
-	// Request the neighbor's degree; for local or ghosted neighbors
+	// Request the neighbor's degree; for local or mirrored neighbors
 	// ReadDone runs synchronously, otherwise the request is buffered into
 	// the per-destination message and continues later.
 	c.NbrRead(k.degProp)
@@ -53,7 +53,7 @@ type avgNbrDegreeRow struct {
 }
 
 func (k *avgNbrDegreeRow) RunRow(c *pgxd.Ctx, row pgxd.Row) {
-	deg := c.F64(k.degProp) // view over local + ghost slots, valid for ref >= 0
+	deg := c.F64(k.degProp) // view over the local slots, valid for ref >= 0
 	var sum float64
 	var seen int64
 	for _, ref := range row.Refs {
@@ -124,8 +124,8 @@ func main() {
 	}
 
 	// Job 2: in-edge iterator with data pulling. Declaring deg as a read
-	// property makes the engine refresh ghost copies before the region, so
-	// reads of celebrity nodes resolve locally.
+	// property makes the engine mirror the remote in-neighbors' values before
+	// the region, so their reads resolve locally.
 	stats, err := cluster.RunJob(pgxd.JobSpec{
 		Name:      "avg-nbr-degree",
 		Iter:      pgxd.IterInEdges,

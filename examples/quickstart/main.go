@@ -19,7 +19,8 @@ func main() {
 	fmt.Printf("graph: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
 
 	// Four simulated machines connected by the in-process fabric. Each has
-	// its own workers, copiers, poller, graph partition, and ghost replicas.
+	// its own workers, copiers, poller, graph partition, and replicas of the
+	// remote values its rows reference.
 	cluster, err := pgxd.NewCluster(pgxd.DefaultConfig(4))
 	if err != nil {
 		log.Fatal(err)
@@ -28,7 +29,7 @@ func main() {
 	if err := cluster.LoadGraph(g); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cluster: 4 machines, %d high-degree vertices ghosted\n", cluster.NumGhosts())
+	fmt.Println("cluster: 4 machines")
 
 	ranks, metrics, err := cluster.PageRankPull(20, 0.85)
 	if err != nil {

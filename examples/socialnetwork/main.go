@@ -20,9 +20,9 @@ func main() {
 	}
 	fmt.Printf("follower graph: %d users, %d follow edges\n", g.NumNodes(), g.NumEdges())
 
-	cfg := pgxd.DefaultConfig(4)
-	cfg.GhostThreshold = 256 // celebrities get replicated everywhere
-	cluster, err := pgxd.NewCluster(cfg)
+	// Each machine keeps a replica of every remote account its rows follow or
+	// are followed by — celebrities included — refreshed once per superstep.
+	cluster, err := pgxd.NewCluster(pgxd.DefaultConfig(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,8 +30,7 @@ func main() {
 	if err := cluster.LoadGraph(g); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cluster: %d machines, %d celebrity accounts ghosted\n\n",
-		cluster.Core().Machines(), cluster.NumGhosts())
+	fmt.Printf("cluster: %d machines\n\n", cluster.Core().Machines())
 
 	// 1. Communities: weakly connected components.
 	labels, met, err := cluster.WCC(10000)

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -12,30 +13,30 @@ import (
 )
 
 type ablationSet struct {
-	name string
-	set  core.Ablation
+	name   string
+	set    core.Ablation
+	ghosts int // Config.GhostCount: 0 replicates every referenced address
 }
 
 // ablationLattice is what the identity test walks: the production
-// configuration, every Ablation member alone, and all of them at once.
+// configuration, every Ablation member alone, all of them at once, and the
+// production configuration with replicas capped at the eight highest-degree
+// vertices, so that set members and on-demand refs meet in the same rows.
 func ablationLattice() []ablationSet {
 	sets := []ablationSet{
-		{"none", 0},
-		{"ghost-privatization", core.AblateGhostPrivatization},
-		{"read-combining", core.AblateReadCombining},
-		{"write-combining", core.AblateWriteCombining},
-		{"wire-compression", core.AblateWireCompression},
-		{"sparse-frontier", core.AblateSparseFrontier},
-		{"edge-chunking", core.AblateEdgeChunking},
-		{"pin-push", core.AblatePinPush},
-		{"pin-pull", core.AblatePinPull},
-		{"remote-sets", core.AblateRemoteSets},
+		{name: "none"},
+		{name: "wire-compression", set: core.AblateWireCompression},
+		{name: "sparse-frontier", set: core.AblateSparseFrontier},
+		{name: "edge-chunking", set: core.AblateEdgeChunking},
+		{name: "pin-push", set: core.AblatePinPush},
+		{name: "pin-pull", set: core.AblatePinPull},
+		{name: "remote-sets", set: core.AblateRemoteSets},
 	}
 	all := core.Ablation(0)
 	for _, as := range sets {
 		all |= as.set
 	}
-	return append(sets, ablationSet{"all", all})
+	return append(sets, ablationSet{name: "all", set: all}, ablationSet{name: "ghost-count-8", ghosts: 8})
 }
 
 // latticeConfig is the identity suites' engine configuration: p machines
@@ -44,7 +45,6 @@ func ablationLattice() []ablationSet {
 func latticeConfig(t *testing.T, p int, useTCP bool, set core.Ablation) core.Config {
 	t.Helper()
 	cfg := core.DefaultConfig(p)
-	cfg.GhostThreshold = 64
 	cfg.BufferSize = 8 << 10
 	cfg.ReqBuffers = 2*cfg.Workers*p + 4
 	cfg.RespBuffers = 2*cfg.Copiers*p + 4
@@ -57,19 +57,20 @@ func latticeConfig(t *testing.T, p int, useTCP bool, set core.Ablation) core.Con
 			t.Fatal(err)
 		}
 		cfg.Fabric = f
+		t.Cleanup(func() { f.Close() }) //nolint:errcheck // registered ahead of the cluster's Shutdown, so it runs after it
 	}
 	return cfg
 }
 
-// ablatedCluster boots a 3-machine cluster with one ablation set over the
+// ablatedCluster boots a p-machine cluster with one lattice row over the
 // requested transport. delayFaults additionally wraps the fabric in an
 // injector that delays every 7th frame — a tolerated fault that perturbs
 // message timing, so exact results also demonstrate the algorithms are
 // deterministic under reordering.
-func ablatedCluster(t *testing.T, g *graph.Graph, useTCP, delayFaults bool, set core.Ablation) *core.Cluster {
+func ablatedCluster(t *testing.T, g *graph.Graph, p int, useTCP, delayFaults bool, as ablationSet) *core.Cluster {
 	t.Helper()
-	const p = 3
-	cfg := latticeConfig(t, p, useTCP, set)
+	cfg := latticeConfig(t, p, useTCP, as.set)
+	cfg.GhostCount = as.ghosts
 	if delayFaults {
 		if cfg.Fabric == nil {
 			perMachine := cfg.ReqBuffers + cfg.RespBuffers + 4*p + 8 + p + 2
@@ -116,14 +117,15 @@ func assertBitsF64(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestAblationLatticeMatchesSA: every ablation set — the production
+// TestAblationLatticeMatchesSA: every lattice row — the production
 // configuration, each member alone (sparse frontier reaches the engine's
 // dense-filter dispatch, the direction pins reach both schedules of every
-// traversal), and all at once — yields exactly the standalone reference for
-// WCC, SSSP, hop distance, k-core and sampled closeness, and PageRank-push to
-// float tolerance (push sums arrive in any order). On a small-world RMAT and
-// a high-diameter grid, over both fabrics, and with injected frame delays
-// perturbing delivery order.
+// traversal), all at once, and capped replicas — on two, three and four
+// machines yields exactly the standalone reference for WCC, SSSP, hop
+// distance, k-core and sampled closeness, and PageRank-push to float tolerance
+// (push sums arrive in any order). On a small-world RMAT and a high-diameter
+// grid, over both fabrics, and with injected frame delays perturbing delivery
+// order.
 func TestAblationLatticeMatchesSA(t *testing.T) {
 	rmat := testGraph(t).WithUniformWeights(1, 10, 7)
 	grid, err := graph.Grid(20, 20, 8, 99)
@@ -152,46 +154,50 @@ func TestAblationLatticeMatchesSA(t *testing.T) {
 			eachTransport(t, func(t *testing.T, useTCP, faults bool) {
 				for _, as := range ablationLattice() {
 					t.Run(as.name, func(t *testing.T) {
-						c := ablatedCluster(t, g, useTCP, faults, as.set)
-						n := c.NumNodes()
-						wcc, _, err := WCC(c, n)
-						if err != nil {
-							t.Fatalf("wcc: %v", err)
+						for p := 2; p <= 4; p++ {
+							t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+								c := ablatedCluster(t, g, p, useTCP, faults, as)
+								n := c.NumNodes()
+								wcc, _, err := WCC(c, n)
+								if err != nil {
+									t.Fatalf("wcc: %v", err)
+								}
+								assertEqualI64(t, "wcc", wcc, wantWCC)
+								sp, _, err := SSSP(c, root, n)
+								if err != nil {
+									t.Fatalf("sssp: %v", err)
+								}
+								assertBitsF64(t, "sssp", sp, wantSSSP)
+								hop, _, err := HopDist(c, root, n)
+								if err != nil {
+									t.Fatalf("hopdist: %v", err)
+								}
+								assertEqualI64(t, "hopdist", hop, wantHop)
+								pr, _, err := PageRankPush(c, prIters, 0.85)
+								if err != nil {
+									t.Fatalf("pr-push: %v", err)
+								}
+								assertClose(t, "pr-push", pr, wantPR, 1e-9)
+								// k-core's ~200 near-empty peeling supersteps would each
+								// wait out the injected delays and see no reordering the
+								// other five do not.
+								if !faults {
+									best, nums, _, err := KCore(c, 0)
+									if err != nil {
+										t.Fatalf("kcore: %v", err)
+									}
+									if best != wantBest {
+										t.Fatalf("kcore max = %d, want %d", best, wantBest)
+									}
+									assertEqualI64(t, "kcore", nums, wantCore)
+								}
+								cl, _, err := Closeness(c, samples, seed, n)
+								if err != nil {
+									t.Fatalf("closeness: %v", err)
+								}
+								assertBitsF64(t, "closeness", cl, wantClose)
+							})
 						}
-						assertEqualI64(t, "wcc", wcc, wantWCC)
-						sp, _, err := SSSP(c, root, n)
-						if err != nil {
-							t.Fatalf("sssp: %v", err)
-						}
-						assertBitsF64(t, "sssp", sp, wantSSSP)
-						hop, _, err := HopDist(c, root, n)
-						if err != nil {
-							t.Fatalf("hopdist: %v", err)
-						}
-						assertEqualI64(t, "hopdist", hop, wantHop)
-						pr, _, err := PageRankPush(c, prIters, 0.85)
-						if err != nil {
-							t.Fatalf("pr-push: %v", err)
-						}
-						assertClose(t, "pr-push", pr, wantPR, 1e-9)
-						// k-core's ~200 near-empty peeling supersteps would each
-						// wait out the injected delays and see no reordering the
-						// other five do not.
-						if !faults {
-							best, nums, _, err := KCore(c, 0)
-							if err != nil {
-								t.Fatalf("kcore: %v", err)
-							}
-							if best != wantBest {
-								t.Fatalf("kcore max = %d, want %d", best, wantBest)
-							}
-							assertEqualI64(t, "kcore", nums, wantCore)
-						}
-						cl, _, err := Closeness(c, samples, seed, n)
-						if err != nil {
-							t.Fatalf("closeness: %v", err)
-						}
-						assertBitsF64(t, "closeness", cl, wantClose)
 					})
 				}
 			})

@@ -15,7 +15,7 @@ import (
 
 // shipped sums, over the machines, what one worker per machine sends for the
 // rows of the nodes include selects: the distinct addresses of an accumulated
-// job, or — on demand, sender combining off — one record per remote ref.
+// job, or — on demand — one record per remote ref.
 func shipped(sets []remoteSetModel, accumulated bool) (n int64) {
 	for _, s := range sets {
 		if accumulated {
@@ -31,13 +31,13 @@ func shipped(sets []remoteSetModel, accumulated bool) (n int64) {
 // node stays active: iteration t pushes a non-zero delta from exactly the nodes
 // a walk of length t reaches, and a slot only zeros were folded into never
 // left the identity, so it is not shipped.
-func aprPushRecords(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet, iters int) (n int64) {
+func aprPushRecords(g *graph.Graph, layout partition.Layout, iters int) (n int64) {
 	reached := make([]bool, g.NumNodes())
 	for v := range reached {
 		reached[v] = true
 	}
 	for t := 0; t < iters; t++ {
-		n += shipped(modelRemoteSets(g, layout, ghosts, core.IterOutEdges, func(v graph.NodeID) bool { return reached[v] }), true)
+		n += shipped(modelRemoteSets(g, layout, core.IterOutEdges, func(v graph.NodeID) bool { return reached[v] }), true)
 		next := make([]bool, len(reached))
 		for v := range next {
 			for _, u := range g.In.Neighbors(graph.NodeID(v)) {
@@ -55,15 +55,15 @@ func aprPushRecords(g *graph.Graph, layout partition.Layout, ghosts *partition.G
 // (at least 1/32 of its nodes) whose degree sum, times the share of its refs
 // that are remote, reaches the set's size; otherwise every remote ref is one
 // record.
-func wccPushRecords(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet) (n int64, steps int) {
-	sets := modelRemoteSets(g, layout, ghosts, core.IterBothEdges, nil)
+func wccPushRecords(g *graph.Graph, layout partition.Layout) (n int64, steps int) {
+	sets := modelRemoteSets(g, layout, core.IterBothEdges, nil)
 	label, nxt := make([]int64, g.NumNodes()), make([]int64, g.NumNodes())
 	front := make([]bool, g.NumNodes())
 	for v := range label {
 		label[v], nxt[v], front[v] = int64(v), int64(v), true
 	}
 	for members := len(front); members > 0; steps++ {
-		touched := modelRemoteSets(g, layout, ghosts, core.IterBothEdges, func(v graph.NodeID) bool { return front[v] })
+		touched := modelRemoteSets(g, layout, core.IterBothEdges, func(v graph.NodeID) bool { return front[v] })
 		for m, set := range sets {
 			lo, hi := layout.Range(m)
 			var count int64
@@ -153,16 +153,11 @@ func TestAccumulatedPushMatchesOnDemand(t *testing.T) {
 				for _, useTCP := range []bool{false, true} {
 					name := fmt.Sprintf("%s/p=%d/%s/tcp=%v", tg.name, p, storage, useTCP)
 					t.Run(name, func(t *testing.T) {
-						ghosts := partition.EmptyGhostSet()
-						if storage == "memory" {
-							ghosts = partition.SelectTopGhosts(g, 10)
-						}
-						// suite runs the six computations on one worker per machine with
-						// sender combining off, so every count is a function of the graph,
-						// the layout and the ghost set.
+						// suite runs the six computations on one worker per machine, so
+						// every count is a function of the graph and the layout.
 						var layout partition.Layout
 						suite := func(set core.Ablation, settle map[string]pushRun) map[string]pushRun {
-							c, reg := mirrorCluster(t, g, paths[storage], p, useTCP, set|core.AblatePinPush|core.AblateWriteCombining, func(cfg *core.Config) {
+							c, reg := mirrorCluster(t, g, paths[storage], p, useTCP, set|core.AblatePinPush, func(cfg *core.Config) {
 								cfg.Workers = 1
 								if storage == "csr3" {
 									cfg.SpillWrites, cfg.SpillBudgetBytes, cfg.SpillDir = true, 1<<10, t.TempDir()
@@ -217,13 +212,13 @@ func TestAccumulatedPushMatchesOnDemand(t *testing.T) {
 						assertEqualI64(t, "kcore", accumulated["kcore"].ints, append(wantCore, wantBest))
 
 						// What the accumulated jobs must apply, from the model.
-						wccRecords, wccSteps := wccPushRecords(g, layout, ghosts)
+						wccRecords, wccSteps := wccPushRecords(g, layout)
 						if got := accumulated["wcc"].pushSteps; got != wccSteps {
 							t.Errorf("wcc: %d push supersteps, the model has %d", got, wccSteps)
 						}
 						want := map[string]int64{
-							"pr-push":  iters * shipped(modelRemoteSets(g, layout, ghosts, core.IterOutEdges, nil), true),
-							"apr-push": aprPushRecords(g, layout, ghosts, iters),
+							"pr-push":  iters * shipped(modelRemoteSets(g, layout, core.IterOutEdges, nil), true),
+							"apr-push": aprPushRecords(g, layout, iters),
 							"wcc":      wccRecords,
 						}
 						for name, on := range accumulated {

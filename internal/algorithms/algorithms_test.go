@@ -21,9 +21,7 @@ func testGraph(t testing.TB) *graph.Graph {
 
 func boot(t testing.TB, g *graph.Graph, p int) *core.Cluster {
 	t.Helper()
-	cfg := core.DefaultConfig(p)
-	cfg.GhostThreshold = 64
-	c, err := core.NewCluster(cfg)
+	c, err := core.NewCluster(core.DefaultConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,10 +319,9 @@ func TestPullFasterOrEqualTrafficThanPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pull sends request (8 B) + response (8 B) per remote edge read; push
-	// sends 16 B per remote write. Read combining dedups repeated reads of
-	// the same (prop, offset) within a message window, so on a skewed graph
-	// pull can land well below push; only a collapse to near zero or a
+	// Pull sends request (8 B) + response (8 B) per mirrored remote address;
+	// push sends 16 B per accumulated address and worker, so with several
+	// workers pull can land well below push; only a collapse to near zero or a
 	// blow-up past 2.5x would signal duplicated messages.
 	ratio := float64(metPull.Traffic.DataBytesSent) / float64(metPush.Traffic.DataBytesSent)
 	if ratio < 0.05 || ratio > 2.5 {

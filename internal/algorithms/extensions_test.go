@@ -40,7 +40,6 @@ func TestTriangleCountChunkedRMI(t *testing.T) {
 	cfg.BufferSize = 256 // ~57 ids per chunk; max degree is far larger
 	cfg.ReqBuffers = 16
 	cfg.RespBuffers = 16
-	cfg.GhostThreshold = core.GhostDisabled // maximize remote edges
 	c, err := core.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -28,15 +28,14 @@ func TestFrontierSourcedStepsMatchDense(t *testing.T) {
 	}
 	const capK = 3
 	for _, tg := range []struct {
-		name   string
-		g      *graph.Graph
-		src    graph.NodeID
-		ghosts bool
+		name string
+		g    *graph.Graph
+		src  graph.NodeID
 		// Metrics.Iterations of the dense implementation.
 		kcoreIters, cappedIters, ssspIters int
 	}{
-		{"rmat", testGraph(t).WithUniformWeights(1, 10, 7), 0, true, 111, 6, 5},
-		{"grid", grid.WithUniformWeights(1, 100, 3), 25, false, 28, 3, 56},
+		{"rmat", testGraph(t).WithUniformWeights(1, 10, 7), 0, 111, 6, 5},
+		{"grid", grid.WithUniformWeights(1, 100, 3), 25, 28, 3, 56},
 	} {
 		wantBest, wantCore, saSteps := sa.KCore(tg.g, 1)
 		if saSteps != tg.kcoreIters {
@@ -62,9 +61,6 @@ func TestFrontierSourcedStepsMatchDense(t *testing.T) {
 						return c
 					}
 					c := load(0)
-					if (c.NumGhosts() > 0) != tg.ghosts {
-						t.Fatalf("%d ghosts, want some: %v", c.NumGhosts(), tg.ghosts)
-					}
 					best, nums, met, err := KCore(c, 0)
 					if err != nil {
 						t.Fatal(err)

@@ -17,14 +17,14 @@ import (
 )
 
 // remoteSetModel is the test's own derivation of one machine's remote set for
-// an edge iterator: the distinct neighbors that are neither owned nor ghosted,
-// how many refs reach them, and how many refs the rows hold in all. It never
-// looks at the engine's bitmaps.
+// an edge iterator: the distinct neighbors that are not owned, how many refs
+// reach them, and how many refs the rows hold in all. It never looks at the
+// engine's bitmaps.
 type remoteSetModel struct{ size, refs, edges int64 }
 
 // modelRemoteSets derives every machine's set for iterator it, over the rows
 // of the nodes include selects (nil: all of them).
-func modelRemoteSets(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet, it core.IterKind, include func(graph.NodeID) bool) []remoteSetModel {
+func modelRemoteSets(g *graph.Graph, layout partition.Layout, it core.IterKind, include func(graph.NodeID) bool) []remoteSetModel {
 	sets := make([]remoteSetModel, layout.NumMachines)
 	for m := range sets {
 		lo, hi := layout.Range(m)
@@ -32,7 +32,7 @@ func modelRemoteSets(g *graph.Graph, layout partition.Layout, ghosts *partition.
 		scan := func(nbrs []graph.NodeID) {
 			for _, u := range nbrs {
 				sets[m].edges++
-				if _, ghosted := ghosts.Slot(u); ghosted || (u >= lo && u < hi) {
+				if u >= lo && u < hi {
 					continue
 				}
 				sets[m].refs++
@@ -93,15 +93,13 @@ func hopPullMirrorWords(g *graph.Graph, layout partition.Layout, sets []remoteSe
 	return words
 }
 
-// mirrorCluster boots the identity matrix's cluster: p machines with ten
-// ghosted hubs, from memory or — ghost-free, as store files are — from a raw
-// or compressed store file under a residency window and a decode cache both
+// mirrorCluster boots the identity matrix's cluster: p machines, from memory
+// or from a raw or compressed store file under a residency window and a decode cache both
 // smaller than the edge data (so columns and mirrors are off-heap and every
 // chunk claim decodes).
 func mirrorCluster(t *testing.T, g *graph.Graph, path string, p int, useTCP bool, set core.Ablation, tweak ...func(*core.Config)) (*core.Cluster, *obs.Registry) {
 	t.Helper()
 	cfg := latticeConfig(t, p, useTCP, set)
-	cfg.GhostThreshold, cfg.GhostCount = core.GhostDisabled, 10
 	cfg.Obs = obs.NewRegistry()
 	if path != "" {
 		cfg.ResidentBudgetBytes, cfg.DecodeCacheBytes = 16<<10, 8<<10
@@ -200,17 +198,13 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 				for _, useTCP := range []bool{false, true} {
 					name := fmt.Sprintf("%s/p=%d/%s/tcp=%v", tg.name, p, storage, useTCP)
 					t.Run(name, func(t *testing.T) {
-						ghosts := partition.EmptyGhostSet()
-						if storage == "memory" {
-							ghosts = partition.SelectTopGhosts(g, 10)
-						}
 						// suite runs the six computations and returns them with the reads
 						// the cluster had served after the five that scan every row, and
 						// after hop distance, whose pull sources the unvisited frontier.
 						suite := func(set core.Ablation) (runs map[string]pullRun, wantWords map[string]int64, servedScans, servedAll int64) {
 							c, reg := mirrorCluster(t, g, paths[storage], p, useTCP, set|core.AblatePinPull)
-							inSets := modelRemoteSets(g, c.Layout(), ghosts, core.IterInEdges, nil)
-							bothSets := modelRemoteSets(g, c.Layout(), ghosts, core.IterBothEdges, nil)
+							inSets := modelRemoteSets(g, c.Layout(), core.IterInEdges, nil)
+							bothSets := modelRemoteSets(g, c.Layout(), core.IterBothEdges, nil)
 							runs, wantWords = map[string]pullRun{}, map[string]int64{}
 							var words, want int64
 							record := func(name string, ints []int64, floats []float64, met Metrics, err error, perJob int64) {
@@ -254,7 +248,7 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 						mirrored, wantWords, servedScans, servedAll := suite(0)
 						onDemand, _, _, _ := suite(core.AblateRemoteSets)
 
-						// A mirrored row folds every in-neighbor — local, ghosted, remote —
+						// A mirrored row folds every in-neighbor — local or remote —
 						// in row order in one register, as SA does: PageRank-pull is then
 						// SA's to the bit at any machine count, where continuations add in
 						// arrival order (the on-demand run is held to 1e-9).

@@ -224,7 +224,7 @@ func rowCluster(t *testing.T, g *graph.Graph, p int, useTCP, skewed bool, set co
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.LoadPlan(g, layout, 32); err != nil {
+	if err := c.LoadPlan(g, layout); err != nil {
 		t.Fatal(err)
 	}
 	return c

@@ -118,8 +118,8 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 		}
 		// The adopt pass scans every node, unlike SSSP's: collecting the
 		// improved nodes receiver-side (WriteSpec.ActivateInto) would take the
-		// push's writes to ghosted hubs off the privatized ghost accumulation,
-		// which a dense label push lives on.
+		// push's remote writes off the per-worker accumulators, which a dense
+		// label push lives on.
 		adopt := r.runStats(core.JobSpec{Name: "wcc-adopt", Iter: core.IterNodes,
 			Task:  &wccAdoptKernel{label: label, labelNxt: labelNxt},
 			Build: []*core.Frontier{cur}})
@@ -307,7 +307,7 @@ func (k *hopPushKernel) RunRow(c *core.Ctx, row core.Row) {
 // each still-unvisited node scans its in-neighbors for one on the current
 // level and claims level+1 for itself, activating into the next frontier.
 // The scan stops at the first hit — the early exit that makes pull win on
-// dense levels — whether the hit is a local, ghosted or mirrored in-neighbor.
+// dense levels — whether the hit is a local or a mirrored in-neighbor.
 // Claims are deterministic: only values that were exactly level at job start
 // can match, and a mid-superstep self-claim writes level+1, which no reader
 // can mistake for level.

@@ -28,7 +28,7 @@ import (
 const triHeaderBytes = 8
 
 // triangleKernel runs per out-edge (u→v): intersect sortedAdj(u) with
-// sortedAdj(v). Local and ghosted v intersect in place; remote v ships
+// sortedAdj(v). A local v intersects in place; a remote v ships
 // adj(u) in buffer-sized chunks via RMI and accumulates returned counts.
 type triangleKernel struct {
 	adj      [][]graph.NodeID // sorted out-adjacency by global id (shared, read-only)

@@ -10,9 +10,9 @@ import (
 
 // ExpAblations quantifies the engine design choices DESIGN.md calls out,
 // beyond the paper's own figures: data pulling vs pushing (the atomic-
-// reduction saving of §5.2), ghost privatization vs shared atomic ghosts
-// (§3.3), and the bare per-step overhead (barrier vs empty job, the cost
-// that governs k-core per §5.3.1).
+// reduction saving of §5.2), replicas — mirrored reads, accumulated writes —
+// vs the on-demand protocol (§3.3), and the bare per-step overhead (barrier
+// vs empty job, the cost that governs k-core per §5.3.1).
 func ExpAblations(ds *Datasets, scale, machines int, prog Progress) (*Table, error) {
 	g, err := ds.Get(DSTwitter, scale)
 	if err != nil {
@@ -54,44 +54,27 @@ func ExpAblations(ds *Datasets, scale, machines int, prog Progress) (*Table, err
 		fmt.Sprintf("push %s", fmtSecs(pushT.Seconds())),
 		fmt.Sprintf("%.2f", pullT.Seconds()/pushT.Seconds()))
 
-	// 2. Ghost privatization on vs off (push reduces into ghosts).
-	prog.log("ablations: ghost privatization")
-	cfgPriv := core.DefaultConfig(machines)
-	cfgPriv.GhostCount = 256
-	privT, err := runPR(cfgPriv, false)
-	if err != nil {
-		return nil, err
+	// 2, 3. Replicas on vs off: the per-load remote sets resolve a dense
+	// push's remote writes once per worker (accumulators) and a dense pull's
+	// remote reads once per superstep (mirrors); without them every remote ref
+	// is a buffered record.
+	cfgOnDemand := core.DefaultConfig(machines)
+	cfgOnDemand.Ablate = core.AblateRemoteSets
+	for _, row := range []struct {
+		name string
+		pull bool
+		with time.Duration
+	}{{"accumulated vs on-demand remote writes (push)", false, pushT}, {"mirrored vs on-demand remote reads (pull)", true, pullT}} {
+		prog.log("ablations: %s", row.name)
+		onDemandT, err := runPR(cfgOnDemand, row.pull)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(row.name,
+			fmt.Sprintf("replicated %s", fmtSecs(row.with.Seconds())),
+			fmt.Sprintf("on demand %s", fmtSecs(onDemandT.Seconds())),
+			fmt.Sprintf("%.2f", row.with.Seconds()/onDemandT.Seconds()))
 	}
-	cfgShared := cfgPriv
-	cfgShared.Ablate = core.AblateGhostPrivatization
-	sharedT, err := runPR(cfgShared, false)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("ghost privatization vs shared atomics",
-		fmt.Sprintf("private %s", fmtSecs(privT.Seconds())),
-		fmt.Sprintf("shared %s", fmtSecs(sharedT.Seconds())),
-		fmt.Sprintf("%.2f", privT.Seconds()/sharedT.Seconds()))
-
-	// 3. Read combining on vs off (pull with ghosting disabled, so every
-	// cross-partition read goes remote — the duplicate-heavy case).
-	prog.log("ablations: read combining")
-	cfgComb := core.DefaultConfig(machines)
-	cfgComb.GhostThreshold = core.GhostDisabled
-	combT, err := runPR(cfgComb, true)
-	if err != nil {
-		return nil, err
-	}
-	cfgNoComb := cfgComb
-	cfgNoComb.Ablate = core.AblateReadCombining
-	noCombT, err := runPR(cfgNoComb, true)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("read combining vs raw protocol",
-		fmt.Sprintf("combined %s", fmtSecs(combT.Seconds())),
-		fmt.Sprintf("raw %s", fmtSecs(noCombT.Seconds())),
-		fmt.Sprintf("%.2f", combT.Seconds()/noCombT.Seconds()))
 
 	// 4. Direction switching: adaptive BFS vs fixed push (both on the
 	// frontier machinery; only the per-superstep heuristic differs).
@@ -139,38 +122,7 @@ func ExpAblations(ds *Datasets, scale, machines int, prog Progress) (*Table, err
 		fmt.Sprintf("dense %s", fmtSecs(denseT.Seconds())),
 		fmt.Sprintf("%.2f", fixedT.Seconds()/denseT.Seconds()))
 
-	// 6. Write combining: WCC's min-label pushes produce duplicate
-	// (prop, op, offset) records whenever several frontier nodes share a
-	// remote neighbor — the case the sender-side combiner folds in place.
-	prog.log("ablations: write combining")
-	runWCC := func(cfg core.Config) (time.Duration, error) {
-		c, err := core.NewCluster(cfg)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Shutdown()
-		if err := c.Load(g); err != nil {
-			return 0, err
-		}
-		_, met, err := algorithms.WCC(c, 100000)
-		return met.Total, err
-	}
-	combWT, err := runWCC(core.DefaultConfig(machines))
-	if err != nil {
-		return nil, err
-	}
-	cfgNoW := core.DefaultConfig(machines)
-	cfgNoW.Ablate = core.AblateWriteCombining
-	noCombWT, err := runWCC(cfgNoW)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("write combining vs raw write records (WCC)",
-		fmt.Sprintf("combined %s", fmtSecs(combWT.Seconds())),
-		fmt.Sprintf("raw %s", fmtSecs(noCombWT.Seconds())),
-		fmt.Sprintf("%.2f", combWT.Seconds()/noCombWT.Seconds()))
-
-	// 7. Per-step overhead: barrier vs full (empty) job.
+	// 6. Per-step overhead: barrier vs full (empty) job.
 	prog.log("ablations: per-step overhead")
 	c, err := core.NewCluster(core.DefaultConfig(machines))
 	if err != nil {

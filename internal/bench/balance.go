@@ -20,11 +20,6 @@ import (
 // the steal tests pin down.
 const BalanceSkew = 0.85
 
-// balanceGhosts is the fixed top-degree ghost budget of the skewed and
-// balanced cells, so the only variable between variants is the load
-// balancer. Replanned cells use the budget the plan itself picked.
-const balanceGhosts = 64
-
 // BalanceRow is one cell of the load-balancing ablation: one algorithm on
 // one layout under one balancing strategy.
 type BalanceRow struct {
@@ -66,7 +61,6 @@ type BalanceReplanInfo struct {
 	ImbalanceAfter     float64   `json:"edge_imbalance_after"`
 	PredictedImbalance float64   `json:"predicted_imbalance"`
 	MeasuredWaitSkew   float64   `json:"measured_wait_skew"`
-	GhostCount         int       `json:"ghost_count"`
 	CostRates          []float64 `json:"cost_rates_ns_per_degree"`
 }
 
@@ -131,7 +125,6 @@ func ExpBalance(ds *Datasets, scale, machines, prIters int, prog Progress) (*Tab
 		ImbalanceAfter:     plan.Layout.EdgeImbalance(g),
 		PredictedImbalance: plan.PredictedImbalance,
 		MeasuredWaitSkew:   plan.MeasuredWaitSkew,
-		GhostCount:         plan.GhostCount,
 		CostRates:          plan.CostRates,
 	}
 
@@ -139,13 +132,12 @@ func ExpBalance(ds *Datasets, scale, machines, prIters int, prog Progress) (*Tab
 		name   string
 		layout partition.Layout
 		lname  string
-		ghosts int
 		steal  bool
 	}
 	variants := []variant{
-		{"no-steal", skewed, "skewed", balanceGhosts, false},
-		{"steal", skewed, "skewed", balanceGhosts, true},
-		{"no-steal", plan.Layout, "replanned", plan.GhostCount, false},
+		{"no-steal", skewed, "skewed", false},
+		{"steal", skewed, "skewed", true},
+		{"no-steal", plan.Layout, "replanned", false},
 	}
 
 	for _, algo := range []string{"bfs", "sssp", "wcc", "pr-push"} {
@@ -158,7 +150,7 @@ func ExpBalance(ds *Datasets, scale, machines, prIters int, prog Progress) (*Tab
 		start := len(rep.Rows)
 		for _, v := range variants {
 			prog.log("balance: %s %s/%s", algo, v.lname, v.name)
-			row, bits, err := bestOfTwo(ag, machines, v.layout, v.ghosts, v.steal, algo, prIters)
+			row, bits, err := bestOfTwo(ag, machines, v.layout, v.steal, algo, prIters)
 			if err != nil {
 				return nil, nil, fmt.Errorf("balance: %s %s/%s: %w", algo, v.lname, v.name, err)
 			}
@@ -186,7 +178,7 @@ func ExpBalance(ds *Datasets, scale, machines, prIters int, prog Progress) (*Tab
 				name = "steal"
 			}
 			prog.log("balance: %s balanced/%s", algo, name)
-			row, bits, err := bestOfTwo(ag, machines, balanced, balanceGhosts, steal, algo, prIters)
+			row, bits, err := bestOfTwo(ag, machines, balanced, steal, algo, prIters)
 			if err != nil {
 				return nil, nil, fmt.Errorf("balance: %s balanced/%s: %w", algo, name, err)
 			}
@@ -213,8 +205,8 @@ func ExpBalance(ds *Datasets, scale, machines, prIters int, prog Progress) (*Tab
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("skewed cut: machine 0 owns %.0f%% of the degree mass (edge imbalance %.2f)",
 			100*BalanceSkew, rep.Replan.ImbalanceBefore),
-		fmt.Sprintf("replanned cut: from the steal-off run's telemetry (edge imbalance %.2f -> %.2f, %d ghosts)",
-			rep.Replan.ImbalanceBefore, rep.Replan.ImbalanceAfter, rep.Replan.GhostCount),
+		fmt.Sprintf("replanned cut: from the steal-off run's telemetry (edge imbalance %.2f -> %.2f)",
+			rep.Replan.ImbalanceBefore, rep.Replan.ImbalanceAfter),
 		"wait-skew = max/mean of per-machine barrier-wait totals; 1.0 is perfectly balanced",
 		"identical = per-node results bit-identical to the skewed no-steal run; pr-push sums floats in arrival order, so its steal rows are speedup-only",
 		"wall-clock speedup from stealing needs real parallel hardware: on one core the straggler's work runs somewhere either way, but wait-skew and the stolen column still show the balancer working")
@@ -231,7 +223,7 @@ func measureReplan(g *graph.Graph, machines int, skewed partition.Layout, prIter
 		return partition.Plan{}, err
 	}
 	defer c.Shutdown()
-	if err := c.LoadPlan(g, skewed, balanceGhosts); err != nil {
+	if err := c.LoadPlan(g, skewed); err != nil {
 		return partition.Plan{}, err
 	}
 	if _, _, err := algorithms.PageRankPush(c, prIters, 0.85); err != nil {
@@ -244,11 +236,11 @@ func measureReplan(g *graph.Graph, machines int, skewed partition.Layout, prIter
 // keeps the faster run's row. The returned bits are the per-node results for
 // the identity check (identical across trials by construction on the Min
 // kernels; for pr-push the last trial's).
-func bestOfTwo(g *graph.Graph, machines int, layout partition.Layout, ghosts int, steal bool, algo string, prIters int) (BalanceRow, []uint64, error) {
+func bestOfTwo(g *graph.Graph, machines int, layout partition.Layout, steal bool, algo string, prIters int) (BalanceRow, []uint64, error) {
 	var best BalanceRow
 	var bits []uint64
 	for trial := 0; trial < 2; trial++ {
-		row, b, err := runBalanceCell(g, machines, layout, ghosts, steal, algo, prIters)
+		row, b, err := runBalanceCell(g, machines, layout, steal, algo, prIters)
 		if err != nil {
 			return BalanceRow{}, nil, err
 		}
@@ -265,7 +257,7 @@ func bestOfTwo(g *graph.Graph, machines int, layout partition.Layout, ghosts int
 // run over the TCP fabric: cross-machine balancing is about the wire, and
 // the in-process fabric's free sends would understate the cost of moving a
 // chunk relative to owning it.
-func runBalanceCell(g *graph.Graph, machines int, layout partition.Layout, ghosts int, steal bool, algo string, prIters int) (BalanceRow, []uint64, error) {
+func runBalanceCell(g *graph.Graph, machines int, layout partition.Layout, steal bool, algo string, prIters int) (BalanceRow, []uint64, error) {
 	cfg := core.DefaultConfig(machines)
 	cfg.EnableWorkStealing = steal
 	// Fine-grained chunks: the straggler's cursor drains gradually, so
@@ -288,7 +280,7 @@ func runBalanceCell(g *graph.Graph, machines int, layout partition.Layout, ghost
 		return BalanceRow{}, nil, err
 	}
 	defer c.Shutdown()
-	if err := c.LoadPlan(g, layout, ghosts); err != nil {
+	if err := c.LoadPlan(g, layout); err != nil {
 		return BalanceRow{}, nil, err
 	}
 

@@ -270,7 +270,7 @@ func TestExpAblationsSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 7 {
+	if len(tbl.Rows) != 6 {
 		t.Fatalf("got %d rows", len(tbl.Rows))
 	}
 }

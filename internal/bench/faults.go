@@ -31,9 +31,6 @@ func ExpFaults(ds *Datasets, scale, machines int, prog Progress) (*Table, error)
 		cfg := core.DefaultConfig(machines)
 		cfg.RequestTimeout = 1500 * time.Millisecond
 		cfg.CollectiveTimeout = 1500 * time.Millisecond
-		// Disable ghosting so every cross-partition read goes remote — the
-		// scenarios need wire traffic to fault.
-		cfg.GhostThreshold = core.GhostDisabled
 		inj := pgxd.NewFaultFabric(cfg, nil, plan)
 		cfg.Fabric = inj
 		c, err := core.NewCluster(cfg)

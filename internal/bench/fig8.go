@@ -63,7 +63,6 @@ func ExpFig8a(copierCounts []int, prog Progress) (*Table, error) {
 		cfg := core.DefaultConfig(2)
 		cfg.Copiers = cp
 		cfg.Workers = 4
-		cfg.GhostThreshold = -1
 		c, err := core.NewCluster(cfg)
 		if err != nil {
 			return nil, err

@@ -106,7 +106,6 @@ func ExpObs(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table, 
 	// --- 2: TCP fabric with full instrumentation ---------------------------
 	prog.log("obs: instrumented PageRank over TCP")
 	cfg := core.DefaultConfig(machines)
-	cfg.GhostThreshold = core.GhostDisabled // every cross-partition read hits the wire
 	cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
 	cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
 	reg := obs.NewRegistry()
@@ -159,7 +158,6 @@ func ExpObs(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table, 
 	// --- 3: flight recorder under fault injection --------------------------
 	prog.log("obs: flight recorder under injected fault")
 	fcfg := core.DefaultConfig(machines)
-	fcfg.GhostThreshold = core.GhostDisabled
 	fcfg.RequestTimeout = 1500 * time.Millisecond
 	fcfg.CollectiveTimeout = 1500 * time.Millisecond
 	freg := obs.NewRegistry()
@@ -202,7 +200,7 @@ func ExpObs(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table, 
 
 	t.Notes = append(t.Notes,
 		"overhead is full instrumentation (spans+histograms+matrix) vs. the nil-registry fast path",
-		"tcp section has ghosting disabled so the traffic matrix reflects the raw pull pattern",
+		"the tcp section's traffic matrix is the mirrored pull pattern: one prefetch per referenced remote address per iteration",
 		"the abort dump is what a post-mortem sees after ErrJobAborted")
 	return t, rep, nil
 }

@@ -208,9 +208,8 @@ func oocIdentity(ds *Datasets, machines, prIters int, rep *OOCReport, t *Table, 
 
 	for _, fabric := range []string{"inproc", "tcp"} {
 		prog.log("ooc: identity pass over %s fabric", fabric)
-		// In-memory twin: ghosting off (set for every identity cell in
-		// oocRunAll) so the ref encoding — and therefore the execution path —
-		// matches the ghost-free store file exactly.
+		// In-memory twin: the ref encoding — and therefore the execution path
+		// — is the store file's own.
 		memRes, err := oocRunAll(machines, fabric, prIters, nil,
 			func(c *core.Cluster) (func(), error) { return nil, c.Load(g) })
 		if err != nil {
@@ -289,7 +288,6 @@ type oocCell struct {
 // algorithms, returning their result bits.
 func oocRunAll(machines int, fabric string, prIters int, tune func(*core.Config), load func(*core.Cluster) (func(), error)) ([]oocCell, error) {
 	cfg := core.DefaultConfig(machines)
-	cfg.GhostThreshold = core.GhostDisabled
 	if fabric == "tcp" {
 		cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
 		cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
@@ -437,7 +435,6 @@ func oocCappedFormat(dir, format, path string, machines, prIters int, rep *OOCRe
 	defer sf.Close()
 
 	cfg := core.DefaultConfig(machines)
-	cfg.GhostThreshold = core.GhostDisabled
 	cfg.ResidentBudgetBytes = rep.ResidentBudgetBytes
 	cfg.SpillWrites = true
 	cfg.SpillDir = dir

@@ -50,13 +50,12 @@ type WireReport struct {
 }
 
 // ExpWire measures the wire compression layer: sorted delta-varint encoding
-// of read requests, write batches, and ghost merges, against the
-// AblateWireCompression run, on both fabrics.
+// of read requests and write batches, against the AblateWireCompression run,
+// on both fabrics.
 //
-// PageRank-pull with ghosting disabled is the read-request stress (the
-// acceptance workload: every cross-partition neighbor read crosses the wire
-// as an 8-byte key that compresses to 1-2 bytes); WCC with ghosting enabled
-// exercises the int64 write batches and the ghost-merge allreduce. Results
+// PageRank-pull is the read-request stress (the acceptance workload: every
+// referenced remote address crosses the wire once per iteration as an 8-byte
+// key that compresses to 1-2 bytes); WCC exercises the int64 write batches. Results
 // must match the uncompressed twin bit-for-bit on WCC (integer min
 // reductions commute exactly) and within float tolerance on PageRank.
 func ExpWire(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table, *WireReport, error) {
@@ -83,11 +82,6 @@ func ExpWire(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table,
 				}
 				cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
 				cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
-				if algo == "pr-pull" {
-					// Worst-case read traffic: no ghosts, every remote
-					// neighbor value fetched over the wire.
-					cfg.GhostThreshold = core.GhostDisabled
-				}
 				var fab *comm.TCPFabric
 				if fabric == "tcp" {
 					fab, err = comm.NewTCPFabricOpts(machines,
@@ -141,7 +135,7 @@ func ExpWire(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table,
 		}
 	}
 	t.Notes = append(t.Notes,
-		"pr-pull runs with ghosting disabled (read-request stress); wcc with auto ghosting (write batches + ghost merges)",
+		"pr-pull is the read-request stress (one sorted prefetch per owner), wcc the write batches",
 		"reduction = fraction of total wire bytes (headers included) removed vs. the AblateWireCompression twin",
 		"in-proc frames pass by reference, so the engine gates compression off there (ratio 1.00): those rows check the gate keeps runtime unchanged")
 	return t, rep, nil

@@ -73,14 +73,6 @@ func AppendZigZag(dst []byte, v int64) []byte {
 	return AppendUvarint(dst, ZigZag(v))
 }
 
-// AppendZigZags appends every value of vals as a zigzag-varint column.
-func AppendZigZags(dst []byte, vals []int64) []byte {
-	for _, v := range vals {
-		dst = AppendUvarint(dst, ZigZag(v))
-	}
-	return dst
-}
-
 // AppendDeltaU64s appends vals — which must be sorted ascending — as a
 // delta-varint column: the first value verbatim, every later one as the gap
 // to its predecessor. Sorted node-ID batches have small gaps, so most

@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/reduce"
 )
 
@@ -45,13 +44,6 @@ type Collectives struct {
 	// timeout bounds each control-frame wait; zero waits forever. It is the
 	// last-resort detector for peers that died without sending MsgAbort.
 	timeout time.Duration
-
-	// compress enables zigzag-varint encoding of int64 allreduce payloads —
-	// the carrier of ghost-merge deltas, whose values cluster near zero.
-	// Float64 payloads always pass through raw (type-aware treatment).
-	compress bool
-	// enc is the reusable encode scratch; sized on first use.
-	enc []byte
 }
 
 // SetAbort installs (or clears, with nil) the abort channel observed by
@@ -60,10 +52,6 @@ func (c *Collectives) SetAbort(ch <-chan struct{}) { c.abort = ch }
 
 // SetTimeout bounds every subsequent control-frame wait; zero disables.
 func (c *Collectives) SetTimeout(d time.Duration) { c.timeout = d }
-
-// SetCompression toggles wire compression of int64 allreduce payloads. All
-// machines must agree (SPMD), matching the engine's config.
-func (c *Collectives) SetCompression(on bool) { c.compress = on }
 
 // Seq returns the collective sequence counter, used by recovery to
 // resynchronize machines whose counters diverged during an aborted job.
@@ -183,8 +171,7 @@ func (c *Collectives) Barrier() error {
 }
 
 // AllReduceF64 reduces vals element-wise across all machines with op and
-// stores the global result back into vals on every machine. Float payloads
-// ship raw: varint coding only pays for integers clustered near zero.
+// stores the global result back into vals on every machine.
 func (c *Collectives) AllReduceF64(vals []float64, op reduce.Op) error {
 	return c.allReduce(len(vals),
 		func(buf *Buffer) {
@@ -192,7 +179,7 @@ func (c *Collectives) AllReduceF64(vals []float64, op reduce.Op) error {
 				buf.AppendU64(math.Float64bits(v))
 			}
 		},
-		func(h Header, payload []byte, merge bool) error {
+		func(payload []byte, merge bool) error {
 			if len(payload) < 8*len(vals) {
 				return fmt.Errorf("comm: truncated allreduce contribution: %d bytes for %d values", len(payload), len(vals))
 			}
@@ -209,45 +196,15 @@ func (c *Collectives) AllReduceF64(vals []float64, op reduce.Op) error {
 }
 
 // AllReduceI64 reduces vals element-wise across all machines with op and
-// stores the global result back into vals on every machine. With compression
-// enabled, contributions and results ship as a zigzag-varint column whenever
-// that is smaller than fixed width — ghost-merge deltas (the dominant int64
-// reduction) are mostly zeros and small counts, so they compress hard.
+// stores the global result back into vals on every machine.
 func (c *Collectives) AllReduceI64(vals []int64, op reduce.Op) error {
 	return c.allReduce(len(vals),
 		func(buf *Buffer) {
-			if c.compress {
-				c.enc = codec.AppendZigZags(c.enc[:0], vals)
-				if len(c.enc) < 8*len(vals) {
-					buf.SetFlags(FlagCompressed)
-					buf.AppendBytes(c.enc)
-					c.ep.Metrics().RecordCompression(int64(8*len(vals)), int64(len(c.enc)))
-					return
-				}
-				c.ep.Metrics().RecordCompression(int64(8*len(vals)), int64(8*len(vals)))
-			}
 			for _, v := range vals {
 				buf.AppendU64(uint64(v))
 			}
 		},
-		func(h Header, payload []byte, merge bool) error {
-			if h.Flags&FlagCompressed != 0 {
-				off := 0
-				for i := range vals {
-					u, k := codec.Uvarint(payload[off:])
-					if k <= 0 {
-						return fmt.Errorf("comm: torn compressed allreduce payload: value %d of %d at byte %d", i, len(vals), off)
-					}
-					off += k
-					v := codec.UnZigZag(u)
-					if merge {
-						vals[i] = reduce.ApplyI64(op, vals[i], v)
-					} else {
-						vals[i] = v
-					}
-				}
-				return nil
-			}
+		func(payload []byte, merge bool) error {
 			if len(payload) < 8*len(vals) {
 				return fmt.Errorf("comm: truncated allreduce contribution: %d bytes for %d values", len(payload), len(vals))
 			}
@@ -264,12 +221,10 @@ func (c *Collectives) AllReduceI64(vals []int64, op reduce.Op) error {
 }
 
 // allReduce implements the star-shaped gather-reduce-broadcast shared by the
-// typed variants. write serializes the local contribution (setting
-// FlagCompressed if it chose a compact encoding); apply decodes a remote
-// payload — validating it against the header it arrived under — and merges
-// it into the local values (merge=true) or overwrites them with the root's
-// result (merge=false).
-func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(h Header, payload []byte, merge bool) error) error {
+// typed variants. write serializes the local contribution; apply decodes and
+// validates a remote payload and merges it into the local values (merge=true)
+// or overwrites them with the root's result (merge=false).
+func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload []byte, merge bool) error) error {
 	c.seq++
 	seq := c.seq
 	p := c.ep.NumMachines()
@@ -286,7 +241,7 @@ func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(h Header,
 			if err != nil {
 				return err
 			}
-			err = apply(buf.Header(), buf.Payload(), true)
+			err = apply(buf.Payload(), true)
 			buf.Release()
 			if err != nil {
 				return fmt.Errorf("%v (seq=%d)", err, seq)
@@ -310,7 +265,7 @@ func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(h Header,
 	if err != nil {
 		return err
 	}
-	err = apply(buf.Header(), buf.Payload(), false)
+	err = apply(buf.Payload(), false)
 	buf.Release()
 	if err != nil {
 		return fmt.Errorf("%v (seq=%d)", err, seq)

@@ -13,7 +13,7 @@ const (
 )
 
 // Metrics accumulates per-endpoint traffic counters, split by message type.
-// Figure 6a (traffic reduction from ghosting) and the Figure 8 bandwidth
+// Figure 6a (traffic reduction from replicas) and the Figure 8 bandwidth
 // studies read these. All counters are atomic: many goroutines send
 // concurrently.
 type Metrics struct {
@@ -25,27 +25,11 @@ type Metrics struct {
 	// Per-type byte counts (indexed by MsgType) for sent frames.
 	sentByType [7]atomic.Int64
 
-	// Read-combining counters (engine-fed): a hit is a read record the
-	// requester elided because the same (prop, offset) was already buffered
-	// in the open message window; bytes saved count both the elided request
-	// record and the elided response word.
-	dedupHits       atomic.Int64
-	dedupMisses     atomic.Int64
-	dedupBytesSaved atomic.Int64
-
 	// Wire-compression counters (engine-fed): raw is the fixed-width payload
 	// size a batch would have shipped, wire is what actually went out after
 	// the sorted delta-varint encoding (equal when a batch fell back to raw).
 	compressRawBytes  atomic.Int64
 	compressWireBytes atomic.Int64
-
-	// Write-combining counters (engine-fed): a sender-side hit is a remote
-	// write merged into an already-buffered record for the same
-	// (prop, op, offset); receiver-side combines are duplicate records in one
-	// sorted compressed batch merged before the column apply.
-	writeCombineHits       atomic.Int64
-	writeCombineSavedBytes atomic.Int64
-	recvWritesCombined     atomic.Int64
 
 	// Transport error counters: failed socket writes and corrupt/truncated
 	// inbound frames (a poisoned stream is diagnosable, not a silent hang).
@@ -92,37 +76,10 @@ func (m *Metrics) BytesSentByType(t MsgType) int64 {
 }
 
 // DataBytesSent returns bytes sent excluding control traffic — the traffic
-// measure Figure 6a plots (ghosting reduces data traffic; barrier chatter is
+// measure Figure 6a plots (replicas reduce data traffic; barrier chatter is
 // constant).
 func (m *Metrics) DataBytesSent() int64 {
 	return m.BytesSent() - m.BytesSentByType(MsgCtrl) - m.BytesSentByType(MsgAbort)
-}
-
-// RecordReadDedup folds one job's read-combining counters in: hits are
-// duplicate reads served from the in-flight message window, misses are
-// records that actually went on the wire, saved is the byte traffic elided.
-func (m *Metrics) RecordReadDedup(hits, misses, saved int64) {
-	m.dedupHits.Add(hits)
-	m.dedupMisses.Add(misses)
-	m.dedupBytesSaved.Add(saved)
-}
-
-// ReadDedupHits returns how many read records were combined away.
-func (m *Metrics) ReadDedupHits() int64 { return m.dedupHits.Load() }
-
-// ReadDedupMisses returns how many read records were actually buffered.
-func (m *Metrics) ReadDedupMisses() int64 { return m.dedupMisses.Load() }
-
-// ReadDedupBytesSaved returns request+response bytes elided by combining.
-func (m *Metrics) ReadDedupBytesSaved() int64 { return m.dedupBytesSaved.Load() }
-
-// ReadDedupHitRate returns hits/(hits+misses), or 0 with no reads.
-func (m *Metrics) ReadDedupHitRate() float64 {
-	h, s := m.dedupHits.Load(), m.dedupMisses.Load()
-	if h+s == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+s)
 }
 
 // RecordCompression folds one batch's wire-compression effect in: raw is
@@ -138,28 +95,6 @@ func (m *Metrics) CompressRawBytes() int64 { return m.compressRawBytes.Load() }
 
 // CompressWireBytes returns the bytes those payloads actually occupied.
 func (m *Metrics) CompressWireBytes() int64 { return m.compressWireBytes.Load() }
-
-// RecordWriteCombine folds one job's sender-side write combining in: hits
-// are remote writes merged into an already-buffered record, saved the
-// request bytes those records would have occupied.
-func (m *Metrics) RecordWriteCombine(hits, saved int64) {
-	m.writeCombineHits.Add(hits)
-	m.writeCombineSavedBytes.Add(saved)
-}
-
-// WriteCombineHits returns how many remote writes were merged sender-side.
-func (m *Metrics) WriteCombineHits() int64 { return m.writeCombineHits.Load() }
-
-// WriteCombineSavedBytes returns request bytes elided by sender-side write
-// combining.
-func (m *Metrics) WriteCombineSavedBytes() int64 { return m.writeCombineSavedBytes.Load() }
-
-// RecordRecvCombine counts n duplicate write records merged receiver-side
-// within one sorted compressed batch.
-func (m *Metrics) RecordRecvCombine(n int64) { m.recvWritesCombined.Add(n) }
-
-// RecvWritesCombined returns how many write records were merged receiver-side.
-func (m *Metrics) RecvWritesCombined() int64 { return m.recvWritesCombined.Load() }
 
 // RecordSendError counts one failed socket write.
 func (m *Metrics) RecordSendError() { m.sendErrors.Add(1) }
@@ -179,18 +114,11 @@ type Snapshot struct {
 	FramesRecv, BytesRecv int64
 	DataBytesSent         int64
 
-	// Read-path traffic split and combining effect.
+	// Read-path traffic split.
 	ReadReqBytes, ReadRespBytes int64
-	DedupHits, DedupMisses      int64
-	DedupBytesSaved             int64
 
 	// Wire compression: fixed-width size vs. bytes actually sent.
 	CompressRawBytes, CompressWireBytes int64
-
-	// Write combining: sender-side merges (and bytes they saved) plus
-	// receiver-side merges within sorted compressed batches.
-	WriteCombineHits, WriteCombineSavedBytes int64
-	RecvWritesCombined                       int64
 
 	// Transport errors.
 	SendErrors, RecvErrors int64
@@ -199,23 +127,17 @@ type Snapshot struct {
 // Snapshot captures current counter values.
 func (m *Metrics) Snapshot() Snapshot {
 	return Snapshot{
-		FramesSent:             m.FramesSent(),
-		BytesSent:              m.BytesSent(),
-		FramesRecv:             m.FramesRecv(),
-		BytesRecv:              m.BytesRecv(),
-		DataBytesSent:          m.DataBytesSent(),
-		ReadReqBytes:           m.BytesSentByType(MsgReadReq),
-		ReadRespBytes:          m.BytesSentByType(MsgReadResp),
-		DedupHits:              m.ReadDedupHits(),
-		DedupMisses:            m.ReadDedupMisses(),
-		DedupBytesSaved:        m.ReadDedupBytesSaved(),
-		CompressRawBytes:       m.CompressRawBytes(),
-		CompressWireBytes:      m.CompressWireBytes(),
-		WriteCombineHits:       m.WriteCombineHits(),
-		WriteCombineSavedBytes: m.WriteCombineSavedBytes(),
-		RecvWritesCombined:     m.RecvWritesCombined(),
-		SendErrors:             m.SendErrors(),
-		RecvErrors:             m.RecvErrors(),
+		FramesSent:        m.FramesSent(),
+		BytesSent:         m.BytesSent(),
+		FramesRecv:        m.FramesRecv(),
+		BytesRecv:         m.BytesRecv(),
+		DataBytesSent:     m.DataBytesSent(),
+		ReadReqBytes:      m.BytesSentByType(MsgReadReq),
+		ReadRespBytes:     m.BytesSentByType(MsgReadResp),
+		CompressRawBytes:  m.CompressRawBytes(),
+		CompressWireBytes: m.CompressWireBytes(),
+		SendErrors:        m.SendErrors(),
+		RecvErrors:        m.RecvErrors(),
 	}
 }
 
@@ -233,57 +155,37 @@ func (s Snapshot) CompressSavedBytes() int64 {
 	return s.CompressRawBytes - s.CompressWireBytes
 }
 
-// DedupHitRate returns the snapshot's combining hit rate in [0,1].
-func (s Snapshot) DedupHitRate() float64 {
-	if s.DedupHits+s.DedupMisses == 0 {
-		return 0
-	}
-	return float64(s.DedupHits) / float64(s.DedupHits+s.DedupMisses)
-}
-
 // Sub returns s - o component-wise.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return Snapshot{
-		FramesSent:             s.FramesSent - o.FramesSent,
-		BytesSent:              s.BytesSent - o.BytesSent,
-		FramesRecv:             s.FramesRecv - o.FramesRecv,
-		BytesRecv:              s.BytesRecv - o.BytesRecv,
-		DataBytesSent:          s.DataBytesSent - o.DataBytesSent,
-		ReadReqBytes:           s.ReadReqBytes - o.ReadReqBytes,
-		ReadRespBytes:          s.ReadRespBytes - o.ReadRespBytes,
-		DedupHits:              s.DedupHits - o.DedupHits,
-		DedupMisses:            s.DedupMisses - o.DedupMisses,
-		DedupBytesSaved:        s.DedupBytesSaved - o.DedupBytesSaved,
-		CompressRawBytes:       s.CompressRawBytes - o.CompressRawBytes,
-		CompressWireBytes:      s.CompressWireBytes - o.CompressWireBytes,
-		WriteCombineHits:       s.WriteCombineHits - o.WriteCombineHits,
-		WriteCombineSavedBytes: s.WriteCombineSavedBytes - o.WriteCombineSavedBytes,
-		RecvWritesCombined:     s.RecvWritesCombined - o.RecvWritesCombined,
-		SendErrors:             s.SendErrors - o.SendErrors,
-		RecvErrors:             s.RecvErrors - o.RecvErrors,
+		FramesSent:        s.FramesSent - o.FramesSent,
+		BytesSent:         s.BytesSent - o.BytesSent,
+		FramesRecv:        s.FramesRecv - o.FramesRecv,
+		BytesRecv:         s.BytesRecv - o.BytesRecv,
+		DataBytesSent:     s.DataBytesSent - o.DataBytesSent,
+		ReadReqBytes:      s.ReadReqBytes - o.ReadReqBytes,
+		ReadRespBytes:     s.ReadRespBytes - o.ReadRespBytes,
+		CompressRawBytes:  s.CompressRawBytes - o.CompressRawBytes,
+		CompressWireBytes: s.CompressWireBytes - o.CompressWireBytes,
+		SendErrors:        s.SendErrors - o.SendErrors,
+		RecvErrors:        s.RecvErrors - o.RecvErrors,
 	}
 }
 
 // Add returns s + o component-wise.
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	return Snapshot{
-		FramesSent:             s.FramesSent + o.FramesSent,
-		BytesSent:              s.BytesSent + o.BytesSent,
-		FramesRecv:             s.FramesRecv + o.FramesRecv,
-		BytesRecv:              s.BytesRecv + o.BytesRecv,
-		DataBytesSent:          s.DataBytesSent + o.DataBytesSent,
-		ReadReqBytes:           s.ReadReqBytes + o.ReadReqBytes,
-		ReadRespBytes:          s.ReadRespBytes + o.ReadRespBytes,
-		DedupHits:              s.DedupHits + o.DedupHits,
-		DedupMisses:            s.DedupMisses + o.DedupMisses,
-		DedupBytesSaved:        s.DedupBytesSaved + o.DedupBytesSaved,
-		CompressRawBytes:       s.CompressRawBytes + o.CompressRawBytes,
-		CompressWireBytes:      s.CompressWireBytes + o.CompressWireBytes,
-		WriteCombineHits:       s.WriteCombineHits + o.WriteCombineHits,
-		WriteCombineSavedBytes: s.WriteCombineSavedBytes + o.WriteCombineSavedBytes,
-		RecvWritesCombined:     s.RecvWritesCombined + o.RecvWritesCombined,
-		SendErrors:             s.SendErrors + o.SendErrors,
-		RecvErrors:             s.RecvErrors + o.RecvErrors,
+		FramesSent:        s.FramesSent + o.FramesSent,
+		BytesSent:         s.BytesSent + o.BytesSent,
+		FramesRecv:        s.FramesRecv + o.FramesRecv,
+		BytesRecv:         s.BytesRecv + o.BytesRecv,
+		DataBytesSent:     s.DataBytesSent + o.DataBytesSent,
+		ReadReqBytes:      s.ReadReqBytes + o.ReadReqBytes,
+		ReadRespBytes:     s.ReadRespBytes + o.ReadRespBytes,
+		CompressRawBytes:  s.CompressRawBytes + o.CompressRawBytes,
+		CompressWireBytes: s.CompressWireBytes + o.CompressWireBytes,
+		SendErrors:        s.SendErrors + o.SendErrors,
+		RecvErrors:        s.RecvErrors + o.RecvErrors,
 	}
 }
 
@@ -291,15 +193,8 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 func (s Snapshot) String() string {
 	out := fmt.Sprintf("sent=%d frames/%d B recv=%d frames/%d B data=%d B",
 		s.FramesSent, s.BytesSent, s.FramesRecv, s.BytesRecv, s.DataBytesSent)
-	if s.DedupHits+s.DedupMisses > 0 {
-		out += fmt.Sprintf(" dedup=%.1f%% (%d B saved)", 100*s.DedupHitRate(), s.DedupBytesSaved)
-	}
 	if s.CompressRawBytes > 0 {
 		out += fmt.Sprintf(" compress=%.2f (%d B saved)", s.CompressionRatio(), s.CompressSavedBytes())
-	}
-	if s.WriteCombineHits+s.RecvWritesCombined > 0 {
-		out += fmt.Sprintf(" wcombine=%d send (%d B saved)/%d recv",
-			s.WriteCombineHits, s.WriteCombineSavedBytes, s.RecvWritesCombined)
 	}
 	if s.SendErrors+s.RecvErrors > 0 {
 		out += fmt.Sprintf(" errors=%d send/%d recv", s.SendErrors, s.RecvErrors)

@@ -7,11 +7,11 @@ import "repro/internal/obs"
 // worker holds, per declared write property, a private accumulator of one plain
 // word per address of the set, bottomed with the reduction's identity — ghost
 // privatization (§3.3: thread-private copies without atomics, folded out after
-// the step) extended to every remote neighbour. Writer.Write folds a remote ref
-// the set holds into its slot, and flushAccum ships the slots through the
-// ordinary write path, so termination still counts records sent and applied. A
-// remote reduction therefore lands when its sending worker has run dry rather
-// than somewhere inside the superstep — the rule ghost partials already follow.
+// the step) for every remote neighbour the set holds. Writer.Write folds a
+// remote ref the set holds into its slot, and flushAccum ships the slots through
+// the ordinary write path, so termination still counts records sent and applied.
+// A remote reduction therefore lands when its sending worker has run dry rather
+// than somewhere inside the superstep.
 
 // accum is one worker's accumulator for one property: a plain word per address
 // of set, valid for job job. Nothing in it is written while rows run — a
@@ -24,18 +24,14 @@ type accum struct {
 }
 
 // flushAccum ships this worker's accumulators: one record per slot that left
-// the identity, per owner in ascending address order, with sender combining
-// bypassed — the addresses are distinct, and born sorted for the wire codec.
-// It runs after the worker's last continuation, so nothing can fold into a
+// the identity, per owner in ascending address order — born sorted for the wire
+// codec. It runs after the worker's last continuation, so nothing can fold into a
 // slot the walk has passed; a job that has failed by then ships nothing.
 func (w *worker) flushAccum(jr *jobRuntime) {
 	if jr.aborted() {
 		w.unwind()
 	}
 	t := w.reg.Clock()
-	wcombine := w.wcombine
-	w.wcombine = false
-	defer func() { w.wcombine = wcombine }()
 	shipped := 0
 	for _, ws := range jr.spec.WriteProps {
 		col := w.cols[ws.Prop]

@@ -90,8 +90,6 @@ func TestAccumulateFallsBackOnDemand(t *testing.T) {
 		const p = 2
 		cfg := DefaultConfig(p)
 		cfg.Workers = 1 // one accumulator per machine: a full scan ships every address of the set once
-		cfg.GhostThreshold = GhostDisabled
-		cfg.Ablate = AblateWriteCombining // every on-demand write is one applied record
 		reg := obs.NewRegistry()
 		cfg.Obs = reg
 		if useTCP {
@@ -257,7 +255,7 @@ func TestAccumulateFallsBackOnDemand(t *testing.T) {
 		cfg.Obs = reg
 		gate := newStealGate(innerFabric(t, cfg, false), 0, cfg.RequestTimeout)
 		cfg.Fabric = gate
-		c := bootSkewed(t, g, cfg, 0.85, 0)
+		c := bootSkewed(t, g, cfg, 0.85)
 		src, _ := c.AddPropI64("src")
 		dst, _ := c.AddPropI64("dst")
 		if err := runPushGated(t, c, g, src, dst, true, gate); err != nil {
@@ -300,7 +298,7 @@ func saltedPush(c *Cluster, g *graph.Graph, src, dst PropID, salt int, afterRow 
 	return nil
 }
 
-// accumCluster boots two ghost-free machines behind a fault injector with the
+// accumCluster boots two machines behind a fault injector with the
 // spill armed and small frames, so a flush is several frames and an abort's
 // spill file is observable. close tears everything down; it also runs, once,
 // when the test ends.
@@ -422,9 +420,8 @@ func TestFaultAccumulatedFlush(t *testing.T) {
 }
 
 // BenchmarkRemoteWrite is the budget of one remote write (remoteRefBudget): a
-// push-sum job whose remote reductions are buffered on demand with sender
-// combining (the protocol before the accumulator), on demand without it, and
-// folded into the worker's accumulator and shipped once.
+// push-sum job whose remote reductions are buffered on demand (the paper's
+// protocol), and folded into the worker's accumulator and shipped once.
 func BenchmarkRemoteWrite(b *testing.B) {
 	push := func(skipRemote bool) func(src, dst PropID) JobSpec {
 		return func(src, dst PropID) JobSpec {
@@ -433,5 +430,5 @@ func BenchmarkRemoteWrite(b *testing.B) {
 		}
 	}
 	remoteRefBudget(b, remoteBenchGraph(b), store.OrientOut, push(true), push(false),
-		[]remoteRefMode{{"on-demand", AblateRemoteSets}, {"on-demand-uncombined", AblateRemoteSets | AblateWriteCombining}, {"accumulated", 0}})
+		[]remoteRefMode{{"on-demand", AblateRemoteSets}, {"accumulated", 0}})
 }

@@ -27,7 +27,6 @@ type Cluster struct {
 	machines  []*Machine
 	meta      []propMeta
 	layout    partition.Layout
-	ghosts    *partition.GhostSet
 	numNodes  int
 	numEdges  int64
 	freeProps []PropID
@@ -109,43 +108,23 @@ func (c *Cluster) Obs() *obs.Registry { return c.cfg.Obs }
 // Config returns the cluster's (normalized) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Load partitions g across the machines per the configured strategy,
-// selects ghosts, and builds each machine's local store. Properties
-// registered before Load are discarded; register them after.
+// Load partitions g across the machines per the configured strategy and
+// builds each machine's local store. Properties registered before Load are
+// discarded; register them after.
 func (c *Cluster) Load(g *graph.Graph) error {
 	layout, err := partition.Compute(g, c.cfg.NumMachines, c.cfg.Partitioning)
 	if err != nil {
 		return err
 	}
-	var ghosts *partition.GhostSet
-	switch {
-	case c.cfg.GhostCount > 0:
-		ghosts = partition.SelectTopGhosts(g, c.cfg.GhostCount)
-	case c.cfg.GhostThreshold == GhostAuto:
-		avg := int64(0)
-		if g.NumNodes() > 0 {
-			avg = 2 * g.NumEdges() / int64(g.NumNodes())
-		}
-		threshold := 4 * avg
-		if threshold < 8 {
-			threshold = 8
-		}
-		ghosts = partition.SelectGhosts(g, threshold)
-	case c.cfg.GhostThreshold >= 0:
-		ghosts = partition.SelectGhosts(g, c.cfg.GhostThreshold)
-	default:
-		ghosts = partition.SelectTopGhosts(g, 0) // ghosting disabled
-	}
-	return c.install(g, layout, ghosts)
+	return c.install(g, layout)
 }
 
-// LoadPlan loads g with an explicit ownership layout and ghost budget,
-// bypassing the configured partitioning strategy — the entry point for
-// deliberately skewed layouts (partition.SkewedLayout) and for applying a
-// repartitioning plan from Replan. ghostCount > 0 ghosts that many
-// top-degree vertices; 0 disables ghosting. Like Load, it discards all
-// registered properties; re-register and re-fill after the reload.
-func (c *Cluster) LoadPlan(g *graph.Graph, layout partition.Layout, ghostCount int) error {
+// LoadPlan loads g with an explicit ownership layout, bypassing the
+// configured partitioning strategy — the entry point for deliberately skewed
+// layouts (partition.SkewedLayout) and for applying a repartitioning plan
+// from Replan. Like Load, it discards all registered properties; re-register
+// and re-fill after the reload.
+func (c *Cluster) LoadPlan(g *graph.Graph, layout partition.Layout) error {
 	if layout.NumMachines != c.cfg.NumMachines {
 		return fmt.Errorf("core: plan layout has %d machines, cluster has %d",
 			layout.NumMachines, c.cfg.NumMachines)
@@ -153,21 +132,28 @@ func (c *Cluster) LoadPlan(g *graph.Graph, layout partition.Layout, ghostCount i
 	if len(layout.Starts) != layout.NumMachines+1 || int(layout.Starts[layout.NumMachines]) != g.NumNodes() {
 		return fmt.Errorf("core: plan layout does not cover the %d-node graph", g.NumNodes())
 	}
-	return c.install(g, layout, partition.SelectTopGhosts(g, ghostCount))
+	return c.install(g, layout)
 }
 
 // install is the shared tail of Load/LoadPlan: adopt the layout and rebuild
-// every machine's local store.
-func (c *Cluster) install(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet) error {
+// every machine's local store. Under Config.GhostCount the machines share a
+// bitmap of the top vertices, the only ones their remote sets will hold.
+func (c *Cluster) install(g *graph.Graph, layout partition.Layout) error {
+	var top []uint64
+	if k := c.cfg.GhostCount; k > 0 {
+		top = make([]uint64, (g.NumNodes()+63)/64)
+		for _, v := range partition.SelectTopGhosts(g, k).Nodes {
+			top[v>>6] |= 1 << (v & 63)
+		}
+	}
 	c.layout = layout
-	c.ghosts = ghosts
 	c.numNodes = g.NumNodes()
 	c.numEdges = g.NumEdges()
 	c.meta = nil
 	c.freeProps = nil
 	c.ooc = nil
 	err := c.parallel(func(m *Machine) error {
-		m.load(g, layout, ghosts)
+		m.load(g, layout, top)
 		return nil
 	})
 	if err != nil {
@@ -178,10 +164,10 @@ func (c *Cluster) install(g *graph.Graph, layout partition.Layout, ghosts *parti
 }
 
 // Replan turns what the cluster measured since Load — the per-machine
-// task-time totals piggybacked on every job's write-drain collective, the
-// barrier-wait histograms, and the cumulative traffic matrix — into a
-// repartitioning plan for g, which must be the currently loaded graph.
-// Apply the plan with LoadPlan before the next run on the same graph.
+// task-time totals piggybacked on every job's write-drain collective and the
+// barrier-wait histograms — into a repartitioning plan for g, which must be
+// the currently loaded graph. Apply the plan with LoadPlan before the next run
+// on the same graph.
 func (c *Cluster) Replan(g *graph.Graph) (partition.Plan, error) {
 	if !c.loaded {
 		return partition.Plan{}, fmt.Errorf("core: Replan before Load")
@@ -196,7 +182,6 @@ func (c *Cluster) Replan(g *graph.Graph) (partition.Plan, error) {
 		for m := range t.BarrierWaitNanos {
 			t.BarrierWaitNanos[m] = reg.MachineHistogram(m, obs.HistBarrier).SumNS
 		}
-		t.TrafficBytes = reg.LifetimeTraffic()
 	}
 	return partition.Replan(g, c.layout, t)
 }
@@ -221,9 +206,6 @@ func (c *Cluster) NumNodes() int { return c.numNodes }
 
 // NumEdges returns the loaded graph's directed edge count.
 func (c *Cluster) NumEdges() int64 { return c.numEdges }
-
-// NumGhosts returns how many vertices are ghosted cluster-wide.
-func (c *Cluster) NumGhosts() int { return c.ghosts.Len() }
 
 // Layout returns the vertex partitioning.
 func (c *Cluster) Layout() partition.Layout { return c.layout }

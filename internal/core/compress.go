@@ -13,16 +13,15 @@ import (
 // the key column is delta-varint encoded — keys on one destination machine
 // share the property tag and have small offset gaps once sorted, so 8-byte
 // records shrink to 1-2 bytes. Values are type-aware: int64 properties
-// zigzag-varint (ghost deltas and counters cluster near zero), float64
+// zigzag-varint (labels, levels and counters cluster near zero), float64
 // properties pass through raw (their bit patterns do not compress with
 // integer codecs). Each message carries comm.FlagCompressed only when the
 // compact encoding actually came out smaller, so receivers never guess.
 //
-// Sorting also serves the read-combining fast path from the comm fast-path
-// PR: the receiver walks the sorted column with monotonically increasing
-// offsets (cache-friendly column loads), and the requester's side-structure
-// slots are remapped through the sort permutation so response fan-out is
-// unchanged.
+// Sorting also serves the receiver, which walks the sorted column with
+// monotonically increasing offsets (cache-friendly column loads); the
+// requester's side-structure slots are remapped through the sort permutation so
+// each continuation still finds its word.
 
 // wireCompressMinRecords is the break-even batch size below which a flush
 // ships raw. Measured, not guessed: BenchmarkDeltaColumnEncode/Decode in

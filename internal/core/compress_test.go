@@ -10,8 +10,7 @@ import (
 )
 
 // compressConfig builds the cluster config the wire-compression tests share:
-// ghosting off so reads and writes cross the wire, small buffers so batches
-// flush often, and the ablation flag set per cell. The remote sets are ablated
+// small buffers so batches flush often, and the ablation flag set per cell. The remote sets are ablated
 // so that read and write batches leave in edge order and take the codec's sort
 // and slot-remap branch; a prefetch's and an accumulator flush's batches are
 // born sorted, and TestMirroredPullMatchesOnDemand and
@@ -19,7 +18,6 @@ import (
 func compressConfig(p int, disable bool) Config {
 	cfg := DefaultConfig(p)
 	cfg.BufferSize = 8 << 10
-	cfg.GhostThreshold = GhostDisabled
 	cfg.Ablate = AblateRemoteSets
 	if disable {
 		cfg.Ablate |= AblateWireCompression
@@ -158,66 +156,6 @@ func TestWireCompressionMatchesReference(t *testing.T) {
 			t.Logf("%s: ratio %.3f, total bytes %d -> %d", fc.name,
 				on.traffic.CompressionRatio(), off.traffic.BytesSent, on.traffic.BytesSent)
 		})
-	}
-}
-
-// TestWireCompressionGhostMerge: with everything ghosted, iteration traffic
-// is the ghost-merge allreduce — the compressed collective must produce the
-// same labels as the ablation and record compression in the comm metrics.
-// Runs over TCP: the in-memory fabric gates compression off entirely.
-func TestWireCompressionGhostMerge(t *testing.T) {
-	g := testGraph(t)
-	var labels [2][]int64
-	for i, disable := range []bool{false, true} {
-		cfg := DefaultConfig(3)
-		cfg.GhostThreshold = 0 // ghost every node: merges dominate
-		if disable {
-			cfg.Ablate = AblateWireCompression
-		}
-		f, err := comm.NewTCPFabric(cfg.NumMachines,
-			cfg.NumMachines*(cfg.ReqBuffers+cfg.Workers*cfg.NumMachines)+64, cfg.BufferSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Fabric = f
-		t.Cleanup(func() { f.Close() }) // registered before Shutdown: runs after it
-		c := bootCluster(t, g, cfg)
-		label, _ := c.AddPropI64("label")
-		tmp, _ := c.AddPropI64("tmp")
-		c.FillByNodeI64(label, func(v graph.NodeID) int64 { return int64(v) })
-		c.FillByNodeI64(tmp, func(v graph.NodeID) int64 { return int64(v) })
-		before := c.TrafficSnapshot()
-		for it := 0; it < 3; it++ {
-			if _, err := c.RunJob(JobSpec{
-				Name:       "min-push",
-				Iter:       IterOutEdges,
-				Task:       &minPushTask{label: label, tmp: tmp},
-				ReadProps:  []PropID{label},
-				WriteProps: []WriteSpec{{Prop: tmp, Op: reduce.Min}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.RunJob(JobSpec{
-				Name: "adopt",
-				Iter: IterNodes,
-				Task: &adoptMinTask{label: label, tmp: tmp},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tr := c.TrafficSnapshot().Sub(before)
-		if disable && tr.CompressRawBytes != 0 {
-			t.Errorf("ablation recorded %d compression-eligible bytes", tr.CompressRawBytes)
-		}
-		if !disable && tr.CompressRawBytes == 0 {
-			t.Error("ghosted run with compression on recorded no eligible payloads")
-		}
-		labels[i] = c.GatherI64(label)
-	}
-	for u := range labels[0] {
-		if labels[0][u] != labels[1][u] {
-			t.Fatalf("node %d: compressed label %d != raw %d", u, labels[0][u], labels[1][u])
-		}
 	}
 }
 

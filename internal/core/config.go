@@ -1,10 +1,10 @@
 // Package core implements the PGX.D engine itself (paper §3): a cluster of
 // simulated machines, each composed of a Task Manager (run-to-complete
 // worker goroutines consuming edge-balanced chunks), a Data Manager
-// (partitioned CSR with ghost replicas and column-oriented properties), and
-// a Communication Manager (buffered request/response messaging with copier
-// goroutines and a poller), plus the relaxed-consistency job execution model
-// with semi-automatic ghost synchronization.
+// (partitioned CSR, column-oriented properties and the per-load remote sets
+// that replicate remote values), and a Communication Manager (buffered
+// request/response messaging with copier goroutines and a poller), plus the
+// relaxed-consistency job execution model.
 package core
 
 import (
@@ -40,14 +40,11 @@ type Config struct {
 	RespBuffers int
 	// Partitioning selects vertex- or edge-balanced machine assignment.
 	Partitioning partition.Strategy
-	// GhostThreshold ghosts every vertex with in- or out-degree above it.
-	// GhostDisabled turns ghosting off; GhostAuto derives a threshold of
-	// four times the average total degree at load time, ghosting the heavy
-	// tail of skewed graphs without manual tuning. Ignored when
-	// GhostCount > 0.
-	GhostThreshold int64
-	// GhostCount, when positive, ghosts exactly the top-GhostCount vertices
-	// by max(in,out) degree (Figure 6a sweeps ghost counts directly).
+	// GhostCount, when positive, restricts an in-memory load's remote sets
+	// (remoteset.go) — the addresses whose values a job replicates locally,
+	// §3.3's ghosts — to the top-GhostCount vertices by max(in,out) degree;
+	// every other remote ref goes on demand. Zero, the default, holds every
+	// referenced address. Figure 6a sweeps it. Ignored for store-file loads.
 	GhostCount int
 	// ChunkTargetEdges is the edge count per scheduling chunk. Zero derives
 	// a target yielding about 8 chunks per worker.
@@ -123,14 +120,13 @@ type Config struct {
 // miniature.
 func DefaultConfig(p int) Config {
 	return Config{
-		NumMachines:    p,
-		Workers:        4,
-		Copiers:        2,
-		BufferSize:     32 << 10,
-		ReqBuffers:     0, // derived in validate
-		RespBuffers:    0,
-		Partitioning:   partition.EdgeBalanced,
-		GhostThreshold: GhostAuto,
+		NumMachines:  p,
+		Workers:      4,
+		Copiers:      2,
+		BufferSize:   32 << 10,
+		ReqBuffers:   0, // derived in validate
+		RespBuffers:  0,
+		Partitioning: partition.EdgeBalanced,
 	}
 }
 
@@ -138,29 +134,15 @@ func DefaultConfig(p int) Config {
 // (paper §5.3, Fig 6a-c treat these as instruments). No member changes any
 // algorithm's result (float push sums keep their usual last-ulp freedom);
 // only the cost moves.
-type Ablation uint16
+type Ablation uint8
 
 const (
-	// AblateGhostPrivatization makes workers reduce into the shared
-	// machine-level ghost copies with atomics instead of thread-private
-	// copies (§3.3).
-	AblateGhostPrivatization Ablation = 1 << iota
-	// AblateReadCombining turns off duplicate remote-read elimination:
-	// every read of the same remote (prop, offset) within one message
-	// window emits its own 8-byte request record and response word, as the
-	// unmodified paper protocol does.
-	AblateReadCombining
-	// AblateWriteCombining turns off both halves of the write combiner: the
-	// sender-side in-buffer merge of repeated (prop, op, offset) reduction
-	// records within one message window, and the receiver-side merge of
-	// adjacent duplicate records in sorted (compressed) write batches.
-	AblateWriteCombining
 	// AblateWireCompression ships fixed-width 8-byte records in flush
-	// buffers and ghost-merge reductions instead of the sorted delta-varint
-	// batch encoding. In-memory fabrics (comm.InMemoryFabric) never encode
-	// whatever this says — frames pass by reference there, so the codec
-	// would spend CPU shrinking buffers nobody serializes.
-	AblateWireCompression
+	// buffers instead of the sorted delta-varint batch encoding. In-memory
+	// fabrics (comm.InMemoryFabric) never encode whatever this says — frames
+	// pass by reference there, so the codec would spend CPU shrinking buffers
+	// nobody serializes.
+	AblateWireCompression Ablation = 1 << iota
 	// AblateSparseFrontier makes frontier-sourced jobs scan full chunk
 	// lists with a per-node bitmap filter: never the sparse vertex list,
 	// never the all-inactive chunk drop, never the empty-machine dispatch
@@ -178,7 +160,7 @@ const (
 	// (remoteset.go) — the per-job prefetch of a dense pull's remote reads and
 	// the per-worker accumulation of a dense push's remote writes: every remote
 	// ref is requested, or its reduction buffered, on demand, as in the paper's
-	// protocol.
+	// protocol without ghosts. It is the zero point of Figure 6a's sweep.
 	AblateRemoteSets
 )
 
@@ -198,15 +180,6 @@ const (
 	frontierDenseFraction = 1.0 / 32
 	directionAlpha        = 2.0
 	directionBeta         = 24.0
-)
-
-// Sentinel GhostThreshold values.
-const (
-	// GhostDisabled turns selective ghosting off entirely.
-	GhostDisabled int64 = -1
-	// GhostAuto derives the threshold from the loaded graph: 4x the
-	// average total degree, which ghosts only the heavy tail.
-	GhostAuto int64 = -2
 )
 
 // validate normalizes cfg and reports configuration errors.

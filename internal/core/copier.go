@@ -172,28 +172,6 @@ func (m *Machine) applyWrites(h comm.Header, payload []byte, dec *wireDec) error
 				return err
 			}
 		}
-		// Receiver-side write combining: compressed batches arrive sorted by
-		// meta word, so duplicate (prop, op, offset) records are adjacent —
-		// merge them with the reduction's own arithmetic before touching the
-		// column, turning k atomic applies into one. The sender's h.Count is
-		// still what writesApplied advances by (serveRequest), since the
-		// termination protocol counts records shipped, not applies performed.
-		if !m.cfg.Ablate.Has(AblateWriteCombining) && count > 1 {
-			at := 0
-			for i := 1; i < count; i++ {
-				if keys[i] == keys[at] {
-					vals[at] = m.cols[PropID(keys[at]>>48)].mergeWords(reduce.Op(keys[at]>>40), vals[at], vals[i])
-					continue
-				}
-				at++
-				keys[at], vals[at] = keys[i], vals[i]
-			}
-			if merged := count - at - 1; merged > 0 {
-				count = at + 1
-				m.ep.Metrics().RecordRecvCombine(int64(merged))
-				m.cfg.Obs.Add(m.id, obs.CtrRecvWritesCombined, int64(merged))
-			}
-		}
 		for i := 0; i < count; i++ {
 			apply(keys[i], vals[i])
 		}
@@ -234,10 +212,7 @@ func (m *Machine) checkWriteRec(i int, meta uint64) error {
 
 // serveReads builds the response for a read-request frame: one value word
 // per 8-byte address record, in request order, echoing the worker id and
-// sequence number so the requester can match its side structure. Under read
-// combining the records are already deduplicated — each word here may fan
-// out to many continuations on the requester, which is exactly where the
-// READ_RESP byte saving comes from.
+// sequence number so the requester can match its side structure.
 func (m *Machine) serveReads(h comm.Header, payload []byte, dec *wireDec) error {
 	var keys []uint64
 	if h.Flags&comm.FlagCompressed != 0 {
@@ -254,6 +229,11 @@ func (m *Machine) serveReads(h comm.Header, payload []byte, dec *wireDec) error 
 			keys = append(keys, leU64(payload[readRecSize*i:]))
 		}
 		dec.keys = keys
+	}
+	// A compressed frame can name more records than the response it asks for
+	// holds: refuse it rather than grow a pooled buffer past the frame size.
+	if len(keys) > m.valsPerFrame() {
+		return fmt.Errorf("read frame of %d records asks for more words than a response frame's %d", len(keys), m.valsPerFrame())
 	}
 	for i, rec := range keys {
 		prop := PropID(rec >> 48)

@@ -9,24 +9,14 @@ import (
 	"repro/internal/reduce"
 )
 
-// pushWeightTask pushes a float64 contribution to each out-neighbor,
-// exercising the float ghost-merge paths (bottom/merge/apply for KindF64).
-type pushWeightTask struct {
-	NoReads
-	val, acc PropID
-}
-
-func (k *pushWeightTask) Run(c *Ctx) {
-	c.NbrWriteF64(k.acc, reduce.Sum, c.GetF64(k.val))
-}
-
+// TestFloatGhostMergePaths: a float push under every operator, every remote
+// neighbour a ghost — an entry of the remote set, so its reductions are
+// bottomed and folded in a worker's accumulator and merged at the owner.
 func TestFloatGhostMergePaths(t *testing.T) {
 	g := testGraph(t)
 	for _, op := range []reduce.Op{reduce.Sum, reduce.Min, reduce.Max} {
 		t.Run(op.String(), func(t *testing.T) {
-			cfg := DefaultConfig(3)
-			cfg.GhostThreshold = 0 // ghost every connected vertex
-			c := bootCluster(t, g, cfg)
+			c := bootCluster(t, g, DefaultConfig(3))
 			val, _ := c.AddPropF64("val")
 			acc, _ := c.AddPropF64("acc")
 			c.FillByNodeF64(val, func(v graph.NodeID) float64 { return float64(v%13) + 0.5 })
@@ -104,7 +94,7 @@ func TestCtxAccessors(t *testing.T) {
 	}
 }
 
-// refGlobalProbe checks RefGlobal for local, ghost, and remote neighbors.
+// refGlobalProbe checks RefGlobal for local and remote neighbors.
 type refGlobalProbe struct {
 	NoReads
 	sum PropID
@@ -116,24 +106,20 @@ func (k *refGlobalProbe) Run(c *Ctx) {
 
 func TestRefGlobalAllRefKinds(t *testing.T) {
 	g := testGraph(t)
-	for _, ghost := range []int64{GhostDisabled, 0} {
-		cfg := DefaultConfig(3)
-		cfg.GhostThreshold = ghost
-		c := bootCluster(t, g, cfg)
-		sum, _ := c.AddPropI64("sum")
-		c.FillI64(sum, 0)
-		if _, err := c.RunJob(JobSpec{Name: "refglobal", Iter: IterOutEdges, Task: &refGlobalProbe{sum: sum}}); err != nil {
-			t.Fatal(err)
+	c := bootCluster(t, g, DefaultConfig(3))
+	sum, _ := c.AddPropI64("sum")
+	c.FillI64(sum, 0)
+	if _, err := c.RunJob(JobSpec{Name: "refglobal", Iter: IterOutEdges, Task: &refGlobalProbe{sum: sum}}); err != nil {
+		t.Fatal(err)
+	}
+	got := c.GatherI64(sum)
+	for u := 0; u < g.NumNodes(); u++ {
+		var want int64
+		for _, v := range g.Out.Neighbors(graph.NodeID(u)) {
+			want += int64(v)
 		}
-		got := c.GatherI64(sum)
-		for u := 0; u < g.NumNodes(); u++ {
-			var want int64
-			for _, v := range g.Out.Neighbors(graph.NodeID(u)) {
-				want += int64(v)
-			}
-			if got[u] != want {
-				t.Fatalf("ghost=%d node %d: %d vs %d", ghost, u, got[u], want)
-			}
+		if got[u] != want {
+			t.Fatalf("node %d: %d vs %d", u, got[u], want)
 		}
 	}
 }

@@ -95,19 +95,15 @@ func (c *Ctx) InDegree() int64 {
 // may be stored (e.g. in Aux) and used later with ReadRef/WriteRef.
 func (c *Ctx) NbrRef() int64 { return c.nbr }
 
-// NbrIsRemote reports whether the current neighbor lives on another machine
-// and is not ghosted here.
+// NbrIsRemote reports whether the current neighbor lives on another machine.
 func (c *Ctx) NbrIsRemote() bool { return c.nbr < 0 }
 
-// RefGlobal resolves any node ref — local index, ghost slot, or remote —
-// back to its global node id.
+// RefGlobal resolves any node ref — local index or remote — back to its
+// global node id.
 func (c *Ctx) RefGlobal(ref int64) graph.NodeID {
 	st := c.w.m.store
 	if ref >= 0 {
-		if int(ref) < st.numLocal {
-			return st.globalOf(uint32(ref))
-		}
-		return st.ghosts.Node(int32(ref) - int32(st.numLocal))
+		return st.globalOf(uint32(ref))
 	}
 	mach, off := unpackRemote(ref)
 	return st.layout.GlobalOf(mach, off)
@@ -166,9 +162,9 @@ func (c *Ctx) SetI64(p PropID, v int64) {
 // --- neighbor access --------------------------------------------------------
 
 // NbrWriteF64 reduces v into property p of the current neighbor with op —
-// the paper's write_remote<OP>. Local and ghost targets apply immediately
-// (relaxed consistency); remote targets are buffered into the per-worker
-// request message toward the owner.
+// the paper's write_remote<OP>. A local target applies immediately (relaxed
+// consistency); a remote one folds into the worker's accumulator or is
+// buffered into the per-worker request message toward the owner (Writer).
 func (c *Ctx) NbrWriteF64(p PropID, op reduce.Op, v float64) {
 	c.WriteRef(c.nbr, p, op, math.Float64bits(v))
 }
@@ -179,8 +175,7 @@ func (c *Ctx) NbrWriteI64(p PropID, op reduce.Op, v int64) {
 }
 
 // NbrRead requests property p of the current neighbor — the paper's
-// read_remote. If the neighbor is local, ghosted or mirrored (mirror.go),
-// ReadDone is invoked synchronously before NbrRead returns; otherwise the
+// read_remote. If the neighbor is local or mirrored (mirror.go), ReadDone is invoked synchronously before NbrRead returns; otherwise the
 // request is buffered and ReadDone runs later on this same worker with Node
 // and Aux restored.
 func (c *Ctx) NbrRead(p PropID) {
@@ -197,18 +192,16 @@ func (c *Ctx) WriteRef(ref int64, p PropID, op reduce.Op, word uint64) {
 
 // Writer is a write handle for one (property, operator) pair — the paper's
 // write_remote<OP> with everything that does not depend on the target
-// resolved up front: the column, this worker's private ghost segment, its
-// accumulator over the job's remote set, and the job's write-activation slot.
-// Obtain one per row with Ctx.Writer; it is valid for the current job only.
+// resolved up front: the column, this worker's accumulator over the job's
+// remote set, and the job's write-activation slot. Obtain one per row with
+// Ctx.Writer; it is valid for the current job only.
 type Writer struct {
-	w      *worker
-	col    *column
-	seg    []uint64 // this worker's private ghost segment, nil when not privatized
-	acc    *accum   // this worker's accumulator for prop, nil when not accumulated
-	ghost0 int64    // first ghost ref (= numLocal)
-	prop   PropID
-	op     reduce.Op
-	act    int8 // build slot of an ActivateInto spec, -1 otherwise
+	w    *worker
+	col  *column
+	acc  *accum // this worker's accumulator for prop, nil when not accumulated
+	prop PropID
+	op   reduce.Op
+	act  int8 // build slot of an ActivateInto spec, -1 otherwise
 }
 
 // Writer resolves the write handle for reducing into property p with op. The
@@ -216,7 +209,7 @@ type Writer struct {
 // per row showed in a push's profile.
 func (c *Ctx) Writer(p PropID, op reduce.Op) (wr Writer) {
 	w := c.w
-	wr = Writer{w: w, col: w.cols[p], seg: w.privSeg[p], ghost0: int64(w.m.store.numLocal), prop: p, op: op, act: -1}
+	wr = Writer{w: w, col: w.cols[p], prop: p, op: op, act: -1}
 	if act := w.job.activate; act != nil {
 		wr.act = act[p]
 	}
@@ -229,7 +222,7 @@ func (c *Ctx) Writer(p PropID, op reduce.Op) (wr Writer) {
 }
 
 // Write reduces the raw word into the handle's property on the node
-// identified by ref. Local and ghost targets apply immediately (relaxed
+// identified by ref. A local target applies immediately (relaxed
 // consistency); a remote target folds into the worker's accumulator when the
 // job has one holding it (accum.go) and otherwise is buffered into the
 // per-worker request message toward the owner, which makes a remote Write a
@@ -248,10 +241,6 @@ func (wr *Writer) Write(ref int64, word uint64) {
 			}
 		}
 		wr.w.bufferWrite(mach, wr.prop, wr.op, off, word)
-	case wr.seg != nil && ref >= wr.ghost0:
-		// Ghost privatization: reduce into this worker's private copy
-		// without atomics (paper §3.3).
-		wr.seg[ref-wr.ghost0] = wr.col.mergeWords(wr.op, wr.seg[ref-wr.ghost0], word)
 	default:
 		wr.col.applyWord(int(ref), wr.op, word)
 	}
@@ -263,20 +252,20 @@ func (wr *Writer) WriteF64(ref int64, v float64) { wr.Write(ref, math.Float64bit
 // WriteI64 reduces v into the handle's int64 property on ref.
 func (wr *Writer) WriteI64(ref int64, v int64) { wr.Write(ref, uint64(v)) }
 
-// F64View is a typed read view over one float64 property's local and ghost
-// slots on this machine. At is valid for ref >= 0 only — remote refs go
+// F64View is a typed read view over one float64 property's local slots on
+// this machine. At is valid for ref >= 0 only — remote refs go
 // through Ctx.Remote, then Ctx.ReadRef — and reads the live word: under the
 // engine's relaxed consistency that is the value ReadDone would have been
 // handed. The view is valid for the current job.
 type F64View struct{ vals []atomic.Uint64 }
 
-// At returns the property value of the local or ghost node ref.
+// At returns the property value of the local node ref.
 func (v F64View) At(ref int64) float64 { return math.Float64frombits(v.vals[ref].Load()) }
 
 // I64View is F64View for an int64 property.
 type I64View struct{ vals []atomic.Uint64 }
 
-// At returns the property value of the local or ghost node ref.
+// At returns the property value of the local node ref.
 func (v I64View) At(ref int64) int64 { return int64(v.vals[ref].Load()) }
 
 // F64 returns the read view of float64 property p.
@@ -297,7 +286,7 @@ func (c *Ctx) ReadRef(ref int64, p PropID) {
 		// scratch long since reused; StealSpec requires NoReads kernels.
 		w.fail(errStolenCtx(w, "remote ReadRef"))
 	}
-	if w.job.mirrorSet != nil { // mirrored job: answered like a ghost when the mirror holds it
+	if w.job.mirrorSet != nil { // mirrored job: answered in place when the mirror holds it
 		if word, ok := c.Remote(p).Word(ref); ok {
 			w.job.spec.Task.ReadDone(c, word)
 			return
@@ -326,8 +315,8 @@ func (c *Ctx) Activate(slot int) {
 // SkipNode ends the current node's remaining per-edge Run invocations (both
 // orientations under IterBothEdges) once the current Run returns. Pull
 // kernels use it to stop scanning in-neighbors once the value they were
-// looking for arrived — effective when neighbors are local, ghosted or
-// mirrored (their ReadDone runs synchronously); buffered remote reads resolve
+// looking for arrived — effective when neighbors are local or mirrored
+// (their ReadDone runs synchronously); buffered remote reads resolve
 // after the loop has moved on, so they cannot trigger an early exit. A row
 // kernel just returns instead; no-op there and on node iterators.
 func (c *Ctx) SkipNode() { c.skip = true }

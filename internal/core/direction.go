@@ -39,8 +39,8 @@ func (d Direction) String() string {
 // The static rule is refined by a cost ratio learned from the obs traffic
 // matrix: Observe feeds back each superstep's bytes-per-edge, and the ratio
 // of push to pull cost (EWMA, clamped to [1/4, 4]) scales the push side of
-// the comparison. On fabrics where pushes are cheap (e.g. heavy write
-// combining) the policy tolerates denser push frontiers, and vice versa.
+// the comparison. On fabrics where pushes are cheap (e.g. accumulated
+// writes) the policy tolerates denser push frontiers, and vice versa.
 //
 // A policy is driver-side state for one traversal run; it is not safe for
 // concurrent use.
@@ -125,7 +125,7 @@ func (p *DirectionPolicy) Choose(cur Direction, frontierSize, frontierEdges, pul
 		// phase per traversal: after the pull→push transition the frontier is
 		// in terminal decay, and on high-diameter graphs the α-rule would
 		// otherwise keep re-firing as the unvisited side shrinks, paying
-		// pull's fixed per-superstep cost (ghost sync) for no scan savings.
+		// pull's fixed per-superstep cost (the mirror prefetch) for no scan savings.
 		growing := frontierSize > p.lastSize
 		next = cur
 		switch cur {

@@ -88,28 +88,6 @@ func TestSingleNodeGraphWithSelfLoop(t *testing.T) {
 	}
 }
 
-func TestGhostAutoSelectsHeavyTail(t *testing.T) {
-	g := testGraph(t) // skewed; avg total degree 16
-	cfg := DefaultConfig(3)
-	cfg.GhostThreshold = GhostAuto
-	c := bootCluster(t, g, cfg)
-	avg := 2 * g.NumEdges() / int64(g.NumNodes())
-	want := graph.NodesAboveDegree(g, 4*avg)
-	if c.NumGhosts() != want {
-		t.Errorf("auto ghosts = %d, want %d (threshold %d)", c.NumGhosts(), want, 4*avg)
-	}
-	if c.NumGhosts() == 0 || c.NumGhosts() == g.NumNodes() {
-		t.Errorf("auto ghost count %d not selective", c.NumGhosts())
-	}
-	// Disabled sentinel still works.
-	cfg2 := DefaultConfig(3)
-	cfg2.GhostThreshold = GhostDisabled
-	c2 := bootCluster(t, g, cfg2)
-	if c2.NumGhosts() != 0 {
-		t.Errorf("disabled ghosting produced %d ghosts", c2.NumGhosts())
-	}
-}
-
 func TestDropPropsReusesSlots(t *testing.T) {
 	g := testGraph(t)
 	c := bootCluster(t, g, DefaultConfig(2))
@@ -257,7 +235,6 @@ func (k *chainReadTask) ReadDone(c *Ctx, val uint64) {
 func TestDeepContinuationChains(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig(4)
-	cfg.GhostThreshold = GhostDisabled
 	cfg.BufferSize = 256 // tiny buffers: many flushes mid-chain
 	cfg.ReqBuffers = 8
 	cfg.RespBuffers = 8

@@ -44,9 +44,7 @@ func (k *twoHopTask) ReadDone(c *Ctx, val uint64) {
 
 func TestTwoHopStateMachine(t *testing.T) {
 	g := testGraph(t)
-	cfg := DefaultConfig(4)
-	cfg.GhostThreshold = -1 // force remote traffic
-	c := bootCluster(t, g, cfg)
+	c := bootCluster(t, g, DefaultConfig(4))
 	refProp, _ := c.AddPropI64("ref")
 	valProp, _ := c.AddPropF64("val")
 	acc, _ := c.AddPropF64("acc")
@@ -119,9 +117,7 @@ func (k *rmiEchoTask) RMIDone(c *Ctx, payload []byte) {
 
 func TestWorkerRMI(t *testing.T) {
 	g := testGraph(t)
-	cfg := DefaultConfig(3)
-	cfg.GhostThreshold = -1
-	c := bootCluster(t, g, cfg)
+	c := bootCluster(t, g, DefaultConfig(3))
 	acc, _ := c.AddPropI64("acc")
 	c.FillI64(acc, 0)
 	// Method: return offset+1 as 4 bytes.
@@ -250,7 +246,7 @@ func TestEngineOverTCP(t *testing.T) {
 // from DESIGN.md §6: for random graphs and random engine configurations, a
 // push job and a pull job both produce exactly the reference results.
 func TestDistributedEqualsReferenceProperty(t *testing.T) {
-	f := func(seed int64, pRaw, ghostRaw uint8, vertexPart, nodeChunk, nopriv, nocombine bool) bool {
+	f := func(seed int64, pRaw, ghostRaw uint8, vertexPart, nodeChunk, onDemand bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 64 + rng.Intn(512)
 		m := n * (1 + rng.Intn(8))
@@ -261,7 +257,7 @@ func TestDistributedEqualsReferenceProperty(t *testing.T) {
 		cfg := DefaultConfig(int(pRaw%4) + 1)
 		cfg.Workers = 1 + rng.Intn(4)
 		cfg.Copiers = 1 + rng.Intn(3)
-		cfg.GhostThreshold = int64(ghostRaw%32) - 1 // -1..30
+		cfg.GhostCount = int(ghostRaw % 32) // 0 = every referenced address, else the top 1..31
 		if vertexPart {
 			cfg.Partitioning = partition.VertexBalanced
 		}
@@ -271,8 +267,7 @@ func TestDistributedEqualsReferenceProperty(t *testing.T) {
 			}
 		}
 		ablate(nodeChunk, AblateEdgeChunking)
-		ablate(nopriv, AblateGhostPrivatization)
-		ablate(nocombine, AblateReadCombining)
+		ablate(onDemand, AblateRemoteSets)
 		c, err := NewCluster(cfg)
 		if err != nil {
 			return false
@@ -331,13 +326,19 @@ func TestDistributedEqualsReferenceProperty(t *testing.T) {
 
 // --- traffic and ghosting ----------------------------------------------------
 
+// TestGhostingReducesTraffic is Figure 6a's shape on a push: from no replicas
+// at all (the remote sets ablated) through the top 1, 8, 64 and every vertex
+// to the uncapped default, each step ships no more data than the one before —
+// a member's refs collapse to one record per worker — the first 64 ghosts
+// already ship less, and a cap that holds every vertex is the default.
 func TestGhostingReducesTraffic(t *testing.T) {
 	g := testGraph(t) // heavily skewed
+	const none, all = -1, 0
 	run := func(ghostCount int) int64 {
 		cfg := DefaultConfig(4)
-		cfg.GhostCount = ghostCount
-		if ghostCount == 0 {
-			cfg.GhostThreshold = -1
+		cfg.Workers = 1 // which worker claims which chunk decides what two accumulators ship
+		if cfg.GhostCount = ghostCount; ghostCount == none {
+			cfg.GhostCount, cfg.Ablate = 0, AblateRemoteSets
 		}
 		c := bootCluster(t, g, cfg)
 		counter, _ := c.AddPropI64("counter")
@@ -361,13 +362,18 @@ func TestGhostingReducesTraffic(t *testing.T) {
 		}
 		return stats.Traffic.DataBytesSent
 	}
-	none := run(0)
-	some := run(64)
-	if some >= none {
-		t.Errorf("ghosting did not reduce data traffic: %d >= %d bytes", some, none)
+	counts := []int{none, 1, 8, 64, g.NumNodes(), all}
+	bytes := make([]int64, len(counts))
+	for i, k := range counts {
+		if bytes[i] = run(k); i > 0 && bytes[i] > bytes[i-1] {
+			t.Errorf("ghosts=%d shipped %d bytes, more than the %d of ghosts=%d", k, bytes[i], bytes[i-1], counts[i-1])
+		}
 	}
-	if none == 0 {
-		t.Error("no-ghost run reported zero traffic")
+	if bytes[3] >= bytes[0] {
+		t.Errorf("64 ghosts did not reduce data traffic: %d >= %d bytes", bytes[3], bytes[0])
+	}
+	if bytes[4] != bytes[5] {
+		t.Errorf("a cap of every vertex shipped %d bytes, the uncapped default %d", bytes[4], bytes[5])
 	}
 }
 

@@ -12,12 +12,10 @@ import (
 	"repro/internal/graph"
 )
 
-// faultCfg is the engine configuration the fault tests share: ghosting off so
-// every cross-partition read crosses the (faultable) wire, and short timeouts
+// faultCfg is the engine configuration the fault tests share: short timeouts
 // so silent faults — drops, kills — resolve quickly.
 func faultCfg(p int) Config {
 	cfg := DefaultConfig(p)
-	cfg.GhostThreshold = GhostDisabled
 	cfg.RequestTimeout = 750 * time.Millisecond
 	cfg.CollectiveTimeout = 750 * time.Millisecond
 	cfg.BufferSize = 8 << 10
@@ -231,7 +229,7 @@ func TestFaultTruncatedResponseAborts(t *testing.T) {
 
 // TestFaultCollectiveFailAborts: a hard failure on the control plane (the
 // collectives that sequence parallel regions and termination) aborts the job
-// cleanly too. A ghost-free job is two collectives, so each control stream
+// cleanly too. A healthy job is two collectives, so each control stream
 // carries two frames: the rule fails every stream's second, the drain round.
 func TestFaultCollectiveFailAborts(t *testing.T) {
 	eachFabric(t, func(t *testing.T, useTCP bool) {

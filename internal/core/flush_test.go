@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/codec"
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -26,8 +29,7 @@ func (s *u64PairSorter) Swap(i, j int) {
 
 // TestSortPairsMatchesStable: sortPairs orders (key, tag) pairs exactly as
 // sort.Stable does — duplicates keep their arrival order, which is what lets
-// a write batch with combining ablated apply same-address records in the
-// order they were issued — across the insertion-sort/radix boundary, with
+// a write batch apply same-address records in the order they were issued — across the insertion-sort/radix boundary, with
 // keys that vary in one byte, in every byte, and not at all.
 func TestSortPairsMatchesStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -65,9 +67,7 @@ func TestSortPairsMatchesStable(t *testing.T) {
 // flush path never sorts at all.
 func readBatchKeys(tb testing.TB, g *graph.Graph, prop PropID, n int) []uint64 {
 	tb.Helper()
-	cfg := DefaultConfig(2)
-	cfg.GhostThreshold = GhostDisabled
-	c := bootCluster(tb, g, cfg)
+	c := bootCluster(tb, g, DefaultConfig(2))
 	seen := make(map[uint64]bool, n)
 	keys := make([]uint64, 0, n)
 	refs := c.machines[0].store.views[store.OrientIn].refs
@@ -126,93 +126,6 @@ func BenchmarkFlushSort(b *testing.B) {
 	}
 }
 
-// TestDedupTable: get/put/clear behave like the map they replaced through
-// growth, overwrites, thousands of generations and a generation-counter
-// wrap.
-func TestDedupTable(t *testing.T) {
-	var tab dedupTable
-	if _, ok := tab.get(42); ok {
-		t.Fatal("zero table reports a hit")
-	}
-	tab.clear()
-	rng := rand.New(rand.NewSource(11))
-	for round := 0; round < 3000; round++ {
-		if round == 1500 {
-			tab.gen = ^uint32(0) - 2 // the next clears wrap the counter
-		}
-		ref := make(map[uint64]uint32)
-		n := rng.Intn(600)
-		for i := 0; i < n; i++ {
-			k := uint64(rng.Intn(4))<<48 | uint64(rng.Intn(900))
-			if v, ok := tab.get(k); ok != (ref[k] != 0) || (ok && v != ref[k]) {
-				t.Fatalf("round %d: get(%#x) = %d,%v, map has %d", round, k, v, ok, ref[k])
-			}
-			v := uint32(i + 1)
-			tab.put(k, v)
-			ref[k] = v
-		}
-		if tab.n != len(ref) {
-			t.Fatalf("round %d: %d live entries, map has %d", round, tab.n, len(ref))
-		}
-		for k, v := range ref {
-			if got, ok := tab.get(k); !ok || got != v {
-				t.Fatalf("round %d: get(%#x) = %d,%v, want %d", round, k, got, ok, v)
-			}
-		}
-		tab.clear()
-		for k := range ref {
-			if _, ok := tab.get(k); ok {
-				t.Fatalf("round %d: %#x survived clear", round, k)
-			}
-		}
-	}
-	if len(tab.slots) > 4096 {
-		t.Errorf("table grew to %d slots for at most 600 live entries", len(tab.slots))
-	}
-}
-
-// BenchmarkDedupTable measures one read-combining window — look up every
-// record of a real 4094-record batch twice (a miss then a hit, the shape of
-// a 50 % dedup ratio), insert the misses, clear — on the open-addressed table
-// and on the map[uint64]uint32 it replaced.
-func BenchmarkDedupTable(b *testing.B) {
-	g, err := graph.RMAT(14, 16, graph.TwitterLike(), 20151115)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := (32<<10 - comm.HeaderSize) / readRecSize
-	keys := readBatchKeys(b, g, 3, n)
-	var sink uint32
-	b.Run("table", func(b *testing.B) {
-		var tab dedupTable
-		for i := 0; i < b.N; i++ {
-			for slot, k := range keys {
-				if _, ok := tab.get(k); !ok {
-					tab.put(k, uint32(slot))
-				}
-				v, _ := tab.get(k)
-				sink += v
-			}
-			tab.clear()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
-	})
-	b.Run("map", func(b *testing.B) {
-		m := make(map[uint64]uint32, 256)
-		for i := 0; i < b.N; i++ {
-			for slot, k := range keys {
-				if _, ok := m[k]; !ok {
-					m[k] = uint32(slot)
-				}
-				sink += m[k]
-			}
-			clear(m)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
-	})
-	_ = sink
-}
-
 // TestStaleReadFrameDropped: a read request whose epoch stamp is not the
 // serving machine's current job — here a torn compressed frame, the shape a
 // truncate fault leaves behind — is dropped before any decode, counted, and
@@ -254,4 +167,86 @@ func TestStaleReadFrameDropped(t *testing.T) {
 	if !c.PoolsQuiescent() {
 		t.Error("a served or dropped frame did not return to its pool")
 	}
+}
+
+// readKeys renders read-record keys in the fixed-width spelling, or — with
+// compressed set, for keys that ascend — as the delta-varint column.
+func readKeys(compressed bool, keys ...uint64) []byte {
+	if compressed {
+		return codec.AppendDeltaU64s(nil, keys)
+	}
+	var out []byte
+	for _, k := range keys {
+		out = binary.LittleEndian.AppendUint64(out, k)
+	}
+	return out
+}
+
+// FuzzServeReads feeds arbitrary bytes to the copier's read-request path in
+// both spellings, under the current job's epoch or a stale one. A frame is
+// answered — one word per record, in a response no larger than a frame — or it
+// is an error, or it is dropped as stale and counted: never a panic, which
+// would take every machine of the process down with the copier, and never an
+// answer to a frame that also failed.
+func FuzzServeReads(f *testing.F) {
+	cfg := DefaultConfig(2)
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	c := bootCluster(f, testGraph(f), cfg)
+	p, _ := c.AddPropF64("p")
+	q, _ := c.AddPropI64("q")
+	c.DropProps(q) // a registered id with no column behind it
+	m, answers := c.machines[0], c.machines[1].workers[0].respCh
+	n := uint64(len(m.cols[p].vals))
+	key := func(prop PropID, off uint64) uint64 { return uint64(prop)<<48 | off }
+	f.Add(readKeys(false, key(p, 3), key(p, 0), key(p, n-1)), uint32(3), false, false)
+	f.Add(readKeys(true, key(p, 0), key(p, 3), key(p, n-1)), uint32(3), true, false)
+	f.Add(readKeys(false, key(p, 1)), uint32(2), false, false)          // short payload
+	f.Add([]byte{0x80, 0x80, 0x80}, uint32(40), true, false)            // torn varint
+	f.Add(readKeys(true, key(p, 1), key(p, 2)), uint32(1), true, false) // trailing bytes
+	f.Add(readKeys(false, key(99, 1)), uint32(1), false, false)         // unknown property
+	f.Add(readKeys(false, key(q, 1)), uint32(1), false, false)          // dropped property
+	f.Add(readKeys(true, key(p, n)), uint32(1), true, false)            // offset past the column
+	f.Add(readKeys(false, key(p, 1)), uint32(1), false, true)           // stale epoch
+	current := &jobRuntime{id: 1<<32 | 5, abortCh: make(chan struct{})}
+	dec := new(wireDec)
+	f.Fuzz(func(t *testing.T, payload []byte, count uint32, compressed, stale bool) {
+		buf := m.reqPool.Acquire()
+		if len(payload) > buf.Room() {
+			payload = payload[:buf.Room()] // a frame is no larger than its buffer
+		}
+		h := comm.Header{Type: comm.MsgReadReq, Src: 1, Count: count & comm.MaxCount, Aux: 5<<32 | 7}
+		if compressed {
+			h.Flags = comm.FlagCompressed
+		}
+		if stale {
+			h.Aux = 4<<32 | 7
+		}
+		buf.Reset(h)
+		buf.AppendBytes(payload)
+		dropped := reg.LifetimeCounters()["stale_read_frames"]
+		err := m.serveRequest(buf, dec, current)
+		dropped = reg.LifetimeCounters()["stale_read_frames"] - dropped
+		switch {
+		case stale:
+			if err != nil || dropped != 1 {
+				t.Fatalf("stale frame: err=%v, %d frames counted as dropped", err, dropped)
+			}
+		case err == nil:
+			var resp *comm.Buffer
+			select {
+			case resp = <-answers:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("request %+v was neither refused nor answered", h)
+			}
+			rh := resp.Header()
+			if rh.Type != comm.MsgReadResp || rh.Count != h.Count || rh.Aux != h.Aux || len(resp.Payload()) != 8*int(h.Count) || len(resp.Data) > cfg.BufferSize {
+				t.Fatalf("answer %+v with %d payload bytes to request %+v", rh, len(resp.Payload()), h)
+			}
+			resp.Release()
+		}
+		if m.respPool.Outstanding() != 0 || m.reqPool.Outstanding() != 0 || len(answers) != 0 {
+			t.Fatalf("err=%v: %d response and %d request buffers out, %d answers queued", err, m.respPool.Outstanding(), m.reqPool.Outstanding(), len(answers))
+		}
+	})
 }

@@ -26,7 +26,7 @@ const (
 	// IterBothEdges runs the task over each owned node's out-edges and then
 	// its in-edges in one region — the undirected view. Algorithms that
 	// touch both orientations per step (WCC, k-core, MIS) use it to halve
-	// their barrier and ghost-sync count.
+	// their barrier and prefetch count.
 	IterBothEdges
 )
 
@@ -62,8 +62,8 @@ type Task interface {
 }
 
 // Row is one node's adjacency in one orientation, handed to RowTask.RunRow.
-// Refs[i] is the i-th neighbor's ref (local index, ghost slot, or — when
-// negative — a remote ref); Weights, nil on unweighted graphs, runs parallel
+// Refs[i] is the i-th neighbor's ref (a local index or — when negative — a
+// remote ref); Weights, nil on unweighted graphs, runs parallel
 // to Refs. Both alias engine storage (the CSR, a decoded store block, or a
 // steal grant) and are valid only until RunRow returns.
 type Row struct {
@@ -92,7 +92,7 @@ func (r Row) Weight(i int) float64 {
 //     remote ref to Ctx.ReadRef gets Node and Aux back in ReadDone, so
 //     per-edge continuation state (an edge weight, say) goes into Aux just
 //     before that ReadRef.
-//   - Local and ghost refs (ref >= 0) are read through a typed view
+//   - Local refs (ref >= 0) are read through a typed view
 //     (Ctx.F64/Ctx.I64) and written through a Writer resolved once per row;
 //     neither invokes ReadDone. Remote refs (ref < 0) are answered by the
 //     job's mirror when it has one (Ctx.Remote, resolved once per row) and
@@ -173,7 +173,7 @@ func (NoReads) ReadDone(c *Ctx, val uint64) {
 }
 
 // WriteSpec declares one property a job reduces into, with its operator —
-// the information ghost synchronization needs ("for each parallel region,
+// the information replica upkeep needs ("for each parallel region,
 // the program needs to define what properties are used in the region as
 // well as how they are used").
 type WriteSpec struct {
@@ -184,8 +184,8 @@ type WriteSpec struct {
 	// this spec changes the stored word (1-based so the zero value means no
 	// activation). This is receiver-side frontier generation: a push
 	// superstep's improved nodes become the next frontier with no separate
-	// adopt pass. Writes to such a property bypass ghost accumulation —
-	// ghosted targets ship as explicit records to their owner — so every
+	// adopt pass. Writes to such a property never accumulate — remote
+	// targets ship as explicit records to their owner — so every
 	// activation lands (and is counted) before the job's termination
 	// allreduce carries the frontier stats.
 	ActivateInto int
@@ -204,12 +204,13 @@ type JobSpec struct {
 	// once per node before its edges ("a custom filter method which is
 	// evaluated for each vertex prior to its execution").
 	Filter func(c *Ctx) bool
-	// ReadProps lists properties read through neighbors; their ghost copies
-	// are refreshed from owners before the region starts.
+	// ReadProps lists properties read through neighbors; an eligible job
+	// (remoteset.go) mirrors them from their owners before its first row.
 	ReadProps []PropID
-	// WriteProps lists properties reduced into through neighbors; ghost
-	// copies start at the operator's bottom and partials merge back to
-	// owners after the region.
+	// WriteProps lists properties reduced into through neighbors; an
+	// eligible job folds its remote reductions in per-worker accumulators
+	// that start at the operator's bottom and ship to the owners when the
+	// worker runs dry.
 	WriteProps []WriteSpec
 	// Source, when non-nil, restricts the iteration to the frontier's
 	// members: each machine iterates only its local frontier (sparse vertex
@@ -259,8 +260,8 @@ type StealSpec struct {
 
 // JobStats reports one job execution.
 type JobStats struct {
-	// Duration is the wall time of the parallel region including ghost
-	// synchronization and termination detection.
+	// Duration is the wall time of the parallel region including
+	// termination detection.
 	Duration time.Duration
 	// Traffic is the cluster-wide transport delta during the job.
 	Traffic comm.Snapshot
@@ -276,7 +277,7 @@ type JobStats struct {
 // FullyParallel "accounts for the time when all workers are busy", InterMachine
 // "for the time when at least one machine is idle", and IntraMachine for
 // "when some workers are waiting for others in the same machine". The three
-// parts plus Sync (ghost merge + termination) sum to the job duration.
+// parts plus Sync (termination detection) sum to the job duration.
 type Breakdown struct {
 	FullyParallel time.Duration
 	IntraMachine  time.Duration
@@ -310,7 +311,7 @@ func (spec *JobSpec) validate(props []propMeta) error {
 			return fmt.Errorf("core: job %q writes unregistered property %d", spec.Name, w.Prop)
 		}
 		if !w.Op.Valid() || w.Op == reduce.Overwrite {
-			return fmt.Errorf("core: job %q writes property %d with unsupported op %v (ghost merging needs a commutative reduction)", spec.Name, w.Prop, w.Op)
+			return fmt.Errorf("core: job %q writes property %d with unsupported op %v (accumulators need a commutative reduction)", spec.Name, w.Prop, w.Op)
 		}
 		if slices.Contains(spec.ReadProps, w.Prop) {
 			// The paper leaves read+write of one property non-deterministic

@@ -11,15 +11,13 @@ type activateSelf struct{ NoReads }
 
 func (activateSelf) Run(c *Ctx) { c.Activate(0) }
 
-// jobFloorSpecs are the two smallest frontier-sourced jobs on a ghost-free
-// in-process cluster of two machines: a push over an empty frontier, where no
+// jobFloorSpecs are the two smallest frontier-sourced jobs on an in-process
+// cluster of two machines: a push over an empty frontier, where no
 // machine dispatches a worker, and a node pass over a one-node frontier that
 // rebuilds a frontier, where one machine runs one node — k-core's mark pass
 // at its cheapest. What they cost is the per-job constant.
 func jobFloorSpecs(t testing.TB) (c *Cluster, empty, oneNode JobSpec) {
-	cfg := DefaultConfig(2)
-	cfg.GhostThreshold = GhostDisabled
-	c = bootCluster(t, testGraph(t), cfg)
+	c = bootCluster(t, testGraph(t), DefaultConfig(2))
 	dst, _ := c.AddPropI64("dst")
 	one, next := c.NewFrontier("one"), c.NewFrontier("next")
 	one.Add(0)

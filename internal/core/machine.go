@@ -19,8 +19,8 @@ import (
 // Machine is one simulated PGX.D process (Figure 1: "the same program is
 // instantiated on each machine in the cluster"): a Task Manager (the worker
 // goroutines and chunk scheduler), a Data Manager (localStore + property
-// columns + ghost synchronization), and a Communication Manager (router,
-// copiers, buffer pools, collectives).
+// columns + remote sets), and a Communication Manager (router, copiers,
+// buffer pools, collectives).
 type Machine struct {
 	id  int
 	cfg *Config
@@ -35,8 +35,8 @@ type Machine struct {
 	rmi       comm.RMIRegistry
 
 	// compress selects the sorted delta-varint wire encoding for flush
-	// buffers and ghost-merge collectives: on unless the fabric hands frames
-	// over in memory or the run ablates it.
+	// buffers: on unless the fabric hands frames over in memory or the run
+	// ablates it.
 	compress bool
 
 	// curJob points at the running job's runtime while a parallel region is
@@ -50,9 +50,8 @@ type Machine struct {
 	// publish checks right after installing curJob.
 	canceled *atomic.Pointer[error]
 
-	store      *localStore
-	ghostOwned []int64
-	cols       []*column
+	store *localStore
+	cols  []*column
 	// mirrors are the word buffers mirrored jobs prefetch their read props
 	// into (mirror.go): allocated like columns, reused by every later job and
 	// dropped with the columns.
@@ -87,10 +86,8 @@ type Machine struct {
 	writesSent    atomic.Int64
 	writesApplied atomic.Int64
 
-	// scratch vectors for ghost-sync collectives, the termination lanes and
-	// the built frontiers' stats, reused across jobs.
-	scratchF64       []float64
-	scratchI64       []int64
+	// scratch vectors for the termination lanes and the built frontiers'
+	// stats, reused across jobs.
 	scratchLanes     []int64
 	scratchFrontiers []FrontierStats
 
@@ -133,10 +130,6 @@ func newMachine(cfg *Config, id int, ep comm.Endpoint, compress bool, canceled *
 		CtrlDepth: 4*cfg.NumMachines + 8,
 	})
 	m.col = comm.NewCollectives(ep, m.router.Ctrl(), m.ctrlPool)
-	// Ghost-merge reductions ride int64 allreduces; compress them exactly
-	// when the flush paths do. SPMD: every machine of the cluster shares one
-	// Config and fabric, so the setting always agrees.
-	m.col.SetCompression(compress)
 	m.workers = make([]*worker, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		m.workers[w] = newWorker(m, w)
@@ -230,9 +223,12 @@ func (m *Machine) broadcastAbort(jobID uint64, err error) {
 	}
 }
 
-// load installs machine id's partition of g.
-func (m *Machine) load(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet) {
-	m.install(buildLocalStore(g, layout, ghosts, m.id), layout.DegreeMass(g), nil)
+// load installs machine id's partition of g; top, when non-nil, is what its
+// remote sets may hold (Config.GhostCount).
+func (m *Machine) load(g *graph.Graph, layout partition.Layout, top []uint64) {
+	st := buildLocalStore(g, layout, m.id)
+	st.top = top
+	m.install(st, layout.DegreeMass(g), nil)
 }
 
 // install makes st the machine's current load — in memory (ld nil), or a
@@ -241,7 +237,6 @@ func (m *Machine) load(g *graph.Graph, layout partition.Layout, ghosts *partitio
 // iterator under the current chunking config.
 func (m *Machine) install(st *localStore, degMass []int64, ld *store.Load) {
 	m.store = st
-	m.ghostOwned = st.ghostOwnership()
 	m.releaseCols()
 	m.loadHints, m.loadTotals = nil, nil
 	m.degMass = degMass
@@ -269,7 +264,7 @@ func (m *Machine) addProp(meta propMeta) {
 // newCol builds one column for this machine's current load, off-heap when
 // the load asked for it.
 func (m *Machine) newCol(meta propMeta) *column {
-	return newColumn(meta.kind, m.store.numLocal, m.store.ghosts.Len(), m.cfg.Workers, m.offHeapCols)
+	return newColumn(meta.kind, m.store.numLocal, m.cfg.Workers, m.offHeapCols)
 }
 
 // releaseCols drops every column, returning off-heap backings to the kernel.
@@ -299,27 +294,24 @@ type machineJobStats struct {
 //
 //	newJobRuntime   what this machine iterates and feeds; no traffic
 //	publish         curJob, spill, collectives' abort; unpublish on every exit
-//	ghostPrepare    ghost_read_sync per read prop; write-prop ghosts to bottom
-//	startBarrier    barrier(0): every machine has published and prepared
-//	taskPhase       task_phase: the workers run the task list dry (RTC)
+//	startBarrier    barrier(0): every machine has published
+//	taskPhase       remote_set_build, once per load and iterator; then
+//	                task_phase: the workers run the task list dry (RTC),
+//	                mirrors prefetched first, accumulators shipped last
 //	drainWrites     barrier(1), the first round: all task lists empty, all
 //	                reads answered; write_drain, the rounds after it: until
 //	                every remote write has been applied
-//	ghostMerge      ghost_merge: worker → machine → owner
 //
-// A healthy job without ghosts is two collectives: the start barrier and one
-// drain round. Which collectives run, and in which order, is decided here and
-// nowhere else: every machine must make the same calls whatever its local
-// state.
+// A healthy job is two collectives — the start barrier and one drain round —
+// plus a drain round for every time the applied count had not caught up.
+// Which collectives run, and in which order, is decided here and nowhere
+// else: every machine must make the same calls whatever its local state.
 func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 	reg := m.cfg.Obs // every registry method is a no-op on nil
 	defer reg.Span(m.id, obs.WorkerMain, obs.SpanJob, jobID, reg.Clock(), 0)
 	jr := m.newJobRuntime(spec, jobID)
 	m.publish(jr)
 	defer m.unpublish()
-	if err := m.ghostPrepare(jr); err != nil {
-		return machineJobStats{}, m.jobFail(jr, err)
-	}
 	if err := m.startBarrier(jr); err != nil {
 		return machineJobStats{}, m.jobFail(jr, err)
 	}
@@ -327,9 +319,6 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 		return machineJobStats{}, m.jobFail(jr, err)
 	}
 	if err := m.drainWrites(jr); err != nil {
-		return machineJobStats{}, m.jobFail(jr, err)
-	}
-	if err := m.ghostMerge(jr); err != nil {
 		return machineJobStats{}, m.jobFail(jr, err)
 	}
 	return m.jobStats(jr), nil
@@ -454,46 +443,6 @@ func (m *Machine) unpublish() {
 	m.spill.reset()
 }
 
-// ghostPrepare readies the ghost copies for the task phase (§3.3): read
-// props are refreshed from their owners, one ghost_read_sync span each, and
-// write props start at the reduction's bottom value.
-func (m *Machine) ghostPrepare(jr *jobRuntime) error {
-	numGhost := m.store.ghosts.Len()
-	if numGhost == 0 {
-		return nil
-	}
-	reg := m.cfg.Obs
-	for _, p := range jr.spec.ReadProps {
-		t := reg.Clock()
-		if err := m.syncGhostRead(p); err != nil {
-			return err
-		}
-		reg.Span(m.id, obs.WorkerMain, obs.SpanGhostReadSync, jr.id, t, uint64(p))
-	}
-	// With an empty local frontier the workers never run, so their private
-	// ghost segments stay stale from an earlier job — they must not be merged.
-	// The shared ghost copies are re-bottomed here, so stage two still
-	// contributes clean identity partials.
-	privatize := !m.cfg.Ablate.Has(AblateGhostPrivatization) && !jr.emptySkip
-	for _, ws := range jr.spec.WriteProps {
-		// Activating specs bypass ghost accumulation and never privatize: their
-		// writes must reach the owner (and activate there) before the
-		// termination allreduce, not sit in ghost partials until after it.
-		if ws.ActivateInto > 0 {
-			continue
-		}
-		col := m.cols[ws.Prop]
-		bottom := col.bottomWord(ws.Op)
-		for s := 0; s < numGhost; s++ {
-			col.store(col.numLocal+s, bottom)
-		}
-		if privatize {
-			jr.privProps = append(jr.privProps, ws)
-		}
-	}
-	return nil
-}
-
 // The two synchronization points of a job, as the barrier span's arg.
 const (
 	barrierStart = 0 // before the task phase: a collective barrier
@@ -501,7 +450,7 @@ const (
 )
 
 // startBarrier is the job's one plain barrier: no machine starts its task
-// phase before every machine has published the job and prepared its ghosts.
+// phase before every machine has published the job.
 func (m *Machine) startBarrier(jr *jobRuntime) error {
 	t := m.cfg.Obs.Clock()
 	err := m.col.Barrier()
@@ -519,13 +468,18 @@ func (m *Machine) barrierSpan(jr *jobRuntime, which uint64, t int64) {
 
 // taskPhase hands the job to the workers and waits for their task lists and
 // continuations to run dry (the task_phase span). Workers unwind on failure
-// without an error return path; the job runtime carries the root cause.
+// without an error return path; the job runtime carries the root cause. The
+// job is set up against its remote set first, outside the span and ahead of
+// t0: a once-per-load scan billed to this job's taskNS would reach the load
+// hints, the repartitioner's totals and the Figure 6c breakdown.
 func (m *Machine) taskPhase(jr *jobRuntime) error {
 	reg := m.cfg.Obs
+	if !jr.emptySkip {
+		m.remoteJob(jr)
+	}
 	jr.t0 = time.Now()
 	t := reg.Clock()
 	if !jr.emptySkip {
-		m.remoteJob(jr)
 		jr.wg.Add(len(m.workers))
 		for _, w := range m.workers {
 			w.jobCh <- jr
@@ -765,100 +719,6 @@ func (m *Machine) jobStats(jr *jobRuntime) machineJobStats {
 
 // valsPerFrame is how many 8-byte values one collective frame carries.
 func (m *Machine) valsPerFrame() int { return (m.cfg.BufferSize - comm.HeaderSize) / 8 }
-
-// ghostExchange is the loop both ghost exchanges share, in the column's own
-// arithmetic: a buffer's worth of ghost slots at a time, gather each slot's
-// word, allreduce the values under op, scatter the combined words back.
-func (m *Machine) ghostExchange(col *column, op reduce.Op, gather func(slot int) uint64, scatter func(slot int, word uint64)) error {
-	if col.kind == KindF64 {
-		return exchangeGhosts(m, &m.scratchF64, op, m.col.AllReduceF64, F64Word, WordF64, gather, scatter)
-	}
-	return exchangeGhosts(m, &m.scratchI64, op, m.col.AllReduceI64, I64Word, WordI64, gather, scatter)
-}
-
-// exchangeGhosts is ghostExchange for one value type. Floats ride
-// AllReduceF64, not the integer allreduce over their bit patterns: that
-// would change how -0.0 sums and waste a varint attempt per chunk.
-func exchangeGhosts[T float64 | int64](m *Machine, scratch *[]T, op reduce.Op,
-	allreduce func([]T, reduce.Op) error, fromWord func(uint64) T, toWord func(T) uint64,
-	gather func(int) uint64, scatter func(int, uint64)) error {
-	ng := m.store.ghosts.Len()
-	maxVals := m.valsPerFrame()
-	for base := 0; base < ng; base += maxVals {
-		vals := (*scratch)[:0]
-		for s := base; s < min(base+maxVals, ng); s++ {
-			vals = append(vals, fromWord(gather(s)))
-		}
-		*scratch = vals
-		if err := allreduce(vals, op); err != nil {
-			return err
-		}
-		for i, v := range vals {
-			scatter(base+i, toWord(v))
-		}
-	}
-	return nil
-}
-
-// syncGhostRead refreshes every ghost copy of property p from its owner
-// (paper §3.3: "for properties that are to be read in the parallel region,
-// PGX.D copies the original values into the ghost nodes prior to the
-// execution step"). Implemented as a chunked sum-allreduce in which only the
-// owner contributes a non-identity value.
-func (m *Machine) syncGhostRead(p PropID) error {
-	col := m.cols[p]
-	return m.ghostExchange(col, reduce.Sum,
-		func(s int) uint64 {
-			if own := m.ghostOwned[s]; own >= 0 {
-				return col.load(int(own))
-			}
-			return 0 // the zero word is 0 and 0.0 alike
-		},
-		func(s int, word uint64) { col.store(col.numLocal+s, word) })
-}
-
-// ghostMerge performs the two-stage ghost reduction of §3.3 ("first between
-// cores and then between machines") as the ghost_merge span. Stage one folds
-// each worker's private ghost segment into the machine-level ghost copy;
-// stage two combines machine partials with an op-allreduce and lets each
-// owner reduce the combined partial into the original node's value.
-func (m *Machine) ghostMerge(jr *jobRuntime) error {
-	ng := m.store.ghosts.Len()
-	if ng == 0 || len(jr.spec.WriteProps) == 0 {
-		return nil
-	}
-	reg := m.cfg.Obs
-	t := reg.Clock()
-	for _, ws := range jr.spec.WriteProps {
-		if ws.ActivateInto > 0 {
-			continue // bypassed ghost accumulation; nothing to merge
-		}
-		col := m.cols[ws.Prop]
-		if len(jr.privProps) > 0 {
-			for _, w := range m.workers {
-				seg := w.privSeg[ws.Prop]
-				if seg == nil {
-					continue
-				}
-				for s := 0; s < ng; s++ {
-					col.store(col.numLocal+s, col.mergeWords(ws.Op, col.load(col.numLocal+s), seg[s]))
-				}
-			}
-		}
-		err := m.ghostExchange(col, ws.Op,
-			func(s int) uint64 { return col.load(col.numLocal + s) },
-			func(s int, word uint64) {
-				if own := m.ghostOwned[s]; own >= 0 {
-					col.applyWord(int(own), ws.Op, word)
-				}
-			})
-		if err != nil {
-			return err
-		}
-	}
-	reg.Span(m.id, obs.WorkerMain, obs.SpanGhostMerge, jr.id, t, 0)
-	return nil
-}
 
 // Call invokes registered RMI method on machine dst from this machine's
 // main goroutine (sequential region) and returns the response payload.

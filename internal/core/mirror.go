@@ -24,7 +24,7 @@ func (m *Machine) mirrorJob(jr *jobRuntime, set *remoteSet) {
 		}
 		if buf := m.mirrors[i]; buf == nil || len(buf.vals) < set.size {
 			buf.release()
-			m.mirrors[i] = newColumn(KindI64, set.size, 0, 0, m.offHeapCols)
+			m.mirrors[i] = newColumn(KindI64, set.size, 0, m.offHeapCols)
 		}
 	}
 	jr.mirrorSet, jr.mirrors = set, m.mirrors[:len(jr.spec.ReadProps)]
@@ -35,15 +35,13 @@ func (m *Machine) mirrorJob(jr *jobRuntime, set *remoteSet) {
 // prefetch fills this worker's share of the job's mirrors — a word range of
 // every owner's bitmap, for every read property — and then waits until every
 // local worker has filled its own: any row may reference any slot. The
-// addresses go out in ascending order with combining bypassed (they are
-// distinct), the side record carries the mirror slot where a kernel read
-// carries its node, and processResponse stores the words instead of running
-// continuations.
+// addresses go out in ascending order, the side record carries the mirror slot
+// where a kernel read carries its node, and processResponse stores the words
+// instead of running continuations.
 func (w *worker) prefetch(jr *jobRuntime) {
 	t := w.reg.Clock()
-	combine := w.combine
-	w.combine, w.fetching = false, true
-	defer func() { w.combine, w.fetching = combine, false }()
+	w.fetching = true
+	defer func() { w.fetching = false }()
 	words, nw := 0, len(w.m.workers)
 	for i, p := range jr.spec.ReadProps {
 		for d := range jr.mirrorSet.peers {
@@ -69,7 +67,7 @@ func (w *worker) prefetch(jr *jobRuntime) {
 
 // RemoteView answers remote refs of one property out of the job's mirror. It
 // is valid for the current job; kernels resolve it once per row, next to the
-// typed view of the local and ghost slots.
+// typed view of the local slots.
 type RemoteView struct {
 	set  *remoteSet
 	vals []atomic.Uint64
@@ -89,8 +87,8 @@ func (c *Ctx) Remote(p PropID) RemoteView {
 }
 
 // Word returns the mirrored word of remote ref — the owner's value as of the
-// prefetch, the rule ghosts already follow — or false when ref is not
-// mirrored and must go through Ctx.ReadRef.
+// prefetch, §3.3's rule for a ghost — or false when ref is not mirrored and
+// must go through Ctx.ReadRef.
 func (v RemoteView) Word(ref int64) (uint64, bool) {
 	mach, off := unpackRemote(ref)
 	if uint(mach) < uint(len(v.set.peers)) { // not so for a ref >= 0, which is not remote

@@ -3,8 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,8 +56,6 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		g := testGraph(t)
 		const p = 2
 		cfg := DefaultConfig(p)
-		cfg.GhostThreshold = GhostDisabled
-		cfg.Ablate = AblateReadCombining // every on-demand read is one served record
 		cfg.Obs = obs.NewRegistry()
 		if useTCP {
 			cfg.Fabric = innerFabric(t, cfg, true)
@@ -338,6 +340,117 @@ func TestCancelAfterPrefetch(t *testing.T) {
 	})
 }
 
+// TestRemoteSetMatchesOracle builds the remote set of every machine and edge
+// iterator over seeded random graphs cut two, three and four ways, uncapped and
+// capped at the top 1 and 8 vertices, and compares it with a brute-force walk
+// of the global graph: members are exactly the distinct remote neighbours (of
+// the top vertices, under a cap), slots are dense, start at each owner's base
+// and ascend with the offset, each visits the members and nothing else, and
+// refs, edges and size are exact. A look-up that is not a member's — past the
+// bitmap, at this machine's own (empty) entry, or a ref >= 0 — finds nothing.
+func TestRemoteSetMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var g *graph.Graph
+		var err error
+		if n := 50 + rng.Intn(400); seed%2 == 0 {
+			g, err = graph.Uniform(n, n*(1+rng.Intn(6)), seed)
+		} else {
+			g, err = graph.RMAT(6+rng.Intn(4), 4+rng.Intn(8), graph.TwitterLike(), seed)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Vertices by max(in, out) degree, ties toward the lower id; isolated
+		// ones never count.
+		ranked := make([]graph.NodeID, 0, g.NumNodes())
+		deg := func(v graph.NodeID) int64 { return max(g.InDegree(v), g.OutDegree(v)) }
+		for v := 0; v < g.NumNodes(); v++ {
+			if deg(graph.NodeID(v)) > 0 {
+				ranked = append(ranked, graph.NodeID(v))
+			}
+		}
+		sort.SliceStable(ranked, func(i, j int) bool { return deg(ranked[i]) > deg(ranked[j]) })
+		for p := 2; p <= 4; p++ {
+			for _, k := range []int{0, 1, 8} {
+				cfg := DefaultConfig(p)
+				cfg.GhostCount = k
+				c := bootCluster(t, g, cfg)
+				top := map[graph.NodeID]bool{}
+				for _, v := range ranked[:min(k, len(ranked))] {
+					top[v] = true
+				}
+				for it := IterOutEdges; it <= IterBothEdges; it++ {
+					for _, m := range c.machines {
+						where := fmt.Sprintf("seed %d p=%d cap=%d %v machine %d", seed, p, k, it, m.id)
+						set, err := m.buildRemoteSet(m.newJobRuntime(&JobSpec{Iter: it, Task: &pushOneTask{}}, 0))
+						if err != nil {
+							t.Fatalf("%s: %v", where, err)
+						}
+						// The oracle: multiplicity of every remote neighbour the set may hold.
+						mult := map[graph.NodeID]int64{}
+						var edges, refs int64
+						lo, hi := c.layout.Range(m.id)
+						for u := lo; u < hi; u++ {
+							var nbrs []graph.NodeID
+							if it != IterInEdges {
+								nbrs = append(nbrs, g.Out.Neighbors(u)...)
+							}
+							if it != IterOutEdges {
+								nbrs = append(nbrs, g.In.Neighbors(u)...)
+							}
+							edges += int64(len(nbrs))
+							for _, v := range nbrs {
+								if (v < lo || v >= hi) && (k == 0 || top[v]) {
+									mult[v]++
+									refs++
+								}
+							}
+						}
+						if set.size != len(mult) || set.refs != refs || set.edges != edges {
+							t.Fatalf("%s: size/refs/edges = %d/%d/%d, want %d/%d/%d", where, set.size, set.refs, set.edges, len(mult), refs, edges)
+						}
+						view, next := RemoteView{set: set, vals: make([]atomic.Uint64, set.size)}, 0
+						for d := range set.peers {
+							ps, dlo := &set.peers[d], c.layout.Starts[d]
+							if ps.base != next {
+								t.Fatalf("%s: owner %d's slots start at %d, want %d", where, d, ps.base, next)
+							}
+							var visited, members []uint32
+							ps.each(0, len(ps.bits), func(off uint32, slot int) {
+								if slot != ps.base+len(visited) {
+									t.Fatalf("%s: each handed offset %d of owner %d slot %d, want %d", where, off, d, slot, ps.base+len(visited))
+								}
+								visited = append(visited, off)
+							})
+							for off := uint32(0); off < uint32(c.layout.NumLocal(d))+130; off++ {
+								want := -1
+								if int(off) < c.layout.NumLocal(d) && mult[dlo+graph.NodeID(off)] > 0 {
+									want, next = next, next+1
+									members = append(members, off)
+								}
+								if got := ps.slot(off); got != want {
+									t.Fatalf("%s: slot of (%d, %d) = %d, want %d", where, d, off, got, want)
+								}
+								if _, ok := view.Word(RemoteRef(d, off)); ok != (want >= 0) {
+									t.Fatalf("%s: the view answers (%d, %d): %v", where, d, off, ok)
+								}
+							}
+							if !slices.Equal(visited, members) {
+								t.Fatalf("%s: each visited offsets %v of owner %d, the members are %v", where, visited, d, members)
+							}
+						}
+						if _, ok := view.Word(0); ok {
+							t.Fatalf("%s: the view answers a local ref", where)
+						}
+					}
+				}
+				c.Shutdown()
+			}
+		}
+	}
+}
+
 // skipRemoteSum is rowPullSum without its remote reads: the scan the remote
 // refs ride on, in the same rows on the same machines.
 type skipRemoteSum struct {
@@ -367,13 +480,12 @@ func remoteBenchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// remoteBenchBoot boots their cluster — two ghost-free machines of one worker
+// remoteBenchBoot boots their cluster — two machines of one worker
 // and one copier each, in process or over loopback TCP — with a source
 // property of ones and a destination.
 func remoteBenchBoot(b *testing.B, g *graph.Graph, useTCP bool, ablate Ablation) (c *Cluster, src, dst PropID) {
 	cfg := DefaultConfig(2)
 	cfg.Workers, cfg.Copiers = 1, 1
-	cfg.GhostThreshold = GhostDisabled
 	cfg.Ablate = ablate
 	if useTCP {
 		cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
@@ -441,9 +553,8 @@ func remoteRefBudget(b *testing.B, g *graph.Graph, orient int, skip, spec func(s
 }
 
 // BenchmarkRemoteRead is the budget of one remote read (remoteRefBudget): a
-// pull-sum job whose reads are requested on demand with read combining (the
-// protocol before the mirror), on demand without it, and prefetched into the
-// mirror. set-build is the one-time remote-set scan, per edge scanned.
+// pull-sum job whose reads are requested on demand (the paper's protocol), and
+// prefetched into the mirror. set-build is the one-time remote-set scan, per edge scanned.
 func BenchmarkRemoteRead(b *testing.B) {
 	g := remoteBenchGraph(b)
 	remoteRefBudget(b, g, store.OrientIn,
@@ -453,7 +564,7 @@ func BenchmarkRemoteRead(b *testing.B) {
 		func(src, dst PropID) JobSpec {
 			return JobSpec{Name: "scan", Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}, ReadProps: []PropID{src}}
 		},
-		[]remoteRefMode{{"on-demand", AblateRemoteSets}, {"on-demand-uncombined", AblateRemoteSets | AblateReadCombining}, {"mirrored", 0}})
+		[]remoteRefMode{{"on-demand", AblateRemoteSets}, {"mirrored", 0}})
 	b.Run("set-build", func(b *testing.B) {
 		c, src, dst := remoteBenchBoot(b, g, false, 0)
 		m := c.machines[0]

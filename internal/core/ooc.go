@@ -14,9 +14,8 @@ import (
 // scheduler, and the steal protocol run unchanged, except that a compressed
 // file has no ref slice and its rows are read through rowReaders — and
 // page-cache eviction, optionally bounded by Config.ResidentBudgetBytes,
-// governs how much topology is resident. Store files encode refs ghost-free
-// (local or remote, never a ghost slot), so an out-of-core cluster runs with
-// an empty ghost set; the per-edge ref dispatch is identical either way.
+// governs how much topology is resident. Store files carry the engine's own
+// ref encoding (store.go), so the per-edge dispatch is identical either way.
 // Everything that depends on how the file spells its sections sits behind one
 // store.Load handle.
 
@@ -45,15 +44,13 @@ func (c *Cluster) LoadStore(sf *store.File) error {
 		return err
 	}
 	layout := sf.Layout()
-	ghosts := partition.EmptyGhostSet()
 	c.layout = layout
-	c.ghosts = ghosts
 	c.numNodes = sf.NumNodes()
 	c.numEdges = sf.NumEdges()
 	c.meta = nil
 	c.freeProps = nil
 	err = c.parallel(func(m *Machine) error {
-		m.loadFromStore(ld, layout, ghosts)
+		m.loadFromStore(ld, layout)
 		return nil
 	})
 	if err != nil {
@@ -70,11 +67,11 @@ func (c *Cluster) LoadStore(sf *store.File) error {
 // row/ref/weight slices alias the load's views (a compressed file has no ref
 // view: its rows are read through rowReaders); only O(numLocal) metadata
 // (degrees, both-orientation prefix) is materialized on the heap.
-func (m *Machine) loadFromStore(ld *store.Load, layout partition.Layout, ghosts *partition.GhostSet) {
+func (m *Machine) loadFromStore(ld *store.Load, layout partition.Layout) {
 	sec := ld.File().Section(m.id)
 	out := orientView{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights}
 	in := orientView{rows: sec.InRows, refs: sec.InRefs, weights: sec.InWeights}
-	m.install(newLocalStore(m.id, layout, ghosts, out, in), ld.File().DegreeMass(), ld)
+	m.install(newLocalStore(m.id, layout, out, in), ld.File().DegreeMass(), ld)
 }
 
 // claimChunk announces one chunk's topology reads, in every orientation the

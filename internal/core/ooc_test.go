@@ -90,7 +90,7 @@ func runPushOne(t *testing.T, c *Cluster, counter PropID) []int64 {
 // TestStoreSectionsMatchLocalStore: what a store load hands the engine — rows,
 // refs (compressed ones read row by row through a cursor) and weights, per
 // machine and orientation — must equal what buildLocalStore derives from the
-// in-memory graph with ghosting off, in both encodings and at every machine
+// in-memory graph, in both encodings and at every machine
 // count. This is the reference for the file format that does not go through
 // the store's own writer or reader assumptions.
 func TestStoreSectionsMatchLocalStore(t *testing.T) {
@@ -118,7 +118,7 @@ func TestStoreSectionsMatchLocalStore(t *testing.T) {
 					t.Fatal(err)
 				}
 				for me := 0; me < p; me++ {
-					want := buildLocalStore(g, layout, partition.EmptyGhostSet(), me)
+					want := buildLocalStore(g, layout, me)
 					sec := sf.Section(me)
 					got := [2]orientView{
 						{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights},
@@ -311,7 +311,6 @@ func TestSpillCountersAndCleanup(t *testing.T) {
 	g := testGraph(t)
 	spillDir := t.TempDir()
 	cfg := DefaultConfig(3)
-	cfg.GhostThreshold = GhostDisabled
 	cfg.SpillWrites = true
 	cfg.SpillBudgetBytes = 512
 	cfg.SpillDir = spillDir
@@ -459,7 +458,7 @@ func TestStealAttributionBillsVictim(t *testing.T) {
 	cfg.ChunkTargetEdges = 16 // many small chunks: the straggler drains its cursor gradually, so steals land regardless of scheduling
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	c := bootSkewed(t, g, cfg, 0.85, 0)
+	c := bootSkewed(t, g, cfg, 0.85)
 	src, _ := c.AddPropI64("src")
 	dst, _ := c.AddPropI64("dst")
 	for i := 0; i < 3; i++ {

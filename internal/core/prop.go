@@ -11,8 +11,7 @@ import (
 )
 
 // PropID names a registered node property cluster-wide. Properties are
-// column-oriented O(N) arrays partitioned like the vertices (paper §3.3),
-// with ghost slots appended after the local slots.
+// column-oriented O(N) arrays partitioned like the vertices (paper §3.3).
 type PropID uint16
 
 // PropKind is a property's element type. The engine moves all values as
@@ -45,20 +44,16 @@ type propMeta struct {
 	kind PropKind
 }
 
-// column is one machine's storage for one property: numLocal owned slots
-// followed by numGhost ghost slots. All shared slots are atomic 8-byte
-// words because copiers apply remote reductions concurrently with worker
-// reads (the paper's relaxed consistency: "local and remote write requests
-// [apply] immediately"). priv holds the per-worker private ghost segments of
-// ghost privatization and acc the per-worker accumulators of a dense push's
-// remote reductions (accum.go); they are plain slices since each is
-// single-owner, and they go when the column does.
+// column is one machine's storage for one property: one slot per owned node.
+// The slots are atomic 8-byte words because copiers apply remote reductions
+// concurrently with worker reads (the paper's relaxed consistency: "local and
+// remote write requests [apply] immediately"). acc holds the per-worker
+// accumulators of a dense push's remote reductions (accum.go); they are plain
+// slices since each is single-owner, and they go when the column does.
 type column struct {
-	kind     PropKind
-	numLocal int
-	vals     []atomic.Uint64 // numLocal + numGhost
-	priv     [][]uint64      // [workers][numGhost], lazily allocated
-	acc      []accum         // [workers], lazily allocated
+	kind PropKind
+	vals []atomic.Uint64 // numLocal
+	acc  []accum         // [workers], lazily allocated
 
 	// freeFn is non-nil when vals is backed by anonymous mmap instead of the
 	// Go heap (out-of-core runs with a resident budget): the O(N) column then
@@ -73,22 +68,16 @@ type column struct {
 // newColumn allocates one machine's column. With offHeap set the value array
 // goes to anonymous mmap (falling back to the heap if the map fails);
 // release must be called before dropping the last reference.
-func newColumn(kind PropKind, numLocal, numGhost, workers int, offHeap bool) *column {
-	c := &column{
-		kind:     kind,
-		numLocal: numLocal,
-		priv:     make([][]uint64, workers),
-		acc:      make([]accum, workers),
-	}
-	total := numLocal + numGhost
-	if offHeap && total > 0 {
-		if buf, freeFn, err := store.AnonAlloc(8 * int64(total)); err == nil {
-			c.vals = unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&buf[0])), total)
+func newColumn(kind PropKind, numLocal, workers int, offHeap bool) *column {
+	c := &column{kind: kind, acc: make([]accum, workers)}
+	if offHeap && numLocal > 0 {
+		if buf, freeFn, err := store.AnonAlloc(8 * int64(numLocal)); err == nil {
+			c.vals = unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&buf[0])), numLocal)
 			c.freeFn = freeFn
 		}
 	}
 	if c.vals == nil {
-		c.vals = make([]atomic.Uint64, total)
+		c.vals = make([]atomic.Uint64, numLocal)
 	}
 	return c
 }
@@ -105,8 +94,6 @@ func (c *column) release() {
 	c.vals = nil
 	f() //nolint:errcheck
 }
-
-func (c *column) numGhost() int { return len(c.vals) - c.numLocal }
 
 // --- raw word access -------------------------------------------------------
 
@@ -151,8 +138,8 @@ func (c *column) bottomWord(op reduce.Op) uint64 {
 }
 
 // mergeWords reduces b into a and returns the result, using kind arithmetic —
-// the one place a reduction is computed: applyWord's CAS loop, the plain folds
-// into private ghost segments and accumulators, and both write combiners.
+// the one place a reduction is computed: applyWord's CAS loop and the plain
+// folds into accumulators.
 func (c *column) mergeWords(op reduce.Op, a, b uint64) uint64 {
 	switch c.kind {
 	case KindF64:
@@ -162,29 +149,17 @@ func (c *column) mergeWords(op reduce.Op, a, b uint64) uint64 {
 	}
 }
 
-// ensurePriv returns worker w's private ghost segment, allocating or
-// re-bottoming it for op.
-func (c *column) ensurePriv(w int, op reduce.Op) []uint64 {
-	return c.bottomed(&c.priv[w], c.numGhost(), op)
-}
-
-// ensureAcc is ensurePriv for worker w's accumulator in job over set's
-// addresses.
+// ensureAcc readies worker w's accumulator for job over set's addresses: one
+// word per address, each op's identity.
 func (c *column) ensureAcc(w int, op reduce.Op, job uint64, set *remoteSet) {
 	a := &c.acc[w]
 	a.job, a.set = job, set
-	c.bottomed(&a.slots, set.size, op)
-}
-
-// bottomed resizes *seg to n words, each op's identity.
-func (c *column) bottomed(seg *[]uint64, n int, op reduce.Op) []uint64 {
-	if cap(*seg) < n {
-		*seg = make([]uint64, n)
+	if cap(a.slots) < set.size {
+		a.slots = make([]uint64, set.size)
 	}
-	s, bottom := (*seg)[:n], c.bottomWord(op)
-	for i := range s {
-		s[i] = bottom
+	a.slots = a.slots[:set.size]
+	bottom := c.bottomWord(op)
+	for i := range a.slots {
+		a.slots[i] = bottom
 	}
-	*seg = s
-	return s
 }

@@ -1,15 +1,24 @@
 package core
 
-import mathbits "math/bits"
+import (
+	mathbits "math/bits"
+
+	"repro/internal/obs"
+)
 
 // The graph is fixed for the life of a load, so the remote addresses a
 // machine's rows reference are too: a remoteSet records them once per iterator
 // kind, and a job whose rows touch most of them resolves its remote accesses
 // per address instead of per edge — reads through a mirror filled before any
 // row runs (mirror.go), reductions through per-worker accumulators shipped
-// when the worker runs dry (accum.go): what §3.3 does for ghosts, extended to
-// every remote neighbour, over the ordinary read and write paths. A ref outside
-// the set, an undeclared property and an ineligible job stay on demand.
+// when the worker runs dry (accum.go). This is the engine's one replica
+// mechanism: §3.3's selective ghosts — copy the owner's value in before the
+// step, privatize reductions per thread and fold them out after it — with
+// membership decided per machine by what its rows reference rather than
+// cluster-wide by a degree threshold, over the ordinary read and write paths.
+// Config.GhostCount caps membership at the highest-degree vertices, the
+// paper's selection; a ref outside the set, an undeclared property and an
+// ineligible job stay on demand.
 
 // remoteSet is the set of distinct remote addresses the rows of one iterator
 // kind reference on this machine, as a rank bitmap per owner: membership and
@@ -18,7 +27,7 @@ import mathbits "math/bits"
 type remoteSet struct {
 	peers []peerSet // by owner machine; this machine's entry is empty
 	size  int       // distinct addresses = slots per mirror or accumulator
-	refs  int64     // remote refs in the scanned rows, with multiplicity
+	refs  int64     // refs to them in the scanned rows, with multiplicity
 	edges int64     // all refs in the scanned rows
 }
 
@@ -60,12 +69,16 @@ func (p *peerSet) each(lo, hi int, fn func(off uint32, slot int)) {
 
 // buildRemoteSet scans every row jr's iterator walks on this machine, chunk by
 // chunk behind the chunk's claim and through a row reader like a worker would,
-// so in-memory, raw and compressed loads build the same way. Once per load and
-// iterator kind, on the main goroutine of the first job that could use it.
+// so in-memory, raw and compressed loads build the same way; under
+// Config.GhostCount only the load's top vertices become members. Once per load
+// and iterator kind, on the main goroutine of the first job that could use it
+// (the remote_set_build span, whose arg is the refs scanned).
 func (m *Machine) buildRemoteSet(jr *jobRuntime) (*remoteSet, error) {
+	t := m.cfg.Obs.Clock()
+	layout, top := m.store.layout, m.store.top
 	s := &remoteSet{peers: make([]peerSet, m.cfg.NumMachines)}
 	for d := range s.peers {
-		if lo, hi := m.store.layout.Range(d); d != m.id {
+		if lo, hi := layout.Range(d); d != m.id {
 			s.peers[d].bits = make([]uint64, (int(hi-lo)+63)/64)
 		}
 	}
@@ -81,11 +94,17 @@ func (m *Machine) buildRemoteSet(jr *jobRuntime) (*remoteSet, error) {
 				}
 				s.edges += int64(len(refs))
 				for _, ref := range refs {
-					if ref < 0 {
-						mach, off := unpackRemote(ref)
-						s.peers[mach].bits[off>>6] |= 1 << (off & 63)
-						s.refs++
+					if ref >= 0 {
+						continue
 					}
+					mach, off := unpackRemote(ref)
+					if top != nil {
+						if v := layout.GlobalOf(mach, off); top[v>>6]>>(v&63)&1 == 0 {
+							continue
+						}
+					}
+					s.peers[mach].bits[off>>6] |= 1 << (off & 63)
+					s.refs++
 				}
 			}
 		}
@@ -98,6 +117,7 @@ func (m *Machine) buildRemoteSet(jr *jobRuntime) (*remoteSet, error) {
 			s.size += mathbits.OnesCount64(word)
 		}
 	}
+	m.cfg.Obs.Span(m.id, obs.WorkerMain, obs.SpanRemoteSetBuild, jr.id, t, uint64(s.edges))
 	return s, nil
 }
 

@@ -88,8 +88,7 @@ func (k *prApplyTask) Run(c *Ctx) {
 
 // TestRowKernelReentrancy: a row kernel that keeps its accumulator in a
 // register must survive continuations of the node it is still scanning.
-// PageRank-pull on three machines without ghosts (a hub's in-row is two
-// thirds remote), eight read records per message and a request pool of one
+// PageRank-pull on three machines (a hub's in-row is two thirds remote), eight read records per message and a request pool of one
 // buffer: every flush inside a hub row leaves acquireReq stalled on the next
 // remote read, and the responses it drains there are for earlier reads of
 // that same row (the remote sets are ablated: a mirror would answer every one
@@ -112,7 +111,6 @@ func TestRowKernelReentrancy(t *testing.T) {
 	run := func(t *testing.T, staleOwn bool) (maxDiff float64, reentered int64) {
 		cfg := DefaultConfig(p)
 		cfg.Workers = 1
-		cfg.GhostThreshold = GhostDisabled
 		cfg.Ablate = AblateRemoteSets
 		cfg.BufferSize = comm.HeaderSize + 8*readRecSize
 		cfg.ReqBuffers = 1
@@ -163,7 +161,6 @@ func scanJob(c *Cluster, kernel Task) (*worker, *jobRuntime) {
 	spec := &JobSpec{Name: "scan", Iter: IterInEdges, Task: kernel}
 	jr := m.newJobRuntime(spec, 0)
 	w.job, w.cols = jr, m.cols
-	w.privSeg = make([][]uint64, len(m.cols))
 	return w, jr
 }
 
@@ -215,7 +212,6 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 	}{{"all-local", 1}, {"remote-20pct", 2}} {
 		cfg := DefaultConfig(place.p)
 		cfg.Workers = 1
-		cfg.GhostThreshold = GhostDisabled
 		c, err := NewCluster(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -225,7 +221,7 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 		} else {
 			var layout partition.Layout
 			if layout, err = partition.SkewedLayout(g, place.p, 0.9); err == nil {
-				err = c.LoadPlan(g, layout, 0)
+				err = c.LoadPlan(g, layout)
 			}
 		}
 		if err != nil {
@@ -251,7 +247,7 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("%s/%s", place.name, k.name), func(b *testing.B) {
 				spec := JobSpec{Name: "scan", Iter: IterInEdges, Task: k.kernel, ReadProps: []PropID{src}}
-				if _, err := c.RunJob(spec); err != nil { // warm-up: pools, side slices, dedup tables
+				if _, err := c.RunJob(spec); err != nil { // warm-up: pools, side slices, the remote set
 					b.Fatal(err)
 				}
 				b.ResetTimer()

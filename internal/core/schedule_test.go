@@ -47,43 +47,32 @@ func extraDrainRounds(t *testing.T, reg *obs.Registry, job uint64, machine int) 
 }
 
 // jobSchedule is the span sequence runJob's phases must record on every
-// machine for a job with readProps ghost-synced read props.
-func jobSchedule(readProps int, ghostMerge bool) []string {
-	var want []string
-	for i := 0; i < readProps; i++ {
-		want = append(want, "ghost_read_sync")
+// machine; build says whether the job is the first on its load to resolve
+// against the remote set of its iterator, which it then builds.
+func jobSchedule(build bool) []string {
+	want := []string{"barrier(0)"}
+	if build {
+		want = append(want, "remote_set_build")
 	}
-	want = append(want, "barrier(0)", "task_phase", "barrier(1)", "write_drain")
-	if ghostMerge {
-		want = append(want, "ghost_merge")
-	}
-	return append(want, "job")
+	return append(want, "task_phase", "barrier(1)", "write_drain", "job")
 }
 
-// scheduleCluster boots three machines with a registry over g, ghosting every
-// vertex of degree 32 and up or none at all.
-func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config, ghosts bool) *Cluster {
+// scheduleCluster boots cfg's machines with a registry over g.
+func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
 	t.Helper()
-	cfg.GhostThreshold = GhostDisabled
-	if ghosts {
-		cfg.GhostThreshold = 32
-	}
 	cfg.Obs = obs.NewRegistry()
-	c := bootCluster(t, g, cfg)
-	if (c.NumGhosts() > 0) != ghosts {
-		t.Fatalf("test graph produced %d ghosts, want some: %v", c.NumGhosts(), ghosts)
-	}
-	return c
+	return bootCluster(t, g, cfg)
 }
 
 // TestRunJobSchedule pins the job protocol: whatever a machine's local state
-// (a ghosted read+write job, an empty local frontier, spilled writes, a
-// stealable job, no ghosts at all), its main goroutine records exactly
-// ghost_read_sync per read prop, barrier(0), task_phase, barrier(1),
-// write_drain, ghost_merge, job — and the collective count is what those
-// spans say: the start barrier and the first drain round (two, all a healthy
-// ghost-free job needs), one per ghosted read prop and per ghosted write
-// prop, one per drain round after the first.
+// (a mirrored-read and accumulated-write job, an empty local frontier, spilled
+// writes, a stealable job, no replicas at all), its main goroutine records
+// exactly barrier(0), task_phase, barrier(1), write_drain, job — and the
+// collective count is what those spans say: the start barrier, the first drain
+// round and one per drain round after it, in every case. The one span that may
+// join them is remote_set_build, ahead of task_phase and exactly once per load
+// and iterator kind: in the first job that resolves against the set, never in
+// a rerun, again for a job over another iterator.
 func TestRunJobSchedule(t *testing.T) {
 	g := testGraph(t)
 	inDeg := refInDegree(g)
@@ -91,37 +80,42 @@ func TestRunJobSchedule(t *testing.T) {
 	for _, v := range g.Out.Neighbors(0) {
 		fromZero[v]++
 	}
+	outDeg := make([]int64, g.NumNodes())
+	for u := range outDeg {
+		outDeg[u] = g.OutDegree(graph.NodeID(u))
+	}
 	for _, tc := range []struct {
-		name      string
-		cfg       func(*Config)
-		spec      func(c *Cluster, spec *JobSpec)
-		ghostFree bool
-		readProps int
-		quiet     bool // no remote write: the drain must take its first round only
-		want      []int64
+		name  string
+		cfg   func(*Config)
+		spec  func(c *Cluster, spec *JobSpec)
+		build bool // every machine resolves the job against its out-edge remote set
+		quiet bool // no remote write: the drain must take its first round only
+		want  []int64
 	}{
-		{name: "ghosted-read-write", readProps: 2, want: inDeg,
+		{name: "ghosted-read-write", build: true, want: inDeg,
 			spec: func(c *Cluster, spec *JobSpec) {
 				a, _ := c.AddPropF64("a")
 				b, _ := c.AddPropI64("b")
-				spec.ReadProps = []PropID{a, b}
+				spec.ReadProps = []PropID{a, b} // mirrored; dst accumulates
 			}},
 		{name: "empty-local-frontier", want: fromZero,
 			spec: func(c *Cluster, spec *JobSpec) {
 				spec.Source = c.NewFrontier("src")
-				spec.Source.Add(0) // machines 1 and 2 own no member: they skip dispatch
+				spec.Source.Add(0) // machines 1 and 2 own no member: they skip dispatch; machine 0's list is sparse
 			}},
-		{name: "spill-writes", want: inDeg,
+		{name: "spill-writes", build: true, want: inDeg,
 			cfg: func(cfg *Config) { cfg.SpillWrites = true }},
-		{name: "stealable", want: inDeg,
+		{name: "stealable", build: true, want: inDeg,
 			cfg:  func(cfg *Config) { cfg.EnableWorkStealing = true },
 			spec: func(c *Cluster, spec *JobSpec) { spec.Steal = &StealSpec{} }},
-		{name: "ghost-free", ghostFree: true, readProps: 0, want: inDeg,
+		{name: "ghost-free", want: inDeg,
+			cfg: func(cfg *Config) { cfg.Ablate = AblateRemoteSets },
 			spec: func(c *Cluster, spec *JobSpec) {
 				a, _ := c.AddPropF64("a")
-				spec.ReadProps = []PropID{a} // read through neighbors, but no ghost to refresh
+				spec.ReadProps = []PropID{a} // read through neighbors, but no replica to refresh
 			}},
-		{name: "ghost-free-empty-frontier", ghostFree: true, quiet: true, want: make([]int64, g.NumNodes()),
+		{name: "ghost-free-empty-frontier", quiet: true, want: make([]int64, g.NumNodes()),
+			cfg:  func(cfg *Config) { cfg.Ablate = AblateRemoteSets },
 			spec: func(c *Cluster, spec *JobSpec) { spec.Source = c.NewFrontier("none") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,38 +123,60 @@ func TestRunJobSchedule(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			c := scheduleCluster(t, g, cfg, !tc.ghostFree)
+			c := scheduleCluster(t, g, cfg)
 			dst, _ := c.AddPropI64("dst")
-			c.FillI64(dst, 0)
 			spec := JobSpec{Name: tc.name, Iter: IterOutEdges, Task: &pushOneTask{counter: dst},
 				WriteProps: []WriteSpec{{Prop: dst, Op: reduce.Sum}}}
 			if tc.spec != nil {
 				tc.spec(c, &spec)
 			}
-			seq0 := c.machines[0].col.Seq()
-			if _, err := c.RunJob(spec); err != nil {
-				t.Fatal(err)
+			run := func(spec JobSpec, result []int64, build, quiet bool) {
+				t.Helper()
+				c.FillI64(dst, 0)
+				seq0 := c.machines[0].col.Seq()
+				var had [3]bool
+				for m := range had {
+					had[m] = c.machines[m].store.remoteSets[spec.Iter] != nil
+				}
+				if _, err := c.RunJob(spec); err != nil {
+					t.Fatal(err)
+				}
+				if got := c.GatherI64(dst); !slices.Equal(got, result) {
+					t.Errorf("%s: job result differs from the reference", spec.Name)
+				}
+				for m := 0; m < 3; m++ {
+					// The build span is recorded by the job that built the set, and
+					// by no other.
+					built := !had[m] && c.machines[m].store.remoteSets[spec.Iter] != nil
+					if build && !built {
+						t.Errorf("%s: machine %d did not build its remote set", spec.Name, m)
+					}
+					if got, want := mainSpans(c.cfg.Obs, c.jobSeq, m), jobSchedule(built); !slices.Equal(got, want) {
+						t.Errorf("%s: machine %d recorded %v, want %v", spec.Name, m, got, want)
+					}
+					extra := extraDrainRounds(t, c.cfg.Obs, c.jobSeq, m)
+					if quiet && extra != 0 {
+						t.Errorf("%s: machine %d: a job without remote writes drained for %d extra rounds", spec.Name, m, extra)
+					}
+					if got := c.machines[m].col.Seq() - seq0; got != 2+extra {
+						t.Errorf("%s: machine %d ran %d collectives, want 2 and %d extra drain rounds", spec.Name, m, got, extra)
+					}
+				}
 			}
-			if got := c.GatherI64(dst); !slices.Equal(got, tc.want) {
-				t.Error("job result differs from the reference")
+			run(spec, tc.want, tc.build, tc.quiet)
+			if rep := c.cfg.Obs.LastReport(); tc.name == "ghosted-read-write" &&
+				(rep.Counters["mirror_words"] == 0 || rep.Counters["accumulated_writes"] == 0) {
+				t.Errorf("the job neither mirrored its reads nor accumulated its writes: %v", rep.Counters)
 			}
-			want := jobSchedule(tc.readProps, !tc.ghostFree)
-			for m := 0; m < 3; m++ {
-				if got := mainSpans(c.cfg.Obs, c.jobSeq, m); !slices.Equal(got, want) {
-					t.Errorf("machine %d recorded %v, want %v", m, got, want)
-				}
-				extra := extraDrainRounds(t, c.cfg.Obs, c.jobSeq, m)
-				if tc.quiet && extra != 0 {
-					t.Errorf("machine %d: a job without remote writes drained for %d extra rounds", m, extra)
-				}
-				collectives := 2 + extra
-				if !tc.ghostFree {
-					collectives += uint32(tc.readProps + len(spec.WriteProps))
-				}
-				if got := c.machines[m].col.Seq() - seq0; got != collectives {
-					t.Errorf("machine %d ran %d collectives, want %d (%d extra drain rounds)", m, got, collectives, extra)
-				}
-			}
+			spec.Name += "/rerun"
+			run(spec, tc.want, false, tc.quiet)
+			// The in-edge rows reference other addresses: their set is built by
+			// the first full scan over them, once. Transposed, the push counts
+			// out-degrees.
+			spec.Name, spec.Iter, spec.Source, spec.Steal = tc.name+"/in-edges", IterInEdges, nil, nil
+			run(spec, outDeg, !cfg.Ablate.Has(AblateRemoteSets), false)
+			spec.Name += "/rerun"
+			run(spec, outDeg, false, false)
 		})
 	}
 }
@@ -172,31 +188,28 @@ func TestRunJobSchedule(t *testing.T) {
 // failing that stream's k-th frame fails the job's k-th collective, and the
 // spans machine 1 completed before it say which phase that was — which pins
 // the order of the collectives too. The first drain round is the barrier(1)
-// span; the drain takes no further round only when no remote write is in
-// flight, so the phases after it are reached with a job over an empty
-// frontier, and with writes in flight the collective after the first drain
-// round is a later round or, when one sufficed, the ghost merge.
+// span; the drain takes a further round only while a remote write is in
+// flight, so a job over an empty frontier has exactly two collectives, and
+// with writes in flight a third collective, when there is one, is a later
+// drain round.
 func TestFaultRunJobPhases(t *testing.T) {
 	g := testGraph(t)
 	want := refInDegree(g)
 	ctrl := func(k int) comm.FaultRule {
 		return comm.FaultRule{Src: 1, Dst: 0, Type: int(comm.MsgCtrl), Kind: comm.FaultFail, After: k, Limit: 1}
 	}
-	full := jobSchedule(1, true)
 	for _, tc := range []struct {
 		phase string
 		rule  comm.FaultRule
-		quiet bool     // iterate an empty frontier: no writes, one drain round
-		spans []string // what machine 1 completes before the failure; nil = the job succeeds
-		or    []string // the other span prefix the failure may leave
+		quiet bool // iterate an empty frontier: no writes, one drain round
+		spans int  // how much of the schedule machine 1 completes before the failure; 0 = the job succeeds
+		maybe bool // the job may succeed instead: the collective failed is one it ran only if it needed to
 	}{
-		{phase: "ghostPrepare", rule: ctrl(0), spans: full[:0]},
-		{phase: "barrier-start", rule: ctrl(1), spans: full[:2]}, // a failed barrier still records its span
-		{phase: "taskPhase", rule: comm.FaultRule{Src: 1, Dst: comm.AnyMachine, Type: int(comm.MsgWriteReq), Kind: comm.FaultFail, Limit: 1}, spans: full[:3]},
-		{phase: "drainWrites-first-round", rule: ctrl(2), spans: full[:4]}, // the end barrier: its span is recorded, write_drain is not
-		{phase: "drainWrites-or-ghostMerge", rule: ctrl(3), spans: full[:4], or: full[:5]},
-		{phase: "ghostMerge", rule: ctrl(3), quiet: true, spans: full[:5]},
-		{phase: "past-the-last-collective", rule: ctrl(4), quiet: true},
+		{phase: "barrier-start", rule: ctrl(0), spans: 1}, // a failed barrier still records its span
+		{phase: "taskPhase", rule: comm.FaultRule{Src: 1, Dst: comm.AnyMachine, Type: int(comm.MsgWriteReq), Kind: comm.FaultFail, Limit: 1}, spans: 3},
+		{phase: "drainWrites-first-round", rule: ctrl(1), spans: 4}, // the end barrier: its span is recorded, write_drain is not
+		{phase: "drainWrites-later-round", rule: ctrl(2), spans: 4, maybe: true},
+		{phase: "past-the-last-collective", rule: ctrl(2), quiet: true},
 	} {
 		t.Run(tc.phase, func(t *testing.T) {
 			cfg := faultCfg(3)
@@ -204,7 +217,7 @@ func TestFaultRunJobPhases(t *testing.T) {
 			inj := faultFabric(t, cfg, false, comm.FaultPlan{Seed: 14, Rules: []comm.FaultRule{tc.rule}})
 			defer inj.Close()
 			cfg.Fabric = inj
-			c := scheduleCluster(t, g, cfg, true)
+			c := scheduleCluster(t, g, cfg)
 			aux, _ := c.AddPropF64("aux")
 			dst, _ := c.AddPropI64("dst")
 			job := func(source *Frontier) error {
@@ -217,19 +230,25 @@ func TestFaultRunJobPhases(t *testing.T) {
 			if tc.quiet {
 				source = c.NewFrontier("empty")
 			}
+			// The job mirrors aux and accumulates dst, and is the first on its load:
+			// a machine that dispatches workers builds its remote set first.
+			full := jobSchedule(!tc.quiet)
 			err := job(source)
 			spans := mainSpans(c.cfg.Obs, c.jobSeq, 1)
-			if tc.spans == nil {
+			if tc.spans == 0 || tc.maybe && err == nil {
 				if err != nil || !slices.Equal(spans, full) {
 					t.Fatalf("err=%v, spans %v: the job has more collectives than the schedule", err, spans)
+				}
+				if extra := extraDrainRounds(t, c.cfg.Obs, c.jobSeq, 1); extra != 0 {
+					t.Fatalf("the job survived a failed third collective yet drained for %d extra rounds", extra)
 				}
 				return
 			}
 			if !errors.Is(err, ErrJobAborted) {
 				t.Fatalf("error %v does not wrap ErrJobAborted", err)
 			}
-			if n := len(spans); n == 0 || spans[n-1] != "job" || !slices.Equal(spans[:n-1], tc.spans) && (tc.or == nil || !slices.Equal(spans[:n-1], tc.or)) {
-				t.Errorf("machine 1 completed %v before the failure, want %v (or %v) and the job span", spans, tc.spans, tc.or)
+			if want := append(full[:tc.spans:tc.spans], "job"); !slices.Equal(spans, want) {
+				t.Errorf("machine 1 completed %v before the failure, want %v", spans, want)
 			}
 			for _, m := range c.machines {
 				if m.curJob.Load() != nil {

@@ -19,8 +19,7 @@ import (
 // file past SpillBudgetBytes — without applying them, and the write-drain
 // loop replays the backlog on the machine's main goroutine: first the file,
 // then the memory tail, through the same applyWrites path copiers use, so
-// compression, receiver-side combining, and write-activation behave
-// identically. Termination is unchanged — a spilled frame's records simply
+// compression and write-activation behave identically. Termination is unchanged — a spilled frame's records simply
 // count as applied in the drain round that replays them — and the abort path
 // discards the backlog and removes the temp file, so a faulted job leaves no
 // residue and the next job starts clean.

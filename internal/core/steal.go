@@ -133,7 +133,7 @@ func (m *Machine) serveSteal(h comm.Header, payload []byte) error {
 		if remaining < 0 {
 			remaining = 0
 		}
-		putLeU64(resp.Payload()[:8], uint64(remaining))
+		putU64(resp.Payload()[:8], uint64(remaining))
 		if nodes > 0 {
 			m.cfg.Obs.Add(m.id, obs.CtrStealGrants, 1)
 		}
@@ -232,31 +232,16 @@ func (m *Machine) packGrant(jr *jobRuntime, thief int, resp *comm.Buffer) int {
 }
 
 // refFor re-encodes one of this machine's neighbor refs into peer's ref
-// frame. The layout and the ghost set are cluster-wide, so the translation
-// needs no communication; it mirrors buildLocalCSR's owned → ghosted →
-// remote precedence from the peer's point of view.
+// frame: what the peer owns becomes its local index, what this machine owns
+// a remote ref back at it, and anything else is remote for both alike.
 func (s *localStore) refFor(peer int, ref int64) int64 {
-	if ref < 0 {
-		if mach, off := unpackRemote(ref); mach == peer {
-			return int64(off) // the peer owns it (remote implies not ghosted)
-		}
-		return ref // remote for this machine and for the peer alike
-	}
-	if int(ref) < s.numLocal {
-		// Owned here: a ghosted node keeps its cluster-wide slot in the
-		// peer's frame, anything else becomes a remote ref back at us.
-		if slot, ok := s.ghosts.Slot(s.globalOf(uint32(ref))); ok {
-			return int64(s.layout.NumLocal(peer)) + int64(slot)
-		}
+	if ref >= 0 {
 		return packRemote(s.me, uint32(ref))
 	}
-	// A ghost slot: same slot on the peer unless the peer owns the node.
-	slot := int32(ref) - int32(s.numLocal)
-	v := s.ghosts.Node(slot)
-	if s.layout.Owner(v) == peer {
-		return int64(v - s.layout.Starts[peer])
+	if mach, off := unpackRemote(ref); mach == peer {
+		return int64(off)
 	}
-	return int64(s.layout.NumLocal(peer)) + int64(slot)
+	return ref
 }
 
 // --- thief side (worker) ----------------------------------------------------
@@ -496,7 +481,7 @@ func (w *worker) runStolen(jr *jobRuntime, ctx *Ctx, payload []byte, count, vict
 // decodeStolenRefs appends n validated refs from payload at *pos.
 func (w *worker) decodeStolenRefs(dst []int64, payload []byte, pos *int, n int) ([]int64, bool) {
 	st := w.m.store
-	limit := int64(st.numLocal + st.ghosts.Len())
+	limit := int64(st.numLocal)
 	for i := 0; i < n; i++ {
 		ref := int64(leU64(payload[*pos:]))
 		*pos += 8

@@ -152,7 +152,7 @@ func stealGraph(t testing.TB) *graph.Graph {
 // bootSkewed boots a cluster on a deliberately skewed layout (machine 0 owns
 // the skew fraction of the edge mass) so every other machine drains its
 // chunks early and the steal path actually fires.
-func bootSkewed(t testing.TB, g *graph.Graph, cfg Config, skew float64, ghosts int) *Cluster {
+func bootSkewed(t testing.TB, g *graph.Graph, cfg Config, skew float64) *Cluster {
 	t.Helper()
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -163,7 +163,7 @@ func bootSkewed(t testing.TB, g *graph.Graph, cfg Config, skew float64, ghosts i
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.LoadPlan(g, layout, ghosts); err != nil {
+	if err := c.LoadPlan(g, layout); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -209,13 +209,15 @@ func runPushGated(t *testing.T, c *Cluster, g *graph.Graph, src, dst PropID, ver
 // TestStealMatchesReferenceOnSkewedLayout: with stealing enabled on a layout
 // that gives machine 0 most of the edge mass, thief machines must
 // (a) actually steal and (b) produce exactly the reference result — over both
-// transports, with and without ghosting (ghost refs translate differently in
-// the grant payload).
+// transports, with every referenced address replicated and with the top 64
+// only (a stolen row's writes then fold into the thief's accumulator or are
+// buffered, ref by ref).
 func TestStealMatchesReferenceOnSkewedLayout(t *testing.T) {
 	eachFabric(t, func(t *testing.T, useTCP bool) {
 		for _, ghosts := range []int{0, 64} {
 			g := stealGraph(t)
 			cfg := faultCfg(3)
+			cfg.GhostCount = ghosts
 			cfg.EnableWorkStealing = true
 			cfg.ChunkTargetEdges = 16 // many small chunks: the straggler drains its cursor gradually, so steals land regardless of scheduling
 			cfg.RequestTimeout = 5 * time.Second
@@ -225,7 +227,7 @@ func TestStealMatchesReferenceOnSkewedLayout(t *testing.T) {
 			gate := newStealGate(innerFabric(t, cfg, useTCP), 0, cfg.RequestTimeout)
 			inj := comm.NewFaultInjector(gate, comm.FaultPlan{})
 			cfg.Fabric = inj
-			c := bootSkewed(t, g, cfg, 0.85, ghosts)
+			c := bootSkewed(t, g, cfg, 0.85)
 			src, _ := c.AddPropI64("src")
 			dst, _ := c.AddPropI64("dst")
 			if err := runPushGated(t, c, g, src, dst, true, gate); err != nil {
@@ -253,7 +255,7 @@ func TestStealRepeatedJobsUseLoadHints(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.EnableWorkStealing = true
 	cfg.ChunkTargetEdges = 16 // many small chunks: the straggler drains its cursor gradually, so steals land regardless of scheduling
-	c := bootSkewed(t, g, cfg, 0.85, 0)
+	c := bootSkewed(t, g, cfg, 0.85)
 	src, _ := c.AddPropI64("src")
 	dst, _ := c.AddPropI64("dst")
 	for i := 0; i < 3; i++ {
@@ -332,7 +334,7 @@ func TestFaultStealDropAborts(t *testing.T) {
 			{Src: comm.AnyMachine, Dst: comm.AnyMachine, Type: int(comm.MsgSteal), Kind: comm.FaultDrop, After: 0, Limit: 1},
 		}})
 		cfg.Fabric = inj
-		c := bootSkewed(t, g, cfg, 0.85, 0)
+		c := bootSkewed(t, g, cfg, 0.85)
 		defer inj.Close()
 		src, _ := c.AddPropI64("src")
 		dst, _ := c.AddPropI64("dst")
@@ -368,7 +370,7 @@ func TestFaultStealGrantDropAborts(t *testing.T) {
 			{Src: comm.AnyMachine, Dst: comm.AnyMachine, Type: int(comm.MsgStealGrant), Kind: comm.FaultDrop, After: 0, Limit: 1},
 		}})
 		cfg.Fabric = inj
-		c := bootSkewed(t, g, cfg, 0.85, 0)
+		c := bootSkewed(t, g, cfg, 0.85)
 		defer inj.Close()
 		src, _ := c.AddPropI64("src")
 		dst, _ := c.AddPropI64("dst")
@@ -401,7 +403,7 @@ func TestFaultStealDelayTolerated(t *testing.T) {
 			{Src: comm.AnyMachine, Dst: comm.AnyMachine, Type: int(comm.MsgStealGrant), Kind: comm.FaultDelay, Every: 2, Delay: time.Millisecond},
 		}})
 		cfg.Fabric = inj
-		c := bootSkewed(t, g, cfg, 0.85, 0)
+		c := bootSkewed(t, g, cfg, 0.85)
 		defer inj.Close()
 		src, _ := c.AddPropI64("src")
 		dst, _ := c.AddPropI64("dst")
@@ -427,7 +429,7 @@ func TestFaultStealTruncatedGrantAborts(t *testing.T) {
 			{Src: 0, Dst: comm.AnyMachine, Type: int(comm.MsgStealGrant), Kind: comm.FaultTruncate, TruncateTo: comm.HeaderSize + 12, Every: 1},
 		}})
 		cfg.Fabric = inj
-		c := bootSkewed(t, g, cfg, 0.85, 0)
+		c := bootSkewed(t, g, cfg, 0.85)
 		defer inj.Close()
 		src, _ := c.AddPropI64("src")
 		dst, _ := c.AddPropI64("dst")
@@ -456,7 +458,7 @@ func TestStealCancelMidRun(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.EnableWorkStealing = true
 	cfg.ChunkTargetEdges = 16 // many small chunks: the straggler drains its cursor gradually, so steals land regardless of scheduling
-	c := bootSkewed(t, g, cfg, 0.85, 0)
+	c := bootSkewed(t, g, cfg, 0.85)
 	src, _ := c.AddPropI64("src")
 	dst, _ := c.AddPropI64("dst")
 	c.FillI64(src, 1)
@@ -509,10 +511,10 @@ func TestLoadPlanValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Shutdown)
-	if err := c.LoadPlan(g, partition.Layout{NumMachines: 2, Starts: []uint32{0, 1, uint32(g.NumNodes())}}, 0); err == nil {
+	if err := c.LoadPlan(g, partition.Layout{NumMachines: 2, Starts: []uint32{0, 1, uint32(g.NumNodes())}}); err == nil {
 		t.Error("accepted layout with wrong machine count")
 	}
-	if err := c.LoadPlan(g, partition.Layout{NumMachines: 3, Starts: []uint32{0, 1, 2, 3}}, 0); err == nil {
+	if err := c.LoadPlan(g, partition.Layout{NumMachines: 3, Starts: []uint32{0, 1, 2, 3}}); err == nil {
 		t.Error("accepted layout not covering the graph")
 	}
 }
@@ -529,7 +531,7 @@ func TestClusterReplanImprovesSkew(t *testing.T) {
 	cfg.ChunkTargetEdges = 16
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	c := bootSkewed(t, g, cfg, 0.85, 0)
+	c := bootSkewed(t, g, cfg, 0.85)
 	src, _ := c.AddPropI64("src")
 	dst, _ := c.AddPropI64("dst")
 	for i := 0; i < 2; i++ {
@@ -546,7 +548,7 @@ func TestClusterReplanImprovesSkew(t *testing.T) {
 	if after >= before {
 		t.Errorf("replanned imbalance %.3f did not improve on %.3f", after, before)
 	}
-	if err := c.LoadPlan(g, plan.Layout, plan.GhostCount); err != nil {
+	if err := c.LoadPlan(g, plan.Layout); err != nil {
 		t.Fatal(err)
 	}
 	// Properties were discarded by the reload; re-register and verify the

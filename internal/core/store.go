@@ -7,16 +7,17 @@ import (
 )
 
 // Node references inside a machine's local CSR are pre-resolved at load time
-// into an int64 encoding so the per-edge dispatch (local / ghost / remote)
-// is a sign test plus a compare, with no hash lookups on the hot path:
+// into an int64 encoding so the per-edge dispatch (local / remote) is a sign
+// test, with no hash lookups on the hot path:
 //
-//	ref >= 0                 local slot: < numLocal → owned node,
-//	                         otherwise ghost slot (ref - numLocal)
+//	ref >= 0                 the local index of an owned node
 //	ref <  0                 remote: packed := ^ref,
 //	                         machine = packed >> 32, offset = uint32(packed)
 //
 // This realizes the paper's 64-bit global id ("concatenates the machine
-// number and the local offset") with the additional local/ghost fast path.
+// number and the local offset") with a fast path for owned nodes. Store files
+// carry the same encoding. Which remote refs have a local replica is not a
+// property of the ref but of the load's remote sets (remoteset.go).
 
 func packRemote(machine int, offset uint32) int64 {
 	return ^(int64(machine)<<32 | int64(offset))
@@ -51,12 +52,11 @@ type orientView struct {
 
 // localStore is one machine's slice of the distributed graph: the local CSR
 // in both orientations with pre-resolved refs, full degrees of owned nodes,
-// and the shared partitioning/ghost metadata (paper §3.3: "the partitioning
+// and the shared partitioning metadata (paper §3.3: "the partitioning
 // information [is] shared across all machines").
 type localStore struct {
 	me       int
 	layout   partition.Layout
-	ghosts   *partition.GhostSet
 	numLocal int
 
 	// views are the local CSR's two orientations, indexed by store.OrientOut
@@ -75,26 +75,27 @@ type localStore struct {
 	inDeg  []int32
 
 	// remoteSets[it] is the set of remote addresses iterator it's rows
-	// reference, built by the first job that can use it (remoteset.go).
+	// reference, built by the first job that can use it (remoteset.go). top,
+	// when non-nil (Config.GhostCount), is a bitmap over global ids of the
+	// only vertices they may hold.
 	remoteSets [IterBothEdges + 1]*remoteSet
+	top        []uint64
 }
 
 // buildLocalStore extracts machine me's partition from the global graph.
-func buildLocalStore(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet, me int) *localStore {
+func buildLocalStore(g *graph.Graph, layout partition.Layout, me int) *localStore {
 	lo, hi := layout.Range(me)
-	return newLocalStore(me, layout, ghosts,
-		buildLocalCSR(&g.Out, layout, ghosts, me, lo, hi), buildLocalCSR(&g.In, layout, ghosts, me, lo, hi))
+	return newLocalStore(me, layout, buildLocalCSR(&g.Out, layout, lo, hi), buildLocalCSR(&g.In, layout, lo, hi))
 }
 
 // newLocalStore wraps machine me's two CSR orientations and derives the
 // O(numLocal) metadata from their rows: degrees and the both-orientation prefix.
-func newLocalStore(me int, layout partition.Layout, ghosts *partition.GhostSet, out, in orientView) *localStore {
+func newLocalStore(me int, layout partition.Layout, out, in orientView) *localStore {
 	out.orient, in.orient = store.OrientOut, store.OrientIn
 	numLocal := len(out.rows) - 1
 	s := &localStore{
 		me:       me,
 		layout:   layout,
-		ghosts:   ghosts,
 		numLocal: numLocal,
 		views:    [2]orientView{out, in},
 		bothRows: make([]int64, numLocal+1),
@@ -110,11 +111,9 @@ func newLocalStore(me int, layout partition.Layout, ghosts *partition.GhostSet, 
 }
 
 // buildLocalCSR rebases csr rows [lo, hi) to local indexing and rewrites
-// every neighbor into the ref encoding: owned → local index, ghosted →
-// ghost slot, otherwise remote (machine, offset). "Each ghost node only
-// keeps local edges that do not cross machine boundaries" falls out of the
-// rewrite: an edge whose endpoint is ghosted never leaves the machine.
-func buildLocalCSR(csr *graph.CSR, layout partition.Layout, ghosts *partition.GhostSet, me int, lo, hi graph.NodeID) orientView {
+// every neighbor into the ref encoding: owned → local index, otherwise
+// remote (machine, offset).
+func buildLocalCSR(csr *graph.CSR, layout partition.Layout, lo, hi graph.NodeID) orientView {
 	numLocal := int(hi - lo)
 	rows := make([]int64, numLocal+1)
 	base := csr.Rows[lo]
@@ -128,15 +127,10 @@ func buildLocalCSR(csr *graph.CSR, layout partition.Layout, ghosts *partition.Gh
 		weights = make([]float64, m)
 		copy(weights, csr.Weights[base:base+m])
 	}
-	numGhostBase := int64(numLocal)
 	for i := int64(0); i < m; i++ {
 		v := csr.Cols[base+i]
 		if v >= lo && v < hi {
 			refs[i] = int64(v - lo)
-			continue
-		}
-		if slot, ok := ghosts.Slot(v); ok {
-			refs[i] = numGhostBase + int64(slot)
 			continue
 		}
 		owner := layout.Owner(v)
@@ -162,21 +156,4 @@ func (s *localStore) rowsFor(it IterKind) []int64 {
 // globalOf converts a local node index to its global id.
 func (s *localStore) globalOf(local uint32) graph.NodeID {
 	return s.layout.GlobalOf(s.me, local)
-}
-
-// ghostSlots holds per-ghost ownership, precomputed once: ownedGhost[slot]
-// is the owner machine's local index of the ghost's original node, or -1
-// when this machine does not own it. Ghost synchronization uses it to
-// scatter/gather owner values.
-func (s *localStore) ghostOwnership() []int64 {
-	owned := make([]int64, s.ghosts.Len())
-	lo, hi := s.layout.Range(s.me)
-	for slot, v := range s.ghosts.Nodes {
-		if v >= lo && v < hi {
-			owned[slot] = int64(v - lo)
-		} else {
-			owned[slot] = -1
-		}
-	}
-	return owned
 }

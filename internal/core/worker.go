@@ -37,8 +37,7 @@ type worker struct {
 	// The paper's side data structures (§3.2): for each in-flight read
 	// message, the ordered log of (node, slot, aux) records; keyed by the
 	// message's sequence number because copiers on the remote machine may
-	// answer out of order. With read combining, several side records can
-	// share one payload slot, so len(side) >= the message's record count.
+	// answer out of order.
 	sides   map[uint32][]sideRec
 	curSide [][]sideRec
 	seq     uint32
@@ -51,33 +50,6 @@ type worker struct {
 	// monotone for the worker's lifetime), so a stale seq cannot collide
 	// with a live one.
 	stale map[uint32]struct{}
-
-	// Read combining (duplicate remote-read elimination): dedup[dst] maps a
-	// packed (prop, offset) address to its record slot in the currently open
-	// read message toward dst (an open-addressed table, see dedup.go).
-	// Repeated reads of the same address within one message window append
-	// only a side record — no wire bytes — and the one response word fans out
-	// to every waiting continuation in request order.
-	combine     bool
-	dedup       []dedupTable
-	dedupHits   int64
-	dedupMisses int64
-
-	// Write combining (sender side): wdedup[dst] maps a write record's meta
-	// word (prop, op, offset) to the byte offset of its value word in the
-	// currently open write message toward dst. A repeated reduction to the
-	// same address within one message window folds into the buffered value
-	// in place — zero additional wire records — which is what keeps dense
-	// push supersteps from flooding the write channels.
-	wcombine  bool
-	wdedup    []dedupTable
-	wcombHits int64
-
-	// maxSide caps side-structure growth per message: all-duplicate windows
-	// never fill the wire buffer, so without a cap the side log (and the
-	// response fan-out burst) would grow with chunk size instead of message
-	// size.
-	maxSide int
 
 	// Wire compression (sorted delta-varint batch encoding, see compress.go):
 	// worker-owned scratch so the flush hot path allocates nothing.
@@ -106,10 +78,6 @@ type worker struct {
 
 	// payloadFree recycles payload scratch buffers (see processResponse).
 	payloadFree [][]byte
-
-	// privSeg[p] is this worker's private ghost segment for property p in
-	// the current job, or nil when p is not privatized.
-	privSeg [][]uint64
 
 	// cols caches the machine's property columns for the duration of a job,
 	// shortening the per-edge access path.
@@ -140,7 +108,7 @@ type worker struct {
 
 // sideRec is one entry of the side structure: enough to restore the task
 // context when its value arrives, plus the payload slot its value occupies
-// in the response (several records share a slot under read combining).
+// in the response (the flush's sort moves records, compressReadBatch).
 type sideRec struct {
 	node uint32
 	slot uint32
@@ -150,10 +118,6 @@ type sideRec struct {
 const (
 	readRecSize  = 8  // prop(16) | offset(32) packed into a u64
 	writeRecSize = 16 // prop(16)|op(8)|offset(32) word + value word
-
-	// dedupSavedPerHit is the wire traffic one combining hit elides: the
-	// 8-byte request record plus the 8-byte response word.
-	dedupSavedPerHit = readRecSize + 8
 )
 
 func newWorker(m *Machine, id int) *worker {
@@ -167,19 +131,11 @@ func newWorker(m *Machine, id int) *worker {
 		sides:     make(map[uint32][]sideRec),
 		stale:     make(map[uint32]struct{}),
 		curSide:   make([][]sideRec, m.cfg.NumMachines),
-		combine:   !m.cfg.Ablate.Has(AblateReadCombining),
 		compress:  m.compress,
-		dedup:     make([]dedupTable, m.cfg.NumMachines),
-		wcombine:  !m.cfg.Ablate.Has(AblateWriteCombining),
-		wdedup:    make([]dedupTable, m.cfg.NumMachines),
 		reg:       m.cfg.Obs,
 	}
 	if w.reg != nil {
 		w.rttStart = make(map[uint32]int64)
-	}
-	w.maxSide = 8 * ((m.cfg.BufferSize - comm.HeaderSize) / readRecSize)
-	if w.maxSide < 64 {
-		w.maxSide = 64
 	}
 	w.ctx.w = w
 	return w
@@ -231,8 +187,6 @@ func (w *worker) abortCleanup() {
 			buf.Release()
 			w.writeBufs[d] = nil
 		}
-		w.dedup[d].clear()
-		w.wdedup[d].clear()
 		if side := w.curSide[d]; side != nil {
 			w.sideRecycle(side)
 			w.curSide[d] = nil
@@ -245,8 +199,7 @@ func (w *worker) abortCleanup() {
 	}
 	w.outstanding = 0
 	w.rd.release()
-	w.dedupHits, w.dedupMisses = 0, 0
-	w.wcombHits, w.folded = 0, 0
+	w.folded = 0
 	if w.rttStart != nil {
 		clear(w.rttStart) // the seqs moved to the stale set; no RTT to record
 	}
@@ -265,18 +218,6 @@ func (w *worker) runJob(jr *jobRuntime) {
 	}()
 	w.job = jr
 	w.cols = w.m.cols
-	if cap(w.privSeg) < len(w.m.cols) {
-		w.privSeg = make([][]uint64, len(w.m.cols))
-	} else {
-		w.privSeg = w.privSeg[:len(w.m.cols)]
-		for i := range w.privSeg {
-			w.privSeg[i] = nil
-		}
-	}
-	for _, ws := range jr.privProps {
-		w.privSeg[ws.Prop] = w.m.cols[ws.Prop].ensurePriv(w.id, ws.Op)
-	}
-
 	if jr.cursors {
 		w.rd = jr.readers(w.m.id)
 	}
@@ -320,19 +261,6 @@ func (w *worker) runJob(jr *jobRuntime) {
 		// the dangling seqs in the stale set so any response that does show
 		// up later is dropped instead of corrupting the next job.
 		w.fail(fmt.Errorf("core: machine %d worker %d finished job with %d dangling side structures", w.m.id, w.id, len(w.sides)))
-	}
-	if w.dedupHits != 0 || w.dedupMisses != 0 {
-		w.m.ep.Metrics().RecordReadDedup(w.dedupHits, w.dedupMisses, dedupSavedPerHit*w.dedupHits)
-		w.reg.Add(w.m.id, obs.CtrDedupHits, w.dedupHits)
-		w.reg.Add(w.m.id, obs.CtrDedupMisses, w.dedupMisses)
-		w.reg.Add(w.m.id, obs.CtrDedupBytesSaved, dedupSavedPerHit*w.dedupHits)
-		w.dedupHits, w.dedupMisses = 0, 0
-	}
-	if w.wcombHits != 0 {
-		w.m.ep.Metrics().RecordWriteCombine(w.wcombHits, writeRecSize*w.wcombHits)
-		w.reg.Add(w.m.id, obs.CtrWriteCombineHits, w.wcombHits)
-		w.reg.Add(w.m.id, obs.CtrWriteCombineBytesSaved, writeRecSize*w.wcombHits)
-		w.wcombHits = 0
 	}
 	w.endTime = time.Now()
 	w.job = nil
@@ -579,10 +507,8 @@ func (w *worker) processResponse(buf *comm.Buffer) {
 	ctx := &w.ctx
 	switch typ {
 	case comm.MsgReadResp:
-		// The response carries h.Count unique value words; the side log can
-		// be longer under read combining. Each record's slot picks its word,
-		// so one response word fans out to every continuation that waited on
-		// the same (prop, offset) — still in request order.
+		// The response carries one value word per side record, at the record's
+		// slot; continuations run in request order.
 		//
 		// Validate every slot before running any continuation: a truncated
 		// frame (wire fault) must surface as a job error, not an
@@ -714,18 +640,8 @@ func (w *worker) acquireReq() *comm.Buffer {
 // bufferRead appends a read request toward machine dst (paper §3.2 steps
 // 1-3): the 8-byte address record goes into the message, the (node, slot,
 // aux) record into the side structure, and a full message is sent
-// immediately. With combining on, a repeated (prop, offset) within the open
-// message window appends only the side record, pointing at the slot the
-// first occurrence claimed — high-degree pulls collapse to one wire record
-// per distinct remote address per window.
+// immediately.
 func (w *worker) bufferRead(dst int, p PropID, offset uint32, node uint32, aux uint64) {
-	key := uint64(p)<<48 | uint64(offset)
-	if w.combine {
-		if slot, ok := w.dedup[dst].get(key); ok {
-			w.appendCombined(dst, slot, node, aux)
-			return
-		}
-	}
 	buf := w.readBufs[dst]
 	if buf == nil {
 		nb := w.acquireReq()
@@ -734,14 +650,6 @@ func (w *worker) bufferRead(dst int, p PropID, offset uint32, node uint32, aux u
 		if w.readBufs[dst] != nil {
 			nb.Release()
 			buf = w.readBufs[dst]
-			// That continuation may even have buffered this very address —
-			// the dedup index must be consulted again.
-			if w.combine {
-				if slot, ok := w.dedup[dst].get(key); ok {
-					w.appendCombined(dst, slot, node, aux)
-					return
-				}
-			}
 		} else {
 			nb.Reset(comm.Header{Type: comm.MsgReadReq, Worker: uint8(w.id), Src: uint16(w.m.id)})
 			w.readBufs[dst] = nb
@@ -749,53 +657,27 @@ func (w *worker) bufferRead(dst int, p PropID, offset uint32, node uint32, aux u
 		}
 	}
 	slot := uint32(len(buf.Payload()) / readRecSize)
-	buf.AppendU64(key)
-	if w.combine {
-		w.dedup[dst].put(key, slot)
-		w.dedupMisses++
-	}
+	buf.AppendU64(uint64(p)<<48 | uint64(offset))
 	side := w.curSide[dst]
 	if side == nil {
 		side = w.sideNew()
 	}
 	w.curSide[dst] = append(side, sideRec{node: node, slot: slot, aux: aux})
-	if buf.Room() < readRecSize || len(w.curSide[dst]) >= w.maxSide {
+	if buf.Room() < readRecSize {
 		w.flushRead(dst)
 	}
 }
 
-// appendCombined records a dedup hit: side record only, no wire bytes.
-func (w *worker) appendCombined(dst int, slot uint32, node uint32, aux uint64) {
-	w.dedupHits++
-	w.curSide[dst] = append(w.curSide[dst], sideRec{node: node, slot: slot, aux: aux})
-	if len(w.curSide[dst]) >= w.maxSide {
-		w.flushRead(dst)
-	}
-}
-
-// bufferWrite appends a write (reduction) record toward machine dst. With
-// write combining on, a repeated (prop, op, offset) within the open message
-// window folds into the already-buffered value word in place — the record
-// count, the wire bytes, and the receiver's atomic applies all shrink, which
-// is what makes dense push supersteps affordable.
+// bufferWrite appends a write (reduction) record toward machine dst.
 func (w *worker) bufferWrite(dst int, p PropID, op reduce.Op, offset uint32, word uint64) {
-	meta := uint64(p)<<48 | uint64(op)<<40 | uint64(offset)
-	if w.wcombine && w.tryCombineWrite(dst, p, op, meta, word) {
-		return
-	}
 	buf := w.writeBufs[dst]
 	if buf == nil {
 		nb := w.acquireReq()
-		// Re-check as in bufferRead: acquireReq is a re-entrancy point. A
-		// continuation may have installed a message toward dst — and may
-		// even have buffered this very address, so the combine index must
-		// be consulted again.
+		// Re-check as in bufferRead: acquireReq is a re-entrancy point, and a
+		// continuation may have installed a message toward dst.
 		if w.writeBufs[dst] != nil {
 			nb.Release()
 			buf = w.writeBufs[dst]
-			if w.wcombine && w.tryCombineWrite(dst, p, op, meta, word) {
-				return
-			}
 		} else {
 			// Aux carries the job id as an epoch stamp: the receiving copier
 			// drops write frames from a job that is no longer current, so a
@@ -806,10 +688,7 @@ func (w *worker) bufferWrite(dst int, p PropID, op reduce.Op, offset uint32, wor
 			buf = nb
 		}
 	}
-	if w.wcombine {
-		w.wdedup[dst].put(meta, uint32(len(buf.Payload())+8)) // the value word follows the meta word
-	}
-	buf.AppendU64(meta)
+	buf.AppendU64(uint64(p)<<48 | uint64(op)<<40 | uint64(offset))
 	buf.AppendU64(word)
 	if buf.Room() < writeRecSize {
 		w.flushWrite(dst)
@@ -817,54 +696,21 @@ func (w *worker) bufferWrite(dst int, p PropID, op reduce.Op, offset uint32, wor
 }
 
 // writeActivating is the WriteRef path for properties with
-// WriteSpec.ActivateInto: owned-local targets apply immediately and, when the
-// stored word changed, activate into this worker's build shard; ghosted
-// targets bypass ghost accumulation and ship as explicit records to the
-// owner, whose copier applies and activates them before the termination
-// allreduce. slot is the 0-based build slot.
+// WriteSpec.ActivateInto: a local target applies immediately and, when the
+// stored word changed, activates into this worker's build shard; a remote one
+// never accumulates — it ships as an explicit record to the owner, whose
+// copier applies and activates it before the termination allreduce. slot is
+// the 0-based build slot.
 func (w *worker) writeActivating(ref int64, p PropID, op reduce.Op, word uint64, slot int) {
-	st := w.m.store
 	if ref >= 0 {
-		if int(ref) < st.numLocal {
-			if w.cols[p].applyWord(int(ref), op, word) {
-				b := w.job.builds[slot]
-				b.shards[w.id] = append(b.shards[w.id], uint32(ref))
-			}
-			return
+		if w.cols[p].applyWord(int(ref), op, word) {
+			b := w.job.builds[slot]
+			b.shards[w.id] = append(b.shards[w.id], uint32(ref))
 		}
-		// A ghost ref: route around the ghost copy. If this machine owns the
-		// original (its own hub, ghosted cluster-wide), apply in place.
-		g := int32(ref) - int32(st.numLocal)
-		if own := w.m.ghostOwned[g]; own >= 0 {
-			if w.cols[p].applyWord(int(own), op, word) {
-				b := w.job.builds[slot]
-				b.shards[w.id] = append(b.shards[w.id], uint32(own))
-			}
-			return
-		}
-		global := st.ghosts.Node(g)
-		w.bufferWrite(st.layout.Owner(global), p, op, uint32(st.layout.LocalOffset(global)), word)
 		return
 	}
 	mach, off := unpackRemote(ref)
 	w.bufferWrite(mach, p, op, off, word)
-}
-
-// tryCombineWrite folds word into the open write message's buffered value
-// for meta, if one exists. Payload() exposes the live frame, so the merge is
-// an in-place 8-byte rewrite using the column's reduction arithmetic.
-func (w *worker) tryCombineWrite(dst int, p PropID, op reduce.Op, meta, word uint64) bool {
-	if w.writeBufs[dst] == nil {
-		return false
-	}
-	off, ok := w.wdedup[dst].get(meta)
-	if !ok {
-		return false
-	}
-	pl := w.writeBufs[dst].Payload()
-	putLeU64(pl[off:], w.cols[p].mergeWords(op, leU64(pl[off:]), word))
-	w.wcombHits++
-	return true
 }
 
 // bufferRMI sends one RMI request frame toward machine dst.
@@ -897,8 +743,6 @@ func (w *worker) flushRead(dst int) {
 		return
 	}
 	w.readBufs[dst] = nil
-	// Count is the number of wire records (unique addresses), which under
-	// combining can be fewer than the side records awaiting the response.
 	nrec := len(buf.Payload()) / readRecSize
 	if w.compress && nrec >= wireCompressMinRecords {
 		// Must run before the side log is registered under the seq: it
@@ -906,7 +750,6 @@ func (w *worker) flushRead(dst int) {
 		w.compressReadBatch(buf, nrec, dst)
 	}
 	buf.SetCount(uint32(nrec))
-	w.dedup[dst].clear()
 	w.seq++
 	// Aux: the job id's low half as an epoch stamp above the seq. The serving
 	// copier drops a read frame whose epoch is not its current job's (a
@@ -936,7 +779,6 @@ func (w *worker) flushWrite(dst int) {
 		return
 	}
 	w.writeBufs[dst] = nil
-	w.wdedup[dst].clear()
 	n := len(buf.Payload()) / writeRecSize
 	if w.compress && n >= wireCompressMinRecords {
 		w.compressWriteBatch(buf, n, dst)
@@ -985,9 +827,6 @@ type jobRuntime struct {
 	// order (two for IterBothEdges, none on a node iterator): the iterViews
 	// range of the store's views for spec.Iter.
 	views []orientView
-	// privProps lists the write-specs whose ghost reductions are privatized
-	// per worker this job.
-	privProps []WriteSpec
 
 	// Frontier-sourced iteration state (spec.Source): exactly one of
 	// frontList (sparse: chunks index the sorted member list) and frontBits
@@ -1088,9 +927,4 @@ func (jr *jobRuntime) aborted() bool {
 // leU64 decodes a little-endian uint64 at the start of p.
 func leU64(p []byte) uint64 {
 	return binary.LittleEndian.Uint64(p)
-}
-
-// putLeU64 encodes v little-endian at the start of p.
-func putLeU64(p []byte, v uint64) {
-	binary.LittleEndian.PutUint64(p, v)
 }

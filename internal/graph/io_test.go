@@ -151,29 +151,6 @@ func TestBinaryRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestThresholdForGhostCount(t *testing.T) {
-	g, err := RMAT(10, 8, TwitterLike(), 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []int{0, 1, 10, 100, 1000} {
-		th := ThresholdForGhostCount(g, want)
-		got := NodesAboveDegree(g, th)
-		if got > want && want > 0 {
-			t.Errorf("ghost count for target %d: got %d ghosts at threshold %d", want, got, th)
-		}
-		if want == 0 && got != 0 {
-			t.Errorf("target 0: got %d ghosts", got)
-		}
-	}
-	// Huge target covers all nodes: threshold 0 means all nodes with any
-	// degree > 0 are ghosts.
-	th := ThresholdForGhostCount(g, g.NumNodes()*2)
-	if th != 0 {
-		t.Errorf("threshold for unbounded ghosts = %d, want 0", th)
-	}
-}
-
 func TestDegreeStatsString(t *testing.T) {
 	g, err := Uniform(100, 500, 2)
 	if err != nil {

@@ -93,35 +93,6 @@ func NodesAboveDegree(g *Graph, threshold int64) int {
 	return count
 }
 
-// ThresholdForGhostCount returns the smallest degree threshold that yields at
-// most maxGhosts ghost nodes. Figure 6a sweeps ghost counts; this inverts
-// the threshold→count mapping so the harness can sweep counts directly.
-func ThresholdForGhostCount(g *Graph, maxGhosts int) int64 {
-	if maxGhosts <= 0 {
-		// Threshold above every degree: no ghosts.
-		max := s64max(ComputeDegreeStats(g).MaxInDegree, ComputeDegreeStats(g).MaxOutDegree)
-		return max
-	}
-	degrees := make([]int64, 0, g.NumNodes())
-	for u := 0; u < g.NumNodes(); u++ {
-		degrees = append(degrees, s64max(g.InDegree(NodeID(u)), g.OutDegree(NodeID(u))))
-	}
-	sort.Slice(degrees, func(i, j int) bool { return degrees[i] > degrees[j] })
-	if maxGhosts >= len(degrees) {
-		return 0
-	}
-	// Nodes with max-degree > t become ghosts; pick t = degree of the
-	// (maxGhosts+1)-th node so at most maxGhosts nodes exceed it.
-	return degrees[maxGhosts]
-}
-
-func s64max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // EffectiveDiameterSample estimates the 90th-percentile BFS eccentricity from
 // nSamples random sources (deterministic in seed). Used by tests to verify
 // the grid generator produces high-diameter road-like graphs and RMAT

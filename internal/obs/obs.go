@@ -7,7 +7,7 @@
 //
 // The paper's evaluation (Tables 3-4, Figure 8) hinges on knowing exactly
 // where time and bytes go — per-superstep compute vs. communication,
-// per-(src,dst) traffic, ghost-merge cost. This package makes that data a
+// per-(src,dst) traffic, replica upkeep. This package makes that data a
 // first-class engine output instead of ad-hoc counters.
 //
 // Everything is nil-safe: a nil *Registry turns every record operation into
@@ -39,12 +39,6 @@ const (
 	// CtrBytesRecv / CtrFramesRecv count inbound wire traffic.
 	CtrBytesRecv
 	CtrFramesRecv
-	// CtrDedupHits / CtrDedupMisses / CtrDedupBytesSaved mirror the read-
-	// combining counters with per-job reset semantics (comm.Metrics keeps
-	// the process-lifetime totals for server stats).
-	CtrDedupHits
-	CtrDedupMisses
-	CtrDedupBytesSaved
 	// CtrSendErrors / CtrRecvErrors count transport failures observed while
 	// the registry was attached.
 	CtrSendErrors
@@ -72,19 +66,6 @@ const (
 	// raw). wire/raw is the compression ratio.
 	CtrWireRawBytes
 	CtrWireBytes
-	// CtrWriteCombineHits / CtrWriteCombineBytesSaved count sender-side
-	// write combining: remote writes merged into an already-buffered record
-	// for the same (prop, op, offset) and the request bytes that saved. An
-	// accumulated push ships each address once per worker, so on a dense push
-	// these — and the harness's write_combine_hit_ratio over them — read ≈ 0
-	// by design, as the dedup counters do on a mirrored pull; the folding is
-	// counted by CtrAccumulatedWrites.
-	CtrWriteCombineHits
-	CtrWriteCombineBytesSaved
-	// CtrRecvWritesCombined counts receiver-side write combining: duplicate
-	// records in one sorted compressed write batch merged before the column
-	// apply.
-	CtrRecvWritesCombined
 	// CtrFrontierNodes / CtrFrontierEdges accumulate the global frontier size
 	// (nodes, out-edges) observed at each direction decision — the data the
 	// push/pull heuristic acted on.
@@ -131,44 +112,38 @@ const (
 )
 
 var counterNames = [numCounters]string{
-	CtrBytesSent:              "bytes_sent",
-	CtrFramesSent:             "frames_sent",
-	CtrBytesRecv:              "bytes_recv",
-	CtrFramesRecv:             "frames_recv",
-	CtrDedupHits:              "dedup_hits",
-	CtrDedupMisses:            "dedup_misses",
-	CtrDedupBytesSaved:        "dedup_bytes_saved",
-	CtrSendErrors:             "send_errors",
-	CtrRecvErrors:             "recv_errors",
-	CtrReadsServed:            "reads_served",
-	CtrWritesApplied:          "writes_applied",
-	CtrStaleWriteFrames:       "stale_write_frames",
-	CtrStaleReadFrames:        "stale_read_frames",
-	CtrRMIServed:              "rmi_served",
-	CtrFlushes:                "flushes",
-	CtrWireRawBytes:           "wire_raw_bytes",
-	CtrWireBytes:              "wire_bytes",
-	CtrWriteCombineHits:       "write_combine_hits",
-	CtrWriteCombineBytesSaved: "write_combine_bytes_saved",
-	CtrRecvWritesCombined:     "recv_writes_combined",
-	CtrFrontierNodes:          "frontier_nodes",
-	CtrFrontierEdges:          "frontier_edges",
-	CtrStealRequests:          "steal_requests",
-	CtrStealGrants:            "steal_grants",
-	CtrStolenNodes:            "stolen_nodes",
-	CtrStolenEdges:            "stolen_edges",
-	CtrStealResidual:          "steal_residual_chunks",
-	CtrSpilledWriteFrames:     "spilled_write_frames",
-	CtrSpilledWriteBytes:      "spilled_write_bytes",
-	CtrSpillFileFrames:        "spill_file_frames",
-	CtrDecodeHits:             "decode_hits",
-	CtrDecodeMisses:           "decode_misses",
-	CtrDecodedBytes:           "decoded_bytes",
-	CtrDecodeEvictedBytes:     "decode_evicted_bytes",
-	CtrResidencyTouchedBytes:  "residency_touched_bytes",
-	CtrResidencyEvictedBytes:  "residency_evicted_bytes",
-	CtrMirrorWords:            "mirror_words",
-	CtrAccumulatedWrites:      "accumulated_writes",
+	CtrBytesSent:             "bytes_sent",
+	CtrFramesSent:            "frames_sent",
+	CtrBytesRecv:             "bytes_recv",
+	CtrFramesRecv:            "frames_recv",
+	CtrSendErrors:            "send_errors",
+	CtrRecvErrors:            "recv_errors",
+	CtrReadsServed:           "reads_served",
+	CtrWritesApplied:         "writes_applied",
+	CtrStaleWriteFrames:      "stale_write_frames",
+	CtrStaleReadFrames:       "stale_read_frames",
+	CtrRMIServed:             "rmi_served",
+	CtrFlushes:               "flushes",
+	CtrWireRawBytes:          "wire_raw_bytes",
+	CtrWireBytes:             "wire_bytes",
+	CtrFrontierNodes:         "frontier_nodes",
+	CtrFrontierEdges:         "frontier_edges",
+	CtrStealRequests:         "steal_requests",
+	CtrStealGrants:           "steal_grants",
+	CtrStolenNodes:           "stolen_nodes",
+	CtrStolenEdges:           "stolen_edges",
+	CtrStealResidual:         "steal_residual_chunks",
+	CtrSpilledWriteFrames:    "spilled_write_frames",
+	CtrSpilledWriteBytes:     "spilled_write_bytes",
+	CtrSpillFileFrames:       "spill_file_frames",
+	CtrDecodeHits:            "decode_hits",
+	CtrDecodeMisses:          "decode_misses",
+	CtrDecodedBytes:          "decoded_bytes",
+	CtrDecodeEvictedBytes:    "decode_evicted_bytes",
+	CtrResidencyTouchedBytes: "residency_touched_bytes",
+	CtrResidencyEvictedBytes: "residency_evicted_bytes",
+	CtrMirrorWords:           "mirror_words",
+	CtrAccumulatedWrites:     "accumulated_writes",
 }
 
 // String implements fmt.Stringer.

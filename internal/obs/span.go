@@ -13,10 +13,8 @@ type SpanKind uint8
 // Span kinds recorded by the engine.
 const (
 	// SpanJob covers one whole parallel region on one machine, from job
-	// publish to the post-drain ghost merge.
+	// publish to the converged write drain.
 	SpanJob SpanKind = iota
-	// SpanGhostReadSync is the pre-job broadcast of ghost-read property data.
-	SpanGhostReadSync
 	// SpanBarrier is one collective barrier wait on the machine's main
 	// goroutine (Arg: 0 = pre-task barrier, 1 = post-task barrier).
 	SpanBarrier
@@ -26,8 +24,6 @@ const (
 	// SpanWriteDrain is the all-reduce loop waiting for remote writes to
 	// settle cluster-wide.
 	SpanWriteDrain
-	// SpanGhostMerge is the post-drain merge of ghost write accumulators.
-	SpanGhostMerge
 	// SpanFlush is one worker request-buffer flush (Arg packs dst<<48|bytes).
 	SpanFlush
 	// SpanReadRTT is one remote-read round trip measured at the requesting
@@ -50,24 +46,27 @@ const (
 	// SpanWriteFlush is one worker shipping its write accumulators when it has
 	// run dry: first slot walked to last frame sent (Arg: records shipped).
 	SpanWriteFlush
+	// SpanRemoteSetBuild is the once-per-load, per-iterator scan that builds a
+	// machine's remote set, on its main goroutine ahead of the first task
+	// phase that uses it (Arg: refs scanned).
+	SpanRemoteSetBuild
 
 	numSpanKinds
 )
 
 var spanKindNames = [numSpanKinds]string{
-	SpanJob:           "job",
-	SpanGhostReadSync: "ghost_read_sync",
-	SpanBarrier:       "barrier",
-	SpanTaskPhase:     "task_phase",
-	SpanWriteDrain:    "write_drain",
-	SpanGhostMerge:    "ghost_merge",
-	SpanFlush:         "flush",
-	SpanReadRTT:       "read_rtt",
-	SpanCopierServe:   "copier_serve",
-	SpanDirection:     "direction_decision",
-	SpanSteal:         "steal",
-	SpanReadPrefetch:  "read_prefetch",
-	SpanWriteFlush:    "write_flush",
+	SpanJob:            "job",
+	SpanBarrier:        "barrier",
+	SpanTaskPhase:      "task_phase",
+	SpanWriteDrain:     "write_drain",
+	SpanFlush:          "flush",
+	SpanReadRTT:        "read_rtt",
+	SpanCopierServe:    "copier_serve",
+	SpanDirection:      "direction_decision",
+	SpanSteal:          "steal",
+	SpanReadPrefetch:   "read_prefetch",
+	SpanWriteFlush:     "write_flush",
+	SpanRemoteSetBuild: "remote_set_build",
 }
 
 // String implements fmt.Stringer.

@@ -6,41 +6,36 @@ import (
 	"repro/internal/graph"
 )
 
-// GhostSet is the cluster-wide set of vertices replicated on every machine
-// (paper §3.3, "Selective Ghost Node"): vertices whose in-degree or
-// out-degree exceeds a threshold. The set and its slot numbering are
-// identical on all machines, so ghost slot i refers to the same global
-// vertex everywhere.
+// GhostSet is a cluster-wide selection of high-degree vertices (paper §3.3,
+// "Selective Ghost Node"): the vertices worth a replica on the machines that
+// reference them. The engine replicates through per-load remote sets and uses
+// a selection only to cap them (core.Config.GhostCount, Figure 6a's sweep).
 type GhostSet struct {
-	// Nodes lists the ghosted global vertex ids in ascending order; the
-	// index in this slice is the vertex's ghost slot.
+	// Nodes lists the selected global vertex ids in ascending order.
 	Nodes []graph.NodeID
-	// slotOf maps a global vertex id to its ghost slot, or absent.
-	slotOf map[graph.NodeID]int32
 }
 
-// SelectGhosts returns the ghost set for g at the given degree threshold:
-// every vertex with in-degree > threshold or out-degree > threshold.
-// A negative threshold ghosts every vertex with any edge; an impossibly
-// large one produces an empty set (ghosting disabled).
+// SelectGhosts returns the paper's selection for g at the given degree
+// threshold: every vertex with in-degree > threshold or out-degree >
+// threshold. A negative threshold selects every vertex with any edge; an
+// impossibly large one nothing.
 func SelectGhosts(g *graph.Graph, threshold int64) *GhostSet {
-	gs := &GhostSet{slotOf: make(map[graph.NodeID]int32)}
+	gs := &GhostSet{}
 	for u := 0; u < g.NumNodes(); u++ {
 		v := graph.NodeID(u)
 		if g.InDegree(v) > threshold || g.OutDegree(v) > threshold {
-			gs.slotOf[v] = int32(len(gs.Nodes))
 			gs.Nodes = append(gs.Nodes, v)
 		}
 	}
 	return gs
 }
 
-// SelectTopGhosts returns a ghost set containing (at most) the k vertices of
-// highest max(in,out) degree. Figure 6a sweeps ghost counts directly, so the
-// harness uses this count-based selection.
+// SelectTopGhosts returns (at most) the k vertices of highest max(in,out)
+// degree, ties broken toward the lower id; isolated vertices are never
+// selected.
 func SelectTopGhosts(g *graph.Graph, k int) *GhostSet {
 	if k <= 0 {
-		return &GhostSet{slotOf: map[graph.NodeID]int32{}}
+		return &GhostSet{}
 	}
 	type nd struct {
 		id  graph.NodeID
@@ -49,11 +44,7 @@ func SelectTopGhosts(g *graph.Graph, k int) *GhostSet {
 	all := make([]nd, g.NumNodes())
 	for u := range all {
 		v := graph.NodeID(u)
-		d := g.InDegree(v)
-		if od := g.OutDegree(v); od > d {
-			d = od
-		}
-		all[u] = nd{id: v, deg: d}
+		all[u] = nd{id: v, deg: max(g.InDegree(v), g.OutDegree(v))}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].deg != all[j].deg {
@@ -61,40 +52,14 @@ func SelectTopGhosts(g *graph.Graph, k int) *GhostSet {
 		}
 		return all[i].id < all[j].id
 	})
-	if k > len(all) {
-		k = len(all)
-	}
-	picked := all[:k]
+	k = min(k, len(all))
 	ids := make([]graph.NodeID, 0, k)
-	for _, p := range picked {
+	for _, p := range all[:k] {
 		if p.deg == 0 {
-			break // don't ghost isolated vertices
+			break
 		}
 		ids = append(ids, p.id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	gs := &GhostSet{Nodes: ids, slotOf: make(map[graph.NodeID]int32, len(ids))}
-	for i, id := range ids {
-		gs.slotOf[id] = int32(i)
-	}
-	return gs
+	return &GhostSet{Nodes: ids}
 }
-
-// EmptyGhostSet returns a ghost set with no members — the load path for
-// representations that pre-resolve refs without ghost slots (out-of-core
-// store files encode every neighbor as local or remote, never ghosted).
-func EmptyGhostSet() *GhostSet {
-	return &GhostSet{slotOf: map[graph.NodeID]int32{}}
-}
-
-// Len returns the number of ghosted vertices.
-func (gs *GhostSet) Len() int { return len(gs.Nodes) }
-
-// Slot returns the ghost slot of v and whether v is ghosted.
-func (gs *GhostSet) Slot(v graph.NodeID) (int32, bool) {
-	s, ok := gs.slotOf[v]
-	return s, ok
-}
-
-// Node returns the global vertex id occupying ghost slot s.
-func (gs *GhostSet) Node(s int32) graph.NodeID { return gs.Nodes[s] }

@@ -7,16 +7,16 @@ import (
 )
 
 // Online repartitioning: after a job (or a batch of jobs) on one graph, the
-// engine feeds what it measured — per-machine task-phase times, barrier-wait
-// skew, and the traffic matrix — into Replan, which re-cuts vertex ownership
+// engine feeds what it measured — per-machine task-phase times and
+// barrier-wait skew — into Replan, which re-cuts vertex ownership
 // for the next run of the same graph. The static degree-prefix walk assumes
 // every edge costs the same everywhere; measured per-edge cost differs per
-// machine (remote-write-heavy partitions, ghost density, hub placement), and
+// machine (remote-write-heavy partitions, hub placement), and
 // Replan folds that back into the pivots.
 
 // Telemetry is the measured evidence Replan acts on. All fields are
-// per-machine (or per machine pair) cumulative values over one or more jobs
-// on the same loaded graph; zero or missing entries are tolerated and fall
+// per-machine cumulative values over one or more jobs on the same loaded
+// graph; zero or missing entries are tolerated and fall
 // back to neutral assumptions.
 type Telemetry struct {
 	// TaskNanos[m] is machine m's task-phase wall time: dispatch to local
@@ -27,19 +27,12 @@ type Telemetry struct {
 	// time load imbalance manifests as. Diagnostic: Replan reports the skew
 	// but rebalances from TaskNanos.
 	BarrierWaitNanos []int64
-	// TrafficBytes[src][dst] is the wire traffic matrix. The off-diagonal
-	// total steers the ghost budget: remote-heavy workloads want more hubs
-	// replicated.
-	TrafficBytes [][]int64
 }
 
-// Plan is Replan's output: a new ownership layout plus a ghost budget for
-// Cluster.LoadPlan, and the diagnostics that justify them.
+// Plan is Replan's output: a new ownership layout for Cluster.LoadPlan, and
+// the diagnostics that justify it.
 type Plan struct {
 	Layout Layout
-	// GhostCount is the number of top-degree vertices to ghost (0 disables
-	// ghosting; the count feeds SelectTopGhosts).
-	GhostCount int
 	// CostRates[m] is the measured per-degree cost (ns per in+out degree)
 	// the cut equalized against; machines without evidence carry the mean.
 	CostRates []float64
@@ -133,43 +126,6 @@ func Replan(g *graph.Graph, cur Layout, t Telemetry) (Plan, error) {
 		plan.PredictedImbalance = maxCost / (totCost / float64(p))
 	}
 	plan.MeasuredWaitSkew = maxOverMean(t.BarrierWaitNanos)
-
-	// Ghost budget: start from the auto-threshold hub set (degree above four
-	// times the average, floor 8 — the same rule Config.GhostAuto applies)
-	// and double it when the measured wire traffic is heavy relative to the
-	// graph (> 16 bytes per edge), since replicating more of the hub tail is
-	// what converts remote reductions into local ones. Capped at n/32 so the
-	// ghost segment stays a small fraction of every machine's columns.
-	numEdges := g.NumEdges()
-	avgDeg := int64(0)
-	if n > 0 {
-		avgDeg = 2 * int64(numEdges) / int64(n)
-	}
-	threshold := 4 * avgDeg
-	if threshold < 8 {
-		threshold = 8
-	}
-	hubs := 0
-	for u := 0; u < n; u++ {
-		if g.TotalDegree(graph.NodeID(u)) > threshold {
-			hubs++
-		}
-	}
-	var remoteBytes int64
-	for s, row := range t.TrafficBytes {
-		for d, b := range row {
-			if s != d {
-				remoteBytes += b
-			}
-		}
-	}
-	if numEdges > 0 && remoteBytes > 16*int64(numEdges) {
-		hubs *= 2
-	}
-	if limit := n / 32; hubs > limit {
-		hubs = limit
-	}
-	plan.GhostCount = hubs
 	return plan, nil
 }
 

@@ -118,7 +118,6 @@ type GraphInfo struct {
 	Edges    int64  `json:"edges"`
 	Weighted bool   `json:"weighted"`
 	Machines int    `json:"machines"`
-	Ghosts   int    `json:"ghosts"`
 }
 
 // RunResult summarizes one analysis.

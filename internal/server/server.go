@@ -491,7 +491,6 @@ func (s *Server) info(inst *instance) GraphInfo {
 		Edges:    g.NumEdges(),
 		Weighted: g.Weighted(),
 		Machines: inst.machines,
-		Ghosts:   inst.pool.all[0].cluster.NumGhosts(),
 	}
 }
 

@@ -20,7 +20,6 @@ func TestFaultInjectionThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pgxd.DefaultConfig(3)
-	cfg.GhostThreshold = pgxd.GhostDisabled
 	cfg.RequestTimeout = time.Second
 	cfg.CollectiveTimeout = time.Second
 	inj := pgxd.NewFaultFabric(cfg, nil, pgxd.FaultPlan{Seed: 11, Rules: []pgxd.FaultRule{

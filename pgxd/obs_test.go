@@ -17,7 +17,6 @@ func TestObservabilityThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pgxd.DefaultConfig(3)
-	cfg.GhostThreshold = pgxd.GhostDisabled // force remote reads so traffic is nonzero
 	cfg.Obs = pgxd.NewObsRegistry()
 	c, err := pgxd.NewCluster(cfg)
 	if err != nil {
@@ -67,9 +66,9 @@ func TestObservabilityThroughFacade(t *testing.T) {
 		t.Error("no task-phase spans recorded")
 	}
 	if rep.TotalBytes() == 0 {
-		t.Error("traffic matrix is all zero despite ghosting disabled")
+		t.Error("traffic matrix is all zero on three machines")
 	}
-	// With ghosting off every machine pulls from every other at some point
+	// Every machine pulls from every other at some point
 	// in the run: summed over all supersteps, the off-diagonal of the
 	// traffic matrix must be fully populated.
 	var sum [3][3]int64
@@ -104,7 +103,6 @@ func TestFlightRecorderOnAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pgxd.DefaultConfig(3)
-	cfg.GhostThreshold = pgxd.GhostDisabled
 	cfg.RequestTimeout = time.Second
 	cfg.CollectiveTimeout = time.Second
 	cfg.Obs = pgxd.NewObsRegistry()

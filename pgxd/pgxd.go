@@ -88,8 +88,8 @@ const (
 
 // DefaultConfig returns a laptop-scale configuration for p simulated
 // machines: 4 workers and 2 copiers per machine, 32 KiB message buffers,
-// edge partitioning, and automatic ghost selection (vertices above 4x the
-// average degree — the heavy tail of skewed graphs).
+// edge partitioning, and a replica of every remote value a machine's rows
+// reference (Config.GhostCount caps them at the highest-degree vertices).
 func DefaultConfig(p int) Config { return core.DefaultConfig(p) }
 
 // TCPOptions tunes the TCP transport: sender queue depth and the fault
@@ -176,12 +176,6 @@ const (
 	MsgAbort    = comm.MsgAbort
 )
 
-// Ghost-threshold sentinels for Config.GhostThreshold.
-const (
-	GhostDisabled = core.GhostDisabled
-	GhostAuto     = core.GhostAuto
-)
-
 // FaultInjector wraps a fabric and applies a FaultPlan to its traffic.
 type FaultInjector = comm.FaultInjector
 
@@ -235,15 +229,14 @@ type SpanKind = obs.SpanKind
 
 // Span kinds recorded by the engine.
 const (
-	SpanJob           = obs.SpanJob
-	SpanGhostReadSync = obs.SpanGhostReadSync
-	SpanBarrier       = obs.SpanBarrier
-	SpanTaskPhase     = obs.SpanTaskPhase
-	SpanWriteDrain    = obs.SpanWriteDrain
-	SpanGhostMerge    = obs.SpanGhostMerge
-	SpanFlush         = obs.SpanFlush
-	SpanReadRTT       = obs.SpanReadRTT
-	SpanCopierServe   = obs.SpanCopierServe
+	SpanJob            = obs.SpanJob
+	SpanBarrier        = obs.SpanBarrier
+	SpanTaskPhase      = obs.SpanTaskPhase
+	SpanWriteDrain     = obs.SpanWriteDrain
+	SpanFlush          = obs.SpanFlush
+	SpanReadRTT        = obs.SpanReadRTT
+	SpanCopierServe    = obs.SpanCopierServe
+	SpanRemoteSetBuild = obs.SpanRemoteSetBuild
 )
 
 // --- custom kernel API ---------------------------------------------------------
@@ -268,7 +261,7 @@ type Row = core.Row
 // RowOnly is a mixin for kernels that exist only in row form.
 type RowOnly = core.RowOnly
 
-// F64View and I64View are typed read views over a property's local and ghost
+// F64View and I64View are typed read views over a property's local
 // slots (Ctx.F64 / Ctx.I64); RemoteView answers the remote refs a dense pull
 // prefetched (Ctx.Remote); Writer is a write handle resolved once per row
 // (Ctx.Writer).
@@ -342,8 +335,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return &Cluster{core: c}, nil
 }
 
-// LoadGraph partitions g across the machines (edge or vertex balanced),
-// selects ghost vertices, and builds per-machine CSR stores.
+// LoadGraph partitions g across the machines (edge or vertex balanced) and
+// builds per-machine CSR stores.
 func (c *Cluster) LoadGraph(g *Graph) error {
 	if err := c.core.Load(g); err != nil {
 		return err
@@ -406,9 +399,6 @@ func (c *Cluster) NumNodes() int { return c.core.NumNodes() }
 
 // NumEdges returns the loaded graph's edge count.
 func (c *Cluster) NumEdges() int64 { return c.core.NumEdges() }
-
-// NumGhosts returns how many vertices are replicated on every machine.
-func (c *Cluster) NumGhosts() int { return c.core.NumGhosts() }
 
 // RunJob executes a custom parallel region cluster-wide.
 func (c *Cluster) RunJob(spec JobSpec) (JobStats, error) { return c.core.RunJob(spec) }
