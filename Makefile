@@ -68,12 +68,6 @@ loc:
 perf-check:
 	$(GO) run ./benchmark -check
 
-# The isolated numbers behind two lines of the superstep budget: ns/edge of the
-# kernel dispatch (row form vs per-edge adapter, local and 20 % remote) and
-# ns/record of the flush-path sort (radix vs the sort.Sort it replaced).
-bench-scan:
-	$(GO) test -run '^$$' -bench 'EdgeDispatch|FlushSort' -benchtime 50x -count 3 ./internal/core/
-
 # The per-job constant: ns per RunJob of the two smallest frontier-sourced
 # jobs on two in-process machines (an empty frontier; a one-node node pass
 # that rebuilds a frontier), with their allocation counts — the number a
@@ -96,21 +90,31 @@ bench-job:
 # validation scan, of a cold pass — every block decoded — through a decode pool
 # a quarter of the decoded size, and of a warm pass through a pool that holds
 # everything (a cursor step per row and nothing else).
+#
+# bench-scan, same recipe, is the isolated numbers behind two lines of the
+# superstep budget: ns/edge of the kernel dispatch — a pull in row form and
+# behind the per-edge adapter, a push reducing by the row (Writer.WriteRow) and
+# ref by ref, local and 20 % remote: all-local, a push row is the cost of one
+# local reduction — and ns/record of the flush-path sort (radix vs the
+# sort.Sort it replaced).
 SCRATCH ?= /tmp/pgxd-bench-remote
-bench-read bench-write bench-decode: PKG = ./internal/core
+bench-scan bench-read bench-write bench-decode: PKG = ./internal/core
+bench-scan bench-read bench-write bench-decode: BENCHTIME = 10x
+bench-scan: BENCH = 'EdgeDispatch|FlushSort'
+bench-scan: BENCHTIME = 50x
 bench-read: BENCH = RemoteRead
 bench-write: BENCH = RemoteWrite
 bench-decode: BENCH = Decode
 bench-decode: PKG = ./internal/store
-bench-read bench-write bench-decode:
+bench-scan bench-read bench-write bench-decode:
 ifdef AGAINST
 	rm -rf $(SCRATCH) && mkdir -p $(SCRATCH)/ref
 	git archive $(AGAINST) | tar -x -C $(SCRATCH)/ref
 	cd $(SCRATCH)/ref && $(GO) test -c -o $(SCRATCH)/ref.test $(PKG)
 	$(GO) test -c -o $(SCRATCH)/head.test $(PKG)
-	cd $(PKG) && for i in 1 2 3; do for side in ref head; do echo "== $$side ($$i)"; $(SCRATCH)/$$side.test -test.run '^$$' -test.bench $(BENCH) -test.benchtime 10x -test.timeout 10m | grep Benchmark; done; done
+	cd $(PKG) && for i in 1 2 3; do for side in ref head; do echo "== $$side ($$i)"; $(SCRATCH)/$$side.test -test.run '^$$' -test.bench $(BENCH) -test.benchtime $(BENCHTIME) -test.timeout 10m | grep Benchmark; done; done
 else
-	$(GO) test -run '^$$' -bench $(BENCH) -benchtime 10x -count 3 $(PKG)/
+	$(GO) test -run '^$$' -bench $(BENCH) -benchtime $(BENCHTIME) -count 3 $(PKG)/
 endif
 
 # Fail-soft smoke: injected drops, failures, delays, and a machine kill

@@ -54,7 +54,7 @@ type degDecKernel struct {
 }
 
 func (kk *degDecKernel) RunRow(c *core.Ctx, row core.Row) {
-	pushRow(c, row, kk.deg, reduce.Sum, core.WordI64(-1))
+	c.Writer(kk.deg, reduce.Sum).WriteRow(row.Refs, core.WordI64(-1))
 }
 
 // KCore returns the maximum core number, each node's core number, and

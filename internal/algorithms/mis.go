@@ -86,7 +86,7 @@ type misExcludeMark struct {
 }
 
 func (k *misExcludeMark) RunRow(c *core.Ctx, row core.Row) {
-	pushRow(c, row, k.excluded, reduce.Or, 1)
+	c.Writer(k.excluded, reduce.Or).WriteRow(row.Refs, 1)
 }
 
 // misApplyExclusion finalizes exclusions and counts undecided survivors.

@@ -81,15 +81,7 @@ type pushKernel struct {
 }
 
 func (k *pushKernel) RunRow(c *core.Ctx, row core.Row) {
-	pushRow(c, row, k.dst, k.op, core.WordI64(c.GetI64(k.src)))
-}
-
-// pushRow reduces word into property p of every neighbor in the row.
-func pushRow(c *core.Ctx, row core.Row, p core.PropID, op reduce.Op, word uint64) {
-	wr := c.Writer(p, op)
-	for _, ref := range row.Refs {
-		wr.Write(ref, word)
-	}
+	c.Writer(k.dst, k.op).WriteRow(row.Refs, core.WordI64(c.GetI64(k.src)))
 }
 
 // prApplyKernel finishes an iteration and prepares the next in one pass:

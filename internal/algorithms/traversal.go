@@ -300,7 +300,7 @@ type hopPushKernel struct {
 }
 
 func (k *hopPushKernel) RunRow(c *core.Ctx, row core.Row) {
-	pushRow(c, row, k.dist, reduce.Min, core.WordI64(k.level+1))
+	c.Writer(k.dist, reduce.Min).WriteRow(row.Refs, core.WordI64(k.level+1))
 }
 
 // hopPullKernel is the bottom-up BFS step (the direction-optimizing pull):

@@ -7,9 +7,10 @@ import "repro/internal/obs"
 // worker holds, per declared write property, a private accumulator of one plain
 // word per address of the set, bottomed with the reduction's identity — ghost
 // privatization (§3.3: thread-private copies without atomics, folded out after
-// the step) for every remote neighbour the set holds. Writer.Write folds a
-// remote ref the set holds into its slot, and flushAccum ships the slots through
-// the ordinary write path, so termination still counts records sent and applied.
+// the step) for every remote neighbour the set holds. The write loop (write.go)
+// folds a remote ref the set holds into its slot, and flushAccum ships the slots
+// through the ordinary write path, so termination still counts records sent and
+// applied.
 // A remote reduction therefore lands when its sending worker has run dry rather
 // than somewhere inside the superstep.
 

@@ -18,24 +18,38 @@ import (
 )
 
 // rowPushSum is the push twin of rowPullSum: every node reduces its src value
-// into dst of each out-neighbor with SUM. With skipRemote it leaves the remote
-// refs out — the scan they ride on, in the same rows on the same machines.
-// afterRow, when set, runs once the row's writes are issued.
+// into dst of each out-neighbor with SUM, by the row. With local set it leaves
+// the remote refs out — the scan they ride on, in the same rows on the same
+// machines: the row's local refs, compacted into the machine's scratch (one
+// worker per machine), still reduce by the row. afterRow, when set, runs once
+// the row's writes are issued.
 type rowPushSum struct {
 	RowOnly
 	NoReads
-	src, dst   PropID
-	skipRemote bool
-	afterRow   func(c *Ctx)
+	src, dst PropID
+	local    []localRefs
+	afterRow func(c *Ctx)
+}
+
+// localRefs is one machine's scratch, padded so that two machines' slice
+// headers, rewritten every row, do not share a cache line.
+type localRefs struct {
+	refs []int64
+	_    [40]byte
 }
 
 func (k *rowPushSum) RunRow(c *Ctx, row Row) {
-	wr, v := c.Writer(k.dst, reduce.Sum), c.GetF64(k.src)
-	for _, ref := range row.Refs {
-		if ref >= 0 || !k.skipRemote {
-			wr.WriteF64(ref, v)
+	refs := row.Refs
+	if k.local != nil {
+		buf := k.local[c.Machine()].refs[:0]
+		for _, ref := range refs {
+			if ref >= 0 {
+				buf = append(buf, ref)
+			}
 		}
+		k.local[c.Machine()].refs, refs = buf, buf
 	}
+	c.Writer(k.dst, reduce.Sum).WriteRow(refs, WordF64(c.GetF64(k.src)))
 	if k.afterRow != nil {
 		k.afterRow(c)
 	}
@@ -423,12 +437,12 @@ func TestFaultAccumulatedFlush(t *testing.T) {
 // push-sum job whose remote reductions are buffered on demand (the paper's
 // protocol), and folded into the worker's accumulator and shipped once.
 func BenchmarkRemoteWrite(b *testing.B) {
-	push := func(skipRemote bool) func(src, dst PropID) JobSpec {
+	push := func(local []localRefs) func(src, dst PropID) JobSpec {
 		return func(src, dst PropID) JobSpec {
-			return JobSpec{Name: "push", Iter: IterOutEdges, Task: &rowPushSum{src: src, dst: dst, skipRemote: skipRemote},
+			return JobSpec{Name: "push", Iter: IterOutEdges, Task: &rowPushSum{src: src, dst: dst, local: local},
 				WriteProps: []WriteSpec{{Prop: dst, Op: reduce.Sum}}}
 		}
 	}
-	remoteRefBudget(b, remoteBenchGraph(b), store.OrientOut, push(true), push(false),
+	remoteRefBudget(b, remoteBenchGraph(b), store.OrientOut, push(make([]localRefs, 2)), push(nil),
 		[]remoteRefMode{{"on-demand", AblateRemoteSets}, {"accumulated", 0}})
 }

@@ -119,77 +119,76 @@ func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec, jr *jobRuntime) e
 	}
 }
 
+// applyChunk is how many records applyWrites hands the write loop at a time:
+// their offsets and words are laid out for it on the copier's stack.
+const applyChunk = 256
+
 // applyWrites decodes and applies count write records:
 // meta word (prop<<48 | op<<40 | offset) followed by the value word, either
 // fixed width or — under FlagCompressed — as sorted delta-varint meta and
 // type-aware value columns. Records are validated before any is applied so
 // a truncated or corrupt frame surfaces as an error without a partial,
-// out-of-bounds apply.
+// out-of-bounds apply; then each run of records with one (property, operator)
+// — an accumulator's flush is a few long ones — is applied by the loop
+// resolved for the pair (Writer.reduce), a chunk at a time.
 func (m *Machine) applyWrites(h comm.Header, payload []byte, dec *wireDec) error {
 	count := int(h.Count)
+	var keys, vals []uint64 // the compressed spelling's columns
+	if h.Flags&comm.FlagCompressed != 0 {
+		var err error
+		if keys, vals, err = m.decodeWriteRecs(payload, count, dec); err != nil {
+			return err
+		}
+	} else if len(payload) < writeRecSize*count {
+		return fmt.Errorf("truncated write frame: %d records need %d bytes, have %d", count, writeRecSize*count, len(payload))
+	}
+	rec := func(i int) (meta, word uint64) {
+		if keys != nil {
+			return keys[i], vals[i]
+		}
+		return leU64(payload[writeRecSize*i:]), leU64(payload[writeRecSize*i+8:])
+	}
+	for i := 0; i < count; i++ {
+		meta, _ := rec(i)
+		if err := m.checkWriteRec(i, meta); err != nil {
+			return err
+		}
+	}
 	// Write-activation (WriteSpec.ActivateInto): when the running job
 	// activates on some of its write props, applies that change the stored
 	// word collect into per-slot lists and buffer onto the build frontiers.
 	// serveRequest advances writesApplied only after this returns, so the
 	// termination allreduce's acquire of that counter also acquires these
 	// activations.
-	var jr *jobRuntime
-	var act []int8
-	if j := m.curJob.Load(); j != nil && j.activate != nil {
-		jr, act = j, j.activate
-	}
+	jr := m.curJob.Load()
 	var acts [][]uint32
-	flush := func() {
-		for s, ns := range acts {
-			if len(ns) > 0 {
-				jr.builds[s].remoteActivate(ns)
-			}
+	var metas, words [applyChunk]uint64
+	var refs [applyChunk]int64 // a record's offset is a local ref
+	for base := 0; base < count; base += applyChunk {
+		n := min(applyChunk, count-base)
+		for i := 0; i < n; i++ {
+			metas[i], words[i] = rec(base + i)
+			refs[i] = int64(uint32(metas[i]))
 		}
-	}
-	apply := func(meta, word uint64) {
-		prop := PropID(meta >> 48)
-		op := reduce.Op(meta >> 40)
-		if act != nil {
-			if s := act[prop]; s >= 0 {
-				if m.cols[prop].applyWord(int(uint32(meta)), op, word) {
-					if acts == nil {
-						acts = make([][]uint32, len(jr.builds))
-					}
-					acts[s] = append(acts[s], uint32(meta))
+		for i, j := 0, 0; i < n; i = j {
+			for j = i + 1; j < n && metas[j]>>40 == metas[i]>>40; j++ {
+			}
+			prop := PropID(metas[i] >> 48)
+			run := Writer{col: m.cols[prop], op: reduce.Op(metas[i] >> 40)}
+			if jr != nil && jr.activate != nil && jr.activate[prop] >= 0 {
+				if acts == nil {
+					acts = make([][]uint32, len(jr.builds))
 				}
-				return
+				run.act = &acts[jr.activate[prop]]
 			}
-		}
-		m.cols[prop].applyWord(int(uint32(meta)), op, word)
-	}
-	if h.Flags&comm.FlagCompressed != 0 {
-		keys, vals, err := m.decodeWriteRecs(payload, count, dec)
-		if err != nil {
-			return err
-		}
-		for i, meta := range keys[:count] {
-			if err := m.checkWriteRec(i, meta); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < count; i++ {
-			apply(keys[i], vals[i])
-		}
-		flush()
-		return nil
-	}
-	if len(payload) < writeRecSize*count {
-		return fmt.Errorf("truncated write frame: %d records need %d bytes, have %d", count, writeRecSize*count, len(payload))
-	}
-	for i := 0; i < count; i++ {
-		if err := m.checkWriteRec(i, leU64(payload[writeRecSize*i:])); err != nil {
-			return err
+			run.reduce(refs[i:j], 0, words[i:j])
 		}
 	}
-	for i := 0; i < count; i++ {
-		apply(leU64(payload[writeRecSize*i:]), leU64(payload[writeRecSize*i+8:]))
+	for s, ns := range acts {
+		if len(ns) > 0 {
+			jr.builds[s].remoteActivate(ns)
+		}
 	}
-	flush()
 	return nil
 }
 

@@ -164,7 +164,8 @@ func (c *Ctx) SetI64(p PropID, v int64) {
 // NbrWriteF64 reduces v into property p of the current neighbor with op —
 // the paper's write_remote<OP>. A local target applies immediately (relaxed
 // consistency); a remote one folds into the worker's accumulator or is
-// buffered into the per-worker request message toward the owner (Writer).
+// buffered into the per-worker request message toward the owner
+// (Writer.WriteRow).
 func (c *Ctx) NbrWriteF64(p PropID, op reduce.Op, v float64) {
 	c.WriteRef(c.nbr, p, op, math.Float64bits(v))
 }
@@ -175,82 +176,20 @@ func (c *Ctx) NbrWriteI64(p PropID, op reduce.Op, v int64) {
 }
 
 // NbrRead requests property p of the current neighbor — the paper's
-// read_remote. If the neighbor is local or mirrored (mirror.go), ReadDone is invoked synchronously before NbrRead returns; otherwise the
-// request is buffered and ReadDone runs later on this same worker with Node
-// and Aux restored.
+// read_remote. If the neighbor is local or mirrored (mirror.go), ReadDone is
+// invoked synchronously before NbrRead returns; otherwise the request is
+// buffered and ReadDone runs later on this same worker with Node and Aux
+// restored.
 func (c *Ctx) NbrRead(p PropID) {
 	c.ReadRef(c.nbr, p)
 }
 
 // WriteRef reduces the raw word into property p of the node identified by
-// ref — a single-shot Writer. Row kernels resolve the Writer once per row
-// instead.
+// ref: Writer.Write on the worker's handle for p — the per-edge form of
+// Writer.WriteRow.
 func (c *Ctx) WriteRef(ref int64, p PropID, op reduce.Op, word uint64) {
-	wr := c.Writer(p, op)
-	wr.Write(ref, word)
+	c.Writer(p, op).Write(ref, word)
 }
-
-// Writer is a write handle for one (property, operator) pair — the paper's
-// write_remote<OP> with everything that does not depend on the target
-// resolved up front: the column, this worker's accumulator over the job's
-// remote set, and the job's write-activation slot. Obtain one per row with
-// Ctx.Writer; it is valid for the current job only.
-type Writer struct {
-	w    *worker
-	col  *column
-	acc  *accum // this worker's accumulator for prop, nil when not accumulated
-	prop PropID
-	op   reduce.Op
-	act  int8 // build slot of an ActivateInto spec, -1 otherwise
-}
-
-// Writer resolves the write handle for reducing into property p with op. The
-// result is named so that it is built in place: copying the handle out once
-// per row showed in a push's profile.
-func (c *Ctx) Writer(p PropID, op reduce.Op) (wr Writer) {
-	w := c.w
-	wr = Writer{w: w, col: w.cols[p], prop: p, op: op, act: -1}
-	if act := w.job.activate; act != nil {
-		wr.act = act[p]
-	}
-	if jr := w.job; jr.accSet != nil {
-		if a := &wr.col.acc[w.id]; a.job == jr.id { // bottomed for this job: it accumulates p
-			wr.acc = a
-		}
-	}
-	return wr
-}
-
-// Write reduces the raw word into the handle's property on the node
-// identified by ref. A local target applies immediately (relaxed
-// consistency); a remote target folds into the worker's accumulator when the
-// job has one holding it (accum.go) and otherwise is buffered into the
-// per-worker request message toward the owner, which makes a remote Write a
-// re-entrancy point (see RowTask).
-func (wr *Writer) Write(ref int64, word uint64) {
-	switch {
-	case wr.act >= 0:
-		wr.w.writeActivating(ref, wr.prop, wr.op, word, int(wr.act))
-	case ref < 0:
-		mach, off := unpackRemote(ref)
-		if a := wr.acc; a != nil && uint(mach) < uint(len(a.set.peers)) {
-			if slot := a.set.peers[mach].slot(off); slot >= 0 {
-				a.slots[slot] = wr.col.mergeWords(wr.op, a.slots[slot], word)
-				wr.w.folded++
-				return
-			}
-		}
-		wr.w.bufferWrite(mach, wr.prop, wr.op, off, word)
-	default:
-		wr.col.applyWord(int(ref), wr.op, word)
-	}
-}
-
-// WriteF64 reduces v into the handle's float64 property on ref.
-func (wr *Writer) WriteF64(ref int64, v float64) { wr.Write(ref, math.Float64bits(v)) }
-
-// WriteI64 reduces v into the handle's int64 property on ref.
-func (wr *Writer) WriteI64(ref int64, v int64) { wr.Write(ref, uint64(v)) }
 
 // F64View is a typed read view over one float64 property's local slots on
 // this machine. At is valid for ref >= 0 only — remote refs go

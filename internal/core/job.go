@@ -93,12 +93,16 @@ func (r Row) Weight(i int) float64 {
 //     per-edge continuation state (an edge weight, say) goes into Aux just
 //     before that ReadRef.
 //   - Local refs (ref >= 0) are read through a typed view
-//     (Ctx.F64/Ctx.I64) and written through a Writer resolved once per row;
-//     neither invokes ReadDone. Remote refs (ref < 0) are answered by the
-//     job's mirror when it has one (Ctx.Remote, resolved once per row) and
-//     otherwise go through Ctx.ReadRef / Writer.Write, which buffer toward
-//     the owner.
-//   - Ctx.ReadRef, Writer.Write on a remote ref and Ctx.CallRMI are
+//     (Ctx.F64/Ctx.I64); that does not invoke ReadDone. Remote refs (ref < 0)
+//     are answered by the job's mirror when it has one (Ctx.Remote, resolved
+//     once per row) and otherwise go through Ctx.ReadRef, which buffers
+//     toward the owner.
+//   - A push reduces by the row: Ctx.Writer(p, op).WriteRow(row.Refs, word)
+//     puts one word into every neighbor, local and remote, in row order, with
+//     op the operator the job declares for p; Writer.Write and its typed forms
+//     take one ref, for a value that differs per edge.
+//   - Ctx.ReadRef, Ctx.CallRMI and a WriteRow or Write that buffers a remote
+//     ref toward its owner — in the middle of the row's loop — are
 //     re-entrancy points: when the request pool is exhausted the worker runs
 //     queued continuations — possibly ReadDone for this very node — before
 //     they return. A row kernel therefore keeps its accumulator in a local,
@@ -210,7 +214,8 @@ type JobSpec struct {
 	// WriteProps lists properties reduced into through neighbors; an
 	// eligible job folds its remote reductions in per-worker accumulators
 	// that start at the operator's bottom and ship to the owners when the
-	// worker runs dry.
+	// worker runs dry. A kernel that reduces a listed property with another
+	// operator than the listed one fails the job (Ctx.Writer).
 	WriteProps []WriteSpec
 	// Source, when non-nil, restricts the iteration to the frontier's
 	// members: each machine iterates only its local frontier (sparse vertex

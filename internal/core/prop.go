@@ -45,11 +45,14 @@ type propMeta struct {
 }
 
 // column is one machine's storage for one property: one slot per owned node.
-// The slots are atomic 8-byte words because copiers apply remote reductions
-// concurrently with worker reads (the paper's relaxed consistency: "local and
-// remote write requests [apply] immediately"). acc holds the per-worker
-// accumulators of a dense push's remote reductions (accum.go); they are plain
-// slices since each is single-owner, and they go when the column does.
+// The slots are atomic 8-byte words because a slot has several writers at
+// once — every worker of the machine reduces into its neighbors' slots and the
+// copiers apply the other machines' reductions, all while the superstep runs
+// (the paper's relaxed consistency: "local and remote write requests [apply]
+// immediately") — so a reduction is a compare-and-swap loop (write.go) and an
+// own-node store is atomic too. acc holds the per-worker accumulators of a
+// dense push's remote reductions (accum.go); they are plain slices since each
+// is single-owner, and they go when the column does.
 type column struct {
 	kind PropKind
 	vals []atomic.Uint64 // numLocal
@@ -107,26 +110,6 @@ func (c *column) getI64(i int) int64   { return int64(c.vals[i].Load()) }
 func (c *column) setF64(i int, v float64) { c.vals[i].Store(math.Float64bits(v)) }
 func (c *column) setI64(i int, v int64)   { c.vals[i].Store(uint64(v)) }
 
-// applyWord reduces the raw word w into slot i with op, using the kind's
-// arithmetic, and reports whether the stored word changed — the signal
-// write-activation (WriteSpec.ActivateInto) keys on. This is the copier-side
-// write application ("the copier applies them directly with atomic
-// instructions") and also serves local immediate writes. A lost CAS retries,
-// so "unchanged" means the reduction was truly a no-op against the winning
-// value.
-func (c *column) applyWord(i int, op reduce.Op, w uint64) bool {
-	for {
-		old := c.vals[i].Load()
-		next := c.mergeWords(op, old, w)
-		if next == old {
-			return false
-		}
-		if c.vals[i].CompareAndSwap(old, next) {
-			return true
-		}
-	}
-}
-
 // bottomWord returns op's identity element encoded for this column's kind.
 func (c *column) bottomWord(op reduce.Op) uint64 {
 	switch c.kind {
@@ -137,9 +120,9 @@ func (c *column) bottomWord(op reduce.Op) uint64 {
 	}
 }
 
-// mergeWords reduces b into a and returns the result, using kind arithmetic —
-// the one place a reduction is computed: applyWord's CAS loop and the plain
-// folds into accumulators.
+// mergeWords reduces b into a and returns the result, using kind arithmetic:
+// the reduction of the operators the write path has no loop of their own for
+// (write.go's opAny).
 func (c *column) mergeWords(op reduce.Op, a, b uint64) uint64 {
 	switch c.kind {
 	case KindF64:

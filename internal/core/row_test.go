@@ -11,6 +11,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/reduce"
 	"repro/internal/store"
 )
 
@@ -200,7 +201,11 @@ func TestRowKernelScanAllocatesNothing(t *testing.T) {
 // edge of one pull-sum job (the PageRank-pull inner loop) with the kernel in
 // row form and in per-edge form behind the adapter, all-local on one machine
 // and in process on two machines cut so that about a fifth of the edges are
-// remote reads (the measured share is reported as remote_frac).
+// remote reads (the measured share is reported as remote_frac). The push rows
+// are the write path's: a push job's ns per edge reducing by the row
+// (Writer.WriteRow) and ref by ref (Ctx.WriteRef), SUM into a float64 property
+// and MIN into an int64 one — all-local that is the cost of one local
+// reduction.
 func BenchmarkEdgeDispatch(b *testing.B) {
 	g, err := graph.RMAT(14, 16, graph.TwitterLike(), 20151115)
 	if err != nil {
@@ -227,37 +232,61 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var remote int64
+		remote := make(map[IterKind]int64)
 		for _, m := range c.machines {
-			for _, ref := range m.store.views[store.OrientIn].refs {
-				if ref < 0 {
-					remote++
+			for iter, orient := range map[IterKind]int{IterInEdges: store.OrientIn, IterOutEdges: store.OrientOut} {
+				for _, ref := range m.store.views[orient].refs {
+					if ref < 0 {
+						remote[iter]++
+					}
 				}
 			}
 		}
 		src, _ := c.AddPropF64("src")
 		dst, _ := c.AddPropF64("dst")
+		isrc, _ := c.AddPropI64("isrc")
+		idst, _ := c.AddPropI64("idst")
 		c.FillF64(src, 1)
-		for _, k := range []struct {
-			name   string
-			kernel Task
+		c.FillByNodeI64(isrc, func(v graph.NodeID) int64 { return int64(v) })
+		c.FillI64(idst, int64(g.NumNodes()))
+		pull := func(kernel Task) JobSpec {
+			return JobSpec{Name: "scan", Iter: IterInEdges, Task: kernel, ReadProps: []PropID{src}}
+		}
+		push := func(src, dst PropID, op reduce.Op, perRef bool) JobSpec {
+			return JobSpec{Name: "push", Iter: IterOutEdges, Task: &rowPush{src: src, dst: dst, op: op, perRef: perRef},
+				WriteProps: []WriteSpec{{Prop: dst, Op: op}}}
+		}
+		rows := []struct {
+			name string
+			spec JobSpec
 		}{
-			{"row", &rowPullSum{src: src, dst: dst}},
-			{"per-edge", &pullSumTask{src: src, dst: dst}},
-		} {
+			{"row", pull(&rowPullSum{src: src, dst: dst})},
+			{"per-edge", pull(&pullSumTask{src: src, dst: dst})},
+			{"push-sum/row", push(src, dst, reduce.Sum, false)},
+			{"push-sum/per-ref", push(src, dst, reduce.Sum, true)},
+		}
+		if place.p == 1 {
+			rows = append(rows, []struct {
+				name string
+				spec JobSpec
+			}{
+				{"push-min/row", push(isrc, idst, reduce.Min, false)},
+				{"push-min/per-ref", push(isrc, idst, reduce.Min, true)},
+			}...)
+		}
+		for _, k := range rows {
 			b.Run(fmt.Sprintf("%s/%s", place.name, k.name), func(b *testing.B) {
-				spec := JobSpec{Name: "scan", Iter: IterInEdges, Task: k.kernel, ReadProps: []PropID{src}}
-				if _, err := c.RunJob(spec); err != nil { // warm-up: pools, side slices, the remote set
+				if _, err := c.RunJob(k.spec); err != nil { // warm-up: pools, side slices, the remote set
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.RunJob(spec); err != nil {
+					if _, err := c.RunJob(k.spec); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.NumEdges()), "ns/edge")
-				b.ReportMetric(float64(remote)/float64(g.NumEdges()), "remote_frac")
+				b.ReportMetric(float64(remote[k.spec.Iter])/float64(g.NumEdges()), "remote_frac")
 			})
 		}
 		c.Shutdown()

@@ -86,6 +86,10 @@ type worker struct {
 	ctx Ctx
 	job *jobRuntime
 
+	// wrs are the write handles the worker has resolved, by property
+	// (Ctx.Writer): once per job and property, not once per row or edge.
+	wrs []Writer
+
 	// stolen is the thief-side scratch for decoding steal-grant frames,
 	// reused across stolen nodes (see steal.go).
 	stolen stolenNode
@@ -218,6 +222,9 @@ func (w *worker) runJob(jr *jobRuntime) {
 	}()
 	w.job = jr
 	w.cols = w.m.cols
+	if len(w.wrs) < len(w.cols) {
+		w.wrs = make([]Writer, len(w.cols))
+	}
 	if jr.cursors {
 		w.rd = jr.readers(w.m.id)
 	}
@@ -693,24 +700,6 @@ func (w *worker) bufferWrite(dst int, p PropID, op reduce.Op, offset uint32, wor
 	if buf.Room() < writeRecSize {
 		w.flushWrite(dst)
 	}
-}
-
-// writeActivating is the WriteRef path for properties with
-// WriteSpec.ActivateInto: a local target applies immediately and, when the
-// stored word changed, activates into this worker's build shard; a remote one
-// never accumulates — it ships as an explicit record to the owner, whose
-// copier applies and activates it before the termination allreduce. slot is
-// the 0-based build slot.
-func (w *worker) writeActivating(ref int64, p PropID, op reduce.Op, word uint64, slot int) {
-	if ref >= 0 {
-		if w.cols[p].applyWord(int(ref), op, word) {
-			b := w.job.builds[slot]
-			b.shards[w.id] = append(b.shards[w.id], uint32(ref))
-		}
-		return
-	}
-	mach, off := unpackRemote(ref)
-	w.bufferWrite(mach, p, op, off, word)
 }
 
 // bufferRMI sends one RMI request frame toward machine dst.

@@ -1,0 +1,207 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"unsafe"
+
+	"repro/internal/reduce"
+)
+
+// The write path — the paper's write_remote<OP> — on both of its ends: a
+// worker reducing a row's value into the row's neighbors and a copier applying
+// a run of records an owner was sent (Machine.applyWrites). Both resolve what
+// does not depend on the target once, in a Writer, and then run one loop
+// instantiated for the (operator, kind) pair, so that an edge costs its
+// reduction and no dispatch.
+
+// num is the value type of a property kind: KindI64's and KindF64's.
+type num interface{ int64 | float64 }
+
+// fromWord and toWord reinterpret a column's 8-byte word as the kind's value
+// and back (a register move, like math.Float64frombits).
+func fromWord[T num](w uint64) T { return *(*T)(unsafe.Pointer(&w)) }
+func toWord[T num](v T) uint64   { return *(*uint64)(unsafe.Pointer(&v)) }
+
+// An operator as a type argument. Go has no constant type parameters, so the
+// operator rides in an array length: every length is a shape of its own, the
+// compiler instantiates writeRow per (operator, kind) pair and folds the
+// comparisons of len(o) away in each — the paper's template argument. opAny is
+// every operator but SUM, MIN and MAX: its instances compute a reduction
+// through column.mergeWords, by the handle's operator.
+type (
+	opAny [0]struct{}
+	opSum [1 + reduce.Sum]struct{}
+	opMin [1 + reduce.Min]struct{}
+	opMax [1 + reduce.Max]struct{}
+)
+
+type opType interface{ opAny | opSum | opMin | opMax }
+
+// merge returns O(a, b) in the kind's arithmetic, for an O that is not opAny.
+func merge[O opType, T num](a, b T) T {
+	var o O
+	switch len(o) {
+	case len(opSum{}):
+		return a + b
+	case len(opMin{}):
+		if b < a {
+			return b
+		}
+	case len(opMax{}):
+		if b > a {
+			return b
+		}
+	}
+	return a
+}
+
+// Writer is a write handle for one (property, operator) pair with everything
+// that does not depend on the target resolved up front: the column, this
+// worker's accumulator over the job's remote set, and where an activating
+// spec's targets collect. Obtain one with Ctx.Writer; it is valid for the
+// current job only. A copier fills one in per run of records (applyWrites):
+// only col, op and act, since every target of a run is local.
+type Writer struct {
+	col  *column
+	op   reduce.Op
+	act  *[]uint32 // local indices whose word a reduction changed (WriteSpec.ActivateInto); nil without
+	w    *worker
+	acc  *accum // this worker's accumulator for prop, nil when not accumulated
+	prop PropID
+	job  uint64 // the job it is resolved for (ids start at 1: a zero Writer is no job's)
+}
+
+// Writer returns the write handle for reducing into property p with op. The
+// worker resolves it on a job's first request and keeps it, one per property,
+// so asking again — per row, or per edge through WriteRef — is two compares.
+// A job reduces a property with one operator: the one it declares for p when
+// it declares p, and otherwise the first a worker asks for.
+func (c *Ctx) Writer(p PropID, op reduce.Op) *Writer {
+	wr := &c.w.wrs[p]
+	if wr.job != c.w.job.id || wr.op != op {
+		c.w.resolveWriter(wr, p, op)
+	}
+	return wr
+}
+
+// resolveWriter makes wr the handle for (p, op) in the current job, or fails
+// the job over a second operator: a declared property's accumulators were
+// bottomed with the declared one and ship under it, and a handle a kernel
+// still holds must not change its operator.
+func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
+	jr, col := w.job, w.cols[p]
+	was := op
+	if wr.job == jr.id {
+		was = wr.op
+	}
+	for _, ws := range jr.spec.WriteProps {
+		if ws.Prop == p {
+			was = ws.Op
+		}
+	}
+	if was != op {
+		w.fail(fmt.Errorf("core: job %q reduces property %d with %v and with %v; a job reduces a property with one operator", jr.spec.Name, p, op, was))
+	}
+	*wr = Writer{col: col, op: op, w: w, prop: p, job: jr.id}
+	if act := jr.activate; act != nil && act[p] >= 0 {
+		wr.act = &jr.builds[act[p]].shards[w.id]
+	}
+	if a := &col.acc[w.id]; jr.accSet != nil && a.job == jr.id { // bottomed for this job: it accumulates p
+		wr.acc = a
+	}
+}
+
+// WriteRow reduces the raw word into the handle's property on every node of
+// refs, in order. A local target applies immediately (relaxed consistency) and,
+// under an activating spec, joins this worker's build shard when its word
+// changed; a remote one folds into the worker's accumulator when the job has
+// one holding it (accum.go) and otherwise is buffered into the per-worker
+// request message toward its owner — which makes a remote ref a re-entrancy
+// point (see RowTask).
+func (wr *Writer) WriteRow(refs []int64, word uint64) { wr.reduce(refs, word, nil) }
+
+// Write is WriteRow for the single node ref — the per-edge form.
+func (wr *Writer) Write(ref int64, word uint64) {
+	one := [1]int64{ref}
+	wr.reduce(one[:], word, nil)
+}
+
+// WriteF64 reduces v into the handle's float64 property on ref.
+func (wr *Writer) WriteF64(ref int64, v float64) { wr.Write(ref, math.Float64bits(v)) }
+
+// WriteI64 reduces v into the handle's int64 property on ref.
+func (wr *Writer) WriteI64(ref int64, v int64) { wr.Write(ref, uint64(v)) }
+
+// reduce picks the loop of the handle's (operator, kind) pair: once per row or
+// run, which is all the dispatch a reduction pays.
+func (wr *Writer) reduce(refs []int64, word uint64, words []uint64) {
+	f64 := wr.col.kind == KindF64
+	switch {
+	case wr.op == reduce.Sum && f64:
+		writeRow[opSum, float64](wr, refs, word, words)
+	case wr.op == reduce.Sum:
+		writeRow[opSum, int64](wr, refs, word, words)
+	case wr.op == reduce.Min && f64:
+		writeRow[opMin, float64](wr, refs, word, words)
+	case wr.op == reduce.Min:
+		writeRow[opMin, int64](wr, refs, word, words)
+	case wr.op == reduce.Max && f64:
+		writeRow[opMax, float64](wr, refs, word, words)
+	case wr.op == reduce.Max:
+		writeRow[opMax, int64](wr, refs, word, words)
+	default:
+		writeRow[opAny, int64](wr, refs, word, words)
+	}
+}
+
+// writeRow is the loop: it reduces word — or, when words is not nil, words[i],
+// the copier's form — into refs[i]. What it needs of the handle is loaded once,
+// ahead of the first ref.
+func writeRow[O opType, T num](wr *Writer, refs []int64, word uint64, words []uint64) {
+	var o O
+	w, acc, vals, act, x := wr.w, wr.acc, wr.col.vals, wr.act, fromWord[T](word)
+	for i, ref := range refs {
+		if words != nil {
+			word = words[i]
+			x = fromWord[T](word)
+		}
+		if ref >= 0 {
+			// The local reduction is a compare-and-swap loop: copiers apply remote
+			// reductions while workers apply local ones. A lost CAS retries, so a
+			// word counts as unchanged — not activating — only when the reduction
+			// was a no-op against the value that won.
+			for s := &vals[ref]; ; {
+				old, next := s.Load(), uint64(0)
+				if len(o) == len(opAny{}) {
+					next = wr.col.mergeWords(wr.op, old, word)
+				} else {
+					next = toWord(merge[O](fromWord[T](old), x))
+				}
+				if next == old {
+					break
+				}
+				if s.CompareAndSwap(old, next) {
+					if act != nil {
+						*act = append(*act, uint32(ref))
+					}
+					break
+				}
+			}
+			continue
+		}
+		mach, off := unpackRemote(ref)
+		if acc != nil && uint(mach) < uint(len(acc.set.peers)) {
+			if slot := acc.set.peers[mach].slot(off); slot >= 0 {
+				if s := &acc.slots[slot]; len(o) == len(opAny{}) {
+					*s = wr.col.mergeWords(wr.op, *s, word)
+				} else {
+					*s = toWord(merge[O](fromWord[T](*s), x))
+				}
+				w.folded++
+				continue
+			}
+		}
+		w.bufferWrite(mach, wr.prop, wr.op, off, word)
+	}
+}

@@ -1,0 +1,376 @@
+package core
+
+import (
+	"cmp"
+	"flag"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/comm"
+	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/reduce"
+)
+
+// rowPush reduces the node's own src word into dst of every neighbor in the
+// row with op: by one WriteRow, or — perRef — by one WriteRef per ref, the
+// per-edge adapter's path. gate, when set, holds the straggler's rows until a
+// steal request has reached it (stealGate), and every row spins and yields, as
+// stealPushTask's edges do, so that its task phase outlasts the request.
+type rowPush struct {
+	RowOnly
+	NoReads
+	src, dst PropID
+	op       reduce.Op
+	perRef   bool
+	gate     *stealGate
+}
+
+func (k *rowPush) RunRow(c *Ctx, row Row) {
+	if k.gate != nil {
+		if c.Machine() == k.gate.victim {
+			k.gate.hold()
+		}
+		x := uint64(c.Node)<<32 | 0x9e3779b9
+		for i := 0; i < 1<<14; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+		}
+		stealSpinSink.Add(x)
+		runtime.Gosched()
+	}
+	word := WordI64(c.GetI64(k.src))
+	if k.perRef {
+		for _, ref := range row.Refs {
+			c.WriteRef(ref, k.dst, k.op, word)
+		}
+		return
+	}
+	c.Writer(k.dst, k.op).WriteRow(row.Refs, word)
+}
+
+// relaxRow is the weighted row, SSSP's relaxation: dist + weight into dst of
+// every neighbor with MIN, through the handle's typed Write or — perRef — the
+// per-edge adapter's NbrWriteF64 spelling, one WriteRef per ref.
+type relaxRow struct {
+	RowOnly
+	NoReads
+	src, dst PropID
+	perRef   bool
+}
+
+func (k *relaxRow) RunRow(c *Ctx, row Row) {
+	d, wr := c.GetF64(k.src), c.Writer(k.dst, reduce.Min)
+	for i, ref := range row.Refs {
+		if k.perRef {
+			c.WriteRef(ref, k.dst, reduce.Min, WordF64(d+row.Weight(i)))
+		} else {
+			wr.WriteF64(ref, d+row.Weight(i))
+		}
+	}
+}
+
+// rearm closes the gate again, for the next job of the same cluster. Between
+// jobs only: nothing sends steal requests then.
+func (g *stealGate) rearm() { g.once, g.open = sync.Once{}, make(chan struct{}) }
+
+// TestWriterOpMustMatchDeclared: a kernel that reduces a property the job
+// declares with SUM through a MIN handle fails the job with an error naming
+// both operators — accumulated (where the MIN used to fold against SUM's
+// bottom and ship as SUM: every node of this graph read -14 against the -7 of
+// the on-demand path) and on demand alike — and so does a second operator on
+// an undeclared property. The worker survives: the declared operator runs next.
+func TestWriterOpMustMatchDeclared(t *testing.T) {
+	g := testGraph(t)
+	for _, mode := range []struct {
+		name   string
+		ablate Ablation
+	}{{"accumulated", 0}, {"on-demand", AblateRemoteSets}} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			cfg.Ablate = mode.ablate
+			c := bootCluster(t, g, cfg)
+			src, _ := c.AddPropI64("src")
+			dst, _ := c.AddPropI64("dst")
+			c.FillI64(src, -7)
+			spec := JobSpec{Name: "mismatch", Iter: IterOutEdges, Task: &rowPush{src: src, dst: dst, op: reduce.Min},
+				WriteProps: []WriteSpec{{Prop: dst, Op: reduce.Sum}}}
+			_, err := c.RunJob(spec)
+			if err == nil || !strings.Contains(err.Error(), "MIN") || !strings.Contains(err.Error(), "SUM") {
+				t.Fatalf("MIN through a {dst, SUM} declaration: err = %v, want one naming both operators", err)
+			}
+			spec.WriteProps = nil
+			spec.Task = &twoOpTask{dst: dst}
+			if _, err := c.RunJob(spec); err == nil || !strings.Contains(err.Error(), "MAX") || !strings.Contains(err.Error(), "MIN") {
+				t.Fatalf("two operators on an undeclared property: err = %v, want one naming both", err)
+			}
+			settleQuiescent(t, c)
+			c.FillI64(dst, 0)
+			spec.Task, spec.WriteProps = &rowPush{src: src, dst: dst, op: reduce.Sum}, []WriteSpec{{Prop: dst, Op: reduce.Sum}}
+			if _, err := c.RunJob(spec); err != nil {
+				t.Fatal(err)
+			}
+			for u, got := range c.GatherI64(dst) {
+				if want := -7 * g.InDegree(graph.NodeID(u)); got != want {
+					t.Fatalf("node %d: %d, want %d", u, got, want)
+				}
+			}
+		})
+	}
+}
+
+// twoOpTask reduces one property with two operators in one row.
+type twoOpTask struct {
+	RowOnly
+	NoReads
+	dst PropID
+}
+
+func (k *twoOpTask) RunRow(c *Ctx, row Row) {
+	c.Writer(k.dst, reduce.Min).WriteRow(row.Refs, 1)
+	c.Writer(k.dst, reduce.Max).WriteRow(row.Refs, 2)
+}
+
+var writeRowSeed = flag.Int64("writerow-seed", 0, "seed of TestWriteRowMatchesPerRefWrite's values (0: the clock)")
+
+// TestWriteRowMatchesPerRefWrite: for every (kind, operator) the engine
+// accepts, one WriteRow per row leaves what one WriteRef per ref leaves — the
+// column bit for bit, the build frontier, writes_applied and
+// accumulated_writes — all-local under CAS contention, accumulated, on demand,
+// under an activating spec, with rows stolen (columns only: what is stolen,
+// and so what a thief folds, differs between two runs) and with the remote set
+// capped at eight vertices, over both fabrics; and a weighted row through the
+// typed Write leaves what NbrWriteF64's spelling does. Sources and initial
+// values are seeded, dyadic so that float sums are exact in any order.
+func TestWriteRowMatchesPerRefWrite(t *testing.T) {
+	seed := *writeRowSeed
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	t.Logf("-writerow-seed %d", seed)
+	g, err := graph.RMAT(9, 8, graph.TwitterLike(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = g.WithUniformWeights(0.5, 4, seed)
+	rng := rand.New(rand.NewSource(seed))
+	srcVal, dstVal := make([]int64, g.NumNodes()), make([]int64, g.NumNodes())
+	for u := range srcVal {
+		srcVal[u] = (rng.Int63n(1000) + 1) * (2*rng.Int63n(2) - 1) // never 0: every SUM changes its target
+		dstVal[u] = rng.Int63n(1000) - 500
+	}
+	type mode struct {
+		name                       string
+		p, workers, ghosts         int
+		ablate                     Ablation
+		declare, activating, steal bool
+	}
+	modes := []mode{
+		{name: "all-local", p: 1, declare: true},
+		{name: "accumulated", p: 2, workers: 1, declare: true},
+		{name: "on-demand", p: 2, ablate: AblateRemoteSets, declare: true},
+		{name: "undeclared", p: 2},
+		{name: "activating", p: 2, declare: true, activating: true},
+		{name: "stolen", p: 3, declare: true, steal: true},
+		{name: "capped", p: 2, workers: 1, ghosts: 8, declare: true},
+	}
+	eachFabric(t, func(t *testing.T, useTCP bool) {
+		for _, md := range modes {
+			t.Run(md.name, func(t *testing.T) {
+				cfg := DefaultConfig(md.p)
+				if md.steal {
+					cfg = faultCfg(md.p)
+					cfg.EnableWorkStealing, cfg.ChunkTargetEdges = true, 16
+					cfg.RequestTimeout, cfg.CollectiveTimeout = 5*time.Second, 5*time.Second
+				}
+				if md.workers > 0 {
+					cfg.Workers = md.workers
+				}
+				cfg.Ablate, cfg.GhostCount = md.ablate, md.ghosts
+				reg := obs.NewRegistry()
+				cfg.Obs = reg
+				var gate *stealGate
+				if inner := innerFabric(t, cfg, useTCP); md.steal {
+					gate = newStealGate(inner, 0, cfg.RequestTimeout)
+					cfg.Fabric = gate
+				} else {
+					cfg.Fabric = inner
+				}
+				defer cfg.Fabric.Close() //nolint:errcheck
+				var c *Cluster
+				if md.steal {
+					c = bootSkewed(t, g, cfg, 0.85)
+				} else {
+					c = bootCluster(t, g, cfg)
+				}
+				src, dst := map[PropKind]PropID{}, map[PropKind]PropID{}
+				src[KindI64], _ = c.AddPropI64("isrc")
+				dst[KindI64], _ = c.AddPropI64("idst")
+				src[KindF64], _ = c.AddPropF64("fsrc")
+				dst[KindF64], _ = c.AddPropF64("fdst")
+				// fill sets p's word on every node to what raw means for (kind, op):
+				// the integer itself; a quarter of it as a float64, so that sums are
+				// exact in any order; its parity where a float64 reduction is logical
+				// (OR, AND: accumulated from their bottom they normalize only what a
+				// write touches, which under stealing differs from run to run).
+				fill := func(p PropID, kind PropKind, op reduce.Op, raw func(v graph.NodeID) int64) {
+					c.mustParallel(func(m *Machine) {
+						for i := 0; i < m.store.numLocal; i++ {
+							switch r := raw(m.store.globalOf(uint32(i))); {
+							case kind == KindI64:
+								m.cols[p].setI64(i, r)
+							case op == reduce.Or || op == reduce.And:
+								m.cols[p].setF64(i, float64(r&1))
+							default:
+								m.cols[p].setF64(i, float64(r)/4)
+							}
+						}
+					})
+				}
+				built := c.NewFrontier("built")
+
+				// run executes one job from the same initial state and returns what
+				// it left: the column's words, the frontier's bitmaps, the counters.
+				run := func(kind PropKind, op reduce.Op, spec JobSpec) (words []uint64, front [][]uint64, applied, folded int64) {
+					fill(dst[kind], kind, op, func(v graph.NodeID) int64 { return dstVal[v] })
+					if md.steal {
+						gate.rearm()
+					}
+					before := reg.LifetimeCounters()
+					if _, err := c.RunJob(spec); err != nil {
+						t.Fatalf("seed %d: %s: %v", seed, spec.Name, err)
+					}
+					var sent int64
+					for _, m := range c.machines {
+						sent += m.writesSent.Load()
+						for i := range m.cols[dst[kind]].vals {
+							words = append(words, m.cols[dst[kind]].load(i))
+						}
+						front = append(front, slices.Clone(built.machines[m.id].bits))
+					}
+					jobCounter(reg, "writes_applied", sent) // every record sent has been counted
+					after := reg.LifetimeCounters()
+					return words, front, after["writes_applied"] - before["writes_applied"], after["accumulated_writes"] - before["accumulated_writes"]
+				}
+				compare := func(name string, kind PropKind, op reduce.Op, spec func(perRef bool) JobSpec) {
+					rowWords, rowFront, rowApplied, rowFolded := run(kind, op, spec(false))
+					refWords, refFront, refApplied, refFolded := run(kind, op, spec(true))
+					if !slices.Equal(rowWords, refWords) {
+						t.Errorf("seed %d: %s: the row form's column differs from the per-ref form's", seed, name)
+					}
+					if md.steal {
+						return
+					}
+					for m := range rowFront {
+						if !slices.Equal(rowFront[m], refFront[m]) {
+							t.Errorf("seed %d: %s: machine %d's build frontier differs", seed, name, m)
+						}
+					}
+					if rowApplied != refApplied || rowFolded != refFolded {
+						t.Errorf("seed %d: %s: row form applied %d and folded %d writes, per-ref form %d and %d",
+							seed, name, rowApplied, rowFolded, refApplied, refFolded)
+					}
+					if md.name == "accumulated" && rowFolded == 0 && op != reduce.Overwrite {
+						t.Errorf("seed %d: %s: nothing was folded", seed, name)
+					}
+				}
+				writeSpec := func(kind PropKind, op reduce.Op) (ws []WriteSpec, build []*Frontier) {
+					if md.declare && op != reduce.Overwrite { // a declaration takes a commutative reduction
+						ws = []WriteSpec{{Prop: dst[kind], Op: op}}
+						if md.activating {
+							ws[0].ActivateInto, build = 1, []*Frontier{built}
+						}
+					}
+					return ws, build
+				}
+				for _, kind := range []PropKind{KindI64, KindF64} {
+					for op := reduce.Sum; op <= reduce.Overwrite; op++ {
+						name := fmt.Sprintf("%v/%v", kind, op)
+						fill(src[kind], kind, op, func(v graph.NodeID) int64 {
+							if op == reduce.Overwrite { // its result depends on the order unless every write carries one value
+								v = 0
+							}
+							return srcVal[v]
+						})
+						compare(name, kind, op, func(perRef bool) JobSpec {
+							spec := JobSpec{Name: name, Iter: IterOutEdges,
+								Task: &rowPush{src: src[kind], dst: dst[kind], op: op, perRef: perRef, gate: gate}}
+							spec.WriteProps, spec.Build = writeSpec(kind, op)
+							if md.steal {
+								spec.Steal = &StealSpec{Own: []PropID{src[kind]}}
+							}
+							return spec
+						})
+					}
+				}
+				if !md.steal {
+					fill(src[KindF64], KindF64, reduce.Min, func(v graph.NodeID) int64 { return srcVal[v] })
+					compare("weighted", KindF64, reduce.Min, func(perRef bool) JobSpec {
+						spec := JobSpec{Name: "weighted", Iter: IterOutEdges,
+							Task: &relaxRow{src: src[KindF64], dst: dst[KindF64], perRef: perRef}}
+						spec.WriteProps, spec.Build = writeSpec(KindF64, reduce.Min)
+						return spec
+					})
+				}
+				if md.steal {
+					if reg.LifetimeCounters()["stolen_nodes"] == 0 {
+						t.Errorf("seed %d: no row was stolen", seed)
+					}
+					settleQuiescent(t, c)
+				}
+			})
+		}
+	})
+}
+
+// TestApplyWritesByRun: a frame whose records interleave (property, operator)
+// pairs — runs of one, of two, a pair that comes back, one that spans the
+// copier's chunks — lands record by record in frame order, in both spellings,
+// operators without a loop of their own included.
+func TestApplyWritesByRun(t *testing.T) {
+	const long = 3*applyChunk + 7 // +1 into val[3], long times
+	recs := [][2]uint64{
+		{writeMeta(0, reduce.Sum, 1), 3}, {writeMeta(0, reduce.Sum, 2), 4},
+		{writeMeta(1, reduce.Max, 0), WordF64(2)},
+		{writeMeta(0, reduce.Sum, 3), 5}, {writeMeta(0, reduce.Min, 3), 1},
+		{writeMeta(1, reduce.Sum, 1), WordF64(0.5)}, {writeMeta(1, reduce.Sum, 2), WordF64(0.25)},
+		{writeMeta(0, reduce.Or, 4), 8}, {writeMeta(0, reduce.Overwrite, 4), 9},
+	}
+	for i := 0; i < long; i++ {
+		recs = append(recs, [2]uint64{writeMeta(1, reduce.Sum, 3), WordF64(1)})
+	}
+	for _, compressed := range []bool{false, true} {
+		m, cnt, val := applyWritesCluster(t)
+		h := comm.Header{Type: comm.MsgWriteReq, Count: uint32(len(recs))}
+		payload := rawWrites(recs...)
+		if compressed { // the sorted spelling: the same runs, ascending
+			sorted := slices.Clone(recs)
+			slices.SortStableFunc(sorted, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+			i64 := make([]bool, len(sorted))
+			for i, r := range sorted {
+				i64[i] = PropID(r[0]>>48) == cnt
+			}
+			h.Flags, payload = comm.FlagCompressed, compressedWrites(i64, sorted...)
+		}
+		if err := m.applyWrites(h, payload, new(wireDec)); err != nil {
+			t.Fatalf("compressed %v: %v", compressed, err)
+		}
+		for i, want := range []int64{7, 10, 11, 1, 9} {
+			if got := m.cols[cnt].getI64(i); got != want {
+				t.Errorf("compressed %v: cnt[%d] = %d, want %d", compressed, i, got, want)
+			}
+		}
+		for i, want := range []float64{7, 7.5, 7.25, 7 + long} {
+			if got := m.cols[val].getF64(i); got != want {
+				t.Errorf("compressed %v: val[%d] = %g, want %g", compressed, i, got, want)
+			}
+		}
+	}
+}

@@ -1,8 +1,10 @@
 // Package partition implements the data placement policies of PGX.D
 // (paper §3.3): partitioning consecutive vertex ranges across machines by
 // node count (vertex partitioning) or by in+out degree sums (edge
-// partitioning), selecting high-degree vertices as ghosts, and cutting local
-// node ranges into edge-balanced chunks for intra-machine scheduling.
+// partitioning), ranking vertices by degree — the paper's ghost selection,
+// which the engine uses only to cap its remote sets (core.Config.GhostCount)
+// — and cutting local node ranges into edge-balanced chunks for intra-machine
+// scheduling.
 package partition
 
 import (

@@ -1,10 +1,11 @@
 // Package reduce defines the reduction operators PGX.D applies to property
 // writes (paper §3.3/§4.2: write-props are declared with a reduction
-// operator; ghost copies start at the operator's bottom value and partial
-// results are reduced back to the owner). It provides plain and atomic
-// application for float64 and int64 payloads; the atomic float forms are the
-// CAS loops the engine's copiers use ("the copier applies them directly with
-// atomic instructions").
+// operator; private copies — the engine's per-worker accumulators — start at
+// the operator's bottom value and partial results are reduced back to the
+// owner). It provides plain and atomic application for float64 and int64
+// payloads; the atomic forms are the reference CAS loops ("the copier applies
+// them directly with atomic instructions") the micro-benchmarks time — the
+// engine's own live in core's write path, instantiated per operator.
 package reduce
 
 import (
@@ -28,7 +29,8 @@ const (
 	// And is logical/bitwise AND on integer payloads; bottom is all-ones.
 	And
 	// Overwrite replaces the value unconditionally (last write wins).
-	// It has no meaningful bottom; ghost privatization is disabled for it.
+	// It has no meaningful bottom, so a job cannot declare it (JobSpec.validate):
+	// an OVERWRITE is never accumulated.
 	Overwrite
 )
 
@@ -132,9 +134,10 @@ func applyI64(op Op, a, b int64) int64 {
 	}
 }
 
-// BottomF64 returns op's identity element for float64: the value ghost
-// copies are initialized to before a parallel region ("the bottom value is
-// set to each ghost copy at the beginning — e.g. 0 for additive reduction").
+// BottomF64 returns op's identity element for float64: the value a worker's
+// accumulator slots are initialized to before a parallel region (the paper's
+// "the bottom value is set to each ghost copy at the beginning — e.g. 0 for
+// additive reduction").
 func BottomF64(op Op) float64 {
 	switch op {
 	case Sum, Or:

@@ -263,8 +263,9 @@ type RowOnly = core.RowOnly
 
 // F64View and I64View are typed read views over a property's local
 // slots (Ctx.F64 / Ctx.I64); RemoteView answers the remote refs a dense pull
-// prefetched (Ctx.Remote); Writer is a write handle resolved once per row
-// (Ctx.Writer).
+// prefetched (Ctx.Remote); Writer is the write handle of a (property,
+// operator) pair (Ctx.Writer returns a *Writer): WriteRow reduces by the row,
+// Write by the ref.
 type (
 	F64View    = core.F64View
 	I64View    = core.I64View
