@@ -14,7 +14,7 @@ vet:
 # Race-detector pass over the concurrency-heavy packages: the comm fabrics
 # (async senders, routers, collectives), the engine core (workers, copiers,
 # frontiers with copier-side write-activation, mirrors and accumulators, wire
-# compression, work stealing, job cancellation, spillable write buffers),
+# compression, job cancellation, spillable write buffers),
 # the algorithms (adaptive direction switching, the ablation lattice), the varint codec,
 # the partitioner (replanning), the observability registry, the serving
 # layer (admission scheduler, engine pools, deadlines, memory budgeting),
@@ -162,16 +162,16 @@ serve:
 bench-serve:
 	$(GO) run ./cmd/pgxd-bench -exp serve -machines 4 -serve-out BENCH_serve.json
 
-# Load-balancing check: steal protocol correctness + fault/cancel coverage
-# and the repartitioner suite under the race detector, then a small
-# -exp balance smoke on a deliberately skewed partition.
+# Load-balancing check: the repartitioner suite (Replan, LoadPlan) under the
+# race detector, then a small -exp balance smoke on a deliberately skewed
+# partition.
 balance:
-	$(GO) test -race -count=1 -run 'Steal|LoadPlan|ClusterReplan' ./internal/core/...
+	$(GO) test -race -count=1 -run 'LoadPlan|ClusterReplan' ./internal/core/...
 	$(GO) test -race -count=1 ./internal/partition/...
 	$(GO) run ./cmd/pgxd-bench -exp balance -machines 2 -scale 10 -quiet -balance-out BENCH_balance_smoke.json
 
-# Regenerate the load-balancing artifact (skewed/replanned/balanced layouts
-# x steal on/off, per-machine barrier-wait p99, steal volume, replan
+# Regenerate the load-balancing artifact (skewed/replanned/balanced layouts,
+# median of five runs per cell, per-machine barrier-wait p99, replan
 # diagnostics).
 bench-balance:
 	$(GO) run ./cmd/pgxd-bench -exp balance -machines 4 -scale 13 -balance-out BENCH_balance.json

@@ -12,9 +12,9 @@
 // BENCH_balance.json / BENCH_serve.json / BENCH_ooc.json). The serve
 // experiment load-tests the multi-tenant serving layer: admission latency
 // percentiles, jobs/sec, engine-pool scaling on one graph, and
-// deadline/cancellation behaviour. The balance experiment ablates the load
-// balancer (cross-machine chunk stealing + online repartitioning) on a
-// deliberately skewed partition. The ooc experiment exercises the
+// deadline/cancellation behaviour. The balance experiment measures online
+// repartitioning (Cluster.Replan + LoadPlan) on a deliberately skewed
+// partition. The ooc experiment exercises the
 // out-of-core storage subsystem: bit-identity of mmap'd store-file runs against
 // in-memory runs, then BFS and PageRank on a CSR exceeding the resident
 // budget with the process peak RSS asserted under -ooc-cap-mb (the run exits
@@ -244,9 +244,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "direction: report written to %s\n", *dirOut)
 		}
 	}
-	// The balance experiment ablates the load balancer (chunk stealing and
-	// online repartitioning) on a deliberately skewed cut; it boots many
-	// clusters per cell, so it runs only when named explicitly.
+	// The balance experiment measures online repartitioning on a deliberately
+	// skewed cut; it boots many clusters per cell, so it runs only when named
+	// explicitly.
 	if *exp == "balance" {
 		ran = true
 		p := machineCounts[len(machineCounts)-1]

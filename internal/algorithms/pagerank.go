@@ -71,8 +71,7 @@ func (k *sumPullKernel) ReadDone(c *core.Ctx, val uint64) {
 // op — the push step of PageRank (scaled → nxt, SUM), approximate PageRank
 // (scaled delta → next delta, SUM) and min-label propagation (label → next
 // label, MIN). The value is read once per row — as a raw 8-byte word, so one
-// kernel serves float64 and int64 properties — and on a stolen node comes
-// from the grant's snapshot.
+// kernel serves float64 and int64 properties.
 type pushKernel struct {
 	core.RowOnly
 	core.NoReads
@@ -148,10 +147,6 @@ func pageRankExact(c *core.Cluster, iters int, damping float64, pull bool) ([]fl
 				Name: "pr-push", Iter: core.IterOutEdges,
 				Task:       &pushKernel{src: scaled, dst: nxt, op: reduce.Sum},
 				WriteProps: []core.WriteSpec{{Prop: nxt, Op: reduce.Sum}},
-				// Stealable, but note stolen SUM contributions arrive in a
-				// different order, so steal-on PageRank-push is numerically
-				// equivalent rather than bit-identical.
-				Steal: &core.StealSpec{Own: []core.PropID{scaled}},
 			})
 		}
 		r.run(core.JobSpec{

@@ -7,7 +7,6 @@ import (
 	"repro/internal/baseline/sa"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/reduce"
 )
 
@@ -201,30 +200,15 @@ func runSuite(t *testing.T, c *core.Cluster, root graph.NodeID, withKCore bool) 
 	return r
 }
 
-// rowCluster boots p machines over the chosen fabric. skewed loads a
-// partition.SkewedLayout with work stealing on, so stealable push kernels
-// also run on stolen nodes (rows from the grant, own values from its
-// snapshot).
-func rowCluster(t *testing.T, g *graph.Graph, p int, useTCP, skewed bool, set core.Ablation) *core.Cluster {
+// rowCluster boots p machines over the chosen fabric.
+func rowCluster(t *testing.T, g *graph.Graph, p int, useTCP bool, set core.Ablation) *core.Cluster {
 	t.Helper()
-	cfg := latticeConfig(t, p, useTCP, set)
-	cfg.EnableWorkStealing = skewed
-	c, err := core.NewCluster(cfg)
+	c, err := core.NewCluster(latticeConfig(t, p, useTCP, set))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Shutdown)
-	if !skewed {
-		if err := c.Load(g); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	layout, err := partition.SkewedLayout(g, p, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LoadPlan(g, layout); err != nil {
+	if err := c.Load(g); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -237,9 +221,9 @@ func rowCluster(t *testing.T, g *graph.Graph, p int, useTCP, skewed bool, set co
 // in edge order either way); to 1e-12 where continuations or atomic SUMs
 // arrive in a schedule-dependent order — and both match the standalone
 // reference. Over a small-world RMAT and a grid, one to three machines in
-// process and two over TCP, in the default configuration, with every
+// process and two over TCP, in the default configuration and with every
 // traversal pinned to its pull schedule (the adaptive policy rarely picks it
-// on graphs this small), and with work stealing on a skewed cut.
+// on graphs this small).
 func TestRowDispatchMatchesPerEdge(t *testing.T) {
 	rmat, err := graph.RMAT(11, 8, graph.TwitterLike(), 4242)
 	if err != nil {
@@ -270,22 +254,18 @@ func TestRowDispatchMatchesPerEdge(t *testing.T) {
 			tcp bool
 		}{{1, false}, {2, false}, {3, false}, {2, true}} {
 			for _, v := range []struct {
-				name   string
-				skewed bool
-				set    core.Ablation
-			}{{"default", false, 0}, {"pin-pull", false, core.AblatePinPull}, {"steal-skewed", true, 0}} {
-				if v.skewed && fab.p == 1 {
-					continue // nobody to steal from
-				}
+				name string
+				set  core.Ablation
+			}{{"default", 0}, {"pin-pull", core.AblatePinPull}} {
 				name := fmt.Sprintf("%s/p=%d,tcp=%v/%s", tg.name, fab.p, fab.tcp, v.name)
 				t.Run(name, func(t *testing.T) {
 					// k-core's hundreds of near-empty supersteps add nothing over
 					// TCP that the in-process run of the same kernels does not show.
 					withKCore := !fab.tcp
-					row := runSuite(t, rowCluster(t, g, fab.p, fab.tcp, v.skewed, v.set), root, withKCore)
+					row := runSuite(t, rowCluster(t, g, fab.p, fab.tcp, v.set), root, withKCore)
 					kernelHook = perEdgeForm
 					defer func() { kernelHook = nil }()
-					edge := runSuite(t, rowCluster(t, g, fab.p, fab.tcp, v.skewed, v.set), root, withKCore)
+					edge := runSuite(t, rowCluster(t, g, fab.p, fab.tcp, v.set), root, withKCore)
 
 					for _, form := range []struct {
 						name string

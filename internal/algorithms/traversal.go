@@ -107,8 +107,7 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 			st := r.runStats(core.JobSpec{Name: "wcc-push", Iter: core.IterBothEdges,
 				Source:     cur,
 				Task:       &pushKernel{src: label, dst: labelNxt, op: reduce.Min},
-				WriteProps: []core.WriteSpec{{Prop: labelNxt, Op: reduce.Min}},
-				Steal:      &core.StealSpec{Own: []core.PropID{label}}})
+				WriteProps: []core.WriteSpec{{Prop: labelNxt, Op: reduce.Min}}})
 			policy.Observe(core.DirPush, stats.OutDeg+stats.InDeg, st.Traffic.BytesSent)
 		} else {
 			st := r.runStats(core.JobSpec{Name: "wcc-pull", Iter: core.IterBothEdges,
@@ -258,8 +257,7 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 				Source:     cur,
 				Task:       &distRelaxKernel{dist: dist, distNxt: distNxt},
 				WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min, ActivateInto: 1}},
-				Build:      []*core.Frontier{touched},
-				Steal:      &core.StealSpec{Own: []core.PropID{dist}}})
+				Build:      []*core.Frontier{touched}})
 			policy.Observe(core.DirPush, stats.OutDeg, st.Traffic.BytesSent)
 		} else {
 			st := r.runStats(core.JobSpec{Name: "sssp-pull", Iter: core.IterInEdges,
@@ -395,10 +393,7 @@ func (r *runner) bfs(dist core.PropID, cur, unvis *core.Frontier, root graph.Nod
 				Source:     cur,
 				Task:       &hopPushKernel{dist: dist, level: level},
 				WriteProps: []core.WriteSpec{{Prop: dist, Op: reduce.Min, ActivateInto: 1}},
-				Build:      []*core.Frontier{cur},
-				// The level rides in the kernel struct, so the grant needs no
-				// own-node snapshot at all.
-				Steal: &core.StealSpec{}})
+				Build:      []*core.Frontier{cur}})
 			policy.Observe(core.DirPush, curStats.OutDeg, st.Traffic.BytesSent)
 		} else {
 			st = r.runStats(core.JobSpec{Name: "hop-pull", Iter: core.IterInEdges,

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
+	"sort"
 
 	"repro/internal/algorithms"
 	"repro/internal/comm"
@@ -16,22 +16,25 @@ import (
 )
 
 // BalanceSkew is the deliberately unfair ownership share machine 0 gets in
-// the skewed cells: 85% of the total degree mass, the same straggler shape
-// the steal tests pin down.
+// the skewed cells: 85% of the total degree mass, the straggler shape
+// TestClusterReplanImprovesSkew pins down.
 const BalanceSkew = 0.85
 
-// BalanceRow is one cell of the load-balancing ablation: one algorithm on
-// one layout under one balancing strategy.
+// balanceRuns is how many fresh-cluster runs each cell's median is taken over.
+const balanceRuns = 5
+
+// BalanceRow is one cell of the load-balancing experiment: one algorithm on
+// one layout.
 type BalanceRow struct {
 	Algo string `json:"algo"` // "bfs", "sssp", "wcc", "pr-push"
 	// Layout is "skewed" (machine 0 owns BalanceSkew of the degree mass),
 	// "replanned" (the layout Cluster.Replan derived from the skewed run's
-	// telemetry), or "balanced" (the default degree-balanced cut, the
-	// no-regression check).
-	Layout  string `json:"layout"`
-	Variant string `json:"variant"` // "no-steal" or "steal"
+	// telemetry), or "balanced" (the default degree-balanced cut).
+	Layout string `json:"layout"`
 
-	Seconds float64 `json:"seconds"` // best of two runs
+	// Seconds is the median of balanceRuns runs; the row's other figures come
+	// from that run.
+	Seconds float64 `json:"seconds"`
 
 	// WaitP99MS[m] is machine m's barrier-wait p99 in milliseconds; WaitSkew
 	// is max/mean of the per-machine barrier-wait totals (1.0 = every
@@ -39,19 +42,15 @@ type BalanceRow struct {
 	WaitP99MS []float64 `json:"wait_p99_ms"`
 	WaitSkew  float64   `json:"wait_skew"`
 
-	StealRequests int64 `json:"steal_requests,omitempty"`
-	StolenNodes   int64 `json:"stolen_nodes,omitempty"`
-	StolenEdges   int64 `json:"stolen_edges,omitempty"`
-
 	// Identical reports bit-identity of the per-node results versus the
-	// skewed no-steal run of the same algorithm. Stealing must never change
-	// results on order-independent (Min-reduction) kernels; pr-push sums
-	// floats in arrival order, so its rows are speedup-only.
-	Identical bool `json:"identical_vs_no_steal"`
+	// skewed run of the same algorithm. A cut must never change results on
+	// order-independent (Min-reduction) kernels; pr-push sums floats in
+	// arrival order, so its rows are speedup-only.
+	Identical bool `json:"identical_vs_skewed"`
 
-	// SpeedupVsNoSteal is skewedNoStealSeconds/Seconds, filled on steal and
-	// replanned rows of the skewed cells.
-	SpeedupVsNoSteal float64 `json:"speedup_vs_no_steal,omitempty"`
+	// SpeedupVsSkewed is skewedSeconds/Seconds, filled on the replanned and
+	// balanced rows.
+	SpeedupVsSkewed float64 `json:"speedup_vs_skewed,omitempty"`
 }
 
 // BalanceReplanInfo records what Cluster.Replan derived from the skewed
@@ -70,28 +69,20 @@ type BalanceReport struct {
 	Scale    int               `json:"scale"`
 	Machines int               `json:"machines"`
 	Skew     float64           `json:"skew"`
+	Runs     int               `json:"runs_per_cell"`
 	Replan   BalanceReplanInfo `json:"replan"`
 	Rows     []BalanceRow      `json:"rows"`
 }
 
-// ExpBalance ablates the traffic-matrix-driven load balancer on a
-// deliberately skewed partition of TWT': machine 0 owns BalanceSkew of the
-// degree mass and everyone else waits at the barrier. Three strategies per
-// algorithm: live with it (no-steal), flatten it within each superstep
-// (cross-machine chunk stealing), or fix ownership for the next run
-// (Cluster.Replan from the measured telemetry, applied via LoadPlan). A
-// balanced-layout pair per algorithm checks stealing costs nothing when
-// there is nothing to steal.
+// ExpBalance measures the engine's answer to a skewed cut on a deliberately
+// skewed partition of TWT': machine 0 owns BalanceSkew of the degree mass and
+// everyone else waits at the barrier. Three layouts per algorithm: live with
+// it (skewed), fix ownership for the next run (Cluster.Replan from the
+// measured telemetry, applied via LoadPlan), and the default degree-balanced
+// cut the replanned one should approach.
 func ExpBalance(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table, *BalanceReport, error) {
 	if machines < 2 {
-		return nil, nil, fmt.Errorf("balance: need >= 2 machines to steal across (have %d)", machines)
-	}
-	// The experiment models a cluster in one process; give it at least one
-	// scheduling context per machine. Under GOMAXPROCS=1 the victim's copier
-	// only runs after its workers yield the sole P, so every steal request
-	// is served post-drain and the balancer never gets to act.
-	if runtime.GOMAXPROCS(0) < machines {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(machines))
+		return nil, nil, fmt.Errorf("balance: need >= 2 machines to cut across (have %d)", machines)
 	}
 	g, err := ds.Get(DSTwitter, scale)
 	if err != nil {
@@ -106,16 +97,12 @@ func ExpBalance(ds *Datasets, scale, machines, prIters int, prog Progress) (*Tab
 		return nil, nil, err
 	}
 
-	rep := &BalanceReport{Dataset: DSTwitter, Scale: scale, Machines: machines, Skew: BalanceSkew}
-	t := &Table{Title: fmt.Sprintf("Load balancing on a %.0f%%-skewed cut (%d machines, scale %d)",
-		100*BalanceSkew, machines, scale)}
-	t.Header = []string{"algo", "layout", "variant", "time", "wait-skew", "wait-p99", "stolen", "identical", "speedup"}
+	rep := &BalanceReport{Dataset: DSTwitter, Scale: scale, Machines: machines, Skew: BalanceSkew, Runs: balanceRuns}
+	t := &Table{Title: fmt.Sprintf("Load balancing on a %.0f%%-skewed cut (%d machines, scale %d, median of %d)",
+		100*BalanceSkew, machines, scale, balanceRuns)}
+	t.Header = []string{"algo", "layout", "time", "wait-skew", "wait-p99", "identical", "speedup"}
 
-	// Measurement pass for layer 2: one steal-off run on the skewed layout
-	// feeds Replan. Stealing must be off here — stolen chunks are billed to
-	// the thief's task phase, which hides exactly the skew the plan is meant
-	// to fix (see partition.Replan).
-	prog.log("balance: telemetry pass for Replan (steal off, skewed cut)")
+	prog.log("balance: telemetry pass for Replan (skewed cut)")
 	plan, err := measureReplan(g, machines, skewed, prIters)
 	if err != nil {
 		return nil, nil, err
@@ -128,93 +115,56 @@ func ExpBalance(ds *Datasets, scale, machines, prIters int, prog Progress) (*Tab
 		CostRates:          plan.CostRates,
 	}
 
-	type variant struct {
-		name   string
-		layout partition.Layout
-		lname  string
-		steal  bool
-	}
-	variants := []variant{
-		{"no-steal", skewed, "skewed", false},
-		{"steal", skewed, "skewed", true},
-		{"no-steal", plan.Layout, "replanned", false},
-	}
-
 	for _, algo := range []string{"bfs", "sssp", "wcc", "pr-push"} {
 		ag := g
 		if algo == "sssp" {
 			ag = wg
 		}
+		balanced, err := partition.Compute(ag, machines, core.DefaultConfig(machines).Partitioning)
+		if err != nil {
+			return nil, nil, err
+		}
 		var baseBits []uint64
 		var baseSecs float64
-		start := len(rep.Rows)
-		for _, v := range variants {
-			prog.log("balance: %s %s/%s", algo, v.lname, v.name)
-			row, bits, err := bestOfTwo(ag, machines, v.layout, v.steal, algo, prIters)
+		for _, l := range []struct {
+			name   string
+			layout partition.Layout
+		}{{"skewed", skewed}, {"replanned", plan.Layout}, {"balanced", balanced}} {
+			prog.log("balance: %s %s", algo, l.name)
+			row, bits, err := medianCell(ag, machines, l.layout, algo, prIters)
 			if err != nil {
-				return nil, nil, fmt.Errorf("balance: %s %s/%s: %w", algo, v.lname, v.name, err)
+				return nil, nil, fmt.Errorf("balance: %s %s: %w", algo, l.name, err)
 			}
-			row.Layout = v.lname
-			row.Variant = v.name
+			row.Layout = l.name
+			speedup := ""
 			if baseBits == nil {
 				baseBits, baseSecs = bits, row.Seconds
 				row.Identical = true
 			} else {
 				row.Identical = equalBits(baseBits, bits)
-				row.SpeedupVsNoSteal = baseSecs / row.Seconds
+				row.SpeedupVsSkewed = baseSecs / row.Seconds
+				speedup = fmt.Sprintf("%.2fx", row.SpeedupVsSkewed)
 			}
 			rep.Rows = append(rep.Rows, row)
-		}
-		// The no-regression pair: the default degree-balanced cut, where the
-		// steal machinery should find nothing to do and cost (close to)
-		// nothing.
-		balanced, err := partition.Compute(ag, machines, core.DefaultConfig(machines).Partitioning)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, steal := range []bool{false, true} {
-			name := "no-steal"
-			if steal {
-				name = "steal"
-			}
-			prog.log("balance: %s balanced/%s", algo, name)
-			row, bits, err := bestOfTwo(ag, machines, balanced, steal, algo, prIters)
-			if err != nil {
-				return nil, nil, fmt.Errorf("balance: %s balanced/%s: %w", algo, name, err)
-			}
-			row.Layout = "balanced"
-			row.Variant = name
-			row.Identical = equalBits(baseBits, bits)
-			rep.Rows = append(rep.Rows, row)
-		}
-		for _, r := range rep.Rows[start:] {
-			speedup := ""
-			if r.SpeedupVsNoSteal > 0 {
-				speedup = fmt.Sprintf("%.2fx", r.SpeedupVsNoSteal)
-			}
-			stolen := ""
-			if r.StealRequests > 0 || r.StolenNodes > 0 {
-				stolen = fmt.Sprintf("%dn/%de", r.StolenNodes, r.StolenEdges)
-			}
-			t.AddRow(r.Algo, r.Layout, r.Variant, fmtSecs(r.Seconds),
-				fmt.Sprintf("%.2f", r.WaitSkew), fmtWaitP99(r.WaitP99MS),
-				stolen, fmt.Sprintf("%v", r.Identical), speedup)
+			t.AddRow(row.Algo, row.Layout, fmtSecs(row.Seconds),
+				fmt.Sprintf("%.2f", row.WaitSkew), fmtWaitP99(row.WaitP99MS),
+				fmt.Sprintf("%v", row.Identical), speedup)
 		}
 	}
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("skewed cut: machine 0 owns %.0f%% of the degree mass (edge imbalance %.2f)",
 			100*BalanceSkew, rep.Replan.ImbalanceBefore),
-		fmt.Sprintf("replanned cut: from the steal-off run's telemetry (edge imbalance %.2f -> %.2f)",
+		fmt.Sprintf("replanned cut: from the skewed run's telemetry (edge imbalance %.2f -> %.2f)",
 			rep.Replan.ImbalanceBefore, rep.Replan.ImbalanceAfter),
 		"wait-skew = max/mean of per-machine barrier-wait totals; 1.0 is perfectly balanced",
-		"identical = per-node results bit-identical to the skewed no-steal run; pr-push sums floats in arrival order, so its steal rows are speedup-only",
-		"wall-clock speedup from stealing needs real parallel hardware: on one core the straggler's work runs somewhere either way, but wait-skew and the stolen column still show the balancer working")
+		"identical = per-node results bit-identical to the skewed run; pr-push sums floats in arrival order, so its rows are speedup-only",
+		"the simulated machines share this box's cores: the straggler's work runs on the same silicon under any cut, so wait-skew is the hardware-independent column")
 	return t, rep, nil
 }
 
-// measureReplan runs one steal-off PageRank-push pass on the skewed layout
-// with full instrumentation and asks the cluster for a repartitioning plan.
+// measureReplan runs one PageRank-push pass on the skewed layout with full
+// instrumentation and asks the cluster for a repartitioning plan.
 func measureReplan(g *graph.Graph, machines int, skewed partition.Layout, prIters int) (partition.Plan, error) {
 	cfg := core.DefaultConfig(machines)
 	cfg.Obs = obs.NewRegistry()
@@ -232,38 +182,29 @@ func measureReplan(g *graph.Graph, machines int, skewed partition.Layout, prIter
 	return c.Replan(g)
 }
 
-// bestOfTwo runs one (layout, steal, algo) cell twice on fresh clusters and
-// keeps the faster run's row. The returned bits are the per-node results for
-// the identity check (identical across trials by construction on the Min
-// kernels; for pr-push the last trial's).
-func bestOfTwo(g *graph.Graph, machines int, layout partition.Layout, steal bool, algo string, prIters int) (BalanceRow, []uint64, error) {
-	var best BalanceRow
+// medianCell runs one (layout, algo) cell balanceRuns times on fresh clusters
+// and keeps the median-time run's row. The returned bits are the per-node
+// results for the identity check (identical across runs by construction on
+// the Min kernels; for pr-push the last run's).
+func medianCell(g *graph.Graph, machines int, layout partition.Layout, algo string, prIters int) (BalanceRow, []uint64, error) {
+	rows := make([]BalanceRow, balanceRuns)
 	var bits []uint64
-	for trial := 0; trial < 2; trial++ {
-		row, b, err := runBalanceCell(g, machines, layout, steal, algo, prIters)
-		if err != nil {
+	for i := range rows {
+		var err error
+		if rows[i], bits, err = runBalanceCell(g, machines, layout, algo, prIters); err != nil {
 			return BalanceRow{}, nil, err
 		}
-		if trial == 0 || row.Seconds < best.Seconds {
-			best = row
-		}
-		bits = b
 	}
-	return best, bits, nil
+	sort.Slice(rows, func(a, b int) bool { return rows[a].Seconds < rows[b].Seconds })
+	return rows[balanceRuns/2], bits, nil
 }
 
 // runBalanceCell boots a fresh instrumented cluster on an explicit layout,
 // runs one algorithm, and returns the row plus per-node result bits. Cells
-// run over the TCP fabric: cross-machine balancing is about the wire, and
-// the in-process fabric's free sends would understate the cost of moving a
-// chunk relative to owning it.
-func runBalanceCell(g *graph.Graph, machines int, layout partition.Layout, steal bool, algo string, prIters int) (BalanceRow, []uint64, error) {
+// run over the TCP fabric: a cut decides which refs cross the wire, and the
+// in-process fabric's free sends would understate what a remote ref costs.
+func runBalanceCell(g *graph.Graph, machines int, layout partition.Layout, algo string, prIters int) (BalanceRow, []uint64, error) {
 	cfg := core.DefaultConfig(machines)
-	cfg.EnableWorkStealing = steal
-	// Fine-grained chunks: the straggler's cursor drains gradually, so
-	// thieves find unclaimed work throughout the task phase instead of only
-	// at its start.
-	cfg.ChunkTargetEdges = 256
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
 	cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
@@ -319,10 +260,6 @@ func runBalanceCell(g *graph.Graph, machines int, layout partition.Layout, steal
 		row.WaitP99MS[m] = float64(h.Quantile(0.99)) / 1e6
 	}
 	row.WaitSkew = maxOverMeanI64(waits)
-	ctrs := reg.LifetimeCounters()
-	row.StealRequests = ctrs["steal_requests"]
-	row.StolenNodes = ctrs["stolen_nodes"]
-	row.StolenEdges = ctrs["stolen_edges"]
 	return row, bits, nil
 }
 

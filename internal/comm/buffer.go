@@ -41,17 +41,6 @@ const (
 	// same job locally so no machine hangs waiting on a peer that already
 	// gave up — the fail-soft replacement for panic-on-wire-error.
 	MsgAbort
-	// MsgSteal asks a peer for unclaimed edge chunks of the current job
-	// (Aux carries the thief's job id). Routed like a request: a copier on
-	// the victim claims chunks from the job's shared cursor and answers
-	// with a MsgStealGrant.
-	MsgSteal
-	// MsgStealGrant carries stolen chunks back to the thief: packed node
-	// topology (pre-resolved refs rewritten into the thief's frame), edge
-	// weights when the job needs them, and a snapshot of the victim's
-	// own-node property values. An empty grant means the victim has no
-	// work left to give.
-	MsgStealGrant
 )
 
 // String implements fmt.Stringer.
@@ -71,10 +60,6 @@ func (t MsgType) String() string {
 		return "CTRL"
 	case MsgAbort:
 		return "ABORT"
-	case MsgSteal:
-		return "STEAL"
-	case MsgStealGrant:
-		return "STEAL_GRANT"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}

@@ -249,6 +249,60 @@ func TestRouterRoutesByType(t *testing.T) {
 	}
 }
 
+// TestRouterReleasesUnknownTypes: a frame whose type byte is past the enum — 7
+// and 8, values retired message types once held, and 255 — is released by the
+// router: it reaches no queue and leaves the pool full. The router's default
+// arm is all that stands between a torn type byte and a copier or a worker.
+func TestRouterReleasesUnknownTypes(t *testing.T) {
+	for _, typ := range []MsgType{7, 8, 255} {
+		t.Run(fmt.Sprint(uint8(typ)), func(t *testing.T) {
+			f := NewInProcFabric(2, 16)
+			ep0, _ := f.Endpoint(0)
+			ep1, _ := f.Endpoint(1)
+			router := NewRouter(ep1, RouterConfig{NumWorkers: 2, RespDepth: 4, ReqDepth: 4, CtrlDepth: 4})
+			pool := NewPool(4, 1024)
+			send := func(h Header) {
+				buf := pool.Acquire()
+				buf.Reset(h)
+				if err := ep0.Send(1, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Addressed to a live worker and to the main goroutine: a response
+			// arm that took the frame would queue it.
+			send(Header{Type: typ, Worker: 1})
+			send(Header{Type: typ, Worker: CtrlWorker})
+			// The poller routes in arrival order: once the sentinel is out, the
+			// two frames ahead of it have been through the switch.
+			send(Header{Type: MsgCtrl, Aux: 42})
+			sentinel := <-router.Ctrl()
+			if sentinel.Header().Aux != 42 {
+				t.Fatalf("ctrl got %+v ahead of the sentinel", sentinel.Header())
+			}
+			sentinel.Release()
+			for name, q := range map[string]<-chan *Buffer{
+				"req": router.ReqQueue(), "worker 0": router.WorkerResp(0), "worker 1": router.WorkerResp(1),
+				"ctrl": router.Ctrl(), "rmi": router.RMIResp(), "abort": router.AbortQueue(),
+			} {
+				select {
+				case buf := <-q:
+					t.Errorf("type %d reached the %s queue", buf.Data[0], name)
+					buf.Release()
+				default:
+				}
+			}
+			if n := router.PendingRequests(); n != 0 {
+				t.Errorf("%d requests pending", n)
+			}
+			if n := pool.Outstanding(); n != 0 {
+				t.Errorf("%d buffers outstanding while the router still runs", n)
+			}
+			router.Shutdown()
+			ep0.Close()
+		})
+	}
+}
+
 func TestRouterShutdownDrains(t *testing.T) {
 	f := NewInProcFabric(2, 64)
 	ep0, _ := f.Endpoint(0)

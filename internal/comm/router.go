@@ -89,7 +89,7 @@ func (r *Router) poll() {
 			return
 		}
 		switch MsgType(buf.Data[0]) {
-		case MsgReadResp, MsgRMIResp, MsgStealGrant:
+		case MsgReadResp, MsgRMIResp:
 			w := buf.Data[1]
 			if w == CtrlWorker {
 				// Responses addressed to the machine's main goroutine: RMI
@@ -105,7 +105,7 @@ func (r *Router) poll() {
 			} else {
 				buf.Release() // misaddressed; drop rather than wedge
 			}
-		case MsgReadReq, MsgWriteReq, MsgRMIReq, MsgSteal:
+		case MsgReadReq, MsgWriteReq, MsgRMIReq:
 			r.reqIn.Add(1)
 			r.reqQueue <- buf
 		case MsgCtrl:

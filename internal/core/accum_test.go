@@ -94,10 +94,9 @@ func jobCounter(reg *obs.Registry, name string, want int64) int64 {
 // rows, a write to a remote ref the set does not hold (core.RemoteRef to an
 // arbitrary slot) and a write of a property missing from WriteProps take the
 // on-demand path; a sparse member list and a job with an activating spec are
-// on demand altogether; and on a stealing cluster stolen rows fold what the
-// thief's set holds and buffer the rest. Every result is exact, and the
-// accumulated job reports what it folded and shipped: one write_flush span per
-// worker whose args sum to the records its accumulators sent.
+// on demand altogether. Every result is exact, and the accumulated job reports
+// what it folded and shipped: one write_flush span per worker whose args sum to
+// the records its accumulators sent.
 func TestAccumulateFallsBackOnDemand(t *testing.T) {
 	eachFabric(t, func(t *testing.T, useTCP bool) {
 		g := testGraph(t)
@@ -256,30 +255,6 @@ func TestAccumulateFallsBackOnDemand(t *testing.T) {
 		}
 	})
 
-	// Stolen rows: the thieves run the straggler's rows with refs in their own
-	// frame, so a stolen ref folds when the thief's set holds the address and is
-	// buffered when it does not; the sums are exact either way.
-	t.Run("stolen-rows", func(t *testing.T) {
-		g := stealGraph(t)
-		cfg := faultCfg(3)
-		cfg.EnableWorkStealing = true
-		cfg.ChunkTargetEdges = 16
-		cfg.RequestTimeout, cfg.CollectiveTimeout = 5*time.Second, 5*time.Second
-		reg := obs.NewRegistry()
-		cfg.Obs = reg
-		gate := newStealGate(innerFabric(t, cfg, false), 0, cfg.RequestTimeout)
-		cfg.Fabric = gate
-		c := bootSkewed(t, g, cfg, 0.85)
-		src, _ := c.AddPropI64("src")
-		dst, _ := c.AddPropI64("dst")
-		if err := runPushGated(t, c, g, src, dst, true, gate); err != nil {
-			t.Fatal(err)
-		}
-		settleQuiescent(t, c)
-		if ctrs := reg.LifetimeCounters(); ctrs["stolen_nodes"] == 0 || ctrs["accumulated_writes"] == 0 {
-			t.Errorf("want stolen nodes and folded writes in one job (counters: %v)", ctrs)
-		}
-	})
 }
 
 // saltedPush runs the push-sum job over source values that depend on salt and

@@ -187,8 +187,8 @@ func (c *Cluster) Replan(g *graph.Graph) (partition.Plan, error) {
 }
 
 // TaskTimeTotals returns each machine's cumulative task-phase nanoseconds
-// accumulated since Load, summed from the load hints every job's write-drain
-// collective carries. Nil before the first job runs. The totals are
+// accumulated since Load, summed from the task-time lanes every job's
+// write-drain collective carries. Nil before the first job runs. The totals are
 // cluster-global (every machine holds the same vector via the allreduce).
 func (c *Cluster) TaskTimeTotals() []int64 {
 	for _, m := range c.machines {

@@ -49,15 +49,6 @@ type Config struct {
 	// ChunkTargetEdges is the edge count per scheduling chunk. Zero derives
 	// a target yielding about 8 chunks per worker.
 	ChunkTargetEdges int64
-	// EnableWorkStealing turns on cross-machine chunk stealing for jobs that
-	// declare a StealSpec: a machine that drains its shared chunk cursor
-	// sends MsgSteal to the most loaded peer (picked from task-phase load
-	// hints piggybacked on the termination allreduce) and executes the
-	// granted chunks locally, writing through the ordinary remote-write
-	// paths. Off by default — stealing only pays when the partition is
-	// skewed, and the victim-side serve path is extra copier work on
-	// balanced clusters.
-	EnableWorkStealing bool
 	// Ablate switches individual engine mechanisms off (or pins the
 	// traversal direction) for evaluation. It is an instrument, not a
 	// deployment option: only benchmarks and tests set it, and the zero

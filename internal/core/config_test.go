@@ -11,14 +11,14 @@ import (
 
 // TestConfigSurface ratchets the configuration surface: every exported field
 // is a value tests and benchmarks must cover, so a new one has to displace an
-// old one, on/off switches beyond the two real deployment choices belong in
+// old one, on/off switches beyond the one real deployment choice belong in
 // Ablate, and nothing is phrased as a Disable* negative.
 func TestConfigSurface(t *testing.T) {
 	typ := reflect.TypeOf(Config{})
-	if n := typ.NumField(); n > 20 {
-		t.Errorf("Config has %d exported fields, ratchet is 20", n)
+	if n := typ.NumField(); n > 19 {
+		t.Errorf("Config has %d exported fields, ratchet is 19", n)
 	}
-	bools := map[string]bool{"EnableWorkStealing": true, "SpillWrites": true}
+	bools := map[string]bool{"SpillWrites": true}
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if !f.IsExported() {

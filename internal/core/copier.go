@@ -112,8 +112,6 @@ func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec, jr *jobRuntime) e
 		}
 		m.cfg.Obs.Add(m.id, obs.CtrRMIServed, 1)
 		return nil
-	case comm.MsgSteal:
-		return m.serveSteal(h, payload)
 	default:
 		return fmt.Errorf("unexpected frame type %v on request queue", h.Type)
 	}

@@ -39,13 +39,6 @@ type Ctx struct {
 	edge    int
 	weights []float64
 	skip    bool
-
-	// stolen, when non-nil, marks the worker as executing a node stolen from
-	// another machine: Node is then an index in the victim's range and the
-	// own-node accessors answer from the grant's snapshot instead of this
-	// machine's columns (see steal.go). Covered by the wholesale Ctx
-	// save/restore at re-entrancy points like every other field.
-	stolen *stolenNode
 }
 
 // F64Word converts a raw 8-byte value (as delivered to ReadDone) to float64.
@@ -68,25 +61,16 @@ func (c *Ctx) NumMachines() int { return c.w.m.cfg.NumMachines }
 
 // NodeGlobal returns the current node's global id.
 func (c *Ctx) NodeGlobal() graph.NodeID {
-	if c.stolen != nil {
-		return c.stolenGlobal()
-	}
 	return c.w.m.store.globalOf(c.Node)
 }
 
 // OutDegree returns the current node's full out-degree.
 func (c *Ctx) OutDegree() int64 {
-	if c.stolen != nil {
-		return c.stolen.outDeg
-	}
 	return int64(c.w.m.store.outDeg[c.Node])
 }
 
 // InDegree returns the current node's full in-degree.
 func (c *Ctx) InDegree() int64 {
-	if c.stolen != nil {
-		return c.stolen.inDeg
-	}
 	return int64(c.w.m.store.inDeg[c.Node])
 }
 
@@ -120,42 +104,25 @@ func (c *Ctx) EdgeWeight() float64 {
 
 // --- local property access (own node) --------------------------------------
 
-// GetF64 reads property p of the current node. On a stolen node only the
-// properties listed in StealSpec.Own are readable — their values ride the
-// grant as a snapshot.
+// GetF64 reads property p of the current node.
 func (c *Ctx) GetF64(p PropID) float64 {
-	if c.stolen != nil {
-		return math.Float64frombits(c.stolenWord(p))
-	}
 	return c.w.cols[p].getF64(int(c.Node))
 }
 
 // SetF64 writes property p of the current node. Plain store: the engine
 // guarantees all callbacks for one node run on one worker, so no reduction
-// is needed for own-node updates (the pull pattern's advantage). Forbidden
-// on stolen nodes — own-node state cannot be shipped back to the victim.
+// is needed for own-node updates (the pull pattern's advantage).
 func (c *Ctx) SetF64(p PropID, v float64) {
-	if c.stolen != nil {
-		c.w.fail(errStolenCtx(c.w, "SetF64"))
-	}
 	c.w.cols[p].setF64(int(c.Node), v)
 }
 
-// GetI64 reads integer property p of the current node; see GetF64 for the
-// stolen-node rule.
+// GetI64 reads integer property p of the current node.
 func (c *Ctx) GetI64(p PropID) int64 {
-	if c.stolen != nil {
-		return int64(c.stolenWord(p))
-	}
 	return c.w.cols[p].getI64(int(c.Node))
 }
 
-// SetI64 writes integer property p of the current node; see SetF64 for the
-// stolen-node rule.
+// SetI64 writes integer property p of the current node; see SetF64.
 func (c *Ctx) SetI64(p PropID, v int64) {
-	if c.stolen != nil {
-		c.w.fail(errStolenCtx(c.w, "SetI64"))
-	}
 	c.w.cols[p].setI64(int(c.Node), v)
 }
 
@@ -220,11 +187,6 @@ func (c *Ctx) ReadRef(ref int64, p PropID) {
 		w.job.spec.Task.ReadDone(c, w.cols[p].load(int(ref)))
 		return
 	}
-	if c.stolen != nil {
-		// A buffered remote read's continuation would run with the stolen
-		// scratch long since reused; StealSpec requires NoReads kernels.
-		w.fail(errStolenCtx(w, "remote ReadRef"))
-	}
 	if w.job.mirrorSet != nil { // mirrored job: answered in place when the mirror holds it
 		if word, ok := c.Remote(p).Word(ref); ok {
 			w.job.spec.Task.ReadDone(c, word)
@@ -241,12 +203,6 @@ func (c *Ctx) ReadRef(ref int64, p PropID) {
 // frontier. Idempotent per node (duplicates are merged when the frontier is
 // finalized); valid in Run and in continuations, where Node is restored.
 func (c *Ctx) Activate(slot int) {
-	if c.stolen != nil {
-		// The stolen Node indexes the victim's range; activating it here
-		// would corrupt this machine's frontier. StealSpec forbids Activate
-		// (WriteSpec.ActivateInto covers receiver-side activation instead).
-		c.w.fail(errStolenCtx(c.w, "Activate"))
-	}
 	b := c.w.job.builds[slot]
 	b.shards[c.w.id] = append(b.shards[c.w.id], c.Node)
 }
@@ -265,8 +221,5 @@ func (c *Ctx) SkipNode() { c.skip = true }
 // with Node and Aux restored. The payload is copied into the request
 // message; it must fit one message buffer.
 func (c *Ctx) CallRMI(dst int, method uint32, payload []byte) {
-	if c.stolen != nil {
-		c.w.fail(errStolenCtx(c.w, "CallRMI"))
-	}
 	c.w.bufferRMI(dst, method, payload, c.Node, c.Aux)
 }

@@ -64,8 +64,8 @@ type Task interface {
 // Row is one node's adjacency in one orientation, handed to RowTask.RunRow.
 // Refs[i] is the i-th neighbor's ref (a local index or — when negative — a
 // remote ref); Weights, nil on unweighted graphs, runs parallel
-// to Refs. Both alias engine storage (the CSR, a decoded store block, or a
-// steal grant) and are valid only until RunRow returns.
+// to Refs. Both alias engine storage (the CSR or a decoded store block) and
+// are valid only until RunRow returns.
 type Row struct {
 	Refs    []int64
 	Weights []float64
@@ -230,37 +230,6 @@ type JobSpec struct {
 	// in JobStats.Frontiers, carried by the termination-detection allreduce
 	// at no extra collective cost.
 	Build []*Frontier
-	// Steal, when non-nil, declares the job safe for cross-machine chunk
-	// stealing (Config.EnableWorkStealing). See StealSpec for the contract a
-	// kernel must satisfy.
-	Steal *StealSpec
-}
-
-// StealSpec marks a job's kernel as relocatable: a peer machine may claim
-// unowned chunks of this machine's task list and run them remotely. Only
-// push-style kernels qualify, because a stolen node's execution must be
-// reproducible from a snapshot shipped in the grant frame:
-//
-//   - the kernel must embed NoReads (no remote reads, hence no ReadDone
-//     continuations to restore on the thief) and must not use CallRMI;
-//   - it must not write its own node (Ctx.SetF64/SetI64) or call
-//     Ctx.Activate — own-node state changes cannot be shipped back;
-//   - every own-node property it reads (Ctx.GetF64/GetI64) must be listed
-//     in Own, and Own must be disjoint from WriteProps: an unclaimed
-//     chunk's nodes have not run and remote reductions only touch write
-//     props, so the grant-time snapshot equals what victim execution would
-//     have read;
-//   - ReadProps and Filter must be empty/nil (validate enforces this, plus
-//     the Own rules; the no-write rule is enforced at run time in stolen
-//     mode).
-//
-// Everything else — neighbor reductions through WriteRef, ActivateInto
-// write-activations, edge weights — works unchanged on the thief because
-// grants carry the node's adjacency pre-resolved into the thief's ref frame.
-type StealSpec struct {
-	// Own lists the properties the kernel reads on its own node; their
-	// values ride the grant as a per-node snapshot.
-	Own []PropID
 }
 
 // JobStats reports one job execution.
@@ -326,25 +295,6 @@ func (spec *JobSpec) validate(props []propMeta) error {
 		}
 		if w.ActivateInto < 0 || w.ActivateInto > len(spec.Build) {
 			return fmt.Errorf("core: job %q activates property %d into build slot %d of %d", spec.Name, w.Prop, w.ActivateInto, len(spec.Build))
-		}
-	}
-	if spec.Steal != nil {
-		if spec.Iter == IterNodes {
-			return fmt.Errorf("core: job %q declares Steal on a node iterator; only edge iterators are stealable", spec.Name)
-		}
-		if len(spec.ReadProps) > 0 {
-			return fmt.Errorf("core: job %q declares Steal with ReadProps; stealable kernels must be push-only", spec.Name)
-		}
-		if spec.Filter != nil {
-			return fmt.Errorf("core: job %q declares Steal with a Filter; filters evaluate victim-side state a grant cannot ship", spec.Name)
-		}
-		for _, p := range spec.Steal.Own {
-			if int(p) >= len(props) {
-				return fmt.Errorf("core: job %q steal-snapshots unregistered property %d", spec.Name, p)
-			}
-			if slices.ContainsFunc(spec.WriteProps, func(w WriteSpec) bool { return w.Prop == p }) {
-				return fmt.Errorf("core: job %q steal-snapshots property %d it also writes; the snapshot would race the reductions", spec.Name, p)
-			}
 		}
 	}
 	return nil

@@ -91,22 +91,11 @@ type Machine struct {
 	scratchLanes     []int64
 	scratchFrontiers []FrontierStats
 
-	// loadHints[i] is machine i's task-phase wall time in the last completed
-	// job, gathered via extra lanes on the write-drain allreduce at no
-	// additional collective cost. Workers consult it at the start of the
-	// next job's steal phase to pick the most loaded victim first;
-	// loadTotals accumulates the same lanes across jobs for the
-	// repartitioner. Written only by the machine's main goroutine between
-	// jobs (the worker dispatch channel orders the write before any read).
-	loadHints  []int64
+	// loadTotals[i] accumulates machine i's task-phase wall time across jobs,
+	// gathered via extra lanes on the write-drain allreduce at no additional
+	// collective cost — the repartitioner's telemetry. Written only by the
+	// machine's main goroutine.
 	loadTotals []int64
-
-	// degMass[i] is machine i's in+out degree sum under the current layout —
-	// the static load estimate the steal phase uses to tell a structurally
-	// skewed cut (steal from the straggler every job) from a balanced one
-	// (steal only on strong dynamic-skew evidence). Written at load time,
-	// read by workers; Load's cluster barrier orders the write.
-	degMass []int64
 }
 
 // ID returns this machine's id in [0, NumMachines).
@@ -228,18 +217,17 @@ func (m *Machine) broadcastAbort(jobID uint64, err error) {
 func (m *Machine) load(g *graph.Graph, layout partition.Layout, top []uint64) {
 	st := buildLocalStore(g, layout, m.id)
 	st.top = top
-	m.install(st, layout.DegreeMass(g), nil)
+	m.install(st, nil)
 }
 
 // install makes st the machine's current load — in memory (ld nil), or a
 // store file's section under its load handle — dropping the previous load's
 // columns and telemetry, and precomputes the scheduling chunks of each
 // iterator under the current chunking config.
-func (m *Machine) install(st *localStore, degMass []int64, ld *store.Load) {
+func (m *Machine) install(st *localStore, ld *store.Load) {
 	m.store = st
 	m.releaseCols()
-	m.loadHints, m.loadTotals = nil, nil
-	m.degMass = degMass
+	m.loadTotals = nil
 	m.ooc, m.offHeapCols = ld, ld != nil && ld.Windowed()
 	n := st.numLocal
 	m.chunks[IterNodes] = partition.NodeChunks(n, n/(8*m.cfg.Workers)+1)
@@ -342,15 +330,12 @@ var iterViews = [...][2]int{IterNodes: {0, 0}, IterOutEdges: {0, 1}, IterInEdges
 
 // newJobRuntime resolves spec against this machine's partition: which chunks
 // its workers claim and through which CSR views, which frontier members they
-// visit, which frontiers and write-activations the job feeds, and whether
-// peers may steal from it. No traffic, no shared state touched.
+// visit, and which frontiers and write-activations the job feeds. No traffic, no
+// shared state touched.
 func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	span := iterViews[spec.Iter]
 	jr := &jobRuntime{spec: spec, id: jobID, abortCh: make(chan struct{}),
 		chunks: m.chunks[spec.Iter], views: m.store.views[span[0]:span[1]]}
-	if spec.Steal != nil && m.cfg.stealingOn() {
-		jr.steal = &stealRuntime{stolenNS: make([]int64, m.cfg.NumMachines)}
-	}
 	if len(jr.views) > 0 {
 		// One dispatch shape: workers hand rows to a RowTask. A per-edge Task
 		// gets the adapter here, once per job.
@@ -373,10 +358,7 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 			// membership bit per node, never skip an empty machine.
 			jr.frontBits = srcMF.bits
 		case srcMF.count == 0:
-			// With stealing on, the workers still dispatch: an empty local
-			// frontier is exactly when this machine has idle cycles to steal
-			// with (and residual grant chunks can only be run by workers).
-			jr.emptySkip = jr.steal == nil
+			jr.emptySkip = true
 			jr.chunks = nil
 		case srcMF.dense:
 			jr.frontBits = srcMF.bits
@@ -519,31 +501,22 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 //	nm                      lane i: machine i's task-phase wall time
 //	nm                      lane i: when machine i's first worker ran dry
 //	nm                      lane i: when machine i's last worker ran dry
-//	nm, stealable jobs      lane i: time thieves spent on machine i's nodes
-//	nm, stealable jobs      lane j: machine j's total such time as a thief
 //
 // Frontier stats ride here instead of a separate O(V)-scan reduce per
 // convergence check. Each machine contributes only its own per-machine lanes,
-// so the sums reconstruct the full vectors — the load hints steering the next
-// job's steal phase, accumulated the repartitioner's telemetry, and the
-// worker end times behind the Figure 6c breakdown — at no additional
-// collective cost. Stolen time is wall-equivalent: per-worker CPU time divided
-// by the worker count, the same conversion taskNS implies for a saturated
-// phase.
+// so the sums reconstruct the full vectors — the task times that accumulate
+// into the repartitioner's telemetry and the worker end times behind the
+// Figure 6c breakdown — at no additional collective cost.
 type drainLanes struct {
-	vals  []int64
-	load  int // offset of the first per-machine lane
-	nm    int
-	steal bool
+	vals []int64
+	load int // offset of the first per-machine lane
+	nm   int
 }
 
 // newDrainLanes lays the vector out over the machine's lane scratch.
 func (m *Machine) newDrainLanes(jr *jobRuntime) drainLanes {
-	l := drainLanes{load: 2 + 3*len(jr.builds), nm: m.cfg.NumMachines, steal: jr.steal != nil}
+	l := drainLanes{load: 2 + 3*len(jr.builds), nm: m.cfg.NumMachines}
 	n := l.load + 3*l.nm
-	if l.steal {
-		n += 2 * l.nm
-	}
 	if cap(m.scratchLanes) < n {
 		m.scratchLanes = make([]int64, n)
 	}
@@ -567,11 +540,9 @@ func (l drainLanes) frontier(i int) FrontierStats {
 // perMachine returns the k-th block of per-machine lanes.
 func (l drainLanes) perMachine(k int) []int64 { return l.vals[l.load+k*l.nm : l.load+(k+1)*l.nm] }
 
-func (l drainLanes) taskNS() []int64    { return l.perMachine(0) }
-func (l drainLanes) endMin() []int64    { return l.perMachine(1) }
-func (l drainLanes) endMax() []int64    { return l.perMachine(2) }
-func (l drainLanes) stolenFor() []int64 { return l.perMachine(3) }
-func (l drainLanes) thiefNS() []int64   { return l.perMachine(4) }
+func (l drainLanes) taskNS() []int64 { return l.perMachine(0) }
+func (l drainLanes) endMin() []int64 { return l.perMachine(1) }
+func (l drainLanes) endMax() []int64 { return l.perMachine(2) }
 
 // stageLanes writes this machine's contribution to one round. Every lane is
 // rewritten each round: the allreduce overwrote the vector with sums.
@@ -589,15 +560,6 @@ func (m *Machine) stageLanes(jr *jobRuntime) {
 	}
 	clear(l.vals[l.load:])
 	l.taskNS()[m.id], l.endMin()[m.id], l.endMax()[m.id] = jr.taskNS, jr.endMin, jr.endMax
-	if l.steal {
-		// Bill stolen work to the victim, not the thief; wg.Wait ordered the
-		// workers' final adds to stolenNS before this read.
-		for victim, ns := range jr.steal.stolenNS {
-			ns /= int64(m.cfg.Workers)
-			l.stolenFor()[victim] = ns
-			l.thiefNS()[m.id] += ns
-		}
-	}
 }
 
 // drainRound is one round of the termination allreduce. The spilled backlog
@@ -668,24 +630,15 @@ func (m *Machine) drainWrites(jr *jobRuntime) error {
 	}
 }
 
-// recordLoad keeps the converged round's per-machine lanes. loadHints stay
-// raw: the steal phase wants observed wall times (who is the straggler right
-// now). loadTotals get the attribution correction — time thieves spent on
-// machine i's nodes moves from the thieves' columns to i's — clamped at zero
-// since the conversion is an estimate. Every machine computes the same
-// totals from the same sums, so the repartitioner's telemetry stays
-// cluster-wide consistent.
+// recordLoad adds the converged round's task-phase times to loadTotals. Every
+// machine computes the same totals from the same sums, so the repartitioner's
+// telemetry stays cluster-wide consistent.
 func (m *Machine) recordLoad(l drainLanes) {
-	if len(m.loadHints) != l.nm {
-		m.loadHints = make([]int64, l.nm)
+	if len(m.loadTotals) != l.nm {
 		m.loadTotals = make([]int64, l.nm)
 	}
-	copy(m.loadHints, l.taskNS())
-	for i, adj := range l.taskNS() {
-		if l.steal {
-			adj = max(adj+l.stolenFor()[i]-l.thiefNS()[i], 0)
-		}
-		m.loadTotals[i] += adj
+	for i, ns := range l.taskNS() {
+		m.loadTotals[i] += ns
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 // Out-of-core loading: Cluster.LoadStore adopts an open store file
 // (store.Open) instead of materializing the graph on the heap. Each machine's
 // local store aliases its file section directly — the same rows/refs/weights
-// slice contract buildLocalStore produces, so workers, copiers, the chunk
-// scheduler, and the steal protocol run unchanged, except that a compressed
-// file has no ref slice and its rows are read through rowReaders — and
-// page-cache eviction, optionally bounded by Config.ResidentBudgetBytes,
-// governs how much topology is resident. Store files carry the engine's own
-// ref encoding (store.go), so the per-edge dispatch is identical either way.
+// slice contract buildLocalStore produces, so workers, copiers and the chunk
+// scheduler run unchanged, except that a compressed file has no ref slice and
+// its rows are read through rowReaders — and page-cache eviction, optionally
+// bounded by Config.ResidentBudgetBytes, governs how much topology is
+// resident. Store files carry the engine's own ref encoding (store.go), so the
+// per-edge dispatch is identical either way.
 // Everything that depends on how the file spells its sections sits behind one
 // store.Load handle.
 
@@ -71,7 +71,7 @@ func (m *Machine) loadFromStore(ld *store.Load, layout partition.Layout) {
 	sec := ld.File().Section(m.id)
 	out := orientView{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights}
 	in := orientView{rows: sec.InRows, refs: sec.InRefs, weights: sec.InWeights}
-	m.install(newLocalStore(m.id, layout, out, in), ld.File().DegreeMass(), ld)
+	m.install(newLocalStore(m.id, layout, out, in), ld)
 }
 
 // claimChunk announces one chunk's topology reads, in every orientation the

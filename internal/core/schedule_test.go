@@ -66,8 +66,8 @@ func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
 
 // TestRunJobSchedule pins the job protocol: whatever a machine's local state
 // (a mirrored-read and accumulated-write job, an empty local frontier, spilled
-// writes, a stealable job, no replicas at all), its main goroutine records
-// exactly barrier(0), task_phase, barrier(1), write_drain, job — and the
+// writes, no replicas at all), its main goroutine records exactly
+// barrier(0), task_phase, barrier(1), write_drain, job — and the
 // collective count is what those spans say: the start barrier, the first drain
 // round and one per drain round after it, in every case. The one span that may
 // join them is remote_set_build, ahead of task_phase and exactly once per load
@@ -105,9 +105,6 @@ func TestRunJobSchedule(t *testing.T) {
 			}},
 		{name: "spill-writes", build: true, want: inDeg,
 			cfg: func(cfg *Config) { cfg.SpillWrites = true }},
-		{name: "stealable", build: true, want: inDeg,
-			cfg:  func(cfg *Config) { cfg.EnableWorkStealing = true },
-			spec: func(c *Cluster, spec *JobSpec) { spec.Steal = &StealSpec{} }},
 		{name: "ghost-free", want: inDeg,
 			cfg: func(cfg *Config) { cfg.Ablate = AblateRemoteSets },
 			spec: func(c *Cluster, spec *JobSpec) {
@@ -173,11 +170,36 @@ func TestRunJobSchedule(t *testing.T) {
 			// The in-edge rows reference other addresses: their set is built by
 			// the first full scan over them, once. Transposed, the push counts
 			// out-degrees.
-			spec.Name, spec.Iter, spec.Source, spec.Steal = tc.name+"/in-edges", IterInEdges, nil, nil
+			spec.Name, spec.Iter, spec.Source = tc.name+"/in-edges", IterInEdges, nil
 			run(spec, outDeg, !cfg.Ablate.Has(AblateRemoteSets), false)
 			spec.Name += "/rerun"
 			run(spec, outDeg, false, false)
 		})
+	}
+}
+
+// TestDrainLanesLayout pins the termination vector to drainLanes' table, with
+// no conditional rows: 2 + 3·|Build| + 3·P lanes for every job, the three
+// per-machine blocks disjoint and in the table's order.
+func TestDrainLanesLayout(t *testing.T) {
+	for _, p := range []int{1, 3} {
+		m := &Machine{cfg: &Config{NumMachines: p}}
+		for builds := 0; builds <= 2; builds++ {
+			l := m.newDrainLanes(&jobRuntime{builds: make([]*machineFrontier, builds)})
+			if want := 2 + 3*builds + 3*p; len(l.vals) != want {
+				t.Errorf("p=%d, %d builds: %d lanes, want %d", p, builds, len(l.vals), want)
+			}
+			clear(l.vals)
+			for k, block := range [][]int64{l.taskNS(), l.endMin(), l.endMax()} {
+				if len(block) != p {
+					t.Fatalf("p=%d: per-machine block %d has %d lanes", p, k, len(block))
+				}
+				block[p-1] = int64(k + 1)
+			}
+			if at := 2 + 3*builds; l.vals[at+p-1] != 1 || l.vals[at+2*p-1] != 2 || l.vals[at+3*p-1] != 3 {
+				t.Errorf("p=%d, %d builds: per-machine blocks out of order: %v", p, builds, l.vals)
+			}
+		}
 	}
 }
 

@@ -90,10 +90,6 @@ type worker struct {
 	// (Ctx.Writer): once per job and property, not once per row or edge.
 	wrs []Writer
 
-	// stolen is the thief-side scratch for decoding steal-grant frames,
-	// reused across stolen nodes (see steal.go).
-	stolen stolenNode
-
 	// rd are the readers this worker takes a compressed load's rows through,
 	// each pinning a decoded block while a chunk runs. A worker field rather
 	// than a local so abortCleanup can release them after an unwind mid-chunk.
@@ -252,12 +248,6 @@ func (w *worker) runJob(jr *jobRuntime) {
 		w.drainResponsesSafe()
 	}
 
-	if jr.steal != nil {
-		// Work stealing: absorb residual chunks that copiers handed back,
-		// then go steal from the loaded peers (see steal.go).
-		w.stealPhase(jr, ctx)
-	}
-
 	w.awaitReads(jr)
 	if jr.accSet != nil {
 		w.flushAccum(jr)
@@ -291,9 +281,8 @@ func (w *worker) awaitReads(jr *jobRuntime) {
 }
 
 // runChunk drives the task over one chunk in the job's iteration mode, after
-// announcing the chunk's topology reads on an out-of-core load. It is shared by
-// the main claim loop and the steal phase's residual drain. A compressed load
-// takes its rows through the worker's readers; every other load runs the
+// announcing the chunk's topology reads on an out-of-core load. A compressed
+// load takes its rows through the worker's readers; every other load runs the
 // loops below over the views' own refs.
 func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
 	if jr.ooc != nil {
@@ -301,10 +290,7 @@ func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
 	}
 	switch {
 	case jr.cursors:
-		jr.eachNode(ch, func(node uint32) bool {
-			w.runNodeCursor(jr, ctx, node)
-			return true
-		})
+		jr.eachNode(ch, func(node uint32) { w.runNodeCursor(jr, ctx, node) })
 		w.rd.release()
 	case jr.frontList != nil:
 		// Sparse frontier: chunk indices address the sorted member list.
@@ -334,16 +320,12 @@ func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
 	}
 }
 
-// eachNode calls fn for the nodes chunk ch names, in runChunk's order, until
-// fn returns false, and returns where in the chunk's index space — member
-// index or node id — that was; ch.End when fn never did.
-func (jr *jobRuntime) eachNode(ch partition.Chunk, fn func(node uint32) bool) uint32 {
+// eachNode calls fn for the nodes chunk ch names, in runChunk's order.
+func (jr *jobRuntime) eachNode(ch partition.Chunk, fn func(node uint32)) {
 	switch {
 	case jr.frontList != nil:
 		for i := ch.Begin; i < ch.End; i++ {
-			if !fn(jr.frontList[i]) {
-				return i
-			}
+			fn(jr.frontList[i])
 		}
 	case jr.frontBits != nil:
 		bits := jr.frontBits
@@ -356,18 +338,13 @@ func (jr *jobRuntime) eachNode(ch partition.Chunk, fn func(node uint32) bool) ui
 			if n += uint32(trailingZeros64(word)); n >= ch.End {
 				break
 			}
-			if !fn(n) {
-				return n
-			}
+			fn(n)
 		}
 	default:
 		for node := ch.Begin; node < ch.End; node++ {
-			if !fn(node) {
-				return node
-			}
+			fn(node)
 		}
 	}
-	return ch.End
 }
 
 // runNodeCursor is runNode on a compressed load: an edge iterator's rows come
@@ -842,11 +819,6 @@ type jobRuntime struct {
 	fetching  atomic.Int32
 	fetched   chan struct{}
 
-	// steal is the job's work-stealing state (residual queue + in-flight
-	// grant count), or nil when this job cannot be stolen from (stealing
-	// off, single machine, or no StealSpec).
-	steal *stealRuntime
-
 	// ooc is the machine's store-file load (nil for in-memory loads and node
 	// iterators): each claimed chunk's rows are announced to its residency
 	// window, and when it is compressed (cursors) the rows are read through
@@ -855,11 +827,11 @@ type jobRuntime struct {
 	cursors bool
 
 	// Locals of the machine main goroutine's schedule (Machine.runJob), set by
-	// the phase named: emptySkip (newJobRuntime) — the local frontier is empty
-	// and nothing can be stolen, so workers are not dispatched, though every
-	// collective still runs; t0, taskNS, endMin and endMax (taskPhase) — the
-	// task phase's start and wall time and, from t0, when its first and last
-	// worker ran dry; lanes (drainWrites) — the termination vector.
+	// the phase named: emptySkip (newJobRuntime) — the local frontier is empty,
+	// so workers are not dispatched, though every collective still runs; t0,
+	// taskNS, endMin and endMax (taskPhase) — the task phase's start and wall
+	// time and, from t0, when its first and last worker ran dry; lanes
+	// (drainWrites) — the termination vector.
 	emptySkip      bool
 	t0             time.Time
 	taskNS         int64

@@ -5,10 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,32 +18,16 @@ import (
 
 // rowPush reduces the node's own src word into dst of every neighbor in the
 // row with op: by one WriteRow, or — perRef — by one WriteRef per ref, the
-// per-edge adapter's path. gate, when set, holds the straggler's rows until a
-// steal request has reached it (stealGate), and every row spins and yields, as
-// stealPushTask's edges do, so that its task phase outlasts the request.
+// per-edge adapter's path.
 type rowPush struct {
 	RowOnly
 	NoReads
 	src, dst PropID
 	op       reduce.Op
 	perRef   bool
-	gate     *stealGate
 }
 
 func (k *rowPush) RunRow(c *Ctx, row Row) {
-	if k.gate != nil {
-		if c.Machine() == k.gate.victim {
-			k.gate.hold()
-		}
-		x := uint64(c.Node)<<32 | 0x9e3779b9
-		for i := 0; i < 1<<14; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		stealSpinSink.Add(x)
-		runtime.Gosched()
-	}
 	word := WordI64(c.GetI64(k.src))
 	if k.perRef {
 		for _, ref := range row.Refs {
@@ -76,10 +58,6 @@ func (k *relaxRow) RunRow(c *Ctx, row Row) {
 		}
 	}
 }
-
-// rearm closes the gate again, for the next job of the same cluster. Between
-// jobs only: nothing sends steal requests then.
-func (g *stealGate) rearm() { g.once, g.open = sync.Once{}, make(chan struct{}) }
 
 // TestWriterOpMustMatchDeclared: a kernel that reduces a property the job
 // declares with SUM through a MIN handle fails the job with an error naming
@@ -144,9 +122,8 @@ var writeRowSeed = flag.Int64("writerow-seed", 0, "seed of TestWriteRowMatchesPe
 // accepts, one WriteRow per row leaves what one WriteRef per ref leaves — the
 // column bit for bit, the build frontier, writes_applied and
 // accumulated_writes — all-local under CAS contention, accumulated, on demand,
-// under an activating spec, with rows stolen (columns only: what is stolen,
-// and so what a thief folds, differs between two runs) and with the remote set
-// capped at eight vertices, over both fabrics; and a weighted row through the
+// under an activating spec and with the remote set capped at eight vertices,
+// over both fabrics; and a weighted row through the
 // typed Write leaves what NbrWriteF64's spelling does. Sources and initial
 // values are seeded, dyadic so that float sums are exact in any order.
 func TestWriteRowMatchesPerRefWrite(t *testing.T) {
@@ -167,10 +144,10 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 		dstVal[u] = rng.Int63n(1000) - 500
 	}
 	type mode struct {
-		name                       string
-		p, workers, ghosts         int
-		ablate                     Ablation
-		declare, activating, steal bool
+		name                string
+		p, workers, ghosts  int
+		ablate              Ablation
+		declare, activating bool
 	}
 	modes := []mode{
 		{name: "all-local", p: 1, declare: true},
@@ -178,38 +155,21 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 		{name: "on-demand", p: 2, ablate: AblateRemoteSets, declare: true},
 		{name: "undeclared", p: 2},
 		{name: "activating", p: 2, declare: true, activating: true},
-		{name: "stolen", p: 3, declare: true, steal: true},
 		{name: "capped", p: 2, workers: 1, ghosts: 8, declare: true},
 	}
 	eachFabric(t, func(t *testing.T, useTCP bool) {
 		for _, md := range modes {
 			t.Run(md.name, func(t *testing.T) {
 				cfg := DefaultConfig(md.p)
-				if md.steal {
-					cfg = faultCfg(md.p)
-					cfg.EnableWorkStealing, cfg.ChunkTargetEdges = true, 16
-					cfg.RequestTimeout, cfg.CollectiveTimeout = 5*time.Second, 5*time.Second
-				}
 				if md.workers > 0 {
 					cfg.Workers = md.workers
 				}
 				cfg.Ablate, cfg.GhostCount = md.ablate, md.ghosts
 				reg := obs.NewRegistry()
 				cfg.Obs = reg
-				var gate *stealGate
-				if inner := innerFabric(t, cfg, useTCP); md.steal {
-					gate = newStealGate(inner, 0, cfg.RequestTimeout)
-					cfg.Fabric = gate
-				} else {
-					cfg.Fabric = inner
-				}
+				cfg.Fabric = innerFabric(t, cfg, useTCP)
 				defer cfg.Fabric.Close() //nolint:errcheck
-				var c *Cluster
-				if md.steal {
-					c = bootSkewed(t, g, cfg, 0.85)
-				} else {
-					c = bootCluster(t, g, cfg)
-				}
+				c := bootCluster(t, g, cfg)
 				src, dst := map[PropKind]PropID{}, map[PropKind]PropID{}
 				src[KindI64], _ = c.AddPropI64("isrc")
 				dst[KindI64], _ = c.AddPropI64("idst")
@@ -218,8 +178,7 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 				// fill sets p's word on every node to what raw means for (kind, op):
 				// the integer itself; a quarter of it as a float64, so that sums are
 				// exact in any order; its parity where a float64 reduction is logical
-				// (OR, AND: accumulated from their bottom they normalize only what a
-				// write touches, which under stealing differs from run to run).
+				// (OR, AND).
 				fill := func(p PropID, kind PropKind, op reduce.Op, raw func(v graph.NodeID) int64) {
 					c.mustParallel(func(m *Machine) {
 						for i := 0; i < m.store.numLocal; i++ {
@@ -240,9 +199,6 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 				// it left: the column's words, the frontier's bitmaps, the counters.
 				run := func(kind PropKind, op reduce.Op, spec JobSpec) (words []uint64, front [][]uint64, applied, folded int64) {
 					fill(dst[kind], kind, op, func(v graph.NodeID) int64 { return dstVal[v] })
-					if md.steal {
-						gate.rearm()
-					}
 					before := reg.LifetimeCounters()
 					if _, err := c.RunJob(spec); err != nil {
 						t.Fatalf("seed %d: %s: %v", seed, spec.Name, err)
@@ -264,9 +220,6 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 					refWords, refFront, refApplied, refFolded := run(kind, op, spec(true))
 					if !slices.Equal(rowWords, refWords) {
 						t.Errorf("seed %d: %s: the row form's column differs from the per-ref form's", seed, name)
-					}
-					if md.steal {
-						return
 					}
 					for m := range rowFront {
 						if !slices.Equal(rowFront[m], refFront[m]) {
@@ -301,30 +254,19 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 						})
 						compare(name, kind, op, func(perRef bool) JobSpec {
 							spec := JobSpec{Name: name, Iter: IterOutEdges,
-								Task: &rowPush{src: src[kind], dst: dst[kind], op: op, perRef: perRef, gate: gate}}
+								Task: &rowPush{src: src[kind], dst: dst[kind], op: op, perRef: perRef}}
 							spec.WriteProps, spec.Build = writeSpec(kind, op)
-							if md.steal {
-								spec.Steal = &StealSpec{Own: []PropID{src[kind]}}
-							}
 							return spec
 						})
 					}
 				}
-				if !md.steal {
-					fill(src[KindF64], KindF64, reduce.Min, func(v graph.NodeID) int64 { return srcVal[v] })
-					compare("weighted", KindF64, reduce.Min, func(perRef bool) JobSpec {
-						spec := JobSpec{Name: "weighted", Iter: IterOutEdges,
-							Task: &relaxRow{src: src[KindF64], dst: dst[KindF64], perRef: perRef}}
-						spec.WriteProps, spec.Build = writeSpec(KindF64, reduce.Min)
-						return spec
-					})
-				}
-				if md.steal {
-					if reg.LifetimeCounters()["stolen_nodes"] == 0 {
-						t.Errorf("seed %d: no row was stolen", seed)
-					}
-					settleQuiescent(t, c)
-				}
+				fill(src[KindF64], KindF64, reduce.Min, func(v graph.NodeID) int64 { return srcVal[v] })
+				compare("weighted", KindF64, reduce.Min, func(perRef bool) JobSpec {
+					spec := JobSpec{Name: "weighted", Iter: IterOutEdges,
+						Task: &relaxRow{src: src[KindF64], dst: dst[KindF64], perRef: perRef}}
+					spec.WriteProps, spec.Build = writeSpec(KindF64, reduce.Min)
+					return spec
+				})
 			})
 		}
 	})

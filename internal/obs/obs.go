@@ -71,15 +71,6 @@ const (
 	// push/pull heuristic acted on.
 	CtrFrontierNodes
 	CtrFrontierEdges
-	// Work stealing: requests sent (thief side), non-empty grants packed
-	// (victim side), stolen nodes/edges executed (thief side), and chunks
-	// pushed back on the victim's residual queue because they did not fit
-	// the grant frame.
-	CtrStealRequests
-	CtrStealGrants
-	CtrStolenNodes
-	CtrStolenEdges
-	CtrStealResidual
 	// Spillable write buffers (Config.SpillWrites): inbound write frames a
 	// copier deferred to the spill buffer instead of applying, their payload
 	// bytes, and how many of those frames overflowed the in-memory budget to
@@ -128,11 +119,6 @@ var counterNames = [numCounters]string{
 	CtrWireBytes:             "wire_bytes",
 	CtrFrontierNodes:         "frontier_nodes",
 	CtrFrontierEdges:         "frontier_edges",
-	CtrStealRequests:         "steal_requests",
-	CtrStealGrants:           "steal_grants",
-	CtrStolenNodes:           "stolen_nodes",
-	CtrStolenEdges:           "stolen_edges",
-	CtrStealResidual:         "steal_residual_chunks",
 	CtrSpilledWriteFrames:    "spilled_write_frames",
 	CtrSpilledWriteBytes:     "spilled_write_bytes",
 	CtrSpillFileFrames:       "spill_file_frames",

@@ -36,9 +36,6 @@ const (
 	// traversal (Arg packs direction<<62 | step<<48 | frontierSize, with the
 	// frontier size saturating at 2^48-1).
 	SpanDirection
-	// SpanSteal is one executed steal grant measured at the thief worker:
-	// request sent to last stolen node done (Arg packs victim<<48|nodes).
-	SpanSteal
 	// SpanReadPrefetch is one worker's share of a mirrored job's prefetch:
 	// first address buffered to every local worker's share answered (Arg:
 	// words this worker fetched).
@@ -63,7 +60,6 @@ var spanKindNames = [numSpanKinds]string{
 	SpanReadRTT:        "read_rtt",
 	SpanCopierServe:    "copier_serve",
 	SpanDirection:      "direction_decision",
-	SpanSteal:          "steal",
 	SpanReadPrefetch:   "read_prefetch",
 	SpanWriteFlush:     "write_flush",
 	SpanRemoteSetBuild: "remote_set_build",

@@ -148,8 +148,7 @@ func (l Layout) Range(m int) (graph.NodeID, graph.NodeID) {
 }
 
 // DegreeMass returns each machine's in+out degree sum under this layout —
-// the static per-machine load estimate behind EdgeImbalance and the work
-// stealer's structural-skew gate.
+// the static per-machine load estimate behind EdgeImbalance.
 func (l Layout) DegreeMass(g *graph.Graph) []int64 {
 	mass := make([]int64, l.NumMachines)
 	for m := 0; m < l.NumMachines; m++ {

@@ -53,11 +53,8 @@ type Plan struct {
 // machines; measured rates additionally shift work away from machines whose
 // partitions are expensive per edge.
 //
-// Task times must reflect each machine running its own partition; the engine
-// guarantees this even under work stealing by billing a thief's time on
-// stolen chunks back to the victim's column of Telemetry.TaskNanos (extra
-// lanes on the write-drain allreduce), so telemetry from a steal-flattened
-// run still exposes the straggler's per-degree cost.
+// Task times reflect each machine running its own partition: a machine's
+// rows run nowhere else.
 func Replan(g *graph.Graph, cur Layout, t Telemetry) (Plan, error) {
 	p := cur.NumMachines
 	if p < 1 {
@@ -132,8 +129,8 @@ func Replan(g *graph.Graph, cur Layout, t Telemetry) (Plan, error) {
 // SkewedLayout deliberately mis-cuts the degree-prefix walk: machine 0 takes
 // the skew fraction (in (0,1)) of the total in+out degree and the remaining
 // machines split the rest evenly. This is the adversarial input for the
-// work-stealing and repartitioning experiments — a partition the static
-// edge-balanced cut would never produce.
+// repartitioning experiments — a partition the static edge-balanced cut would
+// never produce.
 func SkewedLayout(g *graph.Graph, p int, skew float64) (Layout, error) {
 	if p < 1 {
 		return Layout{}, fmt.Errorf("partition: machine count %d must be >= 1", p)

@@ -167,18 +167,9 @@ type ServerStats struct {
 	WireSavedBytes   int64   `json:"wire_saved_bytes"`
 	CompressionRatio float64 `json:"compression_ratio"`
 
-	// Work-stealing accounting across all loaded instances' engines: steal
-	// requests issued by out-of-work thieves, grants that carried at least
-	// one chunk, and the node/edge volume that moved. StaleWriteFrames
-	// and StaleReadFrames count write and read-request frames dropped by the
-	// epoch check — frames from an aborted job that outlived post-abort
-	// recovery. All zero unless
-	// EnableWorkStealing is on and some cut was imbalanced enough to trip
-	// the structural steal gate.
-	StealRequests    int64 `json:"steal_requests"`
-	StealGrants      int64 `json:"steal_grants"`
-	StolenNodes      int64 `json:"stolen_nodes"`
-	StolenEdges      int64 `json:"stolen_edges"`
+	// StaleWriteFrames and StaleReadFrames count, across all loaded
+	// instances' engines, write and read-request frames dropped by the epoch
+	// check — frames from an aborted job that outlived post-abort recovery.
 	StaleWriteFrames int64 `json:"stale_write_frames"`
 	StaleReadFrames  int64 `json:"stale_read_frames"`
 

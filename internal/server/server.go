@@ -950,7 +950,7 @@ func (s *Server) handleStats() Response {
 	s.mu.Lock()
 	var transportErrors, jobs, aborts int64
 	var wireRaw, wireBytes int64
-	var stealReqs, stealGrants, stolenNodes, stolenEdges, staleWrites, staleReads int64
+	var staleWrites, staleReads int64
 	var decHits, decMisses, decBytes, decEvicted, resTouched, resEvicted int64
 	var lastAbort *AbortSummary
 	var lastWhen time.Time
@@ -964,10 +964,6 @@ func (s *Server) handleStats() Response {
 			jobs += eng.reg.JobsObserved()
 			aborts += eng.reg.AbortsObserved()
 			ctrs := eng.reg.LifetimeCounters()
-			stealReqs += ctrs["steal_requests"]
-			stealGrants += ctrs["steal_grants"]
-			stolenNodes += ctrs["stolen_nodes"]
-			stolenEdges += ctrs["stolen_edges"]
 			staleWrites += ctrs["stale_write_frames"]
 			staleReads += ctrs["stale_read_frames"]
 			decHits += ctrs["decode_hits"]
@@ -1028,10 +1024,6 @@ func (s *Server) handleStats() Response {
 		WireBytes:             wireBytes,
 		WireSavedBytes:        wireRaw - wireBytes,
 		CompressionRatio:      compressionRatio,
-		StealRequests:         stealReqs,
-		StealGrants:           stealGrants,
-		StolenNodes:           stolenNodes,
-		StolenEdges:           stolenEdges,
 		StaleWriteFrames:      staleWrites,
 		StaleReadFrames:       staleReads,
 		DecodeHits:            decHits,

@@ -52,7 +52,6 @@ type File struct {
 	hdr      header
 	layout   partition.Layout
 	secs     [][2]orientSec
-	degMass  []int64
 	pageSize int64
 	maxBlock int64 // decoded bytes of the largest edge block (compressed files)
 
@@ -114,7 +113,6 @@ func (sf *File) validate() error {
 	}
 	sf.layout = partition.Layout{NumMachines: p, Starts: starts}
 	sf.secs = make([][2]orientSec, p)
-	sf.degMass = make([]int64, p)
 	parse := sf.parseRaw
 	if sf.Compressed() {
 		parse = sf.parseCompressed
@@ -150,7 +148,6 @@ func (sf *File) validate() error {
 			if sums[orient] += m; sums[orient] > int64(hdr.numEdges) {
 				return fmt.Errorf("store: %s sections exceed the header's %d edges at machine %d", name, hdr.numEdges, mach)
 			}
-			sf.degMass[mach] += m
 			if sf.Weighted() {
 				ws, err := sf.words(mach, name+" weights", &next, field(2), m)
 				if err != nil {
@@ -496,15 +493,6 @@ func (sf *File) Section(mach int) Section {
 		OutRows: out.rows, OutRefs: out.refs, OutWeights: out.weights,
 		InRows: in.rows, InRefs: in.refs, InWeights: in.weights,
 	}
-}
-
-// DegreeMass returns each machine's in+out degree sum under the file's
-// layout — the same static load estimate partition.Layout.DegreeMass
-// computes from an in-memory graph.
-func (sf *File) DegreeMass() []int64 {
-	out := make([]int64, len(sf.degMass))
-	copy(out, sf.degMass)
-	return out
 }
 
 // FileBytes returns the total on-disk size.

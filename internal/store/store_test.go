@@ -178,13 +178,6 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 				if st := ld.Stats(); st.Decode.PinnedBlocks != 0 {
 					t.Fatalf("%d blocks still pinned after release", st.Decode.PinnedBlocks)
 				}
-				wantMass := wantLayout.DegreeMass(g)
-				gotMass := sf.DegreeMass()
-				for i := range wantMass {
-					if gotMass[i] != wantMass[i] {
-						t.Fatalf("degree mass %v, want %v", gotMass, wantMass)
-					}
-				}
 			})
 		}
 	}
