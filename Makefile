@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults wire fuzz-smoke ci loc perf-check bench-scan bench-job bench-read bench-write bench-decode bench-faults bench-wire obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
+.PHONY: build test vet race faults fuzz-smoke ci loc perf-check bench-scan bench-job bench-read bench-write bench-decode bench-faults obs direction bench-direction serve bench-serve balance bench-balance ooc bench-ooc
 
 build:
 	$(GO) build ./...
@@ -13,8 +13,8 @@ vet:
 
 # Race-detector pass over the concurrency-heavy packages: the comm fabrics
 # (async senders, routers, collectives), the engine core (workers, copiers,
-# frontiers with copier-side write-activation, mirrors and accumulators, wire
-# compression, job cancellation, spillable write buffers),
+# frontiers with copier-side write-activation, mirrors and accumulators, job
+# cancellation, spillable write buffers),
 # the algorithms (adaptive direction switching, the ablation lattice), the varint codec,
 # the partitioner (replanning), the observability registry, the serving
 # layer (admission scheduler, engine pools, deadlines, memory budgeting),
@@ -27,32 +27,24 @@ race:
 faults:
 	$(GO) test -race -run Fault -count=1 ./internal/comm/... ./internal/core/... ./pgxd/...
 
-# Wire compression check: codec + engine compression tests, then a small
-# -exp wire smoke over both fabrics (compressed rows must match uncompressed).
-wire:
-	$(GO) test -count=1 ./internal/codec/... -run .
-	$(GO) test -count=1 -run 'WireCompression|TruncatedCompressed' ./internal/core/...
-	$(GO) run ./cmd/pgxd-bench -exp wire -machines 1,2 -scale 10 -wire-out BENCH_wire_smoke.json
-
 # Short fuzz pass over the decode surfaces that take bytes from outside —
 # the codec, store.Open (one target: both section spellings go through one
-# validator) and the copier's write-frame apply and read-request serve (raw and
-# compressed payloads) — each target gets a few seconds, enough to shake out
-# torn-input and canonicality regressions. FuzzServeReads answers through the
-# in-process fabric, whose poller makes coverage flicker: without a short
-# minimize budget the fuzzer spends its seconds shrinking inputs that only look
-# new.
+# validator) and the copier's write-frame apply and read-request serve — each
+# target gets a few seconds, enough to shake out torn-input and canonicality
+# regressions. FuzzServeReads answers through the in-process fabric, whose
+# poller makes coverage flicker: without a short minimize budget the fuzzer
+# spends its seconds shrinking inputs that only look new.
 fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintRoundTrip -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintDecode -fuzztime 5s
-	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDeltaColumnTorn -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzZigZagDeltaRow -fuzztime 5s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpen -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzApplyWrites -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzServeReads -fuzztime 5s -fuzzminimizetime 1s
 
 # Budget: 6 minutes of wall clock on the 2-vCPU reference box (race is most of
-# it); the target prints what it took.
+# it); the target prints what it took — 283 s at PR 24 (a lattice row and a
+# fuzz target fewer than before it).
 ci:
 	@start=$$(date +%s); $(MAKE) --no-print-directory test vet race faults fuzz-smoke && \
 		echo "make ci: $$(( $$(date +%s) - start )) s of wall clock (budget 360 s)"
@@ -91,16 +83,15 @@ bench-job:
 # a quarter of the decoded size, and of a warm pass through a pool that holds
 # everything (a cursor step per row and nothing else).
 #
-# bench-scan, same recipe, is the isolated numbers behind two lines of the
+# bench-scan, same recipe, is the isolated number behind one line of the
 # superstep budget: ns/edge of the kernel dispatch — a pull in row form and
 # behind the per-edge adapter, a push reducing by the row (Writer.WriteRow) and
 # ref by ref, local and 20 % remote: all-local, a push row is the cost of one
-# local reduction — and ns/record of the flush-path sort (radix vs the
-# sort.Sort it replaced).
+# local reduction.
 SCRATCH ?= /tmp/pgxd-bench-remote
 bench-scan bench-read bench-write bench-decode: PKG = ./internal/core
 bench-scan bench-read bench-write bench-decode: BENCHTIME = 10x
-bench-scan: BENCH = 'EdgeDispatch|FlushSort'
+bench-scan: BENCH = EdgeDispatch
 bench-scan: BENCHTIME = 50x
 bench-read: BENCH = RemoteRead
 bench-write: BENCH = RemoteWrite
@@ -121,11 +112,6 @@ endif
 # against PageRank, asserting errors surface and buffers come home.
 bench-faults:
 	$(GO) run ./cmd/pgxd-bench -exp faults -machines 1,2 -scale 10
-
-# Regenerate the wire-compression ablation artifact (both fabrics,
-# PageRank-pull + WCC, compression on/off).
-bench-wire:
-	$(GO) run ./cmd/pgxd-bench -exp wire -wire-out BENCH_wire.json
 
 # Frontier/direction/dispatch check: frontier representation and
 # write-activation tests, the ablation lattice (adaptive vs pinned push/pull

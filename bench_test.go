@@ -15,7 +15,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/match"
 	"repro/internal/partition"
 )
 
@@ -454,14 +453,6 @@ func BenchmarkExtensions(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := algorithms.PersonalizedPageRank(c, []graph.NodeID{0, 1}, 3, 0.85); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("PatternMatch", func(b *testing.B) {
-		p := match.Pattern{Steps: []match.Predicate{match.MinOutDegree(200), match.MinOutDegree(100), match.MinInDegree(200)}, Distinct: true}
-		for i := 0; i < b.N; i++ {
-			if _, _, err := match.Find(g, p, match.Options{Machines: 2, MaxPartials: 1 << 22}); err != nil {
 				b.Fatal(err)
 			}
 		}

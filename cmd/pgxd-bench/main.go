@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	pgxd-bench [-exp all|table3|table4|fig3|fig4|fig5a|fig5b|fig6a|fig6b|fig6c|fig7|fig8a|fig8b|ablations|faults|wire|direction|balance|serve|ooc]
+//	pgxd-bench [-exp all|table3|table4|fig3|fig4|fig5a|fig5b|fig6a|fig6b|fig6c|fig7|fig8a|fig8b|ablations|faults|direction|balance|serve|ooc]
 //	           [-scale N] [-machines 1,2,4] [-workers N] [-copiers N] [-quiet]
 //
-// The wire, direction, balance, serve, and ooc experiments additionally
-// write their sweeps as JSON (-wire-out / -direction-out / -balance-out /
-// -serve-out / -ooc-out, defaults BENCH_wire.json / BENCH_direction.json /
-// BENCH_balance.json / BENCH_serve.json / BENCH_ooc.json). The serve
+// The direction, balance, serve, and ooc experiments additionally write their
+// sweeps as JSON (-direction-out / -balance-out / -serve-out / -ooc-out,
+// defaults BENCH_direction.json / BENCH_balance.json / BENCH_serve.json /
+// BENCH_ooc.json). The serve
 // experiment load-tests the multi-tenant serving layer: admission latency
 // percentiles, jobs/sec, engine-pool scaling on one graph, and
 // deadline/cancellation behaviour. The balance experiment measures online
@@ -37,10 +37,9 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment id (all, table3, table4, fig3, fig4, fig5a, fig5b, fig6a, fig6b, fig6c, fig7, fig8a, fig8b, ablations, faults, obs, wire, direction, balance, serve, ooc)")
+		exp       = flag.String("exp", "all", "experiment id (all, table3, table4, fig3, fig4, fig5a, fig5b, fig6a, fig6b, fig6c, fig7, fig8a, fig8b, ablations, faults, obs, direction, balance, serve, ooc)")
 		balOut    = flag.String("balance-out", "BENCH_balance.json", "output path for the load-balancing experiment's JSON report")
 		serveOut  = flag.String("serve-out", "BENCH_serve.json", "output path for the serving-layer experiment's JSON report")
-		wireOut   = flag.String("wire-out", "BENCH_wire.json", "output path for the wire compression experiment's JSON report")
 		dirOut    = flag.String("direction-out", "BENCH_direction.json", "output path for the direction switching experiment's JSON report")
 		obsOut    = flag.String("obs-out", "BENCH_obs.json", "output path for the observability experiment's JSON report")
 		oocOut    = flag.String("ooc-out", "BENCH_ooc.json", "output path for the out-of-core experiment's JSON report")
@@ -210,25 +209,9 @@ func main() {
 		}
 		fmt.Println(tbl)
 	}
-	// The wire experiment ablates the compression layer on both fabrics; like
-	// faults it is engine diagnostics, so it runs only when named explicitly.
-	if *exp == "wire" {
-		ran = true
-		p := machineCounts[len(machineCounts)-1]
-		tbl, rep, err := bench.ExpWire(ds, *scale, p, *prIters, progress)
-		if err != nil {
-			fatalf("wire: %v", err)
-		}
-		fmt.Println(tbl)
-		if err := rep.WriteJSON(*wireOut); err != nil {
-			fatalf("wire: writing %s: %v", *wireOut, err)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wire: report written to %s\n", *wireOut)
-		}
-	}
 	// The direction experiment ablates the adaptive push/pull traversal; it
-	// boots many clusters per cell, so it runs only when named explicitly.
+	// boots many clusters per cell, so like faults it runs only when named
+	// explicitly.
 	if *exp == "direction" {
 		ran = true
 		p := machineCounts[len(machineCounts)-1]

@@ -25,7 +25,6 @@ type ablationSet struct {
 func ablationLattice() []ablationSet {
 	sets := []ablationSet{
 		{name: "none"},
-		{name: "wire-compression", set: core.AblateWireCompression},
 		{name: "sparse-frontier", set: core.AblateSparseFrontier},
 		{name: "edge-chunking", set: core.AblateEdgeChunking},
 		{name: "pin-push", set: core.AblatePinPush},

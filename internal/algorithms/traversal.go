@@ -108,12 +108,12 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 				Source:     cur,
 				Task:       &pushKernel{src: label, dst: labelNxt, op: reduce.Min},
 				WriteProps: []core.WriteSpec{{Prop: labelNxt, Op: reduce.Min}}})
-			policy.Observe(core.DirPush, stats.OutDeg+stats.InDeg, st.Traffic.BytesSent)
+			policy.Observe(core.DirPush, stats.OutDeg+stats.InDeg, st.Traffic.DataBytesSent)
 		} else {
 			st := r.runStats(core.JobSpec{Name: "wcc-pull", Iter: core.IterBothEdges,
 				Task:      &wccPullKernel{label: label, labelNxt: labelNxt},
 				ReadProps: []core.PropID{label}})
-			policy.Observe(core.DirPull, pullEdges, st.Traffic.BytesSent)
+			policy.Observe(core.DirPull, pullEdges, st.Traffic.DataBytesSent)
 		}
 		// The adopt pass scans every node, unlike SSSP's: collecting the
 		// improved nodes receiver-side (WriteSpec.ActivateInto) would take the
@@ -258,13 +258,13 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 				Task:       &distRelaxKernel{dist: dist, distNxt: distNxt},
 				WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min, ActivateInto: 1}},
 				Build:      []*core.Frontier{touched}})
-			policy.Observe(core.DirPush, stats.OutDeg, st.Traffic.BytesSent)
+			policy.Observe(core.DirPush, stats.OutDeg, st.Traffic.DataBytesSent)
 		} else {
 			st := r.runStats(core.JobSpec{Name: "sssp-pull", Iter: core.IterInEdges,
 				Task:      &ssspPullKernel{dist: dist, distNxt: distNxt},
 				ReadProps: []core.PropID{dist},
 				Build:     []*core.Frontier{touched}})
-			policy.Observe(core.DirPull, pullEdges, st.Traffic.BytesSent)
+			policy.Observe(core.DirPull, pullEdges, st.Traffic.DataBytesSent)
 		}
 		adopt := r.runStats(core.JobSpec{Name: "sssp-adopt", Iter: core.IterNodes, Source: touched,
 			Task:  &ssspAdoptKernel{dist: dist, distNxt: distNxt},
@@ -394,14 +394,14 @@ func (r *runner) bfs(dist core.PropID, cur, unvis *core.Frontier, root graph.Nod
 				Task:       &hopPushKernel{dist: dist, level: level},
 				WriteProps: []core.WriteSpec{{Prop: dist, Op: reduce.Min, ActivateInto: 1}},
 				Build:      []*core.Frontier{cur}})
-			policy.Observe(core.DirPush, curStats.OutDeg, st.Traffic.BytesSent)
+			policy.Observe(core.DirPush, curStats.OutDeg, st.Traffic.DataBytesSent)
 		} else {
 			st = r.runStats(core.JobSpec{Name: "hop-pull", Iter: core.IterInEdges,
 				Source:    unvis,
 				Task:      &hopPullKernel{dist: dist, level: level},
 				ReadProps: []core.PropID{dist},
 				Build:     []*core.Frontier{cur}})
-			policy.Observe(core.DirPull, unvisStats.InDeg, st.Traffic.BytesSent)
+			policy.Observe(core.DirPull, unvisStats.InDeg, st.Traffic.DataBytesSent)
 		}
 		r.met.Iterations++
 		if r.err != nil {

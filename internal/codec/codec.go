@@ -1,17 +1,13 @@
 // Package codec implements the zero-allocation integer codecs behind the
-// engine's wire compression layer: LEB128-style unsigned varints, zigzag
-// mapping for signed values, and sorted delta columns for node-ID batches.
-//
-// PGX.D's throughput model (paper §2, §4.1) is bandwidth-bound: remote reads
-// and writes saturate min(network BW, DRAM BW), so every byte shaved off a
-// message buffer is throughput gained. Flush buffers batch thousands of
-// records whose ID words share high bits and — once sorted — differ by small
-// gaps, which a delta-varint column encodes in 1-2 bytes instead of 8.
+// compressed store format (internal/store, .csr3): LEB128-style unsigned
+// varints, zigzag mapping for signed values, and zigzag-delta rows for CSR
+// neighbor lists, whose consecutive ids share high bits and so take one or
+// two bytes each instead of 8.
 //
 // All encoders are append-based (the caller owns and recycles the
 // destination slice); all decoders walk the input in place and report torn
 // or overlong input with a non-positive length instead of panicking, so a
-// truncated frame surfaces as a validation error on the consume side.
+// corrupt file surfaces as a validation error on the consume side.
 package codec
 
 import "encoding/binary"
@@ -68,29 +64,11 @@ func UnZigZag(u uint64) int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// AppendZigZag appends one zigzag-varint signed value.
-func AppendZigZag(dst []byte, v int64) []byte {
-	return AppendUvarint(dst, ZigZag(v))
-}
-
-// AppendDeltaU64s appends vals — which must be sorted ascending — as a
-// delta-varint column: the first value verbatim, every later one as the gap
-// to its predecessor. Sorted node-ID batches have small gaps, so most
-// records take one or two bytes.
-func AppendDeltaU64s(dst []byte, vals []uint64) []byte {
-	prev := uint64(0)
-	for _, v := range vals {
-		dst = AppendUvarint(dst, v-prev)
-		prev = v
-	}
-	return dst
-}
-
 // AppendZigZagDeltaRow appends vals as a zigzag-delta row: the first value
 // relative to zero, every later one as the signed gap to its predecessor.
-// Unlike AppendDeltaU64s the input need not be sorted — CSR neighbor lists
-// preserve edge insertion order, so gaps can be negative — but consecutive
-// neighbors still share high bits, which zigzag keeps to one or two bytes.
+// The input need not be sorted — CSR neighbor lists preserve edge insertion
+// order, so gaps can be negative — but consecutive neighbors still share high
+// bits, which zigzag keeps to one or two bytes.
 func AppendZigZagDeltaRow(dst []byte, vals []int64) []byte {
 	prev := int64(0)
 	for _, v := range vals {
@@ -142,26 +120,6 @@ func DecodeZigZagDeltaRow(p []byte, n int, limit int64, out []int64) (vals []int
 		if prev < 0 || prev >= limit {
 			return out, off, false
 		}
-		out = append(out, prev)
-	}
-	return out, off, true
-}
-
-// DecodeDeltaU64s decodes an n-value delta column from the start of p into
-// out (reusing its capacity) and returns the values plus the bytes consumed.
-// Torn or overlong input returns ok == false — the caller rejects the frame
-// rather than misdecoding it.
-func DecodeDeltaU64s(p []byte, n int, out []uint64) (vals []uint64, consumed int, ok bool) {
-	out = out[:0]
-	prev := uint64(0)
-	off := 0
-	for i := 0; i < n; i++ {
-		d, k := Uvarint(p[off:])
-		if k <= 0 {
-			return out, off, false
-		}
-		off += k
-		prev += d
 		out = append(out, prev)
 	}
 	return out, off, true

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -65,38 +64,6 @@ func TestZigZag(t *testing.T) {
 	}
 }
 
-func TestDeltaColumnRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200)
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = uint64(rng.Int63n(1 << 40))
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		enc := AppendDeltaU64s(nil, vals)
-		got, consumed, ok := DecodeDeltaU64s(enc, n, nil)
-		if !ok || consumed != len(enc) {
-			t.Fatalf("decode failed: ok=%v consumed=%d len=%d", ok, consumed, len(enc))
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("trial %d: value %d: got %d want %d", trial, i, got[i], vals[i])
-			}
-		}
-	}
-}
-
-func TestDeltaColumnTornRejected(t *testing.T) {
-	vals := []uint64{10, 1000, 1 << 30, 1 << 50}
-	enc := AppendDeltaU64s(nil, vals)
-	for cut := 0; cut < len(enc); cut++ {
-		if _, _, ok := DecodeDeltaU64s(enc[:cut], len(vals), nil); ok {
-			t.Fatalf("torn column of %d/%d bytes decoded", cut, len(enc))
-		}
-	}
-}
-
 func FuzzUvarintRoundTrip(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(0x80))
@@ -108,7 +75,7 @@ func FuzzUvarintRoundTrip(f *testing.F) {
 			t.Fatalf("round trip %d: got %d n=%d len=%d", v, got, n, len(enc))
 		}
 		sv := int64(v)
-		zenc := AppendZigZag(nil, sv)
+		zenc := AppendUvarint(nil, ZigZag(sv))
 		u, n := Uvarint(zenc)
 		if n != len(zenc) || UnZigZag(u) != sv {
 			t.Fatalf("zigzag round trip %d failed", sv)
@@ -132,29 +99,6 @@ func FuzzUvarintDecode(f *testing.F) {
 		}
 		if !bytes.Equal(AppendUvarint(nil, v), p[:n]) {
 			t.Fatalf("accepted non-canonical encoding %x for %d", p[:n], v)
-		}
-	})
-}
-
-// FuzzDeltaColumnTorn drives the column decoder with arbitrary payloads and
-// counts: no panics, no reads past the input, torn input reported as !ok.
-func FuzzDeltaColumnTorn(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, uint16(3))
-	f.Add([]byte{}, uint16(1))
-	f.Add(AppendDeltaU64s(nil, []uint64{5, 9, 1 << 33}), uint16(3))
-	f.Fuzz(func(t *testing.T, p []byte, n16 uint16) {
-		n := int(n16 % 512)
-		vals, consumed, ok := DecodeDeltaU64s(p, n, nil)
-		if consumed > len(p) {
-			t.Fatalf("consumed %d of %d bytes", consumed, len(p))
-		}
-		if ok {
-			if len(vals) != n {
-				t.Fatalf("ok decode returned %d of %d values", len(vals), n)
-			}
-			if !bytes.Equal(AppendDeltaU64s(nil, vals), p[:consumed]) {
-				t.Fatalf("accepted column does not re-encode canonically")
-			}
 		}
 	})
 }
@@ -275,50 +219,4 @@ func FuzzZigZagDeltaRow(f *testing.F) {
 			}
 		}
 	})
-}
-
-// Break-even measurement for the flush-path heuristic: encode+decode cost
-// per record for the sorted delta column, the basis for the minimum batch
-// size at which compression pays (see core.wireCompressMinRecords).
-//
-// On the development machine this measures ~4-6 ns/record to encode and
-// ~5-7 ns/record to decode, i.e. ~10 ns CPU to save ~6 bytes of wire —
-// profitable for any batch the TCP fabric would actually send; the minimum
-// batch size guard only keeps tiny tail flushes (where the header dominates
-// anyway) on the raw path.
-func BenchmarkDeltaColumnEncode(b *testing.B) {
-	vals := benchColumn(4096)
-	dst := make([]byte, 0, 8*len(vals))
-	b.SetBytes(int64(8 * len(vals)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = AppendDeltaU64s(dst[:0], vals)
-	}
-	_ = dst
-}
-
-func BenchmarkDeltaColumnDecode(b *testing.B) {
-	vals := benchColumn(4096)
-	enc := AppendDeltaU64s(nil, vals)
-	out := make([]uint64, 0, len(vals))
-	b.SetBytes(int64(8 * len(vals)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var ok bool
-		out, _, ok = DecodeDeltaU64s(enc, len(vals), out)
-		if !ok {
-			b.Fatal("decode failed")
-		}
-	}
-	_ = out
-}
-
-func benchColumn(n int) []uint64 {
-	rng := rand.New(rand.NewSource(42))
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = uint64(rng.Int63n(1 << 24)) // node offsets on one machine
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return vals
 }

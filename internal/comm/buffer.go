@@ -73,37 +73,18 @@ const CtrlWorker = 255
 // HeaderSize is the fixed frame header length in bytes.
 const HeaderSize = 16
 
-// Frame flags (Header.Flags). The flags byte was carved out of the top byte
-// of the old 32-bit count field: real counts are bounded by
-// bufferSize/recordSize, far below 2^24, so the byte was always zero on the
-// wire and old frames decode as flag-free.
-const (
-	// FlagCompressed marks a payload encoded with the wire compression
-	// layer (sorted delta-varint ID column, type-aware values) instead of
-	// fixed-width records. Senders set it per message only when the
-	// compressed encoding is actually smaller; receivers must reject
-	// frames whose compressed payload does not decode to exactly Count
-	// records.
-	FlagCompressed uint8 = 1 << 0
-)
-
-// MaxCount is the largest record count the 24-bit header field can carry.
-const MaxCount = 1<<24 - 1
-
 // Header is the decoded frame header. Layout (little endian):
 //
 //	[0]     type
 //	[1]     worker  (requester's worker id; echoed back in responses)
 //	[2:4]   src machine
-//	[4:7]   record count (24 bit)
-//	[7]     flags (FlagCompressed, ...)
+//	[4:8]   record count
 //	[8:16]  aux (message-type specific: RMI method id, ctrl op/seq, ...)
 type Header struct {
 	Type   MsgType
 	Worker uint8
 	Src    uint16
 	Count  uint32
-	Flags  uint8
 	Aux    uint64
 }
 
@@ -124,8 +105,7 @@ func (b *Buffer) Reset(h Header) {
 	b.Data[0] = byte(h.Type)
 	b.Data[1] = h.Worker
 	binary.LittleEndian.PutUint16(b.Data[2:4], h.Src)
-	putCount(b.Data, h.Count)
-	b.Data[7] = h.Flags
+	binary.LittleEndian.PutUint32(b.Data[4:8], h.Count)
 	binary.LittleEndian.PutUint64(b.Data[8:16], h.Aux)
 }
 
@@ -135,29 +115,14 @@ func (b *Buffer) Header() Header {
 		Type:   MsgType(b.Data[0]),
 		Worker: b.Data[1],
 		Src:    binary.LittleEndian.Uint16(b.Data[2:4]),
-		Count:  binary.LittleEndian.Uint32(b.Data[4:8]) & MaxCount,
-		Flags:  b.Data[7],
+		Count:  binary.LittleEndian.Uint32(b.Data[4:8]),
 		Aux:    binary.LittleEndian.Uint64(b.Data[8:16]),
 	}
 }
 
-// SetCount updates the record-count header field in place, preserving flags.
+// SetCount updates the record-count header field in place.
 func (b *Buffer) SetCount(n uint32) {
-	putCount(b.Data, n)
-}
-
-func putCount(data []byte, n uint32) {
-	if n > MaxCount {
-		panic(fmt.Sprintf("comm: record count %d exceeds 24-bit header field", n))
-	}
-	data[4] = byte(n)
-	data[5] = byte(n >> 8)
-	data[6] = byte(n >> 16)
-}
-
-// SetFlags replaces the header flags byte in place.
-func (b *Buffer) SetFlags(f uint8) {
-	b.Data[7] = f
+	binary.LittleEndian.PutUint32(b.Data[4:8], n)
 }
 
 // SetAux updates the aux header field in place.

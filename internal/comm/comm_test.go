@@ -10,35 +10,21 @@ func TestHeaderRoundTrip(t *testing.T) {
 	pool := NewPool(1, 1024)
 	buf := pool.Acquire()
 	defer buf.Release()
-	f := func(typ uint8, worker uint8, src uint16, count uint32, flags uint8, aux uint64) bool {
-		h := Header{Type: MsgType(typ % 6), Worker: worker, Src: src,
-			Count: count & MaxCount, Flags: flags, Aux: aux}
+	f := func(typ uint8, worker uint8, src uint16, count uint32, aux uint64) bool {
+		h := Header{Type: MsgType(typ % 6), Worker: worker, Src: src, Count: count, Aux: aux}
 		buf.Reset(h)
 		return buf.Header() == h
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-	// Count and flags share the old 32-bit count word; updating one must not
-	// clobber the other, and the count field must refuse to overflow into
-	// the flags byte.
-	buf.Reset(Header{Type: MsgReadReq, Flags: FlagCompressed, Count: 7})
-	buf.SetCount(MaxCount)
-	if h := buf.Header(); h.Flags != FlagCompressed || h.Count != MaxCount {
-		t.Fatalf("SetCount clobbered flags: %+v", h)
+	// The count is the whole 32-bit word at [4:8]: byte 7, once a flags byte,
+	// is its high byte again and nothing masks it off.
+	buf.Reset(Header{Type: MsgReadReq, Count: 7})
+	buf.SetCount(1<<24 | 7)
+	if h := buf.Header(); h.Count != 1<<24|7 || buf.Data[7] != 1 {
+		t.Fatalf("count %d, byte 7 = %d after SetCount(1<<24|7)", h.Count, buf.Data[7])
 	}
-	buf.SetFlags(0)
-	if h := buf.Header(); h.Flags != 0 || h.Count != MaxCount {
-		t.Fatalf("SetFlags clobbered count: %+v", h)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("SetCount accepted a count wider than 24 bits")
-			}
-		}()
-		buf.SetCount(MaxCount + 1)
-	}()
 }
 
 func TestBufferAppendAndRoom(t *testing.T) {

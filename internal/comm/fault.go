@@ -148,8 +148,8 @@ type FaultInjector struct {
 
 // NewFaultInjector wraps inner with the given plan. The returned fabric is a
 // drop-in replacement: hand it to the engine via Config.Fabric.
-// InMemory forwards the wrapped fabric's answer so injecting faults does not
-// change the engine's wire-compression decision.
+// InMemory forwards the wrapped fabric's answer: injecting faults does not
+// make an in-memory fabric a wire.
 func (inj *FaultInjector) InMemory() bool { return InMemoryFabric(inj.inner) }
 
 func NewFaultInjector(inner Fabric, plan FaultPlan) *FaultInjector {

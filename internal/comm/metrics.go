@@ -25,12 +25,6 @@ type Metrics struct {
 	// Per-type byte counts (indexed by MsgType) for sent frames.
 	sentByType [7]atomic.Int64
 
-	// Wire-compression counters (engine-fed): raw is the fixed-width payload
-	// size a batch would have shipped, wire is what actually went out after
-	// the sorted delta-varint encoding (equal when a batch fell back to raw).
-	compressRawBytes  atomic.Int64
-	compressWireBytes atomic.Int64
-
 	// Transport error counters: failed socket writes and corrupt/truncated
 	// inbound frames (a poisoned stream is diagnosable, not a silent hang).
 	sendErrors atomic.Int64
@@ -38,10 +32,7 @@ type Metrics struct {
 }
 
 func (m *Metrics) record(b *Buffer, d direction) {
-	m.recordRaw(len(b.Data), MsgType(b.Data[0]), d)
-}
-
-func (m *Metrics) recordRaw(n int, t MsgType, d direction) {
+	n, t := len(b.Data), MsgType(b.Data[0])
 	switch d {
 	case dirSent:
 		m.framesSent.Add(1)
@@ -82,20 +73,6 @@ func (m *Metrics) DataBytesSent() int64 {
 	return m.BytesSent() - m.BytesSentByType(MsgCtrl) - m.BytesSentByType(MsgAbort)
 }
 
-// RecordCompression folds one batch's wire-compression effect in: raw is
-// the fixed-width payload size, wire the bytes actually sent.
-func (m *Metrics) RecordCompression(raw, wire int64) {
-	m.compressRawBytes.Add(raw)
-	m.compressWireBytes.Add(wire)
-}
-
-// CompressRawBytes returns the fixed-width size of all compression-eligible
-// payloads.
-func (m *Metrics) CompressRawBytes() int64 { return m.compressRawBytes.Load() }
-
-// CompressWireBytes returns the bytes those payloads actually occupied.
-func (m *Metrics) CompressWireBytes() int64 { return m.compressWireBytes.Load() }
-
 // RecordSendError counts one failed socket write.
 func (m *Metrics) RecordSendError() { m.sendErrors.Add(1) }
 
@@ -117,9 +94,6 @@ type Snapshot struct {
 	// Read-path traffic split.
 	ReadReqBytes, ReadRespBytes int64
 
-	// Wire compression: fixed-width size vs. bytes actually sent.
-	CompressRawBytes, CompressWireBytes int64
-
 	// Transport errors.
 	SendErrors, RecvErrors int64
 }
@@ -127,65 +101,45 @@ type Snapshot struct {
 // Snapshot captures current counter values.
 func (m *Metrics) Snapshot() Snapshot {
 	return Snapshot{
-		FramesSent:        m.FramesSent(),
-		BytesSent:         m.BytesSent(),
-		FramesRecv:        m.FramesRecv(),
-		BytesRecv:         m.BytesRecv(),
-		DataBytesSent:     m.DataBytesSent(),
-		ReadReqBytes:      m.BytesSentByType(MsgReadReq),
-		ReadRespBytes:     m.BytesSentByType(MsgReadResp),
-		CompressRawBytes:  m.CompressRawBytes(),
-		CompressWireBytes: m.CompressWireBytes(),
-		SendErrors:        m.SendErrors(),
-		RecvErrors:        m.RecvErrors(),
+		FramesSent:    m.FramesSent(),
+		BytesSent:     m.BytesSent(),
+		FramesRecv:    m.FramesRecv(),
+		BytesRecv:     m.BytesRecv(),
+		DataBytesSent: m.DataBytesSent(),
+		ReadReqBytes:  m.BytesSentByType(MsgReadReq),
+		ReadRespBytes: m.BytesSentByType(MsgReadResp),
+		SendErrors:    m.SendErrors(),
+		RecvErrors:    m.RecvErrors(),
 	}
-}
-
-// CompressionRatio returns wire/raw over compression-eligible payloads — 1.0
-// means compression never engaged (or never paid), lower is better.
-func (s Snapshot) CompressionRatio() float64 {
-	if s.CompressRawBytes == 0 {
-		return 1
-	}
-	return float64(s.CompressWireBytes) / float64(s.CompressRawBytes)
-}
-
-// CompressSavedBytes returns the wire bytes elided by compression.
-func (s Snapshot) CompressSavedBytes() int64 {
-	return s.CompressRawBytes - s.CompressWireBytes
 }
 
 // Sub returns s - o component-wise.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return Snapshot{
-		FramesSent:        s.FramesSent - o.FramesSent,
-		BytesSent:         s.BytesSent - o.BytesSent,
-		FramesRecv:        s.FramesRecv - o.FramesRecv,
-		BytesRecv:         s.BytesRecv - o.BytesRecv,
-		DataBytesSent:     s.DataBytesSent - o.DataBytesSent,
-		ReadReqBytes:      s.ReadReqBytes - o.ReadReqBytes,
-		ReadRespBytes:     s.ReadRespBytes - o.ReadRespBytes,
-		CompressRawBytes:  s.CompressRawBytes - o.CompressRawBytes,
-		CompressWireBytes: s.CompressWireBytes - o.CompressWireBytes,
-		SendErrors:        s.SendErrors - o.SendErrors,
-		RecvErrors:        s.RecvErrors - o.RecvErrors,
+		FramesSent:    s.FramesSent - o.FramesSent,
+		BytesSent:     s.BytesSent - o.BytesSent,
+		FramesRecv:    s.FramesRecv - o.FramesRecv,
+		BytesRecv:     s.BytesRecv - o.BytesRecv,
+		DataBytesSent: s.DataBytesSent - o.DataBytesSent,
+		ReadReqBytes:  s.ReadReqBytes - o.ReadReqBytes,
+		ReadRespBytes: s.ReadRespBytes - o.ReadRespBytes,
+		SendErrors:    s.SendErrors - o.SendErrors,
+		RecvErrors:    s.RecvErrors - o.RecvErrors,
 	}
 }
 
 // Add returns s + o component-wise.
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	return Snapshot{
-		FramesSent:        s.FramesSent + o.FramesSent,
-		BytesSent:         s.BytesSent + o.BytesSent,
-		FramesRecv:        s.FramesRecv + o.FramesRecv,
-		BytesRecv:         s.BytesRecv + o.BytesRecv,
-		DataBytesSent:     s.DataBytesSent + o.DataBytesSent,
-		ReadReqBytes:      s.ReadReqBytes + o.ReadReqBytes,
-		ReadRespBytes:     s.ReadRespBytes + o.ReadRespBytes,
-		CompressRawBytes:  s.CompressRawBytes + o.CompressRawBytes,
-		CompressWireBytes: s.CompressWireBytes + o.CompressWireBytes,
-		SendErrors:        s.SendErrors + o.SendErrors,
-		RecvErrors:        s.RecvErrors + o.RecvErrors,
+		FramesSent:    s.FramesSent + o.FramesSent,
+		BytesSent:     s.BytesSent + o.BytesSent,
+		FramesRecv:    s.FramesRecv + o.FramesRecv,
+		BytesRecv:     s.BytesRecv + o.BytesRecv,
+		DataBytesSent: s.DataBytesSent + o.DataBytesSent,
+		ReadReqBytes:  s.ReadReqBytes + o.ReadReqBytes,
+		ReadRespBytes: s.ReadRespBytes + o.ReadRespBytes,
+		SendErrors:    s.SendErrors + o.SendErrors,
+		RecvErrors:    s.RecvErrors + o.RecvErrors,
 	}
 }
 
@@ -193,9 +147,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 func (s Snapshot) String() string {
 	out := fmt.Sprintf("sent=%d frames/%d B recv=%d frames/%d B data=%d B",
 		s.FramesSent, s.BytesSent, s.FramesRecv, s.BytesRecv, s.DataBytesSent)
-	if s.CompressRawBytes > 0 {
-		out += fmt.Sprintf(" compress=%.2f (%d B saved)", s.CompressionRatio(), s.CompressSavedBytes())
-	}
 	if s.SendErrors+s.RecvErrors > 0 {
 		out += fmt.Sprintf(" errors=%d send/%d recv", s.SendErrors, s.RecvErrors)
 	}

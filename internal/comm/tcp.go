@@ -291,8 +291,7 @@ func (s *tcpSender) writeFrame(buf *Buffer, lenBuf *[4]byte) {
 		buf.Release()
 		return
 	}
-	n, t := len(buf.Data), MsgType(buf.Data[0])
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(n))
+	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(buf.Data)))
 	err := s.writeOnce(buf.Data, lenBuf)
 	for attempt := 0; err != nil && attempt < s.e.fabric.opts.WriteRetries; attempt++ {
 		if !s.reconnect(attempt) {
@@ -305,10 +304,7 @@ func (s *tcpSender) writeFrame(buf *Buffer, lenBuf *[4]byte) {
 		werr := fmt.Errorf("comm: async send %d -> %d: %w", s.e.machine, s.dst, err)
 		s.err.CompareAndSwap(nil, &werr)
 		s.e.metrics.RecordSendError()
-		return
 	}
-	// Only successful writes count as sent traffic.
-	s.e.metrics.recordRaw(n, t, dirSent)
 }
 
 // writeOnce performs a single vectored frame write on the current
@@ -443,10 +439,9 @@ func (e *tcpEndpoint) Send(dst int, buf *Buffer) (err error) {
 			return fmt.Errorf("comm: endpoint %d closed", e.machine)
 		default:
 		}
-		n, t := len(buf.Data), MsgType(buf.Data[0])
+		e.metrics.record(buf, dirSent)
 		select {
 		case e.inbox <- buf:
-			e.metrics.recordRaw(n, t, dirSent)
 			return nil
 		case <-e.done:
 			buf.Release()
@@ -461,6 +456,11 @@ func (e *tcpEndpoint) Send(dst int, buf *Buffer) (err error) {
 		return fmt.Errorf("comm: send %d -> %d: %w", e.machine, dst, werr)
 	}
 	s.pending.Add(1)
+	// Counted where the frame is accepted, ahead of the hand-over, as the
+	// in-process endpoint does and for its reason: the peer can hold the frame
+	// before either this goroutine or the sender's runs another instruction. A
+	// write that fails later shows as SendErrors.
+	e.metrics.record(buf, dirSent)
 	defer func() {
 		// Close() closes the queue channel; a racing or blocked enqueue
 		// panics, which we convert to a clean shutdown error (the same

@@ -405,3 +405,49 @@ func TestTCPAsyncFrameIntegrity(t *testing.T) {
 }
 
 func leU64t(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
+
+// heldConn is a connection whose frame writes (anything longer than the
+// 4-byte length prefix) return only when the test lets them: the bytes are on
+// the wire, the sender goroutine is still inside the write.
+type heldConn struct {
+	net.Conn
+	release chan struct{}
+}
+
+func (c *heldConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if len(p) > 4 {
+		<-c.release
+	}
+	return n, err
+}
+
+// TestTCPSentCountedBeforeDelivery is the schedule behind the old
+// TestFabricManyFramesAllToAll/tcp flake, made certain: the peer holds the
+// frame while the sender goroutine has not returned from writing it. Send has
+// returned, so the frame must already be counted — whoever takes a job's
+// traffic snapshot knows only that.
+func TestTCPSentCountedBeforeDelivery(t *testing.T) {
+	eps, _ := bootTCP(t, 2)
+	s := eps[0].(*tcpEndpoint).senders[1]
+	held := &heldConn{Conn: s.conn(), release: make(chan struct{})}
+	s.setConn(held)
+	defer close(held.release)
+
+	pool := NewPool(1, 1024)
+	buf := pool.Acquire()
+	buf.Reset(Header{Type: MsgWriteReq, Src: 0, Count: 1})
+	buf.AppendU64(7)
+	want := int64(len(buf.Data))
+	if err := eps[0].Send(1, buf); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := eps[1].Recv()
+	if !ok {
+		t.Fatal("recv failed")
+	}
+	got.Release()
+	if m := eps[0].Metrics(); m.FramesSent() != 1 || m.BytesSent() != want {
+		t.Errorf("peer holds the frame, sender reports %d frames / %d bytes sent, want 1 / %d", m.FramesSent(), m.BytesSent(), want)
+	}
+}

@@ -104,10 +104,10 @@ func (f *InProcFabric) Close() error { return nil }
 func (f *InProcFabric) InMemory() bool { return true }
 
 // InMemoryFabric reports whether f hands frames to receivers by reference
-// within one process. The engine gates wire compression on this: shrinking
-// a buffer nobody serializes is pure CPU loss, while on a wire transport the
-// bytes saved are bandwidth gained. Wrappers (fault injectors) forward the
-// answer of the fabric they wrap; unknown fabrics count as real wires.
+// within one process rather than serialising them. Wrappers (fault injectors)
+// forward the answer of the fabric they wrap; unknown fabrics count as real
+// wires. The engine's one use is the codec.wire_ratio shim (core's
+// worker.sendFlushed), which reads 0 in memory by the benchmark's contract.
 func InMemoryFabric(f Fabric) bool {
 	im, ok := f.(interface{ InMemory() bool })
 	return ok && im.InMemory()
@@ -141,11 +141,12 @@ func (e *inProcEndpoint) Send(dst int, buf *Buffer) (err error) {
 			err = fmt.Errorf("comm: machine %d inbox closed", dst)
 		}
 	}()
-	// Capture size and type before the send: ownership transfers on channel
-	// delivery and the receiver may mutate the buffer concurrently.
-	n, t := len(buf.Data), MsgType(buf.Data[0])
+	// Counted before the hand-over, not after: the receiver can act on the
+	// frame — finish the job it answers, whose traffic is then read — before
+	// this goroutine runs again, and a copier's Send is waited for by nobody.
+	// (A send refused by a closed inbox stays counted; that endpoint is gone.)
+	e.metrics.record(buf, dirSent)
 	e.fabric.inboxes[dst] <- buf
-	e.metrics.recordRaw(n, t, dirSent)
 	return nil
 }
 

@@ -81,10 +81,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.fabric = comm.NewInProcFabric(cfg.NumMachines, cfg.NumMachines*perMachine+16)
 		c.ownFabric = true
 	}
-	// Frames on an in-memory fabric are handed over by reference — there is
-	// no wire to save bytes on, so the compression codec would be pure CPU
-	// loss.
-	compress := !comm.InMemoryFabric(c.fabric) && !cfg.Ablate.Has(AblateWireCompression)
 	// Size the registry before any endpoint wrapping so record paths find
 	// their machine slots from the first frame.
 	c.cfg.Obs.Attach(cfg.NumMachines)
@@ -97,7 +93,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if c.cfg.Obs != nil {
 			ep = obs.WrapEndpoint(ep, c.cfg.Obs)
 		}
-		c.machines[m] = newMachine(&c.cfg, m, ep, compress, &c.canceled)
+		c.machines[m] = newMachine(&c.cfg, m, ep, &c.canceled)
 	}
 	return c, nil
 }

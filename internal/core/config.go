@@ -128,17 +128,11 @@ func DefaultConfig(p int) Config {
 type Ablation uint8
 
 const (
-	// AblateWireCompression ships fixed-width 8-byte records in flush
-	// buffers instead of the sorted delta-varint batch encoding. In-memory
-	// fabrics (comm.InMemoryFabric) never encode whatever this says — frames
-	// pass by reference there, so the codec would spend CPU shrinking buffers
-	// nobody serializes.
-	AblateWireCompression Ablation = 1 << iota
 	// AblateSparseFrontier makes frontier-sourced jobs scan full chunk
 	// lists with a per-node bitmap filter: never the sparse vertex list,
 	// never the all-inactive chunk drop, never the empty-machine dispatch
 	// skip.
-	AblateSparseFrontier
+	AblateSparseFrontier Ablation = 1 << iota
 	// AblateEdgeChunking cuts scheduling chunks by node count instead of
 	// edge count — the Figure 6c baseline.
 	AblateEdgeChunking
@@ -192,11 +186,6 @@ func (c *Config) validate() error {
 	}
 	if c.BufferSize < comm.HeaderSize+16 {
 		return fmt.Errorf("core: BufferSize %d too small", c.BufferSize)
-	}
-	// Record counts must fit the 24-bit header field; the smallest record is
-	// 8 bytes, so cap the buffer well below 8 * 2^24.
-	if c.BufferSize > 64<<20 {
-		return fmt.Errorf("core: BufferSize %d exceeds the 64 MiB frame limit", c.BufferSize)
 	}
 	if c.ReqBuffers == 0 {
 		// Enough for every worker to have a frame in flight toward every

@@ -56,20 +56,7 @@ func TestAblationSurface(t *testing.T) {
 		}
 		return true
 	})
-	if len(members) > 6 {
-		t.Errorf("Ablation has %d members %v, ratchet is 6", len(members), members)
-	}
-}
-
-// TestInMemoryFabricLeavesAblateAlone: the in-process fabric runs without the
-// wire codec, but that is derived per cluster — the caller's ablation set
-// comes back from Config() as it went in.
-func TestInMemoryFabricLeavesAblateAlone(t *testing.T) {
-	c := bootCluster(t, testGraph(t), DefaultConfig(2))
-	if got := c.Config().Ablate; got != 0 {
-		t.Errorf("Config().Ablate = %#x after boot, want 0", got)
-	}
-	if c.machines[0].compress {
-		t.Error("in-memory fabric booted with the wire codec on")
+	if len(members) > 5 {
+		t.Errorf("Ablation has %d members %v, ratchet is 5", len(members), members)
 	}
 }

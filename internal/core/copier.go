@@ -22,7 +22,6 @@ import (
 func (m *Machine) copierLoop() {
 	defer m.copierWG.Done()
 	reg := m.cfg.Obs
-	dec := new(wireDec) // per-copier scratch for compressed frames
 	for buf := range m.router.ReqQueue() {
 		// The job this frame is served against, loaded once: the epoch checks
 		// and a failure must name the same job. Re-reading curJob after a
@@ -35,7 +34,7 @@ func (m *Machine) copierLoop() {
 			jobID = jr.id
 		}
 		t := reg.Clock()
-		err := m.serveRequest(buf, dec, jr)
+		err := m.serveRequest(buf, jr)
 		m.router.RequestDone()
 		reg.Span(m.id, obs.WorkerCopier, obs.SpanCopierServe, jobID, t, uint64(h.Src)<<48|uint64(h.Type))
 		reg.Observe(m.id, obs.HistServe, time.Duration(reg.Clock()-t))
@@ -54,7 +53,7 @@ func (m *Machine) copierLoop() {
 // buffer is released on every exit path; response buffers are either handed
 // to the transport (which owns them from Send on, success or failure) or
 // released here before an error return.
-func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec, jr *jobRuntime) error {
+func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime) error {
 	defer buf.Release()
 	h := buf.Header()
 	payload := buf.Payload()
@@ -73,7 +72,7 @@ func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec, jr *jobRuntime) e
 		// Spillable buffers (Config.SpillWrites): while armed, the frame is
 		// deferred — copied into the spill backlog for the drain loop to replay
 		// — instead of applied here. writesApplied advances at replay time.
-		if took, flushed, err := m.spill.add(h.Count, h.Flags, payload); took {
+		if took, flushed, err := m.spill.add(h.Count, payload); took {
 			if err != nil {
 				return err
 			}
@@ -84,11 +83,12 @@ func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec, jr *jobRuntime) e
 			}
 			return nil
 		}
-		if err := m.applyWrites(h, payload, dec); err != nil {
+		if err := m.applyWrites(h.Count, payload); err != nil {
 			return err
 		}
-		m.writesApplied.Add(int64(h.Count))
+		// Registry first: writesApplied catching up ends the job, whose report reads it.
 		m.cfg.Obs.Add(m.id, obs.CtrWritesApplied, int64(h.Count))
+		m.writesApplied.Add(int64(h.Count))
 		return nil
 	case comm.MsgReadReq:
 		// Epoch check, before any decode: Aux's high half is the low half of
@@ -101,7 +101,7 @@ func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec, jr *jobRuntime) e
 			m.cfg.Obs.Add(m.id, obs.CtrStaleReadFrames, 1)
 			return nil
 		}
-		if err := m.serveReads(h, payload, dec); err != nil {
+		if err := m.serveReads(h, payload); err != nil {
 			return err
 		}
 		m.cfg.Obs.Add(m.id, obs.CtrReadsServed, int64(h.Count))
@@ -121,34 +121,22 @@ func (m *Machine) serveRequest(buf *comm.Buffer, dec *wireDec, jr *jobRuntime) e
 // their offsets and words are laid out for it on the copier's stack.
 const applyChunk = 256
 
-// applyWrites decodes and applies count write records:
-// meta word (prop<<48 | op<<40 | offset) followed by the value word, either
-// fixed width or — under FlagCompressed — as sorted delta-varint meta and
-// type-aware value columns. Records are validated before any is applied so
-// a truncated or corrupt frame surfaces as an error without a partial,
-// out-of-bounds apply; then each run of records with one (property, operator)
-// — an accumulator's flush is a few long ones — is applied by the loop
-// resolved for the pair (Writer.reduce), a chunk at a time.
-func (m *Machine) applyWrites(h comm.Header, payload []byte, dec *wireDec) error {
-	count := int(h.Count)
-	var keys, vals []uint64 // the compressed spelling's columns
-	if h.Flags&comm.FlagCompressed != 0 {
-		var err error
-		if keys, vals, err = m.decodeWriteRecs(payload, count, dec); err != nil {
-			return err
-		}
-	} else if len(payload) < writeRecSize*count {
-		return fmt.Errorf("truncated write frame: %d records need %d bytes, have %d", count, writeRecSize*count, len(payload))
+// applyWrites decodes and applies a frame's write records: a meta word
+// (prop<<48 | op<<40 | offset) followed by the value word, 16 bytes each.
+// Records are validated before any is applied so a truncated or corrupt frame
+// surfaces as an error without a partial, out-of-bounds apply; then each run
+// of records with one (property, operator) — an accumulator's flush is a few
+// long ones — is applied by the loop resolved for the pair (Writer.reduce), a
+// chunk at a time.
+func (m *Machine) applyWrites(records uint32, payload []byte) error {
+	// In 64 bits: a count with a stray high byte must fail this check, not
+	// wrap past it on a 32-bit int.
+	if int64(len(payload)) < writeRecSize*int64(records) {
+		return fmt.Errorf("truncated write frame: %d records need %d bytes, have %d", records, writeRecSize*int64(records), len(payload))
 	}
-	rec := func(i int) (meta, word uint64) {
-		if keys != nil {
-			return keys[i], vals[i]
-		}
-		return leU64(payload[writeRecSize*i:]), leU64(payload[writeRecSize*i+8:])
-	}
+	count := int(records)
 	for i := 0; i < count; i++ {
-		meta, _ := rec(i)
-		if err := m.checkWriteRec(i, meta); err != nil {
+		if err := m.checkWriteRec(i, leU64(payload[writeRecSize*i:])); err != nil {
 			return err
 		}
 	}
@@ -165,7 +153,8 @@ func (m *Machine) applyWrites(h comm.Header, payload []byte, dec *wireDec) error
 	for base := 0; base < count; base += applyChunk {
 		n := min(applyChunk, count-base)
 		for i := 0; i < n; i++ {
-			metas[i], words[i] = rec(base + i)
+			rec := payload[writeRecSize*(base+i):]
+			metas[i], words[i] = leU64(rec), leU64(rec[8:])
 			refs[i] = int64(uint32(metas[i]))
 		}
 		for i, j := 0, 0; i < n; i = j {
@@ -210,29 +199,16 @@ func (m *Machine) checkWriteRec(i int, meta uint64) error {
 // serveReads builds the response for a read-request frame: one value word
 // per 8-byte address record, in request order, echoing the worker id and
 // sequence number so the requester can match its side structure.
-func (m *Machine) serveReads(h comm.Header, payload []byte, dec *wireDec) error {
-	var keys []uint64
-	if h.Flags&comm.FlagCompressed != 0 {
-		var err error
-		if keys, err = decodeReadKeys(payload, int(h.Count), dec); err != nil {
-			return err
-		}
-	} else {
-		if len(payload) < readRecSize*int(h.Count) {
-			return fmt.Errorf("truncated read frame: %d records need %d bytes, have %d", h.Count, readRecSize*int(h.Count), len(payload))
-		}
-		keys = dec.keys[:0]
-		for i := 0; i < int(h.Count); i++ {
-			keys = append(keys, leU64(payload[readRecSize*i:]))
-		}
-		dec.keys = keys
+//
+// The length check bounds the response too: a request that fits a frame asks
+// for no more words than a response frame — the same size — holds.
+func (m *Machine) serveReads(h comm.Header, payload []byte) error {
+	if int64(len(payload)) < readRecSize*int64(h.Count) { // in 64 bits, as in applyWrites
+		return fmt.Errorf("truncated read frame: %d records need %d bytes, have %d", h.Count, readRecSize*int64(h.Count), len(payload))
 	}
-	// A compressed frame can name more records than the response it asks for
-	// holds: refuse it rather than grow a pooled buffer past the frame size.
-	if len(keys) > m.valsPerFrame() {
-		return fmt.Errorf("read frame of %d records asks for more words than a response frame's %d", len(keys), m.valsPerFrame())
-	}
-	for i, rec := range keys {
+	count := int(h.Count)
+	for i := 0; i < count; i++ {
+		rec := leU64(payload[readRecSize*i:])
 		prop := PropID(rec >> 48)
 		offset := uint32(rec)
 		if int(prop) >= len(m.cols) || m.cols[prop] == nil {
@@ -250,7 +226,8 @@ func (m *Machine) serveReads(h comm.Header, payload []byte, dec *wireDec) error 
 		Count:  h.Count,
 		Aux:    h.Aux,
 	})
-	for _, rec := range keys {
+	for i := 0; i < count; i++ {
+		rec := leU64(payload[readRecSize*i:])
 		resp.AppendU64(m.cols[PropID(rec>>48)].load(int(uint32(rec))))
 	}
 	if err := m.ep.Send(int(h.Src), resp); err != nil {

@@ -148,8 +148,11 @@ func (p *DirectionPolicy) Choose(cur Direction, frontierSize, frontierEdges, pul
 }
 
 // Observe feeds one completed superstep back into the cost model: d is the
-// direction it ran, edges the edge work it covered, bytes the wire traffic
-// it generated (JobStats.Traffic.BytesSent). Zero-edge steps are ignored.
+// direction it ran, edges the edge work it covered, bytes the data traffic
+// it generated (JobStats.Traffic.DataBytesSent — not BytesSent, which counts
+// the write drain's allreduce rounds too, and how many of those a job spins
+// through is the scheduler's doing, not the graph's). Zero-edge steps are
+// ignored.
 // Every update is also written back to the cluster's persistent snapshot,
 // so the next NewDirectionPolicy on this cluster inherits the learned costs.
 func (p *DirectionPolicy) Observe(d Direction, edges, bytes int64) {

@@ -34,10 +34,10 @@ type Machine struct {
 	abortPool *comm.Pool
 	rmi       comm.RMIRegistry
 
-	// compress selects the sorted delta-varint wire encoding for flush
-	// buffers: on unless the fabric hands frames over in memory or the run
-	// ablates it.
-	compress bool
+	// serialized is set when the fabric copies frames onto a wire instead of
+	// handing them over by reference. Its one reader is worker.sendFlushed's
+	// codec.wire_ratio shim, and it goes when that does.
+	serialized bool
 
 	// curJob points at the running job's runtime while a parallel region is
 	// in flight, so goroutines outside the job's call tree (copiers, the
@@ -103,8 +103,9 @@ func (m *Machine) ID() int { return m.id }
 
 // newMachine boots machine id over its endpoint: router (poller), pools,
 // collectives, copier pool, and the persistent worker goroutines.
-func newMachine(cfg *Config, id int, ep comm.Endpoint, compress bool, canceled *atomic.Pointer[error]) *Machine {
-	m := &Machine{id: id, cfg: cfg, ep: ep, compress: compress, canceled: canceled}
+func newMachine(cfg *Config, id int, ep comm.Endpoint, canceled *atomic.Pointer[error]) *Machine {
+	m := &Machine{id: id, cfg: cfg, ep: ep, canceled: canceled}
+	m.serialized = cfg.Fabric != nil && !comm.InMemoryFabric(cfg.Fabric) // nil: NewCluster's own in-process fabric
 	m.spill = newSpillState(cfg)
 	m.reqPool = comm.NewPool(cfg.ReqBuffers, cfg.BufferSize)
 	m.respPool = comm.NewPool(cfg.RespBuffers, cfg.BufferSize)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"sync"
 
-	"repro/internal/comm"
 	"repro/internal/obs"
 )
 
@@ -19,22 +18,22 @@ import (
 // file past SpillBudgetBytes — without applying them, and the write-drain
 // loop replays the backlog on the machine's main goroutine: first the file,
 // then the memory tail, through the same applyWrites path copiers use, so
-// compression and write-activation behave identically. Termination is unchanged — a spilled frame's records simply
-// count as applied in the drain round that replays them — and the abort path
+// write-activation behaves identically. Termination is unchanged — a spilled
+// frame's records simply count as applied in the drain round that replays
+// them — and the abort path
 // discards the backlog and removes the temp file, so a faulted job leaves no
 // residue and the next job starts clean.
 
-// spillFrame is one deferred write frame: the header fields applyWrites
+// spillFrame is one deferred write frame: the record count applyWrites
 // consumes plus the copied payload.
 type spillFrame struct {
 	count   uint32
-	flags   uint8
 	payload []byte
 }
 
 // spillFileHeaderBytes is the per-frame prelude in the temp file:
-// count u32 | flags u32 | payloadLen u32.
-const spillFileHeaderBytes = 12
+// count u32 | payloadLen u32.
+const spillFileHeaderBytes = 8
 
 // spillState is one machine's spill buffer. Copiers add under the mutex;
 // the machine main goroutine replays and resets. Created once at machine
@@ -51,8 +50,7 @@ type spillState struct {
 	dir      string
 	file     *os.File
 	fileOff  int64
-	scratch  []byte  // flush assembly buffer, reused
-	dec      wireDec // replay's decode scratch (machine main goroutine only)
+	scratch  []byte // flush assembly buffer, reused
 }
 
 func newSpillState(cfg *Config) *spillState {
@@ -78,7 +76,7 @@ func (sp *spillState) begin() {
 // spill is not armed — the caller applies directly) and how many frames
 // overflowed to the temp file in consequence. The payload is copied; the
 // frame buffer stays with the caller.
-func (sp *spillState) add(count uint32, flags uint8, payload []byte) (took bool, flushed int, err error) {
+func (sp *spillState) add(count uint32, payload []byte) (took bool, flushed int, err error) {
 	if sp == nil {
 		return false, 0, nil
 	}
@@ -89,7 +87,7 @@ func (sp *spillState) add(count uint32, flags uint8, payload []byte) (took bool,
 	}
 	p := make([]byte, len(payload))
 	copy(p, payload)
-	sp.mem = append(sp.mem, spillFrame{count: count, flags: flags, payload: p})
+	sp.mem = append(sp.mem, spillFrame{count: count, payload: p})
 	sp.memBytes += int64(len(p))
 	if sp.memBytes > sp.budget {
 		flushed = len(sp.mem)
@@ -116,11 +114,8 @@ func (sp *spillState) flushLocked() error {
 	}
 	buf := sp.scratch[:0]
 	for _, fr := range sp.mem {
-		var hdr [spillFileHeaderBytes]byte
-		putLeU32(hdr[0:], fr.count)
-		putLeU32(hdr[4:], uint32(fr.flags))
-		putLeU32(hdr[8:], uint32(len(fr.payload)))
-		buf = append(buf, hdr[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, fr.count)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fr.payload)))
 		buf = append(buf, fr.payload...)
 	}
 	sp.scratch = buf[:0]
@@ -176,7 +171,6 @@ func (sp *spillState) reset() {
 // that observes sent == applied has replayed everything.
 func (m *Machine) replaySpill() error {
 	sp := m.spill
-	dec := &sp.dec
 	file, fileLen, mem := sp.take()
 	if file != nil {
 		// The detached file is replay's to clean up, success or error — an
@@ -197,8 +191,7 @@ func (m *Machine) replaySpill() error {
 				return fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
 			}
 			count := leU32(hdr[0:])
-			flags := uint8(leU32(hdr[4:]))
-			plen := int64(leU32(hdr[8:]))
+			plen := int64(leU32(hdr[4:]))
 			if off+spillFileHeaderBytes+plen > fileLen {
 				return fmt.Errorf("core: machine %d spill replay: truncated frame at %d", m.id, off)
 			}
@@ -209,8 +202,7 @@ func (m *Machine) replaySpill() error {
 			if _, err := io.ReadFull(r, payload); err != nil {
 				return fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
 			}
-			h := comm.Header{Type: comm.MsgWriteReq, Count: count, Flags: flags}
-			if err := m.applyWrites(h, payload, dec); err != nil {
+			if err := m.applyWrites(count, payload); err != nil {
 				return err
 			}
 			applied += int64(count)
@@ -218,8 +210,7 @@ func (m *Machine) replaySpill() error {
 		}
 	}
 	for _, fr := range mem {
-		h := comm.Header{Type: comm.MsgWriteReq, Count: fr.count, Flags: fr.flags}
-		if err := m.applyWrites(h, fr.payload, dec); err != nil {
+		if err := m.applyWrites(fr.count, fr.payload); err != nil {
 			return err
 		}
 		applied += int64(fr.count)
@@ -233,6 +224,3 @@ func (m *Machine) replaySpill() error {
 
 // leU32 decodes a little-endian uint32 at the start of p.
 func leU32(p []byte) uint32 { return binary.LittleEndian.Uint32(p) }
-
-// putLeU32 encodes v little-endian at the start of p.
-func putLeU32(p []byte, v uint32) { binary.LittleEndian.PutUint32(p, v) }

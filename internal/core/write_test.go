@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reduce"
@@ -274,8 +272,8 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 
 // TestApplyWritesByRun: a frame whose records interleave (property, operator)
 // pairs — runs of one, of two, a pair that comes back, one that spans the
-// copier's chunks — lands record by record in frame order, in both spellings,
-// operators without a loop of their own included.
+// copier's chunks — lands record by record in frame order, operators without a
+// loop of their own included.
 func TestApplyWritesByRun(t *testing.T) {
 	const long = 3*applyChunk + 7 // +1 into val[3], long times
 	recs := [][2]uint64{
@@ -288,31 +286,18 @@ func TestApplyWritesByRun(t *testing.T) {
 	for i := 0; i < long; i++ {
 		recs = append(recs, [2]uint64{writeMeta(1, reduce.Sum, 3), WordF64(1)})
 	}
-	for _, compressed := range []bool{false, true} {
-		m, cnt, val := applyWritesCluster(t)
-		h := comm.Header{Type: comm.MsgWriteReq, Count: uint32(len(recs))}
-		payload := rawWrites(recs...)
-		if compressed { // the sorted spelling: the same runs, ascending
-			sorted := slices.Clone(recs)
-			slices.SortStableFunc(sorted, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
-			i64 := make([]bool, len(sorted))
-			for i, r := range sorted {
-				i64[i] = PropID(r[0]>>48) == cnt
-			}
-			h.Flags, payload = comm.FlagCompressed, compressedWrites(i64, sorted...)
+	m, cnt, val := applyWritesCluster(t)
+	if err := m.applyWrites(uint32(len(recs)), rawWrites(recs...)); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{7, 10, 11, 1, 9} {
+		if got := m.cols[cnt].getI64(i); got != want {
+			t.Errorf("cnt[%d] = %d, want %d", i, got, want)
 		}
-		if err := m.applyWrites(h, payload, new(wireDec)); err != nil {
-			t.Fatalf("compressed %v: %v", compressed, err)
-		}
-		for i, want := range []int64{7, 10, 11, 1, 9} {
-			if got := m.cols[cnt].getI64(i); got != want {
-				t.Errorf("compressed %v: cnt[%d] = %d, want %d", compressed, i, got, want)
-			}
-		}
-		for i, want := range []float64{7, 7.5, 7.25, 7 + long} {
-			if got := m.cols[val].getF64(i); got != want {
-				t.Errorf("compressed %v: val[%d] = %g, want %g", compressed, i, got, want)
-			}
+	}
+	for i, want := range []float64{7, 7.5, 7.25, 7 + long} {
+		if got := m.cols[val].getF64(i); got != want {
+			t.Errorf("val[%d] = %g, want %g", i, got, want)
 		}
 	}
 }

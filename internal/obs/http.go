@@ -34,23 +34,12 @@ func (r *Registry) Handler() http.Handler {
 
 // metricsPayload is the /debug/metrics response shape.
 type metricsPayload struct {
-	Machines    int                    `json:"machines"`
-	Jobs        int64                  `json:"jobs"`
-	Aborts      int64                  `json:"aborts"`
-	Lifetime    map[string]int64       `json:"lifetime"`
-	Compression *compressionPayload    `json:"compression,omitempty"`
-	Hists       map[string]histPayload `json:"histograms"`
-	LastJob     *JobReport             `json:"last_job,omitempty"`
-}
-
-// compressionPayload summarizes the wire compression layer over the process
-// lifetime: fixed-width vs. actual payload bytes, the quotient, and the
-// saving.
-type compressionPayload struct {
-	RawBytes   int64   `json:"raw_bytes"`
-	WireBytes  int64   `json:"wire_bytes"`
-	SavedBytes int64   `json:"saved_bytes"`
-	Ratio      float64 `json:"ratio"`
+	Machines int                    `json:"machines"`
+	Jobs     int64                  `json:"jobs"`
+	Aborts   int64                  `json:"aborts"`
+	Lifetime map[string]int64       `json:"lifetime"`
+	Hists    map[string]histPayload `json:"histograms"`
+	LastJob  *JobReport             `json:"last_job,omitempty"`
 }
 
 type histPayload struct {
@@ -72,15 +61,6 @@ func (r *Registry) serveMetrics(w http.ResponseWriter, req *http.Request) {
 		Lifetime: r.LifetimeCounters(),
 		Hists:    make(map[string]histPayload, int(numHists)),
 		LastJob:  r.LastReport(),
-	}
-	if raw := p.Lifetime[CtrWireRawBytes.String()]; raw > 0 {
-		wire := p.Lifetime[CtrWireBytes.String()]
-		p.Compression = &compressionPayload{
-			RawBytes:   raw,
-			WireBytes:  wire,
-			SavedBytes: raw - wire,
-			Ratio:      float64(wire) / float64(raw),
-		}
 	}
 	for h := HistID(0); h < numHists; h++ {
 		s := r.LifetimeHistogram(h)

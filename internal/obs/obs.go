@@ -59,11 +59,10 @@ const (
 	CtrRMIServed
 	// CtrFlushes counts request messages flushed by workers.
 	CtrFlushes
-	// CtrWireRawBytes / CtrWireBytes measure the wire compression layer:
-	// raw is the fixed-width payload size compression-eligible batches
-	// would have shipped, wire what they actually occupied after the
-	// sorted delta-varint encoding (equal for batches that fell back to
-	// raw). wire/raw is the compression ratio.
+	// CtrWireRawBytes / CtrWireBytes both count the payload bytes workers
+	// flushed onto a serialising fabric. The flush codec they once compared
+	// is gone; they stay, equal, for benchmark/'s codec.wire_ratio (see
+	// core's worker.sendFlushed) and go with that metric.
 	CtrWireRawBytes
 	CtrWireBytes
 	// CtrFrontierNodes / CtrFrontierEdges accumulate the global frontier size
@@ -288,12 +287,6 @@ type machineObs struct {
 	trafficBytes  []atomic.Int64
 	trafficFrames []atomic.Int64
 
-	// wireRawBytes[d] / wireBytes[d] accumulate the compression layer's
-	// raw-vs-wire payload sizes toward machine d — the per-(src,dst)
-	// compression ratio of the traffic matrix.
-	wireRawBytes []atomic.Int64
-	wireBytes    []atomic.Int64
-
 	// lifeTrafficBytes[d] is the lifetime twin of trafficBytes: job drains
 	// fold into it so the cumulative matrix survives job boundaries (the
 	// repartitioner consumes traffic measured over many jobs).
@@ -376,8 +369,6 @@ func (r *Registry) Attach(p int) {
 		mo := &machineObs{
 			trafficBytes:     make([]atomic.Int64, p),
 			trafficFrames:    make([]atomic.Int64, p),
-			wireRawBytes:     make([]atomic.Int64, p),
-			wireBytes:        make([]atomic.Int64, p),
 			lifeTrafficBytes: make([]atomic.Int64, p),
 		}
 		mo.trace.init(r.traceDepth)
@@ -436,22 +427,6 @@ func (r *Registry) Traffic(src, dst, n int) {
 	mo.counters[CtrFramesSent].Add(1)
 }
 
-// Compressed records one compression-eligible batch from src toward dst:
-// raw is its fixed-width payload size, wire the bytes it actually shipped.
-func (r *Registry) Compressed(src, dst int, raw, wire int64) {
-	if r == nil {
-		return
-	}
-	mo := r.machine(src)
-	if mo == nil || dst < 0 || dst >= len(mo.wireRawBytes) {
-		return
-	}
-	mo.wireRawBytes[dst].Add(raw)
-	mo.wireBytes[dst].Add(wire)
-	mo.counters[CtrWireRawBytes].Add(raw)
-	mo.counters[CtrWireBytes].Add(wire)
-}
-
 // Observe records one latency sample into histogram h on machine m.
 func (r *Registry) Observe(m int, h HistID, d time.Duration) {
 	if r == nil {
@@ -491,8 +466,6 @@ func (r *Registry) drainToLifetime(rep *JobReport) {
 		rep.PerMachine = make([]map[string]int64, p)
 		rep.TrafficBytes = make([][]int64, p)
 		rep.TrafficFrames = make([][]int64, p)
-		rep.WireRawBytes = make([][]int64, p)
-		rep.WireBytes = make([][]int64, p)
 		rep.Histograms = make(map[string]HistSnapshot, int(numHists))
 	}
 	var hists [numHists]HistSnapshot
@@ -517,21 +490,15 @@ func (r *Registry) drainToLifetime(rep *JobReport) {
 		}
 		rowB := make([]int64, len(mo.trafficBytes))
 		rowF := make([]int64, len(mo.trafficFrames))
-		rowWR := make([]int64, len(mo.wireRawBytes))
-		rowW := make([]int64, len(mo.wireBytes))
 		for d := range mo.trafficBytes {
 			rowB[d] = mo.trafficBytes[d].Swap(0)
 			rowF[d] = mo.trafficFrames[d].Swap(0)
-			rowWR[d] = mo.wireRawBytes[d].Swap(0)
-			rowW[d] = mo.wireBytes[d].Swap(0)
 			mo.lifeTrafficBytes[d].Add(rowB[d])
 		}
 		if rep != nil {
 			rep.PerMachine[m] = perM
 			rep.TrafficBytes[m] = rowB
 			rep.TrafficFrames[m] = rowF
-			rep.WireRawBytes[m] = rowWR
-			rep.WireBytes[m] = rowW
 		}
 	}
 	if rep != nil {

@@ -26,12 +26,6 @@ type JobReport struct {
 	// traffic matrix as observed by the endpoint wrapper.
 	TrafficBytes  [][]int64 `json:"traffic_bytes"`
 	TrafficFrames [][]int64 `json:"traffic_frames"`
-	// WireRawBytes[src][dst] / WireBytes[src][dst] split the traffic matrix
-	// by the wire compression layer: the fixed-width payload size batches
-	// would have shipped versus what they actually occupied. Their
-	// cell-wise quotient is the per-(src,dst) compression ratio.
-	WireRawBytes [][]int64 `json:"wire_raw_bytes"`
-	WireBytes    [][]int64 `json:"wire_bytes"`
 	// Histograms maps histogram name to its merged cross-machine snapshot.
 	Histograms map[string]HistSnapshot `json:"histograms"`
 	// Spans is the job's trace, ordered by start time.
@@ -50,24 +44,6 @@ func (j *JobReport) TotalBytes() int64 {
 		}
 	}
 	return n
-}
-
-// WireSavings sums the compression layer's raw and actual payload bytes
-// across the matrix. ratio is wire/raw (1.0 when compression never engaged).
-func (j *JobReport) WireSavings() (raw, wire int64, ratio float64) {
-	if j == nil {
-		return 0, 0, 1
-	}
-	for s := range j.WireRawBytes {
-		for d := range j.WireRawBytes[s] {
-			raw += j.WireRawBytes[s][d]
-			wire += j.WireBytes[s][d]
-		}
-	}
-	if raw == 0 {
-		return 0, 0, 1
-	}
-	return raw, wire, float64(wire) / float64(raw)
 }
 
 // SpanCount returns how many spans of kind k the report holds.
@@ -112,9 +88,6 @@ func (j *JobReport) Line() string {
 		ph["write_drain"].Round(time.Microsecond))
 	if h, ok := j.Histograms["read_rtt_ns"]; ok && h.Count > 0 {
 		line += fmt.Sprintf(" rtt-p99<=%s", h.Quantile(0.99).Round(time.Microsecond))
-	}
-	if raw, wire, ratio := j.WireSavings(); raw > 0 {
-		line += fmt.Sprintf(" compress=%.2f (%s saved)", ratio, fmtBytes(raw-wire))
 	}
 	if n := j.Counters[CtrMirrorWords.String()]; n > 0 {
 		// What a mirrored pull's prefetch cost: words fetched, summed worker time.
@@ -172,38 +145,6 @@ func (j *JobReport) TrafficMatrixString() string {
 		fmt.Fprintf(&b, "%12s", fmtBytes(colSum[d]))
 	}
 	fmt.Fprintf(&b, "%12s", fmtBytes(grand))
-	return b.String()
-}
-
-// CompressionMatrixString renders the per-(src,dst) compression ratio
-// (wire/raw; "-" where no compression-eligible traffic flowed) plus the
-// job-wide total — the companion to TrafficMatrixString for reading the
-// wire compression layer's effect out of the traffic matrix.
-func (j *JobReport) CompressionMatrixString() string {
-	raw, wire, ratio := j.WireSavings()
-	if raw == 0 {
-		return "(no compression-eligible traffic)"
-	}
-	p := len(j.WireRawBytes)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%8s", "src\\dst")
-	for d := 0; d < p; d++ {
-		fmt.Fprintf(&b, "%8d", d)
-	}
-	b.WriteByte('\n')
-	for s := 0; s < p; s++ {
-		fmt.Fprintf(&b, "%8d", s)
-		for d := 0; d < p; d++ {
-			if j.WireRawBytes[s][d] == 0 {
-				fmt.Fprintf(&b, "%8s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, "%8.2f", float64(j.WireBytes[s][d])/float64(j.WireRawBytes[s][d]))
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "total ratio=%.2f raw=%s wire=%s saved=%s",
-		ratio, fmtBytes(raw), fmtBytes(wire), fmtBytes(raw-wire))
 	return b.String()
 }
 

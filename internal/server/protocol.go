@@ -158,15 +158,6 @@ type ServerStats struct {
 	ActiveAnalyses  int   `json:"active_analyses"`
 	TransportErrors int64 `json:"transport_errors"`
 
-	// Wire compression accounting across all loaded instances' fabrics:
-	// fixed-width payload bytes eligible batches would have shipped, what
-	// they actually occupied, the saving, and the wire/raw ratio (1.0 when
-	// compression never engaged).
-	WireRawBytes     int64   `json:"wire_raw_bytes"`
-	WireBytes        int64   `json:"wire_bytes"`
-	WireSavedBytes   int64   `json:"wire_saved_bytes"`
-	CompressionRatio float64 `json:"compression_ratio"`
-
 	// StaleWriteFrames and StaleReadFrames count, across all loaded
 	// instances' engines, write and read-request frames dropped by the epoch
 	// check — frames from an aborted job that outlived post-abort recovery.

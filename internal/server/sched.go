@@ -62,13 +62,6 @@ func (p *enginePool) release(e *engine) {
 	p.mu.Unlock()
 }
 
-// idleCount reports how many engines are free right now.
-func (p *enginePool) idleCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
-}
-
 // acquireAll collects every engine, waiting for leased ones to come home —
 // the exclusive lock mutate and drop take. Callers must serialize through
 // the instance admin lock (two concurrent acquireAll calls would deadlock

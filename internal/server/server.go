@@ -949,7 +949,6 @@ func (s *Server) handleDrop(req *Request) Response {
 func (s *Server) handleStats() Response {
 	s.mu.Lock()
 	var transportErrors, jobs, aborts int64
-	var wireRaw, wireBytes int64
 	var staleWrites, staleReads int64
 	var decHits, decMisses, decBytes, decEvicted, resTouched, resEvicted int64
 	var lastAbort *AbortSummary
@@ -959,8 +958,6 @@ func (s *Server) handleStats() Response {
 		for _, eng := range inst.pool.all {
 			snap := eng.cluster.TrafficSnapshot()
 			transportErrors += snap.SendErrors + snap.RecvErrors
-			wireRaw += snap.CompressRawBytes
-			wireBytes += snap.CompressWireBytes
 			jobs += eng.reg.JobsObserved()
 			aborts += eng.reg.AbortsObserved()
 			ctrs := eng.reg.LifetimeCounters()
@@ -989,10 +986,6 @@ func (s *Server) handleStats() Response {
 	resident := s.resident
 	s.mu.Unlock()
 	p50, p90, p99 := s.runPercentiles()
-	compressionRatio := 1.0
-	if wireRaw > 0 {
-		compressionRatio = float64(wireBytes) / float64(wireRaw)
-	}
 	var queueP50, queueP99 float64
 	if s.reg != nil {
 		h := s.reg.LifetimeHistogram(obs.HistQueueWait)
@@ -1020,10 +1013,6 @@ func (s *Server) handleStats() Response {
 		FailedRuns:            s.failedRuns.Load(),
 		ActiveAnalyses:        int(s.active.Load()),
 		TransportErrors:       transportErrors,
-		WireRawBytes:          wireRaw,
-		WireBytes:             wireBytes,
-		WireSavedBytes:        wireRaw - wireBytes,
-		CompressionRatio:      compressionRatio,
 		StaleWriteFrames:      staleWrites,
 		StaleReadFrames:       staleReads,
 		DecodeHits:            decHits,

@@ -2,7 +2,6 @@ package pgxd_test
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/pgxd"
 )
@@ -67,23 +66,4 @@ type exampleCountTask struct {
 
 func (k *exampleCountTask) Run(c *pgxd.Ctx) {
 	c.NbrWriteI64(k.counter, pgxd.Sum, 1)
-}
-
-// ExampleFindPattern runs a two-hop path query with degree predicates.
-func ExampleFindPattern() {
-	// Star: 0 -> {1,2,3}; 1 -> 2.
-	g, _ := pgxd.FromEdges(4, []pgxd.Edge{
-		{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 1, Dst: 2},
-	}, false)
-	matches, _, _ := pgxd.FindPattern(g, pgxd.PathPattern{
-		Steps:    []pgxd.MatchPredicate{pgxd.MatchMinOutDegree(3), pgxd.MatchAny(), pgxd.MatchAny()},
-		Distinct: true,
-	}, pgxd.MatchOptions{Machines: 2})
-	paths := make([]string, 0, len(matches))
-	for _, m := range matches {
-		paths = append(paths, fmt.Sprint(m.Vertices))
-	}
-	sort.Strings(paths)
-	fmt.Println(paths)
-	// Output: [[0 1 2]]
 }

@@ -20,12 +20,10 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/reduce"
 	"repro/internal/store"
-	"repro/internal/tune"
 )
 
 // --- graph substrate ---------------------------------------------------------
@@ -482,48 +480,4 @@ func (c *Cluster) MIS(seed int64, maxRounds int) ([]bool, Metrics, error) {
 // sources (deterministic in seed).
 func (c *Cluster) Closeness(samples int, seed int64, maxIter int) ([]float64, Metrics, error) {
 	return algorithms.Closeness(c.core, samples, seed, maxIter)
-}
-
-// --- pattern matching (paper §6 outlook) -------------------------------------
-
-// PathPattern is a directed path query over vertex predicates.
-type PathPattern = match.Pattern
-
-// PathMatch is one bound path.
-type PathMatch = match.Match
-
-// MatchPredicate tests whether a vertex can bind a pattern position.
-type MatchPredicate = match.Predicate
-
-// MatchOptions bounds a pattern query's resources: the paper warns that
-// pattern matching "could result in either too much communication or too
-// much memory consumption", so partial matches are hard-capped.
-type MatchOptions = match.Options
-
-// MatchStats reports a pattern query execution.
-type MatchStats = match.Stats
-
-// Pattern predicates.
-func MatchAny() MatchPredicate                 { return match.Any() }
-func MatchMinOutDegree(k int64) MatchPredicate { return match.MinOutDegree(k) }
-func MatchMinInDegree(k int64) MatchPredicate  { return match.MinInDegree(k) }
-
-// FindPattern runs a distributed path-pattern query against g.
-func FindPattern(g *Graph, p PathPattern, opts MatchOptions) ([]PathMatch, MatchStats, error) {
-	return match.Find(g, p, opts)
-}
-
-// --- auto-tuning ---------------------------------------------------------------
-
-// TuneCandidate is one worker/copier configuration for AutoTune.
-type TuneCandidate = tune.Candidate
-
-// TuneResult reports AutoTune's winner and all trials.
-type TuneResult = tune.Result
-
-// AutoTune probes worker/copier configurations on g (nil candidates uses a
-// default grid) and returns base with the fastest combination filled in —
-// the paper's thread auto-tuning outlook, driven by the Figure 7 sweep.
-func AutoTune(g *Graph, base Config, candidates []TuneCandidate) (TuneResult, error) {
-	return tune.Threads(g, base, candidates, nil)
 }

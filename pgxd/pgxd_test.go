@@ -201,20 +201,6 @@ func TestExtensionsThroughFacade(t *testing.T) {
 	_ = g
 }
 
-func TestAutoTuneThroughFacade(t *testing.T) {
-	g, err := pgxd.Uniform(300, 2000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pgxd.AutoTune(g, pgxd.DefaultConfig(2), []pgxd.TuneCandidate{{Workers: 1, Copiers: 1}, {Workers: 2, Copiers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trials) != 2 || res.Best.Workers == 0 {
-		t.Errorf("result = %+v", res)
-	}
-}
-
 func TestMISAndClosenessThroughFacade(t *testing.T) {
 	g, c := bootTwitterLike(t, 2)
 	inSet, _, err := c.MIS(5, 0)
@@ -236,19 +222,5 @@ func TestMISAndClosenessThroughFacade(t *testing.T) {
 	}
 	if len(cl) != g.NumNodes() {
 		t.Errorf("closeness length %d", len(cl))
-	}
-}
-
-func TestFindPatternThroughFacade(t *testing.T) {
-	g, _ := pgxd.RMAT(7, 4, pgxd.TwitterLike(), 2)
-	matches, st, err := pgxd.FindPattern(g, pgxd.PathPattern{
-		Steps:    []pgxd.MatchPredicate{pgxd.MatchMinOutDegree(30), pgxd.MatchAny()},
-		Distinct: true,
-	}, pgxd.MatchOptions{Machines: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) == 0 || st.Rounds != 1 {
-		t.Errorf("matches=%d rounds=%d", len(matches), st.Rounds)
 	}
 }
