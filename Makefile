@@ -12,9 +12,10 @@ vet:
 	$(GO) vet ./...
 
 # Race-detector pass over the concurrency-heavy packages: the comm fabrics
-# (async senders, routers, collectives), the engine core (workers, copiers,
-# frontiers with copier-side write-activation, mirrors and accumulators, job
-# cancellation, spillable write buffers),
+# (async senders, routers, collectives), the engine core (workers, copiers
+# stashing write frames into the backlog the drain replays — the one receive
+# policy, so only a machine's own workers write its columns in the task phase —
+# frontiers, mirrors and accumulators, job cancellation),
 # the algorithms (adaptive direction switching, the ablation lattice), the varint codec,
 # the partitioner (replanning), the observability registry, the serving
 # layer (admission scheduler, engine pools, deadlines, memory budgeting),
@@ -43,8 +44,8 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzServeReads -fuzztime 5s -fuzzminimizetime 1s
 
 # Budget: 6 minutes of wall clock on the 2-vCPU reference box (race is most of
-# it); the target prints what it took — 283 s at PR 24 (a lattice row and a
-# fuzz target fewer than before it).
+# it); the target prints what it took — 283 s at PR 24, 183 s at PR 25 (test
+# cache cleared, build cache warm).
 ci:
 	@start=$$(date +%s); $(MAKE) --no-print-directory test vet race faults fuzz-smoke && \
 		echo "make ci: $$(( $$(date +%s) - start )) s of wall clock (budget 360 s)"
@@ -163,8 +164,9 @@ bench-balance:
 	$(GO) run ./cmd/pgxd-bench -exp balance -machines 4 -scale 13 -balance-out BENCH_balance.json
 
 # Out-of-core check: the store file format (one container, both section
-# spellings) + claim/residency + decode pool and cursor + spill tests under the
-# race detector — all of internal/store, and from the engine the mmap-vs-in-memory
+# spellings) + claim/residency + decode pool and cursor + write-backlog overflow
+# (SpillWrites: the backlog every job drains, bounded and spilled to a file)
+# tests under the race detector — all of internal/store, and from the engine the mmap-vs-in-memory
 # bit-identity suite (csr2 and csr3 encodings), the abort, per-job counter and
 # sparse-claim tests — then an RSS-capped -exp ooc smoke at a reduced scale
 # (fails if peak RSS blows the cap).

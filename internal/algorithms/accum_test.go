@@ -156,7 +156,7 @@ func TestAccumulatedPushMatchesOnDemand(t *testing.T) {
 						// suite runs the six computations on one worker per machine, so
 						// every count is a function of the graph and the layout.
 						var layout partition.Layout
-						suite := func(set core.Ablation, settle map[string]pushRun) map[string]pushRun {
+						suite := func(set core.Ablation) map[string]pushRun {
 							c, reg := mirrorCluster(t, g, paths[storage], p, useTCP, set|core.AblatePinPush, func(cfg *core.Config) {
 								cfg.Workers = 1
 								if storage == "csr3" {
@@ -173,8 +173,7 @@ func TestAccumulatedPushMatchesOnDemand(t *testing.T) {
 								}
 								ctrs := reg.LifetimeCounters()
 								run := pushRun{ints: ints, floats: floats, iterations: met.Iterations, pushSteps: met.PushSteps, pullSteps: met.PullSteps,
-									folded: ctrs["accumulated_writes"] - folded}
-								run.applied = settledCounter(reg, "writes_applied", applied+settle[name].applied) - applied
+									applied: ctrs["writes_applied"] - applied, folded: ctrs["accumulated_writes"] - folded}
 								applied, folded = applied+run.applied, folded+run.folded
 								runs[name] = run
 							}
@@ -197,8 +196,8 @@ func TestAccumulatedPushMatchesOnDemand(t *testing.T) {
 							record("kcore", append(nums, best), nil, met, err)
 							return runs
 						}
-						accumulated := suite(0, nil)
-						onDemand := suite(core.AblateRemoteSets, accumulated)
+						accumulated := suite(0)
+						onDemand := suite(core.AblateRemoteSets)
 
 						assertClose(t, "pr-push", accumulated["pr-push"].floats, wantPR, 1e-9)
 						assertClose(t, "apr-push", accumulated["apr-push"].floats, wantAPR, 1e-9)

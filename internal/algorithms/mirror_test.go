@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/baseline/sa"
 	"repro/internal/core"
@@ -143,17 +141,6 @@ type pullRun struct {
 	mirrorWords int64
 }
 
-// settledCounter returns the registry's lifetime count of name once it has
-// reached want: a copier counts a frame after it has served it, so the count
-// can trail the end of the job that was answered by an instant.
-func settledCounter(reg *obs.Registry, name string, want int64) int64 {
-	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
-		if got := reg.LifetimeCounters()[name]; got >= want || time.Now().After(deadline) {
-			return got
-		}
-	}
-}
-
 // TestMirroredPullMatchesOnDemand: the six pull-form computations — PageRank,
 // eigenvector centrality and personalized PageRank, which only exist as pulls,
 // and WCC, SSSP and hop distance pinned to their pull schedule — give the
@@ -206,7 +193,7 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 							inSets := modelRemoteSets(g, c.Layout(), core.IterInEdges, nil)
 							bothSets := modelRemoteSets(g, c.Layout(), core.IterBothEdges, nil)
 							runs, wantWords = map[string]pullRun{}, map[string]int64{}
-							var words, want int64
+							var words int64
 							record := func(name string, ints []int64, floats []float64, met Metrics, err error, perJob int64) {
 								t.Helper()
 								if err != nil {
@@ -220,7 +207,6 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 								if set.Has(core.AblateRemoteSets) {
 									wantWords[name] = 0
 								}
-								want += wantWords[name]
 							}
 							n := c.NumNodes()
 							pr, met, err := PageRankPull(c, iters, 0.85)
@@ -237,13 +223,13 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 								bits[i] = int64(math.Float64bits(d))
 							}
 							record("sssp", bits, nil, met, err, sumSizes(inSets))
-							servedScans = settledCounter(reg, "reads_served", want)
+							servedScans = reg.LifetimeCounters()["reads_served"]
 							hop, met, err := HopDist(c, root, n)
 							record("hopdist", hop, nil, met, err, 0)
 							if !set.Has(core.AblateRemoteSets) {
 								wantWords["hopdist"] = hopPullMirrorWords(g, c.Layout(), inSets, wantHop, root)
 							}
-							return runs, wantWords, servedScans, settledCounter(reg, "reads_served", want+wantWords["hopdist"])
+							return runs, wantWords, servedScans, reg.LifetimeCounters()["reads_served"]
 						}
 						mirrored, wantWords, servedScans, servedAll := suite(0)
 						onDemand, _, _, _ := suite(core.AblateRemoteSets)

@@ -18,6 +18,8 @@ import (
 // — the "moving computation instead of data" technique of §2: instead of
 // pulling a remote vertex's whole adjacency list, the kernel ships its own
 // list to the data and the copier-side handler runs the intersection there.
+// The handler only reads, as an RMI handler must (core.Cluster.RegisterRMI);
+// the partial counts travel back in the response and the caller writes them.
 //
 // Counted quantity: transitive triads — ordered triples (u, v, w) with
 // edges u→v, u→w, and v→w, each triad attributed to its (u, v) edge. On a

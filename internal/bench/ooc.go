@@ -23,7 +23,7 @@ import (
 // the engine-side resident budget the CSR must exceed, and the whole-process
 // peak-RSS cap the run must stay under. The defaults put the file at roughly
 // 2x the budget and the budget at a quarter of the cap, so the experiment
-// only passes when the residency window and the spillable write buffers are
+// only passes when the residency window and the bounded write backlog are
 // actually doing their jobs.
 const (
 	OOCDefaultScale      = 20

@@ -66,8 +66,9 @@ func (t MsgType) String() string {
 }
 
 // CtrlWorker is the pseudo worker id used by a machine's main goroutine
-// (sequential regions, collectives). Responses addressed to it are routed to
-// the control channel rather than a worker response queue.
+// (sequential regions, collectives). A read response addressed to it is routed
+// to the control channel rather than a worker response queue; an RMI response
+// is released as misaddressed (RMIs are issued by tasks only).
 const CtrlWorker = 255
 
 // HeaderSize is the fixed frame header length in bytes.

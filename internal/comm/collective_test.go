@@ -282,7 +282,7 @@ func TestRouterReleasesUnknownTypes(t *testing.T) {
 			sentinel.Release()
 			for name, q := range map[string]<-chan *Buffer{
 				"req": router.ReqQueue(), "worker 0": router.WorkerResp(0), "worker 1": router.WorkerResp(1),
-				"ctrl": router.Ctrl(), "rmi": router.RMIResp(), "abort": router.AbortQueue(),
+				"ctrl": router.Ctrl(), "abort": router.AbortQueue(),
 			} {
 				select {
 				case buf := <-q:

@@ -369,26 +369,35 @@ func TestRouterRMIRespChannel(t *testing.T) {
 	ep1, _ := f.Endpoint(1)
 	router := NewRouter(ep1, RouterConfig{NumWorkers: 2})
 	pool := NewPool(4, 1024)
-	// RMI response for the main goroutine goes to the dedicated channel.
+	// An RMI response for the main goroutine is misaddressed — RMIs are issued
+	// by tasks only — and released, not queued.
 	buf := pool.Acquire()
 	buf.Reset(Header{Type: MsgRMIResp, Worker: CtrlWorker, Src: 0, Aux: 5})
 	if err := ep0.Send(1, buf); err != nil {
 		t.Fatal(err)
 	}
-	got := <-router.RMIResp()
-	if got.Header().Aux != 5 {
-		t.Errorf("aux = %d", got.Header().Aux)
-	}
-	got.Release()
-	// Read response for the main goroutine still goes to ctrl.
+	// Read response for the main goroutine goes to ctrl. The poller routes in
+	// arrival order, so once it is out the RMI response has been through the
+	// switch: only this frame may still be out of the pool.
 	buf = pool.Acquire()
 	buf.Reset(Header{Type: MsgReadResp, Worker: CtrlWorker, Src: 0, Aux: 6})
 	if err := ep0.Send(1, buf); err != nil {
 		t.Fatal(err)
 	}
-	got = <-router.Ctrl()
+	got := <-router.Ctrl()
 	if got.Header().Aux != 6 {
 		t.Errorf("ctrl aux = %d", got.Header().Aux)
+	}
+	if n := pool.Outstanding(); n != 1 {
+		t.Errorf("%d buffers outstanding with the ctrl frame in hand, want 1: the RMI response was not released", n)
+	}
+	for w := 0; w < 2; w++ {
+		select {
+		case buf := <-router.WorkerResp(w):
+			t.Errorf("the RMI response reached worker %d's queue", w)
+			buf.Release()
+		default:
+		}
 	}
 	got.Release()
 	// Misaddressed worker id is dropped (released), not wedged.

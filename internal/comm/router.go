@@ -18,7 +18,6 @@ type Router struct {
 	workerResp []chan *Buffer
 	reqQueue   chan *Buffer
 	ctrl       chan *Buffer
-	rmiResp    chan *Buffer
 	abort      chan *Buffer
 	done       sync.WaitGroup
 
@@ -61,7 +60,6 @@ func NewRouter(ep Endpoint, cfg RouterConfig) *Router {
 		workerResp: make([]chan *Buffer, cfg.NumWorkers),
 		reqQueue:   make(chan *Buffer, cfg.ReqDepth),
 		ctrl:       make(chan *Buffer, cfg.CtrlDepth),
-		rmiResp:    make(chan *Buffer, cfg.CtrlDepth),
 		abort:      make(chan *Buffer, cfg.CtrlDepth),
 	}
 	for i := range r.workerResp {
@@ -84,25 +82,17 @@ func (r *Router) poll() {
 			}
 			close(r.reqQueue)
 			close(r.ctrl)
-			close(r.rmiResp)
 			close(r.abort)
 			return
 		}
 		switch MsgType(buf.Data[0]) {
 		case MsgReadResp, MsgRMIResp:
-			w := buf.Data[1]
-			if w == CtrlWorker {
-				// Responses addressed to the machine's main goroutine: RMI
-				// results go to the dedicated RMI channel so they cannot be
-				// confused with collective traffic.
-				if MsgType(buf.Data[0]) == MsgRMIResp {
-					r.rmiResp <- buf
-				} else {
-					r.ctrl <- buf
-				}
-			} else if int(w) < len(r.workerResp) {
+			switch w := buf.Data[1]; {
+			case w == CtrlWorker && MsgType(buf.Data[0]) == MsgReadResp:
+				r.ctrl <- buf // a read response to the machine's main goroutine
+			case int(w) < len(r.workerResp):
 				r.workerResp[w] <- buf
-			} else {
+			default:
 				buf.Release() // misaddressed; drop rather than wedge
 			}
 		case MsgReadReq, MsgWriteReq, MsgRMIReq:
@@ -133,10 +123,6 @@ func (r *Router) ReqQueue() <-chan *Buffer { return r.reqQueue }
 
 // Ctrl returns the control channel consumed by collectives.
 func (r *Router) Ctrl() <-chan *Buffer { return r.ctrl }
-
-// RMIResp returns the channel carrying RMI responses addressed to the
-// machine's main goroutine (Worker == CtrlWorker).
-func (r *Router) RMIResp() <-chan *Buffer { return r.rmiResp }
 
 // AbortQueue returns the channel carrying inbound MsgAbort frames. The
 // engine's abort watcher consumes it for the life of the machine.
@@ -170,9 +156,6 @@ func (r *Router) Shutdown() {
 		buf.Release()
 	}
 	for buf := range r.ctrl {
-		buf.Release()
-	}
-	for buf := range r.rmiResp {
 		buf.Release()
 	}
 	for buf := range r.abort {

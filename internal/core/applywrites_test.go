@@ -54,7 +54,7 @@ const byte7 = 1 << 24
 // TestApplyWritesRejectsCorruptFrames: a write frame whose records name an
 // unknown operator, an unknown property or an offset past the column, whose
 // value column is torn, or whose header byte 7 is set, is an error — never a
-// panic of the copier, and never a partial apply: the good record ahead of the
+// panic of the copier or the drain, and never a partial apply: the good record ahead of the
 // bad one must not have landed.
 func TestApplyWritesRejectsCorruptFrames(t *testing.T) {
 	m, cnt, _ := applyWritesCluster(t)
@@ -74,7 +74,7 @@ func TestApplyWritesRejectsCorruptFrames(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := m.applyWrites(tc.count, tc.payload)
+			err := m.applyWrites(nil, tc.count, tc.payload)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErrHas) {
 				t.Fatalf("applyWrites = %v, want an error with %q", err, tc.wantErrHas)
 			}
@@ -84,7 +84,7 @@ func TestApplyWritesRejectsCorruptFrames(t *testing.T) {
 		})
 	}
 	// The same good record alone lands.
-	if err := m.applyWrites(1, rawWrites(good)); err != nil {
+	if err := m.applyWrites(nil, 1, rawWrites(good)); err != nil {
 		t.Fatalf("a well-formed frame was refused: %v", err)
 	}
 	if got := m.cols[cnt].getI64(0); got != 12 {
@@ -92,7 +92,8 @@ func TestApplyWritesRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// FuzzApplyWrites feeds arbitrary bytes to the copier's write-apply path:
+// FuzzApplyWrites feeds arbitrary bytes to the drain's write-apply path, whose
+// validation the copier runs on every frame at receipt (checkWrites):
 // whatever arrives, the result is an error or an apply inside the columns —
 // never a panic, which would take every machine of the process down with the
 // copier — and a count the payload cannot hold (a stray header byte 7 makes
@@ -111,7 +112,7 @@ func FuzzApplyWrites(f *testing.F) {
 		if short {
 			before = colWords(m)
 		}
-		err := m.applyWrites(count, payload) // an error is the expected answer to most inputs
+		err := m.applyWrites(nil, count, payload) // an error is the expected answer to most inputs
 		if !short {
 			return
 		}

@@ -285,7 +285,10 @@ func (c *Cluster) DropProps(ids ...PropID) {
 
 // RegisterRMI registers one remote method on every machine; build receives
 // the machine so handlers can close over local state. Returns the method id
-// (identical cluster-wide).
+// (identical cluster-wide). Tasks call it (Ctx.CallRMI); the handler runs on
+// the target's copier while its workers run, so it may read properties but
+// must not write one — a remote write reaches its owner through the write
+// path and is visible there from the job's drain on.
 func (c *Cluster) RegisterRMI(build func(m *Machine) comm.RMIHandler) uint32 {
 	var id uint32
 	for _, m := range c.machines {
@@ -661,7 +664,7 @@ func (c *Cluster) recoverAfterAbort() {
 		m.col.Recover(maxSeq)
 		m.writesSent.Store(0)
 		m.writesApplied.Store(0)
-		// A job that died mid-spill left a backlog (and possibly a temp
+		// A job that died mid-drain left a backlog (and possibly a temp
 		// file) that must never apply against the reset counters.
 		m.spill.reset()
 	}

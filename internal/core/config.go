@@ -71,14 +71,14 @@ type Config struct {
 	// in-memory loads. The cache is per store.File, so pool jobs sharing one
 	// open file share its decoded blocks.
 	DecodeCacheBytes int64
-	// SpillWrites makes copiers spill inbound remote-write frames to a
-	// bounded memory buffer (overflowing to a temp file) instead of applying
-	// them during the task phase; the write-drain loop replays them. This
-	// bounds the memory that buffered remote writes pin during out-of-core
-	// runs at the cost of write latency. Off by default.
+	// SpillWrites bounds the write backlog (spill.go) — the inbound
+	// remote-write records copiers stash and the write drain replays, at most
+	// one superstep's — at SpillBudgetBytes, overflowing to a temp file in
+	// SpillDir, so an out-of-core run keeps its RAM for topology pages. Off,
+	// the default, the backlog stays in memory and never overflows.
 	SpillWrites bool
-	// SpillBudgetBytes is the in-memory spill buffer size per machine before
-	// frames overflow to the temp file. Zero derives 4 MiB.
+	// SpillBudgetBytes is the in-memory backlog per machine before frames
+	// overflow to the temp file under SpillWrites. Zero derives 4 MiB.
 	SpillBudgetBytes int64
 	// SpillDir is the directory for spill temp files (empty uses the OS
 	// default temp dir). Files are created lazily on first overflow and
@@ -86,7 +86,7 @@ type Config struct {
 	SpillDir string
 	// RequestTimeout bounds every wait on a remote response or drained
 	// buffer pool inside a job (worker response waits, the write-drain
-	// loop, driver RMI calls). Zero waits forever. It is the detector for
+	// loop). Zero waits forever. It is the detector for
 	// silently dropped frames: a lost response produces no error, only
 	// silence, so without a timeout a faulted job hangs instead of
 	// failing.

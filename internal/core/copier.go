@@ -11,10 +11,11 @@ import (
 
 // copierLoop is one copier goroutine (paper §3.1/§3.4): it consumes inbound
 // request frames from the router's shared queue and serves them — write
-// records apply directly with atomic instructions, read requests produce a
-// response message in request order, RMI requests dispatch through the
-// registry. Copiers run for the life of the machine, independent of job
-// phases, so remote machines always make progress against this one.
+// records are validated and stashed in the machine's backlog for the drain to
+// apply (spill.go), read requests produce a response message in request order,
+// RMI requests dispatch through the registry. Copiers run for the life of the
+// machine, independent of job phases, so remote machines always make progress
+// against this one.
 //
 // A malformed or truncated frame, or a failed response send, is a job
 // error, not a crash: the copier records it, aborts the current job (if
@@ -62,33 +63,33 @@ func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime) error {
 		// Epoch check: Aux is the sender's job id (stamped at buffer reset).
 		// The pre-task barrier orders every machine's curJob install before
 		// any peer's first write frame, so a mismatch can only be a straggler
-		// from an aborted job that outlived post-abort recovery — applying it
+		// from an aborted job that outlived post-abort recovery — replaying it
 		// would advance writesApplied against the reset baseline and wedge
 		// every later drain at applied > sent.
 		if jr == nil || jr.id != h.Aux {
 			m.cfg.Obs.Add(m.id, obs.CtrStaleWriteFrames, 1)
 			return nil
 		}
-		// Spillable buffers (Config.SpillWrites): while armed, the frame is
-		// deferred — copied into the spill backlog for the drain loop to replay
-		// — instead of applied here. writesApplied advances at replay time.
-		if took, flushed, err := m.spill.add(h.Count, payload); took {
-			if err != nil {
-				return err
-			}
-			m.cfg.Obs.Add(m.id, obs.CtrSpilledWriteFrames, 1)
-			m.cfg.Obs.Add(m.id, obs.CtrSpilledWriteBytes, int64(len(payload)))
-			if flushed > 0 {
-				m.cfg.Obs.Add(m.id, obs.CtrSpillFileFrames, int64(flushed))
-			}
-			return nil
-		}
-		if err := m.applyWrites(h.Count, payload); err != nil {
+		// Validated here, so a torn frame fails the job at receipt; then stashed,
+		// never applied: during the task phase only this machine's workers write
+		// a column, and the drain replays the backlog (spill.go).
+		if err := m.checkWrites(h.Count, payload); err != nil {
 			return err
 		}
-		// Registry first: writesApplied catching up ends the job, whose report reads it.
-		m.cfg.Obs.Add(m.id, obs.CtrWritesApplied, int64(h.Count))
-		m.writesApplied.Add(int64(h.Count))
+		recs := payload[:writeRecSize*int(h.Count)]
+		took, flushed, err := m.spill.add(jr.id, recs)
+		if err != nil {
+			return err
+		}
+		if !took { // the job unpublished since jr was loaded
+			m.cfg.Obs.Add(m.id, obs.CtrStaleWriteFrames, 1)
+			return nil
+		}
+		m.cfg.Obs.Add(m.id, obs.CtrSpilledWriteFrames, 1)
+		m.cfg.Obs.Add(m.id, obs.CtrSpilledWriteBytes, int64(len(recs)))
+		if flushed > 0 {
+			m.cfg.Obs.Add(m.id, obs.CtrSpillFileFrames, int64(flushed))
+		}
 		return nil
 	case comm.MsgReadReq:
 		// Epoch check, before any decode: Aux's high half is the low half of
@@ -101,53 +102,48 @@ func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime) error {
 			m.cfg.Obs.Add(m.id, obs.CtrStaleReadFrames, 1)
 			return nil
 		}
-		if err := m.serveReads(h, payload); err != nil {
-			return err
-		}
-		m.cfg.Obs.Add(m.id, obs.CtrReadsServed, int64(h.Count))
-		return nil
+		return m.serveReads(h, payload)
 	case comm.MsgRMIReq:
-		if err := m.serveRMI(h, payload); err != nil {
-			return err
-		}
-		m.cfg.Obs.Add(m.id, obs.CtrRMIServed, 1)
-		return nil
+		return m.serveRMI(h, payload)
 	default:
 		return fmt.Errorf("unexpected frame type %v on request queue", h.Type)
 	}
 }
 
 // applyChunk is how many records applyWrites hands the write loop at a time:
-// their offsets and words are laid out for it on the copier's stack.
+// their offsets and words are laid out for it on the stack.
 const applyChunk = 256
 
-// applyWrites decodes and applies a frame's write records: a meta word
-// (prop<<48 | op<<40 | offset) followed by the value word, 16 bytes each.
-// Records are validated before any is applied so a truncated or corrupt frame
-// surfaces as an error without a partial, out-of-bounds apply; then each run
-// of records with one (property, operator) — an accumulator's flush is a few
-// long ones — is applied by the loop resolved for the pair (Writer.reduce), a
-// chunk at a time.
-func (m *Machine) applyWrites(records uint32, payload []byte) error {
-	// In 64 bits: a count with a stray high byte must fail this check, not
-	// wrap past it on a 32-bit int.
+// checkWrites validates a write frame before any of its records is stashed or
+// applied, so a truncated or corrupt frame surfaces as an error with nothing
+// landed. The length check is in 64 bits: a count with a stray high byte must
+// fail it, not wrap past it on a 32-bit int.
+func (m *Machine) checkWrites(records uint32, payload []byte) error {
 	if int64(len(payload)) < writeRecSize*int64(records) {
 		return fmt.Errorf("truncated write frame: %d records need %d bytes, have %d", records, writeRecSize*int64(records), len(payload))
 	}
-	count := int(records)
-	for i := 0; i < count; i++ {
+	for i := 0; i < int(records); i++ {
 		if err := m.checkWriteRec(i, leU64(payload[writeRecSize*i:])); err != nil {
 			return err
 		}
 	}
-	// Write-activation (WriteSpec.ActivateInto): when the running job
-	// activates on some of its write props, applies that change the stored
-	// word collect into per-slot lists and buffer onto the build frontiers.
-	// serveRequest advances writesApplied only after this returns, so the
-	// termination allreduce's acquire of that counter also acquires these
-	// activations.
-	jr := m.curJob.Load()
-	var acts [][]uint32
+	return nil
+}
+
+// applyWrites validates and applies write records against jr, the job being
+// drained (replaySpill; nil applies with no write-activation): a meta word
+// (prop<<48 | op<<40 | offset) followed by the value word, 16 bytes each. Each
+// run of records with one (property, operator) — an accumulator's flush is a
+// few long ones — is applied by the loop resolved for the pair
+// (Writer.reduce), a chunk at a time. Under an activating spec
+// (WriteSpec.ActivateInto) a record that changes its word adds its node to the
+// build frontier's membership; the caller restores the sorted-sparse order.
+// Main goroutine only: m.acts is its scratch.
+func (m *Machine) applyWrites(jr *jobRuntime, records uint32, payload []byte) error {
+	if err := m.checkWrites(records, payload); err != nil {
+		return err
+	}
+	count := int(records)
 	var metas, words [applyChunk]uint64
 	var refs [applyChunk]int64 // a record's offset is a local ref
 	for base := 0; base < count; base += applyChunk {
@@ -162,18 +158,17 @@ func (m *Machine) applyWrites(records uint32, payload []byte) error {
 			}
 			prop := PropID(metas[i] >> 48)
 			run := Writer{col: m.cols[prop], op: reduce.Op(metas[i] >> 40)}
+			var bf *machineFrontier
 			if jr != nil && jr.activate != nil && jr.activate[prop] >= 0 {
-				if acts == nil {
-					acts = make([][]uint32, len(jr.builds))
-				}
-				run.act = &acts[jr.activate[prop]]
+				bf, run.act = jr.builds[jr.activate[prop]], &m.acts
 			}
 			run.reduce(refs[i:j], 0, words[i:j])
-		}
-	}
-	for s, ns := range acts {
-		if len(ns) > 0 {
-			jr.builds[s].remoteActivate(ns)
+			if bf != nil {
+				for _, v := range m.acts {
+					bf.add(v)
+				}
+				m.acts = m.acts[:0]
+			}
 		}
 	}
 	return nil
@@ -203,7 +198,7 @@ func (m *Machine) checkWriteRec(i int, meta uint64) error {
 // The length check bounds the response too: a request that fits a frame asks
 // for no more words than a response frame — the same size — holds.
 func (m *Machine) serveReads(h comm.Header, payload []byte) error {
-	if int64(len(payload)) < readRecSize*int64(h.Count) { // in 64 bits, as in applyWrites
+	if int64(len(payload)) < readRecSize*int64(h.Count) { // in 64 bits, as in checkWrites
 		return fmt.Errorf("truncated read frame: %d records need %d bytes, have %d", h.Count, readRecSize*int64(h.Count), len(payload))
 	}
 	count := int(h.Count)
@@ -230,6 +225,9 @@ func (m *Machine) serveReads(h comm.Header, payload []byte) error {
 		rec := leU64(payload[readRecSize*i:])
 		resp.AppendU64(m.cols[PropID(rec>>48)].load(int(uint32(rec))))
 	}
+	// Counted before the hand-over: the requester can finish the job this
+	// answers, whose report then reads the counter, before Send returns.
+	m.cfg.Obs.Add(m.id, obs.CtrReadsServed, int64(h.Count))
 	if err := m.ep.Send(int(h.Src), resp); err != nil {
 		return fmt.Errorf("responding to %d: %w", h.Src, err)
 	}
@@ -241,7 +239,8 @@ func (m *Machine) serveReads(h comm.Header, payload []byte) error {
 // completion; the method id travels in the aux high bits, the sequence
 // number in the low bits. A dispatch failure aborts the job — the caller's
 // abort-channel select (or request timeout) unblocks it, since no response
-// frame will come.
+// frame will come. The handler runs here, on a copier, concurrently with the
+// workers: it may read properties but must not write one (Cluster.RegisterRMI).
 func (m *Machine) serveRMI(h comm.Header, payload []byte) error {
 	method := uint32(h.Aux >> 32)
 	out, err := m.rmi.Dispatch(method, int(h.Src), payload)
@@ -261,6 +260,7 @@ func (m *Machine) serveRMI(h comm.Header, payload []byte) error {
 		Aux:    h.Aux,
 	})
 	resp.AppendBytes(out)
+	m.cfg.Obs.Add(m.id, obs.CtrRMIServed, 1) // before the hand-over, as in serveReads
 	if err := m.ep.Send(int(h.Src), resp); err != nil {
 		return fmt.Errorf("RMI response to %d: %w", h.Src, err)
 	}

@@ -131,8 +131,8 @@ func (c *Ctx) SetI64(p PropID, v int64) {
 // NbrWriteF64 reduces v into property p of the current neighbor with op —
 // the paper's write_remote<OP>. A local target applies immediately (relaxed
 // consistency); a remote one folds into the worker's accumulator or is
-// buffered into the per-worker request message toward the owner
-// (Writer.WriteRow).
+// buffered into the per-worker request message toward the owner, and is
+// visible there from the job's drain on (Writer.WriteRow).
 func (c *Ctx) NbrWriteF64(p PropID, op reduce.Op, v float64) {
 	c.WriteRef(c.nbr, p, op, math.Float64bits(v))
 }

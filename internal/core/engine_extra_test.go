@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -152,28 +151,6 @@ func TestWorkerRMI(t *testing.T) {
 		if got[u] != want[u] {
 			t.Fatalf("node %d: got %d, want %d", u, got[u], want[u])
 		}
-	}
-}
-
-func TestMachineLevelRMI(t *testing.T) {
-	g := testGraph(t)
-	c := bootCluster(t, g, DefaultConfig(3))
-	method := c.RegisterRMI(func(m *Machine) comm.RMIHandler {
-		return func(src int, payload []byte) []byte {
-			return []byte(fmt.Sprintf("machine %d says %s", m.id, payload))
-		}
-	})
-	out, err := c.machines[0].Call(2, method, []byte("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "machine 2 says hello" {
-		t.Errorf("RMI response %q", out)
-	}
-	// Payload too large must fail cleanly.
-	big := make([]byte, c.cfg.BufferSize)
-	if _, err := c.machines[0].Call(1, method, big); err == nil {
-		t.Error("oversized RMI accepted")
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -136,15 +135,6 @@ type machineFrontier struct {
 	// Duplicate activations (per-edge kernels) are deduplicated there.
 	shards [][]uint32
 
-	// remote buffers activations from copier-applied reduce writes
-	// (WriteSpec.ActivateInto): copiers append under remoteMu concurrently
-	// with the task phase, and the machine's main goroutine drains the buffer
-	// into the membership — at finalize and then once per termination-
-	// allreduce round, so the converging round's stats include every applied
-	// write's activation.
-	remoteMu sync.Mutex
-	remote   []uint32
-
 	// scratch for frontier chunk construction, reused across supersteps.
 	prefixScratch []int64
 	chunkScratch  []partition.Chunk
@@ -202,9 +192,9 @@ func (mf *machineFrontier) add(node uint32) {
 	}
 }
 
-// beginBuild resets the per-worker shards (and the remote-activation buffer)
-// for a job that builds this frontier. The old membership survives until
-// finalize so a job may read one frontier while (re)building it.
+// beginBuild resets the per-worker shards for a job that builds this
+// frontier. The old membership survives until finalize so a job may read one
+// frontier while (re)building it.
 func (mf *machineFrontier) beginBuild() {
 	for i := range mf.shards {
 		if mf.shards[i] == nil {
@@ -213,40 +203,12 @@ func (mf *machineFrontier) beginBuild() {
 			mf.shards[i] = mf.shards[i][:0]
 		}
 	}
-	mf.remoteMu.Lock()
-	mf.remote = mf.remote[:0]
-	mf.remoteMu.Unlock()
-}
-
-// remoteActivate buffers copier-side activations (nodes whose value a remote
-// reduce write just improved). Safe for concurrent copiers; the machine's
-// main goroutine merges the buffer via drainRemote.
-func (mf *machineFrontier) remoteActivate(nodes []uint32) {
-	mf.remoteMu.Lock()
-	mf.remote = append(mf.remote, nodes...)
-	mf.remoteMu.Unlock()
-}
-
-// drainRemote merges buffered remote activations into the membership,
-// restoring the sorted-sparse invariant. Main goroutine only, after finalize
-// has rebuilt the base membership. The buffer is consumed under the lock —
-// copiers appending concurrently share its backing array.
-func (mf *machineFrontier) drainRemote() {
-	mf.remoteMu.Lock()
-	n := len(mf.remote)
-	for _, v := range mf.remote {
-		mf.add(v)
-	}
-	mf.remote = mf.remote[:0]
-	mf.remoteMu.Unlock()
-	if n > 0 && !mf.dense && len(mf.sparse) > 1 {
-		slices.Sort(mf.sparse)
-	}
 }
 
 // finalize replaces the membership with the union of the build shards,
 // deduplicating through the bitmap and restoring the sorted-sparse/dense
-// invariant. Runs on the machine's main goroutine after its workers joined.
+// invariant. Runs on the machine's main goroutine after its workers joined;
+// the drain's write-activations add to the result (applyWrites).
 func (mf *machineFrontier) finalize() {
 	mf.clear()
 	for _, shard := range mf.shards {
@@ -254,6 +216,11 @@ func (mf *machineFrontier) finalize() {
 			mf.add(v)
 		}
 	}
+	mf.sortSparse()
+}
+
+// sortSparse restores the sorted-sparse invariant after adds.
+func (mf *machineFrontier) sortSparse() {
 	if !mf.dense && len(mf.sparse) > 1 {
 		slices.Sort(mf.sparse)
 	}

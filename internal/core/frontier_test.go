@@ -174,7 +174,7 @@ func (k *activatePush) Run(c *Ctx) { c.NbrWriteI64(k.dst, reduce.Min, k.val) }
 // TestActivateIntoChangedOnly: a MIN push with ActivateInto activates exactly
 // the improved nodes — across local, ghost, and remote write paths — and a
 // second identical push activates nobody (nothing changes). Runs over both
-// transports so the copier-side activation path is exercised for real frames.
+// transports so the drain's activation path is exercised for real frames.
 func TestActivateIntoChangedOnly(t *testing.T) {
 	eachFabric(t, func(t *testing.T, useTCP bool) {
 		g := faultGraph(t)

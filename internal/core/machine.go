@@ -67,10 +67,11 @@ type Machine struct {
 	// the GC heap and release eagerly.
 	offHeapCols bool
 
-	// spill is the spillable write buffer (nil unless Config.SpillWrites):
-	// copiers defer inbound write frames into it while a job is armed and the
-	// drain loop replays them; see spill.go.
+	// spill is the write backlog: copiers stash inbound write frames into it
+	// while a job is armed and the drain loop replays them; see spill.go.
 	spill *spillState
+	// acts is the replay's write-activation scratch (applyWrites), reused.
+	acts []uint32
 
 	// chunks[it] is the scheduling chunk list of iterator it under the
 	// current load: node-count chunks for IterNodes, edge-balanced otherwise.
@@ -282,7 +283,7 @@ type machineJobStats struct {
 // kind of the main goroutine is recorded by exactly the phase named:
 //
 //	newJobRuntime   what this machine iterates and feeds; no traffic
-//	publish         curJob, spill, collectives' abort; unpublish on every exit
+//	publish         spill, curJob, collectives' abort; unpublish on every exit
 //	startBarrier    barrier(0): every machine has published
 //	taskPhase       remote_set_build, once per load and iterator; then
 //	                task_phase: the workers run the task list dry (RTC),
@@ -378,8 +379,9 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 		}
 	}
 	// Write-activation (WriteSpec.ActivateInto): a per-property slot index
-	// copiers and workers consult on every reduce-write apply. Nil when the
-	// job has no activating specs, keeping the common write path branchless.
+	// workers and the drain's replay consult on every reduce-write apply. Nil
+	// when the job has no activating specs, keeping the common write path
+	// branchless.
 	for _, ws := range spec.WriteProps {
 		if ws.ActivateInto > 0 {
 			if jr.activate == nil {
@@ -396,15 +398,15 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 
 // publish makes jr the machine's current job before any traffic, so copiers
 // and the abort watcher can fail it, and points the collectives at its abort
-// channel. The spill is armed first: the start barrier orders the curJob
-// install before any peer's first write frame, so an armed spill sees every
-// frame of this job. A remote abort announcement may already be parked if a
+// channel. The backlog is armed first: the start barrier orders the curJob
+// install before any peer's first write frame, so the backlog sees every frame
+// of this job. A remote abort announcement may already be parked if a
 // fast peer failed before we even got here. The cancellation latch is read
 // after the install and Cluster.Cancel sets it before looking for a current
 // job, so one of the two sees the other: a Cancel is never lost in the window
 // between RunJob's entry check and this point.
 func (m *Machine) publish(jr *jobRuntime) {
-	m.spill.begin()
+	m.spill.begin(jr.id)
 	m.curJob.Store(jr)
 	if pa := m.pendingAbort.Swap(nil); pa != nil && pa.id == jr.id {
 		jr.fail(pa.err)
@@ -417,8 +419,8 @@ func (m *Machine) publish(jr *jobRuntime) {
 }
 
 // unpublish is publish's undo, deferred by runJob so success, failure and
-// abort alike leave no current job; the spill reset discards any unreplayed
-// backlog and removes the temp file.
+// abort alike leave no current job; the backlog reset discards anything
+// unreplayed and removes the temp file.
 func (m *Machine) unpublish() {
 	m.col.SetAbort(nil)
 	m.col.SetTimeout(0)
@@ -484,10 +486,9 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 	}
 	// Built frontiers finalize now: kernel activations (Ctx.Activate) come
 	// only from this machine's own workers, so the shard merge is final once
-	// the local task phase joined. Write-activations from remote machines may
-	// still be in flight — they buffer copier-side and drain into the
-	// membership once per drainWrites round, so the converging round's stats
-	// are complete.
+	// the local task phase joined. Write-activations from remote machines land
+	// when the drain replays their records, once per drainWrites round ahead of
+	// its staging, so the converging round's stats are complete.
 	for _, bf := range jr.builds {
 		bf.finalize()
 	}
@@ -551,29 +552,21 @@ func (m *Machine) stageLanes(jr *jobRuntime) {
 	l := jr.lanes
 	l.setWrites(m.writesSent.Load(), m.writesApplied.Load())
 	for i, bf := range jr.builds {
-		// Loading writesApplied (acquire) before taking the activation
-		// buffer's lock means a round that observes the final applied count
-		// also observes every activation those applies buffered.
-		if jr.activate != nil {
-			bf.drainRemote()
-		}
 		l.setFrontier(i, bf)
 	}
 	clear(l.vals[l.load:])
 	l.taskNS()[m.id], l.endMin()[m.id], l.endMax()[m.id] = jr.taskNS, jr.endMin, jr.endMax
 }
 
-// drainRound is one round of the termination allreduce. The spilled backlog
-// is replayed before this round's applied count is staged: a round that
-// observes sent == applied has replayed every frame that arrived before it.
-// Frames landing during replay buffer for the next round, which the unchanged
-// sent total forces. The staged vector is summed a buffer's worth of lanes per
+// drainRound is one round of the termination allreduce. The write backlog is
+// replayed before this round's applied count is staged: a round that observes
+// sent == applied has replayed every frame that arrived before it. Frames
+// landing during replay stash for the next round, which the unchanged sent
+// total forces. The staged vector is summed a buffer's worth of lanes per
 // collective — one, unless BufferSize is a few dozen bytes.
 func (m *Machine) drainRound(jr *jobRuntime) error {
-	if m.spill != nil {
-		if err := m.replaySpill(); err != nil {
-			return err
-		}
+	if err := m.replaySpill(jr); err != nil {
+		return err
 	}
 	m.stageLanes(jr)
 	vals, maxVals := jr.lanes.vals, m.valsPerFrame()
@@ -674,45 +667,6 @@ func (m *Machine) jobStats(jr *jobRuntime) machineJobStats {
 // valsPerFrame is how many 8-byte values one collective frame carries.
 func (m *Machine) valsPerFrame() int { return (m.cfg.BufferSize - comm.HeaderSize) / 8 }
 
-// Call invokes registered RMI method on machine dst from this machine's
-// main goroutine (sequential region) and returns the response payload.
-func (m *Machine) Call(dst int, method uint32, payload []byte) ([]byte, error) {
-	buf := m.ctrlPool.Acquire()
-	if len(payload) > buf.Room() {
-		buf.Release()
-		return nil, fmt.Errorf("core: RMI payload of %d bytes exceeds buffer size", len(payload))
-	}
-	buf.Reset(comm.Header{
-		Type:   comm.MsgRMIReq,
-		Worker: comm.CtrlWorker,
-		Src:    uint16(m.id),
-		Count:  1,
-		Aux:    uint64(method) << 32,
-	})
-	buf.AppendBytes(payload)
-	if err := m.ep.Send(dst, buf); err != nil {
-		return nil, err
-	}
-	var timeoutCh <-chan time.Time
-	if d := m.cfg.RequestTimeout; d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeoutCh = t.C
-	}
-	select {
-	case resp, ok := <-m.router.RMIResp():
-		if !ok {
-			return nil, fmt.Errorf("core: machine %d shut down during RMI", m.id)
-		}
-		out := make([]byte, len(resp.Payload()))
-		copy(out, resp.Payload())
-		resp.Release()
-		return out, nil
-	case <-timeoutCh:
-		return nil, fmt.Errorf("core: machine %d: RMI to machine %d timed out after %v", m.id, dst, m.cfg.RequestTimeout)
-	}
-}
-
 // drainStale releases any straggler frames parked in the machine's inbound
 // queues — late responses to aborted requests, leftover control frames from
 // collectives the peers never completed. Called only by the cluster's
@@ -734,22 +688,18 @@ func (m *Machine) drainStale() {
 			break
 		}
 	}
-	drain := func(ch <-chan *comm.Buffer) {
-		for {
-			select {
-			case buf, ok := <-ch:
-				if !ok {
-					return
-				}
-				buf.Release()
-				continue
-			default:
+	for {
+		select {
+		case buf, ok := <-m.router.Ctrl():
+			if !ok {
+				return
 			}
-			break
+			buf.Release()
+			continue
+		default:
 		}
+		return
 	}
-	drain(m.router.Ctrl())
-	drain(m.router.RMIResp())
 }
 
 // shutdown stops the workers, copiers, and poller. Outstanding frames are

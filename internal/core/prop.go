@@ -46,11 +46,11 @@ type propMeta struct {
 
 // column is one machine's storage for one property: one slot per owned node.
 // The slots are atomic 8-byte words because a slot has several writers at
-// once — every worker of the machine reduces into its neighbors' slots and the
-// copiers apply the other machines' reductions, all while the superstep runs
-// (the paper's relaxed consistency: "local and remote write requests [apply]
-// immediately") — so a reduction is a compare-and-swap loop (write.go) and an
-// own-node store is atomic too. acc holds the per-worker accumulators of a
+// once — every worker of the machine reduces into its neighbors' slots while
+// the superstep runs — so a reduction is a compare-and-swap loop (write.go)
+// and an own-node store is atomic too. The other machines' reductions are not
+// among those writers: they land in the drain (spill.go), on the main
+// goroutine, after the workers joined. acc holds the per-worker accumulators of a
 // dense push's remote reductions (accum.go); they are plain slices since each
 // is single-owner, and they go when the column does.
 type column struct {

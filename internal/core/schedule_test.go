@@ -65,8 +65,8 @@ func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
 }
 
 // TestRunJobSchedule pins the job protocol: whatever a machine's local state
-// (a mirrored-read and accumulated-write job, an empty local frontier, spilled
-// writes, no replicas at all), its main goroutine records exactly
+// (a mirrored-read and accumulated-write job, an empty local frontier, a write
+// backlog that overflows to a file, no replicas at all), its main goroutine records exactly
 // barrier(0), task_phase, barrier(1), write_drain, job — and the
 // collective count is what those spans say: the start barrier, the first drain
 // round and one per drain round after it, in every case. The one span that may
@@ -103,8 +103,8 @@ func TestRunJobSchedule(t *testing.T) {
 				spec.Source = c.NewFrontier("src")
 				spec.Source.Add(0) // machines 1 and 2 own no member: they skip dispatch; machine 0's list is sparse
 			}},
-		{name: "spill-writes", build: true, want: inDeg,
-			cfg: func(cfg *Config) { cfg.SpillWrites = true }},
+		{name: "spill-writes", build: true, want: inDeg, // the backlog overflows to a file
+			cfg: func(cfg *Config) { cfg.SpillWrites, cfg.SpillBudgetBytes, cfg.SpillDir = true, 512, t.TempDir() }},
 		{name: "ghost-free", want: inDeg,
 			cfg: func(cfg *Config) { cfg.Ablate = AblateRemoteSets },
 			spec: func(c *Cluster, spec *JobSpec) {
@@ -205,7 +205,7 @@ func TestDrainLanesLayout(t *testing.T) {
 
 // TestFaultRunJobPhases fails each phase of the schedule in turn and requires
 // the same residue-free outcome from all of them: ErrJobAborted, no current
-// job, the spill reset, every buffer home, and an exact rerun on the same
+// job, the write backlog reset, every buffer home, and an exact rerun on the same
 // cluster. A collective is one control frame from machine 1 to machine 0, so
 // failing that stream's k-th frame fails the job's k-th collective, and the
 // spans machine 1 completed before it say which phase that was — which pins
@@ -235,7 +235,7 @@ func TestFaultRunJobPhases(t *testing.T) {
 	} {
 		t.Run(tc.phase, func(t *testing.T) {
 			cfg := faultCfg(3)
-			cfg.SpillWrites = true
+			cfg.SpillWrites, cfg.SpillBudgetBytes, cfg.SpillDir = true, 512, t.TempDir() // the backlog overflows to a file
 			inj := faultFabric(t, cfg, false, comm.FaultPlan{Seed: 14, Rules: []comm.FaultRule{tc.rule}})
 			defer inj.Close()
 			cfg.Fabric = inj
@@ -277,8 +277,8 @@ func TestFaultRunJobPhases(t *testing.T) {
 					t.Errorf("machine %d still has a current job after the abort", m.id)
 				}
 				m.spill.mu.Lock()
-				if sp := m.spill; sp.active || sp.file != nil || len(sp.mem) != 0 || sp.memBytes != 0 {
-					t.Errorf("machine %d spill not reset: active=%v file=%v frames=%d bytes=%d", m.id, sp.active, sp.file != nil, len(sp.mem), sp.memBytes)
+				if sp := m.spill; sp.job != 0 || sp.file != nil || sp.frames != 0 || len(sp.recs) != 0 {
+					t.Errorf("machine %d backlog not reset: armed for job %d, file=%v frames=%d bytes=%d", m.id, sp.job, sp.file != nil, sp.frames, len(sp.recs))
 				}
 				m.spill.mu.Unlock()
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -10,87 +9,76 @@ import (
 	"repro/internal/obs"
 )
 
-// Spillable write buffers (Config.SpillWrites). During an out-of-core run the
-// task phase wants every spare byte of RAM for topology pages; inbound remote
-// write frames applied eagerly would fault property and frontier pages into
-// the middle of the streaming scan. With spilling on, copiers copy each write
-// frame's records into a bounded in-memory buffer — overflowing to a temp
-// file past SpillBudgetBytes — without applying them, and the write-drain
-// loop replays the backlog on the machine's main goroutine: first the file,
-// then the memory tail, through the same applyWrites path copiers use, so
-// write-activation behaves identically. Termination is unchanged — a spilled
-// frame's records simply count as applied in the drain round that replays
-// them — and the abort path
+// Deferred writes, the engine's one receive policy. A copier validates an
+// inbound write frame and stashes its records in the machine's backlog; it
+// never writes a column. The machine's main goroutine replays the backlog in
+// the write drain, once per round before the round stages its applied count
+// (drainRound), through applyWrites. So during the task phase the only writers
+// to a column are the machine's own workers, and a remote write is visible at
+// its owner from the drain of the superstep that issued it on — all the
+// paper's relaxed consistency asks. Termination is unchanged: a stashed record
+// counts as applied in the drain round that replays it. The abort path
 // discards the backlog and removes the temp file, so a faulted job leaves no
 // residue and the next job starts clean.
+//
+// The backlog is at most one superstep's inbound records, kept in one arena
+// per machine reused across rounds and jobs. Under Config.SpillWrites it is
+// bounded by SpillBudgetBytes and overflows to a pgxd-spill-* temp file in
+// SpillDir (an out-of-core run keeps its RAM for topology pages); otherwise it
+// stays in memory and never overflows.
 
-// spillFrame is one deferred write frame: the record count applyWrites
-// consumes plus the copied payload.
-type spillFrame struct {
-	count   uint32
-	payload []byte
-}
-
-// spillFileHeaderBytes is the per-frame prelude in the temp file:
-// count u32 | payloadLen u32.
-const spillFileHeaderBytes = 8
-
-// spillState is one machine's spill buffer. Copiers add under the mutex;
-// the machine main goroutine replays and resets. Created once at machine
-// startup when Config.SpillWrites is set; active only between a job's start
-// and the completion of its write drain.
+// spillState is one machine's write backlog. Copiers add under the mutex; the
+// machine's main goroutine arms, replays and resets it.
 type spillState struct {
-	mu     sync.Mutex
-	active bool
-	mem    []spillFrame
-	// memBytes counts buffered payload bytes; past budget the memory tail
-	// flushes to file.
-	memBytes int64
-	budget   int64
-	dir      string
-	file     *os.File
-	fileOff  int64
-	scratch  []byte // flush assembly buffer, reused
+	mu sync.Mutex
+	// job is the job whose frames add takes: armed by begin, 0 after reset, so
+	// a straggler of an aborted job never enters the next job's backlog.
+	job uint64
+	// recs is the arena: the memory tail's records in arrival order. Its
+	// first taken bytes are out with replay (take, then drop); copiers append
+	// past them, and frames counts the frames they appended since.
+	recs   []byte
+	taken  int
+	frames int
+	// budget bounds the memory tail before it overflows to the temp file; 0
+	// (SpillWrites off) never overflows.
+	budget  int64
+	dir     string
+	file    *os.File
+	fileOff int64
 }
 
 func newSpillState(cfg *Config) *spillState {
-	if !cfg.SpillWrites {
-		return nil
+	sp := &spillState{dir: cfg.SpillDir}
+	if cfg.SpillWrites {
+		sp.budget = cfg.SpillBudgetBytes
 	}
-	return &spillState{budget: cfg.SpillBudgetBytes, dir: cfg.SpillDir}
+	return sp
 }
 
-// begin arms the spill for a job. Runs on the machine main goroutine before
+// begin arms the backlog for job. Runs on the machine main goroutine before
 // the job is published (curJob.Store), so the pre-task barrier orders it
 // before any peer's first write frame.
-func (sp *spillState) begin() {
-	if sp == nil {
-		return
-	}
+func (sp *spillState) begin(job uint64) {
 	sp.mu.Lock()
-	sp.active = true
+	sp.job = job
 	sp.mu.Unlock()
 }
 
-// add defers one write frame, reporting whether it was taken (false when the
-// spill is not armed — the caller applies directly) and how many frames
-// overflowed to the temp file in consequence. The payload is copied; the
-// frame buffer stays with the caller.
-func (sp *spillState) add(count uint32, payload []byte) (took bool, flushed int, err error) {
-	if sp == nil {
-		return false, 0, nil
-	}
+// add stashes the records of one validated write frame of job, reporting
+// whether it was taken (false when job is not the armed one: a straggler) and
+// how many frames overflowed to the temp file in consequence. The records are
+// copied; the frame buffer stays with the caller.
+func (sp *spillState) add(job uint64, recs []byte) (took bool, flushed int, err error) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if !sp.active {
+	if sp.job != job {
 		return false, 0, nil
 	}
-	p := make([]byte, len(payload))
-	copy(p, payload)
-	sp.mem = append(sp.mem, spillFrame{count: count, payload: p})
-	sp.memBytes += int64(len(p))
-	if sp.memBytes > sp.budget {
-		flushed = len(sp.mem)
+	sp.recs = append(sp.recs, recs...)
+	sp.frames++
+	if sp.budget > 0 && int64(len(sp.recs)-sp.taken) > sp.budget {
+		flushed = sp.frames
 		if err := sp.flushLocked(); err != nil {
 			return true, 0, err
 		}
@@ -98,8 +86,8 @@ func (sp *spillState) add(count uint32, payload []byte) (took bool, flushed int,
 	return true, flushed, nil
 }
 
-// flushLocked appends every buffered frame to the temp file (created lazily)
-// and empties the memory tail. Callers hold the mutex.
+// flushLocked appends the memory tail past the taken bytes to the temp file
+// (created lazily) and empties it. Callers hold the mutex.
 func (sp *spillState) flushLocked() error {
 	if sp.file == nil {
 		dir := sp.dir
@@ -112,50 +100,47 @@ func (sp *spillState) flushLocked() error {
 		}
 		sp.file = f
 	}
-	buf := sp.scratch[:0]
-	for _, fr := range sp.mem {
-		buf = binary.LittleEndian.AppendUint32(buf, fr.count)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fr.payload)))
-		buf = append(buf, fr.payload...)
-	}
-	sp.scratch = buf[:0]
-	if _, err := sp.file.WriteAt(buf, sp.fileOff); err != nil {
+	tail := sp.recs[sp.taken:]
+	if _, err := sp.file.WriteAt(tail, sp.fileOff); err != nil {
 		return fmt.Errorf("spill: %w", err)
 	}
-	sp.fileOff += int64(len(buf))
-	sp.mem = sp.mem[:0]
-	sp.memBytes = 0
+	sp.fileOff += int64(len(tail))
+	sp.recs, sp.frames = sp.recs[:sp.taken], 0
 	return nil
 }
 
 // take detaches the current backlog for replay: the temp file (ownership
-// included — a concurrent overflow after this starts a fresh file, so replay
-// reads a quiescent segment) and the memory tail. The spill stays active;
-// frames arriving during replay buffer for the next round.
-func (sp *spillState) take() (file *os.File, fileLen int64, mem []spillFrame) {
+// included — an overflow after this starts a fresh file, so replay reads a
+// quiescent segment) and the memory tail, which stays in the arena until drop.
+// The backlog stays armed; frames arriving during replay stash past the taken
+// bytes for the next round — into the same array, or into a grown copy while
+// replay reads the old one.
+func (sp *spillState) take() (file *os.File, fileLen int64, recs []byte) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	file, fileLen = sp.file, sp.fileOff
-	sp.file = nil
-	sp.fileOff = 0
-	mem = sp.mem
-	sp.mem = nil
-	sp.memBytes = 0
+	file, fileLen, recs = sp.file, sp.fileOff, sp.recs
+	sp.file, sp.fileOff = nil, 0
+	sp.taken, sp.frames = len(recs), 0
 	return
 }
 
-// reset discards the backlog and removes the temp file. Called after a
-// successful drain (nothing left), after an abort (backlog must not apply),
-// and at shutdown. Idempotent.
-func (sp *spillState) reset() {
-	if sp == nil {
-		return
-	}
+// drop discards the taken bytes once replay is done with them, moving what
+// copiers stashed since to the front of the arena.
+func (sp *spillState) drop() {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	sp.active = false
-	sp.mem = nil
-	sp.memBytes = 0
+	n := copy(sp.recs, sp.recs[sp.taken:])
+	sp.recs, sp.taken = sp.recs[:n], 0
+}
+
+// reset disarms the backlog, discards it and removes the temp file. Called
+// when a job unpublishes (a drained job left nothing; an aborted one's
+// backlog must not apply), after recovery and at shutdown. Idempotent.
+func (sp *spillState) reset() {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sp.job = 0
+	sp.recs, sp.taken, sp.frames = sp.recs[:0], 0, 0
 	sp.fileOff = 0
 	if sp.file != nil {
 		name := sp.file.Name()
@@ -165,13 +150,19 @@ func (sp *spillState) reset() {
 	}
 }
 
-// replaySpill applies the spilled backlog: the temp-file segment first (in
-// arrival order), then the memory tail. Runs on the machine main goroutine
-// once per drain round, before the round stages its applied count, so a round
-// that observes sent == applied has replayed everything.
-func (m *Machine) replaySpill() error {
-	sp := m.spill
-	file, fileLen, mem := sp.take()
+// replayChunk is how many bytes of records replaySpill hands applyWrites at a
+// time: a default frame's worth, so its validation and apply passes read
+// cached bytes.
+const replayChunk = 32 << 10
+
+// replaySpill applies jr's backlog: the temp-file segment first (in arrival
+// order), then the memory tail. Runs on the machine main goroutine once per
+// drain round, before the round stages its applied count, so a round that
+// observes sent == applied has replayed everything. Write-activations land in
+// the build frontiers' membership here, and each fed list is sorted once.
+func (m *Machine) replaySpill(jr *jobRuntime) error {
+	file, fileLen, mem := m.spill.take()
+	defer m.spill.drop()
 	if file != nil {
 		// The detached file is replay's to clean up, success or error — an
 		// abort mid-replay must not leave a temp file behind.
@@ -182,45 +173,42 @@ func (m *Machine) replaySpill() error {
 		}()
 	}
 	var applied int64
-	if fileLen > 0 {
-		r := io.NewSectionReader(file, 0, fileLen)
-		var hdr [spillFileHeaderBytes]byte
-		var payload []byte
-		for off := int64(0); off < fileLen; {
-			if _, err := io.ReadFull(r, hdr[:]); err != nil {
-				return fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
-			}
-			count := leU32(hdr[0:])
-			plen := int64(leU32(hdr[4:]))
-			if off+spillFileHeaderBytes+plen > fileLen {
-				return fmt.Errorf("core: machine %d spill replay: truncated frame at %d", m.id, off)
-			}
-			if int64(cap(payload)) < plen {
-				payload = make([]byte, plen)
-			}
-			payload = payload[:plen]
-			if _, err := io.ReadFull(r, payload); err != nil {
-				return fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
-			}
-			if err := m.applyWrites(count, payload); err != nil {
+	apply := func(recs []byte) error {
+		for len(recs) > 0 {
+			n := min(len(recs), replayChunk)
+			if err := m.applyWrites(jr, uint32(n/writeRecSize), recs[:n]); err != nil {
 				return err
 			}
-			applied += int64(count)
-			off += spillFileHeaderBytes + plen
+			applied += int64(n / writeRecSize)
+			recs = recs[n:]
+		}
+		return nil
+	}
+	if fileLen > 0 {
+		r := io.NewSectionReader(file, 0, fileLen)
+		buf := make([]byte, min(fileLen, replayChunk))
+		for left := fileLen; left > 0; {
+			chunk := buf[:min(left, int64(len(buf)))]
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				return fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
+			}
+			if err := apply(chunk); err != nil {
+				return err
+			}
+			left -= int64(len(chunk))
 		}
 	}
-	for _, fr := range mem {
-		if err := m.applyWrites(fr.count, fr.payload); err != nil {
-			return err
-		}
-		applied += int64(fr.count)
+	if err := apply(mem); err != nil {
+		return err
 	}
 	if applied > 0 {
-		m.writesApplied.Add(applied)
 		m.cfg.Obs.Add(m.id, obs.CtrWritesApplied, applied)
+		m.writesApplied.Add(applied)
+		if jr.activate != nil {
+			for _, bf := range jr.builds {
+				bf.sortSparse()
+			}
+		}
 	}
 	return nil
 }
-
-// leU32 decodes a little-endian uint32 at the start of p.
-func leU32(p []byte) uint32 { return binary.LittleEndian.Uint32(p) }

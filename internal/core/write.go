@@ -9,8 +9,8 @@ import (
 )
 
 // The write path — the paper's write_remote<OP> — on both of its ends: a
-// worker reducing a row's value into the row's neighbors and a copier applying
-// a run of records an owner was sent (Machine.applyWrites). Both resolve what
+// worker reducing a row's value into the row's neighbors and the drain
+// replaying a run of records an owner was sent (Machine.applyWrites). Both resolve what
 // does not depend on the target once, in a Writer, and then run one loop
 // instantiated for the (operator, kind) pair, so that an edge costs its
 // reduction and no dispatch.
@@ -60,8 +60,8 @@ func merge[O opType, T num](a, b T) T {
 // that does not depend on the target resolved up front: the column, this
 // worker's accumulator over the job's remote set, and where an activating
 // spec's targets collect. Obtain one with Ctx.Writer; it is valid for the
-// current job only. A copier fills one in per run of records (applyWrites):
-// only col, op and act, since every target of a run is local.
+// current job only. The drain's replay fills one in per run of records
+// (applyWrites): only col, op and act, since every target of a run is local.
 type Writer struct {
 	col  *column
 	op   reduce.Op
@@ -118,7 +118,8 @@ func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 // changed; a remote one folds into the worker's accumulator when the job has
 // one holding it (accum.go) and otherwise is buffered into the per-worker
 // request message toward its owner — which makes a remote ref a re-entrancy
-// point (see RowTask).
+// point (see RowTask). Either way it lands at the owner in the job's drain
+// (spill.go): no kernel of this job sees it there.
 func (wr *Writer) WriteRow(refs []int64, word uint64) { wr.reduce(refs, word, nil) }
 
 // Write is WriteRow for the single node ref — the per-edge form.
@@ -156,7 +157,7 @@ func (wr *Writer) reduce(refs []int64, word uint64, words []uint64) {
 }
 
 // writeRow is the loop: it reduces word — or, when words is not nil, words[i],
-// the copier's form — into refs[i]. What it needs of the handle is loaded once,
+// the replay's form — into refs[i]. What it needs of the handle is loaded once,
 // ahead of the first ref.
 func writeRow[O opType, T num](wr *Writer, refs []int64, word uint64, words []uint64) {
 	var o O
@@ -167,8 +168,8 @@ func writeRow[O opType, T num](wr *Writer, refs []int64, word uint64, words []ui
 			x = fromWord[T](word)
 		}
 		if ref >= 0 {
-			// The local reduction is a compare-and-swap loop: copiers apply remote
-			// reductions while workers apply local ones. A lost CAS retries, so a
+			// The local reduction is a compare-and-swap loop: the machine's workers
+			// reduce into one column concurrently. A lost CAS retries, so a
 			// word counts as unchanged — not activating — only when the reduction
 			// was a no-op against the value that won.
 			for s := &vals[ref]; ; {

@@ -4,11 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reduce"
@@ -272,7 +275,7 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 
 // TestApplyWritesByRun: a frame whose records interleave (property, operator)
 // pairs — runs of one, of two, a pair that comes back, one that spans the
-// copier's chunks — lands record by record in frame order, operators without a
+// replay's chunks — lands record by record in frame order, operators without a
 // loop of their own included.
 func TestApplyWritesByRun(t *testing.T) {
 	const long = 3*applyChunk + 7 // +1 into val[3], long times
@@ -287,7 +290,7 @@ func TestApplyWritesByRun(t *testing.T) {
 		recs = append(recs, [2]uint64{writeMeta(1, reduce.Sum, 3), WordF64(1)})
 	}
 	m, cnt, val := applyWritesCluster(t)
-	if err := m.applyWrites(uint32(len(recs)), rawWrites(recs...)); err != nil {
+	if err := m.applyWrites(nil, uint32(len(recs)), rawWrites(recs...)); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []int64{7, 10, 11, 1, 9} {
@@ -300,4 +303,109 @@ func TestApplyWritesByRun(t *testing.T) {
 			t.Errorf("val[%d] = %g, want %g", i, got, want)
 		}
 	}
+}
+
+// routedWrites wraps machine 0's endpoint to count the write frames its router
+// has routed to the copiers. A frame counts when the poller comes back to Recv
+// for the next one, having routed it, so a count read together with
+// PendingRequests never runs ahead of the router.
+type routedWrites struct {
+	comm.Fabric
+	n atomic.Int64
+}
+
+// InMemory forwards the wrapped fabric's answer, like the injector does.
+func (f *routedWrites) InMemory() bool { return comm.InMemoryFabric(f.Fabric) }
+
+func (f *routedWrites) Endpoint(m int) (comm.Endpoint, error) {
+	ep, err := f.Fabric.Endpoint(m)
+	if err != nil || m != 0 {
+		return ep, err
+	}
+	return &routedWritesEndpoint{Endpoint: ep, f: f}, nil
+}
+
+type routedWritesEndpoint struct {
+	comm.Endpoint
+	f     *routedWrites
+	write bool // the frame Recv last returned was a write frame (the poller's goroutine only)
+}
+
+func (e *routedWritesEndpoint) Recv() (*comm.Buffer, bool) {
+	if e.write {
+		e.f.n.Add(1)
+	}
+	buf, ok := e.Endpoint.Recv()
+	e.write = ok && comm.MsgType(buf.Data[0]) == comm.MsgWriteReq
+	return buf, ok
+}
+
+// Quiesce forwards to the inner endpoint; the pool leak checks rely on this
+// passing through every wrapper.
+func (e *routedWritesEndpoint) Quiesce() {
+	if q, ok := e.Endpoint.(interface{ Quiesce() }); ok {
+		q.Quiesce()
+	}
+}
+
+// drainProbe is TestRemoteWritesLandInTheDrain's node pass. Machine 1's first
+// node reduces 5 into machine 0's first node, on demand: the job declares no
+// write props, so the record ships in a frame of its own when the worker runs
+// dry. Machine 0's first node waits, inside its own task phase, until that
+// frame has been routed and served, and then reads the word it targets.
+type drainProbe struct {
+	NoReads
+	x        PropID
+	routed   *atomic.Int64
+	router   *comm.Router
+	deadline time.Time
+	seen     atomic.Int64 // the word machine 0's kernel read; -1: the frame never came
+}
+
+func (k *drainProbe) Run(c *Ctx) {
+	switch {
+	case c.Machine() == 1 && c.Node == 0:
+		c.WriteRef(packRemote(0, 0), k.x, reduce.Sum, 5)
+	case c.Machine() == 0 && c.Node == 0:
+		for k.routed.Load() == 0 || k.router.PendingRequests() != 0 {
+			if time.Now().After(k.deadline) {
+				k.seen.Store(-1)
+				return
+			}
+			runtime.Gosched()
+		}
+		k.seen.Store(c.GetI64(k.x))
+	}
+}
+
+// TestRemoteWritesLandInTheDrain pins the semantics a kernel can observe of
+// the one receive policy: a remote write is visible at its owner from the
+// job's drain on. The owner's copier has received and served the frame while
+// the owner's own kernel still runs, and that kernel reads the pre-job word;
+// the reduced word is there once RunJob returns.
+func TestRemoteWritesLandInTheDrain(t *testing.T) {
+	eachFabric(t, func(t *testing.T, useTCP bool) {
+		cfg := faultCfg(2)
+		cfg.Workers = 1
+		fab := &routedWrites{Fabric: innerFabric(t, cfg, useTCP)}
+		defer fab.Close()
+		cfg.Fabric = fab
+		c := bootCluster(t, testGraph(t), cfg)
+		x, _ := c.AddPropI64("x")
+		c.FillI64(x, 7)
+		k := &drainProbe{x: x, routed: &fab.n, router: c.machines[0].router, deadline: time.Now().Add(10 * time.Second)}
+		if _, err := c.RunJob(JobSpec{Name: "drain-probe", Iter: IterNodes, Task: k}); err != nil {
+			t.Fatal(err)
+		}
+		switch seen := k.seen.Load(); seen {
+		case -1:
+			t.Fatal("machine 1's write frame never reached machine 0's copiers during its task phase")
+		case 7:
+		default:
+			t.Errorf("machine 0's kernel read %d after its copier served the write frame, want the pre-job 7: a remote write landed inside the task phase", seen)
+		}
+		if got := c.GatherI64(x)[c.Layout().GlobalOf(0, 0)]; got != 12 {
+			t.Errorf("node 0 holds %d after the job, want 7 + 5", got)
+		}
+	})
 }

@@ -25,17 +25,17 @@ func (e *obsEndpoint) NumMachines() int       { return e.inner.NumMachines() }
 func (e *obsEndpoint) Metrics() *comm.Metrics { return e.inner.Metrics() }
 func (e *obsEndpoint) Close() error           { return e.inner.Close() }
 
-// Send records the frame before forwarding: Send transfers buffer ownership,
-// so the length must be captured before the inner call (the buffer may be
-// recycled by the time it returns).
+// Send records the frame where it is accepted, ahead of the hand-over, as the
+// comm endpoints do: the peer can act on the frame — finish the job it belongs
+// to, whose report then reads the traffic — before the inner Send returns, and
+// Send transfers buffer ownership. A send that fails stays counted and counts
+// a send error.
 func (e *obsEndpoint) Send(dst int, buf *comm.Buffer) error {
-	n := len(buf.Data)
-	err := e.inner.Send(dst, buf)
-	if err != nil {
+	e.reg.Traffic(e.src, dst, len(buf.Data))
+	if err := e.inner.Send(dst, buf); err != nil {
 		e.reg.Add(e.src, CtrSendErrors, 1)
 		return err
 	}
-	e.reg.Traffic(e.src, dst, n)
 	return nil
 }
 

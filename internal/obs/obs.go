@@ -70,10 +70,10 @@ const (
 	// push/pull heuristic acted on.
 	CtrFrontierNodes
 	CtrFrontierEdges
-	// Spillable write buffers (Config.SpillWrites): inbound write frames a
-	// copier deferred to the spill buffer instead of applying, their payload
+	// The write backlog (core's spill.go): inbound write frames a copier
+	// stashed for the drain to apply — every one a job accepts — their record
 	// bytes, and how many of those frames overflowed the in-memory budget to
-	// the temp file.
+	// the temp file (Config.SpillWrites only).
 	CtrSpilledWriteFrames
 	CtrSpilledWriteBytes
 	CtrSpillFileFrames

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/comm"
 )
 
 // TestBarrierHistogramSnapshotAndReset pins the job-boundary semantics the
@@ -93,6 +96,63 @@ func TestLifetimeTrafficAccumulatesAcrossJobs(t *testing.T) {
 				t.Errorf("lifetime traffic[%d][%d] = %d, want %d (full matrix %v)",
 					s, d, lt[s][d], want[s][d], lt)
 			}
+		}
+	}
+}
+
+// holdEndpoint is the inner endpoint of TestWrapEndpointCountsBeforeHandOver:
+// its Send keeps the frame — the peer has it — until release closes, and only
+// then returns, failing with fail when set.
+type holdEndpoint struct {
+	comm.Endpoint // only Machine and Send are called
+	held, release chan struct{}
+	fail          error
+}
+
+func (e *holdEndpoint) Machine() int { return 0 }
+
+func (e *holdEndpoint) Send(dst int, buf *comm.Buffer) error {
+	buf.Release()
+	close(e.held)
+	<-e.release
+	return e.fail
+}
+
+// TestWrapEndpointCountsBeforeHandOver: the wrapper bills a frame to the job
+// sending it by the time the peer holds it, before the inner Send returns — the
+// peer can finish the job with it, and that job's report is then read — so the
+// traffic matrix and bytes_sent/frames_sent never carry a job's last frame into
+// the next job. A send that fails stays counted and counts a send error.
+func TestWrapEndpointCountsBeforeHandOver(t *testing.T) {
+	for _, fail := range []error{nil, errors.New("peer gone")} {
+		r := NewRegistry()
+		r.Attach(2)
+		r.BeginJob(1, "last-frame")
+		inner := &holdEndpoint{held: make(chan struct{}), release: make(chan struct{}), fail: fail}
+		ep := WrapEndpoint(inner, r)
+		pool := comm.NewPool(1, 64)
+		buf := pool.Acquire()
+		buf.Reset(comm.Header{Type: comm.MsgWriteReq})
+		buf.AppendU64(42)
+		n := int64(len(buf.Data))
+		done := make(chan error, 1)
+		go func() { done <- ep.Send(1, buf) }()
+		<-inner.held
+		rep := r.EndJob(1, time.Millisecond) // the frame is with the peer; Send has not returned
+		close(inner.release)
+		if err := <-done; err != fail {
+			t.Fatalf("Send = %v, want %v", err, fail)
+		}
+		if rep.TrafficBytes[0][1] != n || rep.TrafficFrames[0][1] != 1 || rep.Counters["bytes_sent"] != n || rep.Counters["frames_sent"] != 1 {
+			t.Errorf("fail=%v: the job's report holds %v bytes / %v frames (bytes_sent %d, frames_sent %d) while the peer holds its %d-byte frame",
+				fail, rep.TrafficBytes, rep.TrafficFrames, rep.Counters["bytes_sent"], rep.Counters["frames_sent"], n)
+		}
+		want := int64(0)
+		if fail != nil {
+			want = 1
+		}
+		if got := r.LifetimeCounters()["send_errors"]; got != want {
+			t.Errorf("fail=%v: send_errors = %d, want %d", fail, got, want)
 		}
 	}
 }

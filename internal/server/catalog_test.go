@@ -25,7 +25,7 @@ func TestCatalogParity(t *testing.T) {
 	if !resp.OK {
 		t.Fatal(resp.Error)
 	}
-	g := s.instances["g"].graphSnapshot()
+	g := s.instances["g"].g
 	const (
 		iters   = 6
 		damping = 0.85

@@ -114,19 +114,6 @@ func (c *Client) Cancel(tag, tenant string) (int, error) {
 	return n, nil
 }
 
-// Mutate applies an edge batch to a loaded graph and reloads the engine
-// from a fresh snapshot. Returns the updated graph info.
-func (c *Client) Mutate(name string, add, remove []EdgeSpec) (GraphInfo, error) {
-	resp, err := c.do(Request{Op: "mutate", Graph: name, Add: add, Remove: remove})
-	if err != nil {
-		return GraphInfo{}, err
-	}
-	if len(resp.Graphs) != 1 {
-		return GraphInfo{}, fmt.Errorf("client: malformed mutate response")
-	}
-	return resp.Graphs[0], nil
-}
-
 // List returns the loaded graph instances.
 func (c *Client) List() ([]GraphInfo, error) {
 	resp, err := c.do(Request{Op: "list"})

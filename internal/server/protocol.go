@@ -22,7 +22,7 @@ import (
 // Request is one client command. Op selects the action; the remaining
 // fields are op-specific.
 type Request struct {
-	// Op is one of: load, generate, run, cancel, list, mutate, drop, stats.
+	// Op is one of: load, generate, run, cancel, list, drop, stats.
 	Op string `json:"op"`
 
 	// Graph names the target instance (load, generate, run, drop).
@@ -73,12 +73,6 @@ type Request struct {
 	// Engine parameters (load/generate).
 	Machines int `json:"machines,omitempty"`
 
-	// Mutation batches (op=mutate): edges to add and remove. The server
-	// applies them to the instance's dynamic representation, snapshots, and
-	// reloads the engine — the paper's snapshot approach to dynamic graphs.
-	Add    []EdgeSpec `json:"add,omitempty"`
-	Remove []EdgeSpec `json:"remove,omitempty"`
-
 	// Analysis parameters (op=run). Algo is a name in algorithms.Catalog();
 	// zero Iterations/Damping/Threshold take the catalog's defaults.
 	Algo       string  `json:"algo,omitempty"`
@@ -102,13 +96,6 @@ type Response struct {
 
 	// Stats carries server-level counters (op=stats).
 	Stats *ServerStats `json:"stats,omitempty"`
-}
-
-// EdgeSpec is one edge in a mutation batch.
-type EdgeSpec struct {
-	Src    uint32  `json:"src"`
-	Dst    uint32  `json:"dst"`
-	Weight float64 `json:"weight,omitempty"`
 }
 
 // GraphInfo describes one loaded graph instance.

@@ -29,7 +29,7 @@ type engine struct {
 
 // enginePool is an instance's set of engines with a free list. It is not a
 // channel so the scheduler can test availability without consuming, and so
-// exclusive operations (mutate, drop) can collect every engine.
+// drop can collect every engine.
 type enginePool struct {
 	mu   sync.Mutex
 	all  []*engine
@@ -63,9 +63,9 @@ func (p *enginePool) release(e *engine) {
 }
 
 // acquireAll collects every engine, waiting for leased ones to come home —
-// the exclusive lock mutate and drop take. Callers must serialize through
-// the instance admin lock (two concurrent acquireAll calls would deadlock
-// splitting the pool). stop (the server's done channel) aborts the wait.
+// the exclusive lock drop takes. One caller per pool: two concurrent calls
+// would deadlock splitting it, and handleDrop is the only caller, once per
+// instance. stop (the server's done channel) aborts the wait.
 func (p *enginePool) acquireAll(stop <-chan struct{}) ([]*engine, error) {
 	var held []*engine
 	for {
@@ -79,21 +79,13 @@ func (p *enginePool) acquireAll(stop <-chan struct{}) ([]*engine, error) {
 		}
 		select {
 		case <-stop:
-			p.releaseAll(held)
+			p.mu.Lock()
+			p.idle = append(p.idle, held...)
+			p.mu.Unlock()
 			return nil, errShutdown
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
-}
-
-// releaseAll returns a batch of engines to the free list.
-func (p *enginePool) releaseAll(engines []*engine) {
-	if len(engines) == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.idle = append(p.idle, engines...)
-	p.mu.Unlock()
 }
 
 // admitResult is what a queued ticket eventually receives: an engine lease,
@@ -206,10 +198,10 @@ func (s *scheduler) effPriority(t *ticket, now time.Time) int64 {
 }
 
 // dispatch admits queued tickets while capacity lasts. Called whenever
-// capacity may have appeared: enqueue, release, engines returned by mutate,
-// an instance dropped. Admission order is aged priority, FIFO within a
-// level; a ticket whose instance has no idle engine or whose tenant is at
-// quota is skipped, not waited on — no head-of-line blocking.
+// capacity may have appeared: enqueue, release, an instance dropped.
+// Admission order is aged priority, FIFO within a level; a ticket whose
+// instance has no idle engine or whose tenant is at quota is skipped, not
+// waited on — no head-of-line blocking.
 func (s *scheduler) dispatch() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -87,32 +87,17 @@ func DefaultServerConfig() Config {
 }
 
 // instance is one loaded graph with a pool of engine clusters over the
-// shared immutable graph. Read-only analyses lease one engine each and run
-// concurrently; exclusive operations (mutate, drop) collect the whole pool.
+// shared graph, immutable once admitted. Read-only analyses lease one engine
+// each and run concurrently; drop collects the whole pool.
 type instance struct {
 	name     string
 	machines int
 	pool     *enginePool
-
-	// admin serializes exclusive pool acquisition (mutate, drop) — two
-	// concurrent acquireAll calls would deadlock splitting the pool.
-	admin sync.Mutex
-
-	// gMu guards g and dyn (swapped by mutate while stats may read them).
-	gMu sync.Mutex
-	g   *graph.Graph
-	dyn *graph.Dynamic
+	g        *graph.Graph
 
 	// closed flips when the instance is dropped so queued tickets fail
 	// instead of waiting on a pool that will never refill.
 	closed atomic.Bool
-}
-
-// graphSnapshot returns the instance's current graph.
-func (inst *instance) graphSnapshot() *graph.Graph {
-	inst.gMu.Lock()
-	defer inst.gMu.Unlock()
-	return inst.g
 }
 
 // Server is the long-running multi-tenant engine host.
@@ -416,8 +401,6 @@ func (s *Server) handle(req *Request) Response {
 		return s.handleCancel(req)
 	case "list":
 		return s.handleList()
-	case "mutate":
-		return s.handleMutate(req)
 	case "drop":
 		return s.handleDrop(req)
 	case "stats":
@@ -484,7 +467,7 @@ func (s *Server) admit(name string, g *graph.Graph, machines int) (Response, boo
 }
 
 func (s *Server) info(inst *instance) GraphInfo {
-	g := inst.graphSnapshot()
+	g := inst.g
 	return GraphInfo{
 		Name:     inst.name,
 		Nodes:    g.NumNodes(),
@@ -603,7 +586,7 @@ func (s *Server) memCharge(inst *instance, req *Request) int64 {
 	if spec, ok := algorithms.Lookup(req.Algo); ok {
 		cols = spec.Cols
 	}
-	g := inst.graphSnapshot()
+	g := inst.g
 	return store.SizeOf(g.NumNodes(), g.NumEdges(), inst.machines, g.Weighted(), cols).EstimatedResidentMB()
 }
 
@@ -806,7 +789,7 @@ func runAlgo(inst *instance, eng *engine, req *Request) (*RunResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown algorithm %q", req.Algo)
 	}
-	g := inst.graphSnapshot()
+	g := inst.g
 	if spec.Weighted && !g.Weighted() {
 		return nil, fmt.Errorf("graph is unweighted")
 	}
@@ -835,73 +818,6 @@ func runAlgo(inst *instance, eng *engine, req *Request) (*RunResult, error) {
 	return res, nil
 }
 
-// handleMutate applies an edge batch to a loaded instance and reloads the
-// engine pool from a fresh snapshot (§6: "using snapshots of these graphs
-// for algorithms which do not support graph updates"). Mutation is
-// exclusive: it collects every engine in the pool, so in-flight analyses
-// finish on the old graph before the swap.
-func (s *Server) handleMutate(req *Request) Response {
-	s.mu.Lock()
-	inst, ok := s.instances[req.Graph]
-	s.mu.Unlock()
-	if !ok {
-		return errResp("graph %q not loaded", req.Graph)
-	}
-	inst.admin.Lock()
-	defer inst.admin.Unlock()
-	engines, err := inst.pool.acquireAll(s.doneCh)
-	if err != nil {
-		return errResp("mutate %s: %v", req.Graph, err)
-	}
-	defer func() {
-		inst.pool.releaseAll(engines)
-		s.sched.dispatch()
-	}()
-	inst.gMu.Lock()
-	if inst.dyn == nil {
-		inst.dyn = graph.DynamicFrom(inst.g)
-	}
-	dyn, oldG := inst.dyn, inst.g
-	inst.gMu.Unlock()
-	toEdges := func(specs []EdgeSpec) ([]graph.Edge, bool) {
-		out := make([]graph.Edge, len(specs))
-		weighted := false
-		for i, e := range specs {
-			out[i] = graph.Edge{Src: e.Src, Dst: e.Dst, Weight: e.Weight}
-			if e.Weight != 0 {
-				weighted = true
-			}
-		}
-		return out, weighted
-	}
-	add, addWeighted := toEdges(req.Add)
-	remove, _ := toEdges(req.Remove)
-	matched, err := dyn.Apply(add, remove, addWeighted || oldG.Weighted())
-	if err != nil {
-		return errResp("mutate %s: %v", req.Graph, err)
-	}
-	snap, err := dyn.Snapshot()
-	if err != nil {
-		return errResp("snapshot %s: %v", req.Graph, err)
-	}
-	for _, eng := range engines {
-		if err := eng.cluster.Load(snap); err != nil {
-			return errResp("reload %s: %v", req.Graph, err)
-		}
-	}
-	s.mu.Lock()
-	s.resident += snap.NumEdges() - oldG.NumEdges()
-	s.mu.Unlock()
-	inst.gMu.Lock()
-	inst.g = snap
-	inst.gMu.Unlock()
-	return Response{
-		OK:     true,
-		Graphs: []GraphInfo{s.info(inst)},
-		Result: &RunResult{Algo: "mutate", Extra: fmt.Sprintf("%d removals matched", matched)},
-	}
-}
-
 func (s *Server) handleList() Response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -919,13 +835,15 @@ func (s *Server) handleList() Response {
 
 // handleDrop unloads a graph: queued runs for it fail with a "dropped"
 // error, in-flight analyses finish (drop collects the whole pool), then
-// every engine shuts down.
+// every engine shuts down. The instance leaves s.instances under s.mu before
+// its pool is collected, so no second drop can reach it: acquireAll has one
+// caller per pool.
 func (s *Server) handleDrop(req *Request) Response {
 	s.mu.Lock()
 	inst, ok := s.instances[req.Graph]
 	if ok {
 		delete(s.instances, req.Graph)
-		s.resident -= inst.graphSnapshot().NumEdges()
+		s.resident -= inst.g.NumEdges()
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -933,8 +851,6 @@ func (s *Server) handleDrop(req *Request) Response {
 	}
 	inst.closed.Store(true)
 	s.sched.dispatch() // flush queued tickets targeting the dropped graph
-	inst.admin.Lock()
-	defer inst.admin.Unlock()
 	engines, err := inst.pool.acquireAll(s.doneCh)
 	if err != nil {
 		// Shutdown race: Close owns the engines now and will stop them.

@@ -294,70 +294,6 @@ func TestExtensionAlgorithmsOverProtocol(t *testing.T) {
 	}
 }
 
-func TestMutateAndSnapshotAnalytics(t *testing.T) {
-	s := startServer(t, DefaultServerConfig())
-	c := dial(t, s)
-	if _, err := c.Generate(Request{Graph: "dyn", Kind: "uniform", Nodes: 200, Edges: 1000, Seed: 3, Machines: 2}); err != nil {
-		t.Fatal(err)
-	}
-	before, err := c.Run(Request{Graph: "dyn", Algo: "wcc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Add a clique among previously arbitrary nodes and rerun.
-	var add []EdgeSpec
-	for u := uint32(0); u < 5; u++ {
-		for v := uint32(0); v < 5; v++ {
-			if u != v {
-				add = append(add, EdgeSpec{Src: u, Dst: v})
-			}
-		}
-	}
-	info, err := c.Mutate("dyn", add, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Edges != 1000+20 {
-		t.Fatalf("edges after mutate = %d", info.Edges)
-	}
-	after, err := c.Run(Request{Graph: "dyn", Algo: "wcc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Extra == "" || after.Extra == "" {
-		t.Fatal("missing component counts")
-	}
-
-	// Remove edges; accounting must follow.
-	info, err = c.Mutate("dyn", nil, []EdgeSpec{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Edges != 1018 {
-		t.Fatalf("edges after removal = %d", info.Edges)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ResidentEdges != 1018 {
-		t.Errorf("resident accounting = %d", st.ResidentEdges)
-	}
-	// Mutating a missing graph fails.
-	if _, err := c.Mutate("nope", add, nil); err == nil {
-		t.Error("mutate on missing graph accepted")
-	}
-	// Out-of-range edge fails without corrupting state.
-	if _, err := c.Mutate("dyn", []EdgeSpec{{Src: 9999, Dst: 0}}, nil); err == nil {
-		t.Error("out-of-range mutation accepted")
-	}
-	list, err := c.List()
-	if err != nil || list[0].Edges != 1018 {
-		t.Errorf("state corrupted after failed mutate: %v (%v)", list, err)
-	}
-}
-
 func TestStatsObservability(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.DebugAddr = "127.0.0.1:0"
