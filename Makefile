@@ -8,8 +8,10 @@ build:
 test: build
 	$(GO) test ./...
 
+# go vet, and fail when gofmt would reformat any file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # Race-detector pass over the concurrency-heavy packages: the comm fabrics
 # (async senders, routers, collectives), the engine core (workers, copiers

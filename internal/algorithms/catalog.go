@@ -89,7 +89,7 @@ var catalog = []Spec{
 		v, met, err := PageRankPush(c, p.Iterations, p.Damping)
 		return Result{F64: v}, met, err
 	}},
-	{Name: "pagerank-approx", Cols: 5, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "pagerank-approx", Cols: 3, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		v, met, err := PageRankApprox(c, p.Damping, p.Threshold, maxSupersteps)
 		return Result{F64: v}, met, err
 	}},

@@ -9,10 +9,13 @@ import (
 )
 
 // Maximal independent set via Luby's algorithm, exercising the engine's
-// filter + push machinery with a three-state protocol: each round, every
+// frontier + push machinery with a three-state protocol: each round, every
 // undecided vertex draws a deterministic pseudo-random priority and joins
 // the set if it beats every undecided neighbor (over the undirected view);
-// its neighbors are then excluded. Terminates in O(log n) expected rounds.
+// its neighbors are then excluded. The undecided vertices are a frontier that
+// sources every step of a round; the round's joiners and newly excluded
+// vertices are built as frontiers and subtracted from it. Terminates in
+// O(log n) expected rounds.
 
 // Vertex states in the status property.
 const (
@@ -63,18 +66,17 @@ func (k *misPushPriority) RunRow(c *core.Ctx, row core.Row) {
 	}
 }
 
-// misJoinKernel moves local winners into the set.
+// misJoinKernel moves local winners into the set and into the joined
+// frontier.
 type misJoinKernel struct {
 	core.NoReads
 	pri, nbrPri, status core.PropID
 }
 
 func (k *misJoinKernel) Run(c *core.Ctx) {
-	if c.GetI64(k.status) != misUndecided {
-		return
-	}
 	if c.GetI64(k.pri) > c.GetI64(k.nbrPri) {
 		c.SetI64(k.status, misInSet)
+		c.Activate(0)
 	}
 }
 
@@ -89,17 +91,18 @@ func (k *misExcludeMark) RunRow(c *core.Ctx, row core.Row) {
 	c.Writer(k.excluded, reduce.Or).WriteRow(row.Refs, 1)
 }
 
-// misApplyExclusion finalizes exclusions and counts undecided survivors.
+// misApplyExclusion excludes a still-undecided vertex that a fresh member
+// marked and activates it into the newly-excluded frontier.
 type misApplyExclusion struct {
 	core.NoReads
 	excluded, status core.PropID
 }
 
 func (k *misApplyExclusion) Run(c *core.Ctx) {
-	if c.GetI64(k.status) == misUndecided && c.GetI64(k.excluded) != 0 {
+	if c.GetI64(k.excluded) != 0 {
 		c.SetI64(k.status, misExcluded)
+		c.Activate(0)
 	}
-	c.SetI64(k.excluded, 0)
 }
 
 // MIS computes a maximal independent set over the undirected view of the
@@ -117,34 +120,35 @@ func MIS(c *core.Cluster, seed int64, maxRounds int) ([]bool, Metrics, error) {
 	}
 	c.FillI64(status, misUndecided)
 	c.FillI64(excluded, 0)
-
-	undecided := func(ctx *core.Ctx) bool { return ctx.GetI64(status) == misUndecided }
-	inSet := func(ctx *core.Ctx) bool { return ctx.GetI64(status) == misInSet }
+	undecided, joined, dropped := c.NewFrontier("mis_undecided"), c.NewFrontier("mis_joined"), c.NewFrontier("mis_dropped")
+	undecided.Fill(nil)
 
 	start := nowFn()
 	for round := 0; (maxRounds <= 0 || round < maxRounds) && r.err == nil; round++ {
-		r.run(core.JobSpec{Name: "mis-draw", Iter: core.IterNodes,
+		r.run(core.JobSpec{Name: "mis-draw", Iter: core.IterNodes, Source: undecided,
 			Task: &misDrawKernel{pri: pri, nbrPri: nbrPri, seed: seed, round: round}})
 		push := &misPushPriority{pri: pri, nbrPri: nbrPri}
 		writes := []core.WriteSpec{{Prop: nbrPri, Op: reduce.Max}}
-		r.run(core.JobSpec{Name: "mis-push", Iter: core.IterBothEdges, Task: push, Filter: undecided, WriteProps: writes})
-		r.run(core.JobSpec{Name: "mis-join", Iter: core.IterNodes,
-			Task: &misJoinKernel{pri: pri, nbrPri: nbrPri, status: status}})
+		r.run(core.JobSpec{Name: "mis-push", Iter: core.IterBothEdges, Source: undecided, Task: push, WriteProps: writes})
+		r.run(core.JobSpec{Name: "mis-join", Iter: core.IterNodes, Source: undecided,
+			Task:  &misJoinKernel{pri: pri, nbrPri: nbrPri, status: status},
+			Build: []*core.Frontier{joined}})
+		if r.err != nil {
+			break
+		}
+		undecided.Subtract(joined)
 		excl := &misExcludeMark{excluded: excluded}
 		exclWrites := []core.WriteSpec{{Prop: excluded, Op: reduce.Or}}
-		r.run(core.JobSpec{Name: "mis-exclude", Iter: core.IterBothEdges, Task: excl, Filter: inSet, WriteProps: exclWrites})
-		r.run(core.JobSpec{Name: "mis-apply", Iter: core.IterNodes,
-			Task: &misApplyExclusion{excluded: excluded, status: status}})
+		r.run(core.JobSpec{Name: "mis-exclude", Iter: core.IterBothEdges, Source: joined, Task: excl, WriteProps: exclWrites})
+		r.run(core.JobSpec{Name: "mis-apply", Iter: core.IterNodes, Source: undecided,
+			Task:  &misApplyExclusion{excluded: excluded, status: status},
+			Build: []*core.Frontier{dropped}})
 		r.met.Iterations++
 		if r.err != nil {
 			break
 		}
-		remaining, err := c.ReduceI64(status, reduce.Min)
-		if err != nil {
-			r.err = err
-			break
-		}
-		if remaining != misUndecided {
+		undecided.Subtract(dropped)
+		if undecided.Count() == 0 {
 			break // every vertex decided
 		}
 	}

@@ -164,84 +164,75 @@ func pageRankExact(c *core.Cluster, iters int, damping float64, pull bool) ([]fl
 
 // --- approximate PageRank ----------------------------------------------------
 
-// prDeltaApplyKernel folds the received delta into pr and decides activity.
+// prDeltaApplyKernel folds the received delta into pr and decides activity:
+// a node whose delta reaches the threshold joins the next active frontier
+// with its damped, degree-scaled delta ready to push.
 type prDeltaApplyKernel struct {
 	core.NoReads
-	pr, delta, deltaNxt, scaledDelta, active core.PropID
-	damping                                  float64
-	threshold                                float64
+	pr, deltaNxt, scaledDelta core.PropID
+	damping                   float64
+	threshold                 float64
 }
 
 func (k *prDeltaApplyKernel) Run(c *core.Ctx) {
 	d := c.GetF64(k.deltaNxt)
 	c.SetF64(k.deltaNxt, 0)
 	c.SetF64(k.pr, c.GetF64(k.pr)+d)
-	c.SetF64(k.delta, d)
 	if math.Abs(d) >= k.threshold {
-		c.SetI64(k.active, 1)
+		c.Activate(0)
 		if od := c.OutDegree(); od > 0 {
 			c.SetF64(k.scaledDelta, k.damping*d/float64(od))
 		} else {
 			c.SetF64(k.scaledDelta, 0)
 		}
-	} else {
-		c.SetI64(k.active, 0)
 	}
 }
 
 // PageRankApprox runs the paper's delta-propagation PageRank: nodes whose
-// delta falls below threshold deactivate, so computation and communication
-// shrink every iteration ("this method performs a decreasing amount of
-// computation and communication as the iteration continues"). Only the push
-// form exists — "this approximation only works with the push-based
+// delta falls below threshold leave the active frontier, so computation and
+// communication shrink every iteration ("this method performs a decreasing
+// amount of computation and communication as the iteration continues"). Only
+// the push form exists — "this approximation only works with the push-based
 // implementation."
 func PageRankApprox(c *core.Cluster, damping, threshold float64, maxIter int) ([]float64, Metrics, error) {
 	r := &runner{c: c}
 	defer r.dropProps()
 	pr := r.propF64("apr")
-	delta := r.propF64("apr_delta")
 	deltaNxt := r.propF64("apr_delta_nxt")
 	scaledDelta := r.propF64("apr_scaled")
-	active := r.propI64("apr_active")
 	if r.err != nil {
 		return nil, r.met, r.err
 	}
 	n := float64(c.NumNodes())
 	base := (1 - damping) / n
 	c.FillF64(pr, base)
-	c.FillF64(delta, base)
 	c.FillF64(deltaNxt, 0)
-	c.FillI64(active, 1)
 	c.FillF64(scaledDelta, 0)
-	// Initial scaled delta seeds the first propagation round.
+	// Every node starts active with delta = base.
 	r.run(core.JobSpec{
 		Name: "apr-seed", Iter: core.IterNodes,
-		Task: &seedScaledDelta{delta: delta, scaledDelta: scaledDelta, damping: damping},
+		Task: &seedScaledDelta{scaledDelta: scaledDelta, damped: damping * base},
 	})
+	active := c.NewFrontier("apr_active")
+	active.Fill(nil)
 
 	start := nowFn()
-	activeFilter := func(ctx *core.Ctx) bool { return ctx.GetI64(active) != 0 }
 	for it := 0; it < maxIter && r.err == nil; it++ {
 		r.run(core.JobSpec{
-			Name: "apr-push", Iter: core.IterOutEdges,
+			Name: "apr-push", Iter: core.IterOutEdges, Source: active,
 			Task:       &pushKernel{src: scaledDelta, dst: deltaNxt, op: reduce.Sum}, // damped deltas of active nodes
-			Filter:     activeFilter,
 			WriteProps: []core.WriteSpec{{Prop: deltaNxt, Op: reduce.Sum}},
 		})
-		r.run(core.JobSpec{
+		apply := r.runStats(core.JobSpec{
 			Name: "apr-apply", Iter: core.IterNodes,
 			Task: &prDeltaApplyKernel{
-				pr: pr, delta: delta, deltaNxt: deltaNxt, scaledDelta: scaledDelta,
-				active: active, damping: damping, threshold: threshold,
+				pr: pr, deltaNxt: deltaNxt, scaledDelta: scaledDelta,
+				damping: damping, threshold: threshold,
 			},
+			Build: []*core.Frontier{active},
 		})
 		r.met.Iterations++
-		remaining, err := c.ReduceI64(active, reduce.Sum)
-		if err != nil {
-			r.err = err
-			break
-		}
-		if remaining == 0 {
+		if r.err != nil || apply.Frontiers[0].Count == 0 {
 			break
 		}
 	}
@@ -252,14 +243,15 @@ func PageRankApprox(c *core.Cluster, damping, threshold float64, maxIter int) ([
 	return c.GatherF64(pr), r.met, nil
 }
 
+// seedScaledDelta writes the first round's scaled delta, damped/outDeg.
 type seedScaledDelta struct {
 	core.NoReads
-	delta, scaledDelta core.PropID
-	damping            float64
+	scaledDelta core.PropID
+	damped      float64
 }
 
 func (k *seedScaledDelta) Run(c *core.Ctx) {
 	if od := c.OutDegree(); od > 0 {
-		c.SetF64(k.scaledDelta, k.damping*c.GetF64(k.delta)/float64(od))
+		c.SetF64(k.scaledDelta, k.damped/float64(od))
 	}
 }

@@ -115,10 +115,12 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 				ReadProps: []core.PropID{label}})
 			policy.Observe(core.DirPull, pullEdges, st.Traffic.DataBytesSent)
 		}
-		// The adopt pass scans every node, unlike SSSP's: collecting the
-		// improved nodes receiver-side (WriteSpec.ActivateInto) would take the
-		// push's remote writes off the per-worker accumulators, which a dense
-		// label push lives on.
+		// The adopt pass scans every node, unlike SSSP's: sourcing it from the
+		// nodes the push touched (WriteSpec.ActivateInto) was measured slower
+		// on scan-local and allocated more per round: a label push lowers most
+		// words several times per iteration, and each successful lowering
+		// appends a build-shard entry (EXPERIMENTS.md, "Activation with
+		// accumulation ...").
 		adopt := r.runStats(core.JobSpec{Name: "wcc-adopt", Iter: core.IterNodes,
 			Task:  &wccAdoptKernel{label: label, labelNxt: labelNxt},
 			Build: []*core.Frontier{cur}})

@@ -25,9 +25,10 @@ type accum struct {
 }
 
 // flushAccum ships this worker's accumulators: one record per slot that left
-// the identity, per owner in ascending address order — born sorted for the wire
-// codec. It runs after the worker's last continuation, so nothing can fold into a
-// slot the walk has passed; a job that has failed by then ships nothing.
+// the identity, per owner in ascending address order (slots ascend with the
+// address), so the owner's replay walks its column front to back. It runs after
+// the worker's last continuation, so nothing can fold into a slot the walk has
+// passed; a job that has failed by then ships nothing.
 func (w *worker) flushAccum(jr *jobRuntime) {
 	if jr.aborted() {
 		w.unwind()

@@ -524,31 +524,9 @@ func (c *Cluster) GetNodeI64(v graph.NodeID, p PropID) int64 {
 	return c.machines[owner].cols[p].getI64(int(c.layout.LocalOffset(v)))
 }
 
-// ReduceF64 folds property p over all nodes with op, using local folds plus
-// one collective — the engine-level sequential-region reduction behind
-// convergence tests and normalizations.
-func (c *Cluster) ReduceF64(p PropID, op reduce.Op) (float64, error) {
-	c.checkProp(p, KindF64)
-	results := make([]float64, len(c.machines))
-	err := c.parallel(func(m *Machine) error {
-		col := m.cols[p]
-		acc := reduce.BottomF64(op)
-		for i := 0; i < m.store.numLocal; i++ {
-			acc = reduce.ApplyF64(op, acc, col.getF64(i))
-		}
-		vals := []float64{acc}
-		if err := m.col.AllReduceF64(vals, op); err != nil {
-			return err
-		}
-		results[m.id] = vals[0]
-		return nil
-	})
-	return results[0], err
-}
-
-// ReduceMappedF64 folds fn(value) of property p over all nodes with op —
-// e.g. a sum of squares for L2 normalization without materializing a
-// temporary property.
+// ReduceMappedF64 folds fn(value) of property p over all nodes with op,
+// using local folds plus one collective — e.g. a sum of squares for L2
+// normalization without materializing a temporary property.
 func (c *Cluster) ReduceMappedF64(p PropID, op reduce.Op, fn func(float64) float64) (float64, error) {
 	c.checkProp(p, KindF64)
 	results := make([]float64, len(c.machines))

@@ -67,11 +67,16 @@ func (k *pushOneTask) Run(c *Ctx) {
 }
 
 // pullSumTask reads src from the in-neighbor and accumulates into dst.
+// beforeEdge, when set, runs ahead of each edge's read.
 type pullSumTask struct {
-	src, dst PropID
+	src, dst   PropID
+	beforeEdge func(c *Ctx)
 }
 
 func (k *pullSumTask) Run(c *Ctx) {
+	if k.beforeEdge != nil {
+		k.beforeEdge(c)
+	}
 	c.NbrRead(k.src)
 }
 
@@ -192,53 +197,6 @@ func TestPullJobSumsInNeighbors(t *testing.T) {
 				t.Error("buffer pools not quiescent after job")
 			}
 		})
-	}
-}
-
-// filtered push: only even-global-id nodes push.
-type filteredPush struct {
-	NoReads
-	counter PropID
-}
-
-func (k *filteredPush) Run(c *Ctx) { c.NbrWriteI64(k.counter, reduce.Sum, 1) }
-
-func TestFilterDeactivatesNodes(t *testing.T) {
-	g := testGraph(t)
-	c := bootCluster(t, g, DefaultConfig(3))
-	counter, _ := c.AddPropI64("counter")
-	active, _ := c.AddPropI64("active")
-	c.FillI64(counter, 0)
-	c.FillByNodeI64(active, func(v graph.NodeID) int64 {
-		if v%2 == 0 {
-			return 1
-		}
-		return 0
-	})
-	if _, err := c.RunJob(JobSpec{
-		Name:       "filtered-push",
-		Iter:       IterOutEdges,
-		Task:       &filteredPush{counter: counter},
-		Filter:     func(c *Ctx) bool { return c.GetI64(active) != 0 },
-		WriteProps: []WriteSpec{{Prop: counter, Op: reduce.Sum}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Reference: in-degree counting only even sources.
-	want := make([]int64, g.NumNodes())
-	for u := 0; u < g.NumNodes(); u++ {
-		if u%2 != 0 {
-			continue
-		}
-		for _, v := range g.Out.Neighbors(graph.NodeID(u)) {
-			want[v]++
-		}
-	}
-	got := c.GatherI64(counter)
-	for u := range want {
-		if got[u] != want[u] {
-			t.Fatalf("node %d: got %d, want %d", u, got[u], want[u])
-		}
 	}
 }
 
@@ -365,7 +323,7 @@ func TestReduceDriverHelpers(t *testing.T) {
 	c.FillByNodeF64(p, func(v graph.NodeID) float64 { return float64(v) })
 	c.FillByNodeI64(q, func(v graph.NodeID) int64 { return int64(v) })
 	n := int64(g.NumNodes())
-	sum, err := c.ReduceF64(p, reduce.Sum)
+	sum, err := c.ReduceMappedF64(p, reduce.Sum, func(v float64) float64 { return v })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,40 +118,6 @@ func TestDropPropsReusesSlots(t *testing.T) {
 	c.FillF64(b, 1)
 }
 
-func TestFilteredInEdgeJob(t *testing.T) {
-	g := testGraph(t)
-	c := bootCluster(t, g, DefaultConfig(3))
-	src, _ := c.AddPropF64("src")
-	dst, _ := c.AddPropF64("dst")
-	active, _ := c.AddPropI64("active")
-	c.FillByNodeF64(src, func(v graph.NodeID) float64 { return 1 })
-	c.FillF64(dst, 0)
-	c.FillByNodeI64(active, func(v graph.NodeID) int64 {
-		if v%3 == 0 {
-			return 1
-		}
-		return 0
-	})
-	if _, err := c.RunJob(JobSpec{
-		Name: "filtered-pull", Iter: IterInEdges,
-		Task:      &pullSumTask{src: src, dst: dst},
-		Filter:    func(ctx *Ctx) bool { return ctx.GetI64(active) != 0 },
-		ReadProps: []PropID{src},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := c.GatherF64(dst)
-	for u := 0; u < g.NumNodes(); u++ {
-		want := 0.0
-		if u%3 == 0 {
-			want = float64(g.InDegree(graph.NodeID(u)))
-		}
-		if d := got[u] - want; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("node %d: %g vs %g", u, got[u], want)
-		}
-	}
-}
-
 // TestDeterministicIntegerResults: integer-valued jobs must produce
 // identical results across repeated runs despite scheduling nondeterminism
 // (MIN/SUM reductions commute exactly on integers).

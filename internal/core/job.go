@@ -188,10 +188,11 @@ type WriteSpec struct {
 	// this spec changes the stored word (1-based so the zero value means no
 	// activation). This is receiver-side frontier generation: a push
 	// superstep's improved nodes become the next frontier with no separate
-	// adopt pass. Writes to such a property never accumulate — remote
-	// targets ship as explicit records to their owner — so every
-	// activation lands (and is counted) before the job's termination
-	// allreduce carries the frontier stats.
+	// adopt pass. A remote write activates at its owner in the drain's
+	// replay, before the termination allreduce carries the frontier stats.
+	// Writes to such a property never accumulate: the per-worker fold was
+	// measured and did not pay (EXPERIMENTS.md, "Activation with
+	// accumulation ...: measured, not done").
 	ActivateInto int
 }
 
@@ -204,10 +205,6 @@ type JobSpec struct {
 	// Task is the kernel. One instance is shared by all workers on a
 	// machine; per-invocation state must live in Ctx or properties.
 	Task Task
-	// Filter, when non-nil, is the vertex-deactivation predicate evaluated
-	// once per node before its edges ("a custom filter method which is
-	// evaluated for each vertex prior to its execution").
-	Filter func(c *Ctx) bool
 	// ReadProps lists properties read through neighbors; an eligible job
 	// (remoteset.go) mirrors them from their owners before its first row.
 	ReadProps []PropID

@@ -185,16 +185,17 @@ func prefetchCluster(t *testing.T, path string, useTCP bool, ablate Ablation, ru
 // saltedPull runs the pull-sum job over source values that depend on salt and
 // returns its error, or — on success — the first node whose sum is not the
 // reference's. Two runs with different salts share no source value, so a word
-// left in the mirror by the first can not pass for the second's.
-func saltedPull(c *Cluster, g *graph.Graph, src, dst PropID, salt int, filter func(*Ctx) bool) error {
+// left in the mirror by the first can not pass for the second's. beforeEdge,
+// when set, is the kernel's hook ahead of each edge.
+func saltedPull(c *Cluster, g *graph.Graph, src, dst PropID, salt int, beforeEdge func(*Ctx)) error {
 	vals := make([]float64, g.NumNodes())
 	for u := range vals {
 		vals[u] = float64((u+salt)%89 + 100*salt)
 	}
 	c.FillByNodeF64(src, func(v graph.NodeID) float64 { return vals[v] })
 	c.FillF64(dst, 0)
-	if _, err := c.RunJob(JobSpec{Name: "prefetch-pull", Iter: IterInEdges, Filter: filter,
-		Task: &pullSumTask{src: src, dst: dst}, ReadProps: []PropID{src}}); err != nil {
+	if _, err := c.RunJob(JobSpec{Name: "prefetch-pull", Iter: IterInEdges,
+		Task: &pullSumTask{src: src, dst: dst, beforeEdge: beforeEdge}, ReadProps: []PropID{src}}); err != nil {
 		return err
 	}
 	want := refPullSum(g, vals)
@@ -308,9 +309,9 @@ func TestFaultPrefetch(t *testing.T) {
 }
 
 // TestCancelAfterPrefetch: a Cancel that lands when the prefetch is complete
-// and before the first row has run — the job's filter, which a worker
-// evaluates ahead of its first row, fires it — aborts the job with the cause,
-// leaves no residue, and after Uncancel the rerun is exact.
+// and before the first edge has read — the kernel's hook, which a worker runs
+// ahead of that read, fires it — aborts the job with the cause, leaves no
+// residue, and after Uncancel the rerun is exact.
 func TestCancelAfterPrefetch(t *testing.T) {
 	g := faultGraph(t)
 	path := storePath3(t, g, 2)
@@ -320,14 +321,13 @@ func TestCancelAfterPrefetch(t *testing.T) {
 		dst, _ := c.AddPropF64("dst")
 		cause := errors.New("deadline between prefetch and first row")
 		var once sync.Once
-		err := saltedPull(c, g, src, dst, 1, func(ctx *Ctx) bool {
+		err := saltedPull(c, g, src, dst, 1, func(ctx *Ctx) {
 			once.Do(func() {
 				if jr := ctx.w.job; jr.mirrorSet == nil || jr.fetching.Load() != 0 {
-					t.Error("the first row's filter ran before the prefetch was complete")
+					t.Error("the first edge's hook ran before the prefetch was complete")
 				}
 				c.Cancel(cause)
 			})
-			return true
 		})
 		if !errors.Is(err, ErrJobAborted) || !errors.Is(err, ErrJobCanceled) || !errors.Is(err, cause) {
 			t.Fatalf("RunJob = %v, want ErrJobAborted wrapping ErrJobCanceled and the cause", err)

@@ -124,9 +124,11 @@ func (m *Machine) buildRemoteSet(jr *jobRuntime) (*remoteSet, error) {
 // remoteJob decides, from this machine's state alone, whether jr resolves its
 // remote accesses against the remote set of its iterator, and sets it up for
 // that: declared read properties are mirrored (mirrorJob), declared write
-// properties accumulate per worker — unless one activates, since an activating
-// write must reach its owner, and activate there, while the superstep runs.
-// Eligible is an edge iterator whose rows hold at least as many remote refs as
+// properties accumulate per worker — unless one activates. Folding an
+// activating write would lose nothing (every remote write applies, and
+// activates, only in the owner's drain), but measured it removed 5 % of the
+// applied writes on microstep and made it slower (EXPERIMENTS.md, "Activation
+// with accumulation ...: measured, not done"). Eligible is an edge iterator whose rows hold at least as many remote refs as
 // the set has addresses, so that resolving every address once costs no more
 // than resolving each ref: every full scan, and a bitmap-filtered frontier
 // whose degree sum times the rows' remote share says so; never a sparse member

@@ -340,9 +340,6 @@ func (jr *jobRuntime) eachNode(ch partition.Chunk, fn func(node uint32)) {
 func (w *worker) runNodeCursor(jr *jobRuntime, ctx *Ctx, node uint32) {
 	ctx.Node = node
 	ctx.Aux = 0
-	if f := jr.spec.Filter; f != nil && !f(ctx) {
-		return
-	}
 	for i := range jr.views {
 		refs, err := w.rd[i].refs(node)
 		if err != nil {
@@ -356,14 +353,11 @@ func (w *worker) runNodeCursor(jr *jobRuntime, ctx *Ctx, node uint32) {
 	}
 }
 
-// runNode drives the job's task over one owned node: filter, then Task.Run
-// on a node iterator or the node's CSR rows through the row dispatch.
+// runNode drives the job's task over one owned node: Task.Run on a node
+// iterator, or the node's CSR rows through the row dispatch.
 func (w *worker) runNode(jr *jobRuntime, ctx *Ctx, node uint32) {
 	ctx.Node = node
 	ctx.Aux = 0
-	if f := jr.spec.Filter; f != nil && !f(ctx) {
-		return
-	}
 	if jr.row == nil {
 		jr.spec.Task.Run(ctx)
 		return
