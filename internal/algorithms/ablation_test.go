@@ -45,13 +45,11 @@ func latticeConfig(t *testing.T, p int, useTCP bool, set core.Ablation) core.Con
 	t.Helper()
 	cfg := core.DefaultConfig(p)
 	cfg.BufferSize = 8 << 10
-	cfg.ReqBuffers = 2*cfg.Workers*p + 4
-	cfg.RespBuffers = 2*cfg.Copiers*p + 4
 	cfg.RequestTimeout = 10 * time.Second
 	cfg.CollectiveTimeout = 10 * time.Second
 	cfg.Ablate = set
 	if useTCP {
-		f, err := comm.NewTCPFabric(p, p*(cfg.ReqBuffers+cfg.Workers*p)+64, cfg.BufferSize)
+		f, err := core.NewTCPFabric(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +70,7 @@ func ablatedCluster(t *testing.T, g *graph.Graph, p int, useTCP, delayFaults boo
 	cfg.GhostCount = as.ghosts
 	if delayFaults {
 		if cfg.Fabric == nil {
-			perMachine := cfg.ReqBuffers + cfg.RespBuffers + 4*p + 8 + p + 2
-			cfg.Fabric = comm.NewInProcFabric(p, p*perMachine+16)
+			cfg.Fabric = core.NewInProcFabric(cfg)
 		}
 		cfg.Fabric = comm.NewFaultInjector(cfg.Fabric, comm.FaultPlan{
 			Seed: 7,

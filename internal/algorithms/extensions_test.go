@@ -38,8 +38,6 @@ func TestTriangleCountChunkedRMI(t *testing.T) {
 	want := TriangleCountReference(g)
 	cfg := core.DefaultConfig(3)
 	cfg.BufferSize = 256 // ~57 ids per chunk; max degree is far larger
-	cfg.ReqBuffers = 16
-	cfg.RespBuffers = 16
 	c, err := core.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

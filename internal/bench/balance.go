@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/algorithms"
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -207,10 +206,7 @@ func runBalanceCell(g *graph.Graph, machines int, layout partition.Layout, algo 
 	cfg := core.DefaultConfig(machines)
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
-	cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
-	fabric, err := comm.NewTCPFabricOpts(machines,
-		machines*(cfg.ReqBuffers+cfg.Workers*machines)+64, cfg.BufferSize, comm.TCPOptions{})
+	fabric, err := core.NewTCPFabric(cfg)
 	if err != nil {
 		return BalanceRow{}, nil, err
 	}

@@ -106,12 +106,9 @@ func ExpObs(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table, 
 	// --- 2: TCP fabric with full instrumentation ---------------------------
 	prog.log("obs: instrumented PageRank over TCP")
 	cfg := core.DefaultConfig(machines)
-	cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
-	cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	fabric, err := comm.NewTCPFabricOpts(machines,
-		machines*(cfg.ReqBuffers+cfg.Workers*machines)+64, cfg.BufferSize, comm.TCPOptions{})
+	fabric, err := core.NewTCPFabric(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,11 +159,8 @@ func ExpObs(ds *Datasets, scale, machines, prIters int, prog Progress) (*Table, 
 	fcfg.CollectiveTimeout = 1500 * time.Millisecond
 	freg := obs.NewRegistry()
 	fcfg.Obs = freg
-	fcfg.ReqBuffers = 2*fcfg.Workers*fcfg.NumMachines + 4
-	fcfg.RespBuffers = 2*fcfg.Copiers*fcfg.NumMachines + 4
-	perMachine := fcfg.ReqBuffers + fcfg.RespBuffers + 4*machines + 8 + machines + 2
 	inj := comm.NewFaultInjector(
-		comm.NewInProcFabric(machines, machines*perMachine+16),
+		core.NewInProcFabric(fcfg),
 		comm.FaultPlan{Seed: 7, Rules: []comm.FaultRule{{
 			Src: comm.AnyMachine, Dst: comm.AnyMachine,
 			Type: int(comm.MsgReadReq), Kind: comm.FaultFail, Limit: 1,

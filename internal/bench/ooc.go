@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/algorithms"
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -289,10 +288,7 @@ type oocCell struct {
 func oocRunAll(machines int, fabric string, prIters int, tune func(*core.Config), load func(*core.Cluster) (func(), error)) ([]oocCell, error) {
 	cfg := core.DefaultConfig(machines)
 	if fabric == "tcp" {
-		cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
-		cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
-		f, err := comm.NewTCPFabricOpts(machines,
-			machines*(cfg.ReqBuffers+cfg.Workers*machines)+64, cfg.BufferSize, comm.TCPOptions{})
+		f, err := core.NewTCPFabric(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -381,53 +381,6 @@ func TestFaultAbortFrameRouted(t *testing.T) {
 	}
 }
 
-// TestFaultTCPWriteRetryReconnects: with WriteRetries enabled, a sender whose
-// connection dies under it redials and delivers the frame anyway — no send
-// error, no lost frame, no leaked buffer.
-func TestFaultTCPWriteRetryReconnects(t *testing.T) {
-	f, err := NewTCPFabricOpts(2, 8, 32<<10, TCPOptions{
-		WriteRetries: 2,
-		RetryBackoff: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ep0, err := f.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep1, err := f.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep0.Close()
-	defer ep1.Close()
-
-	// Kill the 0 -> 1 connection out from under the sender goroutine; the
-	// next write fails locally and must reconnect through the listener.
-	ep0.(*tcpEndpoint).senders[1].conn().Close()
-
-	pool := NewPool(2, 32<<10)
-	buf := pool.Acquire()
-	buf.Reset(Header{Type: MsgCtrl, Src: 0, Aux: 31})
-	if err := ep0.Send(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := ep1.Recv()
-	if !ok || got.Header().Aux != 31 {
-		t.Fatalf("frame lost across reconnect: ok=%v", ok)
-	}
-	got.Release()
-	if n := ep0.Metrics().SendErrors(); n != 0 {
-		t.Errorf("SendErrors = %d after successful retry, want 0", n)
-	}
-	ep0.(*tcpEndpoint).Quiesce() // the sender's Release can trail the frame's arrival
-	if pool.Outstanding() != 0 {
-		t.Errorf("buffers leaked: %d", pool.Outstanding())
-	}
-}
-
 // TestFaultTruncatedAllReduceRejected: a truncated control frame surfaces as
 // an allreduce error on the root instead of an out-of-range panic.
 func TestFaultTruncatedAllReduceRejected(t *testing.T) {

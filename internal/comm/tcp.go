@@ -26,12 +26,13 @@ import (
 // length prefix and frame body go out in a single vectored write
 // (net.Buffers → writev), halving syscalls per frame. Back-pressure is
 // preserved: a full queue blocks the sender exactly like a drained buffer
-// pool does.
+// pool does. TCP_NODELAY is always on (batching already happens in the
+// engine's message buffers, so coalescing in the kernel only adds latency)
+// and socket buffers stay at the kernel defaults.
 type TCPFabric struct {
 	p         int
 	bufSize   int
 	poolCount int
-	opts      TCPOptions
 	listeners []net.Listener
 	addrs     []string
 
@@ -49,73 +50,34 @@ type TCPFabric struct {
 	wireClock atomic.Int64
 }
 
-// TCPOptions tunes the TCP fabric's sender queue and fault handling. The zero
-// value gives the defaults: a 16-frame queue per destination, three dial
-// retries, no write deadline or reconnection. TCP_NODELAY is always on
-// (batching already happens in the engine's message buffers, so coalescing
-// in the kernel only adds latency) and socket buffers stay at the kernel
-// defaults.
-type TCPOptions struct {
-	// SendQueueDepth is the per-destination sender queue capacity in frames.
-	// Zero or negative selects the default (16).
-	SendQueueDepth int
-	// DialRetries is how many times endpoint setup re-attempts a failed
-	// dial before giving up. Zero selects the default (3); negative
-	// disables retries. Transient dial failures (a peer's listener racing
-	// its first Accept, ephemeral port exhaustion) otherwise abort the
-	// whole cluster boot.
-	DialRetries int
-	// RetryBackoff is the initial backoff between dial or write retries,
-	// doubling per attempt. Zero selects the default (25ms).
-	RetryBackoff time.Duration
-	// WriteDeadline bounds each frame's socket write. Zero leaves writes
-	// unbounded (kernel flow control only); the 2s shutdown-flush bound
-	// still applies. A stalled peer then surfaces as a send error the
-	// engine can abort on, instead of a silent hang.
-	WriteDeadline time.Duration
-	// WriteRetries is how many times a failed frame write is retried over
-	// a fresh connection (redial + handshake + rewrite) with backoff
-	// before the sender declares the destination dead. Zero disables
-	// reconnection — the pre-failure-model behaviour.
-	WriteRetries int
-}
-
 const (
-	defaultSendQueueDepth = 16
-	defaultDialRetries    = 3
-	defaultRetryBackoff   = 25 * time.Millisecond
+	// sendQueueDepth is each destination's sender queue, in frames.
+	sendQueueDepth = 16
+	// dialRetries is how many times endpoint setup re-attempts a failed dial
+	// (a peer's listener racing its first Accept, ephemeral port exhaustion)
+	// before the boot fails, waiting dialBackoff and then twice as long each
+	// time.
+	dialRetries = 3
+	dialBackoff = 25 * time.Millisecond
+	// flushDeadline bounds each frame write once Close has begun, so a
+	// stalled peer cannot pin the flush. Before that, writes have no
+	// deadline: kernel flow control is the only bound.
+	flushDeadline = 2 * time.Second
 )
 
-// NewTCPFabric creates listeners for p machines on ephemeral loopback ports
-// with default options. Each endpoint maintains a receive pool of poolCount
-// buffers of bufSize bytes; a drained receive pool blocks that machine's
-// socket readers, which propagates back-pressure to senders through TCP flow
-// control.
+// NewTCPFabric creates listeners for p machines on ephemeral loopback ports.
+// Each endpoint maintains a receive pool of poolCount buffers of bufSize
+// bytes; a drained receive pool blocks that machine's socket readers, which
+// propagates back-pressure to senders through TCP flow control.
+// core.NewTCPFabric sizes the pool for an engine configuration.
 func NewTCPFabric(p, poolCount, bufSize int) (*TCPFabric, error) {
-	return NewTCPFabricOpts(p, poolCount, bufSize, TCPOptions{})
-}
-
-// NewTCPFabricOpts is NewTCPFabric with explicit tuning options.
-func NewTCPFabricOpts(p, poolCount, bufSize int, opts TCPOptions) (*TCPFabric, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("comm: fabric needs at least one machine")
-	}
-	if opts.SendQueueDepth <= 0 {
-		opts.SendQueueDepth = defaultSendQueueDepth
-	}
-	if opts.DialRetries == 0 {
-		opts.DialRetries = defaultDialRetries
-	} else if opts.DialRetries < 0 {
-		opts.DialRetries = 0
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = defaultRetryBackoff
 	}
 	f := &TCPFabric{
 		p:         p,
 		bufSize:   bufSize,
 		poolCount: poolCount,
-		opts:      opts,
 		listeners: make([]net.Listener, p),
 		addrs:     make([]string, p),
 		taken:     make([]bool, p),
@@ -175,7 +137,7 @@ func (f *TCPFabric) Endpoint(m int) (Endpoint, error) {
 			e:     e,
 			dst:   d,
 			c:     c,
-			queue: make(chan *Buffer, f.opts.SendQueueDepth),
+			queue: make(chan *Buffer, sendQueueDepth),
 		}
 		e.senders[d] = s
 		e.senderWG.Add(1)
@@ -186,11 +148,9 @@ func (f *TCPFabric) Endpoint(m int) (Endpoint, error) {
 }
 
 // dialPeer connects machine m's send side to peer d — dial, tune, hello —
-// retrying transient failures with exponential backoff per TCPOptions.
-// Used both at endpoint setup and by sender reconnection after a failed
-// write.
+// retrying transient failures with exponential backoff.
 func (f *TCPFabric) dialPeer(m, d int) (net.Conn, error) {
-	backoff := f.opts.RetryBackoff
+	backoff := dialBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		c, err := net.Dial("tcp", f.addrs[d])
@@ -204,7 +164,7 @@ func (f *TCPFabric) dialPeer(m, d int) (net.Conn, error) {
 			c.Close()
 		}
 		lastErr = err
-		if attempt >= f.opts.DialRetries {
+		if attempt >= dialRetries {
 			return nil, fmt.Errorf("comm: machine %d dialing %d (attempt %d): %w", m, d, attempt+1, lastErr)
 		}
 		time.Sleep(backoff)
@@ -230,13 +190,9 @@ func (f *TCPFabric) Close() error {
 // critical path. The bounded queue preserves back-pressure, and single-
 // goroutine draining preserves per-destination frame order.
 type tcpSender struct {
-	e   *tcpEndpoint
-	dst int
-	// mu guards c: the sender goroutine swaps in a fresh connection on
-	// reconnect while Close (another goroutine) arms write deadlines on it.
-	mu sync.Mutex
-	c  net.Conn
-
+	e     *tcpEndpoint
+	dst   int
+	c     net.Conn
 	queue chan *Buffer
 	// pending counts frames accepted by Send but not yet written+released;
 	// Quiesce polls it so tests can await full drainage.
@@ -254,18 +210,6 @@ func (s *tcpSender) failed() error {
 	return nil
 }
 
-func (s *tcpSender) conn() net.Conn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c
-}
-
-func (s *tcpSender) setConn(c net.Conn) {
-	s.mu.Lock()
-	s.c = c
-	s.mu.Unlock()
-}
-
 // loop drains the queue until Close closes it, then closes the connection.
 // Frames already queued when Close runs are still flushed — collectives rely
 // on it: a machine may finish (and shut down) while its final frames are
@@ -277,75 +221,33 @@ func (s *tcpSender) loop() {
 		s.writeFrame(buf, &lenBuf)
 		s.pending.Add(-1)
 	}
-	s.conn().Close()
+	s.c.Close()
 }
 
-// writeFrame writes one frame, retrying over a fresh connection per
-// TCPOptions.WriteRetries. Retries always reconnect: a partial write on the
-// old connection poisons its framing, so resending there would corrupt the
-// stream — the receiver drops the old connection at its first truncated
-// frame, and the engine's (seq-matched, commutative) protocols tolerate the
-// reordering a second connection introduces.
+// writeFrame performs one vectored frame write, bounded by flushDeadline once
+// Close has begun. A failed write is not retried: a partial write poisons the
+// stream's framing, so the error sticks, later Sends to this destination fail
+// fast, and the engine aborts the job — rerunning it is the recovery.
 func (s *tcpSender) writeFrame(buf *Buffer, lenBuf *[4]byte) {
 	if s.failed() != nil {
 		buf.Release()
 		return
 	}
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(buf.Data)))
-	err := s.writeOnce(buf.Data, lenBuf)
-	for attempt := 0; err != nil && attempt < s.e.fabric.opts.WriteRetries; attempt++ {
-		if !s.reconnect(attempt) {
-			break
-		}
-		err = s.writeOnce(buf.Data, lenBuf)
+	select {
+	case <-s.e.done:
+		s.c.SetWriteDeadline(time.Now().Add(flushDeadline))
+	default:
 	}
+	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(buf.Data)))
+	vec := net.Buffers{lenBuf[:], buf.Data}
+	s.e.fabric.wireClock.Add(1) // publish: pairs with the readLoop load
+	_, err := vec.WriteTo(s.c)
 	buf.Release()
 	if err != nil {
 		werr := fmt.Errorf("comm: async send %d -> %d: %w", s.e.machine, s.dst, err)
 		s.err.CompareAndSwap(nil, &werr)
 		s.e.metrics.RecordSendError()
 	}
-}
-
-// writeOnce performs a single vectored frame write on the current
-// connection, bounded by the configured write deadline (and, after Close,
-// by the 2s shutdown-flush bound so a stalled peer cannot pin the flush).
-func (s *tcpSender) writeOnce(data []byte, lenBuf *[4]byte) error {
-	c := s.conn()
-	deadline := s.e.fabric.opts.WriteDeadline
-	select {
-	case <-s.e.done:
-		if deadline <= 0 || deadline > 2*time.Second {
-			deadline = 2 * time.Second
-		}
-	default:
-	}
-	if deadline > 0 {
-		c.SetWriteDeadline(time.Now().Add(deadline))
-	}
-	vec := net.Buffers{lenBuf[:], data}
-	s.e.fabric.wireClock.Add(1) // publish: pairs with the readLoop load
-	_, err := vec.WriteTo(c)
-	return err
-}
-
-// reconnect replaces the sender's connection with a freshly dialed one,
-// backing off exponentially per attempt. Returns false when redial fails or
-// the endpoint is shutting down (no point chasing a peer during teardown).
-func (s *tcpSender) reconnect(attempt int) bool {
-	select {
-	case <-s.e.done:
-		return false
-	default:
-	}
-	time.Sleep(s.e.fabric.opts.RetryBackoff << attempt)
-	c, err := s.e.fabric.dialPeer(s.e.machine, s.dst)
-	if err != nil {
-		return false
-	}
-	s.conn().Close()
-	s.setConn(c)
-	return true
 }
 
 type tcpEndpoint struct {
@@ -521,7 +423,7 @@ func (e *tcpEndpoint) Close() error {
 				close(s.queue)
 				// Bound a write already in flight against a stalled peer;
 				// writeFrame re-arms the deadline per remaining frame.
-				s.conn().SetWriteDeadline(time.Now().Add(2 * time.Second))
+				s.c.SetWriteDeadline(time.Now().Add(flushDeadline))
 			}
 		}
 		// Wait for the flush: once Close returns, every accepted frame is on
@@ -529,4 +431,18 @@ func (e *tcpEndpoint) Close() error {
 		e.senderWG.Wait()
 	})
 	return nil
+}
+
+// TCPOptions is a shim, not a setting: it has no fields, because every knob
+// it held is one of the constants above. benchmark/'s micro.go and
+// workloads.go still spell comm.TCPOptions{}, and benchmark/ may not change
+// with the engine. The next benchmark-archetype change calls
+// core.NewTCPFabric there and deletes this type together with
+// NewTCPFabricOpts.
+type TCPOptions struct{}
+
+// NewTCPFabricOpts is NewTCPFabric. It is TCPOptions' shim twin: benchmark/
+// still calls it, and it goes when TCPOptions does.
+func NewTCPFabricOpts(p, poolCount, bufSize int, _ TCPOptions) (*TCPFabric, error) {
+	return NewTCPFabric(p, poolCount, bufSize)
 }

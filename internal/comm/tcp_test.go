@@ -317,51 +317,6 @@ func TestTCPSendErrorCountedAndSticky(t *testing.T) {
 	}
 }
 
-// TestTCPNonPositiveQueueDepthIsDefault: a negative depth used to select a
-// synchronous send path; it now means the default queue like zero does, and
-// frames still move.
-func TestTCPNonPositiveQueueDepthIsDefault(t *testing.T) {
-	f, err := NewTCPFabricOpts(2, 8, 32<<10, TCPOptions{SendQueueDepth: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ep0, err := f.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep1, err := f.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep0.Close()
-	defer ep1.Close()
-	if got := cap(ep0.(*tcpEndpoint).senders[1].queue); got != defaultSendQueueDepth {
-		t.Fatalf("sender queue depth %d, want the default %d", got, defaultSendQueueDepth)
-	}
-
-	pool := NewPool(4, 32<<10)
-	for i := 0; i < 10; i++ {
-		buf := pool.Acquire()
-		buf.Reset(Header{Type: MsgWriteReq, Src: 0, Count: 1, Aux: uint64(i)})
-		buf.AppendU64(uint64(1000 + i))
-		if err := ep0.Send(1, buf); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := ep1.Recv()
-		if !ok {
-			t.Fatal("recv failed")
-		}
-		if got.Header().Aux != uint64(i) || leU64t(got.Payload()) != uint64(1000+i) {
-			t.Fatalf("frame %d corrupted: %+v", i, got.Header())
-		}
-		got.Release()
-	}
-	if got := ep0.Metrics().BytesSentByType(MsgWriteReq); got == 0 {
-		t.Error("sends not counted")
-	}
-}
-
 // TestTCPAsyncFrameIntegrity: frames of varied sizes survive the async
 // vectored-write path byte for byte and in order.
 func TestTCPAsyncFrameIntegrity(t *testing.T) {
@@ -430,8 +385,8 @@ func (c *heldConn) Write(p []byte) (int, error) {
 func TestTCPSentCountedBeforeDelivery(t *testing.T) {
 	eps, _ := bootTCP(t, 2)
 	s := eps[0].(*tcpEndpoint).senders[1]
-	held := &heldConn{Conn: s.conn(), release: make(chan struct{})}
-	s.setConn(held)
+	held := &heldConn{Conn: s.c, release: make(chan struct{})}
+	s.c = held // before the Send below hands the sender goroutine a frame
 	defer close(held.release)
 
 	pool := NewPool(1, 1024)

@@ -74,12 +74,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg, fabric: cfg.Fabric}
 	if c.fabric == nil {
-		// Inbox must hold every pooled buffer in the cluster so channel
-		// sends never block (see the deadlock-freedom argument in comm).
-		// The last term is the per-machine abort-announcement pool.
-		perMachine := cfg.ReqBuffers + cfg.RespBuffers + 4*cfg.NumMachines + 8 + cfg.NumMachines + 2
-		c.fabric = comm.NewInProcFabric(cfg.NumMachines, cfg.NumMachines*perMachine+16)
-		c.ownFabric = true
+		c.fabric, c.ownFabric = NewInProcFabric(cfg), true
 	}
 	// Size the registry before any endpoint wrapping so record paths find
 	// their machine slots from the first frame.

@@ -31,13 +31,6 @@ type Config struct {
 	// paper settles on 256 KiB from Figure 8b; the laptop-scale default here
 	// is smaller so per-step latency stays reasonable at bench graph sizes.
 	BufferSize int
-	// ReqBuffers is the per-machine request buffer pool size (buffers used
-	// by workers for outbound read/write request messages). Back-pressure:
-	// workers stall when the pool drains.
-	ReqBuffers int
-	// RespBuffers is the per-machine response buffer pool size (buffers
-	// used by copiers for read responses and RMI replies).
-	RespBuffers int
 	// Partitioning selects vertex- or edge-balanced machine assignment.
 	Partitioning partition.Strategy
 	// GhostCount, when positive, restricts an in-memory load's remote sets
@@ -46,9 +39,6 @@ type Config struct {
 	// every other remote ref goes on demand. Zero, the default, holds every
 	// referenced address. Figure 6a sweeps it. Ignored for store-file loads.
 	GhostCount int
-	// ChunkTargetEdges is the edge count per scheduling chunk. Zero derives
-	// a target yielding about 8 chunks per worker.
-	ChunkTargetEdges int64
 	// Ablate switches individual engine mechanisms off (or pins the
 	// traversal direction) for evaluation. It is an instrument, not a
 	// deployment option: only benchmarks and tests set it, and the zero
@@ -115,8 +105,6 @@ func DefaultConfig(p int) Config {
 		Workers:      4,
 		Copiers:      2,
 		BufferSize:   32 << 10,
-		ReqBuffers:   0, // derived in validate
-		RespBuffers:  0,
 		Partitioning: partition.EdgeBalanced,
 	}
 }
@@ -187,20 +175,6 @@ func (c *Config) validate() error {
 	if c.BufferSize < comm.HeaderSize+16 {
 		return fmt.Errorf("core: BufferSize %d too small", c.BufferSize)
 	}
-	if c.ReqBuffers == 0 {
-		// Enough for every worker to have a frame in flight toward every
-		// machine plus slack, so back-pressure engages only under real load.
-		c.ReqBuffers = 2*c.Workers*c.NumMachines + 4
-	}
-	if c.RespBuffers == 0 {
-		c.RespBuffers = 2*c.Copiers*c.NumMachines + 4
-	}
-	if c.ReqBuffers < c.Workers {
-		return fmt.Errorf("core: ReqBuffers %d must be at least Workers (%d)", c.ReqBuffers, c.Workers)
-	}
-	if c.RespBuffers < c.Copiers {
-		return fmt.Errorf("core: RespBuffers %d must be at least Copiers (%d)", c.RespBuffers, c.Copiers)
-	}
 	if c.GhostCount < 0 {
 		return fmt.Errorf("core: GhostCount %d must be >= 0", c.GhostCount)
 	}
@@ -212,4 +186,66 @@ func (c *Config) validate() error {
 			c.RequestTimeout, c.CollectiveTimeout)
 	}
 	return nil
+}
+
+// shape is what a machine's buffers, queues and scheduling chunks follow from
+// its shape — P machines of W workers and C copiers. None of it is a setting:
+// the paper buffers remote reads and writes "into large messages per (worker,
+// destination)", so how many buffers are in flight is a matter of counting.
+type shape struct {
+	// req is the request pool: two frames in flight from every worker toward
+	// every machine, plus slack, so back-pressure engages only under real
+	// load. Workers stall when it drains.
+	req int
+	// resp is the response pool copiers answer reads and RMIs from.
+	resp int
+	// ctrl is the collectives' pool; abort the small pool abort announcements
+	// draw from, so they never compete with an exhausted data pool.
+	ctrl, abort int
+	// respQueue is each worker's response queue: its in-flight responses are
+	// bounded by the request pool. reqQueue is the copiers' request queue:
+	// inbound requests are bounded by the senders' request pools. At these
+	// depths the poller never blocks on a queue.
+	respQueue, reqQueue int
+	// inflight bounds the frames in flight toward one machine
+	// (NewInProcFabric).
+	inflight int
+	// chunkDiv cuts each iterator's nodes or edges into scheduling chunks of
+	// total/chunkDiv+1: about eight per worker.
+	chunkDiv int
+}
+
+// shapeOf derives cfg's shape.
+func shapeOf(cfg *Config) shape {
+	p := cfg.NumMachines
+	s := shape{
+		req:      2*cfg.Workers*p + 4,
+		resp:     2*cfg.Copiers*p + 4,
+		ctrl:     4*p + 8,
+		abort:    p + 2,
+		chunkDiv: 8 * cfg.Workers,
+	}
+	s.respQueue = s.req + 2
+	s.reqQueue = p*s.req + 4
+	s.inflight = p*(s.req+s.resp+s.ctrl+s.abort) + 16
+	return s
+}
+
+// NewInProcFabric returns the in-process transport NewCluster builds for cfg
+// when cfg.Fabric is nil. Every frame in flight toward a machine was drawn
+// from some machine's pool, so their number is bounded by the pools: inbound
+// requests from every peer's request pool, plus the responses to this
+// machine's own requests from the peers' response pools, plus control frames
+// and abort frames from their control and abort pools — P·(req + resp + ctrl +
+// abort), and 16 of slack. Each inbox holds that many frames, so a send never
+// blocks on one.
+func NewInProcFabric(cfg Config) *comm.InProcFabric {
+	return comm.NewInProcFabric(cfg.NumMachines, shapeOf(&cfg).inflight)
+}
+
+// NewTCPFabric returns a loopback-TCP transport for cfg whose receive pools
+// hold NewInProcFabric's in-flight bound, so a socket reader never waits for a
+// receive buffer while the frame that would free one is queued behind it.
+func NewTCPFabric(cfg Config) (*comm.TCPFabric, error) {
+	return comm.NewTCPFabric(cfg.NumMachines, shapeOf(&cfg).inflight, cfg.BufferSize)
 }

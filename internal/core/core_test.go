@@ -33,6 +33,21 @@ func bootCluster(t testing.TB, g *graph.Graph, cfg Config) *Cluster {
 	return c
 }
 
+// setPools swaps every machine's request and response pool for one of req
+// and resp buffers (zero keeps the derived pool): how a test starves the
+// pools, which the machine shape otherwise sizes. Call it before the first
+// job, while every buffer is home.
+func (c *Cluster) setPools(req, resp int) {
+	for _, m := range c.machines {
+		if req > 0 {
+			m.reqPool = comm.NewPool(req, c.cfg.BufferSize)
+		}
+		if resp > 0 {
+			m.respPool = comm.NewPool(resp, c.cfg.BufferSize)
+		}
+	}
+}
+
 // --- reference computations over the raw graph ------------------------------
 
 func refInDegree(g *graph.Graph) []int64 {
@@ -84,10 +99,19 @@ func (k *pullSumTask) ReadDone(c *Ctx, val uint64) {
 	c.SetF64(k.dst, c.GetF64(k.dst)+F64Word(val))
 }
 
-// namedConfig is one configMatrix entry.
+// namedConfig is one configMatrix entry; pools, when set, replaces the
+// derived request and response pools.
 type namedConfig struct {
-	name string
-	cfg  Config
+	name  string
+	cfg   Config
+	pools int
+}
+
+// boot boots nc over g.
+func (nc namedConfig) boot(t *testing.T, g *graph.Graph) *Cluster {
+	c := bootCluster(t, g, nc.cfg)
+	c.setPools(nc.pools, nc.pools)
+	return c
 }
 
 // configMatrix yields a representative set of engine configurations. The
@@ -102,7 +126,7 @@ func configMatrix(base func() Config) []namedConfig {
 		if tune != nil {
 			tune(&cfg)
 		}
-		cfgs = append(cfgs, namedConfig{name, cfg})
+		cfgs = append(cfgs, namedConfig{name: name, cfg: cfg})
 	}
 	add("p1_w4_gt-2_gc0_edge_ablate0x0_buf32768", 1, nil)
 	add("p2_w4_gt-2_gc0_edge_ablate0x0_buf32768", 2, nil)
@@ -116,9 +140,8 @@ func configMatrix(base func() Config) []namedConfig {
 	// Tiny buffers: force many flushes and back-pressure.
 	add("p4_w4_gt-2_gc0_edge_ablate0x0_buf80", 4, func(cfg *Config) {
 		cfg.BufferSize = comm.HeaderSize + 64
-		cfg.ReqBuffers = 6
-		cfg.RespBuffers = 6
 	})
+	cfgs[len(cfgs)-1].pools = 6
 	// No replicas: every remote ref on demand.
 	add("p4_on-demand", 4, func(cfg *Config) { cfg.Ablate = AblateRemoteSets })
 	// Replicas of the eight highest-degree vertices only: set members and
@@ -132,7 +155,7 @@ func TestPushJobComputesInDegree(t *testing.T) {
 	want := refInDegree(g)
 	for _, nc := range configMatrix(func() Config { return DefaultConfig(4) }) {
 		t.Run(nc.name, func(t *testing.T) {
-			c := bootCluster(t, g, nc.cfg)
+			c := nc.boot(t, g)
 			counter, err := c.AddPropI64("counter")
 			if err != nil {
 				t.Fatal(err)
@@ -168,7 +191,7 @@ func TestPullJobSumsInNeighbors(t *testing.T) {
 	want := refPullSum(g, vals)
 	for _, nc := range configMatrix(func() Config { return DefaultConfig(4) }) {
 		t.Run(nc.name, func(t *testing.T) {
-			c := bootCluster(t, g, nc.cfg)
+			c := nc.boot(t, g)
 			src, err := c.AddPropF64("src")
 			if err != nil {
 				t.Fatal(err)

@@ -202,9 +202,8 @@ func TestDeepContinuationChains(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig(4)
 	cfg.BufferSize = 256 // tiny buffers: many flushes mid-chain
-	cfg.ReqBuffers = 8
-	cfg.RespBuffers = 8
 	c := bootCluster(t, g, cfg)
+	c.setPools(8, 8)
 	ref, _ := c.AddPropI64("ref")
 	acc, _ := c.AddPropI64("acc")
 	layout := c.Layout()

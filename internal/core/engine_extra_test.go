@@ -163,9 +163,7 @@ func TestEngineOverTCP(t *testing.T) {
 	}
 	cfg := DefaultConfig(3)
 	cfg.BufferSize = 8 << 10
-	cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
-	fabric, err := comm.NewTCPFabric(cfg.NumMachines,
-		cfg.NumMachines*(cfg.ReqBuffers+cfg.Workers*cfg.NumMachines)+64, cfg.BufferSize)
+	fabric, err := NewTCPFabric(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,9 +380,8 @@ func TestRepeatedJobsStayQuiescent(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig(4)
 	cfg.BufferSize = comm.HeaderSize + 128
-	cfg.ReqBuffers = 8
-	cfg.RespBuffers = 8
 	c := bootCluster(t, g, cfg)
+	c.setPools(8, 8)
 	counter, _ := c.AddPropI64("counter")
 	src, _ := c.AddPropF64("src")
 	dst, _ := c.AddPropF64("dst")

@@ -19,27 +19,21 @@ func faultCfg(p int) Config {
 	cfg.RequestTimeout = 750 * time.Millisecond
 	cfg.CollectiveTimeout = 750 * time.Millisecond
 	cfg.BufferSize = 8 << 10
-	cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
-	cfg.RespBuffers = 2*cfg.Copiers*cfg.NumMachines + 4
 	return cfg
 }
 
 // innerFabric builds the fabric of the requested flavour that the fault tests
-// wrap. The in-process inbox sizing mirrors NewCluster's own derivation
-// (including the abort pool's NumMachines+2 headroom) so channel sends can
-// never block.
+// wrap, sized for cfg as NewCluster sizes its own.
 func innerFabric(t testing.TB, cfg Config, useTCP bool) comm.Fabric {
 	t.Helper()
 	if useTCP {
-		f, err := comm.NewTCPFabric(cfg.NumMachines,
-			cfg.NumMachines*(cfg.ReqBuffers+cfg.Workers*cfg.NumMachines)+64, cfg.BufferSize)
+		f, err := NewTCPFabric(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	perMachine := cfg.ReqBuffers + cfg.RespBuffers + 4*cfg.NumMachines + 8 + cfg.NumMachines + 2
-	return comm.NewInProcFabric(cfg.NumMachines, cfg.NumMachines*perMachine+16)
+	return NewInProcFabric(cfg)
 }
 
 // faultFabric wraps an inner fabric of the requested flavour in an injector.

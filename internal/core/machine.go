@@ -108,17 +108,15 @@ func newMachine(cfg *Config, id int, ep comm.Endpoint, canceled *atomic.Pointer[
 	m := &Machine{id: id, cfg: cfg, ep: ep, canceled: canceled}
 	m.serialized = cfg.Fabric != nil && !comm.InMemoryFabric(cfg.Fabric) // nil: NewCluster's own in-process fabric
 	m.spill = newSpillState(cfg)
-	m.reqPool = comm.NewPool(cfg.ReqBuffers, cfg.BufferSize)
-	m.respPool = comm.NewPool(cfg.RespBuffers, cfg.BufferSize)
-	m.ctrlPool = comm.NewPool(4*cfg.NumMachines+8, cfg.BufferSize)
+	sh := shapeOf(cfg)
+	m.reqPool = comm.NewPool(sh.req, cfg.BufferSize)
+	m.respPool = comm.NewPool(sh.resp, cfg.BufferSize)
+	m.ctrlPool = comm.NewPool(sh.ctrl, cfg.BufferSize)
 	m.router = comm.NewRouter(ep, comm.RouterConfig{
 		NumWorkers: cfg.Workers,
-		// A worker's in-flight responses are bounded by the request pool, so
-		// this depth guarantees the poller never blocks on a worker queue.
-		RespDepth: cfg.ReqBuffers + 2,
-		// Inbound requests are bounded by the senders' request pools.
-		ReqDepth:  cfg.NumMachines*cfg.ReqBuffers + 4,
-		CtrlDepth: 4*cfg.NumMachines + 8,
+		RespDepth:  sh.respQueue,
+		ReqDepth:   sh.reqQueue,
+		CtrlDepth:  sh.ctrl,
 	})
 	m.col = comm.NewCollectives(ep, m.router.Ctrl(), m.ctrlPool)
 	m.workers = make([]*worker, cfg.Workers)
@@ -130,14 +128,8 @@ func newMachine(cfg *Config, id int, ep comm.Endpoint, canceled *atomic.Pointer[
 	for cp := 0; cp < cfg.Copiers; cp++ {
 		go m.copierLoop()
 	}
-	// Small dedicated pool for outbound abort announcements: aborts must
-	// never compete with (possibly exhausted) request/response pools, and
-	// the payload is just an error string.
-	abortBuf := 512
-	if abortBuf > cfg.BufferSize {
-		abortBuf = cfg.BufferSize
-	}
-	m.abortPool = comm.NewPool(cfg.NumMachines+2, abortBuf)
+	// The abort pool's payload is just an error string.
+	m.abortPool = comm.NewPool(sh.abort, min(512, cfg.BufferSize))
 	m.copierWG.Add(1)
 	go m.abortWatcher()
 	return m
@@ -225,24 +217,21 @@ func (m *Machine) load(g *graph.Graph, layout partition.Layout, top []uint64) {
 // install makes st the machine's current load — in memory (ld nil), or a
 // store file's section under its load handle — dropping the previous load's
 // columns and telemetry, and precomputes the scheduling chunks of each
-// iterator under the current chunking config.
+// iterator, about eight per worker.
 func (m *Machine) install(st *localStore, ld *store.Load) {
 	m.store = st
 	m.releaseCols()
 	m.loadTotals = nil
 	m.ooc, m.offHeapCols = ld, ld != nil && ld.Windowed()
-	n := st.numLocal
-	m.chunks[IterNodes] = partition.NodeChunks(n, n/(8*m.cfg.Workers)+1)
+	n, div := st.numLocal, shapeOf(m.cfg).chunkDiv
+	m.chunks[IterNodes] = partition.NodeChunks(n, n/div+1)
 	for it := IterOutEdges; it <= IterBothEdges; it++ {
 		if m.cfg.Ablate.Has(AblateEdgeChunking) {
 			m.chunks[it] = m.chunks[IterNodes]
 			continue
 		}
-		rows, target := st.rowsFor(it), m.cfg.ChunkTargetEdges
-		if target <= 0 {
-			target = rows[n]/int64(8*m.cfg.Workers) + 1
-		}
-		m.chunks[it] = partition.EdgeChunks(rows, target)
+		rows := st.rowsFor(it)
+		m.chunks[it] = partition.EdgeChunks(rows, rows[n]/int64(div)+1)
 	}
 }
 

@@ -488,7 +488,6 @@ func remoteBenchBoot(b *testing.B, g *graph.Graph, useTCP bool, ablate Ablation)
 	cfg.Workers, cfg.Copiers = 1, 1
 	cfg.Ablate = ablate
 	if useTCP {
-		cfg.ReqBuffers = 2*cfg.Workers*cfg.NumMachines + 4
 		cfg.Fabric = innerFabric(b, cfg, true)
 		b.Cleanup(func() { cfg.Fabric.Close() }) //nolint:errcheck
 	}

@@ -170,8 +170,7 @@ func TestLoadStoreMatchesLoad(t *testing.T) {
 			cfg.RequestTimeout = 0
 			cfg.CollectiveTimeout = 0
 			if useTCP {
-				f, err := comm.NewTCPFabric(cfg.NumMachines,
-					cfg.NumMachines*(cfg.ReqBuffers+cfg.Workers*cfg.NumMachines)+64, cfg.BufferSize)
+				f, err := NewTCPFabric(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -133,7 +133,6 @@ func TestLoadPlanValidation(t *testing.T) {
 func TestClusterReplanImprovesSkew(t *testing.T) {
 	g := stealGraph(t)
 	cfg := DefaultConfig(3)
-	cfg.ChunkTargetEdges = 16
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
 	c := bootSkewed(t, g, cfg, 0.85)

@@ -114,10 +114,10 @@ func TestRowKernelReentrancy(t *testing.T) {
 		cfg.Workers = 1
 		cfg.Ablate = AblateRemoteSets
 		cfg.BufferSize = comm.HeaderSize + 8*readRecSize
-		cfg.ReqBuffers = 1
 		cfg.RequestTimeout = 20 * time.Second
 		cfg.CollectiveTimeout = 20 * time.Second
 		c := bootCluster(t, g, cfg)
+		c.setPools(1, 0)
 		pr, _ := c.AddPropF64("pr")
 		nxt, _ := c.AddPropF64("nxt")
 		scaled, _ := c.AddPropF64("scaled")

@@ -151,18 +151,6 @@ type ServerStats struct {
 	StaleWriteFrames int64 `json:"stale_write_frames"`
 	StaleReadFrames  int64 `json:"stale_read_frames"`
 
-	// Out-of-core accounting across all instances' engines: decode-cache
-	// hit/miss block pins on compressed (.csr3) stores, raw ref bytes those
-	// misses decoded, decoded bytes evicted under the cache budget, and file
-	// bytes advised into/out of the residency window. All zero unless some
-	// instance runs from a store file.
-	DecodeHits            int64 `json:"decode_hits"`
-	DecodeMisses          int64 `json:"decode_misses"`
-	DecodedBytes          int64 `json:"decoded_bytes"`
-	DecodeEvictedBytes    int64 `json:"decode_evicted_bytes"`
-	ResidencyTouchedBytes int64 `json:"residency_touched_bytes"`
-	ResidencyEvictedBytes int64 `json:"residency_evicted_bytes"`
-
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	RunP50Millis  float64 `json:"run_p50_millis,omitempty"`
 	RunP90Millis  float64 `json:"run_p90_millis,omitempty"`

@@ -866,7 +866,6 @@ func (s *Server) handleStats() Response {
 	s.mu.Lock()
 	var transportErrors, jobs, aborts int64
 	var staleWrites, staleReads int64
-	var decHits, decMisses, decBytes, decEvicted, resTouched, resEvicted int64
 	var lastAbort *AbortSummary
 	var lastWhen time.Time
 	poolSize := s.cfg.AnalysisPoolSize
@@ -879,12 +878,6 @@ func (s *Server) handleStats() Response {
 			ctrs := eng.reg.LifetimeCounters()
 			staleWrites += ctrs["stale_write_frames"]
 			staleReads += ctrs["stale_read_frames"]
-			decHits += ctrs["decode_hits"]
-			decMisses += ctrs["decode_misses"]
-			decBytes += ctrs["decoded_bytes"]
-			decEvicted += ctrs["decode_evicted_bytes"]
-			resTouched += ctrs["residency_touched_bytes"]
-			resEvicted += ctrs["residency_evicted_bytes"]
 			if d := eng.reg.LastAbort(); d != nil && d.When.After(lastWhen) {
 				lastWhen = d.When
 				lastAbort = &AbortSummary{
@@ -922,36 +915,30 @@ func (s *Server) handleStats() Response {
 	}
 	s.tenantMu.Unlock()
 	return Response{OK: true, Stats: &ServerStats{
-		LoadedGraphs:          loaded,
-		ResidentEdges:         resident,
-		MaxEdges:              s.cfg.MaxResidentEdges,
-		RunsServed:            s.runsServed.Load(),
-		FailedRuns:            s.failedRuns.Load(),
-		ActiveAnalyses:        int(s.active.Load()),
-		TransportErrors:       transportErrors,
-		StaleWriteFrames:      staleWrites,
-		StaleReadFrames:       staleReads,
-		DecodeHits:            decHits,
-		DecodeMisses:          decMisses,
-		DecodedBytes:          decBytes,
-		DecodeEvictedBytes:    decEvicted,
-		ResidencyTouchedBytes: resTouched,
-		ResidencyEvictedBytes: resEvicted,
-		UptimeSeconds:         time.Since(s.start).Seconds(),
-		RunP50Millis:          p50,
-		RunP90Millis:          p90,
-		RunP99Millis:          p99,
-		JobsObserved:          jobs,
-		AbortsSeen:            aborts,
-		QueuedAnalyses:        s.sched.queueLen(),
-		EnginePoolSize:        poolSize,
-		BudgetDeferrals:       memDeferrals,
-		MemInUseMB:            memInUse,
-		DeadlineExceededRuns:  s.deadlineExceeded.Load(),
-		CanceledRuns:          s.canceledRuns.Load(),
-		QueueP50Millis:        queueP50,
-		QueueP99Millis:        queueP99,
-		Tenants:               tenants,
-		LastAbort:             lastAbort,
+		LoadedGraphs:         loaded,
+		ResidentEdges:        resident,
+		MaxEdges:             s.cfg.MaxResidentEdges,
+		RunsServed:           s.runsServed.Load(),
+		FailedRuns:           s.failedRuns.Load(),
+		ActiveAnalyses:       int(s.active.Load()),
+		TransportErrors:      transportErrors,
+		StaleWriteFrames:     staleWrites,
+		StaleReadFrames:      staleReads,
+		UptimeSeconds:        time.Since(s.start).Seconds(),
+		RunP50Millis:         p50,
+		RunP90Millis:         p90,
+		RunP99Millis:         p99,
+		JobsObserved:         jobs,
+		AbortsSeen:           aborts,
+		QueuedAnalyses:       s.sched.queueLen(),
+		EnginePoolSize:       poolSize,
+		BudgetDeferrals:      memDeferrals,
+		MemInUseMB:           memInUse,
+		DeadlineExceededRuns: s.deadlineExceeded.Load(),
+		CanceledRuns:         s.canceledRuns.Load(),
+		QueueP50Millis:       queueP50,
+		QueueP99Millis:       queueP99,
+		Tenants:              tenants,
+		LastAbort:            lastAbort,
 	}}
 }

@@ -90,23 +90,14 @@ const (
 // reference (Config.GhostCount caps them at the highest-degree vertices).
 func DefaultConfig(p int) Config { return core.DefaultConfig(p) }
 
-// TCPOptions tunes the TCP transport: sender queue depth and the fault
-// handling knobs (dial retries, backoff, write deadline and retries).
-type TCPOptions = comm.TCPOptions
-
-// NewTCPFabric creates a loopback-TCP transport for cfg; assign it to
+// NewTCPFabric creates a loopback-TCP transport sized for cfg; assign it to
 // cfg.Fabric before NewCluster to run the engine over real sockets.
 func NewTCPFabric(cfg Config) (comm.Fabric, error) {
-	return NewTCPFabricOpts(cfg, TCPOptions{})
-}
-
-// NewTCPFabricOpts is NewTCPFabric with explicit sender and retry tuning.
-func NewTCPFabricOpts(cfg Config, opts TCPOptions) (comm.Fabric, error) {
-	pool := cfg.ReqBuffers
-	if pool == 0 {
-		pool = 2*cfg.Workers*cfg.NumMachines + 4
+	f, err := core.NewTCPFabric(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return comm.NewTCPFabricOpts(cfg.NumMachines, cfg.NumMachines*pool+64, cfg.BufferSize, opts)
+	return f, nil
 }
 
 // --- failure model and fault injection ----------------------------------------
@@ -183,16 +174,7 @@ type FaultInjector = comm.FaultInjector
 // ClearRules, and Stats methods to drive test scenarios.
 func NewFaultFabric(cfg Config, inner comm.Fabric, plan FaultPlan) *FaultInjector {
 	if inner == nil {
-		pool := cfg.ReqBuffers
-		if pool == 0 {
-			pool = 2*cfg.Workers*cfg.NumMachines + 4
-		}
-		respPool := cfg.RespBuffers
-		if respPool == 0 {
-			respPool = 2*cfg.Copiers*cfg.NumMachines + 4
-		}
-		perMachine := pool + respPool + 4*cfg.NumMachines + 8 + cfg.NumMachines + 2
-		inner = comm.NewInProcFabric(cfg.NumMachines, cfg.NumMachines*perMachine+16)
+		inner = core.NewInProcFabric(cfg)
 	}
 	return comm.NewFaultInjector(inner, plan)
 }
