@@ -350,7 +350,8 @@ func BenchmarkFig8a_RandomRead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := c.RunJob(core.JobSpec{
 					Name: "rand-read", Iter: core.IterNodes,
-					Task: &randReadBenchKernel{prop: prop, remoteSize: remoteSize},
+					Task:      &randReadBenchKernel{prop: prop, remoteSize: remoteSize},
+					ReadProps: []core.PropID{prop},
 				}); err != nil {
 					b.Fatal(err)
 				}

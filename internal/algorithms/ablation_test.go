@@ -13,15 +13,18 @@ import (
 )
 
 type ablationSet struct {
-	name   string
-	set    core.Ablation
-	ghosts int // Config.GhostCount: 0 replicates every referenced address
+	name    string
+	set     core.Ablation
+	ghosts  int // Config.GhostCount: 0 replicates every referenced address
+	workers int // Config.Workers: 0 keeps the default
 }
 
 // ablationLattice is what the identity test walks: the production
-// configuration, every Ablation member alone, all of them at once, and the
+// configuration, every Ablation member alone, all of them at once, the
 // production configuration with replicas capped at the eight highest-degree
-// vertices, so that set members and on-demand refs meet in the same rows.
+// vertices, so that set members and on-demand refs meet in the same rows, and
+// the production configuration on one worker per machine, where local
+// reductions and own-node stores are plain (single-writer columns).
 func ablationLattice() []ablationSet {
 	sets := []ablationSet{
 		{name: "none"},
@@ -35,7 +38,8 @@ func ablationLattice() []ablationSet {
 	for _, as := range sets {
 		all |= as.set
 	}
-	return append(sets, ablationSet{name: "all", set: all}, ablationSet{name: "ghost-count-8", ghosts: 8})
+	return append(sets, ablationSet{name: "all", set: all}, ablationSet{name: "ghost-count-8", ghosts: 8},
+		ablationSet{name: "one-worker", workers: 1})
 }
 
 // latticeConfig is the identity suites' engine configuration: p machines
@@ -68,6 +72,9 @@ func ablatedCluster(t *testing.T, g *graph.Graph, p int, useTCP, delayFaults boo
 	t.Helper()
 	cfg := latticeConfig(t, p, useTCP, as.set)
 	cfg.GhostCount = as.ghosts
+	if as.workers > 0 {
+		cfg.Workers = as.workers
+	}
 	if delayFaults {
 		if cfg.Fabric == nil {
 			cfg.Fabric = core.NewInProcFabric(cfg)
@@ -116,7 +123,8 @@ func assertBitsF64(t *testing.T, name string, got, want []float64) {
 // TestAblationLatticeMatchesSA: every lattice row — the production
 // configuration, each member alone (sparse frontier reaches the engine's
 // dense-filter dispatch, the direction pins reach both schedules of every
-// traversal), all at once, and capped replicas — on two, three and four
+// traversal), all at once, capped replicas and one worker per machine (plain
+// local reductions) — on two, three and four
 // machines yields exactly the standalone reference for WCC, SSSP, hop
 // distance, k-core and sampled closeness, and PageRank-push to float tolerance
 // (push sums arrive in any order). On a small-world RMAT and a high-diameter

@@ -14,9 +14,11 @@ import (
 //
 // but move the data differently: pull reads PR(t)/outDeg(t) from incoming
 // neighbors (one-sided remote reads, plain local accumulation — no atomics);
-// push writes n's contribution to each outgoing neighbor (atomic SUM
-// reductions, the only form conventional frameworks support); approx
-// propagates only PR deltas and deactivates converged vertices.
+// push writes n's contribution to each outgoing neighbor (SUM reductions, the
+// only form conventional frameworks support: compare-and-swap loops where a
+// machine's workers share the target column, plain adds on a one-worker
+// machine, per-worker accumulators for remote targets); approx propagates only
+// PR deltas and deactivates converged vertices.
 
 // scaleKernel computes scaled = pr/outDeg per node (a temporary property, so
 // the iteration job never reads and writes the same property — the paper's

@@ -81,9 +81,10 @@ func ExpFig8a(copierCounts []int, prog Progress) (*Table, error) {
 			remoteSize = s
 		}
 		stats, err := c.RunJob(core.JobSpec{
-			Name: "rand-read",
-			Iter: core.IterNodes,
-			Task: &randReadKernel{prop: prop, readsPerNode: readsPerNode, machines: 2, remoteSize: remoteSize},
+			Name:      "rand-read",
+			Iter:      core.IterNodes,
+			Task:      &randReadKernel{prop: prop, readsPerNode: readsPerNode, machines: 2, remoteSize: remoteSize},
+			ReadProps: []core.PropID{prop}, // a node iterator is never mirrored: every read goes on demand
 		})
 		c.Shutdown()
 		if err != nil {

@@ -279,11 +279,13 @@ func (c *Cluster) DropProps(ids ...PropID) {
 }
 
 // RegisterRMI registers one remote method on every machine; build receives
-// the machine so handlers can close over local state. Returns the method id
-// (identical cluster-wide). Tasks call it (Ctx.CallRMI); the handler runs on
-// the target's copier while its workers run, so it may read properties but
-// must not write one — a remote write reaches its owner through the write
-// path and is visible there from the job's drain on.
+// the machine, of which a handler can learn only its ID, and whatever else the
+// handler needs it closes over. Returns the method id (identical
+// cluster-wide). Tasks call it (Ctx.CallRMI); the handler runs on the target's
+// copier while its workers run, and reads no property: a property's words
+// reach another machine only through a declared remote read (JobSpec.ReadProps)
+// and a reduction through the write path, visible at the owner from the job's
+// drain on.
 func (c *Cluster) RegisterRMI(build func(m *Machine) comm.RMIHandler) uint32 {
 	var id uint32
 	for _, m := range c.machines {

@@ -102,7 +102,7 @@ func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime) error {
 			m.cfg.Obs.Add(m.id, obs.CtrStaleReadFrames, 1)
 			return nil
 		}
-		return m.serveReads(h, payload)
+		return m.serveReads(jr, h, payload)
 	case comm.MsgRMIReq:
 		return m.serveRMI(h, payload)
 	default:
@@ -131,7 +131,7 @@ func (m *Machine) checkWrites(records uint32, payload []byte) error {
 }
 
 // applyWrites validates and applies write records against jr, the job being
-// drained (replaySpill; nil applies with no write-activation): a meta word
+// drained (replaySpill; nil applies with no write-activation, by CAS): a meta word
 // (prop<<48 | op<<40 | offset) followed by the value word, 16 bytes each. Each
 // run of records with one (property, operator) — an accumulator's flush is a
 // few long ones — is applied by the loop resolved for the pair
@@ -157,7 +157,9 @@ func (m *Machine) applyWrites(jr *jobRuntime, records uint32, payload []byte) er
 			for j = i + 1; j < n && metas[j]>>40 == metas[i]>>40; j++ {
 			}
 			prop := PropID(metas[i] >> 48)
-			run := Writer{col: m.cols[prop], op: reduce.Op(metas[i] >> 40)}
+			// The workers have joined, and copiers read only the job's ReadProps:
+			// any other column's words are this goroutine's alone.
+			run := Writer{col: m.cols[prop], op: reduce.Op(metas[i] >> 40), plain: jr != nil && !jr.reads(prop)}
 			var bf *machineFrontier
 			if jr != nil && jr.activate != nil && jr.activate[prop] >= 0 {
 				bf, run.act = jr.builds[jr.activate[prop]], &m.acts
@@ -191,13 +193,16 @@ func (m *Machine) checkWriteRec(i int, meta uint64) error {
 	return nil
 }
 
-// serveReads builds the response for a read-request frame: one value word
-// per 8-byte address record, in request order, echoing the worker id and
+// serveReads builds the response for a read-request frame of jr: one value
+// word per 8-byte address record, in request order, echoing the worker id and
 // sequence number so the requester can match its side structure.
 //
 // The length check bounds the response too: a request that fits a frame asks
-// for no more words than a response frame — the same size — holds.
-func (m *Machine) serveReads(h comm.Header, payload []byte) error {
+// for no more words than a response frame — the same size — holds. A record
+// naming a property outside jr's ReadProps fails the job: a remote read must
+// be declared, so that a copier reads no column the job's workers may be
+// storing with plain writes (column.owned).
+func (m *Machine) serveReads(jr *jobRuntime, h comm.Header, payload []byte) error {
 	if int64(len(payload)) < readRecSize*int64(h.Count) { // in 64 bits, as in checkWrites
 		return fmt.Errorf("truncated read frame: %d records need %d bytes, have %d", h.Count, readRecSize*int64(h.Count), len(payload))
 	}
@@ -208,6 +213,9 @@ func (m *Machine) serveReads(h comm.Header, payload []byte) error {
 		offset := uint32(rec)
 		if int(prop) >= len(m.cols) || m.cols[prop] == nil {
 			return fmt.Errorf("read record %d names unknown property %d", i, prop)
+		}
+		if !jr.reads(prop) {
+			return fmt.Errorf("job %q reads property %d at another node without declaring it in ReadProps", jr.spec.Name, prop)
 		}
 		if int(offset) >= len(m.cols[prop].vals) {
 			return fmt.Errorf("read record %d offset %d out of range for property %d", i, offset, prop)
@@ -240,7 +248,8 @@ func (m *Machine) serveReads(h comm.Header, payload []byte) error {
 // number in the low bits. A dispatch failure aborts the job — the caller's
 // abort-channel select (or request timeout) unblocks it, since no response
 // frame will come. The handler runs here, on a copier, concurrently with the
-// workers: it may read properties but must not write one (Cluster.RegisterRMI).
+// workers, and is handed no machine state but the caller's id: it reads and
+// writes no property (Cluster.RegisterRMI).
 func (m *Machine) serveRMI(h comm.Header, payload []byte) error {
 	method := uint32(h.Aux >> 32)
 	out, err := m.rmi.Dispatch(method, int(h.Src), payload)

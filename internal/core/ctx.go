@@ -109,11 +109,14 @@ func (c *Ctx) GetF64(p PropID) float64 {
 	return c.w.cols[p].getF64(int(c.Node))
 }
 
-// SetF64 writes property p of the current node. Plain store: the engine
-// guarantees all callbacks for one node run on one worker, so no reduction
-// is needed for own-node updates (the pull pattern's advantage).
+// SetF64 writes property p of the current node. All callbacks for one node
+// run on one worker, so an own-node update needs no reduction (the pull
+// pattern's advantage), and the store is a plain one whenever no other
+// goroutine can touch the word during the job: p is not among the job's
+// ReadProps, and either the machine has one worker or the job does not reduce
+// into p (WriteProps). Otherwise it is an atomic exchange.
 func (c *Ctx) SetF64(p PropID, v float64) {
-	c.w.cols[p].setF64(int(c.Node), v)
+	c.w.cols[p].put(int(c.Node), math.Float64bits(v))
 }
 
 // GetI64 reads integer property p of the current node.
@@ -123,7 +126,7 @@ func (c *Ctx) GetI64(p PropID) int64 {
 
 // SetI64 writes integer property p of the current node; see SetF64.
 func (c *Ctx) SetI64(p PropID, v int64) {
-	c.w.cols[p].setI64(int(c.Node), v)
+	c.w.cols[p].put(int(c.Node), uint64(v))
 }
 
 // --- neighbor access --------------------------------------------------------

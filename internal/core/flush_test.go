@@ -43,7 +43,7 @@ func TestStaleReadFrameDropped(t *testing.T) {
 		return buf
 	}
 	torn := []byte{0x80, 0x80, 0x80}
-	current := &jobRuntime{id: 1<<32 | 5, abortCh: make(chan struct{})}
+	current := &jobRuntime{id: 1<<32 | 5, abortCh: make(chan struct{}), spec: &JobSpec{Name: "current", ReadProps: []PropID{p}}}
 	for _, tc := range []struct {
 		name  string
 		jr    *jobRuntime
@@ -78,10 +78,11 @@ func TestStaleReadFrameDropped(t *testing.T) {
 
 // FuzzServeReads feeds arbitrary bytes to the copier's read-request path,
 // under the current job's epoch or a stale one. A frame is answered — one word
-// per record, in a response no larger than a frame — or it is an error, or it
-// is dropped as stale and counted: never a panic, which would take every
-// machine of the process down with the copier, and never an answer to a frame
-// that also failed.
+// per record, in a response no larger than a frame, and only when every record
+// reads the one property the job declares — or it is an error, or it is
+// dropped as stale and counted: never a panic, which would take every machine
+// of the process down with the copier, and never an answer to a frame that
+// also failed.
 func FuzzServeReads(f *testing.F) {
 	cfg := DefaultConfig(2)
 	reg := obs.NewRegistry()
@@ -89,7 +90,8 @@ func FuzzServeReads(f *testing.F) {
 	c := bootCluster(f, testGraph(f), cfg)
 	p, _ := c.AddPropF64("p")
 	q, _ := c.AddPropI64("q")
-	c.DropProps(q) // a registered id with no column behind it
+	r, _ := c.AddPropI64("r") // registered, with a column, but the job does not read it
+	c.DropProps(q)            // a registered id with no column behind it
 	m, answers := c.machines[0], c.machines[1].workers[0].respCh
 	n := uint64(len(m.cols[p].vals))
 	key := func(prop PropID, off uint64) uint64 { return uint64(prop)<<48 | off }
@@ -102,7 +104,9 @@ func FuzzServeReads(f *testing.F) {
 	f.Add(readKeys(key(q, 1)), uint32(1), false)            // dropped property
 	f.Add(readKeys(key(p, n)), uint32(1), false)            // offset past the column
 	f.Add(readKeys(key(p, 1)), uint32(1), true)             // stale epoch
-	current := &jobRuntime{id: 1<<32 | 5, abortCh: make(chan struct{})}
+	f.Add(readKeys(key(p, 1), key(r, 1)), uint32(2), false) // registered, not declared
+	current := &jobRuntime{id: 1<<32 | 5, abortCh: make(chan struct{}),
+		spec: &JobSpec{Name: "fuzz", ReadProps: []PropID{p}}}
 	f.Fuzz(func(t *testing.T, payload []byte, count uint32, stale bool) {
 		buf := m.reqPool.Acquire()
 		if len(payload) > buf.Room() {
@@ -134,6 +138,11 @@ func FuzzServeReads(f *testing.F) {
 				t.Fatalf("answer %+v with %d payload bytes to request %+v", rh, len(resp.Payload()), h)
 			}
 			resp.Release()
+			for i := 0; i < int(count); i++ {
+				if prop := PropID(binary.LittleEndian.Uint64(payload[readRecSize*i:]) >> 48); prop != p {
+					t.Fatalf("record %d of an answered request reads property %d, which the job does not declare", i, prop)
+				}
+			}
 		case int64(len(payload)) < readRecSize*int64(count) && !strings.Contains(err.Error(), "truncated"):
 			t.Fatalf("%d records in %d bytes: %v, want the length check's refusal", count, len(payload), err)
 		}

@@ -206,7 +206,9 @@ type JobSpec struct {
 	// machine; per-invocation state must live in Ctx or properties.
 	Task Task
 	// ReadProps lists properties read through neighbors; an eligible job
-	// (remoteset.go) mirrors them from their owners before its first row.
+	// (remoteset.go) mirrors them from their owners before its first row. A
+	// remote read of any other property fails the job at its owner, and a
+	// property not listed may be stored with plain writes (Ctx.SetF64).
 	ReadProps []PropID
 	// WriteProps lists properties reduced into through neighbors; an
 	// eligible job folds its remote reductions in per-worker accumulators

@@ -321,8 +321,10 @@ var iterViews = [...][2]int{IterNodes: {0, 0}, IterOutEdges: {0, 1}, IterInEdges
 
 // newJobRuntime resolves spec against this machine's partition: which chunks
 // its workers claim and through which CSR views, which frontier members they
-// visit, and which frontiers and write-activations the job feeds. No traffic, no
-// shared state touched.
+// visit, which frontiers and write-activations the job feeds, and which column
+// words one goroutine owns during the job. No traffic; of the machine's state
+// only the columns' ownership flags are written, which nothing reads between
+// jobs.
 func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	span := iterViews[spec.Iter]
 	jr := &jobRuntime{spec: spec, id: jobID, abortCh: make(chan struct{}),
@@ -382,8 +384,28 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 			jr.activate[ws.Prop] = int8(ws.ActivateInto - 1)
 		}
 	}
+	// Single-writer columns. A copier reads only the declared ReadProps
+	// (serveReads) and the drain's replay runs after the workers joined, so a
+	// column outside ReadProps has only this machine's workers in the task
+	// phase: with one worker, only that one; with several, only a node's own
+	// worker at the node's word unless some worker reduces into the column as a
+	// neighbor, which a job declares (WriteProps).
+	one := m.cfg.Workers == 1
+	for p, col := range m.cols {
+		if col == nil {
+			continue
+		}
+		read := jr.reads(PropID(p))
+		reduced := slices.ContainsFunc(spec.WriteProps, func(ws WriteSpec) bool { return ws.Prop == PropID(p) })
+		col.single = one && !read
+		col.owned = !read && (one || !reduced)
+	}
 	return jr
 }
+
+// reads reports whether the job declares p among its ReadProps: the only
+// properties another machine may read during it.
+func (jr *jobRuntime) reads(p PropID) bool { return slices.Contains(jr.spec.ReadProps, p) }
 
 // publish makes jr the machine's current job before any traffic, so copiers
 // and the abort watcher can fail it, and points the collectives at its abort

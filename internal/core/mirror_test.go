@@ -18,22 +18,25 @@ import (
 	"repro/internal/store"
 )
 
-// mixedReadTask reads three ways per row: the declared property of every
-// remote in-neighbor (mirrored when the job is), an undeclared property of the
+// mixedReadTask reads per row the declared property of every remote
+// in-neighbor (mirrored when the job is) and the undeclared properties of the
 // same neighbors, and — on each machine's node 0 — the declared property at an
 // address no row references. Values are small integers, so the sum is exact in
 // any arrival order.
 type mixedReadTask struct {
 	RowOnly
-	declared, undeclared, acc PropID
-	outside                   []int64 // per machine: a remote ref outside its remote set
+	declared, acc PropID
+	undeclared    []PropID
+	outside       []int64 // per machine: a remote ref outside its remote set
 }
 
 func (k *mixedReadTask) RunRow(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		if ref < 0 {
 			c.ReadRef(ref, k.declared)
-			c.ReadRef(ref, k.undeclared)
+			for _, p := range k.undeclared {
+				c.ReadRef(ref, p)
+			}
 		}
 	}
 	if c.Node == 0 {
@@ -46,11 +49,13 @@ func (k *mixedReadTask) ReadDone(c *Ctx, val uint64) {
 }
 
 // TestMirrorFallsBackOnDemand: in a mirrored job, a remote ref the remote set
-// does not hold (core.RemoteRef to an arbitrary slot) and a read of a property
-// missing from ReadProps are answered by the on-demand path, next to mirrored
-// reads of the same rows — and the job reports what its prefetch cost: one
-// read_prefetch span per worker whose args sum to the mirror_words counter,
-// which is the remote sets' size.
+// does not hold (core.RemoteRef to an arbitrary slot) is answered by the
+// on-demand path, next to mirrored reads of the same rows — and the job reports
+// what its prefetch cost: one read_prefetch span per worker whose args sum to
+// the mirror_words counter, which is the remote sets' size. A remote read of a
+// property missing from ReadProps is refused: the owner's copier fails the job
+// with an error naming the job and the property, and the next job on the same
+// cluster is exact.
 func TestMirrorFallsBackOnDemand(t *testing.T) {
 	eachFabric(t, func(t *testing.T, useTCP bool) {
 		g := testGraph(t)
@@ -75,17 +80,15 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		if _, err := c.RunJob(JobSpec{Name: "warm-up", Iter: IterInEdges, Task: &pullSumTask{src: a, dst: acc}, ReadProps: []PropID{a}}); err != nil {
 			t.Fatal(err)
 		}
-		c.FillF64(acc, 0)
-		task := &mixedReadTask{declared: a, undeclared: b, acc: acc, outside: make([]int64, p)}
+		task := &mixedReadTask{declared: a, undeclared: []PropID{b}, acc: acc, outside: make([]int64, p)}
 		want := make([]float64, g.NumNodes())
-		var setWords, remoteRefs int64
+		var setWords int64
 		for _, m := range c.machines {
 			set, peer := m.store.remoteSets[IterInEdges], 1-m.id
 			if set == nil || set.size == 0 {
 				t.Fatalf("machine %d built no remote set", m.id)
 			}
 			setWords += int64(set.size)
-			remoteRefs += set.refs
 			lo, hi := c.layout.Range(peer)
 			found := false
 			for off := uint32(0); off < uint32(hi-lo) && !found; off++ {
@@ -101,10 +104,18 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		for u := range want {
 			for _, tn := range g.In.Neighbors(graph.NodeID(u)) {
 				if c.layout.Owner(tn) != c.layout.Owner(graph.NodeID(u)) {
-					want[u] += aOf(tn) + bOf(tn)
+					want[u] += aOf(tn)
 				}
 			}
 		}
+		_, err := c.RunJob(JobSpec{Name: "undeclared-read", Iter: IterInEdges, Task: task, ReadProps: []PropID{a}})
+		if err == nil || !strings.Contains(err.Error(), `"undeclared-read"`) || !strings.Contains(err.Error(), fmt.Sprintf("property %d ", b)) {
+			t.Fatalf("a remote read of property %d outside ReadProps: err = %v, want a refusal naming the job and the property", b, err)
+		}
+		settleQuiescent(t, c)
+		c.FillF64(acc, 0)
+		task.undeclared = nil
+		served := c.Obs().LifetimeCounters()["reads_served"]
 		if _, err := c.RunJob(JobSpec{Name: "mixed-reads", Iter: IterInEdges, Task: task, ReadProps: []PropID{a}}); err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +128,12 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		if got := rep.Counters["mirror_words"]; got != setWords {
 			t.Errorf("mirror_words = %d, want the remote sets' %d", got, setWords)
 		}
-		// Both jobs prefetched every address once; the second also read one
-		// on-demand record per remote ref for the undeclared property and one per
+		// The job prefetched every address once and read one on-demand record per
 		// machine for the outside address. A copier counts a frame after it has
 		// sent the response, so the lifetime count may take an instant to settle.
-		wantServed := 2*setWords + remoteRefs + p
-		if got := jobCounter(c.Obs(), "reads_served", wantServed); got != wantServed {
-			t.Errorf("reads_served = %d over both jobs, want %d", got, wantServed)
+		wantServed := setWords + p
+		if got := jobCounter(c.Obs(), "reads_served", served+wantServed) - served; got != wantServed {
+			t.Errorf("reads_served = %d, want %d", got, wantServed)
 		}
 		var spans int
 		var words uint64

@@ -44,19 +44,28 @@ type propMeta struct {
 	kind PropKind
 }
 
-// column is one machine's storage for one property: one slot per owned node.
-// The slots are atomic 8-byte words because a slot has several writers at
-// once — every worker of the machine reduces into its neighbors' slots while
-// the superstep runs — so a reduction is a compare-and-swap loop (write.go)
-// and an own-node store is atomic too. The other machines' reductions are not
-// among those writers: they land in the drain (spill.go), on the main
-// goroutine, after the workers joined. acc holds the per-worker accumulators of a
-// dense push's remote reductions (accum.go); they are plain slices since each
-// is single-owner, and they go when the column does.
+// column is one machine's storage for one property: one 8-byte word per owned
+// node. During a job a word is touched by this machine's workers — a node's own
+// worker stores it, any worker may reduce into it as a neighbor — by its
+// copiers, which read only the job's ReadProps (serveReads refuses the rest),
+// and, once the workers joined, by the drain's replay of the other machines'
+// writes (spill.go) on the main goroutine. So whether an access needs an atomic
+// is a per-job fact, which Machine.newJobRuntime resolves from the worker count
+// and the job's declarations into the two flags below; where neither holds, a
+// store is atomic and a reduction a compare-and-swap loop (write.go). Loads are
+// atomic throughout. acc holds the per-worker accumulators of a dense push's
+// remote reductions (accum.go); they are plain slices since each is
+// single-owner, and they go when the column does.
 type column struct {
 	kind PropKind
 	vals []atomic.Uint64 // numLocal
 	acc  []accum         // [workers], lazily allocated
+
+	// owned: no goroutine but a node's own worker touches the node's word this
+	// job, so an own-node store (Ctx.SetF64/SetI64) is plain. single: one worker
+	// is the column's only task-phase goroutine, so a local reduction is a plain
+	// load–merge–store too. Written by newJobRuntime, read by the workers.
+	owned, single bool
 
 	// freeFn is non-nil when vals is backed by anonymous mmap instead of the
 	// Go heap (out-of-core runs with a resident budget): the O(N) column then
@@ -109,6 +118,19 @@ func (c *column) getI64(i int) int64   { return int64(c.vals[i].Load()) }
 
 func (c *column) setF64(i int, v float64) { c.vals[i].Store(math.Float64bits(v)) }
 func (c *column) setI64(i int, v int64)   { c.vals[i].Store(uint64(v)) }
+
+// plainWord is the word behind an atomic one (atomic.Uint64 is that word
+// alone), for the goroutine that owns it this job.
+func plainWord(s *atomic.Uint64) *uint64 { return (*uint64)(unsafe.Pointer(s)) }
+
+// put is an own-node store (Ctx.SetF64/SetI64): plain when the column is owned.
+func (c *column) put(i int, w uint64) {
+	if c.owned {
+		*plainWord(&c.vals[i]) = w
+		return
+	}
+	c.vals[i].Store(w)
+}
 
 // bottomWord returns op's identity element encoded for this column's kind.
 func (c *column) bottomWord(op reduce.Op) uint64 {

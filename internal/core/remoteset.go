@@ -17,8 +17,9 @@ import (
 // membership decided per machine by what its rows reference rather than
 // cluster-wide by a degree threshold, over the ordinary read and write paths.
 // Config.GhostCount caps membership at the highest-degree vertices, the
-// paper's selection; a ref outside the set, an undeclared property and an
-// ineligible job stay on demand.
+// paper's selection; a ref outside the set, a reduction into an undeclared
+// property and an ineligible job stay on demand. A remote read of an undeclared
+// property has no path at all: its owner refuses it (serveReads).
 
 // remoteSet is the set of distinct remote addresses the rows of one iterator
 // kind reference on this machine, as a rank bitmap per owner: membership and

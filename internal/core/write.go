@@ -61,15 +61,17 @@ func merge[O opType, T num](a, b T) T {
 // worker's accumulator over the job's remote set, and where an activating
 // spec's targets collect. Obtain one with Ctx.Writer; it is valid for the
 // current job only. The drain's replay fills one in per run of records
-// (applyWrites): only col, op and act, since every target of a run is local.
+// (applyWrites): only col, op, act and plain, since every target of a run is
+// local.
 type Writer struct {
-	col  *column
-	op   reduce.Op
-	act  *[]uint32 // local indices whose word a reduction changed (WriteSpec.ActivateInto); nil without
-	w    *worker
-	acc  *accum // this worker's accumulator for prop, nil when not accumulated
-	prop PropID
-	job  uint64 // the job it is resolved for (ids start at 1: a zero Writer is no job's)
+	col   *column
+	op    reduce.Op
+	plain bool      // no other goroutine touches a local target's word: no CAS (column.single)
+	act   *[]uint32 // local indices whose word a reduction changed (WriteSpec.ActivateInto); nil without
+	w     *worker
+	acc   *accum // this worker's accumulator for prop, nil when not accumulated
+	prop  PropID
+	job   uint64 // the job it is resolved for (ids start at 1: a zero Writer is no job's)
 }
 
 // Writer returns the write handle for reducing into property p with op. The
@@ -103,7 +105,7 @@ func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 	if was != op {
 		w.fail(fmt.Errorf("core: job %q reduces property %d with %v and with %v; a job reduces a property with one operator", jr.spec.Name, p, op, was))
 	}
-	*wr = Writer{col: col, op: op, w: w, prop: p, job: jr.id}
+	*wr = Writer{col: col, op: op, plain: col.single, w: w, prop: p, job: jr.id}
 	if act := jr.activate; act != nil && act[p] >= 0 {
 		wr.act = &jr.builds[act[p]].shards[w.id]
 	}
@@ -113,7 +115,9 @@ func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 }
 
 // WriteRow reduces the raw word into the handle's property on every node of
-// refs, in order. A local target applies immediately (relaxed consistency) and,
+// refs, in order. A local target applies immediately (relaxed consistency) —
+// a plain load–merge–store when the machine's one worker is the column's only
+// task-phase goroutine, else a compare-and-swap loop — and,
 // under an activating spec, joins this worker's build shard when its word
 // changed; a remote one folds into the worker's accumulator when the job has
 // one holding it (accum.go) and otherwise is buffered into the per-worker
@@ -161,17 +165,19 @@ func (wr *Writer) reduce(refs []int64, word uint64, words []uint64) {
 // ahead of the first ref.
 func writeRow[O opType, T num](wr *Writer, refs []int64, word uint64, words []uint64) {
 	var o O
-	w, acc, vals, act, x := wr.w, wr.acc, wr.col.vals, wr.act, fromWord[T](word)
+	w, acc, vals, act, plain, x := wr.w, wr.acc, wr.col.vals, wr.act, wr.plain, fromWord[T](word)
 	for i, ref := range refs {
 		if words != nil {
 			word = words[i]
 			x = fromWord[T](word)
 		}
 		if ref >= 0 {
-			// The local reduction is a compare-and-swap loop: the machine's workers
-			// reduce into one column concurrently. A lost CAS retries, so a
-			// word counts as unchanged — not activating — only when the reduction
-			// was a no-op against the value that won.
+			// The local reduction is a load–merge–store. When the handle is plain
+			// the word is this goroutine's alone and so is the store; otherwise
+			// the machine's workers reduce into one column concurrently and the
+			// store is a compare-and-swap. A lost CAS retries, so a word counts as
+			// unchanged — not activating — only when the reduction was a no-op
+			// against the value that won.
 			for s := &vals[ref]; ; {
 				old, next := s.Load(), uint64(0)
 				if len(o) == len(opAny{}) {
@@ -182,12 +188,15 @@ func writeRow[O opType, T num](wr *Writer, refs []int64, word uint64, words []ui
 				if next == old {
 					break
 				}
-				if s.CompareAndSwap(old, next) {
-					if act != nil {
-						*act = append(*act, uint32(ref))
-					}
-					break
+				if plain {
+					*plainWord(s) = next
+				} else if !s.CompareAndSwap(old, next) {
+					continue
 				}
+				if act != nil {
+					*act = append(*act, uint32(ref))
+				}
+				break
 			}
 			continue
 		}

@@ -125,7 +125,9 @@ var writeRowSeed = flag.Int64("writerow-seed", 0, "seed of TestWriteRowMatchesPe
 // accumulated_writes — all-local under CAS contention, accumulated, on demand,
 // under an activating spec and with the remote set capped at eight vertices,
 // over both fabrics; and a weighted row through the
-// typed Write leaves what NbrWriteF64's spelling does. Sources and initial
+// typed Write leaves what NbrWriteF64's spelling does. The two one-worker
+// modes reduce locally with plain stores, and their row form must also leave
+// what the CAS loop of their several-worker twin left. Sources and initial
 // values are seeded, dyadic so that float sums are exact in any order.
 func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 	seed := *writeRowSeed
@@ -149,16 +151,25 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 		p, workers, ghosts  int
 		ablate              Ablation
 		declare, activating bool
+		cas                 string // the mode whose CAS loop this one-worker mode's plain loop must match
 	}
 	modes := []mode{
 		{name: "all-local", p: 1, declare: true},
+		{name: "all-local/one-worker", p: 1, workers: 1, declare: true, cas: "all-local"},
 		{name: "accumulated", p: 2, workers: 1, declare: true},
 		{name: "on-demand", p: 2, ablate: AblateRemoteSets, declare: true},
 		{name: "undeclared", p: 2},
 		{name: "activating", p: 2, declare: true, activating: true},
+		{name: "activating/one-worker", p: 2, workers: 1, declare: true, activating: true, cas: "activating"},
 		{name: "capped", p: 2, workers: 1, ghosts: 8, declare: true},
 	}
+	type outcome struct {
+		words           []uint64
+		front           [][]uint64
+		applied, folded int64
+	}
 	eachFabric(t, func(t *testing.T, useTCP bool) {
+		rowOutcomes := map[string]outcome{} // by mode and case, the row form's
 		for _, md := range modes {
 			t.Run(md.name, func(t *testing.T) {
 				cfg := DefaultConfig(md.p)
@@ -233,6 +244,13 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 					}
 					if md.name == "accumulated" && rowFolded == 0 && op != reduce.Overwrite {
 						t.Errorf("seed %d: %s: nothing was folded", seed, name)
+					}
+					rowOutcomes[md.name+"|"+name] = outcome{rowWords, rowFront, rowApplied, rowFolded}
+					if cas, ok := rowOutcomes[md.cas+"|"+name]; ok && md.cas != "" {
+						if !slices.Equal(rowWords, cas.words) || !slices.EqualFunc(rowFront, cas.front, slices.Equal) ||
+							rowApplied != cas.applied || rowFolded != cas.folded {
+							t.Errorf("seed %d: %s: the plain loop (one worker) left another column, frontier or count than the CAS loop (%s)", seed, name, md.cas)
+						}
 					}
 				}
 				writeSpec := func(kind PropKind, op reduce.Op) (ws []WriteSpec, build []*Frontier) {

@@ -398,8 +398,8 @@ func (c *Cluster) PageRankPull(iters int, damping float64) ([]float64, Metrics, 
 	return algorithms.PageRankPull(c.core, iters, damping)
 }
 
-// PageRankPush runs iters power iterations with data pushing (atomic SUM
-// reductions), the pattern conventional frameworks require.
+// PageRankPush runs iters power iterations with data pushing (SUM reductions
+// into the neighbors), the pattern conventional frameworks require.
 func (c *Cluster) PageRankPush(iters int, damping float64) ([]float64, Metrics, error) {
 	return algorithms.PageRankPush(c.core, iters, damping)
 }
