@@ -4,9 +4,8 @@
 // with the pull pattern, written twice: per edge, the paper's shape — Run
 // issues a read per edge, ReadDone continues on the same worker when the
 // value arrives — and per row, the engine's fast shape — RunRow loops over
-// the node's in-neighbors itself, reading local ones through a typed view
-// and handing only the remote ones to ReadRef. Both run below and
-// must agree.
+// the node's in-neighbors itself, reading every one the typed view holds in
+// place and handing only the rest to ReadRef. Both run below and must agree.
 package main
 
 import (
@@ -53,17 +52,18 @@ type avgNbrDegreeRow struct {
 }
 
 func (k *avgNbrDegreeRow) RunRow(c *pgxd.Ctx, row pgxd.Row) {
-	deg := c.F64(k.degProp) // view over the local slots, valid for ref >= 0
+	// The view holds the local in-neighbors and, because the job declares
+	// degProp and the engine mirrored it before the region, the remote ones.
+	deg := c.F64(k.degProp)
 	var sum float64
 	var seen int64
 	for _, ref := range row.Refs {
-		if ref >= 0 {
-			sum += deg.At(ref)
+		if d, ok := deg.At(ref); ok {
+			sum += d
 			seen++
 		} else {
-			// ReadDone adds it: at once when the engine prefetched the job's
-			// remote reads (c.Remote(p).Word(ref) would fold it right here),
-			// later when the read is buffered toward the owner.
+			// Not held (a job that was not mirrored): ReadDone adds it, later,
+			// when the read buffered toward the owner is answered.
 			c.ReadRef(ref, k.degProp)
 		}
 	}

@@ -28,7 +28,22 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 			if met.Jobs != 1 {
 				t.Errorf("jobs = %d", met.Jobs)
 			}
+			countResolved(t, c, g, want)
 		})
+	}
+}
+
+// countResolved counts again once a mirrored pull has built the load's remote
+// sets, so that the kernel's remote neighbours arrive as replica refs, which
+// NbrIsRemote, RefGlobal and SplitRemoteRef must place as they placed the
+// packed ones.
+func countResolved(t *testing.T, c *core.Cluster, g *graph.Graph, want int64) {
+	t.Helper()
+	if _, _, err := PageRankPull(c, 1, 0.85); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := TriangleCount(c, g); err != nil || got != want {
+		t.Errorf("triads over resolved rows = %d (%v), want %d", got, err, want)
 	}
 }
 
@@ -53,6 +68,7 @@ func TestTriangleCountChunkedRMI(t *testing.T) {
 	if got != want {
 		t.Errorf("triads = %d, want %d", got, want)
 	}
+	countResolved(t, c, g, want)
 }
 
 func TestTriangleCountKnownGraph(t *testing.T) {

@@ -41,23 +41,21 @@ func (k *scaleKernel) Run(c *core.Ctx) {
 // PageRank and eigenvector centrality (src = ev): it sums src over the
 // node's incoming neighbors in a register — no atomic, because all edges of
 // one node run on one worker — and folds the sum into the node's acc once,
-// after the row. Mirrored remote neighbors fold in the same register; the
-// rest arrive later through ReadDone, which adds to acc directly, and the fold
-// after the loop is a read-modify-write for exactly that reason (see
-// core.RowTask on re-entrancy).
+// after the row. Mirrored remote neighbors fold in the same register, through
+// the same view; the rest arrive later through ReadDone, which adds to acc
+// directly, and the fold after the loop is a read-modify-write for exactly
+// that reason (see core.RowTask on re-entrancy).
 type sumPullKernel struct {
 	core.RowOnly
 	src, acc core.PropID
 }
 
 func (k *sumPullKernel) RunRow(c *core.Ctx, row core.Row) {
-	src, remote := c.F64(k.src), c.Remote(k.src)
+	src := c.F64(k.src)
 	var sum float64
 	for _, ref := range row.Refs {
-		if ref >= 0 {
-			sum += src.At(ref)
-		} else if word, ok := remote.Word(ref); ok {
-			sum += core.F64Word(word)
+		if v, ok := src.At(ref); ok {
+			sum += v
 		} else {
 			c.ReadRef(ref, k.src)
 		}

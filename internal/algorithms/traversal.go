@@ -28,13 +28,11 @@ type wccPullKernel struct {
 }
 
 func (k *wccPullKernel) RunRow(c *core.Ctx, row core.Row) {
-	label, remote := c.I64(k.label), c.Remote(k.label)
+	label := c.I64(k.label)
 	best := int64(math.MaxInt64)
 	for _, ref := range row.Refs {
-		if ref >= 0 {
-			best = min(best, label.At(ref))
-		} else if word, ok := remote.Word(ref); ok {
-			best = min(best, core.I64Word(word))
+		if v, ok := label.At(ref); ok {
+			best = min(best, v)
 		} else {
 			c.ReadRef(ref, k.label)
 		}
@@ -168,15 +166,13 @@ type ssspPullKernel struct {
 }
 
 func (k *ssspPullKernel) RunRow(c *core.Ctx, row core.Row) {
-	dist, remote := c.F64(k.dist), c.Remote(k.dist)
+	dist := c.F64(k.dist)
 	best := math.Inf(1)
 	for i, ref := range row.Refs {
 		w := row.Weight(i)
 		d := math.Inf(1)
-		if ref >= 0 {
-			d = dist.At(ref) + w
-		} else if word, ok := remote.Word(ref); ok {
-			d = core.F64Word(word) + w
+		if v, ok := dist.At(ref); ok {
+			d = v + w
 		} else {
 			c.Aux = core.WordF64(w) // the continuation's half of the sum
 			c.ReadRef(ref, k.dist)
@@ -318,14 +314,10 @@ type hopPullKernel struct {
 }
 
 func (k *hopPullKernel) RunRow(c *core.Ctx, row core.Row) {
-	dist, remote := c.I64(k.dist), c.Remote(k.dist)
+	dist := c.I64(k.dist)
 	for _, ref := range row.Refs {
-		var d int64
-		if ref >= 0 {
-			d = dist.At(ref)
-		} else if word, ok := remote.Word(ref); ok {
-			d = core.I64Word(word)
-		} else {
+		d, ok := dist.At(ref)
+		if !ok {
 			// On demand: the in-neighbor resolves asynchronously and cannot stop
 			// the scan, but its continuation still claims the level. The read can
 			// run queued continuations of this node, so the own-node check sits

@@ -50,7 +50,7 @@ func (k *triangleKernel) Run(c *core.Ctx) {
 		}
 		return
 	}
-	mach, off := core.SplitRemoteRef(ref)
+	mach, off := c.SplitRemoteRef(ref)
 	list := k.adj[u]
 	// Ship the adjacency in chunks; every chunk is an independent RMI whose
 	// response adds a partial count. No per-edge state machine is needed —

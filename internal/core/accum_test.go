@@ -41,9 +41,9 @@ type localRefs struct {
 func (k *rowPushSum) RunRow(c *Ctx, row Row) {
 	refs := row.Refs
 	if k.local != nil {
-		buf := k.local[c.Machine()].refs[:0]
+		buf, n := k.local[c.Machine()].refs[:0], uint64(c.w.m.store.numLocal)
 		for _, ref := range refs {
-			if ref >= 0 {
+			if uint64(ref) < n { // owned
 				buf = append(buf, ref)
 			}
 		}
@@ -69,7 +69,7 @@ type mixedWriteTask struct {
 func (k *mixedWriteTask) RunRow(c *Ctx, row Row) {
 	decl, undecl := c.Writer(k.declared, reduce.Sum), c.Writer(k.undeclared, reduce.Sum)
 	for _, ref := range row.Refs {
-		if ref < 0 {
+		if !c.w.m.store.owns(ref) {
 			decl.WriteI64(ref, 3)
 			undecl.WriteI64(ref, 5)
 		}
@@ -128,12 +128,12 @@ func TestAccumulateFallsBackOnDemand(t *testing.T) {
 		wantA, wantB := make([]int64, g.NumNodes()), make([]int64, g.NumNodes())
 		var setSize, remoteRefs int64
 		for _, m := range c.machines {
-			set, peer := m.store.remoteSets[IterOutEdges], 1-m.id
-			if set == nil || set.size == 0 {
+			set, peer := m.store.remote, 1-m.id
+			if set == nil || set.iters[IterOutEdges].size == 0 {
 				t.Fatalf("machine %d built no remote set", m.id)
 			}
-			setSize += int64(set.size)
-			remoteRefs += set.refs
+			setSize += int64(set.iters[IterOutEdges].size)
+			remoteRefs += set.iters[IterOutEdges].refs
 			lo, hi := c.layout.Range(peer)
 			found := false
 			for off := uint32(0); off < uint32(hi-lo) && !found; off++ {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/reduce"
+	"repro/internal/store"
 )
 
 // TestFloatGhostMergePaths: a float push under every operator, every remote
@@ -94,33 +95,77 @@ func TestCtxAccessors(t *testing.T) {
 	}
 }
 
-// refGlobalProbe checks RefGlobal for local and remote neighbors.
+// refGlobalProbe sums RefGlobal over a node's out-neighbours and flags, in
+// bad, a neighbour NbrIsRemote and SplitRemoteRef place on another machine than
+// RefGlobal does.
 type refGlobalProbe struct {
 	NoReads
-	sum PropID
+	sum, bad PropID
 }
 
 func (k *refGlobalProbe) Run(c *Ctx) {
-	c.SetI64(k.sum, c.GetI64(k.sum)+int64(c.RefGlobal(c.NbrRef())))
+	ref, layout := c.NbrRef(), c.w.m.store.layout
+	v := c.RefGlobal(ref)
+	c.SetI64(k.sum, c.GetI64(k.sum)+int64(v))
+	if c.NbrIsRemote() != (layout.Owner(v) != c.Machine()) {
+		c.SetI64(k.bad, 1)
+	} else if c.NbrIsRemote() {
+		if mach, off := c.SplitRemoteRef(ref); layout.GlobalOf(mach, off) != v {
+			c.SetI64(k.bad, 1)
+		}
+	}
 }
 
+// TestRefGlobalAllRefKinds: RefGlobal, NbrIsRemote and SplitRemoteRef resolve
+// every class of ref a kernel can see — local and packed as the rows are
+// loaded; local, replica and, outside a capped set, packed once a remote set
+// has rewritten them.
 func TestRefGlobalAllRefKinds(t *testing.T) {
 	g := testGraph(t)
-	c := bootCluster(t, g, DefaultConfig(3))
-	sum, _ := c.AddPropI64("sum")
-	c.FillI64(sum, 0)
-	if _, err := c.RunJob(JobSpec{Name: "refglobal", Iter: IterOutEdges, Task: &refGlobalProbe{sum: sum}}); err != nil {
-		t.Fatal(err)
-	}
-	got := c.GatherI64(sum)
-	for u := 0; u < g.NumNodes(); u++ {
-		var want int64
-		for _, v := range g.Out.Neighbors(graph.NodeID(u)) {
-			want += int64(v)
+	for _, ghosts := range []int{0, 8} {
+		cfg := DefaultConfig(3)
+		cfg.GhostCount = ghosts
+		c := bootCluster(t, g, cfg)
+		sum, _ := c.AddPropI64("sum")
+		bad, _ := c.AddPropI64("bad")
+		probe := func(stage string) {
+			t.Helper()
+			c.FillI64(sum, 0)
+			c.FillI64(bad, 0)
+			if _, err := c.RunJob(JobSpec{Name: "refglobal", Iter: IterOutEdges, Task: &refGlobalProbe{sum: sum, bad: bad}}); err != nil {
+				t.Fatal(err)
+			}
+			got, flagged := c.GatherI64(sum), c.GatherI64(bad)
+			for u := 0; u < g.NumNodes(); u++ {
+				var want int64
+				for _, v := range g.Out.Neighbors(graph.NodeID(u)) {
+					want += int64(v)
+				}
+				if got[u] != want || flagged[u] != 0 {
+					t.Fatalf("cap %d, %s: node %d: sum %d vs %d, placement flagged %d", ghosts, stage, u, got[u], want, flagged[u])
+				}
+			}
 		}
-		if got[u] != want {
-			t.Fatalf("node %d: %d vs %d", u, got[u], want)
+		probe("as loaded")
+		src, _ := c.AddPropF64("src")
+		dst, _ := c.AddPropF64("dst")
+		if _, err := c.RunJob(JobSpec{Name: "build", Iter: IterInEdges, Task: &pullSumTask{src: src, dst: dst}, ReadProps: []PropID{src}}); err != nil {
+			t.Fatal(err)
 		}
+		var replica, packed int
+		for _, m := range c.machines {
+			for _, ref := range m.store.views[store.OrientOut].refs {
+				if ref >= int64(m.store.numLocal) {
+					replica++
+				} else if ref < 0 {
+					packed++
+				}
+			}
+		}
+		if replica == 0 || (ghosts > 0) != (packed > 0) {
+			t.Fatalf("cap %d: the out-edge rows hold %d replica and %d packed refs", ghosts, replica, packed)
+		}
+		probe("resolved")
 	}
 }
 
@@ -149,7 +194,7 @@ func TestClusterConfigAndRemoteRefHelpers(t *testing.T) {
 		t.Errorf("Config() = %+v", got)
 	}
 	ref := RemoteRef(1, 42)
-	m, off := SplitRemoteRef(ref)
+	m, off := c.machines[0].workers[0].ctx.SplitRemoteRef(ref)
 	if m != 1 || off != 42 {
 		t.Errorf("split = %d/%d", m, off)
 	}

@@ -75,23 +75,29 @@ func (c *Ctx) InDegree() int64 {
 }
 
 // NbrRef returns the current edge's neighbor reference. Valid only in a
-// per-edge Run. The ref is stable for the lifetime of the loaded graph and
+// per-edge Run. The ref stays valid for the lifetime of the loaded graph and
 // may be stored (e.g. in Aux) and used later with ReadRef/WriteRef.
 func (c *Ctx) NbrRef() int64 { return c.nbr }
 
 // NbrIsRemote reports whether the current neighbor lives on another machine.
-func (c *Ctx) NbrIsRemote() bool { return c.nbr < 0 }
+func (c *Ctx) NbrIsRemote() bool { return !c.w.m.store.owns(c.nbr) }
 
-// RefGlobal resolves any node ref — local index or remote — back to its
+// RefGlobal resolves any node ref — local, replica or packed — back to its
 // global node id.
 func (c *Ctx) RefGlobal(ref int64) graph.NodeID {
 	st := c.w.m.store
-	if ref >= 0 {
+	if st.owns(ref) {
 		return st.globalOf(uint32(ref))
 	}
-	mach, off := unpackRemote(ref)
+	mach, off := st.owner(ref)
 	return st.layout.GlobalOf(mach, off)
 }
+
+// SplitRemoteRef returns the owner machine and its local offset of a ref that
+// names another machine's node (NbrIsRemote true) — the hook kernels use to
+// address RMI calls at a neighbor's owner ("moving computation instead of
+// data").
+func (c *Ctx) SplitRemoteRef(ref int64) (machine int, offset uint32) { return c.w.m.store.owner(ref) }
 
 // EdgeWeight returns the current edge's weight (0 for unweighted graphs).
 // Valid only in a per-edge Run.
@@ -161,42 +167,53 @@ func (c *Ctx) WriteRef(ref int64, p PropID, op reduce.Op, word uint64) {
 	c.Writer(p, op).Write(ref, word)
 }
 
-// F64View is a typed read view over one float64 property's local slots on
-// this machine. At is valid for ref >= 0 only — remote refs go
-// through Ctx.Remote, then Ctx.ReadRef — and reads the live word: under the
-// engine's relaxed consistency that is the value ReadDone would have been
-// handed. The view is valid for the current job.
+// F64View is a typed read view over one float64 property, valid for the
+// current job. It holds every node this machine owns and, in a job that
+// mirrors the property (JobSpec.ReadProps), every replica the job's rows
+// reference: At answers both with one indexed load behind one unsigned bound
+// check, and reports false for any other ref, which the kernel then hands to
+// Ctx.ReadRef. In a mirrored job the view reads the words as of the job's
+// prefetch, owned and replicated alike — §3.3's rule for a ghost; elsewhere it
+// reads the live word, which under the engine's relaxed consistency is the
+// value ReadDone would have been handed.
 type F64View struct{ vals []atomic.Uint64 }
 
-// At returns the property value of the local node ref.
-func (v F64View) At(ref int64) float64 { return math.Float64frombits(v.vals[ref].Load()) }
+// At returns the property value of node ref, and whether the view holds it.
+func (v F64View) At(ref int64) (float64, bool) {
+	if uint64(ref) < uint64(len(v.vals)) {
+		return math.Float64frombits(v.vals[ref].Load()), true
+	}
+	return 0, false
+}
 
 // I64View is F64View for an int64 property.
 type I64View struct{ vals []atomic.Uint64 }
 
-// At returns the property value of the local node ref.
-func (v I64View) At(ref int64) int64 { return int64(v.vals[ref].Load()) }
+// At returns the property value of node ref, and whether the view holds it.
+func (v I64View) At(ref int64) (int64, bool) {
+	if uint64(ref) < uint64(len(v.vals)) {
+		return int64(v.vals[ref].Load()), true
+	}
+	return 0, false
+}
 
 // F64 returns the read view of float64 property p.
-func (c *Ctx) F64(p PropID) F64View { return F64View{c.w.cols[p].vals} }
+func (c *Ctx) F64(p PropID) F64View { return F64View{c.w.cols[p].view} }
 
 // I64 returns the read view of int64 property p.
-func (c *Ctx) I64(p PropID) I64View { return I64View{c.w.cols[p].vals} }
+func (c *Ctx) I64(p PropID) I64View { return I64View{c.w.cols[p].view} }
 
-// ReadRef requests property p of the node identified by ref; see NbrRead.
+// ReadRef requests property p of the node identified by ref; see NbrRead. A
+// ref p's view holds is answered from it at once; any other goes to its owner
+// — a replica through the remote set's address — whose copier refuses a
+// property the job does not declare.
 func (c *Ctx) ReadRef(ref int64, p PropID) {
 	w := c.w
-	if ref >= 0 {
-		w.job.spec.Task.ReadDone(c, w.cols[p].load(int(ref)))
+	if v := w.cols[p].view; uint64(ref) < uint64(len(v)) {
+		w.job.spec.Task.ReadDone(c, v[ref].Load())
 		return
 	}
-	if w.job.mirrorSet != nil { // mirrored job: answered in place when the mirror holds it
-		if word, ok := c.Remote(p).Word(ref); ok {
-			w.job.spec.Task.ReadDone(c, word)
-			return
-		}
-	}
-	mach, off := unpackRemote(ref)
+	mach, off := w.m.store.owner(ref)
 	w.bufferRead(mach, p, off, c.Node, c.Aux)
 }
 

@@ -104,7 +104,7 @@ func (k *rmiEchoTask) Run(c *Ctx) {
 	if !c.NbrIsRemote() {
 		return
 	}
-	mach, off := unpackRemote(c.NbrRef())
+	mach, off := c.SplitRemoteRef(c.NbrRef())
 	var payload [4]byte
 	binary.LittleEndian.PutUint32(payload[:], off)
 	c.CallRMI(mach, k.method, payload[:])

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/obs"
+	"repro/internal/reduce"
 )
 
 // readKeys renders read-record keys as a read request's payload.
@@ -92,8 +93,12 @@ func FuzzServeReads(f *testing.F) {
 	q, _ := c.AddPropI64("q")
 	r, _ := c.AddPropI64("r") // registered, with a column, but the job does not read it
 	c.DropProps(q)            // a registered id with no column behind it
+	if _, err := c.RunJob(JobSpec{Name: "build", Iter: IterOutEdges, Task: &pushOneTask{counter: r},
+		WriteProps: []WriteSpec{{Prop: r, Op: reduce.Sum}}}); err != nil { // rows now hold replica refs
+		f.Fatal(err)
+	}
 	m, answers := c.machines[0], c.machines[1].workers[0].respCh
-	n := uint64(len(m.cols[p].vals))
+	n, slots := uint64(len(m.cols[p].vals)), uint64(len(m.store.remote.addr))
 	key := func(prop PropID, off uint64) uint64 { return uint64(prop)<<48 | off }
 	f.Add(readKeys(key(p, 3), key(p, 0), key(p, n-1)), uint32(3), false)
 	f.Add(readKeys(key(p, 1)), uint32(2), false)            // short payload
@@ -103,6 +108,7 @@ func FuzzServeReads(f *testing.F) {
 	f.Add(readKeys(key(99, 1)), uint32(1), false)           // unknown property
 	f.Add(readKeys(key(q, 1)), uint32(1), false)            // dropped property
 	f.Add(readKeys(key(p, n)), uint32(1), false)            // offset past the column
+	f.Add(readKeys(key(p, n+slots-1)), uint32(1), false)    // a replica slot: it names nothing at the owner
 	f.Add(readKeys(key(p, 1)), uint32(1), true)             // stale epoch
 	f.Add(readKeys(key(p, 1), key(r, 1)), uint32(2), false) // registered, not declared
 	current := &jobRuntime{id: 1<<32 | 5, abortCh: make(chan struct{}),
@@ -139,8 +145,12 @@ func FuzzServeReads(f *testing.F) {
 			}
 			resp.Release()
 			for i := 0; i < int(count); i++ {
-				if prop := PropID(binary.LittleEndian.Uint64(payload[readRecSize*i:]) >> 48); prop != p {
+				rec := binary.LittleEndian.Uint64(payload[readRecSize*i:])
+				if prop := PropID(rec >> 48); prop != p {
 					t.Fatalf("record %d of an answered request reads property %d, which the job does not declare", i, prop)
+				}
+				if off := uint64(uint32(rec)); off >= n {
+					t.Fatalf("record %d of an answered request reads offset %d, past the owner's %d words", i, off, n)
 				}
 			}
 		case int64(len(payload)) < readRecSize*int64(count) && !strings.Contains(err.Error(), "truncated"):

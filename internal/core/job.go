@@ -62,9 +62,9 @@ type Task interface {
 }
 
 // Row is one node's adjacency in one orientation, handed to RowTask.RunRow.
-// Refs[i] is the i-th neighbor's ref (a local index or — when negative — a
-// remote ref); Weights, nil on unweighted graphs, runs parallel
-// to Refs. Both alias engine storage (the CSR or a decoded store block) and
+// Refs[i] is the i-th neighbor's ref (an owned node's local index, a replica
+// of a remote one, or a packed remote ref: store.go); Weights, nil on
+// unweighted graphs, runs parallel to Refs. Both alias engine storage (the CSR or a decoded store block) and
 // are valid only until RunRow returns.
 type Row struct {
 	Refs    []int64
@@ -92,11 +92,11 @@ func (r Row) Weight(i int) float64 {
 //     remote ref to Ctx.ReadRef gets Node and Aux back in ReadDone, so
 //     per-edge continuation state (an edge weight, say) goes into Aux just
 //     before that ReadRef.
-//   - Local refs (ref >= 0) are read through a typed view
-//     (Ctx.F64/Ctx.I64); that does not invoke ReadDone. Remote refs (ref < 0)
-//     are answered by the job's mirror when it has one (Ctx.Remote, resolved
-//     once per row) and otherwise go through Ctx.ReadRef, which buffers
-//     toward the owner.
+//   - A neighbor is read through the property's typed view (Ctx.F64/Ctx.I64,
+//     resolved once per row) when the view holds it — every owned node and,
+//     in a job that mirrors the property, every replica its rows reference —
+//     with one indexed load and no ReadDone; At reports whether it does. Any
+//     other ref goes through Ctx.ReadRef, which buffers toward the owner.
 //   - A push reduces by the row: Ctx.Writer(p, op).WriteRow(row.Refs, word)
 //     puts one word into every neighbor, local and remote, in row order, with
 //     op the operator the job declares for p; Writer.Write and its typed forms
@@ -206,9 +206,11 @@ type JobSpec struct {
 	// machine; per-invocation state must live in Ctx or properties.
 	Task Task
 	// ReadProps lists properties read through neighbors; an eligible job
-	// (remoteset.go) mirrors them from their owners before its first row. A
-	// remote read of any other property fails the job at its owner, and a
-	// property not listed may be stored with plain writes (Ctx.SetF64).
+	// (remoteset.go) mirrors them before its first row — the owned words and
+	// the replicas its rows reference — and its neighbor reads of them see the
+	// words as of then (F64View). A remote read of any other property fails the
+	// job at its owner, and a property not listed may be stored with plain
+	// writes (Ctx.SetF64).
 	ReadProps []PropID
 	// WriteProps lists properties reduced into through neighbors; an
 	// eligible job folds its remote reductions in per-worker accumulators

@@ -274,7 +274,7 @@ type machineJobStats struct {
 //	newJobRuntime   what this machine iterates and feeds; no traffic
 //	publish         spill, curJob, collectives' abort; unpublish on every exit
 //	startBarrier    barrier(0): every machine has published
-//	taskPhase       remote_set_build, once per load and iterator; then
+//	taskPhase       remote_set_build, once per load; then
 //	                task_phase: the workers run the task list dry (RTC),
 //	                mirrors prefetched first, accumulators shipped last
 //	drainWrites     barrier(1), the first round: all task lists empty, all
@@ -323,8 +323,8 @@ var iterViews = [...][2]int{IterNodes: {0, 0}, IterOutEdges: {0, 1}, IterInEdges
 // its workers claim and through which CSR views, which frontier members they
 // visit, which frontiers and write-activations the job feeds, and which column
 // words one goroutine owns during the job. No traffic; of the machine's state
-// only the columns' ownership flags are written, which nothing reads between
-// jobs.
+// only the columns' ownership flags and views are written, which nothing reads
+// between jobs.
 func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	span := iterViews[spec.Iter]
 	jr := &jobRuntime{spec: spec, id: jobID, abortCh: make(chan struct{}),
@@ -399,6 +399,7 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 		reduced := slices.ContainsFunc(spec.WriteProps, func(ws WriteSpec) bool { return ws.Prop == PropID(p) })
 		col.single = one && !read
 		col.owned = !read && (one || !reduced)
+		col.view = col.vals // mirrorJob points a mirrored property's at its mirror
 	}
 	return jr
 }

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,7 +31,7 @@ type mixedReadTask struct {
 
 func (k *mixedReadTask) RunRow(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
-		if ref < 0 {
+		if !c.w.m.store.owns(ref) {
 			c.ReadRef(ref, k.declared)
 			for _, p := range k.undeclared {
 				c.ReadRef(ref, p)
@@ -84,15 +83,20 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		want := make([]float64, g.NumNodes())
 		var setWords int64
 		for _, m := range c.machines {
-			set, peer := m.store.remoteSets[IterInEdges], 1-m.id
-			if set == nil || set.size == 0 {
+			set, peer := m.store.remote, 1-m.id
+			if set == nil || set.iters[IterInEdges].size == 0 {
 				t.Fatalf("machine %d built no remote set", m.id)
 			}
-			setWords += int64(set.size)
+			// The rows now name their remote neighbours by replica ref, so the
+			// undeclared reads below reach the owner through the set's addresses.
+			if !slices.ContainsFunc(m.store.views[store.OrientIn].refs, func(ref int64) bool { return ref >= int64(m.store.numLocal) }) {
+				t.Fatalf("machine %d's in-edge rows hold no replica ref", m.id)
+			}
+			setWords += int64(set.iters[IterInEdges].size)
 			lo, hi := c.layout.Range(peer)
 			found := false
 			for off := uint32(0); off < uint32(hi-lo) && !found; off++ {
-				if set.peers[peer].bits[off>>6]>>(off&63)&1 == 0 {
+				if set.peers[peer].slot(off) < 0 {
 					task.outside[m.id], found = RemoteRef(peer, off), true
 					want[c.layout.Starts[m.id]] += aOf(lo + graph.NodeID(off))
 				}
@@ -350,14 +354,15 @@ func TestCancelAfterPrefetch(t *testing.T) {
 	})
 }
 
-// TestRemoteSetMatchesOracle builds the remote set of every machine and edge
-// iterator over seeded random graphs cut two, three and four ways, uncapped and
-// capped at the top 1 and 8 vertices, and compares it with a brute-force walk
-// of the global graph: members are exactly the distinct remote neighbours (of
-// the top vertices, under a cap), slots are dense, start at each owner's base
-// and ascend with the offset, each visits the members and nothing else, and
-// refs, edges and size are exact. A look-up that is not a member's — past the
-// bitmap, at this machine's own (empty) entry, or a ref >= 0 — finds nothing.
+// TestRemoteSetMatchesOracle builds the remote set of every machine over seeded
+// random graphs cut two, three and four ways, uncapped and capped at the top 1
+// and 8 vertices, and compares it with a brute-force walk of the global graph.
+// Per edge iterator, members are exactly the distinct remote neighbours its
+// rows reference (of the top vertices, under a cap), members visits them and
+// nothing else, and refs, edges and size are exact. Slots number the union of
+// the orientations' members densely, start at each owner's base, ascend with
+// the offset, and lead back to the address. A look-up that is not a member's —
+// past the bitmap or at this machine's own (empty) entry — finds nothing.
 func TestRemoteSetMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -390,17 +395,19 @@ func TestRemoteSetMatchesOracle(t *testing.T) {
 				for _, v := range ranked[:min(k, len(ranked))] {
 					top[v] = true
 				}
-				for it := IterOutEdges; it <= IterBothEdges; it++ {
-					for _, m := range c.machines {
-						where := fmt.Sprintf("seed %d p=%d cap=%d %v machine %d", seed, p, k, it, m.id)
-						set, err := m.buildRemoteSet(m.newJobRuntime(&JobSpec{Iter: it, Task: &pushOneTask{}}, 0))
-						if err != nil {
-							t.Fatalf("%s: %v", where, err)
-						}
+				for _, m := range c.machines {
+					where := fmt.Sprintf("seed %d p=%d cap=%d machine %d", seed, p, k, m.id)
+					set, err := m.buildRemoteSet(m.newJobRuntime(&JobSpec{Iter: IterOutEdges, Task: &pushOneTask{}}, 0))
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					m.store.remote = set // the build rewrote the rows against it
+					lo, hi := c.layout.Range(m.id)
+					union := map[graph.NodeID]bool{}
+					for it := IterOutEdges; it <= IterBothEdges; it++ {
 						// The oracle: multiplicity of every remote neighbour the set may hold.
 						mult := map[graph.NodeID]int64{}
 						var edges, refs int64
-						lo, hi := c.layout.Range(m.id)
 						for u := lo; u < hi; u++ {
 							var nbrs []graph.NodeID
 							if it != IterInEdges {
@@ -414,44 +421,52 @@ func TestRemoteSetMatchesOracle(t *testing.T) {
 								if (v < lo || v >= hi) && (k == 0 || top[v]) {
 									mult[v]++
 									refs++
+									union[v] = true
 								}
 							}
 						}
-						if set.size != len(mult) || set.refs != refs || set.edges != edges {
-							t.Fatalf("%s: size/refs/edges = %d/%d/%d, want %d/%d/%d", where, set.size, set.refs, set.edges, len(mult), refs, edges)
+						is := &set.iters[it]
+						if is.size != len(mult) || is.refs != refs || is.edges != edges {
+							t.Fatalf("%s %v: size/refs/edges = %d/%d/%d, want %d/%d/%d", where, it, is.size, is.refs, is.edges, len(mult), refs, edges)
 						}
-						view, next := RemoteView{set: set, vals: make([]atomic.Uint64, set.size)}, 0
 						for d := range set.peers {
-							ps, dlo := &set.peers[d], c.layout.Starts[d]
-							if ps.base != next {
-								t.Fatalf("%s: owner %d's slots start at %d, want %d", where, d, ps.base, next)
-							}
 							var visited, members []uint32
-							ps.each(0, len(ps.bits), func(off uint32, slot int) {
-								if slot != ps.base+len(visited) {
-									t.Fatalf("%s: each handed offset %d of owner %d slot %d, want %d", where, off, d, slot, ps.base+len(visited))
+							set.peers[d].members(is.bits[d], 0, len(is.bits[d]), func(off uint32, slot int) {
+								if set.addr[slot] != packRemote(d, off) {
+									t.Fatalf("%s %v: members handed offset %d of owner %d slot %d, whose address is %x", where, it, off, d, slot, set.addr[slot])
 								}
 								visited = append(visited, off)
 							})
-							for off := uint32(0); off < uint32(c.layout.NumLocal(d))+130; off++ {
-								want := -1
-								if int(off) < c.layout.NumLocal(d) && mult[dlo+graph.NodeID(off)] > 0 {
-									want, next = next, next+1
+							for off := uint32(0); int(off) < c.layout.NumLocal(d); off++ {
+								if mult[c.layout.Starts[d]+graph.NodeID(off)] > 0 {
 									members = append(members, off)
-								}
-								if got := ps.slot(off); got != want {
-									t.Fatalf("%s: slot of (%d, %d) = %d, want %d", where, d, off, got, want)
-								}
-								if _, ok := view.Word(RemoteRef(d, off)); ok != (want >= 0) {
-									t.Fatalf("%s: the view answers (%d, %d): %v", where, d, off, ok)
 								}
 							}
 							if !slices.Equal(visited, members) {
-								t.Fatalf("%s: each visited offsets %v of owner %d, the members are %v", where, visited, d, members)
+								t.Fatalf("%s %v: members visited offsets %v of owner %d, the members are %v", where, it, visited, d, members)
 							}
 						}
-						if _, ok := view.Word(0); ok {
-							t.Fatalf("%s: the view answers a local ref", where)
+					}
+					if len(set.addr) != len(union) || set.iters[IterBothEdges].size != len(union) {
+						t.Fatalf("%s: %d slots, both-edge size %d, want the %d members of either orientation", where, len(set.addr), set.iters[IterBothEdges].size, len(union))
+					}
+					next := 0
+					for d := range set.peers {
+						ps, dlo := &set.peers[d], c.layout.Starts[d]
+						if ps.base != next {
+							t.Fatalf("%s: owner %d's slots start at %d, want %d", where, d, ps.base, next)
+						}
+						for off := uint32(0); off < uint32(c.layout.NumLocal(d))+130; off++ {
+							want := -1
+							if int(off) < c.layout.NumLocal(d) && union[dlo+graph.NodeID(off)] {
+								want, next = next, next+1
+							}
+							if got := ps.slot(off); got != want {
+								t.Fatalf("%s: slot of (%d, %d) = %d, want %d", where, d, off, got, want)
+							}
+							if want >= 0 && set.addr[want] != packRemote(d, off) {
+								t.Fatalf("%s: slot %d leads back to %x, want (%d, %d)", where, want, set.addr[want], d, off)
+							}
 						}
 					}
 				}
@@ -470,11 +485,11 @@ type skipRemoteSum struct {
 }
 
 func (k *skipRemoteSum) RunRow(c *Ctx, row Row) {
-	src := c.F64(k.src)
+	src := c.F64(k.src) // not mirrored: it holds the owned nodes only
 	var sum float64
 	for _, ref := range row.Refs {
-		if ref >= 0 {
-			sum += src.At(ref)
+		if v, ok := src.At(ref); ok {
+			sum += v
 		}
 	}
 	c.SetF64(k.dst, c.GetF64(k.dst)+sum)
@@ -506,6 +521,17 @@ func remoteBenchBoot(b *testing.B, g *graph.Graph, useTCP bool, ablate Ablation)
 	dst, _ = c.AddPropF64("dst")
 	c.FillF64(src, 1)
 	return c, src, dst
+}
+
+// remoteRefs counts the refs of an in-memory load's orient rows that name
+// another machine's node, in whichever class the rows spell them.
+func (s *localStore) remoteRefs(orient int) (n int64) {
+	for _, ref := range s.views[orient].refs {
+		if !s.owns(ref) {
+			n++
+		}
+	}
+	return n
 }
 
 // remoteRefMode is one way to answer a remote ref: a row of the budget.
@@ -547,11 +573,7 @@ func remoteRefBudget(b *testing.B, g *graph.Graph, orient int, skip, spec func(s
 				c, src, dst := remoteBenchBoot(b, g, fab.tcp, mode.ablate)
 				var remote int64
 				for _, m := range c.machines {
-					for _, ref := range m.store.views[orient].refs {
-						if ref < 0 {
-							remote++
-						}
-					}
+					remote += m.store.remoteRefs(orient)
 				}
 				ns := perJob(b, c, spec(src, dst))
 				b.ReportMetric((ns-skipNS)/float64(remote), "ns/remote-ref")
@@ -563,7 +585,8 @@ func remoteRefBudget(b *testing.B, g *graph.Graph, orient int, skip, spec func(s
 
 // BenchmarkRemoteRead is the budget of one remote read (remoteRefBudget): a
 // pull-sum job whose reads are requested on demand (the paper's protocol), and
-// prefetched into the mirror. set-build is the one-time remote-set scan, per edge scanned.
+// prefetched into the mirror. set-build is the one-time remote-set scan of both
+// orientations and the rewrite of their rows, per edge scanned.
 func BenchmarkRemoteRead(b *testing.B) {
 	g := remoteBenchGraph(b)
 	remoteRefBudget(b, g, store.OrientIn,
@@ -578,14 +601,23 @@ func BenchmarkRemoteRead(b *testing.B) {
 		c, src, dst := remoteBenchBoot(b, g, false, 0)
 		m := c.machines[0]
 		jr := m.newJobRuntime(&JobSpec{Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}}, 0)
+		var raw [2][]int64 // the rows as loaded: every build rewrites them
+		for o := range raw {
+			raw[o] = slices.Clone(m.store.views[o].refs)
+		}
 		var edges int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for o := range raw {
+				copy(m.store.views[o].refs, raw[o])
+			}
+			b.StartTimer()
 			set, err := m.buildRemoteSet(jr)
 			if err != nil {
 				b.Fatal(err)
 			}
-			edges = set.edges
+			edges = set.iters[IterBothEdges].edges
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*edges), "ns/edge")
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/partition"
 	"repro/internal/store"
@@ -15,7 +16,9 @@ import (
 // its rows are read through rowReaders — and page-cache eviction, optionally
 // bounded by Config.ResidentBudgetBytes, governs how much topology is
 // resident. Store files carry the engine's own ref encoding (store.go), so the
-// per-edge dispatch is identical either way.
+// per-edge dispatch is identical either way; only the replica refs a job that
+// uses the remote set needs are made as it reads the rows (rowReader), the
+// file's mapping being read-only.
 // Everything that depends on how the file spells its sections sits behind one
 // store.Load handle.
 
@@ -94,37 +97,54 @@ func (jr *jobRuntime) claimChunk(mach int, ch partition.Chunk) {
 
 // rowReader reads one view's rows for one goroutine, whatever the load: sliced
 // out of the view's refs or, on a compressed load, which has none, through a
-// store.Cursor — a row is then valid until the reader's next row or release,
-// and the reader pins one decoded block until released.
+// store.Cursor, which pins one decoded block until released. When res is set —
+// a job that uses the remote set, on a store file whose rows cannot be
+// rewritten — each row is resolved into the reader's scratch (remoteSet.resolve).
+// Either of the last two makes a row valid until the reader's next row or
+// release.
 type rowReader struct {
 	v      *orientView
 	cur    store.Cursor
 	cursor bool
+	res    *remoteSet
+	buf    []int64
 }
 
 // rowReaders is one goroutine's reader per view of a job. Workers keep theirs
-// beside their other per-job state so an abort unwind finds them; a job on an
-// in-memory or raw load never asks a worker's for a row (worker.runChunk).
+// beside their other per-job state so an abort unwind finds them, and their
+// scratch across jobs; a job that neither decodes nor resolves its rows never
+// asks a worker's for one (jobRuntime.viaReaders).
 type rowReaders [2]rowReader
 
-// readers returns readers of machine mach's views under jr's load.
-func (jr *jobRuntime) readers(mach int) (rd rowReaders) {
+// open points the readers at machine mach's views under jr's load.
+func (rd *rowReaders) open(jr *jobRuntime, mach int) {
 	for i := range jr.views {
-		rd[i].v = &jr.views[i]
+		r := &rd[i]
+		r.v, r.cursor, r.res = &jr.views[i], jr.cursors, jr.resolve
 		if jr.cursors {
-			rd[i].cur, rd[i].cursor = jr.ooc.Cursor(mach, rd[i].v.orient), true
+			r.cur = jr.ooc.Cursor(mach, r.v.orient)
 		}
 	}
-	return rd
 }
 
 // refs returns node's neighbour refs. An error is a block that no longer
 // decodes — every one was strictly validated at Open — and fails the job.
 func (r *rowReader) refs(node uint32) ([]int64, error) {
-	if !r.cursor {
-		return r.v.refs[r.v.rows[node]:r.v.rows[node+1]], nil
+	var row []int64
+	if r.cursor {
+		var err error
+		if row, err = r.cur.Row(int64(node)); err != nil {
+			return nil, err
+		}
+	} else {
+		row = r.v.refs[r.v.rows[node]:r.v.rows[node+1]]
 	}
-	return r.cur.Row(int64(node))
+	if r.res != nil {
+		r.buf = slices.Grow(r.buf[:0], len(row))[:len(row)]
+		r.res.resolve(r.buf, row)
+		row = r.buf
+	}
+	return row, nil
 }
 
 // release drops the readers' block pins, if they hold any. Idempotent.

@@ -64,8 +64,12 @@ type column struct {
 	// owned: no goroutine but a node's own worker touches the node's word this
 	// job, so an own-node store (Ctx.SetF64/SetI64) is plain. single: one worker
 	// is the column's only task-phase goroutine, so a local reduction is a plain
-	// load–merge–store too. Written by newJobRuntime, read by the workers.
+	// load–merge–store too. view is what a neighbour read of the property loads
+	// (Ctx.F64/I64, ReadRef): vals, or in a job that mirrors the property the
+	// mirror, [owned words | replicas] (mirror.go). Written by newJobRuntime and
+	// mirrorJob, read by the workers.
 	owned, single bool
+	view          []atomic.Uint64
 
 	// freeFn is non-nil when vals is backed by anonymous mmap instead of the
 	// Go heap (out-of-core runs with a resident budget): the O(N) column then
@@ -91,6 +95,7 @@ func newColumn(kind PropKind, numLocal, workers int, offHeap bool) *column {
 	if c.vals == nil {
 		c.vals = make([]atomic.Uint64, numLocal)
 	}
+	c.view = c.vals
 	return c
 }
 
@@ -103,14 +108,13 @@ func (c *column) release() {
 	}
 	f := c.freeFn
 	c.freeFn = nil
-	c.vals = nil
+	c.vals, c.view = nil, nil
 	f() //nolint:errcheck
 }
 
 // --- raw word access -------------------------------------------------------
 
-func (c *column) load(i int) uint64     { return c.vals[i].Load() }
-func (c *column) store(i int, v uint64) { c.vals[i].Store(v) }
+func (c *column) load(i int) uint64 { return c.vals[i].Load() }
 
 // getF64/getI64 interpret slot i.
 func (c *column) getF64(i int) float64 { return math.Float64frombits(c.vals[i].Load()) }
@@ -122,6 +126,11 @@ func (c *column) setI64(i int, v int64)   { c.vals[i].Store(uint64(v)) }
 // plainWord is the word behind an atomic one (atomic.Uint64 is that word
 // alone), for the goroutine that owns it this job.
 func plainWord(s *atomic.Uint64) *uint64 { return (*uint64)(unsafe.Pointer(s)) }
+
+// plainWords is plainWord over a slice: for a bulk copy no goroutine races.
+func plainWords(s []atomic.Uint64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
 
 // put is an own-node store (Ctx.SetF64/SetI64): plain when the column is owned.
 func (c *column) put(i int, w uint64) {
@@ -154,15 +163,15 @@ func (c *column) mergeWords(op reduce.Op, a, b uint64) uint64 {
 	}
 }
 
-// ensureAcc readies worker w's accumulator for job over set's addresses: one
-// word per address, each op's identity.
-func (c *column) ensureAcc(w int, op reduce.Op, job uint64, set *remoteSet) {
+// ensureAcc readies worker w's accumulator for job over a remote set of size
+// slots: one word per slot, each op's identity.
+func (c *column) ensureAcc(w int, op reduce.Op, job uint64, size int) {
 	a := &c.acc[w]
-	a.job, a.set = job, set
-	if cap(a.slots) < set.size {
-		a.slots = make([]uint64, set.size)
+	a.job = job
+	if cap(a.slots) < size {
+		a.slots = make([]uint64, size)
 	}
-	a.slots = a.slots[:set.size]
+	a.slots = a.slots[:size]
 	bottom := c.bottomWord(op)
 	for i := range a.slots {
 		a.slots[i] = bottom

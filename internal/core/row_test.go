@@ -16,7 +16,7 @@ import (
 )
 
 // rowPullSum is pullSumTask in row form: register accumulation over the
-// local and ghost neighbors, ReadRef for the remote ones, one own-node
+// neighbors the typed view holds, ReadRef for the rest, one own-node
 // read-modify-write after the loop.
 //
 // inRow/reentered instrument TestRowKernelReentrancy: inRow[m] holds the node
@@ -41,8 +41,8 @@ func (k *rowPullSum) RunRow(c *Ctx, row Row) {
 	before := c.GetF64(k.dst)
 	var sum float64
 	for _, ref := range row.Refs {
-		if ref >= 0 {
-			sum += src.At(ref)
+		if v, ok := src.At(ref); ok {
+			sum += v
 		} else {
 			c.ReadRef(ref, k.src)
 		}
@@ -235,11 +235,7 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 		remote := make(map[IterKind]int64)
 		for _, m := range c.machines {
 			for iter, orient := range map[IterKind]int{IterInEdges: store.OrientIn, IterOutEdges: store.OrientOut} {
-				for _, ref := range m.store.views[orient].refs {
-					if ref < 0 {
-						remote[iter]++
-					}
-				}
+				remote[iter] += m.store.remoteRefs(orient)
 			}
 		}
 		src, _ := c.AddPropF64("src")

@@ -70,9 +70,9 @@ func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
 // barrier(0), task_phase, barrier(1), write_drain, job — and the
 // collective count is what those spans say: the start barrier, the first drain
 // round and one per drain round after it, in every case. The one span that may
-// join them is remote_set_build, ahead of task_phase and exactly once per load
-// and iterator kind: in the first job that resolves against the set, never in
-// a rerun, again for a job over another iterator.
+// join them is remote_set_build, ahead of task_phase and exactly once per load:
+// in the first job that resolves against the set, never in a rerun, nor in a
+// job over another iterator, whose members the one build numbered too.
 func TestRunJobSchedule(t *testing.T) {
 	g := testGraph(t)
 	inDeg := refInDegree(g)
@@ -88,7 +88,7 @@ func TestRunJobSchedule(t *testing.T) {
 		name  string
 		cfg   func(*Config)
 		spec  func(c *Cluster, spec *JobSpec)
-		build bool // every machine resolves the job against its out-edge remote set
+		build bool // the job builds the remote set of every machine that has none
 		quiet bool // no remote write: the drain must take its first round only
 		want  []int64
 	}{
@@ -133,7 +133,7 @@ func TestRunJobSchedule(t *testing.T) {
 				seq0 := c.machines[0].col.Seq()
 				var had [3]bool
 				for m := range had {
-					had[m] = c.machines[m].store.remoteSets[spec.Iter] != nil
+					had[m] = c.machines[m].store.remote != nil
 				}
 				if _, err := c.RunJob(spec); err != nil {
 					t.Fatal(err)
@@ -144,8 +144,8 @@ func TestRunJobSchedule(t *testing.T) {
 				for m := 0; m < 3; m++ {
 					// The build span is recorded by the job that built the set, and
 					// by no other.
-					built := !had[m] && c.machines[m].store.remoteSets[spec.Iter] != nil
-					if build && !built {
+					built := !had[m] && c.machines[m].store.remote != nil
+					if build && !had[m] && !built {
 						t.Errorf("%s: machine %d did not build its remote set", spec.Name, m)
 					}
 					if got, want := mainSpans(c.cfg.Obs, c.jobSeq, m), jobSchedule(built); !slices.Equal(got, want) {
@@ -167,9 +167,10 @@ func TestRunJobSchedule(t *testing.T) {
 			}
 			spec.Name += "/rerun"
 			run(spec, tc.want, false, tc.quiet)
-			// The in-edge rows reference other addresses: their set is built by
-			// the first full scan over them, once. Transposed, the push counts
-			// out-degrees.
+			// The in-edge rows reference other addresses, which the one build
+			// numbered with the out-edges' — or, on a machine no job built it on
+			// yet, the first full scan over them builds. Transposed, the push
+			// counts out-degrees.
 			spec.Name, spec.Iter, spec.Source = tc.name+"/in-edges", IterInEdges, nil
 			run(spec, outDeg, !cfg.Ablate.Has(AblateRemoteSets), false)
 			spec.Name += "/rerun"

@@ -6,18 +6,22 @@ import (
 	"repro/internal/store"
 )
 
-// Node references inside a machine's local CSR are pre-resolved at load time
-// into an int64 encoding so the per-edge dispatch (local / remote) is a sign
-// test, with no hash lookups on the hot path:
+// Node references inside a machine's local CSR are int64s in three classes, so
+// that an owned node and a replicated one are each one indexed load away:
 //
-//	ref >= 0                 the local index of an owned node
-//	ref <  0                 remote: packed := ^ref,
+//	0 <= ref < numLocal      the local index of an owned node
+//	ref >= numLocal          a replica: slot ref - numLocal of the load's remote
+//	                         set (remoteset.go), which holds its address
+//	ref <  0                 packed: packed := ^ref,
 //	                         machine = packed >> 32, offset = uint32(packed)
 //
-// This realizes the paper's 64-bit global id ("concatenates the machine
-// number and the local offset") with a fast path for owned nodes. Store files
-// carry the same encoding. Which remote refs have a local replica is not a
-// property of the ref but of the load's remote sets (remoteset.go).
+// The packed form realizes the paper's 64-bit global id ("concatenates the
+// machine number and the local offset"). Rows are written with local and
+// packed refs (buildLocalCSR; store files carry the same encoding); the remote
+// set, when a job first needs it, turns every member into a replica ref —
+// in place on an in-memory load, row by row as a job reads a store file's.
+// Every ref consumer accepts all three classes, so a ref stays valid for the
+// load's lifetime whichever spelling it was read in.
 
 func packRemote(machine int, offset uint32) int64 {
 	return ^(int64(machine)<<32 | int64(offset))
@@ -28,11 +32,6 @@ func packRemote(machine int, offset uint32) int64 {
 // exists for microbenchmarks and tests that target arbitrary remote slots,
 // like the paper's remote random-read bandwidth study (Figure 8a).
 func RemoteRef(machine int, offset uint32) int64 { return packRemote(machine, offset) }
-
-// SplitRemoteRef decodes a remote ref (NbrRef with NbrIsRemote true) into
-// its owner machine and local offset — the hook kernels use to address RMI
-// calls at a neighbor's owner ("moving computation instead of data").
-func SplitRemoteRef(ref int64) (machine int, offset uint32) { return unpackRemote(ref) }
 
 func unpackRemote(ref int64) (machine int, offset uint32) {
 	packed := ^ref
@@ -74,12 +73,12 @@ type localStore struct {
 	outDeg []int32
 	inDeg  []int32
 
-	// remoteSets[it] is the set of remote addresses iterator it's rows
-	// reference, built by the first job that can use it (remoteset.go). top,
-	// when non-nil (Config.GhostCount), is a bitmap over global ids of the
-	// only vertices they may hold.
-	remoteSets [IterBothEdges + 1]*remoteSet
-	top        []uint64
+	// remote is the set of remote addresses the rows reference, built by the
+	// first job that can use it (remoteset.go). top, when non-nil
+	// (Config.GhostCount), is a bitmap over global ids of the only vertices it
+	// may hold.
+	remote *remoteSet
+	top    []uint64
 }
 
 // buildLocalStore extracts machine me's partition from the global graph.
@@ -156,4 +155,17 @@ func (s *localStore) rowsFor(it IterKind) []int64 {
 // globalOf converts a local node index to its global id.
 func (s *localStore) globalOf(local uint32) graph.NodeID {
 	return s.layout.GlobalOf(s.me, local)
+}
+
+// owns reports whether ref is the local index of an owned node.
+func (s *localStore) owns(ref int64) bool { return uint64(ref) < uint64(s.numLocal) }
+
+// owner returns the machine and offset of a ref that is not owned: a replica
+// through the remote set (which exists once any row holds one), a packed ref as
+// it is spelled.
+func (s *localStore) owner(ref int64) (int, uint32) {
+	if ref >= 0 {
+		ref = s.remote.addr[ref-int64(s.numLocal)]
+	}
+	return unpackRemote(ref)
 }

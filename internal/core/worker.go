@@ -80,9 +80,10 @@ type worker struct {
 	// (Ctx.Writer): once per job and property, not once per row or edge.
 	wrs []Writer
 
-	// rd are the readers this worker takes a compressed load's rows through,
+	// rd are the readers this worker takes decoded or resolved rows through,
 	// each pinning a decoded block while a chunk runs. A worker field rather
-	// than a local so abortCleanup can release them after an unwind mid-chunk.
+	// than a local so abortCleanup can release them after an unwind mid-chunk,
+	// and so their scratch outlives the job.
 	rd rowReaders
 
 	// reg is the observability registry (nil when off). rttStart maps an
@@ -209,15 +210,15 @@ func (w *worker) runJob(jr *jobRuntime) {
 	if len(w.wrs) < len(w.cols) {
 		w.wrs = make([]Writer, len(w.cols))
 	}
-	if jr.cursors {
-		w.rd = jr.readers(w.m.id)
+	if jr.viaReaders() {
+		w.rd.open(jr, w.m.id)
 	}
 	if jr.mirrorSet != nil {
 		w.prefetch(jr)
 	}
-	if jr.accSet != nil {
+	if jr.accumulate {
 		for _, ws := range jr.spec.WriteProps {
-			w.cols[ws.Prop].ensureAcc(w.id, ws.Op, jr.id, jr.accSet)
+			w.cols[ws.Prop].ensureAcc(w.id, ws.Op, jr.id, len(w.m.store.remote.addr))
 		}
 	}
 
@@ -237,7 +238,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 	}
 
 	w.awaitReads(jr)
-	if jr.accSet != nil {
+	if jr.accumulate {
 		w.flushAccum(jr)
 	}
 	if len(w.sides) != 0 {
@@ -269,16 +270,16 @@ func (w *worker) awaitReads(jr *jobRuntime) {
 }
 
 // runChunk drives the task over one chunk in the job's iteration mode, after
-// announcing the chunk's topology reads on an out-of-core load. A compressed
-// load takes its rows through the worker's readers; every other load runs the
-// loops below over the views' own refs.
+// announcing the chunk's topology reads on an out-of-core load. A job whose
+// rows are decoded or resolved on the way takes them through the worker's
+// readers; every other job runs the loops below over the views' own refs.
 func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
 	if jr.ooc != nil {
 		jr.claimChunk(w.m.id, ch)
 	}
 	switch {
-	case jr.cursors:
-		jr.eachNode(ch, func(node uint32) { w.runNodeCursor(jr, ctx, node) })
+	case jr.viaReaders():
+		jr.eachNode(ch, func(node uint32) { w.runNodeReaders(jr, ctx, node) })
 		w.rd.release()
 	case jr.frontList != nil:
 		// Sparse frontier: chunk indices address the sorted member list.
@@ -335,9 +336,9 @@ func (jr *jobRuntime) eachNode(ch partition.Chunk, fn func(node uint32)) {
 	}
 }
 
-// runNodeCursor is runNode on a compressed load: an edge iterator's rows come
-// through the worker's readers, and one that fails to decode fails the job.
-func (w *worker) runNodeCursor(jr *jobRuntime, ctx *Ctx, node uint32) {
+// runNodeReaders is runNode with an edge iterator's rows through the worker's
+// readers; one that fails to decode fails the job.
+func (w *worker) runNodeReaders(jr *jobRuntime, ctx *Ctx, node uint32) {
 	ctx.Node = node
 	ctx.Aux = 0
 	for i := range jr.views {
@@ -485,9 +486,11 @@ func (w *worker) processResponse(buf *comm.Buffer) {
 		if words := len(payload) / 8; len(side) > words {
 			w.fail(fmt.Errorf("core: machine %d worker %d: truncated read response (seq %d: %d records, %d words)", w.m.id, w.id, seq, len(side), words))
 		}
-		if w.fetching { // a prefetch's records name mirror slots, not nodes
+		if w.fetching { // a prefetch's records name mirror words, not nodes
+			// Plain: the word is in this worker's share alone, and no row reads it
+			// before every share is in (jr.fetched).
 			for i, r := range side {
-				w.job.mirrors[r.aux].store(int(r.node), leU64(payload[8*i:]))
+				*plainWord(&w.job.mirrors[r.aux].vals[r.node]) = leU64(payload[8*i:])
 			}
 			break
 		}
@@ -780,24 +783,28 @@ type jobRuntime struct {
 	activate  []int8
 
 	// mirrorSet is non-nil when the job is mirrored (Machine.mirrorJob): before
-	// its first row every worker fetches its share of the set's addresses into
+	// its first row every worker copies its share of the owned words and
+	// fetches its share of the iterator's members of the remote set into
 	// mirrors — one word buffer per spec.ReadProps entry, the machine's, reused
 	// across jobs — and the last of the fetching workers to finish closes
-	// fetched. accSet is non-nil when the job's remote writes accumulate
-	// (accum.go): a reduction into one of the set's addresses folds into the
-	// worker's private accumulator and ships when the worker has run dry.
-	mirrorSet *remoteSet
-	accSet    *remoteSet
-	mirrors   []*column
-	fetching  atomic.Int32
-	fetched   chan struct{}
+	// fetched. accumulate is set when the job's remote writes accumulate
+	// (accum.go): a reduction into a replica folds into the worker's private
+	// accumulator and ships when the worker has run dry.
+	mirrorSet  *iterSet
+	accumulate bool
+	mirrors    []*column
+	fetching   atomic.Int32
+	fetched    chan struct{}
 
 	// ooc is the machine's store-file load (nil for in-memory loads and node
 	// iterators): each claimed chunk's rows are announced to its residency
 	// window, and when it is compressed (cursors) the rows are read through
-	// rowReaders, the views having no refs.
+	// rowReaders, the views having no refs. resolve is the remote set when the
+	// job uses it on a store-file load: rowReaders then resolve every row
+	// (remoteSet.resolve), the file's being read-only.
 	ooc     *store.Load
 	cursors bool
+	resolve *remoteSet
 
 	// Locals of the machine main goroutine's schedule (Machine.runJob), set by
 	// the phase named: emptySkip (newJobRuntime) — the local frontier is empty,
@@ -826,6 +833,10 @@ type jobRuntime struct {
 	failOnce sync.Once
 	abortErr atomic.Pointer[error]
 }
+
+// viaReaders reports whether the job's rows come through rowReaders: decoded
+// or resolved on the way.
+func (jr *jobRuntime) viaReaders() bool { return jr.cursors || jr.resolve != nil }
 
 // fail records err as the job's root cause and releases everyone selecting
 // on abortCh. Reports whether this call was the first (the winner is the

@@ -69,7 +69,7 @@ type Writer struct {
 	plain bool      // no other goroutine touches a local target's word: no CAS (column.single)
 	act   *[]uint32 // local indices whose word a reduction changed (WriteSpec.ActivateInto); nil without
 	w     *worker
-	acc   *accum // this worker's accumulator for prop, nil when not accumulated
+	acc   []uint64 // this worker's accumulator slots for prop, nil when not accumulated
 	prop  PropID
 	job   uint64 // the job it is resolved for (ids start at 1: a zero Writer is no job's)
 }
@@ -109,8 +109,8 @@ func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 	if act := jr.activate; act != nil && act[p] >= 0 {
 		wr.act = &jr.builds[act[p]].shards[w.id]
 	}
-	if a := &col.acc[w.id]; jr.accSet != nil && a.job == jr.id { // bottomed for this job: it accumulates p
-		wr.acc = a
+	if a := &col.acc[w.id]; jr.accumulate && a.job == jr.id { // bottomed for this job: it accumulates p
+		wr.acc = a.slots
 	}
 }
 
@@ -119,9 +119,9 @@ func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 // a plain load–merge–store when the machine's one worker is the column's only
 // task-phase goroutine, else a compare-and-swap loop — and,
 // under an activating spec, joins this worker's build shard when its word
-// changed; a remote one folds into the worker's accumulator when the job has
-// one holding it (accum.go) and otherwise is buffered into the per-worker
-// request message toward its owner — which makes a remote ref a re-entrancy
+// changed; a replica folds into the worker's accumulator slot when the job
+// accumulates (accum.go), and any other remote target is buffered into the
+// per-worker request message toward its owner — which makes it a re-entrancy
 // point (see RowTask). Either way it lands at the owner in the job's drain
 // (spill.go): no kernel of this job sees it there.
 func (wr *Writer) WriteRow(refs []int64, word uint64) { wr.reduce(refs, word, nil) }
@@ -166,12 +166,13 @@ func (wr *Writer) reduce(refs []int64, word uint64, words []uint64) {
 func writeRow[O opType, T num](wr *Writer, refs []int64, word uint64, words []uint64) {
 	var o O
 	w, acc, vals, act, plain, x := wr.w, wr.acc, wr.col.vals, wr.act, wr.plain, fromWord[T](word)
+	n := int64(len(vals)) // numLocal: ref - n is a replica's slot
 	for i, ref := range refs {
 		if words != nil {
 			word = words[i]
 			x = fromWord[T](word)
 		}
-		if ref >= 0 {
+		if uint64(ref) < uint64(n) {
 			// The local reduction is a load–merge–store. When the handle is plain
 			// the word is this goroutine's alone and so is the store; otherwise
 			// the machine's workers reduce into one column concurrently and the
@@ -200,18 +201,16 @@ func writeRow[O opType, T num](wr *Writer, refs []int64, word uint64, words []ui
 			}
 			continue
 		}
-		mach, off := unpackRemote(ref)
-		if acc != nil && uint(mach) < uint(len(acc.set.peers)) {
-			if slot := acc.set.peers[mach].slot(off); slot >= 0 {
-				if s := &acc.slots[slot]; len(o) == len(opAny{}) {
-					*s = wr.col.mergeWords(wr.op, *s, word)
-				} else {
-					*s = toWord(merge[O](fromWord[T](*s), x))
-				}
-				w.folded++
-				continue
+		if acc != nil && ref >= 0 { // a replica
+			if s := &acc[ref-n]; len(o) == len(opAny{}) {
+				*s = wr.col.mergeWords(wr.op, *s, word)
+			} else {
+				*s = toWord(merge[O](fromWord[T](*s), x))
 			}
+			w.folded++
+			continue
 		}
+		mach, off := w.m.store.owner(ref)
 		w.bufferWrite(mach, wr.prop, wr.op, off, word)
 	}
 }

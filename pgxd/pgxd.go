@@ -241,16 +241,16 @@ type Row = core.Row
 // RowOnly is a mixin for kernels that exist only in row form.
 type RowOnly = core.RowOnly
 
-// F64View and I64View are typed read views over a property's local
-// slots (Ctx.F64 / Ctx.I64); RemoteView answers the remote refs a dense pull
-// prefetched (Ctx.Remote); Writer is the write handle of a (property,
-// operator) pair (Ctx.Writer returns a *Writer): WriteRow reduces by the row,
-// Write by the ref.
+// F64View and I64View are typed read views over a property (Ctx.F64 /
+// Ctx.I64): At answers every owned neighbor and, in a job that mirrors the
+// property, every replicated one, and reports false for the rest, which go
+// through Ctx.ReadRef. Writer is the write handle of a (property, operator)
+// pair (Ctx.Writer returns a *Writer): WriteRow reduces by the row, Write by
+// the ref.
 type (
-	F64View    = core.F64View
-	I64View    = core.I64View
-	RemoteView = core.RemoteView
-	Writer     = core.Writer
+	F64View = core.F64View
+	I64View = core.I64View
+	Writer  = core.Writer
 )
 
 // JobSpec describes one parallel region.
