@@ -21,7 +21,7 @@ var ErrTimeout = errors.New("comm: collective timed out")
 // Collectives implements the control-plane operations the engine runs
 // between parallel regions: the step barrier (Figure 5b measures its
 // latency), allreduce for sequential-region reductions (eigenvector
-// normalization, convergence tests, termination detection), and broadcast.
+// normalization, convergence tests, termination detection).
 //
 // The implementation is a star rooted at machine 0 over MsgCtrl frames. All
 // machines must invoke the same collective sequence (SPMD); frames are
@@ -76,7 +76,6 @@ const (
 	ctrlBarrierRelease
 	ctrlReduceContrib
 	ctrlReduceResult
-	ctrlBcast
 )
 
 // NewCollectives creates the collective engine for ep, consuming control
@@ -273,52 +272,11 @@ func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload [
 	return nil
 }
 
-// Broadcast distributes machine 0's data to every machine. Machine 0 passes
-// the payload (which is returned unchanged); other machines pass nil and
-// receive a fresh copy of the root's payload.
-func (c *Collectives) Broadcast(data []byte) ([]byte, error) {
-	c.seq++
-	seq := c.seq
-	p := c.ep.NumMachines()
-	me := c.ep.Machine()
-	if me == 0 {
-		if len(data) > c.pool.BufSize()-HeaderSize {
-			return nil, fmt.Errorf("comm: broadcast of %d bytes exceeds buffer size %d", len(data), c.pool.BufSize())
-		}
-		for d := 1; d < p; d++ {
-			out := c.newFrame(ctrlBcast, seq)
-			out.AppendBytes(data)
-			if err := c.ep.Send(d, out); err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
-	}
-	buf, err := c.waitCtrl(ctrlBcast, seq)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(buf.Payload()))
-	copy(out, buf.Payload())
-	buf.Release()
-	return out, nil
-}
-
 // AllReduceSumI64 is a convenience wrapper: sum a single int64 across all
 // machines.
 func (c *Collectives) AllReduceSumI64(v int64) (int64, error) {
 	vals := []int64{v}
 	if err := c.AllReduceI64(vals, reduce.Sum); err != nil {
-		return 0, err
-	}
-	return vals[0], nil
-}
-
-// AllReduceSumF64 is a convenience wrapper: sum a single float64 across all
-// machines.
-func (c *Collectives) AllReduceSumF64(v float64) (float64, error) {
-	vals := []float64{v}
-	if err := c.AllReduceF64(vals, reduce.Sum); err != nil {
 		return 0, err
 	}
 	return vals[0], nil

@@ -122,28 +122,9 @@ func TestAllReduceConvenience(t *testing.T) {
 		if err != nil || si != 6 {
 			t.Errorf("machine %d: sum i64 = %d (%v), want 6", m, si, err)
 		}
-		sf, err := col.AllReduceSumF64(0.5)
-		if err != nil || sf != 1.5 {
-			t.Errorf("machine %d: sum f64 = %g (%v), want 1.5", m, sf, err)
-		}
-	})
-}
-
-func TestBroadcast(t *testing.T) {
-	const p = 4
-	payload := []byte("pivot table: 0,100,200,300")
-	clusterHarness(t, p, func(m int, col *Collectives, r *Router) {
-		var in []byte
-		if m == 0 {
-			in = payload
-		}
-		out, err := col.Broadcast(in)
-		if err != nil {
-			t.Errorf("machine %d: %v", m, err)
-			return
-		}
-		if string(out) != string(payload) {
-			t.Errorf("machine %d got %q", m, out)
+		sf := []float64{0.5}
+		if err := col.AllReduceF64(sf, reduce.Sum); err != nil || sf[0] != 1.5 {
+			t.Errorf("machine %d: sum f64 = %g (%v), want 1.5", m, sf[0], err)
 		}
 	})
 }
@@ -163,9 +144,9 @@ func TestCollectiveSequences(t *testing.T) {
 				t.Errorf("machine %d iter %d barrier: %v", m, i, err)
 				return
 			}
-			out, err := col.Broadcast([]byte{byte(i)})
-			if err != nil || len(out) != 1 || out[0] != byte(i) {
-				t.Errorf("machine %d iter %d bcast: %v %v", m, i, out, err)
+			top := []int64{int64(10*i + m)}
+			if err := col.AllReduceI64(top, reduce.Max); err != nil || top[0] != int64(10*i+p-1) {
+				t.Errorf("machine %d iter %d max: %v %v", m, i, top, err)
 				return
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -344,6 +345,191 @@ func TestMetricsAccessors(t *testing.T) {
 	snap := m.Snapshot()
 	if snap.FramesSent != 2 || snap.DataBytesSent != HeaderSize+8 {
 		t.Errorf("snapshot = %+v", snap)
+	}
+}
+
+// TestMetricsLedger: on every endpoint kind — in process, TCP (sends to self
+// included) and fault-wrapped — the per-destination rows are the sent ledger:
+// they hold exactly what was sent to each machine, they sum to FramesSent and
+// BytesSent, and so does the per-type split. Every kind of refused send counts
+// exactly one SendErrors, in the endpoint that refused it.
+func TestMetricsLedger(t *testing.T) {
+	const p = 3
+	inproc := func(t *testing.T, p int) []Endpoint {
+		f := NewInProcFabric(p, 64)
+		eps := make([]Endpoint, p)
+		for m := range eps {
+			eps[m], _ = f.Endpoint(m)
+		}
+		t.Cleanup(func() {
+			for _, ep := range eps {
+				ep.Close()
+			}
+		})
+		return eps
+	}
+	tcp := func(t *testing.T, p int) []Endpoint { eps, _ := bootTCP(t, p); return eps }
+	faulty := func(t *testing.T, p int, rules ...FaultRule) ([]Endpoint, *FaultInjector) {
+		f := NewInProcFabric(p, 64)
+		inj := NewFaultInjector(f, FaultPlan{Seed: 1, Rules: rules})
+		eps := make([]Endpoint, p)
+		for m := range eps {
+			eps[m], _ = inj.Endpoint(m)
+		}
+		t.Cleanup(func() {
+			for _, ep := range eps {
+				ep.Close()
+			}
+		})
+		return eps, inj
+	}
+	delayCtrl := FaultRule{Src: AnyMachine, Dst: AnyMachine, Type: int(MsgCtrl), Kind: FaultDelay, Every: 1, Delay: time.Microsecond}
+
+	for _, c := range []struct {
+		name string
+		boot func(t *testing.T) []Endpoint
+	}{
+		{"inproc", func(t *testing.T) []Endpoint { return inproc(t, p) }},
+		{"tcp", func(t *testing.T) []Endpoint { return tcp(t, p) }},
+		{"fault", func(t *testing.T) []Endpoint { eps, _ := faulty(t, p, delayCtrl); return eps }},
+	} {
+		t.Run("rows/"+c.name, func(t *testing.T) {
+			eps := c.boot(t)
+			types := []MsgType{MsgReadReq, MsgReadResp, MsgWriteReq, MsgCtrl}
+			var frames, bytes [p][p]int64
+			var wg sync.WaitGroup
+			for d := range eps {
+				// Machine m sends m+d+1 frames to d, itself included.
+				n := 0
+				for m := range eps {
+					n += m + d + 1
+				}
+				wg.Add(1)
+				go func(d, n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						buf, ok := eps[d].Recv()
+						if !ok {
+							t.Errorf("machine %d: closed after %d of %d frames", d, i, n)
+							return
+						}
+						buf.Release()
+					}
+				}(d, n)
+			}
+			pool := NewPool(8, 1024)
+			for m := range eps {
+				for d := range eps {
+					for i := 0; i < m+d+1; i++ {
+						buf := pool.Acquire()
+						buf.Reset(Header{Type: types[i%len(types)], Src: uint16(m)})
+						for w := 0; w < i; w++ {
+							buf.AppendU64(uint64(w))
+						}
+						frames[m][d]++
+						bytes[m][d] += int64(len(buf.Data))
+						if err := eps[m].Send(d, buf); err != nil {
+							t.Fatalf("send %d -> %d: %v", m, d, err)
+						}
+					}
+				}
+			}
+			wg.Wait()
+			for m, ep := range eps {
+				met := ep.Metrics()
+				var rowF, rowB, byType, recvF int64
+				for d := range eps {
+					if met.FramesSentTo(d) != frames[m][d] || met.BytesSentTo(d) != bytes[m][d] {
+						t.Errorf("%d -> %d: row holds %d frames / %d bytes, sent %d / %d",
+							m, d, met.FramesSentTo(d), met.BytesSentTo(d), frames[m][d], bytes[m][d])
+					}
+					rowF += met.FramesSentTo(d)
+					rowB += met.BytesSentTo(d)
+					recvF += frames[d][m]
+				}
+				for typ := MsgReadReq; typ <= MsgAbort; typ++ {
+					byType += met.BytesSentByType(typ)
+				}
+				if rowF != met.FramesSent() || rowB != met.BytesSent() || byType != met.BytesSent() {
+					t.Errorf("machine %d: rows sum to %d frames / %d bytes, per type %d bytes; totals %d / %d",
+						m, rowF, rowB, byType, met.FramesSent(), met.BytesSent())
+				}
+				if met.FramesRecv() != recvF || met.SendErrors() != 0 {
+					t.Errorf("machine %d: %d frames received (want %d), %d send errors", m, met.FramesRecv(), recvF, met.SendErrors())
+				}
+			}
+		})
+	}
+
+	// Each refusal: set up fresh endpoints and return the one whose next Send
+	// to dst the fabric refuses.
+	for _, c := range []struct {
+		name  string
+		setup func(t *testing.T) (ep Endpoint, dst int)
+	}{
+		{"inproc/out-of-range", func(t *testing.T) (Endpoint, int) { return inproc(t, 2)[0], 9 }},
+		{"inproc/closed-inbox", func(t *testing.T) (Endpoint, int) {
+			eps := inproc(t, 2)
+			eps[1].Close()
+			return eps[0], 1
+		}},
+		{"tcp/out-of-range", func(t *testing.T) (Endpoint, int) { return tcp(t, 2)[0], -1 }},
+		{"tcp/self-after-close", func(t *testing.T) (Endpoint, int) {
+			eps := tcp(t, 2)
+			eps[0].Close()
+			return eps[0], 0
+		}},
+		{"tcp/peer-after-close", func(t *testing.T) (Endpoint, int) {
+			eps := tcp(t, 2)
+			eps[0].Close()
+			return eps[0], 1
+		}},
+		{"tcp/sticky-error", func(t *testing.T) (Endpoint, int) {
+			ep := tcp(t, 2)[0].(*tcpEndpoint)
+			s := ep.senders[1]
+			s.c.Close()
+			pool := NewPool(1, 1024)
+			buf := pool.Acquire()
+			buf.Reset(Header{Type: MsgCtrl})
+			if err := ep.Send(1, buf); err != nil {
+				t.Fatal(err)
+			}
+			ep.Quiesce() // the failed write has counted its own send error
+			if s.failed() == nil {
+				t.Fatal("write on a closed connection did not fail")
+			}
+			return ep, 1
+		}},
+		{"fault/fail", func(t *testing.T) (Endpoint, int) {
+			eps, _ := faulty(t, 2, FaultRule{Src: AnyMachine, Dst: AnyMachine, Type: AnyType, Kind: FaultFail, Every: 1})
+			return eps[0], 1
+		}},
+		{"fault/kill", func(t *testing.T) (Endpoint, int) {
+			eps, _ := faulty(t, 2, FaultRule{Src: AnyMachine, Dst: AnyMachine, Type: AnyType, Kind: FaultKill, Every: 1})
+			return eps[0], 1
+		}},
+		{"fault/killed-sender", func(t *testing.T) (Endpoint, int) {
+			eps, inj := faulty(t, 2)
+			inj.Kill(0)
+			return eps[0], 1
+		}},
+	} {
+		t.Run("refused/"+c.name, func(t *testing.T) {
+			ep, dst := c.setup(t)
+			pool := NewPool(1, 1024)
+			buf := pool.Acquire()
+			buf.Reset(Header{Type: MsgCtrl})
+			before := ep.Metrics().SendErrors()
+			if err := ep.Send(dst, buf); err == nil {
+				t.Fatal("refused send returned no error")
+			}
+			if got := ep.Metrics().SendErrors() - before; got != 1 {
+				t.Errorf("refused send counted %d send errors, want 1", got)
+			}
+			if pool.Outstanding() != 0 {
+				t.Errorf("refused send leaked its buffer")
+			}
+		})
 	}
 }
 

@@ -277,13 +277,15 @@ func (e *faultEndpoint) Quiesce() {
 	}
 }
 
+// Send applies the first triggered rule. A refused send — the sender is
+// killed, or an injected FaultFail or FaultKill — counts one send error in
+// the inner endpoint's Metrics, as the transport's own refusals do.
 func (e *faultEndpoint) Send(dst int, buf *Buffer) error {
 	src := e.inner.Machine()
 	inj := e.inj
 	if !inj.Alive(src) {
-		buf.Release()
 		inj.failed.Add(1)
-		return fmt.Errorf("comm: machine %d is killed", src)
+		return e.inner.Metrics().refuse(buf, fmt.Errorf("comm: machine %d is killed", src))
 	}
 	if !inj.Alive(dst) {
 		// A dead destination is a blackhole, not an error: real senders
@@ -316,14 +318,12 @@ func (e *faultEndpoint) Send(dst int, buf *Buffer) error {
 		}
 		return e.inner.Send(dst, buf)
 	case FaultFail:
-		buf.Release()
 		inj.failed.Add(1)
-		return fmt.Errorf("comm: injected send failure %d -> %d", src, dst)
+		return e.inner.Metrics().refuse(buf, fmt.Errorf("comm: injected send failure %d -> %d", src, dst))
 	case FaultKill:
 		inj.Kill(src)
-		buf.Release()
 		inj.failed.Add(1)
-		return fmt.Errorf("comm: machine %d killed by fault injection", src)
+		return e.inner.Metrics().refuse(buf, fmt.Errorf("comm: machine %d killed by fault injection", src))
 	default:
 		return e.inner.Send(dst, buf)
 	}

@@ -5,52 +5,94 @@ import (
 	"sync/atomic"
 )
 
-type direction int
-
-const (
-	dirSent direction = iota
-	dirRecv
-)
-
-// Metrics accumulates per-endpoint traffic counters, split by message type.
-// Figure 6a (traffic reduction from replicas) and the Figure 8 bandwidth
-// studies read these. All counters are atomic: many goroutines send
-// concurrently.
+// Metrics accumulates per-endpoint traffic counters, split by destination
+// and by message type. It is the engine's one traffic and transport-error
+// ledger: Figure 6a (traffic reduction from replicas), the Figure 8
+// bandwidth studies, JobStats.Traffic, the direction policy and the obs
+// registry's job reports all read these. All counters are atomic: many
+// goroutines send concurrently.
 type Metrics struct {
-	framesSent atomic.Int64
-	bytesSent  atomic.Int64
+	// links[d] counts the frames and bytes sent to machine d; the sent totals
+	// are its row sums.
+	links []link
+
 	framesRecv atomic.Int64
 	bytesRecv  atomic.Int64
 
 	// Per-type byte counts (indexed by MsgType) for sent frames.
 	sentByType [7]atomic.Int64
 
-	// Transport error counters: failed socket writes and corrupt/truncated
-	// inbound frames (a poisoned stream is diagnosable, not a silent hang).
+	// Transport error counters: sends the fabric refused or failed to write,
+	// and corrupt/truncated inbound frames (a poisoned stream is diagnosable,
+	// not a silent hang).
 	sendErrors atomic.Int64
 	recvErrors atomic.Int64
 }
 
-func (m *Metrics) record(b *Buffer, d direction) {
-	n, t := len(b.Data), MsgType(b.Data[0])
-	switch d {
-	case dirSent:
-		m.framesSent.Add(1)
-		m.bytesSent.Add(int64(n))
-		if int(t) < len(m.sentByType) {
-			m.sentByType[t].Add(int64(n))
-		}
-	case dirRecv:
-		m.framesRecv.Add(1)
-		m.bytesRecv.Add(int64(n))
+type link struct{ frames, bytes atomic.Int64 }
+
+// init sizes the per-destination rows for a p-machine fabric.
+func (m *Metrics) init(p int) { m.links = make([]link, p) }
+
+// recordSent counts one frame accepted for dst. Callers have range-checked
+// dst.
+func (m *Metrics) recordSent(dst int, b *Buffer) {
+	n, t := int64(len(b.Data)), MsgType(b.Data[0])
+	l := &m.links[dst]
+	l.frames.Add(1)
+	l.bytes.Add(n)
+	if int(t) < len(m.sentByType) {
+		m.sentByType[t].Add(n)
 	}
 }
 
+func (m *Metrics) recordRecv(b *Buffer) {
+	m.framesRecv.Add(1)
+	m.bytesRecv.Add(int64(len(b.Data)))
+}
+
+// refuse is the refused-send exit of an endpoint's Send: it releases buf (Send
+// owns it either way), counts one send error and returns err.
+func (m *Metrics) refuse(buf *Buffer, err error) error {
+	buf.Release()
+	m.sendErrors.Add(1)
+	return err
+}
+
+// FramesSentTo returns the number of frames sent to machine d.
+func (m *Metrics) FramesSentTo(d int) int64 {
+	if d < 0 || d >= len(m.links) {
+		return 0
+	}
+	return m.links[d].frames.Load()
+}
+
+// BytesSentTo returns the number of bytes sent to machine d (headers
+// included).
+func (m *Metrics) BytesSentTo(d int) int64 {
+	if d < 0 || d >= len(m.links) {
+		return 0
+	}
+	return m.links[d].bytes.Load()
+}
+
 // FramesSent returns the number of frames sent.
-func (m *Metrics) FramesSent() int64 { return m.framesSent.Load() }
+func (m *Metrics) FramesSent() int64 {
+	var n int64
+	for d := range m.links {
+		n += m.links[d].frames.Load()
+	}
+	return n
+}
 
 // BytesSent returns the number of bytes sent (headers included).
-func (m *Metrics) BytesSent() int64 { return m.bytesSent.Load() }
+func (m *Metrics) BytesSent() int64 {
+	var n int64
+	for d := range m.links {
+		n += m.links[d].bytes.Load()
+	}
+	return n
+}
 
 // FramesRecv returns the number of frames received.
 func (m *Metrics) FramesRecv() int64 { return m.framesRecv.Load() }
@@ -73,10 +115,9 @@ func (m *Metrics) DataBytesSent() int64 {
 	return m.BytesSent() - m.BytesSentByType(MsgCtrl) - m.BytesSentByType(MsgAbort)
 }
 
-// RecordSendError counts one failed socket write.
-func (m *Metrics) RecordSendError() { m.sendErrors.Add(1) }
-
-// SendErrors returns how many sends failed at the transport.
+// SendErrors returns how many sends the fabric refused (bad or closed
+// destination, a sender with a sticky error, an injected failure or kill) or
+// failed to write.
 func (m *Metrics) SendErrors() int64 { return m.sendErrors.Load() }
 
 // RecordRecvError counts one corrupt or truncated inbound frame.

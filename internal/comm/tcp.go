@@ -124,6 +124,7 @@ func (f *TCPFabric) Endpoint(m int) (Endpoint, error) {
 		recvGas: NewPool(f.poolCount, f.bufSize),
 		done:    make(chan struct{}),
 	}
+	e.metrics.init(f.p)
 	for d := 0; d < f.p; d++ {
 		if d == m {
 			continue
@@ -227,7 +228,8 @@ func (s *tcpSender) loop() {
 // writeFrame performs one vectored frame write, bounded by flushDeadline once
 // Close has begun. A failed write is not retried: a partial write poisons the
 // stream's framing, so the error sticks, later Sends to this destination fail
-// fast, and the engine aborts the job — rerunning it is the recovery.
+// fast (each counting a send error, as the failed write did), and the engine
+// aborts the job — rerunning it is the recovery.
 func (s *tcpSender) writeFrame(buf *Buffer, lenBuf *[4]byte) {
 	if s.failed() != nil {
 		buf.Release()
@@ -246,7 +248,7 @@ func (s *tcpSender) writeFrame(buf *Buffer, lenBuf *[4]byte) {
 	if err != nil {
 		werr := fmt.Errorf("comm: async send %d -> %d: %w", s.e.machine, s.dst, err)
 		s.err.CompareAndSwap(nil, &werr)
-		s.e.metrics.RecordSendError()
+		s.e.metrics.sendErrors.Add(1)
 	}
 }
 
@@ -331,46 +333,41 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 
 func (e *tcpEndpoint) Send(dst int, buf *Buffer) (err error) {
 	if dst < 0 || dst >= e.fabric.p {
-		buf.Release()
-		return fmt.Errorf("comm: send to machine %d out of range", dst)
+		return e.metrics.refuse(buf, fmt.Errorf("comm: send to machine %d out of range", dst))
 	}
 	if dst == e.machine {
 		select {
 		case <-e.done:
-			buf.Release()
-			return fmt.Errorf("comm: endpoint %d closed", e.machine)
+			return e.metrics.refuse(buf, fmt.Errorf("comm: endpoint %d closed", e.machine))
 		default:
 		}
-		e.metrics.record(buf, dirSent)
+		e.metrics.recordSent(dst, buf)
 		select {
 		case e.inbox <- buf:
 			return nil
 		case <-e.done:
-			buf.Release()
-			return fmt.Errorf("comm: endpoint %d closed", e.machine)
+			return e.metrics.refuse(buf, fmt.Errorf("comm: endpoint %d closed", e.machine))
 		}
 	}
 	// Hand the frame to dst's sender goroutine, blocking only when the bounded
 	// queue is full (back-pressure, like the buffer pools).
 	s := e.senders[dst]
 	if werr := s.failed(); werr != nil {
-		buf.Release()
-		return fmt.Errorf("comm: send %d -> %d: %w", e.machine, dst, werr)
+		return e.metrics.refuse(buf, fmt.Errorf("comm: send %d -> %d: %w", e.machine, dst, werr))
 	}
 	s.pending.Add(1)
 	// Counted where the frame is accepted, ahead of the hand-over, as the
 	// in-process endpoint does and for its reason: the peer can hold the frame
 	// before either this goroutine or the sender's runs another instruction. A
 	// write that fails later shows as SendErrors.
-	e.metrics.record(buf, dirSent)
+	e.metrics.recordSent(dst, buf)
 	defer func() {
 		// Close() closes the queue channel; a racing or blocked enqueue
 		// panics, which we convert to a clean shutdown error (the same
 		// pattern the in-process fabric uses for closed inboxes).
 		if recover() != nil {
 			s.pending.Add(-1)
-			buf.Release()
-			err = fmt.Errorf("comm: endpoint %d closed", e.machine)
+			err = e.metrics.refuse(buf, fmt.Errorf("comm: endpoint %d closed", e.machine))
 		}
 	}()
 	s.queue <- buf
@@ -380,13 +377,13 @@ func (e *tcpEndpoint) Send(dst int, buf *Buffer) (err error) {
 func (e *tcpEndpoint) Recv() (*Buffer, bool) {
 	select {
 	case buf := <-e.inbox:
-		e.metrics.record(buf, dirRecv)
+		e.metrics.recordRecv(buf)
 		return buf, true
 	case <-e.done:
 		// Drain anything already queued before reporting closure.
 		select {
 		case buf := <-e.inbox:
-			e.metrics.record(buf, dirRecv)
+			e.metrics.recordRecv(buf)
 			return buf, true
 		default:
 			return nil, false

@@ -55,11 +55,6 @@ func TestTCPCollectives(t *testing.T) {
 					t.Errorf("machine %d allreduce: %d (%v)", m, sum, err)
 					return
 				}
-				out, err := col.Broadcast([]byte{byte(i)})
-				if err != nil || len(out) != 1 || out[0] != byte(i) {
-					t.Errorf("machine %d bcast: %v (%v)", m, out, err)
-					return
-				}
 			}
 		}(m)
 	}
@@ -402,7 +397,8 @@ func TestTCPSentCountedBeforeDelivery(t *testing.T) {
 		t.Fatal("recv failed")
 	}
 	got.Release()
-	if m := eps[0].Metrics(); m.FramesSent() != 1 || m.BytesSent() != want {
-		t.Errorf("peer holds the frame, sender reports %d frames / %d bytes sent, want 1 / %d", m.FramesSent(), m.BytesSent(), want)
+	if m := eps[0].Metrics(); m.FramesSentTo(1) != 1 || m.BytesSentTo(1) != want || m.FramesSent() != 1 || m.BytesSent() != want {
+		t.Errorf("peer holds the frame, sender reports %d frames / %d bytes sent (%d / %d to it), want 1 / %d",
+			m.FramesSent(), m.BytesSent(), m.FramesSentTo(1), m.BytesSentTo(1), want)
 	}
 }

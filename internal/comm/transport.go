@@ -29,7 +29,9 @@ type Endpoint interface {
 	Recv() (*Buffer, bool)
 	// Close detaches the endpoint. In-flight frames may still be received.
 	Close() error
-	// Metrics returns cumulative traffic counters for this endpoint.
+	// Metrics returns cumulative traffic counters for this endpoint. A Send
+	// the fabric refuses counts one send error here, in the refusing
+	// endpoint.
 	Metrics() *Metrics
 }
 
@@ -91,7 +93,9 @@ func (f *InProcFabric) Endpoint(m int) (Endpoint, error) {
 		return nil, fmt.Errorf("comm: endpoint %d already taken", m)
 	}
 	f.taken[m] = true
-	return &inProcEndpoint{fabric: f, machine: m}, nil
+	e := &inProcEndpoint{fabric: f, machine: m}
+	e.metrics.init(len(f.inboxes))
+	return e, nil
 }
 
 // Close implements Fabric. In-proc teardown is per-endpoint; Close is a
@@ -129,23 +133,22 @@ func (e *inProcEndpoint) Metrics() *Metrics {
 
 func (e *inProcEndpoint) Send(dst int, buf *Buffer) (err error) {
 	if dst < 0 || dst >= len(e.fabric.inboxes) {
-		buf.Release()
-		return fmt.Errorf("comm: send to machine %d out of range", dst)
+		return e.metrics.refuse(buf, fmt.Errorf("comm: send to machine %d out of range", dst))
 	}
 	defer func() {
 		// A send on a closed inbox channel panics; the frame was not
 		// delivered, so reclaim it and report an error — shutdown races
 		// surface cleanly instead of crashing the process or leaking.
 		if recover() != nil {
-			buf.Release()
-			err = fmt.Errorf("comm: machine %d inbox closed", dst)
+			err = e.metrics.refuse(buf, fmt.Errorf("comm: machine %d inbox closed", dst))
 		}
 	}()
 	// Counted before the hand-over, not after: the receiver can act on the
 	// frame — finish the job it answers, whose traffic is then read — before
 	// this goroutine runs again, and a copier's Send is waited for by nobody.
-	// (A send refused by a closed inbox stays counted; that endpoint is gone.)
-	e.metrics.record(buf, dirSent)
+	// (A send refused by a closed inbox stays counted and counts a send error;
+	// that endpoint is gone.)
+	e.metrics.recordSent(dst, buf)
 	e.fabric.inboxes[dst] <- buf
 	return nil
 }
@@ -155,7 +158,7 @@ func (e *inProcEndpoint) Recv() (*Buffer, bool) {
 	if !ok {
 		return nil, false
 	}
-	e.metrics.record(buf, dirRecv)
+	e.metrics.recordRecv(buf)
 	return buf, true
 }
 

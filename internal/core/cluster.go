@@ -76,20 +76,19 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if c.fabric == nil {
 		c.fabric, c.ownFabric = NewInProcFabric(cfg), true
 	}
-	// Size the registry before any endpoint wrapping so record paths find
-	// their machine slots from the first frame.
-	c.cfg.Obs.Attach(cfg.NumMachines)
 	c.machines = make([]*Machine, cfg.NumMachines)
-	for m := 0; m < cfg.NumMachines; m++ {
+	ledgers := make([]*comm.Metrics, cfg.NumMachines)
+	for m := range c.machines {
 		ep, err := c.fabric.Endpoint(m)
 		if err != nil {
 			return nil, fmt.Errorf("core: machine %d endpoint: %w", m, err)
 		}
-		if c.cfg.Obs != nil {
-			ep = obs.WrapEndpoint(ep, c.cfg.Obs)
-		}
+		ledgers[m] = ep.Metrics()
 		c.machines[m] = newMachine(&c.cfg, m, ep, &c.canceled)
 	}
+	// The registry reads each machine's traffic from its endpoint's ledger.
+	// Nothing records into it before the first job.
+	c.cfg.Obs.Attach(cfg.NumMachines, ledgers...)
 	return c, nil
 }
 

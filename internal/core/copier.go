@@ -41,7 +41,6 @@ func (m *Machine) copierLoop() {
 		reg.Observe(m.id, obs.HistServe, time.Duration(reg.Clock()-t))
 		if err != nil {
 			m.ep.Metrics().RecordRecvError()
-			reg.Add(m.id, obs.CtrRecvErrors, 1)
 			if jr != nil {
 				m.abortJob(jr, fmt.Errorf("core: machine %d copier: %w", m.id, err))
 			}

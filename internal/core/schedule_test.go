@@ -25,7 +25,7 @@ func mainSpans(reg *obs.Registry, job uint64, machine int) []string {
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Seq < spans[j].Seq })
 	names := make([]string, len(spans))
 	for i, s := range spans {
-		names[i] = s.KindName()
+		names[i] = s.Kind.String()
 		if s.Kind == obs.SpanBarrier {
 			names[i] = fmt.Sprintf("barrier(%d)", s.Arg)
 		}

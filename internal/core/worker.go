@@ -725,7 +725,6 @@ func (w *worker) sendFlushed(dst int, buf *comm.Buffer) {
 	w.mustSend(dst, buf)
 	w.reg.Span(w.m.id, w.id, obs.SpanFlush, w.job.id, t, uint64(dst)<<48|uint64(frame))
 	w.reg.Observe(w.m.id, obs.HistFlush, time.Duration(w.reg.Clock()-t))
-	w.reg.Add(w.m.id, obs.CtrFlushes, 1)
 	if w.m.serialized {
 		// A shim, not a measurement: there is no flush codec, so a payload's
 		// wire size is its raw size. benchmark/'s TestTinyWorkloads still

@@ -34,9 +34,8 @@ type AbortDump struct {
 }
 
 // RecordAbort captures the flight recorder for aborted job id: the job's
-// partial counters and traffic (folded into lifetime, then reset so the
-// recovery run starts clean) plus the recent span tail. The dump is
-// published as LastAbort and returned.
+// partial counters and traffic (what they gained since BeginJob) plus the
+// recent span tail. The dump is published as LastAbort and returned.
 func (r *Registry) RecordAbort(id uint64, name string, err error) *AbortDump {
 	if r == nil {
 		return nil
@@ -45,11 +44,12 @@ func (r *Registry) RecordAbort(id uint64, name string, err error) *AbortDump {
 	if st == nil {
 		return nil
 	}
+	rep := &JobReport{}
 	r.mu.Lock()
 	if name == "" {
 		name = r.jobName
 	}
-	r.jobID = 0
+	st.sinceBase(rep)
 	r.mu.Unlock()
 
 	d := &AbortDump{
@@ -61,8 +61,6 @@ func (r *Registry) RecordAbort(id uint64, name string, err error) *AbortDump {
 	if err != nil {
 		d.Err = err.Error()
 	}
-	rep := &JobReport{}
-	r.drainToLifetime(rep)
 	d.Counters = rep.Counters
 	d.PerMachine = rep.PerMachine
 	d.TrafficBytes = rep.TrafficBytes

@@ -1,9 +1,10 @@
 // Package obs is the engine's observability subsystem: a unified metrics
 // registry (atomic counters, latency histograms, and a per-(src,dst) traffic
-// matrix with snapshot-and-reset-per-job semantics), per-machine trace spans
+// matrix read from the transport's own ledger), per-machine trace spans
 // recorded by workers, copiers, and the job driver, and a flight recorder
-// that retains the most recent spans and counter deltas per machine and dumps
-// them when a job aborts.
+// that retains the most recent spans per machine and dumps them with the
+// aborted job's counter deltas. Every cell is cumulative: a job's report is
+// the difference between the readings at its end and at its start.
 //
 // The paper's evaluation (Tables 3-4, Figure 8) hinges on knowing exactly
 // where time and bytes go — per-superstep compute vs. communication,
@@ -22,29 +23,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/comm"
 )
 
 // CounterID names one registry counter. Counters are per-machine and
-// per-job: BeginJob/EndJob fold the running values into process-lifetime
-// totals and reset the per-job cells, so a job's snapshot never conflates
-// earlier runs (the bug the scattered comm counters had).
+// cumulative: BeginJob reads them all, and the job's report holds what they
+// gained until EndJob (or RecordAbort), so it never conflates earlier runs or
+// what happened between jobs.
 type CounterID uint8
 
 // Registry counters.
 const (
-	// CtrBytesSent / CtrFramesSent count outbound wire traffic (via the
-	// endpoint wrapper; headers included).
-	CtrBytesSent CounterID = iota
-	CtrFramesSent
-	// CtrBytesRecv / CtrFramesRecv count inbound wire traffic.
-	CtrBytesRecv
-	CtrFramesRecv
-	// CtrSendErrors / CtrRecvErrors count transport failures observed while
-	// the registry was attached.
-	CtrSendErrors
-	CtrRecvErrors
 	// CtrReadsServed counts remote-read records this machine answered.
-	CtrReadsServed
+	CtrReadsServed CounterID = iota
 	// CtrWritesApplied counts remote-write records this machine applied.
 	CtrWritesApplied
 	// CtrStaleWriteFrames counts write frames dropped because their epoch
@@ -57,8 +49,6 @@ const (
 	CtrStaleReadFrames
 	// CtrRMIServed counts remote method invocations dispatched.
 	CtrRMIServed
-	// CtrFlushes counts request messages flushed by workers.
-	CtrFlushes
 	// CtrWireRawBytes / CtrWireBytes both count the payload bytes workers
 	// flushed onto a serialising fabric. The flush codec they once compared
 	// is gone; they stay, equal, for benchmark/'s codec.wire_ratio (see
@@ -98,8 +88,23 @@ const (
 	// is the write_flush spans' args (and part of writes_applied).
 	CtrAccumulatedWrites
 
+	// The transport counters are not registry cells: they are read from the
+	// machine's comm.Metrics, the engine's one traffic ledger, and Add
+	// ignores them. CtrBytesSent / CtrFramesSent are the sums of its traffic
+	// row (headers included); CtrSendErrors counts the sends the fabric
+	// refused or failed to write, CtrRecvErrors rejected inbound frames.
+	CtrBytesSent
+	CtrFramesSent
+	CtrBytesRecv
+	CtrFramesRecv
+	CtrSendErrors
+	CtrRecvErrors
+
 	numCounters
 )
+
+// numCells is the number of counters the registry holds itself.
+const numCells = CtrBytesSent
 
 var counterNames = [numCounters]string{
 	CtrBytesSent:             "bytes_sent",
@@ -113,7 +118,6 @@ var counterNames = [numCounters]string{
 	CtrStaleWriteFrames:      "stale_write_frames",
 	CtrStaleReadFrames:       "stale_read_frames",
 	CtrRMIServed:             "rmi_served",
-	CtrFlushes:               "flushes",
 	CtrWireRawBytes:          "wire_raw_bytes",
 	CtrWireBytes:             "wire_bytes",
 	CtrFrontierNodes:         "frontier_nodes",
@@ -140,8 +144,8 @@ func (c CounterID) String() string {
 }
 
 // HistID names one latency histogram. Histograms are per-machine with
-// power-of-two nanosecond buckets; like counters they snapshot-and-reset at
-// job boundaries.
+// power-of-two nanosecond buckets; like counters they are cumulative, and a
+// job's report holds the buckets they gained during the job.
 type HistID uint8
 
 // Registry histograms.
@@ -207,26 +211,6 @@ func (h *histogram) observe(ns int64) {
 	h.sum.Add(ns)
 }
 
-// drain atomically folds this histogram into lifetime and returns a snapshot
-// of the drained per-job values.
-func (h *histogram) drain(lifetime *histogram) HistSnapshot {
-	var s HistSnapshot
-	for i := range h.buckets {
-		v := h.buckets[i].Swap(0)
-		s.Buckets[i] = v
-		if lifetime != nil {
-			lifetime.buckets[i].Add(v)
-		}
-	}
-	s.Count = h.count.Swap(0)
-	s.SumNS = h.sum.Swap(0)
-	if lifetime != nil {
-		lifetime.count.Add(s.Count)
-		lifetime.sum.Add(s.SumNS)
-	}
-	return s
-}
-
 func (h *histogram) snapshot() HistSnapshot {
 	var s HistSnapshot
 	for i := range h.buckets {
@@ -274,31 +258,62 @@ func (s HistSnapshot) Mean() time.Duration {
 }
 
 // machineObs is one machine's slice of the registry: counters, histograms,
-// a traffic row toward every destination, and the trace ring (which doubles
-// as the flight recorder).
+// the machine's transport ledger, and the trace ring (which doubles as the
+// flight recorder).
 type machineObs struct {
-	counters [numCounters]atomic.Int64
-	lifetime [numCounters]atomic.Int64
+	counters [numCells]atomic.Int64
 	hists    [numHists]histogram
-	lifeHist [numHists]histogram
-
-	// trafficBytes[d] / trafficFrames[d] accumulate wire traffic from this
-	// machine toward machine d since the last job boundary.
-	trafficBytes  []atomic.Int64
-	trafficFrames []atomic.Int64
-
-	// lifeTrafficBytes[d] is the lifetime twin of trafficBytes: job drains
-	// fold into it so the cumulative matrix survives job boundaries (the
-	// repartitioner consumes traffic measured over many jobs).
-	lifeTrafficBytes []atomic.Int64
+	// transport is the machine's endpoint ledger, the source of the transport
+	// counters and of the machine's traffic row; nil reads as zero.
+	transport *comm.Metrics
 
 	trace traceRing
 }
 
+// reading is one machine's cumulative state at an instant: every counter,
+// every histogram, and its traffic row toward every destination. A job's
+// report is the difference of two readings.
+type reading struct {
+	counters      [numCounters]int64
+	hists         [numHists]HistSnapshot
+	bytes, frames []int64
+}
+
+func newReading(p int) reading {
+	return reading{bytes: make([]int64, p), frames: make([]int64, p)}
+}
+
+// read fills rd. The sent totals are the sums of the row read here, so a
+// reading's matrix and its bytes_sent/frames_sent agree by construction.
+func (mo *machineObs) read(rd *reading) {
+	for c := range mo.counters {
+		rd.counters[c] = mo.counters[c].Load()
+	}
+	for h := range mo.hists {
+		rd.hists[h] = mo.hists[h].snapshot()
+	}
+	t := mo.transport
+	if t == nil {
+		return
+	}
+	var bytes, frames int64
+	for d := range rd.bytes {
+		rd.bytes[d], rd.frames[d] = t.BytesSentTo(d), t.FramesSentTo(d)
+		bytes += rd.bytes[d]
+		frames += rd.frames[d]
+	}
+	rd.counters[CtrBytesSent], rd.counters[CtrFramesSent] = bytes, frames
+	rd.counters[CtrBytesRecv], rd.counters[CtrFramesRecv] = t.BytesRecv(), t.FramesRecv()
+	rd.counters[CtrSendErrors], rd.counters[CtrRecvErrors] = t.SendErrors(), t.RecvErrors()
+}
+
 // regState is the attached-cluster state, swapped atomically so record paths
-// never take a lock to find their machine slot.
+// never take a lock to find their machine slot. base[m] is machine m's
+// reading at the current job's BeginJob; only the driver-side lifecycle
+// methods touch it, under Registry.mu.
 type regState struct {
 	machines []*machineObs
+	base     []reading
 }
 
 // Registry is the unified observability hub for one cluster. Create with
@@ -316,10 +331,8 @@ type Registry struct {
 	// Attach; defaults to defaultTraceDepth.
 	traceDepth int
 
-	mu       sync.Mutex // guards job lifecycle fields below
-	jobID    uint64
-	jobName  string
-	jobStart time.Time
+	mu      sync.Mutex // guards jobName and the attached state's base readings
+	jobName string
 
 	jobs      atomic.Int64
 	aborts    atomic.Int64
@@ -357,22 +370,24 @@ func (r *Registry) SetTraceDepth(n int) {
 }
 
 // Attach sizes the registry for a cluster of p machines, resetting all
-// per-job and lifetime state. One registry serves one cluster at a time;
-// attaching again (e.g. when a benchmark reuses the registry across
-// clusters) starts fresh.
-func (r *Registry) Attach(p int) {
+// state. transport[m], when given, is machine m's endpoint ledger: the
+// transport counters and machine m's traffic row are read from it, and read
+// as zero without it. One registry serves one cluster at a time; attaching
+// again (e.g. when a benchmark reuses the registry across clusters) starts
+// fresh.
+func (r *Registry) Attach(p int, transport ...*comm.Metrics) {
 	if r == nil || p < 1 {
 		return
 	}
-	st := &regState{machines: make([]*machineObs, p)}
+	st := &regState{machines: make([]*machineObs, p), base: make([]reading, p)}
 	for m := range st.machines {
-		mo := &machineObs{
-			trafficBytes:     make([]atomic.Int64, p),
-			trafficFrames:    make([]atomic.Int64, p),
-			lifeTrafficBytes: make([]atomic.Int64, p),
+		mo := &machineObs{}
+		if m < len(transport) {
+			mo.transport = transport[m]
 		}
 		mo.trace.init(r.traceDepth)
 		st.machines[m] = mo
+		st.base[m] = newReading(p)
 	}
 	r.state.Store(st)
 }
@@ -401,30 +416,15 @@ func (r *Registry) machine(m int) *machineObs {
 	return st.machines[m]
 }
 
-// Add bumps counter c on machine m by v. Nil-safe, allocation-free.
+// Add bumps counter c on machine m by v; the transport counters are not the
+// registry's to bump, and Add ignores them. Nil-safe, allocation-free.
 func (r *Registry) Add(m int, c CounterID, v int64) {
 	if r == nil {
 		return
 	}
-	if mo := r.machine(m); mo != nil && c < numCounters {
+	if mo := r.machine(m); mo != nil && c < numCells {
 		mo.counters[c].Add(v)
 	}
-}
-
-// Traffic records one outbound frame of n bytes from machine src to machine
-// dst: the per-(src,dst) matrix cell plus the sender's byte/frame counters.
-func (r *Registry) Traffic(src, dst, n int) {
-	if r == nil {
-		return
-	}
-	mo := r.machine(src)
-	if mo == nil || dst < 0 || dst >= len(mo.trafficBytes) {
-		return
-	}
-	mo.trafficBytes[dst].Add(int64(n))
-	mo.trafficFrames[dst].Add(1)
-	mo.counters[CtrBytesSent].Add(int64(n))
-	mo.counters[CtrFramesSent].Add(1)
 }
 
 // Observe records one latency sample into histogram h on machine m.
@@ -437,75 +437,60 @@ func (r *Registry) Observe(m int, h HistID, d time.Duration) {
 	}
 }
 
-// BeginJob marks the start of job id: per-job counters, histograms, and the
-// traffic matrix fold into lifetime totals and reset, so everything recorded
-// from here on belongs to this job. Driver-side (one caller at a time).
+// BeginJob marks the start of job id: every machine's counters, histograms
+// and traffic row are read as the base its report subtracts, so everything
+// recorded from here on belongs to this job. Driver-side (one caller at a
+// time).
 func (r *Registry) BeginJob(id uint64, name string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.jobID = id
+	defer r.mu.Unlock()
 	r.jobName = name
-	r.jobStart = time.Now()
-	r.mu.Unlock()
-	r.drainToLifetime(nil)
+	if st := r.state.Load(); st != nil {
+		for m, mo := range st.machines {
+			mo.read(&st.base[m])
+		}
+	}
 }
 
-// drainToLifetime folds every per-job cell into its lifetime twin and zeroes
-// it. When rep is non-nil the drained values are also captured into it.
-func (r *Registry) drainToLifetime(rep *JobReport) {
-	st := r.state.Load()
-	if st == nil {
-		return
-	}
+// sinceBase fills rep's counters, histograms and traffic matrix with what
+// every machine recorded since BeginJob's base reading. Callers hold
+// Registry.mu.
+func (st *regState) sinceBase(rep *JobReport) {
 	p := len(st.machines)
-	if rep != nil {
-		rep.Machines = p
-		rep.Counters = make(map[string]int64, int(numCounters))
-		rep.PerMachine = make([]map[string]int64, p)
-		rep.TrafficBytes = make([][]int64, p)
-		rep.TrafficFrames = make([][]int64, p)
-		rep.Histograms = make(map[string]HistSnapshot, int(numHists))
-	}
+	rep.Machines = p
+	rep.Counters = make(map[string]int64, int(numCounters))
+	rep.PerMachine = make([]map[string]int64, p)
+	rep.TrafficBytes = make([][]int64, p)
+	rep.TrafficFrames = make([][]int64, p)
+	rep.Histograms = make(map[string]HistSnapshot, int(numHists))
 	var hists [numHists]HistSnapshot
 	for m, mo := range st.machines {
-		var perM map[string]int64
-		if rep != nil {
-			perM = make(map[string]int64, int(numCounters))
-		}
+		now, base := newReading(p), &st.base[m]
+		mo.read(&now)
+		perM := make(map[string]int64, int(numCounters))
 		for c := CounterID(0); c < numCounters; c++ {
-			v := mo.counters[c].Swap(0)
-			mo.lifetime[c].Add(v)
-			if rep != nil {
-				rep.Counters[c.String()] += v
-				if v != 0 {
-					perM[c.String()] = v
-				}
+			v := now.counters[c] - base.counters[c]
+			rep.Counters[c.String()] += v
+			if v != 0 {
+				perM[c.String()] = v
 			}
 		}
-		for h := HistID(0); h < numHists; h++ {
-			s := mo.hists[h].drain(&mo.lifeHist[h])
-			merge(&hists[h], s)
+		for h := range hists {
+			merge(&hists[h], now.hists[h].sub(base.hists[h]))
 		}
-		rowB := make([]int64, len(mo.trafficBytes))
-		rowF := make([]int64, len(mo.trafficFrames))
-		for d := range mo.trafficBytes {
-			rowB[d] = mo.trafficBytes[d].Swap(0)
-			rowF[d] = mo.trafficFrames[d].Swap(0)
-			mo.lifeTrafficBytes[d].Add(rowB[d])
+		for d := range now.bytes {
+			now.bytes[d] -= base.bytes[d]
+			now.frames[d] -= base.frames[d]
 		}
-		if rep != nil {
-			rep.PerMachine[m] = perM
-			rep.TrafficBytes[m] = rowB
-			rep.TrafficFrames[m] = rowF
-		}
+		rep.PerMachine[m] = perM
+		rep.TrafficBytes[m], rep.TrafficFrames[m] = now.bytes, now.frames
 	}
-	if rep != nil {
-		for h := HistID(0); h < numHists; h++ {
-			if hists[h].Count > 0 {
-				rep.Histograms[h.String()] = hists[h]
-			}
+	for h := HistID(0); h < numHists; h++ {
+		if hists[h].Count > 0 {
+			rep.Histograms[h.String()] = hists[h]
 		}
 	}
 }
@@ -518,23 +503,31 @@ func merge(dst *HistSnapshot, src HistSnapshot) {
 	dst.SumNS += src.SumNS
 }
 
-// EndJob closes job id: snapshots and resets every per-job cell, collects the
-// job's spans from the trace rings, and publishes the assembled JobReport as
-// LastReport. d is the driver-measured job duration.
+// sub returns s - o: the samples recorded between reading o and reading s.
+func (s HistSnapshot) sub(o HistSnapshot) HistSnapshot {
+	for i := range s.Buckets {
+		s.Buckets[i] -= o.Buckets[i]
+	}
+	s.Count -= o.Count
+	s.SumNS -= o.SumNS
+	return s
+}
+
+// EndJob closes job id: its report holds what every counter, histogram and
+// traffic cell gained since BeginJob, plus the job's spans from the trace
+// rings, and is published as LastReport. d is the driver-measured job
+// duration.
 func (r *Registry) EndJob(id uint64, d time.Duration) *JobReport {
 	if r == nil {
 		return nil
 	}
+	rep := &JobReport{Job: id, Duration: d}
 	r.mu.Lock()
-	name := r.jobName
-	r.jobID = 0
-	r.mu.Unlock()
-	rep := &JobReport{
-		Job:      id,
-		Name:     name,
-		Duration: d,
+	rep.Name = r.jobName
+	if st := r.state.Load(); st != nil {
+		st.sinceBase(rep)
 	}
-	r.drainToLifetime(rep)
+	r.mu.Unlock()
 	rep.Spans = r.spansForJob(id)
 	r.jobs.Add(1)
 	r.last.Store(rep)
@@ -584,9 +577,9 @@ func (r *Registry) LastReport() *JobReport {
 	return r.last.Load()
 }
 
-// LifetimeCounters sums the process-lifetime counter totals across machines,
-// including the still-running per-job values (so the totals never go
-// backwards between job boundaries).
+// LifetimeCounters sums every counter's current value across machines: the
+// registry's since Attach, the transport's since its endpoints opened —
+// between jobs included.
 func (r *Registry) LifetimeCounters() map[string]int64 {
 	if r == nil {
 		return nil
@@ -597,54 +590,31 @@ func (r *Registry) LifetimeCounters() map[string]int64 {
 	}
 	out := make(map[string]int64, int(numCounters))
 	for _, mo := range st.machines {
+		rd := newReading(len(st.machines))
+		mo.read(&rd)
 		for c := CounterID(0); c < numCounters; c++ {
-			out[c.String()] += mo.lifetime[c].Load() + mo.counters[c].Load()
+			out[c.String()] += rd.counters[c]
 		}
 	}
 	return out
 }
 
-// LifetimeTraffic returns the per-(src,dst) wire-byte matrix accumulated
-// over the registry's lifetime, including the still-running job — the
-// cumulative form of JobReport.TrafficBytes, and the repartitioner's input.
-func (r *Registry) LifetimeTraffic() [][]int64 {
-	if r == nil {
-		return nil
-	}
-	st := r.state.Load()
-	if st == nil {
-		return nil
-	}
-	out := make([][]int64, len(st.machines))
-	for m, mo := range st.machines {
-		row := make([]int64, len(mo.lifeTrafficBytes))
-		for d := range row {
-			row[d] = mo.lifeTrafficBytes[d].Load() + mo.trafficBytes[d].Load()
-		}
-		out[m] = row
-	}
-	return out
-}
-
-// MachineHistogram returns machine m's lifetime snapshot of histogram h
-// (including the running job's samples). The cross-machine spread of e.g.
-// HistBarrier is the load-imbalance telemetry the repartitioner reads.
+// MachineHistogram returns machine m's cumulative snapshot of histogram h.
+// The cross-machine spread of e.g. HistBarrier is the load-imbalance
+// telemetry the repartitioner reads.
 func (r *Registry) MachineHistogram(m int, h HistID) HistSnapshot {
-	var out HistSnapshot
 	if r == nil || h >= numHists {
-		return out
+		return HistSnapshot{}
 	}
 	mo := r.machine(m)
 	if mo == nil {
-		return out
+		return HistSnapshot{}
 	}
-	merge(&out, mo.lifeHist[h].snapshot())
-	merge(&out, mo.hists[h].snapshot())
-	return out
+	return mo.hists[h].snapshot()
 }
 
-// LifetimeHistogram returns the lifetime snapshot of histogram h merged
-// across machines (including the running job's samples).
+// LifetimeHistogram returns the cumulative snapshot of histogram h merged
+// across machines.
 func (r *Registry) LifetimeHistogram(h HistID) HistSnapshot {
 	var out HistSnapshot
 	if r == nil || h >= numHists {
@@ -655,7 +625,6 @@ func (r *Registry) LifetimeHistogram(h HistID) HistSnapshot {
 		return out
 	}
 	for _, mo := range st.machines {
-		merge(&out, mo.lifeHist[h].snapshot())
 		merge(&out, mo.hists[h].snapshot())
 	}
 	return out

@@ -7,11 +7,45 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/comm"
 )
 
+// wire is a p-machine in-process fabric whose endpoint ledgers a registry
+// reads, as core.NewCluster attaches them.
+type wire struct {
+	eps  []comm.Endpoint
+	pool *comm.Pool
+}
+
+func attachWire(r *Registry, p int) *wire {
+	f := comm.NewInProcFabric(p, 4)
+	w := &wire{eps: make([]comm.Endpoint, p), pool: comm.NewPool(2, 8192)}
+	ledgers := make([]*comm.Metrics, p)
+	for m := range w.eps {
+		w.eps[m], _ = f.Endpoint(m)
+		ledgers[m] = w.eps[m].Metrics()
+	}
+	r.Attach(p, ledgers...)
+	return w
+}
+
+// send moves one n-byte frame (header included) from src to dst.
+func (w *wire) send(t *testing.T, src, dst, n int) {
+	t.Helper()
+	buf := w.pool.Acquire()
+	buf.Reset(comm.Header{Type: comm.MsgWriteReq, Src: uint16(src)})
+	buf.Data = buf.Data[:n]
+	if err := w.eps[src].Send(dst, buf); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := w.eps[dst].Recv()
+	got.Release()
+}
+
 // TestRegistryConcurrency hammers the hot paths from many goroutines (run
-// under -race) and checks the drained per-job report accounts for every
-// recorded event exactly once.
+// under -race) and checks the per-job report accounts for every recorded
+// event exactly once.
 func TestRegistryConcurrency(t *testing.T) {
 	const machines, goroutines, rounds = 4, 8, 500
 	r := NewRegistry()
@@ -25,8 +59,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			m := gi % machines
 			for i := 0; i < rounds; i++ {
-				r.Add(m, CtrFlushes, 10)
-				r.Traffic(m, (m+1)%machines, 100)
+				r.Add(m, CtrReadsServed, 10)
 				r.Observe(m, HistReadRTT, time.Microsecond)
 				start := r.Clock()
 				r.Span(m, gi, SpanFlush, 1, start, 0)
@@ -40,28 +73,21 @@ func TestRegistryConcurrency(t *testing.T) {
 		t.Fatal("EndJob returned nil report")
 	}
 	wantEvents := int64(goroutines * rounds)
-	if got := rep.Counters["flushes"]; got != 10*wantEvents {
-		t.Errorf("flushes = %d, want %d", got, 10*wantEvents)
-	}
-	if got := rep.TotalBytes(); got != 100*wantEvents {
-		t.Errorf("traffic matrix total = %d, want %d", got, 100*wantEvents)
-	}
-	// Traffic feeds the sender-side byte counter as well as the matrix.
-	if got := rep.Counters["bytes_sent"]; got != 100*wantEvents {
-		t.Errorf("bytes_sent = %d, want %d", got, 100*wantEvents)
+	if got := rep.Counters["reads_served"]; got != 10*wantEvents {
+		t.Errorf("reads_served = %d, want %d", got, 10*wantEvents)
 	}
 	if got := rep.Histograms[HistReadRTT.String()].Count; got != wantEvents {
 		t.Errorf("rtt histogram count = %d, want %d", got, wantEvents)
 	}
-	// Lifetime view must survive the per-job reset.
-	if got := r.LifetimeCounters()["flushes"]; got != 10*wantEvents {
-		t.Errorf("lifetime flushes = %d, want %d", got, 10*wantEvents)
+	// Lifetime view must survive the job boundary.
+	if got := r.LifetimeCounters()["reads_served"]; got != 10*wantEvents {
+		t.Errorf("lifetime reads_served = %d, want %d", got, 10*wantEvents)
 	}
 	// A second job starts from zero.
 	r.BeginJob(2, "empty")
 	rep2 := r.EndJob(2, time.Millisecond)
-	if got := rep2.Counters["flushes"]; got != 0 {
-		t.Errorf("second job inherited %d flushes, want 0", got)
+	if got := rep2.Counters["reads_served"]; got != 0 {
+		t.Errorf("second job inherited %d reads_served, want 0", got)
 	}
 }
 
@@ -124,7 +150,6 @@ func TestNilRegistryZeroAlloc(t *testing.T) {
 	var r *Registry
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Add(0, CtrBytesSent, 1)
-		r.Traffic(0, 1, 64)
 		r.Observe(0, HistReadRTT, time.Microsecond)
 		start := r.Clock()
 		r.Span(0, WorkerMain, SpanFlush, 1, start, 0)
@@ -137,14 +162,13 @@ func TestNilRegistryZeroAlloc(t *testing.T) {
 }
 
 // TestAttachedRegistryHotPathZeroAlloc: even attached, the per-event paths
-// (Add/Traffic/Observe/Span) must not allocate.
+// (Add/Observe/Span) must not allocate.
 func TestAttachedRegistryHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	r.Attach(2)
 	r.BeginJob(1, "hot")
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Add(0, CtrBytesSent, 1)
-		r.Traffic(0, 1, 64)
 		r.Observe(0, HistReadRTT, time.Microsecond)
 		r.Span(0, 3, SpanFlush, 1, r.Clock(), 0)
 	})
@@ -179,14 +203,14 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestRecordAbort exercises the flight recorder: an abort captures counters
-// and span tails, and the next job starts from drained state.
+// TestRecordAbort exercises the flight recorder: an abort captures counters,
+// traffic and span tails, and the next job starts from the abort's state.
 func TestRecordAbort(t *testing.T) {
 	r := NewRegistry()
-	r.Attach(2)
+	w := attachWire(r, 2)
 	r.BeginJob(3, "doomed")
-	r.Add(0, CtrFlushes, 777)
-	r.Traffic(0, 1, 512)
+	r.Add(0, CtrReadsServed, 777)
+	w.send(t, 0, 1, 512)
 	r.Span(0, WorkerMain, SpanBarrier, 3, r.Clock(), 0)
 	dump := r.RecordAbort(3, "doomed", fmt.Errorf("injected fault"))
 	if dump == nil {
@@ -195,8 +219,9 @@ func TestRecordAbort(t *testing.T) {
 	if dump.Err != "injected fault" || dump.Job != 3 {
 		t.Fatalf("dump mismatch: %+v", dump)
 	}
-	if dump.Counters["flushes"] != 777 {
-		t.Errorf("dump flushes = %d, want 777", dump.Counters["flushes"])
+	if dump.Counters["reads_served"] != 777 || dump.Counters["bytes_sent"] != 512 || dump.TrafficBytes[0][1] != 512 {
+		t.Errorf("dump reads_served = %d, bytes_sent = %d, traffic %v; want 777, 512, [[0 512] [0 0]]",
+			dump.Counters["reads_served"], dump.Counters["bytes_sent"], dump.TrafficBytes)
 	}
 	if len(dump.Spans) == 0 {
 		t.Error("dump retained no spans")
@@ -213,11 +238,11 @@ func TestRecordAbort(t *testing.T) {
 	// Recovery job must not see the aborted job's counters.
 	r.BeginJob(4, "recovery")
 	rep := r.EndJob(4, time.Millisecond)
-	if got := rep.Counters["flushes"]; got != 0 {
-		t.Errorf("recovery job inherited %d flushes", got)
+	if got := rep.Counters["reads_served"]; got != 0 || rep.TotalBytes() != 0 {
+		t.Errorf("recovery job inherited %d reads_served, %d bytes", got, rep.TotalBytes())
 	}
 	// But lifetime totals keep them.
-	if got := r.LifetimeCounters()["flushes"]; got != 777 {
+	if got := r.LifetimeCounters()["reads_served"]; got != 777 {
 		t.Errorf("lifetime lost aborted job's counters: %d", got)
 	}
 }
@@ -225,11 +250,10 @@ func TestRecordAbort(t *testing.T) {
 // TestReportFormatting smoke-tests the human-readable surfaces.
 func TestReportFormatting(t *testing.T) {
 	r := NewRegistry()
-	r.Attach(2)
+	w := attachWire(r, 2)
 	r.BeginJob(1, "fmt")
-	r.Traffic(0, 1, 4096)
-	r.Traffic(1, 0, 1024)
-	r.Add(0, CtrBytesSent, 4096)
+	w.send(t, 0, 1, 4096)
+	w.send(t, 1, 0, 1024)
 	start := r.Clock()
 	r.Span(0, WorkerMain, SpanTaskPhase, 1, start, 0)
 	rep := r.EndJob(1, 5*time.Millisecond)
@@ -263,9 +287,9 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatalf("unattached /debug/metrics = %d, want 503", rec.Code)
 	}
 
-	r.Attach(2)
+	w := attachWire(r, 2)
 	r.BeginJob(1, "http")
-	r.Add(0, CtrBytesSent, 42)
+	w.send(t, 0, 1, 42)
 	r.Span(0, WorkerMain, SpanTaskPhase, 1, r.Clock(), 0)
 	r.EndJob(1, time.Millisecond)
 

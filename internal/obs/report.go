@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -23,7 +22,8 @@ type JobReport struct {
 	Counters   map[string]int64   `json:"counters"`
 	PerMachine []map[string]int64 `json:"per_machine"`
 	// TrafficBytes[src][dst] / TrafficFrames[src][dst] are the job's wire
-	// traffic matrix as observed by the endpoint wrapper.
+	// traffic matrix: the difference of the sending endpoint's comm.Metrics
+	// rows over the job, headers included.
 	TrafficBytes  [][]int64 `json:"traffic_bytes"`
 	TrafficFrames [][]int64 `json:"traffic_frames"`
 	// Histograms maps histogram name to its merged cross-machine snapshot.
@@ -150,22 +150,11 @@ func (j *JobReport) TrafficMatrixString() string {
 
 // WriteJSON writes the report as indented JSON to path.
 func (j *JobReport) WriteJSON(path string) error {
-	f, err := os.Create(path)
+	data, err := json.MarshalIndent(j, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := j.EncodeJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// EncodeJSON writes the report as indented JSON to w.
-func (j *JobReport) EncodeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(j)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func fmtBytes(n int64) string {

@@ -102,9 +102,6 @@ type Span struct {
 	Arg uint64 `json:"arg,omitempty"`
 }
 
-// KindName returns the human-readable span kind.
-func (s Span) KindName() string { return s.Kind.String() }
-
 // End returns the span end, nanoseconds since the registry epoch.
 func (s Span) End() int64 { return s.StartNS + s.DurNS }
 

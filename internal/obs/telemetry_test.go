@@ -1,24 +1,21 @@
 package obs
 
 import (
-	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/comm"
 )
 
 // TestBarrierHistogramSnapshotAndReset pins the job-boundary semantics the
-// repartitioner depends on: per-job histograms drain into their lifetime twin
-// at BeginJob/EndJob, the JobReport carries only that job's samples, and
+// repartitioner depends on: histograms are cumulative, the JobReport carries
+// only the samples recorded between its BeginJob and EndJob, and
 // MachineHistogram returns the cumulative per-machine view including the
 // running job.
 func TestBarrierHistogramSnapshotAndReset(t *testing.T) {
 	r := NewRegistry()
 	r.Attach(3)
 
-	// Two samples on machine 1 before any job: the next BeginJob folds them
-	// into the lifetime histogram without attributing them to a job.
+	// Two samples on machine 1 before any job: they are in the next BeginJob's
+	// base reading, so no job is billed for them.
 	r.Observe(1, HistBarrier, 2*time.Millisecond)
 	r.Observe(1, HistBarrier, 4*time.Millisecond)
 
@@ -50,109 +47,63 @@ func TestBarrierHistogramSnapshotAndReset(t *testing.T) {
 	}
 
 	// A sample observed outside any job shows up in the lifetime view
-	// immediately (running cell), not just after the next drain.
+	// immediately.
 	r.Observe(1, HistBarrier, 16*time.Millisecond)
 	if got := r.MachineHistogram(1, HistBarrier).Count; got != 6 {
 		t.Errorf("machine 1 barrier count with a running sample = %d, want 6", got)
 	}
 
-	// A second job drains the straggler sample and reports none of its own:
-	// drained history must never resurface in a later job's report.
+	// A second job starts past the straggler sample and reports none of its
+	// own: earlier history must never resurface in a later job's report.
 	r.BeginJob(2, "b")
 	rep2 := r.EndJob(2, time.Millisecond)
 	if s, ok := rep2.Histograms[HistBarrier.String()]; ok && s.Count != 0 {
-		t.Errorf("job 2 resurfaced %d drained barrier samples", s.Count)
+		t.Errorf("job 2 resurfaced %d earlier barrier samples", s.Count)
 	}
 	if got := r.MachineHistogram(1, HistBarrier).Count; got != 6 {
 		t.Errorf("machine 1 lifetime barrier count after job 2 = %d, want 6", got)
 	}
 }
 
-// TestLifetimeTrafficAccumulatesAcrossJobs pins the traffic-matrix ledger:
-// JobReport rows are per-job deltas, LifetimeTraffic is the cumulative matrix
-// including the running job, and the diagonal stays zero.
-func TestLifetimeTrafficAccumulatesAcrossJobs(t *testing.T) {
+// TestBetweenJobsInLifetimeOnly: a report is the difference of cumulative
+// readings at its BeginJob and its EndJob, so traffic and counters recorded
+// between two jobs — post-abort recovery, a driver-side collective — are in
+// LifetimeCounters and in neither adjacent report, while each report holds
+// exactly its own job's. The transport counters are the endpoints' ledgers:
+// Add does not move them.
+func TestBetweenJobsInLifetimeOnly(t *testing.T) {
 	r := NewRegistry()
-	r.Attach(2)
-
-	r.Traffic(0, 1, 100) // pre-job: drained to lifetime by BeginJob
+	w := attachWire(r, 2)
 
 	r.BeginJob(1, "a")
-	r.Traffic(0, 1, 50)
-	r.Traffic(1, 0, 70)
-	rep := r.EndJob(1, time.Millisecond)
+	w.send(t, 0, 1, 100)
+	r.Add(0, CtrReadsServed, 3)
+	rep1 := r.EndJob(1, time.Millisecond)
 
-	if rep.TrafficBytes[0][1] != 50 || rep.TrafficBytes[1][0] != 70 {
-		t.Errorf("job traffic = %v, want per-job deltas [[0 50] [70 0]]", rep.TrafficBytes)
-	}
+	w.send(t, 1, 0, 70) // between the jobs
+	r.Add(1, CtrReadsServed, 5)
+	r.Add(1, CtrBytesSent, 1000) // not the registry's counter: ignored
 
-	r.Traffic(1, 0, 5) // running, outside any job
+	r.BeginJob(2, "b")
+	w.send(t, 0, 1, 50)
+	r.Add(0, CtrReadsServed, 7)
+	rep2 := r.EndJob(2, time.Millisecond)
 
-	lt := r.LifetimeTraffic()
-	want := [][]int64{{0, 150}, {75, 0}}
-	for s := range want {
-		for d := range want[s] {
-			if lt[s][d] != want[s][d] {
-				t.Errorf("lifetime traffic[%d][%d] = %d, want %d (full matrix %v)",
-					s, d, lt[s][d], want[s][d], lt)
-			}
+	for _, c := range []struct {
+		rep          *JobReport
+		bytes, reads int64
+	}{{rep1, 100, 3}, {rep2, 50, 7}} {
+		got := c.rep.Counters
+		if c.rep.TrafficBytes[0][1] != c.bytes || c.rep.TrafficFrames[0][1] != 1 || c.rep.TotalBytes() != c.bytes {
+			t.Errorf("job %d: traffic %v bytes / %v frames, want only [0][1] = %d bytes / 1 frame",
+				c.rep.Job, c.rep.TrafficBytes, c.rep.TrafficFrames, c.bytes)
+		}
+		if got["bytes_sent"] != c.bytes || got["frames_sent"] != 1 || got["bytes_recv"] != c.bytes || got["frames_recv"] != 1 || got["reads_served"] != c.reads {
+			t.Errorf("job %d: counters %v, want %d bytes / 1 frame each way and %d reads_served", c.rep.Job, got, c.bytes, c.reads)
 		}
 	}
-}
-
-// holdEndpoint is the inner endpoint of TestWrapEndpointCountsBeforeHandOver:
-// its Send keeps the frame — the peer has it — until release closes, and only
-// then returns, failing with fail when set.
-type holdEndpoint struct {
-	comm.Endpoint // only Machine and Send are called
-	held, release chan struct{}
-	fail          error
-}
-
-func (e *holdEndpoint) Machine() int { return 0 }
-
-func (e *holdEndpoint) Send(dst int, buf *comm.Buffer) error {
-	buf.Release()
-	close(e.held)
-	<-e.release
-	return e.fail
-}
-
-// TestWrapEndpointCountsBeforeHandOver: the wrapper bills a frame to the job
-// sending it by the time the peer holds it, before the inner Send returns — the
-// peer can finish the job with it, and that job's report is then read — so the
-// traffic matrix and bytes_sent/frames_sent never carry a job's last frame into
-// the next job. A send that fails stays counted and counts a send error.
-func TestWrapEndpointCountsBeforeHandOver(t *testing.T) {
-	for _, fail := range []error{nil, errors.New("peer gone")} {
-		r := NewRegistry()
-		r.Attach(2)
-		r.BeginJob(1, "last-frame")
-		inner := &holdEndpoint{held: make(chan struct{}), release: make(chan struct{}), fail: fail}
-		ep := WrapEndpoint(inner, r)
-		pool := comm.NewPool(1, 64)
-		buf := pool.Acquire()
-		buf.Reset(comm.Header{Type: comm.MsgWriteReq})
-		buf.AppendU64(42)
-		n := int64(len(buf.Data))
-		done := make(chan error, 1)
-		go func() { done <- ep.Send(1, buf) }()
-		<-inner.held
-		rep := r.EndJob(1, time.Millisecond) // the frame is with the peer; Send has not returned
-		close(inner.release)
-		if err := <-done; err != fail {
-			t.Fatalf("Send = %v, want %v", err, fail)
-		}
-		if rep.TrafficBytes[0][1] != n || rep.TrafficFrames[0][1] != 1 || rep.Counters["bytes_sent"] != n || rep.Counters["frames_sent"] != 1 {
-			t.Errorf("fail=%v: the job's report holds %v bytes / %v frames (bytes_sent %d, frames_sent %d) while the peer holds its %d-byte frame",
-				fail, rep.TrafficBytes, rep.TrafficFrames, rep.Counters["bytes_sent"], rep.Counters["frames_sent"], n)
-		}
-		want := int64(0)
-		if fail != nil {
-			want = 1
-		}
-		if got := r.LifetimeCounters()["send_errors"]; got != want {
-			t.Errorf("fail=%v: send_errors = %d, want %d", fail, got, want)
-		}
+	life := r.LifetimeCounters()
+	if life["bytes_sent"] != 220 || life["frames_sent"] != 3 || life["bytes_recv"] != 220 || life["reads_served"] != 15 {
+		t.Errorf("lifetime %v, want 220 bytes / 3 frames each way and 15 reads_served", life)
 	}
 }

@@ -130,9 +130,11 @@ type TopVertex struct {
 
 // ServerStats reports server-level accounting. FailedRuns counts analyses
 // that returned an error (including engine job aborts); TransportErrors
-// sums failed socket writes and rejected inbound frames across all loaded
-// instances' fabrics — nonzero values mean the engine has been absorbing
-// wire faults rather than crashing. The run-duration percentiles cover the
+// sums, across all loaded instances' fabrics, the sends the fabric refused
+// (bad or closed destination, a connection with a sticky write error, an
+// injected failure) or failed to write, and the rejected inbound frames —
+// nonzero values mean the engine has been absorbing wire faults rather than
+// crashing. The run-duration percentiles cover the
 // most recent analyses (a sliding window); JobsObserved counts engine-level
 // parallel regions across instances, as seen by their observability
 // registries.

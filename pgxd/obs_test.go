@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/pgxd"
 )
 
@@ -156,5 +157,57 @@ func TestFlightRecorderOnAbort(t *testing.T) {
 	}
 	if rep.Job <= dump.Job {
 		t.Errorf("last report job %d does not postdate aborted job %d", rep.Job, dump.Job)
+	}
+}
+
+// TestSendErrorsCountedOnce: a send the fault fabric refuses is counted once,
+// in the refusing endpoint's transport ledger, and the flight recorder reads
+// that same ledger — so after TestFlightRecorderOnAbort's injected failure the
+// cluster's transport snapshot and the abort dump agree on every fabric.
+func TestSendErrorsCountedOnce(t *testing.T) {
+	g, err := pgxd.RMAT(8, 8, pgxd.TwitterLike(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fabric := range []string{"inproc", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			cfg := pgxd.DefaultConfig(3)
+			cfg.RequestTimeout = time.Second
+			cfg.CollectiveTimeout = time.Second
+			cfg.Obs = pgxd.NewObsRegistry()
+			var inner comm.Fabric // nil: a fresh in-process fabric
+			if fabric == "tcp" {
+				if inner, err = pgxd.NewTCPFabric(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inj := pgxd.NewFaultFabric(cfg, inner, pgxd.FaultPlan{Seed: 11, Rules: []pgxd.FaultRule{
+				{Src: pgxd.AnyMachine, Dst: pgxd.AnyMachine, Type: int(pgxd.MsgReadReq), Kind: pgxd.FaultFail, Limit: 1},
+			}})
+			cfg.Fabric = inj
+			c, err := pgxd.NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				c.Shutdown()
+				inj.Close()
+			})
+			if err := c.LoadGraph(g); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.PageRankPull(3, 0.85); !errors.Is(err, pgxd.ErrJobAborted) {
+				t.Fatalf("expected ErrJobAborted, got %v", err)
+			}
+			dump := c.LastAbortDump()
+			if dump == nil {
+				t.Fatal("abort produced no flight-recorder dump")
+			}
+			snap := c.Core().TrafficSnapshot().SendErrors
+			if snap < 1 || snap != dump.Counters["send_errors"] {
+				t.Errorf("transport snapshot counts %d send errors, the abort dump %d; want the same count, at least 1",
+					snap, dump.Counters["send_errors"])
+			}
+		})
 	}
 }
