@@ -8,11 +8,13 @@
 package algorithms
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // Metrics aggregates the execution of one algorithm run.
@@ -63,6 +65,18 @@ var nowFn = time.Now
 // the job runs — how TestRowDispatchMatchesPerEdge drives each algorithm
 // through per-edge copies of its row kernels.
 var kernelHook func(core.Task) core.Task
+
+// checkSources rejects a source outside [0, NumNodes) before an algorithm
+// registers anything, so a bad request fails as an error, not a panic in a
+// property write.
+func checkSources(c *core.Cluster, sources ...graph.NodeID) error {
+	for _, s := range sources {
+		if int(s) >= c.NumNodes() {
+			return fmt.Errorf("algorithms: source %d out of range [0, %d)", s, c.NumNodes())
+		}
+	}
+	return nil
+}
 
 // runner wraps a cluster with metrics tracking and deferred error handling
 // so algorithm bodies read like the paper's pseudocode instead of error

@@ -36,10 +36,13 @@ func (k *pprApplyKernel) Run(c *core.Ctx) {
 }
 
 // PersonalizedPageRank runs iters pull-mode power iterations restarting at
-// sources.
+// sources; a source outside the graph is an error.
 func PersonalizedPageRank(c *core.Cluster, sources []graph.NodeID, iters int, damping float64) ([]float64, Metrics, error) {
 	if len(sources) == 0 {
 		return nil, Metrics{}, fmt.Errorf("algorithms: personalized PageRank needs at least one source")
+	}
+	if err := checkSources(c, sources...); err != nil {
+		return nil, Metrics{}, err
 	}
 	r := &runner{c: c}
 	defer r.dropProps()
@@ -53,9 +56,6 @@ func PersonalizedPageRank(c *core.Cluster, sources []graph.NodeID, iters int, da
 
 	c.FillI64(isSource, 0)
 	for _, s := range sources {
-		if int(s) >= c.NumNodes() {
-			return nil, r.met, fmt.Errorf("algorithms: source %d out of range", s)
-		}
 		c.SetNodeI64(s, isSource, 1)
 	}
 	sourceBase := (1 - damping) / float64(len(sources))

@@ -217,8 +217,11 @@ func (k *ssspAdoptKernel) Run(c *core.Ctx) {
 // Bellman-Ford scheme the paper uses, driven by a frontier of just-improved
 // nodes with per-round push/pull selection; unreachable nodes report +Inf.
 // Edge weights come from the loaded graph ("we generated these values using
-// a uniform random distribution").
+// a uniform random distribution"). A source outside the graph is an error.
 func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics, error) {
+	if err := checkSources(c, source); err != nil {
+		return nil, Metrics{}, err
+	}
 	r := &runner{c: c}
 	defer r.dropProps()
 	dist := r.propF64("sssp")
@@ -409,8 +412,11 @@ func (r *runner) bfs(dist core.PropID, cur, unvis *core.Frontier, root graph.Nod
 
 // HopDist computes breadth-first hop distances from root ("Breadth-first
 // traversal from the root"); see runner.bfs. Unreachable nodes report
-// math.MaxInt64.
+// math.MaxInt64; a root outside the graph is an error.
 func HopDist(c *core.Cluster, root graph.NodeID, maxIter int) ([]int64, Metrics, error) {
+	if err := checkSources(c, root); err != nil {
+		return nil, Metrics{}, err
+	}
 	r := &runner{c: c}
 	defer r.dropProps()
 	dist := r.propI64("hop")

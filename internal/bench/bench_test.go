@@ -263,14 +263,3 @@ func TestBandwidthHelpers(t *testing.T) {
 		t.Errorf("nToN: %v %v", nb, err)
 	}
 }
-
-func TestExpAblationsSmall(t *testing.T) {
-	ds := NewDatasets()
-	tbl, err := ExpAblations(ds, smallScale, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("got %d rows", len(tbl.Rows))
-	}
-}

@@ -1,8 +1,11 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (§5) at laptop scale. Each ExpXxx
-// function runs one experiment and returns printable rows; cmd/pgxd-bench
-// drives them and bench_test.go wraps representative cells as testing.B
-// benchmarks.
+// Package bench is the experiment harness that regenerates the paper's
+// evaluation (§5) at laptop scale: Table 3 and Figure 3 (table3.go), Table 4
+// (table4.go), Figures 4–7 (figs.go) and Figures 8a/8b (fig8.go), over the
+// generated datasets below and the system models in systems.go. Each ExpXxx
+// function runs one experiment and returns a printable Table; cmd/pgxd-bench
+// drives them and the repository's root bench_test.go wraps representative
+// cells as testing.B benchmarks. Every other performance number comes from
+// the benchmark/ harness.
 //
 // Datasets substitute generated graphs for the paper's downloads (DESIGN.md
 // §5): TWT' and WEB' are RMAT with Twitter/Web-shaped skew, LJ' and WIK'
@@ -33,10 +36,6 @@ const (
 	DSLive    = "LJ'"
 	DSWiki    = "WIK'"
 	DSUniform = "UNI'"
-	// DSRoad is a high-diameter road-network stand-in (near-square grid with
-	// a few long-range shortcuts) — the graph class where direction switching
-	// must know to stay top-down, since no BFS level ever gets dense.
-	DSRoad = "ROAD'"
 )
 
 // Datasets caches generated graphs by (name, scale) so multi-experiment runs
@@ -82,10 +81,6 @@ func generate(name string, scale int) (*graph.Graph, error) {
 	case DSUniform:
 		n := 1 << scale
 		return graph.Uniform(n, n*EdgeFactor, 20151119)
-	case DSRoad:
-		rows := 1 << (scale / 2)
-		cols := (1 << scale) / rows
-		return graph.Grid(rows, cols, (1<<scale)/64, 20151121)
 	default:
 		return nil, fmt.Errorf("bench: unknown dataset %q", name)
 	}

@@ -91,8 +91,8 @@ type Config struct {
 	// Obs attaches the observability registry: per-job counters, trace
 	// spans, the traffic matrix, and the abort flight recorder. Nil (the
 	// default) disables observability entirely — instrumentation sites
-	// reduce to a nil check and endpoints stay unwrapped, so the engine's
-	// hot path is unchanged.
+	// reduce to a nil check, so the engine's hot path is unchanged. Traffic
+	// is counted by each endpoint's comm.Metrics either way.
 	Obs *obs.Registry
 }
 

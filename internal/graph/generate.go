@@ -94,6 +94,9 @@ func Uniform(n int, m int, seed int64) (*Graph, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
+	if m < 0 {
+		return nil, fmt.Errorf("graph: uniform edge count %d must be >= 0", m)
+	}
 	edges := generateParallel(m, seed, func(rng *rand.Rand, out []Edge) {
 		for i := range out {
 			out[i] = Edge{Src: NodeID(rng.Intn(n)), Dst: NodeID(rng.Intn(n))}

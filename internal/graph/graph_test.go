@@ -225,6 +225,15 @@ func TestRMATRejectsBadParams(t *testing.T) {
 	}
 }
 
+func TestUniformRejectsNegativeEdges(t *testing.T) {
+	if _, err := Uniform(10, -1, 1); err == nil {
+		t.Error("accepted edge count -1")
+	}
+	if g, err := Uniform(10, 0, 1); err != nil || g.NumEdges() != 0 {
+		t.Errorf("Uniform(10, 0) = %v, %v; want an edgeless graph", g, err)
+	}
+}
+
 func TestRMATIsSkewedUniformIsNot(t *testing.T) {
 	rmat, err := RMAT(12, 16, TwitterLike(), 7)
 	if err != nil {

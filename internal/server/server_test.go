@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -199,6 +200,31 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if _, err := c.Run(Request{Graph: "g", Algo: "quantum"}); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// TestBadArgumentsAreErrors sends requests whose arguments used to panic in
+// the connection goroutine, and so kill the process: a negative edge count
+// and a source outside the graph. Each must come back as an error response
+// on the same connection, which then still answers.
+func TestBadArgumentsAreErrors(t *testing.T) {
+	s := startServer(t, DefaultServerConfig())
+	c := dial(t, s)
+	if _, err := c.Generate(Request{Graph: "neg", Kind: "uniform", Edges: -1}); err == nil {
+		t.Error("generate with edges -1 succeeded")
+	}
+	if _, err := c.Generate(Request{Graph: "g", Kind: "rmat", Scale: 6, EdgeFactor: 4, Machines: 2, WeightLo: 1, WeightHi: 5}); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"hopdist", "sssp", "ppr"} {
+		_, err := c.Run(Request{Graph: "g", Algo: algo, Source: 1 << 20})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s from source 1<<20 on a 64-node graph: err = %v, want out of range", algo, err)
+		}
+	}
+	list, err := c.List()
+	if err != nil || len(list) != 1 || list[0].Name != "g" {
+		t.Fatalf("list = %v (%v)", list, err)
 	}
 }
 
