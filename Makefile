@@ -32,11 +32,12 @@ faults:
 
 # Short fuzz pass over the decode surfaces that take bytes from outside —
 # the codec, store.Open (one target: both section spellings go through one
-# validator) and the copier's write-frame apply and read-request serve — each
-# target gets a few seconds, enough to shake out torn-input and canonicality
-# regressions. FuzzServeReads answers through the in-process fabric, whose
-# poller makes coverage flicker: without a short minimize budget the fuzzer
-# spends its seconds shrinking inputs that only look new.
+# validator), the copier's write-frame apply and read-request serve, and the
+# server's request handler — each target gets a few seconds, enough to shake
+# out torn-input and canonicality regressions. FuzzServeReads answers through
+# the in-process fabric, whose poller makes coverage flicker, and
+# FuzzServeRequest runs analyses on engine clusters: without a short minimize
+# budget the fuzzer spends its seconds shrinking inputs that only look new.
 fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintRoundTrip -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzUvarintDecode -fuzztime 5s
@@ -44,6 +45,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpen -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzApplyWrites -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzServeReads -fuzztime 5s -fuzzminimizetime 1s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzServeRequest -fuzztime 5s -fuzzminimizetime 1s
 
 # Budget: 6 minutes of wall clock on the 2-vCPU reference box (race is most of
 # it); the target prints what it took — 231 s there in the last recorded run

@@ -397,10 +397,7 @@ func TestRemoteSetMatchesOracle(t *testing.T) {
 				}
 				for _, m := range c.machines {
 					where := fmt.Sprintf("seed %d p=%d cap=%d machine %d", seed, p, k, m.id)
-					set, err := m.buildRemoteSet(m.newJobRuntime(&JobSpec{Iter: IterOutEdges, Task: &pushOneTask{}}, 0))
-					if err != nil {
-						t.Fatalf("%s: %v", where, err)
-					}
+					set := m.buildRemoteSet(m.newJobRuntime(&JobSpec{Iter: IterOutEdges, Task: &pushOneTask{}}, 0))
 					m.store.remote = set // the build rewrote the rows against it
 					lo, hi := c.layout.Range(m.id)
 					union := map[graph.NodeID]bool{}
@@ -613,11 +610,7 @@ func BenchmarkRemoteRead(b *testing.B) {
 				copy(m.store.views[o].refs, raw[o])
 			}
 			b.StartTimer()
-			set, err := m.buildRemoteSet(jr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			edges = set.iters[IterBothEdges].edges
+			edges = m.buildRemoteSet(jr).iters[IterBothEdges].edges
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*edges), "ns/edge")
 	})

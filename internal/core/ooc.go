@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/partition"
 	"repro/internal/store"
@@ -15,10 +14,11 @@ import (
 // scheduler run unchanged, except that a compressed file has no ref slice and
 // its rows are read through rowReaders — and page-cache eviction, optionally
 // bounded by Config.ResidentBudgetBytes, governs how much topology is
-// resident. Store files carry the engine's own ref encoding (store.go), so the
-// per-edge dispatch is identical either way; only the replica refs a job that
-// uses the remote set needs are made as it reads the rows (rowReader), the
-// file's mapping being read-only.
+// resident. A store file's rows are written in the replica numbering
+// (store.go) against the remote set its section describes, so the load takes
+// that set with the rows (storeRemoteSet) and hands kernels the rows as
+// written: no job resolves a ref on the way, and the per-edge dispatch is
+// identical to an in-memory load's once its set is built.
 // Everything that depends on how the file spells its sections sits behind one
 // store.Load handle.
 
@@ -66,15 +66,18 @@ func (c *Cluster) LoadStore(sf *store.File) error {
 	return nil
 }
 
-// loadFromStore installs machine id's file section as its local store. The
-// row/ref/weight slices alias the load's views (a compressed file has no ref
-// view: its rows are read through rowReaders); only O(numLocal) metadata
-// (degrees, both-orientation prefix) is materialized on the heap.
+// loadFromStore installs machine id's file section as its local store, with
+// the remote set its rows are numbered against. The row/ref/weight slices
+// alias the load's views (a compressed file has no ref view: its rows are read
+// through rowReaders); only O(numLocal) metadata (degrees, both-orientation
+// prefix) and the set's O(S + N/64) tables are materialized on the heap.
 func (m *Machine) loadFromStore(ld *store.Load, layout partition.Layout) {
 	sec := ld.File().Section(m.id)
 	out := orientView{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights}
 	in := orientView{rows: sec.InRows, refs: sec.InRefs, weights: sec.InWeights}
-	m.install(newLocalStore(m.id, layout, out, in), ld)
+	st := newLocalStore(m.id, layout, out, in)
+	st.remote = storeRemoteSet(st, sec)
+	m.install(st, ld)
 }
 
 // claimChunk announces one chunk's topology reads, in every orientation the
@@ -95,60 +98,22 @@ func (jr *jobRuntime) claimChunk(mach int, ch partition.Chunk) {
 	}
 }
 
-// rowReader reads one view's rows for one goroutine, whatever the load: sliced
-// out of the view's refs or, on a compressed load, which has none, through a
-// store.Cursor, which pins one decoded block until released. When res is set —
-// a job that uses the remote set, on a store file whose rows cannot be
-// rewritten — each row is resolved into the reader's scratch (remoteSet.resolve).
-// Either of the last two makes a row valid until the reader's next row or
-// release.
-type rowReader struct {
-	v      *orientView
-	cur    store.Cursor
-	cursor bool
-	res    *remoteSet
-	buf    []int64
-}
+// rowReaders are one goroutine's cursors over a compressed load, one per view
+// of a job, each pinning one decoded block until released: a row is valid
+// until the cursor's next row or release. Workers keep theirs beside their
+// other per-job state so an abort unwind finds them; a job that decodes no
+// rows never asks a worker's for one (jobRuntime.cursors).
+type rowReaders [2]store.Cursor
 
-// rowReaders is one goroutine's reader per view of a job. Workers keep theirs
-// beside their other per-job state so an abort unwind finds them, and their
-// scratch across jobs; a job that neither decodes nor resolves its rows never
-// asks a worker's for one (jobRuntime.viaReaders).
-type rowReaders [2]rowReader
-
-// open points the readers at machine mach's views under jr's load.
+// open points the readers at machine mach's views under jr's compressed load.
 func (rd *rowReaders) open(jr *jobRuntime, mach int) {
-	for i := range jr.views {
-		r := &rd[i]
-		r.v, r.cursor, r.res = &jr.views[i], jr.cursors, jr.resolve
-		if jr.cursors {
-			r.cur = jr.ooc.Cursor(mach, r.v.orient)
-		}
+	for i, v := range jr.views {
+		rd[i] = jr.ooc.Cursor(mach, v.orient)
 	}
-}
-
-// refs returns node's neighbour refs. An error is a block that no longer
-// decodes — every one was strictly validated at Open — and fails the job.
-func (r *rowReader) refs(node uint32) ([]int64, error) {
-	var row []int64
-	if r.cursor {
-		var err error
-		if row, err = r.cur.Row(int64(node)); err != nil {
-			return nil, err
-		}
-	} else {
-		row = r.v.refs[r.v.rows[node]:r.v.rows[node+1]]
-	}
-	if r.res != nil {
-		r.buf = slices.Grow(r.buf[:0], len(row))[:len(row)]
-		r.res.resolve(r.buf, row)
-		row = r.buf
-	}
-	return row, nil
 }
 
 // release drops the readers' block pins, if they hold any. Idempotent.
 func (rd *rowReaders) release() {
-	rd[0].cur.Release()
-	rd[1].cur.Release()
+	rd[0].Release()
+	rd[1].Release()
 }

@@ -90,9 +90,10 @@ func runPushOne(t *testing.T, c *Cluster, counter PropID) []int64 {
 // TestStoreSectionsMatchLocalStore: what a store load hands the engine — rows,
 // refs (compressed ones read row by row through a cursor) and weights, per
 // machine and orientation — must equal what buildLocalStore derives from the
-// in-memory graph, in both encodings and at every machine
-// count. This is the reference for the file format that does not go through
-// the store's own writer or reader assumptions.
+// in-memory graph, in both encodings and at every machine count, once every
+// replica ref is mapped back through the section's addr table to the packed
+// address it names. This is the reference for the file format that does not
+// go through the store's own writer or reader assumptions.
 func TestStoreSectionsMatchLocalStore(t *testing.T) {
 	rmat, err := graph.RMAT(12, 8, graph.TwitterLike(), 11)
 	if err != nil {
@@ -136,6 +137,12 @@ func TestStoreSectionsMatchLocalStore(t *testing.T) {
 								got[orient].refs = append(got[orient].refs, row...)
 							}
 							cur.Release()
+						}
+						got[orient].refs = slices.Clone(got[orient].refs)
+						for i, ref := range got[orient].refs {
+							if ref >= int64(want.numLocal) {
+								got[orient].refs[i] = sec.Addr[ref-int64(want.numLocal)]
+							}
 						}
 						if !slices.Equal(got[orient].rows, w.rows) || !slices.Equal(got[orient].refs, w.refs) ||
 							!slices.Equal(got[orient].weights, w.weights) {

@@ -4,6 +4,7 @@ import (
 	mathbits "math/bits"
 
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/store"
 )
 
@@ -26,8 +27,9 @@ import (
 // member ref is numLocal + slot, a replica ref (store.go), so that a mirror
 // laid out [owned words | replicas] answers a neighbour of either kind with one
 // indexed load. An in-memory load's rows are rewritten so when the set is
-// built; a store file's cannot be, and a job that uses the set resolves them
-// row by row as it reads them (rowReader).
+// built (buildRemoteSet); a store file's are written so, against the uncapped
+// set its section describes, which the load reads off the file
+// (storeRemoteSet). Either way a kernel is handed the rows as they lie.
 
 // remoteSet is the load's table of the distinct remote addresses its rows
 // reference, in both orientations: per owner a rank bitmap over the owner's
@@ -61,7 +63,7 @@ type peerSet struct {
 }
 
 // slot returns the slot of the owner's offset off, or -1 when the set does not
-// hold it. Only a packed ref needs it: resolve, once per load or row.
+// hold it. Only a packed ref needs it: rewrite, once per in-memory load.
 func (p *peerSet) slot(off uint32) int {
 	w := int(off >> 6)
 	if w >= len(p.bits) || p.bits[w]>>(off&63)&1 == 0 {
@@ -82,82 +84,51 @@ func (p *peerSet) members(sub []uint64, lo, hi int, fn func(off uint32, slot int
 	}
 }
 
-// resolve writes refs to dst, every member as its replica ref; dst may be refs.
-func (s *remoteSet) resolve(dst, refs []int64) {
+// rewrite rewrites refs in place, every member as its replica ref.
+func (s *remoteSet) rewrite(refs []int64) {
 	for i, ref := range refs {
 		if ref < 0 {
 			mach, off := unpackRemote(ref)
 			if slot := s.peers[mach].slot(off); slot >= 0 {
-				ref = int64(s.numLocal + slot)
+				refs[i] = int64(s.numLocal + slot)
 			}
 		}
-		dst[i] = ref
 	}
 }
 
-// buildRemoteSet scans both orientations of this machine's rows, chunk by chunk
-// behind the chunk's claim and through row readers like a worker of jr would,
-// so in-memory, raw and compressed loads build the same way; under
-// Config.GhostCount only the load's top vertices become members. An in-memory
-// load's rows are then rewritten to replica refs. Once per load, on the main
-// goroutine of the first job that could use it (the remote_set_build span,
-// whose arg is the refs scanned).
-func (m *Machine) buildRemoteSet(jr *jobRuntime) (*remoteSet, error) {
-	t := m.cfg.Obs.Clock()
-	st := m.store
-	layout, top := st.layout, st.top
-	s := &remoteSet{numLocal: st.numLocal, peers: make([]peerSet, m.cfg.NumMachines)}
+// orientSets returns the two orientations' member sets of machine me's load,
+// empty: per other owner a bitmap over its offset range.
+func orientSets(layout partition.Layout, me int) [2]iterSet {
 	var orient [2]iterSet // by store.OrientOut, store.OrientIn
 	for o := range orient {
-		orient[o].bits = make([][]uint64, len(s.peers))
-	}
-	for d := range s.peers {
-		if lo, hi := layout.Range(d); d != m.id {
-			n := (int(hi-lo) + 63) / 64
-			s.peers[d].bits = make([]uint64, n)
-			orient[0].bits[d], orient[1].bits[d] = make([]uint64, n), make([]uint64, n)
-		}
-	}
-	scan := &jobRuntime{views: st.views[:], ooc: jr.ooc, cursors: jr.cursors}
-	var rd rowReaders
-	rd.open(scan, m.id)
-	defer rd.release()
-	for _, ch := range m.chunks[IterBothEdges] {
-		scan.claimChunk(m.id, ch)
-		for o := range orient {
-			is := &orient[o]
-			for node := ch.Begin; node < ch.End; node++ {
-				refs, err := rd[o].refs(node)
-				if err != nil {
-					return nil, err
-				}
-				is.edges += int64(len(refs))
-				for _, ref := range refs {
-					if ref >= 0 {
-						continue
-					}
-					mach, off := unpackRemote(ref)
-					if top != nil {
-						if v := layout.GlobalOf(mach, off); top[v>>6]>>(v&63)&1 == 0 {
-							continue
-						}
-					}
-					is.bits[mach][off>>6] |= 1 << (off & 63)
-					is.refs++
-				}
+		orient[o].bits = make([][]uint64, layout.NumMachines)
+		for d := range orient[o].bits {
+			if lo, hi := layout.Range(d); d != me {
+				orient[o].bits[d] = make([]uint64, (int(hi-lo)+63)/64)
 			}
 		}
 	}
+	return orient
+}
+
+// newRemoteSet numbers the members of the two orientations' sets: their union,
+// per owner ranked so that slots ascend with (owner, offset), and the slot →
+// address table.
+func newRemoteSet(numLocal int, orient [2]iterSet) *remoteSet {
+	s := &remoteSet{numLocal: numLocal, peers: make([]peerSet, len(orient[0].bits))}
 	both := iterSet{bits: make([][]uint64, len(s.peers)), refs: orient[0].refs + orient[1].refs, edges: orient[0].edges + orient[1].edges}
 	for d := range s.peers {
-		p := &s.peers[d]
-		p.base, p.rank = both.size, make([]uint32, len(p.bits))
+		p, out, in := &s.peers[d], orient[0].bits[d], orient[1].bits[d]
+		p.base, p.rank = both.size, make([]uint32, len(out))
+		if out != nil {
+			p.bits = make([]uint64, len(out))
+		}
 		for w := range p.bits {
-			p.bits[w] = orient[0].bits[d][w] | orient[1].bits[d][w]
+			p.bits[w] = out[w] | in[w]
 			p.rank[w] = uint32(both.size - p.base)
 			both.size += mathbits.OnesCount64(p.bits[w])
-			orient[0].size += mathbits.OnesCount64(orient[0].bits[d][w])
-			orient[1].size += mathbits.OnesCount64(orient[1].bits[d][w])
+			orient[0].size += mathbits.OnesCount64(out[w])
+			orient[1].size += mathbits.OnesCount64(in[w])
 		}
 		both.bits[d] = p.bits
 	}
@@ -167,13 +138,62 @@ func (m *Machine) buildRemoteSet(jr *jobRuntime) (*remoteSet, error) {
 		p.members(p.bits, 0, len(p.bits), func(off uint32, _ int) { s.addr = append(s.addr, packRemote(d, off)) })
 	}
 	s.iters[IterOutEdges], s.iters[IterInEdges], s.iters[IterBothEdges] = orient[store.OrientOut], orient[store.OrientIn], both
-	if m.ooc == nil {
-		for o := range st.views {
-			s.resolve(st.views[o].refs, st.views[o].refs)
+	return s
+}
+
+// buildRemoteSet scans both orientations of an in-memory load's rows — under
+// Config.GhostCount keeping only the load's top vertices — and rewrites them
+// to replica refs against the set it returns. Once per load, on the main
+// goroutine of the first job that could use it (the remote_set_build span,
+// whose arg is the refs scanned).
+func (m *Machine) buildRemoteSet(jr *jobRuntime) *remoteSet {
+	t := m.cfg.Obs.Clock()
+	st := m.store
+	layout, top := st.layout, st.top
+	orient := orientSets(layout, m.id)
+	for o := range orient {
+		is, refs := &orient[o], st.views[o].refs
+		is.edges = int64(len(refs))
+		for _, ref := range refs {
+			if ref >= 0 {
+				continue
+			}
+			mach, off := unpackRemote(ref)
+			if top != nil {
+				if v := layout.GlobalOf(mach, off); top[v>>6]>>(v&63)&1 == 0 {
+					continue
+				}
+			}
+			is.bits[mach][off>>6] |= 1 << (off & 63)
+			is.refs++
 		}
 	}
-	m.cfg.Obs.Span(m.id, obs.WorkerMain, obs.SpanRemoteSetBuild, jr.id, t, uint64(both.edges))
-	return s, nil
+	s := newRemoteSet(st.numLocal, orient)
+	for o := range st.views {
+		s.rewrite(st.views[o].refs)
+	}
+	m.cfg.Obs.Span(m.id, obs.WorkerMain, obs.SpanRemoteSetBuild, jr.id, t, uint64(s.iters[IterBothEdges].edges))
+	return s
+}
+
+// storeRemoteSet is a store load's remote set, read off machine st.me's file
+// section: the file numbers every remote node either orientation references —
+// the set buildRemoteSet builds at GhostCount 0 — and Open's scan recorded
+// which slots each orientation names and how often, so the set costs O(S +
+// N/64) and no row read.
+func storeRemoteSet(st *localStore, sec store.Section) *remoteSet {
+	orient := orientSets(st.layout, st.me)
+	for o, slots := range [2][]uint64{sec.OutSlots, sec.InSlots} {
+		is := &orient[o]
+		is.refs, is.edges = [2]int64{sec.OutReplicas, sec.InReplicas}[o], st.views[o].rows[st.numLocal]
+		for w, word := range slots {
+			for ; word != 0; word &= word - 1 {
+				mach, off := unpackRemote(sec.Addr[w<<6+trailingZeros64(word)])
+				is.bits[mach][off>>6] |= 1 << (off & 63)
+			}
+		}
+	}
+	return newRemoteSet(st.numLocal, orient)
 }
 
 // remoteJob decides, from this machine's state alone, whether jr resolves its
@@ -189,9 +209,8 @@ func (m *Machine) buildRemoteSet(jr *jobRuntime) (*remoteSet, error) {
 // its iterator's members number, so that resolving every address once costs no
 // more than resolving each ref: every full scan, and a bitmap-filtered frontier
 // whose degree sum times the rows' remote share says so; never a sparse member
-// list, a single machine or an iterator with no member. The set is built here
-// when the load has none yet, and a failed build fails the job. On a store-file
-// load an eligible job reads its rows resolved (jobRuntime.resolve).
+// list, a single machine or an iterator with no member. An in-memory load's set
+// is built here when it has none yet; a store load's came with its file.
 func (m *Machine) remoteJob(jr *jobRuntime) {
 	spec := jr.spec
 	accumulate := len(spec.WriteProps) > 0 && jr.activate == nil
@@ -201,11 +220,7 @@ func (m *Machine) remoteJob(jr *jobRuntime) {
 	}
 	set := m.store.remote
 	if set == nil {
-		var err error
-		if set, err = m.buildRemoteSet(jr); err != nil {
-			m.abortJob(jr, err)
-			return
-		}
+		set = m.buildRemoteSet(jr)
 		m.store.remote = set
 	}
 	is := &set.iters[spec.Iter]
@@ -220,9 +235,6 @@ func (m *Machine) remoteJob(jr *jobRuntime) {
 	}
 	if is.size == 0 {
 		return
-	}
-	if m.ooc != nil {
-		jr.resolve = set
 	}
 	jr.accumulate = accumulate
 	if len(spec.ReadProps) > 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -47,10 +48,11 @@ func (k *refRecorder) ReadDone(c *Ctx, val uint64) {
 // handed — in a mirrored job over each edge iterator, and in a sparse-frontier
 // job the set does not serve — leads back to the ref buildLocalCSR writes: an
 // owned index is itself, a replica's slot lies inside the set and its address
-// is the raw ref, and a packed ref is the raw ref and, wherever rows are
-// resolved, no member. Every sum is exact, so the view read each replica's
+// is the raw ref, and a packed ref is the raw ref and, once the set exists, no
+// member. A store load's rows, read as they lie in the file before any job,
+// lead back the same way. Every sum is exact, so the view read each replica's
 // owner's word; and the sparse job read every remote neighbour of its members,
-// replica refs among them on an in-memory load, on demand.
+// replica refs among them, on demand.
 func TestResolvedRowsRoundTrip(t *testing.T) {
 	seen := map[string][2]int{} // by load: replica refs handed to mirrored and to sparse jobs
 	for seed := int64(1); seed <= 4; seed++ {
@@ -90,10 +92,10 @@ func TestResolvedRowsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The paths the test is about were taken: mirrored jobs read replica refs on
-	// every load, and on an in-memory load the sparse job read some on demand.
+	// The paths the test is about were taken: on every load, mirrored jobs read
+	// replica refs and the sparse job read some on demand.
 	for load, n := range seen {
-		if n[0] == 0 || load == "memory" && n[1] == 0 {
+		if n[0] == 0 || n[1] == 0 {
 			t.Errorf("%s: the mirrored jobs were handed %d replica refs, the sparse ones %d", load, n[0], n[1])
 		}
 	}
@@ -109,6 +111,9 @@ func roundTripLoad(t *testing.T, where string, c *Cluster, g *graph.Graph, vals 
 	raw := make([][2]orientView, len(c.machines))
 	for _, m := range c.machines {
 		raw[m.id] = buildLocalStore(g, c.layout, m.id).views
+		if !inMemory {
+			storeRowsLeadBack(t, where, c, m, raw[m.id])
+		}
 	}
 	// run runs one recorded job and checks what its kernel was handed, and its
 	// sums, on every node it iterated.
@@ -126,11 +131,9 @@ func roundTripLoad(t *testing.T, where string, c *Cluster, g *graph.Graph, vals 
 			t.Fatalf("%s %s: %v", where, spec.Name, err)
 		}
 		sums := c.GatherF64(dst)
-		mirrored := spec.Source == nil && c.cfg.NumMachines > 1
 		span := iterViews[spec.Iter]
 		for _, m := range c.machines {
 			set := m.store.remote
-			resolved := set != nil && (inMemory || mirrored && set.iters[spec.Iter].size > 0)
 			for _, node := range nodes(m) {
 				v, want := m.store.globalOf(node), 0.0
 				for o := span[0]; o < span[1]; o++ {
@@ -149,7 +152,7 @@ func roundTripLoad(t *testing.T, where string, c *Cluster, g *graph.Graph, vals 
 								t.Fatalf("%s %s: machine %d holds replica ref %d past the set's slots", where, spec.Name, m.id, ref)
 							}
 							back, replicas = set.addr[slot], replicas+1
-						case resolved:
+						case set != nil:
 							if mach, off := unpackRemote(ref); set.peers[mach].slot(off) >= 0 {
 								t.Fatalf("%s %s: machine %d was handed member (%d, %d) packed in a resolved row", where, spec.Name, m.id, mach, off)
 							}
@@ -217,4 +220,102 @@ func roundTripLoad(t *testing.T, where string, c *Cluster, g *graph.Graph, vals 
 		t.Fatalf("%s: the sparse job had %d reads served, want its members' %d remote refs", where, got, remote)
 	}
 	return mirroredReplicas, sparseReplicas
+}
+
+// storeRowsLeadBack reads machine m's rows of a store load as they lie in the
+// file — the views' refs, or a cursor's rows on a compressed load — and checks
+// that every ref, mapped back through the load's remote set, is the ref
+// buildLocalCSR writes (raw) for the same edge.
+func storeRowsLeadBack(t *testing.T, where string, c *Cluster, m *Machine, raw [2]orientView) {
+	t.Helper()
+	st := m.store
+	for o := range st.views {
+		v, rv := &st.views[o], &raw[o]
+		cur := c.ooc.Cursor(m.id, o)
+		for node := 0; node < st.numLocal; node++ {
+			row := v.refs
+			if row == nil {
+				var err error
+				if row, err = cur.Row(int64(node)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				row = row[v.rows[node]:v.rows[node+1]]
+			}
+			want := rv.refs[rv.rows[node]:rv.rows[node+1]]
+			for i, ref := range row {
+				back := ref
+				if ref < 0 {
+					t.Fatalf("%s: machine %d orientation %d node %d holds packed ref %d in the file", where, m.id, o, node, ref)
+				} else if !st.owns(ref) {
+					back = st.remote.addr[ref-int64(st.numLocal)]
+				}
+				if back != want[i] {
+					t.Fatalf("%s: machine %d orientation %d node %d ref %d: %d leads back to %d, want %d", where, m.id, o, node, i, ref, back, want[i])
+				}
+			}
+		}
+		cur.Release()
+	}
+}
+
+// TestStoreRemoteSetMatchesLoad: the remote set a store load reads off its
+// file — no row read — is the set an in-memory load of the same cut builds by
+// scanning its rows at GhostCount 0, field for field (slot addresses, per-owner
+// bitmaps, ranks and bases, every iterator's members, size, refs and edges),
+// and a raw section's refs are the in-memory rows after their rewrite, ref for
+// ref; a compressed section's rows, decoded, are too. Two to four machines,
+// both encodings, weighted and not.
+func TestStoreRemoteSetMatchesLoad(t *testing.T) {
+	base, err := graph.RMAT(10, 8, graph.TwitterLike(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, weighted := range []bool{false, true} {
+		g := base
+		if weighted {
+			g = base.WithUniformWeights(0.5, 2, 7)
+		}
+		for p := 2; p <= 4; p++ {
+			mem := bootCluster(t, g, DefaultConfig(p))
+			for _, m := range mem.machines {
+				m.store.remote = m.buildRemoteSet(m.newJobRuntime(&JobSpec{Iter: IterOutEdges, Task: &pushOneTask{}}, 0))
+			}
+			for format, path := range map[string]string{"csr2": storePath(t, g, p), "csr3": storePath3(t, g, p)} {
+				where := fmt.Sprintf("weighted=%v p=%d %s", weighted, p, format)
+				c := bootStore(t, path, DefaultConfig(p))
+				for _, m := range c.machines {
+					want, got := mem.machines[m.id].store, m.store
+					if !reflect.DeepEqual(got.remote, want.remote) {
+						t.Fatalf("%s machine %d: the store load's remote set differs from the in-memory load's: %d vs %d slots, iterator sizes %v vs %v",
+							where, m.id, len(got.remote.addr), len(want.remote.addr), iterSizes(got.remote), iterSizes(want.remote))
+					}
+					for o := range got.views {
+						refs := got.views[o].refs
+						if refs == nil { // compressed: decode the rows
+							cur := c.ooc.Cursor(m.id, o)
+							for node := 0; node < got.numLocal; node++ {
+								row, err := cur.Row(int64(node))
+								if err != nil {
+									t.Fatal(err)
+								}
+								refs = append(refs, row...)
+							}
+							cur.Release()
+						}
+						if !slices.Equal(refs, want.views[o].refs) {
+							t.Fatalf("%s machine %d orientation %d: the section's refs differ from the rewritten in-memory rows", where, m.id, o)
+						}
+					}
+				}
+				c.Shutdown()
+			}
+			mem.Shutdown()
+		}
+	}
+}
+
+// iterSizes returns a remote set's member count per edge iterator.
+func iterSizes(s *remoteSet) [3]int {
+	return [3]int{s.iters[IterOutEdges].size, s.iters[IterInEdges].size, s.iters[IterBothEdges].size}
 }

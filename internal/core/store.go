@@ -16,12 +16,13 @@ import (
 //	                         machine = packed >> 32, offset = uint32(packed)
 //
 // The packed form realizes the paper's 64-bit global id ("concatenates the
-// machine number and the local offset"). Rows are written with local and
-// packed refs (buildLocalCSR; store files carry the same encoding); the remote
-// set, when a job first needs it, turns every member into a replica ref —
-// in place on an in-memory load, row by row as a job reads a store file's.
-// Every ref consumer accepts all three classes, so a ref stays valid for the
-// load's lifetime whichever spelling it was read in.
+// machine number and the local offset"). An in-memory load's rows are written
+// with local and packed refs (buildLocalCSR), and the remote set, when a job
+// first needs it, rewrites every member in place into a replica ref. A store
+// file's rows hold local and replica refs only: its writer numbered every
+// remote node against the file's uncapped set, which the load takes with the
+// rows (storeRemoteSet). Every ref consumer accepts all three classes, so a
+// ref stays valid for the load's lifetime whichever spelling it was read in.
 
 func packRemote(machine int, offset uint32) int64 {
 	return ^(int64(machine)<<32 | int64(offset))
@@ -73,8 +74,9 @@ type localStore struct {
 	outDeg []int32
 	inDeg  []int32
 
-	// remote is the set of remote addresses the rows reference, built by the
-	// first job that can use it (remoteset.go). top, when non-nil
+	// remote is the set of remote addresses the rows reference: built by the
+	// first job that can use it on an in-memory load, read off the file by a
+	// store load (remoteset.go). top, when non-nil
 	// (Config.GhostCount), is a bitmap over global ids of the only vertices it
 	// may hold.
 	remote *remoteSet

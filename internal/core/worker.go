@@ -80,10 +80,9 @@ type worker struct {
 	// (Ctx.Writer): once per job and property, not once per row or edge.
 	wrs []Writer
 
-	// rd are the readers this worker takes decoded or resolved rows through,
+	// rd are the cursors this worker takes a compressed load's rows through,
 	// each pinning a decoded block while a chunk runs. A worker field rather
-	// than a local so abortCleanup can release them after an unwind mid-chunk,
-	// and so their scratch outlives the job.
+	// than a local so abortCleanup can release them after an unwind mid-chunk.
 	rd rowReaders
 
 	// reg is the observability registry (nil when off). rttStart maps an
@@ -210,7 +209,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 	if len(w.wrs) < len(w.cols) {
 		w.wrs = make([]Writer, len(w.cols))
 	}
-	if jr.viaReaders() {
+	if jr.cursors {
 		w.rd.open(jr, w.m.id)
 	}
 	if jr.mirrorSet != nil {
@@ -271,14 +270,15 @@ func (w *worker) awaitReads(jr *jobRuntime) {
 
 // runChunk drives the task over one chunk in the job's iteration mode, after
 // announcing the chunk's topology reads on an out-of-core load. A job whose
-// rows are decoded or resolved on the way takes them through the worker's
-// readers; every other job runs the loops below over the views' own refs.
+// rows are decoded on the way takes them through the worker's readers; every
+// other job, a raw store file's included, runs the loops below over the views'
+// own refs.
 func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
 	if jr.ooc != nil {
 		jr.claimChunk(w.m.id, ch)
 	}
 	switch {
-	case jr.viaReaders():
+	case jr.cursors:
 		jr.eachNode(ch, func(node uint32) { w.runNodeReaders(jr, ctx, node) })
 		w.rd.release()
 	case jr.frontList != nil:
@@ -342,7 +342,7 @@ func (w *worker) runNodeReaders(jr *jobRuntime, ctx *Ctx, node uint32) {
 	ctx.Node = node
 	ctx.Aux = 0
 	for i := range jr.views {
-		refs, err := w.rd[i].refs(node)
+		refs, err := w.rd[i].Row(int64(node))
 		if err != nil {
 			w.fail(err)
 		}
@@ -798,12 +798,9 @@ type jobRuntime struct {
 	// ooc is the machine's store-file load (nil for in-memory loads and node
 	// iterators): each claimed chunk's rows are announced to its residency
 	// window, and when it is compressed (cursors) the rows are read through
-	// rowReaders, the views having no refs. resolve is the remote set when the
-	// job uses it on a store-file load: rowReaders then resolve every row
-	// (remoteSet.resolve), the file's being read-only.
+	// rowReaders, the views having no refs.
 	ooc     *store.Load
 	cursors bool
-	resolve *remoteSet
 
 	// Locals of the machine main goroutine's schedule (Machine.runJob), set by
 	// the phase named: emptySkip (newJobRuntime) — the local frontier is empty,
@@ -832,10 +829,6 @@ type jobRuntime struct {
 	failOnce sync.Once
 	abortErr atomic.Pointer[error]
 }
-
-// viaReaders reports whether the job's rows come through rowReaders: decoded
-// or resolved on the way.
-func (jr *jobRuntime) viaReaders() bool { return jr.cursors || jr.resolve != nil }
 
 // fail records err as the job's root cause and releases everyone selecting
 // on abortCh. Reports whether this call was the first (the winner is the

@@ -15,6 +15,9 @@ import (
 // preferential attachment for the social and web graphs) and uniform
 // crossing-edge probability (Erdős–Rényi for Figure 4). See DESIGN.md §5.
 
+// maxNodes is the node count of the 32-bit id space NodeID spans.
+const maxNodes = 1 << 32
+
 // RMATParams configures the recursive-matrix generator of Chakrabarti et al.
 // A, B, C are the upper-left, upper-right, and lower-left quadrant
 // probabilities; the lower-right is 1-A-B-C. Noise perturbs the quadrant
@@ -94,6 +97,9 @@ func Uniform(n int, m int, seed int64) (*Graph, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
+	if n > maxNodes {
+		return nil, fmt.Errorf("graph: uniform node count %d exceeds the 32-bit id space", n)
+	}
 	if m < 0 {
 		return nil, fmt.Errorf("graph: uniform edge count %d must be >= 0", m)
 	}
@@ -112,6 +118,9 @@ func Uniform(n int, m int, seed int64) (*Graph, error) {
 func Grid(rows, cols, nShortcuts int, seed int64) (*Graph, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, ErrEmptyGraph
+	}
+	if rows > maxNodes/cols {
+		return nil, fmt.Errorf("graph: %d x %d grid exceeds the 32-bit id space", rows, cols)
 	}
 	n := rows * cols
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }

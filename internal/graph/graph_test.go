@@ -2,6 +2,7 @@ package graph
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -231,6 +232,18 @@ func TestUniformRejectsNegativeEdges(t *testing.T) {
 	}
 	if g, err := Uniform(10, 0, 1); err != nil || g.NumEdges() != 0 {
 		t.Errorf("Uniform(10, 0) = %v, %v; want an edgeless graph", g, err)
+	}
+}
+
+// TestGeneratorsRejectOversizedIDSpace: a grid of more than 2^32 cells and a
+// uniform graph of more than 2^32 nodes are refused, as RMAT bounds its scale,
+// before anything is allocated: their ids would wrap NodeID.
+func TestGeneratorsRejectOversizedIDSpace(t *testing.T) {
+	if _, err := Grid(1<<16, 1<<16+1, 0, 1); err == nil || !strings.Contains(err.Error(), "32-bit id space") {
+		t.Errorf("Grid(2^16, 2^16+1): err = %v, want the id-space error", err)
+	}
+	if _, err := Uniform(1<<32+1, 0, 1); err == nil || !strings.Contains(err.Error(), "32-bit id space") {
+		t.Errorf("Uniform(2^32+1, 0): err = %v, want the id-space error", err)
 	}
 }
 

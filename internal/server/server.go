@@ -456,14 +456,22 @@ func (s *Server) admit(name string, g *graph.Graph, machines int) (Response, boo
 		shutdownAll()
 		return errResp("graph %q already loaded", name), false
 	}
-	if s.cfg.MaxResidentEdges > 0 && s.resident+g.NumEdges() > s.cfg.MaxResidentEdges {
+	if err := s.overBudget(g.NumEdges()); err != nil {
 		shutdownAll()
-		return errResp("resident edge budget exceeded: %d + %d > %d",
-			s.resident, g.NumEdges(), s.cfg.MaxResidentEdges), false
+		return errResp("%v", err), false
 	}
 	s.instances[name] = inst
 	s.resident += g.NumEdges()
 	return Response{OK: true, Graphs: []GraphInfo{s.info(inst)}}, true
+}
+
+// overBudget is admit's refusal of edges more resident edges than the budget
+// has room for, or nil. Caller holds s.mu.
+func (s *Server) overBudget(edges int64) error {
+	if s.cfg.MaxResidentEdges > 0 && edges > s.cfg.MaxResidentEdges-s.resident {
+		return fmt.Errorf("resident edge budget exceeded: %d + %d > %d", s.resident, edges, s.cfg.MaxResidentEdges)
+	}
+	return nil
 }
 
 func (s *Server) info(inst *instance) GraphInfo {
@@ -506,12 +514,18 @@ func (s *Server) handleLoad(req *Request) Response {
 	return resp
 }
 
+// handleGenerate builds a generated graph and admits it. A generator's node
+// and edge counts follow from its arguments, so a request the resident-edge
+// budget has no room for is refused before a byte of it is allocated — admit
+// checks only after the build, which for a large enough request is an
+// out-of-memory crash instead of an error. The larger of the two counts is
+// charged: a node costs the graph's arrays at least what an edge does.
 func (s *Server) handleGenerate(req *Request) Response {
 	if req.Graph == "" {
 		return errResp("generate needs graph")
 	}
-	var g *graph.Graph
-	var err error
+	var gen func() (*graph.Graph, error)
+	var size int64 // max(nodes, edges) of what gen builds; arguments gen refuses count 0
 	switch req.Kind {
 	case "rmat", "":
 		scale, ef := req.Scale, req.EdgeFactor
@@ -521,7 +535,10 @@ func (s *Server) handleGenerate(req *Request) Response {
 		if ef == 0 {
 			ef = 16
 		}
-		g, err = graph.RMAT(scale, ef, graph.TwitterLike(), req.Seed)
+		if scale >= 1 && scale <= 30 && ef >= 1 {
+			size = satMul(1<<scale, int64(ef))
+		}
+		gen = func() (*graph.Graph, error) { return graph.RMAT(scale, ef, graph.TwitterLike(), req.Seed) }
 	case "uniform":
 		n, m := req.Nodes, req.Edges
 		if n == 0 {
@@ -530,16 +547,27 @@ func (s *Server) handleGenerate(req *Request) Response {
 		if m == 0 {
 			m = n * 16
 		}
-		g, err = graph.Uniform(n, m, req.Seed)
+		size = int64(max(n, m, 0))
+		gen = func() (*graph.Graph, error) { return graph.Uniform(n, m, req.Seed) }
 	case "grid":
 		n := req.Nodes
 		if n == 0 {
 			n = 100
 		}
-		g, err = graph.Grid(n, n, n/2, req.Seed)
+		if n > 0 { // n² nodes; the mesh's 4n(n-1) directed edges and n/2 shortcuts, both ways
+			size = max(satMul(int64(n), int64(n)), satMul(satMul(4, int64(n)), int64(n-1))+satMul(2, int64(n/2)))
+		}
+		gen = func() (*graph.Graph, error) { return graph.Grid(n, n, n/2, req.Seed) }
 	default:
 		return errResp("unknown generator %q", req.Kind)
 	}
+	s.mu.Lock()
+	err := s.overBudget(size)
+	s.mu.Unlock()
+	if err != nil {
+		return errResp("%v", err)
+	}
+	g, err := gen()
 	if err != nil {
 		return errResp("generate: %v", err)
 	}
@@ -548,6 +576,16 @@ func (s *Server) handleGenerate(req *Request) Response {
 	}
 	resp, _ := s.admit(req.Graph, g, s.machinesFor(req))
 	return resp
+}
+
+// satMul is a*b for non-negative a and b, saturated at math.MaxInt64/2 so
+// that a sum of two stays positive.
+func satMul(a, b int64) int64 {
+	const limit = math.MaxInt64 / 2
+	if a != 0 && b > limit/a {
+		return limit
+	}
+	return a * b
 }
 
 // maxPriority clamps client-supplied priorities to [-8, 8].

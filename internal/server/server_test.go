@@ -228,6 +228,30 @@ func TestBadArgumentsAreErrors(t *testing.T) {
 	}
 }
 
+// TestOverBudgetGenerateIsAnError: a generate whose graph the resident-edge
+// budget has no room for is refused before it is built — a scale-30 RMAT is
+// 16 G edges, and building it killed the process with an out-of-memory
+// crash — and so is a grid or uniform graph too large for the budget by its
+// edges or by its nodes; the connection then still answers.
+func TestOverBudgetGenerateIsAnError(t *testing.T) {
+	s := startServer(t, DefaultServerConfig())
+	c := dial(t, s)
+	for _, req := range []Request{
+		{Graph: "huge", Kind: "rmat", Scale: 30},
+		{Graph: "huge", Kind: "grid", Nodes: 1 << 16},
+		{Graph: "huge", Kind: "uniform", Nodes: 1 << 20, Edges: 1 << 40},
+		{Graph: "huge", Kind: "uniform", Nodes: 1 << 32, Edges: 1},
+	} {
+		if _, err := c.Generate(req); err == nil || !strings.Contains(err.Error(), "budget exceeded") {
+			t.Errorf("generate %+v: err = %v, want the resident edge budget's refusal", req, err)
+		}
+	}
+	list, err := c.List()
+	if err != nil || len(list) != 0 {
+		t.Fatalf("list = %v (%v)", list, err)
+	}
+}
+
 // TestConcurrentClients is the multi-tenancy scenario from the paper's
 // outlook: several clients, several graphs, interleaved analyses.
 func TestConcurrentClients(t *testing.T) {

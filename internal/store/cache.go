@@ -143,7 +143,7 @@ func (dc *DecodeCache) pin(mach, orient, b int, res *residency) ([]int64, error)
 		dst = make([]int64, n)
 	}
 	touch(res, o.comp, o.offs[b], o.offs[b+1])
-	if err := dc.sf.decodeBlock(o, mach, b, dst); err != nil {
+	if err := o.decodeBlock(b, dst); err != nil {
 		dc.unpin(bs)
 		return nil, fmt.Errorf("store: machine %d orient %d: %w", mach, orient, err)
 	}

@@ -13,10 +13,10 @@ import (
 // at dst — the second half of the writer pipeline when compression is asked
 // for. The pass is sequential and runs in O(nodes + block) memory: rows and
 // the block index are per-section metadata, refs stream block by block
-// through a bounded encode buffer, and weights copy through unchanged. A
-// compressed section's length depends on its encoded size, so the header and
-// per-section sub-headers are written as placeholders and patched once the
-// sizes are known.
+// through a bounded encode buffer, and weights and the addr tables copy
+// through unchanged. A compressed section's length depends on its encoded
+// size, so the header and per-section sub-headers are written as placeholders
+// and patched once the sizes are known.
 func CompressFile(dst, src string) error {
 	sf, err := Open(src)
 	if err != nil {
@@ -44,7 +44,7 @@ func CompressFile(dst, src string) error {
 	for mach := 0; mach < p; mach++ {
 		for orient := range sf.secs[mach] {
 			o := &sf.secs[mach][orient]
-			secLen, err := cw.writeSection(sf, mach, o, at)
+			secLen, err := cw.writeSection(o, at)
 			if err != nil {
 				return err
 			}
@@ -52,14 +52,16 @@ func CompressFile(dst, src string) error {
 			at += secLen
 			if sf.Weighted() {
 				table[mach][3*orient+2] = at
-				if len(o.weights) > 0 {
-					raw := unsafe.Slice((*byte)(unsafe.Pointer(&o.weights[0])), 8*len(o.weights))
-					if _, err := f.Write(raw); err != nil {
-						return err
-					}
+				if at, err = writeWords(f, at, o.weights); err != nil {
+					return err
 				}
-				at += 8 * int64(len(o.weights))
 			}
+		}
+	}
+	for mach, addr := range sf.addrs {
+		table[mach][addrField], table[mach][addrField+1] = at, int64(len(addr))
+		if at, err = writeWords(f, at, addr); err != nil {
+			return err
 		}
 	}
 	advise(sf.data, advDontNeed)
@@ -73,18 +75,28 @@ func CompressFile(dst, src string) error {
 	return f.Sync()
 }
 
-// compWriter carries the encode scratch reused across sections.
-type compWriter struct {
-	f    *os.File
-	buf  []byte  // encode buffer, flushed when it grows past a block's worth
-	vals []int64 // one row's global ids
+// writeWords appends a word array of the source mapping to f, whose write
+// position is at, and returns the position after it.
+func writeWords[T int64 | float64](f *os.File, at int64, words []T) (int64, error) {
+	if len(words) == 0 {
+		return at, nil
+	}
+	_, err := f.Write(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words)))
+	return at + 8*int64(len(words)), err
 }
 
-// writeSection encodes raw section o of machine mach in the compressed
-// spelling at file offset secOff (the current write position) and returns its
-// padded length. Writes are sequential except two patches: the sub-header's
-// refBytes and the block index, both at offsets known up front.
-func (cw *compWriter) writeSection(sf *File, mach int, o *orientSec, secOff int64) (int64, error) {
+// compWriter carries the encode scratch reused across sections.
+type compWriter struct {
+	f   *os.File
+	buf []byte // encode buffer, flushed when it grows past a block's worth
+}
+
+// writeSection encodes raw section o in the compressed spelling — the refs'
+// values as they are, already resolved — at file offset secOff (the current
+// write position) and returns its padded length. Writes are sequential except
+// two patches: the sub-header's refBytes and the block index, both at offsets
+// known up front.
+func (cw *compWriter) writeSection(o *orientSec, secOff int64) (int64, error) {
 	rows, refs := o.rows, o.refs
 	numLocal := int64(len(rows)) - 1
 	edges := rows[numLocal]
@@ -141,13 +153,7 @@ func (cw *compWriter) writeSection(sf *File, mach int, o *orientSec, secOff int6
 		offs[b] = refBytes
 		start := len(cw.buf)
 		for u := firstRow[b]; u < firstRow[b+1]; u++ {
-			row := refs[rows[u]:rows[u+1]]
-			cw.vals = cw.vals[:0]
-			for _, ref := range row {
-				v, _ := nodeOf(sf.layout, mach, ref)
-				cw.vals = append(cw.vals, int64(v))
-			}
-			cw.buf = codec.AppendZigZagDeltaRow(cw.buf, cw.vals)
+			cw.buf = codec.AppendZigZagDeltaRow(cw.buf, refs[rows[u]:rows[u+1]])
 		}
 		refBytes += int64(len(cw.buf) - start)
 		if len(cw.buf) >= 1<<20 {

@@ -1,6 +1,6 @@
 // Package store is the engine's out-of-core storage subsystem: one binary
 // CSR file format whose per-machine partition sections hold the engine's
-// pre-resolved node references, loaded via mmap so page-cache eviction — not
+// resolved node references, loaded via mmap so page-cache eviction — not
 // the Go heap — governs topology residency. The paper's Table 4 already
 // distinguishes a fast binary on-disk format; GraphD (PAPERS.md) shows that
 // streaming edges from disk under a small memory budget stays competitive
@@ -13,20 +13,23 @@
 // # File layout (little-endian)
 //
 //	offset 0   magic           "PGXDCSR2"
-//	       8   version         u32 (= 4)
+//	       8   version         u32 (= 5)
 //	      12   flags           u32 (bit 0: weighted, bit 1: compressed refs)
 //	      16   numNodes        u64
 //	      24   numEdges        u64 (directed)
 //	      32   numMachines     u64 (P)
 //	      40   starts          [P+1]u32, zero-padded to 8-byte alignment
-//	       -   section table   P × 6 u64, per machine and orientation (out,
-//	                           then in): section offset, section byte length,
-//	                           weights offset (0 when unweighted)
+//	       -   section table   P × 8 u64, per machine: per orientation (out,
+//	                           then in) section offset, section byte length,
+//	                           weights offset (0 when unweighted); then the
+//	                           addr table's offset and slot count S
 //	       -   per machine, per orientation, back to back and 8-byte aligned:
 //	               section     sub-header + rows + block index + refs (below)
 //	               weights     [m]f64, weighted files only — always flat:
 //	                           they are incompressible noise, and a flat array
 //	                           is the zero-copy view kernels index absolutely
+//	       -   per machine, back to back after every section:
+//	               addr        [S]i64, slot → packed address (below)
 //
 // Every section starts with the same 24-byte sub-header and differs only in
 // how the compressed-refs flag spells its rows and refs:
@@ -41,10 +44,10 @@
 //	                                            u64 byteOff}; last entry is the
 //	                                            {numLocal, refBytes} sentinel
 //	refs           [m]i64 engine refs           per-row zigzag-delta varints of
-//	                                            global neighbor ids (prev resets
-//	                                            to 0 at each row start — rows
-//	                                            keep edge insertion order, so
-//	                                            gaps are signed)
+//	                                            the same refs (prev resets to 0
+//	                                            at each row start — rows keep
+//	                                            edge insertion order, so gaps
+//	                                            are signed)
 //
 // rows and refs are each zero-padded to 8-byte alignment, so a raw section is
 // handed out as zero-copy int64 views of the mapping — the fast spelling — and
@@ -54,11 +57,17 @@
 // becomes one oversized block; blockCount is 0 iff the section has no edges),
 // and is inflated on demand by the DecodeCache.
 //
-// Refs use the engine's encoding with ghosting disabled: ref >= 0 is the
-// owner-local node index, ref < 0 is ^(machine<<32 | offset) naming a remote
-// slot. Ghost-free refs are invertible to global ids, which is what lets the
-// writer derive the in-orientation from already-written out sections in
-// canonical (transpose) order, and the compressed spelling store global ids.
+// Refs are written resolved, in the engine's replica numbering: ref <
+// numLocal is the owner-local node index, and ref = numLocal + s names slot s
+// of the machine's addr table, whose entry is the remote node's packed
+// address ^(machine<<32 | offset). Slots ascend with (machine, offset) and
+// number exactly the distinct remote nodes either orientation references, so
+// a file holds a machine's uncapped remote set — what the engine would build
+// for an in-memory load of the same cut — and a load hands kernels the rows
+// as written. The writer derives the in-orientation from packed out-refs,
+// which are invertible to global ids, and resolves both orientations in one
+// pass per machine after; the compressed spelling re-encodes the resolved
+// refs, so its deltas run over [0, numLocal + S) rather than global ids.
 package store
 
 import (
@@ -72,9 +81,10 @@ import (
 const Magic = "PGXDCSR2"
 
 // Version is the one format version this build reads and writes. Files of
-// the earlier two-container layouts (versions 2 and 3) share the magic and
-// are refused at Open; no store file is long-lived enough to migrate.
-const Version = 4
+// earlier layouts — the two-container versions 2 and 3, and version 4's
+// packed remote refs — share the magic and are refused at Open; no store file
+// is long-lived enough to migrate.
+const Version = 5
 
 // Format flags.
 const (
@@ -95,7 +105,8 @@ const (
 
 const (
 	headerFixedBytes = 40 // magic + version + flags + n + m + p
-	secFieldCount    = 6  // section table words per machine (3 per orientation)
+	secFieldCount    = 8  // section table words per machine (3 per orientation, 2 for addr)
+	addrField        = 6  // the addr table's offset; its slot count follows
 	subHeaderBytes   = 24 // rowBytes + blockCount + refBytes
 	maxMachines      = 1 << 15
 
@@ -199,9 +210,9 @@ func unpackRemoteRef(ref int64) (machine int, offset uint32) {
 	return int(packed >> 32), uint32(packed)
 }
 
-// refIn spells global node v, owned by machine owner, in machine me's
-// ghost-free ref encoding: an owned id becomes its local index, anything else
-// a packed remote (machine, offset).
+// refIn spells global node v, owned by machine owner, in machine me's packed
+// encoding — the writer's, before it resolves the refs: an owned id becomes
+// its local index, anything else a packed remote (machine, offset).
 func refIn(layout partition.Layout, me, owner int, v uint32) int64 {
 	if owner == me {
 		return int64(v - layout.Starts[me])
@@ -218,9 +229,9 @@ func refOf(layout partition.Layout, me int, v uint32) int64 {
 	return refIn(layout, me, layout.Owner(v), v)
 }
 
-// nodeOf inverts refOf (store files are ghost-free, so every ref is
-// invertible): the global id ref names in machine me's frame, and the
-// machine that owns it — which the ref spells out, so no owner search.
+// nodeOf inverts refOf (packed refs are invertible): the global id ref names
+// in machine me's frame, and the machine that owns it — which the ref spells
+// out, so no owner search.
 func nodeOf(layout partition.Layout, me int, ref int64) (v uint32, owner int) {
 	if ref >= 0 {
 		return layout.Starts[me] + uint32(ref), me

@@ -12,9 +12,10 @@ import (
 )
 
 // Section is one machine's slice of the file: the same rows/refs/weights
-// slice contract core's local store builds in memory. A compressed file's
-// Section carries rows and weights but nil refs: its refs are read row by row
-// through a Cursor.
+// slice contract core's local store builds in memory, with refs already in
+// the replica numbering, and what the engine's remote set needs besides. A
+// compressed file's Section carries rows and weights but nil refs: its refs
+// are read row by row through a Cursor.
 type Section struct {
 	OutRows    []int64
 	OutRefs    []int64
@@ -22,6 +23,17 @@ type Section struct {
 	InRows     []int64
 	InRefs     []int64
 	InWeights  []float64
+
+	// Addr is the machine's slot → packed address table: ref numLocal + s
+	// names the remote node Addr[s], ^(machine<<32 | offset). Slots ascend with
+	// (machine, offset).
+	Addr []int64
+	// OutSlots and InSlots are bitmaps over Addr's slots, bit s set when some
+	// ref of that orientation names slot s — their union is every slot — and
+	// OutReplicas and InReplicas count those refs, with multiplicity. Open's
+	// scan records them, so a load knows its remote set without reading a row.
+	OutSlots, InSlots       []uint64
+	OutReplicas, InReplicas int64
 }
 
 // orientSec is one (machine, orientation) section of an open file. rows,
@@ -29,7 +41,9 @@ type Section struct {
 // compressed section decodes its rows to the heap and leaves refs nil: its
 // block index (firstRow, offs: blockCount+1 entries each, ending in the
 // {numLocal, len(comp)} sentinel) addresses comp, the view of the varint
-// refs the DecodeCache inflates on demand.
+// refs the DecodeCache inflates on demand. Every ref lies in [0, limit),
+// numLocal plus the machine's slot count; slots and replicas are what the
+// validation scan found the refs at or past numLocal to name.
 type orientSec struct {
 	rows    []int64
 	refs    []int64
@@ -38,6 +52,10 @@ type orientSec struct {
 	firstRow []int64
 	offs     []int64
 	comp     []byte
+
+	numLocal, limit int64
+	slots           []uint64
+	replicas        int64
 }
 
 // File is an open, validated CSR store file. The section views alias the
@@ -52,6 +70,7 @@ type File struct {
 	hdr      header
 	layout   partition.Layout
 	secs     [][2]orientSec
+	addrs    [][]int64 // by machine: the addr table, a view of the mapping
 	pageSize int64
 	maxBlock int64 // decoded bytes of the largest edge block (compressed files)
 
@@ -60,14 +79,15 @@ type File struct {
 }
 
 // Open maps path and validates it: header, partition starts, section table,
-// and per section the sub-header, the row array (monotone prefix sums
-// agreeing with the header edge counts) and a full scan of every ref — raw
-// refs range-checked in place, compressed blocks strictly decoded — so the
-// unchecked kernel hot path and the runtime decode never meet a byte the
-// validator has not already accepted. Corrupt input of any kind is an error,
-// never a panic. The scan reads the whole file once sequentially; the touched
-// pages are advised away afterwards so a fresh Open starts with a clean
-// resident set.
+// per section the sub-header, the row array (monotone prefix sums agreeing
+// with the header edge counts) and a full scan of every ref — raw refs
+// range-checked in place, compressed blocks strictly decoded — and per
+// machine the addr table, so the unchecked kernel hot path and the runtime
+// decode never meet a byte the validator has not already accepted. The scan
+// records which slots each orientation's refs name; every slot must be named.
+// Corrupt input of any kind is an error, never a panic. The scan reads the
+// whole file once sequentially; the touched pages are advised away afterwards
+// so a fresh Open starts with a clean resident set.
 func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -119,15 +139,26 @@ func (sf *File) validate() error {
 	}
 
 	tbl := tableOffset(p)
+	field := func(mach, i int) int64 {
+		return int64(leU64(sf.data[tbl+int64(8*(secFieldCount*mach+i)):]))
+	}
 	next := dataOffset(p)
 	var sums [2]int64
 	// The scan below walks the file front to back.
 	advise(sf.data, advSequential)
+	room := (int64(len(sf.data)) - next) / 8 // words left for every addr table
 	for mach := 0; mach < p; mach++ {
+		// The slot count bounds every ref and sizes the slot bitmaps before the
+		// addr table it counts is reached: it may not exceed the nodes other
+		// machines own, nor — with the counts before it — the words the file
+		// holds.
+		numLocal, slots := int64(sf.layout.NumLocal(mach)), field(mach, addrField+1)
+		if slots < 0 || slots > n-numLocal || slots > room {
+			return fmt.Errorf("store: machine %d addr table of %d slots: the other machines own %d nodes, the file has room for %d", mach, slots, n-numLocal, room)
+		}
+		room -= slots
 		for orient, name := range [2]string{"out", "in"} {
-			field := func(i int) int64 {
-				return int64(leU64(sf.data[tbl+int64(8*(secFieldCount*mach+3*orient+i)):]))
-			}
+			field := func(i int) int64 { return field(mach, 3*orient+i) }
 			secLen := field(1)
 			if secLen%8 != 0 {
 				return fmt.Errorf("store: machine %d %s section length %d not a multiple of 8", mach, name, secLen)
@@ -136,14 +167,15 @@ func (sf *File) validate() error {
 			if err != nil {
 				return err
 			}
+			o := &sf.secs[mach][orient]
+			o.numLocal, o.limit, o.slots = numLocal, numLocal+slots, make([]uint64, (slots+63)/64)
 			parts, err := sf.splitSection(sec)
 			if err == nil {
-				err = parse(&sf.secs[mach][orient], mach, parts)
+				err = parse(o, parts)
 			}
 			if err != nil {
 				return fmt.Errorf("store: machine %d %s section: %w", mach, name, err)
 			}
-			o := &sf.secs[mach][orient]
 			m := o.rows[len(o.rows)-1]
 			if sums[orient] += m; sums[orient] > int64(hdr.numEdges) {
 				return fmt.Errorf("store: %s sections exceed the header's %d edges at machine %d", name, hdr.numEdges, mach)
@@ -161,6 +193,17 @@ func (sf *File) validate() error {
 	}
 	if sums[OrientOut] != int64(hdr.numEdges) || sums[OrientIn] != int64(hdr.numEdges) {
 		return fmt.Errorf("store: section edge counts (out=%d in=%d) disagree with header (%d)", sums[OrientOut], sums[OrientIn], hdr.numEdges)
+	}
+	sf.addrs = make([][]int64, p)
+	for mach := range sf.addrs {
+		words, err := sf.words(mach, "addr table", &next, field(mach, addrField), field(mach, addrField+1))
+		if err != nil {
+			return err
+		}
+		sf.addrs[mach] = i64View(words)
+		if err := sf.checkAddr(mach); err != nil {
+			return fmt.Errorf("store: machine %d addr table: %w", mach, err)
+		}
 	}
 	if size := int64(len(sf.data)); next != size {
 		return fmt.Errorf("store: %d trailing bytes after last section", size-next)
@@ -249,8 +292,8 @@ func (sf *File) splitSection(sec []byte) (sectionParts, error) {
 // parseRaw adopts a raw section: rows and refs are int64 views of the
 // mapping, the prefix sums must be monotone from 0 and end at exactly the
 // ref count the sub-header sized, and every ref must resolve.
-func (sf *File) parseRaw(o *orientSec, mach int, sp sectionParts) error {
-	numLocal := int64(sf.layout.NumLocal(mach))
+func (sf *File) parseRaw(o *orientSec, sp sectionParts) error {
+	numLocal := o.numLocal
 	if sp.blockCount != 0 || int64(len(sp.rows)) != 8*(numLocal+1) || len(sp.refs)%8 != 0 {
 		return fmt.Errorf("raw sub-header (rowBytes=%d blocks=%d refBytes=%d) does not fit %d rows",
 			len(sp.rows), sp.blockCount, len(sp.refs), numLocal)
@@ -268,28 +311,53 @@ func (sf *File) parseRaw(o *orientSec, mach int, sp sectionParts) error {
 		return fmt.Errorf("rows end at %d edges, section holds %d refs (truncated?)", m, len(sp.refs)/8)
 	}
 	o.rows, o.refs = rows, i64View(sp.refs)
-	return sf.checkRefs(o.refs, mach)
+	if i := o.note(o.refs); i >= 0 {
+		return fmt.Errorf("ref %d: %d out of range [0, %d)", i, o.refs[i], o.limit)
+	}
+	return nil
 }
 
-// checkRefs verifies every ref resolves: local refs inside the owner's
-// range, remote refs naming a real (machine, offset) slot. A corrupt ref
-// would index property columns out of bounds on the unchecked kernel hot
-// path, so the scan runs at Open rather than per access.
-func (sf *File) checkRefs(refs []int64, mach int) error {
-	numLocal := int64(sf.layout.NumLocal(mach))
+// note records the slots refs name — every ref at or past numLocal — and how
+// many refs name one, up to the first ref outside [0, limit), whose index it
+// returns; -1 when there is none.
+func (o *orientSec) note(refs []int64) int {
 	for i, ref := range refs {
-		if ref >= 0 {
-			if ref >= numLocal {
-				return fmt.Errorf("ref %d: local index %d out of range [0, %d)", i, ref, numLocal)
-			}
-			continue
+		if uint64(ref) >= uint64(o.limit) {
+			return i
 		}
-		rm, off := unpackRemoteRef(ref)
-		if rm < 0 || rm >= sf.hdr.p {
-			return fmt.Errorf("ref %d: remote machine %d out of range", i, rm)
+		if s := ref - o.numLocal; s >= 0 {
+			o.slots[s>>6] |= 1 << (s & 63)
+			o.replicas++
 		}
-		if int(off) >= sf.layout.NumLocal(rm) {
-			return fmt.Errorf("ref %d: remote offset %d out of machine %d's range", i, off, rm)
+	}
+	return -1
+}
+
+// checkAddr validates machine mach's addr table: strictly ascending (machine,
+// offset) pairs, none naming mach itself or an offset outside its owner's
+// range, and every slot named by some ref of either orientation. A packed
+// address a kernel meets through a replica ref indexes no column of this
+// machine, but an owner would be asked for it: the check runs here rather
+// than per access.
+func (sf *File) checkAddr(mach int) error {
+	out, in := &sf.secs[mach][OrientOut], &sf.secs[mach][OrientIn]
+	prev := int64(-1)
+	for s, a := range sf.addrs[mach] {
+		key := ^a
+		rm, off := unpackRemoteRef(a)
+		switch {
+		case a >= 0 || rm >= sf.hdr.p:
+			return fmt.Errorf("slot %d: %#x names no machine", s, a)
+		case rm == mach:
+			return fmt.Errorf("slot %d names machine %d's own offset %d", s, mach, off)
+		case int(off) >= sf.layout.NumLocal(rm):
+			return fmt.Errorf("slot %d: offset %d out of machine %d's range", s, off, rm)
+		case key <= prev:
+			return fmt.Errorf("slot %d: (machine %d, offset %d) not strictly ascending", s, rm, off)
+		}
+		prev = key
+		if (out.slots[s>>6]|in.slots[s>>6])>>(s&63)&1 == 0 {
+			return fmt.Errorf("slot %d: (machine %d, offset %d) is named by no ref", s, rm, off)
 		}
 	}
 	return nil
@@ -302,8 +370,8 @@ func (sf *File) checkRefs(refs []int64, mach int) error {
 // one degree byte and each edge at least one ref byte, so the row count and
 // every degree are checked against the bytes that could back them before
 // they size anything.
-func (sf *File) parseCompressed(o *orientSec, mach int, sp sectionParts) error {
-	numLocal := int64(sf.layout.NumLocal(mach))
+func (sf *File) parseCompressed(o *orientSec, sp sectionParts) error {
+	numLocal := o.numLocal
 	refBytes := int64(len(sp.refs))
 	if numLocal > int64(len(sp.rows)) {
 		return fmt.Errorf("%d degree bytes cannot hold %d rows", len(sp.rows), numLocal)
@@ -356,7 +424,7 @@ func (sf *File) parseCompressed(o *orientSec, mach int, sp sectionParts) error {
 	}
 	o.comp = sp.refs
 	for b := 0; b < int(blockCount); b++ {
-		if err := sf.decodeBlock(o, mach, b, nil); err != nil {
+		if err := o.decodeBlock(b, nil); err != nil {
 			return err
 		}
 		sf.maxBlock = max(sf.maxBlock, 8*o.blockEdges(b))
@@ -364,21 +432,15 @@ func (sf *File) parseCompressed(o *orientSec, mach int, sp sectionParts) error {
 	return nil
 }
 
-// decodeBlock strictly decodes block b of machine mach's compressed section
-// o. With dst non-nil — the block's decoded length, row u at o.rows[u] less the
-// block's first edge — each row's global ids become the engine's refs as soon
-// as it is decoded; with dst nil the block is validated only. Every path
-// enforces canonical varints, ids in [0, numNodes), and exact consumption of
+// decodeBlock strictly decodes block b of compressed section o. With dst
+// non-nil — the block's decoded length, row u at o.rows[u] less the block's
+// first edge — the decoded values are the refs; with dst nil the block is
+// validated and the slots its refs name are recorded (note). Every path
+// enforces canonical varints, refs in [0, o.limit), and exact consumption of
 // the block's byte range.
-func (sf *File) decodeBlock(o *orientSec, mach, b int, dst []int64) error {
+func (o *orientSec) decodeBlock(b int, dst []int64) error {
 	comp := o.comp[o.offs[b]:o.offs[b+1]]
-	n := int64(sf.hdr.numNodes)
 	base := o.rows[o.firstRow[b]]
-	// An id is tried against this machine's range, then the range of the last
-	// other owner met; only one outside both pays the owner search.
-	lo, hi := sf.layout.Range(mach)
-	var owner int
-	var oLo, oHi uint32
 	var scratch []int64
 	off := 0
 	for u := o.firstRow[b]; u < o.firstRow[b+1]; u++ {
@@ -390,26 +452,14 @@ func (sf *File) decodeBlock(o *orientSec, mach, b int, dst []int64) error {
 		if dst != nil {
 			row = dst[s-base : s-base : e-base]
 		}
-		vals, k, ok := codec.DecodeZigZagDeltaRow(comp[off:], int(e-s), n, row)
+		vals, k, ok := codec.DecodeZigZagDeltaRow(comp[off:], int(e-s), o.limit, row)
 		if !ok {
 			return fmt.Errorf("block %d row %d: corrupt compressed row", b, u)
 		}
 		off += k
 		if dst == nil {
+			o.note(vals) // in range: the decoder bounds every value by limit
 			scratch = vals
-			continue
-		}
-		for i, id := range vals {
-			v := uint32(id)
-			if v >= lo && v < hi {
-				vals[i] = int64(v - lo)
-				continue
-			}
-			if v < oLo || v >= oHi {
-				owner = sf.layout.Owner(v)
-				oLo, oHi = sf.layout.Range(owner)
-			}
-			vals[i] = packRemoteRef(owner, v-oLo)
 		}
 	}
 	if off != len(comp) {
@@ -454,7 +504,7 @@ func (sf *File) Close() error {
 	u := sf.unmap
 	sf.unmap = nil
 	sf.data = nil
-	sf.secs = nil
+	sf.secs, sf.addrs = nil, nil
 	return u()
 }
 
@@ -485,13 +535,17 @@ func (sf *File) Layout() partition.Layout {
 	return partition.Layout{NumMachines: sf.hdr.p, Starts: starts}
 }
 
-// Section returns machine mach's view of the mapping. The slices are
-// read-only; writing through them faults.
+// Section returns machine mach's view of the mapping and what Open's scan
+// recorded of it. The slices are read-only; writing through the mapping's
+// faults.
 func (sf *File) Section(mach int) Section {
 	out, in := &sf.secs[mach][OrientOut], &sf.secs[mach][OrientIn]
 	return Section{
 		OutRows: out.rows, OutRefs: out.refs, OutWeights: out.weights,
 		InRows: in.rows, InRefs: in.refs, InWeights: in.weights,
+		Addr:     sf.addrs[mach],
+		OutSlots: out.slots, InSlots: in.slots,
+		OutReplicas: out.replicas, InReplicas: in.replicas,
 	}
 }
 

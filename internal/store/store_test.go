@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -89,18 +90,33 @@ func (r *rowReader) row(t testing.TB, u int64) []int64 {
 
 func (r *rowReader) release() { r.cur.Release() }
 
+// globalOf maps a ref of machine mach's sections back to the global id it
+// names: an owned index through the layout, a replica through the machine's
+// addr table.
+func globalOf(sf *File, mach int, ref int64) uint32 {
+	if n := int64(sf.layout.NumLocal(mach)); ref >= n {
+		ref = sf.addrs[mach][ref-n]
+	}
+	v, _ := nodeOf(sf.layout, mach, ref)
+	return v
+}
+
 // checkOrientation reconstructs the global CSR from a load's sections and
 // compares it against the source orientation, including per-row neighbor
-// order and weights.
+// order and weights, and recounts the slots the refs name and how often
+// against what Open recorded.
 func checkOrientation(t *testing.T, ld *Load, src *graph.CSR, out bool) {
 	t.Helper()
 	layout := ld.File().Layout()
 	for mach := 0; mach < layout.NumMachines; mach++ {
 		sec := ld.File().Section(mach)
 		rows, weights, orient := sec.InRows, sec.InWeights, OrientIn
+		wantSlots, wantReplicas := sec.InSlots, sec.InReplicas
 		if out {
 			rows, weights, orient = sec.OutRows, sec.OutWeights, OrientOut
+			wantSlots, wantReplicas = sec.OutSlots, sec.OutReplicas
 		}
+		slots, replicas := make([]uint64, (len(sec.Addr)+63)/64), int64(0)
 		rd := newRowReader(ld, mach, orient)
 		defer rd.release()
 		lo, hi := layout.Range(mach)
@@ -115,8 +131,14 @@ func checkOrientation(t *testing.T, ld *Load, src *graph.CSR, out bool) {
 				t.Fatalf("machine %d node %d: degree %d, want %d", mach, gu, got, wantDeg)
 			}
 			refs := rd.row(t, u)
+			for _, ref := range refs {
+				if s := ref - numLocal; s >= 0 {
+					slots[s>>6] |= 1 << (s & 63)
+					replicas++
+				}
+			}
 			for i := rows[u]; i < rows[u+1]; i++ {
-				v, _ := nodeOf(layout, mach, refs[i-rows[u]])
+				v := globalOf(ld.File(), mach, refs[i-rows[u]])
 				srcIdx := src.Rows[gu] + (i - rows[u])
 				if want := src.Cols[srcIdx]; v != want {
 					t.Fatalf("machine %d node %d edge %d: neighbor %d, want %d", mach, gu, i-rows[u], v, want)
@@ -127,6 +149,9 @@ func checkOrientation(t *testing.T, ld *Load, src *graph.CSR, out bool) {
 					}
 				}
 			}
+		}
+		if !slices.Equal(slots, wantSlots) || replicas != wantReplicas {
+			t.Fatalf("machine %d orientation %d: the refs name slots %x %d times, Open recorded %x and %d", mach, orient, slots, replicas, wantSlots, wantReplicas)
 		}
 	}
 }
@@ -281,16 +306,24 @@ func TestCompressedSmaller(t *testing.T) {
 	}
 }
 
-// sectionAt locates the parts of machine 0's out section in a file image, for
-// the corruption rows to aim at.
+// sectionAt locates the parts of machine 0's out section in a file image, and
+// its addr table, for the corruption rows to aim at.
 type sectionAt struct {
 	off, rows, index, refs         int64 // file offsets
 	rowBytes, blockCount, refBytes int64
+	addr, slots, numLocal, n       int64 // machine 0's addr table: offset, length; its nodes; the graph's
+}
+
+// tableField returns word i of machine mach's section table entry.
+func tableField(d []byte, mach, i int) int64 {
+	return int64(leU64(d[tableOffset(int(leU64(d[32:])))+int64(8*(secFieldCount*mach+i)):]))
 }
 
 func locate(d []byte) sectionAt {
 	p := int(leU64(d[32:]))
 	s := sectionAt{off: int64(leU64(d[tableOffset(p):]))}
+	s.addr, s.slots = tableField(d, 0, addrField), tableField(d, 0, addrField+1)
+	s.numLocal, s.n = int64(leU32(d[headerFixedBytes+4:])), int64(leU64(d[16:]))
 	s.rowBytes, s.blockCount, s.refBytes = int64(leU64(d[s.off:])), int64(leU64(d[s.off+8:])), int64(leU64(d[s.off+16:]))
 	s.rows = s.off + subHeaderBytes
 	s.index = s.rows + pad8(s.rowBytes)
@@ -355,6 +388,79 @@ func hugeDegreeCrasher(t testing.TB) []byte {
 	return d
 }
 
+// addrCorruptions are the rules Open enforces on the replica numbering, each
+// broken in a two-machine image of either encoding: a ref past the addr table
+// (raw only: a compressed row's refs are varint gaps), an addr table out of
+// order, one naming its own machine or an offset its owner lacks, one holding
+// a slot no ref names, and a slot count the graph's node count cannot back.
+func addrCorruptions(t testing.TB) []corruption {
+	return []corruption{
+		{"ref past the addr table", "csr2", mut(func(d []byte, s sectionAt) { putU64(d[s.refs:], uint64(s.numLocal+s.slots)) }), "out of range"},
+		{"addr not ascending", "", mut(func(d []byte, s sectionAt) {
+			first := leU64(d[s.addr:])
+			putU64(d[s.addr:], leU64(d[s.addr+8:]))
+			putU64(d[s.addr+8:], first)
+		}), "not strictly ascending"},
+		{"addr names its own machine", "", mut(func(d []byte, s sectionAt) { putU64(d[s.addr:], uint64(packRemoteRef(0, 0))) }), "own offset"},
+		{"addr offset out of range", "", mut(func(d []byte, s sectionAt) { putU64(d[s.addr:], uint64(packRemoteRef(1, 1<<31))) }), "out of machine 1's range"},
+		{"unreferenced slot", "", func(d []byte, _ sectionAt) []byte {
+			return withUnreferencedSlot(t, pairsImage(t, leU32(d[12:])&FlagCompressedEdges != 0))
+		}, "named by no ref"},
+		{"addr table longer than the graph", "", mut(func(d []byte, s sectionAt) {
+			putU64(d[tableOffset(2)+8*(addrField+1):], uint64(s.n-s.numLocal+1))
+		}), "addr table of"},
+	}
+}
+
+// corruption is one way to break a valid image, the encoding it applies to
+// ("" for both) and the text Open's error must carry.
+type corruption struct {
+	name    string
+	enc     string
+	corrupt func(d []byte, s sectionAt) []byte
+	wantSub string
+}
+
+func mut(fn func(d []byte, s sectionAt)) func([]byte, sectionAt) []byte {
+	return func(d []byte, s sectionAt) []byte { fn(d, s); return d }
+}
+
+// pairsImage is the two-machine image of eight nodes in which node i < 3 and
+// node i + 4 point at each other and nodes 3 and 7 at themselves: machine 1
+// references machine 0's nodes but its last.
+func pairsImage(t testing.TB, compressed bool) []byte {
+	var edges []graph.Edge
+	for i := graph.NodeID(0); i < 4; i++ {
+		if i == 3 {
+			edges = append(edges, graph.Edge{Src: i, Dst: i}, graph.Edge{Src: i + 4, Dst: i + 4})
+			continue
+		}
+		edges = append(edges, graph.Edge{Src: i, Dst: i + 4}, graph.Edge{Src: i + 4, Dst: i})
+	}
+	g, err := graph.FromEdges(8, edges, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := WriteGraph
+	if compressed {
+		write = WriteGraphCompressed
+	}
+	return fileImage(t, g, 2, write)
+}
+
+// withUnreferencedSlot appends a slot to the last machine's addr table — the
+// file's last array — past its last entry, where no ref names it.
+func withUnreferencedSlot(t testing.TB, d []byte) []byte {
+	p := int(leU64(d[32:]))
+	slots := tableField(d, p-1, addrField+1)
+	rm, off := unpackRemoteRef(int64(leU64(d[len(d)-8:])))
+	if slots == 0 || int64(off)+1 >= int64(leU32(d[headerFixedBytes+4*(rm+1):])-leU32(d[headerFixedBytes+4*rm:])) {
+		t.Fatalf("machine %d's addr table ends at its owner's last node: no slot to add", p-1)
+	}
+	putU64(d[tableOffset(p)+int64(8*(secFieldCount*(p-1)+addrField+1)):], uint64(slots+1))
+	return binary.LittleEndian.AppendUint64(d, uint64(packRemoteRef(rm, off+1)))
+}
+
 func reopen(t *testing.T, path string, data []byte) error {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -374,15 +480,7 @@ func reopen(t *testing.T, path string, data []byte) error {
 func TestOpenRejectsCorruption(t *testing.T) {
 	const both, rawOnly, compOnly = "", "csr2", "csr3"
 	type image = []byte
-	mut := func(fn func(d image, s sectionAt)) func(image, sectionAt) image {
-		return func(d image, s sectionAt) image { fn(d, s); return d }
-	}
-	cases := []struct {
-		name    string
-		enc     string
-		corrupt func(d image, s sectionAt) image
-		wantSub string
-	}{
+	cases := []corruption{
 		{"empty", both, func(image, sectionAt) image { return nil }, "too short"},
 		{"bad magic", both, mut(func(d image, _ sectionAt) { d[0] = 'X' }), "bad magic"},
 		{"wrong version", both, mut(func(d image, _ sectionAt) { putU32(d[8:], 99) }), "version"},
@@ -419,8 +517,8 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			putU64(d[s.refs:], uint64(int64(1<<31))) // way past numLocal
 		}), "out of range"},
 		{"remote ref bad machine", rawOnly, mut(func(d image, s sectionAt) {
-			putU64(d[s.refs:], uint64(packRemoteRef(500, 0)))
-		}), "remote machine"},
+			putU64(d[s.refs:], uint64(packRemoteRef(500, 0))) // a packed ref: no file holds one
+		}), "out of range"},
 		{"raw section with blocks", rawOnly, mut(func(d image, s sectionAt) { putU64(d[s.off+8:], 1) }), "raw sub-header"},
 
 		{"torn degree varint", compOnly, mut(func(d image, s sectionAt) { d[s.rows] = 0x80 }), "store:"},
@@ -433,6 +531,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		{"first block not zero", compOnly, mut(func(d image, s sectionAt) { putU64(d[s.index+8:], 1) }), "store:"},
 		{"non-zero padding", compOnly, mut(func(d image, s sectionAt) { d[s.refs+s.refBytes] = 1 }), "padding"},
 	}
+	cases = append(cases, addrCorruptions(t)...)
 	for _, enc := range encodings {
 		orig := fileImage(t, testGraph(t, false), 2, enc.write)
 		at := locate(orig)
@@ -488,7 +587,7 @@ func TestClaimWindow(t *testing.T) {
 					ld.Claim(mach, OrientOut, u, u+64)
 					for r := u; r < u+64; r++ {
 						for i, ref := range rd.row(t, r) {
-							if v, _ := nodeOf(sf.layout, mach, ref); int(v) >= g.NumNodes() {
+							if v := globalOf(sf, mach, ref); int(v) >= g.NumNodes() {
 								t.Fatalf("machine %d row %d edge %d: claimed ref decodes to node %d", mach, r, i, v)
 							}
 						}

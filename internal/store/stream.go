@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"os"
 
 	"repro/internal/partition"
@@ -40,7 +42,7 @@ type StreamOptions struct {
 
 // WriteStream is the one writer of store files: it emits a file from an edge
 // stream without ever materializing the graph — O(N) memory for degree
-// prefixes plus one scatter bucket, never O(M). Three logical passes:
+// prefixes plus one scatter bucket, never O(M). Four logical passes:
 //
 //  1. one sweep counts out/in degrees, fixing the edge-balanced layout
 //     (partition.EdgeBalancedStarts, the cut partition.Compute makes, so the
@@ -52,7 +54,10 @@ type StreamOptions struct {
 //  3. in-refs derive from the already-written out sections, read in global
 //     source order — exactly the canonical transpose order the in-memory
 //     graph builder uses — so a file is bit-compatible with an in-memory
-//     load of the same edges.
+//     load of the same edges;
+//  4. per machine, one pass over both orientations' packed refs numbers the
+//     remote nodes they name, rewrites the refs to that replica numbering in
+//     place and appends the machine's addr table (resolve).
 func WriteStream(path string, es EdgeStream, opt StreamOptions) error {
 	if !opt.Compress {
 		return writeRaw(path, es, opt, true)
@@ -156,6 +161,10 @@ func writeRaw(path string, es EdgeStream, opt StreamOptions, durable bool) error
 		return err
 	}
 	sw.scatterIn()
+	if err := sw.resolve(f, total); err != nil {
+		return err
+	}
+	copy(data, renderHeader(hdr, starts, sw.table)) // now with the addr tables placed
 	advise(data, advDontNeed)
 	mapDone = true
 	if err := closeMap(); err != nil || !durable {
@@ -358,6 +367,70 @@ func (sw *streamWriter) scatterIn() {
 		}
 		sw.releaseNodeRange(bLo, bHi, OrientIn)
 	}
+}
+
+// resolve rewrites every machine's refs, both orientations, from the packed
+// spelling the scatter passes write to the replica numbering, in place in the
+// mapping, and writes the machine's addr table through f at end, past
+// everything before it. Per machine, one pass over its refs sets a bitmap over
+// the global ids they name outside its range, a rank over the bitmap's words
+// numbers them in ascending (owner, offset) order, and a second pass rewrites
+// every remote ref to numLocal + its slot: O(n) memory, the bitmap and its
+// rank, and no stream sweep.
+func (sw *streamWriter) resolve(f *os.File, end int64) error {
+	words := i64View(sw.data)
+	bits := make([]uint64, (sw.n+63)/64)
+	rank := make([]int64, len(bits))
+	var addr []byte
+	for mach := range sw.table {
+		clear(bits)
+		var refs [2][]int64
+		for orient := range refs {
+			refs[orient] = words[sw.refsOff(mach, orient)/8:][:sw.edges(mach, orient)]
+			if n := 8 * int64(len(refs[orient])); n <= sw.bucketBytes {
+				// Both passes below touch every page: fault them in writable at once.
+				adviseRange(sw.data, sw.refsOff(mach, orient), n, advPopulateWrite)
+			}
+			for _, ref := range refs[orient] {
+				if ref < 0 {
+					v, _ := nodeOf(sw.layout, mach, ref)
+					bits[v>>6] |= 1 << (v & 63)
+				}
+			}
+		}
+		slots := int64(0)
+		for w, word := range bits {
+			rank[w] = slots
+			slots += int64(mathbits.OnesCount64(word))
+		}
+		numLocal := int64(sw.layout.NumLocal(mach))
+		for orient, r := range refs {
+			for i, ref := range r {
+				if ref < 0 {
+					v, _ := nodeOf(sw.layout, mach, ref)
+					w := v >> 6
+					r[i] = numLocal + rank[w] + int64(mathbits.OnesCount64(bits[w]&(1<<(v&63)-1)))
+				}
+			}
+			adviseRange(sw.data, sw.refsOff(mach, orient), 8*int64(len(r)), advDontNeed)
+		}
+		addr, owner := addr[:0], 0
+		for w, word := range bits {
+			for ; word != 0; word &= word - 1 {
+				v := uint32(w<<6 + mathbits.TrailingZeros64(word))
+				for v >= sw.layout.Starts[owner+1] {
+					owner++
+				}
+				addr = binary.LittleEndian.AppendUint64(addr, uint64(packRemoteRef(owner, v-sw.layout.Starts[owner])))
+			}
+		}
+		if _, err := f.WriteAt(addr, end); err != nil {
+			return err
+		}
+		sw.table[mach][addrField], sw.table[mach][addrField+1] = end, slots
+		end += int64(len(addr))
+	}
+	return nil
 }
 
 // releaseNodeRange advises away the orient ref (and weight) pages that global
