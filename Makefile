@@ -77,8 +77,10 @@ bench-job:
 # The budget of one remote read and of one remote write (ROADMAP item 3): ns a
 # remote ref adds to a pull-sum (bench-read) or push-sum (bench-write) job on
 # two machines, in process and over loopback TCP — reads requested on demand
-# and prefetched into the mirror, plus the one-time remote-set build in ns/edge;
-# writes buffered on demand and folded into the worker's accumulator. They are
+# and prefetched into the mirror, plus what numbering adds to a load in ns/edge
+# (section: store.SectionOf for both machines; raw-section: the same rows with
+# packed refs, the test's oracle); writes buffered on demand and folded into the
+# worker's accumulator. They are
 # the rows that turn AblateRemoteSets. With AGAINST=<git-ref> that commit's test binary is
 # built beside this tree's under SCRATCH and the two alternate three times, the
 # way a claim about this path is to be measured (a ref from before the

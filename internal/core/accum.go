@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/store"
+)
 
 // Remote writes of a dense push, shipped once per worker and superstep instead
 // of once per edge: in a job eligible under remoteJob (remoteset.go) every
@@ -39,7 +42,7 @@ func (w *worker) flushAccum(jr *jobRuntime) {
 		bottom := col.bottomWord(ws.Op)
 		for slot, v := range col.acc[w.id].slots {
 			if v != bottom {
-				mach, off := unpackRemote(addr[slot])
+				mach, off := store.UnpackRef(addr[slot])
 				w.bufferWrite(mach, ws.Prop, ws.Op, off, v)
 				shipped++
 			}

@@ -115,8 +115,8 @@ func TestAccumulateFallsBackOnDemand(t *testing.T) {
 		applied := int64(0) // writes_applied the jobs so far account for
 		lastJob := func(counter string) int64 { return reg.LastReport().Counters[counter] }
 
-		// A plain accumulated push builds the remote sets; pick each machine's
-		// outside address from the set's own bitmap.
+		// A plain accumulated push first; pick each machine's outside address
+		// from the remote set its load came with.
 		src, _ := c.AddPropF64("src")
 		dst, _ := c.AddPropF64("dst")
 		c.FillF64(src, 1)
@@ -129,15 +129,15 @@ func TestAccumulateFallsBackOnDemand(t *testing.T) {
 		var setSize, remoteRefs int64
 		for _, m := range c.machines {
 			set, peer := m.store.remote, 1-m.id
-			if set == nil || set.iters[IterOutEdges].size == 0 {
-				t.Fatalf("machine %d built no remote set", m.id)
+			if set.iters[IterOutEdges].size == 0 {
+				t.Fatalf("machine %d has an empty remote set", m.id)
 			}
 			setSize += int64(set.iters[IterOutEdges].size)
 			remoteRefs += set.iters[IterOutEdges].refs
 			lo, hi := c.layout.Range(peer)
 			found := false
 			for off := uint32(0); off < uint32(hi-lo) && !found; off++ {
-				if set.peers[peer].slot(off) < 0 {
+				if slotOf(set, peer, off) < 0 {
 					task.outside[m.id], found = RemoteRef(peer, off), true
 					wantA[lo+graph.NodeID(off)] += 1000
 				}

@@ -25,17 +25,12 @@ func rawWrites(recs ...[2]uint64) []byte {
 }
 
 // applyWritesCluster boots two machines with an int64 property 0 and a float64
-// property 1, every value 7, and returns machine 0 with its column sizes. An
-// accumulated push has built the remote sets first, so that the machine's rows
-// hold replica refs, numLocal + slot, past its columns.
+// property 1, every value 7, and returns machine 0 with its column sizes. Its
+// rows hold replica refs, numLocal + slot, past its columns.
 func applyWritesCluster(t testing.TB) (m *Machine, cnt, val PropID) {
 	c := bootCluster(t, testGraph(t), DefaultConfig(2))
 	cnt, _ = c.AddPropI64("cnt")
 	val, _ = c.AddPropF64("val")
-	if _, err := c.RunJob(JobSpec{Name: "build", Iter: IterOutEdges, Task: &pushOneTask{counter: cnt},
-		WriteProps: []WriteSpec{{Prop: cnt, Op: reduce.Sum}}}); err != nil {
-		t.Fatal(err)
-	}
 	if len(c.machines[0].store.remote.addr) == 0 {
 		t.Fatal("machine 0 numbered no replica")
 	}

@@ -106,7 +106,7 @@ func (c *Cluster) Load(g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	return c.install(g, layout)
+	return c.loadGraph(g, layout)
 }
 
 // LoadPlan loads g with an explicit ownership layout, bypassing the
@@ -119,35 +119,55 @@ func (c *Cluster) LoadPlan(g *graph.Graph, layout partition.Layout) error {
 		return fmt.Errorf("core: plan layout has %d machines, cluster has %d",
 			layout.NumMachines, c.cfg.NumMachines)
 	}
-	if len(layout.Starts) != layout.NumMachines+1 || int(layout.Starts[layout.NumMachines]) != g.NumNodes() {
+	if len(layout.Starts) != layout.NumMachines+1 || layout.Starts[0] != 0 || int(layout.Starts[layout.NumMachines]) != g.NumNodes() {
 		return fmt.Errorf("core: plan layout does not cover the %d-node graph", g.NumNodes())
 	}
-	return c.install(g, layout)
-}
-
-// install is the shared tail of Load/LoadPlan: adopt the layout and rebuild
-// every machine's local store. Under Config.GhostCount the machines share a
-// bitmap of the top vertices, the only ones their remote sets will hold.
-func (c *Cluster) install(g *graph.Graph, layout partition.Layout) error {
-	var top []uint64
-	if k := c.cfg.GhostCount; k > 0 {
-		top = make([]uint64, (g.NumNodes()+63)/64)
-		for _, v := range partition.SelectTopGhosts(g, k).Nodes {
-			top[v>>6] |= 1 << (v & 63)
+	for d := 0; d < layout.NumMachines; d++ {
+		if layout.Starts[d+1] < layout.Starts[d] {
+			return fmt.Errorf("core: plan layout starts decrease at machine %d (%d > %d)", d, layout.Starts[d], layout.Starts[d+1])
 		}
 	}
+	return c.loadGraph(g, layout)
+}
+
+// loadGraph is the shared body of Load/LoadPlan: every machine's section of g
+// comes off the heap already numbered (store.SectionOf). Under
+// Config.GhostCount the machines share a bitmap of the top vertices, the only
+// ones their remote sets will hold.
+func (c *Cluster) loadGraph(g *graph.Graph, layout partition.Layout) error {
+	var keep []uint64
+	if k := c.cfg.GhostCount; k > 0 {
+		keep = make([]uint64, (g.NumNodes()+63)/64)
+		for _, v := range partition.SelectTopGhosts(g, k).Nodes {
+			keep[v>>6] |= 1 << (v & 63)
+		}
+	}
+	return c.install(layout, g.NumNodes(), g.NumEdges(), nil, func(me int) store.Section {
+		return store.SectionOf(g, layout, me, keep)
+	})
+}
+
+// install is the one tail of every load, from the heap or from a store file
+// (ld non-nil): adopt the layout, discard the registered properties, and
+// install on every machine the local store of its section.
+func (c *Cluster) install(layout partition.Layout, nodes int, edges int64, ld *store.Load, section func(me int) store.Section) error {
 	c.layout = layout
-	c.numNodes = g.NumNodes()
-	c.numEdges = g.NumEdges()
+	c.numNodes = nodes
+	c.numEdges = edges
 	c.meta = nil
 	c.freeProps = nil
 	c.ooc = nil
 	err := c.parallel(func(m *Machine) error {
-		m.load(g, layout, top)
+		m.install(newLocalStore(m.id, layout, section(m.id)), ld)
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	if ld != nil {
+		// The decode cache outlives loads (it is the file's), so its counters
+		// start from wherever an earlier load left them.
+		c.ooc, c.oocBase = ld, ld.Stats()
 	}
 	c.loaded = true
 	return nil

@@ -117,41 +117,14 @@ func (k *refGlobalProbe) Run(c *Ctx) {
 }
 
 // TestRefGlobalAllRefKinds: RefGlobal, NbrIsRemote and SplitRemoteRef resolve
-// every class of ref a kernel can see — local and packed as the rows are
-// loaded; local, replica and, outside a capped set, packed once a remote set
-// has rewritten them.
+// every class of ref a kernel can see. A load's rows come numbered: local and
+// replica refs, and, outside a capped set, packed ones.
 func TestRefGlobalAllRefKinds(t *testing.T) {
 	g := testGraph(t)
 	for _, ghosts := range []int{0, 8} {
 		cfg := DefaultConfig(3)
 		cfg.GhostCount = ghosts
 		c := bootCluster(t, g, cfg)
-		sum, _ := c.AddPropI64("sum")
-		bad, _ := c.AddPropI64("bad")
-		probe := func(stage string) {
-			t.Helper()
-			c.FillI64(sum, 0)
-			c.FillI64(bad, 0)
-			if _, err := c.RunJob(JobSpec{Name: "refglobal", Iter: IterOutEdges, Task: &refGlobalProbe{sum: sum, bad: bad}}); err != nil {
-				t.Fatal(err)
-			}
-			got, flagged := c.GatherI64(sum), c.GatherI64(bad)
-			for u := 0; u < g.NumNodes(); u++ {
-				var want int64
-				for _, v := range g.Out.Neighbors(graph.NodeID(u)) {
-					want += int64(v)
-				}
-				if got[u] != want || flagged[u] != 0 {
-					t.Fatalf("cap %d, %s: node %d: sum %d vs %d, placement flagged %d", ghosts, stage, u, got[u], want, flagged[u])
-				}
-			}
-		}
-		probe("as loaded")
-		src, _ := c.AddPropF64("src")
-		dst, _ := c.AddPropF64("dst")
-		if _, err := c.RunJob(JobSpec{Name: "build", Iter: IterInEdges, Task: &pullSumTask{src: src, dst: dst}, ReadProps: []PropID{src}}); err != nil {
-			t.Fatal(err)
-		}
 		var replica, packed int
 		for _, m := range c.machines {
 			for _, ref := range m.store.views[store.OrientOut].refs {
@@ -165,7 +138,21 @@ func TestRefGlobalAllRefKinds(t *testing.T) {
 		if replica == 0 || (ghosts > 0) != (packed > 0) {
 			t.Fatalf("cap %d: the out-edge rows hold %d replica and %d packed refs", ghosts, replica, packed)
 		}
-		probe("resolved")
+		sum, _ := c.AddPropI64("sum")
+		bad, _ := c.AddPropI64("bad")
+		if _, err := c.RunJob(JobSpec{Name: "refglobal", Iter: IterOutEdges, Task: &refGlobalProbe{sum: sum, bad: bad}}); err != nil {
+			t.Fatal(err)
+		}
+		got, flagged := c.GatherI64(sum), c.GatherI64(bad)
+		for u := 0; u < g.NumNodes(); u++ {
+			var want int64
+			for _, v := range g.Out.Neighbors(graph.NodeID(u)) {
+				want += int64(v)
+			}
+			if got[u] != want || flagged[u] != 0 {
+				t.Fatalf("cap %d: node %d: sum %d vs %d, placement flagged %d", ghosts, u, got[u], want, flagged[u])
+			}
+		}
 	}
 }
 

@@ -211,7 +211,7 @@ func TestDeepContinuationChains(t *testing.T) {
 	c.FillByNodeI64(ref, func(v graph.NodeID) int64 {
 		next := graph.NodeID((int(v) + n/2 + 1) % n)
 		owner := layout.Owner(next)
-		return packRemote(owner, next-layout.Starts[owner])
+		return RemoteRef(owner, next-layout.Starts[owner])
 	})
 	c.FillI64(acc, 0)
 	const hops = 5

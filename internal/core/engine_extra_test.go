@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/reduce"
+	"repro/internal/store"
 )
 
 // --- multi-read state machine kernel ----------------------------------------
@@ -61,7 +62,7 @@ func TestTwoHopStateMachine(t *testing.T) {
 		owner := layout.Owner(target)
 		// Encode as a globally valid remote ref; the engine resolves owner-
 		// local targets through the same path.
-		return packRemote(owner, target-layout.Starts[owner])
+		return RemoteRef(owner, target-layout.Starts[owner])
 	})
 	c.FillByNodeF64(valProp, func(v graph.NodeID) float64 { return float64(v) * 0.25 })
 	c.FillF64(acc, 0)
@@ -410,11 +411,11 @@ func TestRepeatedJobsStayQuiescent(t *testing.T) {
 func TestRemoteRefPacking(t *testing.T) {
 	f := func(machRaw uint16, offset uint32) bool {
 		mach := int(machRaw % (1 << 15))
-		ref := packRemote(mach, offset)
+		ref := RemoteRef(mach, offset)
 		if ref >= 0 {
 			return false
 		}
-		gm, go_ := unpackRemote(ref)
+		gm, go_ := store.UnpackRef(ref)
 		return gm == mach && go_ == offset
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {

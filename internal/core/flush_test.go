@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/obs"
-	"repro/internal/reduce"
 )
 
 // readKeys renders read-record keys as a read request's payload.
@@ -93,10 +92,6 @@ func FuzzServeReads(f *testing.F) {
 	q, _ := c.AddPropI64("q")
 	r, _ := c.AddPropI64("r") // registered, with a column, but the job does not read it
 	c.DropProps(q)            // a registered id with no column behind it
-	if _, err := c.RunJob(JobSpec{Name: "build", Iter: IterOutEdges, Task: &pushOneTask{counter: r},
-		WriteProps: []WriteSpec{{Prop: r, Op: reduce.Sum}}}); err != nil { // rows now hold replica refs
-		f.Fatal(err)
-	}
 	m, answers := c.machines[0], c.machines[1].workers[0].respCh
 	n, slots := uint64(len(m.cols[p].vals)), uint64(len(m.store.remote.addr))
 	key := func(prop PropID, off uint64) uint64 { return uint64(prop)<<48 | off }

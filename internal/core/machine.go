@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/reduce"
@@ -206,14 +205,6 @@ func (m *Machine) broadcastAbort(jobID uint64, err error) {
 	}
 }
 
-// load installs machine id's partition of g; top, when non-nil, is what its
-// remote sets may hold (Config.GhostCount).
-func (m *Machine) load(g *graph.Graph, layout partition.Layout, top []uint64) {
-	st := buildLocalStore(g, layout, m.id)
-	st.top = top
-	m.install(st, nil)
-}
-
 // install makes st the machine's current load — in memory (ld nil), or a
 // store file's section under its load handle — dropping the previous load's
 // columns and telemetry, and precomputes the scheduling chunks of each
@@ -274,8 +265,7 @@ type machineJobStats struct {
 //	newJobRuntime   what this machine iterates and feeds; no traffic
 //	publish         spill, curJob, collectives' abort; unpublish on every exit
 //	startBarrier    barrier(0): every machine has published
-//	taskPhase       remote_set_build, once per load; then
-//	                task_phase: the workers run the task list dry (RTC),
+//	taskPhase       task_phase: the workers run the task list dry (RTC),
 //	                mirrors prefetched first, accumulators shipped last
 //	drainWrites     barrier(1), the first round: all task lists empty, all
 //	                reads answered; write_drain, the rounds after it: until
@@ -466,9 +456,10 @@ func (m *Machine) barrierSpan(jr *jobRuntime, which uint64, t int64) {
 // taskPhase hands the job to the workers and waits for their task lists and
 // continuations to run dry (the task_phase span). Workers unwind on failure
 // without an error return path; the job runtime carries the root cause. The
-// job is set up against its remote set first, outside the span and ahead of
-// t0: a once-per-load scan billed to this job's taskNS would reach the load
-// hints, the repartitioner's totals and the Figure 6c breakdown.
+// job is set up against the load's remote set first (remoteJob), outside the
+// span and ahead of t0: a mirror's first allocation billed to this job's
+// taskNS would reach the load hints, the repartitioner's totals and the
+// Figure 6c breakdown.
 func (m *Machine) taskPhase(jr *jobRuntime) error {
 	reg := m.cfg.Obs
 	if !jr.emptySkip {

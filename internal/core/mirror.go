@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/store"
+)
 
 // Remote reads of a dense pull, resolved once per superstep instead of once
 // per edge: a job eligible under remoteJob (remoteset.go) first copies every
@@ -34,8 +37,8 @@ func (m *Machine) mirrorJob(jr *jobRuntime, set *remoteSet, is *iterSet) {
 }
 
 // prefetch fills this worker's share of the job's mirrors — a range of the
-// owned words and a word range of every owner's bitmap, for every read property
-// — and then waits until every local worker has filled its own: any row may
+// owned words and a range of every owner's slots, for every read property —
+// and then waits until every local worker has filled its own: any row may
 // reference any word. The owned words are a copy: no worker of this machine
 // stores into the column before the wait, and copiers only read it. The
 // addresses go out in ascending order, the side record carries the mirror word
@@ -50,8 +53,10 @@ func (w *worker) prefetch(jr *jobRuntime) {
 	lo, hi := n*w.id/nw, n*(w.id+1)/nw
 	for i, p := range jr.spec.ReadProps {
 		copy(plainWords(jr.mirrors[i].vals[lo:hi]), plainWords(w.cols[p].vals[lo:hi]))
-		for d, bits := range jr.mirrorSet.bits {
-			set.peers[d].members(bits, len(bits)*w.id/nw, len(bits)*(w.id+1)/nw, func(off uint32, slot int) {
+		for d := range len(set.base) - 1 {
+			first, span := set.base[d], set.base[d+1]-set.base[d]
+			eachSlot(jr.mirrorSet.slots, first+span*w.id/nw, first+span*(w.id+1)/nw, func(slot int) {
+				_, off := store.UnpackRef(set.addr[slot])
 				w.bufferRead(d, p, off, uint32(n+slot), uint64(i))
 				words++
 			})

@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +12,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/store"
 )
 
@@ -74,8 +73,8 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		c.FillByNodeF64(a, aOf)
 		c.FillByNodeF64(b, bOf)
 
-		// A plain mirrored pull builds the remote sets; pick each machine's
-		// outside address from the set's own bitmap.
+		// A plain mirrored pull first; pick each machine's outside address from
+		// the remote set its load came with.
 		if _, err := c.RunJob(JobSpec{Name: "warm-up", Iter: IterInEdges, Task: &pullSumTask{src: a, dst: acc}, ReadProps: []PropID{a}}); err != nil {
 			t.Fatal(err)
 		}
@@ -84,10 +83,10 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 		var setWords int64
 		for _, m := range c.machines {
 			set, peer := m.store.remote, 1-m.id
-			if set == nil || set.iters[IterInEdges].size == 0 {
-				t.Fatalf("machine %d built no remote set", m.id)
+			if set.iters[IterInEdges].size == 0 {
+				t.Fatalf("machine %d has an empty remote set", m.id)
 			}
-			// The rows now name their remote neighbours by replica ref, so the
+			// The rows name their remote neighbours by replica ref, so the
 			// undeclared reads below reach the owner through the set's addresses.
 			if !slices.ContainsFunc(m.store.views[store.OrientIn].refs, func(ref int64) bool { return ref >= int64(m.store.numLocal) }) {
 				t.Fatalf("machine %d's in-edge rows hold no replica ref", m.id)
@@ -96,7 +95,7 @@ func TestMirrorFallsBackOnDemand(t *testing.T) {
 			lo, hi := c.layout.Range(peer)
 			found := false
 			for off := uint32(0); off < uint32(hi-lo) && !found; off++ {
-				if set.peers[peer].slot(off) < 0 {
+				if slotOf(set, peer, off) < 0 {
 					task.outside[m.id], found = RemoteRef(peer, off), true
 					want[c.layout.Starts[m.id]] += aOf(lo + graph.NodeID(off))
 				}
@@ -354,125 +353,6 @@ func TestCancelAfterPrefetch(t *testing.T) {
 	})
 }
 
-// TestRemoteSetMatchesOracle builds the remote set of every machine over seeded
-// random graphs cut two, three and four ways, uncapped and capped at the top 1
-// and 8 vertices, and compares it with a brute-force walk of the global graph.
-// Per edge iterator, members are exactly the distinct remote neighbours its
-// rows reference (of the top vertices, under a cap), members visits them and
-// nothing else, and refs, edges and size are exact. Slots number the union of
-// the orientations' members densely, start at each owner's base, ascend with
-// the offset, and lead back to the address. A look-up that is not a member's —
-// past the bitmap or at this machine's own (empty) entry — finds nothing.
-func TestRemoteSetMatchesOracle(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var g *graph.Graph
-		var err error
-		if n := 50 + rng.Intn(400); seed%2 == 0 {
-			g, err = graph.Uniform(n, n*(1+rng.Intn(6)), seed)
-		} else {
-			g, err = graph.RMAT(6+rng.Intn(4), 4+rng.Intn(8), graph.TwitterLike(), seed)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Vertices by max(in, out) degree, ties toward the lower id; isolated
-		// ones never count.
-		ranked := make([]graph.NodeID, 0, g.NumNodes())
-		deg := func(v graph.NodeID) int64 { return max(g.InDegree(v), g.OutDegree(v)) }
-		for v := 0; v < g.NumNodes(); v++ {
-			if deg(graph.NodeID(v)) > 0 {
-				ranked = append(ranked, graph.NodeID(v))
-			}
-		}
-		sort.SliceStable(ranked, func(i, j int) bool { return deg(ranked[i]) > deg(ranked[j]) })
-		for p := 2; p <= 4; p++ {
-			for _, k := range []int{0, 1, 8} {
-				cfg := DefaultConfig(p)
-				cfg.GhostCount = k
-				c := bootCluster(t, g, cfg)
-				top := map[graph.NodeID]bool{}
-				for _, v := range ranked[:min(k, len(ranked))] {
-					top[v] = true
-				}
-				for _, m := range c.machines {
-					where := fmt.Sprintf("seed %d p=%d cap=%d machine %d", seed, p, k, m.id)
-					set := m.buildRemoteSet(m.newJobRuntime(&JobSpec{Iter: IterOutEdges, Task: &pushOneTask{}}, 0))
-					m.store.remote = set // the build rewrote the rows against it
-					lo, hi := c.layout.Range(m.id)
-					union := map[graph.NodeID]bool{}
-					for it := IterOutEdges; it <= IterBothEdges; it++ {
-						// The oracle: multiplicity of every remote neighbour the set may hold.
-						mult := map[graph.NodeID]int64{}
-						var edges, refs int64
-						for u := lo; u < hi; u++ {
-							var nbrs []graph.NodeID
-							if it != IterInEdges {
-								nbrs = append(nbrs, g.Out.Neighbors(u)...)
-							}
-							if it != IterOutEdges {
-								nbrs = append(nbrs, g.In.Neighbors(u)...)
-							}
-							edges += int64(len(nbrs))
-							for _, v := range nbrs {
-								if (v < lo || v >= hi) && (k == 0 || top[v]) {
-									mult[v]++
-									refs++
-									union[v] = true
-								}
-							}
-						}
-						is := &set.iters[it]
-						if is.size != len(mult) || is.refs != refs || is.edges != edges {
-							t.Fatalf("%s %v: size/refs/edges = %d/%d/%d, want %d/%d/%d", where, it, is.size, is.refs, is.edges, len(mult), refs, edges)
-						}
-						for d := range set.peers {
-							var visited, members []uint32
-							set.peers[d].members(is.bits[d], 0, len(is.bits[d]), func(off uint32, slot int) {
-								if set.addr[slot] != packRemote(d, off) {
-									t.Fatalf("%s %v: members handed offset %d of owner %d slot %d, whose address is %x", where, it, off, d, slot, set.addr[slot])
-								}
-								visited = append(visited, off)
-							})
-							for off := uint32(0); int(off) < c.layout.NumLocal(d); off++ {
-								if mult[c.layout.Starts[d]+graph.NodeID(off)] > 0 {
-									members = append(members, off)
-								}
-							}
-							if !slices.Equal(visited, members) {
-								t.Fatalf("%s %v: members visited offsets %v of owner %d, the members are %v", where, it, visited, d, members)
-							}
-						}
-					}
-					if len(set.addr) != len(union) || set.iters[IterBothEdges].size != len(union) {
-						t.Fatalf("%s: %d slots, both-edge size %d, want the %d members of either orientation", where, len(set.addr), set.iters[IterBothEdges].size, len(union))
-					}
-					next := 0
-					for d := range set.peers {
-						ps, dlo := &set.peers[d], c.layout.Starts[d]
-						if ps.base != next {
-							t.Fatalf("%s: owner %d's slots start at %d, want %d", where, d, ps.base, next)
-						}
-						for off := uint32(0); off < uint32(c.layout.NumLocal(d))+130; off++ {
-							want := -1
-							if int(off) < c.layout.NumLocal(d) && union[dlo+graph.NodeID(off)] {
-								want, next = next, next+1
-							}
-							if got := ps.slot(off); got != want {
-								t.Fatalf("%s: slot of (%d, %d) = %d, want %d", where, d, off, got, want)
-							}
-							if want >= 0 && set.addr[want] != packRemote(d, off) {
-								t.Fatalf("%s: slot %d leads back to %x, want (%d, %d)", where, want, set.addr[want], d, off)
-							}
-						}
-					}
-				}
-				c.Shutdown()
-			}
-		}
-	}
-}
-
 // skipRemoteSum is rowPullSum without its remote reads: the scan the remote
 // refs ride on, in the same rows on the same machines.
 type skipRemoteSum struct {
@@ -544,7 +424,7 @@ type remoteRefMode struct {
 // benchmark's CPUs it is wall time, not CPU time.
 func remoteRefBudget(b *testing.B, g *graph.Graph, orient int, skip, spec func(src, dst PropID) JobSpec, modes []remoteRefMode) {
 	perJob := func(b *testing.B, c *Cluster, spec JobSpec) float64 {
-		if _, err := c.RunJob(spec); err != nil { // warm-up: pools, side slices, the remote set
+		if _, err := c.RunJob(spec); err != nil { // warm-up: pools, side slices
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -594,24 +474,26 @@ func BenchmarkRemoteRead(b *testing.B) {
 			return JobSpec{Name: "scan", Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}, ReadProps: []PropID{src}}
 		},
 		[]remoteRefMode{{"on-demand", AblateRemoteSets}, {"mirrored", 0}})
-	b.Run("set-build", func(b *testing.B) {
-		c, src, dst := remoteBenchBoot(b, g, false, 0)
-		m := c.machines[0]
-		jr := m.newJobRuntime(&JobSpec{Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}}, 0)
-		var raw [2][]int64 // the rows as loaded: every build rewrites them
-		for o := range raw {
-			raw[o] = slices.Clone(m.store.views[o].refs)
-		}
-		var edges int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			for o := range raw {
-				copy(m.store.views[o].refs, raw[o])
+	// What numbering adds to a load: both machines' sections at p = 2 as every
+	// load extracts them (store.SectionOf), against the packed-ref oracle's
+	// bare extraction of the same rows.
+	layout, err := partition.Compute(g, 2, DefaultConfig(2).Partitioning)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name    string
+		extract func(me int)
+	}{
+		{"section", func(me int) { store.SectionOf(g, layout, me, nil) }},
+		{"raw-section", func(me int) { packedViews(g, layout, me) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				row.extract(0)
+				row.extract(1)
 			}
-			b.StartTimer()
-			edges = m.buildRemoteSet(jr).iters[IterBothEdges].edges
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*edges), "ns/edge")
-	})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*2*g.NumEdges()), "ns/edge")
+		})
+	}
 }

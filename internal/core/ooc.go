@@ -9,16 +9,15 @@ import (
 
 // Out-of-core loading: Cluster.LoadStore adopts an open store file
 // (store.Open) instead of materializing the graph on the heap. Each machine's
-// local store aliases its file section directly — the same rows/refs/weights
-// slice contract buildLocalStore produces, so workers, copiers and the chunk
-// scheduler run unchanged, except that a compressed file has no ref slice and
-// its rows are read through rowReaders — and page-cache eviction, optionally
-// bounded by Config.ResidentBudgetBytes, governs how much topology is
-// resident. A store file's rows are written in the replica numbering
-// (store.go) against the remote set its section describes, so the load takes
-// that set with the rows (storeRemoteSet) and hands kernels the rows as
-// written: no job resolves a ref on the way, and the per-edge dispatch is
-// identical to an in-memory load's once its set is built.
+// local store aliases its file section directly — the same store.Section an
+// in-memory load extracts (store.SectionOf), installed by the same
+// constructor (newLocalStore), so workers, copiers and the chunk scheduler run
+// unchanged, except that a compressed file has no ref slice and its rows are
+// read through rowReaders — and page-cache eviction, optionally bounded by
+// Config.ResidentBudgetBytes, governs how much topology is resident. A file's
+// rows are written in the replica numbering (store.go), so the load takes the
+// remote set its section describes with the rows and hands kernels the rows
+// as written, exactly as an in-memory load does.
 // Everything that depends on how the file spells its sections sits behind one
 // store.Load handle.
 
@@ -46,38 +45,7 @@ func (c *Cluster) LoadStore(sf *store.File) error {
 	if err != nil {
 		return err
 	}
-	layout := sf.Layout()
-	c.layout = layout
-	c.numNodes = sf.NumNodes()
-	c.numEdges = sf.NumEdges()
-	c.meta = nil
-	c.freeProps = nil
-	err = c.parallel(func(m *Machine) error {
-		m.loadFromStore(ld, layout)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// The decode cache outlives loads (it is the file's), so its counters
-	// start from wherever an earlier load left them.
-	c.ooc, c.oocBase = ld, ld.Stats()
-	c.loaded = true
-	return nil
-}
-
-// loadFromStore installs machine id's file section as its local store, with
-// the remote set its rows are numbered against. The row/ref/weight slices
-// alias the load's views (a compressed file has no ref view: its rows are read
-// through rowReaders); only O(numLocal) metadata (degrees, both-orientation
-// prefix) and the set's O(S + N/64) tables are materialized on the heap.
-func (m *Machine) loadFromStore(ld *store.Load, layout partition.Layout) {
-	sec := ld.File().Section(m.id)
-	out := orientView{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights}
-	in := orientView{rows: sec.InRows, refs: sec.InRefs, weights: sec.InWeights}
-	st := newLocalStore(m.id, layout, out, in)
-	st.remote = storeRemoteSet(st, sec)
-	m.install(st, ld)
+	return c.install(sf.Layout(), sf.NumNodes(), sf.NumEdges(), ld, sf.Section)
 }
 
 // claimChunk announces one chunk's topology reads, in every orientation the

@@ -89,7 +89,7 @@ func runPushOne(t *testing.T, c *Cluster, counter PropID) []int64 {
 
 // TestStoreSectionsMatchLocalStore: what a store load hands the engine — rows,
 // refs (compressed ones read row by row through a cursor) and weights, per
-// machine and orientation — must equal what buildLocalStore derives from the
+// machine and orientation — must equal packedViews, the packed rows of the
 // in-memory graph, in both encodings and at every machine count, once every
 // replica ref is mapped back through the section's addr table to the packed
 // address it names. This is the reference for the file format that does not
@@ -119,17 +119,17 @@ func TestStoreSectionsMatchLocalStore(t *testing.T) {
 					t.Fatal(err)
 				}
 				for me := 0; me < p; me++ {
-					want := buildLocalStore(g, layout, me)
+					want, numLocal := packedViews(g, layout, me), layout.NumLocal(me)
 					sec := sf.Section(me)
 					got := [2]orientView{
 						{rows: sec.OutRows, refs: sec.OutRefs, weights: sec.OutWeights},
 						{rows: sec.InRows, refs: sec.InRefs, weights: sec.InWeights},
 					}
-					for orient, w := range want.views {
-						ld.Claim(me, orient, 0, int64(want.numLocal))
+					for orient, w := range want {
+						ld.Claim(me, orient, 0, int64(numLocal))
 						if ld.File().Compressed() {
 							cur := ld.Cursor(me, orient)
-							for u := 0; u < want.numLocal; u++ {
+							for u := 0; u < numLocal; u++ {
 								row, err := cur.Row(int64(u))
 								if err != nil {
 									t.Fatal(err)
@@ -140,13 +140,13 @@ func TestStoreSectionsMatchLocalStore(t *testing.T) {
 						}
 						got[orient].refs = slices.Clone(got[orient].refs)
 						for i, ref := range got[orient].refs {
-							if ref >= int64(want.numLocal) {
-								got[orient].refs[i] = sec.Addr[ref-int64(want.numLocal)]
+							if ref >= int64(numLocal) {
+								got[orient].refs[i] = sec.Addr[ref-int64(numLocal)]
 							}
 						}
 						if !slices.Equal(got[orient].rows, w.rows) || !slices.Equal(got[orient].refs, w.refs) ||
 							!slices.Equal(got[orient].weights, w.weights) {
-							t.Fatalf("%s %s p=%d machine %d orient %d: store section differs from buildLocalStore", name, format, p, me, orient)
+							t.Fatalf("%s %s p=%d machine %d orient %d: store section differs from packedViews", name, format, p, me, orient)
 						}
 					}
 				}

@@ -3,8 +3,6 @@ package core
 import (
 	mathbits "math/bits"
 
-	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/store"
 )
 
@@ -26,174 +24,72 @@ import (
 // A member's slot is its index among the replicas, and rows name it as one: a
 // member ref is numLocal + slot, a replica ref (store.go), so that a mirror
 // laid out [owned words | replicas] answers a neighbour of either kind with one
-// indexed load. An in-memory load's rows are rewritten so when the set is
-// built (buildRemoteSet); a store file's are written so, against the uncapped
-// set its section describes, which the load reads off the file
-// (storeRemoteSet). Either way a kernel is handed the rows as they lie.
+// indexed load. The numbering is the store's (store.SectionOf for an in-memory
+// load, the file's writer for a store file): every load installs rows already
+// numbered and the set their section describes, so a kernel is handed the rows
+// as they lie.
 
 // remoteSet is the load's table of the distinct remote addresses its rows
-// reference, in both orientations: per owner a rank bitmap over the owner's
-// offset range — membership and the slot are two loads and a popcount, about
-// 1.5 bits per non-owned node — and per slot the packed ref, the way back. Slots
-// ascend with (owner, offset). iters holds, per edge iterator kind, the members
-// its rows reference and the counts eligibility weighs: a job fetches and ships
-// only those.
+// reference, in both orientations: per slot the packed ref, the way back, and
+// per owner the slot range its members hold — slots ascend with (owner,
+// offset), so owner d's members are the slots [base[d], base[d+1]). iters
+// holds, per edge iterator kind, the members its rows reference and the counts
+// eligibility weighs: a job fetches and ships only those.
 type remoteSet struct {
 	numLocal int
-	peers    []peerSet // by owner machine; this machine's entry is empty
-	addr     []int64   // by slot: the member's packed ref
+	addr     []int64 // by slot: the member's packed ref
+	base     []int   // by owner machine, P+1 entries: the owner's first slot
 	iters    [IterBothEdges + 1]iterSet
 }
 
 // iterSet is the part of the remote set one edge iterator's rows reference.
 type iterSet struct {
-	bits  [][]uint64 // by owner: the members, a subset of peers[owner].bits
-	size  int        // distinct addresses
-	refs  int64      // refs to them in the rows, with multiplicity
-	edges int64      // all refs in the rows
+	slots []uint64 // bitmap over slots: the members
+	size  int      // distinct addresses
+	refs  int64    // refs to them in the rows, with multiplicity
+	edges int64    // all refs in the rows
 }
 
-// peerSet is one owner's part of a remoteSet over its offset range: bit off of
-// bits is set when (owner, off) is a member, rank[w] counts the members below
-// word w, and the owner's first member has slot base.
-type peerSet struct {
-	bits []uint64
-	rank []uint32
-	base int
-}
-
-// slot returns the slot of the owner's offset off, or -1 when the set does not
-// hold it. Only a packed ref needs it: rewrite, once per in-memory load.
-func (p *peerSet) slot(off uint32) int {
-	w := int(off >> 6)
-	if w >= len(p.bits) || p.bits[w]>>(off&63)&1 == 0 {
-		return -1
+// newRemoteSet is the remote set a machine's section describes — its own slot
+// table and counts — for numLocal owned nodes of a p-machine layout: O(S + P).
+func newRemoteSet(numLocal, p int, sec store.Section) *remoteSet {
+	s := &remoteSet{numLocal: numLocal, addr: sec.Addr, base: make([]int, p+1)}
+	for _, a := range sec.Addr {
+		mach, _ := store.UnpackRef(a)
+		s.base[mach+1]++
 	}
-	return p.base + int(p.rank[w]) + mathbits.OnesCount64(p.bits[w]&(1<<(off&63)-1))
-}
-
-// members calls fn for the offsets set in words [lo, hi) of sub, a subset of
-// the owner's bitmap, with their slots, in ascending order.
-func (p *peerSet) members(sub []uint64, lo, hi int, fn func(off uint32, slot int)) {
-	for wd := lo; wd < hi; wd++ {
-		base, all := p.base+int(p.rank[wd]), p.bits[wd]
-		for word := sub[wd]; word != 0; word &= word - 1 {
-			b := trailingZeros64(word)
-			fn(uint32(wd<<6+b), base+mathbits.OnesCount64(all&(1<<b-1)))
+	for d := range p {
+		s.base[d+1] += s.base[d]
+	}
+	out := iterSet{slots: sec.OutSlots, refs: sec.OutReplicas, edges: sec.OutRows[numLocal]}
+	in := iterSet{slots: sec.InSlots, refs: sec.InReplicas, edges: sec.InRows[numLocal]}
+	both := iterSet{slots: make([]uint64, len(out.slots)), refs: out.refs + in.refs, edges: out.edges + in.edges}
+	for w := range both.slots {
+		both.slots[w] = out.slots[w] | in.slots[w]
+	}
+	s.iters[IterOutEdges], s.iters[IterInEdges], s.iters[IterBothEdges] = out, in, both
+	for it := range s.iters {
+		for _, word := range s.iters[it].slots {
+			s.iters[it].size += mathbits.OnesCount64(word)
 		}
 	}
-}
-
-// rewrite rewrites refs in place, every member as its replica ref.
-func (s *remoteSet) rewrite(refs []int64) {
-	for i, ref := range refs {
-		if ref < 0 {
-			mach, off := unpackRemote(ref)
-			if slot := s.peers[mach].slot(off); slot >= 0 {
-				refs[i] = int64(s.numLocal + slot)
-			}
-		}
-	}
-}
-
-// orientSets returns the two orientations' member sets of machine me's load,
-// empty: per other owner a bitmap over its offset range.
-func orientSets(layout partition.Layout, me int) [2]iterSet {
-	var orient [2]iterSet // by store.OrientOut, store.OrientIn
-	for o := range orient {
-		orient[o].bits = make([][]uint64, layout.NumMachines)
-		for d := range orient[o].bits {
-			if lo, hi := layout.Range(d); d != me {
-				orient[o].bits[d] = make([]uint64, (int(hi-lo)+63)/64)
-			}
-		}
-	}
-	return orient
-}
-
-// newRemoteSet numbers the members of the two orientations' sets: their union,
-// per owner ranked so that slots ascend with (owner, offset), and the slot →
-// address table.
-func newRemoteSet(numLocal int, orient [2]iterSet) *remoteSet {
-	s := &remoteSet{numLocal: numLocal, peers: make([]peerSet, len(orient[0].bits))}
-	both := iterSet{bits: make([][]uint64, len(s.peers)), refs: orient[0].refs + orient[1].refs, edges: orient[0].edges + orient[1].edges}
-	for d := range s.peers {
-		p, out, in := &s.peers[d], orient[0].bits[d], orient[1].bits[d]
-		p.base, p.rank = both.size, make([]uint32, len(out))
-		if out != nil {
-			p.bits = make([]uint64, len(out))
-		}
-		for w := range p.bits {
-			p.bits[w] = out[w] | in[w]
-			p.rank[w] = uint32(both.size - p.base)
-			both.size += mathbits.OnesCount64(p.bits[w])
-			orient[0].size += mathbits.OnesCount64(out[w])
-			orient[1].size += mathbits.OnesCount64(in[w])
-		}
-		both.bits[d] = p.bits
-	}
-	s.addr = make([]int64, 0, both.size)
-	for d := range s.peers {
-		p := &s.peers[d]
-		p.members(p.bits, 0, len(p.bits), func(off uint32, _ int) { s.addr = append(s.addr, packRemote(d, off)) })
-	}
-	s.iters[IterOutEdges], s.iters[IterInEdges], s.iters[IterBothEdges] = orient[store.OrientOut], orient[store.OrientIn], both
 	return s
 }
 
-// buildRemoteSet scans both orientations of an in-memory load's rows — under
-// Config.GhostCount keeping only the load's top vertices — and rewrites them
-// to replica refs against the set it returns. Once per load, on the main
-// goroutine of the first job that could use it (the remote_set_build span,
-// whose arg is the refs scanned).
-func (m *Machine) buildRemoteSet(jr *jobRuntime) *remoteSet {
-	t := m.cfg.Obs.Clock()
-	st := m.store
-	layout, top := st.layout, st.top
-	orient := orientSets(layout, m.id)
-	for o := range orient {
-		is, refs := &orient[o], st.views[o].refs
-		is.edges = int64(len(refs))
-		for _, ref := range refs {
-			if ref >= 0 {
-				continue
-			}
-			mach, off := unpackRemote(ref)
-			if top != nil {
-				if v := layout.GlobalOf(mach, off); top[v>>6]>>(v&63)&1 == 0 {
-					continue
-				}
-			}
-			is.bits[mach][off>>6] |= 1 << (off & 63)
-			is.refs++
+// eachSlot calls fn for every slot in [lo, hi) set in bits, in ascending order.
+func eachSlot(bits []uint64, lo, hi int, fn func(slot int)) {
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := bits[w]
+		if w == lo>>6 {
+			word &^= 1<<(lo&63) - 1
+		}
+		if (w+1)<<6 > hi {
+			word &= 1<<(hi&63) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			fn(w<<6 + trailingZeros64(word))
 		}
 	}
-	s := newRemoteSet(st.numLocal, orient)
-	for o := range st.views {
-		s.rewrite(st.views[o].refs)
-	}
-	m.cfg.Obs.Span(m.id, obs.WorkerMain, obs.SpanRemoteSetBuild, jr.id, t, uint64(s.iters[IterBothEdges].edges))
-	return s
-}
-
-// storeRemoteSet is a store load's remote set, read off machine st.me's file
-// section: the file numbers every remote node either orientation references —
-// the set buildRemoteSet builds at GhostCount 0 — and Open's scan recorded
-// which slots each orientation names and how often, so the set costs O(S +
-// N/64) and no row read.
-func storeRemoteSet(st *localStore, sec store.Section) *remoteSet {
-	orient := orientSets(st.layout, st.me)
-	for o, slots := range [2][]uint64{sec.OutSlots, sec.InSlots} {
-		is := &orient[o]
-		is.refs, is.edges = [2]int64{sec.OutReplicas, sec.InReplicas}[o], st.views[o].rows[st.numLocal]
-		for w, word := range slots {
-			for ; word != 0; word &= word - 1 {
-				mach, off := unpackRemote(sec.Addr[w<<6+trailingZeros64(word)])
-				is.bits[mach][off>>6] |= 1 << (off & 63)
-			}
-		}
-	}
-	return newRemoteSet(st.numLocal, orient)
 }
 
 // remoteJob decides, from this machine's state alone, whether jr resolves its
@@ -209,8 +105,7 @@ func storeRemoteSet(st *localStore, sec store.Section) *remoteSet {
 // its iterator's members number, so that resolving every address once costs no
 // more than resolving each ref: every full scan, and a bitmap-filtered frontier
 // whose degree sum times the rows' remote share says so; never a sparse member
-// list, a single machine or an iterator with no member. An in-memory load's set
-// is built here when it has none yet; a store load's came with its file.
+// list, a single machine or an iterator with no member.
 func (m *Machine) remoteJob(jr *jobRuntime) {
 	spec := jr.spec
 	accumulate := len(spec.WriteProps) > 0 && jr.activate == nil
@@ -219,10 +114,6 @@ func (m *Machine) remoteJob(jr *jobRuntime) {
 		return
 	}
 	set := m.store.remote
-	if set == nil {
-		set = m.buildRemoteSet(jr)
-		m.store.remote = set
-	}
 	is := &set.iters[spec.Iter]
 	if src := spec.Source; src != nil {
 		mf, deg := src.machines[m.id], int64(0)

@@ -272,7 +272,7 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 		}
 		for _, k := range rows {
 			b.Run(fmt.Sprintf("%s/%s", place.name, k.name), func(b *testing.B) {
-				if _, err := c.RunJob(k.spec); err != nil { // warm-up: pools, side slices, the remote set
+				if _, err := c.RunJob(k.spec); err != nil { // warm-up: pools, side slices
 					b.Fatal(err)
 				}
 				b.ResetTimer()

@@ -47,15 +47,9 @@ func extraDrainRounds(t *testing.T, reg *obs.Registry, job uint64, machine int) 
 }
 
 // jobSchedule is the span sequence runJob's phases must record on every
-// machine; build says whether the job is the first on its load to resolve
-// against the remote set of its iterator, which it then builds.
-func jobSchedule(build bool) []string {
-	want := []string{"barrier(0)"}
-	if build {
-		want = append(want, "remote_set_build")
-	}
-	return append(want, "task_phase", "barrier(1)", "write_drain", "job")
-}
+// machine, five spans for every job: a load comes with its remote set, so no
+// job builds one.
+var jobSchedule = []string{"barrier(0)", "task_phase", "barrier(1)", "write_drain", "job"}
 
 // scheduleCluster boots cfg's machines with a registry over g.
 func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
@@ -67,12 +61,10 @@ func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
 // TestRunJobSchedule pins the job protocol: whatever a machine's local state
 // (a mirrored-read and accumulated-write job, an empty local frontier, a write
 // backlog that overflows to a file, no replicas at all), its main goroutine records exactly
-// barrier(0), task_phase, barrier(1), write_drain, job — and the
+// barrier(0), task_phase, barrier(1), write_drain, job — five spans, in the
+// first job on a load as in a rerun or a job over the other iterator — and the
 // collective count is what those spans say: the start barrier, the first drain
-// round and one per drain round after it, in every case. The one span that may
-// join them is remote_set_build, ahead of task_phase and exactly once per load:
-// in the first job that resolves against the set, never in a rerun, nor in a
-// job over another iterator, whose members the one build numbered too.
+// round and one per drain round after it, in every case.
 func TestRunJobSchedule(t *testing.T) {
 	g := testGraph(t)
 	inDeg := refInDegree(g)
@@ -88,11 +80,10 @@ func TestRunJobSchedule(t *testing.T) {
 		name  string
 		cfg   func(*Config)
 		spec  func(c *Cluster, spec *JobSpec)
-		build bool // the job builds the remote set of every machine that has none
 		quiet bool // no remote write: the drain must take its first round only
 		want  []int64
 	}{
-		{name: "ghosted-read-write", build: true, want: inDeg,
+		{name: "ghosted-read-write", want: inDeg,
 			spec: func(c *Cluster, spec *JobSpec) {
 				a, _ := c.AddPropF64("a")
 				b, _ := c.AddPropI64("b")
@@ -103,7 +94,7 @@ func TestRunJobSchedule(t *testing.T) {
 				spec.Source = c.NewFrontier("src")
 				spec.Source.Add(0) // machines 1 and 2 own no member: they skip dispatch; machine 0's list is sparse
 			}},
-		{name: "spill-writes", build: true, want: inDeg, // the backlog overflows to a file
+		{name: "spill-writes", want: inDeg, // the backlog overflows to a file
 			cfg: func(cfg *Config) { cfg.SpillWrites, cfg.SpillBudgetBytes, cfg.SpillDir = true, 512, t.TempDir() }},
 		{name: "ghost-free", want: inDeg,
 			cfg: func(cfg *Config) { cfg.Ablate = AblateRemoteSets },
@@ -127,14 +118,10 @@ func TestRunJobSchedule(t *testing.T) {
 			if tc.spec != nil {
 				tc.spec(c, &spec)
 			}
-			run := func(spec JobSpec, result []int64, build, quiet bool) {
+			run := func(spec JobSpec, result []int64, quiet bool) {
 				t.Helper()
 				c.FillI64(dst, 0)
 				seq0 := c.machines[0].col.Seq()
-				var had [3]bool
-				for m := range had {
-					had[m] = c.machines[m].store.remote != nil
-				}
 				if _, err := c.RunJob(spec); err != nil {
 					t.Fatal(err)
 				}
@@ -142,13 +129,7 @@ func TestRunJobSchedule(t *testing.T) {
 					t.Errorf("%s: job result differs from the reference", spec.Name)
 				}
 				for m := 0; m < 3; m++ {
-					// The build span is recorded by the job that built the set, and
-					// by no other.
-					built := !had[m] && c.machines[m].store.remote != nil
-					if build && !had[m] && !built {
-						t.Errorf("%s: machine %d did not build its remote set", spec.Name, m)
-					}
-					if got, want := mainSpans(c.cfg.Obs, c.jobSeq, m), jobSchedule(built); !slices.Equal(got, want) {
+					if got, want := mainSpans(c.cfg.Obs, c.jobSeq, m), jobSchedule; !slices.Equal(got, want) {
 						t.Errorf("%s: machine %d recorded %v, want %v", spec.Name, m, got, want)
 					}
 					extra := extraDrainRounds(t, c.cfg.Obs, c.jobSeq, m)
@@ -160,21 +141,19 @@ func TestRunJobSchedule(t *testing.T) {
 					}
 				}
 			}
-			run(spec, tc.want, tc.build, tc.quiet)
+			run(spec, tc.want, tc.quiet)
 			if rep := c.cfg.Obs.LastReport(); tc.name == "ghosted-read-write" &&
 				(rep.Counters["mirror_words"] == 0 || rep.Counters["accumulated_writes"] == 0) {
 				t.Errorf("the job neither mirrored its reads nor accumulated its writes: %v", rep.Counters)
 			}
 			spec.Name += "/rerun"
-			run(spec, tc.want, false, tc.quiet)
-			// The in-edge rows reference other addresses, which the one build
-			// numbered with the out-edges' — or, on a machine no job built it on
-			// yet, the first full scan over them builds. Transposed, the push
-			// counts out-degrees.
+			run(spec, tc.want, tc.quiet)
+			// The in-edge rows reference other addresses, numbered with the
+			// out-edges' at load. Transposed, the push counts out-degrees.
 			spec.Name, spec.Iter, spec.Source = tc.name+"/in-edges", IterInEdges, nil
-			run(spec, outDeg, !cfg.Ablate.Has(AblateRemoteSets), false)
+			run(spec, outDeg, false)
 			spec.Name += "/rerun"
-			run(spec, outDeg, false, false)
+			run(spec, outDeg, false)
 		})
 	}
 }
@@ -229,9 +208,9 @@ func TestFaultRunJobPhases(t *testing.T) {
 		maybe bool // the job may succeed instead: the collective failed is one it ran only if it needed to
 	}{
 		{phase: "barrier-start", rule: ctrl(0), spans: 1}, // a failed barrier still records its span
-		{phase: "taskPhase", rule: comm.FaultRule{Src: 1, Dst: comm.AnyMachine, Type: int(comm.MsgWriteReq), Kind: comm.FaultFail, Limit: 1}, spans: 3},
-		{phase: "drainWrites-first-round", rule: ctrl(1), spans: 4}, // the end barrier: its span is recorded, write_drain is not
-		{phase: "drainWrites-later-round", rule: ctrl(2), spans: 4, maybe: true},
+		{phase: "taskPhase", rule: comm.FaultRule{Src: 1, Dst: comm.AnyMachine, Type: int(comm.MsgWriteReq), Kind: comm.FaultFail, Limit: 1}, spans: 2},
+		{phase: "drainWrites-first-round", rule: ctrl(1), spans: 3}, // the end barrier: its span is recorded, write_drain is not
+		{phase: "drainWrites-later-round", rule: ctrl(2), spans: 3, maybe: true},
 		{phase: "past-the-last-collective", rule: ctrl(2), quiet: true},
 	} {
 		t.Run(tc.phase, func(t *testing.T) {
@@ -253,9 +232,9 @@ func TestFaultRunJobPhases(t *testing.T) {
 			if tc.quiet {
 				source = c.NewFrontier("empty")
 			}
-			// The job mirrors aux and accumulates dst, and is the first on its load:
-			// a machine that dispatches workers builds its remote set first.
-			full := jobSchedule(!tc.quiet)
+			// The job mirrors aux and accumulates dst, the first on its load: its
+			// remote set came with the load.
+			full := jobSchedule
 			err := job(source)
 			spans := mainSpans(c.cfg.Obs, c.jobSeq, 1)
 			if tc.spans == 0 || tc.maybe && err == nil {

@@ -383,7 +383,7 @@ type drainProbe struct {
 func (k *drainProbe) Run(c *Ctx) {
 	switch {
 	case c.Machine() == 1 && c.Node == 0:
-		c.WriteRef(packRemote(0, 0), k.x, reduce.Sum, 5)
+		c.WriteRef(RemoteRef(0, 0), k.x, reduce.Sum, 5)
 	case c.Machine() == 0 && c.Node == 0:
 		for k.routed.Load() == 0 || k.router.PendingRequests() != 0 {
 			if time.Now().After(k.deadline) {

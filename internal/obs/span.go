@@ -43,26 +43,21 @@ const (
 	// SpanWriteFlush is one worker shipping its write accumulators when it has
 	// run dry: first slot walked to last frame sent (Arg: records shipped).
 	SpanWriteFlush
-	// SpanRemoteSetBuild is the once-per-load, per-iterator scan that builds a
-	// machine's remote set, on its main goroutine ahead of the first task
-	// phase that uses it (Arg: refs scanned).
-	SpanRemoteSetBuild
 
 	numSpanKinds
 )
 
 var spanKindNames = [numSpanKinds]string{
-	SpanJob:            "job",
-	SpanBarrier:        "barrier",
-	SpanTaskPhase:      "task_phase",
-	SpanWriteDrain:     "write_drain",
-	SpanFlush:          "flush",
-	SpanReadRTT:        "read_rtt",
-	SpanCopierServe:    "copier_serve",
-	SpanDirection:      "direction_decision",
-	SpanReadPrefetch:   "read_prefetch",
-	SpanWriteFlush:     "write_flush",
-	SpanRemoteSetBuild: "remote_set_build",
+	SpanJob:          "job",
+	SpanBarrier:      "barrier",
+	SpanTaskPhase:    "task_phase",
+	SpanWriteDrain:   "write_drain",
+	SpanFlush:        "flush",
+	SpanReadRTT:      "read_rtt",
+	SpanCopierServe:  "copier_serve",
+	SpanDirection:    "direction_decision",
+	SpanReadPrefetch: "read_prefetch",
+	SpanWriteFlush:   "write_flush",
 }
 
 // String implements fmt.Stringer.

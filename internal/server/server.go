@@ -107,7 +107,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	instances map[string]*instance
-	resident  int64
+	booting   map[string]struct{} // names admit has reserved and is booting engines for
+	resident  int64               // edges of the instances and of the graphs booting
 	conns     map[net.Conn]struct{}
 
 	sched *scheduler
@@ -178,6 +179,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		listener:  l,
 		instances: make(map[string]*instance),
+		booting:   make(map[string]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		tenants:   make(map[string]*tenantCounters),
 		doneCh:    make(chan struct{}),
@@ -438,30 +440,35 @@ func (s *Server) bootEngines(g *graph.Graph, machines int) ([]*engine, error) {
 	return engines, nil
 }
 
-// admit installs a new instance under the resident-edge budget.
+// admit installs a new instance under the resident-edge budget. The name and
+// the edges are reserved before any engine boots, so a duplicate name or an
+// over-budget graph is refused without building an engine, and of two
+// concurrent admits of one name exactly one boots.
 func (s *Server) admit(name string, g *graph.Graph, machines int) (Response, bool) {
-	engines, err := s.bootEngines(g, machines)
-	if err != nil {
-		return errResp("%v", err), false
-	}
-	inst := &instance{name: name, g: g, machines: machines, pool: newEnginePool(engines)}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	shutdownAll := func() {
-		for _, e := range engines {
-			e.cluster.Shutdown()
-		}
-	}
-	if _, exists := s.instances[name]; exists {
-		shutdownAll()
+	_, exists := s.instances[name]
+	if _, booting := s.booting[name]; exists || booting {
+		s.mu.Unlock()
 		return errResp("graph %q already loaded", name), false
 	}
 	if err := s.overBudget(g.NumEdges()); err != nil {
-		shutdownAll()
+		s.mu.Unlock()
 		return errResp("%v", err), false
 	}
-	s.instances[name] = inst
+	s.booting[name] = struct{}{}
 	s.resident += g.NumEdges()
+	s.mu.Unlock()
+
+	engines, err := s.bootEngines(g, machines)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.booting, name)
+	if err != nil {
+		s.resident -= g.NumEdges()
+		return errResp("%v", err), false
+	}
+	inst := &instance{name: name, g: g, machines: machines, pool: newEnginePool(engines)}
+	s.instances[name] = inst
 	return Response{OK: true, Graphs: []GraphInfo{s.info(inst)}}, true
 }
 

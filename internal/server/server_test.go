@@ -252,6 +252,66 @@ func TestOverBudgetGenerateIsAnError(t *testing.T) {
 	}
 }
 
+// TestAdmitRefusesBeforeBooting: a duplicate name and an over-budget graph are
+// refused before admit boots an engine — a cluster size no engine can boot
+// would otherwise answer instead — and of two concurrent admits of one name
+// exactly one is admitted.
+func TestAdmitRefusesBeforeBooting(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.MaxResidentEdges = 1000
+	s := startServer(t, cfg)
+	c := dial(t, s)
+	if _, err := c.Generate(Request{Graph: "a", Kind: "uniform", Nodes: 100, Edges: 400, Machines: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Generate(Request{Graph: "a", Kind: "uniform", Nodes: 100, Edges: 400, Machines: 40000}); err == nil ||
+		!strings.Contains(err.Error(), `graph "a" already loaded`) {
+		t.Errorf("duplicate generate: err = %v, want already loaded", err)
+	}
+	g, err := graph.Uniform(200, 800, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteEdgeList(f, g); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := c.Load("big", path, 40000); err == nil || !strings.Contains(err.Error(), "budget exceeded") {
+		t.Errorf("over-budget load: err = %v, want the resident edge budget's refusal", err)
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, cl := range []*Client{dial(t, s), dial(t, s)} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = cl.Generate(Request{Graph: "b", Kind: "uniform", Nodes: 100, Edges: 200, Seed: int64(i), Machines: 2})
+		}()
+	}
+	wg.Wait()
+	if (errs[0] == nil) == (errs[1] == nil) {
+		t.Fatalf("two admits of one name: errors %v and %v, want exactly one admitted", errs[0], errs[1])
+	}
+	for _, err := range errs {
+		if err != nil && !strings.Contains(err.Error(), `graph "b" already loaded`) {
+			t.Errorf("the refused admit: %v", err)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LoadedGraphs != 2 || st.ResidentEdges != 600 {
+		t.Errorf("stats after the admits: %d graphs, %d resident edges; want 2 and 600", st.LoadedGraphs, st.ResidentEdges)
+	}
+}
+
 // TestConcurrentClients is the multi-tenancy scenario from the paper's
 // outlook: several clients, several graphs, interleaved analyses.
 func TestConcurrentClients(t *testing.T) {

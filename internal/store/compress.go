@@ -81,8 +81,13 @@ func writeWords[T int64 | float64](f *os.File, at int64, words []T) (int64, erro
 	if len(words) == 0 {
 		return at, nil
 	}
-	_, err := f.Write(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words)))
+	_, err := f.Write(wordBytes(words))
 	return at + 8*int64(len(words)), err
+}
+
+// wordBytes is the little-endian byte view of words.
+func wordBytes[T int64 | float64](words []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words))
 }
 
 // compWriter carries the encode scratch reused across sections.

@@ -5,10 +5,14 @@
 // distinguishes a fast binary on-disk format; GraphD (PAPERS.md) shows that
 // streaming edges from disk under a small memory budget stays competitive
 // when the message path is lean. This package makes graphs bigger than RAM a
-// load-time choice rather than an engine rewrite: the section views satisfy
-// the same row/ref slice contract as the in-memory local store, so the chunk
-// scheduler, partition.EdgeChunks, and every kernel run unmodified over
+// load-time choice rather than an engine rewrite: a file's section views and
+// an in-memory load's heap section (SectionOf) are the same Section, so the
+// chunk scheduler, partition.EdgeChunks, and every kernel run unmodified over
 // disk-backed topology.
+//
+// The package owns the engine's ref encoding (PackRef, UnpackRef) and its one
+// replica numbering (numbering, section.go), which the file writer and
+// SectionOf both call: every load's rows come numbered.
 //
 // # File layout (little-endian)
 //
@@ -62,9 +66,9 @@
 // of the machine's addr table, whose entry is the remote node's packed
 // address ^(machine<<32 | offset). Slots ascend with (machine, offset) and
 // number exactly the distinct remote nodes either orientation references, so
-// a file holds a machine's uncapped remote set — what the engine would build
-// for an in-memory load of the same cut — and a load hands kernels the rows
-// as written. The writer derives the in-orientation from packed out-refs,
+// a file holds a machine's uncapped remote set — what SectionOf numbers for
+// an in-memory load of the same cut — and a load hands kernels the rows as
+// written. The writer derives the in-orientation from packed out-refs,
 // which are invertible to global ids, and resolves both orientations in one
 // pass per machine after; the compressed spelling re-encodes the resolved
 // refs, so its deltas run over [0, numLocal + S) rather than global ids.
@@ -198,14 +202,16 @@ func renderHeader(h header, starts []uint32, table [][secFieldCount]int64) []byt
 	return buf
 }
 
-// packRemoteRef encodes a remote node reference exactly as the engine's
-// local store does (core.RemoteRef): ^(machine<<32 | offset).
-func packRemoteRef(machine int, offset uint32) int64 {
+// PackRef is the engine's packed ref to a remote node, the paper's 64-bit
+// global id ("concatenates the machine number and the local offset"):
+// ^(machine<<32 | offset), negative so that it never meets a local or a
+// replica ref.
+func PackRef(machine int, offset uint32) int64 {
 	return ^(int64(machine)<<32 | int64(offset))
 }
 
-// unpackRemoteRef inverts packRemoteRef.
-func unpackRemoteRef(ref int64) (machine int, offset uint32) {
+// UnpackRef inverts PackRef.
+func UnpackRef(ref int64) (machine int, offset uint32) {
 	packed := ^ref
 	return int(packed >> 32), uint32(packed)
 }
@@ -217,7 +223,7 @@ func refIn(layout partition.Layout, me, owner int, v uint32) int64 {
 	if owner == me {
 		return int64(v - layout.Starts[me])
 	}
-	return packRemoteRef(owner, v-layout.Starts[owner])
+	return PackRef(owner, v-layout.Starts[owner])
 }
 
 // refOf is refIn for a node whose owner is not at hand: the owner search is
@@ -236,6 +242,6 @@ func nodeOf(layout partition.Layout, me int, ref int64) (v uint32, owner int) {
 	if ref >= 0 {
 		return layout.Starts[me] + uint32(ref), me
 	}
-	rm, off := unpackRemoteRef(ref)
+	rm, off := UnpackRef(ref)
 	return layout.Starts[rm] + off, rm
 }

@@ -11,31 +11,6 @@ import (
 	"repro/internal/partition"
 )
 
-// Section is one machine's slice of the file: the same rows/refs/weights
-// slice contract core's local store builds in memory, with refs already in
-// the replica numbering, and what the engine's remote set needs besides. A
-// compressed file's Section carries rows and weights but nil refs: its refs
-// are read row by row through a Cursor.
-type Section struct {
-	OutRows    []int64
-	OutRefs    []int64
-	OutWeights []float64 // nil when unweighted
-	InRows     []int64
-	InRefs     []int64
-	InWeights  []float64
-
-	// Addr is the machine's slot → packed address table: ref numLocal + s
-	// names the remote node Addr[s], ^(machine<<32 | offset). Slots ascend with
-	// (machine, offset).
-	Addr []int64
-	// OutSlots and InSlots are bitmaps over Addr's slots, bit s set when some
-	// ref of that orientation names slot s — their union is every slot — and
-	// OutReplicas and InReplicas count those refs, with multiplicity. Open's
-	// scan records them, so a load knows its remote set without reading a row.
-	OutSlots, InSlots       []uint64
-	OutReplicas, InReplicas int64
-}
-
 // orientSec is one (machine, orientation) section of an open file. rows,
 // refs and weights are read-only views of the mapping, except that a
 // compressed section decodes its rows to the heap and leaves refs nil: its
@@ -344,7 +319,7 @@ func (sf *File) checkAddr(mach int) error {
 	prev := int64(-1)
 	for s, a := range sf.addrs[mach] {
 		key := ^a
-		rm, off := unpackRemoteRef(a)
+		rm, off := UnpackRef(a)
 		switch {
 		case a >= 0 || rm >= sf.hdr.p:
 			return fmt.Errorf("slot %d: %#x names no machine", s, a)

@@ -401,8 +401,8 @@ func addrCorruptions(t testing.TB) []corruption {
 			putU64(d[s.addr:], leU64(d[s.addr+8:]))
 			putU64(d[s.addr+8:], first)
 		}), "not strictly ascending"},
-		{"addr names its own machine", "", mut(func(d []byte, s sectionAt) { putU64(d[s.addr:], uint64(packRemoteRef(0, 0))) }), "own offset"},
-		{"addr offset out of range", "", mut(func(d []byte, s sectionAt) { putU64(d[s.addr:], uint64(packRemoteRef(1, 1<<31))) }), "out of machine 1's range"},
+		{"addr names its own machine", "", mut(func(d []byte, s sectionAt) { putU64(d[s.addr:], uint64(PackRef(0, 0))) }), "own offset"},
+		{"addr offset out of range", "", mut(func(d []byte, s sectionAt) { putU64(d[s.addr:], uint64(PackRef(1, 1<<31))) }), "out of machine 1's range"},
 		{"unreferenced slot", "", func(d []byte, _ sectionAt) []byte {
 			return withUnreferencedSlot(t, pairsImage(t, leU32(d[12:])&FlagCompressedEdges != 0))
 		}, "named by no ref"},
@@ -453,12 +453,12 @@ func pairsImage(t testing.TB, compressed bool) []byte {
 func withUnreferencedSlot(t testing.TB, d []byte) []byte {
 	p := int(leU64(d[32:]))
 	slots := tableField(d, p-1, addrField+1)
-	rm, off := unpackRemoteRef(int64(leU64(d[len(d)-8:])))
+	rm, off := UnpackRef(int64(leU64(d[len(d)-8:])))
 	if slots == 0 || int64(off)+1 >= int64(leU32(d[headerFixedBytes+4*(rm+1):])-leU32(d[headerFixedBytes+4*rm:])) {
 		t.Fatalf("machine %d's addr table ends at its owner's last node: no slot to add", p-1)
 	}
 	putU64(d[tableOffset(p)+int64(8*(secFieldCount*(p-1)+addrField+1)):], uint64(slots+1))
-	return binary.LittleEndian.AppendUint64(d, uint64(packRemoteRef(rm, off+1)))
+	return binary.LittleEndian.AppendUint64(d, uint64(PackRef(rm, off+1)))
 }
 
 func reopen(t *testing.T, path string, data []byte) error {
@@ -517,7 +517,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			putU64(d[s.refs:], uint64(int64(1<<31))) // way past numLocal
 		}), "out of range"},
 		{"remote ref bad machine", rawOnly, mut(func(d image, s sectionAt) {
-			putU64(d[s.refs:], uint64(packRemoteRef(500, 0))) // a packed ref: no file holds one
+			putU64(d[s.refs:], uint64(PackRef(500, 0))) // a packed ref: no file holds one
 		}), "out of range"},
 		{"raw section with blocks", rawOnly, mut(func(d image, s sectionAt) { putU64(d[s.off+8:], 1) }), "raw sub-header"},
 

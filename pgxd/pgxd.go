@@ -209,14 +209,13 @@ type SpanKind = obs.SpanKind
 
 // Span kinds recorded by the engine.
 const (
-	SpanJob            = obs.SpanJob
-	SpanBarrier        = obs.SpanBarrier
-	SpanTaskPhase      = obs.SpanTaskPhase
-	SpanWriteDrain     = obs.SpanWriteDrain
-	SpanFlush          = obs.SpanFlush
-	SpanReadRTT        = obs.SpanReadRTT
-	SpanCopierServe    = obs.SpanCopierServe
-	SpanRemoteSetBuild = obs.SpanRemoteSetBuild
+	SpanJob         = obs.SpanJob
+	SpanBarrier     = obs.SpanBarrier
+	SpanTaskPhase   = obs.SpanTaskPhase
+	SpanWriteDrain  = obs.SpanWriteDrain
+	SpanFlush       = obs.SpanFlush
+	SpanReadRTT     = obs.SpanReadRTT
+	SpanCopierServe = obs.SpanCopierServe
 )
 
 // --- custom kernel API ---------------------------------------------------------
