@@ -128,16 +128,18 @@ type TopVertex struct {
 	Value float64 `json:"value"`
 }
 
-// ServerStats reports server-level accounting. FailedRuns counts analyses
-// that returned an error (including engine job aborts); TransportErrors
-// sums, across all loaded instances' fabrics, the sends the fabric refused
-// (bad or closed destination, a connection with a sticky write error, an
-// injected failure) or failed to write, and the rejected inbound frames —
-// nonzero values mean the engine has been absorbing wire faults rather than
-// crashing. The run-duration percentiles cover the
-// most recent analyses (a sliding window); JobsObserved counts engine-level
-// parallel regions across instances, as seen by their observability
-// registries.
+// ServerStats reports server-level accounting. The admission fields come
+// from one snapshot of the scheduler's ledger: RunsServed and FailedRuns are
+// the sums of the tenants' Served and Failed — FailedRuns counts analyses
+// that returned an error, in the queue or on an engine (including engine job
+// aborts) — and ActiveAnalyses is the number of engine leases held.
+// TransportErrors sums, across all loaded instances' fabrics, the sends the
+// fabric refused (bad or closed destination, a connection with a sticky write
+// error, an injected failure) or failed to write, and the rejected inbound
+// frames — nonzero values mean the engine has been absorbing wire faults
+// rather than crashing. The run-duration percentiles cover the most recent
+// analyses (a sliding window); JobsObserved counts engine-level parallel
+// regions across instances, as seen by their observability registries.
 type ServerStats struct {
 	LoadedGraphs    int   `json:"loaded_graphs"`
 	ResidentEdges   int64 `json:"resident_edges"`

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -11,98 +12,34 @@ import (
 	"repro/internal/obs"
 )
 
-// Admission errors surfaced to handleRun. errRunCanceled tags queued runs
-// killed by op=cancel so the server counts them separately from failures.
-var (
-	errShutdown    = errors.New("server shutting down")
-	errRunCanceled = errors.New("run canceled")
-)
+// errShutdown fails every ticket queued when the server closes, and every one
+// enqueued after.
+var errShutdown = errors.New("server shutting down")
 
 // engine is one pooled cluster of an instance: analyses lease an engine for
 // their whole run, so one engine executes one job stream at a time while its
 // siblings serve other runs on the same shared graph.
 type engine struct {
-	idx     int
 	cluster *core.Cluster
 	reg     *obs.Registry // nil when observability is disabled
 }
 
-// enginePool is an instance's set of engines with a free list. It is not a
-// channel so the scheduler can test availability without consuming, and so
-// drop can collect every engine.
-type enginePool struct {
-	mu   sync.Mutex
-	all  []*engine
-	idle []*engine
-}
-
-func newEnginePool(all []*engine) *enginePool {
-	idle := make([]*engine, len(all))
-	copy(idle, all)
-	return &enginePool{all: all, idle: idle}
-}
-
-// tryAcquire pops an idle engine, or nil when every engine is leased.
-func (p *enginePool) tryAcquire() *engine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.idle)
-	if n == 0 {
-		return nil
-	}
-	e := p.idle[n-1]
-	p.idle = p.idle[:n-1]
-	return e
-}
-
-// release returns one engine to the free list.
-func (p *enginePool) release(e *engine) {
-	p.mu.Lock()
-	p.idle = append(p.idle, e)
-	p.mu.Unlock()
-}
-
-// acquireAll collects every engine, waiting for leased ones to come home —
-// the exclusive lock drop takes. One caller per pool: two concurrent calls
-// would deadlock splitting it, and handleDrop is the only caller, once per
-// instance. stop (the server's done channel) aborts the wait.
-func (p *enginePool) acquireAll(stop <-chan struct{}) ([]*engine, error) {
-	var held []*engine
-	for {
-		p.mu.Lock()
-		held = append(held, p.idle...)
-		p.idle = p.idle[:0]
-		got := len(held) == len(p.all)
-		p.mu.Unlock()
-		if got {
-			return held, nil
-		}
-		select {
-		case <-stop:
-			p.mu.Lock()
-			p.idle = append(p.idle, held...)
-			p.mu.Unlock()
-			return nil, errShutdown
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-}
-
 // admitResult is what a queued ticket eventually receives: an engine lease,
-// or a terminal admission error (dropped graph, cancel, shutdown).
+// or a terminal admission error (deadline, dropped graph, cancel, shutdown).
 type admitResult struct {
 	eng *engine
 	err error
 }
 
-// ticket is one run request waiting for (or holding) admission.
+// ticket is one run request, from enqueue to release.
 type ticket struct {
-	seq      uint64
-	tenant   string
-	tag      string
-	priority int
-	enqueued time.Time
-	inst     *instance
+	seq           uint64
+	tenant        string
+	tag           string
+	priority      int
+	timeoutMillis int64
+	enqueued      time.Time
+	inst          *instance
 	// memMB is the run's declared (Request.MaxResidentMB) or store-sizing
 	// estimated resident need, charged against the scheduler's memory budget
 	// for the duration of the lease. Zero when no budget is configured.
@@ -110,16 +47,29 @@ type ticket struct {
 	// deferred marks that the memory gate has already skipped this ticket
 	// once, so the budget-deferral stat counts runs, not dispatch sweeps.
 	deferred bool
-	// result receives exactly one admitResult; buffered so the dispatcher
+	// timer is the run's one deadline, armed at enqueue: it fails the ticket
+	// while queued and cancels its engine once leased, and expired records
+	// that it fired on a lease. Both are guarded by scheduler.mu.
+	timer   *time.Timer
+	expired bool
+	// result receives exactly one admitResult; buffered so the scheduler
 	// never blocks on a waiter.
 	result chan admitResult
 }
 
-// scheduler is the admission queue: it charges a global concurrency slot
-// only when a run can actually execute — the target instance has an idle
-// engine and the tenant is under quota — so a request blocked behind a busy
-// graph never starves requests for other graphs (the runSem bug this
-// replaces acquired the global slot first and then slept on the instance).
+// stop disarms t's deadline.
+func (t *ticket) stop() {
+	if t.timer != nil {
+		t.timer.Stop()
+	}
+}
+
+// scheduler is the ledger of every run from enqueue to release: the queue,
+// the leases, each instance's idle engines, the per-tenant counts and the
+// runs' deadlines, all under mu. It charges a global concurrency slot only
+// when a run can actually execute — the target instance has an idle engine
+// and the tenant is under quota — so a request blocked behind a busy graph
+// never starves requests for other graphs.
 type scheduler struct {
 	maxConcurrent int
 	defaultQuota  int            // per-tenant running cap; <=0 means no cap
@@ -127,17 +77,27 @@ type scheduler struct {
 	aging         time.Duration  // queued priority +1 per aging waited; <=0 disables
 	memBudgetMB   int64          // cap on Σ memMB of running analyses; <=0 disables
 
-	mu        sync.Mutex
-	seq       uint64
-	queue     []*ticket
-	running   map[*ticket]*engine
-	perTenant map[string]int // running analyses per tenant
+	mu      sync.Mutex
+	seq     uint64
+	shut    bool // shutdown has begun: nothing more is admitted
+	queue   []*ticket
+	running map[*ticket]*engine     // the leases
+	tenants map[string]*TenantStats // every tenant that has enqueued a run
 	// memInUseMB is the declared/estimated resident total of running
 	// analyses; budgetDeferrals counts tickets the memory gate held back at
 	// least once.
-	memInUseMB      int64
-	budgetDeferrals int64
+	memInUseMB       int64
+	budgetDeferrals  int64
+	deadlineExceeded int64
+	canceled         int64
+	// durs is a sliding window of recent run durations (milliseconds)
+	// backing the stats percentiles.
+	durs    []float64
+	durNext int
 }
+
+// runDurWindow is the sliding-window size for run-duration percentiles.
+const runDurWindow = 512
 
 func newScheduler(maxConcurrent, defaultQuota int, quotas map[string]int, aging time.Duration, memBudgetMB int64) *scheduler {
 	return &scheduler{
@@ -147,7 +107,7 @@ func newScheduler(maxConcurrent, defaultQuota int, quotas map[string]int, aging 
 		aging:         aging,
 		memBudgetMB:   memBudgetMB,
 		running:       make(map[*ticket]*engine),
-		perTenant:     make(map[string]int),
+		tenants:       make(map[string]*TenantStats),
 	}
 }
 
@@ -159,31 +119,77 @@ func (s *scheduler) quota(tenant string) int {
 	return s.defaultQuota
 }
 
-// enqueue registers t and tries to admit. Returns t's admission sequence
-// number (the server-side job id).
+// only matches t alone.
+func only(t *ticket) func(*ticket) bool {
+	return func(q *ticket) bool { return q == t }
+}
+
+// enqueue registers t, arms its deadline and tries to admit. Returns t's
+// admission sequence number (the server-side job id).
 func (s *scheduler) enqueue(t *ticket) uint64 {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.seq++
-	t.seq = s.seq
+	t.seq, t.enqueued = s.seq, time.Now()
+	ts := s.tenants[t.tenant]
+	if ts == nil {
+		ts = &TenantStats{}
+		s.tenants[t.tenant] = ts
+	}
+	ts.Queued++
 	s.queue = append(s.queue, t)
-	s.mu.Unlock()
-	s.dispatch()
+	switch {
+	case s.shut:
+		s.reject(only(t), errShutdown)
+	case t.inst.closed:
+		s.reject(only(t), fmt.Errorf("graph %q dropped while queued", t.inst.name))
+	default:
+		if t.timeoutMillis > 0 {
+			t.timer = time.AfterFunc(time.Duration(t.timeoutMillis)*time.Millisecond, func() { s.expire(t) })
+		}
+		s.dispatch()
+	}
 	return t.seq
 }
 
-// remove takes a still-queued ticket out (deadline expiry, shutdown). False
-// means the ticket was already admitted or resolved — the caller must then
-// consume t.result and release the lease.
-func (s *scheduler) remove(t *ticket) bool {
+// reject takes every queued ticket match picks out of the queue and fails it
+// with err, a failed run of its tenant. Returns how many it took. Caller holds
+// s.mu.
+func (s *scheduler) reject(match func(*ticket) bool, err error) int {
+	kept, n := s.queue[:0], 0
+	for _, t := range s.queue {
+		if !match(t) {
+			kept = append(kept, t)
+			continue
+		}
+		t.stop()
+		ts := s.tenants[t.tenant]
+		ts.Queued--
+		ts.Failed++
+		t.result <- admitResult{err: err}
+		n++
+	}
+	s.queue = kept
+	return n
+}
+
+// expire is t's deadline: a queued t fails at once; a leased one has its
+// engine canceled, and its release counts the deadline. Every cancel the
+// scheduler makes is made under s.mu, and release clears the engine's latch
+// under s.mu before any other lease can take it, so a cancel never lands on a
+// later lease. Cancel does not wait for the job: it trips the latch and posts
+// abort frames from each machine's own abort pool.
+func (s *scheduler) expire(t *ticket) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, q := range s.queue {
-		if q == t {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return true
-		}
+	if s.reject(only(t), fmt.Errorf("deadline exceeded after %dms in queue", t.timeoutMillis)) > 0 {
+		s.deadlineExceeded++
+		return
 	}
-	return false
+	if eng := s.running[t]; eng != nil {
+		t.expired = true
+		eng.cluster.Cancel(fmt.Errorf("deadline exceeded after %dms", t.timeoutMillis))
+	}
 }
 
 // effPriority is t's queue priority with aging applied: one level per
@@ -198,24 +204,12 @@ func (s *scheduler) effPriority(t *ticket, now time.Time) int64 {
 }
 
 // dispatch admits queued tickets while capacity lasts. Called whenever
-// capacity may have appeared: enqueue, release, an instance dropped.
-// Admission order is aged priority, FIFO within a level; a ticket whose
-// instance has no idle engine or whose tenant is at quota is skipped, not
-// waited on — no head-of-line blocking.
+// capacity may have appeared: enqueue and release. Admission order is aged
+// priority, FIFO within a level; a ticket whose instance has no idle engine
+// or whose tenant is at quota is skipped, not waited on — no head-of-line
+// blocking. Caller holds s.mu.
 func (s *scheduler) dispatch() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	now := time.Now()
-	// Fail tickets whose instance was dropped while they queued.
-	kept := s.queue[:0]
-	for _, t := range s.queue {
-		if t.inst.closed.Load() {
-			t.result <- admitResult{err: fmt.Errorf("graph %q dropped while queued", t.inst.name)}
-			continue
-		}
-		kept = append(kept, t)
-	}
-	s.queue = kept
 	if len(s.queue) > 1 {
 		sort.SliceStable(s.queue, func(i, j int) bool {
 			pi, pj := s.effPriority(s.queue[i], now), s.effPriority(s.queue[j], now)
@@ -226,120 +220,189 @@ func (s *scheduler) dispatch() {
 		})
 	}
 	for len(s.running) < s.maxConcurrent {
-		admitted := false
-		for i, t := range s.queue {
-			if q := s.quota(t.tenant); q > 0 && s.perTenant[t.tenant] >= q {
-				continue
-			}
-			// Memory gate: admitting t must keep the running set's declared
-			// resident total under the budget. An idle server always admits —
-			// a run bigger than the whole budget would otherwise queue
-			// forever; alone it can still only be killed by the OS, not
-			// starved by us. Deferral is counted once per ticket.
-			if s.memBudgetMB > 0 && t.memMB > 0 && len(s.running) > 0 &&
-				s.memInUseMB+t.memMB > s.memBudgetMB {
-				if !t.deferred {
-					t.deferred = true
-					s.budgetDeferrals++
-				}
-				continue
-			}
-			eng := t.inst.pool.tryAcquire()
-			if eng == nil {
-				continue // instance busy; later tickets may target idle graphs
-			}
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			s.running[t] = eng
-			s.perTenant[t.tenant]++
-			s.memInUseMB += t.memMB
-			t.result <- admitResult{eng: eng}
-			admitted = true
-			break
-		}
-		if !admitted {
+		i := s.next()
+		if i < 0 {
 			return
 		}
+		t := s.queue[i]
+		s.queue = append(s.queue[:i], s.queue[i+1:]...)
+		idle := t.inst.idle
+		eng := idle[len(idle)-1]
+		t.inst.idle = idle[:len(idle)-1]
+		s.running[t] = eng
+		ts := s.tenants[t.tenant]
+		ts.Queued--
+		ts.Running++
+		s.memInUseMB += t.memMB
+		t.result <- admitResult{eng: eng}
 	}
 }
 
-// release ends t's lease: the engine returns to its instance pool and the
+// next returns the index of the first queued ticket that can run now, or -1.
+// Caller holds s.mu.
+func (s *scheduler) next() int {
+	for i, t := range s.queue {
+		if q := s.quota(t.tenant); q > 0 && s.tenants[t.tenant].Running >= q {
+			continue
+		}
+		// Memory gate: admitting t must keep the running set's declared
+		// resident total under the budget. An idle server always admits —
+		// a run bigger than the whole budget would otherwise queue
+		// forever; alone it can still only be killed by the OS, not
+		// starved by us. Deferral is counted once per ticket.
+		if s.memBudgetMB > 0 && t.memMB > 0 && len(s.running) > 0 &&
+			s.memInUseMB+t.memMB > s.memBudgetMB {
+			if !t.deferred {
+				t.deferred = true
+				s.budgetDeferrals++
+			}
+			continue
+		}
+		if len(t.inst.idle) > 0 { // a busy instance is skipped: later tickets may target idle graphs
+			return i
+		}
+	}
+	return -1
+}
+
+// release ends t's lease with its run's outcome — err, or millis of a served
+// run for the percentile window: the engine's cancel latch is cleared and it
+// goes back to its instance's idle list, the tenant's counts move, and the
 // freed capacity is re-dispatched.
-func (s *scheduler) release(t *ticket) {
+func (s *scheduler) release(t *ticket, millis float64, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	eng := s.running[t]
-	if eng != nil {
-		s.memInUseMB -= t.memMB
-	}
 	delete(s.running, t)
-	if s.perTenant[t.tenant]--; s.perTenant[t.tenant] <= 0 {
-		delete(s.perTenant, t.tenant)
+	t.stop()
+	s.memInUseMB -= t.memMB
+	ts := s.tenants[t.tenant]
+	ts.Running--
+	switch {
+	case err == nil:
+		ts.Served++
+		if len(s.durs) < runDurWindow {
+			s.durs = append(s.durs, millis)
+		} else {
+			s.durs[s.durNext%runDurWindow] = millis
+		}
+		s.durNext++
+	case t.expired:
+		ts.Failed++
+		s.deadlineExceeded++
+	case errors.Is(err, core.ErrJobCanceled):
+		ts.Failed++
+		s.canceled++
+	default:
+		ts.Failed++
 	}
-	s.mu.Unlock()
-	if eng != nil {
-		t.inst.pool.release(eng)
-	}
+	eng.cluster.Uncancel()
+	t.inst.idle = append(t.inst.idle, eng)
+	s.closeIfDrained(t.inst)
 	s.dispatch()
 }
 
-// cancelByTag kills runs labeled tag: queued ones resolve with
-// errRunCanceled, running ones have their engine canceled through the abort
-// latch (the run's own handler observes the abort and releases). tenant,
-// when non-empty, restricts the match. Returns how many runs matched.
+// drop closes inst to admission: its queued tickets fail, and the returned
+// channel closes when the release of its last lease does — at once when none
+// is held. The wait is bounded: a closed instance admits nothing, and
+// shutdown cancels every lease.
+func (s *scheduler) drop(inst *instance) <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	inst.closed = true
+	s.reject(func(t *ticket) bool { return t.inst == inst }, fmt.Errorf("graph %q dropped while queued", inst.name))
+	s.closeIfDrained(inst)
+	return inst.drained
+}
+
+// closeIfDrained closes a dropped instance's drained channel once every
+// engine is idle. Caller holds s.mu.
+func (s *scheduler) closeIfDrained(inst *instance) {
+	if inst.closed && len(inst.idle) == len(inst.engines) {
+		close(inst.drained)
+	}
+}
+
+// cancelByTag kills runs labeled tag: queued ones fail with a cancel error,
+// running ones have their engine canceled through the abort latch (the run's
+// own handler observes the abort and releases). tenant, when non-empty,
+// restricts the match. Returns how many runs matched.
 func (s *scheduler) cancelByTag(tag, tenant string, cause error) int {
 	match := func(t *ticket) bool {
 		return t.tag == tag && tag != "" && (tenant == "" || t.tenant == tenant)
 	}
-	n := 0
 	s.mu.Lock()
-	kept := s.queue[:0]
-	for _, t := range s.queue {
-		if match(t) {
-			t.result <- admitResult{err: fmt.Errorf("%w: %w", errRunCanceled, cause)}
-			n++
-			continue
-		}
-		kept = append(kept, t)
-	}
-	s.queue = kept
-	var cancel []*engine
+	defer s.mu.Unlock()
+	n := s.reject(match, fmt.Errorf("run canceled: %w", cause))
+	s.canceled += int64(n)
 	for t, eng := range s.running {
 		if match(t) {
-			cancel = append(cancel, eng)
+			eng.cluster.Cancel(cause)
 			n++
 		}
-	}
-	s.mu.Unlock()
-	for _, eng := range cancel {
-		eng.cluster.Cancel(cause)
 	}
 	return n
 }
 
-// queueLen reports how many requests await admission.
-func (s *scheduler) queueLen() int {
+// shutdown fails every queued ticket, and every later one, with errShutdown
+// and cancels every lease, so a queued run never wedges Close and a running
+// one comes back promptly instead of after many supersteps.
+func (s *scheduler) shutdown() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue)
+	s.shut = true
+	s.reject(func(*ticket) bool { return true }, errShutdown)
+	for _, eng := range s.running {
+		eng.cluster.Cancel(errShutdown)
+	}
 }
 
-// memStats snapshots the memory gate's accounting for stats.
-func (s *scheduler) memStats() (inUseMB, deferrals int64) {
+// stats reads the ledger's fields of ServerStats in one snapshot: RunsServed
+// and FailedRuns are the sums of the tenants' Served and Failed, and
+// ActiveAnalyses is the number of leases held.
+func (s *scheduler) stats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.memInUseMB, s.budgetDeferrals
+	st := ServerStats{
+		ActiveAnalyses:       len(s.running),
+		QueuedAnalyses:       len(s.queue),
+		BudgetDeferrals:      s.budgetDeferrals,
+		MemInUseMB:           s.memInUseMB,
+		DeadlineExceededRuns: s.deadlineExceeded,
+		CanceledRuns:         s.canceled,
+		Tenants:              make(map[string]*TenantStats, len(s.tenants)),
+	}
+	for name, ts := range s.tenants {
+		c := *ts
+		st.Tenants[name] = &c
+		st.RunsServed += ts.Served
+		st.FailedRuns += ts.Failed
+	}
+	if len(s.durs) > 0 {
+		window := append([]float64(nil), s.durs...)
+		sort.Float64s(window)
+		st.RunP50Millis = nearestRank(window, 0.50)
+		st.RunP90Millis = nearestRank(window, 0.90)
+		st.RunP99Millis = nearestRank(window, 0.99)
+	}
+	return st
 }
 
-// tenantLoad snapshots per-tenant running and queued counts for stats.
-func (s *scheduler) tenantLoad() (running, queued map[string]int) {
-	running = make(map[string]int)
-	queued = make(map[string]int)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for tenant, n := range s.perTenant {
-		running[tenant] = n
+// nearestRank returns the q-quantile of sorted using the nearest-rank
+// method: the smallest element such that at least q*n elements are <= it,
+// i.e. index ceil(q*n)-1. (The previous int(q*n) truncation was biased one
+// rank high: p50 of two samples returned the max.)
+func nearestRank(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return 0
 	}
-	for _, t := range s.queue {
-		queued[t.tenant]++
+	i := int(math.Ceil(q*float64(n))) - 1
+	if i < 0 {
+		i = 0
 	}
-	return running, queued
+	if i >= n {
+		i = n - 1
+	}
+	return sorted[i]
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +57,27 @@ func (h *hookGate) hook(req *Request) {
 	}
 }
 
+// waitLedger returns once cond holds over the scheduler's ledger — a request
+// reaching the queue is a count there, not a guess at how long to sleep — and
+// fails the test after 10 s.
+func waitLedger(t *testing.T, s *Server, what string, cond func(st *ServerStats) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		st := s.sched.stats()
+		if cond(&st) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s after 10s: %+v", what, st)
+		}
+	}
+}
+
+// queued is a waitLedger condition: n requests await admission.
+func queued(n int) func(*ServerStats) bool {
+	return func(st *ServerStats) bool { return st.QueuedAnalyses == n }
+}
+
 // TestBusyGraphDoesNotStarveOthers is the admission regression test: with
 // the old runSem a second request for a busy graph charged a global slot and
 // then slept on the instance lock, starving every other graph. Now the slot
@@ -92,8 +114,7 @@ func TestBusyGraphDoesNotStarveOthers(t *testing.T) {
 		_, err := a2.Run(Request{Graph: "a", Algo: "pagerank", Iterations: 2})
 		a2Done <- err
 	}()
-	// Give a2 time to reach the admission queue.
-	time.Sleep(50 * time.Millisecond)
+	waitLedger(t, s, "a2 queued", queued(1))
 
 	// Graph b must run now, not after a1/a2 finish.
 	bDone := make(chan error, 1)
@@ -150,7 +171,7 @@ func TestCloseUnblocksQueuedRun(t *testing.T) {
 		_, err := r2.Run(Request{Graph: "g", Algo: "pagerank", Iterations: 2})
 		r2Done <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	waitLedger(t, s, "r2 queued", queued(1))
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -333,7 +354,7 @@ func TestTenantQuota(t *testing.T) {
 		_, err := r2.Run(Request{Graph: "g", Algo: "pagerank", Iterations: 2, Tenant: "acme"})
 		r2Done <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	waitLedger(t, s, "acme's second run queued", queued(1))
 
 	st, err := c.Stats()
 	if err != nil {
@@ -453,9 +474,9 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	}
 	wg.Add(2)
 	go runAs("low", -2)
-	time.Sleep(50 * time.Millisecond)
+	waitLedger(t, s, "low queued", queued(1))
 	go runAs("high", 5)
-	time.Sleep(50 * time.Millisecond)
+	waitLedger(t, s, "high queued", queued(2))
 
 	close(gate.release)
 	if err := <-blockerDone; err != nil {
@@ -502,12 +523,9 @@ func TestMemoryBudgetGate(t *testing.T) {
 		_, err := big2.Run(Request{Graph: "g", Algo: "pagerank", Iterations: 2, MaxResidentMB: 80})
 		big2Done <- err
 	}()
-	time.Sleep(100 * time.Millisecond)
-	select {
-	case err := <-big2Done:
-		t.Fatalf("over-budget run admitted while big1 held 80/100 MB (err=%v)", err)
-	default:
-	}
+	waitLedger(t, s, "big2 queued on the memory gate", func(st *ServerStats) bool {
+		return st.QueuedAnalyses == 1 && st.BudgetDeferrals == 1
+	})
 
 	// small (10 MB) fits beside big1 and must not wait behind big2.
 	smallDone := make(chan error, 1)
@@ -541,5 +559,123 @@ func TestMemoryBudgetGate(t *testing.T) {
 	}
 	if err := <-big2Done; err != nil {
 		t.Fatalf("big2 after release: %v", err)
+	}
+}
+
+// TestDropWaitsForLease: a drop issued while a run holds the graph's only
+// engine fails the run queued behind it at once, but returns only after the
+// running one releases its lease.
+func TestDropWaitsForLease(t *testing.T) {
+	gate := newHookGate()
+	cfg := DefaultServerConfig()
+	cfg.AnalysisPoolSize = 1
+	cfg.runHook = gate.hook
+	s := startServer(t, cfg)
+	c := dial(t, s)
+	if _, err := c.Generate(Request{Graph: "g", Kind: "rmat", Scale: 9, EdgeFactor: 4, Seed: 3, Machines: 2}); err != nil {
+		t.Fatal(err)
+	}
+
+	r1 := dial(t, s)
+	r1Done := make(chan error, 1)
+	go func() {
+		_, err := r1.Run(Request{Graph: "g", Algo: "pagerank", Iterations: 2, Tag: "block"})
+		r1Done <- err
+	}()
+	<-gate.entered
+	r2 := dial(t, s)
+	r2Done := make(chan error, 1)
+	go func() {
+		_, err := r2.Run(Request{Graph: "g", Algo: "pagerank", Iterations: 2})
+		r2Done <- err
+	}()
+	waitLedger(t, s, "r2 queued", queued(1))
+
+	dropDone := make(chan error, 1)
+	go func() { dropDone <- c.Drop("g") }()
+	if err := <-r2Done; err == nil || !strings.Contains(err.Error(), "dropped while queued") {
+		t.Fatalf("queued run error = %v, want dropped while queued", err)
+	}
+	// r2 failed inside the drop, so the drop has reached the scheduler; r1
+	// still holds the engine in its hook.
+	select {
+	case err := <-dropDone:
+		t.Fatalf("drop returned (err=%v) while r1 held the engine", err)
+	default:
+	}
+
+	close(gate.release)
+	if err := <-r1Done; err != nil {
+		t.Fatalf("r1: %v", err)
+	}
+	if err := <-dropDone; err != nil {
+		t.Fatalf("drop: %v", err)
+	}
+	if list, err := c.List(); err != nil || len(list) != 0 {
+		t.Fatalf("list after drop = %v (%v)", list, err)
+	}
+}
+
+// TestDropDuringCloseShutsEngines: a drop waiting on a lease when Close
+// begins still shuts the dropped graph's engines down — Close cancels the
+// lease, the drop gets it back — so no goroutine outlives the server.
+func TestDropDuringCloseShutsEngines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	gate := newHookGate()
+	cfg := DefaultServerConfig()
+	cfg.AnalysisPoolSize = 1
+	cfg.runHook = gate.hook
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Generate(Request{Graph: "g", Kind: "rmat", Scale: 9, EdgeFactor: 4, Seed: 3, Machines: 2}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	inst := s.instances["g"]
+	s.mu.Unlock()
+
+	r1, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1Done := make(chan error, 1)
+	go func() {
+		_, err := r1.Run(Request{Graph: "g", Algo: "pagerank", Iterations: 2, Tag: "block"})
+		r1Done <- err
+	}()
+	<-gate.entered
+	dropDone := make(chan error, 1)
+	go func() { dropDone <- c.Drop("g") }()
+	waitLedger(t, s, "the drop at the scheduler", func(*ServerStats) bool {
+		s.sched.mu.Lock()
+		defer s.sched.mu.Unlock()
+		return inst.closed
+	})
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	close(gate.release)
+	<-closed
+	<-r1Done   // canceled by the shutdown; either error shape is fine
+	<-dropDone // the drop's response may or may not beat the conn's close
+	c.Close()
+	r1.Close()
+	// A goroutine that has sent its last signal may not have returned yet, so
+	// the count gets until the deadline to come back; a leaked engine never
+	// does.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

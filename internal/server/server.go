@@ -3,12 +3,12 @@ package server
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,16 +88,19 @@ func DefaultServerConfig() Config {
 
 // instance is one loaded graph with a pool of engine clusters over the
 // shared graph, immutable once admitted. Read-only analyses lease one engine
-// each and run concurrently; drop collects the whole pool.
+// each and run concurrently; drop waits for every lease to end.
 type instance struct {
 	name     string
 	machines int
-	pool     *enginePool
+	engines  []*engine
 	g        *graph.Graph
 
-	// closed flips when the instance is dropped so queued tickets fail
-	// instead of waiting on a pool that will never refill.
-	closed atomic.Bool
+	// Admission state, guarded by scheduler.mu: the engines no lease holds,
+	// whether drop has closed the instance to admission, and the channel the
+	// release of a closed instance's last lease closes.
+	idle    []*engine
+	closed  bool
+	drained chan struct{}
 }
 
 // Server is the long-running multi-tenant engine host.
@@ -111,20 +114,8 @@ type Server struct {
 	resident  int64               // edges of the instances and of the graphs booting
 	conns     map[net.Conn]struct{}
 
+	// sched is the ledger of every run, from enqueue to release.
 	sched *scheduler
-	// doneCh closes when Close begins: queued admissions and exclusive
-	// waits abort with a clean error instead of wedging.
-	doneCh chan struct{}
-
-	runsServed       atomic.Int64
-	failedRuns       atomic.Int64
-	active           atomic.Int64
-	deadlineExceeded atomic.Int64
-	canceledRuns     atomic.Int64
-
-	// tenants accumulates per-tenant served/failed counters.
-	tenantMu sync.Mutex
-	tenants  map[string]*tenantCounters
 
 	// reg is the server's own observability registry (queue-wait and
 	// run-latency histograms); nil with observability disabled.
@@ -132,27 +123,12 @@ type Server struct {
 
 	start time.Time
 
-	// durs is a sliding window of recent analysis durations (milliseconds)
-	// backing the stats percentiles.
-	durMu   sync.Mutex
-	durs    []float64
-	durNext int
-
 	debugLn  net.Listener
 	debugSrv *http.Server
 
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
-
-// tenantCounters is the mutable backing of TenantStats.
-type tenantCounters struct {
-	served atomic.Int64
-	failed atomic.Int64
-}
-
-// runDurWindow is the sliding-window size for run-duration percentiles.
-const runDurWindow = 512
 
 // New starts a server listening per cfg. Call Close to stop.
 func New(cfg Config) (*Server, error) {
@@ -181,8 +157,6 @@ func New(cfg Config) (*Server, error) {
 		instances: make(map[string]*instance),
 		booting:   make(map[string]struct{}),
 		conns:     make(map[net.Conn]struct{}),
-		tenants:   make(map[string]*tenantCounters),
-		doneCh:    make(chan struct{}),
 		sched: newScheduler(cfg.MaxConcurrentAnalyses, cfg.TenantQuota,
 			cfg.TenantQuotas, cfg.PriorityAging, cfg.RunMemoryBudgetMB),
 		start: time.Now(),
@@ -273,15 +247,15 @@ func (s *Server) pickRegistry(name, engineIdx string) (*obs.Registry, error) {
 	var reg *obs.Registry
 	if engineIdx != "" {
 		idx, err := strconv.Atoi(engineIdx)
-		if err != nil || idx < 0 || idx >= len(inst.pool.all) {
-			return nil, fmt.Errorf("bad engine index %q (pool size %d)", engineIdx, len(inst.pool.all))
+		if err != nil || idx < 0 || idx >= len(inst.engines) {
+			return nil, fmt.Errorf("bad engine index %q (pool size %d)", engineIdx, len(inst.engines))
 		}
-		reg = inst.pool.all[idx].reg
+		reg = inst.engines[idx].reg
 	} else {
 		// Default to the pool engine that has executed the most jobs — with
 		// light load the whole history tends to live on one engine.
 		var best int64 = -1
-		for _, eng := range inst.pool.all {
+		for _, eng := range inst.engines {
 			if n := eng.reg.JobsObserved(); n > best {
 				best, reg = n, eng.reg
 			}
@@ -308,12 +282,10 @@ func (s *Server) Close() {
 	if s.debugSrv != nil {
 		s.debugSrv.Close()
 	}
-	// Wake queued admissions and exclusive waits first: their handlers
-	// write error responses while the write half of each conn still works.
-	close(s.doneCh)
-	// Abort running engine jobs through the cancellation latch so leases
-	// come back promptly instead of after many supersteps.
-	s.sched.cancelAll(errShutdown)
+	// Fail queued admissions and cancel running leases first: their
+	// handlers write error responses while the write half of each conn
+	// still works, and a drop waiting on a lease gets it back.
+	s.sched.shutdown()
 	// Unblock handlers parked reading from idle clients, keeping the write
 	// half open so in-flight responses (including the shutdown errors
 	// above) can flush.
@@ -330,24 +302,10 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, inst := range s.instances {
-		inst.closed.Store(true)
-		for _, eng := range inst.pool.all {
+		for _, eng := range inst.engines {
 			eng.cluster.Shutdown()
 		}
 		delete(s.instances, name)
-	}
-}
-
-// cancelAll cancels every running engine lease (shutdown path).
-func (s *scheduler) cancelAll(cause error) {
-	s.mu.Lock()
-	engines := make([]*engine, 0, len(s.running))
-	for _, eng := range s.running {
-		engines = append(engines, eng)
-	}
-	s.mu.Unlock()
-	for _, eng := range engines {
-		eng.cluster.Cancel(cause)
 	}
 }
 
@@ -432,7 +390,7 @@ func (s *Server) bootEngines(g *graph.Graph, machines int) ([]*engine, error) {
 		if err != nil {
 			return fail(fmt.Errorf("boot cluster: %w", err))
 		}
-		engines = append(engines, &engine{idx: i, cluster: cluster, reg: cfg.Obs})
+		engines = append(engines, &engine{cluster: cluster, reg: cfg.Obs})
 		if err := cluster.Load(g); err != nil {
 			return fail(fmt.Errorf("distribute graph: %w", err))
 		}
@@ -467,7 +425,8 @@ func (s *Server) admit(name string, g *graph.Graph, machines int) (Response, boo
 		s.resident -= g.NumEdges()
 		return errResp("%v", err), false
 	}
-	inst := &instance{name: name, g: g, machines: machines, pool: newEnginePool(engines)}
+	inst := &instance{name: name, g: g, machines: machines, engines: engines,
+		idle: slices.Clone(engines), drained: make(chan struct{})}
 	s.instances[name] = inst
 	return Response{OK: true, Graphs: []GraphInfo{s.info(inst)}}, true
 }
@@ -606,18 +565,6 @@ func tenantOf(req *Request) string {
 	return req.Tenant
 }
 
-// tenantCountersFor returns (creating if needed) tenant's counters.
-func (s *Server) tenantCountersFor(tenant string) *tenantCounters {
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	tc := s.tenants[tenant]
-	if tc == nil {
-		tc = &tenantCounters{}
-		s.tenants[tenant] = tc
-	}
-	return tc
-}
-
 // memCharge is what a run costs the admission memory gate: the client's
 // declared need, or — only when a budget is actually configured — the
 // store-sizing estimate of what an engine run on this graph pins resident
@@ -635,12 +582,13 @@ func (s *Server) memCharge(inst *instance, req *Request) int64 {
 	return store.SizeOf(g.NumNodes(), g.NumEdges(), inst.machines, g.Weighted(), cols).EstimatedResidentMB()
 }
 
-// handleRun admits an analysis through the scheduler, executes it on a
-// leased engine, and classifies the outcome. Admission charges a global
-// slot only when the run can actually execute (idle engine on the target
-// graph, tenant under quota), so a busy graph never starves requests for
-// other graphs. A queued request always has an exit: its deadline, an
-// op=cancel matching its tag, or server shutdown.
+// handleRun admits an analysis through the scheduler, executes it on the
+// leased engine and releases the lease with the outcome. Admission charges a
+// global slot only when the run can actually execute (idle engine on the
+// target graph, tenant under quota), so a busy graph never starves requests
+// for other graphs. The scheduler resolves every ticket — a lease, its
+// deadline, an op=cancel matching its tag, a drop of its graph, or server
+// shutdown — so the handler waits on admission alone.
 func (s *Server) handleRun(req *Request) Response {
 	s.mu.Lock()
 	inst, ok := s.instances[req.Graph]
@@ -648,122 +596,41 @@ func (s *Server) handleRun(req *Request) Response {
 	if !ok {
 		return errResp("graph %q not loaded", req.Graph)
 	}
-	tenant := tenantOf(req)
-	tc := s.tenantCountersFor(tenant)
-	prio := req.Priority
-	if prio > maxPriority {
-		prio = maxPriority
-	}
-	if prio < -maxPriority {
-		prio = -maxPriority
-	}
 	t := &ticket{
-		tenant:   tenant,
-		tag:      req.Tag,
-		priority: prio,
-		enqueued: time.Now(),
-		inst:     inst,
-		memMB:    s.memCharge(inst, req),
-		result:   make(chan admitResult, 1),
-	}
-	var deadline <-chan time.Time
-	var deadlineTimer *time.Timer
-	if req.TimeoutMillis > 0 {
-		deadlineTimer = time.NewTimer(time.Duration(req.TimeoutMillis) * time.Millisecond)
-		defer deadlineTimer.Stop()
-		deadline = deadlineTimer.C
+		tenant:        tenantOf(req),
+		tag:           req.Tag,
+		priority:      min(max(req.Priority, -maxPriority), maxPriority),
+		timeoutMillis: req.TimeoutMillis,
+		inst:          inst,
+		memMB:         s.memCharge(inst, req),
+		result:        make(chan admitResult, 1),
 	}
 	jobID := s.sched.enqueue(t)
-
-	fail := func(format string, args ...any) Response {
-		s.failedRuns.Add(1)
-		tc.failed.Add(1)
-		return errResp(format, args...)
-	}
-
-	var admitted admitResult
-	select {
-	case admitted = <-t.result:
-	case <-deadline:
-		if s.sched.remove(t) {
-			s.deadlineExceeded.Add(1)
-			return fail("run on %s: deadline exceeded after %dms in queue",
-				req.Graph, req.TimeoutMillis)
-		}
-		// Admitted concurrently with expiry: take the lease and let the
-		// armed deadline below cancel the run almost immediately.
-		admitted = <-t.result
-	case <-s.doneCh:
-		if !s.sched.remove(t) {
-			// Admitted concurrently with shutdown: hand the lease back.
-			if got := <-t.result; got.eng != nil {
-				s.sched.release(t)
-			}
-		}
-		return fail("run on %s: %v", req.Graph, errShutdown)
-	}
+	admitted := <-t.result
 	if admitted.err != nil {
-		if errors.Is(admitted.err, errRunCanceled) {
-			s.canceledRuns.Add(1)
-		}
-		return fail("run on %s: %v", req.Graph, admitted.err)
+		return errResp("run on %s: %v", req.Graph, admitted.err)
 	}
-
-	eng := admitted.eng
-	// Clear stickiness a late-firing deadline timer from a previous lease
-	// may have left on this engine.
-	eng.cluster.Uncancel()
 	queueWait := time.Since(t.enqueued)
 	s.reg.Observe(0, obs.HistQueueWait, queueWait)
-	s.active.Add(1)
-	defer func() {
-		s.active.Add(-1)
-		// Clear any sticky cancel so the next lease of this engine starts
-		// clean, then return it to the pool.
-		eng.cluster.Uncancel()
-		s.sched.release(t)
-	}()
-
-	// Arm the remaining deadline against the engine: expiry fires the
-	// core cancellation latch, aborting the job in flight — not the server.
-	var deadlineHit atomic.Bool
-	if req.TimeoutMillis > 0 {
-		remaining := time.Duration(req.TimeoutMillis)*time.Millisecond - queueWait
-		if remaining < 0 {
-			remaining = 0
-		}
-		timer := time.AfterFunc(remaining, func() {
-			deadlineHit.Store(true)
-			eng.cluster.Cancel(fmt.Errorf("deadline exceeded after %dms", req.TimeoutMillis))
-		})
-		defer timer.Stop()
-	}
 	if s.cfg.runHook != nil {
 		s.cfg.runHook(req)
 	}
 
 	start := time.Now()
-	result, err := runAlgo(inst, eng, req)
+	result, err := runAlgo(inst, admitted.eng, req)
 	runDur := time.Since(start)
+	millis := float64(runDur.Microseconds()) / 1000
+	s.sched.release(t, millis, err)
 	if err != nil {
 		// Engine-level job aborts (transport faults, cancellation,
 		// deadlines) surface here as error responses — the server and its
 		// other engines stay up.
-		switch {
-		case deadlineHit.Load() || strings.Contains(err.Error(), "deadline exceeded"):
-			s.deadlineExceeded.Add(1)
-		case errors.Is(err, core.ErrJobCanceled):
-			s.canceledRuns.Add(1)
-		}
-		return fail("%s on %s: %v", req.Algo, req.Graph, err)
+		return errResp("%s on %s: %v", req.Algo, req.Graph, err)
 	}
 	s.reg.Observe(0, obs.HistRunLatency, runDur)
-	result.Millis = float64(runDur.Microseconds()) / 1000
+	result.Millis = millis
 	result.JobID = jobID
 	result.QueueMillis = float64(queueWait.Microseconds()) / 1000
-	s.recordRunDuration(result.Millis)
-	s.runsServed.Add(1)
-	tc.served.Add(1)
 	return Response{OK: true, Result: result}
 }
 
@@ -781,51 +648,6 @@ func (s *Server) handleCancel(req *Request) Response {
 		Algo:  "cancel",
 		Extra: fmt.Sprintf("%d runs canceled", n),
 	}}
-}
-
-// recordRunDuration appends one analysis duration to the percentile window.
-func (s *Server) recordRunDuration(millis float64) {
-	s.durMu.Lock()
-	if len(s.durs) < runDurWindow {
-		s.durs = append(s.durs, millis)
-	} else {
-		s.durs[s.durNext%runDurWindow] = millis
-	}
-	s.durNext++
-	s.durMu.Unlock()
-}
-
-// nearestRank returns the q-quantile of sorted using the nearest-rank
-// method: the smallest element such that at least q*n elements are <= it,
-// i.e. index ceil(q*n)-1. (The previous int(q*n) truncation was biased one
-// rank high: p50 of two samples returned the max.)
-func nearestRank(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return sorted[i]
-}
-
-// runPercentiles returns the (p50, p90, p99) of the duration window, or
-// zeros with no completed runs.
-func (s *Server) runPercentiles() (p50, p90, p99 float64) {
-	s.durMu.Lock()
-	window := make([]float64, len(s.durs))
-	copy(window, s.durs)
-	s.durMu.Unlock()
-	if len(window) == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(window)
-	return nearestRank(window, 0.50), nearestRank(window, 0.90), nearestRank(window, 0.99)
 }
 
 // runAlgo runs the catalog entry req names on the leased engine.
@@ -879,10 +701,10 @@ func (s *Server) handleList() Response {
 }
 
 // handleDrop unloads a graph: queued runs for it fail with a "dropped"
-// error, in-flight analyses finish (drop collects the whole pool), then
-// every engine shuts down. The instance leaves s.instances under s.mu before
-// its pool is collected, so no second drop can reach it: acquireAll has one
-// caller per pool.
+// error, in-flight analyses finish, then every engine shuts down. The
+// instance leaves s.instances under s.mu, so no second drop can reach it;
+// the scheduler closes it to admission and hands back a channel the release
+// of its last lease closes.
 func (s *Server) handleDrop(req *Request) Response {
 	s.mu.Lock()
 	inst, ok := s.instances[req.Graph]
@@ -894,14 +716,8 @@ func (s *Server) handleDrop(req *Request) Response {
 	if !ok {
 		return errResp("graph %q not loaded", req.Graph)
 	}
-	inst.closed.Store(true)
-	s.sched.dispatch() // flush queued tickets targeting the dropped graph
-	engines, err := inst.pool.acquireAll(s.doneCh)
-	if err != nil {
-		// Shutdown race: Close owns the engines now and will stop them.
-		return errResp("drop %s: %v", req.Graph, err)
-	}
-	for _, eng := range engines {
+	<-s.sched.drop(inst)
+	for _, eng := range inst.engines {
 		eng.cluster.Shutdown()
 	}
 	return Response{OK: true}
@@ -913,9 +729,8 @@ func (s *Server) handleStats() Response {
 	var staleWrites, staleReads int64
 	var lastAbort *AbortSummary
 	var lastWhen time.Time
-	poolSize := s.cfg.AnalysisPoolSize
 	for _, inst := range s.instances {
-		for _, eng := range inst.pool.all {
+		for _, eng := range inst.engines {
 			snap := eng.cluster.TrafficSnapshot()
 			transportErrors += snap.SendErrors + snap.RecvErrors
 			jobs += eng.reg.JobsObserved()
@@ -936,54 +751,21 @@ func (s *Server) handleStats() Response {
 			}
 		}
 	}
-	loaded := len(s.instances)
-	resident := s.resident
+	loaded, resident := len(s.instances), s.resident
 	s.mu.Unlock()
-	p50, p90, p99 := s.runPercentiles()
-	var queueP50, queueP99 float64
+	st := s.sched.stats()
+	st.LoadedGraphs, st.ResidentEdges = loaded, resident
+	st.MaxEdges = s.cfg.MaxResidentEdges
+	st.TransportErrors = transportErrors
+	st.StaleWriteFrames, st.StaleReadFrames = staleWrites, staleReads
+	st.UptimeSeconds = time.Since(s.start).Seconds()
+	st.JobsObserved, st.AbortsSeen = jobs, aborts
+	st.EnginePoolSize = s.cfg.AnalysisPoolSize
+	st.LastAbort = lastAbort
 	if s.reg != nil {
 		h := s.reg.LifetimeHistogram(obs.HistQueueWait)
-		queueP50 = h.Quantile(0.50).Seconds() * 1000
-		queueP99 = h.Quantile(0.99).Seconds() * 1000
+		st.QueueP50Millis = h.Quantile(0.50).Seconds() * 1000
+		st.QueueP99Millis = h.Quantile(0.99).Seconds() * 1000
 	}
-	memInUse, memDeferrals := s.sched.memStats()
-	running, queued := s.sched.tenantLoad()
-	s.tenantMu.Lock()
-	tenants := make(map[string]*TenantStats, len(s.tenants))
-	for name, tc := range s.tenants {
-		tenants[name] = &TenantStats{
-			Served:  tc.served.Load(),
-			Failed:  tc.failed.Load(),
-			Running: running[name],
-			Queued:  queued[name],
-		}
-	}
-	s.tenantMu.Unlock()
-	return Response{OK: true, Stats: &ServerStats{
-		LoadedGraphs:         loaded,
-		ResidentEdges:        resident,
-		MaxEdges:             s.cfg.MaxResidentEdges,
-		RunsServed:           s.runsServed.Load(),
-		FailedRuns:           s.failedRuns.Load(),
-		ActiveAnalyses:       int(s.active.Load()),
-		TransportErrors:      transportErrors,
-		StaleWriteFrames:     staleWrites,
-		StaleReadFrames:      staleReads,
-		UptimeSeconds:        time.Since(s.start).Seconds(),
-		RunP50Millis:         p50,
-		RunP90Millis:         p90,
-		RunP99Millis:         p99,
-		JobsObserved:         jobs,
-		AbortsSeen:           aborts,
-		QueuedAnalyses:       s.sched.queueLen(),
-		EnginePoolSize:       poolSize,
-		BudgetDeferrals:      memDeferrals,
-		MemInUseMB:           memInUse,
-		DeadlineExceededRuns: s.deadlineExceeded.Load(),
-		CanceledRuns:         s.canceledRuns.Load(),
-		QueueP50Millis:       queueP50,
-		QueueP99Millis:       queueP99,
-		Tenants:              tenants,
-		LastAbort:            lastAbort,
-	}}
+	return Response{OK: true, Stats: &st}
 }
