@@ -67,13 +67,6 @@ loc:
 perf-check:
 	$(GO) run ./benchmark -check
 
-# The per-job constant: ns per RunJob of the two smallest frontier-sourced
-# jobs on two in-process machines (an empty frontier; a one-node node pass
-# that rebuilds a frontier), with their allocation counts — the number a
-# change to the job schedule diffs against.
-bench-job:
-	$(GO) test -run '^$$' -bench JobFloor -benchtime 20000x -count 5 ./internal/core/
-
 # The budget of one remote read and of one remote write (ROADMAP item 3): ns a
 # remote ref adds to a pull-sum (bench-read) or push-sum (bench-write) job on
 # two machines, in process and over loopback TCP — reads requested on demand
@@ -92,21 +85,28 @@ bench-job:
 # a quarter of the decoded size, and of a warm pass through a pool that holds
 # everything (a cursor step per row and nothing else).
 #
+# bench-job, same recipe, is the per-job constant: ns per RunJob of the two
+# smallest frontier-sourced jobs on two in-process machines (an empty frontier;
+# a one-node node pass that rebuilds a frontier), with their allocation counts
+# — the number a change to the job schedule diffs against.
+#
 # bench-scan, same recipe, is the isolated number behind one line of the
 # superstep budget: ns/edge of the kernel dispatch — a pull in row form and
 # behind the per-edge adapter, a push reducing by the row (Writer.WriteRow) and
 # ref by ref, local and 20 % remote: all-local, a push row is the cost of one
 # local reduction.
 SCRATCH ?= /tmp/pgxd-bench-remote
-bench-scan bench-read bench-write bench-decode: PKG = ./internal/core
-bench-scan bench-read bench-write bench-decode: BENCHTIME = 10x
+bench-job bench-scan bench-read bench-write bench-decode: PKG = ./internal/core
+bench-job bench-scan bench-read bench-write bench-decode: BENCHTIME = 10x
+bench-job: BENCH = JobFloor
+bench-job: BENCHTIME = 20000x
 bench-scan: BENCH = EdgeDispatch
 bench-scan: BENCHTIME = 50x
 bench-read: BENCH = RemoteRead
 bench-write: BENCH = RemoteWrite
 bench-decode: BENCH = Decode
 bench-decode: PKG = ./internal/store
-bench-scan bench-read bench-write bench-decode:
+bench-job bench-scan bench-read bench-write bench-decode:
 ifdef AGAINST
 	rm -rf $(SCRATCH) && mkdir -p $(SCRATCH)/ref
 	git archive $(AGAINST) | tar -x -C $(SCRATCH)/ref

@@ -49,7 +49,7 @@ func (w *worker) flushAccum(jr *jobRuntime) {
 		}
 	}
 	w.flushAll()
-	w.reg.Span(w.m.id, w.id, obs.SpanWriteFlush, jr.id, t, uint64(shipped))
+	w.reg.Span(w.m.id, w.id, obs.SpanWriteFlush, jr.id.Load(), t, uint64(shipped))
 	w.reg.Add(w.m.id, obs.CtrAccumulatedWrites, w.folded)
 	w.folded = 0
 }

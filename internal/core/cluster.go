@@ -34,6 +34,15 @@ type Cluster struct {
 	shut      bool
 	jobSeq    uint64
 
+	// The fan-out's reused state (parallel): one error slot per machine and
+	// the join. RunJob hands every machine runJobFn, which runs spec as job
+	// jobSeq and leaves each machine's stats in results.
+	errs     []error
+	done     sync.WaitGroup
+	spec     JobSpec
+	runJobFn func(m *Machine) error
+	results  []machineJobStats
+
 	// Out-of-core accounting state, set by LoadStore and cleared by install:
 	// the store-file load the machines alias, plus the stats snapshot already
 	// flushed into the obs registry — pollOOCStats publishes deltas against
@@ -66,6 +75,10 @@ type Cluster struct {
 // undefined).
 var ErrJobAborted = errors.New("core: job aborted")
 
+// errShutdown is what every cluster-wide operation returns after Shutdown:
+// the machines' goroutines are gone, and nothing is handed to them.
+var errShutdown = errors.New("core: cluster is shut down")
+
 // NewCluster boots a cluster per cfg. Call Load before registering
 // properties or running jobs, and Shutdown when done.
 func NewCluster(cfg Config) (*Cluster, error) {
@@ -75,6 +88,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, fabric: cfg.Fabric}
 	if c.fabric == nil {
 		c.fabric, c.ownFabric = NewInProcFabric(cfg), true
+	}
+	c.errs = make([]error, cfg.NumMachines)
+	c.results = make([]machineJobStats, cfg.NumMachines)
+	c.runJobFn = func(m *Machine) error {
+		st, err := m.runJob(&c.spec, c.jobSeq)
+		c.results[m.id] = st
+		return err
 	}
 	c.machines = make([]*Machine, cfg.NumMachines)
 	ledgers := make([]*comm.Metrics, cfg.NumMachines)
@@ -223,21 +243,22 @@ func (c *Cluster) Layout() partition.Layout { return c.layout }
 // Machines returns the number of machines.
 func (c *Cluster) Machines() int { return c.cfg.NumMachines }
 
-// parallel runs fn concurrently on every machine's main goroutine and
-// returns the first error. All collective operations must happen inside
-// such a section, on all machines.
+// parallel hands fn to every machine's long-lived main goroutine (mainLoop),
+// waits for all of them, and returns the first error in machine order. All
+// collective operations must happen inside such a section, on all machines.
+// The hand-off starts no goroutine and allocates nothing: the error slots and
+// the join are the cluster's, reused by every call. After Shutdown it hands
+// off nothing and returns errShutdown. Driver-side: one section at a time.
 func (c *Cluster) parallel(fn func(m *Machine) error) error {
-	errs := make([]error, len(c.machines))
-	var wg sync.WaitGroup
-	for i, m := range c.machines {
-		wg.Add(1)
-		go func(i int, m *Machine) {
-			defer wg.Done()
-			errs[i] = fn(m)
-		}(i, m)
+	if c.shut {
+		return errShutdown
 	}
-	wg.Wait()
-	for _, err := range errs {
+	c.done.Add(len(c.machines))
+	for i, m := range c.machines {
+		m.calls <- call{fn: fn, err: &c.errs[i], done: &c.done}
+	}
+	c.done.Wait()
+	for _, err := range c.errs {
 		if err != nil {
 			return err
 		}
@@ -315,6 +336,9 @@ func (c *Cluster) RegisterRMI(build func(m *Machine) comm.RMIHandler) uint32 {
 
 // RunJob executes one parallel region cluster-wide and returns its stats.
 func (c *Cluster) RunJob(spec JobSpec) (JobStats, error) {
+	if c.shut {
+		return JobStats{}, fmt.Errorf("core: RunJob %q: %w", spec.Name, errShutdown)
+	}
 	if !c.loaded {
 		return JobStats{}, fmt.Errorf("core: RunJob %q before Load", spec.Name)
 	}
@@ -335,16 +359,12 @@ func (c *Cluster) RunJob(spec JobSpec) (JobStats, error) {
 		return JobStats{}, fmt.Errorf("job %q: %w: %w", spec.Name, ErrJobAborted, cause)
 	}
 	before := c.TrafficSnapshot()
-	results := make([]machineJobStats, len(c.machines))
 	c.jobSeq++
 	jobID := c.jobSeq
+	c.spec = spec
 	c.cfg.Obs.BeginJob(jobID, spec.Name)
 	start := time.Now()
-	err := c.parallel(func(m *Machine) error {
-		st, err := m.runJob(&spec, jobID)
-		results[m.id] = st
-		return err
-	})
+	err := c.parallel(c.runJobFn)
 	if err != nil {
 		c.recoverAfterAbort()
 		c.pollOOCStats()
@@ -361,15 +381,17 @@ func (c *Cluster) RunJob(spec JobSpec) (JobStats, error) {
 	}
 	c.pollOOCStats() // before EndJob snapshots the job's counters into its report
 	c.cfg.Obs.EndJob(jobID, time.Since(start))
+	res := c.results[0]
 	stats := JobStats{
 		Duration:  time.Since(start),
 		Traffic:   c.TrafficSnapshot().Sub(before),
-		Breakdown: results[0].breakdown,
-		Frontiers: results[0].frontiers,
+		Breakdown: res.breakdown,
+		Frontiers: res.frontiers,
 	}
-	// The driver-side duration includes goroutine fan-out; prefer the
-	// engine-measured duration plus its share of the difference as Sync.
-	stats.Breakdown.Sync += stats.Duration - results[0].duration
+	// The driver-side duration also holds the hand-off to the machines' main
+	// goroutines and the wait for the last of them to report; that difference
+	// from machine 0's engine-measured duration is counted as Sync.
+	stats.Breakdown.Sync += stats.Duration - res.duration
 	return stats, nil
 }
 

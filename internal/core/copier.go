@@ -21,39 +21,40 @@ import (
 // error, not a crash: the copier records it, aborts the current job (if
 // any), and keeps serving — later jobs must still find it alive.
 func (m *Machine) copierLoop() {
-	defer m.copierWG.Done()
+	defer m.loops.Done()
 	reg := m.cfg.Obs
 	for buf := range m.router.ReqQueue() {
 		// The job this frame is served against, loaded once: the epoch checks
-		// and a failure must name the same job. Re-reading curJob after a
-		// failed decode could fail the rerun for a straggler of the run it
-		// replaced.
+		// and a failure must name the same job. The machine's runtime outlives
+		// its jobs, so the failure carries the id read here: one that lands
+		// after the runtime moved on to a rerun fails nothing.
 		jr := m.curJob.Load()
 		h := buf.Header()
 		var jobID uint64
 		if jr != nil {
-			jobID = jr.id
+			jobID = jr.id.Load()
 		}
 		t := reg.Clock()
-		err := m.serveRequest(buf, jr)
+		err := m.serveRequest(buf, jr, jobID)
 		m.router.RequestDone()
 		reg.Span(m.id, obs.WorkerCopier, obs.SpanCopierServe, jobID, t, uint64(h.Src)<<48|uint64(h.Type))
 		reg.Observe(m.id, obs.HistServe, time.Duration(reg.Clock()-t))
 		if err != nil {
 			m.ep.Metrics().RecordRecvError()
 			if jr != nil {
-				m.abortJob(jr, fmt.Errorf("core: machine %d copier: %w", m.id, err))
+				m.abortJob(jr, jobID, fmt.Errorf("core: machine %d copier: %w", m.id, err))
 			}
 		}
 	}
 }
 
 // serveRequest dispatches one inbound request frame against jr, the job that
-// was current when the frame was dequeued (nil between jobs). The request
+// was current when the frame was dequeued (nil between jobs), whose id was
+// then jobID. The request
 // buffer is released on every exit path; response buffers are either handed
 // to the transport (which owns them from Send on, success or failure) or
 // released here before an error return.
-func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime) error {
+func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime, jobID uint64) error {
 	defer buf.Release()
 	h := buf.Header()
 	payload := buf.Payload()
@@ -65,7 +66,7 @@ func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime) error {
 		// from an aborted job that outlived post-abort recovery — replaying it
 		// would advance writesApplied against the reset baseline and wedge
 		// every later drain at applied > sent.
-		if jr == nil || jr.id != h.Aux {
+		if jr == nil || jobID != h.Aux {
 			m.cfg.Obs.Add(m.id, obs.CtrStaleWriteFrames, 1)
 			return nil
 		}
@@ -76,7 +77,7 @@ func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime) error {
 			return err
 		}
 		recs := payload[:writeRecSize*int(h.Count)]
-		took, flushed, err := m.spill.add(jr.id, recs)
+		took, flushed, err := m.spill.add(jobID, recs)
 		if err != nil {
 			return err
 		}
@@ -97,7 +98,7 @@ func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime) error {
 		// from an aborted job — possibly torn by the very fault that aborted
 		// it. Its requester has parked the seq in its stale set and expects no
 		// answer; serving it could only fail the job running now.
-		if jr == nil || uint32(jr.id) != uint32(h.Aux>>32) {
+		if jr == nil || uint32(jobID) != uint32(h.Aux>>32) {
 			m.cfg.Obs.Add(m.id, obs.CtrStaleReadFrames, 1)
 			return nil
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
@@ -319,6 +320,40 @@ func TestRunJobBeforeLoadFails(t *testing.T) {
 	if _, err := c.AddPropF64("p"); err == nil {
 		t.Error("AddProp before Load accepted")
 	}
+}
+
+// TestUseAfterShutdownFails: after Shutdown the machines' main goroutines are
+// gone, so RunJob and Barrier return an error without handing anything to a
+// stopped machine — no panic, no hang — on both fabrics.
+func TestUseAfterShutdownFails(t *testing.T) {
+	eachFabric(t, func(t *testing.T, useTCP bool) {
+		cfg := DefaultConfig(2)
+		fab := innerFabric(t, cfg, useTCP)
+		defer fab.Close()
+		cfg.Fabric = fab
+		c := bootCluster(t, testGraph(t), cfg)
+		p, _ := c.AddPropF64("p")
+		spec := JobSpec{Name: "after-shutdown", Iter: IterNodes, Task: &nodeInit{p: p}}
+		if _, err := c.RunJob(spec); err != nil {
+			t.Fatal(err)
+		}
+		c.Shutdown()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := c.RunJob(spec); err == nil {
+				t.Error("RunJob after Shutdown succeeded")
+			}
+			if err := c.Barrier(); err == nil {
+				t.Error("Barrier after Shutdown succeeded")
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("RunJob or Barrier after Shutdown did not return")
+		}
+	})
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -284,18 +284,22 @@ func TestFaultKillMachineAborts(t *testing.T) {
 	})
 }
 
-// TestFaultNoGoroutineLeak: a full fault-abort-shutdown cycle returns the
-// process to its original goroutine count — aborts must not strand workers,
-// copiers, senders, or watchers.
+// TestFaultNoGoroutineLeak: a full fault-abort-shutdown cycle, and a
+// fault-free boot-load-jobs-shutdown one, on both fabrics, return the process
+// to its original goroutine count — neither an abort nor Shutdown may strand
+// a machine's main goroutine, workers, copiers, senders, or watchers.
 func TestFaultNoGoroutineLeak(t *testing.T) {
 	g := faultGraph(t)
 	base := runtime.NumGoroutine()
-	for _, useTCP := range []bool{false, true} {
+	for _, tc := range []struct{ useTCP, fault bool }{{false, true}, {true, true}, {false, false}, {true, false}} {
 		cfg := faultCfg(3)
-		inj := faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 8, Rules: []comm.FaultRule{
-			{Src: comm.AnyMachine, Dst: comm.AnyMachine, Type: int(comm.MsgReadReq), Kind: comm.FaultFail, After: 0, Limit: 1},
-		}})
-		cfg.Fabric = inj
+		fab := innerFabric(t, cfg, tc.useTCP)
+		if tc.fault {
+			fab = comm.NewFaultInjector(fab, comm.FaultPlan{Seed: 8, Rules: []comm.FaultRule{
+				{Src: comm.AnyMachine, Dst: comm.AnyMachine, Type: int(comm.MsgReadReq), Kind: comm.FaultFail, After: 0, Limit: 1},
+			}})
+		}
+		cfg.Fabric = fab
 		c, err := NewCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -305,11 +309,24 @@ func TestFaultNoGoroutineLeak(t *testing.T) {
 		}
 		src, _ := c.AddPropF64("src")
 		dst, _ := c.AddPropF64("dst")
-		if err := runPull(t, c, g, src, dst, false); err == nil {
-			t.Fatal("job succeeded despite injected failure")
+		if tc.fault {
+			if err := runPull(t, c, g, src, dst, false); err == nil {
+				t.Fatal("job succeeded despite injected failure")
+			}
+		} else {
+			// The healthy path: jobs and a barrier, then Shutdown must stop
+			// every machine's main goroutine with no abort behind it.
+			for i := 0; i < 3; i++ {
+				if err := runPull(t, c, g, src, dst, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		c.Shutdown()
-		inj.Close()
+		fab.Close()
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > base+2 {
@@ -320,6 +337,44 @@ func TestFaultNoGoroutineLeak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestFaultStaleFailureMissesLaterJobs: a machine's job runtime outlives its
+// jobs, and a copier, the abort watcher or Cancel may still hold it from an
+// earlier job's curJob. A failure naming that earlier job must land on none
+// of the jobs after it, however it interleaves with their resets.
+func TestFaultStaleFailureMissesLaterJobs(t *testing.T) {
+	c := bootCluster(t, testGraph(t), faultCfg(2))
+	p, _ := c.AddPropF64("p")
+	spec := JobSpec{Name: "rerun", Iter: IterNodes, Task: &nodeInit{p: p}}
+	if _, err := c.RunJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	m := c.machines[1]
+	jr, stale := &m.jr, m.jr.id.Load()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.abortJob(jr, stale, errors.New("straggler of an earlier job"))
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if _, err := c.RunJob(spec); err != nil {
+			t.Errorf("job %d after the stale failure: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // recoveryGate opens once post-abort recovery has polled the victim's

@@ -43,14 +43,14 @@ func TestStaleReadFrameDropped(t *testing.T) {
 		return buf
 	}
 	torn := []byte{0x80, 0x80, 0x80}
-	current := &jobRuntime{id: 1<<32 | 5, abortCh: make(chan struct{}), spec: &JobSpec{Name: "current", ReadProps: []PropID{p}}}
+	current := servedJob(1<<32|5, &JobSpec{Name: "current", ReadProps: []PropID{p}})
 	for _, tc := range []struct {
-		name  string
-		jr    *jobRuntime
-		epoch uint64
-	}{{"between jobs", nil, 5}, {"earlier job", current, 4}} {
+		name      string
+		jr        *jobRuntime
+		id, epoch uint64
+	}{{"between jobs", nil, 0, 5}, {"earlier job", current, 1<<32 | 5, 4}} {
 		before := reg.LifetimeCounters()["stale_read_frames"]
-		if err := m.serveRequest(frame(tc.epoch, 40, torn), tc.jr); err != nil {
+		if err := m.serveRequest(frame(tc.epoch, 40, torn), tc.jr, tc.id); err != nil {
 			t.Errorf("%s: stale frame was served: %v", tc.name, err)
 		}
 		if got := reg.LifetimeCounters()["stale_read_frames"] - before; got != 1 {
@@ -63,7 +63,7 @@ func TestStaleReadFrameDropped(t *testing.T) {
 		count   uint32
 		payload []byte
 	}{{"torn", 40, torn}, {"byte-7-set", byte7 | 1, readKeys(uint64(p) << 48)}} {
-		err := m.serveRequest(frame(5, tc.count, tc.payload), current)
+		err := m.serveRequest(frame(5, tc.count, tc.payload), current, current.id.Load())
 		if err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Errorf("%s: serveRequest = %v for the current job, want the length check's refusal", tc.name, err)
 		}
@@ -106,8 +106,7 @@ func FuzzServeReads(f *testing.F) {
 	f.Add(readKeys(key(p, n+slots-1)), uint32(1), false)    // a replica slot: it names nothing at the owner
 	f.Add(readKeys(key(p, 1)), uint32(1), true)             // stale epoch
 	f.Add(readKeys(key(p, 1), key(r, 1)), uint32(2), false) // registered, not declared
-	current := &jobRuntime{id: 1<<32 | 5, abortCh: make(chan struct{}),
-		spec: &JobSpec{Name: "fuzz", ReadProps: []PropID{p}}}
+	current := servedJob(1<<32|5, &JobSpec{Name: "fuzz", ReadProps: []PropID{p}})
 	f.Fuzz(func(t *testing.T, payload []byte, count uint32, stale bool) {
 		buf := m.reqPool.Acquire()
 		if len(payload) > buf.Room() {
@@ -120,7 +119,7 @@ func FuzzServeReads(f *testing.F) {
 		buf.Reset(h)
 		buf.AppendBytes(payload)
 		dropped := reg.LifetimeCounters()["stale_read_frames"]
-		err := m.serveRequest(buf, current)
+		err := m.serveRequest(buf, current, current.id.Load())
 		dropped = reg.LifetimeCounters()["stale_read_frames"] - dropped
 		switch {
 		case stale:
@@ -155,4 +154,12 @@ func FuzzServeReads(f *testing.F) {
 			t.Fatalf("err=%v: %d response and %d request buffers out, %d answers queued", err, m.respPool.Outstanding(), m.reqPool.Outstanding(), len(answers))
 		}
 	})
+}
+
+// servedJob is the runtime of job id as a copier finds it in curJob, enough
+// for serveRequest: the spec whose reads it serves and an open abort latch.
+func servedJob(id uint64, spec *JobSpec) *jobRuntime {
+	jr := &jobRuntime{jobPlan: jobPlan{spec: spec}, abortCh: make(chan struct{})}
+	jr.id.Store(id)
+	return jr
 }

@@ -284,7 +284,8 @@ func (mf *machineFrontier) listChunks(iter IterKind, workers int) []partition.Ch
 	n := len(mf.sparse)
 	rows := mf.st.rowsFor(iter)
 	if rows == nil {
-		return partition.NodeChunks(n, n/(8*workers)+1)
+		mf.chunkScratch = partition.AppendNodeChunks(mf.chunkScratch[:0], n, n/(8*workers)+1)
+		return mf.chunkScratch
 	}
 	prefix := mf.prefixScratch
 	if cap(prefix) < n+1 {
@@ -297,7 +298,8 @@ func (mf *machineFrontier) listChunks(iter IterKind, workers int) []partition.Ch
 	}
 	mf.prefixScratch = prefix
 	target := prefix[n]/int64(8*workers) + 1
-	return partition.EdgeChunks(prefix, target)
+	mf.chunkScratch = partition.AppendEdgeChunks(mf.chunkScratch[:0], prefix, target)
+	return mf.chunkScratch
 }
 
 // denseChunks filters a full-scan chunk list down to chunks whose node range

@@ -136,12 +136,14 @@ func (RowOnly) Run(c *Ctx) {
 type perEdge struct{ Task }
 
 // rowForm returns the kernel an edge iterator dispatches for task: task
-// itself when it is a RowTask, else task behind the perEdge adapter.
-func rowForm(task Task) RowTask {
+// itself when it is a RowTask, else task behind the perEdge adapter, which it
+// writes into adapter (the job runtime's, so the wrap allocates nothing).
+func rowForm(task Task, adapter *perEdge) RowTask {
 	if rt, ok := task.(RowTask); ok {
 		return rt
 	}
-	return perEdge{task}
+	*adapter = perEdge{task}
+	return adapter
 }
 
 func (a perEdge) RunRow(c *Ctx, row Row) {

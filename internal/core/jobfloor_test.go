@@ -28,14 +28,15 @@ func jobFloorSpecs(t testing.TB) (c *Cluster, empty, oneNode JobSpec) {
 }
 
 // TestJobFloorAllocations puts a ceiling on what one small frontier-sourced
-// job allocates across the driver and both machines: the job runtime, its
-// abort channel, the fan-out goroutines and their results, the collectives'
-// closures. The lanes, the frontier stats, spec validation and the frontier
-// sorts are not among them — a regression there moves the count past the
-// ceiling.
+// job allocates across the driver and both machines: nothing. The fan-out is
+// a hand-off to each machine's main goroutine into the cluster's own result
+// slots, each machine resets its one job runtime (the abort channel is remade
+// only after an abort), and the built frontiers, the source's chunk list, the
+// lanes and the frontier stats reuse their scratch — a regression in any of
+// them moves the count past the ceiling.
 func TestJobFloorAllocations(t *testing.T) {
 	c, _, oneNode := jobFloorSpecs(t)
-	const ceiling = 18
+	const ceiling = 0
 	allocs := testing.AllocsPerRun(200, func() {
 		st, err := c.RunJob(oneNode)
 		if err != nil || st.Frontiers[0].Count != 1 {

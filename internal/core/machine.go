@@ -38,9 +38,10 @@ type Machine struct {
 	// codec.wire_ratio shim, and it goes when that does.
 	serialized bool
 
-	// curJob points at the running job's runtime while a parallel region is
-	// in flight, so goroutines outside the job's call tree (copiers, the
-	// abort watcher) can fail it. Nil between jobs.
+	// curJob points at the machine's job runtime (jr) while a job is in
+	// flight, so goroutines outside the job's call tree (copiers, the abort
+	// watcher) can fail it, naming the job by the id they read. Nil between
+	// jobs.
 	curJob atomic.Pointer[jobRuntime]
 	// pendingAbort parks a remote abort announcement that raced ahead of
 	// the local job start; runJob claims it when the ids match.
@@ -76,8 +77,14 @@ type Machine struct {
 	// current load: node-count chunks for IterNodes, edge-balanced otherwise.
 	chunks [IterBothEdges + 1][]partition.Chunk
 
-	workers  []*worker
-	copierWG sync.WaitGroup
+	workers []*worker
+	// calls hands the machine's main goroutine (mainLoop) what to run: every
+	// job and every other section of Cluster.parallel. jr is the one job
+	// runtime that goroutine resets for each job. loops joins the main,
+	// copier and abort-watcher goroutines at shutdown.
+	calls chan call
+	jr    jobRuntime
+	loops sync.WaitGroup
 
 	// Cumulative counts of remote write records sent and applied; their
 	// cluster-wide equality is the termination condition for jobs with
@@ -102,9 +109,10 @@ type Machine struct {
 func (m *Machine) ID() int { return m.id }
 
 // newMachine boots machine id over its endpoint: router (poller), pools,
-// collectives, copier pool, and the persistent worker goroutines.
+// collectives, copier pool, and the persistent main and worker goroutines.
 func newMachine(cfg *Config, id int, ep comm.Endpoint, canceled *atomic.Pointer[error]) *Machine {
-	m := &Machine{id: id, cfg: cfg, ep: ep, canceled: canceled}
+	m := &Machine{id: id, cfg: cfg, ep: ep, canceled: canceled, calls: make(chan call, 1)}
+	m.jr.abortCh = make(chan struct{})
 	m.serialized = cfg.Fabric != nil && !comm.InMemoryFabric(cfg.Fabric) // nil: NewCluster's own in-process fabric
 	m.spill = newSpillState(cfg)
 	sh := shapeOf(cfg)
@@ -123,15 +131,37 @@ func newMachine(cfg *Config, id int, ep comm.Endpoint, canceled *atomic.Pointer[
 		m.workers[w] = newWorker(m, w)
 		go m.workers[w].loop()
 	}
-	m.copierWG.Add(cfg.Copiers)
+	m.loops.Add(cfg.Copiers)
 	for cp := 0; cp < cfg.Copiers; cp++ {
 		go m.copierLoop()
 	}
 	// The abort pool's payload is just an error string.
 	m.abortPool = comm.NewPool(sh.abort, min(512, cfg.BufferSize))
-	m.copierWG.Add(1)
+	m.loops.Add(2)
 	go m.abortWatcher()
+	go m.mainLoop()
 	return m
+}
+
+// call is one hand-off to a machine's main goroutine: the section to run,
+// where its error goes and whom to tell. Cluster.parallel sends the same fn
+// to every machine.
+type call struct {
+	fn   func(m *Machine) error
+	err  *error
+	done *sync.WaitGroup
+}
+
+// mainLoop is the machine's main goroutine, the one that runs Machine.runJob
+// and every collective: it runs the calls it is handed one at a time, for the
+// life of the machine, and exits when shutdown closes calls. One goroutine for
+// every job means its stack grows to runJob's depth once, not once per job.
+func (m *Machine) mainLoop() {
+	defer m.loops.Done()
+	for c := range m.calls {
+		*c.err = c.fn(m)
+		c.done.Done()
+	}
 }
 
 // pendingAbort records a MsgAbort that arrived for a job this machine has
@@ -145,24 +175,24 @@ type pendingAbort struct {
 // machine, failing the matching local job so no machine hangs waiting on a
 // peer that already gave up.
 func (m *Machine) abortWatcher() {
-	defer m.copierWG.Done()
+	defer m.loops.Done()
 	for buf := range m.router.AbortQueue() {
 		h := buf.Header()
 		err := fmt.Errorf("core: machine %d aborted job %d: %s", h.Src, h.Aux, buf.Payload())
 		buf.Release()
-		if jr := m.curJob.Load(); jr != nil && jr.id == h.Aux {
-			jr.fail(err)
+		if jr := m.curJob.Load(); jr != nil && jr.id.Load() == h.Aux {
+			jr.fail(h.Aux, err)
 		} else {
 			m.pendingAbort.Store(&pendingAbort{id: h.Aux, err: err})
 		}
 	}
 }
 
-// abortJob fails jr with err; the first failure on this machine announces
-// the abort to every peer so they stop waiting on us.
-func (m *Machine) abortJob(jr *jobRuntime, err error) {
-	if jr.fail(err) {
-		m.broadcastAbort(jr.id, err)
+// abortJob fails job id on jr with err; the first failure on this machine
+// announces the abort to every peer so they stop waiting on us.
+func (m *Machine) abortJob(jr *jobRuntime, id uint64, err error) {
+	if jr.fail(id, err) {
+		m.broadcastAbort(id, err)
 	}
 }
 
@@ -172,7 +202,7 @@ func (m *Machine) abortJob(jr *jobRuntime, err error) {
 // in the transport metrics.
 func (m *Machine) abortCurrent(err error) {
 	if jr := m.curJob.Load(); jr != nil {
-		m.abortJob(jr, err)
+		m.abortJob(jr, jr.id.Load(), err)
 	}
 }
 
@@ -298,7 +328,7 @@ func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
 // earlier error from elsewhere, or err itself when a phase reports a job that
 // has already failed — is returned as this machine's result.
 func (m *Machine) jobFail(jr *jobRuntime, err error) error {
-	m.abortJob(jr, err)
+	m.abortJob(jr, jr.id.Load(), err)
 	if root := jr.Err(); root != nil {
 		return root
 	}
@@ -309,20 +339,23 @@ func (m *Machine) jobFail(jr *jobRuntime, err error) error {
 // walks per node, in dispatch order.
 var iterViews = [...][2]int{IterNodes: {0, 0}, IterOutEdges: {0, 1}, IterInEdges: {1, 2}, IterBothEdges: {0, 2}}
 
-// newJobRuntime resolves spec against this machine's partition: which chunks
-// its workers claim and through which CSR views, which frontier members they
-// visit, which frontiers and write-activations the job feeds, and which column
-// words one goroutine owns during the job. No traffic; of the machine's state
-// only the columns' ownership flags and views are written, which nothing reads
-// between jobs.
+// newJobRuntime resets the machine's one job runtime for job jobID and
+// resolves spec against this machine's partition: which chunks its workers
+// claim and through which CSR views, which frontier members they visit, which
+// frontiers and write-activations the job feeds, and which column words one
+// goroutine owns during the job. The plan is replaced whole; the latch moves
+// to jobID (jobRuntime.reset). No traffic; of the machine's state only the
+// columns' ownership flags and views are written, which nothing reads between
+// jobs.
 func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	span := iterViews[spec.Iter]
-	jr := &jobRuntime{spec: spec, id: jobID, abortCh: make(chan struct{}),
-		chunks: m.chunks[spec.Iter], views: m.store.views[span[0]:span[1]]}
+	jr := &m.jr
+	jr.jobPlan = jobPlan{spec: spec, chunks: m.chunks[spec.Iter], views: m.store.views[span[0]:span[1]]}
+	jr.reset(jobID)
 	if len(jr.views) > 0 {
 		// One dispatch shape: workers hand rows to a RowTask. A per-edge Task
 		// gets the adapter here, once per job.
-		jr.row = rowForm(spec.Task)
+		jr.row = rowForm(spec.Task, &jr.edge)
 		jr.ooc, jr.cursors = m.ooc, m.ooc != nil && m.ooc.File().Compressed()
 	}
 
@@ -352,12 +385,13 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 		}
 	}
 	if len(spec.Build) > 0 {
-		jr.builds = make([]*machineFrontier, len(spec.Build))
-		for i, f := range spec.Build {
+		jr.builds = jr.buildsBuf[:0]
+		for _, f := range spec.Build {
 			bf := f.machines[m.id]
 			bf.beginBuild()
-			jr.builds[i] = bf
+			jr.builds = append(jr.builds, bf)
 		}
+		jr.buildsBuf = jr.builds
 	}
 	// Write-activation (WriteSpec.ActivateInto): a per-property slot index
 	// workers and the drain's replay consult on every reduce-write apply. Nil
@@ -366,10 +400,11 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	for _, ws := range spec.WriteProps {
 		if ws.ActivateInto > 0 {
 			if jr.activate == nil {
-				jr.activate = make([]int8, len(m.cols))
+				jr.activate = slices.Grow(jr.activateBuf[:0], len(m.cols))[:len(m.cols)]
 				for i := range jr.activate {
 					jr.activate[i] = -1
 				}
+				jr.activateBuf = jr.activate
 			}
 			jr.activate[ws.Prop] = int8(ws.ActivateInto - 1)
 		}
@@ -408,13 +443,13 @@ func (jr *jobRuntime) reads(p PropID) bool { return slices.Contains(jr.spec.Read
 // job, so one of the two sees the other: a Cancel is never lost in the window
 // between RunJob's entry check and this point.
 func (m *Machine) publish(jr *jobRuntime) {
-	m.spill.begin(jr.id)
+	m.spill.begin(jr.id.Load())
 	m.curJob.Store(jr)
-	if pa := m.pendingAbort.Swap(nil); pa != nil && pa.id == jr.id {
-		jr.fail(pa.err)
+	if pa := m.pendingAbort.Swap(nil); pa != nil && pa.id == jr.id.Load() {
+		jr.fail(pa.id, pa.err)
 	}
 	if cause := m.canceled.Load(); cause != nil {
-		m.abortJob(jr, *cause)
+		m.abortJob(jr, jr.id.Load(), *cause)
 	}
 	m.col.SetAbort(jr.abortCh)
 	m.col.SetTimeout(m.cfg.CollectiveTimeout)
@@ -449,7 +484,7 @@ func (m *Machine) startBarrier(jr *jobRuntime) error {
 // and a HistBarrier sample (what Cluster.Replan reads as wait skew).
 func (m *Machine) barrierSpan(jr *jobRuntime, which uint64, t int64) {
 	reg := m.cfg.Obs
-	reg.Span(m.id, obs.WorkerMain, obs.SpanBarrier, jr.id, t, which)
+	reg.Span(m.id, obs.WorkerMain, obs.SpanBarrier, jr.id.Load(), t, which)
 	reg.Observe(m.id, obs.HistBarrier, time.Duration(reg.Clock()-t))
 }
 
@@ -483,7 +518,7 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 		}
 	}
 	jr.taskNS = time.Since(jr.t0).Nanoseconds()
-	reg.Span(m.id, obs.WorkerMain, obs.SpanTaskPhase, jr.id, t, 0)
+	reg.Span(m.id, obs.WorkerMain, obs.SpanTaskPhase, jr.id.Load(), t, 0)
 	if err := jr.Err(); err != nil {
 		return err
 	}
@@ -614,7 +649,7 @@ func (m *Machine) drainWrites(jr *jobRuntime) error {
 		}
 		if jr.lanes.sent() == jr.lanes.applied() {
 			m.recordLoad(jr.lanes)
-			reg.Span(m.id, obs.WorkerMain, obs.SpanWriteDrain, jr.id, t, round)
+			reg.Span(m.id, obs.WorkerMain, obs.SpanWriteDrain, jr.id.Load(), t, round)
 			return nil
 		}
 		if err := jr.Err(); err != nil {
@@ -705,14 +740,15 @@ func (m *Machine) drainStale() {
 	}
 }
 
-// shutdown stops the workers, copiers, and poller. Outstanding frames are
-// drained and returned to their pools.
+// shutdown stops the main goroutine, the workers, copiers, and poller.
+// Outstanding frames are drained and returned to their pools.
 func (m *Machine) shutdown() {
+	close(m.calls)
 	for _, w := range m.workers {
 		close(w.jobCh)
 	}
 	m.router.Shutdown()
-	m.copierWG.Wait()
+	m.loops.Wait()
 	m.spill.reset()
 	m.releaseCols()
 }

@@ -71,6 +71,6 @@ func (w *worker) prefetch(jr *jobRuntime) {
 	case <-jr.abortCh:
 		w.unwind()
 	}
-	w.reg.Span(w.m.id, w.id, obs.SpanReadPrefetch, jr.id, t, uint64(words))
+	w.reg.Span(w.m.id, w.id, obs.SpanReadPrefetch, jr.id.Load(), t, uint64(words))
 	w.reg.Add(w.m.id, obs.CtrMirrorWords, int64(words))
 }

@@ -165,7 +165,7 @@ func TestDrainLanesLayout(t *testing.T) {
 	for _, p := range []int{1, 3} {
 		m := &Machine{cfg: &Config{NumMachines: p}}
 		for builds := 0; builds <= 2; builds++ {
-			l := m.newDrainLanes(&jobRuntime{builds: make([]*machineFrontier, builds)})
+			l := m.newDrainLanes(&jobRuntime{jobPlan: jobPlan{builds: make([]*machineFrontier, builds)}})
 			if want := 2 + 3*builds + 3*p; len(l.vals) != want {
 				t.Errorf("p=%d, %d builds: %d lanes, want %d", p, builds, len(l.vals), want)
 			}

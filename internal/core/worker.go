@@ -150,7 +150,7 @@ type abortUnwind struct{}
 // fail records err as the job's root cause (first error wins, peers are
 // notified) and unwinds this worker out of the job. Never returns.
 func (w *worker) fail(err error) {
-	w.m.abortJob(w.job, err)
+	w.m.abortJob(w.job, w.job.id.Load(), err)
 	panic(abortUnwind{})
 }
 
@@ -217,7 +217,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 	}
 	if jr.accumulate {
 		for _, ws := range jr.spec.WriteProps {
-			w.cols[ws.Prop].ensureAcc(w.id, ws.Op, jr.id, len(w.m.store.remote.addr))
+			w.cols[ws.Prop].ensureAcc(w.id, ws.Op, jr.id.Load(), len(w.m.store.remote.addr))
 		}
 	}
 
@@ -462,7 +462,7 @@ func (w *worker) processResponse(buf *comm.Buffer) {
 	if w.rttStart != nil {
 		if t, ok := w.rttStart[seq]; ok {
 			delete(w.rttStart, seq)
-			w.reg.Span(w.m.id, w.id, obs.SpanReadRTT, w.job.id, t, uint64(h.Src))
+			w.reg.Span(w.m.id, w.id, obs.SpanReadRTT, w.job.id.Load(), t, uint64(h.Src))
 			w.reg.Observe(w.m.id, obs.HistReadRTT, time.Duration(w.reg.Clock()-t))
 		}
 	}
@@ -642,7 +642,7 @@ func (w *worker) bufferWrite(dst int, p PropID, op reduce.Op, offset uint32, wor
 			// drops write frames from a job that is no longer current, so a
 			// straggler from an aborted run can never advance writesApplied
 			// against a reset drain baseline.
-			nb.Reset(comm.Header{Type: comm.MsgWriteReq, Worker: uint8(w.id), Src: uint16(w.m.id), Aux: w.job.id})
+			nb.Reset(comm.Header{Type: comm.MsgWriteReq, Worker: uint8(w.id), Src: uint16(w.m.id), Aux: w.job.id.Load()})
 			w.writeBufs[dst] = nb
 			buf = nb
 		}
@@ -691,7 +691,7 @@ func (w *worker) flushRead(dst int) {
 	// straggler of an aborted run must not be decoded against, or fail, the
 	// next one) and echoes Aux, of which the low half matches the response
 	// to its side structure.
-	buf.SetAux(uint64(uint32(w.job.id))<<32 | uint64(w.seq))
+	buf.SetAux(uint64(uint32(w.job.id.Load()))<<32 | uint64(w.seq))
 	w.sides[w.seq] = w.curSide[dst]
 	w.curSide[dst] = nil
 	w.outstanding++
@@ -723,7 +723,7 @@ func (w *worker) sendFlushed(dst int, buf *comm.Buffer) {
 	t := w.reg.Clock()
 	frame := len(buf.Data)
 	w.mustSend(dst, buf)
-	w.reg.Span(w.m.id, w.id, obs.SpanFlush, w.job.id, t, uint64(dst)<<48|uint64(frame))
+	w.reg.Span(w.m.id, w.id, obs.SpanFlush, w.job.id.Load(), t, uint64(dst)<<48|uint64(frame))
 	w.reg.Observe(w.m.id, obs.HistFlush, time.Duration(w.reg.Clock()-t))
 	if w.m.serialized {
 		// A shim, not a measurement: there is no flush codec, so a payload's
@@ -756,13 +756,50 @@ func (w *worker) mustSend(dst int, buf *comm.Buffer) {
 	}
 }
 
-// jobRuntime is the per-machine execution state of one job.
+// jobRuntime is one machine's execution state of the job in flight. A machine
+// has one for life (Machine.jr): newJobRuntime resets it for every job, so the
+// per-job state lives in the embedded jobPlan, replaced whole at the reset,
+// and what outlives a job — the worker join, the job id and the abort latch —
+// lives beside it.
 type jobRuntime struct {
+	jobPlan
+
+	// wg joins the machine's workers at the end of the task phase; it is zero
+	// again by then, ready for the next job.
+	wg sync.WaitGroup
+
+	// id is the cluster-wide job sequence number, carried in MsgAbort frames
+	// so a machine never aborts the wrong job on a stale announcement.
+	// Atomic, and changed only under abortMu: a copier, the abort watcher or
+	// Cancel may hold this runtime from an earlier job's curJob while the
+	// reset moves it to the next one, and fail checks the id it was handed
+	// against this one before it fails anything.
+	id atomic.Uint64
+	// abortCh closes when the job fails anywhere (locally or on a peer);
+	// workers, collectives, and the machine main goroutine all select on
+	// it. abortErr holds the root cause — the first error wins, later ones
+	// are dropped. A reset clears abortErr and makes a new abortCh only when
+	// an abort has closed the old one; a healthy job hands its channel on.
+	abortMu  sync.Mutex
+	abortCh  chan struct{}
+	abortErr atomic.Pointer[error]
+
+	// buildsBuf and activateBuf back the plan's builds and activate index,
+	// so a job that builds or activates allocates neither.
+	buildsBuf   []*machineFrontier
+	activateBuf []int8
+}
+
+// jobPlan is the per-job part of a jobRuntime: set by the reset and the
+// phases of Machine.runJob, dropped by the next reset.
+type jobPlan struct {
 	spec *JobSpec
 	// row is the kernel of an edge-iterator job — spec.Task itself when it
 	// implements RowTask, else spec.Task behind the perEdge adapter — and nil
-	// on node iterators, where workers call spec.Task.Run per node.
+	// on node iterators, where workers call spec.Task.Run per node. edge holds
+	// the adapter row points at.
 	row    RowTask
+	edge   perEdge
 	chunks []partition.Chunk
 	// views are the orientations an edge iterator walks per node, in dispatch
 	// order (two for IterBothEdges, none on a node iterator): the iterViews
@@ -815,32 +852,34 @@ type jobRuntime struct {
 	lanes          drainLanes
 
 	cursor atomic.Int64
-	wg     sync.WaitGroup
-
-	// id is the cluster-wide job sequence number, carried in MsgAbort
-	// frames so a machine never aborts the wrong job on a stale
-	// announcement.
-	id uint64
-	// abortCh closes when the job fails anywhere (locally or on a peer);
-	// workers, collectives, and the machine main goroutine all select on
-	// it. abortErr holds the root cause — the first error wins, later ones
-	// are dropped.
-	abortCh  chan struct{}
-	failOnce sync.Once
-	abortErr atomic.Pointer[error]
 }
 
-// fail records err as the job's root cause and releases everyone selecting
-// on abortCh. Reports whether this call was the first (the winner is the
-// one that must announce the abort to peers).
-func (jr *jobRuntime) fail(err error) bool {
-	won := false
-	jr.failOnce.Do(func() {
-		jr.abortErr.Store(&err)
-		close(jr.abortCh)
-		won = true
-	})
-	return won
+// reset moves the latch to job id: a failure handed an earlier id no longer
+// lands, and an abort's closed channel is replaced. Main goroutine only,
+// between jobs.
+func (jr *jobRuntime) reset(id uint64) {
+	jr.abortMu.Lock()
+	defer jr.abortMu.Unlock()
+	jr.id.Store(id)
+	if jr.abortErr.Load() != nil {
+		jr.abortErr.Store(nil)
+		jr.abortCh = make(chan struct{})
+	}
+}
+
+// fail records err as job id's root cause and releases everyone selecting on
+// abortCh, unless the runtime has moved on to another job or the job already
+// failed. Reports whether this call was the first (the winner is the one that
+// must announce the abort to peers).
+func (jr *jobRuntime) fail(id uint64, err error) bool {
+	jr.abortMu.Lock()
+	defer jr.abortMu.Unlock()
+	if jr.id.Load() != id || jr.abortErr.Load() != nil {
+		return false
+	}
+	jr.abortErr.Store(&err)
+	close(jr.abortCh)
+	return true
 }
 
 // Err returns the job's root-cause error, or nil while the job is healthy.

@@ -81,7 +81,7 @@ type Writer struct {
 // it declares p, and otherwise the first a worker asks for.
 func (c *Ctx) Writer(p PropID, op reduce.Op) *Writer {
 	wr := &c.w.wrs[p]
-	if wr.job != c.w.job.id || wr.op != op {
+	if wr.job != c.w.job.id.Load() || wr.op != op {
 		c.w.resolveWriter(wr, p, op)
 	}
 	return wr
@@ -94,7 +94,7 @@ func (c *Ctx) Writer(p PropID, op reduce.Op) *Writer {
 func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 	jr, col := w.job, w.cols[p]
 	was := op
-	if wr.job == jr.id {
+	if wr.job == jr.id.Load() {
 		was = wr.op
 	}
 	for _, ws := range jr.spec.WriteProps {
@@ -105,11 +105,11 @@ func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 	if was != op {
 		w.fail(fmt.Errorf("core: job %q reduces property %d with %v and with %v; a job reduces a property with one operator", jr.spec.Name, p, op, was))
 	}
-	*wr = Writer{col: col, op: op, plain: col.single, w: w, prop: p, job: jr.id}
+	*wr = Writer{col: col, op: op, plain: col.single, w: w, prop: p, job: jr.id.Load()}
 	if act := jr.activate; act != nil && act[p] >= 0 {
 		wr.act = &jr.builds[act[p]].shards[w.id]
 	}
-	if a := &col.acc[w.id]; jr.accumulate && a.job == jr.id { // bottomed for this job: it accumulates p
+	if a := &col.acc[w.id]; jr.accumulate && a.job == jr.id.Load() { // bottomed for this job: it accumulates p
 		wr.acc = a.slots
 	}
 }

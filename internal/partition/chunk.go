@@ -16,13 +16,15 @@ func (c Chunk) Len() int { return int(c.End - c.Begin) }
 // naive baseline ("node-based task chunking" in Figure 6c) in which a chunk
 // covering a few huge-degree vertices carries far more work than its peers.
 func NodeChunks(n int, chunkSize int) []Chunk {
-	if n <= 0 {
-		return nil
-	}
+	return AppendNodeChunks(nil, n, chunkSize)
+}
+
+// AppendNodeChunks appends NodeChunks(n, chunkSize) to chunks, for a caller
+// that reuses one chunk list across calls.
+func AppendNodeChunks(chunks []Chunk, n int, chunkSize int) []Chunk {
 	if chunkSize < 1 {
 		chunkSize = 1
 	}
-	chunks := make([]Chunk, 0, (n+chunkSize-1)/chunkSize)
 	for lo := 0; lo < n; lo += chunkSize {
 		hi := lo + chunkSize
 		if hi > n {
@@ -41,14 +43,19 @@ func NodeChunks(n int, chunkSize int) []Chunk {
 // nodes." A single vertex whose degree exceeds targetEdges becomes its own
 // chunk; chunks are never empty.
 func EdgeChunks(rows []int64, targetEdges int64) []Chunk {
+	return AppendEdgeChunks(nil, rows, targetEdges)
+}
+
+// AppendEdgeChunks appends EdgeChunks(rows, targetEdges) to chunks, for a
+// caller that reuses one chunk list across calls.
+func AppendEdgeChunks(chunks []Chunk, rows []int64, targetEdges int64) []Chunk {
 	n := len(rows) - 1
 	if n <= 0 {
-		return nil
+		return chunks
 	}
 	if targetEdges < 1 {
 		targetEdges = 1
 	}
-	var chunks []Chunk
 	lo := 0
 	for lo < n {
 		// The first node always joins, so over-degree vertices form singleton
