@@ -56,10 +56,10 @@ ci:
 
 # ROADMAP item 10's line metric: non-test Go lines in the engine, store and
 # server packages, then in the whole repository, so every change quotes the
-# same two numbers.
+# same two numbers. A tracked file deleted but not yet committed is skipped.
 loc:
 	@echo "core+store+server: $$(cat $$(ls internal/core/*.go internal/store/*.go internal/server/*.go | grep -v _test.go) | wc -l)"
-	@echo "repository:        $$(cat $$(git ls-files -co --exclude-standard '*.go' | grep -v _test.go) | wc -l)"
+	@echo "repository:        $$(git ls-files -co --exclude-standard '*.go' | grep -v _test.go | while read -r f; do [ -f "$$f" ] && cat "$$f"; done | wc -l)"
 
 # Performance regression check: one fresh set of the six benchmark workloads
 # compared against the last record in benchmark/history.jsonl (refused when
@@ -119,11 +119,12 @@ endif
 
 # Frontier/direction/dispatch check: frontier representation and
 # write-activation tests, the ablation lattice (adaptive vs pinned push/pull
-# and the sparse-frontier fallback, exact against SA over both fabrics), and
-# row kernels vs their per-edge forms and the row re-entrancy hazard (`race`,
-# and so `ci`, runs the same tests under the race detector).
+# and the sparse-frontier fallback, exact against SA over both fabrics), the
+# push/pull rule's table test, and row kernels vs their per-edge forms and the
+# row re-entrancy hazard (`race`, and so `ci`, runs the same tests under the
+# race detector).
 direction:
-	$(GO) test -count=1 -run 'Frontier|ActivateInto|AblationLattice|RowDispatch|RowKernel' ./internal/core/... ./internal/algorithms/...
+	$(GO) test -count=1 -run 'Frontier|ActivateInto|AblationLattice|DirectionRule|RowDispatch|RowKernel' ./internal/core/... ./internal/algorithms/...
 
 # Serving-layer check: scheduler/cancellation unit and regression tests under
 # the race detector.

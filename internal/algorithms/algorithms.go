@@ -103,7 +103,7 @@ func (r *runner) run(spec core.JobSpec) {
 }
 
 // runStats runs one job and returns its stats (zero value after an error) —
-// for callers that feed JobStats.Frontiers or Traffic back into a policy.
+// for callers that read JobStats.Frontiers.
 func (r *runner) runStats(spec core.JobSpec) core.JobStats {
 	if r.err != nil {
 		return core.JobStats{}
@@ -118,15 +118,6 @@ func (r *runner) runStats(spec core.JobSpec) core.JobStats {
 	}
 	r.met.track(st)
 	return st
-}
-
-// dirStep counts one traversal superstep in the chosen direction.
-func (r *runner) dirStep(d core.Direction) {
-	if d == core.DirPull {
-		r.met.PullSteps++
-	} else {
-		r.met.PushSteps++
-	}
 }
 
 func (r *runner) propF64(name string) core.PropID {

@@ -12,11 +12,10 @@ import (
 
 // trafficTrace is what one fabric's run of traceTraffic's catalog leaves
 // behind: per job, in order, the data bytes it moved; per algorithm, the
-// push/pull step counts; and the cluster's direction-cost EWMAs at the end.
+// push/pull step counts.
 type trafficTrace struct {
-	jobs       []string
-	steps      []string
-	push, pull float64
+	jobs  []string
+	steps []string
 }
 
 // TestTrafficIdenticalAcrossFabrics: a frame over loopback TCP is byte for
@@ -24,10 +23,10 @@ type trafficTrace struct {
 // before handing it over. So with one worker per machine — frame boundaries
 // then depend on nothing but the graph and the cut — every job of the adaptive
 // traversals and of both PageRanks moves the same request, response and write
-// bytes on either fabric, the direction policy is fed the same bytes per edge,
-// and it takes the same push/pull steps. Data bytes only: a job's control
-// frames include however many allreduce rounds its write drain spun through
-// (ten or five thousand, for the same job), which no fabric makes repeatable.
+// bytes on either fabric, and the traversals take the same push/pull steps.
+// Data bytes only: a job's control frames include however many allreduce
+// rounds its write drain spun through (ten or five thousand, for the same
+// job), which no fabric makes repeatable.
 func TestTrafficIdenticalAcrossFabrics(t *testing.T) {
 	rmat, err := graph.RMAT(10, 8, graph.TwitterLike(), 12345)
 	if err != nil {
@@ -55,9 +54,6 @@ func TestTrafficIdenticalAcrossFabrics(t *testing.T) {
 					if inproc.jobs[i] != tcp.jobs[i] {
 						t.Fatalf("job %d: in process %s, over TCP %s", i, inproc.jobs[i], tcp.jobs[i])
 					}
-				}
-				if inproc.push != tcp.push || inproc.pull != tcp.pull {
-					t.Errorf("direction costs: in process push %v pull %v, over TCP push %v pull %v", inproc.push, inproc.pull, tcp.push, tcp.pull)
 				}
 			})
 		}
@@ -116,6 +112,5 @@ func traceTraffic(t *testing.T, g *graph.Graph, p int, useTCP bool) trafficTrace
 		tr.steps = append(tr.steps, fmt.Sprintf("%s %d push/%d pull", run.name, m.PushSteps, m.PullSteps))
 	}
 	cut("")
-	tr.push, tr.pull = c.DirectionCosts()
 	return tr
 }

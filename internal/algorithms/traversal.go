@@ -11,7 +11,7 @@ import (
 // The traversal algorithms (WCC, SSSP, hop distance) run on the frontier API:
 // an explicit active-vertex set drives each superstep (JobSpec.Source), the
 // kernel of the adopt phase collects the next frontier (Ctx.Activate), and a
-// DirectionPolicy picks push or pull per superstep. The frontier size and
+// directionPolicy picks push or pull per superstep. The frontier size and
 // degree sums come back piggybacked on the job's termination allreduce, so no
 // per-superstep ReduceI64 collective remains on this path. Push, pull and the
 // engine's sparse/dense frontier dispatch are schedules of these same
@@ -85,13 +85,9 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 	cur := c.NewFrontier("wcc_cur")
 	cur.Fill(nil) // every node starts with its own label to propagate
 	stats := cur.Stats()
-	policy := c.NewDirectionPolicy()
 	// Min-label pull has no early exit (every neighbor label must be folded
-	// in), so a pull superstep pays its full 2E scan: only prefer it when
-	// frontier edge work genuinely rivals that, not at the BFS-tuned 1/alpha
-	// fraction.
-	policy.Alpha = 1
-	dir := core.DirPush
+	// in), so a pull superstep pays its full 2E scan.
+	policy := policyFor(c, alphaFullScan)
 	pullEdges := 2 * c.NumEdges() // a pull superstep scans both orientations
 
 	start := nowFn()
@@ -99,20 +95,14 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 		if stats.Count == 0 {
 			break
 		}
-		dir = policy.Choose(dir, stats.Count, stats.OutDeg+stats.InDeg, pullEdges)
-		r.dirStep(dir)
-		if dir == core.DirPush {
-			st := r.runStats(core.JobSpec{Name: "wcc-push", Iter: core.IterBothEdges,
+		r.superstep(policy, stats.Count, stats.OutDeg+stats.InDeg, pullEdges,
+			core.JobSpec{Name: "wcc-push", Iter: core.IterBothEdges,
 				Source:     cur,
 				Task:       &pushKernel{src: label, dst: labelNxt, op: reduce.Min},
-				WriteProps: []core.WriteSpec{{Prop: labelNxt, Op: reduce.Min}}})
-			policy.Observe(core.DirPush, stats.OutDeg+stats.InDeg, st.Traffic.DataBytesSent)
-		} else {
-			st := r.runStats(core.JobSpec{Name: "wcc-pull", Iter: core.IterBothEdges,
+				WriteProps: []core.WriteSpec{{Prop: labelNxt, Op: reduce.Min}}},
+			core.JobSpec{Name: "wcc-pull", Iter: core.IterBothEdges,
 				Task:      &wccPullKernel{label: label, labelNxt: labelNxt},
 				ReadProps: []core.PropID{label}})
-			policy.Observe(core.DirPull, pullEdges, st.Traffic.DataBytesSent)
-		}
 		// The adopt pass scans every node, unlike SSSP's: sourcing it from the
 		// nodes the push touched (WriteSpec.ActivateInto) was measured slower
 		// on scan-local and allocated more per round: a label push lowers most
@@ -238,12 +228,9 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 	cur, touched := c.NewFrontier("sssp_cur"), c.NewFrontier("sssp_touched")
 	cur.Add(source)
 	stats := cur.Stats()
-	policy := c.NewDirectionPolicy()
 	// Edge relaxation has no early exit in pull form (min over every
-	// in-edge), so a pull superstep pays its full E scan: only prefer it when
-	// frontier edge work rivals that, not at the BFS-tuned 1/alpha fraction.
-	policy.Alpha = 1
-	dir := core.DirPush
+	// in-edge), so a pull superstep pays its full E scan.
+	policy := policyFor(c, alphaFullScan)
 	pullEdges := c.NumEdges() // a pull superstep scans every in-edge once
 
 	start := nowFn()
@@ -251,22 +238,16 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 		if stats.Count == 0 {
 			break
 		}
-		dir = policy.Choose(dir, stats.Count, stats.OutDeg, pullEdges)
-		r.dirStep(dir)
-		if dir == core.DirPush {
-			st := r.runStats(core.JobSpec{Name: "sssp-relax", Iter: core.IterOutEdges,
+		r.superstep(policy, stats.Count, stats.OutDeg, pullEdges,
+			core.JobSpec{Name: "sssp-relax", Iter: core.IterOutEdges,
 				Source:     cur,
 				Task:       &distRelaxKernel{dist: dist, distNxt: distNxt},
 				WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min, ActivateInto: 1}},
-				Build:      []*core.Frontier{touched}})
-			policy.Observe(core.DirPush, stats.OutDeg, st.Traffic.DataBytesSent)
-		} else {
-			st := r.runStats(core.JobSpec{Name: "sssp-pull", Iter: core.IterInEdges,
+				Build:      []*core.Frontier{touched}},
+			core.JobSpec{Name: "sssp-pull", Iter: core.IterInEdges,
 				Task:      &ssspPullKernel{dist: dist, distNxt: distNxt},
 				ReadProps: []core.PropID{dist},
 				Build:     []*core.Frontier{touched}})
-			policy.Observe(core.DirPull, pullEdges, st.Traffic.DataBytesSent)
-		}
 		adopt := r.runStats(core.JobSpec{Name: "sssp-adopt", Iter: core.IterNodes, Source: touched,
 			Task:  &ssspAdoptKernel{dist: dist, distNxt: distNxt},
 			Build: []*core.Frontier{cur}})
@@ -376,30 +357,22 @@ func (r *runner) bfs(dist core.PropID, cur, unvis *core.Frontier, root graph.Nod
 	unvis.Fill(func(v graph.NodeID) bool { return v != root })
 	curStats, unvisStats := cur.Stats(), unvis.Stats()
 
-	policy := c.NewDirectionPolicy()
-	dir := core.DirPush
+	policy := policyFor(c, alphaEarlyExit)
 	for level := int64(0); int(level) < maxIter && r.err == nil; level++ {
 		if curStats.Count == 0 {
 			break
 		}
-		dir = policy.Choose(dir, curStats.Count, curStats.OutDeg, unvisStats.InDeg)
-		r.dirStep(dir)
-		var st core.JobStats
-		if dir == core.DirPush {
-			st = r.runStats(core.JobSpec{Name: "hop-push", Iter: core.IterOutEdges,
+		st := r.superstep(policy, curStats.Count, curStats.OutDeg, unvisStats.InDeg,
+			core.JobSpec{Name: "hop-push", Iter: core.IterOutEdges,
 				Source:     cur,
 				Task:       &hopPushKernel{dist: dist, level: level},
 				WriteProps: []core.WriteSpec{{Prop: dist, Op: reduce.Min, ActivateInto: 1}},
-				Build:      []*core.Frontier{cur}})
-			policy.Observe(core.DirPush, curStats.OutDeg, st.Traffic.DataBytesSent)
-		} else {
-			st = r.runStats(core.JobSpec{Name: "hop-pull", Iter: core.IterInEdges,
+				Build:      []*core.Frontier{cur}},
+			core.JobSpec{Name: "hop-pull", Iter: core.IterInEdges,
 				Source:    unvis,
 				Task:      &hopPullKernel{dist: dist, level: level},
 				ReadProps: []core.PropID{dist},
 				Build:     []*core.Frontier{cur}})
-			policy.Observe(core.DirPull, unvisStats.InDeg, st.Traffic.DataBytesSent)
-		}
 		r.met.Iterations++
 		if r.err != nil {
 			break

@@ -458,8 +458,3 @@ func (m *machine) gatherApply(e *Engine, prog Program, bytesSent *atomic.Int64) 
 		bytesSent.Add(int64(len(buf)))
 	}
 }
-
-// OutDegreeOf exposes a vertex's out-degree to programs that need it (e.g.
-// PageRank divides by it at gather time via pre-scaled data instead; KCore
-// uses total degree at init).
-func (e *Engine) OutDegreeOf(v graph.NodeID) int64 { return e.g.OutDegree(v) }

@@ -84,9 +84,6 @@ func (c *Ctx) SendToInNbrs(msg float64) {
 	}
 }
 
-// SendTo sends msg to an arbitrary vertex.
-func (c *Ctx) SendTo(v graph.NodeID, msg float64) { c.sink.add(c.e, v, msg) }
-
 // msgSink buffers outgoing messages per destination machine as raw records.
 type msgSink struct {
 	prog    Program

@@ -66,9 +66,8 @@ func (t MsgType) String() string {
 }
 
 // CtrlWorker is the pseudo worker id used by a machine's main goroutine
-// (sequential regions, collectives). A read response addressed to it is routed
-// to the control channel rather than a worker response queue; an RMI response
-// is released as misaddressed (RMIs are issued by tasks only).
+// (collectives, abort announcements). A read or RMI response addressed to it
+// is released as misaddressed: only tasks issue reads and RMIs.
 const CtrlWorker = 255
 
 // HeaderSize is the fixed frame header length in bytes.

@@ -555,32 +555,37 @@ func TestRouterRMIRespChannel(t *testing.T) {
 	ep1, _ := f.Endpoint(1)
 	router := NewRouter(ep1, RouterConfig{NumWorkers: 2})
 	pool := NewPool(4, 1024)
-	// An RMI response for the main goroutine is misaddressed — RMIs are issued
-	// by tasks only — and released, not queued.
-	buf := pool.Acquire()
-	buf.Reset(Header{Type: MsgRMIResp, Worker: CtrlWorker, Src: 0, Aux: 5})
-	if err := ep0.Send(1, buf); err != nil {
-		t.Fatal(err)
+	// An RMI or read response for the main goroutine is misaddressed — only
+	// tasks issue RMIs and reads — and released, not queued: a response stamped
+	// CtrlWorker must never reach the control channel, where a collective
+	// matches frames by Aux alone.
+	var buf *Buffer
+	for _, typ := range []MsgType{MsgRMIResp, MsgReadResp} {
+		buf = pool.Acquire()
+		buf.Reset(Header{Type: typ, Worker: CtrlWorker, Src: 0, Aux: 5})
+		if err := ep0.Send(1, buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Read response for the main goroutine goes to ctrl. The poller routes in
-	// arrival order, so once it is out the RMI response has been through the
-	// switch: only this frame may still be out of the pool.
+	// The poller routes in arrival order, so once this control frame is out
+	// both responses have been through the switch: only it may still be out of
+	// the pool.
 	buf = pool.Acquire()
-	buf.Reset(Header{Type: MsgReadResp, Worker: CtrlWorker, Src: 0, Aux: 6})
+	buf.Reset(Header{Type: MsgCtrl, Src: 0, Aux: 6})
 	if err := ep0.Send(1, buf); err != nil {
 		t.Fatal(err)
 	}
 	got := <-router.Ctrl()
 	if got.Header().Aux != 6 {
-		t.Errorf("ctrl aux = %d", got.Header().Aux)
+		t.Errorf("ctrl aux = %d: a response to CtrlWorker reached the control channel", got.Header().Aux)
 	}
 	if n := pool.Outstanding(); n != 1 {
-		t.Errorf("%d buffers outstanding with the ctrl frame in hand, want 1: the RMI response was not released", n)
+		t.Errorf("%d buffers outstanding with the ctrl frame in hand, want 1: a response to CtrlWorker was not released", n)
 	}
 	for w := 0; w < 2; w++ {
 		select {
 		case buf := <-router.WorkerResp(w):
-			t.Errorf("the RMI response reached worker %d's queue", w)
+			t.Errorf("a response to CtrlWorker reached worker %d's queue", w)
 			buf.Release()
 		default:
 		}

@@ -8,8 +8,8 @@ import (
 // Metrics accumulates per-endpoint traffic counters, split by destination
 // and by message type. It is the engine's one traffic and transport-error
 // ledger: Figure 6a (traffic reduction from replicas), the Figure 8
-// bandwidth studies, JobStats.Traffic, the direction policy and the obs
-// registry's job reports all read these. All counters are atomic: many
+// bandwidth studies, JobStats.Traffic and the obs registry's job reports all
+// read these. All counters are atomic: many
 // goroutines send concurrently.
 type Metrics struct {
 	// links[d] counts the frames and bytes sent to machine d; the sent totals

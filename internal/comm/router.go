@@ -87,13 +87,13 @@ func (r *Router) poll() {
 		}
 		switch MsgType(buf.Data[0]) {
 		case MsgReadResp, MsgRMIResp:
-			switch w := buf.Data[1]; {
-			case w == CtrlWorker && MsgType(buf.Data[0]) == MsgReadResp:
-				r.ctrl <- buf // a read response to the machine's main goroutine
-			case int(w) < len(r.workerResp):
+			// Only workers issue reads and RMIs, so a response to any other
+			// id (CtrlWorker included) is misaddressed: drop rather than wedge
+			// or let it pose as a control frame.
+			if w := int(buf.Data[1]); w < len(r.workerResp) {
 				r.workerResp[w] <- buf
-			default:
-				buf.Release() // misaddressed; drop rather than wedge
+			} else {
+				buf.Release()
 			}
 		case MsgReadReq, MsgWriteReq, MsgRMIReq:
 			r.reqIn.Add(1)

@@ -55,15 +55,6 @@ type Cluster struct {
 	// sticky cause, nil while the cluster accepts jobs. Every machine holds a
 	// pointer to it and checks it as it publishes a job.
 	canceled atomic.Pointer[error]
-
-	// dirPushCost/dirPullCost persist the direction policy's learned
-	// bytes-per-edge EWMAs across traversal runs on this cluster: a new
-	// DirectionPolicy seeds from them instead of re-learning the fabric's
-	// push/pull cost ratio from scratch, so the second traversal's first
-	// supersteps already decide with calibrated costs. Driver-side state
-	// (Observe runs between jobs, never concurrently).
-	dirPushCost float64
-	dirPullCost float64
 }
 
 // ErrJobAborted wraps every error RunJob returns for a job that started and

@@ -124,9 +124,9 @@ const (
 	// AblateEdgeChunking cuts scheduling chunks by node count instead of
 	// edge count — the Figure 6c baseline.
 	AblateEdgeChunking
-	// AblatePinPush and AblatePinPull pin every DirectionPolicy to one
-	// direction instead of the per-superstep heuristic (pull wins when both
-	// are set).
+	// AblatePinPush and AblatePinPull pin every traversal superstep to one
+	// direction instead of the per-superstep rule (pull wins when both are
+	// set); the traversals in internal/algorithms read them.
 	AblatePinPush
 	AblatePinPull
 	// AblateRemoteSets turns off both uses of the per-load remote set
@@ -140,20 +140,9 @@ const (
 // Has reports whether any member of m is set in a.
 func (a Ablation) Has(m Ablation) bool { return a&m != 0 }
 
-// Frontier/direction constants. The dense fraction (share of a machine's
-// local nodes at which its frontier flips from sorted list to bitmap) is the
-// usual bitmap break-even point. Beta, the pull→push threshold, is Beamer's
-// direction-optimizing BFS constant. Alpha, the push→pull threshold, is
-// re-tuned: Beamer's shared-memory constant is 14, but in this engine a push
-// superstep's per-edge cost (buffered remote reductions) is far below a pull
-// superstep's (remote reads + responses), so pull must promise a larger work
-// reduction before it pays: alpha=2 keeps high-diameter road-shaped graphs
-// all-push while still flipping the two dense levels of small-world graphs.
-const (
-	frontierDenseFraction = 1.0 / 32
-	directionAlpha        = 2.0
-	directionBeta         = 24.0
-)
+// frontierDenseFraction is the share of a machine's local nodes at which its
+// frontier flips from sorted list to bitmap: the usual bitmap break-even point.
+const frontierDenseFraction = 1.0 / 32
 
 // validate normalizes cfg and reports configuration errors.
 func (c *Config) validate() error {

@@ -33,13 +33,6 @@ func (b *Builder) AddEdge(src, dst NodeID) {
 	b.edges = append(b.edges, Edge{Src: src, Dst: dst})
 }
 
-// AddWeightedEdge records the directed edge (src, dst) with the given weight
-// and marks the resulting graph as weighted.
-func (b *Builder) AddWeightedEdge(src, dst NodeID, w float64) {
-	b.weighted = true
-	b.edges = append(b.edges, Edge{Src: src, Dst: dst, Weight: w})
-}
-
 // AddEdges appends a batch of edges. If markWeighted is true the resulting
 // graph carries weights.
 func (b *Builder) AddEdges(edges []Edge, markWeighted bool) {

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 )
@@ -146,15 +144,6 @@ func (j *JobReport) TrafficMatrixString() string {
 	}
 	fmt.Fprintf(&b, "%12s", fmtBytes(grand))
 	return b.String()
-}
-
-// WriteJSON writes the report as indented JSON to path.
-func (j *JobReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(j, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func fmtBytes(n int64) string {
