@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults fuzz-smoke ci loc perf-check bench-scan bench-job bench-read bench-write bench-decode direction serve balance ooc
+.PHONY: build test vet race faults fuzz-smoke ci loc perf-check bench-scan bench-job bench-direction bench-read bench-write bench-decode direction serve balance ooc
 
 build:
 	$(GO) build ./...
@@ -48,7 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzServeRequest -fuzztime 5s -fuzzminimizetime 1s
 
 # Budget: 6 minutes of wall clock on the 2-vCPU reference box (race is most of
-# it); the target prints what it took — 231 s there in the last recorded run
+# it); the target prints what it took — 238 s there in the last recorded run
 # (test cache cleared, build cache warm; a cold race build adds about 90 s).
 ci:
 	@start=$$(date +%s); $(MAKE) --no-print-directory test vet race faults fuzz-smoke && \
@@ -95,18 +95,27 @@ perf-check:
 # behind the per-edge adapter, a push reducing by the row (Writer.WriteRow) and
 # ref by ref, local and 20 % remote: all-local, a push row is the cost of one
 # local reduction.
+#
+# bench-direction, same recipe, prices the push/pull rule's α: ns per charged
+# edge of one push and one pull superstep of each traversal's real kernels
+# (WCC and SSSP over a whole-graph frontier, BFS at its heaviest level) on
+# RMAT(14,16), Workers 1 and 4, p = 1 and 2 in process; the push/pull column
+# is the α at which the two directions break even.
 SCRATCH ?= /tmp/pgxd-bench-remote
-bench-job bench-scan bench-read bench-write bench-decode: PKG = ./internal/core
-bench-job bench-scan bench-read bench-write bench-decode: BENCHTIME = 10x
+bench-job bench-scan bench-direction bench-read bench-write bench-decode: PKG = ./internal/core
+bench-job bench-scan bench-direction bench-read bench-write bench-decode: BENCHTIME = 10x
 bench-job: BENCH = JobFloor
 bench-job: BENCHTIME = 20000x
 bench-scan: BENCH = EdgeDispatch
 bench-scan: BENCHTIME = 50x
+bench-direction: BENCH = DirectionStep
+bench-direction: BENCHTIME = 20x
+bench-direction: PKG = ./internal/algorithms
 bench-read: BENCH = RemoteRead
 bench-write: BENCH = RemoteWrite
 bench-decode: BENCH = Decode
 bench-decode: PKG = ./internal/store
-bench-job bench-scan bench-read bench-write bench-decode:
+bench-job bench-scan bench-direction bench-read bench-write bench-decode:
 ifdef AGAINST
 	rm -rf $(SCRATCH) && mkdir -p $(SCRATCH)/ref
 	git archive $(AGAINST) | tar -x -C $(SCRATCH)/ref
@@ -120,11 +129,11 @@ endif
 # Frontier/direction/dispatch check: frontier representation and
 # write-activation tests, the ablation lattice (adaptive vs pinned push/pull
 # and the sparse-frontier fallback, exact against SA over both fabrics), the
-# push/pull rule's table test, and row kernels vs their per-edge forms and the
-# row re-entrancy hazard (`race`, and so `ci`, runs the same tests under the
-# race detector).
+# push/pull rule's table test and its step counts on each graph shape, and row
+# kernels vs their per-edge forms and the row re-entrancy hazard (`race`, and
+# so `ci`, runs the same tests under the race detector).
 direction:
-	$(GO) test -count=1 -run 'Frontier|ActivateInto|AblationLattice|DirectionRule|RowDispatch|RowKernel' ./internal/core/... ./internal/algorithms/...
+	$(GO) test -count=1 -run 'Frontier|ActivateInto|AblationLattice|DirectionRule|DirectionStepsByShape|RowDispatch|RowKernel' ./internal/core/... ./internal/algorithms/...
 
 # Serving-layer check: scheduler/cancellation unit and regression tests under
 # the race detector.

@@ -16,14 +16,29 @@ const (
 )
 
 // The push→pull threshold α: pull is chosen once the frontier's edge work
-// exceeds pullEdges/α. BFS's pull stops at the first claimed in-neighbor;
-// α = 2 (Beamer's shared-memory constant is 14) keeps road-shaped graphs
-// all-push while still flipping the dense levels of small-world graphs. WCC's
-// and SSSP's pull kernels fold every neighbor in and pay the full scan, so
-// they pull only once the frontier's edge work exceeds that scan.
+// exceeds pullEdges/α, so α is what a push edge costs in pull edges — push
+// and pull break even at α = push ns/edge ÷ pull ns/edge, the push/pull
+// column of BenchmarkDirectionStep (`make bench-direction`; rows in
+// EXPERIMENTS.md, "Pricing the direction rule").
+//
+// WCC's and SSSP's pull kernels fold every neighbor in and pay the full scan.
+// Their push edge is a MIN reduction that may lower a word and activate its
+// node; their pull edge is a read of a local or mirrored word. On RMAT(14,16)
+// at Workers 1 and 4, p = 1 and 2 in process, WCC's rows read α ≈ 1.6–2.5 and
+// SSSP's 2.7–5.5. Every α from 2 to 4 makes the same decisions on every graph
+// probed (DESIGN.md, "Frontiers + adaptive push/pull direction switching");
+// 4 sits in the middle of SSSP's rows and a factor of two below α = 8, where
+// grid SSSP starts pulling its sparse tail and runs slower.
+//
+// BFS's pull stops at the first claimed in-neighbor, so its cost per charged
+// edge depends on the level: at RMAT's heaviest level the rows read α ≈
+// 0.5–1.6. α = 2 (Beamer's shared-memory constant is 14) keeps road-shaped
+// graphs all-push while still flipping the dense levels of small-world
+// graphs; 4 and 8 make the same RMAT decisions, and 8 starts pulling the tail
+// of a grid with shortcuts.
 const (
 	alphaEarlyExit = 2.0
-	alphaFullScan  = 1.0
+	alphaFullScan  = 4.0
 )
 
 // directionBeta is the pull→push threshold, Beamer's constant: a shrinking

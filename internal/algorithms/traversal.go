@@ -95,14 +95,8 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 		if stats.Count == 0 {
 			break
 		}
-		r.superstep(policy, stats.Count, stats.OutDeg+stats.InDeg, pullEdges,
-			core.JobSpec{Name: "wcc-push", Iter: core.IterBothEdges,
-				Source:     cur,
-				Task:       &pushKernel{src: label, dst: labelNxt, op: reduce.Min},
-				WriteProps: []core.WriteSpec{{Prop: labelNxt, Op: reduce.Min}}},
-			core.JobSpec{Name: "wcc-pull", Iter: core.IterBothEdges,
-				Task:      &wccPullKernel{label: label, labelNxt: labelNxt},
-				ReadProps: []core.PropID{label}})
+		push, pull := wccSteps(label, labelNxt, cur)
+		r.superstep(policy, stats.Count, stats.OutDeg+stats.InDeg, pullEdges, push, pull)
 		// The adopt pass scans every node, unlike SSSP's: sourcing it from the
 		// nodes the push touched (WriteSpec.ActivateInto) was measured slower
 		// on scan-local and allocated more per round: a label push lowers most
@@ -123,6 +117,19 @@ func WCC(c *core.Cluster, maxIter int) ([]int64, Metrics, error) {
 		return nil, r.met, r.err
 	}
 	return c.GatherI64(label), r.met, nil
+}
+
+// wccSteps is one WCC superstep in both directions: push scatters the labels
+// of cur's members with MIN reductions, pull has every node gather its
+// neighbors' labels.
+func wccSteps(label, labelNxt core.PropID, cur *core.Frontier) (push, pull core.JobSpec) {
+	return core.JobSpec{Name: "wcc-push", Iter: core.IterBothEdges,
+			Source:     cur,
+			Task:       &pushKernel{src: label, dst: labelNxt, op: reduce.Min},
+			WriteProps: []core.WriteSpec{{Prop: labelNxt, Op: reduce.Min}}},
+		core.JobSpec{Name: "wcc-pull", Iter: core.IterBothEdges,
+			Task:      &wccPullKernel{label: label, labelNxt: labelNxt},
+			ReadProps: []core.PropID{label}}
 }
 
 // --- SSSP (Bellman-Ford) -----------------------------------------------------
@@ -238,16 +245,8 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 		if stats.Count == 0 {
 			break
 		}
-		r.superstep(policy, stats.Count, stats.OutDeg, pullEdges,
-			core.JobSpec{Name: "sssp-relax", Iter: core.IterOutEdges,
-				Source:     cur,
-				Task:       &distRelaxKernel{dist: dist, distNxt: distNxt},
-				WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min, ActivateInto: 1}},
-				Build:      []*core.Frontier{touched}},
-			core.JobSpec{Name: "sssp-pull", Iter: core.IterInEdges,
-				Task:      &ssspPullKernel{dist: dist, distNxt: distNxt},
-				ReadProps: []core.PropID{dist},
-				Build:     []*core.Frontier{touched}})
+		push, pull := ssspSteps(dist, distNxt, cur, touched)
+		r.superstep(policy, stats.Count, stats.OutDeg, pullEdges, push, pull)
 		adopt := r.runStats(core.JobSpec{Name: "sssp-adopt", Iter: core.IterNodes, Source: touched,
 			Task:  &ssspAdoptKernel{dist: dist, distNxt: distNxt},
 			Build: []*core.Frontier{cur}})
@@ -262,6 +261,21 @@ func SSSP(c *core.Cluster, source graph.NodeID, maxIter int) ([]float64, Metrics
 		return nil, r.met, r.err
 	}
 	return c.GatherF64(dist), r.met, nil
+}
+
+// ssspSteps is one SSSP superstep in both directions, each collecting the
+// nodes whose distNxt it lowered into touched: push relaxes the out-edges of
+// cur's members, pull has every node fold in its in-edges.
+func ssspSteps(dist, distNxt core.PropID, cur, touched *core.Frontier) (push, pull core.JobSpec) {
+	return core.JobSpec{Name: "sssp-relax", Iter: core.IterOutEdges,
+			Source:     cur,
+			Task:       &distRelaxKernel{dist: dist, distNxt: distNxt},
+			WriteProps: []core.WriteSpec{{Prop: distNxt, Op: reduce.Min, ActivateInto: 1}},
+			Build:      []*core.Frontier{touched}},
+		core.JobSpec{Name: "sssp-pull", Iter: core.IterInEdges,
+			Task:      &ssspPullKernel{dist: dist, distNxt: distNxt},
+			ReadProps: []core.PropID{dist},
+			Build:     []*core.Frontier{touched}}
 }
 
 // --- hop distance (BFS) -------------------------------------------------------
@@ -362,17 +376,8 @@ func (r *runner) bfs(dist core.PropID, cur, unvis *core.Frontier, root graph.Nod
 		if curStats.Count == 0 {
 			break
 		}
-		st := r.superstep(policy, curStats.Count, curStats.OutDeg, unvisStats.InDeg,
-			core.JobSpec{Name: "hop-push", Iter: core.IterOutEdges,
-				Source:     cur,
-				Task:       &hopPushKernel{dist: dist, level: level},
-				WriteProps: []core.WriteSpec{{Prop: dist, Op: reduce.Min, ActivateInto: 1}},
-				Build:      []*core.Frontier{cur}},
-			core.JobSpec{Name: "hop-pull", Iter: core.IterInEdges,
-				Source:    unvis,
-				Task:      &hopPullKernel{dist: dist, level: level},
-				ReadProps: []core.PropID{dist},
-				Build:     []*core.Frontier{cur}})
+		push, pull := hopSteps(dist, level, cur, unvis, cur)
+		st := r.superstep(policy, curStats.Count, curStats.OutDeg, unvisStats.InDeg, push, pull)
 		r.met.Iterations++
 		if r.err != nil {
 			break
@@ -381,6 +386,22 @@ func (r *runner) bfs(dist core.PropID, cur, unvis *core.Frontier, root graph.Nod
 		unvis.Subtract(cur)
 		unvisStats = unvis.Stats()
 	}
+}
+
+// hopSteps is one BFS level in both directions, each building the newly
+// reached nodes into next: push scatters level+1 from cur's members (the nodes
+// on level), pull has each member of unvis look for an in-neighbor on level.
+func hopSteps(dist core.PropID, level int64, cur, unvis, next *core.Frontier) (push, pull core.JobSpec) {
+	return core.JobSpec{Name: "hop-push", Iter: core.IterOutEdges,
+			Source:     cur,
+			Task:       &hopPushKernel{dist: dist, level: level},
+			WriteProps: []core.WriteSpec{{Prop: dist, Op: reduce.Min, ActivateInto: 1}},
+			Build:      []*core.Frontier{next}},
+		core.JobSpec{Name: "hop-pull", Iter: core.IterInEdges,
+			Source:    unvis,
+			Task:      &hopPullKernel{dist: dist, level: level},
+			ReadProps: []core.PropID{dist},
+			Build:     []*core.Frontier{next}}
 }
 
 // HopDist computes breadth-first hop distances from root ("Breadth-first

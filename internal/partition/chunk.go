@@ -1,6 +1,9 @@
 package partition
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Chunk is a half-open range [Begin, End) of local node indices handed to a
 // worker as one unit of RTC task scheduling (paper §3.2/§3.3: "tasks are
@@ -24,6 +27,9 @@ func NodeChunks(n int, chunkSize int) []Chunk {
 func AppendNodeChunks(chunks []Chunk, n int, chunkSize int) []Chunk {
 	if chunkSize < 1 {
 		chunkSize = 1
+	}
+	if n > 0 {
+		chunks = slices.Grow(chunks, (n+chunkSize-1)/chunkSize)
 	}
 	for lo := 0; lo < n; lo += chunkSize {
 		hi := lo + chunkSize
@@ -56,6 +62,10 @@ func AppendEdgeChunks(chunks []Chunk, rows []int64, targetEdges int64) []Chunk {
 	if targetEdges < 1 {
 		targetEdges = 1
 	}
+	// Every chunk but an over-degree singleton stays under target, so
+	// total/target+1 is about the count: one allocation instead of append's
+	// doubling from empty.
+	chunks = slices.Grow(chunks, int(min(int64(n), (rows[n]-rows[0])/targetEdges+1)))
 	lo := 0
 	for lo < n {
 		// The first node always joins, so over-degree vertices form singleton
