@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults fuzz-smoke ci loc perf-check bench-scan bench-job bench-direction bench-read bench-write bench-decode direction serve balance ooc
+.PHONY: build test vet race faults fuzz-smoke ci loc perf-check bench-scan bench-job bench-direction bench-read bench-write bench-decode direction serve ooc
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ vet:
 # policy, so only a machine's own workers write its columns in the task phase —
 # frontiers, mirrors and accumulators, job cancellation),
 # the algorithms (adaptive direction switching, the ablation lattice), the varint codec,
-# the partitioner (replanning), the observability registry, the serving
+# the partitioner (cuts and chunks), the observability registry, the serving
 # layer (admission scheduler, engine pools, deadlines, memory budgeting),
 # and the out-of-core store (streamed writer, residency window).
 race:
@@ -140,12 +140,6 @@ direction:
 serve:
 	$(GO) test -race -count=1 ./internal/server/...
 	$(GO) test -race -count=1 -run 'Cancel' ./internal/core/...
-
-# Load-balancing check: the repartitioner suite (Replan, LoadPlan) under the
-# race detector.
-balance:
-	$(GO) test -race -count=1 -run 'LoadPlan|ClusterReplan' ./internal/core/...
-	$(GO) test -race -count=1 ./internal/partition/...
 
 # Out-of-core check: the store file format (one container, both section
 # spellings) + claim/residency + decode pool and cursor + write-backlog overflow

@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -50,6 +51,9 @@ func main() {
 	flag.Parse()
 	if *graphPath == "" {
 		fatalf("-graph is required")
+	}
+	if *source > math.MaxUint32 {
+		fatalf("-source %d does not fit a 32-bit node id", *source)
 	}
 	spec, ok := algorithms.Lookup(*algo)
 	if !ok {

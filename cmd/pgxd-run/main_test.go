@@ -13,7 +13,8 @@ import (
 
 // TestAlgoFlagIsTheCatalog: -algo accepts exactly the catalog's names. Every
 // entry runs to a "done:" line on a small weighted graph, and any other name
-// exits non-zero naming the whole list.
+// exits non-zero naming the whole list. A -source past the 32-bit node id
+// space exits non-zero naming the flag instead of wrapping to another vertex.
 func TestAlgoFlagIsTheCatalog(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "pgxd-run")
@@ -49,5 +50,9 @@ func TestAlgoFlagIsTheCatalog(t *testing.T) {
 		if !strings.Contains(string(out), spec.Name) {
 			t.Errorf("unknown -algo message does not list %q:\n%s", spec.Name, out)
 		}
+	}
+	out, err = exec.Command(bin, "-graph", path, "-algo", "hopdist", "-machines", "2", "-source", "4294967296").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-source") {
+		t.Errorf("-source 4294967296: exit %v, want non-zero naming the flag:\n%s", err, out)
 	}
 }

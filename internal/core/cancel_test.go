@@ -30,6 +30,7 @@ func TestCancelAbortsRunningJob(t *testing.T) {
 		ReadProps: []PropID{src},
 	}
 	errCh := make(chan error, 1)
+	ran := make(chan struct{}) // closed after the loop's first completed job
 	go func() {
 		// An algorithm-style driver loop: without cancellation this would
 		// run for a long time.
@@ -38,10 +39,17 @@ func TestCancelAbortsRunningJob(t *testing.T) {
 				errCh <- err
 				return
 			}
+			if i == 0 {
+				close(ran)
+			}
 		}
 		errCh <- nil
 	}()
-	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-ran:
+	case err := <-errCh:
+		t.Fatalf("driver loop stopped before Cancel: %v", err)
+	}
 	cause := errors.New("operator said stop")
 	c.Cancel(cause)
 

@@ -121,22 +121,17 @@ func (c *Cluster) Load(g *graph.Graph) error {
 }
 
 // LoadPlan loads g with an explicit ownership layout, bypassing the
-// configured partitioning strategy — the entry point for deliberately skewed
-// layouts (partition.SkewedLayout) and for applying a repartitioning plan
-// from Replan. Like Load, it discards all registered properties; re-register
-// and re-fill after the reload.
+// configured partitioning strategy — the entry point for a cut made outside
+// the engine, such as a deliberately skewed one (partition.SkewedLayout).
+// Like Load, it discards all registered properties; re-register and re-fill
+// after the reload.
 func (c *Cluster) LoadPlan(g *graph.Graph, layout partition.Layout) error {
 	if layout.NumMachines != c.cfg.NumMachines {
 		return fmt.Errorf("core: plan layout has %d machines, cluster has %d",
 			layout.NumMachines, c.cfg.NumMachines)
 	}
-	if len(layout.Starts) != layout.NumMachines+1 || layout.Starts[0] != 0 || int(layout.Starts[layout.NumMachines]) != g.NumNodes() {
-		return fmt.Errorf("core: plan layout does not cover the %d-node graph", g.NumNodes())
-	}
-	for d := 0; d < layout.NumMachines; d++ {
-		if layout.Starts[d+1] < layout.Starts[d] {
-			return fmt.Errorf("core: plan layout starts decrease at machine %d (%d > %d)", d, layout.Starts[d], layout.Starts[d+1])
-		}
+	if err := layout.Validate(int64(g.NumNodes())); err != nil {
+		return fmt.Errorf("core: plan layout: %w", err)
 	}
 	return c.loadGraph(g, layout)
 }
@@ -181,44 +176,6 @@ func (c *Cluster) install(layout partition.Layout, nodes int, edges int64, ld *s
 		c.ooc, c.oocBase = ld, ld.Stats()
 	}
 	c.loaded = true
-	return nil
-}
-
-// Replan turns what the cluster measured since Load — the per-machine
-// task-time totals piggybacked on every job's write-drain collective and the
-// barrier-wait histograms — into a repartitioning plan for g, which must be
-// the currently loaded graph. Apply the plan with LoadPlan before the next run
-// on the same graph.
-func (c *Cluster) Replan(g *graph.Graph) (partition.Plan, error) {
-	if !c.loaded {
-		return partition.Plan{}, fmt.Errorf("core: Replan before Load")
-	}
-	if g.NumNodes() != c.numNodes {
-		return partition.Plan{}, fmt.Errorf("core: Replan graph has %d nodes, loaded graph has %d",
-			g.NumNodes(), c.numNodes)
-	}
-	t := partition.Telemetry{TaskNanos: c.TaskTimeTotals()}
-	if reg := c.cfg.Obs; reg.Attached() {
-		t.BarrierWaitNanos = make([]int64, c.cfg.NumMachines)
-		for m := range t.BarrierWaitNanos {
-			t.BarrierWaitNanos[m] = reg.MachineHistogram(m, obs.HistBarrier).SumNS
-		}
-	}
-	return partition.Replan(g, c.layout, t)
-}
-
-// TaskTimeTotals returns each machine's cumulative task-phase nanoseconds
-// accumulated since Load, summed from the task-time lanes every job's
-// write-drain collective carries. Nil before the first job runs. The totals are
-// cluster-global (every machine holds the same vector via the allreduce).
-func (c *Cluster) TaskTimeTotals() []int64 {
-	for _, m := range c.machines {
-		if len(m.loadTotals) == c.cfg.NumMachines {
-			out := make([]int64, len(m.loadTotals))
-			copy(out, m.loadTotals)
-			return out
-		}
-	}
 	return nil
 }
 

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/reduce"
 )
 
@@ -271,6 +273,30 @@ func TestReloadClusterWithNewGraph(t *testing.T) {
 		if got[u] != want[u] {
 			t.Fatalf("node %d after reload: %d vs %d", u, got[u], want[u])
 		}
+	}
+
+	// Reload the first graph under a deliberately skewed cut (machine 0 owns
+	// most of the edge mass): the push is still exact.
+	skewed, err := partition.SkewedLayout(g1, 3, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LoadPlan(g1, skewed); err != nil {
+		t.Fatal(err)
+	}
+	if c.Layout().EdgeImbalance(g1) < 1.5 {
+		t.Fatalf("skewed cut has imbalance %.2f, want >= 1.5", c.Layout().EdgeImbalance(g1))
+	}
+	counter, _ = c.AddPropI64("counter")
+	c.FillI64(counter, 0)
+	if _, err := c.RunJob(JobSpec{
+		Name: "push", Iter: IterOutEdges, Task: &pushOneTask{counter: counter},
+		WriteProps: []WriteSpec{{Prop: counter, Op: reduce.Sum}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.GatherI64(counter); !slices.Equal(got, refInDegree(g1)) {
+		t.Error("push after a reload under a skewed cut differs from the reference")
 	}
 }
 

@@ -97,12 +97,6 @@ type Machine struct {
 	// stats, reused across jobs.
 	scratchLanes     []int64
 	scratchFrontiers []FrontierStats
-
-	// loadTotals[i] accumulates machine i's task-phase wall time across jobs,
-	// gathered via extra lanes on the write-drain allreduce at no additional
-	// collective cost — the repartitioner's telemetry. Written only by the
-	// machine's main goroutine.
-	loadTotals []int64
 }
 
 // ID returns this machine's id in [0, NumMachines).
@@ -237,12 +231,11 @@ func (m *Machine) broadcastAbort(jobID uint64, err error) {
 
 // install makes st the machine's current load — in memory (ld nil), or a
 // store file's section under its load handle — dropping the previous load's
-// columns and telemetry, and precomputes the scheduling chunks of each
-// iterator, about eight per worker.
+// columns, and precomputes the scheduling chunks of each iterator, about
+// eight per worker.
 func (m *Machine) install(st *localStore, ld *store.Load) {
 	m.store = st
 	m.releaseCols()
-	m.loadTotals = nil
 	m.ooc, m.offHeapCols = ld, ld != nil && ld.Windowed()
 	n, div := st.numLocal, shapeOf(m.cfg).chunkDiv
 	m.chunks[IterNodes] = partition.NodeChunks(n, n/div+1)
@@ -481,7 +474,7 @@ func (m *Machine) startBarrier(jr *jobRuntime) error {
 }
 
 // barrierSpan records a synchronization point entered at t: the barrier span
-// and a HistBarrier sample (what Cluster.Replan reads as wait skew).
+// and a HistBarrier sample of the wait.
 func (m *Machine) barrierSpan(jr *jobRuntime, which uint64, t int64) {
 	reg := m.cfg.Obs
 	reg.Span(m.id, obs.WorkerMain, obs.SpanBarrier, jr.id.Load(), t, which)
@@ -493,8 +486,7 @@ func (m *Machine) barrierSpan(jr *jobRuntime, which uint64, t int64) {
 // without an error return path; the job runtime carries the root cause. The
 // job is set up against the load's remote set first (remoteJob), outside the
 // span and ahead of t0: a mirror's first allocation billed to this job's
-// taskNS would reach the load hints, the repartitioner's totals and the
-// Figure 6c breakdown.
+// worker end times would reach the Figure 6c breakdown.
 func (m *Machine) taskPhase(jr *jobRuntime) error {
 	reg := m.cfg.Obs
 	if !jr.emptySkip {
@@ -517,7 +509,6 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 			jr.endMin, jr.endMax = min(jr.endMin, d), max(jr.endMax, d)
 		}
 	}
-	jr.taskNS = time.Since(jr.t0).Nanoseconds()
 	reg.Span(m.id, obs.WorkerMain, obs.SpanTaskPhase, jr.id.Load(), t, 0)
 	if err := jr.Err(); err != nil {
 		return err
@@ -538,25 +529,23 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 //
 //	2                       cumulative remote write records sent, applied
 //	3 per JobSpec.Build     the built frontier's count, out- and in-degree sum
-//	nm                      lane i: machine i's task-phase wall time
 //	nm                      lane i: when machine i's first worker ran dry
 //	nm                      lane i: when machine i's last worker ran dry
 //
 // Frontier stats ride here instead of a separate O(V)-scan reduce per
 // convergence check. Each machine contributes only its own per-machine lanes,
-// so the sums reconstruct the full vectors — the task times that accumulate
-// into the repartitioner's telemetry and the worker end times behind the
+// so the sums reconstruct the full vectors — the worker end times behind the
 // Figure 6c breakdown — at no additional collective cost.
 type drainLanes struct {
 	vals []int64
-	load int // offset of the first per-machine lane
+	ends int // offset of the first per-machine (worker end) lane
 	nm   int
 }
 
 // newDrainLanes lays the vector out over the machine's lane scratch.
 func (m *Machine) newDrainLanes(jr *jobRuntime) drainLanes {
-	l := drainLanes{load: 2 + 3*len(jr.builds), nm: m.cfg.NumMachines}
-	n := l.load + 3*l.nm
+	l := drainLanes{ends: 2 + 3*len(jr.builds), nm: m.cfg.NumMachines}
+	n := l.ends + 2*l.nm
 	if cap(m.scratchLanes) < n {
 		m.scratchLanes = make([]int64, n)
 	}
@@ -578,11 +567,10 @@ func (l drainLanes) frontier(i int) FrontierStats {
 }
 
 // perMachine returns the k-th block of per-machine lanes.
-func (l drainLanes) perMachine(k int) []int64 { return l.vals[l.load+k*l.nm : l.load+(k+1)*l.nm] }
+func (l drainLanes) perMachine(k int) []int64 { return l.vals[l.ends+k*l.nm : l.ends+(k+1)*l.nm] }
 
-func (l drainLanes) taskNS() []int64 { return l.perMachine(0) }
-func (l drainLanes) endMin() []int64 { return l.perMachine(1) }
-func (l drainLanes) endMax() []int64 { return l.perMachine(2) }
+func (l drainLanes) endMin() []int64 { return l.perMachine(0) }
+func (l drainLanes) endMax() []int64 { return l.perMachine(1) }
 
 // stageLanes writes this machine's contribution to one round. Every lane is
 // rewritten each round: the allreduce overwrote the vector with sums.
@@ -592,8 +580,8 @@ func (m *Machine) stageLanes(jr *jobRuntime) {
 	for i, bf := range jr.builds {
 		l.setFrontier(i, bf)
 	}
-	clear(l.vals[l.load:])
-	l.taskNS()[m.id], l.endMin()[m.id], l.endMax()[m.id] = jr.taskNS, jr.endMin, jr.endMax
+	clear(l.vals[l.ends:])
+	l.endMin()[m.id], l.endMax()[m.id] = jr.endMin, jr.endMax
 }
 
 // drainRound is one round of the termination allreduce. The write backlog is
@@ -648,7 +636,6 @@ func (m *Machine) drainWrites(jr *jobRuntime) error {
 			return err
 		}
 		if jr.lanes.sent() == jr.lanes.applied() {
-			m.recordLoad(jr.lanes)
 			reg.Span(m.id, obs.WorkerMain, obs.SpanWriteDrain, jr.id.Load(), t, round)
 			return nil
 		}
@@ -659,18 +646,6 @@ func (m *Machine) drainWrites(jr *jobRuntime) error {
 			return fmt.Errorf("core: machine %d: write drain timed out after %v (sent=%d applied=%d)", m.id, m.cfg.RequestTimeout, jr.lanes.sent(), jr.lanes.applied())
 		}
 		runtime.Gosched()
-	}
-}
-
-// recordLoad adds the converged round's task-phase times to loadTotals. Every
-// machine computes the same totals from the same sums, so the repartitioner's
-// telemetry stays cluster-wide consistent.
-func (m *Machine) recordLoad(l drainLanes) {
-	if len(m.loadTotals) != l.nm {
-		m.loadTotals = make([]int64, l.nm)
-	}
-	for i, ns := range l.taskNS() {
-		m.loadTotals[i] += ns
 	}
 }
 

@@ -159,24 +159,24 @@ func TestRunJobSchedule(t *testing.T) {
 }
 
 // TestDrainLanesLayout pins the termination vector to drainLanes' table, with
-// no conditional rows: 2 + 3·|Build| + 3·P lanes for every job, the three
+// no conditional rows: 2 + 3·|Build| + 2·P lanes for every job, the two
 // per-machine blocks disjoint and in the table's order.
 func TestDrainLanesLayout(t *testing.T) {
 	for _, p := range []int{1, 3} {
 		m := &Machine{cfg: &Config{NumMachines: p}}
 		for builds := 0; builds <= 2; builds++ {
 			l := m.newDrainLanes(&jobRuntime{jobPlan: jobPlan{builds: make([]*machineFrontier, builds)}})
-			if want := 2 + 3*builds + 3*p; len(l.vals) != want {
+			if want := 2 + 3*builds + 2*p; len(l.vals) != want {
 				t.Errorf("p=%d, %d builds: %d lanes, want %d", p, builds, len(l.vals), want)
 			}
 			clear(l.vals)
-			for k, block := range [][]int64{l.taskNS(), l.endMin(), l.endMax()} {
+			for k, block := range [][]int64{l.endMin(), l.endMax()} {
 				if len(block) != p {
 					t.Fatalf("p=%d: per-machine block %d has %d lanes", p, k, len(block))
 				}
 				block[p-1] = int64(k + 1)
 			}
-			if at := 2 + 3*builds; l.vals[at+p-1] != 1 || l.vals[at+2*p-1] != 2 || l.vals[at+3*p-1] != 3 {
+			if at := 2 + 3*builds; l.vals[at+p-1] != 1 || l.vals[at+2*p-1] != 2 {
 				t.Errorf("p=%d, %d builds: per-machine blocks out of order: %v", p, builds, l.vals)
 			}
 		}

@@ -842,12 +842,11 @@ type jobPlan struct {
 	// Locals of the machine main goroutine's schedule (Machine.runJob), set by
 	// the phase named: emptySkip (newJobRuntime) — the local frontier is empty,
 	// so workers are not dispatched, though every collective still runs; t0,
-	// taskNS, endMin and endMax (taskPhase) — the task phase's start and wall
-	// time and, from t0, when its first and last worker ran dry; lanes
-	// (drainWrites) — the termination vector.
+	// endMin and endMax (taskPhase) — the task phase's start and, from t0,
+	// when its first and last worker ran dry; lanes (drainWrites) — the
+	// termination vector.
 	emptySkip      bool
 	t0             time.Time
-	taskNS         int64
 	endMin, endMax int64
 	lanes          drainLanes
 

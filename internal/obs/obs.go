@@ -599,20 +599,6 @@ func (r *Registry) LifetimeCounters() map[string]int64 {
 	return out
 }
 
-// MachineHistogram returns machine m's cumulative snapshot of histogram h.
-// The cross-machine spread of e.g. HistBarrier is the load-imbalance
-// telemetry the repartitioner reads.
-func (r *Registry) MachineHistogram(m int, h HistID) HistSnapshot {
-	if r == nil || h >= numHists {
-		return HistSnapshot{}
-	}
-	mo := r.machine(m)
-	if mo == nil {
-		return HistSnapshot{}
-	}
-	return mo.hists[h].snapshot()
-}
-
 // LifetimeHistogram returns the cumulative snapshot of histogram h merged
 // across machines.
 func (r *Registry) LifetimeHistogram(h HistID) HistSnapshot {

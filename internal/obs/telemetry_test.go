@@ -5,14 +5,14 @@ import (
 	"time"
 )
 
-// TestBarrierHistogramSnapshotAndReset pins the job-boundary semantics the
-// repartitioner depends on: histograms are cumulative, the JobReport carries
-// only the samples recorded between its BeginJob and EndJob, and
-// MachineHistogram returns the cumulative per-machine view including the
-// running job.
+// TestBarrierHistogramSnapshotAndReset pins the job-boundary semantics of a
+// histogram: each machine's is cumulative, including the running job, and
+// the JobReport carries only the samples recorded between its BeginJob and
+// EndJob.
 func TestBarrierHistogramSnapshotAndReset(t *testing.T) {
 	r := NewRegistry()
 	r.Attach(3)
+	machineHist := func(m int) HistSnapshot { return r.machine(m).hists[HistBarrier].snapshot() }
 
 	// Two samples on machine 1 before any job: they are in the next BeginJob's
 	// base reading, so no job is billed for them.
@@ -35,21 +35,21 @@ func TestBarrierHistogramSnapshotAndReset(t *testing.T) {
 	}
 
 	// The per-machine lifetime view is cumulative: pre-job + in-job samples.
-	if got := r.MachineHistogram(1, HistBarrier); got.Count != 5 || got.SumNS != int64(9*time.Millisecond) {
+	if got := machineHist(1); got.Count != 5 || got.SumNS != int64(9*time.Millisecond) {
 		t.Errorf("machine 1 lifetime barrier = {count %d, sum %d}, want {5, %d}",
 			got.Count, got.SumNS, int64(9*time.Millisecond))
 	}
-	if got := r.MachineHistogram(2, HistBarrier).Count; got != 1 {
+	if got := machineHist(2).Count; got != 1 {
 		t.Errorf("machine 2 lifetime barrier count = %d, want 1", got)
 	}
-	if got := r.MachineHistogram(0, HistBarrier).Count; got != 0 {
+	if got := machineHist(0).Count; got != 0 {
 		t.Errorf("machine 0 lifetime barrier count = %d, want 0", got)
 	}
 
 	// A sample observed outside any job shows up in the lifetime view
 	// immediately.
 	r.Observe(1, HistBarrier, 16*time.Millisecond)
-	if got := r.MachineHistogram(1, HistBarrier).Count; got != 6 {
+	if got := machineHist(1).Count; got != 6 {
 		t.Errorf("machine 1 barrier count with a running sample = %d, want 6", got)
 	}
 
@@ -60,7 +60,7 @@ func TestBarrierHistogramSnapshotAndReset(t *testing.T) {
 	if s, ok := rep2.Histograms[HistBarrier.String()]; ok && s.Count != 0 {
 		t.Errorf("job 2 resurfaced %d earlier barrier samples", s.Count)
 	}
-	if got := r.MachineHistogram(1, HistBarrier).Count; got != 6 {
+	if got := machineHist(1).Count; got != 6 {
 		t.Errorf("machine 1 lifetime barrier count after job 2 = %d, want 6", got)
 	}
 }

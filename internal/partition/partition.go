@@ -69,13 +69,6 @@ func Compute(g *graph.Graph, p int, strategy Strategy) (Layout, error) {
 	default:
 		return Layout{}, fmt.Errorf("partition: unknown strategy %d", strategy)
 	}
-	// Enforce monotonicity (degenerate heavy vertices can make cuts collide;
-	// empty partitions are legal but starts must stay sorted).
-	for m := 1; m <= p; m++ {
-		if starts[m] < starts[m-1] {
-			starts[m] = starts[m-1]
-		}
-	}
 	return Layout{NumMachines: p, Starts: starts}, nil
 }
 
@@ -116,6 +109,64 @@ func EdgeBalancedStarts(n, p int, degree func(u int) int64) []uint32 {
 		starts[next] = uint32(n)
 	}
 	return starts
+}
+
+// SkewedLayout deliberately mis-cuts the degree-prefix walk: machine 0 takes
+// the vertices up to where the in+out degree prefix crosses the skew fraction
+// (in (0,1)) of the total, and the remaining machines split the suffix by
+// EdgeBalancedStarts. It is the adversarial input for loading under an
+// explicit cut (core.Cluster.LoadPlan) — a partition the edge-balanced cut
+// would never produce.
+func SkewedLayout(g *graph.Graph, p int, skew float64) (Layout, error) {
+	if p < 1 {
+		return Layout{}, fmt.Errorf("partition: machine count %d must be >= 1", p)
+	}
+	if skew <= 0 || skew >= 1 {
+		return Layout{}, fmt.Errorf("partition: skew %v must be in (0, 1)", skew)
+	}
+	n := g.NumNodes()
+	if n == 0 {
+		return Layout{}, graph.ErrEmptyGraph
+	}
+	starts := make([]uint32, p+1)
+	starts[p] = uint32(n)
+	if p == 1 {
+		return Layout{NumMachines: p, Starts: starts}, nil
+	}
+	degree := func(u int) int64 { return g.TotalDegree(graph.NodeID(u)) }
+	var total, acc int64
+	for u := 0; u < n; u++ {
+		total += degree(u)
+	}
+	cut := 0
+	for cut < n && float64(acc) < skew*float64(total) {
+		acc += degree(cut)
+		cut++
+	}
+	rest := EdgeBalancedStarts(n-cut, p-1, func(u int) int64 { return degree(cut + u) })
+	for m, s := range rest {
+		starts[m+1] = uint32(cut) + s
+	}
+	return Layout{NumMachines: p, Starts: starts}, nil
+}
+
+// Validate checks that l cuts n vertices: NumMachines+1 starts running from 0
+// to n without decreasing (an empty machine is legal). A store file's layout
+// and an explicit plan (core.Cluster.LoadPlan) are held to this one rule.
+func (l Layout) Validate(n int64) error {
+	p := l.NumMachines
+	if p < 1 || len(l.Starts) != p+1 {
+		return fmt.Errorf("partition: a layout of %d machines has %d starts", p, len(l.Starts))
+	}
+	if l.Starts[0] != 0 || int64(l.Starts[p]) != n {
+		return fmt.Errorf("partition: starts [%d..%d] do not cover [0, %d)", l.Starts[0], l.Starts[p], n)
+	}
+	for m := 1; m <= p; m++ {
+		if l.Starts[m] < l.Starts[m-1] {
+			return fmt.Errorf("partition: starts decrease at machine %d (%d > %d)", m, l.Starts[m-1], l.Starts[m])
+		}
+	}
+	return nil
 }
 
 // Owner returns the machine owning global vertex v. Binary search over at

@@ -79,26 +79,24 @@ func TestComputeEdgelessFallsBack(t *testing.T) {
 }
 
 // Property: every vertex is owned by exactly one machine, Owner/LocalOffset/
-// GlobalOf are mutually consistent, and starts are monotone.
+// GlobalOf are mutually consistent, and the starts pass Validate — for both
+// strategies and for SkewedLayout, none of which clamps its cuts.
 func TestLayoutOwnershipProperty(t *testing.T) {
 	g := skewedGraph(t)
-	f := func(pRaw uint8, strategyRaw bool) bool {
+	f := func(pRaw, kind, skewRaw uint8) bool {
 		p := int(pRaw%16) + 1
-		strategy := VertexBalanced
-		if strategyRaw {
-			strategy = EdgeBalanced
+		var l Layout
+		var err error
+		switch kind % 3 {
+		case 0:
+			l, err = Compute(g, p, VertexBalanced)
+		case 1:
+			l, err = Compute(g, p, EdgeBalanced)
+		default:
+			l, err = SkewedLayout(g, p, (float64(skewRaw)+1)/257)
 		}
-		l, err := Compute(g, p, strategy)
-		if err != nil {
+		if err != nil || l.Validate(int64(g.NumNodes())) != nil {
 			return false
-		}
-		if l.Starts[0] != 0 || int(l.Starts[p]) != g.NumNodes() {
-			return false
-		}
-		for m := 1; m <= p; m++ {
-			if l.Starts[m] < l.Starts[m-1] {
-				return false
-			}
 		}
 		// Spot-check ownership across the range including boundaries.
 		for _, v := range boundaryProbes(l, g.NumNodes()) {
@@ -255,5 +253,50 @@ func TestStrategyString(t *testing.T) {
 	}
 	if Strategy(9).String() == "" {
 		t.Error("unknown strategy should still render")
+	}
+}
+
+// degreeSums returns per-machine in+out degree totals under l.
+func degreeSums(g *graph.Graph, l Layout) []int64 {
+	out := make([]int64, l.NumMachines)
+	for m := 0; m < l.NumMachines; m++ {
+		lo, hi := l.Range(m)
+		for u := lo; u < hi; u++ {
+			out[m] += g.TotalDegree(u)
+		}
+	}
+	return out
+}
+
+func TestSkewedLayoutShiftsDegreeMass(t *testing.T) {
+	g := skewedGraph(t)
+	l, err := SkewedLayout(g, 4, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deg := degreeSums(g, l)
+	var total int64
+	for _, d := range deg {
+		total += d
+	}
+	share := float64(deg[0]) / float64(total)
+	// Boundary granularity is one hub vertex, so allow slack around 0.7.
+	if share < 0.6 || share > 0.85 {
+		t.Errorf("machine 0 degree share %.3f, want ~0.7", share)
+	}
+	if l.EdgeImbalance(g) < 1.5 {
+		t.Errorf("skewed layout imbalance %.3f, want clearly imbalanced (>= 1.5)", l.EdgeImbalance(g))
+	}
+}
+
+func TestSkewedLayoutErrors(t *testing.T) {
+	g := skewedGraph(t)
+	if _, err := SkewedLayout(g, 0, 0.5); err == nil {
+		t.Error("accepted 0 machines")
+	}
+	for _, s := range []float64{0, 1, -0.3, 1.5} {
+		if _, err := SkewedLayout(g, 4, s); err == nil {
+			t.Errorf("accepted skew %v", s)
+		}
 	}
 }

@@ -98,15 +98,10 @@ func (sf *File) validate() error {
 	for i := range starts {
 		starts[i] = leU32(sf.data[headerFixedBytes+4*i:])
 	}
-	if starts[0] != 0 || int64(starts[p]) != n {
-		return fmt.Errorf("store: starts [%d..%d] do not cover [0, %d)", starts[0], starts[p], n)
-	}
-	for i := 1; i <= p; i++ {
-		if starts[i] < starts[i-1] {
-			return fmt.Errorf("store: starts not monotone at machine %d", i)
-		}
-	}
 	sf.layout = partition.Layout{NumMachines: p, Starts: starts}
+	if err := sf.layout.Validate(n); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
 	sf.secs = make([][2]orientSec, p)
 	parse := sf.parseRaw
 	if sf.Compressed() {
