@@ -91,10 +91,10 @@ perf-check:
 # — the number a change to the job schedule diffs against.
 #
 # bench-scan, same recipe, is the isolated number behind one line of the
-# superstep budget: ns/edge of the kernel dispatch — a pull in row form and
-# behind the per-edge adapter, a push reducing by the row (Writer.WriteRow) and
-# ref by ref, local and 20 % remote: all-local, a push row is the cost of one
-# local reduction.
+# superstep budget: ns/edge of the kernel dispatch — a pull row accumulating in
+# a register, a push reducing by the row (Writer.WriteRow) and ref by ref,
+# local and 20 % remote: all-local, a push row is the cost of one local
+# reduction.
 #
 # bench-direction, same recipe, prices the push/pull rule's α: ns per charged
 # edge of one push and one pull superstep of each traversal's real kernels

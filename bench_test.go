@@ -163,10 +163,17 @@ func BenchmarkFig4_UniformVsSkewed(b *testing.B) {
 	}
 }
 
-// edgeIterBenchKernel is Figure 5a's empty per-edge kernel.
+// edgeIterBenchKernel is Figure 5a's row kernel: it only reads the refs,
+// summing them into Ctx.Aux as SA's loop sums neighbor ids.
 type edgeIterBenchKernel struct{ core.NoReads }
 
-func (k *edgeIterBenchKernel) Run(c *core.Ctx) { _ = c.NbrRef() }
+func (k *edgeIterBenchKernel) RunRow(c *core.Ctx, row core.Row) {
+	var acc int64
+	for _, ref := range row.Refs {
+		acc += ref
+	}
+	c.Aux += uint64(acc)
+}
 
 // BenchmarkFig5a_EdgeIter measures single-machine edge iteration throughput
 // per framework; b.N loops iterate all edges once.

@@ -1,11 +1,11 @@
 // Custom kernel: using the run-to-complete task API directly (paper §4.1)
 // instead of a built-in algorithm. The kernel computes, for every node, the
 // average out-degree of its in-neighbors ("how prolific are my followers?")
-// with the pull pattern, written twice: per edge, the paper's shape — Run
-// issues a read per edge, ReadDone continues on the same worker when the
-// value arrives — and per row, the engine's fast shape — RunRow loops over
-// the node's in-neighbors itself, reading every one the typed view holds in
-// place and handing only the rest to ReadRef. Both run below and must agree.
+// with the pull pattern in row form: RunRow loops over the node's
+// in-neighbors itself, reading every one the typed view holds in place and
+// handing only the rest to ReadRef, whose continuation ReadDone runs on the
+// same worker when the value arrives. The result is checked against the same
+// computation done directly on the graph.
 package main
 
 import (
@@ -17,41 +17,21 @@ import (
 )
 
 // avgNbrDegree pulls each in-neighbor's out-degree (stored in degProp) and
-// accumulates sum and count into two node properties. No atomics are needed:
-// the engine guarantees all callbacks of one node run on one worker.
+// accumulates sum and count into two node properties. The engine calls RunRow
+// once per node with the whole in-neighbor row, so the sum and count live in
+// registers and the node's own properties are touched once per row instead of
+// once per edge. No atomics are needed: the engine runs all callbacks of one
+// node on one worker. Two rules keep it correct when a remote read stalls and
+// the worker runs earlier responses — possibly this node's — inside ReadRef:
+// the accumulators are locals, and they are folded into the properties with a
+// read-modify-write after the loop, never from a value read before it.
 type avgNbrDegree struct {
 	degProp  pgxd.PropID // read: out-degree of the neighbor
 	sumProp  pgxd.PropID // written: running sum for the current node
 	seenProp pgxd.PropID // written: number of neighbors seen
 }
 
-func (k *avgNbrDegree) Run(c *pgxd.Ctx) {
-	// Request the neighbor's degree; for local or mirrored neighbors
-	// ReadDone runs synchronously, otherwise the request is buffered into
-	// the per-destination message and continues later.
-	c.NbrRead(k.degProp)
-}
-
-func (k *avgNbrDegree) ReadDone(c *pgxd.Ctx, val uint64) {
-	c.SetF64(k.sumProp, c.GetF64(k.sumProp)+pgxd.F64Word(val))
-	c.SetI64(k.seenProp, c.GetI64(k.seenProp)+1)
-}
-
-// avgNbrDegreeRow is the same kernel in row form. The engine calls RunRow
-// once per node with the whole in-neighbor row, so the sum and count live in
-// registers and the node's own properties are touched once per row instead of
-// once per edge. Two rules keep it correct when a remote read stalls and the
-// worker runs earlier responses — possibly this node's — inside ReadRef: the
-// accumulators are locals, and they are folded into the properties with a
-// read-modify-write after the loop, never from a value read before it.
-type avgNbrDegreeRow struct {
-	pgxd.RowOnly // Run is never called on an edge iterator's RowTask
-	degProp      pgxd.PropID
-	sumProp      pgxd.PropID
-	seenProp     pgxd.PropID
-}
-
-func (k *avgNbrDegreeRow) RunRow(c *pgxd.Ctx, row pgxd.Row) {
+func (k *avgNbrDegree) RunRow(c *pgxd.Ctx, row pgxd.Row) {
 	// The view holds the local in-neighbors and, because the job declares
 	// degProp and the engine mirrored it before the region, the remote ones.
 	deg := c.F64(k.degProp)
@@ -62,8 +42,9 @@ func (k *avgNbrDegreeRow) RunRow(c *pgxd.Ctx, row pgxd.Row) {
 			sum += d
 			seen++
 		} else {
-			// Not held (a job that was not mirrored): ReadDone adds it, later,
-			// when the read buffered toward the owner is answered.
+			// Not held (a job that was not mirrored): the read is buffered
+			// toward the owner, and ReadDone adds the value when it arrives,
+			// on this same worker.
 			c.ReadRef(ref, k.degProp)
 		}
 	}
@@ -72,7 +53,7 @@ func (k *avgNbrDegreeRow) RunRow(c *pgxd.Ctx, row pgxd.Row) {
 }
 
 // ReadDone is the continuation for the row's remote neighbors, one value each.
-func (k *avgNbrDegreeRow) ReadDone(c *pgxd.Ctx, val uint64) {
+func (k *avgNbrDegree) ReadDone(c *pgxd.Ctx, val uint64) {
 	c.SetF64(k.sumProp, c.GetF64(k.sumProp)+pgxd.F64Word(val))
 	c.SetI64(k.seenProp, c.GetI64(k.seenProp)+1)
 }
@@ -135,32 +116,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("custom pull kernel, per edge, over %d edges: %v, %d frames (%d data bytes)\n",
+	fmt.Printf("custom pull kernel over %d edges: %v, %d frames (%d data bytes)\n",
 		g.NumEdges(), stats.Duration.Round(1000), stats.Traffic.FramesSent, stats.Traffic.DataBytesSent)
 	sums := cluster.Core().GatherF64(sum)
 	counts := cluster.Core().GatherI64(seen)
 
-	// Job 3: the same computation with the row-form kernel.
-	cluster.Core().FillF64(sum, 0)
-	cluster.Core().FillI64(seen, 0)
-	stats, err = cluster.RunJob(pgxd.JobSpec{
-		Name:      "avg-nbr-degree-row",
-		Iter:      pgxd.IterInEdges,
-		Task:      &avgNbrDegreeRow{degProp: deg, sumProp: sum, seenProp: seen},
-		ReadProps: []pgxd.PropID{deg},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("custom pull kernel, per row:  over %d edges: %v, %d frames (%d data bytes)\n",
-		g.NumEdges(), stats.Duration.Round(1000), stats.Traffic.FramesSent, stats.Traffic.DataBytesSent)
-	rowCounts := cluster.Core().GatherI64(seen)
-	for i, s := range cluster.Core().GatherF64(sum) {
-		// Degrees are small integers, so the sums are exact in any order.
-		if s != sums[i] || rowCounts[i] != counts[i] {
-			log.Fatalf("node %d: row kernel (%g over %d) vs per-edge kernel (%g over %d)", i, s, rowCounts[i], sums[i], counts[i])
-		}
-	}
 	type row struct {
 		node pgxd.NodeID
 		avg  float64
@@ -179,14 +139,16 @@ func main() {
 		fmt.Printf("  node %6d: followers average %.1f out-edges (over %d followers)\n", r.node, r.avg, r.n)
 	}
 
-	// Verify against a direct computation on the raw graph.
-	for i := 0; i < len(sums); i++ {
+	// Verify against a direct computation on the raw graph. Degrees are small
+	// integers, so the sums are exact in any order.
+	for i := range sums {
+		in := g.In.Neighbors(pgxd.NodeID(i))
 		var want float64
-		for _, t := range g.In.Neighbors(pgxd.NodeID(i)) {
+		for _, t := range in {
 			want += float64(g.OutDegree(t))
 		}
-		if diff := want - sums[i]; diff > 1e-9 || diff < -1e-9 {
-			log.Fatalf("node %d: engine %g vs direct %g", i, sums[i], want)
+		if sums[i] != want || counts[i] != int64(len(in)) {
+			log.Fatalf("node %d: engine %g over %d in-neighbors, direct %g over %d", i, sums[i], counts[i], want, len(in))
 		}
 	}
 	fmt.Println("verified: engine results match a direct single-machine computation")

@@ -35,7 +35,7 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 
 // countResolved counts again once a mirrored pull has built the load's remote
 // sets, so that the kernel's remote neighbours arrive as replica refs, which
-// NbrIsRemote, RefGlobal and SplitRemoteRef must place as they placed the
+// IsRemote, RefGlobal and SplitRemoteRef must place as they placed the
 // packed ones.
 func countResolved(t *testing.T, c *core.Cluster, g *graph.Graph, want int64) {
 	t.Helper()

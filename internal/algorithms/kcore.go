@@ -48,7 +48,6 @@ func (kk *dyingMarkKernel) Run(c *core.Ctx) {
 // degDecKernel subtracts 1 from each neighbor's remaining degree; run from
 // dying nodes over both orientations (undirected view).
 type degDecKernel struct {
-	core.RowOnly
 	core.NoReads
 	deg core.PropID
 }

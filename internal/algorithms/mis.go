@@ -50,7 +50,6 @@ func (k *misDrawKernel) Run(c *core.Ctx) {
 
 // misPushPriority pushes an undecided vertex's priority to its neighbors.
 type misPushPriority struct {
-	core.RowOnly
 	core.NoReads
 	pri, nbrPri core.PropID
 }
@@ -82,7 +81,6 @@ func (k *misJoinKernel) Run(c *core.Ctx) {
 
 // misExcludeMark pushes exclusion to neighbors of fresh set members.
 type misExcludeMark struct {
-	core.RowOnly
 	core.NoReads
 	excluded core.PropID
 }

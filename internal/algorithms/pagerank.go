@@ -46,7 +46,6 @@ func (k *scaleKernel) Run(c *core.Ctx) {
 // directly, and the fold after the loop is a read-modify-write for exactly
 // that reason (see core.RowTask on re-entrancy).
 type sumPullKernel struct {
-	core.RowOnly
 	src, acc core.PropID
 }
 
@@ -73,7 +72,6 @@ func (k *sumPullKernel) ReadDone(c *core.Ctx, val uint64) {
 // label, MIN). The value is read once per row — as a raw 8-byte word, so one
 // kernel serves float64 and int64 properties.
 type pushKernel struct {
-	core.RowOnly
 	core.NoReads
 	src, dst core.PropID
 	op       reduce.Op

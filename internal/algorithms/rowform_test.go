@@ -10,15 +10,38 @@ import (
 	"repro/internal/reduce"
 )
 
-// Per-edge forms of the row kernels — one Task.Run per edge through the
-// neighbor accessors, as the kernels were written before the row dispatch.
-// Test-only: TestRowDispatchMatchesPerEdge runs every algorithm through them
-// (so through core's perEdge adapter) and through the row kernels, and
-// requires the same answers.
+// Per-edge forms of the row kernels — one call per edge with per-ref
+// ReadRef/WriteRef, as the kernels were written before each became a loop
+// over its row, an early exit being a true return. Test-only:
+// TestRowDispatchMatchesPerEdge runs every algorithm through them (driven by
+// perEdgeRows) and through the row kernels, and requires the same answers.
+
+// edgeKernel is a per-edge kernel: edge runs for one edge of the current node,
+// ref its neighbor and weight its weight, and reports whether the node is
+// done.
+type edgeKernel interface {
+	core.Task
+	edge(c *core.Ctx, ref int64, weight float64) (done bool)
+}
+
+// perEdgeRows drives an edgeKernel by the row: one edge call per ref, in row
+// order, until one reports the node done.
+type perEdgeRows struct{ edgeKernel }
+
+func (d perEdgeRows) RunRow(c *core.Ctx, row core.Row) {
+	for i, ref := range row.Refs {
+		if d.edge(c, ref, row.Weight(i)) {
+			return
+		}
+	}
+}
 
 type sumPullEdge struct{ src, acc core.PropID }
 
-func (k *sumPullEdge) Run(c *core.Ctx) { c.NbrRead(k.src) }
+func (k *sumPullEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
+	c.ReadRef(ref, k.src)
+	return false
+}
 func (k *sumPullEdge) ReadDone(c *core.Ctx, val uint64) {
 	c.SetF64(k.acc, c.GetF64(k.acc)+core.F64Word(val))
 }
@@ -29,11 +52,17 @@ type pushEdge struct {
 	op       reduce.Op
 }
 
-func (k *pushEdge) Run(c *core.Ctx) { c.NbrWriteI64(k.dst, k.op, c.GetI64(k.src)) }
+func (k *pushEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
+	c.WriteRef(ref, k.dst, k.op, core.WordI64(c.GetI64(k.src)))
+	return false
+}
 
 type wccPullEdge struct{ label, labelNxt core.PropID }
 
-func (k *wccPullEdge) Run(c *core.Ctx) { c.NbrRead(k.label) }
+func (k *wccPullEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
+	c.ReadRef(ref, k.label)
+	return false
+}
 func (k *wccPullEdge) ReadDone(c *core.Ctx, val uint64) {
 	if v := core.I64Word(val); v < c.GetI64(k.labelNxt) {
 		c.SetI64(k.labelNxt, v)
@@ -45,15 +74,17 @@ type distRelaxEdge struct {
 	dist, distNxt core.PropID
 }
 
-func (k *distRelaxEdge) Run(c *core.Ctx) {
-	c.NbrWriteF64(k.distNxt, reduce.Min, c.GetF64(k.dist)+c.EdgeWeight())
+func (k *distRelaxEdge) edge(c *core.Ctx, ref int64, weight float64) bool {
+	c.WriteRef(ref, k.distNxt, reduce.Min, core.WordF64(c.GetF64(k.dist)+weight))
+	return false
 }
 
 type ssspPullEdge struct{ dist, distNxt core.PropID }
 
-func (k *ssspPullEdge) Run(c *core.Ctx) {
-	c.Aux = core.WordF64(c.EdgeWeight())
-	c.NbrRead(k.dist)
+func (k *ssspPullEdge) edge(c *core.Ctx, ref int64, weight float64) bool {
+	c.Aux = core.WordF64(weight)
+	c.ReadRef(ref, k.dist)
+	return false
 }
 func (k *ssspPullEdge) ReadDone(c *core.Ctx, val uint64) {
 	if d := core.F64Word(val) + core.F64Word(c.Aux); d < c.GetF64(k.distNxt) {
@@ -68,25 +99,29 @@ type hopPushEdge struct {
 	level int64
 }
 
-func (k *hopPushEdge) Run(c *core.Ctx) { c.NbrWriteI64(k.dist, reduce.Min, k.level+1) }
+func (k *hopPushEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
+	c.WriteRef(ref, k.dist, reduce.Min, core.WordI64(k.level+1))
+	return false
+}
 
+// hopPullEdge stops at the edge after the one whose ReadDone — run at once
+// for a local or mirrored in-neighbor — claimed the level.
 type hopPullEdge struct {
 	dist  core.PropID
 	level int64
 }
 
-func (k *hopPullEdge) Run(c *core.Ctx) {
+func (k *hopPullEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
 	if c.GetI64(k.dist) == k.level+1 {
-		c.SkipNode()
-		return
+		return true
 	}
-	c.NbrRead(k.dist)
+	c.ReadRef(ref, k.dist)
+	return false
 }
 func (k *hopPullEdge) ReadDone(c *core.Ctx, val uint64) {
 	if core.I64Word(val) == k.level && c.GetI64(k.dist) != k.level+1 {
 		c.SetI64(k.dist, k.level+1)
 		c.Activate(0)
-		c.SkipNode()
 	}
 }
 
@@ -95,17 +130,21 @@ type degDecEdge struct {
 	deg core.PropID
 }
 
-func (k *degDecEdge) Run(c *core.Ctx) { c.NbrWriteI64(k.deg, reduce.Sum, -1) }
+func (k *degDecEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
+	c.WriteRef(ref, k.deg, reduce.Sum, core.WordI64(-1))
+	return false
+}
 
 type misPushPriorityEdge struct {
 	core.NoReads
 	pri, nbrPri core.PropID
 }
 
-func (k *misPushPriorityEdge) Run(c *core.Ctx) {
-	if c.NbrRef() != int64(c.Node) {
-		c.NbrWriteI64(k.nbrPri, reduce.Max, c.GetI64(k.pri))
+func (k *misPushPriorityEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
+	if ref != int64(c.Node) {
+		c.WriteRef(ref, k.nbrPri, reduce.Max, core.WordI64(c.GetI64(k.pri)))
 	}
+	return false
 }
 
 type misExcludeEdge struct {
@@ -113,38 +152,44 @@ type misExcludeEdge struct {
 	excluded core.PropID
 }
 
-func (k *misExcludeEdge) Run(c *core.Ctx) { c.NbrWriteI64(k.excluded, reduce.Or, 1) }
+func (k *misExcludeEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
+	c.WriteRef(ref, k.excluded, reduce.Or, core.WordI64(1))
+	return false
+}
 
-// perEdgeForm maps a row kernel to its per-edge copy and passes node-iterator
-// kernels through. A row kernel without a copy panics, so a newly converted
-// kernel cannot dodge the equivalence test.
+// perEdgeForm maps a row kernel to its per-edge copy behind perEdgeRows and
+// passes node-iterator kernels through. A row kernel without a copy panics,
+// so a newly converted kernel cannot dodge the equivalence test.
 func perEdgeForm(task core.Task) core.Task {
+	var edge edgeKernel
 	switch k := task.(type) {
 	case *sumPullKernel:
-		return &sumPullEdge{src: k.src, acc: k.acc}
+		edge = &sumPullEdge{src: k.src, acc: k.acc}
 	case *pushKernel:
-		return &pushEdge{src: k.src, dst: k.dst, op: k.op}
+		edge = &pushEdge{src: k.src, dst: k.dst, op: k.op}
 	case *wccPullKernel:
-		return &wccPullEdge{label: k.label, labelNxt: k.labelNxt}
+		edge = &wccPullEdge{label: k.label, labelNxt: k.labelNxt}
 	case *distRelaxKernel:
-		return &distRelaxEdge{dist: k.dist, distNxt: k.distNxt}
+		edge = &distRelaxEdge{dist: k.dist, distNxt: k.distNxt}
 	case *ssspPullKernel:
-		return &ssspPullEdge{dist: k.dist, distNxt: k.distNxt}
+		edge = &ssspPullEdge{dist: k.dist, distNxt: k.distNxt}
 	case *hopPushKernel:
-		return &hopPushEdge{dist: k.dist, level: k.level}
+		edge = &hopPushEdge{dist: k.dist, level: k.level}
 	case *hopPullKernel:
-		return &hopPullEdge{dist: k.dist, level: k.level}
+		edge = &hopPullEdge{dist: k.dist, level: k.level}
 	case *degDecKernel:
-		return &degDecEdge{deg: k.deg}
+		edge = &degDecEdge{deg: k.deg}
 	case *misPushPriority:
-		return &misPushPriorityEdge{pri: k.pri, nbrPri: k.nbrPri}
+		edge = &misPushPriorityEdge{pri: k.pri, nbrPri: k.nbrPri}
 	case *misExcludeMark:
-		return &misExcludeEdge{excluded: k.excluded}
+		edge = &misExcludeEdge{excluded: k.excluded}
+	default:
+		if _, isRow := task.(core.RowTask); isRow {
+			panic(fmt.Sprintf("rowform_test: no per-edge copy of row kernel %T", task))
+		}
+		return task
 	}
-	if _, isRow := task.(core.RowTask); isRow {
-		panic(fmt.Sprintf("rowform_test: no per-edge copy of row kernel %T", task))
-	}
-	return task
+	return perEdgeRows{edge}
 }
 
 // suiteResult is one pass of every algorithm with an edge-iterator kernel.
@@ -215,8 +260,8 @@ func rowCluster(t *testing.T, g *graph.Graph, p int, useTCP bool, set core.Ablat
 }
 
 // TestRowDispatchMatchesPerEdge: every algorithm gives the same answer
-// through its row kernels and through per-edge copies of them behind core's
-// perEdge adapter — bit for bit for the Min and integer kernels and, on one
+// through its row kernels and through per-edge copies of them driven by
+// perEdgeRows — bit for bit for the Min and integer kernels and, on one
 // machine, for the pull-form float sums (one worker adds a node's neighbors
 // in edge order either way); to 1e-12 where continuations or atomic SUMs
 // arrive in a schedule-dependent order — and both match the standalone

@@ -23,7 +23,6 @@ import (
 // its neighbors (both orientations) and folds their labels into its own
 // labelNxt locally — remote reads instead of remote reductions.
 type wccPullKernel struct {
-	core.RowOnly
 	label, labelNxt core.PropID
 }
 
@@ -139,7 +138,6 @@ func wccSteps(label, labelNxt core.PropID, cur *core.Frontier) (push, pull core.
 // ActivateInto collects the nodes whose distNxt a relaxation lowered — the
 // only ones the adopt pass has to look at.
 type distRelaxKernel struct {
-	core.RowOnly
 	core.NoReads
 	dist, distNxt core.PropID
 }
@@ -158,7 +156,6 @@ func (k *distRelaxKernel) RunRow(c *core.Ctx, row core.Row) {
 // produce bit-identical floats. A node that lowers its distNxt activates
 // itself for the adopt pass.
 type ssspPullKernel struct {
-	core.RowOnly
 	dist, distNxt core.PropID
 }
 
@@ -287,7 +284,6 @@ func ssspSteps(dist, distNxt core.PropID, cur, touched *core.Frontier) (push, pu
 // this level — so the next frontier is a receiver-side by-product of the
 // relaxation and no separate adopt pass runs.
 type hopPushKernel struct {
-	core.RowOnly
 	core.NoReads
 	dist  core.PropID
 	level int64
@@ -306,7 +302,6 @@ func (k *hopPushKernel) RunRow(c *core.Ctx, row core.Row) {
 // can match, and a mid-superstep self-claim writes level+1, which no reader
 // can mistake for level.
 type hopPullKernel struct {
-	core.RowOnly
 	dist  core.PropID
 	level int64
 }

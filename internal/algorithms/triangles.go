@@ -29,9 +29,10 @@ import (
 // sorted global ids (4B each).
 const triHeaderBytes = 8
 
-// triangleKernel runs per out-edge (u→v): intersect sortedAdj(u) with
-// sortedAdj(v). A local v intersects in place; a remote v ships
-// adj(u) in buffer-sized chunks via RMI and accumulates returned counts.
+// triangleKernel runs over u's out-row: for each edge u→v it intersects
+// sortedAdj(u) with sortedAdj(v). A local v intersects in place, into a
+// register folded into u's count after the loop; a remote v ships adj(u) in
+// buffer-sized chunks via RMI and accumulates returned counts.
 type triangleKernel struct {
 	adj      [][]graph.NodeID // sorted out-adjacency by global id (shared, read-only)
 	count    core.PropID
@@ -39,34 +40,33 @@ type triangleKernel struct {
 	chunkIDs int // max ids per RMI payload
 }
 
-func (k *triangleKernel) Run(c *core.Ctx) {
-	u := c.NodeGlobal()
-	ref := c.NbrRef()
-	if !c.NbrIsRemote() {
-		v := c.RefGlobal(ref)
-		n := intersectSorted(k.adj[u], k.adj[v])
-		if n > 0 {
-			c.SetI64(k.count, c.GetI64(k.count)+int64(n))
+func (k *triangleKernel) RunRow(c *core.Ctx, row core.Row) {
+	list := k.adj[c.NodeGlobal()]
+	var local int64
+	for _, ref := range row.Refs {
+		if !c.IsRemote(ref) {
+			local += int64(intersectSorted(list, k.adj[c.RefGlobal(ref)]))
+			continue
 		}
-		return
+		mach, off := c.SplitRemoteRef(ref)
+		// Ship the adjacency in chunks; every chunk is an independent RMI whose
+		// response adds a partial count. No per-edge state machine is needed —
+		// the engine's outstanding-request tracking covers completion.
+		for base := 0; base < len(list); base += k.chunkIDs {
+			end := min(base+k.chunkIDs, len(list))
+			payload := make([]byte, triHeaderBytes+4*(end-base))
+			binary.LittleEndian.PutUint32(payload[0:4], off)
+			binary.LittleEndian.PutUint32(payload[4:8], uint32(end-base))
+			for i, w := range list[base:end] {
+				binary.LittleEndian.PutUint32(payload[triHeaderBytes+4*i:], w)
+			}
+			c.CallRMI(mach, k.method, payload)
+		}
 	}
-	mach, off := c.SplitRemoteRef(ref)
-	list := k.adj[u]
-	// Ship the adjacency in chunks; every chunk is an independent RMI whose
-	// response adds a partial count. No per-edge state machine is needed —
-	// the engine's outstanding-request tracking covers completion.
-	for base := 0; base < len(list); base += k.chunkIDs {
-		end := base + k.chunkIDs
-		if end > len(list) {
-			end = len(list)
-		}
-		payload := make([]byte, triHeaderBytes+4*(end-base))
-		binary.LittleEndian.PutUint32(payload[0:4], off)
-		binary.LittleEndian.PutUint32(payload[4:8], uint32(end-base))
-		for i, w := range list[base:end] {
-			binary.LittleEndian.PutUint32(payload[triHeaderBytes+4*i:], w)
-		}
-		c.CallRMI(mach, k.method, payload)
+	// CallRMI is a re-entrancy point (RMIDone may have added to the count
+	// meanwhile), so the own-node count is read only now.
+	if local > 0 {
+		c.SetI64(k.count, c.GetI64(k.count)+local)
 	}
 }
 

@@ -84,14 +84,20 @@ func ExpFig4(ds *Datasets, opts Fig4Opts) (*Table, error) {
 
 // --- Figure 5a: edge iteration rate vs threads -------------------------------
 
-// edgeIterKernel touches every edge through the engine with no data
-// movement — the framework-overhead microbenchmark.
+// edgeIterKernel reads every edge's neighbor ref through the engine's row
+// dispatch with no data movement — the framework-overhead microbenchmark.
+// Like SA's loop it sums the refs; the sum lands in Ctx.Aux, the kernel's
+// scratch, so the loop is not dead code.
 type edgeIterKernel struct {
 	core.NoReads
 }
 
-func (k *edgeIterKernel) Run(c *core.Ctx) {
-	_ = c.NbrRef()
+func (k *edgeIterKernel) RunRow(c *core.Ctx, row core.Row) {
+	var acc int64
+	for _, ref := range row.Refs {
+		acc += ref
+	}
+	c.Aux += uint64(acc)
 }
 
 // ExpFig5a measures edge-iteration throughput (millions of edges per
@@ -112,7 +118,7 @@ func ExpFig5a(ds *Datasets, scale int, threadCounts []int, prog Progress) (*Tabl
 		sa.EdgeIterationRate(g, sa.Threads(th))
 		saRate := edges / time.Since(start).Seconds() / 1e6
 
-		// PGX.D: one machine, th workers, empty per-edge kernel.
+		// PGX.D: one machine, th workers, a row kernel that only reads refs.
 		cfg := core.DefaultConfig(1)
 		cfg.Workers = th
 		c, err := core.NewCluster(cfg)

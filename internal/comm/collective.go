@@ -72,9 +72,7 @@ func (c *Collectives) Recover(seq uint32) {
 // Control-frame operation codes, stored in the high half of Header.Aux with
 // the sequence number in the low half.
 const (
-	ctrlBarrierArrive uint32 = iota + 1
-	ctrlBarrierRelease
-	ctrlReduceContrib
+	ctrlReduceContrib uint32 = iota + 1
 	ctrlReduceResult
 )
 
@@ -133,40 +131,12 @@ func (c *Collectives) waitCtrl(op, seq uint32) (*Buffer, error) {
 	}
 }
 
-// Barrier blocks until every machine has entered it. With one machine it is
-// a no-op. Figure 5b reports this operation's latency versus machine count.
+// Barrier blocks until every machine has entered it: an allreduce of no
+// values, so one header-only frame goes each way between the root and every
+// other machine. With one machine it is a no-op. Figure 5b reports this
+// operation's latency versus machine count.
 func (c *Collectives) Barrier() error {
-	c.seq++
-	seq := c.seq
-	p := c.ep.NumMachines()
-	if p == 1 {
-		return nil
-	}
-	me := c.ep.Machine()
-	if me == 0 {
-		for i := 0; i < p-1; i++ {
-			buf, err := c.waitCtrl(ctrlBarrierArrive, seq)
-			if err != nil {
-				return err
-			}
-			buf.Release()
-		}
-		for d := 1; d < p; d++ {
-			if err := c.ep.Send(d, c.newFrame(ctrlBarrierRelease, seq)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.ep.Send(0, c.newFrame(ctrlBarrierArrive, seq)); err != nil {
-		return err
-	}
-	buf, err := c.waitCtrl(ctrlBarrierRelease, seq)
-	if err != nil {
-		return err
-	}
-	buf.Release()
-	return nil
+	return c.allReduce(0, func(*Buffer) {}, func([]byte, bool) error { return nil })
 }
 
 // AllReduceF64 reduces vals element-wise across all machines with op and
@@ -220,7 +190,7 @@ func (c *Collectives) AllReduceI64(vals []int64, op reduce.Op) error {
 }
 
 // allReduce implements the star-shaped gather-reduce-broadcast shared by the
-// typed variants. write serializes the local contribution; apply decodes and
+// typed variants and Barrier (n = 0). write serializes the local contribution; apply decodes and
 // validates a remote payload and merges it into the local values (merge=true)
 // or overwrites them with the root's result (merge=false).
 func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload []byte, merge bool) error) error {

@@ -36,12 +36,25 @@ func clusterHarness(t *testing.T, p int, fn func(m int, col *Collectives, r *Rou
 	}
 }
 
+// TestBarrierSynchronizes: no machine leaves a barrier before every machine
+// entered it, and a barrier costs one header-only frame each way between the
+// root and every other machine.
 func TestBarrierSynchronizes(t *testing.T) {
 	const p = 5
 	const rounds = 20
 	var phase atomic.Int64
 	counts := make([]atomic.Int64, rounds)
 	clusterHarness(t, p, func(m int, col *Collectives, r *Router) {
+		defer func() {
+			frames := int64(rounds) // one arrival per barrier to the root
+			if m == 0 {
+				frames *= p - 1 // one release per barrier to every other machine
+			}
+			if met := col.ep.Metrics(); met.FramesSent() != frames || met.BytesSent() != frames*HeaderSize {
+				t.Errorf("machine %d sent %d frames, %d bytes over %d barriers; want %d, %d",
+					m, met.FramesSent(), met.BytesSent(), rounds, frames, frames*HeaderSize)
+			}
+		}()
 		for i := 0; i < rounds; i++ {
 			counts[i].Add(1)
 			if err := col.Barrier(); err != nil {

@@ -24,7 +24,6 @@ import (
 // worker per machine), still reduce by the row. afterRow, when set, runs once
 // the row's writes are issued.
 type rowPushSum struct {
-	RowOnly
 	NoReads
 	src, dst PropID
 	local    []localRefs
@@ -60,7 +59,6 @@ func (k *rowPushSum) RunRow(c *Ctx, row Row) {
 // the same neighbors, and — on each machine's node 0 — the declared property
 // at an address no row references.
 type mixedWriteTask struct {
-	RowOnly
 	NoReads
 	declared, undeclared PropID
 	outside              []int64 // per machine: a remote ref outside its remote set

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,22 +79,27 @@ type pushOneTask struct {
 	counter PropID
 }
 
-func (k *pushOneTask) Run(c *Ctx) {
-	c.NbrWriteI64(k.counter, reduce.Sum, 1)
+func (k *pushOneTask) RunRow(c *Ctx, row Row) {
+	for _, ref := range row.Refs {
+		c.WriteRef(ref, k.counter, reduce.Sum, WordI64(1))
+	}
 }
 
-// pullSumTask reads src from the in-neighbor and accumulates into dst.
-// beforeEdge, when set, runs ahead of each edge's read.
+// pullSumTask reads src from each in-neighbor, one ReadRef per ref, and
+// accumulates into dst in ReadDone. beforeEdge, when set, runs ahead of each
+// edge's read.
 type pullSumTask struct {
 	src, dst   PropID
 	beforeEdge func(c *Ctx)
 }
 
-func (k *pullSumTask) Run(c *Ctx) {
-	if k.beforeEdge != nil {
-		k.beforeEdge(c)
+func (k *pullSumTask) RunRow(c *Ctx, row Row) {
+	for _, ref := range row.Refs {
+		if k.beforeEdge != nil {
+			k.beforeEdge(c)
+		}
+		c.ReadRef(ref, k.src)
 	}
-	c.NbrRead(k.src)
 }
 
 func (k *pullSumTask) ReadDone(c *Ctx, val uint64) {
@@ -256,8 +262,10 @@ type minPush struct {
 	label PropID
 }
 
-func (k *minPush) Run(c *Ctx) {
-	c.NbrWriteI64(k.label, reduce.Min, c.GetI64(k.label))
+func (k *minPush) RunRow(c *Ctx, row Row) {
+	for _, ref := range row.Refs {
+		c.WriteRef(ref, k.label, reduce.Min, WordI64(c.GetI64(k.label)))
+	}
 }
 
 func TestMinReductionOneStep(t *testing.T) {
@@ -293,18 +301,32 @@ func TestJobSpecValidation(t *testing.T) {
 	c := bootCluster(t, g, DefaultConfig(2))
 	p, _ := c.AddPropF64("p")
 	task := &pushOneTask{}
-	cases := []JobSpec{
-		{Name: "no-task", Iter: IterNodes},
-		{Name: "bad-iter", Iter: IterKind(9), Task: task},
-		{Name: "bad-read", Iter: IterNodes, Task: task, ReadProps: []PropID{42}},
-		{Name: "bad-write", Iter: IterNodes, Task: task, WriteProps: []WriteSpec{{Prop: 42, Op: reduce.Sum}}},
-		{Name: "overwrite", Iter: IterNodes, Task: task, WriteProps: []WriteSpec{{Prop: p, Op: reduce.Overwrite}}},
-		{Name: "read-write", Iter: IterNodes, Task: task, ReadProps: []PropID{p}, WriteProps: []WriteSpec{{Prop: p, Op: reduce.Sum}}},
+	cases := []struct {
+		spec JobSpec
+		want string // in the error, beside the job's name
+	}{
+		{JobSpec{Name: "no-task", Iter: IterNodes}, "no task"},
+		{JobSpec{Name: "bad-iter", Iter: IterKind(9), Task: task}, "unknown iterator"},
+		{JobSpec{Name: "bad-read", Iter: IterOutEdges, Task: task, ReadProps: []PropID{42}}, "unregistered"},
+		{JobSpec{Name: "bad-write", Iter: IterOutEdges, Task: task, WriteProps: []WriteSpec{{Prop: 42, Op: reduce.Sum}}}, "unregistered"},
+		{JobSpec{Name: "overwrite", Iter: IterOutEdges, Task: task, WriteProps: []WriteSpec{{Prop: p, Op: reduce.Overwrite}}}, "unsupported op"},
+		{JobSpec{Name: "read-write", Iter: IterOutEdges, Task: task, ReadProps: []PropID{p}, WriteProps: []WriteSpec{{Prop: p, Op: reduce.Sum}}}, "both reads and writes"},
+		// Each iterator dispatches one kernel form; the other is refused
+		// before any machine runs it.
+		{JobSpec{Name: "row-kernel-on-nodes", Iter: IterNodes, Task: task}, "has no Run (NodeTask)"},
+		{JobSpec{Name: "node-kernel-on-edges", Iter: IterOutEdges, Task: &nodeInit{p: p}}, "has no RunRow (RowTask)"},
 	}
-	for _, spec := range cases {
-		if _, err := c.RunJob(spec); err == nil {
-			t.Errorf("spec %q accepted", spec.Name)
+	for _, tc := range cases {
+		_, err := c.RunJob(tc.spec)
+		if err == nil {
+			t.Errorf("spec %q accepted", tc.spec.Name)
+		} else if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", tc.spec.Name)) || !strings.Contains(msg, tc.want) {
+			t.Errorf("spec %q: error %q does not name the job and %q", tc.spec.Name, msg, tc.want)
 		}
+	}
+	// The cluster is healthy after the refusals.
+	if _, err := c.RunJob(JobSpec{Name: "after", Iter: IterNodes, Task: &nodeInit{p: p}}); err != nil {
+		t.Fatal(err)
 	}
 }
 

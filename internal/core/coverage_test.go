@@ -57,8 +57,10 @@ type floatOpPush struct {
 	op       reduce.Op
 }
 
-func (k *floatOpPush) Run(c *Ctx) {
-	c.NbrWriteF64(k.acc, k.op, c.GetF64(k.val))
+func (k *floatOpPush) RunRow(c *Ctx, row Row) {
+	for _, ref := range row.Refs {
+		c.WriteRef(ref, k.acc, k.op, WordF64(c.GetF64(k.val)))
+	}
 }
 
 // ctxProbe exercises the informational Ctx accessors inside a kernel.
@@ -96,27 +98,29 @@ func TestCtxAccessors(t *testing.T) {
 }
 
 // refGlobalProbe sums RefGlobal over a node's out-neighbours and flags, in
-// bad, a neighbour NbrIsRemote and SplitRemoteRef place on another machine than
+// bad, a neighbour IsRemote and SplitRemoteRef place on another machine than
 // RefGlobal does.
 type refGlobalProbe struct {
 	NoReads
 	sum, bad PropID
 }
 
-func (k *refGlobalProbe) Run(c *Ctx) {
-	ref, layout := c.NbrRef(), c.w.m.store.layout
-	v := c.RefGlobal(ref)
-	c.SetI64(k.sum, c.GetI64(k.sum)+int64(v))
-	if c.NbrIsRemote() != (layout.Owner(v) != c.Machine()) {
-		c.SetI64(k.bad, 1)
-	} else if c.NbrIsRemote() {
-		if mach, off := c.SplitRemoteRef(ref); layout.GlobalOf(mach, off) != v {
+func (k *refGlobalProbe) RunRow(c *Ctx, row Row) {
+	layout := c.w.m.store.layout
+	for _, ref := range row.Refs {
+		v := c.RefGlobal(ref)
+		c.SetI64(k.sum, c.GetI64(k.sum)+int64(v))
+		if c.IsRemote(ref) != (layout.Owner(v) != c.Machine()) {
 			c.SetI64(k.bad, 1)
+		} else if c.IsRemote(ref) {
+			if mach, off := c.SplitRemoteRef(ref); layout.GlobalOf(mach, off) != v {
+				c.SetI64(k.bad, 1)
+			}
 		}
 	}
 }
 
-// TestRefGlobalAllRefKinds: RefGlobal, NbrIsRemote and SplitRemoteRef resolve
+// TestRefGlobalAllRefKinds: RefGlobal, IsRemote and SplitRemoteRef resolve
 // every class of ref a kernel can see. A load's rows come numbered: local and
 // replica refs, and, outside a capped set, packed ones.
 func TestRefGlobalAllRefKinds(t *testing.T) {

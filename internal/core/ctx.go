@@ -11,14 +11,12 @@ import (
 // Ctx is the execution context handed to Task callbacks. One Ctx exists per
 // worker and is reused across invocations; a task must never retain it.
 //
-// Node is the local node index throughout. In RunRow the kernel walks the row
-// itself (typed views, a Writer, ReadRef for remote refs). In a per-edge Run
-// the neighbor accessors target the current edge's other endpoint and
-// EdgeWeight is the current edge's weight. During ReadDone/RMIDone, only
-// Node, Aux, and the local property accessors are valid — continuations that
-// need the neighbor must stash its ref in Aux before reading, mirroring the
-// paper's rule that continuation state lives in the task object's explicit
-// fields.
+// Node is the local node index throughout: the node a NodeTask runs for, or
+// the node whose row a RowTask walks (with typed views, a Writer, ReadRef for
+// remote refs). During ReadDone/RMIDone, only Node, Aux, and the local
+// property accessors are valid — continuations that need the neighbor must
+// stash its ref in Aux before reading, mirroring the paper's rule that
+// continuation state lives in the task object's explicit fields.
 type Ctx struct {
 	w *worker
 
@@ -29,16 +27,6 @@ type Ctx struct {
 	// engine resets it to zero once per node; kernels that use it must set it
 	// before issuing the read it describes.
 	Aux uint64
-
-	// The per-edge cursor of a Task.Run kernel: current neighbor ref, its
-	// index in the row, the row's weights, and the SkipNode flag. Written
-	// only by the perEdge adapter (and SkipNode); they live in Ctx so the
-	// wholesale save/restore at re-entrancy points (drainResponsesSafe,
-	// acquireReq) protects them from interleaved continuations.
-	nbr     int64
-	edge    int
-	weights []float64
-	skip    bool
 }
 
 // F64Word converts a raw 8-byte value (as delivered to ReadDone) to float64.
@@ -74,13 +62,9 @@ func (c *Ctx) InDegree() int64 {
 	return int64(c.w.m.store.inDeg[c.Node])
 }
 
-// NbrRef returns the current edge's neighbor reference. Valid only in a
-// per-edge Run. The ref stays valid for the lifetime of the loaded graph and
-// may be stored (e.g. in Aux) and used later with ReadRef/WriteRef.
-func (c *Ctx) NbrRef() int64 { return c.nbr }
-
-// NbrIsRemote reports whether the current neighbor lives on another machine.
-func (c *Ctx) NbrIsRemote() bool { return !c.w.m.store.owns(c.nbr) }
+// IsRemote reports whether ref names a node another machine owns (a replica
+// or a packed remote ref).
+func (c *Ctx) IsRemote(ref int64) bool { return !c.w.m.store.owns(ref) }
 
 // RefGlobal resolves any node ref — local, replica or packed — back to its
 // global node id.
@@ -94,19 +78,10 @@ func (c *Ctx) RefGlobal(ref int64) graph.NodeID {
 }
 
 // SplitRemoteRef returns the owner machine and its local offset of a ref that
-// names another machine's node (NbrIsRemote true) — the hook kernels use to
+// names another machine's node (IsRemote true) — the hook kernels use to
 // address RMI calls at a neighbor's owner ("moving computation instead of
 // data").
 func (c *Ctx) SplitRemoteRef(ref int64) (machine int, offset uint32) { return c.w.m.store.owner(ref) }
-
-// EdgeWeight returns the current edge's weight (0 for unweighted graphs).
-// Valid only in a per-edge Run.
-func (c *Ctx) EdgeWeight() float64 {
-	if c.weights == nil {
-		return 0
-	}
-	return c.weights[c.edge]
-}
 
 // --- local property access (own node) --------------------------------------
 
@@ -137,32 +112,11 @@ func (c *Ctx) SetI64(p PropID, v int64) {
 
 // --- neighbor access --------------------------------------------------------
 
-// NbrWriteF64 reduces v into property p of the current neighbor with op —
-// the paper's write_remote<OP>. A local target applies immediately (relaxed
-// consistency); a remote one folds into the worker's accumulator or is
-// buffered into the per-worker request message toward the owner, and is
-// visible there from the job's drain on (Writer.WriteRow).
-func (c *Ctx) NbrWriteF64(p PropID, op reduce.Op, v float64) {
-	c.WriteRef(c.nbr, p, op, math.Float64bits(v))
-}
-
-// NbrWriteI64 reduces v into integer property p of the current neighbor.
-func (c *Ctx) NbrWriteI64(p PropID, op reduce.Op, v int64) {
-	c.WriteRef(c.nbr, p, op, uint64(v))
-}
-
-// NbrRead requests property p of the current neighbor — the paper's
-// read_remote. If the neighbor is local or mirrored (mirror.go), ReadDone is
-// invoked synchronously before NbrRead returns; otherwise the request is
-// buffered and ReadDone runs later on this same worker with Node and Aux
-// restored.
-func (c *Ctx) NbrRead(p PropID) {
-	c.ReadRef(c.nbr, p)
-}
-
 // WriteRef reduces the raw word into property p of the node identified by
-// ref: Writer.Write on the worker's handle for p — the per-edge form of
-// Writer.WriteRow.
+// ref — the paper's write_remote<OP>: Writer.Write on the worker's handle for
+// p, the one-ref form of Writer.WriteRow. A local target applies immediately
+// (relaxed consistency); a remote one folds into the worker's accumulator or
+// is buffered toward the owner, and is visible there from the job's drain on.
 func (c *Ctx) WriteRef(ref int64, p PropID, op reduce.Op, word uint64) {
 	c.Writer(p, op).Write(ref, word)
 }
@@ -203,10 +157,12 @@ func (c *Ctx) F64(p PropID) F64View { return F64View{c.w.cols[p].view} }
 // I64 returns the read view of int64 property p.
 func (c *Ctx) I64(p PropID) I64View { return I64View{c.w.cols[p].view} }
 
-// ReadRef requests property p of the node identified by ref; see NbrRead. A
-// ref p's view holds is answered from it at once; any other goes to its owner
-// — a replica through the remote set's address — whose copier refuses a
-// property the job does not declare.
+// ReadRef requests property p of the node identified by ref — the paper's
+// read_remote. A ref p's view holds (a local or mirrored node: mirror.go) is
+// answered at once, ReadDone running before ReadRef returns; any other goes to
+// its owner — a replica through the remote set's address — whose copier
+// refuses a property the job does not declare, and ReadDone runs later on
+// this same worker with Node and Aux restored.
 func (c *Ctx) ReadRef(ref int64, p PropID) {
 	w := c.w
 	if v := w.cols[p].view; uint64(ref) < uint64(len(v)) {
@@ -221,20 +177,11 @@ func (c *Ctx) ReadRef(ref int64, p PropID) {
 
 // Activate marks the current node as a member of the job's Build[slot]
 // frontier. Idempotent per node (duplicates are merged when the frontier is
-// finalized); valid in Run and in continuations, where Node is restored.
+// finalized); valid in Run, RunRow and continuations, where Node is restored.
 func (c *Ctx) Activate(slot int) {
 	b := c.w.job.builds[slot]
 	b.shards[c.w.id] = append(b.shards[c.w.id], c.Node)
 }
-
-// SkipNode ends the current node's remaining per-edge Run invocations (both
-// orientations under IterBothEdges) once the current Run returns. Pull
-// kernels use it to stop scanning in-neighbors once the value they were
-// looking for arrived — effective when neighbors are local or mirrored
-// (their ReadDone runs synchronously); buffered remote reads resolve
-// after the loop has moved on, so they cannot trigger an early exit. A row
-// kernel just returns instead; no-op there and on node iterators.
-func (c *Ctx) SkipNode() { c.skip = true }
 
 // CallRMI invokes registered method id on machine dst with the given
 // payload. The response is delivered to the task's RMIDone on this worker,

@@ -10,15 +10,17 @@ import (
 	"repro/internal/reduce"
 )
 
-// weightSumTask accumulates incoming edge weights into a property — checks
+// weightSumTask accumulates a row's edge weights into a property — checks
 // that the in-orientation carries per-edge weights correctly.
 type weightSumTask struct {
 	NoReads
 	acc PropID
 }
 
-func (k *weightSumTask) Run(c *Ctx) {
-	c.SetF64(k.acc, c.GetF64(k.acc)+c.EdgeWeight())
+func (k *weightSumTask) RunRow(c *Ctx, row Row) {
+	for i := range row.Refs {
+		c.SetF64(k.acc, c.GetF64(k.acc)+row.Weight(i))
+	}
 }
 
 func TestInEdgeWeights(t *testing.T) {
@@ -186,9 +188,11 @@ type chainReadTask struct {
 	acc  PropID
 }
 
-func (k *chainReadTask) Run(c *Ctx) {
-	c.Aux = 0
-	c.NbrRead(k.ref)
+func (k *chainReadTask) RunRow(c *Ctx, row Row) {
+	for _, ref := range row.Refs {
+		c.Aux = 0
+		c.ReadRef(ref, k.ref)
+	}
 }
 
 func (k *chainReadTask) ReadDone(c *Ctx, val uint64) {

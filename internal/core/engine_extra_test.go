@@ -15,7 +15,7 @@ import (
 
 // --- multi-read state machine kernel ----------------------------------------
 
-// twoHopTask exercises continuation chaining: Run reads the neighbor's hop1
+// twoHopTask exercises continuation chaining: RunRow reads each neighbor's hop1
 // ref (stored as a prop), then ReadDone issues a second read through that
 // ref, using Aux as the state machine the paper describes ("the user can
 // implement a state machine to distinguish multiple callbacks").
@@ -27,9 +27,11 @@ type twoHopTask struct {
 
 const twoHopStage2 = uint64(1) << 63
 
-func (k *twoHopTask) Run(c *Ctx) {
-	c.Aux = 0
-	c.NbrRead(k.refProp)
+func (k *twoHopTask) RunRow(c *Ctx, row Row) {
+	for _, ref := range row.Refs {
+		c.Aux = 0
+		c.ReadRef(ref, k.refProp)
+	}
 }
 
 func (k *twoHopTask) ReadDone(c *Ctx, val uint64) {
@@ -101,14 +103,16 @@ type rmiEchoTask struct {
 	acc    PropID
 }
 
-func (k *rmiEchoTask) Run(c *Ctx) {
-	if !c.NbrIsRemote() {
-		return
+func (k *rmiEchoTask) RunRow(c *Ctx, row Row) {
+	for _, ref := range row.Refs {
+		if !c.IsRemote(ref) {
+			continue
+		}
+		mach, off := c.SplitRemoteRef(ref)
+		var payload [4]byte
+		binary.LittleEndian.PutUint32(payload[:], off)
+		c.CallRMI(mach, k.method, payload[:])
 	}
-	mach, off := c.SplitRemoteRef(c.NbrRef())
-	var payload [4]byte
-	binary.LittleEndian.PutUint32(payload[:], off)
-	c.CallRMI(mach, k.method, payload[:])
 }
 
 func (k *rmiEchoTask) RMIDone(c *Ctx, payload []byte) {

@@ -132,7 +132,8 @@ type machineFrontier struct {
 
 	// shards are the per-worker build lists: Ctx.Activate appends the node to
 	// its worker's shard with no synchronization, and finalize merges them.
-	// Duplicate activations (per-edge kernels) are deduplicated there.
+	// Duplicate activations (a kernel activating per edge, or from several
+	// continuations) are deduplicated there.
 	shards [][]uint32
 
 	// scratch for frontier chunk construction, reused across supersteps.

@@ -169,7 +169,11 @@ type activatePush struct {
 	val int64
 }
 
-func (k *activatePush) Run(c *Ctx) { c.NbrWriteI64(k.dst, reduce.Min, k.val) }
+func (k *activatePush) RunRow(c *Ctx, row Row) {
+	for _, ref := range row.Refs {
+		c.WriteRef(ref, k.dst, reduce.Min, WordI64(k.val))
+	}
+}
 
 // TestActivateIntoChangedOnly: a MIN push with ActivateInto activates exactly
 // the improved nodes — across local, ghost, and remote write paths — and a

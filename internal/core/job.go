@@ -15,15 +15,15 @@ import (
 type IterKind uint8
 
 const (
-	// IterNodes runs the task once per owned node.
+	// IterNodes runs a NodeTask once per owned node.
 	IterNodes IterKind = iota
-	// IterOutEdges runs the task once per out-edge of each owned node; all
-	// edges of one node are handled by the same worker.
+	// IterOutEdges runs a RowTask once per owned node, over its out-edges;
+	// all edges of one node are handled by the same worker.
 	IterOutEdges
-	// IterInEdges runs the task once per in-edge of each owned node — the
-	// pull-friendly orientation.
+	// IterInEdges runs a RowTask once per owned node, over its in-edges —
+	// the pull-friendly orientation.
 	IterInEdges
-	// IterBothEdges runs the task over each owned node's out-edges and then
+	// IterBothEdges runs a RowTask over each owned node's out-edges and then
 	// its in-edges in one region — the undirected view. Algorithms that
 	// touch both orientations per step (WCC, k-core, MIS) use it to halve
 	// their barrier and prefetch count.
@@ -46,19 +46,25 @@ func (k IterKind) String() string {
 	}
 }
 
-// Task is the paper's RTC user context (§4.1.2). Run is invoked per node or
-// per edge depending on the job's iterator (per edge through the perEdge
-// adapter; kernels that want the whole adjacency row implement RowTask); it
-// must complete without blocking ("the invocation of the run() method
-// completes no matter what").
-// If Run (or ReadDone) issued a remote read, ReadDone is the continuation,
-// invoked by the same worker when the value arrives — so task-local state
-// needs no locks. All cross-invocation state must live in properties or in
-// Ctx.Aux, exactly as the paper requires ("all the information which is
-// needed after continuation should be explicitly stored").
+// Task is the paper's RTC user context (§4.1.2): what every kernel has, in
+// either of its two forms — NodeTask on the node iterator, RowTask on the edge
+// iterators. A callback must complete without blocking ("the invocation of
+// the run() method completes no matter what").
+// If a callback issued a remote read, ReadDone is the continuation, invoked by
+// the same worker when the value arrives — so task-local state needs no
+// locks. All cross-invocation state must live in properties or in Ctx.Aux,
+// exactly as the paper requires ("all the information which is needed after
+// continuation should be explicitly stored").
 type Task interface {
-	Run(c *Ctx)
 	ReadDone(c *Ctx, val uint64)
+}
+
+// NodeTask is the kernel form the worker dispatches on IterNodes: Run is
+// called once per owned node (or frontier member), with Ctx.Node set and
+// Ctx.Aux zeroed.
+type NodeTask interface {
+	Task
+	Run(c *Ctx)
 }
 
 // Row is one node's adjacency in one orientation, handed to RowTask.RunRow.
@@ -69,10 +75,6 @@ type Task interface {
 type Row struct {
 	Refs    []int64
 	Weights []float64
-
-	// second marks the in-edge row of an IterBothEdges node, so the perEdge
-	// adapter can carry SkipNode across the two orientations.
-	second bool
 }
 
 // Weight returns the i-th edge's weight (0 on unweighted graphs).
@@ -83,9 +85,10 @@ func (r Row) Weight(i int) float64 {
 	return r.Weights[i]
 }
 
-// RowTask is the kernel form the worker dispatches on edge iterators: RunRow
-// is called once per node and orientation (twice under IterBothEdges, out
-// row first) and runs its own loop over the row. The contract:
+// RowTask is the kernel form the worker dispatches on the edge iterators:
+// RunRow is called once per node and orientation (twice under IterBothEdges,
+// out row first) and runs its own loop over the row — the paper's compiled
+// loop over a node's edges (Fig 5a). The contract:
 //
 //   - The engine sets Ctx.Node and zeroes Ctx.Aux before the node's first
 //     row; both belong to the kernel from then on. A kernel that passes a
@@ -111,55 +114,9 @@ func (r Row) Weight(i int) float64 {
 //     loop (the pull pattern's register accumulation: one own-node store per
 //     row instead of one per edge).
 //   - Leaving the row early is a plain return.
-//
-// Run is never called on a RowTask driven by an edge iterator; embed RowOnly
-// to say so.
 type RowTask interface {
 	Task
 	RunRow(c *Ctx, row Row)
-}
-
-// RowOnly is a mixin for kernels that exist only in row form: its Run
-// panics, catching a row kernel put on a node iterator.
-type RowOnly struct{}
-
-// Run implements Task for kernels that are only ever dispatched by row.
-func (RowOnly) Run(c *Ctx) {
-	panic("core: Run invoked on a task that declared RowOnly; use an edge iterator")
-}
-
-// perEdge adapts a per-edge Task — the paper's public kernel shape, one Run
-// per edge with the neighbor accessors aimed at that edge — to the row
-// dispatch. It is the only code that moves Ctx's per-edge cursor
-// (nbr/edge/weights) and the only reader of the SkipNode flag. Jobs whose
-// Task is not a RowTask are wrapped once, at job set-up (rowForm).
-type perEdge struct{ Task }
-
-// rowForm returns the kernel an edge iterator dispatches for task: task
-// itself when it is a RowTask, else task behind the perEdge adapter, which it
-// writes into adapter (the job runtime's, so the wrap allocates nothing).
-func rowForm(task Task, adapter *perEdge) RowTask {
-	if rt, ok := task.(RowTask); ok {
-		return rt
-	}
-	*adapter = perEdge{task}
-	return adapter
-}
-
-func (a perEdge) RunRow(c *Ctx, row Row) {
-	if !row.second {
-		c.skip = false
-	} else if c.skip {
-		return
-	}
-	c.weights = row.Weights
-	for i, ref := range row.Refs {
-		c.nbr, c.edge = ref, i
-		a.Task.Run(c)
-		if c.skip {
-			return
-		}
-	}
 }
 
 // RMITask is implemented additionally by tasks that invoke Ctx.CallRMI;
@@ -202,10 +159,11 @@ type WriteSpec struct {
 type JobSpec struct {
 	// Name appears in stats and error messages.
 	Name string
-	// Iter selects the built-in iterator driving Task.Run.
+	// Iter selects the built-in iterator driving Task.
 	Iter IterKind
-	// Task is the kernel. One instance is shared by all workers on a
-	// machine; per-invocation state must live in Ctx or properties.
+	// Task is the kernel: a NodeTask on IterNodes, a RowTask on the edge
+	// iterators. One instance is shared by all workers on a machine;
+	// per-invocation state must live in Ctx or properties.
 	Task Task
 	// ReadProps lists properties read through neighbors; an eligible job
 	// (remoteset.go) mirrors them before its first row — the owned words and
@@ -277,6 +235,12 @@ func (spec *JobSpec) validate(props []propMeta) error {
 	}
 	if spec.Iter > IterBothEdges {
 		return fmt.Errorf("core: job %q has unknown iterator %d", spec.Name, spec.Iter)
+	}
+	if _, ok := spec.Task.(NodeTask); spec.Iter == IterNodes && !ok {
+		return fmt.Errorf("core: job %q runs a %T on the node iterator, which has no Run (NodeTask)", spec.Name, spec.Task)
+	}
+	if _, ok := spec.Task.(RowTask); spec.Iter != IterNodes && !ok {
+		return fmt.Errorf("core: job %q runs a %T on the %v iterator, which has no RunRow (RowTask)", spec.Name, spec.Task, spec.Iter)
 	}
 	for _, p := range spec.ReadProps {
 		if int(p) >= len(props) {

@@ -346,10 +346,10 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	jr.jobPlan = jobPlan{spec: spec, chunks: m.chunks[spec.Iter], views: m.store.views[span[0]:span[1]]}
 	jr.reset(jobID)
 	if len(jr.views) > 0 {
-		// One dispatch shape: workers hand rows to a RowTask. A per-edge Task
-		// gets the adapter here, once per job.
-		jr.row = rowForm(spec.Task, &jr.edge)
+		jr.row = spec.Task.(RowTask)
 		jr.ooc, jr.cursors = m.ooc, m.ooc != nil && m.ooc.File().Compressed()
+	} else {
+		jr.node = spec.Task.(NodeTask)
 	}
 
 	// Frontier-sourced iteration: restrict the chunk list to this machine's

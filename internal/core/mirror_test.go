@@ -22,7 +22,6 @@ import (
 // address no row references. Values are small integers, so the sum is exact in
 // any arrival order.
 type mixedReadTask struct {
-	RowOnly
 	declared, acc PropID
 	undeclared    []PropID
 	outside       []int64 // per machine: a remote ref outside its remote set
@@ -356,7 +355,6 @@ func TestCancelAfterPrefetch(t *testing.T) {
 // skipRemoteSum is rowPullSum without its remote reads: the scan the remote
 // refs ride on, in the same rows on the same machines.
 type skipRemoteSum struct {
-	RowOnly
 	NoReads
 	src, dst PropID
 }

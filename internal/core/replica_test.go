@@ -18,17 +18,19 @@ import (
 
 // refRecorder is a pull-sum that records every row it is handed, by machine,
 // orientation and node, before it reads the row through the view and ReadRef.
+// Aux, zeroed by the engine before a node's first row, counts the node's rows
+// handed so far: the second row of an IterBothEdges node is its in-row.
 type refRecorder struct {
-	RowOnly
 	src, dst PropID
 	rows     [][2][][]int64
 }
 
 func (k *refRecorder) RunRow(c *Ctx, row Row) {
 	o := store.OrientOut
-	if c.w.job.spec.Iter == IterInEdges || row.second {
+	if c.w.job.spec.Iter == IterInEdges || c.Aux == 1 {
 		o = store.OrientIn
 	}
+	c.Aux++
 	k.rows[c.Machine()][o][c.Node] = slices.Clone(row.Refs)
 	src := c.F64(k.src)
 	var sum float64

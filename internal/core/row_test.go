@@ -15,9 +15,9 @@ import (
 	"repro/internal/store"
 )
 
-// rowPullSum is pullSumTask in row form: register accumulation over the
-// neighbors the typed view holds, ReadRef for the rest, one own-node
-// read-modify-write after the loop.
+// rowPullSum is pullSumTask with the row contract's register accumulation:
+// a local sum over the neighbors the typed view holds, ReadRef for the rest,
+// one own-node read-modify-write after the loop.
 //
 // inRow/reentered instrument TestRowKernelReentrancy: inRow[m] holds the node
 // machine m's (single) worker is inside RunRow for, plus one; ReadDone counts
@@ -25,7 +25,6 @@ import (
 // the row contract on purpose — it reads the node's accumulator before the
 // loop and stores over it afterwards — to show the test reaches the hazard.
 type rowPullSum struct {
-	RowOnly
 	src, dst  PropID
 	staleOwn  bool
 	inRow     []atomic.Uint32
@@ -156,7 +155,7 @@ func TestRowKernelReentrancy(t *testing.T) {
 
 // scanJob wires a jobRuntime for worker 0 of machine 0 exactly as runJob
 // would for an in-edge scan with kernel, without dispatching it.
-func scanJob(c *Cluster, kernel Task) (*worker, *jobRuntime) {
+func scanJob(c *Cluster, kernel RowTask) (*worker, *jobRuntime) {
 	m := c.machines[0]
 	w := m.workers[0]
 	spec := &JobSpec{Name: "scan", Iter: IterInEdges, Task: kernel}
@@ -166,42 +165,33 @@ func scanJob(c *Cluster, kernel Task) (*worker, *jobRuntime) {
 }
 
 // TestRowKernelScanAllocatesNothing: a local row scan — chunk walk, row
-// slicing, kernel dispatch, typed view, own-node fold — allocates nothing,
-// in row form and through the perEdge adapter.
+// slicing, kernel dispatch, typed view, own-node fold — allocates nothing.
 func TestRowKernelScanAllocatesNothing(t *testing.T) {
 	cfg := DefaultConfig(1)
 	c := bootCluster(t, testGraph(t), cfg)
 	src, _ := c.AddPropF64("src")
 	dst, _ := c.AddPropF64("dst")
 	c.FillF64(src, 1)
-	for _, k := range []struct {
-		name   string
-		kernel Task
-	}{
-		{"row", &rowPullSum{src: src, dst: dst}},
-		{"per-edge", &pullSumTask{src: src, dst: dst}},
-	} {
-		c.FillF64(dst, 0)
-		w, jr := scanJob(c, k.kernel)
-		const runs = 10
-		allocs := testing.AllocsPerRun(runs, func() { w.runChunk(jr, &w.ctx, jr.chunks[0]) })
-		w.job = nil
-		if allocs != 0 {
-			t.Errorf("%s: %.1f allocations per chunk scan, want 0", k.name, allocs)
-		}
-		// The scans really ran: node 0's sum is its in-degree per scan
-		// (AllocsPerRun adds one warm-up run).
-		if got, wantSum := c.GatherF64(dst)[0], float64((runs+1)*int(testGraph(t).InDegree(0))); got != wantSum {
-			t.Errorf("%s: node 0 accumulated %g, want %g", k.name, got, wantSum)
-		}
+	c.FillF64(dst, 0)
+	w, jr := scanJob(c, &rowPullSum{src: src, dst: dst})
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() { w.runChunk(jr, &w.ctx, jr.chunks[0]) })
+	w.job = nil
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per chunk scan, want 0", allocs)
+	}
+	// The scans really ran: node 0's sum is its in-degree per scan
+	// (AllocsPerRun adds one warm-up run).
+	if got, wantSum := c.GatherF64(dst)[0], float64((runs+1)*int(testGraph(t).InDegree(0))); got != wantSum {
+		t.Errorf("node 0 accumulated %g, want %g", got, wantSum)
 	}
 }
 
 // BenchmarkEdgeDispatch isolates the edge-scan budget line: nanoseconds per
-// edge of one pull-sum job (the PageRank-pull inner loop) with the kernel in
-// row form and in per-edge form behind the adapter, all-local on one machine
-// and in process on two machines cut so that about a fifth of the edges are
-// remote reads (the measured share is reported as remote_frac). The push rows
+// edge of one pull-sum job (the PageRank-pull inner loop, its row kernel
+// accumulating in a register), all-local on one machine and in process on two
+// machines cut so that about a fifth of the edges are remote reads (the
+// measured share is reported as remote_frac). The push rows
 // are the write path's: a push job's ns per edge reducing by the row
 // (Writer.WriteRow) and ref by ref (Ctx.WriteRef), SUM into a float64 property
 // and MIN into an int64 one — all-local that is the cost of one local
@@ -257,7 +247,6 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 			spec JobSpec
 		}{
 			{"row", pull(&rowPullSum{src: src, dst: dst})},
-			{"per-edge", pull(&pullSumTask{src: src, dst: dst})},
 			{"push-sum/row", push(src, dst, reduce.Sum, false)},
 			{"push-sum/per-ref", push(src, dst, reduce.Sum, true)},
 		}

@@ -23,7 +23,7 @@ import (
 // leaves out. Every ref consumer accepts all three classes.
 
 // RemoteRef builds a node ref addressing (machine, local offset) directly.
-// Kernels normally receive refs from the engine (NbrRef); this constructor
+// Kernels normally receive refs from the engine (Row.Refs); this constructor
 // exists for microbenchmarks and tests that target arbitrary remote slots,
 // like the paper's remote random-read bandwidth study (Figure 8a).
 func RemoteRef(machine int, offset uint32) int64 { return store.PackRef(machine, offset) }

@@ -17,7 +17,7 @@ import (
 
 // worker is one RTC worker goroutine (paper §3.2). It claims edge-balanced
 // chunks of nodes from the job's shared cursor, hands each node's adjacency
-// row to the job's kernel (or, on a node iterator, calls Task.Run per node),
+// row to the job's kernel (on a node iterator, calls its Run per node),
 // buffers remote reads/writes per destination machine, and — when responses
 // arrive on its response queue — continues the originating tasks via
 // ReadDone, always on this same goroutine ("a task is always executed by
@@ -143,7 +143,7 @@ func (w *worker) loop() {
 // abortUnwind is the sentinel the worker panics with to unwind out of
 // arbitrarily nested task callbacks when its job aborts. Task callbacks
 // cannot return errors, so this is the only way to get from deep inside
-// Task.Run/ReadDone back to runJob's frame; the deferred recover there is
+// Run/RunRow/ReadDone back to runJob's frame; the deferred recover there is
 // the sole handler, and any other panic value is re-raised untouched.
 type abortUnwind struct{}
 
@@ -346,7 +346,7 @@ func (w *worker) runNodeReaders(jr *jobRuntime, ctx *Ctx, node uint32) {
 		if err != nil {
 			w.fail(err)
 		}
-		r := Row{Refs: refs, second: i == 1}
+		r := Row{Refs: refs}
 		if v := &jr.views[i]; v.weights != nil {
 			r.Weights = v.weights[v.rows[node]:v.rows[node+1]]
 		}
@@ -354,25 +354,24 @@ func (w *worker) runNodeReaders(jr *jobRuntime, ctx *Ctx, node uint32) {
 	}
 }
 
-// runNode drives the job's task over one owned node: Task.Run on a node
-// iterator, or the node's CSR rows through the row dispatch.
+// runNode drives the job's task over one owned node: NodeTask.Run on a node
+// iterator, or RowTask.RunRow over each of the node's CSR rows.
 func (w *worker) runNode(jr *jobRuntime, ctx *Ctx, node uint32) {
 	ctx.Node = node
 	ctx.Aux = 0
 	if jr.row == nil {
-		jr.spec.Task.Run(ctx)
+		jr.node.Run(ctx)
 		return
 	}
 	for i := range jr.views {
-		jr.row.RunRow(ctx, jr.views[i].row(node, i == 1))
+		jr.row.RunRow(ctx, jr.views[i].row(node))
 	}
 }
 
-// row slices node's row out of the view's CSR; second marks the in-edge row
-// of an IterBothEdges node.
-func (v *orientView) row(node uint32, second bool) Row {
+// row slices node's row out of the view's CSR.
+func (v *orientView) row(node uint32) Row {
 	lo, hi := v.rows[node], v.rows[node+1]
-	r := Row{Refs: v.refs[lo:hi], second: second}
+	r := Row{Refs: v.refs[lo:hi]}
 	if v.weights != nil {
 		r.Weights = v.weights[lo:hi]
 	}
@@ -427,7 +426,7 @@ func (w *worker) awaitResponse() *comm.Buffer {
 // drainResponsesSafe is drainResponses with the context saved and restored:
 // continuations run through the worker's single shared Ctx, and callers that
 // are mid-task (between chunks, or stalled acquiring a buffer inside a task
-// callback) must not observe their Node/Aux/nbr clobbered.
+// callback) must not observe their Node/Aux clobbered.
 func (w *worker) drainResponsesSafe() {
 	saved := w.ctx
 	w.drainResponses()
@@ -794,12 +793,11 @@ type jobRuntime struct {
 // phases of Machine.runJob, dropped by the next reset.
 type jobPlan struct {
 	spec *JobSpec
-	// row is the kernel of an edge-iterator job — spec.Task itself when it
-	// implements RowTask, else spec.Task behind the perEdge adapter — and nil
-	// on node iterators, where workers call spec.Task.Run per node. edge holds
-	// the adapter row points at.
+	// spec.Task in the form the iterator dispatches (JobSpec.validate checks
+	// it has it): row on the edge iterators, node on IterNodes; the other is
+	// nil.
 	row    RowTask
-	edge   perEdge
+	node   NodeTask
 	chunks []partition.Chunk
 	// views are the orientations an edge iterator walks per node, in dispatch
 	// order (two for IterBothEdges, none on a node iterator): the iterViews

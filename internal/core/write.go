@@ -126,7 +126,7 @@ func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 // (spill.go): no kernel of this job sees it there.
 func (wr *Writer) WriteRow(refs []int64, word uint64) { wr.reduce(refs, word, nil) }
 
-// Write is WriteRow for the single node ref — the per-edge form.
+// Write is WriteRow for the single node ref, for a word that differs per edge.
 func (wr *Writer) Write(ref int64, word uint64) {
 	one := [1]int64{ref}
 	wr.reduce(one[:], word, nil)

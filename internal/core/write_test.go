@@ -18,10 +18,8 @@ import (
 )
 
 // rowPush reduces the node's own src word into dst of every neighbor in the
-// row with op: by one WriteRow, or — perRef — by one WriteRef per ref, the
-// per-edge adapter's path.
+// row with op: by one WriteRow, or — perRef — by one WriteRef per ref.
 type rowPush struct {
-	RowOnly
 	NoReads
 	src, dst PropID
 	op       reduce.Op
@@ -40,10 +38,9 @@ func (k *rowPush) RunRow(c *Ctx, row Row) {
 }
 
 // relaxRow is the weighted row, SSSP's relaxation: dist + weight into dst of
-// every neighbor with MIN, through the handle's typed Write or — perRef — the
-// per-edge adapter's NbrWriteF64 spelling, one WriteRef per ref.
+// every neighbor with MIN, through the handle's typed Write or — perRef — one
+// raw WriteRef per ref.
 type relaxRow struct {
-	RowOnly
 	NoReads
 	src, dst PropID
 	perRef   bool
@@ -107,7 +104,6 @@ func TestWriterOpMustMatchDeclared(t *testing.T) {
 
 // twoOpTask reduces one property with two operators in one row.
 type twoOpTask struct {
-	RowOnly
 	NoReads
 	dst PropID
 }
@@ -125,7 +121,7 @@ var writeRowSeed = flag.Int64("writerow-seed", 0, "seed of TestWriteRowMatchesPe
 // accumulated_writes — all-local under CAS contention, accumulated, on demand,
 // under an activating spec and with the remote set capped at eight vertices,
 // over both fabrics; and a weighted row through the
-// typed Write leaves what NbrWriteF64's spelling does. The two one-worker
+// typed Write leaves what a raw WriteRef per ref does. The two one-worker
 // modes reduce locally with plain stores, and their row form must also leave
 // what the CAS loop of their several-worker twin left. Sources and initial
 // values are seeded, dyadic so that float sums are exact in any order.

@@ -64,6 +64,6 @@ type exampleCountTask struct {
 	counter pgxd.PropID
 }
 
-func (k *exampleCountTask) Run(c *pgxd.Ctx) {
-	c.NbrWriteI64(k.counter, pgxd.Sum, 1)
+func (k *exampleCountTask) RunRow(c *pgxd.Ctx, row pgxd.Row) {
+	c.Writer(k.counter, pgxd.Sum).WriteRow(row.Refs, 1) // the word of int64 1
 }

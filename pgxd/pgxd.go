@@ -223,22 +223,23 @@ const (
 // Ctx is the execution context passed to Task callbacks.
 type Ctx = core.Ctx
 
-// Task is a run-to-complete kernel; see the paper's §4.1 programming model.
+// Task is a run-to-complete kernel (its ReadDone continuation); see the
+// paper's §4.1 programming model. A kernel comes in one of two forms, by
+// iterator: NodeTask on IterNodes, RowTask on the edge iterators.
 type Task = core.Task
+
+// NodeTask is a kernel the node iterator runs once per node (Run).
+type NodeTask = core.NodeTask
 
 // NoReads is a mixin for push-only tasks.
 type NoReads = core.NoReads
 
-// RowTask is a kernel that takes a node's whole adjacency row and runs its
-// own loop over it — the fast form on edge iterators; a plain Task there
-// runs once per edge behind an adapter.
+// RowTask is a kernel the edge iterators hand a node's whole adjacency row;
+// it runs its own loop over it (RunRow).
 type RowTask = core.RowTask
 
 // Row is one node's adjacency in one orientation, as handed to RowTask.RunRow.
 type Row = core.Row
-
-// RowOnly is a mixin for kernels that exist only in row form.
-type RowOnly = core.RowOnly
 
 // F64View and I64View are typed read views over a property (Ctx.F64 /
 // Ctx.I64): At answers every owned neighbor and, in a job that mirrors the

@@ -100,8 +100,11 @@ type customDegreeTask struct {
 	counter pgxd.PropID
 }
 
-func (k *customDegreeTask) Run(c *pgxd.Ctx) {
-	c.NbrWriteI64(k.counter, pgxd.Sum, 1)
+func (k *customDegreeTask) RunRow(c *pgxd.Ctx, row pgxd.Row) {
+	wr := c.Writer(k.counter, pgxd.Sum)
+	for _, ref := range row.Refs {
+		wr.WriteI64(ref, 1)
+	}
 }
 
 func TestCustomKernelThroughFacade(t *testing.T) {
