@@ -48,8 +48,10 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzServeRequest -fuzztime 5s -fuzzminimizetime 1s
 
 # Budget: 6 minutes of wall clock on the 2-vCPU reference box (race is most of
-# it); the target prints what it took — 238 s there in the last recorded run
-# (test cache cleared, build cache warm; a cold race build adds about 90 s).
+# it); the target prints what it took — 236 and 241 s there in the last two
+# recorded runs, against 230 and 236 s for the commit before them in the same
+# session (test cache cleared, build cache warm; a cold race build adds about
+# 90 s).
 ci:
 	@start=$$(date +%s); $(MAKE) --no-print-directory test vet race faults fuzz-smoke && \
 		echo "make ci: $$(( $$(date +%s) - start )) s of wall clock (budget 360 s)"
@@ -127,8 +129,8 @@ else
 endif
 
 # Frontier/direction/dispatch check: frontier representation and
-# write-activation tests, the ablation lattice (adaptive vs pinned push/pull
-# and the sparse-frontier fallback, exact against SA over both fabrics), the
+# write-activation tests, the ablation lattice (adaptive vs pinned push/pull,
+# node chunking and on-demand remote refs, exact against SA over both fabrics), the
 # push/pull rule's table test and its step counts on each graph shape, and row
 # kernels vs their per-edge forms and the row re-entrancy hazard (`race`, and
 # so `ci`, runs the same tests under the race detector).
@@ -143,7 +145,8 @@ serve:
 
 # Out-of-core check: the store file format (one container, both section
 # spellings) + claim/residency + decode pool and cursor + write-backlog overflow
-# (SpillWrites: the backlog every job drains, bounded and spilled to a file)
+# (SpillWrites: the backlog every job drains, bounded by the resident budget and
+# spilled to a file)
 # tests under the race detector — all of internal/store, and from the engine the
 # mmap-vs-in-memory bit-identity suite (csr2 and csr3 encodings), the abort,
 # per-job counter and sparse-claim tests.

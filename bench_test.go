@@ -32,13 +32,22 @@ func benchGraph(b *testing.B, name string) *graph.Graph {
 }
 
 func bootPGX(b *testing.B, g *graph.Graph, cfg core.Config) *core.Cluster {
+	return bootCut(b, g, cfg, partition.EdgeBalanced)
+}
+
+// bootCut boots cfg and loads g cut by strat, through LoadPlan.
+func bootCut(b *testing.B, g *graph.Graph, cfg core.Config, strat partition.Strategy) *core.Cluster {
 	b.Helper()
+	layout, err := partition.Compute(g, cfg.NumMachines, strat)
+	if err != nil {
+		b.Fatal(err)
+	}
 	c, err := core.NewCluster(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(c.Shutdown)
-	if err := c.Load(g); err != nil {
+	if err := c.LoadPlan(g, layout); err != nil {
 		b.Fatal(err)
 	}
 	return c
@@ -253,9 +262,7 @@ func BenchmarkFig6b_Partitioning(b *testing.B) {
 	g := benchGraph(b, bench.DSTwitter)
 	for _, strat := range []partition.Strategy{partition.VertexBalanced, partition.EdgeBalanced} {
 		b.Run(strat.String(), func(b *testing.B) {
-			cfg := core.DefaultConfig(4)
-			cfg.Partitioning = strat
-			c := bootPGX(b, g, cfg)
+			c := bootCut(b, g, core.DefaultConfig(4), strat)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := algorithms.PageRankPull(c, 3, 0.85); err != nil {
@@ -282,11 +289,10 @@ func BenchmarkFig6c_Breakdown(b *testing.B) {
 	for _, cc := range configs {
 		b.Run(cc.name, func(b *testing.B) {
 			cfg := core.DefaultConfig(4)
-			cfg.Partitioning = cc.strat
 			if cc.nodes {
 				cfg.Ablate = core.AblateEdgeChunking
 			}
-			c := bootPGX(b, g, cfg)
+			c := bootCut(b, g, cfg, cc.strat)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := algorithms.PageRankPull(c, 3, 0.85); err != nil {

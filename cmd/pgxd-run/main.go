@@ -14,7 +14,8 @@
 // A .csr2 or .csr3 graph (pgxd-gen -format csr2/csr3) runs out-of-core: the
 // file is mmap'd and adopted zero-copy, the machine count comes from the
 // file, and -resident-mb bounds how much of it the engine keeps resident
-// (also letting the write backlog overflow to a temp file). A compressed .csr3 file
+// and, per machine, how much of the write backlog stays in memory before it
+// overflows to a temp file. A compressed .csr3 file
 // additionally inflates edge blocks into a resident decode pool sized by
 // -decode-cache-mb; with a resident budget set, property columns move
 // off-heap too.
@@ -45,7 +46,7 @@ func main() {
 		top       = flag.Int("top", 5, "print the top-N vertices by result value")
 		tcp       = flag.Bool("tcp", false, "run over loopback TCP instead of in-process channels")
 		obsOn     = flag.Bool("obs", false, "attach the observability registry and print a per-job report")
-		resident  = flag.Int64("resident-mb", 0, ".csr2/.csr3 only: resident budget in MiB for the mmap'd topology (0 = unbounded); also lets the write backlog overflow to a temp file")
+		resident  = flag.Int64("resident-mb", 0, ".csr2/.csr3 only: resident budget in MiB for the mmap'd topology (0 = unbounded); also bounds each machine's in-memory write backlog, which overflows to a temp file past it")
 		decodeMB  = flag.Int64("decode-cache-mb", 0, ".csr3 only: resident decode pool in MiB (0 = default, <0 = the whole file; never below the file's largest block)")
 	)
 	flag.Parse()

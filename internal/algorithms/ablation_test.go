@@ -28,7 +28,6 @@ type ablationSet struct {
 func ablationLattice() []ablationSet {
 	sets := []ablationSet{
 		{name: "none"},
-		{name: "sparse-frontier", set: core.AblateSparseFrontier},
 		{name: "edge-chunking", set: core.AblateEdgeChunking},
 		{name: "pin-push", set: core.AblatePinPush},
 		{name: "pin-pull", set: core.AblatePinPull},
@@ -49,8 +48,7 @@ func latticeConfig(t *testing.T, p int, useTCP bool, set core.Ablation) core.Con
 	t.Helper()
 	cfg := core.DefaultConfig(p)
 	cfg.BufferSize = 8 << 10
-	cfg.RequestTimeout = 10 * time.Second
-	cfg.CollectiveTimeout = 10 * time.Second
+	cfg.Timeout = 10 * time.Second
 	cfg.Ablate = set
 	if useTCP {
 		f, err := core.NewTCPFabric(cfg)

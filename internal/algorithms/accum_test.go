@@ -160,7 +160,7 @@ func TestAccumulatedPushMatchesOnDemand(t *testing.T) {
 							c, reg := mirrorCluster(t, g, paths[storage], p, useTCP, set|core.AblatePinPush, func(cfg *core.Config) {
 								cfg.Workers = 1
 								if storage == "csr3" {
-									cfg.SpillWrites, cfg.SpillBudgetBytes, cfg.SpillDir = true, 1<<10, t.TempDir()
+									cfg.SpillWrites, cfg.ResidentBudgetBytes, cfg.SpillDir = true, 1<<10, t.TempDir()
 								}
 							})
 							layout = c.Layout()

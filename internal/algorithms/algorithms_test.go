@@ -263,6 +263,36 @@ func TestEigenvectorMatchesSA(t *testing.T) {
 	}
 }
 
+// TestEigenvectorBitIdenticalAcrossRuns: Eigenvector's normalization is a
+// float sum over machines (Cluster.ReduceMappedF64), which the collectives
+// merge in machine order, so runs of it at p = 3 over TCP — each on its own
+// cluster, with its own arrival order — return the same bits.
+func TestEigenvectorBitIdenticalAcrossRuns(t *testing.T) {
+	g, err := graph.RMAT(11, 8, graph.TwitterLike(), 4242)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() []float64 {
+		c, err := core.NewCluster(latticeConfig(t, 3, true, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Shutdown()
+		if err := c.Load(g); err != nil {
+			t.Fatal(err)
+		}
+		ev, _, err := Eigenvector(c, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	first := run()
+	for i := 1; i < 4; i++ {
+		assertBitsF64(t, fmt.Sprintf("run %d", i), run(), first)
+	}
+}
+
 func TestKCoreMatchesReference(t *testing.T) {
 	g, err := graph.RMAT(8, 6, graph.TwitterLike(), 99)
 	if err != nil {

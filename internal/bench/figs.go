@@ -199,6 +199,26 @@ func dummyGraph() (*graph.Graph, error) {
 	return graph.Uniform(64, 256, 1)
 }
 
+// pagerankPull is the job Figures 6 and 7 time: three PageRank-pull iterations
+// on a fresh cluster of cfg over g cut by strat. It returns the run's metrics
+// and the cut.
+func pagerankPull(cfg core.Config, g *graph.Graph, strat partition.Strategy) (algorithms.Metrics, partition.Layout, error) {
+	layout, err := partition.Compute(g, cfg.NumMachines, strat)
+	if err != nil {
+		return algorithms.Metrics{}, layout, err
+	}
+	c, err := core.NewCluster(cfg)
+	if err != nil {
+		return algorithms.Metrics{}, layout, err
+	}
+	defer c.Shutdown()
+	if err := c.LoadPlan(g, layout); err != nil {
+		return algorithms.Metrics{}, layout, err
+	}
+	_, met, err := algorithms.PageRankPull(c, 3, 0.85)
+	return met, layout, err
+}
+
 // --- Figure 6a: ghost node sweep ----------------------------------------------
 
 // ExpFig6a sweeps the ghost count — how many of the highest-degree vertices a
@@ -226,16 +246,7 @@ func ExpFig6a(ds *Datasets, scale int, machines int, ghostCounts []int, prog Pro
 			cfg.GhostCount = gc
 		}
 		prog.log("fig6a: ghosts=%s", label)
-		c, err := core.NewCluster(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Load(g); err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		_, met, err := algorithms.PageRankPull(c, 3, 0.85)
-		c.Shutdown()
+		met, _, err := pagerankPull(cfg, g, partition.EdgeBalanced)
 		if err != nil {
 			return nil, err
 		}
@@ -270,23 +281,11 @@ func ExpFig6b(ds *Datasets, scale int, machineCounts []int, prog Progress) (*Tab
 		times := make(map[partition.Strategy]float64)
 		imbal := make(map[partition.Strategy]float64)
 		for _, strat := range []partition.Strategy{partition.VertexBalanced, partition.EdgeBalanced} {
-			cfg := core.DefaultConfig(p)
-			cfg.Partitioning = strat
-			c, err := core.NewCluster(cfg)
+			met, layout, err := pagerankPull(core.DefaultConfig(p), g, strat)
 			if err != nil {
 				return nil, err
 			}
-			if err := c.Load(g); err != nil {
-				c.Shutdown()
-				return nil, err
-			}
-			_, met, err := algorithms.PageRankPull(c, 3, 0.85)
-			imbal[strat] = c.Layout().EdgeImbalance(g)
-			c.Shutdown()
-			if err != nil {
-				return nil, err
-			}
-			times[strat] = met.Total.Seconds()
+			times[strat], imbal[strat] = met.Total.Seconds(), layout.EdgeImbalance(g)
 		}
 		t.AddRow(fmt.Sprint(p), fmtSecs(times[partition.VertexBalanced]), fmtSecs(times[partition.EdgeBalanced]),
 			fmtRel(times[partition.VertexBalanced]/times[partition.EdgeBalanced]),
@@ -322,20 +321,10 @@ func ExpFig6c(ds *Datasets, scale int, machines int, prog Progress) (*Table, err
 	for _, cc := range configs {
 		prog.log("fig6c: %s", cc.label)
 		cfg := core.DefaultConfig(machines)
-		cfg.Partitioning = cc.strat
 		if cc.nodes {
 			cfg.Ablate = core.AblateEdgeChunking
 		}
-		c, err := core.NewCluster(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Load(g); err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		_, met, err := algorithms.PageRankPull(c, 3, 0.85)
-		c.Shutdown()
+		met, _, err := pagerankPull(cfg, g, cc.strat)
 		if err != nil {
 			return nil, err
 		}
@@ -368,16 +357,7 @@ func ExpFig7(ds *Datasets, scale, machines int, workerCounts, copierCounts []int
 			prog.log("fig7: workers=%d copiers=%d", w, cp)
 			cfg := core.DefaultConfig(machines)
 			cfg.Workers, cfg.Copiers = w, cp
-			c, err := core.NewCluster(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := c.Load(g); err != nil {
-				c.Shutdown()
-				return nil, err
-			}
-			_, met, err := algorithms.PageRankPull(c, 3, 0.85)
-			c.Shutdown()
+			met, _, err := pagerankPull(cfg, g, partition.EdgeBalanced)
 			if err != nil {
 				return nil, err
 			}

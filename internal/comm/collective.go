@@ -36,6 +36,11 @@ type Collectives struct {
 	pool    *Pool
 	seq     uint32
 	pending []*Buffer
+	// contrib is the root's gather slot per source machine: an allreduce's
+	// contributions land here as they arrive and merge in machine order, so
+	// a float reduction's bits do not follow the schedule. Reused by every
+	// collective; empty between them.
+	contrib []*Buffer
 
 	// abort, when non-nil, interrupts waits as soon as the channel closes
 	// (a job-scoped abort). The engine points it at the running job's abort
@@ -80,7 +85,7 @@ const (
 // frames from ctrl (the Router's control channel) and allocating outbound
 // frames from pool.
 func NewCollectives(ep Endpoint, ctrl <-chan *Buffer, pool *Pool) *Collectives {
-	return &Collectives{ep: ep, ctrl: ctrl, pool: pool}
+	return &Collectives{ep: ep, ctrl: ctrl, pool: pool, contrib: make([]*Buffer, ep.NumMachines())}
 }
 
 func ctrlAux(op, seq uint32) uint64 { return uint64(op)<<32 | uint64(seq) }
@@ -192,7 +197,9 @@ func (c *Collectives) AllReduceI64(vals []int64, op reduce.Op) error {
 // allReduce implements the star-shaped gather-reduce-broadcast shared by the
 // typed variants and Barrier (n = 0). write serializes the local contribution; apply decodes and
 // validates a remote payload and merges it into the local values (merge=true)
-// or overwrites them with the root's result (merge=false).
+// or overwrites them with the root's result (merge=false). The root merges
+// machine 1's contribution first and machine p-1's last, whatever order they
+// arrived in.
 func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload []byte, merge bool) error) error {
 	c.seq++
 	seq := c.seq
@@ -205,16 +212,20 @@ func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload [
 	}
 	me := c.ep.Machine()
 	if me == 0 {
-		for i := 0; i < p-1; i++ {
-			buf, err := c.waitCtrl(ctrlReduceContrib, seq)
-			if err != nil {
-				return err
+		err := c.gather(seq)
+		for src := 1; src < p && err == nil; src++ {
+			if err = apply(c.contrib[src].Payload(), true); err != nil {
+				err = fmt.Errorf("%v (seq=%d)", err, seq)
 			}
-			err = apply(buf.Payload(), true)
-			buf.Release()
-			if err != nil {
-				return fmt.Errorf("%v (seq=%d)", err, seq)
+		}
+		for src, buf := range c.contrib {
+			if buf != nil {
+				buf.Release()
+				c.contrib[src] = nil
 			}
+		}
+		if err != nil {
+			return err
 		}
 		for d := 1; d < p; d++ {
 			out := c.newFrame(ctrlReduceResult, seq)
@@ -238,6 +249,24 @@ func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload [
 	buf.Release()
 	if err != nil {
 		return fmt.Errorf("%v (seq=%d)", err, seq)
+	}
+	return nil
+}
+
+// gather takes collective seq's contribution from every machine but the root
+// into contrib, by source, refusing a source out of range or heard from twice.
+func (c *Collectives) gather(seq uint32) error {
+	for range len(c.contrib) - 1 {
+		buf, err := c.waitCtrl(ctrlReduceContrib, seq)
+		if err != nil {
+			return err
+		}
+		src := int(buf.Header().Src)
+		if src < 1 || src >= len(c.contrib) || c.contrib[src] != nil {
+			buf.Release()
+			return fmt.Errorf("comm: allreduce contribution from machine %d refused: out of range or duplicate (seq=%d)", src, seq)
+		}
+		c.contrib[src] = buf
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,6 +165,91 @@ func TestCollectiveSequences(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAllReduceMergesInMachineOrder: the root merges the contributions in
+// machine order whatever order they arrive in, so a float sum's bits do not
+// follow the schedule. The root's control channel is fed machine 2's
+// contribution before machine 1's; every machine must get ((v0 + v1) + v2).
+func TestAllReduceMergesInMachineOrder(t *testing.T) {
+	const p = 3
+	vals := [p]float64{1e16, 1, -1e16}
+	want := (vals[0] + vals[1]) + vals[2]
+	if arrival := (vals[0] + vals[2]) + vals[1]; arrival == want {
+		t.Fatalf("the sum of %v does not depend on the order", vals)
+	}
+	f := NewInProcFabric(p, 64)
+	feed := make(chan *Buffer, p) // the root's control channel, filled below
+	routers := make([]*Router, p)
+	cols := make([]*Collectives, p)
+	for m := range p {
+		ep, err := f.Endpoint(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routers[m] = NewRouter(ep, RouterConfig{NumWorkers: 1, CtrlDepth: 8})
+		defer routers[m].Shutdown()
+		ctrl := routers[m].Ctrl()
+		if m == 0 {
+			ctrl = feed
+		}
+		cols[m] = NewCollectives(ep, ctrl, NewPool(4, 4096))
+	}
+	got, errs := make([]float64, p), make([]error, p)
+	var wg sync.WaitGroup
+	for m := range p {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := []float64{vals[m]}
+			errs[m] = cols[m].AllReduceF64(v, reduce.Sum)
+			got[m] = v[0]
+		}()
+	}
+	var held [p]*Buffer
+	for range p - 1 {
+		buf := <-routers[0].Ctrl()
+		held[buf.Header().Src%p] = buf
+	}
+	feed <- held[2]
+	feed <- held[1]
+	wg.Wait()
+	for m := range p {
+		if errs[m] != nil || got[m] != want {
+			t.Errorf("machine %d: sum %v (%v), want %v in machine order", m, got[m], errs[m], want)
+		}
+	}
+}
+
+// TestAllReduceRefusesBadSource: the root refuses a contribution from itself,
+// from a machine outside the cluster, or from a machine already heard from,
+// and returns every frame it took to its pool.
+func TestAllReduceRefusesBadSource(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		srcs []uint16
+	}{{"self", []uint16{0, 1}}, {"out-of-range", []uint16{3, 1}}, {"duplicate", []uint16{1, 1}}} {
+		srcs := tc.srcs
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewInProcFabric(3, 16)
+			ep, _ := f.Endpoint(0)
+			feed := make(chan *Buffer, len(srcs))
+			pool := NewPool(4, 4096)
+			for _, src := range srcs {
+				buf := pool.Acquire()
+				buf.Reset(Header{Type: MsgCtrl, Worker: CtrlWorker, Src: src, Aux: ctrlAux(ctrlReduceContrib, 1)})
+				buf.AppendU64(1)
+				feed <- buf
+			}
+			err := NewCollectives(ep, feed, NewPool(4, 4096)).AllReduceI64([]int64{1}, reduce.Sum)
+			if err == nil || !strings.Contains(err.Error(), "refused") {
+				t.Fatalf("contributions from %v: error %v, want a refusal", srcs, err)
+			}
+			if n := pool.Outstanding(); n != len(feed) {
+				t.Errorf("%d contribution frames out of the pool, %d of them never taken", n, len(feed))
+			}
+		})
+	}
 }
 
 func TestAllReduceTooLarge(t *testing.T) {

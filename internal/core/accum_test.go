@@ -294,8 +294,8 @@ func accumCluster(t *testing.T, useTCP bool, workers int, rules ...comm.FaultRul
 	cfg := faultCfg(2)
 	cfg.Workers = workers
 	cfg.BufferSize = 512
-	cfg.RequestTimeout = 300 * time.Millisecond
-	cfg.SpillWrites, cfg.SpillBudgetBytes, cfg.SpillDir = true, 256, t.TempDir()
+	cfg.Timeout = 300 * time.Millisecond
+	cfg.SpillWrites, cfg.ResidentBudgetBytes, cfg.SpillDir = true, 256, t.TempDir()
 	inj = faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 17, Rules: rules})
 	cfg.Fabric = inj
 	c, err := NewCluster(cfg)

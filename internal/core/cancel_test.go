@@ -163,8 +163,7 @@ func TestCancelBetweenEntryAndPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(3)
-	cfg.RequestTimeout = time.Minute
-	cfg.CollectiveTimeout = time.Minute
+	cfg.Timeout = time.Minute
 	fab := &snapshotHookFabric{Fabric: innerFabric(t, cfg, false)}
 	defer fab.Close()
 	cfg.Fabric = fab

@@ -109,20 +109,21 @@ func (c *Cluster) Obs() *obs.Registry { return c.cfg.Obs }
 // Config returns the cluster's (normalized) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Load partitions g across the machines per the configured strategy and
-// builds each machine's local store. Properties registered before Load are
-// discarded; register them after.
+// Load cuts g edge-balanced across the machines (paper §3.3) and builds each
+// machine's local store. Properties registered before Load are discarded;
+// register them after. Any other cut goes through LoadPlan.
 func (c *Cluster) Load(g *graph.Graph) error {
-	layout, err := partition.Compute(g, c.cfg.NumMachines, c.cfg.Partitioning)
+	layout, err := partition.Compute(g, c.cfg.NumMachines, partition.EdgeBalanced)
 	if err != nil {
 		return err
 	}
 	return c.loadGraph(g, layout)
 }
 
-// LoadPlan loads g with an explicit ownership layout, bypassing the
-// configured partitioning strategy — the entry point for a cut made outside
-// the engine, such as a deliberately skewed one (partition.SkewedLayout).
+// LoadPlan loads g with an explicit ownership layout instead of Load's
+// edge-balanced cut — the entry point for a cut made outside the engine, such
+// as a vertex-balanced one (partition.Compute) or a deliberately skewed one
+// (partition.SkewedLayout).
 // Like Load, it discards all registered properties; re-register and re-fill
 // after the reload.
 func (c *Cluster) LoadPlan(g *graph.Graph, layout partition.Layout) error {
@@ -559,9 +560,15 @@ func (c *Cluster) ReduceI64(p PropID, op reduce.Op) (int64, error) {
 // answered — so senders are quiesced and a straggler gets half a second to
 // come home before the pools count as leaking.
 func (c *Cluster) PoolsQuiescent() bool {
+	return c.settle(c.poolsHome)
+}
+
+// settle quiesces the senders and runs quiet until it reports true, at most
+// 500 times a millisecond apart; it reports whether quiet did.
+func (c *Cluster) settle(quiet func() bool) bool {
 	for round := 0; round < 500; round++ {
 		c.quiesceSenders()
-		if c.poolsHome() {
+		if quiet() {
 			return true
 		}
 		time.Sleep(time.Millisecond)
@@ -600,24 +607,17 @@ func (c *Cluster) poolsHome() bool {
 // levels every machine's collective sequence counter so the next job's
 // control frames match up again.
 func (c *Cluster) recoverAfterAbort() {
-	quiet := func() bool {
+	c.settle(func() bool {
+		for _, m := range c.machines {
+			m.drainStale()
+		}
 		for _, m := range c.machines {
 			if m.router.PendingRequests() != 0 {
 				return false
 			}
 		}
 		return c.poolsHome()
-	}
-	for round := 0; round < 500; round++ {
-		c.quiesceSenders()
-		for _, m := range c.machines {
-			m.drainStale()
-		}
-		if quiet() {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	})
 	maxSeq := uint32(0)
 	for _, m := range c.machines {
 		if s := m.col.Seq(); s > maxSeq {
@@ -628,9 +628,6 @@ func (c *Cluster) recoverAfterAbort() {
 		m.col.Recover(maxSeq)
 		m.writesSent.Store(0)
 		m.writesApplied.Store(0)
-		// A job that died mid-drain left a backlog (and possibly a temp
-		// file) that must never apply against the reset counters.
-		m.spill.reset()
 	}
 }
 

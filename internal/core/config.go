@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/obs"
-	"repro/internal/partition"
 )
 
 // Config describes a PGX.D cluster. The zero value is not usable; call
@@ -31,8 +30,6 @@ type Config struct {
 	// paper settles on 256 KiB from Figure 8b; the laptop-scale default here
 	// is smaller so per-step latency stays reasonable at bench graph sizes.
 	BufferSize int
-	// Partitioning selects vertex- or edge-balanced machine assignment.
-	Partitioning partition.Strategy
 	// GhostCount, when positive, restricts an in-memory load's remote sets
 	// (remoteset.go) — the addresses whose values a job replicates locally,
 	// §3.3's ghosts — to the top-GhostCount vertices by max(in,out) degree;
@@ -49,7 +46,9 @@ type Config struct {
 	// (Cluster.LoadStore) the engine keeps resident: workers advise claimed
 	// chunks in and the residency window advises the oldest out once the
 	// budget is exceeded. Zero or negative disables the window — the page
-	// cache alone governs residency. Ignored for in-memory loads.
+	// cache alone governs residency; in-memory loads have no window. Under
+	// SpillWrites the same budget bounds each machine's write backlog in
+	// memory, whatever the load.
 	ResidentBudgetBytes int64
 	// DecodeCacheBytes sizes the resident pool a compressed store file
 	// (.csr3) inflates edge blocks into: each row reader pins the one block
@@ -63,29 +62,23 @@ type Config struct {
 	DecodeCacheBytes int64
 	// SpillWrites bounds the write backlog (spill.go) — the inbound
 	// remote-write records copiers stash and the write drain replays, at most
-	// one superstep's — at SpillBudgetBytes, overflowing to a temp file in
-	// SpillDir, so an out-of-core run keeps its RAM for topology pages. Off,
-	// the default, the backlog stays in memory and never overflows.
+	// one superstep's — at ResidentBudgetBytes per machine (4 MiB when that is
+	// zero or negative), overflowing to a temp file in SpillDir, so an
+	// out-of-core run keeps its RAM for topology pages. Off, the default, the
+	// backlog stays in memory and never overflows.
 	SpillWrites bool
-	// SpillBudgetBytes is the in-memory backlog per machine before frames
-	// overflow to the temp file under SpillWrites. Zero derives 4 MiB.
-	SpillBudgetBytes int64
 	// SpillDir is the directory for spill temp files (empty uses the OS
 	// default temp dir). Files are created lazily on first overflow and
 	// removed when the job's drain completes or the job aborts.
 	SpillDir string
-	// RequestTimeout bounds every wait on a remote response or drained
-	// buffer pool inside a job (worker response waits, the write-drain
-	// loop). Zero waits forever. It is the detector for
-	// silently dropped frames: a lost response produces no error, only
-	// silence, so without a timeout a faulted job hangs instead of
-	// failing.
-	RequestTimeout time.Duration
-	// CollectiveTimeout bounds each collective control-frame wait (see
-	// comm.Collectives.SetTimeout). Zero waits forever. This is the only
-	// detector for a machine that died without announcing an abort: its
-	// peers notice when the next barrier times out.
-	CollectiveTimeout time.Duration
+	// Timeout bounds every wait on a peer: a remote response or a drained
+	// buffer pool inside a job, the write-drain loop, and each collective
+	// control-frame wait, a driver-side reduce or barrier included. Zero
+	// waits forever. It is the detector for silently dropped frames and for a
+	// machine that died without announcing an abort: a lost frame produces
+	// no error, only silence, so without a timeout a faulted job hangs
+	// instead of failing.
+	Timeout time.Duration
 	// Fabric supplies the transport. Nil creates an in-process fabric.
 	Fabric comm.Fabric
 	// Obs attaches the observability registry: per-job counters, trace
@@ -101,11 +94,10 @@ type Config struct {
 // miniature.
 func DefaultConfig(p int) Config {
 	return Config{
-		NumMachines:  p,
-		Workers:      4,
-		Copiers:      2,
-		BufferSize:   32 << 10,
-		Partitioning: partition.EdgeBalanced,
+		NumMachines: p,
+		Workers:     4,
+		Copiers:     2,
+		BufferSize:  32 << 10,
 	}
 }
 
@@ -116,14 +108,9 @@ func DefaultConfig(p int) Config {
 type Ablation uint8
 
 const (
-	// AblateSparseFrontier makes frontier-sourced jobs scan full chunk
-	// lists with a per-node bitmap filter: never the sparse vertex list,
-	// never the all-inactive chunk drop, never the empty-machine dispatch
-	// skip.
-	AblateSparseFrontier Ablation = 1 << iota
 	// AblateEdgeChunking cuts scheduling chunks by node count instead of
 	// edge count — the Figure 6c baseline.
-	AblateEdgeChunking
+	AblateEdgeChunking Ablation = 1 << iota
 	// AblatePinPush and AblatePinPull pin every traversal superstep to one
 	// direction instead of the per-superstep rule (pull wins when both are
 	// set); the traversals in internal/algorithms read them.
@@ -167,12 +154,8 @@ func (c *Config) validate() error {
 	if c.GhostCount < 0 {
 		return fmt.Errorf("core: GhostCount %d must be >= 0", c.GhostCount)
 	}
-	if c.SpillWrites && c.SpillBudgetBytes <= 0 {
-		c.SpillBudgetBytes = 4 << 20
-	}
-	if c.RequestTimeout < 0 || c.CollectiveTimeout < 0 {
-		return fmt.Errorf("core: timeouts must be >= 0 (RequestTimeout=%v CollectiveTimeout=%v)",
-			c.RequestTimeout, c.CollectiveTimeout)
+	if c.Timeout < 0 {
+		return fmt.Errorf("core: Timeout %v must be >= 0", c.Timeout)
 	}
 	return nil
 }

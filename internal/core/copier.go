@@ -246,7 +246,7 @@ func (m *Machine) serveReads(jr *jobRuntime, h comm.Header, payload []byte) erro
 // Every RMI gets a response (possibly empty) so callers can await
 // completion; the method id travels in the aux high bits, the sequence
 // number in the low bits. A dispatch failure aborts the job — the caller's
-// abort-channel select (or request timeout) unblocks it, since no response
+// abort-channel select (or Config.Timeout) unblocks it, since no response
 // frame will come. The handler runs here, on a copier, concurrently with the
 // workers, and is handed no machine state but the caller's id: it reads and
 // writes no property (Cluster.RegisterRMI).

@@ -107,18 +107,42 @@ func (k *pullSumTask) ReadDone(c *Ctx, val uint64) {
 }
 
 // namedConfig is one configMatrix entry; pools, when set, replaces the
-// derived request and response pools.
+// derived request and response pools, and vertex cuts the graph
+// vertex-balanced instead of Load's edge-balanced cut.
 type namedConfig struct {
-	name  string
-	cfg   Config
-	pools int
+	name   string
+	cfg    Config
+	pools  int
+	vertex bool
 }
 
 // boot boots nc over g.
 func (nc namedConfig) boot(t *testing.T, g *graph.Graph) *Cluster {
-	c := bootCluster(t, g, nc.cfg)
+	c, err := NewCluster(nc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	if nc.vertex {
+		err = loadVertexCut(c, g)
+	} else {
+		err = c.Load(g)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.setPools(nc.pools, nc.pools)
 	return c
+}
+
+// loadVertexCut loads g into c cut vertex-balanced, through LoadPlan: the
+// naive baseline of Figures 6b and 6c.
+func loadVertexCut(c *Cluster, g *graph.Graph) error {
+	layout, err := partition.Compute(g, c.Machines(), partition.VertexBalanced)
+	if err != nil {
+		return err
+	}
+	return c.LoadPlan(g, layout)
 }
 
 // configMatrix yields a representative set of engine configurations. The
@@ -141,9 +165,9 @@ func configMatrix(base func() Config) []namedConfig {
 	add("p4_w4_gt-2_gc0_edge_ablate0x0_buf32768", 4, nil)
 	// Vertex partitioning + node chunking (the naive baseline).
 	add("p4_w4_gt-2_gc0_vertex_ablate0x20_buf32768", 4, func(cfg *Config) {
-		cfg.Partitioning = partition.VertexBalanced
 		cfg.Ablate = AblateEdgeChunking
 	})
+	cfgs[len(cfgs)-1].vertex = true
 	// Tiny buffers: force many flushes and back-pressure.
 	add("p4_w4_gt-2_gc0_edge_ablate0x0_buf80", 4, func(cfg *Config) {
 		cfg.BufferSize = comm.HeaderSize + 64

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/reduce"
 	"repro/internal/store"
 )
@@ -238,9 +237,6 @@ func TestDistributedEqualsReferenceProperty(t *testing.T) {
 		cfg.Workers = 1 + rng.Intn(4)
 		cfg.Copiers = 1 + rng.Intn(3)
 		cfg.GhostCount = int(ghostRaw % 32) // 0 = every referenced address, else the top 1..31
-		if vertexPart {
-			cfg.Partitioning = partition.VertexBalanced
-		}
 		ablate := func(on bool, member Ablation) {
 			if on {
 				cfg.Ablate |= member
@@ -253,7 +249,12 @@ func TestDistributedEqualsReferenceProperty(t *testing.T) {
 			return false
 		}
 		defer c.Shutdown()
-		if err := c.Load(g); err != nil {
+		if vertexPart {
+			err = loadVertexCut(c, g)
+		} else {
+			err = c.Load(g)
+		}
+		if err != nil {
 			return false
 		}
 		counter, _ := c.AddPropI64("counter")

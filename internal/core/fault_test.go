@@ -10,14 +10,14 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/graph"
+	"repro/internal/reduce"
 )
 
 // faultCfg is the engine configuration the fault tests share: short timeouts
 // so silent faults — drops, kills — resolve quickly.
 func faultCfg(p int) Config {
 	cfg := DefaultConfig(p)
-	cfg.RequestTimeout = 750 * time.Millisecond
-	cfg.CollectiveTimeout = 750 * time.Millisecond
+	cfg.Timeout = 750 * time.Millisecond
 	cfg.BufferSize = 8 << 10
 	return cfg
 }
@@ -284,6 +284,38 @@ func TestFaultKillMachineAborts(t *testing.T) {
 	})
 }
 
+// TestFaultDriverReduceTimesOut: a driver-side collective is bounded by
+// Config.Timeout like a job's. With machine 1 killed, Cluster.ReduceI64
+// returns an error wrapping comm.ErrTimeout instead of waiting forever for
+// machine 1's contribution.
+func TestFaultDriverReduceTimesOut(t *testing.T) {
+	eachFabric(t, func(t *testing.T, useTCP bool) {
+		g := faultGraph(t)
+		cfg := faultCfg(2)
+		cfg.Timeout = 100 * time.Millisecond // the only collective is the reduce itself
+		inj := faultFabric(t, cfg, useTCP, comm.FaultPlan{})
+		cfg.Fabric = inj
+		c := bootCluster(t, g, cfg)
+		defer inj.Close()
+		ones, _ := c.AddPropI64("ones")
+		c.FillI64(ones, 1)
+		inj.Kill(1)
+		errc := make(chan error, 1)
+		go func() {
+			_, err := c.ReduceI64(ones, reduce.Sum)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, comm.ErrTimeout) {
+				t.Fatalf("ReduceI64 with machine 1 dead: %v, want an error wrapping comm.ErrTimeout", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("ReduceI64 still waiting 5s after machine 1 was killed")
+		}
+	})
+}
+
 // TestFaultNoGoroutineLeak: a full fault-abort-shutdown cycle, and a
 // fault-free boot-load-jobs-shutdown one, on both fabrics, return the process
 // to its original goroutine count — neither an abort nor Shutdown may strand
@@ -445,7 +477,7 @@ func (k *rmiOnceTask) RMIDone(*Ctx, []byte) {}
 // third polling round: RunJob may not return before the copier is done.
 func TestFaultRecoveryWaitsForCopierMidServe(t *testing.T) {
 	cfg := faultCfg(2)
-	cfg.RequestTimeout, cfg.CollectiveTimeout = time.Minute, time.Minute
+	cfg.Timeout = time.Minute
 	gate := &recoveryGate{Fabric: innerFabric(t, cfg, true), victim: 1, open: make(chan struct{})}
 	defer gate.Close()
 	defer gate.release() // a failing run must still let the copier go before Shutdown

@@ -120,6 +120,7 @@ func newMachine(cfg *Config, id int, ep comm.Endpoint, canceled *atomic.Pointer[
 		CtrlDepth:  sh.ctrl,
 	})
 	m.col = comm.NewCollectives(ep, m.router.Ctrl(), m.ctrlPool)
+	m.col.SetTimeout(cfg.Timeout)
 	m.workers = make([]*worker, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		m.workers[w] = newWorker(m, w)
@@ -203,7 +204,7 @@ func (m *Machine) abortCurrent(err error) {
 // broadcastAbort sends MsgAbort(jobID, err) to every peer, best-effort:
 // frames come from the small dedicated pool without blocking, and send
 // failures are ignored — a peer that misses the announcement still fails
-// via its request or collective timeout.
+// via its timeout (Config.Timeout).
 func (m *Machine) broadcastAbort(jobID uint64, err error) {
 	msg := err.Error()
 	for d := 0; d < m.cfg.NumMachines; d++ {
@@ -362,10 +363,6 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	if spec.Source != nil {
 		srcMF := spec.Source.machines[m.id]
 		switch {
-		case m.cfg.Ablate.Has(AblateSparseFrontier):
-			// Ablation: dense-filter fallback — scan every chunk, test the
-			// membership bit per node, never skip an empty machine.
-			jr.frontBits = srcMF.bits
 		case srcMF.count == 0:
 			jr.emptySkip = true
 			jr.chunks = nil
@@ -445,7 +442,6 @@ func (m *Machine) publish(jr *jobRuntime) {
 		m.abortJob(jr, jr.id.Load(), *cause)
 	}
 	m.col.SetAbort(jr.abortCh)
-	m.col.SetTimeout(m.cfg.CollectiveTimeout)
 }
 
 // unpublish is publish's undo, deferred by runJob so success, failure and
@@ -453,7 +449,6 @@ func (m *Machine) publish(jr *jobRuntime) {
 // unreplayed and removes the temp file.
 func (m *Machine) unpublish() {
 	m.col.SetAbort(nil)
-	m.col.SetTimeout(0)
 	m.curJob.Store(nil)
 	m.spill.reset()
 }
@@ -622,8 +617,8 @@ func (m *Machine) drainWrites(jr *jobRuntime) error {
 	reg := m.cfg.Obs
 	t := reg.Clock()
 	var deadline time.Time
-	if m.cfg.RequestTimeout > 0 {
-		deadline = time.Now().Add(m.cfg.RequestTimeout)
+	if m.cfg.Timeout > 0 {
+		deadline = time.Now().Add(m.cfg.Timeout)
 	}
 	jr.lanes = m.newDrainLanes(jr)
 	for round := uint64(0); ; round++ {
@@ -643,7 +638,7 @@ func (m *Machine) drainWrites(jr *jobRuntime) error {
 			return err
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			return fmt.Errorf("core: machine %d: write drain timed out after %v (sent=%d applied=%d)", m.id, m.cfg.RequestTimeout, jr.lanes.sent(), jr.lanes.applied())
+			return fmt.Errorf("core: machine %d: write drain timed out after %v (sent=%d applied=%d)", m.id, m.cfg.Timeout, jr.lanes.sent(), jr.lanes.applied())
 		}
 		runtime.Gosched()
 	}
@@ -724,6 +719,5 @@ func (m *Machine) shutdown() {
 	}
 	m.router.Shutdown()
 	m.loops.Wait()
-	m.spill.reset()
 	m.releaseCols()
 }

@@ -169,7 +169,7 @@ const prefetchDecodeCache = 16 << 10
 func prefetchCluster(t *testing.T, path string, useTCP bool, ablate Ablation, rules ...comm.FaultRule) (c *Cluster, inj *comm.FaultInjector, sf *store.File, close func()) {
 	t.Helper()
 	cfg := faultCfg(2)
-	cfg.RequestTimeout = 300 * time.Millisecond
+	cfg.Timeout = 300 * time.Millisecond
 	cfg.DecodeCacheBytes = prefetchDecodeCache
 	cfg.Ablate = ablate
 	inj = faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 17, Rules: rules})
@@ -475,7 +475,7 @@ func BenchmarkRemoteRead(b *testing.B) {
 	// What numbering adds to a load: both machines' sections at p = 2 as every
 	// load extracts them (store.SectionOf), against the packed-ref oracle's
 	// bare extraction of the same rows.
-	layout, err := partition.Compute(g, 2, DefaultConfig(2).Partitioning)
+	layout, err := partition.Compute(g, 2, partition.EdgeBalanced)
 	if err != nil {
 		b.Fatal(err)
 	}

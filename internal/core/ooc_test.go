@@ -174,8 +174,7 @@ func TestLoadStoreMatchesLoad(t *testing.T) {
 
 		run := func(format string) ([]int64, []float64) {
 			cfg := faultCfg(3)
-			cfg.RequestTimeout = 0
-			cfg.CollectiveTimeout = 0
+			cfg.Timeout = 0
 			if useTCP {
 				f, err := NewTCPFabric(cfg)
 				if err != nil {
@@ -186,9 +185,8 @@ func TestLoadStoreMatchesLoad(t *testing.T) {
 			}
 			var c *Cluster
 			if format != "" {
-				cfg.ResidentBudgetBytes = 64 << 10
+				cfg.ResidentBudgetBytes = 1 << 10 // the window and the backlog's bound: the backlog overflows to a file
 				cfg.SpillWrites = true
-				cfg.SpillBudgetBytes = 1 << 10
 				cfg.SpillDir = spillDir
 				if format == "csr3" {
 					cfg.DecodeCacheBytes = 64 << 10
@@ -241,7 +239,7 @@ func TestCompressedStoreAbortReleasesPins(t *testing.T) {
 		cfg := faultCfg(3)
 		cfg.BufferSize = 1 << 10
 		cfg.SpillWrites = true
-		cfg.SpillBudgetBytes = 256
+		cfg.ResidentBudgetBytes = 256
 		cfg.SpillDir = spillDir
 		cfg.DecodeCacheBytes = 64 << 10
 		inj := faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 7, Rules: []comm.FaultRule{
@@ -318,7 +316,7 @@ func TestSpillCountersAndCleanup(t *testing.T) {
 	spillDir := t.TempDir()
 	cfg := DefaultConfig(3)
 	cfg.SpillWrites = true
-	cfg.SpillBudgetBytes = 512
+	cfg.ResidentBudgetBytes = 512
 	cfg.SpillDir = spillDir
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
@@ -346,7 +344,7 @@ func TestSpillCountersAndCleanup(t *testing.T) {
 // writeHold makes "other streams have spilled before the failing frame is sent"
 // an event the spill-abort test waits on instead of a race it hopes to win: it
 // sits above the fault injector and holds every write frame from src to dst
-// until ready reports true, giving up after bound (the test's RequestTimeout)
+// until ready reports true, giving up after bound (the test's Timeout)
 // so a run in which nothing ever spills still terminates and fails on the
 // test's own assertion.
 type writeHold struct {
@@ -400,7 +398,7 @@ func TestSpillAbortLeavesNoResidue(t *testing.T) {
 		cfg := faultCfg(3)
 		cfg.BufferSize = 1 << 10 // small frames: every stream sends several
 		cfg.SpillWrites = true
-		cfg.SpillBudgetBytes = 256
+		cfg.ResidentBudgetBytes = 256
 		cfg.SpillDir = spillDir
 		reg := obs.NewRegistry()
 		cfg.Obs = reg
@@ -411,7 +409,7 @@ func TestSpillAbortLeavesNoResidue(t *testing.T) {
 		inj := faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 7, Rules: []comm.FaultRule{
 			{Src: 1, Dst: 0, Type: int(comm.MsgWriteReq), Kind: comm.FaultFail, After: 0, Limit: 1},
 		}})
-		cfg.Fabric = &writeHold{Fabric: inj, src: 1, dst: 0, bound: cfg.RequestTimeout,
+		cfg.Fabric = &writeHold{Fabric: inj, src: 1, dst: 0, bound: cfg.Timeout,
 			ready: func() bool { return reg.LifetimeCounters()["spilled_write_frames"] > 0 }}
 		c := bootCluster(t, g, cfg)
 		defer inj.Close()

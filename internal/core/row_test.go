@@ -113,8 +113,7 @@ func TestRowKernelReentrancy(t *testing.T) {
 		cfg.Workers = 1
 		cfg.Ablate = AblateRemoteSets
 		cfg.BufferSize = comm.HeaderSize + 8*readRecSize
-		cfg.RequestTimeout = 20 * time.Second
-		cfg.CollectiveTimeout = 20 * time.Second
+		cfg.Timeout = 20 * time.Second
 		c := bootCluster(t, g, cfg)
 		c.setPools(1, 0)
 		pr, _ := c.AddPropF64("pr")

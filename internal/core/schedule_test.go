@@ -95,7 +95,7 @@ func TestRunJobSchedule(t *testing.T) {
 				spec.Source.Add(0) // machines 1 and 2 own no member: they skip dispatch; machine 0's list is sparse
 			}},
 		{name: "spill-writes", want: inDeg, // the backlog overflows to a file
-			cfg: func(cfg *Config) { cfg.SpillWrites, cfg.SpillBudgetBytes, cfg.SpillDir = true, 512, t.TempDir() }},
+			cfg: func(cfg *Config) { cfg.SpillWrites, cfg.ResidentBudgetBytes, cfg.SpillDir = true, 512, t.TempDir() }},
 		{name: "ghost-free", want: inDeg,
 			cfg: func(cfg *Config) { cfg.Ablate = AblateRemoteSets },
 			spec: func(c *Cluster, spec *JobSpec) {
@@ -215,7 +215,7 @@ func TestFaultRunJobPhases(t *testing.T) {
 	} {
 		t.Run(tc.phase, func(t *testing.T) {
 			cfg := faultCfg(3)
-			cfg.SpillWrites, cfg.SpillBudgetBytes, cfg.SpillDir = true, 512, t.TempDir() // the backlog overflows to a file
+			cfg.SpillWrites, cfg.ResidentBudgetBytes, cfg.SpillDir = true, 512, t.TempDir() // the backlog overflows to a file
 			inj := faultFabric(t, cfg, false, comm.FaultPlan{Seed: 14, Rules: []comm.FaultRule{tc.rule}})
 			defer inj.Close()
 			cfg.Fabric = inj

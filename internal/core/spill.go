@@ -23,9 +23,10 @@ import (
 //
 // The backlog is at most one superstep's inbound records, kept in one arena
 // per machine reused across rounds and jobs. Under Config.SpillWrites it is
-// bounded by SpillBudgetBytes and overflows to a pgxd-spill-* temp file in
-// SpillDir (an out-of-core run keeps its RAM for topology pages); otherwise it
-// stays in memory and never overflows.
+// bounded by ResidentBudgetBytes (4 MiB when none is set) and overflows to a
+// pgxd-spill-* temp file in SpillDir — an out-of-core run keeps one memory
+// budget, and its RAM for topology pages; otherwise it stays in memory and
+// never overflows.
 
 // spillState is one machine's write backlog. Copiers add under the mutex; the
 // machine's main goroutine arms, replays and resets it.
@@ -51,7 +52,10 @@ type spillState struct {
 func newSpillState(cfg *Config) *spillState {
 	sp := &spillState{dir: cfg.SpillDir}
 	if cfg.SpillWrites {
-		sp.budget = cfg.SpillBudgetBytes
+		sp.budget = cfg.ResidentBudgetBytes
+		if sp.budget <= 0 {
+			sp.budget = 4 << 20
+		}
 	}
 	return sp
 }
@@ -134,8 +138,9 @@ func (sp *spillState) drop() {
 }
 
 // reset disarms the backlog, discards it and removes the temp file. Called
-// when a job unpublishes (a drained job left nothing; an aborted one's
-// backlog must not apply), after recovery and at shutdown. Idempotent.
+// when a job unpublishes: a drained job left nothing; an aborted one's backlog
+// must not apply, and since every machine has unpublished before the cluster
+// recovers or shuts down, neither resets it again. Idempotent.
 func (sp *spillState) reset() {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()

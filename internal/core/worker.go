@@ -399,12 +399,12 @@ func (w *worker) drainResponses() {
 
 // awaitResponse blocks for the next response frame while staying receptive
 // to the two ways a faulted job ends: the job's abort channel closing (a
-// peer or another local goroutine hit an error) and the request timeout
+// peer or another local goroutine hit an error) and Config.Timeout
 // expiring (a dropped frame or dead peer produces no error, only silence).
 // Returns a frame or unwinds; never returns nil.
 func (w *worker) awaitResponse() *comm.Buffer {
 	var timeoutCh <-chan time.Time
-	if d := w.m.cfg.RequestTimeout; d > 0 {
+	if d := w.m.cfg.Timeout; d > 0 {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		timeoutCh = t.C
@@ -418,7 +418,7 @@ func (w *worker) awaitResponse() *comm.Buffer {
 	case <-w.job.abortCh:
 		w.unwind()
 	case <-timeoutCh:
-		w.fail(fmt.Errorf("core: machine %d worker %d: timed out after %v awaiting %d response frame(s)", w.m.id, w.id, w.m.cfg.RequestTimeout, w.outstanding))
+		w.fail(fmt.Errorf("core: machine %d worker %d: timed out after %v awaiting %d response frame(s)", w.m.id, w.id, w.m.cfg.Timeout, w.outstanding))
 	}
 	return nil // unreachable: every branch above returns or unwinds
 }
@@ -564,7 +564,7 @@ func (w *worker) acquireReq() *comm.Buffer {
 	saved := w.ctx
 	defer func() { w.ctx = saved }()
 	var timeoutCh <-chan time.Time
-	if d := w.m.cfg.RequestTimeout; d > 0 {
+	if d := w.m.cfg.Timeout; d > 0 {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		timeoutCh = t.C
@@ -592,7 +592,7 @@ func (w *worker) acquireReq() *comm.Buffer {
 		case <-w.job.abortCh:
 			w.unwind()
 		case <-timeoutCh:
-			w.fail(fmt.Errorf("core: machine %d worker %d: timed out after %v acquiring request buffer (%d responses outstanding)", w.m.id, w.id, w.m.cfg.RequestTimeout, w.outstanding))
+			w.fail(fmt.Errorf("core: machine %d worker %d: timed out after %v acquiring request buffer (%d responses outstanding)", w.m.id, w.id, w.m.cfg.Timeout, w.outstanding))
 		}
 	}
 }

@@ -20,8 +20,7 @@ func TestFaultInjectionThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pgxd.DefaultConfig(3)
-	cfg.RequestTimeout = time.Second
-	cfg.CollectiveTimeout = time.Second
+	cfg.Timeout = time.Second
 	inj := pgxd.NewFaultFabric(cfg, nil, pgxd.FaultPlan{Seed: 11, Rules: []pgxd.FaultRule{
 		{Src: pgxd.AnyMachine, Dst: pgxd.AnyMachine, Type: int(pgxd.MsgReadReq), Kind: pgxd.FaultFail, Limit: 1},
 	}})

@@ -104,8 +104,7 @@ func TestFlightRecorderOnAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pgxd.DefaultConfig(3)
-	cfg.RequestTimeout = time.Second
-	cfg.CollectiveTimeout = time.Second
+	cfg.Timeout = time.Second
 	cfg.Obs = pgxd.NewObsRegistry()
 	inj := pgxd.NewFaultFabric(cfg, nil, pgxd.FaultPlan{Seed: 11, Rules: []pgxd.FaultRule{
 		{Src: pgxd.AnyMachine, Dst: pgxd.AnyMachine, Type: int(pgxd.MsgReadReq), Kind: pgxd.FaultFail, Limit: 1},
@@ -172,8 +171,7 @@ func TestSendErrorsCountedOnce(t *testing.T) {
 	for _, fabric := range []string{"inproc", "tcp"} {
 		t.Run(fabric, func(t *testing.T) {
 			cfg := pgxd.DefaultConfig(3)
-			cfg.RequestTimeout = time.Second
-			cfg.CollectiveTimeout = time.Second
+			cfg.Timeout = time.Second
 			cfg.Obs = pgxd.NewObsRegistry()
 			var inner comm.Fabric // nil: a fresh in-process fabric
 			if fabric == "tcp" {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/reduce"
 	"repro/internal/store"
 )
@@ -74,15 +73,6 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 
 // Config describes a PGX.D cluster; see DefaultConfig.
 type Config = core.Config
-
-// PartitionStrategy selects vertex- or edge-balanced machine assignment.
-type PartitionStrategy = partition.Strategy
-
-// Partitioning strategies (paper §3.3).
-const (
-	VertexBalanced = partition.VertexBalanced
-	EdgeBalanced   = partition.EdgeBalanced
-)
 
 // DefaultConfig returns a laptop-scale configuration for p simulated
 // machines: 4 workers and 2 copiers per machine, 32 KiB message buffers,
