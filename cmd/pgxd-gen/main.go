@@ -14,13 +14,17 @@
 // for text edge list — unless -format csr2/csr3 selects the engine's
 // mmap-able CSR store format (partitioned for -machines); csr3 compresses
 // the edge sections (delta-varint blocks, typically 2-4x smaller on disk).
-// For rmat and uniform graphs without -weights, csr2/csr3 output streams
+// -convert reads a .bin file as binary and anything else as a text edge list.
+// rmat and uniform are generator streams (internal/graph checks their
+// arguments once, for both paths): without -weights, csr2/csr3 output streams
 // through store.WriteStream and never materializes the graph, so files
 // larger than RAM can be produced; other kinds (and -convert/-weights)
 // materialize first. -weights LO,HI attaches uniform random edge weights.
+// Bad arguments exit 1; unknown flags exit 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,150 +35,150 @@ import (
 	"repro/internal/store"
 )
 
-func main() {
-	var (
-		kind       = flag.String("kind", "rmat", "generator: rmat, uniform, grid, prefattach")
-		scale      = flag.Int("scale", 14, "rmat: 2^scale nodes")
-		edgeFactor = flag.Int("edgefactor", 16, "rmat: edges per node")
-		shape      = flag.String("shape", "twitter", "rmat shape: twitter or web")
-		nodes      = flag.Int("nodes", 1<<14, "uniform/prefattach: node count")
-		edges      = flag.Int("edges", 1<<18, "uniform: edge count")
-		k          = flag.Int("k", 4, "prefattach: edges per new node")
-		rows       = flag.Int("rows", 100, "grid: rows")
-		cols       = flag.Int("cols", 100, "grid: cols")
-		shortcuts  = flag.Int("shortcuts", 50, "grid: random long-range edges")
-		seed       = flag.Int64("seed", 42, "generator seed")
-		weights    = flag.String("weights", "", "attach uniform edge weights: LO,HI")
-		convert    = flag.String("convert", "", "convert an existing graph file instead of generating")
-		out        = flag.String("o", "", "output path (.bin = binary, else text)")
-		format     = flag.String("format", "auto", "output format: auto (by extension), csr2 (engine store file), or csr3 (compressed store file)")
-		machines   = flag.Int("machines", 1, "csr2/csr3: partition count baked into the file")
-		bucketMB   = flag.Int64("bucket-mb", 64, "csr2/csr3 streaming: scatter bucket size in MiB (peak RSS knob)")
-	)
+// options are pgxd-gen's flags.
+type options struct {
+	kind, shape, weights, convert, out, format string
+	scale, edgeFactor, nodes, edges, k         int
+	rows, cols, shortcuts, machines            int
+	seed, bucketMB                             int64
+	weightLo, weightHi                         float64 // -weights, parsed
+}
+
+func parseFlags() *options {
+	o := &options{}
+	flag.StringVar(&o.kind, "kind", "rmat", "generator: rmat, uniform, grid, prefattach")
+	flag.IntVar(&o.scale, "scale", 14, "rmat: 2^scale nodes")
+	flag.IntVar(&o.edgeFactor, "edgefactor", 16, "rmat: edges per node")
+	flag.StringVar(&o.shape, "shape", "twitter", "rmat shape: twitter or web")
+	flag.IntVar(&o.nodes, "nodes", 1<<14, "uniform/prefattach: node count")
+	flag.IntVar(&o.edges, "edges", 1<<18, "uniform: edge count")
+	flag.IntVar(&o.k, "k", 4, "prefattach: edges per new node")
+	flag.IntVar(&o.rows, "rows", 100, "grid: rows")
+	flag.IntVar(&o.cols, "cols", 100, "grid: cols")
+	flag.IntVar(&o.shortcuts, "shortcuts", 50, "grid: random long-range edges")
+	flag.Int64Var(&o.seed, "seed", 42, "generator seed")
+	flag.StringVar(&o.weights, "weights", "", "attach uniform edge weights: LO,HI")
+	flag.StringVar(&o.convert, "convert", "", "convert an existing graph file instead of generating")
+	flag.StringVar(&o.out, "o", "", "output path (.bin = binary, else text)")
+	flag.StringVar(&o.format, "format", "auto", "output format: auto (by extension), csr2 (engine store file), or csr3 (compressed store file)")
+	flag.IntVar(&o.machines, "machines", 1, "csr2/csr3: partition count baked into the file")
+	flag.Int64Var(&o.bucketMB, "bucket-mb", 64, "csr2/csr3 streaming: scatter bucket size in MiB (peak RSS knob)")
 	flag.Parse()
-	if *out == "" {
+	if o.out == "" {
 		fatalf("-o is required")
 	}
-
-	if *format != "auto" && *format != "csr2" && *format != "csr3" {
-		fatalf("unknown -format %q", *format)
+	if o.format != "auto" && o.format != "csr2" && o.format != "csr3" {
+		fatalf("unknown -format %q", o.format)
 	}
-	compress := *format == "csr3"
-	csr := *format == "csr2" || compress
-	if csr && *machines < 1 {
+	if o.format != "auto" && o.machines < 1 {
 		fatalf("-machines must be >= 1")
 	}
+	if o.weights != "" {
+		o.weightLo, o.weightHi = weightRange(o.weights)
+	}
+	return o
+}
 
-	// Streaming csr path: deterministic generators re-sweep their fixed
-	// shards, so the file is produced in O(N + bucket) memory, never O(M).
-	if csr && *convert == "" && *weights == "" && (*kind == "rmat" || *kind == "uniform") {
-		var es *graph.GenStream
-		var err error
-		switch *kind {
-		case "rmat":
-			params := graph.TwitterLike()
-			if *shape == "web" {
-				params = graph.WebLike()
-			} else if *shape != "twitter" {
-				fatalf("unknown -shape %q", *shape)
-			}
-			es, err = graph.RMATStream(*scale, *edgeFactor, params, *seed)
-		case "uniform":
-			es, err = graph.UniformStream(*nodes, *edges, *seed)
+func main() {
+	o := parseFlags()
+	es, build, err := source(o)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	// Streaming csr path: a generator stream re-sweeps its fixed shards, so
+	// the file is produced in O(N + bucket) memory, never O(M).
+	if es != nil && o.format != "auto" && o.weights == "" {
+		opt := store.StreamOptions{Machines: o.machines, BucketBytes: o.bucketMB << 20, Compress: o.format == "csr3"}
+		if err := store.WriteStream(o.out, es, opt); err != nil {
+			fatalf("writing %s: %v", o.out, err)
 		}
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opt := store.StreamOptions{Machines: *machines, BucketBytes: *bucketMB << 20, Compress: compress}
-		if err := store.WriteStream(*out, es, opt); err != nil {
-			fatalf("writing %s: %v", *out, err)
-		}
-		fi, _ := os.Stat(*out)
-		fmt.Fprintf(os.Stderr, "wrote %s: %s p=%d, %d bytes (streamed)\n", *out, *format, *machines, fi.Size())
+		fi, _ := os.Stat(o.out)
+		fmt.Fprintf(os.Stderr, "wrote %s: %s p=%d, %d bytes (streamed)\n", o.out, o.format, o.machines, fi.Size())
 		return
 	}
+	g, err := build()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if o.weights != "" {
+		g = g.WithUniformWeights(o.weightLo, o.weightHi, o.seed)
+	}
+	if err := write(o, g); err != nil {
+		fatalf("writing %s: %v", o.out, err)
+	}
+	where := ""
+	if o.format != "auto" {
+		where = fmt.Sprintf("%s p=%d, ", o.format, o.machines)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s: %s%s\n", o.out, where, graph.ComputeDegreeStats(g))
+}
 
-	var g *graph.Graph
+// source resolves -convert and -kind to what builds the graph: a generator
+// stream for rmat and uniform (build materializes it), a reader or an
+// in-memory generator otherwise.
+func source(o *options) (*graph.GenStream, func() (*graph.Graph, error), error) {
+	if o.convert != "" {
+		return nil, func() (*graph.Graph, error) { return graph.ReadFile(o.convert) }, nil
+	}
+	var es *graph.GenStream
 	var err error
-	if *convert != "" {
-		g, err = loadAny(*convert)
-	} else {
-		switch *kind {
-		case "rmat":
-			params := graph.TwitterLike()
-			if *shape == "web" {
-				params = graph.WebLike()
-			} else if *shape != "twitter" {
-				fatalf("unknown -shape %q", *shape)
-			}
-			g, err = graph.RMAT(*scale, *edgeFactor, params, *seed)
-		case "uniform":
-			g, err = graph.Uniform(*nodes, *edges, *seed)
-		case "grid":
-			g, err = graph.Grid(*rows, *cols, *shortcuts, *seed)
-		case "prefattach":
-			g, err = graph.PreferentialAttachment(*nodes, *k, *seed)
-		default:
-			fatalf("unknown -kind %q", *kind)
+	switch o.kind {
+	case "rmat":
+		params := graph.TwitterLike()
+		if o.shape == "web" {
+			params = graph.WebLike()
+		} else if o.shape != "twitter" {
+			return nil, nil, fmt.Errorf("unknown -shape %q", o.shape)
 		}
+		es, err = graph.RMATStream(o.scale, o.edgeFactor, params, o.seed)
+	case "uniform":
+		es, err = graph.UniformStream(o.nodes, o.edges, o.seed)
+	case "grid":
+		return nil, func() (*graph.Graph, error) { return graph.Grid(o.rows, o.cols, o.shortcuts, o.seed) }, nil
+	case "prefattach":
+		return nil, func() (*graph.Graph, error) { return graph.PreferentialAttachment(o.nodes, o.k, o.seed) }, nil
+	default:
+		return nil, nil, fmt.Errorf("unknown -kind %q", o.kind)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		return nil, nil, err
 	}
+	return es, es.Graph, nil
+}
 
-	if *weights != "" {
-		parts := strings.Split(*weights, ",")
-		if len(parts) != 2 {
-			fatalf("-weights wants LO,HI")
-		}
-		lo, err1 := strconv.ParseFloat(parts[0], 64)
-		hi, err2 := strconv.ParseFloat(parts[1], 64)
-		if err1 != nil || err2 != nil || hi <= lo {
-			fatalf("bad -weights %q", *weights)
-		}
-		g = g.WithUniformWeights(lo, hi, *seed)
+// weightRange parses -weights LO,HI.
+func weightRange(s string) (lo, hi float64) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 2 {
+		fatalf("-weights wants LO,HI")
 	}
-
-	if csr {
-		write := store.WriteGraph
-		if compress {
-			write = store.WriteGraphCompressed
-		}
-		if err := write(*out, g, *machines); err != nil {
-			fatalf("writing %s: %v", *out, err)
-		}
-		stats := graph.ComputeDegreeStats(g)
-		fmt.Fprintf(os.Stderr, "wrote %s: %s p=%d, %s\n", *out, *format, *machines, stats)
-		return
+	lo, err1 := strconv.ParseFloat(parts[0], 64)
+	hi, err2 := strconv.ParseFloat(parts[1], 64)
+	if err1 != nil || err2 != nil || hi <= lo {
+		fatalf("bad -weights %q", s)
 	}
+	return lo, hi
+}
 
-	f, err := os.Create(*out)
+// write stores g in o's format: a csr2/csr3 store file, or by extension a
+// binary or text graph file.
+func write(o *options, g *graph.Graph) error {
+	switch o.format {
+	case "csr2":
+		return store.WriteGraph(o.out, g, o.machines)
+	case "csr3":
+		return store.WriteGraphCompressed(o.out, g, o.machines)
+	}
+	f, err := os.Create(o.out)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	defer f.Close()
-	if strings.HasSuffix(*out, ".bin") {
+	if strings.HasSuffix(o.out, ".bin") {
 		err = graph.WriteBinary(f, g)
 	} else {
 		err = graph.WriteEdgeList(f, g)
 	}
-	if err != nil {
-		fatalf("writing %s: %v", *out, err)
-	}
-	stats := graph.ComputeDegreeStats(g)
-	fmt.Fprintf(os.Stderr, "wrote %s: %s\n", *out, stats)
-}
-
-func loadAny(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bin") {
-		return graph.ReadBinary(f)
-	}
-	return graph.ReadEdgeList(f)
+	return errors.Join(err, f.Close())
 }
 
 func fatalf(format string, args ...any) {

@@ -33,86 +33,54 @@ import (
 	"repro/pgxd"
 )
 
-func main() {
-	var (
-		graphPath = flag.String("graph", "", "graph file (.bin or text edge list)")
-		algo      = flag.String("algo", "pagerank", "algorithm to run: "+strings.Join(algoNames(), ", "))
-		machines  = flag.Int("machines", 4, "simulated machine count")
-		workers   = flag.Int("workers", 4, "workers per machine")
-		copiers   = flag.Int("copiers", 2, "copiers per machine")
-		iters     = flag.Int("iters", 10, "iterations for pagerank/eigenvector")
-		source    = flag.Uint("source", 0, "source vertex for the single-source algorithms")
-		threshold = flag.Float64("threshold", 1e-7, "delta threshold for pagerank-approx")
-		top       = flag.Int("top", 5, "print the top-N vertices by result value")
-		tcp       = flag.Bool("tcp", false, "run over loopback TCP instead of in-process channels")
-		obsOn     = flag.Bool("obs", false, "attach the observability registry and print a per-job report")
-		resident  = flag.Int64("resident-mb", 0, ".csr2/.csr3 only: resident budget in MiB for the mmap'd topology (0 = unbounded); also bounds each machine's in-memory write backlog, which overflows to a temp file past it")
-		decodeMB  = flag.Int64("decode-cache-mb", 0, ".csr3 only: resident decode pool in MiB (0 = default, <0 = the whole file; never below the file's largest block)")
-	)
+// options are pgxd-run's flags.
+type options struct {
+	graphPath, algo                   string
+	machines, workers, copiers, iters int
+	top                               int
+	source                            uint
+	threshold                         float64
+	tcp, obs                          bool
+	residentMB, decodeMB              int64
+}
+
+func parseFlags() *options {
+	o := &options{}
+	flag.StringVar(&o.graphPath, "graph", "", "graph file (.csr2/.csr3 store file, .bin, or text edge list)")
+	flag.StringVar(&o.algo, "algo", "pagerank", "algorithm to run: "+strings.Join(algoNames(), ", "))
+	flag.IntVar(&o.machines, "machines", 4, "simulated machine count")
+	flag.IntVar(&o.workers, "workers", 4, "workers per machine")
+	flag.IntVar(&o.copiers, "copiers", 2, "copiers per machine")
+	flag.IntVar(&o.iters, "iters", 0, "iterations for pagerank/eigenvector/ppr (0 = the catalog's default)")
+	flag.UintVar(&o.source, "source", 0, "source vertex for the single-source algorithms")
+	flag.Float64Var(&o.threshold, "threshold", 0, "delta threshold for pagerank-approx (0 = the catalog's default)")
+	flag.IntVar(&o.top, "top", 5, "print the top-N vertices by result value")
+	flag.BoolVar(&o.tcp, "tcp", false, "run over loopback TCP instead of in-process channels")
+	flag.BoolVar(&o.obs, "obs", false, "attach the observability registry and print a per-job report")
+	flag.Int64Var(&o.residentMB, "resident-mb", 0, ".csr2/.csr3 only: resident budget in MiB for the mmap'd topology (0 = unbounded); also bounds each machine's in-memory write backlog, which overflows to a temp file past it")
+	flag.Int64Var(&o.decodeMB, "decode-cache-mb", 0, ".csr3 only: resident decode pool in MiB (0 = default, <0 = the whole file; never below the file's largest block)")
 	flag.Parse()
-	if *graphPath == "" {
+	if o.graphPath == "" {
 		fatalf("-graph is required")
 	}
-	if *source > math.MaxUint32 {
-		fatalf("-source %d does not fit a 32-bit node id", *source)
+	if o.source > math.MaxUint32 {
+		fatalf("-source %d does not fit a 32-bit node id", o.source)
 	}
-	spec, ok := algorithms.Lookup(*algo)
-	if !ok {
-		fatalf("unknown -algo %q (have: %s)", *algo, strings.Join(algoNames(), ", "))
-	}
-	var (
-		g        *graph.Graph
-		sf       *pgxd.StoreFile
-		weighted bool
-		err      error
-	)
-	if strings.HasSuffix(*graphPath, ".csr2") || strings.HasSuffix(*graphPath, ".csr3") {
-		sf, err = pgxd.OpenStore(*graphPath)
-		if err != nil {
-			fatalf("mapping %s: %v", *graphPath, err)
-		}
-		defer sf.Close()
-		weighted = sf.Weighted()
-		*machines = sf.NumMachines() // partition count is baked into the file
-		format := "csr2"
-		if sf.Compressed() {
-			format = "csr3"
-		}
-		fmt.Printf("mapped %s: %s p=%d N=%d M=%d weighted=%v\n",
-			*graphPath, format, sf.NumMachines(), sf.NumNodes(), sf.NumEdges(), weighted)
-	} else {
-		g, err = loadAny(*graphPath)
-		if err != nil {
-			fatalf("loading %s: %v", *graphPath, err)
-		}
-		weighted = g.Weighted()
-		fmt.Printf("loaded %s: %s\n", *graphPath, graph.ComputeDegreeStats(g))
-	}
+	return o
+}
 
-	cfg := pgxd.DefaultConfig(*machines)
-	cfg.Workers = *workers
-	cfg.Copiers = *copiers
-	if *resident > 0 {
-		if sf == nil {
-			fatalf("-resident-mb only applies to .csr2/.csr3 graphs")
-		}
-		cfg.ResidentBudgetBytes = *resident << 20
-		cfg.SpillWrites = true
+func main() {
+	o := parseFlags()
+	spec, ok := algorithms.Lookup(o.algo)
+	if !ok {
+		fatalf("unknown -algo %q (have: %s)", o.algo, strings.Join(algoNames(), ", "))
 	}
-	if *decodeMB != 0 {
-		if sf == nil || !sf.Compressed() {
-			fatalf("-decode-cache-mb only applies to .csr3 graphs")
-		}
-		if *decodeMB > 0 {
-			cfg.DecodeCacheBytes = *decodeMB << 20
-		} else {
-			cfg.DecodeCacheBytes = -1 // the whole file
-		}
+	g, sf := openGraph(o)
+	if sf != nil {
+		defer sf.Close()
 	}
-	if *obsOn {
-		cfg.Obs = pgxd.NewObsRegistry()
-	}
-	if *tcp {
+	cfg := config(o, sf)
+	if o.tcp {
 		fabric, err := pgxd.NewTCPFabric(cfg)
 		if err != nil {
 			fatalf("tcp fabric: %v", err)
@@ -133,21 +101,80 @@ func main() {
 	if err != nil {
 		fatalf("distributing graph: %v", err)
 	}
-	fmt.Printf("cluster: %d machines x %d workers/%d copiers\n", *machines, *workers, *copiers)
+	fmt.Printf("cluster: %d machines x %d workers/%d copiers\n", o.machines, o.workers, o.copiers)
 
-	if spec.Weighted && !weighted {
+	if weighted := sf != nil && sf.Weighted() || g != nil && g.Weighted(); spec.Weighted && !weighted {
 		fatalf("%s needs a weighted graph (pgxd-gen -weights)", spec.Name)
 	}
 	res, met, err := spec.Run(cluster.Core(), algorithms.Params{
-		Iterations: *iters, Damping: 0.85, Threshold: *threshold, Source: pgxd.NodeID(*source), Graph: g,
+		Iterations: o.iters, Threshold: o.threshold, Source: pgxd.NodeID(o.source), Graph: g,
 	})
 	if err != nil {
 		if dump := cluster.LastAbortDump(); dump != nil {
 			fmt.Fprintln(os.Stderr, dump.Summary())
 		}
-		fatalf("%s: %v", *algo, err)
+		fatalf("%s: %v", o.algo, err)
 	}
+	report(cluster, spec, res, met, o.top)
+}
 
+// openGraph maps a .csr2/.csr3 store file, whose partition count then sets
+// o.machines, or reads any other file into memory.
+func openGraph(o *options) (*graph.Graph, *pgxd.StoreFile) {
+	if !strings.HasSuffix(o.graphPath, ".csr2") && !strings.HasSuffix(o.graphPath, ".csr3") {
+		g, err := graph.ReadFile(o.graphPath)
+		if err != nil {
+			fatalf("loading %s: %v", o.graphPath, err)
+		}
+		fmt.Printf("loaded %s: %s\n", o.graphPath, graph.ComputeDegreeStats(g))
+		return g, nil
+	}
+	sf, err := pgxd.OpenStore(o.graphPath)
+	if err != nil {
+		fatalf("mapping %s: %v", o.graphPath, err)
+	}
+	o.machines = sf.NumMachines() // partition count is baked into the file
+	format := "csr2"
+	if sf.Compressed() {
+		format = "csr3"
+	}
+	fmt.Printf("mapped %s: %s p=%d N=%d M=%d weighted=%v\n",
+		o.graphPath, format, sf.NumMachines(), sf.NumNodes(), sf.NumEdges(), sf.Weighted())
+	return nil, sf
+}
+
+// config builds the engine configuration from the flags; sf is the mapped
+// store file, nil for an in-memory graph.
+func config(o *options, sf *pgxd.StoreFile) pgxd.Config {
+	cfg := pgxd.DefaultConfig(o.machines)
+	cfg.Workers = o.workers
+	cfg.Copiers = o.copiers
+	if o.residentMB > 0 {
+		if sf == nil {
+			fatalf("-resident-mb only applies to .csr2/.csr3 graphs")
+		}
+		cfg.ResidentBudgetBytes = o.residentMB << 20
+		cfg.SpillWrites = true
+	}
+	if o.decodeMB != 0 {
+		if sf == nil || !sf.Compressed() {
+			fatalf("-decode-cache-mb only applies to .csr3 graphs")
+		}
+		if o.decodeMB > 0 {
+			cfg.DecodeCacheBytes = o.decodeMB << 20
+		} else {
+			cfg.DecodeCacheBytes = -1 // the whole file
+		}
+	}
+	if o.obs {
+		cfg.Obs = pgxd.NewObsRegistry()
+	}
+	return cfg
+}
+
+// report prints the run's metrics, its last job report when observed, and
+// its result.
+func report(cluster *pgxd.Cluster, spec algorithms.Spec, res algorithms.Result, met algorithms.Metrics, top int) {
 	fmt.Printf("done: %d iterations, %d jobs, %v total (%v per iteration)\n",
 		met.Iterations, met.Jobs, met.Total.Round(10e3), met.PerIteration().Round(10e3))
 	fmt.Printf("traffic: %s\n", met.Traffic)
@@ -158,9 +185,9 @@ func main() {
 	if res.Summary != "" {
 		fmt.Println(res.Summary)
 	}
-	if top := res.Top(*top, spec.Ascending); len(top) > 0 {
-		fmt.Printf("top %d vertices:\n", len(top))
-		for _, v := range top {
+	if vs := res.Top(top, spec.Ascending); len(vs) > 0 {
+		fmt.Printf("top %d vertices:\n", len(vs))
+		for _, v := range vs {
 			fmt.Printf("  node %8d  %g\n", v.Node, v.Value)
 		}
 	}
@@ -173,18 +200,6 @@ func algoNames() []string {
 		names = append(names, s.Name)
 	}
 	return names
-}
-
-func loadAny(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bin") {
-		return graph.ReadBinary(f)
-	}
-	return graph.ReadEdgeList(f)
 }
 
 func fatalf(format string, args ...any) {

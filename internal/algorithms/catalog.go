@@ -23,20 +23,40 @@ type Spec struct {
 	Ascending bool
 	// Weighted marks algorithms that need edge weights.
 	Weighted bool
-	// Run executes the algorithm on c with p's values as given.
-	Run func(c *core.Cluster, p Params) (Result, Metrics, error)
+	// run executes the algorithm on c with p's values as given.
+	run func(c *core.Cluster, p Params) (Result, Metrics, error)
+}
+
+// Run executes the algorithm on c, with p's zero fields at their defaults.
+func (s Spec) Run(c *core.Cluster, p Params) (Result, Metrics, error) {
+	return s.run(c, p.withDefaults())
 }
 
 // Params are the request-level inputs of a catalog run; every entry reads
-// the fields that apply to it. Defaults are the front end's to fill in.
+// the fields that apply to it. A zero field takes its default — the one
+// place the front ends' defaults are decided.
 type Params struct {
-	Iterations int     // fixed-iteration algorithms
-	Damping    float64 // PageRank family
-	Threshold  float64 // pagerank-approx
+	Iterations int     // fixed-iteration algorithms; 10 when <= 0
+	Damping    float64 // PageRank family; 0.85 when 0
+	Threshold  float64 // pagerank-approx; 1e-7 when 0
 	Source     graph.NodeID
 	// Graph is the in-memory graph loaded into the cluster, for the entries
 	// that precompute from it (triangles); nil on store-backed loads.
 	Graph *graph.Graph
+}
+
+// withDefaults returns p with its zero fields at their defaults.
+func (p Params) withDefaults() Params {
+	if p.Iterations <= 0 {
+		p.Iterations = 10
+	}
+	if p.Damping == 0 {
+		p.Damping = 0.85
+	}
+	if p.Threshold == 0 {
+		p.Threshold = 1e-7
+	}
+	return p
 }
 
 // Result is a catalog run's output: one value per node in F64 or I64
@@ -81,23 +101,23 @@ func (r Result) Top(k int, ascending bool) []Vertex {
 const maxSupersteps = 100000
 
 var catalog = []Spec{
-	{Name: "pagerank", Cols: 3, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "pagerank", Cols: 3, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		v, met, err := PageRankPull(c, p.Iterations, p.Damping)
 		return Result{F64: v}, met, err
 	}},
-	{Name: "pagerank-push", Cols: 3, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "pagerank-push", Cols: 3, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		v, met, err := PageRankPush(c, p.Iterations, p.Damping)
 		return Result{F64: v}, met, err
 	}},
-	{Name: "pagerank-approx", Cols: 3, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "pagerank-approx", Cols: 3, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		v, met, err := PageRankApprox(c, p.Damping, p.Threshold, maxSupersteps)
 		return Result{F64: v}, met, err
 	}},
-	{Name: "eigenvector", Cols: 2, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "eigenvector", Cols: 2, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		v, met, err := Eigenvector(c, p.Iterations)
 		return Result{F64: v}, met, err
 	}},
-	{Name: "wcc", Cols: 2, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "wcc", Cols: 2, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		labels, met, err := WCC(c, maxSupersteps)
 		comps := map[int64]bool{}
 		for _, l := range labels {
@@ -105,26 +125,26 @@ var catalog = []Spec{
 		}
 		return Result{I64: labels, Summary: fmt.Sprintf("%d components", len(comps))}, met, err
 	}},
-	{Name: "sssp", Cols: 2, Ascending: true, Weighted: true, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "sssp", Cols: 2, Ascending: true, Weighted: true, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		v, met, err := SSSP(c, p.Source, maxSupersteps)
 		return Result{F64: v}, met, err
 	}},
-	{Name: "hopdist", Cols: 1, Ascending: true, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "hopdist", Cols: 1, Ascending: true, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		v, met, err := HopDist(c, p.Source, maxSupersteps)
 		return Result{I64: v}, met, err
 	}},
-	{Name: "kcore", Cols: 3, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "kcore", Cols: 3, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		best, cores, met, err := KCore(c, 0)
 		return Result{I64: cores, Summary: fmt.Sprintf("max core %d", best)}, met, err
 	}},
-	{Name: "triangles", Cols: 1, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "triangles", Cols: 1, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		if p.Graph == nil {
 			return Result{}, Metrics{}, fmt.Errorf("algorithms: triangles needs the in-memory graph (not available on a store-backed load)")
 		}
 		total, met, err := TriangleCount(c, p.Graph)
 		return Result{Summary: fmt.Sprintf("%d transitive triads", total)}, met, err
 	}},
-	{Name: "ppr", Cols: 4, Run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
+	{Name: "ppr", Cols: 4, run: func(c *core.Cluster, p Params) (Result, Metrics, error) {
 		v, met, err := PersonalizedPageRank(c, []graph.NodeID{p.Source}, p.Iterations, p.Damping)
 		return Result{F64: v}, met, err
 	}},

@@ -135,9 +135,10 @@ type FaultInjector struct {
 	mu    sync.Mutex
 	state map[[3]int]*ruleState // key: rule index, src, dst
 	rules []FaultRule           // active rules (ClearRules empties)
-
-	killInit sync.Once
-	killed   []atomic.Bool
+	// killed is the kill set, indexed by machine id: Kill replaces it under
+	// mu with a grown copy, so Alive reads it without a lock and a kill is
+	// never lost to a set sized before the machine id was known.
+	killed atomic.Pointer[[]bool]
 
 	dropped   atomic.Int64
 	delayed   atomic.Int64
@@ -169,7 +170,6 @@ func (f *FaultInjector) Endpoint(m int) (Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.killInit.Do(func() { f.killed = make([]atomic.Bool, ep.NumMachines()) })
 	return &faultEndpoint{inj: f, inner: ep}, nil
 }
 
@@ -180,18 +180,29 @@ func (f *FaultInjector) Close() error { return f.inner.Close() }
 // toward it are blackholed (released, never delivered). Idempotent; callable
 // mid-job from test goroutines.
 func (f *FaultInjector) Kill(m int) {
-	f.killInit.Do(func() { f.killed = make([]atomic.Bool, m+1) })
-	if m >= 0 && m < len(f.killed) && !f.killed[m].Swap(true) {
-		f.kills.Add(1)
+	if m < 0 {
+		return
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var old []bool
+	if k := f.killed.Load(); k != nil {
+		old = *k
+	}
+	if m < len(old) && old[m] {
+		return
+	}
+	next := make([]bool, max(len(old), m+1))
+	copy(next, old)
+	next[m] = true
+	f.killed.Store(&next)
+	f.kills.Add(1)
 }
 
 // Alive reports whether machine m has not been killed.
 func (f *FaultInjector) Alive(m int) bool {
-	if f.killed == nil || m < 0 || m >= len(f.killed) {
-		return true
-	}
-	return !f.killed[m].Load()
+	k := f.killed.Load()
+	return k == nil || m < 0 || m >= len(*k) || !(*k)[m]
 }
 
 // ClearRules deactivates all rules (kills stay in effect); used by recovery

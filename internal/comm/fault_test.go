@@ -295,6 +295,42 @@ func TestFaultKillSemantics(t *testing.T) {
 	}
 }
 
+// TestFaultKillBeforeEndpoints: kills staged before any endpoint exists all
+// take effect, a later Kill of a higher-numbered machine included, and each
+// counts once.
+func TestFaultKillBeforeEndpoints(t *testing.T) {
+	inj := NewFaultInjector(NewInProcFabric(3, 64), FaultPlan{Seed: 1})
+	inj.Kill(1)
+	inj.Kill(2)
+	eps := make([]Endpoint, 3)
+	for m := range eps {
+		ep, err := inj.Endpoint(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[m] = ep
+	}
+	t.Cleanup(func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+		inj.Close()
+	})
+	if !inj.Alive(0) || inj.Alive(1) || inj.Alive(2) {
+		t.Fatalf("alive = %v %v %v, want true false false", inj.Alive(0), inj.Alive(1), inj.Alive(2))
+	}
+	if st := inj.Stats(); st.Kills != 2 {
+		t.Errorf("Kills = %d, want 2", st.Kills)
+	}
+	pool := NewPool(4, 1024)
+	if err := sendFrame(t, eps[2], pool, 0, MsgCtrl, 1); err == nil {
+		t.Error("send from killed machine 2 succeeded")
+	}
+	if pool.Outstanding() != 0 {
+		t.Errorf("kill path leaked buffers: Outstanding = %d", pool.Outstanding())
+	}
+}
+
 // TestFaultKillRuleFires: a FaultKill rule marks the source dead at its
 // trigger ordinal; the send that trips it fails, and all later sends fail.
 func TestFaultKillRuleFires(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestFunctionBudget ratchets function length across the engine packages and
-// the pgxd facade: a protocol that grows past a screen or two stops being
+// TestFunctionBudget ratchets function length across the engine packages, the
+// pgxd facade and the pgxd-gen and pgxd-run commands: a protocol that grows past a screen or two stops being
 // checkable by reading (Machine.runJob reached 338 lines before it was cut
 // into phases). No
 // non-test function may exceed 100 lines, and runJob itself — the job
@@ -20,8 +20,10 @@ func TestFunctionBudget(t *testing.T) {
 	const budget, runJobBudget = 100, 60
 	fset := token.NewFileSet()
 	sawRunJob := false
-	// Package directories under internal/; the facade sits beside it.
-	for _, pkg := range []string{"core", "comm", "store", "server", "partition", "obs", "algorithms", "graph", "reduce", "../pgxd"} {
+	// Package directories relative to internal/; the facade and the commands
+	// sit beside it.
+	for _, pkg := range []string{"core", "comm", "store", "server", "partition", "obs", "algorithms", "graph", "reduce",
+		"../pgxd", "../cmd/pgxd-gen", "../cmd/pgxd-run"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("no sources for %s (err=%v)", filepath.Join("internal", pkg), err)

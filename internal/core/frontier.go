@@ -279,13 +279,14 @@ func (mf *machineFrontier) subtract(o *machineFrontier) {
 // listChunks edge-balances the sparse member list for iteration: a prefix
 // sum of member degrees under the job's orientation feeds the same
 // EdgeChunks cut used for full scans, so a frontier holding one hub still
-// splits away from its low-degree peers. Chunk indices address positions in
-// the sparse list, not node ids.
-func (mf *machineFrontier) listChunks(iter IterKind, workers int) []partition.Chunk {
+// splits away from its low-degree peers, into about as many chunks per worker
+// as a full scan (div is the machine's shape.chunkDiv). Chunk indices address
+// positions in the sparse list, not node ids.
+func (mf *machineFrontier) listChunks(iter IterKind, div int) []partition.Chunk {
 	n := len(mf.sparse)
 	rows := mf.st.rowsFor(iter)
 	if rows == nil {
-		mf.chunkScratch = partition.AppendNodeChunks(mf.chunkScratch[:0], n, n/(8*workers)+1)
+		mf.chunkScratch = partition.AppendNodeChunks(mf.chunkScratch[:0], n, n/div+1)
 		return mf.chunkScratch
 	}
 	prefix := mf.prefixScratch
@@ -298,7 +299,7 @@ func (mf *machineFrontier) listChunks(iter IterKind, workers int) []partition.Ch
 		prefix[i+1] = prefix[i] + (rows[v+1] - rows[v])
 	}
 	mf.prefixScratch = prefix
-	target := prefix[n]/int64(8*workers) + 1
+	target := prefix[n]/int64(div) + 1
 	mf.chunkScratch = partition.AppendEdgeChunks(mf.chunkScratch[:0], prefix, target)
 	return mf.chunkScratch
 }

@@ -75,7 +75,10 @@ type Machine struct {
 
 	// chunks[it] is the scheduling chunk list of iterator it under the
 	// current load: node-count chunks for IterNodes, edge-balanced otherwise.
-	chunks [IterBothEdges + 1][]partition.Chunk
+	// chunkDiv is the shape's chunk granularity, which cuts these and every
+	// sparse frontier's chunks.
+	chunks   [IterBothEdges + 1][]partition.Chunk
+	chunkDiv int
 
 	workers []*worker
 	// calls hands the machine's main goroutine (mainLoop) what to run: every
@@ -110,6 +113,7 @@ func newMachine(cfg *Config, id int, ep comm.Endpoint, canceled *atomic.Pointer[
 	m.serialized = cfg.Fabric != nil && !comm.InMemoryFabric(cfg.Fabric) // nil: NewCluster's own in-process fabric
 	m.spill = newSpillState(cfg)
 	sh := shapeOf(cfg)
+	m.chunkDiv = sh.chunkDiv
 	m.reqPool = comm.NewPool(sh.req, cfg.BufferSize)
 	m.respPool = comm.NewPool(sh.resp, cfg.BufferSize)
 	m.ctrlPool = comm.NewPool(sh.ctrl, cfg.BufferSize)
@@ -238,7 +242,7 @@ func (m *Machine) install(st *localStore, ld *store.Load) {
 	m.store = st
 	m.releaseCols()
 	m.ooc, m.offHeapCols = ld, ld != nil && ld.Windowed()
-	n, div := st.numLocal, shapeOf(m.cfg).chunkDiv
+	n, div := st.numLocal, m.chunkDiv
 	m.chunks[IterNodes] = partition.NodeChunks(n, n/div+1)
 	for it := IterOutEdges; it <= IterBothEdges; it++ {
 		if m.cfg.Ablate.Has(AblateEdgeChunking) {
@@ -371,7 +375,7 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 			jr.chunks = srcMF.denseChunks(jr.chunks)
 		default:
 			jr.frontList = srcMF.sparse
-			jr.chunks = srcMF.listChunks(spec.Iter, m.cfg.Workers)
+			jr.chunks = srcMF.listChunks(spec.Iter, m.chunkDiv)
 		}
 	}
 	if len(spec.Build) > 0 {

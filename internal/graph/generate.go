@@ -2,9 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // The paper evaluates on four downloaded real-world graphs (Twitter, Web-UK,
@@ -35,29 +34,41 @@ func TwitterLike() RMATParams { return RMATParams{A: 0.57, B: 0.19, C: 0.19, Noi
 // locality of the paper's Web-UK crawl.
 func WebLike() RMATParams { return RMATParams{A: 0.65, B: 0.15, C: 0.15, Noise: 0.03} }
 
-// RMAT generates a directed RMAT graph with 2^scale nodes and approximately
+// RMAT generates a directed RMAT graph with 2^scale nodes and
 // edgeFactor * 2^scale edges (duplicates and self-loops are kept, as in the
-// reference generator, which mimics the multi-edges present in real crawls).
-// Generation is deterministic in seed and parallel across GOMAXPROCS workers.
+// reference generator, which mimics the multi-edges present in real crawls):
+// RMATStream's edges, filled in parallel (GenStream.Graph).
 func RMAT(scale int, edgeFactor int, p RMATParams, seed int64) (*Graph, error) {
+	s, err := RMATStream(scale, edgeFactor, p, seed)
+	if err != nil {
+		return nil, err
+	}
+	return s.Graph()
+}
+
+// RMATStream is the one definition of an RMAT graph: it checks the
+// arguments and holds the edge fill that RMAT materializes and
+// store.WriteStream sweeps.
+func RMATStream(scale int, edgeFactor int, p RMATParams, seed int64) (*GenStream, error) {
 	if scale < 1 || scale > 30 {
 		return nil, fmt.Errorf("graph: RMAT scale %d out of range [1,30]", scale)
 	}
+	n := 1 << scale
 	if edgeFactor < 1 {
 		return nil, fmt.Errorf("graph: RMAT edge factor %d must be >= 1", edgeFactor)
+	}
+	if edgeFactor > math.MaxInt/n {
+		return nil, fmt.Errorf("graph: RMAT edge factor %d at scale %d overflows the edge count", edgeFactor, scale)
 	}
 	if p.A <= 0 || p.B < 0 || p.C < 0 || p.A+p.B+p.C >= 1 {
 		return nil, fmt.Errorf("graph: invalid RMAT params %+v", p)
 	}
-	n := 1 << scale
-	m := n * edgeFactor
-	edges := generateParallel(m, seed, func(rng *rand.Rand, out []Edge) {
+	return &GenStream{n: n, m: n * edgeFactor, seed: seed, fill: func(rng *rand.Rand, out []Edge) {
 		for i := range out {
 			src, dst := rmatEdge(scale, p, rng)
 			out[i] = Edge{Src: src, Dst: dst}
 		}
-	})
-	return FromEdges(n, edges, false)
+	}}, nil
 }
 
 func rmatEdge(scale int, p RMATParams, rng *rand.Rand) (NodeID, NodeID) {
@@ -92,8 +103,20 @@ func rmatEdge(scale int, p RMATParams, rng *rand.Rand) (NodeID, NodeID) {
 // Uniform generates an Erdős–Rényi style directed graph: m edges with
 // independently uniform endpoints over n nodes. This matches the paper's
 // Figure 4 instance, where "no matter how partitioned, (P-1)/P of the edges
-// would remain as crossing edges for every partition".
+// would remain as crossing edges for every partition". It materializes
+// UniformStream.
 func Uniform(n int, m int, seed int64) (*Graph, error) {
+	s, err := UniformStream(n, m, seed)
+	if err != nil {
+		return nil, err
+	}
+	return s.Graph()
+}
+
+// UniformStream is the one definition of a uniform graph: it checks the
+// arguments and holds the edge fill that Uniform materializes and
+// store.WriteStream sweeps.
+func UniformStream(n, m int, seed int64) (*GenStream, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
@@ -103,12 +126,11 @@ func Uniform(n int, m int, seed int64) (*Graph, error) {
 	if m < 0 {
 		return nil, fmt.Errorf("graph: uniform edge count %d must be >= 0", m)
 	}
-	edges := generateParallel(m, seed, func(rng *rand.Rand, out []Edge) {
+	return &GenStream{n: n, m: m, seed: seed, fill: func(rng *rand.Rand, out []Edge) {
 		for i := range out {
 			out[i] = Edge{Src: NodeID(rng.Intn(n)), Dst: NodeID(rng.Intn(n))}
 		}
-	})
-	return FromEdges(n, edges, false)
+	}}, nil
 }
 
 // Grid generates a rows x cols 4-neighbor mesh with bidirectional edges plus
@@ -192,34 +214,4 @@ func (g *Graph) WithUniformWeights(lo, hi float64, seed int64) *Graph {
 		panic(fmt.Sprintf("graph: WithUniformWeights rebuild: %v", err))
 	}
 	return out
-}
-
-// generateParallel fills m edges using fn on per-worker deterministic RNGs.
-// The output is identical for a given (m, seed) regardless of GOMAXPROCS
-// because the worker count is fixed by m, not by the machine.
-func generateParallel(m int, seed int64, fn func(rng *rand.Rand, out []Edge)) []Edge {
-	edges := make([]Edge, m)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 16 {
-		workers = 16
-	}
-	const fixedShards = 16 // determinism: shard count never depends on GOMAXPROCS
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for s := 0; s < fixedShards; s++ {
-		lo, hi := sliceRange(m, fixedShards, s)
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(seed + int64(s)*0x9e3779b9))
-			fn(rng, edges[lo:hi])
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	return edges
 }

@@ -1,22 +1,33 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 )
 
-// GenStream is a re-runnable, bounded-memory view of a deterministic
-// generator: Sweep replays the 16 fixed shards of generateParallel
-// sequentially (same per-shard RNG seeding, same slice order), so every
-// sweep emits exactly the edge sequence the in-memory generator would
-// materialize — in the same order — while holding only a small scratch
-// buffer. This is what lets the out-of-core store writer emit store files
-// for graphs that would not fit in memory (store.WriteStream).
+// GenStream is a deterministic generator: its constructor (RMATStream,
+// UniformStream) checks the arguments, and its fill draws the edges. Graph
+// materializes it by filling fixedShards shards in parallel; Sweep replays the
+// same shards sequentially (same per-shard RNG seeding, same slice order), so
+// every sweep emits exactly the edge sequence Graph builds from — in the same
+// order — while holding only a small scratch buffer. This is what lets the
+// out-of-core store writer emit store files for graphs that would not fit in
+// memory (store.WriteStream).
 type GenStream struct {
 	n    int
 	m    int
 	seed int64
 	fill func(rng *rand.Rand, out []Edge)
+}
+
+// fixedShards is the generators' shard count. It never depends on
+// GOMAXPROCS, so a (seed, size) pair names one edge sequence on every machine.
+const fixedShards = 16
+
+// shardRNG seeds shard s of a generator with the given seed.
+func shardRNG(seed int64, s int) *rand.Rand {
+	return rand.New(rand.NewSource(seed + int64(s)*0x9e3779b9))
 }
 
 // NumNodes returns the stream's node count.
@@ -29,12 +40,15 @@ func (s *GenStream) NumEdges() int { return s.m }
 // streams are unweighted).
 func (s *GenStream) Weighted() bool { return false }
 
+// Graph materializes the stream in memory.
+func (s *GenStream) Graph() (*Graph, error) {
+	return FromEdges(s.n, generateParallel(s.m, s.seed, s.fill), false)
+}
+
 // Sweep emits every edge in the generator's deterministic order. Stable
-// across calls: shard s always re-seeds rand.NewSource(seed + s*0x9e3779b9),
-// exactly as generateParallel does, and shards replay in index order — the
-// order the parallel generator's output slice concatenates them.
+// across calls: shards replay in index order — the order generateParallel's
+// output slice concatenates them.
 func (s *GenStream) Sweep(emit func(u, v uint32, w float64)) {
-	const fixedShards = 16 // must match generateParallel
 	const chunk = 1 << 16
 	buf := make([]Edge, chunk)
 	for sh := 0; sh < fixedShards; sh++ {
@@ -42,13 +56,9 @@ func (s *GenStream) Sweep(emit func(u, v uint32, w float64)) {
 		if lo == hi {
 			continue
 		}
-		rng := rand.New(rand.NewSource(s.seed + int64(sh)*0x9e3779b9))
+		rng := shardRNG(s.seed, sh)
 		for at := lo; at < hi; at += chunk {
-			cn := hi - at
-			if cn > chunk {
-				cn = chunk
-			}
-			out := buf[:cn]
+			out := buf[:min(hi-at, chunk)]
 			s.fill(rng, out)
 			for _, e := range out {
 				emit(uint32(e.Src), uint32(e.Dst), e.Weight)
@@ -57,35 +67,25 @@ func (s *GenStream) Sweep(emit func(u, v uint32, w float64)) {
 	}
 }
 
-// RMATStream returns the streaming equivalent of RMAT: same parameters,
-// same seed, same edges in the same order.
-func RMATStream(scale int, edgeFactor int, p RMATParams, seed int64) (*GenStream, error) {
-	if scale < 1 || scale > 30 {
-		return nil, fmt.Errorf("graph: RMAT scale %d out of range [1,30]", scale)
-	}
-	if edgeFactor < 1 {
-		return nil, fmt.Errorf("graph: RMAT edge factor %d must be >= 1", edgeFactor)
-	}
-	if p.A <= 0 || p.B < 0 || p.C < 0 || p.A+p.B+p.C >= 1 {
-		return nil, fmt.Errorf("graph: invalid RMAT params %+v", p)
-	}
-	n := 1 << scale
-	return &GenStream{n: n, m: n * edgeFactor, seed: seed, fill: func(rng *rand.Rand, out []Edge) {
-		for i := range out {
-			src, dst := rmatEdge(scale, p, rng)
-			out[i] = Edge{Src: src, Dst: dst}
+// generateParallel fills m edges using fn on per-shard deterministic RNGs,
+// GOMAXPROCS shards at a time.
+func generateParallel(m int, seed int64, fn func(rng *rand.Rand, out []Edge)) []Edge {
+	edges := make([]Edge, m)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, min(runtime.GOMAXPROCS(0), fixedShards))
+	for s := 0; s < fixedShards; s++ {
+		lo, hi := sliceRange(m, fixedShards, s)
+		if lo == hi {
+			continue
 		}
-	}}, nil
-}
-
-// UniformStream returns the streaming equivalent of Uniform.
-func UniformStream(n, m int, seed int64) (*GenStream, error) {
-	if n <= 0 {
-		return nil, ErrEmptyGraph
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(s, lo, hi int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			fn(shardRNG(seed, s), edges[lo:hi])
+		}(s, lo, hi)
 	}
-	return &GenStream{n: n, m: m, seed: seed, fill: func(rng *rand.Rand, out []Edge) {
-		for i := range out {
-			out[i] = Edge{Src: NodeID(rng.Intn(n)), Dst: NodeID(rng.Intn(n))}
-		}
-	}}, nil
+	wg.Wait()
+	return edges
 }

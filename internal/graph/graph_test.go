@@ -215,20 +215,35 @@ func TestRMATDeterministicAndSized(t *testing.T) {
 }
 
 func TestRMATRejectsBadParams(t *testing.T) {
-	if _, err := RMAT(0, 8, TwitterLike(), 1); err == nil {
-		t.Error("accepted scale 0")
+	for _, c := range []struct {
+		name      string
+		scale, ef int
+		p         RMATParams
+	}{
+		{"scale 0", 0, 8, TwitterLike()},
+		{"edge factor 0", 10, 0, TwitterLike()},
+		{"params summing past 1", 10, 8, RMATParams{A: 0.5, B: 0.3, C: 0.3}},
+	} {
+		if _, err := RMAT(c.scale, c.ef, c.p, 1); err == nil {
+			t.Errorf("RMAT accepted %s", c.name)
+		}
+		if _, err := RMATStream(c.scale, c.ef, c.p, 1); err == nil {
+			t.Errorf("RMATStream accepted %s", c.name)
+		}
 	}
-	if _, err := RMAT(10, 0, TwitterLike(), 1); err == nil {
-		t.Error("accepted edge factor 0")
-	}
-	if _, err := RMAT(10, 8, RMATParams{A: 0.5, B: 0.3, C: 0.3}, 1); err == nil {
-		t.Error("accepted params summing past 1")
+	// 2^30 * 2^34 wraps int to 0 edges. Only the stream constructor, which
+	// allocates nothing, is handed it.
+	if s, err := RMATStream(30, 1<<34, TwitterLike(), 1); err == nil {
+		t.Errorf("RMATStream(30, 2^34) accepted an overflowing edge count: %d edges", s.NumEdges())
 	}
 }
 
 func TestUniformRejectsNegativeEdges(t *testing.T) {
 	if _, err := Uniform(10, -1, 1); err == nil {
 		t.Error("accepted edge count -1")
+	}
+	if _, err := UniformStream(10, -1, 1); err == nil {
+		t.Error("UniformStream accepted edge count -1")
 	}
 	if g, err := Uniform(10, 0, 1); err != nil || g.NumEdges() != 0 {
 		t.Errorf("Uniform(10, 0) = %v, %v; want an edgeless graph", g, err)
@@ -244,6 +259,9 @@ func TestGeneratorsRejectOversizedIDSpace(t *testing.T) {
 	}
 	if _, err := Uniform(1<<32+1, 0, 1); err == nil || !strings.Contains(err.Error(), "32-bit id space") {
 		t.Errorf("Uniform(2^32+1, 0): err = %v, want the id-space error", err)
+	}
+	if _, err := UniformStream(1<<32+1, 0, 1); err == nil || !strings.Contains(err.Error(), "32-bit id space") {
+		t.Errorf("UniformStream(2^32+1, 0): err = %v, want the id-space error", err)
 	}
 }
 

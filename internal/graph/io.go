@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -14,6 +15,20 @@ import (
 // a text file") and a binary format ("PGX loads from a binary file format").
 // Table 4's loading-time comparison is reproduced by loading the same graph
 // from both formats.
+
+// ReadFile reads the graph file at path: the binary format when the name
+// ends in .bin, a text edge list otherwise.
+func ReadFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(path, ".bin") {
+		return ReadBinary(f)
+	}
+	return ReadEdgeList(f)
+}
 
 // WriteEdgeList writes g as a whitespace-separated text edge list, one
 // "src dst [weight]" line per edge.

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/baseline/sa"
 	"repro/internal/graph"
-	"repro/internal/store"
 )
 
 // TestCatalogParity: every catalog entry, run through the server's request
@@ -125,24 +125,28 @@ func TestCatalogParity(t *testing.T) {
 }
 
 // TestAdmissionChargesRegisteredColumns: the memory gate charges an
-// algorithm the columns it registers. hopdist keeps one; two concurrent
-// hopdist runs fit a budget sized for two one-column runs, so neither may be
-// deferred. (While admission charged hopdist three columns, the second run
-// queued behind the first.)
+// undeclared run what it adds to its instance — the columns its algorithm
+// registers, 8 bytes per node, in MiB rounded up — not the shared graph or the
+// engines' local stores, which admit pinned when the instance booted. On
+// 100000 nodes hopdist's one column is 0.76 MiB, charged 1; two concurrent
+// hopdist runs fit a budget of 2, so neither may be deferred. pagerank's three
+// columns (2.3 MiB, charged 3) do not fit beside a held hopdist.
 func TestAdmissionChargesRegisteredColumns(t *testing.T) {
-	const n, m, machines = 1 << 17, 1 << 17, 2
-	oneCol := store.SizeOf(n, m, machines, false, 1).EstimatedResidentMB()
-	threeCols := store.SizeOf(n, m, machines, false, 3).EstimatedResidentMB()
-	if oneCol >= threeCols {
-		t.Fatalf("graph too small to tell 1 column (%d MB) from 3 (%d MB)", oneCol, threeCols)
+	const n, oneCol = 100000, 1
+	for name, cols := range map[string]int{"hopdist": 1, "pagerank": 3} {
+		if spec, _ := algorithms.Lookup(name); spec.Cols != cols {
+			t.Fatalf("%s registers %d columns, this test assumes %d", name, spec.Cols, cols)
+		}
 	}
 	gate := newHookGate()
 	cfg := DefaultServerConfig()
 	cfg.RunMemoryBudgetMB = 2 * oneCol // two hopdist runs, were each charged its one column
 	cfg.runHook = gate.hook
 	s := startServer(t, cfg)
+	release := sync.OnceFunc(func() { close(gate.release) })
+	t.Cleanup(release) // a failed check must not leave the held run blocking Close
 	c := dial(t, s)
-	if _, err := c.Generate(Request{Graph: "g", Kind: "uniform", Nodes: n, Edges: m, Seed: 5, Machines: machines}); err != nil {
+	if _, err := c.Generate(Request{Graph: "g", Kind: "uniform", Nodes: n, Edges: n, Seed: 5, Machines: 2}); err != nil {
 		t.Fatal(err)
 	}
 	held := dial(t, s)
@@ -152,6 +156,7 @@ func TestAdmissionChargesRegisteredColumns(t *testing.T) {
 		heldDone <- err
 	}()
 	<-gate.entered
+	waitLedger(t, s, "the held hopdist charged one column", func(st *ServerStats) bool { return st.MemInUseMB == oneCol })
 	second := dial(t, s)
 	secondDone := make(chan error, 1)
 	go func() {
@@ -173,8 +178,44 @@ func TestAdmissionChargesRegisteredColumns(t *testing.T) {
 	if st.BudgetDeferrals != 0 {
 		t.Errorf("BudgetDeferrals = %d, want 0: hopdist registers 1 column (%d MB), budget is %d MB", st.BudgetDeferrals, oneCol, cfg.RunMemoryBudgetMB)
 	}
-	close(gate.release)
+	prDone := make(chan error, 1)
+	go func() {
+		_, err := second.Run(Request{Graph: "g", Algo: "pagerank", Iterations: 1})
+		prDone <- err
+	}()
+	waitLedger(t, s, "pagerank deferred beside the held hopdist", func(st *ServerStats) bool {
+		return st.QueuedAnalyses == 1 && st.BudgetDeferrals == 1
+	})
+	release()
 	if err := <-heldDone; err != nil {
 		t.Fatalf("held hopdist: %v", err)
+	}
+	if err := <-prDone; err != nil {
+		t.Fatalf("pagerank after the held hopdist: %v", err)
+	}
+}
+
+// TestRefusedRunsAreNotEnqueued: a run of an unknown algorithm, or of a
+// weighted one on an unweighted graph, is refused before it reaches the
+// scheduler — no ticket, no job id, no tenant entry.
+func TestRefusedRunsAreNotEnqueued(t *testing.T) {
+	s := startServer(t, DefaultServerConfig())
+	if resp := s.handle(&Request{Op: "generate", Graph: "g", Kind: "uniform", Nodes: 100, Edges: 400}); !resp.OK {
+		t.Fatal(resp.Error)
+	}
+	for _, c := range []struct{ algo, want string }{
+		{"nope", "unknown algorithm"},
+		{"sssp", "unweighted"},
+	} {
+		resp := s.handle(&Request{Op: "run", Graph: "g", Algo: c.algo, Tenant: "refused"})
+		if resp.OK || !strings.Contains(resp.Error, c.want) {
+			t.Errorf("%s answered %+v, want a %q error", c.algo, resp, c.want)
+		}
+	}
+	s.sched.mu.Lock()
+	seq := s.sched.seq
+	s.sched.mu.Unlock()
+	if st := s.sched.stats(); seq != 0 || st.Tenants["refused"] != nil {
+		t.Errorf("refused runs reached the scheduler: %d tickets, tenant %+v", seq, st.Tenants["refused"])
 	}
 }

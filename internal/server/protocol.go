@@ -45,10 +45,11 @@ type Request struct {
 	TimeoutMillis int64 `json:"timeout_millis,omitempty"`
 
 	// MaxResidentMB declares the run's peak resident-memory need in MiB
-	// (op=run). Zero lets the server estimate it from the target graph's
-	// store sizing. The admission memory gate keeps the sum over running
-	// analyses within Config.RunMemoryBudgetMB: an over-budget run queues
-	// (counted in stats as a budget deferral) until enough memory frees.
+	// (op=run). Zero charges the run its algorithm's catalog columns,
+	// ⌈Cols × 8 B × nodes / 1 MiB⌉. The admission memory gate keeps the sum
+	// over running analyses within Config.RunMemoryBudgetMB: an over-budget
+	// run queues (counted in stats as a budget deferral) until enough memory
+	// frees.
 	MaxResidentMB int64 `json:"max_resident_mb,omitempty"`
 
 	// Tag is a client-chosen label for a run (op=run) so another connection
@@ -171,7 +172,7 @@ type ServerStats struct {
 	EnginePoolSize int `json:"engine_pool_size"`
 	// BudgetDeferrals counts runs the admission memory gate held back at
 	// least once because admitting them would have pushed the running set
-	// past Config.RunMemoryBudgetMB; MemInUseMB is the declared/estimated
+	// past Config.RunMemoryBudgetMB; MemInUseMB is the declared or charged
 	// resident total of the currently running analyses. Both stay zero with
 	// no memory budget configured.
 	BudgetDeferrals      int64   `json:"budget_deferrals"`

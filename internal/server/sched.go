@@ -40,9 +40,9 @@ type ticket struct {
 	timeoutMillis int64
 	enqueued      time.Time
 	inst          *instance
-	// memMB is the run's declared (Request.MaxResidentMB) or store-sizing
-	// estimated resident need, charged against the scheduler's memory budget
-	// for the duration of the lease. Zero when no budget is configured.
+	// memMB is the run's declared (Request.MaxResidentMB) or column-charged
+	// (Server.memCharge) resident need, charged against the scheduler's memory
+	// budget for the duration of the lease. Zero when no budget is configured.
 	memMB int64
 	// deferred marks that the memory gate has already skipped this ticket
 	// once, so the budget-deferral stat counts runs, not dispatch sweeps.
@@ -72,10 +72,9 @@ func (t *ticket) stop() {
 // never starves requests for other graphs.
 type scheduler struct {
 	maxConcurrent int
-	defaultQuota  int            // per-tenant running cap; <=0 means no cap
-	quotas        map[string]int // per-tenant overrides of defaultQuota
-	aging         time.Duration  // queued priority +1 per aging waited; <=0 disables
-	memBudgetMB   int64          // cap on Σ memMB of running analyses; <=0 disables
+	quota         int           // per-tenant running cap; <=0 means no cap
+	aging         time.Duration // queued priority +1 per aging waited; <=0 disables
+	memBudgetMB   int64         // cap on Σ memMB of running analyses; <=0 disables
 
 	mu      sync.Mutex
 	seq     uint64
@@ -83,7 +82,7 @@ type scheduler struct {
 	queue   []*ticket
 	running map[*ticket]*engine     // the leases
 	tenants map[string]*TenantStats // every tenant that has enqueued a run
-	// memInUseMB is the declared/estimated resident total of running
+	// memInUseMB is the declared or charged resident total of running
 	// analyses; budgetDeferrals counts tickets the memory gate held back at
 	// least once.
 	memInUseMB       int64
@@ -99,24 +98,15 @@ type scheduler struct {
 // runDurWindow is the sliding-window size for run-duration percentiles.
 const runDurWindow = 512
 
-func newScheduler(maxConcurrent, defaultQuota int, quotas map[string]int, aging time.Duration, memBudgetMB int64) *scheduler {
+func newScheduler(maxConcurrent, quota int, aging time.Duration, memBudgetMB int64) *scheduler {
 	return &scheduler{
 		maxConcurrent: maxConcurrent,
-		defaultQuota:  defaultQuota,
-		quotas:        quotas,
+		quota:         quota,
 		aging:         aging,
 		memBudgetMB:   memBudgetMB,
 		running:       make(map[*ticket]*engine),
 		tenants:       make(map[string]*TenantStats),
 	}
-}
-
-// quota returns tenant's concurrent-run cap (<=0: unlimited).
-func (s *scheduler) quota(tenant string) int {
-	if q, ok := s.quotas[tenant]; ok {
-		return q
-	}
-	return s.defaultQuota
 }
 
 // only matches t alone.
@@ -242,7 +232,7 @@ func (s *scheduler) dispatch() {
 // Caller holds s.mu.
 func (s *scheduler) next() int {
 	for i, t := range s.queue {
-		if q := s.quota(t.tenant); q > 0 && s.tenants[t.tenant].Running >= q {
+		if s.quota > 0 && s.tenants[t.tenant].Running >= s.quota {
 			continue
 		}
 		// Memory gate: admitting t must keep the running set's declared

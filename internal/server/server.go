@@ -2,16 +2,15 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
-	"os"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // Config bounds the server's resource usage — the paper's open question
@@ -42,17 +40,16 @@ type Config struct {
 	// boots over its shared immutable graph — the number of read-only
 	// analyses that can run concurrently on one graph. Default 2.
 	AnalysisPoolSize int
-	// RunMemoryBudgetMB caps the summed resident-memory need (declared via
-	// Request.MaxResidentMB, or estimated from store sizing) of concurrently
-	// running analyses. A run that would push the total past the budget
-	// queues until enough memory frees (counted as a budget deferral); an
-	// idle server always admits. <=0 disables the memory gate.
+	// RunMemoryBudgetMB caps the summed resident-memory need of concurrently
+	// running analyses: each run's Request.MaxResidentMB, or else what it
+	// adds to its instance — its catalog columns (memCharge). A run that
+	// would push the total past the budget queues until enough memory frees
+	// (counted as a budget deferral); an idle server always admits. <=0
+	// disables the memory gate.
 	RunMemoryBudgetMB int64
 	// TenantQuota caps concurrently running analyses per tenant; <=0
 	// disables the per-tenant cap.
 	TenantQuota int
-	// TenantQuotas overrides TenantQuota for specific tenant IDs.
-	TenantQuotas map[string]int
 	// PriorityAging is how long a queued request waits to gain one
 	// priority level (anti-starvation). Default 250ms; <0 disables aging.
 	PriorityAging time.Duration
@@ -158,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 		booting:   make(map[string]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		sched: newScheduler(cfg.MaxConcurrentAnalyses, cfg.TenantQuota,
-			cfg.TenantQuotas, cfg.PriorityAging, cfg.RunMemoryBudgetMB),
+			cfg.PriorityAging, cfg.RunMemoryBudgetMB),
 		start: time.Now(),
 	}
 	if !cfg.DisableObservability {
@@ -462,64 +459,36 @@ func (s *Server) handleLoad(req *Request) Response {
 	if req.Graph == "" || req.Path == "" {
 		return errResp("load needs graph and path")
 	}
-	f, err := os.Open(req.Path)
+	g, err := graph.ReadFile(req.Path)
 	if err != nil {
-		return errResp("open %s: %v", req.Path, err)
-	}
-	defer f.Close()
-	var g *graph.Graph
-	if strings.HasSuffix(req.Path, ".bin") {
-		g, err = graph.ReadBinary(f)
-	} else {
-		g, err = graph.ReadEdgeList(f)
-	}
-	if err != nil {
-		return errResp("parse %s: %v", req.Path, err)
+		return errResp("load %s: %v", req.Path, err)
 	}
 	resp, _ := s.admit(req.Graph, g, s.machinesFor(req))
 	return resp
 }
 
 // handleGenerate builds a generated graph and admits it. A generator's node
-// and edge counts follow from its arguments, so a request the resident-edge
-// budget has no room for is refused before a byte of it is allocated — admit
-// checks only after the build, which for a large enough request is an
-// out-of-memory crash instead of an error. The larger of the two counts is
-// charged: a node costs the graph's arrays at least what an edge does.
+// and edge counts follow from its arguments — for rmat and uniform, the
+// stream's counts — so a request the resident-edge budget has no room for is
+// refused before a byte of it is allocated: admit checks only after the
+// build, which for a large enough request is an out-of-memory crash instead
+// of an error. The larger of the two counts is charged: a node costs the
+// graph's arrays at least what an edge does.
 func (s *Server) handleGenerate(req *Request) Response {
 	if req.Graph == "" {
 		return errResp("generate needs graph")
 	}
 	var gen func() (*graph.Graph, error)
-	var size int64 // max(nodes, edges) of what gen builds; arguments gen refuses count 0
+	var size int64 // max(nodes, edges) of what gen builds
 	switch req.Kind {
-	case "rmat", "":
-		scale, ef := req.Scale, req.EdgeFactor
-		if scale == 0 {
-			scale = 14
+	case "rmat", "", "uniform":
+		es, err := streamOf(req)
+		if err != nil {
+			return errResp("generate: %v", err)
 		}
-		if ef == 0 {
-			ef = 16
-		}
-		if scale >= 1 && scale <= 30 && ef >= 1 {
-			size = satMul(1<<scale, int64(ef))
-		}
-		gen = func() (*graph.Graph, error) { return graph.RMAT(scale, ef, graph.TwitterLike(), req.Seed) }
-	case "uniform":
-		n, m := req.Nodes, req.Edges
-		if n == 0 {
-			n = 1 << 14
-		}
-		if m == 0 {
-			m = n * 16
-		}
-		size = int64(max(n, m, 0))
-		gen = func() (*graph.Graph, error) { return graph.Uniform(n, m, req.Seed) }
+		size, gen = int64(max(es.NumNodes(), es.NumEdges())), es.Graph
 	case "grid":
-		n := req.Nodes
-		if n == 0 {
-			n = 100
-		}
+		n := cmp.Or(req.Nodes, 100)
 		if n > 0 { // n² nodes; the mesh's 4n(n-1) directed edges and n/2 shortcuts, both ways
 			size = max(satMul(int64(n), int64(n)), satMul(satMul(4, int64(n)), int64(n-1))+satMul(2, int64(n/2)))
 		}
@@ -544,6 +513,16 @@ func (s *Server) handleGenerate(req *Request) Response {
 	return resp
 }
 
+// streamOf is the generator stream of an rmat (the default kind) or uniform
+// request, with the protocol's defaults for zero arguments.
+func streamOf(req *Request) (*graph.GenStream, error) {
+	if req.Kind == "uniform" {
+		n := cmp.Or(req.Nodes, 1<<14)
+		return graph.UniformStream(n, cmp.Or(req.Edges, n*16), req.Seed)
+	}
+	return graph.RMATStream(cmp.Or(req.Scale, 14), cmp.Or(req.EdgeFactor, 16), graph.TwitterLike(), req.Seed)
+}
+
 // satMul is a*b for non-negative a and b, saturated at math.MaxInt64/2 so
 // that a sum of two stays positive.
 func satMul(a, b int64) int64 {
@@ -566,20 +545,16 @@ func tenantOf(req *Request) string {
 }
 
 // memCharge is what a run costs the admission memory gate: the client's
-// declared need, or — only when a budget is actually configured — the
-// store-sizing estimate of what an engine run on this graph pins resident
-// with the algorithm's catalog column count. An unknown name (the run will
-// fail with "unknown algorithm" once admitted) is charged a flat 3 columns.
-func (s *Server) memCharge(inst *instance, req *Request) int64 {
+// declared need, or — only when a budget is actually configured — what the
+// run adds to its instance, the algorithm's catalog columns of 8 bytes per
+// node, in MiB rounded up. The shared graph and the engines' local stores are
+// not charged: admit pinned them when it booted the instance, and deferring a
+// run cannot free them.
+func (s *Server) memCharge(inst *instance, spec algorithms.Spec, req *Request) int64 {
 	if req.MaxResidentMB > 0 || s.cfg.RunMemoryBudgetMB <= 0 {
 		return req.MaxResidentMB
 	}
-	cols := 3
-	if spec, ok := algorithms.Lookup(req.Algo); ok {
-		cols = spec.Cols
-	}
-	g := inst.g
-	return store.SizeOf(g.NumNodes(), g.NumEdges(), inst.machines, g.Weighted(), cols).EstimatedResidentMB()
+	return (int64(spec.Cols)*8*int64(inst.g.NumNodes()) + 1<<20 - 1) >> 20
 }
 
 // handleRun admits an analysis through the scheduler, executes it on the
@@ -596,13 +571,20 @@ func (s *Server) handleRun(req *Request) Response {
 	if !ok {
 		return errResp("graph %q not loaded", req.Graph)
 	}
+	spec, ok := algorithms.Lookup(req.Algo)
+	if !ok {
+		return errResp("%s on %s: unknown algorithm %q", req.Algo, req.Graph, req.Algo)
+	}
+	if spec.Weighted && !inst.g.Weighted() {
+		return errResp("%s on %s: graph is unweighted", req.Algo, req.Graph)
+	}
 	t := &ticket{
 		tenant:        tenantOf(req),
 		tag:           req.Tag,
 		priority:      min(max(req.Priority, -maxPriority), maxPriority),
 		timeoutMillis: req.TimeoutMillis,
 		inst:          inst,
-		memMB:         s.memCharge(inst, req),
+		memMB:         s.memCharge(inst, spec, req),
 		result:        make(chan admitResult, 1),
 	}
 	jobID := s.sched.enqueue(t)
@@ -617,7 +599,7 @@ func (s *Server) handleRun(req *Request) Response {
 	}
 
 	start := time.Now()
-	result, err := runAlgo(inst, admitted.eng, req)
+	result, err := runAlgo(spec, inst, admitted.eng, req)
 	runDur := time.Since(start)
 	millis := float64(runDur.Microseconds()) / 1000
 	s.sched.release(t, millis, err)
@@ -650,26 +632,9 @@ func (s *Server) handleCancel(req *Request) Response {
 	}}
 }
 
-// runAlgo runs the catalog entry req names on the leased engine.
-func runAlgo(inst *instance, eng *engine, req *Request) (*RunResult, error) {
-	spec, ok := algorithms.Lookup(req.Algo)
-	if !ok {
-		return nil, fmt.Errorf("unknown algorithm %q", req.Algo)
-	}
-	g := inst.g
-	if spec.Weighted && !g.Weighted() {
-		return nil, fmt.Errorf("graph is unweighted")
-	}
-	p := algorithms.Params{Iterations: req.Iterations, Damping: req.Damping, Threshold: req.Threshold, Source: req.Source, Graph: g}
-	if p.Iterations <= 0 {
-		p.Iterations = 10
-	}
-	if p.Damping == 0 {
-		p.Damping = 0.85
-	}
-	if p.Threshold == 0 {
-		p.Threshold = 1e-7
-	}
+// runAlgo runs spec, the catalog entry req names, on the leased engine.
+func runAlgo(spec algorithms.Spec, inst *instance, eng *engine, req *Request) (*RunResult, error) {
+	p := algorithms.Params{Iterations: req.Iterations, Damping: req.Damping, Threshold: req.Threshold, Source: req.Source, Graph: inst.g}
 	out, met, err := spec.Run(eng.cluster, p)
 	if err != nil {
 		return nil, err
