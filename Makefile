@@ -75,8 +75,8 @@ perf-check:
 # and prefetched into the mirror, plus what numbering adds to a load in ns/edge
 # (section: store.SectionOf for both machines; raw-section: the same rows with
 # packed refs, the test's oracle); writes buffered on demand and folded into the
-# worker's accumulator. They are
-# the rows that turn AblateRemoteSets. With AGAINST=<git-ref> that commit's test binary is
+# worker's accumulator; the on-demand rows load under the empty ghost set, so
+# every remote ref is packed. With AGAINST=<git-ref> that commit's test binary is
 # built beside this tree's under SCRATCH and the two alternate three times, the
 # way a claim about this path is to be measured (a ref from before the
 # benchmark existed prints nothing).

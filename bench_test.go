@@ -32,11 +32,12 @@ func benchGraph(b *testing.B, name string) *graph.Graph {
 }
 
 func bootPGX(b *testing.B, g *graph.Graph, cfg core.Config) *core.Cluster {
-	return bootCut(b, g, cfg, partition.EdgeBalanced)
+	return bootCut(b, g, cfg, partition.EdgeBalanced, nil)
 }
 
-// bootCut boots cfg and loads g cut by strat, through LoadPlan.
-func bootCut(b *testing.B, g *graph.Graph, cfg core.Config, strat partition.Strategy) *core.Cluster {
+// bootCut boots cfg and loads g cut by strat with the replica cap ghosts (nil:
+// every referenced address), through LoadPlan.
+func bootCut(b *testing.B, g *graph.Graph, cfg core.Config, strat partition.Strategy, ghosts *partition.GhostSet) *core.Cluster {
 	b.Helper()
 	layout, err := partition.Compute(g, cfg.NumMachines, strat)
 	if err != nil {
@@ -47,7 +48,7 @@ func bootCut(b *testing.B, g *graph.Graph, cfg core.Config, strat partition.Stra
 		b.Fatal(err)
 	}
 	b.Cleanup(c.Shutdown)
-	if err := c.LoadPlan(g, layout); err != nil {
+	if err := c.LoadPlan(g, layout, ghosts); err != nil {
 		b.Fatal(err)
 	}
 	return c
@@ -235,17 +236,14 @@ func BenchmarkFig5b_Barrier(b *testing.B) {
 }
 
 // BenchmarkFig6a_GhostSweep measures PageRank-pull at increasing ghost
-// counts — none (no replicas at all), then the top 16, 128 and 1024 vertices
-// in every machine's remote sets; more ghosts mean less traffic.
+// counts — none (the empty ghost set: no replicas at all), then the top 16,
+// 128 and 1024 vertices in every machine's remote sets; more ghosts mean less
+// traffic.
 func BenchmarkFig6a_GhostSweep(b *testing.B) {
 	g := benchGraph(b, bench.DSTwitter)
 	for _, ghosts := range []int{0, 16, 128, 1024} {
 		b.Run(fmt.Sprintf("ghosts=%d", ghosts), func(b *testing.B) {
-			cfg := core.DefaultConfig(4)
-			if cfg.GhostCount = ghosts; ghosts == 0 {
-				cfg.Ablate = core.AblateRemoteSets
-			}
-			c := bootPGX(b, g, cfg)
+			c := bootCut(b, g, core.DefaultConfig(4), partition.EdgeBalanced, partition.SelectTopGhosts(g, ghosts))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := algorithms.PageRankPull(c, 3, 0.85); err != nil {
@@ -262,7 +260,7 @@ func BenchmarkFig6b_Partitioning(b *testing.B) {
 	g := benchGraph(b, bench.DSTwitter)
 	for _, strat := range []partition.Strategy{partition.VertexBalanced, partition.EdgeBalanced} {
 		b.Run(strat.String(), func(b *testing.B) {
-			c := bootCut(b, g, core.DefaultConfig(4), strat)
+			c := bootCut(b, g, core.DefaultConfig(4), strat, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := algorithms.PageRankPull(c, 3, 0.85); err != nil {
@@ -292,7 +290,7 @@ func BenchmarkFig6c_Breakdown(b *testing.B) {
 			if cc.nodes {
 				cfg.Ablate = core.AblateEdgeChunking
 			}
-			c := bootCut(b, g, cfg, cc.strat)
+			c := bootCut(b, g, cfg, cc.strat, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := algorithms.PageRankPull(c, 3, 0.85); err != nil {

@@ -10,35 +10,52 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 type ablationSet struct {
 	name    string
 	set     core.Ablation
-	ghosts  int // Config.GhostCount: 0 replicates every referenced address
-	workers int // Config.Workers: 0 keeps the default
+	ghosts  func(g *graph.Graph) *partition.GhostSet // the load's replica cap; nil replicates every referenced address
+	workers int                                      // Config.Workers: 0 keeps the default
 }
 
+// noGhosts is the empty ghost set's row: a load that replicates nothing, so
+// every remote ref goes on demand.
+func noGhosts(*graph.Graph) *partition.GhostSet { return &partition.GhostSet{} }
+
 // ablationLattice is what the identity test walks: the production
-// configuration, every Ablation member alone, all of them at once, the
-// production configuration with replicas capped at the eight highest-degree
-// vertices, so that set members and on-demand refs meet in the same rows, and
-// the production configuration on one worker per machine, where local
-// reductions and own-node stores are plain (single-writer columns).
+// configuration, every Ablation member alone, a load without replicas (the
+// empty ghost set), all of them at once, the production configuration with
+// replicas capped at the eight highest-degree vertices, so that set members
+// and on-demand refs meet in the same rows, and the production configuration
+// on one worker per machine, where local reductions and own-node stores are
+// plain (single-writer columns).
 func ablationLattice() []ablationSet {
 	sets := []ablationSet{
 		{name: "none"},
 		{name: "edge-chunking", set: core.AblateEdgeChunking},
 		{name: "pin-push", set: core.AblatePinPush},
 		{name: "pin-pull", set: core.AblatePinPull},
-		{name: "remote-sets", set: core.AblateRemoteSets},
+		{name: "remote-sets", ghosts: noGhosts},
 	}
 	all := core.Ablation(0)
 	for _, as := range sets {
 		all |= as.set
 	}
-	return append(sets, ablationSet{name: "all", set: all}, ablationSet{name: "ghost-count-8", ghosts: 8},
+	top8 := func(g *graph.Graph) *partition.GhostSet { return partition.SelectTopGhosts(g, 8) }
+	return append(sets, ablationSet{name: "all", set: all, ghosts: noGhosts}, ablationSet{name: "ghost-count-8", ghosts: top8},
 		ablationSet{name: "one-worker", workers: 1})
+}
+
+// loadGhosts loads g into c cut edge-balanced, as Load does, under the replica
+// cap ghosts (nil: every referenced address), through LoadPlan.
+func loadGhosts(c *core.Cluster, g *graph.Graph, ghosts *partition.GhostSet) error {
+	layout, err := partition.Compute(g, c.Machines(), partition.EdgeBalanced)
+	if err != nil {
+		return err
+	}
+	return c.LoadPlan(g, layout, ghosts)
 }
 
 // latticeConfig is the identity suites' engine configuration: p machines
@@ -69,7 +86,6 @@ func latticeConfig(t *testing.T, p int, useTCP bool, set core.Ablation) core.Con
 func ablatedCluster(t *testing.T, g *graph.Graph, p int, useTCP, delayFaults bool, as ablationSet) *core.Cluster {
 	t.Helper()
 	cfg := latticeConfig(t, p, useTCP, as.set)
-	cfg.GhostCount = as.ghosts
 	if as.workers > 0 {
 		cfg.Workers = as.workers
 	}
@@ -90,7 +106,11 @@ func ablatedCluster(t *testing.T, g *graph.Graph, p int, useTCP, delayFaults boo
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Shutdown)
-	if err := c.Load(g); err != nil {
+	var ghosts *partition.GhostSet
+	if as.ghosts != nil {
+		ghosts = as.ghosts(g)
+	}
+	if err := loadGhosts(c, g, ghosts); err != nil {
 		t.Fatal(err)
 	}
 	return c

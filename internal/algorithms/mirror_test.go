@@ -95,7 +95,7 @@ func hopPullMirrorWords(g *graph.Graph, layout partition.Layout, sets []remoteSe
 // or from a raw or compressed store file under a residency window and a decode cache both
 // smaller than the edge data (so columns and mirrors are off-heap and every
 // chunk claim decodes).
-func mirrorCluster(t *testing.T, g *graph.Graph, path string, p int, useTCP bool, set core.Ablation, tweak ...func(*core.Config)) (*core.Cluster, *obs.Registry) {
+func mirrorCluster(t *testing.T, g *graph.Graph, path string, ghosts *partition.GhostSet, p int, useTCP bool, set core.Ablation, tweak ...func(*core.Config)) (*core.Cluster, *obs.Registry) {
 	t.Helper()
 	cfg := latticeConfig(t, p, useTCP, set)
 	cfg.Obs = obs.NewRegistry()
@@ -111,7 +111,7 @@ func mirrorCluster(t *testing.T, g *graph.Graph, path string, p int, useTCP bool
 	}
 	if path == "" {
 		t.Cleanup(c.Shutdown)
-		if err := c.Load(g); err != nil {
+		if err := loadGhosts(c, g, ghosts); err != nil {
 			t.Fatal(err)
 		}
 		return c, cfg.Obs
@@ -151,7 +151,9 @@ type pullRun struct {
 // distinct remote addresses once per eligible job, nothing on demand. Over a
 // weighted small-world RMAT with ten ghosted hubs and a shortcut-free grid,
 // one to three machines, both fabrics, and from memory, a raw store file and
-// a compressed one.
+// a compressed one; the on-demand run is always an in-memory load under the
+// empty ghost set (a store file's remote set is the file's), and every count
+// compared is independent of the load.
 func TestMirroredPullMatchesOnDemand(t *testing.T) {
 	grid, err := graph.Grid(24, 24, 0, 99)
 	if err != nil {
@@ -188,8 +190,12 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 						// suite runs the six computations and returns them with the reads
 						// the cluster had served after the five that scan every row, and
 						// after hop distance, whose pull sources the unvisited frontier.
-						suite := func(set core.Ablation) (runs map[string]pullRun, wantWords map[string]int64, servedScans, servedAll int64) {
-							c, reg := mirrorCluster(t, g, paths[storage], p, useTCP, set|core.AblatePinPull)
+						suite := func(onDemand bool) (runs map[string]pullRun, wantWords map[string]int64, servedScans, servedAll int64) {
+							path, ghosts := paths[storage], (*partition.GhostSet)(nil)
+							if onDemand { // replicates nothing; a store file's remote set is its own
+								path, ghosts = "", noGhosts(g)
+							}
+							c, reg := mirrorCluster(t, g, path, ghosts, p, useTCP, core.AblatePinPull)
 							inSets := modelRemoteSets(g, c.Layout(), core.IterInEdges, nil)
 							bothSets := modelRemoteSets(g, c.Layout(), core.IterBothEdges, nil)
 							runs, wantWords = map[string]pullRun{}, map[string]int64{}
@@ -204,7 +210,7 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 								words = total
 								// One pull job per iteration, each prefetching every remote set once.
 								wantWords[name] = int64(met.Iterations) * perJob
-								if set.Has(core.AblateRemoteSets) {
+								if onDemand {
 									wantWords[name] = 0
 								}
 							}
@@ -226,13 +232,13 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 							servedScans = reg.LifetimeCounters()["reads_served"]
 							hop, met, err := HopDist(c, root, n)
 							record("hopdist", hop, nil, met, err, 0)
-							if !set.Has(core.AblateRemoteSets) {
+							if !onDemand {
 								wantWords["hopdist"] = hopPullMirrorWords(g, c.Layout(), inSets, wantHop, root)
 							}
 							return runs, wantWords, servedScans, reg.LifetimeCounters()["reads_served"]
 						}
-						mirrored, wantWords, servedScans, servedAll := suite(0)
-						onDemand, _, _, _ := suite(core.AblateRemoteSets)
+						mirrored, wantWords, servedScans, servedAll := suite(false)
+						onDemand, _, _, _ := suite(true)
 
 						// A mirrored row folds every in-neighbor — local or remote —
 						// in row order in one register, as SA does: PageRank-pull is then
@@ -259,7 +265,7 @@ func TestMirroredPullMatchesOnDemand(t *testing.T) {
 							assertEqualI64(t, name+" mirrored vs on demand", on.ints, off.ints)
 							assertClose(t, name+" mirrored vs on demand", on.floats, off.floats, 1e-12)
 							if off.mirrorWords != 0 {
-								t.Errorf("%s: %d words prefetched with the mirror ablated", name, off.mirrorWords)
+								t.Errorf("%s: %d words prefetched by a load without replicas", name, off.mirrorWords)
 							}
 							if on.mirrorWords != wantWords[name] {
 								t.Errorf("%s: %d words prefetched, want %d (remote sets x eligible jobs)", name, on.mirrorWords, wantWords[name])

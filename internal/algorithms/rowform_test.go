@@ -10,9 +10,9 @@ import (
 	"repro/internal/reduce"
 )
 
-// Per-edge forms of the row kernels — one call per edge with per-ref
-// ReadRef/WriteRef, as the kernels were written before each became a loop
-// over its row, an early exit being a true return. Test-only:
+// Per-edge forms of the row kernels — one call per edge with per-ref ReadRef
+// and Writer.Write, as the kernels were written before each became a loop over
+// its row, an early exit being a true return. Test-only:
 // TestRowDispatchMatchesPerEdge runs every algorithm through them (driven by
 // perEdgeRows) and through the row kernels, and requires the same answers.
 
@@ -53,7 +53,7 @@ type pushEdge struct {
 }
 
 func (k *pushEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
-	c.WriteRef(ref, k.dst, k.op, core.WordI64(c.GetI64(k.src)))
+	c.Writer(k.dst, k.op).Write(ref, core.WordI64(c.GetI64(k.src)))
 	return false
 }
 
@@ -75,7 +75,7 @@ type distRelaxEdge struct {
 }
 
 func (k *distRelaxEdge) edge(c *core.Ctx, ref int64, weight float64) bool {
-	c.WriteRef(ref, k.distNxt, reduce.Min, core.WordF64(c.GetF64(k.dist)+weight))
+	c.Writer(k.distNxt, reduce.Min).Write(ref, core.WordF64(c.GetF64(k.dist)+weight))
 	return false
 }
 
@@ -100,7 +100,7 @@ type hopPushEdge struct {
 }
 
 func (k *hopPushEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
-	c.WriteRef(ref, k.dist, reduce.Min, core.WordI64(k.level+1))
+	c.Writer(k.dist, reduce.Min).Write(ref, core.WordI64(k.level+1))
 	return false
 }
 
@@ -131,7 +131,7 @@ type degDecEdge struct {
 }
 
 func (k *degDecEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
-	c.WriteRef(ref, k.deg, reduce.Sum, core.WordI64(-1))
+	c.Writer(k.deg, reduce.Sum).Write(ref, core.WordI64(-1))
 	return false
 }
 
@@ -142,7 +142,7 @@ type misPushPriorityEdge struct {
 
 func (k *misPushPriorityEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
 	if ref != int64(c.Node) {
-		c.WriteRef(ref, k.nbrPri, reduce.Max, core.WordI64(c.GetI64(k.pri)))
+		c.Writer(k.nbrPri, reduce.Max).Write(ref, core.WordI64(c.GetI64(k.pri)))
 	}
 	return false
 }
@@ -153,7 +153,7 @@ type misExcludeEdge struct {
 }
 
 func (k *misExcludeEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
-	c.WriteRef(ref, k.excluded, reduce.Or, core.WordI64(1))
+	c.Writer(k.excluded, reduce.Or).Write(ref, core.WordI64(1))
 	return false
 }
 

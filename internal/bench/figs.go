@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/algorithms"
@@ -200,9 +199,9 @@ func dummyGraph() (*graph.Graph, error) {
 }
 
 // pagerankPull is the job Figures 6 and 7 time: three PageRank-pull iterations
-// on a fresh cluster of cfg over g cut by strat. It returns the run's metrics
-// and the cut.
-func pagerankPull(cfg core.Config, g *graph.Graph, strat partition.Strategy) (algorithms.Metrics, partition.Layout, error) {
+// on a fresh cluster of cfg over g cut by strat, with the replica cap ghosts
+// (nil: every referenced address). It returns the run's metrics and the cut.
+func pagerankPull(cfg core.Config, g *graph.Graph, strat partition.Strategy, ghosts *partition.GhostSet) (algorithms.Metrics, partition.Layout, error) {
 	layout, err := partition.Compute(g, cfg.NumMachines, strat)
 	if err != nil {
 		return algorithms.Metrics{}, layout, err
@@ -212,7 +211,7 @@ func pagerankPull(cfg core.Config, g *graph.Graph, strat partition.Strategy) (al
 		return algorithms.Metrics{}, layout, err
 	}
 	defer c.Shutdown()
-	if err := c.LoadPlan(g, layout); err != nil {
+	if err := c.LoadPlan(g, layout, ghosts); err != nil {
 		return algorithms.Metrics{}, layout, err
 	}
 	_, met, err := algorithms.PageRankPull(c, 3, 0.85)
@@ -222,10 +221,11 @@ func pagerankPull(cfg core.Config, g *graph.Graph, strat partition.Strategy) (al
 // --- Figure 6a: ghost node sweep ----------------------------------------------
 
 // ExpFig6a sweeps the ghost count — how many of the highest-degree vertices a
-// machine's remote sets may replicate (Config.GhostCount) — and reports runtime
-// and data traffic of PageRank-pull on TWT', both relative to the run without
-// replicas (AblateRemoteSets), the paper's Figure 6a. A count of 0 is that
-// zero point; the last row, "all", is the uncapped default.
+// machine's remote sets may replicate (the load's ghost set,
+// partition.SelectTopGhosts) — and reports runtime and data traffic of
+// PageRank-pull on TWT', both relative to the first row, the paper's Figure
+// 6a. A count of 0 is the empty set, the run without replicas; the last row,
+// "all", is the uncapped default.
 func ExpFig6a(ds *Datasets, scale int, machines int, ghostCounts []int, prog Progress) (*Table, error) {
 	g, err := ds.Get(DSTwitter, scale)
 	if err != nil {
@@ -234,19 +234,13 @@ func ExpFig6a(ds *Datasets, scale int, machines int, ghostCounts []int, prog Pro
 	t := &Table{Title: "Figure 6a: ghost-node effect on runtime and traffic (PR-pull on TWT')"}
 	t.Header = []string{"ghosts", "runtime", "traffic", "rel runtime", "rel traffic"}
 	var baseTime, baseTraffic float64
-	for i, gc := range append(slices.Clip(ghostCounts), -1) { // -1: the uncapped default
-		label := fmt.Sprint(gc)
-		cfg := core.DefaultConfig(machines)
-		switch {
-		case gc == 0:
-			cfg.Ablate = core.AblateRemoteSets
-		case gc < 0:
-			label = "all"
-		default:
-			cfg.GhostCount = gc
+	for i := 0; i <= len(ghostCounts); i++ {
+		label, ghosts := "all", (*partition.GhostSet)(nil) // past the counts: the uncapped default
+		if i < len(ghostCounts) {
+			label, ghosts = fmt.Sprint(ghostCounts[i]), partition.SelectTopGhosts(g, ghostCounts[i])
 		}
 		prog.log("fig6a: ghosts=%s", label)
-		met, _, err := pagerankPull(cfg, g, partition.EdgeBalanced)
+		met, _, err := pagerankPull(core.DefaultConfig(machines), g, partition.EdgeBalanced, ghosts)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +275,7 @@ func ExpFig6b(ds *Datasets, scale int, machineCounts []int, prog Progress) (*Tab
 		times := make(map[partition.Strategy]float64)
 		imbal := make(map[partition.Strategy]float64)
 		for _, strat := range []partition.Strategy{partition.VertexBalanced, partition.EdgeBalanced} {
-			met, layout, err := pagerankPull(core.DefaultConfig(p), g, strat)
+			met, layout, err := pagerankPull(core.DefaultConfig(p), g, strat, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -324,7 +318,7 @@ func ExpFig6c(ds *Datasets, scale int, machines int, prog Progress) (*Table, err
 		if cc.nodes {
 			cfg.Ablate = core.AblateEdgeChunking
 		}
-		met, _, err := pagerankPull(cfg, g, cc.strat)
+		met, _, err := pagerankPull(cfg, g, cc.strat, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +351,7 @@ func ExpFig7(ds *Datasets, scale, machines int, workerCounts, copierCounts []int
 			prog.log("fig7: workers=%d copiers=%d", w, cp)
 			cfg := core.DefaultConfig(machines)
 			cfg.Workers, cfg.Copiers = w, cp
-			met, _, err := pagerankPull(cfg, g, partition.EdgeBalanced)
+			met, _, err := pagerankPull(cfg, g, partition.EdgeBalanced, nil)
 			if err != nil {
 				return nil, err
 			}

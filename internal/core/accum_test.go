@@ -417,5 +417,5 @@ func BenchmarkRemoteWrite(b *testing.B) {
 		}
 	}
 	remoteRefBudget(b, remoteBenchGraph(b), store.OrientOut, push(make([]localRefs, 2)), push(nil),
-		[]remoteRefMode{{"on-demand", AblateRemoteSets}, {"accumulated", 0}})
+		[]remoteRefMode{{"on-demand", noGhosts}, {"accumulated", nil}})
 }

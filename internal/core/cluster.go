@@ -33,6 +33,7 @@ type Cluster struct {
 	loaded    bool
 	shut      bool
 	jobSeq    uint64
+	loads     uint64 // installs so far; RunJob refuses a frontier of an earlier one
 
 	// The fan-out's reused state (parallel): one error slot per machine and
 	// the join. RunJob hands every machine runJobFn, which runs spec as job
@@ -111,22 +112,24 @@ func (c *Cluster) Config() Config { return c.cfg }
 
 // Load cuts g edge-balanced across the machines (paper §3.3) and builds each
 // machine's local store. Properties registered before Load are discarded;
-// register them after. Any other cut goes through LoadPlan.
+// register them after. Any other cut or replica cap goes through LoadPlan.
 func (c *Cluster) Load(g *graph.Graph) error {
 	layout, err := partition.Compute(g, c.cfg.NumMachines, partition.EdgeBalanced)
 	if err != nil {
 		return err
 	}
-	return c.loadGraph(g, layout)
+	return c.loadGraph(g, layout, nil)
 }
 
 // LoadPlan loads g with an explicit ownership layout instead of Load's
 // edge-balanced cut — the entry point for a cut made outside the engine, such
 // as a vertex-balanced one (partition.Compute) or a deliberately skewed one
-// (partition.SkewedLayout).
+// (partition.SkewedLayout) — and a replica cap: a non-nil ghosts (§3.3; e.g.
+// partition.SelectTopGhosts, empty for none) holds the only vertices a machine
+// may replicate; nil, what Load passes, keeps every referenced address.
 // Like Load, it discards all registered properties; re-register and re-fill
 // after the reload.
-func (c *Cluster) LoadPlan(g *graph.Graph, layout partition.Layout) error {
+func (c *Cluster) LoadPlan(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet) error {
 	if layout.NumMachines != c.cfg.NumMachines {
 		return fmt.Errorf("core: plan layout has %d machines, cluster has %d",
 			layout.NumMachines, c.cfg.NumMachines)
@@ -134,18 +137,21 @@ func (c *Cluster) LoadPlan(g *graph.Graph, layout partition.Layout) error {
 	if err := layout.Validate(int64(g.NumNodes())); err != nil {
 		return fmt.Errorf("core: plan layout: %w", err)
 	}
-	return c.loadGraph(g, layout)
+	return c.loadGraph(g, layout, ghosts)
 }
 
 // loadGraph is the shared body of Load/LoadPlan: every machine's section of g
-// comes off the heap already numbered (store.SectionOf). Under
-// Config.GhostCount the machines share a bitmap of the top vertices, the only
-// ones their remote sets will hold.
-func (c *Cluster) loadGraph(g *graph.Graph, layout partition.Layout) error {
+// comes off the heap already numbered (store.SectionOf). A non-nil ghost set
+// becomes the bitmap the machines share of the only vertices their remote sets
+// will hold.
+func (c *Cluster) loadGraph(g *graph.Graph, layout partition.Layout, ghosts *partition.GhostSet) error {
 	var keep []uint64
-	if k := c.cfg.GhostCount; k > 0 {
+	if ghosts != nil {
 		keep = make([]uint64, (g.NumNodes()+63)/64)
-		for _, v := range partition.SelectTopGhosts(g, k).Nodes {
+		for _, v := range ghosts.Nodes {
+			if int(v) >= g.NumNodes() {
+				return fmt.Errorf("core: ghost %d outside the graph's %d nodes", v, g.NumNodes())
+			}
 			keep[v>>6] |= 1 << (v & 63)
 		}
 	}
@@ -164,6 +170,7 @@ func (c *Cluster) install(layout partition.Layout, nodes int, edges int64, ld *s
 	c.meta = nil
 	c.freeProps = nil
 	c.ooc = nil
+	c.loads++
 	err := c.parallel(func(m *Machine) error {
 		m.install(newLocalStore(m.id, layout, section(m.id)), ld)
 		return nil
@@ -294,12 +301,12 @@ func (c *Cluster) RunJob(spec JobSpec) (JobStats, error) {
 	if err := spec.validate(c.meta); err != nil {
 		return JobStats{}, err
 	}
-	if spec.Source != nil && spec.Source.c != c {
-		return JobStats{}, fmt.Errorf("core: job %q sources frontier %q from another cluster", spec.Name, spec.Source.name)
+	if f := spec.Source; f != nil && (f.c != c || f.load != c.loads) {
+		return JobStats{}, fmt.Errorf("core: job %q sources frontier %q from another cluster or an earlier load", spec.Name, f.name)
 	}
 	for i, f := range spec.Build {
-		if f == nil || f.c != c {
-			return JobStats{}, fmt.Errorf("core: job %q build slot %d is nil or from another cluster", spec.Name, i)
+		if f == nil || f.c != c || f.load != c.loads {
+			return JobStats{}, fmt.Errorf("core: job %q build slot %d is nil, from another cluster or from an earlier load", spec.Name, i)
 		}
 	}
 	// Fail fast when canceled: a multi-superstep algorithm is a RunJob loop,

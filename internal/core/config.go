@@ -30,12 +30,6 @@ type Config struct {
 	// paper settles on 256 KiB from Figure 8b; the laptop-scale default here
 	// is smaller so per-step latency stays reasonable at bench graph sizes.
 	BufferSize int
-	// GhostCount, when positive, restricts an in-memory load's remote sets
-	// (remoteset.go) — the addresses whose values a job replicates locally,
-	// §3.3's ghosts — to the top-GhostCount vertices by max(in,out) degree;
-	// every other remote ref goes on demand. Zero, the default, holds every
-	// referenced address. Figure 6a sweeps it. Ignored for store-file loads.
-	GhostCount int
 	// Ablate switches individual engine mechanisms off (or pins the
 	// traversal direction) for evaluation. It is an instrument, not a
 	// deployment option: only benchmarks and tests set it, and the zero
@@ -102,7 +96,7 @@ func DefaultConfig(p int) Config {
 }
 
 // Ablation is a set of engine mechanisms turned off for an evaluation run
-// (paper §5.3, Fig 6a-c treat these as instruments). No member changes any
+// (paper §5.3, Fig 6b-c treat these as instruments). No member changes any
 // algorithm's result (float push sums keep their usual last-ulp freedom);
 // only the cost moves.
 type Ablation uint8
@@ -116,12 +110,6 @@ const (
 	// set); the traversals in internal/algorithms read them.
 	AblatePinPush
 	AblatePinPull
-	// AblateRemoteSets turns off both uses of the per-load remote set
-	// (remoteset.go) — the per-job prefetch of a dense pull's remote reads and
-	// the per-worker accumulation of a dense push's remote writes: every remote
-	// ref is requested, or its reduction buffered, on demand, as in the paper's
-	// protocol without ghosts. It is the zero point of Figure 6a's sweep.
-	AblateRemoteSets
 )
 
 // Has reports whether any member of m is set in a.
@@ -150,9 +138,6 @@ func (c *Config) validate() error {
 	}
 	if c.BufferSize < comm.HeaderSize+16 {
 		return fmt.Errorf("core: BufferSize %d too small", c.BufferSize)
-	}
-	if c.GhostCount < 0 {
-		return fmt.Errorf("core: GhostCount %d must be >= 0", c.GhostCount)
 	}
 	if c.Timeout < 0 {
 		return fmt.Errorf("core: Timeout %v must be >= 0", c.Timeout)

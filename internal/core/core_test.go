@@ -35,6 +35,34 @@ func bootCluster(t testing.TB, g *graph.Graph, cfg Config) *Cluster {
 	return c
 }
 
+// noGhosts is the empty ghost set: a load under it replicates nothing, and
+// every remote ref goes on demand.
+var noGhosts = &partition.GhostSet{}
+
+// bootGhosts is bootCluster with the replica cap ghosts (loadGhosts).
+func bootGhosts(t testing.TB, g *graph.Graph, cfg Config, ghosts *partition.GhostSet) *Cluster {
+	t.Helper()
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	if err := loadGhosts(c, g, ghosts); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// loadGhosts loads g into c cut edge-balanced, as Load does, with the replica
+// cap ghosts, through LoadPlan.
+func loadGhosts(c *Cluster, g *graph.Graph, ghosts *partition.GhostSet) error {
+	layout, err := partition.Compute(g, c.Machines(), partition.EdgeBalanced)
+	if err != nil {
+		return err
+	}
+	return c.LoadPlan(g, layout, ghosts)
+}
+
 // setPools swaps every machine's request and response pool for one of req
 // and resp buffers (zero keeps the derived pool): how a test starves the
 // pools, which the machine shape otherwise sizes. Call it before the first
@@ -81,7 +109,7 @@ type pushOneTask struct {
 
 func (k *pushOneTask) RunRow(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
-		c.WriteRef(ref, k.counter, reduce.Sum, WordI64(1))
+		c.Writer(k.counter, reduce.Sum).Write(ref, WordI64(1))
 	}
 }
 
@@ -107,13 +135,15 @@ func (k *pullSumTask) ReadDone(c *Ctx, val uint64) {
 }
 
 // namedConfig is one configMatrix entry; pools, when set, replaces the
-// derived request and response pools, and vertex cuts the graph
-// vertex-balanced instead of Load's edge-balanced cut.
+// derived request and response pools, vertex cuts the graph vertex-balanced
+// instead of Load's edge-balanced cut, and ghosts, when set, picks the load's
+// replica cap from the graph.
 type namedConfig struct {
 	name   string
 	cfg    Config
 	pools  int
 	vertex bool
+	ghosts func(g *graph.Graph) *partition.GhostSet
 }
 
 // boot boots nc over g.
@@ -123,9 +153,12 @@ func (nc namedConfig) boot(t *testing.T, g *graph.Graph) *Cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Shutdown)
-	if nc.vertex {
+	switch {
+	case nc.vertex:
 		err = loadVertexCut(c, g)
-	} else {
+	case nc.ghosts != nil:
+		err = loadGhosts(c, g, nc.ghosts(g))
+	default:
 		err = c.Load(g)
 	}
 	if err != nil {
@@ -142,7 +175,7 @@ func loadVertexCut(c *Cluster, g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	return c.LoadPlan(g, layout)
+	return c.LoadPlan(g, layout, nil)
 }
 
 // configMatrix yields a representative set of engine configurations. The
@@ -174,10 +207,12 @@ func configMatrix(base func() Config) []namedConfig {
 	})
 	cfgs[len(cfgs)-1].pools = 6
 	// No replicas: every remote ref on demand.
-	add("p4_on-demand", 4, func(cfg *Config) { cfg.Ablate = AblateRemoteSets })
+	add("p4_on-demand", 4, nil)
+	cfgs[len(cfgs)-1].ghosts = func(*graph.Graph) *partition.GhostSet { return noGhosts }
 	// Replicas of the eight highest-degree vertices only: set members and
 	// on-demand refs in the same rows.
-	add("p3_ghost-count-8", 3, func(cfg *Config) { cfg.GhostCount = 8 })
+	add("p3_ghost-count-8", 3, nil)
+	cfgs[len(cfgs)-1].ghosts = func(g *graph.Graph) *partition.GhostSet { return partition.SelectTopGhosts(g, 8) }
 	return cfgs
 }
 
@@ -288,19 +323,22 @@ type minPush struct {
 
 func (k *minPush) RunRow(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
-		c.WriteRef(ref, k.label, reduce.Min, WordI64(c.GetI64(k.label)))
+		c.Writer(k.label, reduce.Min).Write(ref, WordI64(c.GetI64(k.label)))
 	}
 }
 
 func TestMinReductionOneStep(t *testing.T) {
 	g := testGraph(t)
-	for _, ghost := range []int{-1, 0, 64} { // no replicas, every referenced address, the top 64
-		cfg := DefaultConfig(4)
-		if cfg.GhostCount = ghost; ghost < 0 {
-			cfg.GhostCount, cfg.Ablate = 0, AblateRemoteSets
-		}
-		t.Run(fmt.Sprintf("ghost=%d", ghost), func(t *testing.T) {
-			c := bootCluster(t, g, cfg)
+	for _, ghost := range []struct {
+		name string
+		set  *partition.GhostSet
+	}{
+		{"-1", noGhosts},                         // no replicas
+		{"0", nil},                               // every referenced address
+		{"64", partition.SelectTopGhosts(g, 64)}, // the top 64
+	} {
+		t.Run("ghost="+ghost.name, func(t *testing.T) {
+			c := bootGhosts(t, g, DefaultConfig(4), ghost.set)
 			label, _ := c.AddPropI64("label")
 			tmp, _ := c.AddPropI64("tmp")
 			c.FillByNodeI64(label, func(v graph.NodeID) int64 { return int64(v) })
@@ -410,7 +448,6 @@ func TestConfigValidation(t *testing.T) {
 		{NumMachines: 2, Workers: 1, Copiers: 0, BufferSize: 4096},
 		{NumMachines: 2, Workers: 1, Copiers: 1, BufferSize: 4},
 		{NumMachines: 2, Workers: 300, Copiers: 1, BufferSize: 4096},
-		{NumMachines: 2, Workers: 1, Copiers: 1, BufferSize: 4096, GhostCount: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewCluster(cfg); err == nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/reduce"
 	"repro/internal/store"
 )
@@ -59,7 +60,7 @@ type floatOpPush struct {
 
 func (k *floatOpPush) RunRow(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
-		c.WriteRef(ref, k.acc, k.op, WordF64(c.GetF64(k.val)))
+		c.Writer(k.acc, k.op).Write(ref, WordF64(c.GetF64(k.val)))
 	}
 }
 
@@ -125,10 +126,12 @@ func (k *refGlobalProbe) RunRow(c *Ctx, row Row) {
 // replica refs, and, outside a capped set, packed ones.
 func TestRefGlobalAllRefKinds(t *testing.T) {
 	g := testGraph(t)
-	for _, ghosts := range []int{0, 8} {
-		cfg := DefaultConfig(3)
-		cfg.GhostCount = ghosts
-		c := bootCluster(t, g, cfg)
+	for _, ghosts := range []int{0, 8} { // 0: uncapped
+		var set *partition.GhostSet
+		if ghosts > 0 {
+			set = partition.SelectTopGhosts(g, ghosts)
+		}
+		c := bootGhosts(t, g, DefaultConfig(3), set)
 		var replica, packed int
 		for _, m := range c.machines {
 			for _, ref := range m.store.views[store.OrientOut].refs {

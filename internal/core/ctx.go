@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/reduce"
 )
 
 // Ctx is the execution context handed to Task callbacks. One Ctx exists per
@@ -111,15 +110,6 @@ func (c *Ctx) SetI64(p PropID, v int64) {
 }
 
 // --- neighbor access --------------------------------------------------------
-
-// WriteRef reduces the raw word into property p of the node identified by
-// ref — the paper's write_remote<OP>: Writer.Write on the worker's handle for
-// p, the one-ref form of Writer.WriteRow. A local target applies immediately
-// (relaxed consistency); a remote one folds into the worker's accumulator or
-// is buffered toward the owner, and is visible there from the job's drain on.
-func (c *Ctx) WriteRef(ref int64, p PropID, op reduce.Op, word uint64) {
-	c.Writer(p, op).Write(ref, word)
-}
 
 // F64View is a typed read view over one float64 property, valid for the
 // current job. It holds every node this machine owns and, in a job that

@@ -285,7 +285,7 @@ func TestReloadClusterWithNewGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.LoadPlan(g1, skewed); err != nil {
+	if err := c.LoadPlan(g1, skewed, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Layout().EdgeImbalance(g1) < 1.5 {

@@ -2,12 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/reduce"
 	"repro/internal/store"
 )
@@ -236,25 +238,30 @@ func TestDistributedEqualsReferenceProperty(t *testing.T) {
 		cfg := DefaultConfig(int(pRaw%4) + 1)
 		cfg.Workers = 1 + rng.Intn(4)
 		cfg.Copiers = 1 + rng.Intn(3)
-		cfg.GhostCount = int(ghostRaw % 32) // 0 = every referenced address, else the top 1..31
-		ablate := func(on bool, member Ablation) {
-			if on {
-				cfg.Ablate |= member
-			}
+		if nodeChunk {
+			cfg.Ablate |= AblateEdgeChunking
 		}
-		ablate(nodeChunk, AblateEdgeChunking)
-		ablate(onDemand, AblateRemoteSets)
+		var ghosts *partition.GhostSet // nil: every referenced address
+		switch k := int(ghostRaw % 32); {
+		case onDemand:
+			ghosts = noGhosts
+		case k > 0:
+			ghosts = partition.SelectTopGhosts(g, k) // the top 1..31
+		}
+		strat := partition.EdgeBalanced
+		if vertexPart {
+			strat = partition.VertexBalanced
+		}
+		layout, err := partition.Compute(g, cfg.NumMachines, strat)
+		if err != nil {
+			return false
+		}
 		c, err := NewCluster(cfg)
 		if err != nil {
 			return false
 		}
 		defer c.Shutdown()
-		if vertexPart {
-			err = loadVertexCut(c, g)
-		} else {
-			err = c.Load(g)
-		}
-		if err != nil {
+		if err := c.LoadPlan(g, layout, ghosts); err != nil {
 			return false
 		}
 		counter, _ := c.AddPropI64("counter")
@@ -308,20 +315,16 @@ func TestDistributedEqualsReferenceProperty(t *testing.T) {
 // --- traffic and ghosting ----------------------------------------------------
 
 // TestGhostingReducesTraffic is Figure 6a's shape on a push: from no replicas
-// at all (the remote sets ablated) through the top 1, 8, 64 and every vertex
-// to the uncapped default, each step ships no more data than the one before —
-// a member's refs collapse to one record per worker — the first 64 ghosts
-// already ship less, and a cap that holds every vertex is the default.
+// at all (the top 0, the empty ghost set) through the top 1, 8, 64 and every
+// vertex to the uncapped default, each step ships no more data than the one
+// before — a member's refs collapse to one record per worker — the first 64
+// ghosts already ship less, and a cap that holds every vertex is the default.
 func TestGhostingReducesTraffic(t *testing.T) {
 	g := testGraph(t) // heavily skewed
-	const none, all = -1, 0
-	run := func(ghostCount int) int64 {
+	run := func(ghosts *partition.GhostSet, label string) int64 {
 		cfg := DefaultConfig(4)
 		cfg.Workers = 1 // which worker claims which chunk decides what two accumulators ship
-		if cfg.GhostCount = ghostCount; ghostCount == none {
-			cfg.GhostCount, cfg.Ablate = 0, AblateRemoteSets
-		}
-		c := bootCluster(t, g, cfg)
+		c := bootGhosts(t, g, cfg, ghosts)
 		counter, _ := c.AddPropI64("counter")
 		c.FillI64(counter, 0)
 		stats, err := c.RunJob(JobSpec{
@@ -338,16 +341,20 @@ func TestGhostingReducesTraffic(t *testing.T) {
 		got := c.GatherI64(counter)
 		for u := range want {
 			if got[u] != want[u] {
-				t.Fatalf("ghosts=%d node %d: got %d, want %d", ghostCount, u, got[u], want[u])
+				t.Fatalf("ghosts=%s node %d: got %d, want %d", label, u, got[u], want[u])
 			}
 		}
 		return stats.Traffic.DataBytesSent
 	}
-	counts := []int{none, 1, 8, 64, g.NumNodes(), all}
-	bytes := make([]int64, len(counts))
-	for i, k := range counts {
-		if bytes[i] = run(k); i > 0 && bytes[i] > bytes[i-1] {
-			t.Errorf("ghosts=%d shipped %d bytes, more than the %d of ghosts=%d", k, bytes[i], bytes[i-1], counts[i-1])
+	counts := []int{0, 1, 8, 64, g.NumNodes()}
+	bytes := make([]int64, len(counts)+1)
+	for i := range bytes {
+		label, ghosts := "all", (*partition.GhostSet)(nil) // past the counts: uncapped
+		if i < len(counts) {
+			label, ghosts = fmt.Sprint(counts[i]), partition.SelectTopGhosts(g, counts[i])
+		}
+		if bytes[i] = run(ghosts, label); i > 0 && bytes[i] > bytes[i-1] {
+			t.Errorf("ghosts=%s shipped %d bytes, more than the %d of the row before", label, bytes[i], bytes[i-1])
 		}
 	}
 	if bytes[3] >= bytes[0] {

@@ -20,13 +20,14 @@ import (
 // is automatic and per machine — a skewed superstep can be sparse on one
 // machine and dense on another.
 //
-// Frontiers are bound to the loaded graph: create them after Load, and drop
-// all references after a re-Load. Membership mutation happens either driver-
+// Frontiers are bound to the loaded graph: create them after Load (RunJob
+// refuses one of an earlier load). Membership mutation happens either driver-
 // side (Reset/Add/Fill, sequential regions only) or engine-side through
 // JobSpec.Build; the two must not interleave with a running job.
 type Frontier struct {
 	name     string
 	c        *Cluster
+	load     uint64 // the cluster's load it was built over (Cluster.loads)
 	machines []*machineFrontier
 }
 
@@ -51,7 +52,7 @@ func (c *Cluster) NewFrontier(name string) *Frontier {
 	if !c.loaded {
 		panic("core: NewFrontier before Load")
 	}
-	f := &Frontier{name: name, c: c, machines: make([]*machineFrontier, len(c.machines))}
+	f := &Frontier{name: name, c: c, load: c.loads, machines: make([]*machineFrontier, len(c.machines))}
 	for i, m := range c.machines {
 		f.machines[i] = newMachineFrontier(m.store, c.cfg.Workers)
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -171,7 +173,7 @@ type activatePush struct {
 
 func (k *activatePush) RunRow(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
-		c.WriteRef(ref, k.dst, reduce.Min, WordI64(k.val))
+		c.Writer(k.dst, reduce.Min).Write(ref, WordI64(k.val))
 	}
 }
 
@@ -303,5 +305,50 @@ func TestFrontierEmptyMachineSkip(t *testing.T) {
 		if vals[v] != want {
 			t.Fatalf("node %d: value %d, want %d", v, vals[v], want)
 		}
+	}
+}
+
+// TestStaleFrontierRefused: a frontier indexes the local numbering of the load
+// it was built over — sourced after a reload of a smaller graph, a sparse one
+// would send a worker past the new rows and a dense one would run the wrong
+// nodes — so RunJob refuses a frontier from an earlier load as a Source or a
+// Build slot, and one built over the new load runs exactly.
+func TestStaleFrontierRefused(t *testing.T) {
+	big, err := graph.RMAT(10, 8, graph.TwitterLike(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := graph.RMAT(6, 8, graph.TwitterLike(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := bootCluster(t, big, DefaultConfig(2))
+	sparse := c.NewFrontier("sparse")
+	sparse.Add(graph.NodeID(big.NumNodes() - 1))
+	dense := c.NewFrontier("dense")
+	dense.Fill(nil)
+	if err := c.Load(small); err != nil {
+		t.Fatal(err)
+	}
+	counter, _ := c.AddPropI64("counter")
+	spec := JobSpec{Name: "push", Iter: IterOutEdges, Task: &pushOneTask{counter: counter},
+		WriteProps: []WriteSpec{{Prop: counter, Op: reduce.Sum}}}
+	for _, f := range []*Frontier{sparse, dense} {
+		source, build := spec, spec
+		source.Source, build.Build = f, []*Frontier{f}
+		for _, stale := range []JobSpec{source, build} {
+			if _, err := c.RunJob(stale); err == nil || !strings.Contains(err.Error(), "earlier load") {
+				t.Errorf("frontier %q of the earlier load: RunJob = %v, want a refusal", f.name, err)
+			}
+		}
+	}
+	c.FillI64(counter, 0)
+	spec.Source = c.NewFrontier("fresh")
+	spec.Source.Fill(nil)
+	if _, err := c.RunJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.GatherI64(counter); !slices.Equal(got, refInDegree(small)) {
+		t.Error("the job over a frontier of the new load differs from the reference")
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestLoadPlanValidation: LoadPlan rejects layouts that do not match the
-// cluster or graph.
+// cluster or graph, and a ghost set naming a node outside the graph.
 func TestLoadPlanValidation(t *testing.T) {
 	g := testGraph(t)
 	c, err := NewCluster(DefaultConfig(3))
@@ -18,11 +18,19 @@ func TestLoadPlanValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Shutdown)
-	if err := c.LoadPlan(g, partition.Layout{NumMachines: 2, Starts: []uint32{0, 1, uint32(g.NumNodes())}}); err == nil {
+	if err := c.LoadPlan(g, partition.Layout{NumMachines: 2, Starts: []uint32{0, 1, uint32(g.NumNodes())}}, nil); err == nil {
 		t.Error("accepted layout with wrong machine count")
 	}
-	if err := c.LoadPlan(g, partition.Layout{NumMachines: 3, Starts: []uint32{0, 1, 2, 3}}); err == nil {
+	if err := c.LoadPlan(g, partition.Layout{NumMachines: 3, Starts: []uint32{0, 1, 2, 3}}, nil); err == nil {
 		t.Error("accepted layout not covering the graph")
+	}
+	layout, err := partition.Compute(g, 3, partition.EdgeBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := &partition.GhostSet{Nodes: []graph.NodeID{0, graph.NodeID(g.NumNodes())}}
+	if err := c.LoadPlan(g, layout, outside); err == nil {
+		t.Error("accepted a ghost outside the graph")
 	}
 }
 
@@ -42,11 +50,11 @@ func TestLoadPlanRefusesMalformedStarts(t *testing.T) {
 	}
 	t.Cleanup(c.Shutdown)
 	for _, starts := range [][]uint32{{0, 40, 20, 64}, {10, 30, 50, 64}} {
-		if err := c.LoadPlan(g, partition.Layout{NumMachines: 3, Starts: starts}); err == nil {
+		if err := c.LoadPlan(g, partition.Layout{NumMachines: 3, Starts: starts}, nil); err == nil {
 			t.Errorf("accepted starts %v", starts)
 		}
 	}
-	if err := c.LoadPlan(g, partition.Layout{NumMachines: 3, Starts: []uint32{0, 30, 30, 64}}); err != nil {
+	if err := c.LoadPlan(g, partition.Layout{NumMachines: 3, Starts: []uint32{0, 30, 30, 64}}, nil); err != nil {
 		t.Fatalf("refused a layout with an empty machine: %v", err)
 	}
 	dst, _ := c.AddPropI64("dst")

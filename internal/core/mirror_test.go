@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,12 +167,11 @@ const prefetchDecodeCache = 16 << 10
 // prefetchCluster boots two machines over the compressed store file at path
 // (so an abort's pins are observable) behind a fault injector. close tears
 // everything down; it also runs, once, when the test ends.
-func prefetchCluster(t *testing.T, path string, useTCP bool, ablate Ablation, rules ...comm.FaultRule) (c *Cluster, inj *comm.FaultInjector, sf *store.File, close func()) {
+func prefetchCluster(t *testing.T, path string, useTCP bool, rules ...comm.FaultRule) (c *Cluster, inj *comm.FaultInjector, sf *store.File, close func()) {
 	t.Helper()
 	cfg := faultCfg(2)
 	cfg.Timeout = 300 * time.Millisecond
 	cfg.DecodeCacheBytes = prefetchDecodeCache
-	cfg.Ablate = ablate
 	inj = faultFabric(t, cfg, useTCP, comm.FaultPlan{Seed: 17, Rules: rules})
 	cfg.Fabric = inj
 	sf, err := store.Open(path)
@@ -197,20 +197,32 @@ func prefetchCluster(t *testing.T, path string, useTCP bool, ablate Ablation, ru
 // saltedPull runs the pull-sum job over source values that depend on salt and
 // returns its error, or — on success — the first node whose sum is not the
 // reference's. Two runs with different salts share no source value, so a word
-// left in the mirror by the first can not pass for the second's. beforeEdge,
-// when set, is the kernel's hook ahead of each edge.
-func saltedPull(c *Cluster, g *graph.Graph, src, dst PropID, salt int, beforeEdge func(*Ctx)) error {
+// left in the mirror by the first can not pass for the second's. sources, when
+// non-nil, are the only nodes the job runs (its Source frontier), and every
+// other node's sum must stay 0. beforeEdge, when set, is the kernel's hook
+// ahead of each edge.
+func saltedPull(c *Cluster, g *graph.Graph, src, dst PropID, salt int, sources []graph.NodeID, beforeEdge func(*Ctx)) error {
 	vals := make([]float64, g.NumNodes())
 	for u := range vals {
 		vals[u] = float64((u+salt)%89 + 100*salt)
 	}
 	c.FillByNodeF64(src, func(v graph.NodeID) float64 { return vals[v] })
 	c.FillF64(dst, 0)
-	if _, err := c.RunJob(JobSpec{Name: "prefetch-pull", Iter: IterInEdges,
-		Task: &pullSumTask{src: src, dst: dst, beforeEdge: beforeEdge}, ReadProps: []PropID{src}}); err != nil {
+	spec := JobSpec{Name: "prefetch-pull", Iter: IterInEdges,
+		Task: &pullSumTask{src: src, dst: dst, beforeEdge: beforeEdge}, ReadProps: []PropID{src}}
+	want := refPullSum(g, vals)
+	if sources != nil {
+		spec.Source = c.NewFrontier("sources")
+		run := make([]float64, len(want))
+		for _, v := range sources {
+			spec.Source.Add(v)
+			run[v] = want[v]
+		}
+		want = run
+	}
+	if _, err := c.RunJob(spec); err != nil {
 		return err
 	}
-	want := refPullSum(g, vals)
 	for u, got := range c.GatherF64(dst) {
 		if got != want[u] {
 			return fmt.Errorf("node %d: got %g, want %g", u, got, want[u])
@@ -246,14 +258,21 @@ func assertNoResidue(t *testing.T, c *Cluster, sf *store.File) {
 	}
 }
 
+// onDemandSources is the one node TestFaultPrefetch's on-demand jobs run:
+// faultGraph's node 1, on machine 0 of the two-machine cut, whose in-row names
+// nodes of machine 1 but holds too few refs for remoteJob to mirror the set.
+var onDemandSources = []graph.NodeID{1}
+
 // TestFaultPrefetch drops, truncates and delays the k-th prefetch request
 // frame from machine 0 to machine 1, and the k-th response frame back, for
 // every k the stream has, over both fabrics. A delay is tolerated and the
 // result exact; a drop or a truncation aborts the job with its root cause,
 // leaves no residue, and the immediate rerun — over different source values —
 // is exact, so no word of the aborted prefetch is ever read. The k = 0 faults
-// run against on-demand reads as well (mirror ablated), the path the mirror
-// leaves to sparse jobs.
+// run against on-demand reads as well: a store load's remote set is the
+// file's, so they come from a job sourced at one node (onDemandSources), whose
+// few refs the eligibility rule leaves on demand — the path the mirror leaves
+// to sparse jobs.
 func TestFaultPrefetch(t *testing.T) {
 	g := faultGraph(t)
 	path := storePath3(t, g, 2)
@@ -274,14 +293,30 @@ func TestFaultPrefetch(t *testing.T) {
 			} {
 				// faultKth runs the job with the stream's k-th frame faulted and
 				// reports whether the stream had one.
-				faultKth := func(t *testing.T, k int, ablate Ablation) bool {
-					c, inj, sf, close := prefetchCluster(t, path, useTCP, ablate, comm.FaultRule{
+				faultKth := func(t *testing.T, k int, onDemand bool) bool {
+					c, inj, sf, close := prefetchCluster(t, path, useTCP, comm.FaultRule{
 						Src: dir.src, Dst: dir.dst, Type: int(dir.typ), Kind: kind.kind,
 						After: k, Limit: 1, Delay: 2 * time.Millisecond, TruncateTo: comm.HeaderSize + 3})
 					defer close()
 					src, _ := c.AddPropF64("src")
 					dst, _ := c.AddPropF64("dst")
-					err := saltedPull(c, g, src, dst, 1, nil)
+					var sources []graph.NodeID
+					var hook func(*Ctx)
+					var mirrored atomic.Bool
+					if onDemand {
+						sources = onDemandSources
+						hook = func(ctx *Ctx) {
+							if ctx.w.job.mirrorSet != nil {
+								mirrored.Store(true)
+							}
+						}
+					}
+					defer func() {
+						if mirrored.Load() {
+							t.Errorf("k=%d: the on-demand job mirrored its reads", k)
+						}
+					}()
+					err := saltedPull(c, g, src, dst, 1, sources, hook)
 					if st := inj.Stats(); st.Dropped+st.Truncated+st.Delayed == 0 {
 						if err != nil {
 							t.Fatalf("k=%d, no fault fired: %v", k, err)
@@ -295,20 +330,20 @@ func TestFaultPrefetch(t *testing.T) {
 						return true
 					}
 					if !errors.Is(err, ErrJobAborted) || !strings.Contains(err.Error(), kind.cause) {
-						t.Fatalf("k=%d ablate=%#x: error %v, want ErrJobAborted with %q in its root cause", k, ablate, err, kind.cause)
+						t.Fatalf("k=%d on-demand=%v: error %v, want ErrJobAborted with %q in its root cause", k, onDemand, err, kind.cause)
 					}
 					assertNoResidue(t, c, sf)
-					if err := saltedPull(c, g, src, dst, 2, nil); err != nil {
-						t.Fatalf("k=%d ablate=%#x: rerun right after the abort: %v", k, ablate, err)
+					if err := saltedPull(c, g, src, dst, 2, sources, hook); err != nil {
+						t.Fatalf("k=%d on-demand=%v: rerun right after the abort: %v", k, onDemand, err)
 					}
 					return true
 				}
 				t.Run(dir.name+"/"+kind.name, func(t *testing.T) {
-					if !faultKth(t, 0, AblateRemoteSets) {
+					if !faultKth(t, 0, true) {
 						t.Fatal("no on-demand read frame was faulted")
 					}
 					k := 0
-					for faultKth(t, k, 0) {
+					for faultKth(t, k, false) {
 						k++
 					}
 					if k == 0 {
@@ -328,12 +363,12 @@ func TestCancelAfterPrefetch(t *testing.T) {
 	g := faultGraph(t)
 	path := storePath3(t, g, 2)
 	eachFabric(t, func(t *testing.T, useTCP bool) {
-		c, _, sf, _ := prefetchCluster(t, path, useTCP, 0)
+		c, _, sf, _ := prefetchCluster(t, path, useTCP)
 		src, _ := c.AddPropF64("src")
 		dst, _ := c.AddPropF64("dst")
 		cause := errors.New("deadline between prefetch and first row")
 		var once sync.Once
-		err := saltedPull(c, g, src, dst, 1, func(ctx *Ctx) {
+		err := saltedPull(c, g, src, dst, 1, nil, func(ctx *Ctx) {
 			once.Do(func() {
 				if jr := ctx.w.job; jr.mirrorSet == nil || jr.fetching.Load() != 0 {
 					t.Error("the first edge's hook ran before the prefetch was complete")
@@ -346,7 +381,7 @@ func TestCancelAfterPrefetch(t *testing.T) {
 		}
 		assertNoResidue(t, c, sf)
 		c.Uncancel()
-		if err := saltedPull(c, g, src, dst, 2, nil); err != nil {
+		if err := saltedPull(c, g, src, dst, 2, nil, nil); err != nil {
 			t.Fatalf("rerun after Uncancel: %v", err)
 		}
 	})
@@ -381,17 +416,16 @@ func remoteBenchGraph(b *testing.B) *graph.Graph {
 }
 
 // remoteBenchBoot boots their cluster — two machines of one worker
-// and one copier each, in process or over loopback TCP — with a source
-// property of ones and a destination.
-func remoteBenchBoot(b *testing.B, g *graph.Graph, useTCP bool, ablate Ablation) (c *Cluster, src, dst PropID) {
+// and one copier each, in process or over loopback TCP, loaded with the
+// replica cap ghosts — with a source property of ones and a destination.
+func remoteBenchBoot(b *testing.B, g *graph.Graph, useTCP bool, ghosts *partition.GhostSet) (c *Cluster, src, dst PropID) {
 	cfg := DefaultConfig(2)
 	cfg.Workers, cfg.Copiers = 1, 1
-	cfg.Ablate = ablate
 	if useTCP {
 		cfg.Fabric = innerFabric(b, cfg, true)
 		b.Cleanup(func() { cfg.Fabric.Close() }) //nolint:errcheck
 	}
-	c = bootCluster(b, g, cfg)
+	c = bootGhosts(b, g, cfg, ghosts)
 	src, _ = c.AddPropF64("src")
 	dst, _ = c.AddPropF64("dst")
 	c.FillF64(src, 1)
@@ -412,7 +446,7 @@ func (s *localStore) remoteRefs(orient int) (n int64) {
 // remoteRefMode is one way to answer a remote ref: a row of the budget.
 type remoteRefMode struct {
 	name   string
-	ablate Ablation
+	ghosts *partition.GhostSet // the load's replica cap (LoadPlan)
 }
 
 // remoteRefBudget reports, per fabric and mode, the nanoseconds a remote ref
@@ -439,13 +473,13 @@ func remoteRefBudget(b *testing.B, g *graph.Graph, orient int, skip, spec func(s
 	}{{"inproc", false}, {"tcp", true}} {
 		var skipNS float64
 		b.Run(fab.name+"/skip-remote", func(b *testing.B) {
-			c, src, dst := remoteBenchBoot(b, g, fab.tcp, 0)
+			c, src, dst := remoteBenchBoot(b, g, fab.tcp, nil)
 			skipNS = perJob(b, c, skip(src, dst))
 			b.ReportMetric(skipNS/float64(g.NumEdges()), "ns/edge")
 		})
 		for _, mode := range modes {
 			b.Run(fab.name+"/"+mode.name, func(b *testing.B) {
-				c, src, dst := remoteBenchBoot(b, g, fab.tcp, mode.ablate)
+				c, src, dst := remoteBenchBoot(b, g, fab.tcp, mode.ghosts)
 				var remote int64
 				for _, m := range c.machines {
 					remote += m.store.remoteRefs(orient)
@@ -471,7 +505,7 @@ func BenchmarkRemoteRead(b *testing.B) {
 		func(src, dst PropID) JobSpec {
 			return JobSpec{Name: "scan", Iter: IterInEdges, Task: &rowPullSum{src: src, dst: dst}, ReadProps: []PropID{src}}
 		},
-		[]remoteRefMode{{"on-demand", AblateRemoteSets}, {"mirrored", 0}})
+		[]remoteRefMode{{"on-demand", noGhosts}, {"mirrored", nil}})
 	// What numbering adds to a load: both machines' sections at p = 2 as every
 	// load extracts them (store.SectionOf), against the packed-ref oracle's
 	// bare extraction of the same rows.

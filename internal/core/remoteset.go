@@ -16,8 +16,8 @@ import (
 // privatize reductions per thread and fold them out after it — with membership
 // decided per machine by what its rows reference rather than cluster-wide by a
 // degree threshold, over the ordinary read and write paths.
-// Config.GhostCount caps membership at the highest-degree vertices, the
-// paper's selection; a ref outside the set, a reduction into an undeclared
+// A load's ghost set (Cluster.LoadPlan) caps membership, the paper's
+// selection; a ref outside the set, a reduction into an undeclared
 // property and an ineligible job stay on demand. A remote read of an undeclared
 // property has no path at all: its owner refuses it (serveReads).
 //
@@ -110,7 +110,7 @@ func (m *Machine) remoteJob(jr *jobRuntime) {
 	spec := jr.spec
 	accumulate := len(spec.WriteProps) > 0 && jr.activate == nil
 	if len(spec.ReadProps) == 0 && !accumulate || len(jr.views) == 0 || m.cfg.NumMachines == 1 ||
-		jr.frontList != nil || m.cfg.Ablate.Has(AblateRemoteSets) {
+		jr.frontList != nil {
 		return
 	}
 	set := m.store.remote

@@ -80,14 +80,18 @@ func TestResolvedRowsRoundTrip(t *testing.T) {
 		for p := 2; p <= 4; p++ {
 			paths := map[string]string{"memory": "", "csr2": storePath(t, g, p), "csr3": storePath3(t, g, p)}
 			for _, load := range []string{"memory", "csr2", "csr3"} {
-				for _, k := range []int{0, 1, 8} {
-					where := fmt.Sprintf("seed %d p=%d %s cap=%d", seed, p, load, k)
+				// An in-memory load uncapped and capped; a store file's numbering is its set.
+				caps := []*partition.GhostSet{nil}
+				if load == "memory" {
+					caps = append(caps, partition.SelectTopGhosts(g, 1), partition.SelectTopGhosts(g, 8))
+				}
+				for _, ghosts := range caps {
+					where := fmt.Sprintf("seed %d p=%d %s cap=%s", seed, p, load, capLabel(ghosts))
 					cfg := DefaultConfig(p)
-					cfg.GhostCount = k // store-file loads ignore it
 					cfg.Obs = obs.NewRegistry()
 					var c *Cluster
 					if load == "memory" {
-						c = bootCluster(t, g, cfg)
+						c = bootGhosts(t, g, cfg, ghosts)
 					} else {
 						c = bootStore(t, paths[load], cfg)
 					}
@@ -105,6 +109,14 @@ func TestResolvedRowsRoundTrip(t *testing.T) {
 			t.Errorf("%s: the mirrored jobs were handed %d replica refs, the sparse ones %d", load, n[0], n[1])
 		}
 	}
+}
+
+// capLabel names a load's replica cap: "all" for none, else the set's size.
+func capLabel(ghosts *partition.GhostSet) string {
+	if ghosts == nil {
+		return "all"
+	}
+	return fmt.Sprint(len(ghosts.Nodes))
 }
 
 // roundTripLoad runs TestResolvedRowsRoundTrip's jobs on one loaded cluster and
@@ -324,7 +336,8 @@ func slotOf(set *remoteSet, mach int, off uint32) int {
 }
 
 // TestRemoteSetMatchesOracle: every load's section — in memory uncapped and
-// capped at the top 1 and 8 vertices, a raw and a compressed store file (the
+// capped at the top 0 (the empty ghost set: no slot on any machine, every
+// remote ref packed), 1 and 8 vertices, a raw and a compressed store file (the
 // first four seeds: both generators, weighted and not) — over seeded random
 // graphs cut two to four ways, weighted and not, equals a
 // brute-force oracle built from the global graph, straight after the load and
@@ -365,20 +378,24 @@ func TestRemoteSetMatchesOracle(t *testing.T) {
 		sort.SliceStable(ranked, func(i, j int) bool { return deg(ranked[i]) > deg(ranked[j]) })
 		for p := 2; p <= 4; p++ {
 			type load struct {
-				name string
-				k    int // GhostCount
-				path string
+				name   string
+				capped bool // the remote sets hold only the top k vertices (partition.SelectTopGhosts)
+				k      int
+				path   string
 			}
-			loads := []load{{"memory", 0, ""}, {"memory", 1, ""}, {"memory", 8, ""}}
+			loads := []load{{"memory", false, 0, ""}, {"memory", true, 0, ""}, {"memory", true, 1, ""}, {"memory", true, 8, ""}}
 			if seed <= 4 { // both generators, weighted and not: the files' syncs are this test's time
-				loads = append(loads, load{"csr2", 0, storePath(t, g, p)}, load{"csr3", 0, storePath3(t, g, p)})
+				loads = append(loads, load{"csr2", false, 0, storePath(t, g, p)}, load{"csr3", false, 0, storePath3(t, g, p)})
 			}
 			for _, ld := range loads {
 				cfg := DefaultConfig(p)
-				cfg.GhostCount = ld.k
+				var ghosts *partition.GhostSet
+				if ld.capped {
+					ghosts = partition.SelectTopGhosts(g, ld.k)
+				}
 				var c *Cluster
 				if ld.path == "" {
-					c = bootCluster(t, g, cfg)
+					c = bootGhosts(t, g, cfg, ghosts)
 				} else {
 					c = bootStore(t, ld.path, cfg)
 				}
@@ -387,10 +404,13 @@ func TestRemoteSetMatchesOracle(t *testing.T) {
 					keep[v] = true
 				}
 				for _, m := range c.machines {
-					where := fmt.Sprintf("seed %d p=%d %s cap=%d machine %d", seed, p, ld.name, ld.k, m.id)
-					want := sectionOracle(g, c.layout, m.id, func(v graph.NodeID) bool { return ld.k == 0 || keep[v] })
+					where := fmt.Sprintf("seed %d p=%d %s cap=%s machine %d", seed, p, ld.name, capLabel(ghosts), m.id)
+					want := sectionOracle(g, c.layout, m.id, func(v graph.NodeID) bool { return !ld.capped || keep[v] })
 					checkSectionRules(t, where, c.layout, m.id, want)
-					checkLoadedSection(t, where, c, m, want, ld.k > 0)
+					checkLoadedSection(t, where, c, m, want, ld.capped)
+					if ld.capped && ld.k == 0 {
+						emptySetLoad(t, where, m)
+					}
 				}
 				c.Shutdown()
 			}
@@ -398,9 +418,25 @@ func TestRemoteSetMatchesOracle(t *testing.T) {
 	}
 }
 
+// emptySetLoad checks machine m of an in-memory load under the empty ghost set:
+// no slot, and every remote ref in its rows packed.
+func emptySetLoad(t *testing.T, where string, m *Machine) {
+	t.Helper()
+	if n := len(m.store.remote.addr); n != 0 {
+		t.Fatalf("%s: the empty ghost set left %d slots", where, n)
+	}
+	for o, v := range m.store.views {
+		for _, ref := range v.refs {
+			if ref >= int64(m.store.numLocal) {
+				t.Fatalf("%s: orientation %d holds replica ref %d", where, o, ref)
+			}
+		}
+	}
+}
+
 // TestStoreRemoteSetMatchesLoad: the section a store load reads off its file —
-// no row read — is the section an in-memory load of the same cut installs at
-// GhostCount 0, field for field: the remote set (slot addresses, per-owner
+// no row read — is the section an uncapped in-memory load of the same cut
+// installs, field for field: the remote set (slot addresses, per-owner
 // bases, every iterator's members, size, refs and edges), and per orientation
 // the rows, refs and weights; a compressed section's rows, decoded, are too.
 // Two to four machines, both encodings, weighted and not.
@@ -516,7 +552,7 @@ func checkSectionRules(t *testing.T, where string, layout partition.Layout, me i
 
 // checkLoadedSection compares what machine m's load installed with want, the
 // oracle's section, and the remote set derived from it with want's members;
-// capped says a GhostCount cap may have left packed refs in the rows.
+// capped says a ghost set may have left packed refs in the rows.
 func checkLoadedSection(t *testing.T, where string, c *Cluster, m *Machine, want store.Section, capped bool) {
 	t.Helper()
 	st, set := m.store, m.store.remote

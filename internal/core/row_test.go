@@ -91,7 +91,7 @@ func (k *prApplyTask) Run(c *Ctx) {
 // PageRank-pull on three machines (a hub's in-row is two thirds remote), eight read records per message and a request pool of one
 // buffer: every flush inside a hub row leaves acquireReq stalled on the next
 // remote read, and the responses it drains there are for earlier reads of
-// that same row (the remote sets are ablated: a mirror would answer every one
+// that same row (the load replicates nothing: a mirror would answer every one
 // of these reads before the row runs). The result must still be SA's. The
 // contract-breaking variant of the same kernel (own-node value cached across
 // the loop) must not be — otherwise this test would pass without reaching the
@@ -111,10 +111,9 @@ func TestRowKernelReentrancy(t *testing.T) {
 	run := func(t *testing.T, staleOwn bool) (maxDiff float64, reentered int64) {
 		cfg := DefaultConfig(p)
 		cfg.Workers = 1
-		cfg.Ablate = AblateRemoteSets
 		cfg.BufferSize = comm.HeaderSize + 8*readRecSize
 		cfg.Timeout = 20 * time.Second
-		c := bootCluster(t, g, cfg)
+		c := bootGhosts(t, g, cfg, noGhosts)
 		c.setPools(1, 0)
 		pr, _ := c.AddPropF64("pr")
 		nxt, _ := c.AddPropF64("nxt")
@@ -192,7 +191,7 @@ func TestRowKernelScanAllocatesNothing(t *testing.T) {
 // machines cut so that about a fifth of the edges are remote reads (the
 // measured share is reported as remote_frac). The push rows
 // are the write path's: a push job's ns per edge reducing by the row
-// (Writer.WriteRow) and ref by ref (Ctx.WriteRef), SUM into a float64 property
+// (Writer.WriteRow) and ref by ref (Writer.Write), SUM into a float64 property
 // and MIN into an int64 one — all-local that is the cost of one local
 // reduction.
 func BenchmarkEdgeDispatch(b *testing.B) {
@@ -215,7 +214,7 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 		} else {
 			var layout partition.Layout
 			if layout, err = partition.SkewedLayout(g, place.p, 0.9); err == nil {
-				err = c.LoadPlan(g, layout)
+				err = c.LoadPlan(g, layout, nil)
 			}
 		}
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/reduce"
 )
 
@@ -51,11 +52,12 @@ func extraDrainRounds(t *testing.T, reg *obs.Registry, job uint64, machine int) 
 // job builds one.
 var jobSchedule = []string{"barrier(0)", "task_phase", "barrier(1)", "write_drain", "job"}
 
-// scheduleCluster boots cfg's machines with a registry over g.
-func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
+// scheduleCluster boots cfg's machines with a registry over g, loaded with the
+// replica cap ghosts.
+func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config, ghosts *partition.GhostSet) *Cluster {
 	t.Helper()
 	cfg.Obs = obs.NewRegistry()
-	return bootCluster(t, g, cfg)
+	return bootGhosts(t, g, cfg, ghosts)
 }
 
 // TestRunJobSchedule pins the job protocol: whatever a machine's local state
@@ -77,11 +79,12 @@ func TestRunJobSchedule(t *testing.T) {
 		outDeg[u] = g.OutDegree(graph.NodeID(u))
 	}
 	for _, tc := range []struct {
-		name  string
-		cfg   func(*Config)
-		spec  func(c *Cluster, spec *JobSpec)
-		quiet bool // no remote write: the drain must take its first round only
-		want  []int64
+		name   string
+		cfg    func(*Config)
+		ghosts *partition.GhostSet // the load's replica cap
+		spec   func(c *Cluster, spec *JobSpec)
+		quiet  bool // no remote write: the drain must take its first round only
+		want   []int64
 	}{
 		{name: "ghosted-read-write", want: inDeg,
 			spec: func(c *Cluster, spec *JobSpec) {
@@ -96,14 +99,12 @@ func TestRunJobSchedule(t *testing.T) {
 			}},
 		{name: "spill-writes", want: inDeg, // the backlog overflows to a file
 			cfg: func(cfg *Config) { cfg.SpillWrites, cfg.ResidentBudgetBytes, cfg.SpillDir = true, 512, t.TempDir() }},
-		{name: "ghost-free", want: inDeg,
-			cfg: func(cfg *Config) { cfg.Ablate = AblateRemoteSets },
+		{name: "ghost-free", want: inDeg, ghosts: noGhosts,
 			spec: func(c *Cluster, spec *JobSpec) {
 				a, _ := c.AddPropF64("a")
 				spec.ReadProps = []PropID{a} // read through neighbors, but no replica to refresh
 			}},
-		{name: "ghost-free-empty-frontier", quiet: true, want: make([]int64, g.NumNodes()),
-			cfg:  func(cfg *Config) { cfg.Ablate = AblateRemoteSets },
+		{name: "ghost-free-empty-frontier", quiet: true, want: make([]int64, g.NumNodes()), ghosts: noGhosts,
 			spec: func(c *Cluster, spec *JobSpec) { spec.Source = c.NewFrontier("none") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,7 +112,7 @@ func TestRunJobSchedule(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			c := scheduleCluster(t, g, cfg)
+			c := scheduleCluster(t, g, cfg, tc.ghosts)
 			dst, _ := c.AddPropI64("dst")
 			spec := JobSpec{Name: tc.name, Iter: IterOutEdges, Task: &pushOneTask{counter: dst},
 				WriteProps: []WriteSpec{{Prop: dst, Op: reduce.Sum}}}
@@ -219,7 +220,7 @@ func TestFaultRunJobPhases(t *testing.T) {
 			inj := faultFabric(t, cfg, false, comm.FaultPlan{Seed: 14, Rules: []comm.FaultRule{tc.rule}})
 			defer inj.Close()
 			cfg.Fabric = inj
-			c := scheduleCluster(t, g, cfg)
+			c := scheduleCluster(t, g, cfg, nil)
 			aux, _ := c.AddPropF64("aux")
 			dst, _ := c.AddPropI64("dst")
 			job := func(source *Frontier) error {

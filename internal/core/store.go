@@ -19,8 +19,8 @@ import (
 // machine number and the local offset"). The encoding and the numbering are
 // the store's: every load's rows come numbered — a store file's as written, an
 // in-memory load's as store.SectionOf extracts them — so a packed ref in a row
-// is a remote node outside the remote set, which only a Config.GhostCount cap
-// leaves out. Every ref consumer accepts all three classes.
+// is a remote node outside the remote set, which only a load's ghost set
+// (Cluster.LoadPlan) leaves out. Every ref consumer accepts all three classes.
 
 // RemoteRef builds a node ref addressing (machine, local offset) directly.
 // Kernels normally receive refs from the engine (Row.Refs); this constructor

@@ -76,7 +76,7 @@ type Writer struct {
 
 // Writer returns the write handle for reducing into property p with op. The
 // worker resolves it on a job's first request and keeps it, one per property,
-// so asking again — per row, or per edge through WriteRef — is two compares.
+// so asking again — per row, or per edge through Write — is two compares.
 // A job reduces a property with one operator: the one it declares for p when
 // it declares p, and otherwise the first a worker asks for.
 func (c *Ctx) Writer(p PropID, op reduce.Op) *Writer {

@@ -14,11 +14,13 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/reduce"
 )
 
 // rowPush reduces the node's own src word into dst of every neighbor in the
-// row with op: by one WriteRow, or — perRef — by one WriteRef per ref.
+// row with op: by one WriteRow, or — perRef — by one Write per ref on a
+// handle asked for per ref.
 type rowPush struct {
 	NoReads
 	src, dst PropID
@@ -30,7 +32,7 @@ func (k *rowPush) RunRow(c *Ctx, row Row) {
 	word := WordI64(c.GetI64(k.src))
 	if k.perRef {
 		for _, ref := range row.Refs {
-			c.WriteRef(ref, k.dst, k.op, word)
+			c.Writer(k.dst, k.op).Write(ref, word)
 		}
 		return
 	}
@@ -39,7 +41,7 @@ func (k *rowPush) RunRow(c *Ctx, row Row) {
 
 // relaxRow is the weighted row, SSSP's relaxation: dist + weight into dst of
 // every neighbor with MIN, through the handle's typed Write or — perRef — one
-// raw WriteRef per ref.
+// raw Write per ref on a handle asked for per ref.
 type relaxRow struct {
 	NoReads
 	src, dst PropID
@@ -50,7 +52,7 @@ func (k *relaxRow) RunRow(c *Ctx, row Row) {
 	d, wr := c.GetF64(k.src), c.Writer(k.dst, reduce.Min)
 	for i, ref := range row.Refs {
 		if k.perRef {
-			c.WriteRef(ref, k.dst, reduce.Min, WordF64(d+row.Weight(i)))
+			c.Writer(k.dst, reduce.Min).Write(ref, WordF64(d+row.Weight(i)))
 		} else {
 			wr.WriteF64(ref, d+row.Weight(i))
 		}
@@ -67,12 +69,10 @@ func TestWriterOpMustMatchDeclared(t *testing.T) {
 	g := testGraph(t)
 	for _, mode := range []struct {
 		name   string
-		ablate Ablation
-	}{{"accumulated", 0}, {"on-demand", AblateRemoteSets}} {
+		ghosts *partition.GhostSet
+	}{{"accumulated", nil}, {"on-demand", noGhosts}} {
 		t.Run(mode.name, func(t *testing.T) {
-			cfg := DefaultConfig(2)
-			cfg.Ablate = mode.ablate
-			c := bootCluster(t, g, cfg)
+			c := bootGhosts(t, g, DefaultConfig(2), mode.ghosts)
 			src, _ := c.AddPropI64("src")
 			dst, _ := c.AddPropI64("dst")
 			c.FillI64(src, -7)
@@ -116,12 +116,12 @@ func (k *twoOpTask) RunRow(c *Ctx, row Row) {
 var writeRowSeed = flag.Int64("writerow-seed", 0, "seed of TestWriteRowMatchesPerRefWrite's values (0: the clock)")
 
 // TestWriteRowMatchesPerRefWrite: for every (kind, operator) the engine
-// accepts, one WriteRow per row leaves what one WriteRef per ref leaves — the
+// accepts, one WriteRow per row leaves what one Write per ref leaves — the
 // column bit for bit, the build frontier, writes_applied and
 // accumulated_writes — all-local under CAS contention, accumulated, on demand,
 // under an activating spec and with the remote set capped at eight vertices,
 // over both fabrics; and a weighted row through the
-// typed Write leaves what a raw WriteRef per ref does. The two one-worker
+// typed Write leaves what a raw Write per ref does. The two one-worker
 // modes reduce locally with plain stores, and their row form must also leave
 // what the CAS loop of their several-worker twin left. Sources and initial
 // values are seeded, dyadic so that float sums are exact in any order.
@@ -144,8 +144,8 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 	}
 	type mode struct {
 		name                string
-		p, workers, ghosts  int
-		ablate              Ablation
+		p, workers          int
+		ghosts              *partition.GhostSet // the load's replica cap
 		declare, activating bool
 		cas                 string // the mode whose CAS loop this one-worker mode's plain loop must match
 	}
@@ -153,11 +153,11 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 		{name: "all-local", p: 1, declare: true},
 		{name: "all-local/one-worker", p: 1, workers: 1, declare: true, cas: "all-local"},
 		{name: "accumulated", p: 2, workers: 1, declare: true},
-		{name: "on-demand", p: 2, ablate: AblateRemoteSets, declare: true},
+		{name: "on-demand", p: 2, ghosts: noGhosts, declare: true},
 		{name: "undeclared", p: 2},
 		{name: "activating", p: 2, declare: true, activating: true},
 		{name: "activating/one-worker", p: 2, workers: 1, declare: true, activating: true, cas: "activating"},
-		{name: "capped", p: 2, workers: 1, ghosts: 8, declare: true},
+		{name: "capped", p: 2, workers: 1, ghosts: partition.SelectTopGhosts(g, 8), declare: true},
 	}
 	type outcome struct {
 		words           []uint64
@@ -172,12 +172,11 @@ func TestWriteRowMatchesPerRefWrite(t *testing.T) {
 				if md.workers > 0 {
 					cfg.Workers = md.workers
 				}
-				cfg.Ablate, cfg.GhostCount = md.ablate, md.ghosts
 				reg := obs.NewRegistry()
 				cfg.Obs = reg
 				cfg.Fabric = innerFabric(t, cfg, useTCP)
 				defer cfg.Fabric.Close() //nolint:errcheck
-				c := bootCluster(t, g, cfg)
+				c := bootGhosts(t, g, cfg, md.ghosts)
 				src, dst := map[PropKind]PropID{}, map[PropKind]PropID{}
 				src[KindI64], _ = c.AddPropI64("isrc")
 				dst[KindI64], _ = c.AddPropI64("idst")
@@ -379,7 +378,7 @@ type drainProbe struct {
 func (k *drainProbe) Run(c *Ctx) {
 	switch {
 	case c.Machine() == 1 && c.Node == 0:
-		c.WriteRef(RemoteRef(0, 0), k.x, reduce.Sum, 5)
+		c.Writer(k.x, reduce.Sum).Write(RemoteRef(0, 0), 5)
 	case c.Machine() == 0 && c.Node == 0:
 		for k.routed.Load() == 0 || k.router.PendingRequests() != 0 {
 			if time.Now().After(k.deadline) {

@@ -163,8 +163,9 @@ const (
 	// enters the scheduler queue to the moment it is granted an engine.
 	// Recorded by internal/server (machine slot 0 of a 1-slot registry).
 	HistQueueWait
-	// HistRunLatency is the serving layer's end-to-end analysis latency
-	// (queue wait + engine execution), recorded per completed run.
+	// HistRunLatency is the serving layer's engine time of one analysis —
+	// from the grant of an engine to the run's end, queue wait excluded (that
+	// is HistQueueWait) — recorded per successful run.
 	HistRunLatency
 
 	numHists

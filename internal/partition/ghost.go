@@ -8,8 +8,10 @@ import (
 
 // GhostSet is a cluster-wide selection of high-degree vertices (paper §3.3,
 // "Selective Ghost Node"): the vertices worth a replica on the machines that
-// reference them. The engine replicates through per-load remote sets and uses
-// a selection only to cap them (core.Config.GhostCount, Figure 6a's sweep).
+// reference them, chosen once, at load. The engine replicates through per-load
+// remote sets and uses a selection only to cap them: core.Cluster.LoadPlan
+// takes one as the only vertices a machine may replicate (Figure 6a's sweep),
+// and the empty set replicates nothing.
 type GhostSet struct {
 	// Nodes lists the selected global vertex ids in ascending order.
 	Nodes []graph.NodeID

@@ -2,8 +2,8 @@
 // (paper §3.3): partitioning consecutive vertex ranges across machines by
 // node count (vertex partitioning) or by in+out degree sums (edge
 // partitioning), ranking vertices by degree — the paper's ghost selection,
-// which the engine uses only to cap its remote sets (core.Config.GhostCount)
-// — and cutting local node ranges into edge-balanced chunks for intra-machine
+// which the engine uses only to cap its remote sets (core.Cluster.LoadPlan's
+// ghost set) — and cutting local node ranges into edge-balanced chunks for intra-machine
 // scheduling.
 package partition
 

@@ -36,8 +36,8 @@ type Section struct {
 // SectionOf extracts machine me's section of g under layout onto the heap,
 // numbered as a file's is: owned neighbours by local index, members by replica
 // ref. keep, when non-nil, is a bitmap over global ids of the only remote nodes
-// that may be members (the engine's GhostCount cap); a remote neighbour it
-// leaves out stays a packed ref.
+// that may be members (the load's ghost set, core.Cluster.LoadPlan; all zero,
+// no member at all); a remote neighbour it leaves out stays a packed ref.
 func SectionOf(g *graph.Graph, layout partition.Layout, me int, keep []uint64) Section {
 	nb := newNumbering(layout, me, keep)
 	var sec Section

@@ -77,7 +77,7 @@ type Config = core.Config
 // DefaultConfig returns a laptop-scale configuration for p simulated
 // machines: 4 workers and 2 copiers per machine, 32 KiB message buffers,
 // edge partitioning, and a replica of every remote value a machine's rows
-// reference (Config.GhostCount caps them at the highest-degree vertices).
+// reference.
 func DefaultConfig(p int) Config { return core.DefaultConfig(p) }
 
 // NewTCPFabric creates a loopback-TCP transport sized for cfg; assign it to
@@ -306,8 +306,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return &Cluster{core: c}, nil
 }
 
-// LoadGraph partitions g across the machines (edge or vertex balanced) and
-// builds per-machine CSR stores.
+// LoadGraph partitions g across the machines edge-balanced (paper §3.3) and
+// builds per-machine CSR stores, replicating every remote address a machine's
+// rows reference.
 func (c *Cluster) LoadGraph(g *Graph) error {
 	if err := c.core.Load(g); err != nil {
 		return err
