@@ -174,13 +174,15 @@ func BenchmarkFig4_UniformVsSkewed(b *testing.B) {
 }
 
 // edgeIterBenchKernel is Figure 5a's row kernel: it only reads the refs,
-// summing them into Ctx.Aux as SA's loop sums neighbor ids.
+// summing a chunk's into Ctx.Aux as SA's loop sums neighbor ids.
 type edgeIterBenchKernel struct{ core.NoReads }
 
-func (k *edgeIterBenchKernel) RunRow(c *core.Ctx, row core.Row) {
+func (k *edgeIterBenchKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 	var acc int64
-	for _, ref := range row.Refs {
-		acc += ref
+	for rows.Next() {
+		for _, ref := range rows.Row().Refs {
+			acc += ref
+		}
 	}
 	c.Aux += uint64(acc)
 }
@@ -325,12 +327,14 @@ type randReadBenchKernel struct {
 	remoteSize uint32
 }
 
-func (k *randReadBenchKernel) Run(c *core.Ctx) {
-	state := uint64(c.Node)*2862933555777941757 + 3037000493
-	for i := 0; i < 8; i++ {
-		state = state*2862933555777941757 + 3037000493
-		dst := 1 - c.Machine()
-		c.ReadRef(core.RemoteRef(dst, uint32(state>>32)%k.remoteSize), k.prop)
+func (k *randReadBenchKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	dst := 1 - c.Machine()
+	for nodes.Next() {
+		state := uint64(c.Node)*2862933555777941757 + 3037000493
+		for i := 0; i < 8; i++ {
+			state = state*2862933555777941757 + 3037000493
+			c.ReadRef(core.RemoteRef(dst, uint32(state>>32)%k.remoteSize), k.prop)
+		}
 	}
 }
 

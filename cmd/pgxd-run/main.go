@@ -54,7 +54,7 @@ func parseFlags() *options {
 	flag.IntVar(&o.iters, "iters", 0, "iterations for pagerank/eigenvector/ppr (0 = the catalog's default)")
 	flag.UintVar(&o.source, "source", 0, "source vertex for the single-source algorithms")
 	flag.Float64Var(&o.threshold, "threshold", 0, "delta threshold for pagerank-approx (0 = the catalog's default)")
-	flag.IntVar(&o.top, "top", 5, "print the top-N vertices by result value")
+	flag.IntVar(&o.top, "top", 5, "print the top-N vertices by result value (ties: smaller node id first)")
 	flag.BoolVar(&o.tcp, "tcp", false, "run over loopback TCP instead of in-process channels")
 	flag.BoolVar(&o.obs, "obs", false, "attach the observability registry and print a per-job report")
 	flag.Int64Var(&o.residentMB, "resident-mb", 0, ".csr2/.csr3 only: resident budget in MiB for the mmap'd topology (0 = unbounded); also bounds each machine's in-memory write backlog, which overflows to a temp file past it")

@@ -1,10 +1,10 @@
 package algorithms
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -74,27 +74,71 @@ type Vertex struct {
 	Value float64
 }
 
-// Top returns the k best vertices by value, largest first unless ascending.
-// Unreached and undefined values (±Inf, NaN, MaxInt64) are skipped.
+// Top returns the k best vertices, best first: by value, largest first unless
+// ascending, and among equal values by node id, smallest first — so a tie has
+// one answer, whatever the machine count. Unreached and undefined values
+// (±Inf, NaN, MaxInt64) are skipped. The k best are kept in a bounded heap
+// while the values are scanned once: no copy of the whole result, no sort of
+// every vertex.
 func (r Result) Top(k int, ascending bool) []Vertex {
-	var all []Vertex
+	k = min(k, len(r.F64)+len(r.I64))
+	if k <= 0 {
+		return nil
+	}
+	h := topHeap{vs: make([]Vertex, 0, k), ascending: ascending}
 	for n, v := range r.F64 {
 		if !math.IsInf(v, 0) && !math.IsNaN(v) {
-			all = append(all, Vertex{Node: uint32(n), Value: v})
+			h.offer(Vertex{Node: uint32(n), Value: v})
 		}
 	}
 	for n, v := range r.I64 {
 		if v != math.MaxInt64 {
-			all = append(all, Vertex{Node: uint32(n), Value: float64(v)})
+			h.offer(Vertex{Node: uint32(n), Value: float64(v)})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if ascending {
-			return all[i].Value < all[j].Value
+	slices.SortFunc(h.vs, func(a, b Vertex) int {
+		if h.before(a, b) {
+			return -1
 		}
-		return all[i].Value > all[j].Value
+		return 1 // no two entries tie: their node ids differ
 	})
-	return all[:max(0, min(k, len(all)))]
+	return h.vs
+}
+
+// topHeap holds the best cap(vs) vertices offered so far, the worst of them
+// at the root: container/heap's order is the reverse of Top's.
+type topHeap struct {
+	vs        []Vertex
+	ascending bool
+}
+
+// before reports whether a ranks ahead of b in Top's order.
+func (h *topHeap) before(a, b Vertex) bool {
+	if a.Value != b.Value {
+		return (a.Value < b.Value) == h.ascending
+	}
+	return a.Node < b.Node
+}
+
+func (h *topHeap) Len() int           { return len(h.vs) }
+func (h *topHeap) Less(i, j int) bool { return h.before(h.vs[j], h.vs[i]) }
+func (h *topHeap) Swap(i, j int)      { h.vs[i], h.vs[j] = h.vs[j], h.vs[i] }
+func (h *topHeap) Push(x any)         { h.vs = append(h.vs, x.(Vertex)) }
+func (h *topHeap) Pop() any {
+	v := h.vs[len(h.vs)-1]
+	h.vs = h.vs[:len(h.vs)-1]
+	return v
+}
+
+// offer keeps v if the heap has room or v ranks ahead of its worst entry.
+func (h *topHeap) offer(v Vertex) {
+	switch {
+	case len(h.vs) < cap(h.vs):
+		heap.Push(h, v)
+	case h.before(v, h.vs[0]):
+		h.vs[0] = v
+		heap.Fix(h, 0)
+	}
 }
 
 // maxSupersteps bounds the run-to-convergence algorithms.

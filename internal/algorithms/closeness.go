@@ -21,12 +21,12 @@ type closenessAccumKernel struct {
 	dist, acc core.PropID
 }
 
-func (k *closenessAccumKernel) Run(c *core.Ctx) {
-	d := c.GetI64(k.dist)
-	if d <= 0 || d >= hopUnreached {
-		return // self or unreached
+func (k *closenessAccumKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		if d := c.GetI64(k.dist); d > 0 && d < hopUnreached { // not self, reached
+			c.SetF64(k.acc, c.GetF64(k.acc)+1/float64(d))
+		}
 	}
-	c.SetF64(k.acc, c.GetF64(k.acc)+1/float64(d))
 }
 
 // closenessRoots returns the seeded pseudo-random sample sources, samples

@@ -24,9 +24,11 @@ type evNormalizeKernel struct {
 	invNorm float64
 }
 
-func (k *evNormalizeKernel) Run(c *core.Ctx) {
-	c.SetF64(k.ev, c.GetF64(k.nxt)*k.invNorm)
-	c.SetF64(k.nxt, 0)
+func (k *evNormalizeKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		c.SetF64(k.ev, c.GetF64(k.nxt)*k.invNorm)
+		c.SetF64(k.nxt, 0)
+	}
 }
 
 // Eigenvector runs iters power iterations and returns the (L2-normalized)

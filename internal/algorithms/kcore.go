@@ -37,11 +37,13 @@ type dyingMarkKernel struct {
 	k                   int64
 }
 
-func (kk *dyingMarkKernel) Run(c *core.Ctx) {
-	if c.GetI64(kk.alive) != 0 && c.GetI64(kk.deg) < kk.k {
-		c.SetI64(kk.alive, 0)
-		c.SetI64(kk.coreNum, kk.k-1)
-		c.Activate(0)
+func (kk *dyingMarkKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		if c.GetI64(kk.alive) != 0 && c.GetI64(kk.deg) < kk.k {
+			c.SetI64(kk.alive, 0)
+			c.SetI64(kk.coreNum, kk.k-1)
+			c.Activate(0)
+		}
 	}
 }
 
@@ -52,8 +54,11 @@ type degDecKernel struct {
 	deg core.PropID
 }
 
-func (kk *degDecKernel) RunRow(c *core.Ctx, row core.Row) {
-	c.Writer(kk.deg, reduce.Sum).WriteRow(row.Refs, core.WordI64(-1))
+func (kk *degDecKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
+	deg := c.Writer(kk.deg, reduce.Sum)
+	for rows.Next() {
+		deg.WriteRow(rows.Row().Refs, core.WordI64(-1))
+	}
 }
 
 // KCore returns the maximum core number, each node's core number, and
@@ -114,8 +119,10 @@ type degInitKernel struct {
 	deg core.PropID
 }
 
-func (kk *degInitKernel) Run(c *core.Ctx) {
-	c.SetI64(kk.deg, c.InDegree()+c.OutDegree())
+func (kk *degInitKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		c.SetI64(kk.deg, c.InDegree()+c.OutDegree())
+	}
 }
 
 // CoreNumberReference computes core numbers sequentially with the standard

@@ -43,9 +43,11 @@ type misDrawKernel struct {
 	round       int
 }
 
-func (k *misDrawKernel) Run(c *core.Ctx) {
-	c.SetI64(k.pri, misPriority(k.seed, k.round, c.NodeGlobal()))
-	c.SetI64(k.nbrPri, reduce.BottomI64(reduce.Max))
+func (k *misDrawKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		c.SetI64(k.pri, misPriority(k.seed, k.round, c.NodeGlobal()))
+		c.SetI64(k.nbrPri, reduce.BottomI64(reduce.Max))
+	}
 }
 
 // misPushPriority pushes an undecided vertex's priority to its neighbors.
@@ -54,13 +56,15 @@ type misPushPriority struct {
 	pri, nbrPri core.PropID
 }
 
-func (k *misPushPriority) RunRow(c *core.Ctx, row core.Row) {
-	pri := c.GetI64(k.pri)
+func (k *misPushPriority) RunRows(c *core.Ctx, rows *core.Cursor) {
 	nbrPri := c.Writer(k.nbrPri, reduce.Max)
-	for _, ref := range row.Refs {
-		// Self-loops must not block the vertex from beating "its neighbors".
-		if ref != int64(c.Node) {
-			nbrPri.WriteI64(ref, pri)
+	for rows.Next() {
+		pri, self := c.GetI64(k.pri), int64(c.Node)
+		for _, ref := range rows.Row().Refs {
+			// Self-loops must not block the vertex from beating "its neighbors".
+			if ref != self {
+				nbrPri.WriteI64(ref, pri)
+			}
 		}
 	}
 }
@@ -72,10 +76,12 @@ type misJoinKernel struct {
 	pri, nbrPri, status core.PropID
 }
 
-func (k *misJoinKernel) Run(c *core.Ctx) {
-	if c.GetI64(k.pri) > c.GetI64(k.nbrPri) {
-		c.SetI64(k.status, misInSet)
-		c.Activate(0)
+func (k *misJoinKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		if c.GetI64(k.pri) > c.GetI64(k.nbrPri) {
+			c.SetI64(k.status, misInSet)
+			c.Activate(0)
+		}
 	}
 }
 
@@ -85,8 +91,11 @@ type misExcludeMark struct {
 	excluded core.PropID
 }
 
-func (k *misExcludeMark) RunRow(c *core.Ctx, row core.Row) {
-	c.Writer(k.excluded, reduce.Or).WriteRow(row.Refs, 1)
+func (k *misExcludeMark) RunRows(c *core.Ctx, rows *core.Cursor) {
+	excluded := c.Writer(k.excluded, reduce.Or)
+	for rows.Next() {
+		excluded.WriteRow(rows.Row().Refs, 1)
+	}
 }
 
 // misApplyExclusion excludes a still-undecided vertex that a fresh member
@@ -96,10 +105,12 @@ type misApplyExclusion struct {
 	excluded, status core.PropID
 }
 
-func (k *misApplyExclusion) Run(c *core.Ctx) {
-	if c.GetI64(k.excluded) != 0 {
-		c.SetI64(k.status, misExcluded)
-		c.Activate(0)
+func (k *misApplyExclusion) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		if c.GetI64(k.excluded) != 0 {
+			c.SetI64(k.status, misExcluded)
+			c.Activate(0)
+		}
 	}
 }
 

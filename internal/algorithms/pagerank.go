@@ -28,13 +28,14 @@ type scaleKernel struct {
 	pr, scaled core.PropID
 }
 
-func (k *scaleKernel) Run(c *core.Ctx) {
-	d := c.OutDegree()
-	if d == 0 {
-		c.SetF64(k.scaled, 0)
-		return
+func (k *scaleKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		if d := c.OutDegree(); d > 0 {
+			c.SetF64(k.scaled, c.GetF64(k.pr)/float64(d))
+		} else {
+			c.SetF64(k.scaled, 0)
+		}
 	}
-	c.SetF64(k.scaled, c.GetF64(k.pr)/float64(d))
 }
 
 // sumPullKernel is the pull step of PageRank (src = scaled), personalized
@@ -49,17 +50,19 @@ type sumPullKernel struct {
 	src, acc core.PropID
 }
 
-func (k *sumPullKernel) RunRow(c *core.Ctx, row core.Row) {
+func (k *sumPullKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 	src := c.F64(k.src)
-	var sum float64
-	for _, ref := range row.Refs {
-		if v, ok := src.At(ref); ok {
-			sum += v
-		} else {
-			c.ReadRef(ref, k.src)
+	for rows.Next() {
+		var sum float64
+		for _, ref := range rows.Row().Refs {
+			if v, ok := src.At(ref); ok {
+				sum += v
+			} else {
+				c.ReadRef(ref, k.src)
+			}
 		}
+		c.SetF64(k.acc, c.GetF64(k.acc)+sum)
 	}
-	c.SetF64(k.acc, c.GetF64(k.acc)+sum)
 }
 
 func (k *sumPullKernel) ReadDone(c *core.Ctx, val uint64) {
@@ -77,8 +80,11 @@ type pushKernel struct {
 	op       reduce.Op
 }
 
-func (k *pushKernel) RunRow(c *core.Ctx, row core.Row) {
-	c.Writer(k.dst, k.op).WriteRow(row.Refs, core.WordI64(c.GetI64(k.src)))
+func (k *pushKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
+	dst := c.Writer(k.dst, k.op)
+	for rows.Next() {
+		dst.WriteRow(rows.Row().Refs, core.WordI64(c.GetI64(k.src)))
+	}
 }
 
 // prApplyKernel finishes an iteration and prepares the next in one pass:
@@ -91,14 +97,16 @@ type prApplyKernel struct {
 	damping         float64
 }
 
-func (k *prApplyKernel) Run(c *core.Ctx) {
-	pr := k.base + k.damping*c.GetF64(k.nxt)
-	c.SetF64(k.pr, pr)
-	c.SetF64(k.nxt, 0)
-	if d := c.OutDegree(); d > 0 {
-		c.SetF64(k.scaled, pr/float64(d))
-	} else {
-		c.SetF64(k.scaled, 0)
+func (k *prApplyKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		pr := k.base + k.damping*c.GetF64(k.nxt)
+		c.SetF64(k.pr, pr)
+		c.SetF64(k.nxt, 0)
+		if d := c.OutDegree(); d > 0 {
+			c.SetF64(k.scaled, pr/float64(d))
+		} else {
+			c.SetF64(k.scaled, 0)
+		}
 	}
 }
 
@@ -172,16 +180,18 @@ type prDeltaApplyKernel struct {
 	threshold                 float64
 }
 
-func (k *prDeltaApplyKernel) Run(c *core.Ctx) {
-	d := c.GetF64(k.deltaNxt)
-	c.SetF64(k.deltaNxt, 0)
-	c.SetF64(k.pr, c.GetF64(k.pr)+d)
-	if math.Abs(d) >= k.threshold {
-		c.Activate(0)
-		if od := c.OutDegree(); od > 0 {
-			c.SetF64(k.scaledDelta, k.damping*d/float64(od))
-		} else {
-			c.SetF64(k.scaledDelta, 0)
+func (k *prDeltaApplyKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		d := c.GetF64(k.deltaNxt)
+		c.SetF64(k.deltaNxt, 0)
+		c.SetF64(k.pr, c.GetF64(k.pr)+d)
+		if math.Abs(d) >= k.threshold {
+			c.Activate(0)
+			if od := c.OutDegree(); od > 0 {
+				c.SetF64(k.scaledDelta, k.damping*d/float64(od))
+			} else {
+				c.SetF64(k.scaledDelta, 0)
+			}
 		}
 	}
 }
@@ -248,8 +258,10 @@ type seedScaledDelta struct {
 	damped      float64
 }
 
-func (k *seedScaledDelta) Run(c *core.Ctx) {
-	if od := c.OutDegree(); od > 0 {
-		c.SetF64(k.scaledDelta, k.damped/float64(od))
+func (k *seedScaledDelta) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		if od := c.OutDegree(); od > 0 {
+			c.SetF64(k.scaledDelta, k.damped/float64(od))
+		}
 	}
 }

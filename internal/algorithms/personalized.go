@@ -21,17 +21,19 @@ type pprApplyKernel struct {
 	damping                   float64
 }
 
-func (k *pprApplyKernel) Run(c *core.Ctx) {
-	pr := k.damping * c.GetF64(k.nxt)
-	if c.GetI64(k.isSource) != 0 {
-		pr += k.sourceBase
-	}
-	c.SetF64(k.pr, pr)
-	c.SetF64(k.nxt, 0)
-	if d := c.OutDegree(); d > 0 {
-		c.SetF64(k.scaled, pr/float64(d))
-	} else {
-		c.SetF64(k.scaled, 0)
+func (k *pprApplyKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		pr := k.damping * c.GetF64(k.nxt)
+		if c.GetI64(k.isSource) != 0 {
+			pr += k.sourceBase
+		}
+		c.SetF64(k.pr, pr)
+		c.SetF64(k.nxt, 0)
+		if d := c.OutDegree(); d > 0 {
+			c.SetF64(k.scaled, pr/float64(d))
+		} else {
+			c.SetF64(k.scaled, 0)
+		}
 	}
 }
 

@@ -28,10 +28,14 @@ type edgeKernel interface {
 // order, until one reports the node done.
 type perEdgeRows struct{ edgeKernel }
 
-func (d perEdgeRows) RunRow(c *core.Ctx, row core.Row) {
-	for i, ref := range row.Refs {
-		if d.edge(c, ref, row.Weight(i)) {
-			return
+func (d perEdgeRows) RunRows(c *core.Ctx, rows *core.Cursor) {
+next:
+	for rows.Next() {
+		row := rows.Row()
+		for i, ref := range row.Refs {
+			if d.edge(c, ref, row.Weight(i)) {
+				continue next
+			}
 		}
 	}
 }

@@ -26,18 +26,20 @@ type wccPullKernel struct {
 	label, labelNxt core.PropID
 }
 
-func (k *wccPullKernel) RunRow(c *core.Ctx, row core.Row) {
+func (k *wccPullKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 	label := c.I64(k.label)
-	best := int64(math.MaxInt64)
-	for _, ref := range row.Refs {
-		if v, ok := label.At(ref); ok {
-			best = min(best, v)
-		} else {
-			c.ReadRef(ref, k.label)
+	for rows.Next() {
+		best := int64(math.MaxInt64)
+		for _, ref := range rows.Row().Refs {
+			if v, ok := label.At(ref); ok {
+				best = min(best, v)
+			} else {
+				c.ReadRef(ref, k.label)
+			}
 		}
-	}
-	if best < c.GetI64(k.labelNxt) {
-		c.SetI64(k.labelNxt, best)
+		if best < c.GetI64(k.labelNxt) {
+			c.SetI64(k.labelNxt, best)
+		}
 	}
 }
 
@@ -54,11 +56,12 @@ type wccAdoptKernel struct {
 	label, labelNxt core.PropID
 }
 
-func (k *wccAdoptKernel) Run(c *core.Ctx) {
-	nxt := c.GetI64(k.labelNxt)
-	if nxt < c.GetI64(k.label) {
-		c.SetI64(k.label, nxt)
-		c.Activate(0)
+func (k *wccAdoptKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		if nxt := c.GetI64(k.labelNxt); nxt < c.GetI64(k.label) {
+			c.SetI64(k.label, nxt)
+			c.Activate(0)
+		}
 	}
 }
 
@@ -142,11 +145,13 @@ type distRelaxKernel struct {
 	dist, distNxt core.PropID
 }
 
-func (k *distRelaxKernel) RunRow(c *core.Ctx, row core.Row) {
-	d := c.GetF64(k.dist)
+func (k *distRelaxKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 	nxt := c.Writer(k.distNxt, reduce.Min)
-	for i, ref := range row.Refs {
-		nxt.WriteF64(ref, d+row.Weight(i))
+	for rows.Next() {
+		d, row := c.GetF64(k.dist), rows.Row()
+		for i, ref := range row.Refs {
+			nxt.WriteF64(ref, d+row.Weight(i))
+		}
 	}
 }
 
@@ -159,23 +164,26 @@ type ssspPullKernel struct {
 	dist, distNxt core.PropID
 }
 
-func (k *ssspPullKernel) RunRow(c *core.Ctx, row core.Row) {
+func (k *ssspPullKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 	dist := c.F64(k.dist)
-	best := math.Inf(1)
-	for i, ref := range row.Refs {
-		w := row.Weight(i)
-		d := math.Inf(1)
-		if v, ok := dist.At(ref); ok {
-			d = v + w
-		} else {
-			c.Aux = core.WordF64(w) // the continuation's half of the sum
-			c.ReadRef(ref, k.dist)
+	for rows.Next() {
+		row := rows.Row()
+		best := math.Inf(1)
+		for i, ref := range row.Refs {
+			w := row.Weight(i)
+			d := math.Inf(1)
+			if v, ok := dist.At(ref); ok {
+				d = v + w
+			} else {
+				c.Aux = core.WordF64(w) // the continuation's half of the sum
+				c.ReadRef(ref, k.dist)
+			}
+			if d < best {
+				best = d
+			}
 		}
-		if d < best {
-			best = d
-		}
+		k.lower(c, best)
 	}
-	k.lower(c, best)
 }
 
 func (k *ssspPullKernel) ReadDone(c *core.Ctx, val uint64) {
@@ -199,11 +207,12 @@ type ssspAdoptKernel struct {
 	dist, distNxt core.PropID
 }
 
-func (k *ssspAdoptKernel) Run(c *core.Ctx) {
-	nxt := c.GetF64(k.distNxt)
-	if nxt < c.GetF64(k.dist) {
-		c.SetF64(k.dist, nxt)
-		c.Activate(0)
+func (k *ssspAdoptKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+	for nodes.Next() {
+		if nxt := c.GetF64(k.distNxt); nxt < c.GetF64(k.dist) {
+			c.SetF64(k.dist, nxt)
+			c.Activate(0)
+		}
 	}
 }
 
@@ -289,8 +298,11 @@ type hopPushKernel struct {
 	level int64
 }
 
-func (k *hopPushKernel) RunRow(c *core.Ctx, row core.Row) {
-	c.Writer(k.dist, reduce.Min).WriteRow(row.Refs, core.WordI64(k.level+1))
+func (k *hopPushKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
+	dist, word := c.Writer(k.dist, reduce.Min), core.WordI64(k.level+1)
+	for rows.Next() {
+		dist.WriteRow(rows.Row().Refs, word)
+	}
 }
 
 // hopPullKernel is the bottom-up BFS step (the direction-optimizing pull):
@@ -306,24 +318,27 @@ type hopPullKernel struct {
 	level int64
 }
 
-func (k *hopPullKernel) RunRow(c *core.Ctx, row core.Row) {
+func (k *hopPullKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 	dist := c.I64(k.dist)
-	for _, ref := range row.Refs {
-		d, ok := dist.At(ref)
-		if !ok {
-			// On demand: the in-neighbor resolves asynchronously and cannot stop
-			// the scan, but its continuation still claims the level. The read can
-			// run queued continuations of this node, so the own-node check sits
-			// next to it, never cached across it.
-			if c.GetI64(k.dist) == k.level+1 {
-				return // already claimed by an earlier in-neighbor's response
+next:
+	for rows.Next() {
+		for _, ref := range rows.Row().Refs {
+			d, ok := dist.At(ref)
+			if !ok {
+				// On demand: the in-neighbor resolves asynchronously and cannot stop
+				// the scan, but its continuation still claims the level. The read can
+				// run queued continuations of this node, so the own-node check sits
+				// next to it, never cached across it.
+				if c.GetI64(k.dist) == k.level+1 {
+					continue next // already claimed by an earlier in-neighbor's response
+				}
+				c.ReadRef(ref, k.dist)
+				continue
 			}
-			c.ReadRef(ref, k.dist)
-			continue
-		}
-		if d == k.level {
-			k.claim(c)
-			return
+			if d == k.level {
+				k.claim(c)
+				continue next
+			}
 		}
 	}
 }

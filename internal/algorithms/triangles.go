@@ -40,33 +40,35 @@ type triangleKernel struct {
 	chunkIDs int // max ids per RMI payload
 }
 
-func (k *triangleKernel) RunRow(c *core.Ctx, row core.Row) {
-	list := k.adj[c.NodeGlobal()]
-	var local int64
-	for _, ref := range row.Refs {
-		if !c.IsRemote(ref) {
-			local += int64(intersectSorted(list, k.adj[c.RefGlobal(ref)]))
-			continue
-		}
-		mach, off := c.SplitRemoteRef(ref)
-		// Ship the adjacency in chunks; every chunk is an independent RMI whose
-		// response adds a partial count. No per-edge state machine is needed —
-		// the engine's outstanding-request tracking covers completion.
-		for base := 0; base < len(list); base += k.chunkIDs {
-			end := min(base+k.chunkIDs, len(list))
-			payload := make([]byte, triHeaderBytes+4*(end-base))
-			binary.LittleEndian.PutUint32(payload[0:4], off)
-			binary.LittleEndian.PutUint32(payload[4:8], uint32(end-base))
-			for i, w := range list[base:end] {
-				binary.LittleEndian.PutUint32(payload[triHeaderBytes+4*i:], w)
+func (k *triangleKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
+	for rows.Next() {
+		list := k.adj[c.NodeGlobal()]
+		var local int64
+		for _, ref := range rows.Row().Refs {
+			if !c.IsRemote(ref) {
+				local += int64(intersectSorted(list, k.adj[c.RefGlobal(ref)]))
+				continue
 			}
-			c.CallRMI(mach, k.method, payload)
+			mach, off := c.SplitRemoteRef(ref)
+			// Ship the adjacency in chunks; every chunk is an independent RMI whose
+			// response adds a partial count. No per-edge state machine is needed —
+			// the engine's outstanding-request tracking covers completion.
+			for base := 0; base < len(list); base += k.chunkIDs {
+				end := min(base+k.chunkIDs, len(list))
+				payload := make([]byte, triHeaderBytes+4*(end-base))
+				binary.LittleEndian.PutUint32(payload[0:4], off)
+				binary.LittleEndian.PutUint32(payload[4:8], uint32(end-base))
+				for i, w := range list[base:end] {
+					binary.LittleEndian.PutUint32(payload[triHeaderBytes+4*i:], w)
+				}
+				c.CallRMI(mach, k.method, payload)
+			}
 		}
-	}
-	// CallRMI is a re-entrancy point (RMIDone may have added to the count
-	// meanwhile), so the own-node count is read only now.
-	if local > 0 {
-		c.SetI64(k.count, c.GetI64(k.count)+local)
+		// CallRMI is a re-entrancy point (RMIDone may have added to the count
+		// meanwhile), so the own-node count is read only now.
+		if local > 0 {
+			c.SetI64(k.count, c.GetI64(k.count)+local)
+		}
 	}
 }
 

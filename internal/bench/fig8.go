@@ -23,17 +23,19 @@ type randReadKernel struct {
 	remoteSize   uint32
 }
 
-func (k *randReadKernel) Run(c *core.Ctx) {
+func (k *randReadKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
 	me := c.Machine()
-	state := uint64(c.Node)*2862933555777941757 + 3037000493
-	for i := 0; i < k.readsPerNode; i++ {
-		state = state*2862933555777941757 + 3037000493
-		dst := int(state % uint64(k.machines))
-		if dst == me {
-			dst = (dst + 1) % k.machines
+	for nodes.Next() {
+		state := uint64(c.Node)*2862933555777941757 + 3037000493
+		for i := 0; i < k.readsPerNode; i++ {
+			state = state*2862933555777941757 + 3037000493
+			dst := int(state % uint64(k.machines))
+			if dst == me {
+				dst = (dst + 1) % k.machines
+			}
+			off := uint32(state>>32) % k.remoteSize
+			c.ReadRef(core.RemoteRef(dst, off), k.prop)
 		}
-		off := uint32(state>>32) % k.remoteSize
-		c.ReadRef(core.RemoteRef(dst, off), k.prop)
 	}
 }
 

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/algorithms"
@@ -83,21 +85,52 @@ func ExpFig4(ds *Datasets, opts Fig4Opts) (*Table, error) {
 
 // --- Figure 5a: edge iteration rate vs threads -------------------------------
 
-// edgeIterKernel reads every edge's neighbor ref through the engine's row
-// dispatch with no data movement — the framework-overhead microbenchmark.
-// Like SA's loop it sums the refs; the sum lands in Ctx.Aux, the kernel's
-// scratch, so the loop is not dead code.
+// edgeIterKernel reads every edge's neighbor ref through the engine's chunk
+// cursor with no data movement — the framework-overhead microbenchmark.
+// Like SA's loop it sums the refs; the chunk's sum lands in Ctx.Aux, the
+// kernel's scratch, so the loop is not dead code.
 type edgeIterKernel struct {
 	core.NoReads
 }
 
-func (k *edgeIterKernel) RunRow(c *core.Ctx, row core.Row) {
+func (k *edgeIterKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 	var acc int64
-	for _, ref := range row.Refs {
-		acc += ref
+	for rows.Next() {
+		for _, ref := range rows.Row().Refs {
+			acc += ref
+		}
 	}
 	c.Aux += uint64(acc)
 }
+
+// timedRuns is how many timed runs a row of Figure 5a, 6a, 6b, 6c or 7 takes
+// the median of, after one untimed warm-up run: a single run of a few
+// milliseconds is mostly noise (two runs of one fig6a row at scale 11 read
+// 1.81 and 0.68 relative runtime for the same code).
+const timedRuns = 5
+
+// median runs run once untimed and then timedRuns times, and returns the
+// timed result whose key — its duration — is the median.
+func median[T any](run func() (T, error), key func(T) time.Duration) (T, error) {
+	warm, err := run()
+	if err != nil {
+		return warm, err
+	}
+	res := make([]T, timedRuns)
+	for i := range res {
+		if res[i], err = run(); err != nil {
+			return res[i], err
+		}
+	}
+	slices.SortFunc(res, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
+	return res[timedRuns/2], nil
+}
+
+// timedRunsNote is the notes line of a table whose rows median.
+var timedRunsNote = fmt.Sprintf("each time is the median of %d timed runs after one warm-up on the loaded cluster", timedRuns)
+
+// elapsed returns a duration as is: median's key for a bare timing.
+func elapsed(d time.Duration) time.Duration { return d }
 
 // ExpFig5a measures edge-iteration throughput (millions of edges per
 // second, single machine) versus thread count for the SA loop, the PGX.D
@@ -113,9 +146,12 @@ func ExpFig5a(ds *Datasets, scale int, threadCounts []int, prog Progress) (*Tabl
 	for _, th := range threadCounts {
 		prog.log("fig5a: threads=%d", th)
 		// SA: raw CSR loop.
-		start := time.Now()
-		sa.EdgeIterationRate(g, sa.Threads(th))
-		saRate := edges / time.Since(start).Seconds() / 1e6
+		saTime, _ := median(func() (time.Duration, error) {
+			start := time.Now()
+			sa.EdgeIterationRate(g, sa.Threads(th))
+			return time.Since(start), nil
+		}, elapsed)
+		saRate := edges / saTime.Seconds() / 1e6
 
 		// PGX.D: one machine, th workers, a row kernel that only reads refs.
 		cfg := core.DefaultConfig(1)
@@ -128,12 +164,15 @@ func ExpFig5a(ds *Datasets, scale int, threadCounts []int, prog Progress) (*Tabl
 			c.Shutdown()
 			return nil, err
 		}
-		stats, err := c.RunJob(core.JobSpec{Name: "edge-iter", Iter: core.IterOutEdges, Task: &edgeIterKernel{}})
+		pgxTime, err := median(func() (time.Duration, error) {
+			stats, err := c.RunJob(core.JobSpec{Name: "edge-iter", Iter: core.IterOutEdges, Task: &edgeIterKernel{}})
+			return stats.Duration, err
+		}, elapsed)
 		c.Shutdown()
 		if err != nil {
 			return nil, err
 		}
-		pgxRate := edges / stats.Duration.Seconds() / 1e6
+		pgxRate := edges / pgxTime.Seconds() / 1e6
 
 		// GAS: one machine, th threads.
 		_, gst, err := gas.EdgeIteration(g, th)
@@ -144,7 +183,8 @@ func ExpFig5a(ds *Datasets, scale int, threadCounts []int, prog Progress) (*Tabl
 
 		t.AddRow(fmt.Sprint(th), fmt.Sprintf("%.1f", saRate), fmt.Sprintf("%.1f", pgxRate), fmt.Sprintf("%.1f", gasRate))
 	}
-	t.Notes = append(t.Notes, "expected shape: SA fastest, PGX.D close behind, GAS well below (paper Fig 5a)")
+	t.Notes = append(t.Notes, "expected shape: SA fastest, PGX.D close behind, GAS well below (paper Fig 5a)",
+		fmt.Sprintf("SA and PGX.D: the median of %d timed runs after one warm-up, PGX.D's on the loaded cluster; GAS: one run", timedRuns))
 	return t, nil
 }
 
@@ -200,7 +240,9 @@ func dummyGraph() (*graph.Graph, error) {
 
 // pagerankPull is the job Figures 6 and 7 time: three PageRank-pull iterations
 // on a fresh cluster of cfg over g cut by strat, with the replica cap ghosts
-// (nil: every referenced address). It returns the run's metrics and the cut.
+// (nil: every referenced address), run once to warm up and then timedRuns
+// times on the loaded cluster. It returns the metrics of the median run and the
+// cut.
 func pagerankPull(cfg core.Config, g *graph.Graph, strat partition.Strategy, ghosts *partition.GhostSet) (algorithms.Metrics, partition.Layout, error) {
 	layout, err := partition.Compute(g, cfg.NumMachines, strat)
 	if err != nil {
@@ -214,7 +256,10 @@ func pagerankPull(cfg core.Config, g *graph.Graph, strat partition.Strategy, gho
 	if err := c.LoadPlan(g, layout, ghosts); err != nil {
 		return algorithms.Metrics{}, layout, err
 	}
-	_, met, err := algorithms.PageRankPull(c, 3, 0.85)
+	met, err := median(func() (algorithms.Metrics, error) {
+		_, met, err := algorithms.PageRankPull(c, 3, 0.85)
+		return met, err
+	}, func(m algorithms.Metrics) time.Duration { return m.Total })
 	return met, layout, err
 }
 
@@ -254,7 +299,8 @@ func ExpFig6a(ds *Datasets, scale int, machines int, ghostCounts []int, prog Pro
 	}
 	t.Notes = append(t.Notes,
 		"a ghost is a remote-set entry: mirrored once per iteration instead of read once per referencing edge",
-		"traffic falls steeply with the first few hundred ghosts (skewed degree distribution); paper: runtime ~75% at ~500 ghosts")
+		"traffic falls steeply with the first few hundred ghosts (skewed degree distribution); paper: runtime ~75% at ~500 ghosts",
+		timedRunsNote)
 	return t, nil
 }
 
@@ -287,7 +333,8 @@ func ExpFig6b(ds *Datasets, scale int, machineCounts []int, prog Progress) (*Tab
 	}
 	t.Notes = append(t.Notes,
 		"the edge-partitioning benefit grows with machine count (paper Fig 6b)",
-		"imbal. = max/mean per-machine edge weight (1.00 is perfect); structural, so it holds even when wall time is CPU-bound")
+		"imbal. = max/mean per-machine edge weight (1.00 is perfect); structural, so it holds even when wall time is CPU-bound",
+		timedRunsNote)
 	return t, nil
 }
 
@@ -330,7 +377,8 @@ func ExpFig6c(ds *Datasets, scale int, machines int, prog Progress) (*Table, err
 		t.AddRow(cc.label, fmtSecs(total), pct(b.FullyParallel), pct(b.IntraMachine), pct(b.InterMachine), pct(b.Sync))
 	}
 	t.Notes = append(t.Notes,
-		"edge partitioning alone moves imbalance from machines to cores; edge chunking removes it (paper Fig 6c)")
+		"edge partitioning alone moves imbalance from machines to cores; edge chunking removes it (paper Fig 6c)",
+		timedRunsNote+"; the breakdown is that run's")
 	return t, nil
 }
 
@@ -374,6 +422,6 @@ func ExpFig7(ds *Datasets, scale, machines int, workerCounts, copierCounts []int
 		}
 		t.AddRow(row...)
 	}
-	t.Notes = append(t.Notes, "performance collapses when either thread kind is under-provisioned (paper Fig 7)")
+	t.Notes = append(t.Notes, "performance collapses when either thread kind is under-provisioned (paper Fig 7)", timedRunsNote)
 	return t, nil
 }

@@ -37,7 +37,9 @@ type localRefs struct {
 	_    [40]byte
 }
 
-func (k *rowPushSum) RunRow(c *Ctx, row Row) {
+func (k *rowPushSum) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *rowPushSum) row(c *Ctx, row Row) {
 	refs := row.Refs
 	if k.local != nil {
 		buf, n := k.local[c.Machine()].refs[:0], uint64(c.w.m.store.numLocal)
@@ -64,7 +66,9 @@ type mixedWriteTask struct {
 	outside              []int64 // per machine: a remote ref outside its remote set
 }
 
-func (k *mixedWriteTask) RunRow(c *Ctx, row Row) {
+func (k *mixedWriteTask) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *mixedWriteTask) row(c *Ctx, row Row) {
 	decl, undecl := c.Writer(k.declared, reduce.Sum), c.Writer(k.undeclared, reduce.Sum)
 	for _, ref := range row.Refs {
 		if !c.w.m.store.owns(ref) {

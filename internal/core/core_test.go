@@ -107,7 +107,9 @@ type pushOneTask struct {
 	counter PropID
 }
 
-func (k *pushOneTask) RunRow(c *Ctx, row Row) {
+func (k *pushOneTask) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *pushOneTask) row(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		c.Writer(k.counter, reduce.Sum).Write(ref, WordI64(1))
 	}
@@ -121,7 +123,9 @@ type pullSumTask struct {
 	beforeEdge func(c *Ctx)
 }
 
-func (k *pullSumTask) RunRow(c *Ctx, row Row) {
+func (k *pullSumTask) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *pullSumTask) row(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		if k.beforeEdge != nil {
 			k.beforeEdge(c)
@@ -295,7 +299,9 @@ type nodeInit struct {
 	p PropID
 }
 
-func (k *nodeInit) Run(c *Ctx) {
+func (k *nodeInit) RunNodes(c *Ctx, nodes *Cursor) { perNode(c, nodes, k.node) }
+
+func (k *nodeInit) node(c *Ctx) {
 	c.SetF64(k.p, float64(c.NodeGlobal())+float64(c.OutDegree())*0.001)
 }
 
@@ -321,7 +327,9 @@ type minPush struct {
 	label PropID
 }
 
-func (k *minPush) RunRow(c *Ctx, row Row) {
+func (k *minPush) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *minPush) row(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		c.Writer(k.label, reduce.Min).Write(ref, WordI64(c.GetI64(k.label)))
 	}
@@ -375,8 +383,8 @@ func TestJobSpecValidation(t *testing.T) {
 		{JobSpec{Name: "read-write", Iter: IterOutEdges, Task: task, ReadProps: []PropID{p}, WriteProps: []WriteSpec{{Prop: p, Op: reduce.Sum}}}, "both reads and writes"},
 		// Each iterator dispatches one kernel form; the other is refused
 		// before any machine runs it.
-		{JobSpec{Name: "row-kernel-on-nodes", Iter: IterNodes, Task: task}, "has no Run (NodeTask)"},
-		{JobSpec{Name: "node-kernel-on-edges", Iter: IterOutEdges, Task: &nodeInit{p: p}}, "has no RunRow (RowTask)"},
+		{JobSpec{Name: "row-kernel-on-nodes", Iter: IterNodes, Task: task}, "has no RunNodes (NodeTask)"},
+		{JobSpec{Name: "node-kernel-on-edges", Iter: IterOutEdges, Task: &nodeInit{p: p}}, "has no RunRows (RowTask)"},
 	}
 	for _, tc := range cases {
 		_, err := c.RunJob(tc.spec)

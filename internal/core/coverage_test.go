@@ -58,7 +58,9 @@ type floatOpPush struct {
 	op       reduce.Op
 }
 
-func (k *floatOpPush) RunRow(c *Ctx, row Row) {
+func (k *floatOpPush) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *floatOpPush) row(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		c.Writer(k.acc, k.op).Write(ref, WordF64(c.GetF64(k.val)))
 	}
@@ -70,7 +72,9 @@ type ctxProbe struct {
 	machines, indeg PropID
 }
 
-func (k *ctxProbe) Run(c *Ctx) {
+func (k *ctxProbe) RunNodes(c *Ctx, nodes *Cursor) { perNode(c, nodes, k.node) }
+
+func (k *ctxProbe) node(c *Ctx) {
 	if c.Machine() < 0 || c.Machine() >= c.NumMachines() {
 		panic("machine id out of range")
 	}
@@ -106,7 +110,9 @@ type refGlobalProbe struct {
 	sum, bad PropID
 }
 
-func (k *refGlobalProbe) RunRow(c *Ctx, row Row) {
+func (k *refGlobalProbe) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *refGlobalProbe) row(c *Ctx, row Row) {
 	layout := c.w.m.store.layout
 	for _, ref := range row.Refs {
 		v := c.RefGlobal(ref)

@@ -10,9 +10,9 @@ import (
 // Ctx is the execution context handed to Task callbacks. One Ctx exists per
 // worker and is reused across invocations; a task must never retain it.
 //
-// Node is the local node index throughout: the node a NodeTask runs for, or
-// the node whose row a RowTask walks (with typed views, a Writer, ReadRef for
-// remote refs). During ReadDone/RMIDone, only Node, Aux, and the local
+// Node is the local node index throughout: the node a NodeTask's cursor is at,
+// or the node whose row a RowTask walks (with typed views, a Writer, ReadRef
+// for remote refs). During ReadDone/RMIDone, only Node, Aux, and the local
 // property accessors are valid — continuations that need the neighbor must
 // stash its ref in Aux before reading, mirroring the paper's rule that
 // continuation state lives in the task object's explicit fields.
@@ -22,9 +22,9 @@ type Ctx struct {
 	// Node is the current local node index.
 	Node uint32
 	// Aux is task-defined continuation state, preserved across the
-	// Run/RunRow → ReadDone boundary for the request that carried it. The
-	// engine resets it to zero once per node; kernels that use it must set it
-	// before issuing the read it describes.
+	// RunNodes/RunRows → ReadDone boundary for the request that carried it.
+	// Cursor.Next resets it to zero once per node; kernels that use it must
+	// set it before issuing the read it describes.
 	Aux uint64
 }
 
@@ -167,7 +167,7 @@ func (c *Ctx) ReadRef(ref int64, p PropID) {
 
 // Activate marks the current node as a member of the job's Build[slot]
 // frontier. Idempotent per node (duplicates are merged when the frontier is
-// finalized); valid in Run, RunRow and continuations, where Node is restored.
+// finalized); valid in RunNodes, RunRows and continuations, where Node is restored.
 func (c *Ctx) Activate(slot int) {
 	b := c.w.job.builds[slot]
 	b.shards[c.w.id] = append(b.shards[c.w.id], c.Node)

@@ -17,7 +17,9 @@ type weightSumTask struct {
 	acc PropID
 }
 
-func (k *weightSumTask) RunRow(c *Ctx, row Row) {
+func (k *weightSumTask) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *weightSumTask) row(c *Ctx, row Row) {
 	for i := range row.Refs {
 		c.SetF64(k.acc, c.GetF64(k.acc)+row.Weight(i))
 	}
@@ -188,7 +190,9 @@ type chainReadTask struct {
 	acc  PropID
 }
 
-func (k *chainReadTask) RunRow(c *Ctx, row Row) {
+func (k *chainReadTask) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *chainReadTask) row(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		c.Aux = 0
 		c.ReadRef(ref, k.ref)

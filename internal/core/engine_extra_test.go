@@ -16,7 +16,7 @@ import (
 
 // --- multi-read state machine kernel ----------------------------------------
 
-// twoHopTask exercises continuation chaining: RunRow reads each neighbor's hop1
+// twoHopTask exercises continuation chaining: its row reads each neighbor's hop1
 // ref (stored as a prop), then ReadDone issues a second read through that
 // ref, using Aux as the state machine the paper describes ("the user can
 // implement a state machine to distinguish multiple callbacks").
@@ -28,7 +28,9 @@ type twoHopTask struct {
 
 const twoHopStage2 = uint64(1) << 63
 
-func (k *twoHopTask) RunRow(c *Ctx, row Row) {
+func (k *twoHopTask) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *twoHopTask) row(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		c.Aux = 0
 		c.ReadRef(ref, k.refProp)
@@ -104,7 +106,9 @@ type rmiEchoTask struct {
 	acc    PropID
 }
 
-func (k *rmiEchoTask) RunRow(c *Ctx, row Row) {
+func (k *rmiEchoTask) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *rmiEchoTask) row(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		if !c.IsRemote(ref) {
 			continue

@@ -457,7 +457,9 @@ type rmiOnceTask struct {
 	method uint32
 }
 
-func (k *rmiOnceTask) Run(c *Ctx) {
+func (k *rmiOnceTask) RunNodes(c *Ctx, nodes *Cursor) { perNode(c, nodes, k.node) }
+
+func (k *rmiOnceTask) node(c *Ctx) {
 	if c.Machine() == 0 && c.Node == 0 {
 		c.CallRMI(1, k.method, []byte{1})
 	}

@@ -171,7 +171,9 @@ type activatePush struct {
 	val int64
 }
 
-func (k *activatePush) RunRow(c *Ctx, row Row) {
+func (k *activatePush) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *activatePush) row(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		c.Writer(k.dst, reduce.Min).Write(ref, WordI64(k.val))
 	}

@@ -15,16 +15,16 @@ import (
 type IterKind uint8
 
 const (
-	// IterNodes runs a NodeTask once per owned node.
+	// IterNodes runs a NodeTask over the owned nodes.
 	IterNodes IterKind = iota
-	// IterOutEdges runs a RowTask once per owned node, over its out-edges;
+	// IterOutEdges runs a RowTask over each owned node's out-edge row;
 	// all edges of one node are handled by the same worker.
 	IterOutEdges
-	// IterInEdges runs a RowTask once per owned node, over its in-edges —
-	// the pull-friendly orientation.
+	// IterInEdges runs a RowTask over each owned node's in-edge row — the
+	// pull-friendly orientation.
 	IterInEdges
-	// IterBothEdges runs a RowTask over each owned node's out-edges and then
-	// its in-edges in one region — the undirected view. Algorithms that
+	// IterBothEdges runs a RowTask over each owned node's out-edge row and
+	// then its in-edge row in one region — the undirected view. Algorithms that
 	// touch both orientations per step (WCC, k-core, MIS) use it to halve
 	// their barrier and prefetch count.
 	IterBothEdges
@@ -48,8 +48,11 @@ func (k IterKind) String() string {
 
 // Task is the paper's RTC user context (§4.1.2): what every kernel has, in
 // either of its two forms — NodeTask on the node iterator, RowTask on the edge
-// iterators. A callback must complete without blocking ("the invocation of
-// the run() method completes no matter what").
+// iterators. Either form is a loop: the worker calls it once per claimed chunk
+// with its Cursor, and the kernel steps the cursor to the chunk's end — the
+// paper's run-to-complete task, a loop the compiler sees whole (Fig 5a). A
+// callback must complete without blocking ("the invocation of the run() method
+// completes no matter what").
 // If a callback issued a remote read, ReadDone is the continuation, invoked by
 // the same worker when the value arrives — so task-local state needs no
 // locks. All cross-invocation state must live in properties or in Ctx.Aux,
@@ -59,19 +62,30 @@ type Task interface {
 	ReadDone(c *Ctx, val uint64)
 }
 
-// NodeTask is the kernel form the worker dispatches on IterNodes: Run is
-// called once per owned node (or frontier member), with Ctx.Node set and
-// Ctx.Aux zeroed.
+// NodeTask is the kernel form the worker dispatches on IterNodes: RunNodes is
+// called once per chunk and loops `for nodes.Next()`, each step visiting one
+// owned node (or frontier member) with Ctx.Node set and Ctx.Aux zeroed.
 type NodeTask interface {
+	Task
+	RunNodes(c *Ctx, nodes *Cursor)
+}
+
+// runTask is the per-node kernel form the cursor replaced: Run once per node.
+// The node iterator still accepts it, calling Run per step of its cursor, for
+// one caller this engine does not build: the regression benchmark's harness
+// (benchmark/micro.go) times an empty job over such a kernel, and that
+// harness changes only with the benchmark. New kernels are NodeTasks.
+type runTask interface {
 	Task
 	Run(c *Ctx)
 }
 
-// Row is one node's adjacency in one orientation, handed to RowTask.RunRow.
+// Row is one node's adjacency in one orientation, as Cursor.Row returns it.
 // Refs[i] is the i-th neighbor's ref (an owned node's local index, a replica
 // of a remote one, or a packed remote ref: store.go); Weights, nil on
-// unweighted graphs, runs parallel to Refs. Both alias engine storage (the CSR or a decoded store block) and
-// are valid only until RunRow returns.
+// unweighted graphs, runs parallel to Refs. Both alias engine storage (the
+// CSR or a decoded store block) and are valid only until the cursor's next
+// step.
 type Row struct {
 	Refs    []int64
 	Weights []float64
@@ -86,37 +100,42 @@ func (r Row) Weight(i int) float64 {
 }
 
 // RowTask is the kernel form the worker dispatches on the edge iterators:
-// RunRow is called once per node and orientation (twice under IterBothEdges,
-// out row first) and runs its own loop over the row — the paper's compiled
-// loop over a node's edges (Fig 5a). The contract:
+// RunRows is called once per chunk and loops `for rows.Next()` over the
+// chunk's rows — one per node and orientation (two under IterBothEdges, out
+// row first) — running its own loop over each row's edges. The contract:
 //
-//   - The engine sets Ctx.Node and zeroes Ctx.Aux before the node's first
-//     row; both belong to the kernel from then on. A kernel that passes a
-//     remote ref to Ctx.ReadRef gets Node and Aux back in ReadDone, so
-//     per-edge continuation state (an edge weight, say) goes into Aux just
-//     before that ReadRef.
-//   - A neighbor is read through the property's typed view (Ctx.F64/Ctx.I64,
-//     resolved once per row) when the view holds it — every owned node and,
-//     in a job that mirrors the property, every replica its rows reference —
-//     with one indexed load and no ReadDone; At reports whether it does. Any
-//     other ref goes through Ctx.ReadRef, which buffers toward the owner.
+//   - Whatever does not change from row to row is resolved once, before the
+//     loop: the typed views (Ctx.F64/Ctx.I64) and the Writers the kernel uses
+//     are the job's and hold for the whole chunk.
+//   - Cursor.Next sets Ctx.Node and zeroes Ctx.Aux at the node's first row;
+//     both belong to the kernel from then on. A kernel that passes a remote
+//     ref to Ctx.ReadRef gets Node and Aux back in ReadDone, so per-edge
+//     continuation state (an edge weight, say) goes into Aux just before
+//     that ReadRef.
+//   - A neighbor is read through the property's typed view when the view
+//     holds it — every owned node and, in a job that mirrors the property,
+//     every replica its rows reference — with one indexed load and no
+//     ReadDone; At reports whether it does. Any other ref goes through
+//     Ctx.ReadRef, which buffers toward the owner.
 //   - A push reduces by the row: Ctx.Writer(p, op).WriteRow(row.Refs, word)
 //     puts one word into every neighbor, local and remote, in row order, with
 //     op the operator the job declares for p; Writer.Write and its typed forms
 //     take one ref, for a value that differs per edge.
 //   - Ctx.ReadRef, Ctx.CallRMI and a WriteRow or Write that buffers a remote
-//     ref toward its owner — in the middle of the row's loop — are
+//     ref toward its owner — in the middle of a row's loop — are
 //     re-entrancy points: when the request pool is exhausted the worker runs
 //     queued continuations — possibly ReadDone for this very node — before
-//     they return. A row kernel therefore keeps its accumulator in a local,
-//     never caches own-node property values across such a call, and folds the
-//     accumulator into the property with one read-modify-write after the
-//     loop (the pull pattern's register accumulation: one own-node store per
-//     row instead of one per edge).
-//   - Leaving the row early is a plain return.
+//     they return, with Node and Aux restored after. A row kernel therefore
+//     keeps its accumulator in a local, never caches own-node property
+//     values across such a call, and folds the accumulator into the property
+//     with one read-modify-write after the row's loop (the pull pattern's
+//     register accumulation: one own-node store per row instead of one per
+//     edge).
+//   - Leaving a row early is a continue of the cursor loop; leaving the loop
+//     skips the chunk's remaining rows.
 type RowTask interface {
 	Task
-	RunRow(c *Ctx, row Row)
+	RunRows(c *Ctx, rows *Cursor)
 }
 
 // RMITask is implemented additionally by tasks that invoke Ctx.CallRMI;
@@ -236,11 +255,13 @@ func (spec *JobSpec) validate(props []propMeta) error {
 	if spec.Iter > IterBothEdges {
 		return fmt.Errorf("core: job %q has unknown iterator %d", spec.Name, spec.Iter)
 	}
-	if _, ok := spec.Task.(NodeTask); spec.Iter == IterNodes && !ok {
-		return fmt.Errorf("core: job %q runs a %T on the node iterator, which has no Run (NodeTask)", spec.Name, spec.Task)
+	_, nodes := spec.Task.(NodeTask)
+	_, run := spec.Task.(runTask)
+	if spec.Iter == IterNodes && !nodes && !run {
+		return fmt.Errorf("core: job %q runs a %T on the node iterator, which has no RunNodes (NodeTask)", spec.Name, spec.Task)
 	}
 	if _, ok := spec.Task.(RowTask); spec.Iter != IterNodes && !ok {
-		return fmt.Errorf("core: job %q runs a %T on the %v iterator, which has no RunRow (RowTask)", spec.Name, spec.Task, spec.Iter)
+		return fmt.Errorf("core: job %q runs a %T on the %v iterator, which has no RunRows (RowTask)", spec.Name, spec.Task, spec.Iter)
 	}
 	for _, p := range spec.ReadProps {
 		if int(p) >= len(props) {

@@ -9,7 +9,11 @@ import (
 // activateSelf activates every node it runs on into build slot 0.
 type activateSelf struct{ NoReads }
 
-func (activateSelf) Run(c *Ctx) { c.Activate(0) }
+func (activateSelf) RunNodes(c *Ctx, nodes *Cursor) {
+	for nodes.Next() {
+		c.Activate(0)
+	}
+}
 
 // jobFloorSpecs are the two smallest frontier-sourced jobs on an in-process
 // cluster of two machines: a push over an empty frontier, where no

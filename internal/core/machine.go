@@ -353,8 +353,10 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	if len(jr.views) > 0 {
 		jr.row = spec.Task.(RowTask)
 		jr.ooc, jr.cursors = m.ooc, m.ooc != nil && m.ooc.File().Compressed()
+	} else if t, ok := spec.Task.(NodeTask); ok {
+		jr.node = t
 	} else {
-		jr.node = spec.Task.(NodeTask)
+		jr.nodeRun = spec.Task.(runTask)
 	}
 
 	// Frontier-sourced iteration: restrict the chunk list to this machine's

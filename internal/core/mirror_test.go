@@ -28,7 +28,9 @@ type mixedReadTask struct {
 	outside       []int64 // per machine: a remote ref outside its remote set
 }
 
-func (k *mixedReadTask) RunRow(c *Ctx, row Row) {
+func (k *mixedReadTask) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *mixedReadTask) row(c *Ctx, row Row) {
 	for _, ref := range row.Refs {
 		if !c.w.m.store.owns(ref) {
 			c.ReadRef(ref, k.declared)
@@ -394,7 +396,9 @@ type skipRemoteSum struct {
 	src, dst PropID
 }
 
-func (k *skipRemoteSum) RunRow(c *Ctx, row Row) {
+func (k *skipRemoteSum) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *skipRemoteSum) row(c *Ctx, row Row) {
 	src := c.F64(k.src) // not mirrored: it holds the owned nodes only
 	var sum float64
 	for _, ref := range row.Refs {

@@ -68,9 +68,9 @@ func (jr *jobRuntime) claimChunk(mach int, ch partition.Chunk) {
 
 // rowReaders are one goroutine's cursors over a compressed load, one per view
 // of a job, each pinning one decoded block until released: a row is valid
-// until the cursor's next row or release. Workers keep theirs beside their
-// other per-job state so an abort unwind finds them; a job that decodes no
-// rows never asks a worker's for one (jobRuntime.cursors).
+// until the cursor's next row or release. A worker's Cursor holds them, so an
+// abort unwind finds them; a job that decodes no rows never opens them
+// (jobRuntime.cursors).
 type rowReaders [2]store.Cursor
 
 // open points the readers at machine mach's views under jr's compressed load.

@@ -25,7 +25,9 @@ type refRecorder struct {
 	rows     [][2][][]int64
 }
 
-func (k *refRecorder) RunRow(c *Ctx, row Row) {
+func (k *refRecorder) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *refRecorder) row(c *Ctx, row Row) {
 	o := store.OrientOut
 	if c.w.job.spec.Iter == IterInEdges || c.Aux == 1 {
 		o = store.OrientIn

@@ -17,10 +17,10 @@ import (
 
 // rowPullSum is pullSumTask with the row contract's register accumulation:
 // a local sum over the neighbors the typed view holds, ReadRef for the rest,
-// one own-node read-modify-write after the loop.
+// one own-node read-modify-write after the row's loop.
 //
 // inRow/reentered instrument TestRowKernelReentrancy: inRow[m] holds the node
-// machine m's (single) worker is inside RunRow for, plus one; ReadDone counts
+// whose row machine m's (single) worker is inside, plus one; ReadDone counts
 // the continuations that ran for that very node meanwhile. staleOwn breaks
 // the row contract on purpose — it reads the node's accumulator before the
 // loop and stores over it afterwards — to show the test reaches the hazard.
@@ -31,26 +31,30 @@ type rowPullSum struct {
 	reentered atomic.Int64
 }
 
-func (k *rowPullSum) RunRow(c *Ctx, row Row) {
-	if k.inRow != nil {
-		k.inRow[c.Machine()].Store(c.Node + 1)
-		defer k.inRow[c.Machine()].Store(0)
-	}
+func (k *rowPullSum) RunRows(c *Ctx, rows *Cursor) {
 	src := c.F64(k.src)
-	before := c.GetF64(k.dst)
-	var sum float64
-	for _, ref := range row.Refs {
-		if v, ok := src.At(ref); ok {
-			sum += v
+	for rows.Next() {
+		if k.inRow != nil {
+			k.inRow[c.Machine()].Store(c.Node + 1)
+		}
+		before := c.GetF64(k.dst)
+		var sum float64
+		for _, ref := range rows.Row().Refs {
+			if v, ok := src.At(ref); ok {
+				sum += v
+			} else {
+				c.ReadRef(ref, k.src)
+			}
+		}
+		if k.staleOwn {
+			c.SetF64(k.dst, before+sum)
 		} else {
-			c.ReadRef(ref, k.src)
+			c.SetF64(k.dst, c.GetF64(k.dst)+sum)
+		}
+		if k.inRow != nil {
+			k.inRow[c.Machine()].Store(0)
 		}
 	}
-	if k.staleOwn {
-		c.SetF64(k.dst, before+sum)
-		return
-	}
-	c.SetF64(k.dst, c.GetF64(k.dst)+sum)
 }
 
 func (k *rowPullSum) ReadDone(c *Ctx, val uint64) {
@@ -67,7 +71,9 @@ type prScaleTask struct {
 	pr, scaled PropID
 }
 
-func (k *prScaleTask) Run(c *Ctx) {
+func (k *prScaleTask) RunNodes(c *Ctx, nodes *Cursor) { perNode(c, nodes, k.node) }
+
+func (k *prScaleTask) node(c *Ctx) {
 	if d := c.OutDegree(); d > 0 {
 		c.SetF64(k.scaled, c.GetF64(k.pr)/float64(d))
 	} else {
@@ -81,7 +87,9 @@ type prApplyTask struct {
 	base, damping float64
 }
 
-func (k *prApplyTask) Run(c *Ctx) {
+func (k *prApplyTask) RunNodes(c *Ctx, nodes *Cursor) { perNode(c, nodes, k.node) }
+
+func (k *prApplyTask) node(c *Ctx) {
 	c.SetF64(k.pr, k.base+k.damping*c.GetF64(k.nxt))
 	c.SetF64(k.nxt, 0)
 }
@@ -141,7 +149,7 @@ func TestRowKernelReentrancy(t *testing.T) {
 
 	diff, reentered := run(t, false)
 	if reentered == 0 {
-		t.Fatal("no continuation ran for a node inside its own RunRow: the pool never stalled mid-row")
+		t.Fatal("no continuation ran for a node inside its own row: the pool never stalled mid-row")
 	}
 	if diff > 1e-12 {
 		t.Errorf("row kernel under re-entrancy: max |pr - SA| = %g (%d same-node continuations)", diff, reentered)
@@ -151,37 +159,94 @@ func TestRowKernelReentrancy(t *testing.T) {
 	}
 }
 
+// perRow and perNode run a test kernel written per row or per node over the
+// cursor: most test kernels keep that form, the engine's own kernels loop.
+func perRow(c *Ctx, rows *Cursor, row func(c *Ctx, row Row)) {
+	for rows.Next() {
+		row(c, rows.Row())
+	}
+}
+
+func perNode(c *Ctx, nodes *Cursor, node func(c *Ctx)) {
+	for nodes.Next() {
+		node(c)
+	}
+}
+
 // scanJob wires a jobRuntime for worker 0 of machine 0 exactly as runJob
-// would for an in-edge scan with kernel, without dispatching it.
-func scanJob(c *Cluster, kernel RowTask) (*worker, *jobRuntime) {
+// would for an in-edge scan with kernel over source (nil: every node),
+// without dispatching it.
+func scanJob(c *Cluster, kernel RowTask, source *Frontier) (*worker, *jobRuntime) {
 	m := c.machines[0]
 	w := m.workers[0]
-	spec := &JobSpec{Name: "scan", Iter: IterInEdges, Task: kernel}
+	spec := &JobSpec{Name: "scan", Iter: IterInEdges, Task: kernel, Source: source}
 	jr := m.newJobRuntime(spec, 0)
 	w.job, w.cols = jr, m.cols
 	return w, jr
 }
 
 // TestRowKernelScanAllocatesNothing: a local row scan — chunk walk, row
-// slicing, kernel dispatch, typed view, own-node fold — allocates nothing.
+// slicing, kernel dispatch, typed view, own-node fold — allocates nothing,
+// over a dense range, a dense frontier's bitmap and a sparse frontier's
+// member list alike.
 func TestRowKernelScanAllocatesNothing(t *testing.T) {
+	g := testGraph(t)
 	cfg := DefaultConfig(1)
-	c := bootCluster(t, testGraph(t), cfg)
+	c := bootCluster(t, g, cfg)
 	src, _ := c.AddPropF64("src")
 	dst, _ := c.AddPropF64("dst")
 	c.FillF64(src, 1)
-	c.FillF64(dst, 0)
-	w, jr := scanJob(c, &rowPullSum{src: src, dst: dst})
-	const runs = 10
-	allocs := testing.AllocsPerRun(runs, func() { w.runChunk(jr, &w.ctx, jr.chunks[0]) })
-	w.job = nil
-	if allocs != 0 {
-		t.Errorf("%.1f allocations per chunk scan, want 0", allocs)
-	}
-	// The scans really ran: node 0's sum is its in-degree per scan
-	// (AllocsPerRun adds one warm-up run).
-	if got, wantSum := c.GatherF64(dst)[0], float64((runs+1)*int(testGraph(t).InDegree(0))); got != wantSum {
-		t.Errorf("node 0 accumulated %g, want %g", got, wantSum)
+	for _, tc := range []struct {
+		name  string
+		dense bool
+		pred  func(graph.NodeID) bool // nil: every node, no Source
+	}{
+		{"range", true, nil},
+		{"bitmap", true, func(v graph.NodeID) bool { return v%3 == 0 }},
+		{"list", false, func(v graph.NodeID) bool { return v%97 == 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c.FillF64(dst, 0)
+			var source *Frontier
+			if tc.pred != nil {
+				source = c.NewFrontier(tc.name)
+				source.Fill(tc.pred)
+				if mf := source.machines[0]; mf.dense != tc.dense {
+					t.Fatalf("frontier dense = %v, want %v", mf.dense, tc.dense)
+				}
+			}
+			w, jr := scanJob(c, &rowPullSum{src: src, dst: dst}, source)
+			const runs = 10
+			ch := jr.chunks[0]
+			allocs := testing.AllocsPerRun(runs, func() { w.runChunk(jr, ch) })
+			w.job = nil
+			if allocs != 0 {
+				t.Errorf("%.1f allocations per chunk scan, want 0", allocs)
+			}
+			// The scans really ran: every member of the chunk summed its
+			// in-degree per scan (AllocsPerRun adds one warm-up run).
+			members := jr.frontList
+			if members == nil {
+				for u := ch.Begin; u < ch.End; u++ {
+					if tc.pred == nil || tc.pred(graph.NodeID(u)) {
+						members = append(members, u)
+					}
+				}
+			} else {
+				members = members[ch.Begin:ch.End]
+			}
+			var want float64
+			for _, u := range members {
+				want += float64((runs + 1) * int(g.InDegree(graph.NodeID(u))))
+			}
+			var got float64
+			for _, v := range c.GatherF64(dst) {
+				got += v
+			}
+			if len(members) == 0 || got != want {
+				t.Errorf("the chunk's %d members accumulated %g, want %g", len(members), got, want)
+			}
+		})
 	}
 }
 

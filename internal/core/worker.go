@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	mathbits "math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,8 +15,8 @@ import (
 )
 
 // worker is one RTC worker goroutine (paper §3.2). It claims edge-balanced
-// chunks of nodes from the job's shared cursor, hands each node's adjacency
-// row to the job's kernel (on a node iterator, calls its Run per node),
+// chunks of nodes from the job's shared chunk counter, hands each chunk to the
+// job's kernel in one call with its Cursor over the chunk's rows or nodes,
 // buffers remote reads/writes per destination machine, and — when responses
 // arrive on its response queue — continues the originating tasks via
 // ReadDone, always on this same goroutine ("a task is always executed by
@@ -80,10 +79,10 @@ type worker struct {
 	// (Ctx.Writer): once per job and property, not once per row or edge.
 	wrs []Writer
 
-	// rd are the cursors this worker takes a compressed load's rows through,
-	// each pinning a decoded block while a chunk runs. A worker field rather
-	// than a local so abortCleanup can release them after an unwind mid-chunk.
-	rd rowReaders
+	// cur is the cursor the job's kernel walks each chunk with. A worker field
+	// rather than a local: nothing escapes through the kernel call, and
+	// abortCleanup can release its store cursors after an unwind mid-chunk.
+	cur Cursor
 
 	// reg is the observability registry (nil when off). rttStart maps an
 	// in-flight request seq to its flush Clock so processResponse can record
@@ -126,6 +125,7 @@ func newWorker(m *Machine, id int) *worker {
 		w.rttStart = make(map[uint32]int64)
 	}
 	w.ctx.w = w
+	w.cur.c = &w.ctx
 	return w
 }
 
@@ -143,7 +143,7 @@ func (w *worker) loop() {
 // abortUnwind is the sentinel the worker panics with to unwind out of
 // arbitrarily nested task callbacks when its job aborts. Task callbacks
 // cannot return errors, so this is the only way to get from deep inside
-// Run/RunRow/ReadDone back to runJob's frame; the deferred recover there is
+// RunNodes/RunRows/ReadDone back to runJob's frame; the deferred recover there is
 // the sole handler, and any other panic value is re-raised untouched.
 type abortUnwind struct{}
 
@@ -186,7 +186,7 @@ func (w *worker) abortCleanup() {
 		delete(w.sides, seq)
 	}
 	w.outstanding = 0
-	w.rd.release()
+	w.cur.rd.release()
 	w.folded = 0
 	if w.rttStart != nil {
 		clear(w.rttStart) // the seqs moved to the stale set; no RTT to record
@@ -210,7 +210,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 		w.wrs = make([]Writer, len(w.cols))
 	}
 	if jr.cursors {
-		w.rd.open(jr, w.m.id)
+		w.cur.rd.open(jr, w.m.id)
 	}
 	if jr.mirrorSet != nil {
 		w.prefetch(jr)
@@ -221,7 +221,6 @@ func (w *worker) runJob(jr *jobRuntime) {
 		}
 	}
 
-	ctx := &w.ctx
 	for {
 		chunkIdx := int(jr.cursor.Add(1)) - 1
 		if chunkIdx >= len(jr.chunks) {
@@ -230,7 +229,7 @@ func (w *worker) runJob(jr *jobRuntime) {
 		if jr.aborted() {
 			w.unwind()
 		}
-		w.runChunk(jr, ctx, jr.chunks[chunkIdx])
+		w.runChunk(jr, jr.chunks[chunkIdx])
 		// Opportunistically run continuations between chunks so response
 		// queues and buffer pools keep draining while we still have tasks.
 		w.drainResponsesSafe()
@@ -268,119 +267,29 @@ func (w *worker) awaitReads(jr *jobRuntime) {
 	}
 }
 
-// runChunk drives the task over one chunk in the job's iteration mode, after
-// announcing the chunk's topology reads on an out-of-core load. A job whose
-// rows are decoded on the way takes them through the worker's readers; every
-// other job, a raw store file's included, runs the loops below over the views'
-// own refs.
-func (w *worker) runChunk(jr *jobRuntime, ctx *Ctx, ch partition.Chunk) {
+// runChunk hands the job's kernel one chunk through the worker's cursor, after
+// announcing the chunk's topology reads on an out-of-core load: one call per
+// chunk, the kernel's loop stepping the cursor.
+func (w *worker) runChunk(jr *jobRuntime, ch partition.Chunk) {
 	if jr.ooc != nil {
 		jr.claimChunk(w.m.id, ch)
 	}
+	cur := &w.cur
+	cur.open(jr, ch)
 	switch {
-	case jr.cursors:
-		jr.eachNode(ch, func(node uint32) { w.runNodeReaders(jr, ctx, node) })
-		w.rd.release()
-	case jr.frontList != nil:
-		// Sparse frontier: chunk indices address the sorted member list.
-		for i := ch.Begin; i < ch.End; i++ {
-			w.runNode(jr, ctx, jr.frontList[i])
-		}
-	case jr.frontBits != nil:
-		// Dense frontier: node-id chunks, word-skipping bitmap scan.
-		bits := jr.frontBits
-		for n := ch.Begin; n < ch.End; {
-			word := bits[n>>6] >> (n & 63)
-			if word == 0 {
-				n = (n | 63) + 1
-				continue
-			}
-			n += uint32(trailingZeros64(word))
-			if n >= ch.End {
-				break
-			}
-			w.runNode(jr, ctx, n)
-			n++
-		}
+	case jr.row != nil:
+		jr.row.RunRows(&w.ctx, cur)
+	case jr.node != nil:
+		jr.node.RunNodes(&w.ctx, cur)
 	default:
-		for node := ch.Begin; node < ch.End; node++ {
-			w.runNode(jr, ctx, node)
+		for cur.Next() {
+			jr.nodeRun.Run(&w.ctx)
 		}
+	}
+	if jr.cursors {
+		cur.rd.release()
 	}
 }
-
-// eachNode calls fn for the nodes chunk ch names, in runChunk's order.
-func (jr *jobRuntime) eachNode(ch partition.Chunk, fn func(node uint32)) {
-	switch {
-	case jr.frontList != nil:
-		for i := ch.Begin; i < ch.End; i++ {
-			fn(jr.frontList[i])
-		}
-	case jr.frontBits != nil:
-		bits := jr.frontBits
-		for n := ch.Begin; n < ch.End; n++ {
-			word := bits[n>>6] >> (n & 63)
-			if word == 0 {
-				n |= 63
-				continue
-			}
-			if n += uint32(trailingZeros64(word)); n >= ch.End {
-				break
-			}
-			fn(n)
-		}
-	default:
-		for node := ch.Begin; node < ch.End; node++ {
-			fn(node)
-		}
-	}
-}
-
-// runNodeReaders is runNode with an edge iterator's rows through the worker's
-// readers; one that fails to decode fails the job.
-func (w *worker) runNodeReaders(jr *jobRuntime, ctx *Ctx, node uint32) {
-	ctx.Node = node
-	ctx.Aux = 0
-	for i := range jr.views {
-		refs, err := w.rd[i].Row(int64(node))
-		if err != nil {
-			w.fail(err)
-		}
-		r := Row{Refs: refs}
-		if v := &jr.views[i]; v.weights != nil {
-			r.Weights = v.weights[v.rows[node]:v.rows[node+1]]
-		}
-		jr.row.RunRow(ctx, r)
-	}
-}
-
-// runNode drives the job's task over one owned node: NodeTask.Run on a node
-// iterator, or RowTask.RunRow over each of the node's CSR rows.
-func (w *worker) runNode(jr *jobRuntime, ctx *Ctx, node uint32) {
-	ctx.Node = node
-	ctx.Aux = 0
-	if jr.row == nil {
-		jr.node.Run(ctx)
-		return
-	}
-	for i := range jr.views {
-		jr.row.RunRow(ctx, jr.views[i].row(node))
-	}
-}
-
-// row slices node's row out of the view's CSR.
-func (v *orientView) row(node uint32) Row {
-	lo, hi := v.rows[node], v.rows[node+1]
-	r := Row{Refs: v.refs[lo:hi]}
-	if v.weights != nil {
-		r.Weights = v.weights[lo:hi]
-	}
-	return r
-}
-
-// trailingZeros64 is math/bits.TrailingZeros64 (local name so the bitmap
-// scan can shadow "bits" for the slice).
-func trailingZeros64(x uint64) int { return mathbits.TrailingZeros64(x) }
 
 // drainResponses runs all currently queued continuations without blocking.
 func (w *worker) drainResponses() {
@@ -794,11 +703,12 @@ type jobRuntime struct {
 type jobPlan struct {
 	spec *JobSpec
 	// spec.Task in the form the iterator dispatches (JobSpec.validate checks
-	// it has it): row on the edge iterators, node on IterNodes; the other is
-	// nil.
-	row    RowTask
-	node   NodeTask
-	chunks []partition.Chunk
+	// it has it): row on the edge iterators, node — or nodeRun, for a kernel
+	// in the per-node form — on IterNodes; the others are nil.
+	row     RowTask
+	node    NodeTask
+	nodeRun runTask
+	chunks  []partition.Chunk
 	// views are the orientations an edge iterator walks per node, in dispatch
 	// order (two for IterBothEdges, none on a node iterator): the iterViews
 	// range of the store's views for spec.Iter.

@@ -28,15 +28,20 @@ type rowPush struct {
 	perRef   bool
 }
 
-func (k *rowPush) RunRow(c *Ctx, row Row) {
-	word := WordI64(c.GetI64(k.src))
+func (k *rowPush) RunRows(c *Ctx, rows *Cursor) {
 	if k.perRef {
-		for _, ref := range row.Refs {
-			c.Writer(k.dst, k.op).Write(ref, word)
+		for rows.Next() {
+			word := WordI64(c.GetI64(k.src))
+			for _, ref := range rows.Row().Refs {
+				c.Writer(k.dst, k.op).Write(ref, word)
+			}
 		}
 		return
 	}
-	c.Writer(k.dst, k.op).WriteRow(row.Refs, word)
+	dst := c.Writer(k.dst, k.op)
+	for rows.Next() {
+		dst.WriteRow(rows.Row().Refs, WordI64(c.GetI64(k.src)))
+	}
 }
 
 // relaxRow is the weighted row, SSSP's relaxation: dist + weight into dst of
@@ -48,7 +53,9 @@ type relaxRow struct {
 	perRef   bool
 }
 
-func (k *relaxRow) RunRow(c *Ctx, row Row) {
+func (k *relaxRow) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *relaxRow) row(c *Ctx, row Row) {
 	d, wr := c.GetF64(k.src), c.Writer(k.dst, reduce.Min)
 	for i, ref := range row.Refs {
 		if k.perRef {
@@ -108,7 +115,9 @@ type twoOpTask struct {
 	dst PropID
 }
 
-func (k *twoOpTask) RunRow(c *Ctx, row Row) {
+func (k *twoOpTask) RunRows(c *Ctx, rows *Cursor) { perRow(c, rows, k.row) }
+
+func (k *twoOpTask) row(c *Ctx, row Row) {
 	c.Writer(k.dst, reduce.Min).WriteRow(row.Refs, 1)
 	c.Writer(k.dst, reduce.Max).WriteRow(row.Refs, 2)
 }
@@ -375,7 +384,9 @@ type drainProbe struct {
 	seen     atomic.Int64 // the word machine 0's kernel read; -1: the frame never came
 }
 
-func (k *drainProbe) Run(c *Ctx) {
+func (k *drainProbe) RunNodes(c *Ctx, nodes *Cursor) { perNode(c, nodes, k.node) }
+
+func (k *drainProbe) node(c *Ctx) {
 	switch {
 	case c.Machine() == 1 && c.Node == 0:
 		c.Writer(k.x, reduce.Sum).Write(RemoteRef(0, 0), 5)

@@ -110,10 +110,12 @@ type GraphInfo struct {
 
 // RunResult summarizes one analysis.
 type RunResult struct {
-	Algo        string      `json:"algo"`
-	Iterations  int         `json:"iterations"`
-	Millis      float64     `json:"millis"`
-	Extra       string      `json:"extra,omitempty"`
+	Algo       string  `json:"algo"`
+	Iterations int     `json:"iterations"`
+	Millis     float64 `json:"millis"`
+	Extra      string  `json:"extra,omitempty"`
+	// TopVertices are the run's TopK best vertices in algorithms.Result.Top's
+	// order: by value (smallest first for distances), ties by node id.
 	TopVertices []TopVertex `json:"top,omitempty"`
 
 	// JobID is the server-assigned admission sequence number of this run.

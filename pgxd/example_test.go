@@ -64,6 +64,9 @@ type exampleCountTask struct {
 	counter pgxd.PropID
 }
 
-func (k *exampleCountTask) RunRow(c *pgxd.Ctx, row pgxd.Row) {
-	c.Writer(k.counter, pgxd.Sum).WriteRow(row.Refs, 1) // the word of int64 1
+func (k *exampleCountTask) RunRows(c *pgxd.Ctx, rows *pgxd.Cursor) {
+	counter := c.Writer(k.counter, pgxd.Sum)
+	for rows.Next() {
+		counter.WriteRow(rows.Row().Refs, 1) // the word of int64 1
+	}
 }

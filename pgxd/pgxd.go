@@ -215,20 +215,27 @@ type Ctx = core.Ctx
 
 // Task is a run-to-complete kernel (its ReadDone continuation); see the
 // paper's §4.1 programming model. A kernel comes in one of two forms, by
-// iterator: NodeTask on IterNodes, RowTask on the edge iterators.
+// iterator: NodeTask on IterNodes, RowTask on the edge iterators. Either is a
+// loop over one chunk at a time, stepping its Cursor.
 type Task = core.Task
 
-// NodeTask is a kernel the node iterator runs once per node (Run).
+// NodeTask is a kernel the node iterator hands a chunk of nodes; it loops
+// over them itself (RunNodes).
 type NodeTask = core.NodeTask
+
+// Cursor is the worker's walk over one chunk a kernel is handed: Next steps to
+// the next node (NodeTask) or row (RowTask), setting Ctx.Node at each node's
+// first row, and Row returns the current row.
+type Cursor = core.Cursor
 
 // NoReads is a mixin for push-only tasks.
 type NoReads = core.NoReads
 
-// RowTask is a kernel the edge iterators hand a node's whole adjacency row;
-// it runs its own loop over it (RunRow).
+// RowTask is a kernel the edge iterators hand a chunk of adjacency rows; it
+// loops over the rows and over each row's edges itself (RunRows).
 type RowTask = core.RowTask
 
-// Row is one node's adjacency in one orientation, as handed to RowTask.RunRow.
+// Row is one node's adjacency in one orientation, as Cursor.Row returns it.
 type Row = core.Row
 
 // F64View and I64View are typed read views over a property (Ctx.F64 /

@@ -100,10 +100,12 @@ type customDegreeTask struct {
 	counter pgxd.PropID
 }
 
-func (k *customDegreeTask) RunRow(c *pgxd.Ctx, row pgxd.Row) {
+func (k *customDegreeTask) RunRows(c *pgxd.Ctx, rows *pgxd.Cursor) {
 	wr := c.Writer(k.counter, pgxd.Sum)
-	for _, ref := range row.Refs {
-		wr.WriteI64(ref, 1)
+	for rows.Next() {
+		for _, ref := range rows.Row().Refs {
+			wr.WriteI64(ref, 1)
+		}
 	}
 }
 
