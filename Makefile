@@ -94,9 +94,13 @@ perf-check:
 #
 # bench-scan, same recipe, is the isolated number behind one line of the
 # superstep budget: ns/edge of the kernel dispatch — a pull row accumulating in
-# a register, a push reducing by the row (Writer.WriteRow) and ref by ref,
-# local and 20 % remote: all-local, a push row is the cost of one local
-# reduction.
+# a register (row), a push reducing by the row (Writer.WriteRow: push-sum/row,
+# push-min/row) and ref by ref (push-sum/per-ref, push-min/per-ref) — on three
+# placements: all-local, where a push row is the cost of one local reduction;
+# remote-20pct (row, push-sum/row and per-ref, push-min/row), where a push also
+# folds replicas into the accumulator; and packed-20pct (push-sum/row), the same
+# cut loaded with an empty ghost set, where every remote ref leaves the push's
+# loop for the buffered path.
 #
 # bench-direction, same recipe, prices the push/pull rule's α: ns per charged
 # edge of one push and one pull superstep of each traversal's real kernels

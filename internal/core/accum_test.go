@@ -319,12 +319,13 @@ func accumCluster(t *testing.T, useTCP bool, workers int, rules ...comm.FaultRul
 
 // TestFaultAccumulatedFlush drops, truncates, delays and hard-fails the k-th
 // write frame machine 0's accumulators flush toward machine 1, for every k the
-// flush has, over both fabrics; and cancels the job between a machine's last
-// row and its flush. A delay is tolerated and the result exact; every other
-// fault aborts the job with its root cause, leaves no residue — buffers home,
-// no spill file, every worker out of the job — and the immediate rerun, over
-// different source values, is exact: an aborted job's accumulators are never
-// read, the next job re-bottoms every slot before its first row.
+// flush has, over both fabrics and with two workers per machine and one; and
+// cancels the job between a machine's last row and its flush. A delay is
+// tolerated and the result exact; every other fault aborts the job with its
+// root cause, leaves no residue — buffers home, no spill file, every worker
+// out of the job — and the immediate rerun, over different source values, is
+// exact: an aborted job's accumulators are never read, the next job re-bottoms
+// every slot before its first row.
 func TestFaultAccumulatedFlush(t *testing.T) {
 	g := faultGraph(t)
 	eachFabric(t, func(t *testing.T, useTCP bool) {
@@ -340,8 +341,8 @@ func TestFaultAccumulatedFlush(t *testing.T) {
 		} {
 			// faultKth runs the job with the stream's k-th frame faulted and
 			// reports whether the stream had one.
-			faultKth := func(t *testing.T, k int) bool {
-				c, inj, spillDir, close := accumCluster(t, useTCP, 2, comm.FaultRule{
+			faultKth := func(t *testing.T, workers, k int) bool {
+				c, inj, spillDir, close := accumCluster(t, useTCP, workers, comm.FaultRule{
 					Src: 0, Dst: 1, Type: int(comm.MsgWriteReq), Kind: kind.kind,
 					After: k, Limit: 1, Delay: 2 * time.Millisecond, TruncateTo: comm.HeaderSize + 3})
 				defer close()
@@ -372,14 +373,20 @@ func TestFaultAccumulatedFlush(t *testing.T) {
 				}
 				return true
 			}
-			t.Run(kind.name, func(t *testing.T) {
+			// Two workers per machine, and one: the one-worker machine folds into
+			// its columns' tails (column.growTail).
+			eachK := func(t *testing.T, workers int) {
 				k := 0
-				for faultKth(t, k) {
+				for faultKth(t, workers, k) {
 					k++
 				}
 				if k < 2 {
 					t.Fatalf("%d flushed write frame(s) were faulted, want a flush of several", k)
 				}
+			}
+			t.Run(kind.name, func(t *testing.T) {
+				eachK(t, 2)
+				t.Run("one-worker", func(t *testing.T) { eachK(t, 1) })
 			})
 		}
 		t.Run("cancel", func(t *testing.T) {

@@ -164,6 +164,7 @@ func (m *Machine) applyWrites(jr *jobRuntime, records uint32, payload []byte) er
 			if jr != nil && jr.activate != nil && jr.activate[prop] >= 0 {
 				bf, run.act = jr.builds[jr.activate[prop]], &m.acts
 			}
+			run.target()
 			run.reduce(refs[i:j], 0, words[i:j])
 			if bf != nil {
 				for _, v := range m.acts {

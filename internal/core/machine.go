@@ -290,7 +290,8 @@ type machineJobStats struct {
 // in lockstep. The body is §3's protocol, one phase per call, and each span
 // kind of the main goroutine is recorded by exactly the phase named:
 //
-//	newJobRuntime   what this machine iterates and feeds; no traffic
+//	newJobRuntime   what this machine iterates and feeds, and whether it
+//	                mirrors and accumulates; no traffic
 //	publish         spill, curJob, collectives' abort; unpublish on every exit
 //	startBarrier    barrier(0): every machine has published
 //	taskPhase       task_phase: the workers run the task list dry (RTC),
@@ -340,11 +341,15 @@ var iterViews = [...][2]int{IterNodes: {0, 0}, IterOutEdges: {0, 1}, IterInEdges
 // newJobRuntime resets the machine's one job runtime for job jobID and
 // resolves spec against this machine's partition: which chunks its workers
 // claim and through which CSR views, which frontier members they visit, which
-// frontiers and write-activations the job feeds, and which column words one
-// goroutine owns during the job. The plan is replaced whole; the latch moves
-// to jobID (jobRuntime.reset). No traffic; of the machine's state only the
-// columns' ownership flags and views are written, which nothing reads between
-// jobs.
+// frontiers and write-activations the job feeds, which column words one
+// goroutine owns during the job, and how it resolves its remote accesses
+// (remoteJob). The plan is replaced whole; the latch moves to jobID
+// (jobRuntime.reset). No traffic; of the machine's state only the columns'
+// ownership flags, views and accumulator tails and the mirrors are written,
+// which nothing reads between jobs. It runs ahead of publish and of t0: a
+// column grows its tail here, before a copier may check a write record against
+// it, and a mirror's first allocation billed to this job's worker end times
+// would reach the Figure 6c breakdown.
 func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	span := iterViews[spec.Iter]
 	jr := &m.jr
@@ -422,6 +427,9 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 		col.owned = !read && (one || !reduced)
 		col.view = col.vals // mirrorJob points a mirrored property's at its mirror
 	}
+	if !jr.emptySkip {
+		m.remoteJob(jr)
+	}
 	return jr
 }
 
@@ -484,15 +492,9 @@ func (m *Machine) barrierSpan(jr *jobRuntime, which uint64, t int64) {
 
 // taskPhase hands the job to the workers and waits for their task lists and
 // continuations to run dry (the task_phase span). Workers unwind on failure
-// without an error return path; the job runtime carries the root cause. The
-// job is set up against the load's remote set first (remoteJob), outside the
-// span and ahead of t0: a mirror's first allocation billed to this job's
-// worker end times would reach the Figure 6c breakdown.
+// without an error return path; the job runtime carries the root cause.
 func (m *Machine) taskPhase(jr *jobRuntime) error {
 	reg := m.cfg.Obs
-	if !jr.emptySkip {
-		m.remoteJob(jr)
-	}
 	jr.t0 = time.Now()
 	t := reg.Clock()
 	if !jr.emptySkip {

@@ -55,10 +55,14 @@ type propMeta struct {
 // store is atomic and a reduction a compare-and-swap loop (write.go). Loads are
 // atomic throughout. acc holds the per-worker accumulators of a dense push's
 // remote reductions (accum.go); they are plain slices since each is
-// single-owner, and they go when the column does.
+// single-owner, and they go when the column does. On a machine with one
+// worker the accumulator is no slice of its own but the tail of the column's
+// backing array, laid out like a mirror — [owned words | one word per slot of
+// the remote set] — so that a plain reduction reaches an owned neighbour and
+// a replica with one indexed store (growTail, write.go).
 type column struct {
 	kind PropKind
-	vals []atomic.Uint64 // numLocal
+	vals []atomic.Uint64 // numLocal; with one worker its capacity may reach over the accumulator tail
 	acc  []accum         // [workers], lazily allocated
 
 	// owned: no goroutine but a node's own worker touches the node's word this
@@ -163,8 +167,28 @@ func (c *column) mergeWords(op reduce.Op, a, b uint64) uint64 {
 	}
 }
 
+// growTail makes a one-worker column's accumulator the tail of its backing
+// array: it moves the owned words to an array size words longer, in the
+// column's kind of memory, and hands the words past them to worker 0 as its
+// accumulator slots — the separate array ensureAcc would allocate, which this
+// replaces. A column grows once in its life (the remote set is the load's, and
+// a load's columns go with it); the main goroutine grows it before it
+// publishes the job, while no worker, copier or replay touches the column.
+func (c *column) growTail(size int) {
+	n := len(c.vals)
+	if cap(c.vals)-n >= size {
+		return
+	}
+	grown := newColumn(c.kind, n+size, 0, c.freeFn != nil)
+	copy(plainWords(grown.vals[:n]), plainWords(c.vals))
+	c.release()
+	c.vals, c.view, c.freeFn = grown.vals[:n], grown.vals[:n], grown.freeFn
+	c.acc[0].slots = plainWords(grown.vals[n:])
+}
+
 // ensureAcc readies worker w's accumulator for job over a remote set of size
-// slots: one word per slot, each op's identity.
+// slots: one word per slot, each op's identity. A grown column's worker 0
+// bottoms its tail (growTail).
 func (c *column) ensureAcc(w int, op reduce.Op, job uint64, size int) {
 	a := &c.acc[w]
 	a.job = job

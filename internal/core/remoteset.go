@@ -95,7 +95,8 @@ func eachSlot(bits []uint64, lo, hi int, fn func(slot int)) {
 // remoteJob decides, from this machine's state alone, whether jr resolves its
 // remote accesses against the load's remote set, and sets it up for that:
 // declared read properties are mirrored (mirrorJob), declared write properties
-// accumulate per worker — unless one activates. Folding an activating write
+// accumulate per worker — on a one-worker machine in the column's tail
+// (column.growTail) — unless one activates. Folding an activating write
 // would lose nothing (every remote write applies, and activates, only in the
 // owner's drain), but measured it removed 5 % of the applied writes on
 // microstep and made it slower (EXPERIMENTS.md, "Activation with accumulation
@@ -128,6 +129,11 @@ func (m *Machine) remoteJob(jr *jobRuntime) {
 		return
 	}
 	jr.accumulate = accumulate
+	if accumulate && m.cfg.Workers == 1 {
+		for _, ws := range spec.WriteProps {
+			m.cols[ws.Prop].growTail(len(set.addr))
+		}
+	}
 	if len(spec.ReadProps) > 0 {
 		m.mirrorJob(jr, set, is)
 	}

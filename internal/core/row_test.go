@@ -185,11 +185,36 @@ func scanJob(c *Cluster, kernel RowTask, source *Frontier) (*worker, *jobRuntime
 	return w, jr
 }
 
+// pushJob wires a jobRuntime for the one worker of machine 0 exactly as
+// runJob would for an out-edge push of kernel reducing SUM into dst over
+// source (nil: every node), without dispatching it: the set-up decides whether
+// the job accumulates, and the worker bottoms its accumulator when it does. id
+// is one no RunJob of the test reaches, so the worker's write handles resolve
+// for this job.
+func pushJob(c *Cluster, kernel RowTask, dst PropID, source *Frontier, id uint64) (*worker, *jobRuntime) {
+	m := c.machines[0]
+	w := m.workers[0]
+	spec := &JobSpec{Name: "push", Iter: IterOutEdges, Task: kernel, Source: source,
+		WriteProps: []WriteSpec{{Prop: dst, Op: reduce.Sum}}}
+	jr := m.newJobRuntime(spec, id)
+	w.job, w.cols = jr, m.cols
+	if len(w.wrs) < len(w.cols) {
+		w.wrs = make([]Writer, len(w.cols))
+	}
+	if jr.accumulate {
+		w.cols[dst].ensureAcc(w.id, reduce.Sum, id, len(m.store.remote.addr))
+	}
+	return w, jr
+}
+
 // TestRowKernelScanAllocatesNothing: a local row scan — chunk walk, row
 // slicing, kernel dispatch, typed view, own-node fold — allocates nothing,
 // over a dense range, a dense frontier's bitmap and a sparse frontier's
-// member list alike.
+// member list alike; and so does a push's on a one-worker machine of two,
+// folding into the column's accumulator tail over a dense range and a bitmap,
+// and buffering its remote writes on demand over a member list.
 func TestRowKernelScanAllocatesNothing(t *testing.T) {
+	t.Run("push", testPushScanAllocatesNothing)
 	g := testGraph(t)
 	cfg := DefaultConfig(1)
 	c := bootCluster(t, g, cfg)
@@ -250,6 +275,97 @@ func TestRowKernelScanAllocatesNothing(t *testing.T) {
 	}
 }
 
+func testPushScanAllocatesNothing(t *testing.T) {
+	g := testGraph(t)
+	cfg := DefaultConfig(2)
+	cfg.Workers = 1
+	c := bootCluster(t, g, cfg)
+	src, _ := c.AddPropF64("src")
+	dst, _ := c.AddPropF64("dst")
+	c.FillF64(src, 1)
+	m := c.machines[0]
+	n := m.store.numLocal
+	for i, tc := range []struct {
+		name       string
+		accumulate bool
+		pred       func(graph.NodeID) bool // nil: every node, no Source
+	}{
+		{"accumulated-range", true, nil},
+		{"accumulated-bitmap", true, func(v graph.NodeID) bool { return v%3 == 0 }},
+		{"on-demand-list", false, func(v graph.NodeID) bool { return v%97 == 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c.FillF64(dst, 0)
+			var source *Frontier
+			if tc.pred != nil {
+				source = c.NewFrontier(tc.name)
+				source.Fill(tc.pred)
+			}
+			w, jr := pushJob(c, &rowPush{src: src, dst: dst, op: reduce.Sum}, dst, source, 1<<40+uint64(i))
+			defer w.abortCleanup() // releases the partial write messages unsent
+			if jr.accumulate != tc.accumulate {
+				t.Fatalf("job accumulates = %v, want %v", jr.accumulate, tc.accumulate)
+			}
+			col := m.cols[dst]
+			var acc []uint64
+			if tc.accumulate {
+				acc = col.acc[0].slots
+				if tail := plainWords(col.vals[:n+1]); len(acc) == 0 || &acc[0] != &tail[n] {
+					t.Fatal("the accumulator is not the column's tail")
+				}
+			}
+			const runs = 10
+			ch, sent := jr.chunks[0], m.writesSent.Load()
+			allocs := testing.AllocsPerRun(runs, func() { w.runChunk(jr, ch) })
+			if allocs != 0 {
+				t.Errorf("%.1f allocations per chunk push, want 0", allocs)
+			}
+			if m.writesSent.Load() != sent {
+				t.Fatal("the chunk flushed a write message: the sums below miss it")
+			}
+			// The pushes really ran: every member of the chunk reduced 1 into each
+			// out-neighbour per push (AllocsPerRun adds one warm-up run), owned
+			// ones into the column, replicas into the tail, the rest into the
+			// write messages toward their owners.
+			members := jr.frontList
+			if members == nil {
+				for u := ch.Begin; u < ch.End; u++ {
+					if tc.pred == nil || tc.pred(m.store.globalOf(u)) {
+						members = append(members, u)
+					}
+				}
+			} else {
+				members = members[ch.Begin:ch.End]
+			}
+			var want, got float64
+			for _, u := range members {
+				want += float64((runs + 1) * int(g.OutDegree(m.store.globalOf(u))))
+			}
+			for i := range n {
+				got += col.getF64(i)
+			}
+			for _, v := range acc {
+				got += math.Float64frombits(v)
+			}
+			buffered := 0
+			for _, buf := range w.writeBufs {
+				if buf != nil {
+					for rec := buf.Payload(); len(rec) >= writeRecSize; rec = rec[writeRecSize:] {
+						got += math.Float64frombits(leU64(rec[8:]))
+						buffered++
+					}
+				}
+			}
+			if tc.accumulate != (buffered == 0) {
+				t.Errorf("%d writes buffered on demand, want some exactly when the job does not accumulate", buffered)
+			}
+			if len(members) == 0 || got != want {
+				t.Errorf("the chunk's %d members pushed %g, want %g", len(members), got, want)
+			}
+		})
+	}
+}
+
 // BenchmarkEdgeDispatch isolates the edge-scan budget line: nanoseconds per
 // edge of one pull-sum job (the PageRank-pull inner loop, its row kernel
 // accumulating in a register), all-local on one machine and in process on two
@@ -258,16 +374,25 @@ func TestRowKernelScanAllocatesNothing(t *testing.T) {
 // are the write path's: a push job's ns per edge reducing by the row
 // (Writer.WriteRow) and ref by ref (Writer.Write), SUM into a float64 property
 // and MIN into an int64 one — all-local that is the cost of one local
-// reduction.
+// reduction, 20 % remote a mix of local reductions and accumulator folds.
+// packed-20pct is the same cut loaded with an empty ghost set: every remote
+// ref is packed, so a push row leaves its loop once per remote ref for the
+// buffered path.
 func BenchmarkEdgeDispatch(b *testing.B) {
 	g, err := graph.RMAT(14, 16, graph.TwitterLike(), 20151115)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, place := range []struct {
-		name string
-		p    int
-	}{{"all-local", 1}, {"remote-20pct", 2}} {
+		name   string
+		p      int
+		ghosts *partition.GhostSet
+		rows   []string
+	}{
+		{"all-local", 1, nil, []string{"row", "push-sum/row", "push-sum/per-ref", "push-min/row", "push-min/per-ref"}},
+		{"remote-20pct", 2, nil, []string{"row", "push-sum/row", "push-sum/per-ref", "push-min/row"}},
+		{"packed-20pct", 2, noGhosts, []string{"push-sum/row"}},
+	} {
 		cfg := DefaultConfig(place.p)
 		cfg.Workers = 1
 		c, err := NewCluster(cfg)
@@ -279,7 +404,7 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 		} else {
 			var layout partition.Layout
 			if layout, err = partition.SkewedLayout(g, place.p, 0.9); err == nil {
-				err = c.LoadPlan(g, layout, nil)
+				err = c.LoadPlan(g, layout, place.ghosts)
 			}
 		}
 		if err != nil {
@@ -305,36 +430,27 @@ func BenchmarkEdgeDispatch(b *testing.B) {
 			return JobSpec{Name: "push", Iter: IterOutEdges, Task: &rowPush{src: src, dst: dst, op: op, perRef: perRef},
 				WriteProps: []WriteSpec{{Prop: dst, Op: op}}}
 		}
-		rows := []struct {
-			name string
-			spec JobSpec
-		}{
-			{"row", pull(&rowPullSum{src: src, dst: dst})},
-			{"push-sum/row", push(src, dst, reduce.Sum, false)},
-			{"push-sum/per-ref", push(src, dst, reduce.Sum, true)},
+		specs := map[string]JobSpec{
+			"row":              pull(&rowPullSum{src: src, dst: dst}),
+			"push-sum/row":     push(src, dst, reduce.Sum, false),
+			"push-sum/per-ref": push(src, dst, reduce.Sum, true),
+			"push-min/row":     push(isrc, idst, reduce.Min, false),
+			"push-min/per-ref": push(isrc, idst, reduce.Min, true),
 		}
-		if place.p == 1 {
-			rows = append(rows, []struct {
-				name string
-				spec JobSpec
-			}{
-				{"push-min/row", push(isrc, idst, reduce.Min, false)},
-				{"push-min/per-ref", push(isrc, idst, reduce.Min, true)},
-			}...)
-		}
-		for _, k := range rows {
-			b.Run(fmt.Sprintf("%s/%s", place.name, k.name), func(b *testing.B) {
-				if _, err := c.RunJob(k.spec); err != nil { // warm-up: pools, side slices
+		for _, name := range place.rows {
+			spec := specs[name]
+			b.Run(fmt.Sprintf("%s/%s", place.name, name), func(b *testing.B) {
+				if _, err := c.RunJob(spec); err != nil { // warm-up: pools, side slices
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.RunJob(k.spec); err != nil {
+					if _, err := c.RunJob(spec); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.NumEdges()), "ns/edge")
-				b.ReportMetric(float64(remote[k.spec.Iter])/float64(g.NumEdges()), "remote_frac")
+				b.ReportMetric(float64(remote[spec.Iter])/float64(g.NumEdges()), "remote_frac")
 			})
 		}
 		c.Shutdown()

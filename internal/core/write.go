@@ -10,10 +10,16 @@ import (
 
 // The write path — the paper's write_remote<OP> — on both of its ends: a
 // worker reducing a row's value into the row's neighbors and the drain
-// replaying a run of records an owner was sent (Machine.applyWrites). Both resolve what
-// does not depend on the target once, in a Writer, and then run one loop
-// instantiated for the (operator, kind) pair, so that an edge costs its
-// reduction and no dispatch.
+// replaying a run of records an owner was sent (Machine.applyWrites). Both
+// resolve what does not depend on the target once, in a Writer, and then run
+// one loop instantiated for the (operator, kind) pair, so that an edge costs
+// its reduction and no dispatch. A plain handle that activates nothing — the
+// one worker of a machine reducing into a column no other goroutine touches,
+// or the replay — runs the tightest of them, scatter: the target is
+// one word array indexed by the ref, the owned words and, in a job that
+// accumulates, the accumulator slots behind them (column.growTail), so an
+// edge is a bound check and a load–merge–store, the cost of a pull's
+// neighbour read.
 
 // num is the value type of a property kind: KindI64's and KindF64's.
 type num interface{ int64 | float64 }
@@ -61,8 +67,8 @@ func merge[O opType, T num](a, b T) T {
 // worker's accumulator over the job's remote set, and where an activating
 // spec's targets collect. Obtain one with Ctx.Writer; it is valid for the
 // current job only. The drain's replay fills one in per run of records
-// (applyWrites): only col, op, act and plain, since every target of a run is
-// local.
+// (applyWrites): only col, op, act, plain and t, since every target of a run
+// is local.
 type Writer struct {
 	col   *column
 	op    reduce.Op
@@ -70,8 +76,12 @@ type Writer struct {
 	act   *[]uint32 // local indices whose word a reduction changed (WriteSpec.ActivateInto); nil without
 	w     *worker
 	acc   []uint64 // this worker's accumulator slots for prop, nil when not accumulated
-	prop  PropID
-	job   uint64 // the job it is resolved for (ids start at 1: a zero Writer is no job's)
+	// t is scatter's target, set when the handle is plain and activates
+	// nothing: the owned words, followed by acc when the job accumulates —
+	// with one worker, acc is the column's tail. A ref is its index.
+	t    []uint64
+	prop PropID
+	job  uint64 // the job it is resolved for (ids start at 1: a zero Writer is no job's)
 }
 
 // Writer returns the write handle for reducing into property p with op. The
@@ -112,6 +122,16 @@ func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 	if a := &col.acc[w.id]; jr.accumulate && a.job == jr.id.Load() { // bottomed for this job: it accumulates p
 		wr.acc = a.slots
 	}
+	wr.target()
+}
+
+// target resolves scatter's array for a plain handle that activates
+// nothing. A plain handle has the machine's one worker, whose accumulator is
+// the column's tail, so the owned words and acc are one array.
+func (wr *Writer) target() {
+	if wr.plain && wr.act == nil {
+		wr.t = plainWords(wr.col.vals[:len(wr.col.vals)+len(wr.acc)])
+	}
 }
 
 // WriteRow reduces the raw word into the handle's property on every node of
@@ -123,7 +143,8 @@ func (w *worker) resolveWriter(wr *Writer, p PropID, op reduce.Op) {
 // accumulates (accum.go), and any other remote target is buffered into the
 // per-worker request message toward its owner — which makes it a re-entrancy
 // point (see RowTask). Either way it lands at the owner in the job's drain
-// (spill.go): no kernel of this job sees it there.
+// (spill.go): no kernel of this job sees it there. On a plain handle the first
+// two are one store into the target array (scatter).
 func (wr *Writer) WriteRow(refs []int64, word uint64) { wr.reduce(refs, word, nil) }
 
 // Write is WriteRow for the single node ref, for a word that differs per edge.
@@ -139,9 +160,41 @@ func (wr *Writer) WriteF64(ref int64, v float64) { wr.Write(ref, math.Float64bit
 func (wr *Writer) WriteI64(ref int64, v int64) { wr.Write(ref, uint64(v)) }
 
 // reduce picks the loop of the handle's (operator, kind) pair: once per row or
-// run, which is all the dispatch a reduction pays.
+// run, which is all the dispatch a reduction pays. A handle with a target runs
+// scatter, which stops at a ref outside the target — a packed ref, or a
+// replica in a job that does not accumulate — for reduce to buffer toward the
+// owner before it resumes the loop at the next ref: the loop itself makes no
+// call. Every other handle runs writeRow.
 func (wr *Writer) reduce(refs []int64, word uint64, words []uint64) {
 	f64 := wr.col.kind == KindF64
+	for wr.t != nil {
+		var i int
+		switch {
+		case wr.op == reduce.Sum && f64:
+			i = scatter[opSum, float64](wr, refs, word, words)
+		case wr.op == reduce.Sum:
+			i = scatter[opSum, int64](wr, refs, word, words)
+		case wr.op == reduce.Min && f64:
+			i = scatter[opMin, float64](wr, refs, word, words)
+		case wr.op == reduce.Min:
+			i = scatter[opMin, int64](wr, refs, word, words)
+		case wr.op == reduce.Max && f64:
+			i = scatter[opMax, float64](wr, refs, word, words)
+		case wr.op == reduce.Max:
+			i = scatter[opMax, int64](wr, refs, word, words)
+		default:
+			i = scatter[opAny, int64](wr, refs, word, words)
+		}
+		if i == len(refs) {
+			return
+		}
+		if words != nil {
+			word, words = words[i], words[i+1:]
+		}
+		mach, off := wr.w.m.store.owner(refs[i])
+		wr.w.bufferWrite(mach, wr.prop, wr.op, off, word)
+		refs = refs[i+1:]
+	}
 	switch {
 	case wr.op == reduce.Sum && f64:
 		writeRow[opSum, float64](wr, refs, word, words)
@@ -160,9 +213,38 @@ func (wr *Writer) reduce(refs []int64, word uint64, words []uint64) {
 	}
 }
 
-// writeRow is the loop: it reduces word — or, when words is not nil, words[i],
-// the replay's form — into refs[i]. What it needs of the handle is loaded once,
-// ahead of the first ref.
+// scatter is the loop of a handle with a target: t[ref] = O(t[ref], x) — x the
+// word's, or words[i]'s — for each ref of refs up to the first that falls
+// outside t, whose index it returns, or len(refs). It makes no call — for SUM,
+// MIN and MAX — and has no branch between owned targets and replicas; the
+// replicas it folded (refs at or past the owned words) it counts by the sign of
+// numLocal-1-ref.
+func scatter[O opType, T num](wr *Writer, refs []int64, word uint64, words []uint64) int {
+	var o O
+	t, last, folded, x := wr.t, int64(len(wr.col.vals))-1, int64(0), fromWord[T](word)
+	for i, ref := range refs {
+		if uint64(ref) >= uint64(len(t)) {
+			wr.addFolded(folded)
+			return i
+		}
+		if words != nil {
+			word = words[i]
+			x = fromWord[T](word)
+		}
+		folded += int64(uint64(last-ref) >> 63)
+		if len(o) == len(opAny{}) {
+			t[ref] = wr.col.mergeWords(wr.op, t[ref], word)
+		} else {
+			t[ref] = toWord(merge[O](fromWord[T](t[ref]), x))
+		}
+	}
+	wr.addFolded(folded)
+	return len(refs)
+}
+
+// writeRow is the loop of every other handle: it reduces word — or, when words
+// is not nil, words[i], the replay's form — into refs[i]. What it needs of the
+// handle is loaded once, ahead of the first ref.
 func writeRow[O opType, T num](wr *Writer, refs []int64, word uint64, words []uint64) {
 	var o O
 	w, acc, vals, act, plain, x := wr.w, wr.acc, wr.col.vals, wr.act, wr.plain, fromWord[T](word)
@@ -212,5 +294,13 @@ func writeRow[O opType, T num](wr *Writer, refs []int64, word uint64, words []ui
 		}
 		mach, off := w.m.store.owner(ref)
 		w.bufferWrite(mach, wr.prop, wr.op, off, word)
+	}
+}
+
+// addFolded adds a scatter's replica count to the worker's (worker.folded);
+// the replay's handle, which has no worker, folds none.
+func (wr *Writer) addFolded(folded int64) {
+	if folded != 0 {
+		wr.w.folded += folded
 	}
 }
