@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,17 +77,6 @@ func (k *mixedWriteTask) row(c *Ctx, row Row) {
 	}
 	if c.Node == 0 {
 		decl.WriteI64(k.outside[c.Machine()], 1000)
-	}
-}
-
-// jobCounter returns the registry's lifetime count of name once it has reached
-// want: a copier counts a frame after it has applied it, which can trail the
-// end of the job by an instant.
-func jobCounter(reg *obs.Registry, name string, want int64) int64 {
-	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
-		if got := reg.LifetimeCounters()[name]; got >= want || time.Now().After(deadline) {
-			return got
-		}
 	}
 }
 
@@ -174,7 +162,7 @@ func TestAccumulateFallsBackOnDemand(t *testing.T) {
 		// Applied: the accumulators' one record per address, one on-demand record
 		// per remote ref for the undeclared property, one per machine outside.
 		applied += setSize + remoteRefs + p
-		if got := jobCounter(reg, "writes_applied", applied); got != applied {
+		if got := reg.LifetimeCounters()["writes_applied"]; got != applied {
 			t.Errorf("writes_applied = %d after the mixed job, want %d", got, applied)
 		}
 		var spans int
@@ -249,7 +237,7 @@ func TestAccumulateFallsBackOnDemand(t *testing.T) {
 		if st.Frontiers[0].Count != reached {
 			t.Errorf("the activating push built a frontier of %d, want the %d nodes it wrote", st.Frontiers[0].Count, reached)
 		}
-		if got := jobCounter(reg, "writes_applied", applied); got != applied {
+		if got := reg.LifetimeCounters()["writes_applied"]; got != applied {
 			t.Errorf("writes_applied = %d after the on-demand jobs, want %d", got, applied)
 		}
 		if !c.PoolsQuiescent() {

@@ -609,10 +609,9 @@ func (c *Cluster) poolsHome() bool {
 // sequence counters diverged. Recovery (1) quiesces async senders and lets
 // copiers serve whatever already arrived, (2) drains stale responses and
 // control frames back to their pools, repeating until the cluster goes
-// quiet, then (3) zeroes the cumulative write-drain counters (their
-// cluster-wide equality is a per-run invariant the aborted job broke) and
-// levels every machine's collective sequence counter so the next job's
-// control frames match up again.
+// quiet, then (3) levels every machine's collective sequence counter so the
+// next job's control frames match up again. No termination state outlives a
+// job: the write counts the drain sums are the job's own.
 func (c *Cluster) recoverAfterAbort() {
 	c.settle(func() bool {
 		for _, m := range c.machines {
@@ -633,8 +632,6 @@ func (c *Cluster) recoverAfterAbort() {
 	}
 	for _, m := range c.machines {
 		m.col.Recover(maxSeq)
-		m.writesSent.Store(0)
-		m.writesApplied.Store(0)
 	}
 }
 

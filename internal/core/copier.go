@@ -63,9 +63,8 @@ func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime, jobID uint64) e
 		// Epoch check: Aux is the sender's job id (stamped at buffer reset).
 		// The pre-task barrier orders every machine's curJob install before
 		// any peer's first write frame, so a mismatch can only be a straggler
-		// from an aborted job that outlived post-abort recovery — replaying it
-		// would advance writesApplied against the reset baseline and wedge
-		// every later drain at applied > sent.
+		// from an aborted job that outlived post-abort recovery — stashing it
+		// would count a dead job's records against the live job's owed ones.
 		if jr == nil || jobID != h.Aux {
 			m.cfg.Obs.Add(m.id, obs.CtrStaleWriteFrames, 1)
 			return nil
@@ -81,7 +80,7 @@ func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime, jobID uint64) e
 		if err != nil {
 			return err
 		}
-		if !took { // the job unpublished since jr was loaded
+		if !took { // the job unpublished since jr was loaded, or its owed records are all in
 			m.cfg.Obs.Add(m.id, obs.CtrStaleWriteFrames, 1)
 			return nil
 		}

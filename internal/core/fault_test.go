@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,6 +189,119 @@ func TestFaultDelayTolerated(t *testing.T) {
 			t.Error("no frame was actually delayed")
 		}
 		settleQuiescent(t, c)
+	})
+}
+
+// lateWrites delivers every write frame a fixed delay after Send returns: a
+// timer goroutine hands it to the wrapped endpoint, so the frame reaches its
+// owner long after the sending workers have joined and the drain's first round
+// has summed — what a slow link does to a push.
+type lateWrites struct {
+	comm.Fabric
+	delay   time.Duration
+	pending sync.WaitGroup
+}
+
+// InMemory forwards the wrapped fabric's answer, like the injector does.
+func (f *lateWrites) InMemory() bool { return comm.InMemoryFabric(f.Fabric) }
+
+func (f *lateWrites) Endpoint(m int) (comm.Endpoint, error) {
+	ep, err := f.Fabric.Endpoint(m)
+	if err != nil {
+		return ep, err
+	}
+	return &lateWritesEndpoint{Endpoint: ep, late: f}, nil
+}
+
+type lateWritesEndpoint struct {
+	comm.Endpoint
+	late *lateWrites
+}
+
+func (e *lateWritesEndpoint) Send(dst int, buf *comm.Buffer) error {
+	if comm.MsgType(buf.Data[0]) != comm.MsgWriteReq {
+		return e.Endpoint.Send(dst, buf)
+	}
+	e.late.pending.Add(1)
+	time.AfterFunc(e.late.delay, func() {
+		defer e.late.pending.Done()
+		e.Endpoint.Send(dst, buf) //nolint:errcheck // a lost frame fails the job at its owner
+	})
+	return nil
+}
+
+// Quiesce waits for the held frames, then forwards to the inner endpoint; the
+// pool leak checks rely on this passing through every wrapper.
+func (e *lateWritesEndpoint) Quiesce() {
+	e.late.pending.Wait()
+	if q, ok := e.Endpoint.(interface{ Quiesce() }); ok {
+		q.Quiesce()
+	}
+}
+
+// TestFaultLateWriteFrames: write frames that reach their owner only after the
+// drain's first round leave the job schedule as the spec makes it. Each owner
+// waits for the records the first round said it is owed, with no collective,
+// so an accumulated push is exact in two collectives on every machine, and a
+// push whose writes activate a frontier is exact in three, its frontier the
+// reference's — whatever the delay, over both fabrics, at one and two workers.
+func TestFaultLateWriteFrames(t *testing.T) {
+	g := faultGraph(t)
+	inDeg := refInDegree(g)
+	var written int64 // the nodes the activating push writes: every node with an in-edge
+	for _, d := range inDeg {
+		if d > 0 {
+			written++
+		}
+	}
+	eachFabric(t, func(t *testing.T, useTCP bool) {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				cfg := faultCfg(3)
+				cfg.Workers = workers
+				late := &lateWrites{Fabric: innerFabric(t, cfg, useTCP), delay: 5 * time.Millisecond}
+				defer func() {
+					late.pending.Wait() // every held frame handed on before the fabric closes
+					late.Close()        //nolint:errcheck
+				}()
+				cfg.Fabric = late
+				c := bootCluster(t, g, cfg)
+				src, _ := c.AddPropF64("src")
+				dst, _ := c.AddPropF64("dst")
+				count, _ := c.AddPropI64("count")
+				collectives := func(name string, want uint32, job func() error) {
+					t.Helper()
+					seq0 := make([]uint32, len(c.machines))
+					for i, m := range c.machines {
+						seq0[i] = m.col.Seq()
+					}
+					if err := job(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, m := range c.machines {
+						if got := m.col.Seq() - seq0[i]; got != want {
+							t.Errorf("%s: machine %d ran %d collectives, want %d", name, i, got, want)
+						}
+					}
+				}
+				collectives("accumulated push", 2, func() error { return saltedPush(c, g, src, dst, 1, nil) })
+				var st JobStats
+				collectives("activating push", 3, func() error {
+					c.FillI64(count, 0)
+					var err error
+					st, err = c.RunJob(JobSpec{Name: "activating-push", Iter: IterOutEdges, Task: &pushOneTask{counter: count},
+						Build:      []*Frontier{c.NewFrontier("written")},
+						WriteProps: []WriteSpec{{Prop: count, Op: reduce.Sum, ActivateInto: 1}}})
+					return err
+				})
+				if !slices.Equal(c.GatherI64(count), inDeg) {
+					t.Error("activating push: result differs from the in-degrees")
+				}
+				if len(st.Frontiers) != 1 || st.Frontiers[0].Count != written {
+					t.Errorf("activating push built %v, want a frontier of %d", st.Frontiers, written)
+				}
+			})
+		}
 	})
 }
 

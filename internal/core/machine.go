@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -88,13 +87,6 @@ type Machine struct {
 	calls chan call
 	jr    jobRuntime
 	loops sync.WaitGroup
-
-	// Cumulative counts of remote write records sent and applied; their
-	// cluster-wide equality is the termination condition for jobs with
-	// remote pushes ("a particular job completes when the task list is
-	// empty and there are no unfinished remote requests").
-	writesSent    atomic.Int64
-	writesApplied atomic.Int64
 
 	// scratch vectors for the termination lanes and the built frontiers'
 	// stats, reused across jobs.
@@ -297,11 +289,12 @@ type machineJobStats struct {
 //	taskPhase       task_phase: the workers run the task list dry (RTC),
 //	                mirrors prefetched first, accumulators shipped last
 //	drainWrites     barrier(1), the first round: all task lists empty, all
-//	                reads answered; write_drain, the rounds after it: until
-//	                every remote write has been applied
+//	                reads answered, every owner told what it is owed;
+//	                write_drain: the owed records awaited and replayed, and
+//	                the frontier lanes summed again if the replay activated
 //
-// A healthy job is two collectives — the start barrier and one drain round —
-// plus a drain round for every time the applied count had not caught up.
+// A healthy job is two collectives, or three when it activates and sent a
+// remote write.
 // Which collectives run, and in which order, is decided here and nowhere
 // else: every machine must make the same calls whatever its local state.
 func (m *Machine) runJob(spec *JobSpec, jobID uint64) (machineJobStats, error) {
@@ -355,6 +348,9 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	jr := &m.jr
 	jr.jobPlan = jobPlan{spec: spec, chunks: m.chunks[spec.Iter], views: m.store.views[span[0]:span[1]]}
 	jr.reset(jobID)
+	for _, w := range m.workers {
+		clear(w.sentTo)
+	}
 	if len(jr.views) > 0 {
 		jr.row = spec.Task.(RowTask)
 		jr.ooc, jr.cursors = m.ooc, m.ooc != nil && m.ooc.File().Compressed()
@@ -519,8 +515,8 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 	// Built frontiers finalize now: kernel activations (Ctx.Activate) come
 	// only from this machine's own workers, so the shard merge is final once
 	// the local task phase joined. Write-activations from remote machines land
-	// when the drain replays their records, once per drainWrites round ahead of
-	// its staging, so the converging round's stats are complete.
+	// when the drain replays their records, after the first round has summed
+	// these stats, so drainWrites sums a frontier fed that way once more.
 	for _, bf := range jr.builds {
 		bf.finalize()
 	}
@@ -530,25 +526,25 @@ func (m *Machine) taskPhase(jr *jobRuntime) error {
 // drainLanes is the termination allreduce's vector, and the one place its
 // layout is written down:
 //
-//	2                       cumulative remote write records sent, applied
 //	3 per JobSpec.Build     the built frontier's count, out- and in-degree sum
+//	nm                      lane d: the write records sent to machine d
 //	nm                      lane i: when machine i's first worker ran dry
 //	nm                      lane i: when machine i's last worker ran dry
 //
-// Frontier stats ride here instead of a separate O(V)-scan reduce per
-// convergence check. Each machine contributes only its own per-machine lanes,
-// so the sums reconstruct the full vectors — the worker end times behind the
-// Figure 6c breakdown — at no additional collective cost.
+// Frontier stats ride here instead of a separate O(V)-scan reduce. A machine
+// stages its own sends and its own end lanes, so the sums reconstruct what
+// every machine is owed and the worker end times behind the Figure 6c
+// breakdown at no additional collective cost.
 type drainLanes struct {
 	vals []int64
-	ends int // offset of the first per-machine (worker end) lane
+	ends int // offset of the first per-machine lane
 	nm   int
 }
 
 // newDrainLanes lays the vector out over the machine's lane scratch.
 func (m *Machine) newDrainLanes(jr *jobRuntime) drainLanes {
-	l := drainLanes{ends: 2 + 3*len(jr.builds), nm: m.cfg.NumMachines}
-	n := l.ends + 2*l.nm
+	l := drainLanes{ends: 3 * len(jr.builds), nm: m.cfg.NumMachines}
+	n := l.ends + 3*l.nm
 	if cap(m.scratchLanes) < n {
 		m.scratchLanes = make([]int64, n)
 	}
@@ -556,50 +552,41 @@ func (m *Machine) newDrainLanes(jr *jobRuntime) drainLanes {
 	return l
 }
 
-func (l drainLanes) sent() int64    { return l.vals[0] }
-func (l drainLanes) applied() int64 { return l.vals[1] }
-
-func (l drainLanes) setWrites(sent, applied int64) { l.vals[0], l.vals[1] = sent, applied }
-
 func (l drainLanes) setFrontier(i int, bf *machineFrontier) {
-	l.vals[2+3*i], l.vals[3+3*i], l.vals[4+3*i] = int64(bf.count), bf.outDegSum, bf.inDegSum
+	l.vals[3*i], l.vals[1+3*i], l.vals[2+3*i] = int64(bf.count), bf.outDegSum, bf.inDegSum
 }
 
 func (l drainLanes) frontier(i int) FrontierStats {
-	return FrontierStats{Count: l.vals[2+3*i], OutDeg: l.vals[3+3*i], InDeg: l.vals[4+3*i]}
+	return FrontierStats{Count: l.vals[3*i], OutDeg: l.vals[1+3*i], InDeg: l.vals[2+3*i]}
 }
 
 // perMachine returns the k-th block of per-machine lanes.
 func (l drainLanes) perMachine(k int) []int64 { return l.vals[l.ends+k*l.nm : l.ends+(k+1)*l.nm] }
 
-func (l drainLanes) endMin() []int64 { return l.perMachine(0) }
-func (l drainLanes) endMax() []int64 { return l.perMachine(1) }
+func (l drainLanes) owed() []int64   { return l.perMachine(0) }
+func (l drainLanes) endMin() []int64 { return l.perMachine(1) }
+func (l drainLanes) endMax() []int64 { return l.perMachine(2) }
 
-// stageLanes writes this machine's contribution to one round. Every lane is
-// rewritten each round: the allreduce overwrote the vector with sums.
-func (m *Machine) stageLanes(jr *jobRuntime) {
+// sumLanes stages this machine's built frontiers' stats — and in the first
+// round (all) its workers' sends to each machine and end times — and sums them
+// a buffer's worth per collective: one, unless BufferSize is a few dozen bytes.
+func (m *Machine) sumLanes(jr *jobRuntime, all bool) error {
 	l := jr.lanes
-	l.setWrites(m.writesSent.Load(), m.writesApplied.Load())
 	for i, bf := range jr.builds {
 		l.setFrontier(i, bf)
 	}
-	clear(l.vals[l.ends:])
-	l.endMin()[m.id], l.endMax()[m.id] = jr.endMin, jr.endMax
-}
-
-// drainRound is one round of the termination allreduce. The write backlog is
-// replayed before this round's applied count is staged: a round that observes
-// sent == applied has replayed every frame that arrived before it. Frames
-// landing during replay stash for the next round, which the unchanged sent
-// total forces. The staged vector is summed a buffer's worth of lanes per
-// collective — one, unless BufferSize is a few dozen bytes.
-func (m *Machine) drainRound(jr *jobRuntime) error {
-	if err := m.replaySpill(jr); err != nil {
-		return err
+	vals := l.vals[:l.ends]
+	if all {
+		vals = l.vals
+		clear(l.vals[l.ends:])
+		for _, w := range m.workers {
+			for d, n := range w.sentTo {
+				l.owed()[d] += n
+			}
+		}
+		l.endMin()[m.id], l.endMax()[m.id] = jr.endMin, jr.endMax
 	}
-	m.stageLanes(jr)
-	vals, maxVals := jr.lanes.vals, m.valsPerFrame()
-	for len(vals) > 0 {
+	for maxVals := (m.cfg.BufferSize - comm.HeaderSize) / 8; len(vals) > 0; {
 		n := min(len(vals), maxVals)
 		if err := m.col.AllReduceI64(vals[:n], reduce.Sum); err != nil {
 			return err
@@ -610,45 +597,65 @@ func (m *Machine) drainRound(jr *jobRuntime) error {
 }
 
 // drainWrites is the job's end barrier and its termination detection for
-// buffered remote writes in one loop of lane allreduces. A machine stages its
-// first round only after its own workers joined, so when that round returns
-// every machine's task list is empty, every read is answered and every
-// cumulative sent count is final — all an end barrier would assert; the round
-// is recorded as the barrier(1) span and a HistBarrier sample, since what it
-// measures is the wait for the slowest machine's task phase. The rounds after
-// it (the write_drain span, whose arg counts them) repeat until the
-// cluster-wide applied count catches up; a job whose writes all landed during
-// the task phase has none. The deadline is the fault detector: a write frame
-// lost on the wire would otherwise keep this loop (and hence the whole
-// cluster) spinning forever.
+// buffered remote writes. The first round (the barrier(1) span and a
+// HistBarrier sample) is staged after the workers joined: when it returns every
+// task list is empty, every read answered and every owed count known. The owner
+// then waits, with no collective, for its owed records and replays them once.
+// A job that activates (WriteSpec.ActivateInto) and sent a remote write sums
+// its frontier lanes once more, since the replay added members — a count the
+// spec and the first round's sums decide alike everywhere. The write_drain
+// span covers what follows the first round, its arg the collectives in it.
 func (m *Machine) drainWrites(jr *jobRuntime) error {
 	reg := m.cfg.Obs
 	t := reg.Clock()
-	var deadline time.Time
-	if m.cfg.Timeout > 0 {
-		deadline = time.Now().Add(m.cfg.Timeout)
-	}
 	jr.lanes = m.newDrainLanes(jr)
-	for round := uint64(0); ; round++ {
-		err := m.drainRound(jr)
-		if round == 0 {
-			m.barrierSpan(jr, barrierEnd, t)
-			t = reg.Clock()
-		}
-		if err != nil {
+	err := m.sumLanes(jr, true)
+	m.barrierSpan(jr, barrierEnd, t)
+	if err != nil {
+		return err
+	}
+	t = reg.Clock()
+	owed := jr.lanes.owed()
+	if err := m.awaitWrites(jr, owed[m.id]); err != nil {
+		return err
+	}
+	if applied, err := m.replaySpill(jr); err != nil {
+		return err
+	} else if applied != owed[m.id] {
+		return fmt.Errorf("core: machine %d: replayed %d write records, owed %d", m.id, applied, owed[m.id])
+	}
+	var more uint64
+	if jr.activate != nil && slices.ContainsFunc(owed, func(n int64) bool { return n != 0 }) {
+		if err := m.sumLanes(jr, false); err != nil {
 			return err
 		}
-		if jr.lanes.sent() == jr.lanes.applied() {
-			reg.Span(m.id, obs.WorkerMain, obs.SpanWriteDrain, jr.id.Load(), t, round)
-			return nil
-		}
-		if err := jr.Err(); err != nil {
-			return err
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return fmt.Errorf("core: machine %d: write drain timed out after %v (sent=%d applied=%d)", m.id, m.cfg.Timeout, jr.lanes.sent(), jr.lanes.applied())
-		}
-		runtime.Gosched()
+		more = 1
+	}
+	reg.Span(m.id, obs.WorkerMain, obs.SpanWriteDrain, jr.id.Load(), t, more)
+	return nil
+}
+
+// awaitWrites blocks until the owed write records are all in the backlog,
+// receptive, as worker.awaitResponse is, to the job's abort and to
+// Config.Timeout: a frame lost on the wire makes only silence. Nothing owed,
+// or all of it in already, makes no timer.
+func (m *Machine) awaitWrites(jr *jobRuntime, owed int64) error {
+	if m.spill.expect(owed) {
+		return nil
+	}
+	var timeoutCh <-chan time.Time
+	if d := m.cfg.Timeout; d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		timeoutCh = t.C
+	}
+	select {
+	case <-m.spill.arrived:
+		return nil
+	case <-jr.abortCh:
+		return jr.Err()
+	case <-timeoutCh:
+		return fmt.Errorf("core: machine %d: timed out after %v awaiting %d owed write records", m.id, m.cfg.Timeout, owed)
 	}
 }
 
@@ -679,9 +686,6 @@ func (m *Machine) jobStats(jr *jobRuntime) machineJobStats {
 	}
 	return st
 }
-
-// valsPerFrame is how many 8-byte values one collective frame carries.
-func (m *Machine) valsPerFrame() int { return (m.cfg.BufferSize - comm.HeaderSize) / 8 }
 
 // drainStale releases any straggler frames parked in the machine's inbound
 // queues — late responses to aborted requests, leftover control frames from

@@ -234,7 +234,7 @@ func roundTripLoad(t *testing.T, where string, c *Cluster, g *graph.Graph, vals 
 	}
 	served := c.Obs().LifetimeCounters()["reads_served"]
 	sparseReplicas = run(JobSpec{Name: "sparse", Iter: IterInEdges, Source: front}, func(m *Machine) []uint32 { return members[m.id] })
-	if got := jobCounter(c.Obs(), "reads_served", served+remote) - served; got != remote {
+	if got := c.Obs().LifetimeCounters()["reads_served"] - served; got != remote {
 		t.Fatalf("%s: the sparse job had %d reads served, want its members' %d remote refs", where, got, remote)
 	}
 	return mirroredReplicas, sparseReplicas

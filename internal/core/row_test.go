@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -315,12 +316,12 @@ func testPushScanAllocatesNothing(t *testing.T) {
 				}
 			}
 			const runs = 10
-			ch, sent := jr.chunks[0], m.writesSent.Load()
+			ch, sent := jr.chunks[0], slices.Clone(w.sentTo)
 			allocs := testing.AllocsPerRun(runs, func() { w.runChunk(jr, ch) })
 			if allocs != 0 {
 				t.Errorf("%.1f allocations per chunk push, want 0", allocs)
 			}
-			if m.writesSent.Load() != sent {
+			if !slices.Equal(w.sentTo, sent) {
 				t.Fatal("the chunk flushed a write message: the sums below miss it")
 			}
 			// The pushes really ran: every member of the chunk reduced 1 into each

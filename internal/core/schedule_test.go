@@ -34,9 +34,10 @@ func mainSpans(reg *obs.Registry, job uint64, machine int) []string {
 	return names
 }
 
-// extraDrainRounds is the arg of machine's write_drain span for job: how many
-// allreduce rounds the drain took after its first (the barrier(1) span).
-func extraDrainRounds(t *testing.T, reg *obs.Registry, job uint64, machine int) uint32 {
+// drainCollectivesAfterFirst is the arg of machine's write_drain span for job:
+// how many collectives the drain ran after its first round (the barrier(1)
+// span) — 1 when the job activated through remote writes, else 0.
+func drainCollectivesAfterFirst(t *testing.T, reg *obs.Registry, job uint64, machine int) uint32 {
 	t.Helper()
 	for _, s := range reg.RecentSpans(0) {
 		if s.Job == job && int(s.Machine) == machine && s.Kind == obs.SpanWriteDrain {
@@ -62,11 +63,13 @@ func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config, ghosts *partition
 
 // TestRunJobSchedule pins the job protocol: whatever a machine's local state
 // (a mirrored-read and accumulated-write job, an empty local frontier, a write
-// backlog that overflows to a file, no replicas at all), its main goroutine records exactly
-// barrier(0), task_phase, barrier(1), write_drain, job — five spans, in the
-// first job on a load as in a rerun or a job over the other iterator — and the
-// collective count is what those spans say: the start barrier, the first drain
-// round and one per drain round after it, in every case.
+// backlog that overflows to a file, no replicas at all, remote writes that
+// activate), its main goroutine records exactly barrier(0), task_phase,
+// barrier(1), write_drain, job — five spans, in the first job on a load as in a
+// rerun or a job over the other iterator — and the collective count is what
+// the spec says: the start barrier and the first drain round, and the frontier
+// lanes once more for a job whose remote writes activate — 2 or 3, never a
+// count that depends on timing.
 func TestRunJobSchedule(t *testing.T) {
 	g := testGraph(t)
 	inDeg := refInDegree(g)
@@ -83,8 +86,10 @@ func TestRunJobSchedule(t *testing.T) {
 		cfg    func(*Config)
 		ghosts *partition.GhostSet // the load's replica cap
 		spec   func(c *Cluster, spec *JobSpec)
-		quiet  bool // no remote write: the drain must take its first round only
-		want   []int64
+		// activating: the push activates into a built frontier, so a job that
+		// sends a remote write runs a third collective.
+		activating bool
+		want       []int64
 	}{
 		{name: "ghosted-read-write", want: inDeg,
 			spec: func(c *Cluster, spec *JobSpec) {
@@ -104,8 +109,13 @@ func TestRunJobSchedule(t *testing.T) {
 				a, _ := c.AddPropF64("a")
 				spec.ReadProps = []PropID{a} // read through neighbors, but no replica to refresh
 			}},
-		{name: "ghost-free-empty-frontier", quiet: true, want: make([]int64, g.NumNodes()), ghosts: noGhosts,
+		{name: "ghost-free-empty-frontier", want: make([]int64, g.NumNodes()), ghosts: noGhosts,
 			spec: func(c *Cluster, spec *JobSpec) { spec.Source = c.NewFrontier("none") }},
+		{name: "activating", want: inDeg, activating: true,
+			spec: func(c *Cluster, spec *JobSpec) {
+				spec.Build = []*Frontier{c.NewFrontier("written")}
+				spec.WriteProps[0].ActivateInto = 1
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(3)
@@ -119,65 +129,86 @@ func TestRunJobSchedule(t *testing.T) {
 			if tc.spec != nil {
 				tc.spec(c, &spec)
 			}
-			run := func(spec JobSpec, result []int64, quiet bool) {
+			want := uint32(2)
+			if tc.activating {
+				want = 3
+			}
+			run := func(spec JobSpec, result []int64) {
 				t.Helper()
 				c.FillI64(dst, 0)
 				seq0 := c.machines[0].col.Seq()
-				if _, err := c.RunJob(spec); err != nil {
+				st, err := c.RunJob(spec)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if got := c.GatherI64(dst); !slices.Equal(got, result) {
+				got := c.GatherI64(dst)
+				if !slices.Equal(got, result) {
 					t.Errorf("%s: job result differs from the reference", spec.Name)
+				}
+				if tc.activating {
+					var written int64
+					for _, v := range got {
+						if v != 0 {
+							written++
+						}
+					}
+					if st.Frontiers[0].Count != written {
+						t.Errorf("%s: built a frontier of %d, want the %d nodes written", spec.Name, st.Frontiers[0].Count, written)
+					}
 				}
 				for m := 0; m < 3; m++ {
 					if got, want := mainSpans(c.cfg.Obs, c.jobSeq, m), jobSchedule; !slices.Equal(got, want) {
 						t.Errorf("%s: machine %d recorded %v, want %v", spec.Name, m, got, want)
 					}
-					extra := extraDrainRounds(t, c.cfg.Obs, c.jobSeq, m)
-					if quiet && extra != 0 {
-						t.Errorf("%s: machine %d: a job without remote writes drained for %d extra rounds", spec.Name, m, extra)
+					if got := 2 + drainCollectivesAfterFirst(t, c.cfg.Obs, c.jobSeq, m); got != want {
+						t.Errorf("%s: machine %d's write_drain span counts %d collectives, want %d", spec.Name, m, got, want)
 					}
-					if got := c.machines[m].col.Seq() - seq0; got != 2+extra {
-						t.Errorf("%s: machine %d ran %d collectives, want 2 and %d extra drain rounds", spec.Name, m, got, extra)
+					if got := c.machines[m].col.Seq() - seq0; got != want {
+						t.Errorf("%s: machine %d ran %d collectives, want %d", spec.Name, m, got, want)
 					}
 				}
 			}
-			run(spec, tc.want, tc.quiet)
+			run(spec, tc.want)
 			if rep := c.cfg.Obs.LastReport(); tc.name == "ghosted-read-write" &&
 				(rep.Counters["mirror_words"] == 0 || rep.Counters["accumulated_writes"] == 0) {
 				t.Errorf("the job neither mirrored its reads nor accumulated its writes: %v", rep.Counters)
 			}
 			spec.Name += "/rerun"
-			run(spec, tc.want, tc.quiet)
+			run(spec, tc.want)
 			// The in-edge rows reference other addresses, numbered with the
 			// out-edges' at load. Transposed, the push counts out-degrees.
 			spec.Name, spec.Iter, spec.Source = tc.name+"/in-edges", IterInEdges, nil
-			run(spec, outDeg, false)
+			run(spec, outDeg)
 			spec.Name += "/rerun"
-			run(spec, outDeg, false)
+			run(spec, outDeg)
 		})
 	}
 }
 
 // TestDrainLanesLayout pins the termination vector to drainLanes' table, with
-// no conditional rows: 2 + 3·|Build| + 2·P lanes for every job, the two
-// per-machine blocks disjoint and in the table's order.
+// no conditional rows: 3·|Build| + 3·P lanes for every job, the frontier block
+// first, then the three per-machine blocks (owed, first and last worker end),
+// disjoint and in the table's order.
 func TestDrainLanesLayout(t *testing.T) {
 	for _, p := range []int{1, 3} {
 		m := &Machine{cfg: &Config{NumMachines: p}}
 		for builds := 0; builds <= 2; builds++ {
 			l := m.newDrainLanes(&jobRuntime{jobPlan: jobPlan{builds: make([]*machineFrontier, builds)}})
-			if want := 2 + 3*builds + 2*p; len(l.vals) != want {
+			if want := 3*builds + 3*p; len(l.vals) != want {
 				t.Errorf("p=%d, %d builds: %d lanes, want %d", p, builds, len(l.vals), want)
 			}
+			if l.ends != 3*builds {
+				t.Errorf("p=%d, %d builds: the frontier block has %d lanes", p, builds, l.ends)
+			}
 			clear(l.vals)
-			for k, block := range [][]int64{l.endMin(), l.endMax()} {
+			for k, block := range [][]int64{l.owed(), l.endMin(), l.endMax()} {
 				if len(block) != p {
 					t.Fatalf("p=%d: per-machine block %d has %d lanes", p, k, len(block))
 				}
 				block[p-1] = int64(k + 1)
 			}
-			if at := 2 + 3*builds; l.vals[at+p-1] != 1 || l.vals[at+2*p-1] != 2 {
+			at := 3 * builds
+			if l.vals[at+p-1] != 1 || l.vals[at+2*p-1] != 2 || l.vals[at+3*p-1] != 3 {
 				t.Errorf("p=%d, %d builds: per-machine blocks out of order: %v", p, builds, l.vals)
 			}
 		}
@@ -191,10 +222,9 @@ func TestDrainLanesLayout(t *testing.T) {
 // failing that stream's k-th frame fails the job's k-th collective, and the
 // spans machine 1 completed before it say which phase that was — which pins
 // the order of the collectives too. The first drain round is the barrier(1)
-// span; the drain takes a further round only while a remote write is in
-// flight, so a job over an empty frontier has exactly two collectives, and
-// with writes in flight a third collective, when there is one, is a later
-// drain round.
+// span; the drain runs a third collective, over the frontier lanes, exactly
+// when the job activates and sent a remote write, so the later-round row's
+// job activates, and a job over an empty frontier has two collectives.
 func TestFaultRunJobPhases(t *testing.T) {
 	g := testGraph(t)
 	want := refInDegree(g)
@@ -202,16 +232,16 @@ func TestFaultRunJobPhases(t *testing.T) {
 		return comm.FaultRule{Src: 1, Dst: 0, Type: int(comm.MsgCtrl), Kind: comm.FaultFail, After: k, Limit: 1}
 	}
 	for _, tc := range []struct {
-		phase string
-		rule  comm.FaultRule
-		quiet bool // iterate an empty frontier: no writes, one drain round
-		spans int  // how much of the schedule machine 1 completes before the failure; 0 = the job succeeds
-		maybe bool // the job may succeed instead: the collective failed is one it ran only if it needed to
+		phase      string
+		rule       comm.FaultRule
+		quiet      bool // iterate an empty frontier: no writes, one drain round
+		activating bool // the push activates into a built frontier: a third collective
+		spans      int  // how much of the schedule machine 1 completes before the failure; 0 = the job succeeds
 	}{
 		{phase: "barrier-start", rule: ctrl(0), spans: 1}, // a failed barrier still records its span
 		{phase: "taskPhase", rule: comm.FaultRule{Src: 1, Dst: comm.AnyMachine, Type: int(comm.MsgWriteReq), Kind: comm.FaultFail, Limit: 1}, spans: 2},
 		{phase: "drainWrites-first-round", rule: ctrl(1), spans: 3}, // the end barrier: its span is recorded, write_drain is not
-		{phase: "drainWrites-later-round", rule: ctrl(2), spans: 3, maybe: true},
+		{phase: "drainWrites-later-round", rule: ctrl(2), activating: true, spans: 3},
 		{phase: "past-the-last-collective", rule: ctrl(2), quiet: true},
 	} {
 		t.Run(tc.phase, func(t *testing.T) {
@@ -225,25 +255,29 @@ func TestFaultRunJobPhases(t *testing.T) {
 			dst, _ := c.AddPropI64("dst")
 			job := func(source *Frontier) error {
 				c.FillI64(dst, 0)
-				_, err := c.RunJob(JobSpec{Name: tc.phase, Iter: IterOutEdges, Task: &pushOneTask{counter: dst}, Source: source,
-					ReadProps: []PropID{aux}, WriteProps: []WriteSpec{{Prop: dst, Op: reduce.Sum}}})
+				spec := JobSpec{Name: tc.phase, Iter: IterOutEdges, Task: &pushOneTask{counter: dst}, Source: source,
+					ReadProps: []PropID{aux}, WriteProps: []WriteSpec{{Prop: dst, Op: reduce.Sum}}}
+				if tc.activating {
+					spec.Build, spec.WriteProps[0].ActivateInto = []*Frontier{c.NewFrontier("written")}, 1
+				}
+				_, err := c.RunJob(spec)
 				return err
 			}
 			var source *Frontier
 			if tc.quiet {
 				source = c.NewFrontier("empty")
 			}
-			// The job mirrors aux and accumulates dst, the first on its load: its
-			// remote set came with the load.
+			// The job mirrors aux and accumulates dst (on demand when it
+			// activates), the first on its load: its remote set came with the load.
 			full := jobSchedule
 			err := job(source)
 			spans := mainSpans(c.cfg.Obs, c.jobSeq, 1)
-			if tc.spans == 0 || tc.maybe && err == nil {
+			if tc.spans == 0 {
 				if err != nil || !slices.Equal(spans, full) {
 					t.Fatalf("err=%v, spans %v: the job has more collectives than the schedule", err, spans)
 				}
-				if extra := extraDrainRounds(t, c.cfg.Obs, c.jobSeq, 1); extra != 0 {
-					t.Fatalf("the job survived a failed third collective yet drained for %d extra rounds", extra)
+				if more := drainCollectivesAfterFirst(t, c.cfg.Obs, c.jobSeq, 1); more != 0 {
+					t.Fatalf("the job survived a failed third collective yet its drain ran %d after the first", more)
 				}
 				return
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 
@@ -11,36 +12,39 @@ import (
 
 // Deferred writes, the engine's one receive policy. A copier validates an
 // inbound write frame and stashes its records in the machine's backlog; it
-// never writes a column. The machine's main goroutine replays the backlog in
-// the write drain, once per round before the round stages its applied count
-// (drainRound), through applyWrites. So during the task phase the only writers
-// to a column are the machine's own workers, and a remote write is visible at
-// its owner from the drain of the superstep that issued it on — all the
-// paper's relaxed consistency asks. Termination is unchanged: a stashed record
-// counts as applied in the drain round that replays it. The abort path
-// discards the backlog and removes the temp file, so a faulted job leaves no
-// residue and the next job starts clean.
+// never writes a column. Once the drain's first round has told the machine how
+// many records it is owed, its main goroutine waits until that many are
+// stashed (awaitWrites) and replays the backlog once, through applyWrites; a
+// replay of any other count fails the job. So during the task phase the only
+// writers to a column are the machine's own workers, and a remote write is
+// visible at its owner from the drain of the superstep that issued it on — all
+// the paper's relaxed consistency asks. The abort path discards the backlog
+// and removes the temp file: a faulted job leaves no residue.
 //
 // The backlog is at most one superstep's inbound records, kept in one arena
-// per machine reused across rounds and jobs. Under Config.SpillWrites it is
-// bounded by ResidentBudgetBytes (4 MiB when none is set) and overflows to a
+// per machine reused across jobs. Under Config.SpillWrites it is bounded by
+// ResidentBudgetBytes (4 MiB when none is set) and overflows to a
 // pgxd-spill-* temp file in SpillDir — an out-of-core run keeps one memory
 // budget, and its RAM for topology pages; otherwise it stays in memory and
 // never overflows.
 
 // spillState is one machine's write backlog. Copiers add under the mutex; the
-// machine's main goroutine arms, replays and resets it.
+// machine's main goroutine arms, awaits, replays and resets it.
 type spillState struct {
 	mu sync.Mutex
-	// job is the job whose frames add takes: armed by begin, 0 after reset, so
-	// a straggler of an aborted job never enters the next job's backlog.
+	// job is the job whose frames add takes: armed by begin, 0 once the owed
+	// records are all in and after reset, so neither a straggler of an aborted
+	// job nor a surplus frame enters a backlog replay reads.
 	job uint64
-	// recs is the arena: the memory tail's records in arrival order. Its
-	// first taken bytes are out with replay (take, then drop); copiers append
-	// past them, and frames counts the frames they appended since.
-	recs   []byte
-	taken  int
-	frames int
+	// recs is the arena: the memory tail's records in arrival order; frames
+	// counts the frames appended since it last overflowed. count is the records
+	// stashed for the job, owed the drain's first round's figure (MaxInt64
+	// before it), and arrived takes a token when count reaches owed.
+	recs    []byte
+	frames  int
+	count   int64
+	owed    int64
+	arrived chan struct{}
 	// budget bounds the memory tail before it overflows to the temp file; 0
 	// (SpillWrites off) never overflows.
 	budget  int64
@@ -50,7 +54,7 @@ type spillState struct {
 }
 
 func newSpillState(cfg *Config) *spillState {
-	sp := &spillState{dir: cfg.SpillDir}
+	sp := &spillState{dir: cfg.SpillDir, arrived: make(chan struct{}, 1)}
 	if cfg.SpillWrites {
 		sp.budget = cfg.ResidentBudgetBytes
 		if sp.budget <= 0 {
@@ -65,14 +69,15 @@ func newSpillState(cfg *Config) *spillState {
 // before any peer's first write frame.
 func (sp *spillState) begin(job uint64) {
 	sp.mu.Lock()
-	sp.job = job
+	sp.job, sp.owed = job, math.MaxInt64
 	sp.mu.Unlock()
 }
 
 // add stashes the records of one validated write frame of job, reporting
-// whether it was taken (false when job is not the armed one: a straggler) and
-// how many frames overflowed to the temp file in consequence. The records are
-// copied; the frame buffer stays with the caller.
+// whether it was taken (false when job is not the armed one: a straggler, or
+// a frame past the owed count) and how many frames overflowed to the temp file
+// in consequence. The records are copied; the frame buffer stays with the
+// caller.
 func (sp *spillState) add(job uint64, recs []byte) (took bool, flushed int, err error) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -81,17 +86,39 @@ func (sp *spillState) add(job uint64, recs []byte) (took bool, flushed int, err 
 	}
 	sp.recs = append(sp.recs, recs...)
 	sp.frames++
-	if sp.budget > 0 && int64(len(sp.recs)-sp.taken) > sp.budget {
+	sp.count += int64(len(recs) / writeRecSize)
+	if sp.budget > 0 && int64(len(sp.recs)) > sp.budget {
 		flushed = sp.frames
 		if err := sp.flushLocked(); err != nil {
 			return true, 0, err
 		}
 	}
+	if sp.count >= sp.owed { // all in: disarm, and wake the owner
+		sp.job = 0
+		select { // the job's one token: reset emptied the slot
+		case sp.arrived <- struct{}{}:
+		default:
+		}
+	}
 	return true, flushed, nil
 }
 
-// flushLocked appends the memory tail past the taken bytes to the temp file
-// (created lazily) and empties it. Callers hold the mutex.
+// expect records that the job owes this machine owed records and reports
+// whether they are all in already, disarming the backlog if so; if not, add
+// puts a token on arrived when the last one is stashed.
+func (sp *spillState) expect(owed int64) bool {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sp.owed = owed
+	if sp.count < owed {
+		return false
+	}
+	sp.job = 0
+	return true
+}
+
+// flushLocked appends the memory tail to the temp file (created lazily) and
+// empties it. Callers hold the mutex.
 func (sp *spillState) flushLocked() error {
 	if sp.file == nil {
 		dir := sp.dir
@@ -104,49 +131,28 @@ func (sp *spillState) flushLocked() error {
 		}
 		sp.file = f
 	}
-	tail := sp.recs[sp.taken:]
-	if _, err := sp.file.WriteAt(tail, sp.fileOff); err != nil {
+	if _, err := sp.file.WriteAt(sp.recs, sp.fileOff); err != nil {
 		return fmt.Errorf("spill: %w", err)
 	}
-	sp.fileOff += int64(len(tail))
-	sp.recs, sp.frames = sp.recs[:sp.taken], 0
+	sp.fileOff += int64(len(sp.recs))
+	sp.recs, sp.frames = sp.recs[:0], 0
 	return nil
 }
 
-// take detaches the current backlog for replay: the temp file (ownership
-// included — an overflow after this starts a fresh file, so replay reads a
-// quiescent segment) and the memory tail, which stays in the arena until drop.
-// The backlog stays armed; frames arriving during replay stash past the taken
-// bytes for the next round — into the same array, or into a grown copy while
-// replay reads the old one.
-func (sp *spillState) take() (file *os.File, fileLen int64, recs []byte) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	file, fileLen, recs = sp.file, sp.fileOff, sp.recs
-	sp.file, sp.fileOff = nil, 0
-	sp.taken, sp.frames = len(recs), 0
-	return
-}
-
-// drop discards the taken bytes once replay is done with them, moving what
-// copiers stashed since to the front of the arena.
-func (sp *spillState) drop() {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	n := copy(sp.recs, sp.recs[sp.taken:])
-	sp.recs, sp.taken = sp.recs[:n], 0
-}
-
 // reset disarms the backlog, discards it and removes the temp file. Called
-// when a job unpublishes: a drained job left nothing; an aborted one's backlog
+// when a job unpublishes: a drained job's backlog is replayed; an aborted one's
 // must not apply, and since every machine has unpublished before the cluster
 // recovers or shuts down, neither resets it again. Idempotent.
 func (sp *spillState) reset() {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	sp.job = 0
-	sp.recs, sp.taken, sp.frames = sp.recs[:0], 0, 0
+	sp.recs, sp.frames, sp.count = sp.recs[:0], 0, 0
 	sp.fileOff = 0
+	select { // a token the job never took
+	case <-sp.arrived:
+	default:
+	}
 	if sp.file != nil {
 		name := sp.file.Name()
 		sp.file.Close() //nolint:errcheck
@@ -160,23 +166,14 @@ func (sp *spillState) reset() {
 // cached bytes.
 const replayChunk = 32 << 10
 
-// replaySpill applies jr's backlog: the temp-file segment first (in arrival
-// order), then the memory tail. Runs on the machine main goroutine once per
-// drain round, before the round stages its applied count, so a round that
-// observes sent == applied has replayed everything. Write-activations land in
-// the build frontiers' membership here, and each fed list is sorted once.
-func (m *Machine) replaySpill(jr *jobRuntime) error {
-	file, fileLen, mem := m.spill.take()
-	defer m.spill.drop()
-	if file != nil {
-		// The detached file is replay's to clean up, success or error — an
-		// abort mid-replay must not leave a temp file behind.
-		defer func() {
-			name := file.Name()
-			file.Close()    //nolint:errcheck
-			os.Remove(name) //nolint:errcheck
-		}()
-	}
+// replaySpill applies jr's backlog — the temp-file segment first (in arrival
+// order), then the memory tail — and returns how many records it applied. Runs
+// on the machine main goroutine once per job, after awaitWrites: the owed
+// records are all in and the backlog is disarmed, so nothing writes it while
+// replay reads. Write-activations land in the build frontiers' membership
+// here, and each fed list is sorted once.
+func (m *Machine) replaySpill(jr *jobRuntime) (int64, error) {
+	sp := m.spill
 	var applied int64
 	apply := func(recs []byte) error {
 		for len(recs) > 0 {
@@ -189,31 +186,30 @@ func (m *Machine) replaySpill(jr *jobRuntime) error {
 		}
 		return nil
 	}
-	if fileLen > 0 {
-		r := io.NewSectionReader(file, 0, fileLen)
-		buf := make([]byte, min(fileLen, replayChunk))
-		for left := fileLen; left > 0; {
+	if sp.fileOff > 0 {
+		r := io.NewSectionReader(sp.file, 0, sp.fileOff)
+		buf := make([]byte, min(sp.fileOff, replayChunk))
+		for left := sp.fileOff; left > 0; {
 			chunk := buf[:min(left, int64(len(buf)))]
 			if _, err := io.ReadFull(r, chunk); err != nil {
-				return fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
+				return applied, fmt.Errorf("core: machine %d spill replay: %w", m.id, err)
 			}
 			if err := apply(chunk); err != nil {
-				return err
+				return applied, err
 			}
 			left -= int64(len(chunk))
 		}
 	}
-	if err := apply(mem); err != nil {
-		return err
+	if err := apply(sp.recs); err != nil {
+		return applied, err
 	}
 	if applied > 0 {
 		m.cfg.Obs.Add(m.id, obs.CtrWritesApplied, applied)
-		m.writesApplied.Add(applied)
 		if jr.activate != nil {
 			for _, bf := range jr.builds {
 				bf.sortSparse()
 			}
 		}
 	}
-	return nil
+	return applied, nil
 }

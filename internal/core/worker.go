@@ -32,6 +32,9 @@ type worker struct {
 	// Per-destination partially filled request messages, lazily acquired.
 	readBufs  []*comm.Buffer
 	writeBufs []*comm.Buffer
+	// sentTo[d] counts the write records flushed toward machine d in the
+	// current job (newJobRuntime zeroes it), for the drain's owed lanes.
+	sentTo []int64
 
 	// The paper's side data structures (§3.2): for each in-flight read
 	// message, the ordered log of (node, aux) records; keyed by the
@@ -116,6 +119,7 @@ func newWorker(m *Machine, id int) *worker {
 		respCh:    m.router.WorkerResp(id),
 		readBufs:  make([]*comm.Buffer, m.cfg.NumMachines),
 		writeBufs: make([]*comm.Buffer, m.cfg.NumMachines),
+		sentTo:    make([]int64, m.cfg.NumMachines),
 		sides:     make(map[uint32][]sideRec),
 		stale:     make(map[uint32]struct{}),
 		curSide:   make([][]sideRec, m.cfg.NumMachines),
@@ -548,8 +552,7 @@ func (w *worker) bufferWrite(dst int, p PropID, op reduce.Op, offset uint32, wor
 		} else {
 			// Aux carries the job id as an epoch stamp: the receiving copier
 			// drops write frames from a job that is no longer current, so a
-			// straggler from an aborted run can never advance writesApplied
-			// against a reset drain baseline.
+			// straggler from an aborted run never lands in a later job.
 			nb.Reset(comm.Header{Type: comm.MsgWriteReq, Worker: uint8(w.id), Src: uint16(w.m.id), Aux: w.job.id.Load()})
 			w.writeBufs[dst] = nb
 			buf = nb
@@ -617,7 +620,7 @@ func (w *worker) flushWrite(dst int) {
 	w.writeBufs[dst] = nil
 	n := len(buf.Payload()) / writeRecSize
 	buf.SetCount(uint32(n))
-	w.m.writesSent.Add(int64(n))
+	w.sentTo[dst] += int64(n)
 	w.sendFlushed(dst, buf)
 }
 

@@ -21,8 +21,10 @@ const (
 	// SpanTaskPhase is the run-to-complete worker phase: first chunk handed
 	// out to last worker response drained.
 	SpanTaskPhase
-	// SpanWriteDrain is the all-reduce loop waiting for remote writes to
-	// settle cluster-wide.
+	// SpanWriteDrain is what follows the drain's first allreduce: the wait
+	// for the write records this machine is owed, their replay, and for a job
+	// whose remote writes activate a frontier one more allreduce of the
+	// frontier lanes (Arg: the collectives in the span, 0 or 1).
 	SpanWriteDrain
 	// SpanFlush is one worker request-buffer flush (Arg packs dst<<48|bytes).
 	SpanFlush
