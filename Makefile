@@ -89,7 +89,8 @@ perf-check:
 #
 # bench-job, same recipe, is the per-job constant: ns per RunJob of the two
 # smallest frontier-sourced jobs on two in-process machines (an empty frontier;
-# a one-node node pass that rebuilds a frontier), with their allocation counts
+# a one-node node pass that rebuilds a frontier): the mean, median and 90th
+# percentile of each, with its allocation count
 # — the number a change to the job schedule diffs against.
 #
 # bench-scan, same recipe, is the isolated number behind one line of the

@@ -133,7 +133,8 @@ func (r *Router) RequestDone() { r.reqDone.Add(1) }
 
 // PendingRequests reports how many inbound request frames are queued or in a
 // copier's hands: routed minus RequestDone, so a frame counts from before it
-// is enqueued until after it is served, with no window at the dequeue. The
+// is enqueued until its copier is done with it, with no window at the
+// dequeue. The
 // recovery drain polls this to know when the cluster has gone quiet after an
 // aborted job — over TCP a frame being served lives in the transport's own
 // receive buffer, which no engine pool accounts for.

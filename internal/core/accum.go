@@ -15,10 +15,10 @@ import (
 // the slots through the ordinary write path, so termination still counts
 // records sent and applied.
 // A remote reduction therefore lands when its sending worker has run dry rather
-// than somewhere inside the superstep. On a one-worker machine the slots are
-// the tail of the column's own array (column.growTail), [owned words | slots],
-// so the write loop reduces into an owned neighbour and a replica alike with
-// one indexed store (scatter, write.go).
+// than somewhere inside the superstep. Worker 0's slots are the tail of the
+// column's own array (column), [owned words | slots], so on a one-worker
+// machine the write loop reduces into an owned neighbour and a replica alike
+// with one indexed store (scatter, write.go).
 
 // accum is one worker's accumulator for one property: a plain word per slot of
 // the remote set, valid for job job. Nothing in it is written while rows run —

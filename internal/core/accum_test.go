@@ -362,7 +362,7 @@ func TestFaultAccumulatedFlush(t *testing.T) {
 				return true
 			}
 			// Two workers per machine, and one: the one-worker machine folds into
-			// its columns' tails (column.growTail).
+			// its columns' tails (column).
 			eachK := func(t *testing.T, workers int) {
 				k := 0
 				for faultKth(t, workers, k) {

@@ -252,7 +252,7 @@ func (c *Cluster) addProp(meta propMeta) (PropID, error) {
 	id := PropID(len(c.meta))
 	c.meta = append(c.meta, meta)
 	for _, m := range c.machines {
-		m.addProp(meta)
+		m.cols = append(m.cols, m.newCol(meta))
 	}
 	return id, nil
 }

@@ -36,7 +36,6 @@ func (m *Machine) copierLoop() {
 		}
 		t := reg.Clock()
 		err := m.serveRequest(buf, jr, jobID)
-		m.router.RequestDone()
 		reg.Span(m.id, obs.WorkerCopier, obs.SpanCopierServe, jobID, t, uint64(h.Src)<<48|uint64(h.Type))
 		reg.Observe(m.id, obs.HistServe, time.Duration(reg.Clock()-t))
 		if err != nil {
@@ -45,6 +44,12 @@ func (m *Machine) copierLoop() {
 				m.abortJob(jr, jobID, fmt.Errorf("core: machine %d copier: %w", m.id, err))
 			}
 		}
+		// Done only once the abort a bad frame caused is announced: failing the
+		// job releases the driver into recovery (Cluster.recoverAfterAbort),
+		// which waits for every request frame to be done, so no copier is
+		// still sending the announcement when the cluster runs its next job or
+		// closes its endpoints.
+		m.router.RequestDone()
 	}
 }
 

@@ -116,10 +116,9 @@ func (c *Ctx) SetI64(p PropID, v int64) {
 // mirrors the property (JobSpec.ReadProps), every replica the job's rows
 // reference: At answers both with one indexed load behind one unsigned bound
 // check, and reports false for any other ref, which the kernel then hands to
-// Ctx.ReadRef. In a mirrored job the view reads the words as of the job's
-// prefetch, owned and replicated alike — §3.3's rule for a ghost; elsewhere it
-// reads the live word, which under the engine's relaxed consistency is the
-// value ReadDone would have been handed.
+// Ctx.ReadRef. An owned word reads live, in every job — under the engine's
+// relaxed consistency the value ReadDone would have been handed; a replica
+// reads as of the job's prefetch — §3.3's rule for a ghost.
 type F64View struct{ vals []atomic.Uint64 }
 
 // At returns the property value of node ref, and whether the view holds it.
@@ -148,11 +147,12 @@ func (c *Ctx) F64(p PropID) F64View { return F64View{c.w.cols[p].view} }
 func (c *Ctx) I64(p PropID) I64View { return I64View{c.w.cols[p].view} }
 
 // ReadRef requests property p of the node identified by ref — the paper's
-// read_remote. A ref p's view holds (a local or mirrored node: mirror.go) is
-// answered at once, ReadDone running before ReadRef returns; any other goes to
-// its owner — a replica through the remote set's address — whose copier
-// refuses a property the job does not declare, and ReadDone runs later on
-// this same worker with Node and Aux restored.
+// read_remote. A ref p's view holds (a local node, live, or a replica the job
+// mirrors, as of its prefetch: mirror.go) is answered at once, ReadDone
+// running before ReadRef returns; any other goes to its owner — a replica
+// through the remote set's address — whose copier refuses a property the job
+// does not declare, and ReadDone runs later on this same worker with Node and
+// Aux restored.
 func (c *Ctx) ReadRef(ref int64, p PropID) {
 	w := c.w
 	if v := w.cols[p].view; uint64(ref) < uint64(len(v)) {

@@ -88,16 +88,13 @@ func runPull(t *testing.T, c *Cluster, g *graph.Graph, src, dst PropID, verify b
 	return nil
 }
 
-// settleQuiescent polls until every pool has all buffers home.
+// settleQuiescent asserts that every pool has all buffers home once the
+// senders are quiesced (Cluster.PoolsQuiescent, which settles for up to 500 ms).
 func settleQuiescent(t *testing.T, c *Cluster) {
 	t.Helper()
-	for i := 0; i < 400; i++ {
-		if c.PoolsQuiescent() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !c.PoolsQuiescent() {
+		t.Fatal("buffer pools never returned to quiescence after fault")
 	}
-	t.Fatal("buffer pools never returned to quiescence after fault")
 }
 
 // TestFaultHardFailAbortsJob: an injected hard send failure surfaces as an

@@ -113,10 +113,10 @@ func (r Row) Weight(i int) float64 {
 //     continuation state (an edge weight, say) goes into Aux just before
 //     that ReadRef.
 //   - A neighbor is read through the property's typed view when the view
-//     holds it — every owned node and, in a job that mirrors the property,
-//     every replica its rows reference — with one indexed load and no
-//     ReadDone; At reports whether it does. Any other ref goes through
-//     Ctx.ReadRef, which buffers toward the owner.
+//     holds it — every owned node, live, and in a job that mirrors the
+//     property every replica its rows reference, as of the job's prefetch —
+//     with one indexed load and no ReadDone; At reports whether it does. Any
+//     other ref goes through Ctx.ReadRef, which buffers toward the owner.
 //   - A push reduces by the row: Ctx.Writer(p, op).WriteRow(row.Refs, word)
 //     puts one word into every neighbor, local and remote, in row order, with
 //     op the operator the job declares for p; Writer.Write and its typed forms
@@ -185,17 +185,21 @@ type JobSpec struct {
 	// per-invocation state must live in Ctx or properties.
 	Task Task
 	// ReadProps lists properties read through neighbors; an eligible job
-	// (remoteset.go) mirrors them before its first row — the owned words and
-	// the replicas its rows reference — and its neighbor reads of them see the
-	// words as of then (F64View). A remote read of any other property fails the
-	// job at its owner, and a property not listed may be stored with plain
-	// writes (Ctx.SetF64).
+	// (remoteset.go) mirrors them before its first row — it fetches the
+	// replicas its rows reference into the columns' tails — and its neighbor
+	// reads of them see the owned words live and the replicas as of then
+	// (F64View). A remote read of any other property fails the job at its
+	// owner, and a property not listed may be stored with plain writes
+	// (Ctx.SetF64).
 	ReadProps []PropID
 	// WriteProps lists properties reduced into through neighbors; an
 	// eligible job folds its remote reductions in per-worker accumulators
 	// that start at the operator's bottom and ship to the owners when the
-	// worker runs dry. A kernel that reduces a listed property with another
-	// operator than the listed one fails the job (Ctx.Writer).
+	// worker runs dry — worker 0's in the column's tail, which no read of the
+	// job sees: a property is not both read and written. A local reduction
+	// lands at once, so a later row's view of the owned word reads it. A
+	// kernel that reduces a listed property with another operator than the
+	// listed one fails the job (Ctx.Writer).
 	WriteProps []WriteSpec
 	// Source, when non-nil, restricts the iteration to the frontier's
 	// members: each machine iterates only its local frontier (sparse vertex

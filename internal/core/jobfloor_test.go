@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/reduce"
 )
@@ -53,19 +55,29 @@ func TestJobFloorAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkJobFloor is the per-job constant as a number: ns/op is one RunJob
-// of each jobFloorSpecs job. Hundreds of near-empty supersteps (k-core, a grid
-// traversal) cost this times their count.
+// BenchmarkJobFloor is the per-job constant as a number: ns/op is the mean
+// RunJob of each jobFloorSpecs job, and p50-ns/job and p90-ns/job its median
+// and 90th percentile over the run, which one slow job in thousands does not
+// move. Hundreds of near-empty supersteps (k-core, a grid traversal) cost this
+// times their count.
 func BenchmarkJobFloor(b *testing.B) {
 	c, empty, oneNode := jobFloorSpecs(b)
 	for _, spec := range []JobSpec{empty, oneNode} {
 		b.Run(spec.Name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			took := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range took {
+				t0 := time.Now()
 				if _, err := c.RunJob(spec); err != nil {
 					b.Fatal(err)
 				}
+				took[i] = time.Since(t0)
 			}
+			b.StopTimer()
+			slices.Sort(took)
+			b.ReportMetric(float64(took[len(took)/2]), "p50-ns/job")
+			b.ReportMetric(float64(took[len(took)*9/10]), "p90-ns/job")
 		})
 	}
 }

@@ -51,10 +51,6 @@ type Machine struct {
 
 	store *localStore
 	cols  []*column
-	// mirrors are the word buffers mirrored jobs prefetch their read props
-	// into (mirror.go): allocated like columns, reused by every later job and
-	// dropped with the columns.
-	mirrors []*column
 
 	// ooc is the store-file load this machine's local store aliases (nil for
 	// in-memory loads): workers claim each chunk's rows through it before
@@ -246,15 +242,10 @@ func (m *Machine) install(st *localStore, ld *store.Load) {
 	}
 }
 
-// addProp allocates this machine's column for a newly registered property.
-func (m *Machine) addProp(meta propMeta) {
-	m.cols = append(m.cols, m.newCol(meta))
-}
-
-// newCol builds one column for this machine's current load, off-heap when
-// the load asked for it.
+// newCol builds one column for this machine's current load, a tail word per
+// slot of its remote set, off-heap when the load asked for it.
 func (m *Machine) newCol(meta propMeta) *column {
-	return newColumn(meta.kind, m.store.numLocal, m.cfg.Workers, m.offHeapCols)
+	return newColumn(meta.kind, m.store.numLocal, len(m.store.remote.addr), m.cfg.Workers, m.offHeapCols)
 }
 
 // releaseCols drops every column, returning off-heap backings to the kernel.
@@ -262,10 +253,7 @@ func (m *Machine) releaseCols() {
 	for _, col := range m.cols {
 		col.release()
 	}
-	for _, buf := range m.mirrors {
-		buf.release()
-	}
-	m.cols, m.mirrors = nil, nil
+	m.cols = nil
 }
 
 // machineJobStats is runJob's per-machine result; the cluster reports
@@ -287,7 +275,7 @@ type machineJobStats struct {
 //	publish         spill, curJob, collectives' abort; unpublish on every exit
 //	startBarrier    barrier(0): every machine has published
 //	taskPhase       task_phase: the workers run the task list dry (RTC),
-//	                mirrors prefetched first, accumulators shipped last
+//	                replicas prefetched first, accumulators shipped last
 //	drainWrites     barrier(1), the first round: all task lists empty, all
 //	                reads answered, every owner told what it is owed;
 //	                write_drain: the owed records awaited and replayed, and
@@ -338,11 +326,7 @@ var iterViews = [...][2]int{IterNodes: {0, 0}, IterOutEdges: {0, 1}, IterInEdges
 // goroutine owns during the job, and how it resolves its remote accesses
 // (remoteJob). The plan is replaced whole; the latch moves to jobID
 // (jobRuntime.reset). No traffic; of the machine's state only the columns'
-// ownership flags, views and accumulator tails and the mirrors are written,
-// which nothing reads between jobs. It runs ahead of publish and of t0: a
-// column grows its tail here, before a copier may check a write record against
-// it, and a mirror's first allocation billed to this job's worker end times
-// would reach the Figure 6c breakdown.
+// ownership flags and views are written, which nothing reads between jobs.
 func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 	span := iterViews[spec.Iter]
 	jr := &m.jr
@@ -421,7 +405,7 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 		reduced := slices.ContainsFunc(spec.WriteProps, func(ws WriteSpec) bool { return ws.Prop == PropID(p) })
 		col.single = one && !read
 		col.owned = !read && (one || !reduced)
-		col.view = col.vals // mirrorJob points a mirrored property's at its mirror
+		col.view = col.vals // mirrorJob widens a mirrored property's over its tail
 	}
 	if !jr.emptySkip {
 		m.remoteJob(jr)

@@ -45,8 +45,17 @@ type propMeta struct {
 }
 
 // column is one machine's storage for one property: one 8-byte word per owned
-// node. During a job a word is touched by this machine's workers — a node's own
-// worker stores it, any worker may reduce into it as a neighbor — by its
+// node, and behind them one word per slot of the load's remote set — §3.3's
+// ghost values next to the owned ones, [owned words | replicas], laid out when
+// the property is registered. vals is the owned words alone; the tail is what
+// the job makes of it: in a job that reads the property remotely and resolves
+// the reads per address, the replicas' values (the mirror, mirror.go), and in a
+// job that accumulates its reductions into the property, worker 0's
+// accumulator (accum.go) — so that a read or a plain reduction reaches an owned
+// neighbour and a replica with one indexed access. No job has both: JobSpec
+// refuses a property it both reads and writes.
+// During a job an owned word is touched by this machine's workers — a node's
+// own worker stores it, any worker may reduce into it as a neighbor — by its
 // copiers, which read only the job's ReadProps (serveReads refuses the rest),
 // and, once the workers joined, by the drain's replay of the other machines'
 // writes (spill.go) on the main goroutine. So whether an access needs an atomic
@@ -54,24 +63,20 @@ type propMeta struct {
 // and the job's declarations into the two flags below; where neither holds, a
 // store is atomic and a reduction a compare-and-swap loop (write.go). Loads are
 // atomic throughout. acc holds the per-worker accumulators of a dense push's
-// remote reductions (accum.go); they are plain slices since each is
-// single-owner, and they go when the column does. On a machine with one
-// worker the accumulator is no slice of its own but the tail of the column's
-// backing array, laid out like a mirror — [owned words | one word per slot of
-// the remote set] — so that a plain reduction reaches an owned neighbour and
-// a replica with one indexed store (growTail, write.go).
+// remote reductions; they are plain slices since each is single-owner, and
+// they go when the column does.
 type column struct {
 	kind PropKind
-	vals []atomic.Uint64 // numLocal; with one worker its capacity may reach over the accumulator tail
-	acc  []accum         // [workers], lazily allocated
+	vals []atomic.Uint64 // numLocal; its capacity reaches over the tail, one word per remote-set slot
+	acc  []accum         // [workers]: worker 0's slots are the tail, the others' lazily allocated
 
 	// owned: no goroutine but a node's own worker touches the node's word this
 	// job, so an own-node store (Ctx.SetF64/SetI64) is plain. single: one worker
 	// is the column's only task-phase goroutine, so a local reduction is a plain
 	// load–merge–store too. view is what a neighbour read of the property loads
-	// (Ctx.F64/I64, ReadRef): vals, or in a job that mirrors the property the
-	// mirror, [owned words | replicas] (mirror.go). Written by newJobRuntime and
-	// mirrorJob, read by the workers.
+	// (Ctx.F64/I64, ReadRef): vals, or in a job that mirrors the property vals
+	// with its tail, [owned words | replicas] (mirror.go). Written by
+	// newJobRuntime and mirrorJob, read by the workers.
 	owned, single bool
 	view          []atomic.Uint64
 
@@ -85,21 +90,24 @@ type column struct {
 	freeFn func() error
 }
 
-// newColumn allocates one machine's column. With offHeap set the value array
-// goes to anonymous mmap (falling back to the heap if the map fails);
-// release must be called before dropping the last reference.
-func newColumn(kind PropKind, numLocal, workers int, offHeap bool) *column {
+// newColumn allocates one machine's column: numLocal owned words and a tail of
+// tail words, worker 0's accumulator slots. With offHeap set the array goes to
+// anonymous mmap (falling back to the heap if the map fails); release must be
+// called before dropping the last reference.
+func newColumn(kind PropKind, numLocal, tail, workers int, offHeap bool) *column {
 	c := &column{kind: kind, acc: make([]accum, workers)}
-	if offHeap && numLocal > 0 {
-		if buf, freeFn, err := store.AnonAlloc(8 * int64(numLocal)); err == nil {
-			c.vals = unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&buf[0])), numLocal)
+	size := numLocal + tail
+	if offHeap && size > 0 {
+		if buf, freeFn, err := store.AnonAlloc(8 * int64(size)); err == nil {
+			c.vals = unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&buf[0])), size)
 			c.freeFn = freeFn
 		}
 	}
 	if c.vals == nil {
-		c.vals = make([]atomic.Uint64, numLocal)
+		c.vals = make([]atomic.Uint64, size)
 	}
-	c.view = c.vals
+	c.acc[0].slots = plainWords(c.vals[numLocal:])
+	c.vals, c.view = c.vals[:numLocal], c.vals[:numLocal]
 	return c
 }
 
@@ -167,28 +175,9 @@ func (c *column) mergeWords(op reduce.Op, a, b uint64) uint64 {
 	}
 }
 
-// growTail makes a one-worker column's accumulator the tail of its backing
-// array: it moves the owned words to an array size words longer, in the
-// column's kind of memory, and hands the words past them to worker 0 as its
-// accumulator slots — the separate array ensureAcc would allocate, which this
-// replaces. A column grows once in its life (the remote set is the load's, and
-// a load's columns go with it); the main goroutine grows it before it
-// publishes the job, while no worker, copier or replay touches the column.
-func (c *column) growTail(size int) {
-	n := len(c.vals)
-	if cap(c.vals)-n >= size {
-		return
-	}
-	grown := newColumn(c.kind, n+size, 0, c.freeFn != nil)
-	copy(plainWords(grown.vals[:n]), plainWords(c.vals))
-	c.release()
-	c.vals, c.view, c.freeFn = grown.vals[:n], grown.vals[:n], grown.freeFn
-	c.acc[0].slots = plainWords(grown.vals[n:])
-}
-
 // ensureAcc readies worker w's accumulator for job over a remote set of size
-// slots: one word per slot, each op's identity. A grown column's worker 0
-// bottoms its tail (growTail).
+// slots: one word per slot, each op's identity. Worker 0 bottoms the column's
+// tail (newColumn).
 func (c *column) ensureAcc(w int, op reduce.Op, job uint64, size int) {
 	a := &c.acc[w]
 	a.job = job

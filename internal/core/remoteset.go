@@ -9,25 +9,26 @@ import (
 // The graph is fixed for the life of a load, so the remote addresses a
 // machine's rows reference are too: a remoteSet numbers them once per load,
 // and a job whose rows touch most of them resolves its remote accesses per
-// address instead of per edge — reads through a mirror filled before any row
-// runs (mirror.go), reductions through per-worker accumulators shipped when the
-// worker runs dry (accum.go). This is the engine's one replica mechanism:
-// §3.3's selective ghosts — copy the owner's value in before the step,
-// privatize reductions per thread and fold them out after it — with membership
-// decided per machine by what its rows reference rather than cluster-wide by a
-// degree threshold, over the ordinary read and write paths.
+// address instead of per edge — reads through replica words filled before any
+// row runs (mirror.go), reductions through per-worker accumulators shipped when
+// the worker runs dry (accum.go); a property's column holds one word per
+// member behind its owned words for either (column). This is the engine's one
+// replica mechanism: §3.3's selective ghosts — copy the owner's value in before
+// the step, privatize reductions per thread and fold them out after it — with
+// membership decided per machine by what its rows reference rather than
+// cluster-wide by a degree threshold, over the ordinary read and write paths.
 // A load's ghost set (Cluster.LoadPlan) caps membership, the paper's
 // selection; a ref outside the set, a reduction into an undeclared
 // property and an ineligible job stay on demand. A remote read of an undeclared
 // property has no path at all: its owner refuses it (serveReads).
 //
 // A member's slot is its index among the replicas, and rows name it as one: a
-// member ref is numLocal + slot, a replica ref (store.go), so that a mirror
+// member ref is numLocal + slot, a replica ref (store.go), so that a column
 // laid out [owned words | replicas] answers a neighbour of either kind with one
-// indexed load. The numbering is the store's (store.SectionOf for an in-memory
-// load, the file's writer for a store file): every load installs rows already
-// numbered and the set their section describes, so a kernel is handed the rows
-// as they lie.
+// indexed access. The numbering is the store's (store.SectionOf for an
+// in-memory load, the file's writer for a store file): every load installs
+// rows already numbered and the set their section describes, so a kernel is
+// handed the rows as they lie.
 
 // remoteSet is the load's table of the distinct remote addresses its rows
 // reference, in both orientations: per slot the packed ref, the way back, and
@@ -94,13 +95,13 @@ func eachSlot(bits []uint64, lo, hi int, fn func(slot int)) {
 
 // remoteJob decides, from this machine's state alone, whether jr resolves its
 // remote accesses against the load's remote set, and sets it up for that:
-// declared read properties are mirrored (mirrorJob), declared write properties
-// accumulate per worker — on a one-worker machine in the column's tail
-// (column.growTail) — unless one activates. Folding an activating write
-// would lose nothing (every remote write applies, and activates, only in the
-// owner's drain), but measured it removed 5 % of the applied writes on
-// microstep and made it slower (EXPERIMENTS.md, "Activation with accumulation
-// ...: measured, not done").
+// declared read properties are mirrored into their columns' tails (mirrorJob),
+// declared write properties accumulate per worker — worker 0 in the column's
+// tail — unless one activates. Folding an activating write would lose nothing
+// (every remote write applies, and activates, only in the owner's drain), but
+// measured it removed 5 % of the applied writes on microstep and made it
+// slower (EXPERIMENTS.md, "Activation with accumulation ...: measured, not
+// done").
 //
 // Eligible is an edge iterator whose rows hold at least as many remote refs as
 // its iterator's members number, so that resolving every address once costs no
@@ -129,11 +130,6 @@ func (m *Machine) remoteJob(jr *jobRuntime) {
 		return
 	}
 	jr.accumulate = accumulate
-	if accumulate && m.cfg.Workers == 1 {
-		for _, ws := range spec.WriteProps {
-			m.cols[ws.Prop].growTail(len(set.addr))
-		}
-	}
 	if len(spec.ReadProps) > 0 {
 		m.mirrorJob(jr, set, is)
 	}

@@ -285,7 +285,17 @@ func testPushScanAllocatesNothing(t *testing.T) {
 	dst, _ := c.AddPropF64("dst")
 	c.FillF64(src, 1)
 	m := c.machines[0]
-	n := m.store.numLocal
+	n, col := m.store.numLocal, m.cols[dst]
+	// Registration lays the column out [owned words | one per remote-set slot]
+	// and hands worker 0 the tail as its accumulator; no job moves either.
+	size := n + len(m.store.remote.addr)
+	if cap(col.vals) != size {
+		t.Fatalf("a registered column holds %d words, want %d owned and %d tail", cap(col.vals), n, size-n)
+	}
+	if acc, tail := col.acc[0].slots, plainWords(col.vals[:size])[n:]; len(tail) == 0 || len(acc) != len(tail) || &acc[0] != &tail[0] {
+		t.Fatal("a registered column's accumulator is not its tail")
+	}
+	owned := &col.vals[0]
 	for i, tc := range []struct {
 		name       string
 		accumulate bool
@@ -307,11 +317,13 @@ func testPushScanAllocatesNothing(t *testing.T) {
 			if jr.accumulate != tc.accumulate {
 				t.Fatalf("job accumulates = %v, want %v", jr.accumulate, tc.accumulate)
 			}
-			col := m.cols[dst]
+			if &col.vals[0] != owned {
+				t.Fatal("the job moved the column's owned words")
+			}
 			var acc []uint64
 			if tc.accumulate {
 				acc = col.acc[0].slots
-				if tail := plainWords(col.vals[:n+1]); len(acc) == 0 || &acc[0] != &tail[n] {
+				if tail := plainWords(col.vals[:size]); len(acc) == 0 || &acc[0] != &tail[n] {
 					t.Fatal("the accumulator is not the column's tail")
 				}
 			}

@@ -69,7 +69,11 @@ func scheduleCluster(t *testing.T, g *graph.Graph, cfg Config, ghosts *partition
 // rerun or a job over the other iterator — and the collective count is what
 // the spec says: the start barrier and the first drain round, and the frontier
 // lanes once more for a job whose remote writes activate — 2 or 3, never a
-// count that depends on timing.
+// count that depends on timing. The tail-roles rows give one property every
+// role its column's tail has, at p = 2 and 3, one and two workers, both
+// fabrics: each run mirrors it, and before every rerun a push reduces into it,
+// worker 0's accumulator in the tail the last run's replicas filled; every
+// job is exact.
 func TestRunJobSchedule(t *testing.T) {
 	g := testGraph(t)
 	inDeg := refInDegree(g)
@@ -81,16 +85,22 @@ func TestRunJobSchedule(t *testing.T) {
 	for u := range outDeg {
 		outDeg[u] = g.OutDegree(graph.NodeID(u))
 	}
-	for _, tc := range []struct {
+	type row struct {
 		name   string
 		cfg    func(*Config)
+		tcp    bool                // over the TCP fabric
 		ghosts *partition.GhostSet // the load's replica cap
 		spec   func(c *Cluster, spec *JobSpec)
 		// activating: the push activates into a built frontier, so a job that
 		// sends a remote write runs a third collective.
 		activating bool
-		want       []int64
-	}{
+		// roles: the job pushes each neighbour's word of a property it reads
+		// (pushReadTask), and a push reduces into that property before every
+		// rerun; want is then scaled by the property's words.
+		roles bool
+		want  []int64
+	}
+	rows := []row{
 		{name: "ghosted-read-write", want: inDeg,
 			spec: func(c *Cluster, spec *JobSpec) {
 				a, _ := c.AddPropF64("a")
@@ -116,11 +126,25 @@ func TestRunJobSchedule(t *testing.T) {
 				spec.Build = []*Frontier{c.NewFrontier("written")}
 				spec.WriteProps[0].ActivateInto = 1
 			}},
-	} {
+	}
+	for _, p := range []int{2, 3} {
+		for _, workers := range []int{1, 2} {
+			for _, tcp := range []bool{false, true} {
+				rows = append(rows, row{name: fmt.Sprintf("tail-roles/p=%d/workers=%d/tcp=%v", p, workers, tcp),
+					cfg: func(cfg *Config) { cfg.NumMachines, cfg.Workers = p, workers }, tcp: tcp, roles: true, want: inDeg})
+			}
+		}
+	}
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(3)
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
+			}
+			if tc.tcp {
+				f := innerFabric(t, cfg, true)
+				t.Cleanup(func() { f.Close() }) //nolint:errcheck // after the cluster's Shutdown
+				cfg.Fabric = f
 			}
 			c := scheduleCluster(t, g, cfg, tc.ghosts)
 			dst, _ := c.AddPropI64("dst")
@@ -129,12 +153,27 @@ func TestRunJobSchedule(t *testing.T) {
 			if tc.spec != nil {
 				tc.spec(c, &spec)
 			}
+			var a PropID
+			if tc.roles {
+				a, _ = c.AddPropI64("a")
+				c.FillI64(a, 1)
+				spec.Task, spec.ReadProps = &pushReadTask{read: a, counter: dst}, []PropID{a}
+			}
 			want := uint32(2)
 			if tc.activating {
 				want = 3
 			}
 			run := func(spec JobSpec, result []int64) {
 				t.Helper()
+				if tc.roles {
+					if spec.Name != tc.name {
+						reduceInDegrees(t, c, a, inDeg)
+					}
+					result = slices.Clone(result)
+					for v, w := range c.GatherI64(a) {
+						result[v] *= w
+					}
+				}
 				c.FillI64(dst, 0)
 				seq0 := c.machines[0].col.Seq()
 				st, err := c.RunJob(spec)
@@ -156,7 +195,7 @@ func TestRunJobSchedule(t *testing.T) {
 						t.Errorf("%s: built a frontier of %d, want the %d nodes written", spec.Name, st.Frontiers[0].Count, written)
 					}
 				}
-				for m := 0; m < 3; m++ {
+				for m := range c.machines {
 					if got, want := mainSpans(c.cfg.Obs, c.jobSeq, m), jobSchedule; !slices.Equal(got, want) {
 						t.Errorf("%s: machine %d recorded %v, want %v", spec.Name, m, got, want)
 					}
@@ -169,7 +208,7 @@ func TestRunJobSchedule(t *testing.T) {
 				}
 			}
 			run(spec, tc.want)
-			if rep := c.cfg.Obs.LastReport(); tc.name == "ghosted-read-write" &&
+			if rep := c.cfg.Obs.LastReport(); (tc.name == "ghosted-read-write" || tc.roles) &&
 				(rep.Counters["mirror_words"] == 0 || rep.Counters["accumulated_writes"] == 0) {
 				t.Errorf("the job neither mirrored its reads nor accumulated its writes: %v", rep.Counters)
 			}
@@ -182,6 +221,50 @@ func TestRunJobSchedule(t *testing.T) {
 			spec.Name += "/rerun"
 			run(spec, outDeg)
 		})
+	}
+}
+
+// pushReadTask pushes each neighbour's own word of read into its counter,
+// through the view where it holds the ref and on demand, the ref in Aux,
+// where it does not: counter[v] gains read[v] once per row that names v.
+type pushReadTask struct{ read, counter PropID }
+
+func (k *pushReadTask) RunRows(c *Ctx, rows *Cursor) {
+	read, counter := c.I64(k.read), c.Writer(k.counter, reduce.Sum)
+	for rows.Next() {
+		for _, ref := range rows.Row().Refs {
+			if v, ok := read.At(ref); ok {
+				counter.WriteI64(ref, v)
+			} else {
+				c.Aux = uint64(ref)
+				c.ReadRef(ref, k.read)
+			}
+		}
+	}
+}
+
+func (k *pushReadTask) ReadDone(c *Ctx, word uint64) {
+	c.Writer(k.counter, reduce.Sum).Write(int64(c.Aux), word)
+}
+
+// reduceInDegrees adds every node's in-degree into p by an out-edge push —
+// an accumulated one, so worker 0 folds its replicas into p's column tail —
+// and checks the result exact.
+func reduceInDegrees(t *testing.T, c *Cluster, p PropID, inDeg []int64) {
+	t.Helper()
+	want := c.GatherI64(p)
+	for v, d := range inDeg {
+		want[v] += d
+	}
+	if _, err := c.RunJob(JobSpec{Name: "reduce-in-degrees", Iter: IterOutEdges, Task: &pushOneTask{counter: p},
+		WriteProps: []WriteSpec{{Prop: p, Op: reduce.Sum}}}); err != nil {
+		t.Fatal(err)
+	}
+	if c.cfg.Obs.LastReport().Counters["accumulated_writes"] == 0 {
+		t.Error("the push into the read property accumulated nothing")
+	}
+	if !slices.Equal(c.GatherI64(p), want) {
+		t.Error("the push into the read property differs from the reference")
 	}
 }
 

@@ -56,8 +56,8 @@ type worker struct {
 	// outstanding counts in-flight request frames awaiting a response.
 	outstanding int
 
-	// fetching is set while the worker fills the job's mirrors (prefetch):
-	// every read response then carries mirror words, not continuation values.
+	// fetching is set while the worker fills the job's replicas (prefetch):
+	// every read response then carries tail words, not continuation values.
 	// folded counts the remote writes reduced into this worker's accumulators
 	// (accum.go) since its last flushAccum.
 	fetching bool
@@ -398,11 +398,11 @@ func (w *worker) processResponse(buf *comm.Buffer) {
 		if words := len(payload) / 8; len(side) > words {
 			w.fail(fmt.Errorf("core: machine %d worker %d: truncated read response (seq %d: %d records, %d words)", w.m.id, w.id, seq, len(side), words))
 		}
-		if w.fetching { // a prefetch's records name mirror words, not nodes
+		if w.fetching { // a prefetch's records name a property's tail words, not nodes
 			// Plain: the word is in this worker's share alone, and no row reads it
 			// before every share is in (jr.fetched).
 			for i, r := range side {
-				*plainWord(&w.job.mirrors[r.aux].vals[r.node]) = leU64(payload[8*i:])
+				*plainWord(&w.cols[r.aux].view[r.node]) = leU64(payload[8*i:])
 			}
 			break
 		}
@@ -730,16 +730,14 @@ type jobPlan struct {
 	activate  []int8
 
 	// mirrorSet is non-nil when the job is mirrored (Machine.mirrorJob): before
-	// its first row every worker copies its share of the owned words and
-	// fetches its share of the iterator's members of the remote set into
-	// mirrors — one word buffer per spec.ReadProps entry, the machine's, reused
-	// across jobs — and the last of the fetching workers to finish closes
-	// fetched. accumulate is set when the job's remote writes accumulate
-	// (accum.go): a reduction into a replica folds into the worker's private
-	// accumulator and ships when the worker has run dry.
+	// its first row every worker fetches its share of the iterator's members of
+	// the remote set into each read property's column tail, and the last of the
+	// fetching workers to finish closes fetched. accumulate is set when the
+	// job's remote writes accumulate (accum.go): a reduction into a replica
+	// folds into the worker's private accumulator and ships when the worker has
+	// run dry.
 	mirrorSet  *iterSet
 	accumulate bool
-	mirrors    []*column
 	fetching   atomic.Int32
 	fetched    chan struct{}
 

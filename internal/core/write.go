@@ -17,7 +17,7 @@ import (
 // one worker of a machine reducing into a column no other goroutine touches,
 // or the replay — runs the tightest of them, scatter: the target is
 // one word array indexed by the ref, the owned words and, in a job that
-// accumulates, the accumulator slots behind them (column.growTail), so an
+// accumulates, the accumulator slots behind them (the column's tail), so an
 // edge is a bound check and a load–merge–store, the cost of a pull's
 // neighbour read.
 
