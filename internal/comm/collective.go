@@ -24,9 +24,10 @@ var ErrTimeout = errors.New("comm: collective timed out")
 // normalization, convergence tests, termination detection).
 //
 // The implementation is a star rooted at machine 0 over MsgCtrl frames. All
-// machines must invoke the same collective sequence (SPMD); frames are
-// matched by (op, seq) so a fast machine running ahead into the next
-// collective cannot confuse a slow one.
+// machines must invoke the same collective sequence (SPMD). A control frame's
+// Aux holds its section (Begin) in the high half and the op and the round
+// within the section in the low half: a frame of another section — a straggler
+// of an aborted one — is released on arrival.
 //
 // Collectives is used only by a machine's main goroutine and is not safe for
 // concurrent use within one machine.
@@ -34,8 +35,9 @@ type Collectives struct {
 	ep      Endpoint
 	ctrl    <-chan *Buffer
 	pool    *Pool
-	seq     uint32
-	pending []*Buffer
+	section uint32    // the section the collectives run in (Begin)
+	round   uint32    // the collectives the section has started
+	pending []*Buffer // the section's frames that arrived ahead of their round
 	// contrib is the root's gather slot per source machine: an allreduce's
 	// contributions land here as they arrive and merge in machine order, so
 	// a float reduction's bits do not follow the schedule. Reused by every
@@ -58,24 +60,23 @@ func (c *Collectives) SetAbort(ch <-chan struct{}) { c.abort = ch }
 // SetTimeout bounds every subsequent control-frame wait; zero disables.
 func (c *Collectives) SetTimeout(d time.Duration) { c.timeout = d }
 
-// Seq returns the collective sequence counter, used by recovery to
-// resynchronize machines whose counters diverged during an aborted job.
-func (c *Collectives) Seq() uint32 { return c.seq }
-
-// Recover releases any buffered stale control frames and forces the
-// sequence counter to seq. After an aborted job, machines may have
-// advanced different distances into the job's collective schedule; the
-// driver levels them with Recover so the next job's frames match up.
-func (c *Collectives) Recover(seq uint32) {
+// Begin starts section sec, the number every machine's frames carry until the
+// next Begin: the round restarts, and the frames parked for the section before
+// are released. Sections do not overlap — every machine leaves one before any
+// enters the next — so a frame of another section can only be an older one's.
+func (c *Collectives) Begin(sec uint32) {
 	for _, buf := range c.pending {
 		buf.Release()
 	}
 	c.pending = c.pending[:0]
-	c.seq = seq
+	c.section, c.round = sec, 0
 }
 
-// Control-frame operation codes, stored in the high half of Header.Aux with
-// the sequence number in the low half.
+// Seq returns the round: how many collectives the current section started.
+func (c *Collectives) Seq() uint32 { return c.round }
+
+// Control-frame operation codes, stored above the round in the low half of
+// Header.Aux.
 const (
 	ctrlReduceContrib uint32 = iota + 1
 	ctrlReduceResult
@@ -88,24 +89,28 @@ func NewCollectives(ep Endpoint, ctrl <-chan *Buffer, pool *Pool) *Collectives {
 	return &Collectives{ep: ep, ctrl: ctrl, pool: pool, contrib: make([]*Buffer, ep.NumMachines())}
 }
 
-func ctrlAux(op, seq uint32) uint64 { return uint64(op)<<32 | uint64(seq) }
+// ctrlAux is a control frame's Aux: the section, then the op and the round.
+func ctrlAux(sec, op, round uint32) uint64 {
+	return uint64(sec)<<32 | uint64(op)<<24 | uint64(round&(1<<24-1))
+}
 
-func (c *Collectives) newFrame(op, seq uint32) *Buffer {
+func (c *Collectives) newFrame(op uint32) *Buffer {
 	buf := c.pool.Acquire()
 	buf.Reset(Header{
 		Type:   MsgCtrl,
 		Worker: CtrlWorker,
 		Src:    uint16(c.ep.Machine()),
-		Aux:    ctrlAux(op, seq),
+		Aux:    ctrlAux(c.section, op, c.round),
 	})
 	return buf
 }
 
-// waitCtrl blocks for the next control frame matching (op, seq), buffering
-// mismatches for later collectives. The caller owns (and must release) the
-// returned buffer.
-func (c *Collectives) waitCtrl(op, seq uint32) (*Buffer, error) {
-	want := ctrlAux(op, seq)
+// waitCtrl blocks for the control frame of the current round with op,
+// parking frames of the section's other rounds and releasing any other
+// section's on arrival. The caller owns (and must release) the returned
+// buffer.
+func (c *Collectives) waitCtrl(op uint32) (*Buffer, error) {
+	want := ctrlAux(c.section, op, c.round)
 	for i, buf := range c.pending {
 		if buf.Header().Aux == want {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
@@ -122,16 +127,20 @@ func (c *Collectives) waitCtrl(op, seq uint32) (*Buffer, error) {
 		select {
 		case buf, ok := <-c.ctrl:
 			if !ok {
-				return nil, fmt.Errorf("comm: control channel closed during collective (op=%d seq=%d)", op, seq)
+				return nil, fmt.Errorf("comm: control channel closed during collective (op=%d round=%d)", op, c.round)
 			}
-			if buf.Header().Aux == want {
+			switch aux := buf.Header().Aux; {
+			case aux == want:
 				return buf, nil
+			case uint32(aux>>32) == c.section:
+				c.pending = append(c.pending, buf)
+			default:
+				buf.Release()
 			}
-			c.pending = append(c.pending, buf)
 		case <-c.abort:
-			return nil, fmt.Errorf("%w (op=%d seq=%d)", ErrAborted, op, seq)
+			return nil, fmt.Errorf("%w (op=%d round=%d)", ErrAborted, op, c.round)
 		case <-timeoutCh:
-			return nil, fmt.Errorf("%w after %v (op=%d seq=%d)", ErrTimeout, c.timeout, op, seq)
+			return nil, fmt.Errorf("%w after %v (op=%d round=%d)", ErrTimeout, c.timeout, op, c.round)
 		}
 	}
 }
@@ -201,8 +210,7 @@ func (c *Collectives) AllReduceI64(vals []int64, op reduce.Op) error {
 // machine 1's contribution first and machine p-1's last, whatever order they
 // arrived in.
 func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload []byte, merge bool) error) error {
-	c.seq++
-	seq := c.seq
+	c.round++
 	p := c.ep.NumMachines()
 	if p == 1 {
 		return nil
@@ -212,10 +220,10 @@ func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload [
 	}
 	me := c.ep.Machine()
 	if me == 0 {
-		err := c.gather(seq)
+		err := c.gather()
 		for src := 1; src < p && err == nil; src++ {
 			if err = apply(c.contrib[src].Payload(), true); err != nil {
-				err = fmt.Errorf("%v (seq=%d)", err, seq)
+				err = fmt.Errorf("%v (round=%d)", err, c.round)
 			}
 		}
 		for src, buf := range c.contrib {
@@ -228,7 +236,7 @@ func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload [
 			return err
 		}
 		for d := 1; d < p; d++ {
-			out := c.newFrame(ctrlReduceResult, seq)
+			out := c.newFrame(ctrlReduceResult)
 			write(out)
 			if err := c.ep.Send(d, out); err != nil {
 				return err
@@ -236,35 +244,35 @@ func (c *Collectives) allReduce(n int, write func(*Buffer), apply func(payload [
 		}
 		return nil
 	}
-	out := c.newFrame(ctrlReduceContrib, seq)
+	out := c.newFrame(ctrlReduceContrib)
 	write(out)
 	if err := c.ep.Send(0, out); err != nil {
 		return err
 	}
-	buf, err := c.waitCtrl(ctrlReduceResult, seq)
+	buf, err := c.waitCtrl(ctrlReduceResult)
 	if err != nil {
 		return err
 	}
 	err = apply(buf.Payload(), false)
 	buf.Release()
 	if err != nil {
-		return fmt.Errorf("%v (seq=%d)", err, seq)
+		return fmt.Errorf("%v (round=%d)", err, c.round)
 	}
 	return nil
 }
 
-// gather takes collective seq's contribution from every machine but the root
+// gather takes the round's contribution from every machine but the root
 // into contrib, by source, refusing a source out of range or heard from twice.
-func (c *Collectives) gather(seq uint32) error {
+func (c *Collectives) gather() error {
 	for range len(c.contrib) - 1 {
-		buf, err := c.waitCtrl(ctrlReduceContrib, seq)
+		buf, err := c.waitCtrl(ctrlReduceContrib)
 		if err != nil {
 			return err
 		}
 		src := int(buf.Header().Src)
 		if src < 1 || src >= len(c.contrib) || c.contrib[src] != nil {
 			buf.Release()
-			return fmt.Errorf("comm: allreduce contribution from machine %d refused: out of range or duplicate (seq=%d)", src, seq)
+			return fmt.Errorf("comm: allreduce contribution from machine %d refused: out of range or duplicate (round=%d)", src, c.round)
 		}
 		c.contrib[src] = buf
 	}

@@ -237,7 +237,7 @@ func TestAllReduceRefusesBadSource(t *testing.T) {
 			pool := NewPool(4, 4096)
 			for _, src := range srcs {
 				buf := pool.Acquire()
-				buf.Reset(Header{Type: MsgCtrl, Worker: CtrlWorker, Src: src, Aux: ctrlAux(ctrlReduceContrib, 1)})
+				buf.Reset(Header{Type: MsgCtrl, Worker: CtrlWorker, Src: src, Aux: ctrlAux(0, ctrlReduceContrib, 1)})
 				buf.AppendU64(1)
 				feed <- buf
 			}
@@ -249,6 +249,40 @@ func TestAllReduceRefusesBadSource(t *testing.T) {
 				t.Errorf("%d contribution frames out of the pool, %d of them never taken", n, len(feed))
 			}
 		})
+	}
+}
+
+// TestOlderSectionFrameReleasedOnArrival: a control frame of an older section
+// — a straggler of one that ended in an abort — is released the moment it
+// arrives, not parked for a round that never comes, and the section's own frame
+// completes the allreduce. A frame parked for a later round of a section goes
+// home at the next Begin.
+func TestOlderSectionFrameReleasedOnArrival(t *testing.T) {
+	f := NewInProcFabric(2, 16)
+	ep, _ := f.Endpoint(1)
+	feed := make(chan *Buffer, 3)
+	pool := NewPool(3, 4096)
+	result := func(sec, round uint32, v int64) {
+		buf := pool.Acquire()
+		buf.Reset(Header{Type: MsgCtrl, Worker: CtrlWorker, Src: 0, Aux: ctrlAux(sec, ctrlReduceResult, round)})
+		buf.AppendU64(uint64(v))
+		feed <- buf
+	}
+	result(6, 1, 60) // the older section's answer to the same round
+	result(7, 2, 72) // the section's next round, ahead of this one
+	result(7, 1, 71)
+	col := NewCollectives(ep, feed, NewPool(2, 4096))
+	col.Begin(7)
+	vals := []int64{1}
+	if err := col.AllReduceI64(vals, reduce.Sum); err != nil || vals[0] != 71 {
+		t.Fatalf("allreduce = %v (%v), want section 7's result 71", vals, err)
+	}
+	if len(col.pending) != 1 || pool.Outstanding() != 1 {
+		t.Fatalf("%d frames parked, %d out of the pool: want only round 2's parked", len(col.pending), pool.Outstanding())
+	}
+	col.Begin(8)
+	if len(col.pending) != 0 || pool.Outstanding() != 0 {
+		t.Errorf("after Begin: %d frames parked, %d out of the pool", len(col.pending), pool.Outstanding())
 	}
 }
 

@@ -180,14 +180,14 @@ func TestCancelBetweenEntryAndPublish(t *testing.T) {
 		}
 		c.Cancel(cause)
 	}
-	launched := c.jobSeq
+	launched := c.sections
 	fab.armed.Store(true)
 	start := time.Now()
 	err = runPull(t, c, g, src, dst, false)
 	if !errors.Is(err, ErrJobAborted) || !errors.Is(err, ErrJobCanceled) || !errors.Is(err, cause) {
 		t.Fatalf("RunJob = %v, want ErrJobAborted wrapping ErrJobCanceled and the cause", err)
 	}
-	if c.jobSeq != launched+1 {
+	if c.sections != launched+1 {
 		t.Fatal("the job was refused at RunJob's entry: the Cancel did not land inside the window")
 	}
 	if d := time.Since(start); d > 10*time.Second {

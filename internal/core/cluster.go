@@ -32,12 +32,14 @@ type Cluster struct {
 	freeProps []PropID
 	loaded    bool
 	shut      bool
-	jobSeq    uint64
-	loads     uint64 // installs so far; RunJob refuses a frontier of an earlier one
+	// sections numbers the SPMD sections: each job (its id) and driver-side
+	// collective (section) takes the next, which its frames carry.
+	sections uint64
+	loads    uint64 // installs so far; RunJob refuses a frontier of an earlier one
 
 	// The fan-out's reused state (parallel): one error slot per machine and
 	// the join. RunJob hands every machine runJobFn, which runs spec as job
-	// jobSeq and leaves each machine's stats in results.
+	// sections and leaves each machine's stats in results.
 	errs     []error
 	done     sync.WaitGroup
 	spec     JobSpec
@@ -84,7 +86,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.errs = make([]error, cfg.NumMachines)
 	c.results = make([]machineJobStats, cfg.NumMachines)
 	c.runJobFn = func(m *Machine) error {
-		st, err := m.runJob(&c.spec, c.jobSeq)
+		st, err := m.runJob(&c.spec, c.sections)
 		c.results[m.id] = st
 		return err
 	}
@@ -187,6 +189,19 @@ func (c *Cluster) install(layout partition.Layout, nodes int, edges int64, ld *s
 	return nil
 }
 
+// ColumnWords returns the words one property column takes across the machines
+// under the current load: each machine's owned nodes and one tail word per slot
+// of its remote set (column). Zero before Load.
+func (c *Cluster) ColumnWords() int64 {
+	var words int64
+	for _, m := range c.machines {
+		if m.store != nil {
+			words += int64(m.store.numLocal + len(m.store.remote.addr))
+		}
+	}
+	return words
+}
+
 // NumNodes returns the loaded graph's node count.
 func (c *Cluster) NumNodes() int { return c.numNodes }
 
@@ -257,18 +272,18 @@ func (c *Cluster) addProp(meta propMeta) (PropID, error) {
 	return id, nil
 }
 
-// DropProps releases temporary properties so their storage can be reclaimed
-// and their ids reused — the paper: "it is trivial to create or delete
-// temporary properties". Dropped ids must not be used afterwards.
+// DropProps releases temporary properties — the paper: "it is trivial to
+// create or delete temporary properties". The load's next registrations reuse
+// their ids and their heap columns; an off-heap column is released at once.
+// Dropped ids must not be used afterwards; dropping one again is a no-op.
 func (c *Cluster) DropProps(ids ...PropID) {
 	for _, id := range ids {
-		if int(id) >= len(c.meta) {
+		if int(id) >= len(c.meta) || c.meta[id].kind == kindDropped {
 			continue
 		}
-		c.meta[id] = propMeta{name: "(dropped)", kind: PropKind(0xff)}
+		c.meta[id] = propMeta{name: "(dropped)", kind: kindDropped}
 		for _, m := range c.machines {
-			m.cols[id].release()
-			m.cols[id] = nil
+			m.dropCol(id)
 		}
 		c.freeProps = append(c.freeProps, id)
 	}
@@ -315,8 +330,8 @@ func (c *Cluster) RunJob(spec JobSpec) (JobStats, error) {
 		return JobStats{}, fmt.Errorf("job %q: %w: %w", spec.Name, ErrJobAborted, cause)
 	}
 	before := c.TrafficSnapshot()
-	c.jobSeq++
-	jobID := c.jobSeq
+	c.sections++
+	jobID := c.sections
 	c.spec = spec
 	c.cfg.Obs.BeginJob(jobID, spec.Name)
 	start := time.Now()
@@ -387,7 +402,18 @@ func (c *Cluster) TrafficSnapshot() comm.Snapshot {
 // Barrier synchronizes all machines; exposed for benchmarks (Figure 5b
 // measures barrier latency directly).
 func (c *Cluster) Barrier() error {
-	return c.parallel(func(m *Machine) error { return m.col.Barrier() })
+	return c.section(func(m *Machine) error { return m.col.Barrier() })
+}
+
+// section runs fn's collectives on every machine as the next SPMD section, so
+// a control frame of an earlier one is released on arrival.
+func (c *Cluster) section(fn func(m *Machine) error) error {
+	c.sections++
+	sec := uint32(c.sections)
+	return c.parallel(func(m *Machine) error {
+		m.col.Begin(sec)
+		return fn(m)
+	})
 }
 
 // Shutdown stops all machines and tears down an internally created fabric.
@@ -524,7 +550,7 @@ func (c *Cluster) GetNodeI64(v graph.NodeID, p PropID) int64 {
 func (c *Cluster) ReduceMappedF64(p PropID, op reduce.Op, fn func(float64) float64) (float64, error) {
 	c.checkProp(p, KindF64)
 	results := make([]float64, len(c.machines))
-	err := c.parallel(func(m *Machine) error {
+	err := c.section(func(m *Machine) error {
 		col := m.cols[p]
 		acc := reduce.BottomF64(op)
 		for i := 0; i < m.store.numLocal; i++ {
@@ -544,7 +570,7 @@ func (c *Cluster) ReduceMappedF64(p PropID, op reduce.Op, fn func(float64) float
 func (c *Cluster) ReduceI64(p PropID, op reduce.Op) (int64, error) {
 	c.checkProp(p, KindI64)
 	results := make([]int64, len(c.machines))
-	err := c.parallel(func(m *Machine) error {
+	err := c.section(func(m *Machine) error {
 		col := m.cols[p]
 		acc := reduce.BottomI64(op)
 		for i := 0; i < m.store.numLocal; i++ {
@@ -603,15 +629,11 @@ func (c *Cluster) poolsHome() bool {
 	return true
 }
 
-// recoverAfterAbort returns the cluster to a runnable state after a failed
-// job: every machine may have stopped at a different point in the job's
-// schedule, with frames still in flight, buffers checked out, and collective
-// sequence counters diverged. Recovery (1) quiesces async senders and lets
-// copiers serve whatever already arrived, (2) drains stale responses and
-// control frames back to their pools, repeating until the cluster goes
-// quiet, then (3) levels every machine's collective sequence counter so the
-// next job's control frames match up again. No termination state outlives a
-// job: the write counts the drain sums are the job's own.
+// recoverAfterAbort waits, after a failed job, for the cluster to go quiet: it
+// quiesces async senders, lets copiers finish what arrived and drains stale
+// responses and control frames to their pools, until no request is pending and
+// every pool is home. It repairs nothing: a frame of the aborted job arriving
+// later carries its section and is dropped on arrival.
 func (c *Cluster) recoverAfterAbort() {
 	c.settle(func() bool {
 		for _, m := range c.machines {
@@ -624,15 +646,6 @@ func (c *Cluster) recoverAfterAbort() {
 		}
 		return c.poolsHome()
 	})
-	maxSeq := uint32(0)
-	for _, m := range c.machines {
-		if s := m.col.Seq(); s > maxSeq {
-			maxSeq = s
-		}
-	}
-	for _, m := range c.machines {
-		m.col.Recover(maxSeq)
-	}
 }
 
 func (c *Cluster) mustParallel(fn func(m *Machine)) {

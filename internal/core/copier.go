@@ -24,7 +24,7 @@ func (m *Machine) copierLoop() {
 	defer m.loops.Done()
 	reg := m.cfg.Obs
 	for buf := range m.router.ReqQueue() {
-		// The job this frame is served against, loaded once: the epoch checks
+		// The job this frame is served against, loaded once: the section check
 		// and a failure must name the same job. The machine's runtime outlives
 		// its jobs, so the failure carries the id read here: one that lands
 		// after the runtime moved on to a rerun fails nothing.
@@ -59,21 +59,24 @@ func (m *Machine) copierLoop() {
 // buffer is released on every exit path; response buffers are either handed
 // to the transport (which owns them from Send on, success or failure) or
 // released here before an error return.
+// A frame of another section than jr's, or with no job current, is a
+// straggler of an aborted job (the start barrier orders every curJob install
+// before any peer's first request), maybe torn by the fault that aborted it:
+// it is dropped before its type is looked at, and counted.
 func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime, jobID uint64) error {
 	defer buf.Release()
 	h := buf.Header()
+	if jr == nil || frameSection(h) != uint32(jobID) {
+		ctr := obs.CtrStaleReadFrames
+		if h.Type == comm.MsgWriteReq {
+			ctr = obs.CtrStaleWriteFrames
+		}
+		m.cfg.Obs.Add(m.id, ctr, 1)
+		return nil
+	}
 	payload := buf.Payload()
 	switch h.Type {
 	case comm.MsgWriteReq:
-		// Epoch check: Aux is the sender's job id (stamped at buffer reset).
-		// The pre-task barrier orders every machine's curJob install before
-		// any peer's first write frame, so a mismatch can only be a straggler
-		// from an aborted job that outlived post-abort recovery — stashing it
-		// would count a dead job's records against the live job's owed ones.
-		if jr == nil || jobID != h.Aux {
-			m.cfg.Obs.Add(m.id, obs.CtrStaleWriteFrames, 1)
-			return nil
-		}
 		// Validated here, so a torn frame fails the job at receipt; then stashed,
 		// never applied: during the task phase only this machine's workers write
 		// a column, and the drain replays the backlog (spill.go).
@@ -96,16 +99,6 @@ func (m *Machine) serveRequest(buf *comm.Buffer, jr *jobRuntime, jobID uint64) e
 		}
 		return nil
 	case comm.MsgReadReq:
-		// Epoch check, before any decode: Aux's high half is the low half of
-		// the requester's job id (stamped at flush). Reads are issued and
-		// answered between a job's two barriers, so a mismatch is a straggler
-		// from an aborted job — possibly torn by the very fault that aborted
-		// it. Its requester has parked the seq in its stale set and expects no
-		// answer; serving it could only fail the job running now.
-		if jr == nil || uint32(jobID) != uint32(h.Aux>>32) {
-			m.cfg.Obs.Add(m.id, obs.CtrStaleReadFrames, 1)
-			return nil
-		}
 		return m.serveReads(jr, h, payload)
 	case comm.MsgRMIReq:
 		return m.serveRMI(h, payload)
@@ -249,15 +242,14 @@ func (m *Machine) serveReads(jr *jobRuntime, h comm.Header, payload []byte) erro
 
 // serveRMI dispatches a remote method invocation and sends its response.
 // Every RMI gets a response (possibly empty) so callers can await
-// completion; the method id travels in the aux high bits, the sequence
-// number in the low bits. A dispatch failure aborts the job — the caller's
-// abort-channel select (or Config.Timeout) unblocks it, since no response
-// frame will come. The handler runs here, on a copier, concurrently with the
+// completion; the method id travels in the record count, the section and
+// the caller's seq in Aux, which the response echoes. A dispatch failure
+// aborts the job — the caller's abort-channel select (or Config.Timeout)
+// unblocks it, since no response frame will come. The handler runs here, on a copier, concurrently with the
 // workers, and is handed no machine state but the caller's id: it reads and
 // writes no property (Cluster.RegisterRMI).
 func (m *Machine) serveRMI(h comm.Header, payload []byte) error {
-	method := uint32(h.Aux >> 32)
-	out, err := m.rmi.Dispatch(method, int(h.Src), payload)
+	out, err := m.rmi.Dispatch(h.Count, int(h.Src), payload)
 	if err != nil {
 		return err
 	}

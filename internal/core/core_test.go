@@ -370,6 +370,8 @@ func TestJobSpecValidation(t *testing.T) {
 	g := testGraph(t)
 	c := bootCluster(t, g, DefaultConfig(2))
 	p, _ := c.AddPropF64("p")
+	dropped, _ := c.AddPropI64("dropped")
+	c.DropProps(dropped)
 	task := &pushOneTask{}
 	cases := []struct {
 		spec JobSpec
@@ -379,6 +381,8 @@ func TestJobSpecValidation(t *testing.T) {
 		{JobSpec{Name: "bad-iter", Iter: IterKind(9), Task: task}, "unknown iterator"},
 		{JobSpec{Name: "bad-read", Iter: IterOutEdges, Task: task, ReadProps: []PropID{42}}, "unregistered"},
 		{JobSpec{Name: "bad-write", Iter: IterOutEdges, Task: task, WriteProps: []WriteSpec{{Prop: 42, Op: reduce.Sum}}}, "unregistered"},
+		{JobSpec{Name: "dropped-read", Iter: IterOutEdges, Task: task, ReadProps: []PropID{dropped}}, "dropped property"},
+		{JobSpec{Name: "dropped-write", Iter: IterOutEdges, Task: task, WriteProps: []WriteSpec{{Prop: dropped, Op: reduce.Sum}}}, "dropped property"},
 		{JobSpec{Name: "overwrite", Iter: IterOutEdges, Task: task, WriteProps: []WriteSpec{{Prop: p, Op: reduce.Overwrite}}}, "unsupported op"},
 		{JobSpec{Name: "read-write", Iter: IterOutEdges, Task: task, ReadProps: []PropID{p}, WriteProps: []WriteSpec{{Prop: p, Op: reduce.Sum}}}, "both reads and writes"},
 		// Each iterator dispatches one kernel form; the other is refused

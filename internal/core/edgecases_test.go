@@ -94,17 +94,39 @@ func TestSingleNodeGraphWithSelfLoop(t *testing.T) {
 	}
 }
 
+// TestDropPropsReusesSlots: a dropped id is reused, and so is its heap column,
+// which reads zero — owned words and tail — under the new property until it is
+// filled; dropping an id twice frees it once, so two live properties never
+// share an id or a column.
 func TestDropPropsReusesSlots(t *testing.T) {
 	g := testGraph(t)
 	c := bootCluster(t, g, DefaultConfig(2))
 	a, _ := c.AddPropF64("a")
 	b, _ := c.AddPropF64("b")
+	c.FillF64(a, 9)
 	c.FillF64(b, 7)
+	for _, m := range c.machines { // a's tail as a job may leave it
+		for i := range m.cols[a].acc[0].slots {
+			m.cols[a].acc[0].slots[i] = 9
+		}
+	}
+	cols := []*column{c.machines[0].cols[a], c.machines[1].cols[a]}
 	c.DropProps(a)
-	// The freed id must be reused.
+	// The freed id must be reused, and its column with it.
 	a2, _ := c.AddPropI64("a2")
 	if a2 != a {
 		t.Errorf("freed id %d not reused, got %d", a, a2)
+	}
+	for i, m := range c.machines {
+		col := m.cols[a2]
+		if col != cols[i] {
+			t.Errorf("machine %d: the dropped column was not reused", i)
+		}
+		for w, v := range plainWords(col.vals[:cap(col.vals)]) {
+			if v != 0 {
+				t.Fatalf("machine %d: reused column word %d reads %#x before any fill, want 0", i, w, v)
+			}
+		}
 	}
 	c.FillI64(a2, 3)
 	if got := c.GetNodeI64(5, a2); got != 3 {
@@ -113,6 +135,18 @@ func TestDropPropsReusesSlots(t *testing.T) {
 	// b is untouched by the reuse.
 	if got := c.GetNodeF64(5, b); got != 7 {
 		t.Errorf("sibling prop corrupted: %g", got)
+	}
+	// A double drop frees the id once: the next two registrations differ.
+	c.DropProps(a2)
+	c.DropProps(a2)
+	x, _ := c.AddPropI64("x")
+	y, _ := c.AddPropI64("y")
+	if x == y {
+		t.Fatalf("a twice-dropped id was handed to two properties: %d", x)
+	}
+	c.FillI64(x, 7)
+	if got := c.GetNodeI64(5, y); got != 0 {
+		t.Errorf("y reads %d after x was filled with 7: the two share a column", got)
 	}
 	// Using a dropped id panics via the kind check.
 	c.DropProps(b)

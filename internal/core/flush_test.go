@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,12 +20,13 @@ func readKeys(keys ...uint64) []byte {
 	return out
 }
 
-// TestStaleReadFrameDropped: a read request whose epoch stamp is not the
-// serving machine's current job — here a torn frame, the shape a truncate
-// fault leaves behind — is dropped before its records are looked at, counted,
-// and fails nothing. With the right epoch the same bytes are refused by the
-// length check, and so is a well-formed record under a count whose header
-// byte 7 (once the compressed-payload flag) is set: an error, no response, every
+// TestStaleReadFrameDropped: a request frame whose section is not the serving
+// machine's current job — a read torn the way a truncate fault leaves it, a
+// torn write, an RMI call — is dropped before its type's records are looked
+// at, counted, and fails nothing: no record is stashed, no method runs, nothing
+// is answered. With the right section the same read bytes are refused by the
+// length check, and so is a well-formed record under a count whose header byte
+// 7 (once the compressed-payload flag) is set: an error, no response, every
 // buffer back in its pool.
 func TestStaleReadFrameDropped(t *testing.T) {
 	cfg := DefaultConfig(2)
@@ -35,35 +37,52 @@ func TestStaleReadFrameDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var calls atomic.Int64
+	method := c.RegisterRMI(func(*Machine) comm.RMIHandler {
+		return func(int, []byte) []byte { calls.Add(1); return nil }
+	})
 	m, answers := c.machines[0], c.machines[1].workers[0].respCh
-	frame := func(epoch uint64, count uint32, payload []byte) *comm.Buffer {
+	frame := func(typ comm.MsgType, section uint64, count uint32, payload []byte) *comm.Buffer {
 		buf := m.reqPool.Acquire()
-		buf.Reset(comm.Header{Type: comm.MsgReadReq, Src: 1, Count: count, Aux: epoch<<32 | 7})
+		buf.Reset(comm.Header{Type: typ, Src: 1, Count: count, Aux: sectionAux(section) | 7})
 		buf.AppendBytes(payload)
 		return buf
 	}
 	torn := []byte{0x80, 0x80, 0x80}
 	current := servedJob(1<<32|5, &JobSpec{Name: "current", ReadProps: []PropID{p}})
-	for _, tc := range []struct {
-		name      string
-		jr        *jobRuntime
-		id, epoch uint64
-	}{{"between jobs", nil, 0, 5}, {"earlier job", current, 1<<32 | 5, 4}} {
-		before := reg.LifetimeCounters()["stale_read_frames"]
-		if err := m.serveRequest(frame(tc.epoch, 40, torn), tc.jr, tc.id); err != nil {
-			t.Errorf("%s: stale frame was served: %v", tc.name, err)
-		}
-		if got := reg.LifetimeCounters()["stale_read_frames"] - before; got != 1 {
-			t.Errorf("%s: stale_read_frames advanced by %d, want 1", tc.name, got)
+	for _, req := range []struct {
+		typ     comm.MsgType
+		count   uint32
+		counter string
+	}{
+		{comm.MsgReadReq, 40, "stale_read_frames"},
+		{comm.MsgWriteReq, 40, "stale_write_frames"},
+		{comm.MsgRMIReq, method, "stale_read_frames"},
+	} {
+		for _, tc := range []struct {
+			name        string
+			jr          *jobRuntime
+			id, section uint64
+		}{{"between jobs", nil, 0, 5}, {"earlier job", current, 1<<32 | 5, 4}} {
+			before := reg.LifetimeCounters()[req.counter]
+			if err := m.serveRequest(frame(req.typ, tc.section, req.count, torn), tc.jr, tc.id); err != nil {
+				t.Errorf("%v %s: stale frame was served: %v", req.typ, tc.name, err)
+			}
+			if got := reg.LifetimeCounters()[req.counter] - before; got != 1 {
+				t.Errorf("%v %s: %s advanced by %d, want 1", req.typ, tc.name, req.counter, got)
+			}
 		}
 	}
-	// The epoch is the job id's low half, so job 1<<32|5 matches stamp 5.
+	if calls.Load() != 0 || len(answers) != 0 || m.spill.count != 0 {
+		t.Errorf("a stale frame was served: %d RMI calls, %d answers, %d write records stashed", calls.Load(), len(answers), m.spill.count)
+	}
+	// The section is the job id's low half, so job 1<<32|5 matches section 5.
 	for _, tc := range []struct {
 		name    string
 		count   uint32
 		payload []byte
 	}{{"torn", 40, torn}, {"byte-7-set", byte7 | 1, readKeys(uint64(p) << 48)}} {
-		err := m.serveRequest(frame(5, tc.count, tc.payload), current, current.id.Load())
+		err := m.serveRequest(frame(comm.MsgReadReq, 5, tc.count, tc.payload), current, current.id.Load())
 		if err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Errorf("%s: serveRequest = %v for the current job, want the length check's refusal", tc.name, err)
 		}
@@ -77,7 +96,7 @@ func TestStaleReadFrameDropped(t *testing.T) {
 }
 
 // FuzzServeReads feeds arbitrary bytes to the copier's read-request path,
-// under the current job's epoch or a stale one. A frame is answered — one word
+// under the current job's section or a stale one. A frame is answered — one word
 // per record, in a response no larger than a frame, and only when every record
 // reads the one property the job declares — or it is an error, or it is
 // dropped as stale and counted: never a panic, which would take every machine
@@ -104,7 +123,7 @@ func FuzzServeReads(f *testing.F) {
 	f.Add(readKeys(key(q, 1)), uint32(1), false)            // dropped property
 	f.Add(readKeys(key(p, n)), uint32(1), false)            // offset past the column
 	f.Add(readKeys(key(p, n+slots-1)), uint32(1), false)    // a replica slot: it names nothing at the owner
-	f.Add(readKeys(key(p, 1)), uint32(1), true)             // stale epoch
+	f.Add(readKeys(key(p, 1)), uint32(1), true)             // stale section
 	f.Add(readKeys(key(p, 1), key(r, 1)), uint32(2), false) // registered, not declared
 	current := servedJob(1<<32|5, &JobSpec{Name: "fuzz", ReadProps: []PropID{p}})
 	f.Fuzz(func(t *testing.T, payload []byte, count uint32, stale bool) {
@@ -162,4 +181,42 @@ func servedJob(id uint64, spec *JobSpec) *jobRuntime {
 	jr := &jobRuntime{jobPlan: jobPlan{spec: spec}, abortCh: make(chan struct{})}
 	jr.id.Store(id)
 	return jr
+}
+
+// TestWorkerDropsOlderSectionResponse: a response of an older section — the
+// answer to a request of an aborted job, whose side structure went at cleanup
+// — is released unread by the worker and fails nothing; a response of the
+// job's own section whose seq no side structure holds still fails the job.
+func TestWorkerDropsOlderSectionResponse(t *testing.T) {
+	c := bootCluster(t, testGraph(t), DefaultConfig(2))
+	m := c.machines[0]
+	w := m.workers[0]
+	jr := servedJob(1<<32|9, &JobSpec{Name: "current"})
+	w.job = jr
+	defer func() { w.job = nil }()
+	resp := func(section uint64) *comm.Buffer {
+		buf := m.respPool.Acquire()
+		buf.Reset(comm.Header{Type: comm.MsgReadResp, Src: 1, Count: 1, Aux: sectionAux(section) | 3})
+		buf.AppendU64(0)
+		return buf
+	}
+	w.processResponse(resp(8))
+	if err := jr.Err(); err != nil {
+		t.Fatalf("an older section's response failed the job: %v", err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != (abortUnwind{}) {
+				panic(r)
+			}
+		}()
+		w.processResponse(resp(jr.id.Load()))
+		t.Error("an unknown seq of the job's section did not unwind the worker")
+	}()
+	if err := jr.Err(); err == nil || !strings.Contains(err.Error(), "unknown seq 3") {
+		t.Errorf("job error %v, want the unknown seq's", err)
+	}
+	if !c.PoolsQuiescent() {
+		t.Error("a dropped response did not return to its pool")
+	}
 }

@@ -268,13 +268,13 @@ func (spec *JobSpec) validate(props []propMeta) error {
 		return fmt.Errorf("core: job %q runs a %T on the %v iterator, which has no RunRows (RowTask)", spec.Name, spec.Task, spec.Iter)
 	}
 	for _, p := range spec.ReadProps {
-		if int(p) >= len(props) {
-			return fmt.Errorf("core: job %q reads unregistered property %d", spec.Name, p)
+		if int(p) >= len(props) || props[p].kind == kindDropped {
+			return fmt.Errorf("core: job %q reads unregistered or dropped property %d", spec.Name, p)
 		}
 	}
 	for _, w := range spec.WriteProps {
-		if int(w.Prop) >= len(props) {
-			return fmt.Errorf("core: job %q writes unregistered property %d", spec.Name, w.Prop)
+		if int(w.Prop) >= len(props) || props[w.Prop].kind == kindDropped {
+			return fmt.Errorf("core: job %q writes unregistered or dropped property %d", spec.Name, w.Prop)
 		}
 		if !w.Op.Valid() || w.Op == reduce.Overwrite {
 			return fmt.Errorf("core: job %q writes property %d with unsupported op %v (accumulators need a commutative reduction)", spec.Name, w.Prop, w.Op)

@@ -51,6 +51,9 @@ type Machine struct {
 
 	store *localStore
 	cols  []*column
+	// spare holds the load's dropped heap columns, which its next
+	// registrations take back (newCol) instead of allocating O(N) words anew.
+	spare []*column
 
 	// ooc is the store-file load this machine's local store aliases (nil for
 	// in-memory loads): workers claim each chunk's rows through it before
@@ -154,24 +157,27 @@ func (m *Machine) mainLoop() {
 // pendingAbort records a MsgAbort that arrived for a job this machine has
 // not started yet (announcements can outrun the SPMD fan-out).
 type pendingAbort struct {
-	id  uint64
-	err error
+	section uint32
+	err     error
 }
 
 // abortWatcher consumes inbound MsgAbort frames for the life of the
-// machine, failing the matching local job so no machine hangs waiting on a
-// peer that already gave up.
+// machine, failing the job of the frame's section so no machine hangs waiting
+// on a peer that already gave up.
 func (m *Machine) abortWatcher() {
 	defer m.loops.Done()
 	for buf := range m.router.AbortQueue() {
 		h := buf.Header()
-		err := fmt.Errorf("core: machine %d aborted job %d: %s", h.Src, h.Aux, buf.Payload())
+		sec := frameSection(h)
+		err := fmt.Errorf("core: machine %d aborted job %d: %s", h.Src, sec, buf.Payload())
 		buf.Release()
-		if jr := m.curJob.Load(); jr != nil && jr.id.Load() == h.Aux {
-			jr.fail(h.Aux, err)
-		} else {
-			m.pendingAbort.Store(&pendingAbort{id: h.Aux, err: err})
+		if jr := m.curJob.Load(); jr != nil {
+			if id := jr.id.Load(); uint32(id) == sec {
+				jr.fail(id, err)
+				continue
+			}
 		}
+		m.pendingAbort.Store(&pendingAbort{section: sec, err: err})
 	}
 }
 
@@ -211,7 +217,7 @@ func (m *Machine) broadcastAbort(jobID uint64, err error) {
 			Type:   comm.MsgAbort,
 			Worker: comm.CtrlWorker,
 			Src:    uint16(m.id),
-			Aux:    jobID,
+			Aux:    sectionAux(jobID),
 		})
 		text := msg
 		if room := buf.Room(); len(text) > room {
@@ -243,17 +249,37 @@ func (m *Machine) install(st *localStore, ld *store.Load) {
 }
 
 // newCol builds one column for this machine's current load, a tail word per
-// slot of its remote set, off-heap when the load asked for it.
+// slot of its remote set: a spare one zeroed, or a new one, off-heap when the
+// load asked for it.
 func (m *Machine) newCol(meta propMeta) *column {
+	if n := len(m.spare); n > 0 {
+		col := m.spare[n-1]
+		m.spare = m.spare[:n-1]
+		col.recycle(meta.kind)
+		return col
+	}
 	return newColumn(meta.kind, m.store.numLocal, len(m.store.remote.addr), m.cfg.Workers, m.offHeapCols)
 }
 
-// releaseCols drops every column, returning off-heap backings to the kernel.
+// dropCol takes property id's column out: a heap column stays spare for the
+// load's next registration, an off-heap one returns its pages to the kernel at
+// once — the windowed store load it belongs to keeps one memory budget.
+func (m *Machine) dropCol(id PropID) {
+	if col := m.cols[id]; col.freeFn == nil {
+		m.spare = append(m.spare, col)
+	} else {
+		col.release()
+	}
+	m.cols[id] = nil
+}
+
+// releaseCols drops every column, spares included, returning off-heap
+// backings to the kernel.
 func (m *Machine) releaseCols() {
 	for _, col := range m.cols {
 		col.release()
 	}
-	m.cols = nil
+	m.cols, m.spare = nil, nil
 }
 
 // machineJobStats is runJob's per-machine result; the cluster reports
@@ -418,23 +444,26 @@ func (m *Machine) newJobRuntime(spec *JobSpec, jobID uint64) *jobRuntime {
 func (jr *jobRuntime) reads(p PropID) bool { return slices.Contains(jr.spec.ReadProps, p) }
 
 // publish makes jr the machine's current job before any traffic, so copiers
-// and the abort watcher can fail it, and points the collectives at its abort
-// channel. The backlog is armed first: the start barrier orders the curJob
-// install before any peer's first write frame, so the backlog sees every frame
-// of this job. A remote abort announcement may already be parked if a
-// fast peer failed before we even got here. The cancellation latch is read
-// after the install and Cluster.Cancel sets it before looking for a current
-// job, so one of the two sees the other: a Cancel is never lost in the window
-// between RunJob's entry check and this point.
+// and the abort watcher can fail it, and starts the collectives' section for
+// it, pointed at its abort channel. The backlog is armed first: the start
+// barrier orders the curJob install before any peer's first write frame, so
+// the backlog sees every frame of this job. A remote abort announcement may
+// already be parked if a fast peer failed before we even got here. The
+// cancellation latch is read after the install and Cluster.Cancel sets it
+// before looking for a current job, so one of the two sees the other: a
+// Cancel is never lost in the window between RunJob's entry check and this
+// point.
 func (m *Machine) publish(jr *jobRuntime) {
 	m.spill.begin(jr.id.Load())
 	m.curJob.Store(jr)
-	if pa := m.pendingAbort.Swap(nil); pa != nil && pa.id == jr.id.Load() {
-		jr.fail(pa.id, pa.err)
+	id := jr.id.Load()
+	if pa := m.pendingAbort.Swap(nil); pa != nil && pa.section == uint32(id) {
+		jr.fail(id, pa.err)
 	}
 	if cause := m.canceled.Load(); cause != nil {
-		m.abortJob(jr, jr.id.Load(), *cause)
+		m.abortJob(jr, id, *cause)
 	}
+	m.col.Begin(uint32(id))
 	m.col.SetAbort(jr.abortCh)
 }
 
@@ -678,31 +707,23 @@ func (m *Machine) jobStats(jr *jobRuntime) machineJobStats {
 // goroutine and workers are idle (so this goroutine is the only receiver).
 func (m *Machine) drainStale() {
 	for _, w := range m.workers {
-		for {
-			select {
-			case buf, ok := <-w.respCh:
-				if !ok {
-					return
-				}
-				delete(w.stale, uint32(buf.Header().Aux))
-				buf.Release()
-				continue
-			default:
-			}
-			break
-		}
+		releaseQueued(w.respCh)
 	}
+	releaseQueued(m.router.Ctrl())
+}
+
+// releaseQueued releases the frames queued on ch without waiting for more.
+func releaseQueued(ch <-chan *comm.Buffer) {
 	for {
 		select {
-		case buf, ok := <-m.router.Ctrl():
+		case buf, ok := <-ch:
 			if !ok {
 				return
 			}
 			buf.Release()
-			continue
 		default:
+			return
 		}
-		return
 	}
 }
 

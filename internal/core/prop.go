@@ -24,6 +24,8 @@ const (
 	KindF64 PropKind = iota
 	// KindI64 is an int64-valued property (bools are 0/1 int64s).
 	KindI64
+	// kindDropped marks a dropped id (Cluster.DropProps) until it is reused.
+	kindDropped PropKind = 0xff
 )
 
 // String implements fmt.Stringer.
@@ -109,6 +111,16 @@ func newColumn(kind PropKind, numLocal, tail, workers int, offHeap bool) *column
 	c.acc[0].slots = plainWords(c.vals[numLocal:])
 	c.vals, c.view = c.vals[:numLocal], c.vals[:numLocal]
 	return c
+}
+
+// recycle readies a dropped heap column for another property of its load:
+// every word, owned and tail, zeroed, and no accumulator bottomed for any job.
+func (c *column) recycle(kind PropKind) {
+	clear(plainWords(c.vals[:cap(c.vals)]))
+	c.kind, c.view, c.owned, c.single = kind, c.vals, false, false
+	for w := range c.acc {
+		c.acc[w].job = 0
+	}
 }
 
 // release returns an off-heap column's pages to the kernel. Nil-safe and

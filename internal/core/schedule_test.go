@@ -175,7 +175,6 @@ func TestRunJobSchedule(t *testing.T) {
 					}
 				}
 				c.FillI64(dst, 0)
-				seq0 := c.machines[0].col.Seq()
 				st, err := c.RunJob(spec)
 				if err != nil {
 					t.Fatal(err)
@@ -196,13 +195,13 @@ func TestRunJobSchedule(t *testing.T) {
 					}
 				}
 				for m := range c.machines {
-					if got, want := mainSpans(c.cfg.Obs, c.jobSeq, m), jobSchedule; !slices.Equal(got, want) {
+					if got, want := mainSpans(c.cfg.Obs, c.sections, m), jobSchedule; !slices.Equal(got, want) {
 						t.Errorf("%s: machine %d recorded %v, want %v", spec.Name, m, got, want)
 					}
-					if got := 2 + drainCollectivesAfterFirst(t, c.cfg.Obs, c.jobSeq, m); got != want {
+					if got := 2 + drainCollectivesAfterFirst(t, c.cfg.Obs, c.sections, m); got != want {
 						t.Errorf("%s: machine %d's write_drain span counts %d collectives, want %d", spec.Name, m, got, want)
 					}
-					if got := c.machines[m].col.Seq() - seq0; got != want {
+					if got := c.machines[m].col.Seq(); got != want { // the job's section's round
 						t.Errorf("%s: machine %d ran %d collectives, want %d", spec.Name, m, got, want)
 					}
 				}
@@ -354,12 +353,12 @@ func TestFaultRunJobPhases(t *testing.T) {
 			// activates), the first on its load: its remote set came with the load.
 			full := jobSchedule
 			err := job(source)
-			spans := mainSpans(c.cfg.Obs, c.jobSeq, 1)
+			spans := mainSpans(c.cfg.Obs, c.sections, 1)
 			if tc.spans == 0 {
 				if err != nil || !slices.Equal(spans, full) {
 					t.Fatalf("err=%v, spans %v: the job has more collectives than the schedule", err, spans)
 				}
-				if more := drainCollectivesAfterFirst(t, c.cfg.Obs, c.jobSeq, 1); more != 0 {
+				if more := drainCollectivesAfterFirst(t, c.cfg.Obs, c.sections, 1); more != 0 {
 					t.Fatalf("the job survived a failed third collective yet its drain ran %d after the first", more)
 				}
 				return

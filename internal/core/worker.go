@@ -44,15 +44,6 @@ type worker struct {
 	curSide [][]sideRec
 	seq     uint32
 
-	// stale holds the seqs of requests that were in flight when a job
-	// aborted. Their responses may still arrive (late, reordered, or served
-	// by a copier after the abort); matching them here lets the worker
-	// release and ignore them instead of treating them as protocol
-	// violations during the next job. Seqs are never reused (the counter is
-	// monotone for the worker's lifetime), so a stale seq cannot collide
-	// with a live one.
-	stale map[uint32]struct{}
-
 	// outstanding counts in-flight request frames awaiting a response.
 	outstanding int
 
@@ -121,7 +112,6 @@ func newWorker(m *Machine, id int) *worker {
 		writeBufs: make([]*comm.Buffer, m.cfg.NumMachines),
 		sentTo:    make([]int64, m.cfg.NumMachines),
 		sides:     make(map[uint32][]sideRec),
-		stale:     make(map[uint32]struct{}),
 		curSide:   make([][]sideRec, m.cfg.NumMachines),
 		reg:       m.cfg.Obs,
 	}
@@ -165,10 +155,10 @@ func (w *worker) unwind() {
 }
 
 // abortCleanup restores the worker's invariants after an abort unwound it
-// mid-job: partial request messages are released back to their pool,
-// in-flight seqs move to the stale set so their late responses are
-// recognized and dropped, and per-job state is reset so the next job starts
-// clean. Runs on the worker goroutine (from runJob's recover).
+// mid-job: partial request messages are released back to their pool, side
+// structures recycled — a late response to one carries the aborted job's
+// section and is dropped on arrival — and per-job state is reset so the next
+// job starts clean. Runs on the worker goroutine (from runJob's recover).
 func (w *worker) abortCleanup() {
 	for d := range w.readBufs {
 		if buf := w.readBufs[d]; buf != nil {
@@ -185,7 +175,6 @@ func (w *worker) abortCleanup() {
 		}
 	}
 	for seq, side := range w.sides {
-		w.stale[seq] = struct{}{}
 		w.sideRecycle(side)
 		delete(w.sides, seq)
 	}
@@ -193,7 +182,7 @@ func (w *worker) abortCleanup() {
 	w.cur.rd.release()
 	w.folded = 0
 	if w.rttStart != nil {
-		clear(w.rttStart) // the seqs moved to the stale set; no RTT to record
+		clear(w.rttStart) // no RTT to record for a request of a dead job
 	}
 	w.endTime = time.Now()
 	w.job = nil
@@ -245,9 +234,8 @@ func (w *worker) runJob(jr *jobRuntime) {
 	}
 	if len(w.sides) != 0 {
 		// Bookkeeping broke (outstanding hit zero with side structures still
-		// registered): fail the job rather than crash — abortCleanup parks
-		// the dangling seqs in the stale set so any response that does show
-		// up later is dropped instead of corrupting the next job.
+		// registered): fail the job rather than crash — a response that does
+		// show up later carries this job's section and is dropped.
 		w.fail(fmt.Errorf("core: machine %d worker %d finished job with %d dangling side structures", w.m.id, w.id, len(w.sides)))
 	}
 	w.endTime = time.Now()
@@ -347,7 +335,10 @@ func (w *worker) drainResponsesSafe() {
 }
 
 // processResponse matches a response frame to its side structure and invokes
-// the continuation for each record, in request order (paper §3.2 step 4).
+// the continuation for each record, in request order (paper §3.2 step 4). A
+// response of another section than the job's is a straggler of an aborted
+// job, whose side structure went at cleanup: it is released unread. An unknown
+// seq of the job's own section fails the job.
 //
 // The payload is copied out and the frame released BEFORE any continuation
 // runs. This ordering is load-bearing for deadlock freedom: continuations
@@ -357,16 +348,14 @@ func (w *worker) drainResponsesSafe() {
 // the worker is waiting for.
 func (w *worker) processResponse(buf *comm.Buffer) {
 	h := buf.Header()
+	if frameSection(h) != uint32(w.job.id.Load()) {
+		buf.Release()
+		return
+	}
 	seq := uint32(h.Aux)
 	side, ok := w.sides[seq]
 	if !ok {
 		buf.Release()
-		if _, wasStale := w.stale[seq]; wasStale {
-			// A straggler from an aborted job: its side structure was
-			// recycled during cleanup, so just drop the frame.
-			delete(w.stale, seq)
-			return
-		}
 		w.fail(fmt.Errorf("core: machine %d worker %d: response with unknown seq %d", w.m.id, w.id, seq))
 	}
 	delete(w.sides, seq)
@@ -550,10 +539,7 @@ func (w *worker) bufferWrite(dst int, p PropID, op reduce.Op, offset uint32, wor
 			nb.Release()
 			buf = w.writeBufs[dst]
 		} else {
-			// Aux carries the job id as an epoch stamp: the receiving copier
-			// drops write frames from a job that is no longer current, so a
-			// straggler from an aborted run never lands in a later job.
-			nb.Reset(comm.Header{Type: comm.MsgWriteReq, Worker: uint8(w.id), Src: uint16(w.m.id), Aux: w.job.id.Load()})
+			nb.Reset(comm.Header{Type: comm.MsgWriteReq, Worker: uint8(w.id), Src: uint16(w.m.id), Aux: sectionAux(w.job.id.Load())})
 			w.writeBufs[dst] = nb
 			buf = nb
 		}
@@ -565,7 +551,8 @@ func (w *worker) bufferWrite(dst int, p PropID, op reduce.Op, offset uint32, wor
 	}
 }
 
-// bufferRMI sends one RMI request frame toward machine dst.
+// bufferRMI sends one RMI request frame toward machine dst: the method id in
+// the record count, the job's section and the seq in Aux.
 func (w *worker) bufferRMI(dst int, method uint32, payload []byte, node uint32, aux uint64) {
 	buf := w.acquireReq()
 	if len(payload) > buf.Room() {
@@ -577,8 +564,8 @@ func (w *worker) bufferRMI(dst int, method uint32, payload []byte, node uint32, 
 		Type:   comm.MsgRMIReq,
 		Worker: uint8(w.id),
 		Src:    uint16(w.m.id),
-		Count:  1,
-		Aux:    uint64(method)<<32 | uint64(w.seq),
+		Count:  method,
+		Aux:    sectionAux(w.job.id.Load()) | uint64(w.seq),
 	})
 	buf.AppendBytes(payload)
 	w.sides[w.seq] = append(w.sideNew(), sideRec{node: node, aux: aux})
@@ -597,12 +584,8 @@ func (w *worker) flushRead(dst int) {
 	w.readBufs[dst] = nil
 	buf.SetCount(uint32(len(buf.Payload()) / readRecSize))
 	w.seq++
-	// Aux: the job id's low half as an epoch stamp above the seq. The serving
-	// copier drops a read frame whose epoch is not its current job's (a
-	// straggler of an aborted run must not be decoded against, or fail, the
-	// next one) and echoes Aux, of which the low half matches the response
-	// to its side structure.
-	buf.SetAux(uint64(uint32(w.job.id.Load()))<<32 | uint64(w.seq))
+	// The response echoes Aux, whose low half matches it to its side structure.
+	buf.SetAux(sectionAux(w.job.id.Load()) | uint64(w.seq))
 	w.sides[w.seq] = w.curSide[dst]
 	w.curSide[dst] = nil
 	w.outstanding++
@@ -679,8 +662,9 @@ type jobRuntime struct {
 	// again by then, ready for the next job.
 	wg sync.WaitGroup
 
-	// id is the cluster-wide job sequence number, carried in MsgAbort frames
-	// so a machine never aborts the wrong job on a stale announcement.
+	// id is the job's number in the cluster's section sequence, which every
+	// frame of the job carries (sectionAux), so a machine never serves, answers
+	// or aborts the wrong job on a straggler.
 	// Atomic, and changed only under abortMu: a copier, the abort watcher or
 	// Cancel may hold this runtime from an earlier job's curJob while the
 	// reset moves it to the next one, and fail checks the id it was handed
@@ -807,6 +791,15 @@ func (jr *jobRuntime) aborted() bool {
 		return false
 	}
 }
+
+// sectionAux is the high half of every frame's Aux: the SPMD section that sent
+// it, for a job its id (Cluster.sections). Each receiver checks it once, on
+// arrival, and drops a frame of another section: sections do not overlap, so
+// it can only be a straggler of an aborted one.
+func sectionAux(id uint64) uint64 { return id << 32 }
+
+// frameSection reads the section back from h.
+func frameSection(h comm.Header) uint32 { return uint32(h.Aux >> 32) }
 
 // leU64 decodes a little-endian uint64 at the start of p.
 func leU64(p []byte) uint64 {

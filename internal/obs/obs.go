@@ -39,13 +39,13 @@ const (
 	CtrReadsServed CounterID = iota
 	// CtrWritesApplied counts remote-write records this machine applied.
 	CtrWritesApplied
-	// CtrStaleWriteFrames counts write frames dropped because their epoch
-	// stamp named a job that is no longer current — stragglers from an
-	// aborted job that outlived post-abort recovery (TCP can hold frames in
-	// the kernel past pool quiescence).
+	// CtrStaleWriteFrames counts write frames dropped because their section
+	// named a job that is no longer current — stragglers from an aborted job
+	// that outlived post-abort recovery (TCP can hold frames in the kernel
+	// past pool quiescence).
 	CtrStaleWriteFrames
-	// CtrStaleReadFrames counts read-request frames dropped unserved for the
-	// same reason: their epoch stamp named a job that is no longer current.
+	// CtrStaleReadFrames counts read and RMI request frames dropped unserved
+	// for the same reason.
 	CtrStaleReadFrames
 	// CtrRMIServed counts remote method invocations dispatched.
 	CtrRMIServed

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/baseline/sa"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -126,13 +127,36 @@ func TestCatalogParity(t *testing.T) {
 
 // TestAdmissionChargesRegisteredColumns: the memory gate charges an
 // undeclared run what it adds to its instance — the columns its algorithm
-// registers, 8 bytes per node, in MiB rounded up — not the shared graph or the
-// engines' local stores, which admit pinned when the instance booted. On
-// 100000 nodes hopdist's one column is 0.76 MiB, charged 1; two concurrent
-// hopdist runs fit a budget of 2, so neither may be deferred. pagerank's three
-// columns (2.3 MiB, charged 3) do not fit beside a held hopdist.
+// registers, 8 bytes per word of a column (its owned words and its replica
+// tails on every machine: core.Cluster.ColumnWords), in MiB rounded up — not
+// the shared graph or the engines' local stores, which admit pinned when the
+// instance booted. Two concurrent hopdist runs, one column each, fit a budget
+// of two columns, so neither may be deferred; pagerank's three columns do not
+// fit beside a held hopdist.
 func TestAdmissionChargesRegisteredColumns(t *testing.T) {
-	const n, oneCol = 100000, 1
+	const n = 100000
+	req := Request{Graph: "g", Kind: "uniform", Nodes: n, Edges: n, Seed: 5, Machines: 2}
+	es, err := streamOf(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := es.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := core.NewCluster(core.DefaultConfig(req.Machines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.Load(g); err != nil {
+		t.Fatal(err)
+	}
+	words := probe.ColumnWords()
+	probe.Shutdown()
+	if words <= n {
+		t.Fatalf("a column is %d words on %d nodes at p = 2: no replica tail to charge", words, n)
+	}
+	oneCol := (8*words + 1<<20 - 1) >> 20
 	for name, cols := range map[string]int{"hopdist": 1, "pagerank": 3} {
 		if spec, _ := algorithms.Lookup(name); spec.Cols != cols {
 			t.Fatalf("%s registers %d columns, this test assumes %d", name, spec.Cols, cols)
@@ -146,7 +170,7 @@ func TestAdmissionChargesRegisteredColumns(t *testing.T) {
 	release := sync.OnceFunc(func() { close(gate.release) })
 	t.Cleanup(release) // a failed check must not leave the held run blocking Close
 	c := dial(t, s)
-	if _, err := c.Generate(Request{Graph: "g", Kind: "uniform", Nodes: n, Edges: n, Seed: 5, Machines: 2}); err != nil {
+	if _, err := c.Generate(req); err != nil {
 		t.Fatal(err)
 	}
 	held := dial(t, s)

@@ -153,8 +153,8 @@ type ServerStats struct {
 	TransportErrors int64 `json:"transport_errors"`
 
 	// StaleWriteFrames and StaleReadFrames count, across all loaded
-	// instances' engines, write and read-request frames dropped by the epoch
-	// check — frames from an aborted job that outlived post-abort recovery.
+	// instances' engines, write and read or RMI request frames dropped by the
+	// section check — frames from an aborted job that outlived recovery.
 	StaleWriteFrames int64 `json:"stale_write_frames"`
 	StaleReadFrames  int64 `json:"stale_read_frames"`
 

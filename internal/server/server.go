@@ -547,14 +547,16 @@ func tenantOf(req *Request) string {
 // memCharge is what a run costs the admission memory gate: the client's
 // declared need, or — only when a budget is actually configured — what the
 // run adds to its instance, the algorithm's catalog columns of 8 bytes per
-// node, in MiB rounded up. The shared graph and the engines' local stores are
-// not charged: admit pinned them when it booted the instance, and deferring a
-// run cannot free them.
+// word, in MiB rounded up: a column is a word per node and one per replica
+// slot of each machine (core.Cluster.ColumnWords). The shared graph and the
+// engines' local stores are not charged: admit pinned them when it booted the
+// instance, and deferring a run cannot free them. A run whose columns reuse
+// dropped ones is charged them all the same: conservatively, never short.
 func (s *Server) memCharge(inst *instance, spec algorithms.Spec, req *Request) int64 {
 	if req.MaxResidentMB > 0 || s.cfg.RunMemoryBudgetMB <= 0 {
 		return req.MaxResidentMB
 	}
-	return (int64(spec.Cols)*8*int64(inst.g.NumNodes()) + 1<<20 - 1) >> 20
+	return (int64(spec.Cols)*8*inst.engines[0].cluster.ColumnWords() + 1<<20 - 1) >> 20
 }
 
 // handleRun admits an analysis through the scheduler, executes it on the
