@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race faults fuzz-smoke ci loc perf-check bench-scan bench-job bench-direction bench-read bench-write bench-decode direction serve ooc
+.PHONY: build test vet race faults fuzz-smoke ci loc perf-check bench-scan bench-job bench-direction bench-pr bench-read bench-write bench-decode direction serve ooc
 
 build:
 	$(GO) build ./...
@@ -108,9 +108,15 @@ perf-check:
 # (WCC and SSSP over a whole-graph frontier, BFS at its heaviest level) on
 # RMAT(14,16), Workers 1 and 4, p = 1 and 2 in process; the push/pull column
 # is the α at which the two directions break even.
+#
+# bench-pr, same recipe, is the per-iteration price of the pull-form power
+# iterations (BenchmarkPowerIteration): ns per edge of one iteration of
+# PageRank-pull, personalized PageRank and eigenvector centrality on
+# RMAT(14,16) — one machine with two workers, two in process, two over
+# loopback TCP — with the jobs each iteration runs.
 SCRATCH ?= /tmp/pgxd-bench-remote
-bench-job bench-scan bench-direction bench-read bench-write bench-decode: PKG = ./internal/core
-bench-job bench-scan bench-direction bench-read bench-write bench-decode: BENCHTIME = 10x
+bench-job bench-scan bench-direction bench-pr bench-read bench-write bench-decode: PKG = ./internal/core
+bench-job bench-scan bench-direction bench-pr bench-read bench-write bench-decode: BENCHTIME = 10x
 bench-job: BENCH = JobFloor
 bench-job: BENCHTIME = 20000x
 bench-scan: BENCH = EdgeDispatch
@@ -118,11 +124,14 @@ bench-scan: BENCHTIME = 50x
 bench-direction: BENCH = DirectionStep
 bench-direction: BENCHTIME = 20x
 bench-direction: PKG = ./internal/algorithms
+bench-pr: BENCH = PowerIteration
+bench-pr: BENCHTIME = 20x
+bench-pr: PKG = ./internal/algorithms
 bench-read: BENCH = RemoteRead
 bench-write: BENCH = RemoteWrite
 bench-decode: BENCH = Decode
 bench-decode: PKG = ./internal/store
-bench-job bench-scan bench-direction bench-read bench-write bench-decode:
+bench-job bench-scan bench-direction bench-pr bench-read bench-write bench-decode:
 ifdef AGAINST
 	rm -rf $(SCRATCH) && mkdir -p $(SCRATCH)/ref
 	git archive $(AGAINST) | tar -x -C $(SCRATCH)/ref

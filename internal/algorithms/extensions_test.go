@@ -123,8 +123,9 @@ func TestPersonalizedPageRankMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if met.Iterations != 8 {
-				t.Errorf("iterations = %d", met.Iterations)
+			// One seed job plus one job per iteration, as PageRank-pull.
+			if met.Iterations != 8 || met.Jobs != 1+8 {
+				t.Errorf("metrics: %d iters, %d jobs", met.Iterations, met.Jobs)
 			}
 			assertClose(t, "ppr", got, want, 1e-12)
 		})

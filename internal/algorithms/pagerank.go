@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/reduce"
 )
 
@@ -13,46 +14,64 @@ import (
 //	PR'(n) = (1-d)/N + d * Σ_{t∈inNbrs(n)} PR(t)/outDeg(t)
 //
 // but move the data differently: pull reads PR(t)/outDeg(t) from incoming
-// neighbors (one-sided remote reads, plain local accumulation — no atomics);
-// push writes n's contribution to each outgoing neighbor (SUM reductions, the
+// neighbors (one-sided remote reads, plain local accumulation — no atomics)
+// and finishes each node in its own row, so an iteration is one job; push
+// writes n's contribution to each outgoing neighbor (SUM reductions, the
 // only form conventional frameworks support: compare-and-swap loops where a
 // machine's workers share the target column, plain adds on a one-worker
-// machine, per-worker accumulators for remote targets); approx propagates only
+// machine, per-worker accumulators for remote targets) and needs an apply
+// pass after the drain, where its sums are complete; approx propagates only
 // PR deltas and deactivates converged vertices.
 
-// scaleKernel computes scaled = pr/outDeg per node (a temporary property, so
-// the iteration job never reads and writes the same property — the paper's
-// "temporary copies" discipline).
-type scaleKernel struct {
-	core.NoReads
-	pr, scaled core.PropID
+// restart says where PageRank's teleport term lands: on every node, or — for
+// personalized PageRank — on the nodes whose sources word is non-zero.
+type restart struct {
+	sources  core.PropID
+	personal bool
 }
 
-func (k *scaleKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
+func (r restart) at(c *core.Ctx) bool { return !r.personal || c.GetI64(r.sources) != 0 }
+
+// rankSeedKernel writes the first iteration's scaled = pr₀/outDeg, pr₀ being
+// v where the restart term lands and 0 elsewhere.
+type rankSeedKernel struct {
+	core.NoReads
+	restart
+	scaled core.PropID
+	v      float64
+}
+
+func (k *rankSeedKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
 	for nodes.Next() {
-		if d := c.OutDegree(); d > 0 {
-			c.SetF64(k.scaled, c.GetF64(k.pr)/float64(d))
-		} else {
-			c.SetF64(k.scaled, 0)
+		var s float64
+		if d := c.OutDegree(); d > 0 && k.at(c) {
+			s = k.v / float64(d)
 		}
+		c.SetF64(k.scaled, s)
 	}
 }
 
-// sumPullKernel is the pull step of PageRank (src = scaled), personalized
-// PageRank and eigenvector centrality (src = ev): it sums src over the
-// node's incoming neighbors in a register — no atomic, because all edges of
-// one node run on one worker — and folds the sum into the node's acc once,
-// after the row. Mirrored remote neighbors fold in the same register, through
-// the same view; the rest arrive later through ReadDone, which adds to acc
-// directly, and the fold after the loop is a read-modify-write for exactly
-// that reason (see core.RowTask on re-entrancy).
-type sumPullKernel struct {
-	src, acc core.PropID
+// rankPullKernel is one whole iteration of PageRank-pull and personalized
+// PageRank. The row head zeroes the node's raw sum (acc); the row sums the
+// src (scaled) words its view holds in a register and hands every other ref
+// to ReadRef; the fold stores s = acc + sum and writes the next iteration's
+// scaled word, (restart + d·s)/outDeg, into dst — the other of two scaled
+// columns, the paper's temporary copy, so the job never reads what it
+// writes. ReadDone runs the same fold with the arriving word, so whichever
+// update of a node runs last — the row's or a continuation's, mid-row (see
+// core.RowTask on re-entrancy) or after it — leaves dst at the final
+// pr/outDeg. The rank itself is never stored: the driver computes
+// restart + d·acc once, on the gathered sums.
+type rankPullKernel struct {
+	restart
+	src, dst, acc core.PropID
+	base, damping float64
 }
 
-func (k *sumPullKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
+func (k *rankPullKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 	src := c.F64(k.src)
 	for rows.Next() {
+		c.SetF64(k.acc, 0)
 		var sum float64
 		for _, ref := range rows.Row().Refs {
 			if v, ok := src.At(ref); ok {
@@ -61,12 +80,101 @@ func (k *sumPullKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 				c.ReadRef(ref, k.src)
 			}
 		}
-		c.SetF64(k.acc, c.GetF64(k.acc)+sum)
+		k.fold(c, sum)
 	}
 }
 
-func (k *sumPullKernel) ReadDone(c *core.Ctx, val uint64) {
-	c.SetF64(k.acc, c.GetF64(k.acc)+core.F64Word(val))
+func (k *rankPullKernel) ReadDone(c *core.Ctx, val uint64) { k.fold(c, core.F64Word(val)) }
+
+// fold adds part to the node's raw sum and rewrites its next scaled word.
+func (k *rankPullKernel) fold(c *core.Ctx, part float64) {
+	s := c.GetF64(k.acc) + part
+	c.SetF64(k.acc, s)
+	var next float64
+	if d := c.OutDegree(); d > 0 {
+		var base float64
+		if k.at(c) {
+			base = k.base
+		}
+		next = (base + k.damping*s) / float64(d)
+	}
+	c.SetF64(k.dst, next)
+}
+
+// pullRank runs iters one-job iterations of PageRank-pull (sources nil) or
+// of personalized PageRank restarting at sources, under column names
+// prefixed by name.
+func pullRank(c *core.Cluster, name string, iters int, damping float64, sources []graph.NodeID) ([]float64, Metrics, error) {
+	r := &runner{c: c}
+	defer r.dropProps()
+	acc := r.propF64(name + "_sum")
+	scaled := [2]core.PropID{r.propF64(name + "_scaled"), r.propF64(name + "_scaled_nxt")}
+	n := c.NumNodes()
+	// pr₀ and the restart term: uniform for PageRank, on the sources alone
+	// for the personalized form.
+	k := rankPullKernel{acc: acc, damping: damping, base: (1 - damping) / float64(n)}
+	v0 := 1 / float64(n)
+	if sources != nil {
+		k.restart = restart{sources: r.propI64(name + "_src"), personal: true}
+		k.base = (1 - damping) / float64(len(sources))
+		v0 = 1 / float64(len(sources))
+	}
+	if r.err != nil {
+		return nil, r.met, r.err
+	}
+	if k.personal {
+		c.FillI64(k.sources, 0)
+		for _, s := range sources {
+			c.SetNodeI64(s, k.sources, 1)
+		}
+	}
+
+	start := nowFn()
+	r.run(core.JobSpec{
+		Name: name + "-scale", Iter: core.IterNodes,
+		Task: &rankSeedKernel{restart: k.restart, scaled: scaled[0], v: v0},
+	})
+	for it := 0; it < iters && r.err == nil; it++ {
+		pull := k
+		pull.src, pull.dst = scaled[it%2], scaled[1-it%2]
+		r.run(core.JobSpec{
+			Name: name + "-pull", Iter: core.IterInEdges,
+			Task:      &pull,
+			ReadProps: []core.PropID{pull.src},
+		})
+		r.met.Iterations++
+	}
+	r.met.Total = nowFn().Sub(start)
+	if r.err != nil {
+		return nil, r.met, r.err
+	}
+	var isSource []bool // nil: the restart term lands everywhere
+	if k.personal {
+		isSource = make([]bool, n)
+		for _, s := range sources {
+			isSource[s] = true
+		}
+	}
+	var pr []float64
+	if iters == 0 {
+		pr = make([]float64, n)
+		for u := range pr {
+			if isSource == nil || isSource[u] {
+				pr[u] = v0
+			}
+		}
+		return pr, r.met, nil
+	}
+	// The rank, restart + d·sum, is computed once, on the gathered sums.
+	pr = c.GatherF64(acc)
+	for u, s := range pr {
+		var base float64
+		if isSource == nil || isSource[u] {
+			base = k.base
+		}
+		pr[u] = base + damping*s
+	}
+	return pr, r.met, nil
 }
 
 // pushKernel reduces the node's own src word into every neighbor's dst with
@@ -87,9 +195,9 @@ func (k *pushKernel) RunRows(c *core.Ctx, rows *core.Cursor) {
 	}
 }
 
-// prApplyKernel finishes an iteration and prepares the next in one pass:
-// pr = (1-d)/N + d*nxt, scaled = pr/outDeg, nxt = 0. Fusing the apply and
-// scale phases halves the node-iterator jobs per power iteration.
+// prApplyKernel finishes a push iteration and prepares the next in one pass:
+// pr = (1-d)/N + d*nxt, scaled = pr/outDeg, nxt = 0. A push's sums are
+// complete only after its drain, so this pass cannot ride in the push itself.
 type prApplyKernel struct {
 	core.NoReads
 	pr, nxt, scaled core.PropID
@@ -110,18 +218,15 @@ func (k *prApplyKernel) RunNodes(c *core.Ctx, nodes *core.Cursor) {
 	}
 }
 
-// PageRankPull runs iters power iterations with the pull pattern and returns
-// the PageRank vector.
+// PageRankPull runs iters power iterations with the pull pattern — one job
+// each — and returns the PageRank vector.
 func PageRankPull(c *core.Cluster, iters int, damping float64) ([]float64, Metrics, error) {
-	return pageRankExact(c, iters, damping, true)
+	return pullRank(c, "pr", iters, damping, nil)
 }
 
-// PageRankPush runs iters power iterations with the push pattern.
+// PageRankPush runs iters power iterations with the push pattern: a push,
+// then the apply pass over the drained sums.
 func PageRankPush(c *core.Cluster, iters int, damping float64) ([]float64, Metrics, error) {
-	return pageRankExact(c, iters, damping, false)
-}
-
-func pageRankExact(c *core.Cluster, iters int, damping float64, pull bool) ([]float64, Metrics, error) {
 	r := &runner{c: c}
 	defer r.dropProps()
 	pr := r.propF64("pr")
@@ -139,22 +244,14 @@ func pageRankExact(c *core.Cluster, iters int, damping float64, pull bool) ([]fl
 	// it current.
 	r.run(core.JobSpec{
 		Name: "pr-scale", Iter: core.IterNodes,
-		Task: &scaleKernel{pr: pr, scaled: scaled},
+		Task: &rankSeedKernel{scaled: scaled, v: 1 / n},
 	})
 	for it := 0; it < iters && r.err == nil; it++ {
-		if pull {
-			r.run(core.JobSpec{
-				Name: "pr-pull", Iter: core.IterInEdges,
-				Task:      &sumPullKernel{src: scaled, acc: nxt},
-				ReadProps: []core.PropID{scaled},
-			})
-		} else {
-			r.run(core.JobSpec{
-				Name: "pr-push", Iter: core.IterOutEdges,
-				Task:       &pushKernel{src: scaled, dst: nxt, op: reduce.Sum},
-				WriteProps: []core.WriteSpec{{Prop: nxt, Op: reduce.Sum}},
-			})
-		}
+		r.run(core.JobSpec{
+			Name: "pr-push", Iter: core.IterOutEdges,
+			Task:       &pushKernel{src: scaled, dst: nxt, op: reduce.Sum},
+			WriteProps: []core.WriteSpec{{Prop: nxt, Op: reduce.Sum}},
+		})
 		r.run(core.JobSpec{
 			Name: "pr-apply", Iter: core.IterNodes,
 			Task: &prApplyKernel{pr: pr, nxt: nxt, scaled: scaled, base: (1 - damping) / n, damping: damping},

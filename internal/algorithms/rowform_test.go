@@ -24,13 +24,24 @@ type edgeKernel interface {
 	edge(c *core.Ctx, ref int64, weight float64) (done bool)
 }
 
-// perEdgeRows drives an edgeKernel by the row: one edge call per ref, in row
-// order, until one reports the node done.
+// rowHead is implemented by an edgeKernel with work at the head of each row,
+// before its first edge — a reset the row kernel makes before its loop, which
+// must reach the nodes whose rows are empty too.
+type rowHead interface {
+	head(c *core.Ctx)
+}
+
+// perEdgeRows drives an edgeKernel by the row: its head, if it has one, then
+// one edge call per ref, in row order, until one reports the node done.
 type perEdgeRows struct{ edgeKernel }
 
 func (d perEdgeRows) RunRows(c *core.Ctx, rows *core.Cursor) {
+	h, _ := d.edgeKernel.(rowHead)
 next:
 	for rows.Next() {
+		if h != nil {
+			h.head(c)
+		}
 		row := rows.Row()
 		for i, ref := range row.Refs {
 			if d.edge(c, ref, row.Weight(i)) {
@@ -40,14 +51,33 @@ next:
 	}
 }
 
-type sumPullEdge struct{ src, acc core.PropID }
+// rankPullEdge is rankPullKernel's iteration edge by edge: the head zeroes
+// the raw sum and writes the empty row's next scaled word; every edge's word
+// arrives through ReadDone and folds like a continuation.
+type rankPullEdge struct{ k rankPullKernel }
 
-func (k *sumPullEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
+func (e *rankPullEdge) head(c *core.Ctx) {
+	c.SetF64(e.k.acc, 0)
+	e.k.fold(c, 0)
+}
+func (e *rankPullEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
+	c.ReadRef(ref, e.k.src)
+	return false
+}
+func (e *rankPullEdge) ReadDone(c *core.Ctx, val uint64) { e.k.fold(c, core.F64Word(val)) }
+
+type evPullEdge struct {
+	src, dst core.PropID
+	scale    float64
+}
+
+func (k *evPullEdge) head(c *core.Ctx) { c.SetF64(k.dst, 0) }
+func (k *evPullEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
 	c.ReadRef(ref, k.src)
 	return false
 }
-func (k *sumPullEdge) ReadDone(c *core.Ctx, val uint64) {
-	c.SetF64(k.acc, c.GetF64(k.acc)+core.F64Word(val))
+func (k *evPullEdge) ReadDone(c *core.Ctx, val uint64) {
+	c.SetF64(k.dst, c.GetF64(k.dst)+float64(core.F64Word(val)*k.scale))
 }
 
 type pushEdge struct {
@@ -167,8 +197,10 @@ func (k *misExcludeEdge) edge(c *core.Ctx, ref int64, _ float64) bool {
 func perEdgeForm(task core.Task) core.Task {
 	var edge edgeKernel
 	switch k := task.(type) {
-	case *sumPullKernel:
-		edge = &sumPullEdge{src: k.src, acc: k.acc}
+	case *rankPullKernel:
+		edge = &rankPullEdge{k: *k}
+	case *evPullKernel:
+		edge = &evPullEdge{src: k.src, dst: k.dst, scale: k.scale}
 	case *pushKernel:
 		edge = &pushEdge{src: k.src, dst: k.dst, op: k.op}
 	case *wccPullKernel:

@@ -26,8 +26,11 @@ var ErrTimeout = errors.New("comm: collective timed out")
 // The implementation is a star rooted at machine 0 over MsgCtrl frames. All
 // machines must invoke the same collective sequence (SPMD). A control frame's
 // Aux holds its section (Begin) in the high half and the op and the round
-// within the section in the low half: a frame of another section — a straggler
-// of an aborted one — is released on arrival.
+// within the section in the low half: any frame but the one a wait is for is
+// released on arrival. In the star a machine sends round r+1's frame only
+// after round r's result reached it, so no frame of the running section can
+// arrive ahead of its round; a mismatch is a straggler of an aborted section,
+// or of an aborted round of this one.
 //
 // Collectives is used only by a machine's main goroutine and is not safe for
 // concurrent use within one machine.
@@ -35,9 +38,8 @@ type Collectives struct {
 	ep      Endpoint
 	ctrl    <-chan *Buffer
 	pool    *Pool
-	section uint32    // the section the collectives run in (Begin)
-	round   uint32    // the collectives the section has started
-	pending []*Buffer // the section's frames that arrived ahead of their round
+	section uint32 // the section the collectives run in (Begin)
+	round   uint32 // the collectives the section has started
 	// contrib is the root's gather slot per source machine: an allreduce's
 	// contributions land here as they arrive and merge in machine order, so
 	// a float reduction's bits do not follow the schedule. Reused by every
@@ -61,16 +63,10 @@ func (c *Collectives) SetAbort(ch <-chan struct{}) { c.abort = ch }
 func (c *Collectives) SetTimeout(d time.Duration) { c.timeout = d }
 
 // Begin starts section sec, the number every machine's frames carry until the
-// next Begin: the round restarts, and the frames parked for the section before
-// are released. Sections do not overlap — every machine leaves one before any
-// enters the next — so a frame of another section can only be an older one's.
-func (c *Collectives) Begin(sec uint32) {
-	for _, buf := range c.pending {
-		buf.Release()
-	}
-	c.pending = c.pending[:0]
-	c.section, c.round = sec, 0
-}
+// next Begin, and restarts the round. Sections do not overlap — every machine
+// leaves one before any enters the next — so a frame of another section can
+// only be an older one's.
+func (c *Collectives) Begin(sec uint32) { c.section, c.round = sec, 0 }
 
 // Seq returns the round: how many collectives the current section started.
 func (c *Collectives) Seq() uint32 { return c.round }
@@ -105,18 +101,11 @@ func (c *Collectives) newFrame(op uint32) *Buffer {
 	return buf
 }
 
-// waitCtrl blocks for the control frame of the current round with op,
-// parking frames of the section's other rounds and releasing any other
-// section's on arrival. The caller owns (and must release) the returned
-// buffer.
+// waitCtrl blocks for the control frame of the current section and round
+// with op, releasing every other frame on arrival. The caller owns (and must
+// release) the returned buffer.
 func (c *Collectives) waitCtrl(op uint32) (*Buffer, error) {
 	want := ctrlAux(c.section, op, c.round)
-	for i, buf := range c.pending {
-		if buf.Header().Aux == want {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return buf, nil
-		}
-	}
 	var timeoutCh <-chan time.Time
 	if c.timeout > 0 {
 		t := time.NewTimer(c.timeout)
@@ -129,14 +118,10 @@ func (c *Collectives) waitCtrl(op uint32) (*Buffer, error) {
 			if !ok {
 				return nil, fmt.Errorf("comm: control channel closed during collective (op=%d round=%d)", op, c.round)
 			}
-			switch aux := buf.Header().Aux; {
-			case aux == want:
+			if buf.Header().Aux == want {
 				return buf, nil
-			case uint32(aux>>32) == c.section:
-				c.pending = append(c.pending, buf)
-			default:
-				buf.Release()
 			}
+			buf.Release()
 		case <-c.abort:
 			return nil, fmt.Errorf("%w (op=%d round=%d)", ErrAborted, op, c.round)
 		case <-timeoutCh:

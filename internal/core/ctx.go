@@ -12,9 +12,10 @@ import (
 //
 // Node is the local node index throughout: the node a NodeTask's cursor is at,
 // or the node whose row a RowTask walks (with typed views, a Writer, ReadRef
-// for remote refs). During ReadDone/RMIDone, only Node, Aux, and the local
-// property accessors are valid — continuations that need the neighbor must
-// stash its ref in Aux before reading, mirroring the paper's rule that
+// for remote refs). During ReadDone/RMIDone, only Node, Aux, the local
+// property accessors and what reads Node alone (OutDegree, InDegree,
+// NodeGlobal) are valid — continuations that need the neighbor must stash
+// its ref in Aux before reading, mirroring the paper's rule that
 // continuation state lives in the task object's explicit fields.
 type Ctx struct {
 	w *worker

@@ -19,26 +19,53 @@ import (
 // rowPullSum is pullSumTask with the row contract's register accumulation:
 // a local sum over the neighbors the typed view holds, ReadRef for the rest,
 // one own-node read-modify-write after the row's loop.
-//
-// inRow/reentered instrument TestRowKernelReentrancy: inRow[m] holds the node
-// whose row machine m's (single) worker is inside, plus one; ReadDone counts
-// the continuations that ran for that very node meanwhile. staleOwn breaks
-// the row contract on purpose — it reads the node's accumulator before the
-// loop and stores over it afterwards — to show the test reaches the hazard.
-type rowPullSum struct {
-	src, dst  PropID
-	staleOwn  bool
-	inRow     []atomic.Uint32
-	reentered atomic.Int64
-}
+type rowPullSum struct{ src, dst PropID }
 
 func (k *rowPullSum) RunRows(c *Ctx, rows *Cursor) {
 	src := c.F64(k.src)
 	for rows.Next() {
-		if k.inRow != nil {
-			k.inRow[c.Machine()].Store(c.Node + 1)
+		var sum float64
+		for _, ref := range rows.Row().Refs {
+			if v, ok := src.At(ref); ok {
+				sum += v
+			} else {
+				c.ReadRef(ref, k.src)
+			}
 		}
-		before := c.GetF64(k.dst)
+		c.SetF64(k.dst, c.GetF64(k.dst)+sum)
+	}
+}
+
+func (k *rowPullSum) ReadDone(c *Ctx, val uint64) {
+	c.SetF64(k.dst, c.GetF64(k.dst)+F64Word(val))
+}
+
+// rowRankPull is a whole PageRank-pull iteration in one row kernel, the
+// shape of the algorithms package's: the row head zeroes the node's raw sum
+// (acc), the row sums the src words the view holds in a register and hands
+// the rest to ReadRef, and the fold — after the row and in every ReadDone —
+// adds its part to acc and writes the next scaled word, (base + d·acc) /
+// outDeg, into dst, the other of two scaled columns.
+//
+// inRow/reentered instrument TestRowKernelReentrancy: inRow[m] holds the node
+// whose row machine m's (single) worker is inside, plus one; ReadDone counts
+// the continuations that ran for that very node meanwhile. staleOwn breaks
+// the row contract on purpose — it reads the node's raw sum before the loop
+// and folds over that afterwards — to show the test reaches the hazard.
+type rowRankPull struct {
+	src, dst, acc PropID
+	base, damping float64
+	staleOwn      bool
+	inRow         []atomic.Uint32
+	reentered     atomic.Int64
+}
+
+func (k *rowRankPull) RunRows(c *Ctx, rows *Cursor) {
+	src := c.F64(k.src)
+	for rows.Next() {
+		k.inRow[c.Machine()].Store(c.Node + 1)
+		c.SetF64(k.acc, 0)
+		before := c.GetF64(k.acc)
 		var sum float64
 		for _, ref := range rows.Row().Refs {
 			if v, ok := src.At(ref); ok {
@@ -48,63 +75,41 @@ func (k *rowPullSum) RunRows(c *Ctx, rows *Cursor) {
 			}
 		}
 		if k.staleOwn {
-			c.SetF64(k.dst, before+sum)
+			k.store(c, before+sum)
 		} else {
-			c.SetF64(k.dst, c.GetF64(k.dst)+sum)
+			k.store(c, c.GetF64(k.acc)+sum)
 		}
-		if k.inRow != nil {
-			k.inRow[c.Machine()].Store(0)
-		}
+		k.inRow[c.Machine()].Store(0)
 	}
 }
 
-func (k *rowPullSum) ReadDone(c *Ctx, val uint64) {
-	if k.inRow != nil && k.inRow[c.Machine()].Load() == c.Node+1 {
+func (k *rowRankPull) ReadDone(c *Ctx, val uint64) {
+	if k.inRow[c.Machine()].Load() == c.Node+1 {
 		k.reentered.Add(1)
 	}
-	c.SetF64(k.dst, c.GetF64(k.dst)+F64Word(val))
+	k.store(c, c.GetF64(k.acc)+F64Word(val))
 }
 
-// prScaleTask / prApplyTask are PageRank's two node kernels, so the
-// re-entrancy test can run the real iteration against sa.PageRank.
-type prScaleTask struct {
-	NoReads
-	pr, scaled PropID
-}
-
-func (k *prScaleTask) RunNodes(c *Ctx, nodes *Cursor) { perNode(c, nodes, k.node) }
-
-func (k *prScaleTask) node(c *Ctx) {
+func (k *rowRankPull) store(c *Ctx, s float64) {
+	c.SetF64(k.acc, s)
+	var next float64
 	if d := c.OutDegree(); d > 0 {
-		c.SetF64(k.scaled, c.GetF64(k.pr)/float64(d))
-	} else {
-		c.SetF64(k.scaled, 0)
+		next = (k.base + k.damping*s) / float64(d)
 	}
-}
-
-type prApplyTask struct {
-	NoReads
-	pr, nxt       PropID
-	base, damping float64
-}
-
-func (k *prApplyTask) RunNodes(c *Ctx, nodes *Cursor) { perNode(c, nodes, k.node) }
-
-func (k *prApplyTask) node(c *Ctx) {
-	c.SetF64(k.pr, k.base+k.damping*c.GetF64(k.nxt))
-	c.SetF64(k.nxt, 0)
+	c.SetF64(k.dst, next)
 }
 
 // TestRowKernelReentrancy: a row kernel that keeps its accumulator in a
 // register must survive continuations of the node it is still scanning.
-// PageRank-pull on three machines (a hub's in-row is two thirds remote), eight read records per message and a request pool of one
-// buffer: every flush inside a hub row leaves acquireReq stalled on the next
-// remote read, and the responses it drains there are for earlier reads of
-// that same row (the load replicates nothing: a mirror would answer every one
-// of these reads before the row runs). The result must still be SA's. The
-// contract-breaking variant of the same kernel (own-node value cached across
-// the loop) must not be — otherwise this test would pass without reaching the
-// hazard.
+// PageRank-pull on three machines (a hub's in-row is two thirds remote),
+// one job per iteration over ping-pong scaled columns, eight read records
+// per message and a request pool of one buffer: every flush inside a hub row
+// leaves acquireReq stalled on the next remote read, and the responses it
+// drains there are for earlier reads of that same row (the load replicates
+// nothing: a mirror would answer every one of these reads before the row
+// runs). The result must still be SA's. The contract-breaking variant of the
+// same kernel (own-node value cached across the loop) must not be —
+// otherwise this test would pass without reaching the hazard.
 func TestRowKernelReentrancy(t *testing.T) {
 	g, err := graph.RMAT(10, 8, graph.TwitterLike(), 4242)
 	if err != nil {
@@ -124,26 +129,28 @@ func TestRowKernelReentrancy(t *testing.T) {
 		cfg.Timeout = 20 * time.Second
 		c := bootGhosts(t, g, cfg, noGhosts)
 		c.setPools(1, 0)
-		pr, _ := c.AddPropF64("pr")
-		nxt, _ := c.AddPropF64("nxt")
-		scaled, _ := c.AddPropF64("scaled")
+		acc, _ := c.AddPropF64("sum")
+		scaled := [2]PropID{}
+		scaled[0], _ = c.AddPropF64("scaled")
+		scaled[1], _ = c.AddPropF64("scaled_nxt")
 		n := float64(g.NumNodes())
-		c.FillF64(pr, 1/n)
-		c.FillF64(nxt, 0)
-		pull := &rowPullSum{src: scaled, dst: nxt, staleOwn: staleOwn, inRow: make([]atomic.Uint32, p)}
-		for it := 0; it < iters; it++ {
-			for _, spec := range []JobSpec{
-				{Name: "scale", Iter: IterNodes, Task: &prScaleTask{pr: pr, scaled: scaled}},
-				{Name: "pull", Iter: IterInEdges, Task: pull, ReadProps: []PropID{scaled}},
-				{Name: "apply", Iter: IterNodes, Task: &prApplyTask{pr: pr, nxt: nxt, base: (1 - damping) / n, damping: damping}},
-			} {
-				if _, err := c.RunJob(spec); err != nil {
-					t.Fatalf("%s: %v", spec.Name, err)
-				}
+		c.FillByNodeF64(scaled[0], func(v graph.NodeID) float64 {
+			if d := g.OutDegree(v); d > 0 {
+				return 1 / n / float64(d)
+			}
+			return 0
+		})
+		base := (1 - damping) / n
+		pull := &rowRankPull{acc: acc, base: base, damping: damping, staleOwn: staleOwn, inRow: make([]atomic.Uint32, p)}
+		for it := range iters {
+			pull.src, pull.dst = scaled[it%2], scaled[1-it%2]
+			spec := JobSpec{Name: "pull", Iter: IterInEdges, Task: pull, ReadProps: []PropID{pull.src}}
+			if _, err := c.RunJob(spec); err != nil {
+				t.Fatalf("%s: %v", spec.Name, err)
 			}
 		}
-		for u, v := range c.GatherF64(pr) {
-			maxDiff = math.Max(maxDiff, math.Abs(v-want[u]))
+		for u, s := range c.GatherF64(acc) {
+			maxDiff = math.Max(maxDiff, math.Abs(base+damping*s-want[u]))
 		}
 		return maxDiff, pull.reentered.Load()
 	}
